@@ -147,6 +147,7 @@ func main() {
 		fmt.Printf("messages sent  : %d\n", stats.Messages)
 		fmt.Printf("bytes moved    : %d\n", stats.Bytes)
 		fmt.Printf("max rank comm  : %.3gs\n", stats.MaxRankCommSeconds)
+		fmt.Printf("max rank wait  : %.3gs (blocked on messages that had not arrived)\n", stats.MaxRankWaitSeconds)
 		fmt.Printf("max rank gemm  : %.3gs\n", stats.GemmSeconds)
 		fmt.Printf("comm by phase  : %s\n", formatPhases(stats.CommSecondsByPhase))
 		fmt.Printf("busy imbalance : %.3g (max/mean rank busy time)\n", stats.BusyImbalance)

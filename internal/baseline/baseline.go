@@ -44,7 +44,7 @@ func squareGridOf(c comm.Comm, g topo.Grid, sh matrix.Shape) (q, n int, err erro
 // skewing alignment (row i of A rotated left by i, column j of B rotated up
 // by j), q iterations of local multiply followed by a single-step rotation
 // of A leftwards and B upwards. Local tiles are (n/q)×(n/q); aLoc and bLoc
-// are not modified (the rotations work on copies). x describes the local
+// are not modified (the rotations work on panels). x describes the local
 // multiplies' execution (threads, optional Strassen kernel).
 func Cannon(c comm.Comm, g topo.Grid, sh matrix.Shape, x comm.Exec, aLoc, bLoc, cLoc *matrix.Dense) error {
 	q, n, err := squareGridOf(c, g, sh)
@@ -56,39 +56,31 @@ func Cannon(c comm.Comm, g topo.Grid, sh matrix.Shape, x comm.Exec, aLoc, bLoc, 
 	if aLoc.Rows != tile || aLoc.Cols != tile {
 		return fmt.Errorf("baseline: tile %dx%d, want %dx%d", aLoc.Rows, aLoc.Cols, tile, tile)
 	}
-	a := c.CloneTile(aLoc)
-	b := c.CloneTile(bLoc)
 	if q == 1 {
-		c.Gemm(cLoc, a, b, x)
+		c.Gemm(cLoc, aLoc, bLoc, x)
 		return nil
 	}
-	aw := c.NewBuf(tile * tile)
-	bw := c.NewBuf(tile * tile)
-
-	rot := func(buf *matrix.Dense, wire comm.Buf, dst, src, tag int) {
-		c.Pack(wire, buf)
-		c.SendRecv(dst, tag, wire, src, tag, wire)
-		c.Unpack(buf, wire)
-	}
+	// The rotations work on panels holding copies of the tiles; a rotation
+	// hands the panel's storage on and takes the neighbour's.
+	a := c.NewPanel(tile, tile)
+	b := c.NewPanel(tile, tile)
+	c.Pack(a, aLoc)
+	c.Pack(b, bLoc)
 	// Initial alignment: A_{i,j} moves to (i, j-i); B_{i,j} to (i-j, j).
 	if i > 0 {
-		dst := g.Rank(i, mod(j-i, q))
-		src := g.Rank(i, mod(j+i, q))
-		rot(a, aw, dst, src, 0)
+		c.SendRecv(g.Rank(i, mod(j-i, q)), 0, a, g.Rank(i, mod(j+i, q)), 0, a)
 	}
 	if j > 0 {
-		dst := g.Rank(mod(i-j, q), j)
-		src := g.Rank(mod(i+j, q), j)
-		rot(b, bw, dst, src, 1)
+		c.SendRecv(g.Rank(mod(i-j, q), j), 1, b, g.Rank(mod(i+j, q), j), 1, b)
 	}
 	for step := 0; step < q; step++ {
-		c.Gemm(cLoc, a, b, x)
+		c.Gemm(cLoc, &a.Tile, &b.Tile, x)
 		if step == q-1 {
 			break
 		}
 		// Rotate A one step left, B one step up.
-		rot(a, aw, g.Rank(i, mod(j-1, q)), g.Rank(i, mod(j+1, q)), 2)
-		rot(b, bw, g.Rank(mod(i-1, q), j), g.Rank(mod(i+1, q), j), 3)
+		c.SendRecv(g.Rank(i, mod(j-1, q)), 2, a, g.Rank(i, mod(j+1, q)), 2, a)
+		c.SendRecv(g.Rank(mod(i-1, q), j), 3, b, g.Rank(mod(i+1, q), j), 3, b)
 	}
 	return nil
 }
@@ -113,29 +105,25 @@ func Fox(c comm.Comm, g topo.Grid, sh matrix.Shape, bcastAlg sched.Algorithm, x 
 		return fmt.Errorf("baseline: tile %dx%d, want %dx%d", aLoc.Rows, aLoc.Cols, tile, tile)
 	}
 	rowComm := c.Split(i, j)
-	b := c.CloneTile(bLoc)
 	if q == 1 {
-		c.Gemm(cLoc, aLoc, b, x)
+		c.Gemm(cLoc, aLoc, bLoc, x)
 		return nil
 	}
-	aPanel := c.NewTile(tile, tile)
-	aw := c.NewBuf(tile * tile)
-	bw := c.NewBuf(tile * tile)
+	aPanel := c.NewPanel(tile, tile)
+	b := c.NewPanel(tile, tile)
+	c.Pack(b, bLoc)
 	for k := 0; k < q; k++ {
 		root := (i + k) % q
 		if j == root {
-			c.Pack(aw, aLoc)
+			c.Pack(aPanel, aLoc)
 		}
-		rowComm.Bcast(bcastAlg, root, aw, 1)
-		c.Unpack(aPanel, aw)
-		c.Gemm(cLoc, aPanel, b, x)
+		rowComm.Bcast(bcastAlg, root, aPanel, 1)
+		c.Gemm(cLoc, &aPanel.Tile, &b.Tile, x)
 		if k == q-1 {
 			break
 		}
 		// Roll B upwards: send my B to (i-1, j), receive from (i+1, j).
-		c.Pack(bw, b)
-		c.SendRecv(g.Rank(mod(i-1, q), j), 4, bw, g.Rank(mod(i+1, q), j), 4, bw)
-		c.Unpack(b, bw)
+		c.SendRecv(g.Rank(mod(i-1, q), j), 4, b, g.Rank(mod(i+1, q), j), 4, b)
 	}
 	return nil
 }

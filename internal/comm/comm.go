@@ -1,17 +1,18 @@
 // Package comm defines the transport-agnostic communicator interface the
 // SUMMA-family algorithms are written against. Every algorithm in
 // internal/core and internal/baseline is implemented exactly once, in terms
-// of this interface, and runs unchanged on two transports:
+// of this interface, and runs unchanged on every transport:
 //
-//   - the live transport (internal/mpi): ranks are goroutines, wire buffers
-//     carry real matrix elements, Gemm executes real floating-point work,
-//     and communication time is wall-clock — the correctness path;
+//   - the live transport (internal/mpi): ranks are goroutines, panels
+//     carry real matrix elements in pooled storage that moves between
+//     ranks by reference, Gemm executes real floating-point work, and
+//     communication time is wall-clock — the correctness path;
 //
-//   - the virtual transport (internal/simnet): ranks are goroutines but
-//     wire buffers carry only element counts, Gemm advances a per-rank
-//     Hockney compute clock, and every transfer advances virtual time — the
-//     timing path that reproduces the paper's BlueGene/P and exascale
-//     figures at ranks counts no single machine could host with real data.
+//   - the virtual transports (internal/simnet, internal/evsim): panels
+//     carry only their shape, Gemm advances a per-rank Hockney compute
+//     clock, and every transfer advances virtual time — the timing path
+//     that reproduces the paper's BlueGene/P and exascale figures at rank
+//     counts no single machine could host with real data.
 //
 // Both transports execute the same broadcast schedules (internal/sched) and
 // count the same per-rank messages and bytes, so a simulated run is
@@ -20,10 +21,39 @@
 //
 // The interface has two halves. The communication half (Rank/Size/Split/
 // Send/Recv/SendRecv/Bcast) mirrors the MPI subset the paper's Algorithm 1
-// uses. The data half (NewBuf/NewTile/CloneTile/Pack/Unpack/Gemm) routes
-// every touch of matrix element storage through the transport, which is
-// what lets the virtual transport elide storage entirely: a simulated
+// uses. The data half (NewPanel/NewTile/Pack/Repack/Gemm/Axpy) routes every
+// touch of matrix element storage through the transport, which is what
+// lets the virtual transports elide storage entirely: a simulated
 // 16384-rank run allocates shape headers, not gigabytes of tiles.
+//
+// # Data-plane contract
+//
+// Everything that travels is a Panel: a rows×cols tile that is its own
+// wire buffer. The rules, identical on every transport:
+//
+//   - Pack gives the caller exclusive storage and fills it. Until the
+//     panel is next sent the caller may also write it (Axpy into
+//     Panel.Tile) — nobody else can see it. Repack fills a panel from a
+//     window of another one; the result may share the source's storage,
+//     so it is read-only.
+//
+//   - Send, SendRecv's send half and Bcast on the root *publish* the
+//     panel: the transport may hand the very same storage to the
+//     receivers, so from then on the sender holds it read-only, exactly
+//     like the receivers. The sender may keep reading it; its next Pack
+//     or Repack into the panel detaches it from the readers first (they
+//     keep what they were given). Sends are eager: they never block.
+//
+//   - Recv, SendRecv's receive half and Bcast on a non-root *replace* the
+//     panel's contents: Panel.Tile is valid — and read-only — until the
+//     caller's next operation on that panel. What the panel held before
+//     is gone, so never keep a view of Panel.Tile across such a call.
+//
+//   - A panel that was never packed or received into has no contents;
+//     ranks that sit a broadcast out simply never read theirs.
+//
+// Local operand tiles handed to an algorithm (aLoc, bLoc) are read-only
+// too: the one-shot façade passes views of the caller's matrices.
 package comm
 
 import (
@@ -69,14 +99,24 @@ func (x Exec) Flops(m, n, k int) float64 {
 	return blas.FlopsGemm(m, n, k)
 }
 
-// Buf is a wire buffer of matrix elements. Under the live transport Data
-// holds the elements (len(Data) == N); under a virtual transport Data is
-// nil and only the element count N travels — the Hockney cost and the
-// traffic accounting depend only on N.
-type Buf struct {
-	Data []float64
-	N    int
+// Panel is a tile that is its own wire buffer: the pivot panels of the
+// SUMMA family, the rotating tiles of Cannon and Fox, the staged operands
+// of Strassen. See the package comment for who may read and write it when.
+type Panel struct {
+	// Tile is the panel as a matrix. Under the live transport Tile.Data
+	// holds the elements once the panel has been packed or received into
+	// (nil before); under a virtual transport it is always nil and only
+	// the shape travels — the Hockney cost and the traffic accounting
+	// depend on Rows·Cols alone.
+	Tile matrix.Dense
+	// Ref belongs to the transport that allocated the panel: the live
+	// transport keeps its handle on the (possibly shared) storage behind
+	// Tile.Data here. Algorithms never touch it.
+	Ref any
 }
+
+// Elems returns the panel's element count, its size on the wire.
+func (p *Panel) Elems() int { return p.Tile.Rows * p.Tile.Cols }
 
 // Comm is a communicator: an ordered group of ranks with an isolated
 // message namespace, plus the data-plane hooks that let a transport decide
@@ -95,32 +135,34 @@ type Comm interface {
 	// (key, old rank). A negative colour returns nil (MPI_UNDEFINED).
 	Split(color, key int) Comm
 
-	// Send delivers data to dst (comm rank) under tag. Sends are eager:
-	// they never block and the buffer may be reused on return.
-	Send(dst, tag int, data Buf)
-	// Recv blocks until a message from src with the given tag arrives.
-	// The buffer's element count must equal the message's exactly.
-	Recv(src, tag int, buf Buf)
+	// Send publishes the panel to dst (comm rank) under tag. Sends are
+	// eager: they never block.
+	Send(dst, tag int, p *Panel)
+	// Recv blocks until a message from src with the given tag arrives and
+	// replaces the panel's contents with it. The panel's element count
+	// must equal the message's exactly.
+	Recv(src, tag int, p *Panel)
 	// SendRecv performs the send and the receive concurrently — the
-	// full-duplex shift primitive of Cannon's and Fox's algorithms.
-	SendRecv(dst, sendTag int, send Buf, src, recvTag int, recv Buf)
-	// Bcast broadcasts root's buffer to every rank in place, executing
-	// the named algorithm's schedule from internal/sched transfer by
-	// transfer. segments is the chain pipeline depth (pass 1 otherwise).
-	Bcast(alg sched.Algorithm, root int, data Buf, segments int)
+	// full-duplex shift primitive of Cannon's and Fox's algorithms. send
+	// and recv may be the same panel (rotate in place).
+	SendRecv(dst, sendTag int, send *Panel, src, recvTag int, recv *Panel)
+	// Bcast broadcasts root's panel to every rank, executing the named
+	// algorithm's schedule from internal/sched transfer by transfer.
+	// segments is the chain pipeline depth (pass 1 otherwise).
+	Bcast(alg sched.Algorithm, root int, p *Panel, segments int)
 
-	// NewBuf allocates a wire buffer of elems elements.
-	NewBuf(elems int) Buf
-	// NewTile allocates a zeroed rows×cols local matrix.
+	// NewPanel allocates an empty rows×cols panel.
+	NewPanel(rows, cols int) *Panel
+	// NewTile allocates a zeroed rows×cols local matrix that never
+	// travels (accumulators, scratch).
 	NewTile(rows, cols int) *matrix.Dense
-	// CloneTile returns a private copy of a tile (Cannon and Fox rotate
-	// copies so the caller's inputs stay untouched).
-	CloneTile(src *matrix.Dense) *matrix.Dense
-	// Pack marshals a tile (or view) into a wire buffer; the element
-	// counts must match exactly.
-	Pack(dst Buf, src *matrix.Dense)
-	// Unpack fills a tile from a wire buffer produced by Pack.
-	Unpack(dst *matrix.Dense, src Buf)
+	// Pack fills the panel from a tile (or view) of the same shape.
+	Pack(dst *Panel, src *matrix.Dense)
+	// Repack fills dst from the dst-shaped window of src rooted at (i,j).
+	// When the window is all of src (HSUMMA with B = b: the inner panel
+	// *is* the outer panel) dst takes over src's contents by reference
+	// instead of copying them.
+	Repack(dst, src *Panel, i, j int)
 	// Gemm performs the local update C += A·B under the given execution
 	// descriptor: real arithmetic (packed, threaded or Strassen per x) on
 	// the live transport, a compute-clock advance of x.Flops(m,n,k) scaled
@@ -134,11 +176,20 @@ type Comm interface {
 	Axpy(alpha float64, x, y *matrix.Dense)
 }
 
-// CheckPack panics unless src's shape fills dst exactly — shared by the
-// transports so both enforce the same contract.
-func CheckPack(dst Buf, src *matrix.Dense) {
-	if src.Rows*src.Cols != dst.N {
-		panic(fmt.Sprintf("comm: pack %dx%d tile into %d-element buffer", src.Rows, src.Cols, dst.N))
+// CheckPack panics unless src's shape is dst's — shared by the transports
+// so all enforce the same contract.
+func CheckPack(dst *Panel, src *matrix.Dense) {
+	if src.Rows != dst.Tile.Rows || src.Cols != dst.Tile.Cols {
+		panic(fmt.Sprintf("comm: pack %dx%d tile into %dx%d panel", src.Rows, src.Cols, dst.Tile.Rows, dst.Tile.Cols))
+	}
+}
+
+// CheckRepack panics unless the dst-shaped window rooted at (i,j) lies
+// inside src.
+func CheckRepack(dst, src *Panel, i, j int) {
+	d, s := &dst.Tile, &src.Tile
+	if i < 0 || j < 0 || i+d.Rows > s.Rows || j+d.Cols > s.Cols {
+		panic(fmt.Sprintf("comm: repack %dx%d window at (%d,%d) outside %dx%d panel", d.Rows, d.Cols, i, j, s.Rows, s.Cols))
 	}
 }
 

@@ -53,32 +53,28 @@ func CyclicSUMMA(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) erro
 	rowComm := c.Split(i, j)
 	colComm := c.Split(g.S+j, i)
 
-	aPanel := c.NewTile(aRows, b)
-	bPanel := c.NewTile(b, bCols)
-	aBuf := c.NewBuf(aRows * b)
-	bBuf := c.NewBuf(b * bCols)
+	aPanel := c.NewPanel(aRows, b)
+	bPanel := c.NewPanel(b, bCols)
 	for k := 0; k < sh.K/b; k++ {
 		// Owner grid column of A's pivot block-column k, and the local
 		// block column it is stored at on the owner.
 		ownerCol := k % g.T
 		if j == ownerCol {
-			c.Pack(aBuf, aLoc.View(0, (k/g.T)*b, aRows, b))
+			c.Pack(aPanel, aLoc.View(0, (k/g.T)*b, aRows, b))
 		}
-		rowComm.Bcast(o.Broadcast, ownerCol, aBuf, o.Segments)
-		c.Unpack(aPanel, aBuf)
+		rowComm.Bcast(o.Broadcast, ownerCol, aPanel, o.Segments)
 
 		ownerRow := k % g.S
 		if i == ownerRow {
-			c.Pack(bBuf, bLoc.View((k/g.S)*b, 0, b, bCols))
+			c.Pack(bPanel, bLoc.View((k/g.S)*b, 0, b, bCols))
 		}
-		colComm.Bcast(o.Broadcast, ownerRow, bBuf, o.Segments)
-		c.Unpack(bPanel, bBuf)
+		colComm.Bcast(o.Broadcast, ownerRow, bPanel, o.Segments)
 
 		// The panel's local row set equals C's local row set (both are
 		// the block rows congruent to i mod s, in the same local
 		// order), and likewise for columns, so the update is a plain
 		// local GEMM exactly as in the checkerboard layout.
-		c.Gemm(cLoc, aPanel, bPanel, o.Exec())
+		c.Gemm(cLoc, &aPanel.Tile, &bPanel.Tile, o.Exec())
 	}
 	return nil
 }

@@ -49,17 +49,13 @@ func HSUMMA(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 	// Outer panels (the paper's Blockgroup_A / Blockgroup_B): my row's
 	// slice of the B-wide pivot column of A, and my column's slice of the
 	// B-high pivot row of B. Only ranks on the owning inner column/row
-	// ever hold them, but allocating unconditionally keeps the code
-	// simple; the memory is B·M/s + B·N/t per rank, the paper's footprint.
-	aOuter := c.NewTile(aRows, B)
-	bOuter := c.NewTile(B, bCols)
-	aOuterBuf := c.NewBuf(aRows * B)
-	bOuterBuf := c.NewBuf(B * bCols)
-
-	aPanel := c.NewTile(aRows, b)
-	bPanel := c.NewTile(b, bCols)
-	aBuf := c.NewBuf(aRows * b)
-	bBuf := c.NewBuf(b * bCols)
+	// ever hold them; a panel that is never packed or received into
+	// stays empty, so the memory is the paper's footprint, B·M/s + B·N/t
+	// on the ranks that take part.
+	aOuter := c.NewPanel(aRows, B)
+	bOuter := c.NewPanel(B, bCols)
+	aPanel := c.NewPanel(aRows, b)
+	bPanel := c.NewPanel(b, bCols)
 
 	for ko := 0; ko < o.Shape.K/B; ko++ {
 		lo := ko * B // first global K index of the outer pivot panel
@@ -77,35 +73,33 @@ func HSUMMA(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 		// inner column jjo.
 		if jj == jjo {
 			if y == yo {
-				c.Pack(aOuterBuf, aLoc.View(0, lo%aCols, aRows, B))
+				c.Pack(aOuter, aLoc.View(0, lo%aCols, aRows, B))
 			}
-			groupRowComm.Bcast(o.Broadcast, yo, aOuterBuf, o.Segments)
-			c.Unpack(aOuter, aOuterBuf)
+			groupRowComm.Bcast(o.Broadcast, yo, aOuter, o.Segments)
 		}
 		// Phase 1 (vertical, between groups) for B's outer panel.
 		if ii == iio {
 			if x == xo {
-				c.Pack(bOuterBuf, bLoc.View(lo%bRows, 0, B, bCols))
+				c.Pack(bOuter, bLoc.View(lo%bRows, 0, B, bCols))
 			}
-			groupColComm.Bcast(o.Broadcast, xo, bOuterBuf, o.Segments)
-			c.Unpack(bOuter, bOuterBuf)
+			groupColComm.Bcast(o.Broadcast, xo, bOuter, o.Segments)
 		}
 
 		// Phase 2 (inside each group): B/b inner steps; the roots are
 		// fixed at (iio, jjo) for the whole outer step because the
-		// entire outer panel lives on that inner column/row.
+		// entire outer panel lives on that inner column/row. With B = b
+		// the inner panel is the outer panel and Repack forwards it
+		// without a copy.
 		for ki := 0; ki < B/b; ki++ {
 			if jj == jjo {
-				c.Pack(aBuf, aOuter.View(0, ki*b, aRows, b))
+				c.Repack(aPanel, aOuter, 0, ki*b)
 			}
-			rowComm.Bcast(o.Broadcast, jjo, aBuf, o.Segments)
-			c.Unpack(aPanel, aBuf)
+			rowComm.Bcast(o.Broadcast, jjo, aPanel, o.Segments)
 			if ii == iio {
-				c.Pack(bBuf, bOuter.View(ki*b, 0, b, bCols))
+				c.Repack(bPanel, bOuter, ki*b, 0)
 			}
-			colComm.Bcast(o.Broadcast, iio, bBuf, o.Segments)
-			c.Unpack(bPanel, bBuf)
-			c.Gemm(cLoc, aPanel, bPanel, o.Exec())
+			colComm.Bcast(o.Broadcast, iio, bPanel, o.Segments)
+			c.Gemm(cLoc, &aPanel.Tile, &bPanel.Tile, o.Exec())
 		}
 	}
 	return nil

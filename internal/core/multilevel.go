@@ -92,16 +92,12 @@ func MultilevelHSUMMA(c comm.Comm, opts Options, levels []Level, innerBlock int,
 		bComms[k] = c.Split(g.Size()*(1+k)+colorWithout(j, rowDigits, rowRadix, k), rowDigits[k])
 	}
 
-	// Panel buffers per level.
-	aBufs := make([]*matrix.Dense, nLevels)
-	bBufs := make([]*matrix.Dense, nLevels)
-	aWire := make([]comm.Buf, nLevels)
-	bWire := make([]comm.Buf, nLevels)
+	// Panels per level.
+	aPanels := make([]*comm.Panel, nLevels)
+	bPanels := make([]*comm.Panel, nLevels)
 	for k, w := range widths {
-		aBufs[k] = c.NewTile(aRows, w)
-		bBufs[k] = c.NewTile(w, bCols)
-		aWire[k] = c.NewBuf(aRows * w)
-		bWire[k] = c.NewBuf(w * bCols)
+		aPanels[k] = c.NewPanel(aRows, w)
+		bPanels[k] = c.NewPanel(w, bCols)
 	}
 
 	// descend recursively broadcasts the panel starting at global pivot
@@ -120,29 +116,25 @@ func MultilevelHSUMMA(c comm.Comm, opts Options, levels []Level, innerBlock int,
 			if colDigits[k] == ownerColDigits[k] {
 				// I hold the parent panel (or the tile at k=0).
 				if k == 0 {
-					c.Pack(aWire[k], aLoc.View(0, lo%aCols, aRows, w))
+					c.Pack(aPanels[k], aLoc.View(0, lo%aCols, aRows, w))
 				} else {
-					parentOff := lo % widths[k-1]
-					c.Pack(aWire[k], aBufs[k-1].View(0, parentOff, aRows, w))
+					c.Repack(aPanels[k], aPanels[k-1], 0, lo%widths[k-1])
 				}
 			}
-			aComms[k].Bcast(o.Broadcast, ownerColDigits[k], aWire[k], o.Segments)
-			c.Unpack(aBufs[k], aWire[k])
+			aComms[k].Bcast(o.Broadcast, ownerColDigits[k], aPanels[k], o.Segments)
 		}
 		if digitsMatchBelow(rowDigits, ownerRowDigits, k) {
 			if rowDigits[k] == ownerRowDigits[k] {
 				if k == 0 {
-					c.Pack(bWire[k], bLoc.View(lo%bRows, 0, w, bCols))
+					c.Pack(bPanels[k], bLoc.View(lo%bRows, 0, w, bCols))
 				} else {
-					parentOff := lo % widths[k-1]
-					c.Pack(bWire[k], bBufs[k-1].View(parentOff, 0, w, bCols))
+					c.Repack(bPanels[k], bPanels[k-1], lo%widths[k-1], 0)
 				}
 			}
-			bComms[k].Bcast(o.Broadcast, ownerRowDigits[k], bWire[k], o.Segments)
-			c.Unpack(bBufs[k], bWire[k])
+			bComms[k].Bcast(o.Broadcast, ownerRowDigits[k], bPanels[k], o.Segments)
 		}
 		if k == nLevels-1 {
-			c.Gemm(cLoc, aBufs[k], bBufs[k], o.Exec())
+			c.Gemm(cLoc, &aPanels[k].Tile, &bPanels[k].Tile, o.Exec())
 			return
 		}
 		for sub := 0; sub < w/widths[k+1]; sub++ {

@@ -188,23 +188,32 @@ func strassenLevel(c comm.Comm, o Options, n, s, level int, aLoc, bLoc, cLoc *ma
 
 	sub := c.Split(myQ, li*half+lj)
 	tile := n / s
-	elems := tile * tile
 	products := StrassenProducts()
 
 	// Phase 1: stage my tile of every operand term owned by my quadrant to
-	// the product's host quadrant. Sends are eager — none of these block.
-	wire := c.NewBuf(elems)
+	// the product's host quadrant. Sends are eager — none of these block —
+	// and a published panel is read-only, so one packed copy of each
+	// operand serves every host that needs it.
+	aWire := c.NewPanel(tile, tile)
+	bWire := c.NewPanel(tile, tile)
+	aPacked, bPacked := false, false
 	for r, p := range products {
 		for t, term := range p.A {
 			if term.Q == myQ && p.Host != myQ {
-				c.Pack(wire, aLoc)
-				c.Send(partner(p.Host), strassenStageTag(r, t, 0), wire)
+				if !aPacked {
+					c.Pack(aWire, aLoc)
+					aPacked = true
+				}
+				c.Send(partner(p.Host), strassenStageTag(r, t, 0), aWire)
 			}
 		}
 		for t, term := range p.B {
 			if term.Q == myQ && p.Host != myQ {
-				c.Pack(wire, bLoc)
-				c.Send(partner(p.Host), strassenStageTag(r, t, 1), wire)
+				if !bPacked {
+					c.Pack(bWire, bLoc)
+					bPacked = true
+				}
+				c.Send(partner(p.Host), strassenStageTag(r, t, 1), bWire)
 			}
 		}
 	}
@@ -212,28 +221,25 @@ func strassenLevel(c comm.Comm, o Options, n, s, level int, aLoc, bLoc, cLoc *ma
 	// Phase 2: for each product my quadrant hosts, assemble the operand
 	// sums (local tile or staged receive per term), compute the product on
 	// the quadrant sub-grid, and distribute its C contributions.
-	sumA := c.NewTile(tile, tile)
-	sumB := c.NewTile(tile, tile)
+	sumA := c.NewPanel(tile, tile)
+	sumB := c.NewPanel(tile, tile)
 	prod := c.NewTile(tile, tile)
-	tmp := c.NewTile(tile, tile)
-	assemble := func(dst *matrix.Dense, terms []StrassenTerm, r, operand int, loc *matrix.Dense) {
+	wire := c.NewPanel(tile, tile)
+	assemble := func(dst *comm.Panel, terms []StrassenTerm, r, operand int, loc *matrix.Dense) {
 		for t, term := range terms {
-			var src *matrix.Dense
-			if term.Q == myQ {
-				src = loc
-			} else {
+			src := loc
+			if term.Q != myQ {
 				c.Recv(partner(term.Q), strassenStageTag(r, t, operand), wire)
-				c.Unpack(tmp, wire)
-				src = tmp
+				src = &wire.Tile
 			}
 			if t == 0 && term.Sign == 1 {
 				// First positive term: copy (free on virtual transports,
-				// cheaper than zero+axpy on live ones).
-				c.Pack(wire, src)
-				c.Unpack(dst, wire)
+				// cheaper than zero+axpy on live ones). The pack leaves
+				// dst exclusively ours, so later terms add into it.
+				c.Pack(dst, src)
 				continue
 			}
-			c.Axpy(term.Sign, src, dst)
+			c.Axpy(term.Sign, src, &dst.Tile)
 		}
 	}
 	for r, p := range products {
@@ -246,7 +252,7 @@ func strassenLevel(c comm.Comm, o Options, n, s, level int, aLoc, bLoc, cLoc *ma
 		// elide storage, so zeroing is a local no-op there.
 		zeroTile(prod)
 		if level > 1 {
-			if err := strassenLevel(sub, o, n/2, half, level-1, sumA, sumB, prod); err != nil {
+			if err := strassenLevel(sub, o, n/2, half, level-1, &sumA.Tile, &sumB.Tile, prod); err != nil {
 				return err
 			}
 		} else {
@@ -255,20 +261,24 @@ func strassenLevel(c comm.Comm, o Options, n, s, level int, aLoc, bLoc, cLoc *ma
 				return err
 			}
 			if o.StrassenInnerGroups > 0 {
-				err = HSUMMA(sub, bot, sumA, sumB, prod)
+				err = HSUMMA(sub, bot, &sumA.Tile, &sumB.Tile, prod)
 			} else {
-				err = SUMMA(sub, bot, sumA, sumB, prod)
+				err = SUMMA(sub, bot, &sumA.Tile, &sumB.Tile, prod)
 			}
 			if err != nil {
 				return err
 			}
 		}
+		packed := false
 		for ct, term := range p.C {
 			if term.Q == myQ {
 				c.Axpy(term.Sign, prod, cLoc)
 				continue
 			}
-			c.Pack(wire, prod)
+			if !packed {
+				c.Pack(wire, prod)
+				packed = true
+			}
 			c.Send(partner(term.Q), strassenCombineTag(r, ct), wire)
 		}
 	}
@@ -284,8 +294,7 @@ func strassenLevel(c comm.Comm, o Options, n, s, level int, aLoc, bLoc, cLoc *ma
 				continue
 			}
 			c.Recv(partner(p.Host), strassenCombineTag(r, ct), wire)
-			c.Unpack(tmp, wire)
-			c.Axpy(term.Sign, tmp, cLoc)
+			c.Axpy(term.Sign, &wire.Tile, cLoc)
 		}
 	}
 	return nil

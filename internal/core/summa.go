@@ -39,28 +39,24 @@ func SUMMA(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 	checkTile("B", bLoc, bRows, bCols)
 	checkTile("C", cLoc, aRows, bCols)
 
-	aPanel := c.NewTile(aRows, b)
-	bPanel := c.NewTile(b, bCols)
-	aBuf := c.NewBuf(aRows * b)
-	bBuf := c.NewBuf(b * bCols)
+	aPanel := c.NewPanel(aRows, b)
+	bPanel := c.NewPanel(b, bCols)
 	for k := 0; k < o.Shape.K/b; k++ {
 		lo := k * b // first global K index of the pivot panel
 		ownerCol := lo / aCols
 		ownerRow := lo / bRows
 		// Horizontal broadcast of A's pivot column panel along my row.
 		if j == ownerCol {
-			c.Pack(aBuf, aLoc.View(0, lo%aCols, aRows, b))
+			c.Pack(aPanel, aLoc.View(0, lo%aCols, aRows, b))
 		}
-		rowComm.Bcast(o.Broadcast, ownerCol, aBuf, o.Segments)
-		c.Unpack(aPanel, aBuf)
+		rowComm.Bcast(o.Broadcast, ownerCol, aPanel, o.Segments)
 		// Vertical broadcast of B's pivot row panel along my column.
 		if i == ownerRow {
-			c.Pack(bBuf, bLoc.View(lo%bRows, 0, b, bCols))
+			c.Pack(bPanel, bLoc.View(lo%bRows, 0, b, bCols))
 		}
-		colComm.Bcast(o.Broadcast, ownerRow, bBuf, o.Segments)
-		c.Unpack(bPanel, bBuf)
+		colComm.Bcast(o.Broadcast, ownerRow, bPanel, o.Segments)
 		// Local rank-b update.
-		c.Gemm(cLoc, aPanel, bPanel, o.Exec())
+		c.Gemm(cLoc, &aPanel.Tile, &bPanel.Tile, o.Exec())
 	}
 	return nil
 }

@@ -163,12 +163,27 @@ func (m *BlockMap) checkShape(a *matrix.Dense) {
 // Scatter cuts a global matrix into per-rank tiles: the returned slice
 // holds, at index r, a private copy of rank r's tile.
 func (m *BlockMap) Scatter(a *matrix.Dense) []*matrix.Dense {
+	tiles := m.Views(a)
+	for r, v := range tiles {
+		tiles[r] = v.Clone()
+	}
+	return tiles
+}
+
+// Views cuts a global matrix into per-rank tiles without copying: the
+// returned slice holds, at index r, a view of a covering rank r's tile —
+// what Scatter would have cloned. Views of an operand let ranks read it in
+// place (they must not write it); views of an output matrix let them write
+// their tiles where Gather would have put them. The one-shot façade stages
+// this way; resident sessions, which outlive the caller's matrices, keep
+// their own tiles and use ScatterInto.
+func (m *BlockMap) Views(a *matrix.Dense) []*matrix.Dense {
 	m.checkShape(a)
 	tiles := make([]*matrix.Dense, m.grid.Size())
 	for r := range tiles {
 		i, j := m.grid.Coords(r)
 		tr, tc := m.TileShape(r)
-		tiles[r] = a.View(m.rowStart(i), m.colStart(j), tr, tc).Clone()
+		tiles[r] = a.View(m.rowStart(i), m.colStart(j), tr, tc)
 	}
 	return tiles
 }

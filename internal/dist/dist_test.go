@@ -142,3 +142,38 @@ func TestCyclicMapValidation(t *testing.T) {
 		t.Fatalf("ragged trailing block rejected: %v", err)
 	}
 }
+
+// TestBlockMapViews: Views is Scatter without the copy — the same tiles,
+// aliasing the global matrix — for even and ragged splits, and writing
+// through the views of an output matrix is a Gather that never happens.
+func TestBlockMapViews(t *testing.T) {
+	for _, c := range []struct{ rows, cols, s, tt int }{
+		{8, 12, 2, 4}, {7, 10, 2, 3}, {3, 2, 4, 4},
+	} {
+		g := topo.Grid{S: c.s, T: c.tt}
+		m, err := NewBlockMap(c.rows, c.cols, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := matrix.Random(c.rows, c.cols, 7)
+		views, tiles := m.Views(a), m.Scatter(a)
+		out := matrix.New(c.rows, c.cols)
+		for r, dst := range m.Views(out) {
+			if !matrix.Equal(views[r], tiles[r]) {
+				t.Fatalf("%dx%d over %v: view %d differs from the scattered tile", c.rows, c.cols, g, r)
+			}
+			if dst.Rows > 0 && dst.Cols > 0 {
+				dst.CopyFrom(tiles[r])
+			}
+		}
+		if !matrix.Equal(out, a) {
+			t.Fatalf("%dx%d over %v: writing through output views did not reassemble the matrix", c.rows, c.cols, g)
+		}
+	}
+	m, _ := NewBlockMap(4, 4, topo.Grid{S: 2, T: 2})
+	a := matrix.Random(4, 4, 1)
+	m.Views(a)[3].Set(1, 1, 999)
+	if a.At(3, 3) != 999 {
+		t.Fatal("Views must alias the global matrix")
+	}
+}

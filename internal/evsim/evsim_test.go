@@ -20,7 +20,7 @@ func testCfg() simnet.VConfig {
 func TestPointToPointTiming(t *testing.T) {
 	w := NewWorld(2, testCfg())
 	err := w.Run(func(c comm.Comm) {
-		buf := c.NewBuf(1000)
+		buf := c.NewPanel(1, 1000)
 		switch c.Rank() {
 		case 0:
 			c.Send(1, 7, buf)
@@ -57,7 +57,7 @@ func TestAlgorithmPanicBecomesError(t *testing.T) {
 			panic("boom")
 		}
 		// The others park in a collective that can never complete.
-		c.Bcast(sched.Binomial, 0, c.NewBuf(10), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10), 1)
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want the rank panic, got %v", err)
@@ -75,7 +75,7 @@ func TestBcastMismatchAborts(t *testing.T) {
 		if c.Rank() == 1 {
 			elems = 20
 		}
-		c.Bcast(sched.Binomial, root, c.NewBuf(elems), 1)
+		c.Bcast(sched.Binomial, root, c.NewPanel(1, elems), 1)
 	})
 	if err == nil || !strings.Contains(err.Error(), "bcast mismatch") {
 		t.Fatalf("want bcast mismatch, got %v", err)
@@ -88,9 +88,9 @@ func TestRecvSizeMismatchAborts(t *testing.T) {
 	w := NewWorld(2, testCfg())
 	err := w.Run(func(c comm.Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 0, c.NewBuf(10))
+			c.Send(1, 0, c.NewPanel(1, 10))
 		} else {
-			c.Recv(0, 0, c.NewBuf(11))
+			c.Recv(0, 0, c.NewPanel(1, 11))
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "recv buffer") {
@@ -104,7 +104,7 @@ func TestStalledReplayDetected(t *testing.T) {
 	w := NewWorld(2, testCfg())
 	err := w.Run(func(c comm.Comm) {
 		if c.Rank() == 1 {
-			c.Recv(0, 9, c.NewBuf(4)) // rank 0 never sends
+			c.Recv(0, 9, c.NewPanel(1, 4)) // rank 0 never sends
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
@@ -153,8 +153,8 @@ func TestSymmetryMemoShares(t *testing.T) {
 	err := w.Run(func(c comm.Comm) {
 		row := c.Rank() / cols
 		sub := c.Split(row, c.Rank()%cols)
-		sub.Bcast(sched.VanDeGeijn, 0, c.NewBuf(4096), 1)
-		sub.Bcast(sched.Binomial, 2, c.NewBuf(128), 1)
+		sub.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096), 1)
+		sub.Bcast(sched.Binomial, 2, c.NewPanel(1, 128), 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestSymmetryMemoShares(t *testing.T) {
 func TestSingleRankWorld(t *testing.T) {
 	w := NewWorld(1, testCfg())
 	err := w.Run(func(c comm.Comm) {
-		c.Bcast(sched.Binomial, 0, c.NewBuf(5), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 5), 1)
 		c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), comm.Serial)
 	})
 	if err != nil {

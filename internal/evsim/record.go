@@ -124,32 +124,32 @@ func ck32(what string, v int) int32 {
 
 // Send records an eager virtual send; the replay advances the sender's
 // clock by the transfer and queues the message for the receiver.
-func (c *rComm) Send(dst, tag int, data comm.Buf) {
+func (c *rComm) Send(dst, tag int, p *comm.Panel) {
 	c.checkPeer("send to", dst)
-	c.p.push(event{comm: c.cs, kind: evSend, a: int32(dst), b: int32(tag), c: ck32("send size", data.N), d: c.rank})
+	c.p.push(event{comm: c.cs, kind: evSend, a: int32(dst), b: int32(tag), c: ck32("send size", p.Elems()), d: c.rank})
 }
 
 // Recv records a blocking receive; the replay parks the rank until the
 // matching send has been replayed.
-func (c *rComm) Recv(src, tag int, buf comm.Buf) {
+func (c *rComm) Recv(src, tag int, p *comm.Panel) {
 	c.checkPeer("recv from", src)
-	c.p.push(event{comm: c.cs, kind: evRecv, a: int32(src), b: int32(tag), c: ck32("recv size", buf.N)})
+	c.p.push(event{comm: c.cs, kind: evRecv, a: int32(src), b: int32(tag), c: ck32("recv size", p.Elems())})
 }
 
 // SendRecv records the full-duplex shift primitive as its two halves; the
 // replay processes them back to back, completing at the slower of the two
 // directions exactly like the goroutine engine.
-func (c *rComm) SendRecv(dst, sendTag int, send comm.Buf, src, recvTag int, recv comm.Buf) {
+func (c *rComm) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, recv *comm.Panel) {
 	c.checkPeer("send to", dst)
 	c.checkPeer("recv from", src)
-	c.p.push(event{comm: c.cs, kind: evSRSend, a: int32(dst), b: int32(sendTag), c: ck32("sendrecv send size", send.N), d: c.rank})
-	c.p.push(event{comm: c.cs, kind: evSRRecv, a: int32(src), b: int32(recvTag), c: ck32("sendrecv recv size", recv.N)})
+	c.p.push(event{comm: c.cs, kind: evSRSend, a: int32(dst), b: int32(sendTag), c: ck32("sendrecv send size", send.Elems()), d: c.rank})
+	c.p.push(event{comm: c.cs, kind: evSRRecv, a: int32(src), b: int32(recvTag), c: ck32("sendrecv recv size", recv.Elems())})
 }
 
 // Bcast records one collective arrival. The replay gathers the members by
 // the communicator's op sequence and fires the schedule when the last one
 // arrives.
-func (c *rComm) Bcast(alg sched.Algorithm, root int, data comm.Buf, segments int) {
+func (c *rComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel, segments int) {
 	p := len(c.cs.ranks)
 	if root < 0 || root >= p {
 		panic(fmt.Sprintf("evsim: bcast root %d outside communicator of %d", root, p))
@@ -160,7 +160,7 @@ func (c *rComm) Bcast(alg sched.Algorithm, root int, data comm.Buf, segments int
 	seq := c.opSeq
 	c.opSeq++
 	c.p.push(event{comm: c.cs, kind: evBcast, alg: algCode(alg),
-		a: int32(root), b: int32(segments), c: ck32("bcast size", data.N), d: seq})
+		a: int32(root), b: int32(segments), c: ck32("bcast size", panel.Elems()), d: seq})
 }
 
 // splitGather coordinates one Split call, mirroring the goroutine engine.
@@ -244,24 +244,21 @@ func (c *rComm) computeSplit(sg *splitGather) map[int]*rComm {
 
 // --- Data plane: storage is elided, only shapes are recorded. ---
 
-// NewBuf returns a length-only wire buffer.
-func (c *rComm) NewBuf(elems int) comm.Buf { return comm.Buf{N: elems} }
+// NewPanel returns a shape-only panel (nil Data).
+func (c *rComm) NewPanel(rows, cols int) *comm.Panel {
+	return &comm.Panel{Tile: matrix.Dense{Rows: rows, Cols: cols, Stride: cols}}
+}
 
 // NewTile returns a shape-only matrix header (nil Data).
 func (c *rComm) NewTile(rows, cols int) *matrix.Dense {
 	return &matrix.Dense{Rows: rows, Cols: cols, Stride: cols}
 }
 
-// CloneTile returns a shape-only copy.
-func (c *rComm) CloneTile(src *matrix.Dense) *matrix.Dense {
-	return &matrix.Dense{Rows: src.Rows, Cols: src.Cols, Stride: src.Cols}
-}
-
 // Pack checks shapes; no elements move.
-func (c *rComm) Pack(dst comm.Buf, src *matrix.Dense) { comm.CheckPack(dst, src) }
+func (c *rComm) Pack(dst *comm.Panel, src *matrix.Dense) { comm.CheckPack(dst, src) }
 
-// Unpack checks shapes; no elements move.
-func (c *rComm) Unpack(dst *matrix.Dense, src comm.Buf) { comm.CheckPack(src, dst) }
+// Repack checks the window; no elements move.
+func (c *rComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, src, i, j) }
 
 // Gemm validates shapes and records the local update's dimensions plus the
 // execution descriptor packed into the event's spare d field: the low 16

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -17,39 +18,104 @@ import (
 // segments is the pipeline depth for sched.Chain and is ignored by the
 // other algorithms (pass 1).
 func (c *Comm) Bcast(alg sched.Algorithm, root int, data []float64, segments int) {
-	p := c.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("mpi: bcast root %d outside communicator of %d", root, p))
+	c.bcast(alg, root, segments, data, nil)
+}
+
+// bcast is the one broadcast implementation behind both forms of the
+// call: the raw in-place form (data, with p nil) and the panel form (p,
+// with data nil). Whole-payload schedules forward one shared payload by
+// reference; segmented ones reassemble it in place on every member.
+func (c *Comm) bcast(alg sched.Algorithm, root, segments int, data []float64, p *comm.Panel) {
+	size := c.Size()
+	if root < 0 || root >= size {
+		panic(fmt.Sprintf("mpi: bcast root %d outside communicator of %d", root, size))
 	}
-	if p == 1 {
+	if size == 1 {
 		// Trivial communicator: no transfers, no span — the virtual
 		// transports skip it the same way, keeping span streams aligned.
 		return
 	}
+	elems := len(data)
+	if p != nil {
+		elems = p.Elems()
+	}
 	start := time.Now()
-	sentBefore := c.world.stats[c.WorldRank()].SentMessages
-	defer func() {
-		msgs := c.world.stats[c.WorldRank()].SentMessages - sentBefore
-		c.finishComm(start, trace.PhaseBcast, int64(8*len(data)), msgs)
-	}()
-	s, err := sched.NewBroadcast(alg, p, root, segments)
+	st := &c.world.stats[c.WorldRank()]
+	sentBefore := st.SentMessages
+	s, err := c.world.scheds.Broadcast(alg, size, root, segments)
 	if err != nil {
 		panic(fmt.Sprintf("mpi: bcast: %v", err))
 	}
 	tag := c.nextOpTag()
-	c.executeSchedule(s, tag, data)
+	isRoot := c.rank == root
+	switch {
+	case s.Segments > 1:
+		if p != nil {
+			if isRoot {
+				published(p) // an empty root panel is a bug, not a blank payload
+			}
+			data = writable(p, isRoot)
+		}
+		c.bcastSegments(s, tag, data)
+	case p != nil:
+		// The root publishes the storage it holds; everyone else lets go
+		// of last step's storage before blocking, so a root that comes
+		// round again finds itself the sole holder and packs in place.
+		var pl *payload
+		if isRoot {
+			pl = published(p)
+		} else {
+			drop(p)
+		}
+		if pl = c.bcastWhole(s, tag, pl, elems); !isRoot {
+			adopt(p, pl)
+		}
+	default:
+		var pl *payload
+		if isRoot {
+			pl = copyPayload(data)
+		}
+		if pl = c.bcastWhole(s, tag, pl, elems); !isRoot {
+			copy(data, pl.data)
+		}
+		pl.release()
+	}
+	c.finishComm(start, trace.PhaseBcast, int64(8*elems), st.SentMessages-sentBefore)
 }
 
-// executeSchedule replays the transfers that involve this rank, in round
-// order. Both endpoints walk the same schedule, so matching is structural;
-// per-sender FIFO delivery keeps repeated (src,dst) pairs (ring rounds)
-// correctly ordered under a single tag.
-func (c *Comm) executeSchedule(s *sched.Schedule, tag int, data []float64) {
+// bcastWhole replays the transfers of a whole-payload schedule that
+// involve this rank, in round order, forwarding one payload by reference:
+// pl is the root's payload (nil elsewhere), and the payload this rank ends
+// up holding is returned. Both endpoints walk the same schedule, so
+// matching is structural.
+func (c *Comm) bcastWhole(s *sched.Schedule, tag int, pl *payload, elems int) *payload {
 	me := c.rank
 	for _, round := range s.Rounds {
-		// Sends before receives within a round: sends are eager, so
-		// this cannot deadlock and it lets full-duplex rounds (ring
-		// allgather) proceed without stalling on the receive side.
+		for _, t := range round.Transfers {
+			if t.Src == me {
+				pl.retain()
+				c.post(t.Dst, tag, pl)
+			}
+		}
+		for _, t := range round.Transfers {
+			if t.Dst == me {
+				pl = c.fetch(t.Src, tag, elems)
+			}
+		}
+	}
+	return pl
+}
+
+// bcastSegments replays a segmented schedule in place on data, which this
+// rank must hold exclusively; each transfer copies its segment through a
+// pooled buffer. Sends go before receives within a round: sends are
+// eager, so this cannot deadlock and it lets full-duplex rounds (ring
+// allgather) proceed without stalling on the receive side. Per-sender
+// FIFO delivery keeps repeated (src,dst) pairs (ring rounds) correctly
+// ordered under a single tag.
+func (c *Comm) bcastSegments(s *sched.Schedule, tag int, data []float64) {
+	me := c.rank
+	for _, round := range s.Rounds {
 		for _, t := range round.Transfers {
 			if t.Src == me {
 				lo, hi := sched.SegmentRange(len(data), s.Segments, t.SegLo, t.SegHi)
@@ -92,13 +158,15 @@ func (c *Comm) Barrier() {
 		mask <<= 1
 	}
 	// Release phase: rank 0 broadcasts a token down the binomial tree.
-	tag2 := c.nextOpTag()
-	s, err := sched.NewBroadcast(sched.Binomial, p, 0, 1)
+	s, err := c.world.scheds.Broadcast(sched.Binomial, p, 0, 1)
 	if err != nil {
 		panic(err)
 	}
-	token := []float64{1}
-	c.executeSchedule(s, tag2, token)
+	var token *payload
+	if c.rank == 0 {
+		token = copyPayload([]float64{1})
+	}
+	c.bcastWhole(s, c.nextOpTag(), token, 1).release()
 }
 
 // Gather collects equal-length contributions on root: the returned slice

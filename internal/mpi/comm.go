@@ -64,19 +64,23 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	c.send(dst, tag, data)
 }
 
-func (c *Comm) send(dst, tag int, data []float64) {
+// send posts a copy of data: the untimed core of Send, shared by the
+// collectives.
+func (c *Comm) send(dst, tag int, data []float64) { c.post(dst, tag, copyPayload(data)) }
+
+// post delivers pl to dst's mailbox. The message takes over one of the
+// caller's references: retain first to keep holding the payload.
+func (c *Comm) post(dst, tag int, pl *payload) {
 	if dst < 0 || dst >= len(c.ranks) {
 		panic(fmt.Sprintf("mpi: send to rank %d outside communicator of %d", dst, len(c.ranks)))
 	}
 	if dst == c.rank {
 		panic("mpi: self-send is not supported (use local copies)")
 	}
-	cp := make([]float64, len(data))
-	copy(cp, data)
 	st := &c.world.stats[c.WorldRank()]
 	st.SentMessages++
-	st.SentBytes += int64(8 * len(data))
-	c.world.mailboxes[c.ranks[dst]].put(message{cid: c.cid, src: c.rank, tag: tag, data: cp})
+	st.SentBytes += int64(8 * len(pl.data))
+	c.world.mailboxes[c.ranks[dst]].put(message{cid: c.cid, src: c.rank, tag: tag, pl: pl})
 }
 
 // Recv blocks until a message from src (comm rank) with the given tag
@@ -90,15 +94,24 @@ func (c *Comm) Recv(src, tag int, buf []float64) {
 }
 
 func (c *Comm) recv(src, tag int, buf []float64) {
+	pl := c.fetch(src, tag, len(buf))
+	copy(buf, pl.data)
+	pl.release()
+}
+
+// fetch blocks for the matching message and returns its payload of
+// exactly elems elements; the caller takes over the message's reference.
+func (c *Comm) fetch(src, tag, elems int) *payload {
 	if src < 0 || src >= len(c.ranks) {
 		panic(fmt.Sprintf("mpi: recv from rank %d outside communicator of %d", src, len(c.ranks)))
 	}
-	m := c.world.mailboxes[c.ranks[c.rank]].take(c.world, c.cid, src, tag)
-	if len(m.data) != len(buf) {
+	me := c.WorldRank()
+	m := c.world.mailboxes[me].take(c.world, &c.world.stats[me], c.cid, src, tag)
+	if len(m.pl.data) != elems {
 		panic(fmt.Sprintf("mpi: recv buffer %d elements but message has %d (src=%d tag=%d)",
-			len(buf), len(m.data), src, tag))
+			elems, len(m.pl.data), src, tag))
 	}
-	copy(buf, m.data)
+	return m.pl
 }
 
 // SendRecv performs a send and a receive concurrently — the classic shift

@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"sync"
 
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -23,6 +24,9 @@ import (
 type PersistentWorld struct {
 	size int
 	work []chan *program // one channel per resident rank goroutine
+	// scheds outlives the programs: successive runs of one session
+	// broadcast over the same communicator shapes.
+	scheds *sched.Cache
 
 	runMu  sync.Mutex // serialises RunOn
 	stateM sync.Mutex // guards closed
@@ -43,7 +47,7 @@ func PersistentLabeled(p int, labels []string) (*PersistentWorld, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("mpi: invalid world size %d", p)
 	}
-	pw := &PersistentWorld{size: p, work: make([]chan *program, p)}
+	pw := &PersistentWorld{size: p, work: make([]chan *program, p), scheds: sched.NewCache()}
 	for r := 0; r < p; r++ {
 		ch := make(chan *program)
 		pw.work[r] = ch
@@ -87,14 +91,14 @@ func (pw *PersistentWorld) RunOnTraced(fn func(c *Comm), rec *trace.Recorder) ([
 	if closed {
 		return nil, fmt.Errorf("mpi: RunOn on a closed PersistentWorld")
 	}
-	prog := newProgram(pw.size, fn)
+	prog := newProgram(pw.size, fn, pw.scheds)
 	prog.attachTrace(rec)
 	prog.done.Add(pw.size)
 	for r := 0; r < pw.size; r++ {
 		pw.work[r] <- prog
 	}
 	prog.done.Wait()
-	return prog.w.stats, prog.err()
+	return prog.finish()
 }
 
 // Close releases the resident rank goroutines. It is idempotent; RunOn

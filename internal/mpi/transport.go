@@ -11,10 +11,15 @@ import (
 )
 
 // Transport adapts a *Comm to the transport-agnostic comm.Comm interface:
-// the live execution path, where wire buffers carry real matrix elements
-// and Gemm performs real floating-point work. The algorithm layer
+// the live execution path, where panels carry real matrix elements and
+// Gemm performs real floating-point work. The algorithm layer
 // (internal/core, internal/baseline) sees only comm.Comm, so the same code
 // also runs on the virtual transport in internal/simnet.
+//
+// Panels move by reference (see the package comment): a panel's tile
+// aliases a pooled payload that Send and Bcast share with the receivers
+// and Recv adopts from the sender, so a pivot panel is written once — by
+// the Pack on its owner — however many ranks end up multiplying with it.
 type Transport struct {
 	c *Comm
 }
@@ -37,43 +42,76 @@ func (t Transport) Split(color, key int) comm.Comm {
 	return Transport{nc}
 }
 
-// Send delivers the buffer's elements to dst under tag.
-func (t Transport) Send(dst, tag int, data comm.Buf) { t.c.Send(dst, tag, data.Data) }
-
-// Recv blocks for a matching message and fills the buffer.
-func (t Transport) Recv(src, tag int, buf comm.Buf) { t.c.Recv(src, tag, buf.Data) }
-
-// SendRecv performs the full-duplex shift primitive.
-func (t Transport) SendRecv(dst, sendTag int, send comm.Buf, src, recvTag int, recv comm.Buf) {
-	t.c.SendRecv(dst, sendTag, send.Data, src, recvTag, recv.Data)
+// Send shares the panel's storage with dst.
+func (t Transport) Send(dst, tag int, p *comm.Panel) {
+	start := time.Now()
+	defer t.c.finishComm(start, trace.PhaseP2P, int64(8*p.Elems()), 1)
+	t.share(dst, tag, p)
 }
 
-// Bcast executes the named broadcast schedule over real element buffers.
-func (t Transport) Bcast(alg sched.Algorithm, root int, data comm.Buf, segments int) {
-	t.c.Bcast(alg, root, data.Data, segments)
+// Recv blocks for a matching message and adopts its storage as the
+// panel's tile.
+func (t Transport) Recv(src, tag int, p *comm.Panel) {
+	start := time.Now()
+	defer t.c.finishComm(start, trace.PhaseP2P, int64(8*p.Elems()), 1)
+	t.receive(src, tag, p)
 }
 
-// NewBuf allocates a real wire buffer.
-func (t Transport) NewBuf(elems int) comm.Buf {
-	return comm.Buf{Data: make([]float64, elems), N: elems}
+// SendRecv performs the full-duplex shift primitive; with send == recv the
+// panel's old storage goes to dst and the tile becomes src's.
+func (t Transport) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, recv *comm.Panel) {
+	start := time.Now()
+	defer t.c.finishComm(start, trace.PhaseShift, int64(8*(send.Elems()+recv.Elems())), 2)
+	t.share(dst, sendTag, send)
+	t.receive(src, recvTag, recv)
+}
+
+func (t Transport) share(dst, tag int, p *comm.Panel) {
+	pl := published(p)
+	pl.retain()
+	t.c.post(dst, tag, pl)
+}
+
+func (t Transport) receive(src, tag int, p *comm.Panel) {
+	drop(p)
+	adopt(p, t.c.fetch(src, tag, p.Elems()))
+}
+
+// Bcast executes the named broadcast schedule over the panel.
+func (t Transport) Bcast(alg sched.Algorithm, root int, p *comm.Panel, segments int) {
+	t.c.bcast(alg, root, segments, nil, p)
+}
+
+// NewPanel returns an empty panel; it gets storage when it is first packed
+// or received into, and gives it back when the program ends.
+func (t Transport) NewPanel(rows, cols int) *comm.Panel {
+	p := &comm.Panel{Tile: matrix.Dense{Rows: rows, Cols: cols, Stride: cols}}
+	w, wr := t.c.world, t.c.WorldRank()
+	w.panels[wr] = append(w.panels[wr], p)
+	return p
 }
 
 // NewTile allocates a zeroed local matrix with real storage.
 func (t Transport) NewTile(rows, cols int) *matrix.Dense { return matrix.New(rows, cols) }
 
-// CloneTile deep-copies a tile.
-func (t Transport) CloneTile(src *matrix.Dense) *matrix.Dense { return src.Clone() }
-
-// Pack marshals the tile's elements into the buffer.
-func (t Transport) Pack(dst comm.Buf, src *matrix.Dense) {
+// Pack copies the tile's elements into storage only this rank holds.
+func (t Transport) Pack(dst *comm.Panel, src *matrix.Dense) {
 	comm.CheckPack(dst, src)
-	src.Pack(dst.Data[:0])
+	src.Pack(writable(dst, false)[:0])
 }
 
-// Unpack fills the tile from the buffer.
-func (t Transport) Unpack(dst *matrix.Dense, src comm.Buf) {
-	comm.CheckPack(src, dst)
-	dst.Unpack(src.Data)
+// Repack copies the window out of src, or — when the window is all of
+// src — shares src's storage.
+func (t Transport) Repack(dst, src *comm.Panel, i, j int) {
+	comm.CheckRepack(dst, src, i, j)
+	if dst.Tile.Rows != src.Tile.Rows || dst.Tile.Cols != src.Tile.Cols {
+		t.Pack(dst, src.Tile.View(i, j, dst.Tile.Rows, dst.Tile.Cols))
+		return
+	}
+	pl := published(src)
+	pl.retain()
+	drop(dst)
+	adopt(dst, pl)
 }
 
 // Gemm performs the real local update C += A·B per the execution

@@ -9,8 +9,42 @@
 // collectives execute the schedules from internal/sched, so the runtime and
 // the discrete-event simulator agree on every transfer.
 //
-// Sends are eager (buffered, never block) and copy their payload, so
-// algorithms may reuse buffers immediately; receives block until a matching
+// # Who owns a buffer
+//
+// The in-process network is a memcpy and is built to cost like one. Every
+// message is a reference-counted payload from a size-classed pool, and a
+// message moves by handing the receiver a reference, not by copying:
+//
+//   - The raw []float64 calls on *Comm (Send, Recv, SendRecv, Bcast and the
+//     collectives built on them) keep MPI's buffer semantics: a send copies
+//     the caller's slice into a pooled payload once, so the slice may be
+//     reused the moment the call returns, and a receive copies the payload
+//     out into the caller's slice and returns it to the pool. A
+//     whole-payload broadcast (flat, binomial, binary, unsegmented chain)
+//     is one copy in at the root and one copy out per receiver however
+//     deep the tree is — interior ranks forward the reference.
+//
+//   - The comm.Comm adapter (Transport) moves comm.Panels, and for them
+//     even those two copies go away: publishing a panel (Send, Bcast on
+//     the root) shares its storage with the receivers, receiving adopts
+//     the sender's storage as the panel's tile. Shared storage is
+//     read-only for everyone holding it, the sender included; a holder
+//     that wants to write (the next Pack into that panel) takes fresh
+//     storage unless it is provably the only holder left. That is the
+//     whole safety argument: nobody ever writes storage another rank can
+//     see, so a slow receiver never observes the root's next step.
+//
+//   - Segmented schedules (pipelined chain, Van de Geijn) reassemble the
+//     payload in place, so every member brings exclusive storage and each
+//     transfer copies its segment through a pooled buffer.
+//
+// A payload returns to the pool when its last holder lets go, and a
+// program's panels let go when the program ends cleanly. After a panic
+// nothing is returned: storage a dead rank may still reference is left to
+// the garbage collector, so an aborted program cannot poison the next one
+// on a PersistentWorld.
+//
+// Sends are eager (buffered, never block); receives block until a matching
 // message arrives. A panic on any rank aborts the whole world and is
 // returned as an error from Run, so a bug cannot deadlock the test suite.
 package mpi
@@ -22,6 +56,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/comm"
+	"repro/internal/sched"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -32,6 +68,13 @@ type World struct {
 	mailboxes []*mailbox
 	nextCID   atomic.Int64
 	stats     []RankStats // indexed by world rank; each rank writes only its own entry
+	// scheds memoises broadcast schedules for this world's collectives
+	// (shared across the programs of a PersistentWorld).
+	scheds *sched.Cache
+	// panels lists, per world rank, the panels that rank allocated; each
+	// rank appends only to its own entry. A clean program end releases
+	// their storage to the pool (see program.finish).
+	panels [][]*comm.Panel
 
 	// rec, when non-nil, collects per-rank phase spans; epoch is the
 	// timeline zero. Both are set once before ranks start.
@@ -51,6 +94,10 @@ type RankStats struct {
 	SentMessages int64
 	SentBytes    int64 // payload bytes (8 per float64)
 	CommSeconds  float64
+	// WaitSeconds is the part of CommSeconds spent blocked on a message
+	// that had not arrived yet (peer not there, or not scheduled yet);
+	// CommSeconds − WaitSeconds is what the transfers themselves cost.
+	WaitSeconds float64
 	// CommByPhase splits CommSeconds by operation kind (bcast/shift/p2p
 	// entries are populated; the host-side scatter/gather slots stay zero).
 	CommByPhase [trace.NumPhases]float64
@@ -68,6 +115,8 @@ type Summary struct {
 	Messages int64
 	Bytes    int64
 	MaxComm  float64
+	// MaxWait is the largest per-rank WaitSeconds (≤ MaxComm).
+	MaxWait float64
 	// CommByPhase is the phase breakdown of the critical rank (the one
 	// with MaxComm), so its entries sum to MaxComm.
 	CommByPhase [trace.NumPhases]float64
@@ -86,6 +135,9 @@ func Summarize(ranks []RankStats) Summary {
 		if r.CommSeconds > s.MaxComm {
 			s.MaxComm = r.CommSeconds
 			s.CommByPhase = r.CommByPhase
+		}
+		if r.WaitSeconds > s.MaxWait {
+			s.MaxWait = r.WaitSeconds
 		}
 		if r.GemmSeconds > s.MaxGemm {
 			s.MaxGemm = r.GemmSeconds
@@ -108,12 +160,13 @@ type splitKey struct {
 }
 
 // message is one in-flight payload. src is the sender's rank in the
-// communicator identified by cid.
+// communicator identified by cid. The message owns one reference to pl,
+// which passes to whoever takes it.
 type message struct {
-	cid  int64
-	src  int
-	tag  int
-	data []float64
+	cid int64
+	src int
+	tag int
+	pl  *payload
 }
 
 // mailbox is an unbounded matched queue with condition-variable wakeups.
@@ -137,19 +190,30 @@ func (mb *mailbox) put(m message) {
 }
 
 // take removes and returns the first message matching (cid, src, tag),
-// blocking until one arrives or the world aborts.
-func (mb *mailbox) take(w *World, cid int64, src, tag int) message {
+// blocking until one arrives or the world aborts. Time spent blocked is
+// added to st.WaitSeconds (st is the taking rank's own stats slot).
+func (mb *mailbox) take(w *World, st *RankStats, cid int64, src, tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
+	var blocked time.Time
 	for {
 		for i, m := range mb.queue {
 			if m.cid == cid && m.src == src && m.tag == tag {
-				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
+				last := len(mb.queue) - 1
+				copy(mb.queue[i:], mb.queue[i+1:])
+				mb.queue[last] = message{} // drop the stale payload pointer
+				mb.queue = mb.queue[:last]
+				if !blocked.IsZero() {
+					st.WaitSeconds += time.Since(blocked).Seconds()
+				}
 				return m
 			}
 		}
 		if w.aborted.Load() {
 			panic(worldAborted{})
+		}
+		if blocked.IsZero() {
+			blocked = time.Now()
 		}
 		mb.cond.Wait()
 	}
@@ -203,7 +267,7 @@ func RunStatsTraced(p int, fn func(c *Comm), rec *trace.Recorder) ([]RankStats, 
 	if p <= 0 {
 		return nil, fmt.Errorf("mpi: invalid world size %d", p)
 	}
-	prog := newProgram(p, fn)
+	prog := newProgram(p, fn, sched.NewCache())
 	prog.attachTrace(rec)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
@@ -214,15 +278,17 @@ func RunStatsTraced(p int, fn func(c *Comm), rec *trace.Recorder) ([]RankStats, 
 		}(r)
 	}
 	wg.Wait()
-	return prog.w.stats, prog.err()
+	return prog.finish()
 }
 
 // newWorld builds the shared coordination state for one p-rank program.
-func newWorld(p int) *World {
+func newWorld(p int, scheds *sched.Cache) *World {
 	w := &World{
 		size:      p,
 		mailboxes: make([]*mailbox, p),
 		stats:     make([]RankStats, p),
+		scheds:    scheds,
+		panels:    make([][]*comm.Panel, p),
 		splits:    make(map[splitKey]*splitGather),
 	}
 	for i := range w.mailboxes {
@@ -247,12 +313,12 @@ type program struct {
 	firstErr error
 }
 
-func newProgram(p int, fn func(c *Comm)) *program {
+func newProgram(p int, fn func(c *Comm), scheds *sched.Cache) *program {
 	ranks := make([]int, p)
 	for i := range ranks {
 		ranks[i] = i
 	}
-	return &program{w: newWorld(p), fn: fn, ranks: ranks}
+	return &program{w: newWorld(p, scheds), fn: fn, ranks: ranks}
 }
 
 // attachTrace installs rec on the program's world before any rank runs.
@@ -284,8 +350,22 @@ func (pr *program) execRank(r int) {
 	pr.fn(c)
 }
 
-// err returns the first rank failure, once every rank has finished.
-func (pr *program) err() error { return pr.firstErr }
+// finish returns the program's per-rank statistics and first rank
+// failure, once every rank has finished. A clean program hands its panels'
+// storage back to the pool: every rank has returned, so nothing reads them
+// any more. After a failure nothing is handed back — a rank that unwound
+// mid-broadcast may have left references anywhere — and the storage is
+// left to the garbage collector.
+func (pr *program) finish() ([]RankStats, error) {
+	if pr.firstErr == nil {
+		for _, owned := range pr.w.panels {
+			for _, p := range owned {
+				drop(p)
+			}
+		}
+	}
+	return pr.w.stats, pr.firstErr
+}
 
 // RunGrid is Run over a topo.Grid's process count — a convenience for the
 // 2D algorithms, which derive coordinates from the rank themselves.

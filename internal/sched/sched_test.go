@@ -299,3 +299,26 @@ func TestSegmentRange(t *testing.T) {
 		t.Fatalf("SegmentRange(2,4,2,3) = %d,%d", lo, hi)
 	}
 }
+
+// TestCacheKeepsPointerIdentity: one Cache resolves equal calls to one
+// *Schedule (the executors key further caches on it), distinct calls to
+// distinct ones, and build errors are not cached as schedules.
+func TestCacheKeepsPointerIdentity(t *testing.T) {
+	c := NewCache()
+	a, err := c.Broadcast(Binomial, 8, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := c.Broadcast(Binomial, 8, 3, 1); b != a {
+		t.Fatal("second lookup built a new schedule")
+	}
+	if b, _ := c.Broadcast(Binomial, 8, 4, 1); b == a {
+		t.Fatal("different roots share a schedule")
+	}
+	if err := Validate(a); err != nil || a.Root != 3 || a.NumRanks != 8 {
+		t.Fatalf("cached schedule is not the requested one: %+v (%v)", a, err)
+	}
+	if _, err := c.Broadcast(Algorithm("bogus"), 8, 0, 1); err == nil {
+		t.Fatal("unknown algorithm must fail through the cache too")
+	}
+}

@@ -75,6 +75,10 @@ type Stats struct {
 	// MaxRankCommSeconds is the largest per-rank wall time spent inside
 	// communication calls.
 	MaxRankCommSeconds float64
+	// MaxRankWaitSeconds is the largest per-rank time spent blocked on a
+	// message that had not arrived yet (≤ MaxRankCommSeconds): waiting for
+	// a peer or a core, as opposed to moving data.
+	MaxRankWaitSeconds float64
 	// WallSeconds is the end-to-end request time: queue wait + setup +
 	// distributed run + gather.
 	WallSeconds float64
@@ -832,6 +836,7 @@ func (s *Session) executeBatch(st *staged) {
 		j.stats.Messages = sum.Messages
 		j.stats.Bytes = sum.Bytes
 		j.stats.MaxRankCommSeconds = sum.MaxComm
+		j.stats.MaxRankWaitSeconds = sum.MaxWait
 		j.stats.GemmSeconds = sum.MaxGemm
 		j.stats.CommSecondsByPhase = trace.CommPhaseMap(sum.CommByPhase)
 		j.stats.BusyImbalance = sum.Imbalance
@@ -855,11 +860,16 @@ func (s *Session) executeBatch(st *staged) {
 	// fresh per-request matrices, and an early release lets the stager
 	// begin the next scatter that much sooner.
 	s.free <- st.bs
+	// Close the books before completing: a caller released by finish may
+	// read Calls, or submit its next request and need this session Idle.
+	s.calls.Add(int64(k))
+	s.mu.Lock()
+	s.inFlight = false
+	s.mu.Unlock()
 	for _, j := range st.jobs {
 		j.stats.WallSeconds = time.Since(j.start).Seconds()
 		j.finish(nil)
 	}
-	s.calls.Add(int64(k))
 	s.touch()
 }
 

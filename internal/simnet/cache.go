@@ -7,25 +7,20 @@ import (
 	"repro/internal/sched"
 )
 
-// SchedCache memoises broadcast schedules and their per-rank traffic
-// deltas. It is the cache layer shared by the two virtual execution
-// engines — the goroutine engine's VWorld and internal/evsim's event
-// loop — so both resolve a collective to the *same* *sched.Schedule
-// pointer and the same integer byte split, which is what makes their
-// traffic counters comparable bit for bit.
+// SchedCache memoises broadcast schedules (the shared sched.Cache) and
+// their per-rank traffic deltas. It is the cache layer shared by the two
+// virtual execution engines — the goroutine engine's VWorld and
+// internal/evsim's event loop — so both resolve a collective to the *same*
+// *sched.Schedule pointer and the same integer byte split, which is what
+// makes their traffic counters comparable bit for bit.
 //
 // All methods are safe for concurrent use; the hot path takes a read
 // lock only.
 type SchedCache struct {
-	mu      sync.RWMutex
-	scheds  map[schedCacheKey]*sched.Schedule
-	traffic map[trafficCacheKey][]VRankStats
-}
+	*sched.Cache
 
-type schedCacheKey struct {
-	alg      sched.Algorithm
-	p, root  int
-	segments int
+	mu      sync.RWMutex
+	traffic map[trafficCacheKey][]VRankStats
 }
 
 // trafficCacheKey caches per-rank traffic deltas by (schedule identity,
@@ -39,34 +34,9 @@ type trafficCacheKey struct {
 // NewSchedCache returns an empty cache.
 func NewSchedCache() *SchedCache {
 	return &SchedCache{
-		scheds:  make(map[schedCacheKey]*sched.Schedule),
+		Cache:   sched.NewCache(),
 		traffic: make(map[trafficCacheKey][]VRankStats),
 	}
-}
-
-// Broadcast returns the cached schedule for the given broadcast, building
-// it on first use. Concurrent first builds keep pointer identity: the
-// first writer wins and later builders adopt its pointer.
-func (c *SchedCache) Broadcast(alg sched.Algorithm, p, root, segments int) (*sched.Schedule, error) {
-	k := schedCacheKey{alg, p, root, segments}
-	c.mu.RLock()
-	s, ok := c.scheds[k]
-	c.mu.RUnlock()
-	if ok {
-		return s, nil
-	}
-	s, err := sched.NewBroadcast(alg, p, root, segments)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if exist, ok := c.scheds[k]; ok {
-		s = exist
-	} else {
-		c.scheds[k] = s
-	}
-	c.mu.Unlock()
-	return s, nil
 }
 
 // Traffic returns the per-schedule-rank (messages, bytes) a collective of

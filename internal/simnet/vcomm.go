@@ -104,10 +104,10 @@ type VWorld struct {
 	shardsMu sync.Mutex
 	shards   []*vShard
 
-	// tilesMu guards the registry of pooled tile headers handed out by
-	// NewTile/CloneTile; Run recycles them when the ranks are done.
-	tilesMu sync.Mutex
-	tiles   []*matrix.Dense
+	// panelsMu guards the registry of pooled panel headers handed out by
+	// NewPanel; Run recycles them when the ranks are done.
+	panelsMu sync.Mutex
+	panels   []*comm.Panel
 
 	nextCID     atomic.Int64
 	stats       []VRankStats // per world rank, goroutine-owned (see file comment)
@@ -206,8 +206,8 @@ func (w *VWorld) Run(fn func(c *VComm)) error {
 	wg.Wait()
 	if firstErr == nil {
 		// Only recycle on clean completion: after a panic some rank may
-		// still reference its tiles from the captured stack trace.
-		w.recycleTiles()
+		// still reference its panels from the captured stack trace.
+		w.recyclePanels()
 	}
 	return firstErr
 }
@@ -359,37 +359,39 @@ func (w *VWorld) transferTime(srcW, dstW, elems, flows int) float64 {
 	return w.sim.TransferTime(srcW, dstW, elems, flows)
 }
 
-// Send delivers a virtual message of data.N elements to dst under tag. The
+// Send delivers a virtual message of the panel's size to dst under tag. The
 // sender is occupied for the transfer (its clock advances by α+Nβ). Only
 // the caller's own clock/stats entries are touched — no lock needed (see
 // the ownership argument in the file comment).
-func (c *VComm) Send(dst, tag int, data comm.Buf) {
+func (c *VComm) Send(dst, tag int, p *comm.Panel) {
+	n := p.Elems()
 	c.checkPeer("send to", dst)
 	w := c.w
 	me := c.WorldRank()
 	dstW := c.ranks[dst]
 	t0 := w.sim.clocks[me]
-	dt := w.transferTime(me, dstW, data.N, 1)
+	dt := w.transferTime(me, dstW, n, 1)
 	w.sim.clocks[me] = t0 + dt
 	w.sim.comm[me] += dt
 	w.stats[me].SentMessages++
-	w.stats[me].SentBytes += int64(hockney.BytesPerElement * data.N)
+	w.stats[me].SentBytes += int64(hockney.BytesPerElement * n)
 	if rec := w.cfg.Trace; rec != nil {
-		rec.Rank(me, trace.PhaseP2P, t0, dt, int64(hockney.BytesPerElement*data.N), 1)
+		rec.Rank(me, trace.PhaseP2P, t0, dt, int64(hockney.BytesPerElement*n), 1)
 	}
-	w.mailboxes[dstW].put(vMessage{cid: c.cid, src: c.rank, tag: tag, elems: data.N, clock: t0})
+	w.mailboxes[dstW].put(vMessage{cid: c.cid, src: c.rank, tag: tag, elems: n, clock: t0})
 }
 
 // Recv blocks until a matching message arrives and advances the receiver to
 // max(own clock, sender's send-time) plus the transfer time.
-func (c *VComm) Recv(src, tag int, buf comm.Buf) {
+func (c *VComm) Recv(src, tag int, p *comm.Panel) {
+	n := p.Elems()
 	c.checkPeer("recv from", src)
 	w := c.w
 	me := c.WorldRank()
 	m := w.mailboxes[me].take(w, c.cid, src, tag)
-	if m.elems != buf.N {
+	if m.elems != n {
 		panic(fmt.Sprintf("simnet: recv buffer %d elements but message has %d (src=%d tag=%d)",
-			buf.N, m.elems, src, tag))
+			n, m.elems, src, tag))
 	}
 	dt := w.transferTime(c.ranks[src], me, m.elems, 1)
 	pre := w.sim.clocks[me]
@@ -407,22 +409,23 @@ func (c *VComm) Recv(src, tag int, buf comm.Buf) {
 // SendRecv performs the full-duplex shift primitive: both directions
 // proceed concurrently from the caller's clock snapshot, and the call
 // completes when the slower of the two finishes.
-func (c *VComm) SendRecv(dst, sendTag int, send comm.Buf, src, recvTag int, recv comm.Buf) {
+func (c *VComm) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, recv *comm.Panel) {
+	sendN, recvN := send.Elems(), recv.Elems()
 	c.checkPeer("send to", dst)
 	c.checkPeer("recv from", src)
 	w := c.w
 	me := c.WorldRank()
 	dstW := c.ranks[dst]
 	t0 := w.sim.clocks[me]
-	sendEnd := t0 + w.transferTime(me, dstW, send.N, len(c.ranks))
+	sendEnd := t0 + w.transferTime(me, dstW, sendN, len(c.ranks))
 	w.stats[me].SentMessages++
-	w.stats[me].SentBytes += int64(hockney.BytesPerElement * send.N)
-	w.mailboxes[dstW].put(vMessage{cid: c.cid, src: c.rank, tag: sendTag, elems: send.N, clock: t0})
+	w.stats[me].SentBytes += int64(hockney.BytesPerElement * sendN)
+	w.mailboxes[dstW].put(vMessage{cid: c.cid, src: c.rank, tag: sendTag, elems: sendN, clock: t0})
 
 	m := w.mailboxes[me].take(w, c.cid, src, recvTag)
-	if m.elems != recv.N {
+	if m.elems != recvN {
 		panic(fmt.Sprintf("simnet: sendrecv buffer %d elements but message has %d (src=%d tag=%d)",
-			recv.N, m.elems, src, recvTag))
+			recvN, m.elems, src, recvTag))
 	}
 	recvEnd := t0
 	if m.clock > recvEnd {
@@ -435,7 +438,7 @@ func (c *VComm) SendRecv(dst, sendTag int, send comm.Buf, src, recvTag int, recv
 	}
 	w.advanceComm(me, end)
 	if rec := w.cfg.Trace; rec != nil {
-		rec.Rank(me, trace.PhaseShift, t0, end-t0, int64(hockney.BytesPerElement*(send.N+recv.N)), 2)
+		rec.Rank(me, trace.PhaseShift, t0, end-t0, int64(hockney.BytesPerElement*(sendN+recvN)), 2)
 	}
 }
 
@@ -479,7 +482,8 @@ type vCollGather struct {
 // message per transfer with the same integer segment split the live runtime
 // puts on the wire. The rendezvous runs under the communicator's shard
 // lock, so disjoint collectives proceed in parallel.
-func (c *VComm) Bcast(alg sched.Algorithm, root int, data comm.Buf, segments int) {
+func (c *VComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel, segments int) {
+	elems := panel.Elems()
 	p := c.Size()
 	if root < 0 || root >= p {
 		panic(fmt.Sprintf("simnet: bcast root %d outside communicator of %d", root, p))
@@ -502,14 +506,14 @@ func (c *VComm) Bcast(alg sched.Algorithm, root int, data comm.Buf, segments int
 		if n := len(shard.free); n > 0 {
 			cg = shard.free[n-1]
 			shard.free = shard.free[:n-1]
-			*cg = vCollGather{alg: alg, root: root, segments: segments, elems: data.N}
+			*cg = vCollGather{alg: alg, root: root, segments: segments, elems: elems}
 		} else {
-			cg = &vCollGather{alg: alg, root: root, segments: segments, elems: data.N}
+			cg = &vCollGather{alg: alg, root: root, segments: segments, elems: elems}
 		}
 		shard.colls[seq] = cg
-	} else if cg.alg != alg || cg.root != root || cg.segments != segments || cg.elems != data.N {
+	} else if cg.alg != alg || cg.root != root || cg.segments != segments || cg.elems != elems {
 		panic(fmt.Sprintf("simnet: bcast mismatch on rank %d: (%s root=%d seg=%d n=%d) vs first caller's (%s root=%d seg=%d n=%d)",
-			c.rank, alg, root, segments, data.N, cg.alg, cg.root, cg.segments, cg.elems))
+			c.rank, alg, root, segments, elems, cg.alg, cg.root, cg.segments, cg.elems))
 	}
 	cg.arrived++
 	if cg.arrived == p {
@@ -524,15 +528,15 @@ func (c *VComm) Bcast(alg sched.Algorithm, root int, data comm.Buf, segments int
 				pre[i] = w.sim.clocks[m]
 			}
 		}
-		w.sim.ExecOne(Collective{Sched: s, Members: c.ranks, PayloadBytes: float64(data.N)})
-		for i, d := range w.caches.Traffic(s, data.N) {
+		w.sim.ExecOne(Collective{Sched: s, Members: c.ranks, PayloadBytes: float64(elems)})
+		for i, d := range w.caches.Traffic(s, elems) {
 			st := &w.stats[c.ranks[i]]
 			st.SentMessages += d.SentMessages
 			st.SentBytes += d.SentBytes
 			if rec := w.cfg.Trace; rec != nil {
 				m := c.ranks[i]
 				rec.Rank(m, trace.PhaseBcast, pre[i], w.sim.clocks[m]-pre[i],
-					int64(hockney.BytesPerElement*data.N), d.SentMessages)
+					int64(hockney.BytesPerElement*elems), d.SentMessages)
 			}
 		}
 		cg.done = true
@@ -634,58 +638,51 @@ func (c *VComm) computeSplit(sg *vSplitGather) map[int]*VComm {
 
 // --- Data plane: storage is elided, only shapes and clocks advance. ---
 
-// NewBuf returns a length-only wire buffer.
-func (c *VComm) NewBuf(elems int) comm.Buf { return comm.Buf{N: elems} }
+// panelPool recycles the shape-only headers the virtual data plane hands
+// out. A single virtual run allocates a handful per rank, but the tune
+// planner's refinement stage executes thousands of virtual runs per cold
+// plan; recycling the headers across runs keeps that loop from churning
+// the GC (allocs/op is tracked by BenchmarkFullScaleBGPSim).
+var panelPool = sync.Pool{New: func() any { return new(comm.Panel) }}
 
-// tilePool recycles the shape-only matrix headers the virtual data plane
-// hands out. A single virtual run allocates a handful per rank, but the
-// tune planner's refinement stage executes thousands of virtual runs per
-// cold plan; recycling the headers across runs keeps that loop from
-// churning the GC (allocs/op is tracked by BenchmarkFullScaleBGPSim).
-var tilePool = sync.Pool{New: func() any { return new(matrix.Dense) }}
-
-// newPooledTile takes a header from the pool and registers it with the
-// world so Run can recycle it once the ranks are done. Safe because the
-// algorithm layer never retains tiles beyond its own execution — they are
-// scratch panels by construction. tilesMu is setup-phase only: the
+// NewPanel takes a shape-only panel from the pool and registers it with
+// the world so Run can recycle it once the ranks are done. Safe because
+// the algorithm layer never retains panels beyond its own execution —
+// they are scratch by construction. panelsMu is setup-phase only: the
 // algorithms allocate their panels before the step loop, so the registry
 // never contends with the communication hot path.
-func (w *VWorld) newPooledTile(rows, cols int) *matrix.Dense {
-	d := tilePool.Get().(*matrix.Dense)
-	*d = matrix.Dense{Rows: rows, Cols: cols, Stride: cols}
-	w.tilesMu.Lock()
-	w.tiles = append(w.tiles, d)
-	w.tilesMu.Unlock()
-	return d
+func (c *VComm) NewPanel(rows, cols int) *comm.Panel {
+	w := c.w
+	p := panelPool.Get().(*comm.Panel)
+	*p = comm.Panel{Tile: matrix.Dense{Rows: rows, Cols: cols, Stride: cols}}
+	w.panelsMu.Lock()
+	w.panels = append(w.panels, p)
+	w.panelsMu.Unlock()
+	return p
 }
 
-// recycleTiles returns every handed-out header to the pool; called by Run
+// recyclePanels returns every handed-out header to the pool; called by Run
 // after all rank goroutines have finished.
-func (w *VWorld) recycleTiles() {
-	w.tilesMu.Lock()
-	tiles := w.tiles
-	w.tiles = nil
-	w.tilesMu.Unlock()
-	for _, d := range tiles {
-		tilePool.Put(d)
+func (w *VWorld) recyclePanels() {
+	w.panelsMu.Lock()
+	panels := w.panels
+	w.panels = nil
+	w.panelsMu.Unlock()
+	for _, p := range panels {
+		panelPool.Put(p)
 	}
 }
 
 // NewTile returns a shape-only matrix header (nil Data).
 func (c *VComm) NewTile(rows, cols int) *matrix.Dense {
-	return c.w.newPooledTile(rows, cols)
-}
-
-// CloneTile returns a shape-only copy.
-func (c *VComm) CloneTile(src *matrix.Dense) *matrix.Dense {
-	return c.w.newPooledTile(src.Rows, src.Cols)
+	return &matrix.Dense{Rows: rows, Cols: cols, Stride: cols}
 }
 
 // Pack checks shapes; no elements move.
-func (c *VComm) Pack(dst comm.Buf, src *matrix.Dense) { comm.CheckPack(dst, src) }
+func (c *VComm) Pack(dst *comm.Panel, src *matrix.Dense) { comm.CheckPack(dst, src) }
 
-// Unpack checks shapes; no elements move.
-func (c *VComm) Unpack(dst *matrix.Dense, src comm.Buf) { comm.CheckPack(src, dst) }
+// Repack checks the window; no elements move.
+func (c *VComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, src, i, j) }
 
 // Gemm advances the rank's compute state by the local update's flop count
 // — x.Flops(m,n,k): 2·m·k·n classically, blas.StrassenFlops under the

@@ -21,7 +21,7 @@ func TestVCommBcastMatchesScheduleCost(t *testing.T) {
 	const p, elems = 8, 1000
 	w := NewVWorld(p, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
-		c.Bcast(sched.Binomial, 0, c.NewBuf(elems), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, elems), 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,10 +61,10 @@ func TestVCommDeterministic(t *testing.T) {
 			// A mildly irregular program: split into two groups of 3,
 			// broadcast inside each, then a ring shift in the world.
 			sub := c.Split(c.Rank()%2, c.Rank()).(*VComm)
-			sub.Bcast(sched.VanDeGeijn, 0, sub.NewBuf(301), 1)
+			sub.Bcast(sched.VanDeGeijn, 0, sub.NewPanel(1, 301), 1)
 			next := (c.Rank() + 1) % c.Size()
 			prev := (c.Rank() + c.Size() - 1) % c.Size()
-			c.SendRecv(next, 9, c.NewBuf(77), prev, 9, c.NewBuf(77))
+			c.SendRecv(next, 9, c.NewPanel(1, 77), prev, 9, c.NewPanel(1, 77))
 			if c.Rank()%2 == 0 {
 				c.Gemm(c.NewTile(4, 4), c.NewTile(4, 8), c.NewTile(8, 4), comm.Serial)
 			}
@@ -96,7 +96,7 @@ func TestVCommSendRecvRing(t *testing.T) {
 	err := w.Run(func(c *VComm) {
 		next := (c.Rank() + 1) % p
 		prev := (c.Rank() + p - 1) % p
-		c.SendRecv(next, 1, c.NewBuf(elems), prev, 1, c.NewBuf(elems))
+		c.SendRecv(next, 1, c.NewPanel(1, elems), prev, 1, c.NewPanel(1, elems))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestVCommSplit(t *testing.T) {
 func TestVCommGemmOverlap(t *testing.T) {
 	w := NewVWorld(2, VConfig{Model: vModel, Overlap: true})
 	err := w.Run(func(c *VComm) {
-		c.Bcast(sched.Binomial, 0, c.NewBuf(100), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 100), 1)
 		c.Gemm(c.NewTile(10, 10), c.NewTile(10, 10), c.NewTile(10, 10), comm.Threaded(2))
 	})
 	if err != nil {
@@ -167,7 +167,7 @@ func TestVCommPanicAborts(t *testing.T) {
 			panic("rank 3 exploded")
 		}
 		// Ranks 0-2 block in a collective that can never complete.
-		c.Bcast(sched.Binomial, 0, c.NewBuf(10), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10), 1)
 	})
 	if err == nil || !strings.Contains(err.Error(), "rank 3 exploded") {
 		t.Fatalf("expected rank 3's panic, got %v", err)
@@ -178,8 +178,8 @@ func TestVCommPanicAborts(t *testing.T) {
 func TestVCommElidesStorage(t *testing.T) {
 	w := NewVWorld(1, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
-		if buf := c.NewBuf(1 << 20); buf.Data != nil || buf.N != 1<<20 {
-			t.Errorf("virtual buf allocated storage")
+		if p := c.NewPanel(1<<10, 1<<10); p.Tile.Data != nil || p.Elems() != 1<<20 {
+			t.Errorf("virtual panel allocated storage")
 		}
 		tile := c.NewTile(1<<15, 1<<15)
 		if tile.Data != nil || tile.Rows != 1<<15 {
@@ -187,9 +187,6 @@ func TestVCommElidesStorage(t *testing.T) {
 		}
 		if v := tile.View(16, 16, 8, 8); v.Data != nil || v.Rows != 8 {
 			t.Errorf("view of shape-only tile allocated storage")
-		}
-		if cl := c.CloneTile(tile); cl.Data != nil || cl.Cols != 1<<15 {
-			t.Errorf("clone of shape-only tile allocated storage")
 		}
 	})
 	if err != nil {
@@ -202,9 +199,9 @@ func TestVCommRecvSizeMismatchAborts(t *testing.T) {
 	w := NewVWorld(2, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
 		if c.Rank() == 0 {
-			c.Send(1, 5, c.NewBuf(10))
+			c.Send(1, 5, c.NewPanel(1, 10))
 		} else {
-			c.Recv(0, 5, c.NewBuf(11))
+			c.Recv(0, 5, c.NewPanel(1, 11))
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "11 elements but message has 10") {
@@ -212,14 +209,14 @@ func TestVCommRecvSizeMismatchAborts(t *testing.T) {
 	}
 }
 
-// comm.Buf size contract: packing the wrong shape must panic via the shared
-// checker on both transports.
+// comm.Panel shape contract: packing the wrong shape must panic via the
+// shared checker on both transports.
 func TestVCommPackShapeChecked(t *testing.T) {
 	w := NewVWorld(1, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
-		c.Pack(comm.Buf{N: 10}, c.NewTile(3, 4))
+		c.Pack(c.NewPanel(2, 5), c.NewTile(3, 4))
 	})
-	if err == nil || !strings.Contains(err.Error(), "pack 3x4 tile into 10-element buffer") {
+	if err == nil || !strings.Contains(err.Error(), "pack 3x4 tile into 2x5 panel") {
 		t.Fatalf("expected pack shape panic, got %v", err)
 	}
 }
@@ -232,7 +229,7 @@ func TestVCommBadBroadcastAborts(t *testing.T) {
 	go func() {
 		w := NewVWorld(4, VConfig{Model: vModel})
 		done <- w.Run(func(c *VComm) {
-			c.Bcast(sched.Algorithm("bogus"), 0, c.NewBuf(8), 1)
+			c.Bcast(sched.Algorithm("bogus"), 0, c.NewPanel(1, 8), 1)
 		})
 	}()
 	select {
@@ -253,7 +250,7 @@ func TestVCommSendRecvContention(t *testing.T) {
 		w := NewVWorld(4, VConfig{Model: vModel, Contention: contention})
 		if err := w.Run(func(c *VComm) {
 			next, prev := (c.Rank()+1)%4, (c.Rank()+3)%4
-			c.SendRecv(next, 1, c.NewBuf(1000), prev, 1, c.NewBuf(1000))
+			c.SendRecv(next, 1, c.NewPanel(1, 1000), prev, 1, c.NewPanel(1, 1000))
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +278,7 @@ func TestVCommBcastMismatchAborts(t *testing.T) {
 		if c.Rank() == 2 {
 			n = 99
 		}
-		c.Bcast(sched.Binomial, 0, c.NewBuf(n), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, n), 1)
 	})
 	if err == nil || !strings.Contains(err.Error(), "bcast mismatch") {
 		t.Fatalf("expected bcast mismatch abort, got %v", err)

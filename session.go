@@ -79,6 +79,7 @@ func (s *Session) Multiply(a, b *Matrix) (*Matrix, Stats, error) {
 		Messages:           st.Messages,
 		Bytes:              st.Bytes,
 		MaxRankCommSeconds: st.MaxRankCommSeconds,
+		MaxRankWaitSeconds: st.MaxRankWaitSeconds,
 		WallSeconds:        st.WallSeconds,
 		SetupSeconds:       st.SetupSeconds,
 		GemmSeconds:        st.GemmSeconds,
