@@ -1,0 +1,409 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
+	"sync"
+
+	"repro/internal/matrix"
+)
+
+// The payload codec of POST /multiply. The operand and result arrays are
+// most of every body, so encoding/json never sees them: requests are scanned
+// token by token out of a fixed read window as the body arrives, responses
+// are appended straight from the gathered C. encoding/json is left the
+// handful of knob members (jsonMultiply) and the stats object.
+
+const (
+	windowBytes  = 64 << 10 // read window: the most body held at once, so also the longest number
+	maxSideBytes = 64 << 10 // bound on the non-array members kept for encoding/json
+)
+
+// scratch is the working memory of one /multiply request: the read window,
+// the decoded operands and the encoded response. Objects are pooled and grow
+// to the largest request seen.
+//
+// Ownership: the matrices handed to Scheduler.Multiply alias a and b. That
+// is sound because Multiply returns only after the session has copied them
+// into its own tiles and closed the job, and sameOperand only ever compares
+// jobs whose callers are still blocked inside Multiply — so a scratch goes
+// back to the pool once its response is written, and never before Multiply
+// returns.
+type scratch struct {
+	win  []byte
+	a, b []float64
+	out  []byte // non-array request members while decoding, then the response
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{win: make([]byte, windowBytes)} }}
+
+// sized returns dst with length n, reallocating only when it is too small.
+func sized(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	return dst[:n]
+}
+
+var (
+	errNonFinite = errors.New("serve: product is not finite") // JSON cannot carry it: HTTP 422
+	errLongToken = errors.New("number longer than the read window")
+)
+
+// scanner reads a body through a fixed window: buf[pos:end] is unread. The
+// first error sticks in err and turns every later call into a no-op, so
+// callers check it once per loop instead of once per token.
+type scanner struct {
+	r        io.Reader
+	buf      []byte
+	pos, end int
+	base     int64 // body offset of buf[0]
+	rerr     error // why reading stopped; io.EOF once the body is exhausted
+	err      error
+}
+
+// fill slides the unread bytes to the front of the window and reads more,
+// reporting whether any arrived.
+func (s *scanner) fill() bool {
+	if s.rerr != nil {
+		return false
+	}
+	s.base += int64(s.pos)
+	s.end = copy(s.buf, s.buf[s.pos:s.end])
+	s.pos = 0
+	if s.end == len(s.buf) {
+		s.rerr = errLongToken
+		return false
+	}
+	n, err := s.r.Read(s.buf[s.end:])
+	if n == 0 && err == nil {
+		err = io.ErrNoProgress
+	}
+	s.end, s.rerr = s.end+n, err
+	return n > 0
+}
+
+func (s *scanner) fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = fmt.Errorf(format, args...)
+	}
+}
+
+// short fails the scan because the body stopped where more was needed.
+func (s *scanner) short() {
+	if s.rerr == io.EOF {
+		s.fail("%w", io.ErrUnexpectedEOF)
+	}
+	s.fail("%w", s.rerr)
+}
+
+// skipSpace skips whitespace and reports whether a byte follows it.
+func (s *scanner) skipSpace() bool {
+	for s.pos < s.end || s.fill() {
+		if c := s.buf[s.pos]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return true
+		}
+		s.pos++
+	}
+	return false
+}
+
+// peek returns the next non-whitespace byte without consuming it, 0 once
+// the scan has failed or the body is over (which fails it).
+func (s *scanner) peek() byte {
+	if s.err == nil && s.skipSpace() {
+		return s.buf[s.pos]
+	}
+	s.short()
+	return 0
+}
+
+// expect consumes the next non-whitespace byte, which must be want.
+func (s *scanner) expect(want byte) {
+	if c := s.peek(); c == want {
+		s.pos++
+	} else {
+		s.fail("unexpected %q, want %q", c, want)
+	}
+}
+
+// number consumes the JSON number token that comes next; the slice points
+// into the window and is valid until the next scanner call.
+func (s *scanner) number() []byte {
+	s.peek()
+	for s.err == nil {
+		n, cut := lexNumber(s.buf[s.pos:s.end])
+		if cut && s.fill() {
+			continue // it ran into the end of the window: look again with more
+		}
+		if s.rerr == errLongToken {
+			s.fail("%w", errLongToken)
+		} else if n == 0 {
+			s.fail("invalid number at %q", s.buf[s.pos:min(s.pos+16, s.end)])
+		}
+		s.pos += n
+		return s.buf[s.pos-n : s.pos]
+	}
+	return nil
+}
+
+// lexNumber returns the length of the longest JSON number at the front of b
+// (0 if there is none) and whether the end of b cut the scan short, so that
+// more bytes could make it longer. The grammar is stricter than
+// strconv.ParseFloat's, which also takes "+1", ".5", "1." and "01": here
+// "01" lexes as "0" and leaves a '1' the caller has no use for.
+func lexNumber(b []byte) (n int, cut bool) {
+	i := 0
+	has := func(x, y byte) bool {
+		if i == len(b) {
+			cut = true
+		} else if b[i] == x || b[i] == y {
+			i++
+			return true
+		}
+		return false
+	}
+	digits := func() bool {
+		from := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		cut = cut || i == len(b)
+		return i > from
+	}
+	has('-', '-')
+	if !has('0', '0') && !digits() {
+		return 0, cut
+	}
+	if n = i; has('.', '.') && digits() {
+		n = i
+	}
+	if has('e', 'E') {
+		if has('+', '-'); digits() {
+			n = i
+		}
+	}
+	return n, cut
+}
+
+// floats parses the JSON number array that comes next into dst[:0], failing
+// at element limit+1 and never growing dst past limit. dst is returned even
+// on failure so that storage it grew is kept.
+func (s *scanner) floats(dst []float64, limit int) []float64 {
+	dst = dst[:0]
+	if s.expect('['); s.peek() == ']' {
+		s.pos++
+		return dst
+	}
+	for s.err == nil {
+		if len(dst) == limit {
+			s.fail("array has more than %d elements", limit)
+			break
+		}
+		tok := s.number()
+		v, err := strconv.ParseFloat(string(tok), 64)
+		if err != nil { // the grammar held, so this is a range error
+			s.fail("number %s overflows float64", tok[:min(len(tok), 32)])
+			break
+		}
+		if len(dst) == cap(dst) {
+			dst = append(make([]float64, 0, min(limit, max(1024, 2*cap(dst)))), dst...)
+		}
+		dst = append(dst, v)
+		switch c := s.peek(); c {
+		case ',':
+			s.pos++
+		case ']':
+			s.pos++
+			return dst
+		default:
+			s.fail("unexpected %q in array", c)
+		}
+	}
+	return dst
+}
+
+// room reports whether one more byte may move from the body to the side
+// buffer, failing the scan when either has run out.
+func (s *scanner) room(side []byte) bool {
+	if len(side) >= maxSideBytes {
+		s.fail("members other than a and b exceed %d bytes", maxSideBytes)
+	} else if s.err == nil && s.pos == s.end && !s.fill() {
+		s.short()
+	}
+	return s.err == nil
+}
+
+// value appends the raw JSON value (or member name) that comes next, up to
+// the ',' ':' or closing bracket that ends it. It tracks string state and
+// nesting depth only — enough to find that end; encoding/json checks the
+// grammar when it decodes the side buffer.
+func (s *scanner) value(side []byte) []byte {
+	depth, inStr, esc := 0, false, false
+	for s.room(side) {
+		switch c := s.buf[s.pos]; {
+		case inStr: // left by an unescaped quote; a backslash escapes one byte
+			inStr, esc = esc || c != '"', !esc && c == '\\'
+		case c == '"':
+			inStr = true
+		case c == '[' || c == '{':
+			depth++
+		case c == ']' || c == '}' || c == ',' || c == ':':
+			if depth == 0 {
+				return side
+			}
+			if c == ']' || c == '}' {
+				depth--
+			}
+		}
+		side = append(side, s.buf[s.pos])
+		s.pos++
+	}
+	return side
+}
+
+// decodeSide hands the members captured so far — `{` then `"key":value,`
+// repeated — to encoding/json.
+func (s *scanner) decodeSide(side []byte, req *jsonMultiply) {
+	if len(side) == 1 || s.err != nil {
+		return
+	}
+	side[len(side)-1] = '}'
+	if err := json.Unmarshal(side, req); err != nil {
+		s.fail("%w", err)
+	}
+	side[len(side)-1] = ','
+}
+
+// decodeJSON streams a JSON multiply body: the a and b arrays go into the
+// scratch's operand slices, every other member into the returned knobs, in
+// any order. Dimensions that precede an array size it exactly and fail it at
+// the first surplus element; otherwise it may grow to maxBytes/8 elements.
+// The caller still owes validateDims and the length checks.
+func (sc *scratch) decodeJSON(r io.Reader, maxBytes int64) (req jsonMultiply, err error) {
+	s := &scanner{r: r, buf: sc.win}
+	side := append(sc.out[:0], '{')
+	sc.a, sc.b = sc.a[:0], sc.b[:0]
+	var seenA, seenB bool
+	s.expect('{')
+	for first := true; s.err == nil; first = false {
+		c := s.peek()
+		if c == '}' && first {
+			s.pos++
+			break
+		}
+		keyAt := len(side)
+		side = bytes.TrimRight(s.value(side), " \t\r\n")
+		s.expect(':')
+		// The operands are matched by their exact spelling; anything else
+		// (including "A" or an escaped "a") is left to encoding/json,
+		// whose struct has no array members.
+		switch key := string(side[keyAt:]); key {
+		case `"a"`, `"b"`:
+			side = side[:keyAt]
+			dst, seen, rows, cols := &sc.a, &seenA, &req.M, &req.K
+			if key == `"b"` {
+				dst, seen, rows, cols = &sc.b, &seenB, &req.K, &req.N
+			}
+			if *seen {
+				s.fail("duplicate member %s", key)
+			}
+			*seen = true
+			s.decodeSide(side, &req)
+			limit := int(maxBytes / 8)
+			if m, n := *rows, *cols; m > 0 && n > 0 && m <= maxDim && n <= maxDim && m*n <= limit {
+				limit = m * n
+				*dst = sized(*dst, limit)
+			}
+			*dst = s.floats(*dst, limit)
+		default:
+			side = append(s.value(append(side, ':')), ',')
+		}
+		if c = s.peek(); c != '}' && c != ',' {
+			s.fail("unexpected %q after a member", c)
+			break
+		}
+		s.pos++
+		if c == '}' {
+			break
+		}
+	}
+	if s.err == nil && s.skipSpace() {
+		s.fail("trailing %q after the closing brace", s.buf[s.pos])
+	} else if s.err == nil && s.rerr != io.EOF {
+		s.err = s.rerr
+	}
+	s.decodeSide(side, &req)
+	sc.out = side
+	if s.err != nil {
+		return req, fmt.Errorf("serve: bad JSON body at byte %d: %w", s.base+int64(s.pos), s.err)
+	}
+	return req, nil
+}
+
+// readFloats fills dst with little-endian float64s read through the window.
+func (sc *scratch) readFloats(r io.Reader, dst []float64) error {
+	for len(dst) > 0 {
+		n := min(len(dst), len(sc.win)/8)
+		if _, err := io.ReadFull(r, sc.win[:8*n]); err != nil {
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(sc.win[8*i:]))
+		}
+		dst = dst[n:]
+	}
+	return nil
+}
+
+// appendJSONFloat appends f as encoding/json does: %f, except %e with the
+// exponent's leading zero dropped for exponents below -6 or from 21 up.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 → e-9
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendResult appends the JSON response for the product c: byte for byte
+// what encoding/json's Encoder emits for {"m","n","c","stats"}, newline
+// included. A non-finite element fails with errNonFinite naming its (i, j).
+func appendResult(dst []byte, c *matrix.Dense, statsJSON []byte) ([]byte, error) {
+	dst = fmt.Appendf(dst, `{"m":%d,"n":%d,"c":[`, c.Rows, c.Cols)
+	for i := 0; i < c.Rows; i++ {
+		for j, v := range c.Data[i*c.Stride : i*c.Stride+c.Cols] {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return dst, fmt.Errorf("%w: c[%d,%d] = %v, which JSON cannot carry (raw bodies pass it through)", errNonFinite, i, j, v)
+			}
+			if i+j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONFloat(dst, v)
+		}
+	}
+	dst = append(dst, `],"stats":`...)
+	dst = append(dst, statsJSON...)
+	return append(dst, '}', '\n'), nil
+}
+
+// appendRawMatrix appends m as little-endian float64s, row-major.
+func appendRawMatrix(dst []byte, m *matrix.Dense) []byte {
+	for i := 0; i < m.Rows; i++ {
+		for _, v := range m.Data[i*m.Stride : i*m.Stride+m.Cols] {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	return dst
+}

@@ -1,0 +1,492 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/matrix"
+)
+
+// testWindow is the scanner window the codec tests use: small enough that
+// every seed body straddles it many times, large enough for a 64-byte
+// number.
+const testWindow = 70
+
+// fuzzMaxBytes is the body limit of the fuzz targets; the element cap that
+// follows from it is fuzzMaxBytes/8.
+const fuzzMaxBytes = 1 << 12
+
+// refMultiply is the wire struct of the encoding/json codec this package
+// used before the streaming scanner: the differential oracle. The element
+// pointers tell a null (which encoding/json read as 0) from a number.
+type refMultiply struct {
+	jsonMultiply
+	A []*float64 `json:"a"`
+	B []*float64 `json:"b"`
+}
+
+// checkDims is the part of parseJSON both codecs share.
+func checkDims(req jsonMultiply, lenA, lenB int, maxBytes int64) error {
+	if err := validateDims(req.M, req.N, req.K, maxBytes); err != nil {
+		return err
+	}
+	if lenA != req.M*req.K || lenB != req.K*req.N {
+		return fmt.Errorf("operand lengths %d, %d do not match %dx%dx%d", lenA, lenB, req.M, req.N, req.K)
+	}
+	return nil
+}
+
+// lenientOnly reports whether an object body leans on something
+// encoding/json tolerated and the scanner documents away: an operand member
+// not spelled exactly "a"/"b", any member repeated (up to case folding), or
+// more non-array bytes than the side buffer holds.
+func lenientOnly(obj []byte) bool {
+	if len(obj) > maxSideBytes {
+		return true
+	}
+	dec := json.NewDecoder(bytes.NewReader(obj))
+	dec.Token() // {
+	seen := map[string]bool{}
+	for dec.More() {
+		start := dec.InputOffset()
+		tok, _ := dec.Token()
+		key := tok.(string)
+		raw := string(bytes.TrimLeft(obj[start:dec.InputOffset()], " \t\r\n,"))
+		for _, operand := range []string{"a", "b"} {
+			if strings.EqualFold(key, operand) && raw != `"`+operand+`"` {
+				return true
+			}
+		}
+		// Upper then lower also folds the two non-ASCII letters
+		// encoding/json matches to ASCII ones (ſ → s, K → k).
+		folded := strings.ToLower(strings.ToUpper(key))
+		if seen[folded] {
+			return true
+		}
+		seen[folded] = true
+		var skip json.RawMessage
+		dec.Decode(&skip)
+	}
+	return false
+}
+
+// checkParseJSON runs one body through the scanner and holds it to the
+// contract: no panic, no operand storage past the element cap, and — unless
+// the body leans on a documented leniency — the same verdict as
+// encoding/json plus the length checks, with bit-identical operands and
+// equal knobs.
+func checkParseJSON(t *testing.T, body []byte) {
+	t.Helper()
+	sc := &scratch{win: make([]byte, testWindow)}
+	req, err := sc.decodeJSON(bytes.NewReader(body), fuzzMaxBytes)
+	if err == nil {
+		err = checkDims(req, len(sc.a), len(sc.b), fuzzMaxBytes)
+	}
+	if cap(sc.a) > fuzzMaxBytes/8 || cap(sc.b) > fuzzMaxBytes/8 || len(sc.out) > maxSideBytes+2 {
+		t.Fatalf("scratch grew to %d + %d elements and %d side bytes; the cap is %d elements", cap(sc.a), cap(sc.b), len(sc.out), fuzzMaxBytes/8)
+	}
+	if errors.Is(err, errLongToken) {
+		return // a limit of the 70-byte test window, 64 KiB when serving
+	}
+
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var first json.RawMessage
+	refErr := dec.Decode(&first)
+	if refErr == nil && len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		refErr = errors.New("trailing data") // the old decoder stopped at the value's end
+	}
+	if refErr == nil && first[0] != '{' {
+		refErr = errors.New("not an object")
+	}
+	if refErr != nil {
+		if err == nil {
+			t.Fatalf("scanner accepted a body encoding/json rejects (%v): %q", refErr, body)
+		}
+		return
+	}
+	if lenientOnly(first) {
+		return
+	}
+	var ref refMultiply
+	refErr = json.Unmarshal(first, &ref)
+	if refErr == nil {
+		refErr = checkDims(ref.jsonMultiply, len(ref.A), len(ref.B), fuzzMaxBytes)
+	}
+	for _, p := range append(ref.A, ref.B...) {
+		if refErr == nil && p == nil {
+			refErr = errors.New("null element")
+		}
+	}
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("scanner says %v, encoding/json says %v: %q", err, refErr, body)
+	}
+	if err != nil {
+		return
+	}
+	if !reflect.DeepEqual(req, ref.jsonMultiply) {
+		t.Fatalf("knobs differ: scanner %+v, encoding/json %+v: %q", req, ref.jsonMultiply, body)
+	}
+	got := append(append([]float64{}, sc.a...), sc.b...)
+	for i, p := range append(ref.A, ref.B...) {
+		if math.Float64bits(got[i]) != math.Float64bits(*p) {
+			t.Fatalf("operand element %d: scanner %v, encoding/json %v: %q", i, got[i], *p, body)
+		}
+	}
+}
+
+// jsonSeeds is the seed corpus of FuzzParseJSON (and, through go test, a
+// table test): every member order, whitespace everywhere, tokens that
+// straddle the 70-byte window, the number grammar's corners, and the
+// malformed bodies the handler must turn into 400s.
+func jsonSeeds() [][]byte {
+	members := []string{`"m":2`, `"n":1`, `"k":3`, `"a":[1,-2.5,3e2,4,5,6]`, `"b":[0.1,0.2,0.3]`}
+	var seeds [][]byte
+	var permute func(done, rest []string)
+	permute = func(done, rest []string) {
+		if len(rest) == 0 {
+			seeds = append(seeds, []byte("{"+strings.Join(done, ",")+"}"))
+		}
+		for i := range rest {
+			next := append(append([]string{}, rest[:i]...), rest[i+1:]...)
+			permute(append(done[:len(done):len(done)], rest[i]), next)
+		}
+	}
+	permute(nil, members)
+	long := "0." + strings.Repeat("123456789", 7)[:62] // a 64-byte number
+	for _, s := range []string{
+		" {\n\t\"m\" : 1 , \"k\" : 2 ,\r\n \"n\" : 1 , \"a\" : [ 1 , 2 ] , \"b\" : [ 3 ,\n4 ] } \n",
+		`{"m":1,"n":1,"k":2,"a":[-0,1E+2],"b":[4.9e-324,1e-400]}`,
+		`{"m":1,"n":1,"k":2,"a":[` + long + `,-` + long[:60] + `e-5],"b":[2.2250738585072014e-308,1.7976931348623157e308]}`,
+		`{"m":1,"n":1,"k":1,"a":[0.30000000000000004],"b":[1e21],"procs":4,"algorithm":"hsumma","grid":[2,2],"local_strassen":true}`,
+		`{"m":1,"n":1,"k":1,"a":[1],"b":[1],"note":"quote \" brace } bracket ] comma , \\","nested":{"x":[1,{"y":"]}"}],"z":null}}`,
+		`{"m":1,"n":1,"k":1,"a":[1],"b":[1],"grid":[],"extra":[[],{}],"t":true,"f":false}`,
+		`{"m":1,"n":1,"k":1,"a":[],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":[1,2],"b":[1]}`,
+		`{"a":[1,2],"b":[1],"m":1,"n":1,"k":1}`,
+		`{"m":1,"n":1,"k":1,"a":[1],"b":[1]}junk`,
+		`{"m":1,"n":1,"k":1,"a":[1],"b":[1],}`,
+		`{"m":1,"n":1,"k":1,"a":[1,],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":[1],"a":[1],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"A":[1],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"\u0061":[1],"b":[1]}`,
+		`{"m":1,"M":2,"n":1,"k":1,"a":[1],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":[null],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":null,"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":[NaN],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":[Infinity],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":[0x10],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":[1e999],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":[+1],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":[01],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"a":[1.],"b":[.5]}`,
+		`{"m":1,"n":1,"k":1,"a":[1e],"b":[-]}`,
+		`{"m":1,"n":1,"k":1,"a":["1"],"b":[1]}`,
+		`{"m":"1","n":1,"k":1,"a":[1],"b":[1]}`,
+		`{"m":1 2,"n":1,"k":1,"a":[1],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"x":[},"a":[1],"b":[1]}`,
+		`{"m":1,"n":1,"k":1,"x":],"a":[1],"b":[1]}`,
+		`{"m":,"n":1,"k":1,"a":[1],"b":[1]}`,
+		`{"m":600,"n":1,"k":1,"a":[1],"b":[1]}`,
+		`{"m":0,"n":4,"k":4,"a":[],"b":[]}`,
+		`{`, `{}`, `[]`, `null`, `1`, `"a"`, ``, `{"a":[1`, `{"a":[1]`, `{"m":1,"note":"unterminated`,
+	} {
+		seeds = append(seeds, []byte(s))
+	}
+	return seeds
+}
+
+// FuzzParseJSON: the streaming scanner never panics, never grows an operand
+// past the element cap, and agrees with encoding/json bit for bit wherever
+// the old codec accepted a body (checkParseJSON spells out the exceptions).
+func FuzzParseJSON(f *testing.F) {
+	for _, s := range jsonSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkParseJSON(t, body) })
+}
+
+// TestParseJSONSeedVerdicts pins which seeds are accepted, so a scanner that
+// rejected everything could not pass the differential check vacuously.
+func TestParseJSONSeedVerdicts(t *testing.T) {
+	accepted := 0
+	for _, body := range jsonSeeds() {
+		sc := &scratch{win: make([]byte, testWindow)}
+		req, err := sc.decodeJSON(bytes.NewReader(body), fuzzMaxBytes)
+		if err == nil && checkDims(req, len(sc.a), len(sc.b), fuzzMaxBytes) == nil {
+			accepted++
+		}
+	}
+	if want := 120 + 6; accepted != want {
+		t.Fatalf("%d seed bodies accepted, want %d (120 member orders + the 6 well-formed extras)", accepted, want)
+	}
+}
+
+// FuzzParseRaw checks the raw body's length and shape arithmetic: parseRaw
+// never panics, never sizes operands past the body limit, and accepts
+// exactly the bodies of (m·k + k·n)·8 bytes — declared or chunked — with the
+// operands' bits passed through.
+func FuzzParseRaw(f *testing.F) {
+	f.Add("m=1&k=2&n=1", []byte("0123456789abcdef01234567"), false)
+	f.Add("m=1&k=2&n=1", []byte("0123456789abcdef01234567"), true)
+	f.Add("m=1&k=2&n=1", []byte("0123456789abcdef0123456"), true)
+	f.Add("m=1&k=2&n=1", []byte("0123456789abcdef012345678"), true)
+	f.Add("m=3&k=3&n=3", bytes.Repeat([]byte{0xff}, 144), false)
+	f.Add("m=2305843009213693950&k=1&n=2", []byte{}, false)
+	f.Add("m=4294967296&k=4294967296&n=1", []byte{}, true)
+	f.Add("m=16777217&k=2&n=2", []byte{}, false)
+	f.Add("m=-1&k=1&n=1&grid=2x", []byte{}, false)
+	f.Add("m=512&k=1&n=1&threads=-1", make([]byte, 4104), true)
+	h := &handler{cfg: HandlerConfig{MaxBodyBytes: fuzzMaxBytes}.withDefaults()}
+	f.Fuzz(func(t *testing.T, query string, body []byte, chunked bool) {
+		r := httptest.NewRequest(http.MethodPost, "/multiply", bytes.NewReader(body))
+		r.URL.RawQuery = query
+		if chunked {
+			r.ContentLength = -1
+			r.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body))) // hides Len from the server
+		}
+		sc := &scratch{win: make([]byte, testWindow)}
+		a, b, _, err := h.parseRaw(r, sc)
+		if cap(sc.a)+cap(sc.b) > fuzzMaxBytes/8 {
+			t.Fatalf("operands sized to %d elements for query %q; the body limit allows %d", cap(sc.a)+cap(sc.b), query, fuzzMaxBytes/8)
+		}
+		if err != nil {
+			return
+		}
+		if got, want := (a.Rows*a.Cols+b.Rows*b.Cols)*8, len(body); got != want || a.Cols != b.Rows {
+			t.Fatalf("accepted %dx%d · %dx%d from a %d-byte body (query %q)", a.Rows, a.Cols, b.Rows, b.Cols, want, query)
+		}
+		if !bytes.Equal(appendRawMatrix(appendRawMatrix(nil, a), b), body) {
+			t.Fatalf("operand bits changed in transit (query %q)", query)
+		}
+	})
+}
+
+// TestEncodeMatchesEncodingJSON holds appendResult to the bytes
+// encoding/json's Encoder emits for the same response.
+func TestEncodeMatchesEncodingJSON(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 1e21, 1e21 - 1e5, 1e-6, 1e-7, 9.999999e-7, 1e20, 123456789.125,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1, 1.0 / 3, 1e-9, 1e-10, 1e100, 5e-324, 2.5e-8}
+	rng := rand.New(rand.NewSource(7))
+	for len(vals) < 4096 {
+		if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			vals = append(vals, v, rng.NormFloat64(), float64(rng.Intn(1000)))
+		}
+	}
+	stats := Stats{Messages: 16, WallSeconds: 1.5e-7, SpecKey: `hsumma<g=4>&"x"`, DecodeSeconds: 0.017,
+		CommSecondsByPhase: map[string]float64{"p2p": 1e-9, "bcast": 0.25}, BatchSize: 1}
+	for _, rows := range []int{1, 3, len(vals) / 7} {
+		// A view into a wider matrix: the encoder must walk rows by stride.
+		wide := matrix.FromSlice(rows, len(vals)/rows, vals[:rows*(len(vals)/rows)])
+		c := wide.View(0, 0, rows, wide.Cols-1)
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(jsonResult{M: c.Rows, N: c.Cols, C: c.Pack(nil), Stats: stats}); err != nil {
+			t.Fatal(err)
+		}
+		statsJSON, _ := json.Marshal(stats)
+		got, err := appendResult(nil, c, statsJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			i := 0
+			for i < len(got) && i < want.Len() && got[i] == want.Bytes()[i] {
+				i++
+			}
+			t.Fatalf("%d rows: response differs from encoding/json at byte %d: got …%.40s, want …%.40s", rows, i, got[i:], want.Bytes()[i:])
+		}
+	}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		c := matrix.FromSlice(2, 2, []float64{1, 2, 3, bad})
+		if _, err := appendResult(nil, c, []byte("{}")); !errors.Is(err, errNonFinite) || !strings.Contains(err.Error(), "c[1,1]") {
+			t.Fatalf("encoding %v: err = %v, want errNonFinite naming c[1,1]", bad, err)
+		}
+	}
+}
+
+// rawBody packs float64s little-endian, the raw wire form.
+func rawBody(vals ...float64) []byte {
+	var out []byte
+	for _, v := range vals {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// rawFloats unpacks a raw wire body (whole float64s only).
+func rawFloats(body []byte) []float64 {
+	out := make([]float64, len(body)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	return out
+}
+
+func postBody(t *testing.T, url, ctype string, body []byte) (int, []byte, http.Header) {
+	t.Helper()
+	resp, err := http.Post(url, ctype, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, got, resp.Header
+}
+
+// TestHTTPNonFinite pins the rule for IEEE specials: JSON cannot spell
+// them, so a non-finite product is a 422 naming its first element (never an
+// empty 200) and a non-finite or out-of-range JSON operand a 400; raw bodies
+// pass them through in both directions.
+func TestHTTPNonFinite(t *testing.T) {
+	srv, sc := newTestServer(t)
+	const rawURL = "/multiply?m=2&k=2&n=2&procs=4"
+
+	// 1. Finite operands, overflowing product, JSON: 422 + error counter.
+	code, msg, _ := postBody(t, srv.URL+"/multiply", "application/json",
+		[]byte(`{"m":2,"n":2,"k":2,"procs":4,"a":[1,1,1e200,1],"b":[1,1e200,1,1]}`))
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "c[1,1]") {
+		t.Fatalf("overflowing JSON product: status %d %q, want 422 naming c[1,1]", code, msg)
+	}
+	if m := sc.Metrics(); m.Errors != 1 {
+		t.Fatalf("hsumma_serve_errors_total = %d after a 422, want 1", m.Errors)
+	}
+
+	// 2. JSON operands that are not finite JSON numbers: 400.
+	for _, elem := range []string{"NaN", "Infinity", "-Infinity", "0x1p3", "1e999", "-1e999"} {
+		body := `{"m":2,"n":2,"k":2,"procs":4,"a":[1,2,3,` + elem + `],"b":[1,2,3,4]}`
+		if code, msg, _ := postBody(t, srv.URL+"/multiply", "application/json", []byte(body)); code != http.StatusBadRequest {
+			t.Fatalf("JSON operand %s: status %d %q, want 400", elem, code, msg)
+		}
+	}
+
+	// 3. Raw operands carry specials in: Inf·1 + 1·1 = Inf, NaN spreads.
+	code, got, _ := postBody(t, srv.URL+rawURL, "application/octet-stream",
+		rawBody(math.Inf(1), 1, math.NaN(), 1 /* B: */, 1, 1, 1, 1))
+	if c := rawFloats(got); code != http.StatusOK || len(c) != 4 || !math.IsInf(c[0], 1) || !math.IsNaN(c[2]) {
+		t.Fatalf("raw specials in: status %d, product %v", code, c)
+	}
+
+	// 4. Raw products carry specials out: the overflow of case 1 is a 200.
+	code, got, _ = postBody(t, srv.URL+rawURL, "application/octet-stream",
+		rawBody(1, 1, 1e200, 1 /* B: */, 1, 1e200, 1, 1))
+	if c := rawFloats(got); code != http.StatusOK || len(c) != 4 || !math.IsInf(c[3], 1) || c[0] != 2 {
+		t.Fatalf("raw overflow out: status %d, product %v", code, c)
+	}
+}
+
+// countingBody fails the test if the handler reads a body it should have
+// rejected on its declared length alone.
+type countingBody struct {
+	io.Reader
+	reads int
+}
+
+func (c *countingBody) Read(p []byte) (int, error) {
+	c.reads++
+	return c.Reader.Read(p)
+}
+
+// TestHTTPStrictBodies covers what the old codec let through: trailing data
+// after the JSON object, repeated or case-folded operand members, and raw
+// bodies whose length is wrong — decided before any read when declared.
+func TestHTTPStrictBodies(t *testing.T) {
+	srv, _ := newTestServer(t)
+	const ok = `{"m":1,"n":1,"k":2,"procs":4,"a":[1,2],"b":[3,4]}`
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"baseline", ok, 200},
+		{"trailing whitespace", ok + " \r\n\t", 200},
+		{"trailing garbage", ok + "junk", 400},
+		{"trailing value", ok + " {}", 400},
+		{"duplicate a", `{"m":1,"n":1,"k":2,"procs":4,"a":[1,2],"a":[1,2],"b":[3,4]}`, 400},
+		{"duplicate b", `{"m":1,"n":1,"k":2,"procs":4,"a":[1,2],"b":[3,4],"b":[3,4]}`, 400},
+		{"upper-case A", `{"m":1,"n":1,"k":2,"procs":4,"A":[1,2],"b":[3,4]}`, 400},
+		{"escaped a", `{"m":1,"n":1,"k":2,"procs":4,"\u0061":[1,2],"b":[3,4]}`, 400},
+		{"surplus element with known dims", `{"m":1,"n":1,"k":2,"procs":4,"a":[1,2,3],"b":[3,4]}`, 400},
+		{"null element", `{"m":1,"n":1,"k":2,"procs":4,"a":[1,null],"b":[3,4]}`, 400},
+	} {
+		if code, msg, _ := postBody(t, srv.URL+"/multiply", "application/json", []byte(tc.body)); code != tc.want {
+			t.Fatalf("%s: status %d %q, want %d", tc.name, code, msg, tc.want)
+		}
+	}
+
+	h := NewHandler(NewScheduler(SchedulerConfig{RankBudget: 16}), HandlerConfig{DefaultProcs: 4})
+	post := func(body []byte, declared int64) (int, int) {
+		cb := &countingBody{Reader: bytes.NewReader(body)}
+		r := httptest.NewRequest(http.MethodPost, "/multiply?m=1&k=2&n=1", cb)
+		r.Header.Set("Content-Type", "application/octet-stream")
+		r.ContentLength = declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		return rec.Code, cb.reads
+	}
+	good := rawBody(1, 2, 3, 4)
+	if code, _ := post(good, 32); code != 200 {
+		t.Fatalf("raw baseline: status %d", code)
+	}
+	if code, _ := post(good, -1); code != 200 {
+		t.Fatalf("raw chunked baseline: status %d", code)
+	}
+	for _, declared := range []int64{31, 33, 0, 1 << 30} {
+		if code, reads := post(good, declared); code != 400 || reads != 0 {
+			t.Fatalf("raw body declaring %d bytes: status %d after %d reads, want 400 before any read", declared, code, reads)
+		}
+	}
+	if code, _ := post(good[:31], -1); code != 400 {
+		t.Fatalf("short chunked raw body: status %d, want 400", code)
+	}
+	if code, reads := post(append(good[:32:32], make([]byte, 1<<20)...), -1); code != 400 || reads > 4 {
+		t.Fatalf("long chunked raw body: status %d after %d reads, want 400 at the first surplus byte", code, reads)
+	}
+}
+
+// BenchmarkCodec times the two halves of the JSON codec on the serve_json
+// benchmark's 256³ request; profile it to see what the floor is made of.
+func BenchmarkCodec(b *testing.B) {
+	const n = 256
+	body, err := json.Marshal(struct {
+		M int       `json:"m"`
+		N int       `json:"n"`
+		K int       `json:"k"`
+		A []float64 `json:"a"`
+		B []float64 `json:"b"`
+	}{n, n, n, matrix.Random(n, n, 1).Pack(nil), matrix.Random(n, n, 2).Pack(nil)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := &scratch{win: make([]byte, windowBytes)}
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := sc.decodeJSON(bytes.NewReader(body), 256<<20); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	c := reference(matrix.FromSlice(n, n, sc.a), matrix.FromSlice(n, n, sc.b))
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if sc.out, err = appendResult(sc.out[:0], c, []byte("{}")); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(sc.out)))
+	})
+}

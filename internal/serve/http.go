@@ -2,13 +2,11 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -62,6 +60,10 @@ type handler struct {
 	cfg    HandlerConfig
 	mux    *http.ServeMux
 	reqSeq atomic.Int64
+
+	// The codec's share of a request, per spec key: the two stages outside
+	// the scheduler's queue/stage/execute decomposition.
+	histDecode, histEncode *histogramVec
 }
 
 // NewHandler wires the serving endpoints over a scheduler:
@@ -78,7 +80,10 @@ type handler struct {
 //	GET  /debug/traces/{id} — one sampled capture as Chrome trace-event JSON
 //	GET  /debug/critpath    — critical-path report over the newest capture
 func NewHandler(sc *Scheduler, cfg HandlerConfig) http.Handler {
-	h := &handler{sc: sc, cfg: cfg.withDefaults(), mux: http.NewServeMux()}
+	h := &handler{sc: sc, cfg: cfg.withDefaults(), mux: http.NewServeMux(),
+		histDecode: newHistogramVec("hsumma_serve_decode_seconds", "Time reading and decoding the request body into operands."),
+		histEncode: newHistogramVec("hsumma_serve_encode_seconds", "Time encoding the product into the response body."),
+	}
 	h.mux.HandleFunc("POST /multiply", h.multiply)
 	h.mux.HandleFunc("GET /plan", h.plan)
 	h.mux.HandleFunc("GET /metrics", h.metrics)
@@ -280,8 +285,12 @@ func validateDims(m, n, k int, maxBytes int64) error {
 	return nil
 }
 
-// jsonMultiply is the JSON body of POST /multiply. A and B are row-major;
-// m, n, k are required and must match their lengths.
+// jsonMultiply is one multiply request's shape and knobs in wire form,
+// before name resolution: the JSON body of POST /multiply minus its two
+// operand members — "a" and "b", row-major number arrays, are scanned by
+// the codec (codec.go) and never reach encoding/json — and what a raw
+// body's query parameters are parsed into. m, n, k are required and must
+// match the operands' lengths.
 type jsonMultiply struct {
 	M     int    `json:"m"`
 	N     int    `json:"n"`
@@ -303,15 +312,15 @@ type jsonMultiply struct {
 	// algorithm's recursion depth and HSUMMA bottom; LocalStrassen and
 	// StrassenCutoff select the rank-local sub-cubic kernel under any
 	// algorithm.
-	StrassenLevels      int       `json:"strassen_levels,omitempty"`
-	StrassenInnerGroups int       `json:"strassen_inner_groups,omitempty"`
-	LocalStrassen       bool      `json:"local_strassen,omitempty"`
-	StrassenCutoff      int       `json:"strassen_cutoff,omitempty"`
-	A                   []float64 `json:"a"`
-	B                   []float64 `json:"b"`
+	StrassenLevels      int  `json:"strassen_levels,omitempty"`
+	StrassenInnerGroups int  `json:"strassen_inner_groups,omitempty"`
+	LocalStrassen       bool `json:"local_strassen,omitempty"`
+	StrassenCutoff      int  `json:"strassen_cutoff,omitempty"`
 }
 
-// jsonResult is the JSON response of POST /multiply.
+// jsonResult is the JSON response of POST /multiply. The handler does not
+// marshal it — appendResult writes the same bytes — but it is the wire
+// contract clients and tests decode into.
 type jsonResult struct {
 	M     int       `json:"m"`
 	N     int       `json:"n"`
@@ -321,22 +330,22 @@ type jsonResult struct {
 
 func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 	ct := r.Header.Get("Content-Type")
-	var (
-		a, b *matrix.Dense
-		rp   tune.ResolveParams
-		raw  bool
-		err  error
-	)
-	switch {
-	case strings.HasPrefix(ct, "application/octet-stream"):
-		raw = true
-		a, b, rp, err = h.parseRaw(r)
-	case ct == "" || strings.HasPrefix(ct, "application/json"):
-		a, b, rp, err = h.parseJSON(r)
-	default:
+	raw := strings.HasPrefix(ct, "application/octet-stream")
+	if !raw && ct != "" && !strings.HasPrefix(ct, "application/json") {
 		http.Error(w, fmt.Sprintf("unsupported Content-Type %q (want application/json or application/octet-stream)", ct), http.StatusUnsupportedMediaType)
 		return
 	}
+	sc := scratchPool.Get().(*scratch)
+	// Released only here, after Multiply has returned and the response is
+	// written: the operands and the response alias the scratch.
+	defer scratchPool.Put(sc)
+	parse := h.parseJSON
+	if raw {
+		parse = h.parseRaw
+	}
+	decodeStart := time.Now()
+	a, b, rp, err := parse(r, sc)
+	decodeSec := time.Since(decodeStart).Seconds()
 	if err != nil {
 		httpError(w, err)
 		return
@@ -347,12 +356,38 @@ func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
+	stats.DecodeSeconds = decodeSec
+	statsJSON, err := json.Marshal(stats)
+	if err != nil {
+		http.Error(w, "serve: encoding stats: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	encodeStart := time.Now()
+	w.Header().Set("Content-Type", "application/json")
+	if raw {
+		sc.out = appendRawMatrix(sc.out[:0], out)
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("X-Hsumma-Stats", string(statsJSON))
+		w.Header().Set("X-Hsumma-Shape", fmt.Sprintf("%dx%d", out.Rows, out.Cols))
+	} else if sc.out, err = appendResult(sc.out[:0], out, statsJSON); err != nil {
+		// The multiply ran, but JSON has no spelling for ±Inf or NaN; the
+		// header is still unwritten, so say so instead of a truncated 200.
+		h.sc.errors.Add(1)
+		logAttrs(r, slog.String("outcome", "error"), slog.String("error", err.Error()))
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return
+	}
+	encodeSec := time.Since(encodeStart).Seconds()
+	h.histDecode.observe(stats.SpecKey, decodeSec)
+	h.histEncode.observe(stats.SpecKey, encodeSec)
 	logAttrs(r,
 		slog.String("outcome", "ok"),
 		slog.String("spec_key", stats.SpecKey),
 		slog.String("shape", fmt.Sprintf("%dx%dx%d", a.Rows, b.Cols, a.Cols)),
+		slog.Float64("decode_s", decodeSec),
 		slog.Float64("queue_wait_s", stats.QueueSeconds),
 		slog.Float64("execute_s", stats.RunSeconds),
+		slog.Float64("encode_s", encodeSec),
 		slog.Int("batch_size", stats.BatchSize),
 		slog.Int("pipeline_occupancy", stats.PipelineOccupancy),
 		slog.Float64("model_drift", stats.ModelDriftRatio),
@@ -362,47 +397,29 @@ func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 		// recorder: the id joins this log record to GET /debug/traces/{id}.
 		logAttrs(r, slog.String("trace_id", stats.TraceID))
 	}
-	if raw {
-		statsJSON, _ := json.Marshal(stats)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Hsumma-Stats", string(statsJSON))
-		w.Header().Set("X-Hsumma-Shape", fmt.Sprintf("%dx%d", out.Rows, out.Cols))
-		writeRawMatrix(w, out)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(jsonResult{M: out.Rows, N: out.Cols, C: out.Pack(nil), Stats: stats})
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.out)))
+	w.Write(sc.out)
 }
 
-// parseJSON decodes the JSON multiply body.
-func (h *handler) parseJSON(r *http.Request) (*matrix.Dense, *matrix.Dense, tune.ResolveParams, error) {
-	var req jsonMultiply
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad JSON body: %w", err)
+// parseJSON decodes the JSON multiply body into the scratch's operands.
+func (h *handler) parseJSON(r *http.Request, sc *scratch) (_, _ *matrix.Dense, rp tune.ResolveParams, err error) {
+	req, err := sc.decodeJSON(r.Body, h.cfg.MaxBodyBytes)
+	if err != nil {
+		return nil, nil, rp, err
 	}
 	if err := validateDims(req.M, req.N, req.K, h.cfg.MaxBodyBytes); err != nil {
-		return nil, nil, tune.ResolveParams{}, err
+		return nil, nil, rp, err
 	}
-	if len(req.A) != req.M*req.K {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: a has %d elements, want m*k = %d", len(req.A), req.M*req.K)
+	if len(sc.a) != req.M*req.K {
+		return nil, nil, rp, fmt.Errorf("serve: a has %d elements, want m*k = %d", len(sc.a), req.M*req.K)
 	}
-	if len(req.B) != req.K*req.N {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: b has %d elements, want k*n = %d", len(req.B), req.K*req.N)
+	if len(sc.b) != req.K*req.N {
+		return nil, nil, rp, fmt.Errorf("serve: b has %d elements, want k*n = %d", len(sc.b), req.K*req.N)
 	}
-	rp, err := h.resolveParams(reqKnobs{
-		procs: req.Procs, alg: req.Alg, grid: req.Grid,
-		groups: req.Groups, blockSize: req.BlockSize, outer: req.OuterBlockSize,
-		bcast: req.Broadcast, segments: req.Segments, threads: req.Threads,
-		strassenLevels:      req.StrassenLevels,
-		strassenInnerGroups: req.StrassenInnerGroups,
-		localStrassen:       req.LocalStrassen,
-		strassenCutoff:      req.StrassenCutoff,
-	})
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, err
+	if rp, err = h.resolveParams(req); err != nil {
+		return nil, nil, rp, err
 	}
-	return matrix.FromSlice(req.M, req.K, req.A), matrix.FromSlice(req.K, req.N, req.B), rp, nil
+	return matrix.FromSlice(req.M, req.K, sc.a), matrix.FromSlice(req.K, req.N, sc.b), rp, nil
 }
 
 // parseRaw decodes the raw body: m*k float64s of A immediately followed by
@@ -410,196 +427,116 @@ func (h *handler) parseJSON(r *http.Request) (*matrix.Dense, *matrix.Dense, tune
 // parameters (m, k, n, procs, algorithm, grid=SxT, groups, block_size,
 // outer_block_size, broadcast, segments, threads, strassen_levels,
 // strassen_inner_groups, local_strassen, strassen_cutoff).
-func (h *handler) parseRaw(r *http.Request) (*matrix.Dense, *matrix.Dense, tune.ResolveParams, error) {
+func (h *handler) parseRaw(r *http.Request, sc *scratch) (_, _ *matrix.Dense, rp tune.ResolveParams, err error) {
 	q := r.URL.Query()
-	geti := func(name string) (int, error) {
-		v := q.Get(name)
-		if v == "" {
-			return 0, nil
+	req := jsonMultiply{Alg: q.Get("algorithm"), Broadcast: q.Get("broadcast")}
+	for _, p := range []struct {
+		name string
+		dst  *int
+	}{
+		{"m", &req.M}, {"n", &req.N}, {"k", &req.K}, {"procs", &req.Procs}, {"groups", &req.Groups},
+		{"block_size", &req.BlockSize}, {"outer_block_size", &req.OuterBlockSize}, {"segments", &req.Segments},
+		{"threads", &req.Threads}, {"strassen_levels", &req.StrassenLevels},
+		{"strassen_inner_groups", &req.StrassenInnerGroups}, {"strassen_cutoff", &req.StrassenCutoff},
+	} {
+		if v := q.Get(p.name); v == "" {
+			continue
+		} else if *p.dst, err = strconv.Atoi(v); err != nil {
+			return nil, nil, rp, fmt.Errorf("serve: bad %s: %w", p.name, err)
 		}
-		return strconv.Atoi(v)
 	}
-	m, err := geti("m")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad m: %w", err)
-	}
-	n, err := geti("n")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad n: %w", err)
-	}
-	k, err := geti("k")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad k: %w", err)
-	}
+	m, n, k := req.M, req.N, req.K
 	if m <= 0 || n <= 0 || k <= 0 {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: raw bodies need positive m, k, n query parameters (have %d, %d, %d)", m, k, n)
+		return nil, nil, rp, fmt.Errorf("serve: raw bodies need positive m, k, n query parameters (have %d, %d, %d)", m, k, n)
 	}
 	if err := validateDims(m, n, k, h.cfg.MaxBodyBytes); err != nil {
-		return nil, nil, tune.ResolveParams{}, err
+		return nil, nil, rp, err
 	}
-	procs, err := geti("procs")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad procs: %w", err)
-	}
-	groups, err := geti("groups")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad groups: %w", err)
-	}
-	blockSize, err := geti("block_size")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad block_size: %w", err)
-	}
-	outer, err := geti("outer_block_size")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad outer_block_size: %w", err)
-	}
-	segments, err := geti("segments")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad segments: %w", err)
-	}
-	threads, err := geti("threads")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad threads: %w", err)
-	}
-	strassenLevels, err := geti("strassen_levels")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad strassen_levels: %w", err)
-	}
-	strassenGroups, err := geti("strassen_inner_groups")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad strassen_inner_groups: %w", err)
-	}
-	strassenCutoff, err := geti("strassen_cutoff")
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad strassen_cutoff: %w", err)
-	}
-	localStrassen := false
 	if v := q.Get("local_strassen"); v != "" {
-		localStrassen, err = strconv.ParseBool(v)
-		if err != nil {
-			return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad local_strassen: %w", err)
+		if req.LocalStrassen, err = strconv.ParseBool(v); err != nil {
+			return nil, nil, rp, fmt.Errorf("serve: bad local_strassen: %w", err)
 		}
 	}
-	var grid []int
 	if g := q.Get("grid"); g != "" {
-		parts := strings.Split(g, "x")
-		if len(parts) != 2 {
-			return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad grid %q (want SxT)", g)
+		s, t, ok := strings.Cut(g, "x")
+		si, err1 := strconv.Atoi(s)
+		ti, err2 := strconv.Atoi(t)
+		if !ok || err1 != nil || err2 != nil {
+			return nil, nil, rp, fmt.Errorf("serve: bad grid %q (want SxT)", g)
 		}
-		s, err1 := strconv.Atoi(parts[0])
-		t, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil {
-			return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: bad grid %q (want SxT)", g)
-		}
-		grid = []int{s, t}
+		req.Grid = []int{si, ti}
 	}
-	rp, err := h.resolveParams(reqKnobs{
-		procs: procs, alg: q.Get("algorithm"), grid: grid,
-		groups: groups, blockSize: blockSize, outer: outer,
-		bcast: q.Get("broadcast"), segments: segments, threads: threads,
-		strassenLevels:      strassenLevels,
-		strassenInnerGroups: strassenGroups,
-		localStrassen:       localStrassen,
-		strassenCutoff:      strassenCutoff,
-	})
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, err
+	if rp, err = h.resolveParams(req); err != nil {
+		return nil, nil, rp, err
 	}
 
-	need := (m*k + k*n) * 8
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: reading body: %w", err)
+	// The length is decided before a byte is read when the client declared
+	// it (a chunked body declares none and is measured by reading).
+	need := int64(m*k+k*n) * 8
+	if r.ContentLength >= 0 && r.ContentLength != need {
+		return nil, nil, rp, fmt.Errorf("serve: raw body has %d bytes, want (m*k + k*n)*8 = %d", r.ContentLength, need)
 	}
-	if len(body) != need {
-		return nil, nil, tune.ResolveParams{}, fmt.Errorf("serve: raw body has %d bytes, want (m*k + k*n)*8 = %d", len(body), need)
-	}
-	decode := func(off, elems int) []float64 {
-		out := make([]float64, elems)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8*i:]))
+	sc.a, sc.b = sized(sc.a, m*k), sized(sc.b, k*n)
+	for _, dst := range [][]float64{sc.a, sc.b} {
+		if err := sc.readFloats(r.Body, dst); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				err = fmt.Errorf("shorter than (m*k + k*n)*8 = %d bytes", need)
+			}
+			return nil, nil, rp, fmt.Errorf("serve: reading raw body: %w", err)
 		}
-		return out
 	}
-	a := matrix.FromSlice(m, k, decode(0, m*k))
-	b := matrix.FromSlice(k, n, decode(m*k*8, k*n))
-	return a, b, rp, nil
-}
-
-// reqKnobs carries the configuration knobs of one multiply request in
-// wire form, before name resolution; both body formats (JSON fields,
-// raw-body query parameters) decode into it.
-type reqKnobs struct {
-	procs                    int
-	alg                      string
-	grid                     []int
-	groups, blockSize, outer int
-	bcast                    string
-	segments, threads        int
-	strassenLevels           int
-	strassenInnerGroups      int
-	localStrassen            bool
-	strassenCutoff           int
+	if n, _ := r.Body.Read(sc.win[:1]); n > 0 {
+		return nil, nil, rp, fmt.Errorf("serve: raw body is longer than (m*k + k*n)*8 = %d bytes", need)
+	}
+	return matrix.FromSlice(m, k, sc.a), matrix.FromSlice(k, n, sc.b), rp, nil
 }
 
 // resolveParams assembles the shared resolution input from request knobs,
 // applying the handler's defaults.
-func (h *handler) resolveParams(kn reqKnobs) (tune.ResolveParams, error) {
-	if kn.threads < 0 {
-		return tune.ResolveParams{}, fmt.Errorf("serve: threads must be non-negative, have %d", kn.threads)
+func (h *handler) resolveParams(kn jsonMultiply) (tune.ResolveParams, error) {
+	if kn.Threads < 0 {
+		return tune.ResolveParams{}, fmt.Errorf("serve: threads must be non-negative, have %d", kn.Threads)
 	}
 	rp := tune.ResolveParams{
-		Procs:               kn.procs,
-		Groups:              kn.groups,
-		BlockSize:           kn.blockSize,
-		OuterBlockSize:      kn.outer,
-		Segments:            kn.segments,
-		Threads:             kn.threads,
-		StrassenLevels:      kn.strassenLevels,
-		StrassenInnerGroups: kn.strassenInnerGroups,
-		LocalStrassen:       kn.localStrassen,
-		StrassenCutoff:      kn.strassenCutoff,
+		Procs:               kn.Procs,
+		Groups:              kn.Groups,
+		BlockSize:           kn.BlockSize,
+		OuterBlockSize:      kn.OuterBlockSize,
+		Segments:            kn.Segments,
+		Threads:             kn.Threads,
+		StrassenLevels:      kn.StrassenLevels,
+		StrassenInnerGroups: kn.StrassenInnerGroups,
+		LocalStrassen:       kn.LocalStrassen,
+		StrassenCutoff:      kn.StrassenCutoff,
 		Platform:            h.cfg.Platform,
 	}
 	if rp.Procs <= 0 {
 		rp.Procs = h.cfg.DefaultProcs
 	}
-	if kn.alg != "" {
-		a, err := engine.AlgorithmByName(kn.alg)
+	if kn.Alg != "" {
+		a, err := engine.AlgorithmByName(kn.Alg)
 		if err != nil {
 			return tune.ResolveParams{}, err
 		}
 		rp.Algorithm = a
 	}
-	if len(kn.grid) == 2 {
-		g, err := topo.NewGrid(kn.grid[0], kn.grid[1])
+	if len(kn.Grid) == 2 {
+		g, err := topo.NewGrid(kn.Grid[0], kn.Grid[1])
 		if err != nil {
 			return tune.ResolveParams{}, err
 		}
 		rp.Grid = &g
-	} else if len(kn.grid) != 0 {
-		return tune.ResolveParams{}, fmt.Errorf("serve: grid must be [S, T], have %v", kn.grid)
+	} else if len(kn.Grid) != 0 {
+		return tune.ResolveParams{}, fmt.Errorf("serve: grid must be [S, T], have %v", kn.Grid)
 	}
-	if kn.bcast != "" {
-		b, err := sched.ByName(kn.bcast)
+	if kn.Broadcast != "" {
+		b, err := sched.ByName(kn.Broadcast)
 		if err != nil {
 			return tune.ResolveParams{}, err
 		}
 		rp.Broadcast = b
 	}
 	return rp, nil
-}
-
-// writeRawMatrix streams a matrix as little-endian float64s.
-func writeRawMatrix(w io.Writer, m *matrix.Dense) {
-	buf := make([]byte, 8*m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		for j, v := range row {
-			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
-		}
-		w.Write(buf)
-	}
 }
 
 // plan serves the autotuning planner: GET /plan?m=&n=&k=&p=&platform=&quick=.
@@ -714,9 +651,11 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE hsumma_serve_latency_seconds summary\n")
 	fmt.Fprintf(w, "hsumma_serve_latency_seconds{quantile=\"0.5\"} %g\n", m.LatencyP50Seconds)
 	fmt.Fprintf(w, "hsumma_serve_latency_seconds{quantile=\"0.99\"} %g\n", m.LatencyP99Seconds)
+	h.histDecode.write(w)
 	h.sc.histQueue.write(w)
 	h.sc.histStage.write(w)
 	h.sc.histExec.write(w)
+	h.histEncode.write(w)
 	h.sc.histE2E.write(w)
 	h.sc.histBatch.write(w)
 	h.sc.histDrift.write(w)

@@ -89,6 +89,10 @@ type Stats struct {
 	// and the pipelined runner overlaps this stage with the previous
 	// request's execution.
 	SetupSeconds float64
+	// DecodeSeconds is the time the daemon spent reading and decoding the
+	// request body into operands, before the request was queued — outside
+	// WallSeconds. Set by the HTTP handler only; 0 for library callers.
+	DecodeSeconds float64
 	// QueueSeconds is the time the request waited behind earlier work on
 	// the session queue before staging began.
 	QueueSeconds float64

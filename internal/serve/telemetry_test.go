@@ -73,10 +73,15 @@ func TestHTTPMetricsHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	var res jsonResult
+	err = json.NewDecoder(resp.Body).Decode(&res)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("multiply status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("multiply status %d, decode error %v", resp.StatusCode, err)
+	}
+	// The codec's share is reported to the client as well as scraped.
+	if res.Stats.DecodeSeconds <= 0 {
+		t.Fatalf("Stats.DecodeSeconds = %g, want > 0", res.Stats.DecodeSeconds)
 	}
 
 	mresp, err := http.Get(srv.URL + "/metrics")
@@ -92,6 +97,10 @@ func TestHTTPMetricsHistograms(t *testing.T) {
 		"hsumma_serve_execute_seconds_bucket",
 		"hsumma_serve_request_seconds_bucket",
 		"hsumma_serve_request_seconds_count",
+		"hsumma_serve_decode_seconds_bucket",
+		"hsumma_serve_decode_seconds_count{key=",
+		"hsumma_serve_encode_seconds_bucket",
+		"hsumma_serve_encode_seconds_count{key=",
 		"hsumma_serve_leases_active",
 		"hsumma_serve_plan_sim_runs_total",
 		"hsumma_serve_plan_refine_seconds_total",
@@ -217,7 +226,7 @@ func TestHTTPRequestLogging(t *testing.T) {
 	if record["req_id"] != reqID {
 		t.Fatalf("logged req_id %v, header says %q", record["req_id"], reqID)
 	}
-	for _, field := range []string{"method", "path", "status", "duration_s", "outcome", "spec_key", "shape", "queue_wait_s"} {
+	for _, field := range []string{"method", "path", "status", "duration_s", "outcome", "spec_key", "shape", "queue_wait_s", "decode_s", "encode_s"} {
 		if _, ok := record[field]; !ok {
 			t.Fatalf("request log missing %q: %v", field, record)
 		}
