@@ -10,11 +10,14 @@ package hsumma
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/model"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/simalg"
+	"repro/internal/simnet"
 	"repro/internal/topo"
 )
 
@@ -121,6 +124,15 @@ func BenchmarkRuntimeFox(b *testing.B) {
 
 // --- Ablations (DESIGN.md §4) ---
 
+// simHSUMMA simulates HSUMMA on the square n problem over hierarchy h with
+// the given knobs — the spec every simulated ablation below varies one
+// field of.
+func simHSUMMA(n int, h topo.Hier, kn core.Knobs, vcfg simnet.VConfig, ex Engine) (simalg.Result, error) {
+	spec := engine.Spec{Algorithm: AlgHSUMMA, Opts: core.Options{N: n, Grid: h.Grid, Groups: h, Knobs: kn}}
+	res, _, err := simalg.Run(spec, vcfg, ex)
+	return res, err
+}
+
 // BenchmarkAblationBroadcast compares broadcast algorithms inside the
 // simulated BG/P HSUMMA at the paper's configuration.
 func BenchmarkAblationBroadcast(b *testing.B) {
@@ -131,10 +143,8 @@ func BenchmarkAblationBroadcast(b *testing.B) {
 		b.Run(string(alg), func(b *testing.B) {
 			var comm float64
 			for i := 0; i < b.N; i++ {
-				res, err := simalg.HSUMMA(simalg.Config{
-					N: 65536, Grid: g, BlockSize: 256, Groups: h,
-					Bcast: alg, Segments: 8, Machine: platform.BlueGenePCalibrated().Model,
-				})
+				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: alg, Segments: 8},
+					simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -154,10 +164,8 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		b.Run(itoa(blk), func(b *testing.B) {
 			var comm float64
 			for i := 0; i < b.N; i++ {
-				res, err := simalg.HSUMMA(simalg.Config{
-					N: 65536, Grid: g, BlockSize: blk, Groups: h,
-					Bcast: sched.VanDeGeijn, Machine: platform.BlueGenePCalibrated().Model,
-				})
+				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: blk, Broadcast: sched.VanDeGeijn},
+					simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -186,10 +194,8 @@ func BenchmarkAblationGroupShape(b *testing.B) {
 			}
 			var comm float64
 			for i := 0; i < b.N; i++ {
-				res, err := simalg.HSUMMA(simalg.Config{
-					N: 65536, Grid: g, BlockSize: 256, Groups: h,
-					Bcast: sched.VanDeGeijn, Machine: platform.BlueGenePCalibrated().Model,
-				})
+				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn},
+					simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -213,16 +219,13 @@ func BenchmarkAblationContention(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := simalg.Config{
-				N: 16384, Grid: g, BlockSize: 256, Groups: h,
-				Bcast: sched.VanDeGeijn, Machine: pf.Model,
-			}
+			vcfg := simnet.VConfig{Model: pf.Model}
 			if on {
-				cfg.Contention = simnetContention(pf, g.Size())
+				vcfg.Contention = simnet.ContentionFor(pf, g.Size(), true)
 			}
 			var comm float64
 			for i := 0; i < b.N; i++ {
-				res, err := simalg.HSUMMA(cfg)
+				res, err := simHSUMMA(16384, h, core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn}, vcfg, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -247,10 +250,8 @@ func BenchmarkAblationInnerOuterBlock(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var comm float64
 			for i := 0; i < b.N; i++ {
-				res, err := simalg.HSUMMA(simalg.Config{
-					N: 65536, Grid: g, BlockSize: c.b, OuterBlockSize: c.B, Groups: h,
-					Bcast: sched.VanDeGeijn, Machine: platform.BlueGenePCalibrated().Model,
-				})
+				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: c.b, OuterBlockSize: c.B, Broadcast: sched.VanDeGeijn},
+					simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -309,11 +310,8 @@ func BenchmarkAblationOverlap(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				res, err := simalg.HSUMMA(simalg.Config{
-					N: 65536, Grid: g, BlockSize: 256, Groups: h,
-					Bcast: sched.VanDeGeijn, Machine: platform.BlueGenePCalibrated().Model,
-					Overlap: overlap,
-				})
+				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn},
+					simnet.VConfig{Model: platform.BlueGenePCalibrated().Model, Overlap: overlap}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -324,20 +322,21 @@ func BenchmarkAblationOverlap(b *testing.B) {
 	}
 }
 
-// fullScaleBGPConfig is the paper's Figure 8 configuration (p=16384,
-// n=65536) on the calibrated BG/P — the workload the execution engines
-// are benchmarked on.
-func fullScaleBGPConfig(b *testing.B, ex Engine) simalg.Config {
+// fullScaleBGP runs the paper's Figure 8 configuration (p=16384, n=65536)
+// on the calibrated BG/P — the workload the execution engines are
+// benchmarked on.
+func fullScaleBGP(b *testing.B, ex Engine) {
 	b.Helper()
-	g := topo.Grid{S: 128, T: 128}
-	h, err := topo.FactorGroups(g, 128)
+	h, err := topo.FactorGroups(topo.Grid{S: 128, T: 128}, 128)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return simalg.Config{
-		N: 65536, Grid: g, BlockSize: 256, Groups: h,
-		Bcast: sched.VanDeGeijn, Machine: platform.BlueGenePCalibrated().Model,
-		Executor: ex,
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn},
+			simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}, ex); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -348,30 +347,14 @@ func fullScaleBGPConfig(b *testing.B, ex Engine) simalg.Config {
 // remaining cost is the ~15M goroutine park/wake rendezvous, which is
 // what the event engine (see the Event twin below) eliminates.
 // allocs/op tracks the GC pressure the simnet pools keep bounded.
-func BenchmarkFullScaleBGPSim(b *testing.B) {
-	cfg := fullScaleBGPConfig(b, EngineGoroutine)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := simalg.HSUMMA(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFullScaleBGPSim(b *testing.B) { fullScaleBGP(b, EngineGoroutine) }
 
 // BenchmarkFullScaleBGPSimEvent is the event-engine twin of
 // BenchmarkFullScaleBGPSim: the same run on internal/evsim (recorded
 // rank programs, single-threaded replay, rank-symmetry fast path),
 // bit-identical results at a fraction of the wall time (~5.5× on one
 // core at the time of writing; tracked in BENCH_sim.json by CI).
-func BenchmarkFullScaleBGPSimEvent(b *testing.B) {
-	cfg := fullScaleBGPConfig(b, EngineEvent)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := simalg.HSUMMA(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFullScaleBGPSimEvent(b *testing.B) { fullScaleBGP(b, EngineEvent) }
 
 // BenchmarkPlanColdRefine quantifies what the event engine buys the
 // autotuner: a cold plan's stage-2 refinement (TopK virtual runs) on

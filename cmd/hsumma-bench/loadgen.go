@@ -320,7 +320,7 @@ func runLoadgen(url string, durationS float64, conc int, quick bool, outPath, ba
 	// Without a URL, serve in-process: same scheduler + handler as the
 	// daemon.
 	if url == "" {
-		sc := serve.NewScheduler(serve.SchedulerConfig{RankBudget: 64, QueueDepth: 2 * conc})
+		sc := serve.NewScheduler(serve.SchedulerConfig{CoreBudget: 64, QueueDepth: 2 * conc})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

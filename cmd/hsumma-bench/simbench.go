@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/platform"
@@ -80,10 +81,11 @@ func runSimBench(quick bool, outPath, baselinePath string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	cfg := simalg.Config{
-		N: n, Grid: grid, BlockSize: 256, Groups: h,
-		Bcast: sched.VanDeGeijn, Machine: platform.BlueGenePCalibrated().Model,
-	}
+	spec := engine.Spec{Algorithm: engine.HSUMMA, Opts: core.Options{
+		N: n, Grid: grid, Groups: h,
+		Knobs: core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn},
+	}}
+	vcfg := simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}
 
 	// Best of simBenchReps per engine: the goroutine engine's wall time
 	// swings ±30% run to run (its 16384-goroutine rendezvous order is
@@ -94,10 +96,8 @@ func runSimBench(quick bool, outPath, baselinePath string) {
 		var firstStats []simnet.VRankStats
 		bestWall := -1.0
 		for rep := 0; rep < simBenchReps; rep++ {
-			cfg := cfg
-			cfg.Executor = ex
 			start := time.Now()
-			res, stats, err := simalg.RunStats(cfg, engine.HSUMMA)
+			res, stats, err := simalg.Run(spec, vcfg, ex)
 			wall := time.Since(start).Seconds()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "simbench: %s engine: %v\n", ex, err)

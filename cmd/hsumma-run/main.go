@@ -54,46 +54,49 @@ func main() {
 		n      = flag.Int("n", 512, "result columns (N); with -m and -k unset, the square n×n problem")
 		m      = flag.Int("m", 0, "result rows M for rectangular GEMM C(M×N) += A(M×K)·B(K×N); 0 = n")
 		k      = flag.Int("k", 0, "contraction dimension K; 0 = n")
-		p      = flag.Int("p", 16, "number of ranks")
 		alg    = flag.String("alg", "hsumma", "algorithm: summa, hsumma, multilevel, cannon, fox, strassen, auto")
 		auto   = flag.Bool("auto", false, "let the planner pick the configuration (same as -alg auto)")
-		G      = flag.Int("G", 0, "HSUMMA group count (0 = closest feasible to sqrt(p))")
-		b      = flag.Int("b", 0, "block size b (0 = auto via the shared default rule)")
-		outer  = flag.Int("B", 0, "outer block size B (0 = b)")
 		bcast  = flag.String("bcast", "binomial", "broadcast: binomial, vandegeijn, flat, binary, chain")
-		thr    = flag.Int("threads", 1, "per-rank thread budget for local multiplies (hybrid intra-rank parallelism)")
 		levels = flag.String("levels", "", "multilevel hierarchy, outermost first, e.g. 2x2:64,2x2:32 (IxJ:blocksize); empty degenerates to SUMMA")
-		sLvl   = flag.Int("strassen-levels", 0, "strassen quadrant recursion depth (0 = one level)")
-		sGrp   = flag.Int("strassen-groups", 0, "strassen HSUMMA-bottom group count (0 = SUMMA bottom)")
-		sLoc   = flag.Bool("local-strassen", false, "run the rank-local sub-cubic Strassen kernel under any algorithm")
-		sCut   = flag.Int("strassen-cutoff", 0, "local Strassen kernel recursion cutoff (0 = blas default)")
 		pf     = flag.String("platform", "grid5000", "machine preset: grid5000, bgp, exascale (sim timing; auto-planning target in both modes)")
 		seed   = flag.Uint64("seed", 42, "input matrix seed (live mode)")
 		eng    = flag.String("engine", "auto", "sim-mode virtual execution engine: goroutine, event, or auto (bit-identical results; event is ~10x faster on full-scale collective-only runs)")
 		trOut  = flag.String("trace", "", "write a per-rank phase span timeline (Chrome/Perfetto trace-event JSON) to this file")
 		crit   = flag.Bool("critpath", false, "trace the run and print the critical-path report: gating rank/phase, per-rank busy/wait split, top blocking edges")
 	)
+	// The run itself is one description for both modes: the numeric knobs
+	// bind straight into it, sim mode simulates it and live mode executes
+	// its Config().
+	var run hsumma.SimConfig
+	flag.IntVar(&run.Procs, "p", 16, "number of ranks")
+	flag.IntVar(&run.Groups, "G", 0, "HSUMMA group count (0 = closest feasible to sqrt(p))")
+	flag.IntVar(&run.BlockSize, "b", 0, "block size b (0 = auto via the shared default rule)")
+	flag.IntVar(&run.OuterBlockSize, "B", 0, "outer block size B (0 = b)")
+	flag.IntVar(&run.Threads, "threads", 1, "per-rank thread budget for local multiplies (hybrid intra-rank parallelism)")
+	flag.IntVar(&run.StrassenLevels, "strassen-levels", 0, "strassen quadrant recursion depth (0 = one level)")
+	flag.IntVar(&run.StrassenInnerGroups, "strassen-groups", 0, "strassen HSUMMA-bottom group count (0 = SUMMA bottom)")
+	flag.BoolVar(&run.LocalStrassen, "local-strassen", false, "run the rank-local sub-cubic Strassen kernel under any algorithm")
+	flag.IntVar(&run.StrassenCutoff, "strassen-cutoff", 0, "local Strassen kernel recursion cutoff (0 = blas default)")
 	flag.Parse()
 
-	bcastAlg, err := hsumma.BroadcastByName(*bcast)
-	if err != nil {
+	var err error
+	if run.Broadcast, err = hsumma.BroadcastByName(*bcast); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	simEngine, err := hsumma.EngineByName(*eng)
-	if err != nil {
+	if run.Engine, err = hsumma.EngineByName(*eng); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	levelList, err := parseLevels(*levels)
-	if err != nil {
+	if run.Levels, err = parseLevels(*levels); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *auto {
 		*alg = string(hsumma.AlgAuto)
 	}
-	if hsumma.Algorithm(*alg) == hsumma.AlgMultilevel && len(levelList) == 0 {
+	run.Algorithm = hsumma.Algorithm(*alg)
+	if run.Algorithm == hsumma.AlgMultilevel && len(run.Levels) == 0 {
 		fmt.Fprintln(os.Stderr, "note: -alg multilevel without -levels degenerates to flat SUMMA")
 	}
 	machine, err := platformByName(*pf)
@@ -102,6 +105,8 @@ func main() {
 		os.Exit(2)
 	}
 	shape := shapeFromFlags(*m, *n, *k)
+	run.Shape, run.Machine, run.Platform = shape, machine.Model, &machine
+	run.Trace = *trOut != "" || *crit
 
 	switch *mode {
 	default:
@@ -110,28 +115,14 @@ func main() {
 	case "live":
 		a := hsumma.RandomMatrix(shape.M, shape.K, *seed)
 		bm := hsumma.RandomMatrix(shape.K, shape.N, *seed+1)
-		cfg := hsumma.Config{
-			Procs:               *p,
-			Algorithm:           hsumma.Algorithm(*alg),
-			Groups:              *G,
-			BlockSize:           *b,
-			OuterBlockSize:      *outer,
-			Levels:              levelList,
-			Broadcast:           bcastAlg,
-			Threads:             *thr,
-			StrassenLevels:      *sLvl,
-			StrassenInnerGroups: *sGrp,
-			LocalStrassen:       *sLoc,
-			StrassenCutoff:      *sCut,
-			Platform:            &machine,
-		}
+		cfg := run.Config()
 		start := time.Now()
 		var (
 			got   *hsumma.Matrix
 			stats hsumma.Stats
 			rec   *hsumma.Trace
 		)
-		if *trOut != "" || *crit {
+		if run.Trace {
 			got, stats, rec, err = hsumma.MultiplyTraced(a, bm, cfg)
 		} else {
 			got, stats, err = hsumma.Multiply(a, bm, cfg)
@@ -142,7 +133,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("mode           : live (goroutine runtime)\n")
-		fmt.Printf("algorithm      : %s (p=%d, %s)\n", *alg, *p, shape)
+		fmt.Printf("algorithm      : %s (p=%d, %s)\n", *alg, run.Procs, shape)
 		fmt.Printf("wall time      : %v\n", elapsed)
 		fmt.Printf("messages sent  : %d\n", stats.Messages)
 		fmt.Printf("bytes moved    : %d\n", stats.Bytes)
@@ -174,32 +165,14 @@ func main() {
 
 	case "sim":
 		start := time.Now()
-		res, err := hsumma.Simulate(hsumma.SimConfig{
-			Shape:               shape,
-			Procs:               *p,
-			Algorithm:           hsumma.Algorithm(*alg),
-			Groups:              *G,
-			BlockSize:           *b,
-			OuterBlockSize:      *outer,
-			Levels:              levelList,
-			Broadcast:           bcastAlg,
-			Threads:             *thr,
-			StrassenLevels:      *sLvl,
-			StrassenInnerGroups: *sGrp,
-			LocalStrassen:       *sLoc,
-			StrassenCutoff:      *sCut,
-			Machine:             machine.Model,
-			Platform:            &machine,
-			Engine:              simEngine,
-			Trace:               *trOut != "" || *crit,
-		})
+		res, err := hsumma.Simulate(run)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simulation failed:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("mode           : sim (virtual communicator, %s)\n", machine.Name)
 		fmt.Printf("engine         : %s\n", res.Engine)
-		fmt.Printf("algorithm      : %s (p=%d, %s)\n", res.Algorithm, *p, shape)
+		fmt.Printf("algorithm      : %s (p=%d, %s)\n", res.Algorithm, run.Procs, shape)
 		if res.Shape != shape {
 			fmt.Printf("padded to      : %s\n", res.Shape)
 		}

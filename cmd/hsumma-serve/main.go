@@ -18,12 +18,10 @@
 //	GET  /metrics    scheduler + plan-cache counters, per-key latency
 //	                 histograms (Prometheus format)
 //	GET  /healthz    liveness
-//	POST /debug/trace      (only with -debug-trace) arm a one-shot span
-//	                       capture of the next multiply; responds with
-//	                       Chrome trace-event JSON
 //	GET  /debug/traces     (only with -trace-sample) the flight recorder's
 //	                       sampled captures; /debug/traces/{id} fetches one
-//	                       as Chrome trace-event JSON
+//	                       as Chrome trace-event JSON (-trace-sample 1
+//	                       captures every multiply)
 //	GET  /debug/critpath   (only with -trace-sample) critical-path report
 //	                       over the newest sampled capture
 //	GET  /debug/pprof/...  (only with -pprof) the Go runtime profiler
@@ -39,10 +37,9 @@
 // the serial pre-pipelining path bit-for-bit.
 //
 // Sessions are accounted in cores — ranks × per-rank threads — against the
-// core budget; -rank-budget remains as the pre-hybrid alias. Backpressure
-// (bounded session queues, core budget) surfaces as 503 with Retry-After;
-// a SIGINT/SIGTERM drains gracefully — in-flight requests finish, queued
-// ones get a clean error.
+// core budget. Backpressure (bounded session queues, core budget) surfaces
+// as 503 with Retry-After; a SIGINT/SIGTERM drains gracefully — in-flight
+// requests finish, queued ones get a clean error.
 package main
 
 import (
@@ -68,8 +65,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		pfName     = flag.String("platform", "", "platform preset the planner tunes auto requests for (grid5000, bgp, exascale; empty = grid5000)")
-		coreBudget = flag.Int("core-budget", 0, "max resident cores (ranks × threads) across all sessions (default 256)")
-		rankBudget = flag.Int("rank-budget", 0, "alias for -core-budget from before hybrid sessions existed")
+		coreBudget = flag.Int("core-budget", 256, "max resident cores (ranks × threads) across all sessions")
 		queueDepth = flag.Int("queue-depth", 32, "per-session bounded queue depth")
 		pipeDepth  = flag.Int("pipeline-depth", 0, "staged buffer sets per session: 2+ overlaps staging with execution, 1 = serial pre-pipelining path (default 2)")
 		maxBatch   = flag.Int("max-batch", 0, "max same-A requests coalesced into one multi-RHS execution, 1 = no batching (default 8)")
@@ -77,7 +73,6 @@ func main() {
 		procs      = flag.Int("default-procs", 16, "rank count for requests that do not pin one")
 		kernCalib  = flag.String("kernel-calib", "", "BENCH_kernel.json path: calibrate the planner's intra-rank speedup curve from the host's measured thread scaling (empty = the 3% default serial fraction)")
 		withPprof  = flag.Bool("pprof", false, "expose the Go profiler under /debug/pprof/")
-		withTrace  = flag.Bool("debug-trace", false, "expose POST /debug/trace (one-shot span capture of the next multiply)")
 		traceEvery = flag.Int("trace-sample", 0, "flight recorder: sample 1 in N multiplies into a bounded trace ring served at /debug/traces (0 = off)")
 		traceRing  = flag.Int("trace-ring", 0, "flight-recorder ring capacity (default 16 captures)")
 		driftRepl  = flag.Bool("drift-replan", false, "invalidate a shape's memoised plan when its measured/predicted cost drifts persistently past -drift-threshold")
@@ -109,7 +104,6 @@ func main() {
 	hcfg := serve.HandlerConfig{
 		DefaultProcs: *procs,
 		Logger:       logger,
-		EnableTrace:  *withTrace,
 	}
 	if *pfName != "" {
 		pf, err := platform.ByName(*pfName)
@@ -120,15 +114,8 @@ func main() {
 		hcfg.Platform = &pf
 	}
 
-	budget := *coreBudget
-	if budget <= 0 {
-		budget = *rankBudget
-	}
-	if budget <= 0 {
-		budget = 256
-	}
 	sched := serve.NewScheduler(serve.SchedulerConfig{
-		CoreBudget:     budget,
+		CoreBudget:     *coreBudget,
 		QueueDepth:     *queueDepth,
 		PipelineDepth:  *pipeDepth,
 		MaxBatch:       *maxBatch,
@@ -169,14 +156,13 @@ func main() {
 
 	logger.Info("listening",
 		"addr", *addr,
-		"core_budget", budget,
+		"core_budget", *coreBudget,
 		"queue_depth", *queueDepth,
 		"pipeline_depth", *pipeDepth,
 		"max_batch", *maxBatch,
 		"batch_window", batchWin.String(),
 		"default_procs", *procs,
 		"pprof", *withPprof,
-		"debug_trace", *withTrace,
 		"trace_sample", *traceEvery,
 		"drift_replan", *driftRepl,
 		"log_level", level.String(),

@@ -59,7 +59,7 @@ func main() {
 		1000*oneShot.WallSeconds, 1000*oneShot.SetupSeconds)
 
 	// --- 2. The daemon over HTTP ---------------------------------------
-	sc := serve.NewScheduler(serve.SchedulerConfig{RankBudget: 64})
+	sc := serve.NewScheduler(serve.SchedulerConfig{CoreBudget: 64})
 	defer sc.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

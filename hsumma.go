@@ -284,6 +284,12 @@ func resolveSpec(shape Shape, cfg Config) (engine.Spec, topo.Grid, error) {
 	if err != nil {
 		return engine.Spec{}, topo.Grid{}, err
 	}
+	return specFor(rp)
+}
+
+// specFor resolves pinned parameters through tune.ResolveSpec under the
+// façade's error namespace.
+func specFor(rp tune.ResolveParams) (engine.Spec, topo.Grid, error) {
 	spec, err := tune.ResolveSpec(rp)
 	if err != nil {
 		// tune's resolution errors carry no namespace; the façade owns the
@@ -294,7 +300,8 @@ func resolveSpec(shape Shape, cfg Config) (engine.Spec, topo.Grid, error) {
 	return spec, spec.Opts.Grid, nil
 }
 
-// resolveParams adapts a public Config to the shared resolution input.
+// resolveParams adapts a public Config to the shared resolution input —
+// the one place Config's fields are read out.
 func (cfg Config) resolveParams(shape Shape) (tune.ResolveParams, error) {
 	rp := tune.ResolveParams{
 		Shape:               shape,

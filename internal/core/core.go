@@ -25,6 +25,58 @@ import (
 	"repro/internal/topo"
 )
 
+// Knobs is the one declaration of the pass-through execution knobs: the
+// values a caller pins on any surface (hsumma.Config, hsumma.SimConfig,
+// tune.ResolveParams, a planner candidate, the daemon's JSON body or query
+// string) that reach the algorithms unchanged. Options, tune.Candidate and
+// the daemon's wire struct embed it, so the json names below are the wire
+// names; the flat public configs convert to it in one function each (see
+// README "Adding a knob").
+type Knobs struct {
+	// BlockSize is the paper's b: the pivot panel width per SUMMA step
+	// (and per HSUMMA inner step), walking the K dimension.
+	BlockSize int `json:"block_size,omitempty"`
+	// OuterBlockSize is the paper's B: the panel width exchanged between
+	// groups per HSUMMA outer step. Zero means B = b, the configuration
+	// used in all the paper's experiments. Must be a multiple of b.
+	OuterBlockSize int `json:"outer_block_size,omitempty"`
+	// Broadcast selects the broadcast schedule for every collective;
+	// defaults to binomial.
+	Broadcast sched.Algorithm `json:"broadcast,omitempty"`
+	// Segments is the pipeline depth for the chain broadcast (ignored
+	// otherwise).
+	Segments int `json:"segments,omitempty"`
+	// Threads is the per-rank thread budget for the local multiply — the
+	// Go analog of OpenMP threads inside each MPI process. Values ≤ 1
+	// mean serial (the default); the live transport splits each rank's
+	// Gemm over write-disjoint C row bands, the virtual ones scale the
+	// compute clock by the shared parallel-efficiency curve.
+	Threads int `json:"threads,omitempty"`
+	// StrassenLevels is the inter-rank quadrant recursion depth of the
+	// Strassen algorithm (0 means one level); ignored by the other
+	// algorithms.
+	StrassenLevels int `json:"strassen_levels,omitempty"`
+	// StrassenInnerGroups selects the bottom algorithm the Strassen
+	// recursion hands each sub-grid problem to: 0 runs SUMMA, > 0 runs
+	// HSUMMA with that group count factored onto the bottom sub-grid.
+	StrassenInnerGroups int `json:"strassen_inner_groups,omitempty"`
+	// LocalStrassen selects the sub-cubic Strassen kernel for every
+	// rank-local multiply (blas.StrassenGemm on the live transport; the
+	// virtual ones charge blas.StrassenFlops). Orthogonal to the
+	// algorithm: any distributed schedule can run a sub-cubic local
+	// kernel. Note Strassen reassociates the arithmetic — results match
+	// the classic kernel to relative tolerance, not bit for bit.
+	LocalStrassen bool `json:"local_strassen,omitempty"`
+	// StrassenCutoff is the local Strassen recursion cutoff (≤ 0 selects
+	// the blas default); ignored unless LocalStrassen is set.
+	StrassenCutoff int `json:"strassen_cutoff,omitempty"`
+}
+
+// Exec returns the execution descriptor every local multiply runs under.
+func (k Knobs) Exec() comm.Exec {
+	return comm.Exec{Threads: k.Threads, Strassen: k.LocalStrassen, Cutoff: k.StrassenCutoff}
+}
+
 // Options configures a distributed multiplication. The zero value is not
 // usable; fill in at least a shape (Shape, or N as the square shorthand),
 // Grid and BlockSize.
@@ -37,45 +89,9 @@ type Options struct {
 	N int
 	// Grid is the s×t process grid.
 	Grid topo.Grid
-	// BlockSize is the paper's b: the pivot panel width per SUMMA step
-	// (and per HSUMMA inner step), walking the K dimension.
-	BlockSize int
-	// OuterBlockSize is the paper's B: the panel width exchanged between
-	// groups per HSUMMA outer step. Zero means B = b, the configuration
-	// used in all the paper's experiments. Must be a multiple of b.
-	OuterBlockSize int
 	// Groups is the hierarchical group arrangement for HSUMMA.
 	Groups topo.Hier
-	// Broadcast selects the broadcast schedule for every collective;
-	// defaults to binomial.
-	Broadcast sched.Algorithm
-	// Segments is the pipeline depth for the chain broadcast (ignored
-	// otherwise).
-	Segments int
-	// Threads is the per-rank thread budget for the local multiply — the
-	// Go analog of OpenMP threads inside each MPI process. Values ≤ 1
-	// mean serial (the default); the live transport splits each rank's
-	// Gemm over write-disjoint C row bands, the virtual ones scale the
-	// compute clock by the shared parallel-efficiency curve.
-	Threads int
-	// LocalStrassen selects the sub-cubic Strassen kernel for every
-	// rank-local multiply (blas.StrassenGemm on the live transport; the
-	// virtual ones charge blas.StrassenFlops). Orthogonal to the
-	// algorithm: any distributed schedule can run a sub-cubic local
-	// kernel. Note Strassen reassociates the arithmetic — results match
-	// the classic kernel to relative tolerance, not bit for bit.
-	LocalStrassen bool
-	// StrassenCutoff is the local Strassen recursion cutoff (≤ 0 selects
-	// the blas default); ignored unless LocalStrassen is set.
-	StrassenCutoff int
-	// StrassenLevels is the inter-rank quadrant recursion depth of the
-	// Strassen algorithm (0 means one level); ignored by the other
-	// algorithms.
-	StrassenLevels int
-	// StrassenInnerGroups selects the bottom algorithm the Strassen
-	// recursion hands each sub-grid problem to: 0 runs SUMMA, > 0 runs
-	// HSUMMA with that group count factored onto the bottom sub-grid.
-	StrassenInnerGroups int
+	Knobs
 }
 
 func (o *Options) withDefaults() Options {
@@ -96,11 +112,6 @@ func (o *Options) withDefaults() Options {
 		out.Threads = 1
 	}
 	return out
-}
-
-// Exec returns the execution descriptor every local multiply runs under.
-func (o Options) Exec() comm.Exec {
-	return comm.Exec{Threads: o.Threads, Strassen: o.LocalStrassen, Cutoff: o.StrassenCutoff}
 }
 
 // tiles returns the per-rank tile extents of the three operands on the

@@ -74,7 +74,7 @@ func TestSUMMAGridsAndBlocks(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(fmt.Sprintf("%dx%d_n%d_b%d", c.s, c.t, c.n, c.b), func(t *testing.T) {
-			o := Options{N: c.n, Grid: topo.Grid{S: c.s, T: c.t}, BlockSize: c.b}
+			o := Options{N: c.n, Grid: topo.Grid{S: c.s, T: c.t}, Knobs: Knobs{BlockSize: c.b}}
 			runAlgorithm(t, o, SUMMA)
 		})
 	}
@@ -84,7 +84,7 @@ func TestSUMMABroadcastAlgorithms(t *testing.T) {
 	for _, alg := range sched.Algorithms() {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
-			o := Options{N: 16, Grid: topo.Grid{S: 2, T: 4}, BlockSize: 4, Broadcast: alg, Segments: 2}
+			o := Options{N: 16, Grid: topo.Grid{S: 2, T: 4}, Knobs: Knobs{BlockSize: 4, Broadcast: alg, Segments: 2}}
 			runAlgorithm(t, o, SUMMA)
 		})
 	}
@@ -99,7 +99,7 @@ func TestHSUMMAGroupSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := Options{N: 16, Grid: g, BlockSize: 2, Groups: h}
+			o := Options{N: 16, Grid: g, Knobs: Knobs{BlockSize: 2}, Groups: h}
 			runAlgorithm(t, o, HSUMMA)
 		})
 	}
@@ -124,7 +124,7 @@ func TestHSUMMARectangularGridsAndGroups(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := Options{N: c.n, Grid: g, BlockSize: c.b, OuterBlockSize: c.B, Groups: h}
+			o := Options{N: c.n, Grid: g, Knobs: Knobs{BlockSize: c.b, OuterBlockSize: c.B}, Groups: h}
 			runAlgorithm(t, o, HSUMMA)
 		})
 	}
@@ -134,14 +134,14 @@ func TestHSUMMAInnerOuterBlockSplit(t *testing.T) {
 	// b < B: several inner steps per outer step.
 	g := topo.Grid{S: 2, T: 2}
 	h, _ := topo.NewHier(g, 2, 1)
-	o := Options{N: 16, Grid: g, BlockSize: 2, OuterBlockSize: 8, Groups: h}
+	o := Options{N: 16, Grid: g, Knobs: Knobs{BlockSize: 2, OuterBlockSize: 8}, Groups: h}
 	runAlgorithm(t, o, HSUMMA)
 }
 
 func TestHSUMMAVanDeGeijnBroadcast(t *testing.T) {
 	g := topo.Grid{S: 4, T: 4}
 	h, _ := topo.NewHier(g, 2, 2)
-	o := Options{N: 16, Grid: g, BlockSize: 4, Groups: h, Broadcast: sched.VanDeGeijn}
+	o := Options{N: 16, Grid: g, Knobs: Knobs{BlockSize: 4, Broadcast: sched.VanDeGeijn}, Groups: h}
 	runAlgorithm(t, o, HSUMMA)
 }
 
@@ -169,13 +169,13 @@ func TestHSUMMADegeneratesToSUMMA(t *testing.T) {
 		}
 		return bm.Gather(cT)
 	}
-	summaC := run(SUMMA, Options{N: n, Grid: g, BlockSize: b})
+	summaC := run(SUMMA, Options{N: n, Grid: g, Knobs: Knobs{BlockSize: b}})
 	for _, G := range []int{1, g.Size()} {
 		h, err := topo.FactorGroups(g, G)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hC := run(HSUMMA, Options{N: n, Grid: g, BlockSize: b, Groups: h})
+		hC := run(HSUMMA, Options{N: n, Grid: g, Knobs: Knobs{BlockSize: b}, Groups: h})
 		if !matrix.Equal(summaC, hC) {
 			t.Fatalf("G=%d HSUMMA differs from SUMMA", G)
 		}
@@ -190,13 +190,13 @@ func TestValidationErrors(t *testing.T) {
 		o    Options
 		hier bool
 	}{
-		{"n not divisible by grid", Options{N: 9, Grid: g, BlockSize: 1}, false},
-		{"b does not divide tile", Options{N: 8, Grid: g, BlockSize: 3}, false},
-		{"zero n", Options{N: 0, Grid: g, BlockSize: 1}, false},
-		{"zero b", Options{N: 8, Grid: g, BlockSize: 0}, false},
-		{"B not multiple of b", Options{N: 16, Grid: g, BlockSize: 3, OuterBlockSize: 4, Groups: h}, true},
-		{"B too large for tile", Options{N: 8, Grid: g, BlockSize: 2, OuterBlockSize: 8, Groups: h}, true},
-		{"mismatched hierarchy", Options{N: 8, Grid: g, BlockSize: 2, Groups: topo.Hier{Grid: topo.Grid{S: 4, T: 4}, I: 2, J: 2}}, true},
+		{"n not divisible by grid", Options{N: 9, Grid: g, Knobs: Knobs{BlockSize: 1}}, false},
+		{"b does not divide tile", Options{N: 8, Grid: g, Knobs: Knobs{BlockSize: 3}}, false},
+		{"zero n", Options{N: 0, Grid: g, Knobs: Knobs{BlockSize: 1}}, false},
+		{"zero b", Options{N: 8, Grid: g, Knobs: Knobs{BlockSize: 0}}, false},
+		{"B not multiple of b", Options{N: 16, Grid: g, Knobs: Knobs{BlockSize: 3, OuterBlockSize: 4}, Groups: h}, true},
+		{"B too large for tile", Options{N: 8, Grid: g, Knobs: Knobs{BlockSize: 2, OuterBlockSize: 8}, Groups: h}, true},
+		{"mismatched hierarchy", Options{N: 8, Grid: g, Knobs: Knobs{BlockSize: 2}, Groups: topo.Hier{Grid: topo.Grid{S: 4, T: 4}, I: 2, J: 2}}, true},
 	}
 	for _, c := range cases {
 		c := c
@@ -220,7 +220,7 @@ func TestCommSizeMismatch(t *testing.T) {
 	var mu sync.Mutex
 	errs := 0
 	err := mpi.Run(4, func(c *mpi.Comm) {
-		o := Options{N: 16, Grid: topo.Grid{S: 2, T: 4}, BlockSize: 2}
+		o := Options{N: 16, Grid: topo.Grid{S: 2, T: 4}, Knobs: Knobs{BlockSize: 2}}
 		tile := matrix.New(8, 4)
 		if e := SUMMA(mpi.AsComm(c), o, tile, tile.Clone(), tile.Clone()); e != nil {
 			mu.Lock()
@@ -240,7 +240,7 @@ func TestSUMMAAccumulatesIntoC(t *testing.T) {
 	// C starts non-zero; the algorithms must add A·B, not overwrite.
 	g := topo.Grid{S: 2, T: 2}
 	n := 8
-	o := Options{N: n, Grid: g, BlockSize: 2}
+	o := Options{N: n, Grid: g, Knobs: Knobs{BlockSize: 2}}
 	bm, _ := dist.NewBlockMap(n, n, g)
 	a := matrix.Random(n, n, 1)
 	b := matrix.Random(n, n, 2)
@@ -263,7 +263,7 @@ func TestSUMMAAccumulatesIntoC(t *testing.T) {
 func TestInputsUnmodified(t *testing.T) {
 	g := topo.Grid{S: 2, T: 2}
 	n := 8
-	o := Options{N: n, Grid: g, BlockSize: 2}
+	o := Options{N: n, Grid: g, Knobs: Knobs{BlockSize: 2}}
 	bm, _ := dist.NewBlockMap(n, n, g)
 	a := matrix.Random(n, n, 11)
 	b := matrix.Random(n, n, 12)
@@ -291,7 +291,7 @@ func TestHSUMMAStatsShowTwoLevelTraffic(t *testing.T) {
 	g := topo.Grid{S: 4, T: 4}
 	h, _ := topo.NewHier(g, 2, 2)
 	n := 16
-	o := Options{N: n, Grid: g, BlockSize: 2, Groups: h}
+	o := Options{N: n, Grid: g, Knobs: Knobs{BlockSize: 2}, Groups: h}
 	bm, _ := dist.NewBlockMap(n, n, g)
 	a := matrix.Random(n, n, 5)
 	b := matrix.Random(n, n, 6)

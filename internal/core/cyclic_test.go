@@ -25,7 +25,7 @@ func runCyclic(t *testing.T, g topo.Grid, n, b int, bcast sched.Algorithm) {
 		cT[r] = matrix.New(cm.LocalRows(), cm.LocalCols())
 	}
 	if err := mpi.Run(g.Size(), func(c *mpi.Comm) {
-		o := Options{N: n, Grid: g, BlockSize: b, Broadcast: bcast}
+		o := Options{N: n, Grid: g, Knobs: Knobs{BlockSize: b, Broadcast: bcast}}
 		if e := CyclicSUMMA(mpi.AsComm(c), o, aT[c.Rank()], bT[c.Rank()], cT[c.Rank()]); e != nil {
 			panic(e)
 		}
@@ -79,7 +79,7 @@ func TestCyclicSUMMARootsRotate(t *testing.T) {
 		cT[r] = matrix.New(cm.LocalRows(), cm.LocalCols())
 	}
 	stats, err := mpi.RunStats(g.Size(), func(c *mpi.Comm) {
-		o := Options{N: n, Grid: g, BlockSize: b}
+		o := Options{N: n, Grid: g, Knobs: Knobs{BlockSize: b}}
 		if e := CyclicSUMMA(mpi.AsComm(c), o, aT[c.Rank()], bT[c.Rank()], cT[c.Rank()]); e != nil {
 			panic(e)
 		}
@@ -100,7 +100,7 @@ func TestCyclicSUMMAValidation(t *testing.T) {
 		// 8/2 = 4 block rows over 4 grid rows is fine, but n=8, b=2 over
 		// t=4: blocks divisible; use an invalid one: n/b=3 blocks.
 		tile := matrix.New(2, 2)
-		o := Options{N: 12, Grid: g, BlockSize: 4} // 3 block rows over 4 grid rows
+		o := Options{N: 12, Grid: g, Knobs: Knobs{BlockSize: 4}} // 3 block rows over 4 grid rows
 		if e := CyclicSUMMA(mpi.AsComm(c), o, tile, tile.Clone(), tile.Clone()); e == nil {
 			panic("indivisible cyclic layout accepted")
 		}

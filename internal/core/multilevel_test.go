@@ -87,7 +87,7 @@ func TestMultilevelOneLevelMatchesHSUMMAExactly(t *testing.T) {
 		if err := mpi.Run(g.Size(), func(c *mpi.Comm) {
 			var e error
 			if two {
-				e = HSUMMA(mpi.AsComm(c), Options{N: n, Grid: g, BlockSize: b, OuterBlockSize: B, Groups: h},
+				e = HSUMMA(mpi.AsComm(c), Options{N: n, Grid: g, Knobs: Knobs{BlockSize: b, OuterBlockSize: B}, Groups: h},
 					aT[c.Rank()], bT[c.Rank()], cT[c.Rank()])
 			} else {
 				e = MultilevelHSUMMA(mpi.AsComm(c), Options{N: n, Grid: g}, []Level{{I: 2, J: 2, BlockSize: B}}, b,

@@ -81,7 +81,7 @@ func TestSUMMARectangularShapes(t *testing.T) {
 		c := c
 		t.Run(fmt.Sprintf("M%dN%dK%d_%dx%d_b%d", c.m, c.n, c.k, c.s, c.gt, c.b), func(t *testing.T) {
 			o := Options{Shape: matrix.Shape{M: c.m, N: c.n, K: c.k},
-				Grid: topo.Grid{S: c.s, T: c.gt}, BlockSize: c.b}
+				Grid: topo.Grid{S: c.s, T: c.gt}, Knobs: Knobs{BlockSize: c.b}}
 			runRect(t, o, SUMMA)
 		})
 	}
@@ -105,7 +105,7 @@ func TestHSUMMARectangularShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			o := Options{Shape: matrix.Shape{M: c.m, N: c.n, K: c.k},
-				Grid: g, BlockSize: c.b, OuterBlockSize: c.B, Groups: h}
+				Grid: g, Knobs: Knobs{BlockSize: c.b, OuterBlockSize: c.B}, Groups: h}
 			runRect(t, o, HSUMMA)
 		})
 	}
@@ -157,13 +157,13 @@ func TestHSUMMARectDegeneratesToSUMMA(t *testing.T) {
 		}
 		return bmC.Gather(cT)
 	}
-	summaC := run(SUMMA, Options{Shape: sh, Grid: g, BlockSize: 2})
+	summaC := run(SUMMA, Options{Shape: sh, Grid: g, Knobs: Knobs{BlockSize: 2}})
 	for _, G := range []int{1, g.Size()} {
 		h, err := topo.FactorGroups(g, G)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hC := run(HSUMMA, Options{Shape: sh, Grid: g, BlockSize: 2, Groups: h})
+		hC := run(HSUMMA, Options{Shape: sh, Grid: g, Knobs: Knobs{BlockSize: 2}, Groups: h})
 		if !matrix.Equal(summaC, hC) {
 			t.Fatalf("G=%d HSUMMA differs from SUMMA on %v", G, sh)
 		}
@@ -176,10 +176,10 @@ func TestRectValidationErrors(t *testing.T) {
 		name string
 		o    Options
 	}{
-		{"M not divisible", Options{Shape: matrix.Shape{M: 9, N: 8, K: 8}, Grid: g, BlockSize: 2}},
-		{"K not divisible by T", Options{Shape: matrix.Shape{M: 8, N: 8, K: 10}, Grid: g, BlockSize: 2}},
-		{"b exceeds K extent", Options{Shape: matrix.Shape{M: 16, N: 16, K: 4}, Grid: g, BlockSize: 4}},
-		{"zero K", Options{Shape: matrix.Shape{M: 8, N: 8, K: 0}, Grid: g, BlockSize: 2}},
+		{"M not divisible", Options{Shape: matrix.Shape{M: 9, N: 8, K: 8}, Grid: g, Knobs: Knobs{BlockSize: 2}}},
+		{"K not divisible by T", Options{Shape: matrix.Shape{M: 8, N: 8, K: 10}, Grid: g, Knobs: Knobs{BlockSize: 2}}},
+		{"b exceeds K extent", Options{Shape: matrix.Shape{M: 16, N: 16, K: 4}, Grid: g, Knobs: Knobs{BlockSize: 4}}},
+		{"zero K", Options{Shape: matrix.Shape{M: 8, N: 8, K: 0}, Grid: g, Knobs: Knobs{BlockSize: 2}}},
 	}
 	for _, c := range cases {
 		c := c
@@ -197,7 +197,7 @@ func TestCyclicSUMMARectangular(t *testing.T) {
 	sh := matrix.Shape{M: 16, N: 8, K: 24}
 	g := topo.Grid{S: 2, T: 2}
 	b := 2
-	o := Options{Shape: sh, Grid: g, BlockSize: b}
+	o := Options{Shape: sh, Grid: g, Knobs: Knobs{BlockSize: b}}
 	cmA, err := dist.NewCyclicMap(sh.M, sh.K, b, b, g)
 	if err != nil {
 		t.Fatal(err)

@@ -112,22 +112,17 @@ func (o Options) validateStrassen(levels int) error {
 }
 
 // strassenBottom builds the Options for the sub-problem the recursion
-// bottoms out in: size n on an s×s sub-grid, same block sizes, broadcast
-// and local-kernel knobs, SUMMA by default or HSUMMA with
-// StrassenInnerGroups groups factored onto the sub-grid.
+// bottoms out in: size n on an s×s sub-grid under the same knobs (SUMMA and
+// HSUMMA ignore the Strassen ones, SUMMA the outer block), SUMMA by default
+// or HSUMMA with StrassenInnerGroups groups factored onto the sub-grid.
 func (o Options) strassenBottom(n, s int) (Options, error) {
-	bot := Options{
-		Shape: matrix.Square(n), Grid: topo.Grid{S: s, T: s},
-		BlockSize: o.BlockSize, Broadcast: o.Broadcast, Segments: o.Segments,
-		Threads: o.Threads, LocalStrassen: o.LocalStrassen, StrassenCutoff: o.StrassenCutoff,
-	}
+	bot := Options{Shape: matrix.Square(n), Grid: topo.Grid{S: s, T: s}, Knobs: o.Knobs}
 	if g := o.StrassenInnerGroups; g > 0 {
 		h, err := topo.FactorGroups(bot.Grid, g)
 		if err != nil {
 			return Options{}, fmt.Errorf("core: strassen: inner groups: %w", err)
 		}
 		bot.Groups = h
-		bot.OuterBlockSize = o.OuterBlockSize
 	}
 	return bot, nil
 }

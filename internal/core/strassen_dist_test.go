@@ -77,8 +77,7 @@ func TestStrassenGridsAndLevels(t *testing.T) {
 		name := fmt.Sprintf("s%d_n%d_b%d_l%d_g%d", c.s, c.n, c.b, c.levels, c.groups)
 		t.Run(name, func(t *testing.T) {
 			o := Options{
-				N: c.n, Grid: topo.Grid{S: c.s, T: c.s}, BlockSize: c.b,
-				StrassenLevels: c.levels, StrassenInnerGroups: c.groups,
+				N: c.n, Grid: topo.Grid{S: c.s, T: c.s}, Knobs: Knobs{BlockSize: c.b, StrassenLevels: c.levels, StrassenInnerGroups: c.groups},
 			}
 			runStrassen(t, o)
 		})
@@ -89,14 +88,13 @@ func TestStrassenWithLocalKernel(t *testing.T) {
 	// A low cutoff forces the sub-cubic local kernel to actually recurse
 	// inside the bottom SUMMA's rank-local updates.
 	o := Options{
-		N: 64, Grid: topo.Grid{S: 2, T: 2}, BlockSize: 16,
-		LocalStrassen: true, StrassenCutoff: 8,
+		N: 64, Grid: topo.Grid{S: 2, T: 2}, Knobs: Knobs{BlockSize: 16, LocalStrassen: true, StrassenCutoff: 8},
 	}
 	runStrassen(t, o)
 }
 
 func TestStrassenThreaded(t *testing.T) {
-	o := Options{N: 32, Grid: topo.Grid{S: 2, T: 2}, BlockSize: 4, Threads: 3}
+	o := Options{N: 32, Grid: topo.Grid{S: 2, T: 2}, Knobs: Knobs{BlockSize: 4, Threads: 3}}
 	runStrassen(t, o)
 }
 
@@ -107,13 +105,13 @@ func TestStrassenValidation(t *testing.T) {
 		o          Options
 		squareOnly bool
 	}{
-		{"rect shape", Options{Shape: matrix.Shape{M: 16, N: 8, K: 16}, Grid: g, BlockSize: 2}, true},
-		{"rect grid", Options{N: 16, Grid: topo.Grid{S: 2, T: 4}, BlockSize: 2}, true},
-		{"odd grid", Options{N: 18, Grid: topo.Grid{S: 3, T: 3}, BlockSize: 2}, false},
-		{"levels too deep for grid", Options{N: 16, Grid: g, BlockSize: 2, StrassenLevels: 2}, false},
-		{"n not divisible", Options{N: 18, Grid: topo.Grid{S: 4, T: 4}, BlockSize: 3, StrassenLevels: 2}, false},
-		{"bad bottom block", Options{N: 16, Grid: g, BlockSize: 3}, false},
-		{"bad inner groups", Options{N: 32, Grid: topo.Grid{S: 4, T: 4}, BlockSize: 2, StrassenInnerGroups: 3}, false},
+		{"rect shape", Options{Shape: matrix.Shape{M: 16, N: 8, K: 16}, Grid: g, Knobs: Knobs{BlockSize: 2}}, true},
+		{"rect grid", Options{N: 16, Grid: topo.Grid{S: 2, T: 4}, Knobs: Knobs{BlockSize: 2}}, true},
+		{"odd grid", Options{N: 18, Grid: topo.Grid{S: 3, T: 3}, Knobs: Knobs{BlockSize: 2}}, false},
+		{"levels too deep for grid", Options{N: 16, Grid: g, Knobs: Knobs{BlockSize: 2, StrassenLevels: 2}}, false},
+		{"n not divisible", Options{N: 18, Grid: topo.Grid{S: 4, T: 4}, Knobs: Knobs{BlockSize: 3, StrassenLevels: 2}}, false},
+		{"bad bottom block", Options{N: 16, Grid: g, Knobs: Knobs{BlockSize: 3}}, false},
+		{"bad inner groups", Options{N: 32, Grid: topo.Grid{S: 4, T: 4}, Knobs: Knobs{BlockSize: 2, StrassenInnerGroups: 3}}, false},
 	}
 	for _, c := range cases {
 		c := c

@@ -21,7 +21,7 @@ func TestWithRHSRepads(t *testing.T) {
 		Algorithm: HSUMMA,
 		Opts: core.Options{
 			Shape: matrix.Shape{M: 30, N: 26, K: 22}, Grid: topo.Grid{S: 2, T: 2},
-			BlockSize: 2, OuterBlockSize: 4, Groups: groups,
+			Knobs: core.Knobs{BlockSize: 2, OuterBlockSize: 4}, Groups: groups,
 		},
 	}
 	padded, err := base.Padded()
@@ -60,7 +60,7 @@ func TestWithRHSSquareOnlyRejects(t *testing.T) {
 	for _, alg := range []Algorithm{Cannon, Fox} {
 		spec := Spec{
 			Algorithm: alg,
-			Opts:      core.Options{N: 16, Grid: topo.Grid{S: 4, T: 4}, BlockSize: 4},
+			Opts:      core.Options{N: 16, Grid: topo.Grid{S: 4, T: 4}, Knobs: core.Knobs{BlockSize: 4}},
 		}
 		_, err := spec.WithRHS(32)
 		if !errors.Is(err, matrix.ErrSquareOnly) {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/topo"
 )
 
 // Algorithm names a distributed multiplication algorithm.
@@ -282,7 +283,7 @@ func (s Spec) PaddedShape() (matrix.Shape, error) {
 		return matrix.Shape{
 			M: ceilMult(sh.M, g.S),
 			N: ceilMult(sh.N, g.T),
-			K: ceilMult(sh.K, unit*lcm(g.S, g.T)),
+			K: PaddedK(sh.K, unit, g),
 		}, nil
 	}
 	return sh, nil
@@ -317,6 +318,12 @@ func (s Spec) WithRHS(n int) (Spec, error) {
 	s.Opts.N = 0
 	return s.Padded()
 }
+
+// PaddedK is the SUMMA family's K padding rule: pivot panels unit wide must
+// live in one grid row and one grid column, so K executes rounded up to a
+// multiple of unit·lcm(S,T). The planner's block-size default bounds the
+// overhead this forces through the same function.
+func PaddedK(k, unit int, g topo.Grid) int { return ceilMult(k, unit*lcm(g.S, g.T)) }
 
 // ceilMult rounds v up to the next multiple of m.
 func ceilMult(v, m int) int { return (v + m - 1) / m * m }

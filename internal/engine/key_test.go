@@ -16,7 +16,7 @@ func TestSpecKeyCanonicalisesDefaults(t *testing.T) {
 	base := Spec{
 		Algorithm: SUMMA,
 		Opts: core.Options{
-			Shape: matrix.Square(64), Grid: topo.Grid{S: 4, T: 4}, BlockSize: 16,
+			Shape: matrix.Square(64), Grid: topo.Grid{S: 4, T: 4}, Knobs: core.Knobs{BlockSize: 16},
 		},
 	}
 	explicit := base

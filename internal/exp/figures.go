@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/simalg"
+	"repro/internal/simnet"
 	"repro/internal/topo"
 	"repro/internal/tune"
 )
@@ -48,22 +50,22 @@ func bgpConfig(o Options) figureConfig {
 // group count, returning (G values, HSUMMA comm, HSUMMA total, SUMMA comm,
 // SUMMA total).
 func gSweep(fc figureConfig, bcast sched.Algorithm) (gs []float64, hComm, hTotal []float64, sComm, sTotal float64, err error) {
-	base := simalg.Config{
-		N: fc.n, Grid: fc.grid, BlockSize: fc.block,
-		Bcast: bcast, Machine: fc.pf.Model,
-	}
-	su, err := simalg.SUMMA(base)
+	vcfg := simnet.VConfig{Model: fc.pf.Model}
+	spec := engine.Spec{Algorithm: engine.SUMMA, Opts: core.Options{
+		N: fc.n, Grid: fc.grid, Knobs: core.Knobs{BlockSize: fc.block, Broadcast: bcast},
+	}}
+	su, _, err := simalg.Run(spec, vcfg, engine.ExecutorAuto)
 	if err != nil {
 		return nil, nil, nil, 0, 0, err
 	}
+	spec.Algorithm = engine.HSUMMA
 	for G := 1; G <= fc.grid.Size(); G *= 2 {
 		h, ferr := topo.FactorGroups(fc.grid, G)
 		if ferr != nil {
 			continue
 		}
-		cfg := base
-		cfg.Groups = h
-		res, herr := simalg.HSUMMA(cfg)
+		spec.Opts.Groups = h
+		res, _, herr := simalg.Run(spec, vcfg, engine.ExecutorAuto)
 		if herr != nil {
 			return nil, nil, nil, 0, 0, herr
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/sched"
 	"repro/internal/simalg"
 	"repro/internal/simnet"
@@ -37,24 +39,23 @@ func runZigzag(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := simalg.Config{
-		N: fc.n, Grid: fc.grid, BlockSize: fc.block,
+	spec := engine.Spec{Algorithm: engine.HSUMMA, Opts: core.Options{
+		N: fc.n, Grid: fc.grid,
 		// Binomial keeps the event-level execution cheap at 16384 ranks
 		// (the ring fast path is disabled under non-uniform links).
-		Bcast:   sched.Binomial,
-		Machine: fc.pf.Model,
-	}
+		Knobs: core.Knobs{BlockSize: fc.block, Broadcast: sched.Binomial},
+	}}
 	run := func(linked bool, G int) (float64, error) {
-		cfg := base
+		vcfg := simnet.VConfig{Model: fc.pf.Model}
 		if linked {
-			cfg.LinkCost = simnet.LinkCostFunc(tor.LinkCost)
+			vcfg.LinkCost = simnet.LinkCostFunc(tor.LinkCost)
 		}
 		h, err := topo.FactorGroups(fc.grid, G)
 		if err != nil {
 			return 0, err
 		}
-		cfg.Groups = h
-		res, err := simalg.HSUMMA(cfg)
+		spec.Opts.Groups = h
+		res, _, err := simalg.Run(spec, vcfg, engine.ExecutorAuto)
 		if err != nil {
 			return 0, err
 		}

@@ -425,7 +425,7 @@ func TestHTTPStrictBodies(t *testing.T) {
 		}
 	}
 
-	h := NewHandler(NewScheduler(SchedulerConfig{RankBudget: 16}), HandlerConfig{DefaultProcs: 4})
+	h := NewHandler(NewScheduler(SchedulerConfig{CoreBudget: 16}), HandlerConfig{DefaultProcs: 4})
 	post := func(body []byte, declared int64) (int, int) {
 		cb := &countingBody{Reader: bytes.NewReader(body)}
 		r := httptest.NewRequest(http.MethodPost, "/multiply?m=1&k=2&n=1", cb)

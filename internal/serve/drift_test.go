@@ -151,7 +151,7 @@ func TestFlightRecorderRing(t *testing.T) {
 // TestSchedulerDriftStats: a completed request through the real scheduler
 // carries both a prediction and a positive drift ratio in its stats.
 func TestSchedulerDriftStats(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{RankBudget: 16})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
 	defer sc.Close()
 	n := 32
 	a := matrix.Random(n, n, 11)
@@ -180,7 +180,7 @@ func TestSchedulerSampledBitIdentical(t *testing.T) {
 	b := matrix.Random(n, n, 22)
 	rp := tune.ResolveParams{Procs: 4}
 
-	plain := NewScheduler(SchedulerConfig{RankBudget: 16})
+	plain := NewScheduler(SchedulerConfig{CoreBudget: 16})
 	defer plain.Close()
 	ref, refSt, err := plain.Multiply(a, b, rp)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestSchedulerSampledBitIdentical(t *testing.T) {
 
 	// TraceSampleN=2: request 1 (seq 1) is unsampled, request 2 (seq 2)
 	// sampled.
-	sampled := NewScheduler(SchedulerConfig{RankBudget: 16, TraceSampleN: 2})
+	sampled := NewScheduler(SchedulerConfig{CoreBudget: 16, TraceSampleN: 2})
 	defer sampled.Close()
 	out1, st1, err := sampled.Multiply(a, b, rp)
 	if err != nil {
@@ -233,7 +233,7 @@ func TestSchedulerSampledBitIdentical(t *testing.T) {
 func TestHTTPFlightRecorderJoin(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
-	sc := NewScheduler(SchedulerConfig{RankBudget: 16, TraceSampleN: 1})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16, TraceSampleN: 1})
 	srv := httptest.NewServer(NewHandler(sc, HandlerConfig{DefaultProcs: 4, Logger: logger}))
 	defer func() {
 		srv.Close()
@@ -297,13 +297,28 @@ func TestHTTPFlightRecorderJoin(t *testing.T) {
 		t.Fatalf("GET /debug/traces/%s status %d", id, tresp.StatusCode)
 	}
 	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents []struct {
+			Ph  string `json:"ph"`
+			Tid int    `json:"tid"`
+		} `json:"traceEvents"`
 	}
 	if err := json.NewDecoder(tresp.Body).Decode(&doc); err != nil {
 		t.Fatalf("fetched capture is not valid trace JSON: %v", err)
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("fetched capture has no events")
+	}
+	// The capture covers the whole request: spans for every rank.
+	ranksSeen := map[int]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			ranksSeen[ev.Tid] = true
+		}
+	}
+	for r := 0; r < 4; r++ {
+		if !ranksSeen[r] {
+			t.Fatalf("trace has no spans for rank %d (seen %v)", r, ranksSeen)
+		}
 	}
 
 	// Join 3: the critical-path report analyses a known capture.

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/platform"
@@ -38,10 +39,6 @@ type HandlerConfig struct {
 	// spec key, shape and queue wait). Responses carry the id back in
 	// X-Request-Id. Nil disables request logging.
 	Logger *slog.Logger
-	// EnableTrace guards POST /debug/trace, which arms a one-shot span
-	// capture of the next multiply. Off by default: a trace allocates a
-	// span timeline and names internal shapes, so the endpoint is opt-in.
-	EnableTrace bool
 }
 
 func (c HandlerConfig) withDefaults() HandlerConfig {
@@ -72,9 +69,6 @@ type handler struct {
 //	GET  /plan         — the autotuning planner's ranked plan for a problem
 //	GET  /metrics      — scheduler + plan-cache counters, Prometheus format
 //	GET  /healthz      — liveness
-//	POST /debug/trace  — (EnableTrace only) arm a one-shot span capture of
-//	                     the next multiply; responds with its Chrome
-//	                     trace-event JSON
 //	GET  /debug/traces      — (sampling only) the flight recorder's capture
 //	                          ring, newest first
 //	GET  /debug/traces/{id} — one sampled capture as Chrome trace-event JSON
@@ -87,7 +81,6 @@ func NewHandler(sc *Scheduler, cfg HandlerConfig) http.Handler {
 	h.mux.HandleFunc("POST /multiply", h.multiply)
 	h.mux.HandleFunc("GET /plan", h.plan)
 	h.mux.HandleFunc("GET /metrics", h.metrics)
-	h.mux.HandleFunc("POST /debug/trace", h.debugTrace)
 	h.mux.HandleFunc("GET /debug/traces", h.debugTraces)
 	h.mux.HandleFunc("GET /debug/traces/{id}", h.debugTraceByID)
 	h.mux.HandleFunc("GET /debug/critpath", h.debugCritPath)
@@ -150,42 +143,9 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.cfg.Logger.LogAttrs(r.Context(), level, "request", attrs...)
 }
 
-// debugTrace arms a one-shot trace capture and streams the next multiply's
-// span timeline as Chrome trace-event JSON. Guarded by EnableTrace; an
-// optional timeout query parameter (seconds, default 30) bounds the wait.
-func (h *handler) debugTrace(w http.ResponseWriter, r *http.Request) {
-	if !h.cfg.EnableTrace {
-		http.Error(w, "serve: trace capture disabled (start the daemon with -debug-trace)", http.StatusForbidden)
-		return
-	}
-	wait := 30 * time.Second
-	if v := r.URL.Query().Get("timeout"); v != "" {
-		sec, err := strconv.ParseFloat(v, 64)
-		if err != nil || sec <= 0 {
-			httpError(w, fmt.Errorf("serve: bad timeout %q", v))
-			return
-		}
-		wait = time.Duration(sec * float64(time.Second))
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case rec := <-h.sc.ArmTrace():
-		if rec == nil {
-			http.Error(w, "serve: the traced request failed", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		rec.WriteJSON(w)
-	case <-timer.C:
-		http.Error(w, "serve: no multiply arrived before the timeout (capture stays armed)", http.StatusGatewayTimeout)
-	case <-r.Context().Done():
-	}
-}
-
 // requireSampling guards the flight-recorder endpoints: they only exist
-// when the daemon samples traces (-trace-sample), mirroring the
-// EnableTrace opt-in of the one-shot capture.
+// when the daemon samples traces (-trace-sample) — a trace allocates a span
+// timeline and names internal shapes, so capture is opt-in.
 func (h *handler) requireSampling(w http.ResponseWriter) bool {
 	if !h.sc.TraceSampling() {
 		http.Error(w, "serve: flight recorder disabled (start the daemon with -trace-sample N)", http.StatusForbidden)
@@ -298,24 +258,14 @@ type jsonMultiply struct {
 	Procs int    `json:"procs,omitempty"`
 	Alg   string `json:"algorithm,omitempty"`
 	Grid  []int  `json:"grid,omitempty"`
-	// Groups is HSUMMA's G; BlockSize/OuterBlockSize the paper's b/B.
-	Groups         int    `json:"groups,omitempty"`
-	BlockSize      int    `json:"block_size,omitempty"`
-	OuterBlockSize int    `json:"outer_block_size,omitempty"`
-	Broadcast      string `json:"broadcast,omitempty"`
-	Segments       int    `json:"segments,omitempty"`
-	// Threads is the per-rank thread budget (hybrid intra-rank
-	// parallelism); 0 and 1 mean serial ranks. The scheduler accounts the
-	// session as ranks × threads cores.
-	Threads int `json:"threads,omitempty"`
-	// StrassenLevels/StrassenInnerGroups configure the strassen
-	// algorithm's recursion depth and HSUMMA bottom; LocalStrassen and
-	// StrassenCutoff select the rank-local sub-cubic kernel under any
-	// algorithm.
-	StrassenLevels      int  `json:"strassen_levels,omitempty"`
-	StrassenInnerGroups int  `json:"strassen_inner_groups,omitempty"`
-	LocalStrassen       bool `json:"local_strassen,omitempty"`
-	StrassenCutoff      int  `json:"strassen_cutoff,omitempty"`
+	// Groups is HSUMMA's G.
+	Groups int `json:"groups,omitempty"`
+	// The shared execution knobs under their wire names (block_size,
+	// outer_block_size, broadcast, segments, threads, strassen_levels,
+	// strassen_inner_groups, local_strassen, strassen_cutoff). Broadcast
+	// holds the name as sent until resolveParams canonicalises it. The
+	// scheduler accounts a session as ranks × threads cores.
+	core.Knobs
 }
 
 // jsonResult is the JSON response of POST /multiply. The handler does not
@@ -429,7 +379,8 @@ func (h *handler) parseJSON(r *http.Request, sc *scratch) (_, _ *matrix.Dense, r
 // strassen_inner_groups, local_strassen, strassen_cutoff).
 func (h *handler) parseRaw(r *http.Request, sc *scratch) (_, _ *matrix.Dense, rp tune.ResolveParams, err error) {
 	q := r.URL.Query()
-	req := jsonMultiply{Alg: q.Get("algorithm"), Broadcast: q.Get("broadcast")}
+	req := jsonMultiply{Alg: q.Get("algorithm")}
+	req.Broadcast = sched.Algorithm(q.Get("broadcast"))
 	for _, p := range []struct {
 		name string
 		dst  *int
@@ -497,19 +448,8 @@ func (h *handler) resolveParams(kn jsonMultiply) (tune.ResolveParams, error) {
 	if kn.Threads < 0 {
 		return tune.ResolveParams{}, fmt.Errorf("serve: threads must be non-negative, have %d", kn.Threads)
 	}
-	rp := tune.ResolveParams{
-		Procs:               kn.Procs,
-		Groups:              kn.Groups,
-		BlockSize:           kn.BlockSize,
-		OuterBlockSize:      kn.OuterBlockSize,
-		Segments:            kn.Segments,
-		Threads:             kn.Threads,
-		StrassenLevels:      kn.StrassenLevels,
-		StrassenInnerGroups: kn.StrassenInnerGroups,
-		LocalStrassen:       kn.LocalStrassen,
-		StrassenCutoff:      kn.StrassenCutoff,
-		Platform:            h.cfg.Platform,
-	}
+	rp := tune.ResolveParams{Procs: kn.Procs, Groups: kn.Groups, Platform: h.cfg.Platform}
+	rp.SetKnobs(kn.Knobs)
 	if rp.Procs <= 0 {
 		rp.Procs = h.cfg.DefaultProcs
 	}
@@ -530,7 +470,7 @@ func (h *handler) resolveParams(kn jsonMultiply) (tune.ResolveParams, error) {
 		return tune.ResolveParams{}, fmt.Errorf("serve: grid must be [S, T], have %v", kn.Grid)
 	}
 	if kn.Broadcast != "" {
-		b, err := sched.ByName(kn.Broadcast)
+		b, err := sched.ByName(string(kn.Broadcast))
 		if err != nil {
 			return tune.ResolveParams{}, err
 		}
@@ -647,7 +587,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	emit("hsumma_serve_trace_sampled_total", "Requests sampled into the flight recorder.", "counter", float64(m.TraceSampled))
 	emit("hsumma_serve_model_drift_p50", "Median measured/predicted cost ratio across completed requests (1.0 = plan model exact).", "gauge", m.ModelDriftP50)
 	emit("hsumma_serve_uptime_seconds", "Process uptime.", "gauge", time.Since(startTime).Seconds())
-	fmt.Fprintf(w, "# HELP hsumma_serve_latency_seconds Completed-request latency quantiles over a sliding window.\n")
+	fmt.Fprintf(w, "# HELP hsumma_serve_latency_seconds Completed-request latency quantiles, read off hsumma_serve_request_seconds across all spec keys.\n")
 	fmt.Fprintf(w, "# TYPE hsumma_serve_latency_seconds summary\n")
 	fmt.Fprintf(w, "hsumma_serve_latency_seconds{quantile=\"0.5\"} %g\n", m.LatencyP50Seconds)
 	fmt.Fprintf(w, "hsumma_serve_latency_seconds{quantile=\"0.99\"} %g\n", m.LatencyP99Seconds)

@@ -16,7 +16,7 @@ import (
 
 func newTestServer(t *testing.T) (*httptest.Server, *Scheduler) {
 	t.Helper()
-	sc := NewScheduler(SchedulerConfig{RankBudget: 16})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
 	srv := httptest.NewServer(NewHandler(sc, HandlerConfig{DefaultProcs: 4}))
 	t.Cleanup(func() {
 		srv.Close()

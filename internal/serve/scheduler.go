@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,12 +12,6 @@ import (
 	"repro/internal/tune"
 )
 
-// Resolver turns one request's pinned knobs into a fully resolved, padded
-// execution spec. The default is tune.ResolveSpec, so engine.Auto requests
-// go through the memoised planner — repeat shapes hit the plan cache, and
-// the resolved spec's Key is exactly the identity sessions are pooled by.
-type Resolver func(tune.ResolveParams) (engine.Spec, error)
-
 // SchedulerConfig tunes the front door.
 type SchedulerConfig struct {
 	// CoreBudget caps the total resident cores across live sessions
@@ -28,10 +21,6 @@ type SchedulerConfig struct {
 	// operator actually provisions. A request needing more cores than the
 	// whole budget is rejected with ErrTooLarge.
 	CoreBudget int
-	// RankBudget is the legacy name for CoreBudget, honoured when
-	// CoreBudget is zero (the two were identical while every rank was
-	// single-threaded).
-	RankBudget int
 	// QueueDepth bounds each session's admission window (default 32); a
 	// full window rejects with ErrOverloaded.
 	QueueDepth int
@@ -43,11 +32,6 @@ type SchedulerConfig struct {
 	PipelineDepth int
 	MaxBatch      int
 	BatchWindow   time.Duration
-	// LatencyWindow is the sliding sample window for the p50/p99 latency
-	// quantiles (default 1024 completed requests).
-	LatencyWindow int
-	// Resolve overrides the spec resolution (default tune.ResolveSpec).
-	Resolve Resolver
 	// TraceSampleN enables the flight recorder: 1 in every N completed
 	// requests runs traced and lands in the capture ring (GET
 	// /debug/traces). 0 disables sampling; unsampled requests follow the
@@ -72,19 +56,10 @@ type SchedulerConfig struct {
 
 func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.CoreBudget <= 0 {
-		c.CoreBudget = c.RankBudget
-	}
-	if c.CoreBudget <= 0 {
 		c.CoreBudget = 256
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 32
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
-	}
-	if c.Resolve == nil {
-		c.Resolve = tune.ResolveSpec
 	}
 	return c
 }
@@ -109,8 +84,8 @@ type Metrics struct {
 	// Instantaneous load.
 	Queued   int64 `json:"queued"`
 	InFlight int64 `json:"in_flight"`
-	// Latency quantiles over the sliding window, in seconds (0 until the
-	// first request completes).
+	// End-to-end latency quantiles in seconds, read off the request-seconds
+	// histogram across all spec keys (0 until the first request completes).
 	LatencyP50Seconds float64 `json:"latency_p50_seconds"`
 	LatencyP99Seconds float64 `json:"latency_p99_seconds"`
 	// Pipeline/batching telemetry: mean coalesced batch size across
@@ -163,11 +138,6 @@ type Scheduler struct {
 	overlapMu                               sync.Mutex
 	overlapSec                              float64
 
-	// armedTrace, when non-nil, captures the next completed request's span
-	// timeline (POST /debug/trace). One-shot: the capturing request swaps
-	// it back to nil.
-	armedTrace atomic.Pointer[traceCapture]
-
 	// Plan-fidelity machinery: the per-spec-key drift EWMAs, the ratio
 	// histogram keyed by phase name, and the sampled-trace ring. sampleSeq
 	// drives the 1-in-N flight-recorder sampling.
@@ -177,18 +147,6 @@ type Scheduler struct {
 	sampleSeq    atomic.Int64
 	planStale    atomic.Int64
 	traceSampled atomic.Int64
-
-	latMu  sync.Mutex
-	lat    []float64
-	latIdx int
-	latN   int
-}
-
-// traceCapture is a one-shot mailbox for an armed trace: the next request
-// to complete (successfully or not) delivers its recorder — nil on
-// failure — exactly once.
-type traceCapture struct {
-	ch chan *trace.Recorder // buffered, capacity 1
 }
 
 // entry is one pooled session slot. The cores (ranks × threads) are
@@ -212,7 +170,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	return &Scheduler{
 		cfg:       cfg,
 		entries:   make(map[string]*entry),
-		lat:       make([]float64, cfg.LatencyWindow),
 		histQueue: newHistogramVec("hsumma_serve_queue_wait_seconds", "Time requests waited on the session queue before staging."),
 		histStage: newHistogramVec("hsumma_serve_stage_seconds", "Operand padding, scatter and output-zeroing time per request."),
 		histExec:  newHistogramVec("hsumma_serve_execute_seconds", "Distributed execution time per request (resident world run)."),
@@ -222,21 +179,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		drift:     newDriftTracker(cfg.DriftThreshold, cfg.DriftMinSamples),
 		flight:    newFlightRecorder(cfg.TraceRingSize),
 	}
-}
-
-// ArmTrace arms a one-shot span-timeline capture: the next request routed
-// after arming runs traced, and the returned channel delivers its recorder
-// (nil if that request failed). A second arm while one is pending returns
-// the pending capture's channel.
-func (sc *Scheduler) ArmTrace() <-chan *trace.Recorder {
-	tc := &traceCapture{ch: make(chan *trace.Recorder, 1)}
-	if !sc.armedTrace.CompareAndSwap(nil, tc) {
-		if cur := sc.armedTrace.Load(); cur != nil {
-			return cur.ch
-		}
-		sc.armedTrace.Store(tc)
-	}
-	return tc.ch
 }
 
 // Multiply serves one request: A (M×K) · B (K×N) under the given pinned
@@ -252,7 +194,7 @@ func (sc *Scheduler) Multiply(a, b *matrix.Dense, rp tune.ResolveParams) (*matri
 			a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	rp.Shape = matrix.Shape{M: a.Rows, N: b.Cols, K: a.Cols}
-	spec, err := sc.cfg.Resolve(rp)
+	spec, err := tune.ResolveSpec(rp)
 	if err != nil {
 		sc.errors.Add(1)
 		return nil, Stats{}, err
@@ -263,30 +205,14 @@ func (sc *Scheduler) Multiply(a, b *matrix.Dense, rp tune.ResolveParams) (*matri
 		sc.countFailure(err)
 		return nil, Stats{}, err
 	}
-	// Claim a pending one-shot trace capture, if any, before executing so
-	// exactly one request records it; independently, the flight recorder
-	// samples 1 in every TraceSampleN requests. Either reason runs the
-	// request traced (one recorder serves both); with neither, the request
-	// takes the exact untraced execution path — sampling off costs nothing.
-	capture := sc.armedTrace.Swap(nil)
+	// The flight recorder samples 1 in every TraceSampleN requests; a
+	// sampled request runs traced, every other one takes the exact untraced
+	// execution path — sampling off costs nothing.
 	sampled := sc.cfg.TraceSampleN > 0 && sc.sampleSeq.Add(1)%int64(sc.cfg.TraceSampleN) == 0
-	var out *matrix.Dense
-	var stats Stats
-	if capture != nil || sampled {
-		var rec *trace.Recorder
-		out, stats, rec, err = sess.TryMultiplyTraced(a, b)
-		if err != nil {
-			rec = nil
-		}
-		if capture != nil {
-			capture.ch <- rec
-		}
-		if sampled && rec != nil {
-			stats.TraceID = sc.flight.add(stats.SpecKey, rp.Shape, stats.WallSeconds, rec)
-			sc.traceSampled.Add(1)
-		}
-	} else {
-		out, stats, err = sess.TryMultiply(a, b)
+	out, stats, rec, err := sess.submit(a, b, false, sampled)
+	if sampled && err == nil {
+		stats.TraceID = sc.flight.add(stats.SpecKey, rp.Shape, stats.WallSeconds, rec)
+		sc.traceSampled.Add(1)
 	}
 	release()
 	if err != nil {
@@ -295,7 +221,6 @@ func (sc *Scheduler) Multiply(a, b *matrix.Dense, rp tune.ResolveParams) (*matri
 	}
 	sc.completed.Add(1)
 	sc.observeDrift(&stats, rp)
-	sc.recordLatency(stats.WallSeconds)
 	sc.histQueue.observe(stats.SpecKey, stats.QueueSeconds)
 	sc.histStage.observe(stats.SpecKey, stats.SetupSeconds)
 	sc.histExec.observe(stats.SpecKey, stats.RunSeconds)
@@ -496,30 +421,6 @@ func (sc *Scheduler) Sessions() []*Session {
 	return out
 }
 
-func (sc *Scheduler) recordLatency(sec float64) {
-	sc.latMu.Lock()
-	sc.lat[sc.latIdx] = sec
-	sc.latIdx = (sc.latIdx + 1) % len(sc.lat)
-	if sc.latN < len(sc.lat) {
-		sc.latN++
-	}
-	sc.latMu.Unlock()
-}
-
-// quantile returns the q-quantile (0..1) of the latency window.
-func (sc *Scheduler) quantile(q float64) float64 {
-	sc.latMu.Lock()
-	n := sc.latN
-	samples := append([]float64(nil), sc.lat[:n]...)
-	sc.latMu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	sort.Float64s(samples)
-	idx := int(q * float64(n-1))
-	return samples[idx]
-}
-
 // Metrics returns a snapshot of the scheduler's counters. The queued and
 // in-flight gauges are derived from the live sessions' queues at snapshot
 // time.
@@ -559,8 +460,8 @@ func (sc *Scheduler) Metrics() Metrics {
 		CoresLive:         cores,
 		Queued:            queued,
 		InFlight:          inFlight,
-		LatencyP50Seconds: sc.quantile(0.50),
-		LatencyP99Seconds: sc.quantile(0.99),
+		LatencyP50Seconds: sc.histE2E.quantile(0.50),
+		LatencyP99Seconds: sc.histE2E.quantile(0.99),
 		BatchSizeMean:     batchMean,
 		PipelineOverlapSeconds: func() float64 {
 			sc.overlapMu.Lock()

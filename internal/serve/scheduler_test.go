@@ -14,7 +14,7 @@ import (
 // distinct shapes spin up two sessions, and repeats of each land on the
 // resident session as hits.
 func TestSchedulerShapeRouting(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{RankBudget: 64})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 64})
 	defer sc.Close()
 
 	mul := func(m, k, n int, seed uint64) {
@@ -62,7 +62,7 @@ func TestSchedulerShapeRouting(t *testing.T) {
 // must land on separate sessions — a session's staging buffers are pinned
 // to the request shape — and both must keep succeeding in any order.
 func TestSchedulerPaddedShapesDoNotCollide(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{RankBudget: 16})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
 	defer sc.Close()
 
 	rp := tune.ResolveParams{Procs: 4, BlockSize: 4}
@@ -95,7 +95,7 @@ func TestSchedulerPaddedShapesDoNotCollide(t *testing.T) {
 // the budget is exceeded, and that an unsatisfiable request is rejected
 // with ErrOverloaded.
 func TestSchedulerRankBudget(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{RankBudget: 8})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 8})
 	defer sc.Close()
 
 	mul := func(n, procs int) error {
@@ -195,7 +195,7 @@ func TestSchedulerCoreBudgetHybrid(t *testing.T) {
 // TestSchedulerBackpressure checks a full session queue surfaces
 // ErrOverloaded through Scheduler.Multiply.
 func TestSchedulerBackpressure(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{RankBudget: 8, QueueDepth: 1})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 8, QueueDepth: 1})
 	defer sc.Close()
 
 	shape := matrix.Square(16)
@@ -253,7 +253,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 // door: in-flight requests finish with correct results, queued ones fail
 // with ErrClosed, and new requests are refused.
 func TestSchedulerGracefulDrain(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{RankBudget: 8, QueueDepth: 4})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 8, QueueDepth: 4})
 
 	shape := matrix.Square(16)
 	a := matrix.Random(shape.M, shape.K, 1)
@@ -317,7 +317,7 @@ func TestSchedulerGracefulDrain(t *testing.T) {
 // requests of two shapes and checks every admitted result is exact — the
 // mixed-traffic regime the daemon serves.
 func TestSchedulerConcurrentMixedShapes(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{RankBudget: 16, QueueDepth: 64})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16, QueueDepth: 64})
 	defer sc.Close()
 
 	shapes := []matrix.Shape{matrix.Square(24), {M: 16, N: 8, K: 32}}

@@ -78,7 +78,7 @@ func TestScratchOwnershipUnderLoad(t *testing.T) {
 	const n, perCaller = 24, 100
 	// MaxBatch 2 with a window: the stager waits for the second caller and
 	// either coalesces it (same A) or compares and holds it (different A).
-	sc := NewScheduler(SchedulerConfig{RankBudget: 16, MaxBatch: 2, BatchWindow: 50e6})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16, MaxBatch: 2, BatchWindow: 50e6})
 	defer sc.Close()
 	h := NewHandler(sc, HandlerConfig{DefaultProcs: 4})
 
@@ -132,7 +132,7 @@ func TestEarlyScratchReleaseCorrupts(t *testing.T) {
 	const n = 16
 	first := newWireRequest(t, matrix.Random(n, n, 1), matrix.Random(n, n, 2))
 	second := newWireRequest(t, matrix.Random(n, n, 3), matrix.Random(n, n, 4))
-	sc := NewScheduler(SchedulerConfig{RankBudget: 16})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
 	defer sc.Close()
 	rp := tune.ResolveParams{Procs: 4}
 	if _, _, err := sc.Multiply(first.a, first.b, rp); err != nil {

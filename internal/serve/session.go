@@ -140,8 +140,8 @@ type Stats struct {
 // SessionConfig tunes a session's queueing and pipelining behaviour. The
 // zero value means "serving defaults": QueueDepth 32, double-buffered
 // staging (PipelineDepth 2) and opportunistic batching up to 8 requests.
-// PipelineDepth:1 together with MaxBatch:1 selects the strictly serial
-// stage→execute→gather runner, bit-identical to the pre-pipelining layer.
+// PipelineDepth:1 together with MaxBatch:1 is strictly serial
+// stage→execute→gather, bit-identical to the pre-pipelining layer.
 type SessionConfig struct {
 	// QueueDepth bounds the session's admission window — requests queued or
 	// staged but not yet executing (default 32). Submit blocks when it is
@@ -149,8 +149,8 @@ type SessionConfig struct {
 	QueueDepth int
 	// PipelineDepth is the number of staging buffer sets the runner ping-
 	// pongs between. 0 defaults to 2 (double buffering: stage request i+1
-	// while request i executes); 1 disables pipelining entirely and runs
-	// the serial single-goroutine path.
+	// while request i executes); 1 disables the overlap: one set means a
+	// request is staged only after the previous execution released it.
 	PipelineDepth int
 	// MaxBatch caps how many queued same-A requests the stager coalesces
 	// into one multi-RHS execution. 0 defaults to 8; 1 disables batching.
@@ -250,7 +250,7 @@ type job struct {
 	a, b  *matrix.Dense
 	start time.Time
 	// traced asks the runner to record a span timeline for this one request
-	// (the daemon's /debug/trace capture); rec holds it afterwards. Traced
+	// (the daemon's flight-recorder sampling); rec holds it afterwards. Traced
 	// jobs coalesced into one batch share the batch's recorder.
 	traced bool
 	rec    *trace.Recorder
@@ -342,11 +342,7 @@ func NewSession(reqShape matrix.Shape, spec engine.Spec, cfg SessionConfig) (*Se
 		s.free <- &bufset{}
 	}
 	s.touch()
-	runner := s.runSerial
-	if pd > 1 {
-		runner = s.runPipelined
-	}
-	go pprof.Do(context.Background(), pprof.Labels(labels...), func(context.Context) { runner() })
+	go pprof.Do(context.Background(), pprof.Labels(labels...), func(context.Context) { s.run() })
 	return s, nil
 }
 
@@ -402,30 +398,23 @@ func (s *Session) Executing() bool {
 // arrival order). The operands must match the session's problem shape
 // exactly.
 func (s *Session) Multiply(a, b *matrix.Dense) (*matrix.Dense, Stats, error) {
-	return s.submit(a, b, true, false)
-}
-
-// TryMultiply is Multiply with backpressure instead of blocking: a full
-// admission window returns ErrOverloaded immediately. The scheduler's
-// admission path uses it.
-func (s *Session) TryMultiply(a, b *matrix.Dense) (*matrix.Dense, Stats, error) {
-	return s.submit(a, b, false, false)
-}
-
-// TryMultiplyTraced is TryMultiply plus a per-rank span timeline for this
-// one request — the daemon's /debug/trace capture path. Tracing is
-// per-job: concurrent untraced requests on the same session pay nothing.
-func (s *Session) TryMultiplyTraced(a, b *matrix.Dense) (*matrix.Dense, Stats, *trace.Recorder, error) {
-	out, st, rec, err := s.submitTraced(a, b, false, true)
-	return out, st, rec, err
-}
-
-func (s *Session) submit(a, b *matrix.Dense, block, traced bool) (*matrix.Dense, Stats, error) {
-	out, st, _, err := s.submitTraced(a, b, block, traced)
+	out, st, _, err := s.submit(a, b, true, false)
 	return out, st, err
 }
 
-func (s *Session) submitTraced(a, b *matrix.Dense, block, traced bool) (*matrix.Dense, Stats, *trace.Recorder, error) {
+// TryMultiply is Multiply with backpressure instead of blocking: a full
+// admission window returns ErrOverloaded immediately.
+func (s *Session) TryMultiply(a, b *matrix.Dense) (*matrix.Dense, Stats, error) {
+	out, st, _, err := s.submit(a, b, false, false)
+	return out, st, err
+}
+
+// submit queues one request. block selects Multiply's wait-for-a-slot over
+// TryMultiply's ErrOverloaded; traced additionally records a per-rank span
+// timeline for this one request and returns it (the scheduler's
+// flight-recorder sampling) — tracing is per-job, so concurrent untraced
+// requests on the same session pay nothing.
+func (s *Session) submit(a, b *matrix.Dense, block, traced bool) (*matrix.Dense, Stats, *trace.Recorder, error) {
 	if a.Rows != s.req.M || a.Cols != s.req.K || b.Rows != s.req.K || b.Cols != s.req.N {
 		return nil, Stats{}, nil, fmt.Errorf("serve: operands %dx%d · %dx%d do not match session shape %v",
 			a.Rows, a.Cols, b.Rows, b.Cols, s.req)
@@ -460,58 +449,14 @@ func (s *Session) submitTraced(a, b *matrix.Dense, block, traced bool) (*matrix.
 	return j.out, j.stats, j.rec, j.err
 }
 
-// runSerial is the unpipelined runner (PipelineDepth 1): one goroutine
-// stages, executes and gathers each batch in sequence — the historical
-// request path, kept for bit-for-bit comparability and as the no-overlap
-// baseline the loadgen measures the pipeline against.
-func (s *Session) runSerial() {
-	defer close(s.done)
-	var held *job
-	for {
-		// Check quit first so a Close issued while a job was executing
-		// deterministically drains the queue instead of racing it against
-		// the next queued job.
-		select {
-		case <-s.quit:
-			s.failHeld(held)
-			s.drain()
-			return
-		default:
-		}
-		var lead *job
-		if held != nil {
-			lead, held = held, nil
-		} else {
-			select {
-			case <-s.quit:
-				s.drain()
-				return
-			case j := <-s.jobs:
-				s.take(j)
-				lead = j
-			}
-		}
-		// The hook runs with the lead in hand (never before the first job
-		// arrives) so tests can gate batch formation deterministically.
-		if s.beforeStage != nil {
-			s.beforeStage()
-		}
-		var batch []*job
-		batch, held = s.collect(lead)
-		bs := <-s.free
-		st := s.stage(bs, batch)
-		if st == nil {
-			s.free <- bs
-			continue
-		}
-		s.executeBatch(st)
-	}
-}
-
-// runPipelined runs the two-stage pipeline: a stager goroutine scatters
-// operands into free buffer sets and hands staged batches to an executor
-// goroutine, so staging of request i+1 overlaps execution of request i.
-func (s *Session) runPipelined() {
+// run is the session's one runner, a two-stage pipeline: a stager goroutine
+// scatters operands into free buffer sets and hands staged batches to an
+// executor goroutine, so staging of request i+1 overlaps execution of
+// request i. PipelineDepth is the number of buffer sets in circulation:
+// with one set the stager cannot start request i+1 until request i's
+// execution has returned it, so depth 1 is the strictly serial
+// stage→execute→gather order on the same two loops.
+func (s *Session) run() {
 	defer close(s.done)
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -35,7 +35,7 @@ func multiplyBody(t *testing.T, n, p int) []byte {
 // run decomposition, the per-phase breakdown summing to the critical
 // rank's comm time, and the spec key stamp.
 func TestStatsPhaseDecomposition(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{RankBudget: 16})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
 	defer sc.Close()
 	n := 32
 	a := matrix.Random(n, n, 7)
@@ -116,92 +116,13 @@ func TestHTTPMetricsHistograms(t *testing.T) {
 	}
 }
 
-// TestHTTPDebugTrace arms a one-shot capture, fires a multiply, and
-// validates the trace JSON covers every rank.
-func TestHTTPDebugTrace(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{RankBudget: 16})
-	srv := httptest.NewServer(NewHandler(sc, HandlerConfig{DefaultProcs: 4, EnableTrace: true}))
-	defer func() {
-		srv.Close()
-		sc.Close()
-	}()
-
-	traceDone := make(chan []byte, 1)
-	traceErr := make(chan error, 1)
-	armed := sc.ArmTrace() // arm directly so there is no race with the multiply below
-	go func() {
-		rec := <-armed
-		if rec == nil {
-			traceErr <- io.ErrUnexpectedEOF
-			return
-		}
-		var buf bytes.Buffer
-		if err := rec.WriteJSON(&buf); err != nil {
-			traceErr <- err
-			return
-		}
-		traceDone <- buf.Bytes()
-	}()
-
-	resp, err := http.Post(srv.URL+"/multiply", "application/json", bytes.NewReader(multiplyBody(t, 16, 4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("multiply status %d", resp.StatusCode)
-	}
-
-	var raw []byte
-	select {
-	case raw = <-traceDone:
-	case err := <-traceErr:
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Ph  string `json:"ph"`
-			Tid int    `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	ranksSeen := map[int]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "X" {
-			ranksSeen[ev.Tid] = true
-		}
-	}
-	for r := 0; r < 4; r++ {
-		if !ranksSeen[r] {
-			t.Fatalf("trace has no spans for rank %d (seen %v)", r, ranksSeen)
-		}
-	}
-}
-
-// TestHTTPDebugTraceGuarded checks the endpoint 403s unless EnableTrace.
-func TestHTTPDebugTraceGuarded(t *testing.T) {
-	srv, _ := newTestServer(t) // EnableTrace defaults to false
-	resp, err := http.Post(srv.URL+"/debug/trace", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("ungated /debug/trace returned %d, want 403", resp.StatusCode)
-	}
-}
-
 // TestHTTPRequestLogging checks the slog middleware: one JSON record per
 // request carrying the id echoed in X-Request-Id, plus the multiply
 // enrichment fields.
 func TestHTTPRequestLogging(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
-	sc := NewScheduler(SchedulerConfig{RankBudget: 16})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
 	srv := httptest.NewServer(NewHandler(sc, HandlerConfig{DefaultProcs: 4, Logger: logger}))
 	defer func() {
 		srv.Close()

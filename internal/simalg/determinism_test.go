@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -32,8 +33,7 @@ func bgp4096Run(t *testing.T, ex engine.Executor) detRun {
 		t.Fatal(err)
 	}
 	res, stats, err := RunStats(Config{
-		N: 16384, Grid: g, BlockSize: 256, Groups: h,
-		Bcast: sched.VanDeGeijn, Machine: platform.BlueGenePCalibrated().Model,
+		N: 16384, Grid: g, Knobs: core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn}, Groups: h, Machine: platform.BlueGenePCalibrated().Model,
 		Executor: ex,
 	}, engine.HSUMMA)
 	if err != nil {

@@ -83,22 +83,19 @@ func paritySpecs(t *testing.T) map[string]engine.Spec {
 	n := 96
 	return map[string]engine.Spec{
 		"summa": {Algorithm: engine.SUMMA, Opts: core.Options{
-			N: n, Grid: g, BlockSize: 8, Broadcast: sched.Binomial}},
+			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 8, Broadcast: sched.Binomial}}},
 		"hsumma": {Algorithm: engine.HSUMMA, Opts: core.Options{
-			N: n, Grid: g, BlockSize: 8, OuterBlockSize: 24, Groups: h,
-			Broadcast: sched.VanDeGeijn, Segments: 4}},
+			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 8, OuterBlockSize: 24, Broadcast: sched.VanDeGeijn, Segments: 4}, Groups: h}},
 		"multilevel": {Algorithm: engine.Multilevel, Opts: core.Options{
-			N: n, Grid: g, BlockSize: 4, Broadcast: sched.Binomial},
+			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 4, Broadcast: sched.Binomial}},
 			Levels: []core.Level{{I: 2, J: 2, BlockSize: 8}}},
 		"cannon": {Algorithm: engine.Cannon, Opts: core.Options{N: n, Grid: g}},
 		"fox": {Algorithm: engine.Fox, Opts: core.Options{
-			N: n, Grid: g, Broadcast: sched.VanDeGeijn}},
+			N: n, Grid: g, Knobs: core.Knobs{Broadcast: sched.VanDeGeijn}}},
 		"strassen": {Algorithm: engine.Strassen, Opts: core.Options{
-			N: n, Grid: g, BlockSize: 8,
-			LocalStrassen: true, StrassenCutoff: 8}},
+			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 8, LocalStrassen: true, StrassenCutoff: 8}}},
 		"strassen_hsumma": {Algorithm: engine.Strassen, Opts: core.Options{
-			N: n, Grid: g, BlockSize: 8, StrassenLevels: 1,
-			StrassenInnerGroups: 2, Threads: 2}},
+			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 8, StrassenLevels: 1, StrassenInnerGroups: 2, Threads: 2}}},
 	}
 }
 
@@ -157,11 +154,11 @@ func TestEngineParityOverlapAndLinkCost(t *testing.T) {
 		vcfg := simnet.VConfig{Model: pf.Model, Overlap: true}
 		// Overlap moves Gemm onto a separate timeline; Total differs from
 		// MaxClock, so compare through the world totals as well.
-		gRes, gStats, err := RunSpecOn(spec, vcfg, engine.ExecutorGoroutine)
+		gRes, gStats, err := Run(spec, vcfg, engine.ExecutorGoroutine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eRes, eStats, err := RunSpecOn(spec, vcfg, engine.ExecutorEvent)
+		eRes, eStats, err := Run(spec, vcfg, engine.ExecutorEvent)
 		if err != nil {
 			t.Fatal(err)
 		}

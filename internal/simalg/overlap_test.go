@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hockney"
 	"repro/internal/sched"
 	"repro/internal/topo"
@@ -13,7 +14,7 @@ import (
 // pure-compute timelines.
 func TestOverlapBounds(t *testing.T) {
 	g := topo.Grid{S: 8, T: 8}
-	base := Config{N: 1024, Grid: g, BlockSize: 64, Bcast: sched.VanDeGeijn,
+	base := Config{N: 1024, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.VanDeGeijn},
 		Machine: hockney.Model{Alpha: 1e-4, Beta: 1e-9, Gamma: 2e-10}}
 	plain, err := SUMMA(base)
 	if err != nil {
@@ -46,7 +47,7 @@ func TestOverlapBounds(t *testing.T) {
 // one communication step (pipeline fill).
 func TestOverlapComputeDominated(t *testing.T) {
 	g := topo.Grid{S: 4, T: 4}
-	cfg := Config{N: 512, Grid: g, BlockSize: 64, Bcast: sched.Binomial,
+	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial},
 		Machine: hockney.Model{Alpha: 1e-7, Beta: 1e-12, Gamma: 1e-9},
 		Overlap: true}
 	res, err := SUMMA(cfg)
@@ -66,7 +67,7 @@ func TestOverlapHSUMMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{N: 1024, Grid: g, BlockSize: 64, Groups: h, Bcast: sched.VanDeGeijn,
+	base := Config{N: 1024, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.VanDeGeijn}, Groups: h,
 		Machine: hockney.Model{Alpha: 1e-4, Beta: 1e-9, Gamma: 2e-10}}
 	plain, err := HSUMMA(base)
 	if err != nil {

@@ -37,23 +37,7 @@ func liveStats(t *testing.T, cfg Config, alg engine.Algorithm) []mpi.RankStats {
 	for r := range cT {
 		cT[r] = matrix.New(bm.LocalRows(), bm.LocalCols())
 	}
-	spec := engine.Spec{
-		Algorithm: alg,
-		Opts: core.Options{
-			N: cfg.N, Grid: g,
-			BlockSize:           cfg.BlockSize,
-			OuterBlockSize:      cfg.OuterBlockSize,
-			Groups:              cfg.Groups,
-			Broadcast:           cfg.Bcast,
-			Segments:            cfg.Segments,
-			Threads:             cfg.Threads,
-			LocalStrassen:       cfg.LocalStrassen,
-			StrassenCutoff:      cfg.StrassenCutoff,
-			StrassenLevels:      cfg.StrassenLevels,
-			StrassenInnerGroups: cfg.StrassenInnerGroups,
-		},
-		Levels: cfg.Levels,
-	}
+	spec := cfg.spec(alg)
 	stats, err := mpi.RunStats(g.Size(), func(c *mpi.Comm) {
 		if e := engine.Run(mpi.AsComm(c), spec, aT[c.Rank()], bT[c.Rank()], cT[c.Rank()]); e != nil {
 			panic(e)
@@ -88,24 +72,23 @@ func TestLiveSimTrafficParity(t *testing.T) {
 		alg  engine.Algorithm
 		cfg  Config
 	}{
-		{"summa_binomial", engine.SUMMA, Config{N: 16, Grid: g, BlockSize: 2, Machine: machine}},
-		{"summa_vandegeijn", engine.SUMMA, Config{N: 16, Grid: g, BlockSize: 4, Bcast: sched.VanDeGeijn, Machine: machine}},
+		{"summa_binomial", engine.SUMMA, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2}, Machine: machine}},
+		{"summa_vandegeijn", engine.SUMMA, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 4, Broadcast: sched.VanDeGeijn}, Machine: machine}},
 		// Chain with a segment count that does not divide the payload
 		// exercises the shared integer segment split end to end.
-		{"summa_chain_segments", engine.SUMMA, Config{N: 16, Grid: g, BlockSize: 2, Bcast: sched.Chain, Segments: 3, Machine: machine}},
-		{"hsumma_g4", engine.HSUMMA, Config{N: 16, Grid: g, BlockSize: 2, OuterBlockSize: 4, Groups: h22, Machine: machine}},
-		{"hsumma_skewed_vdg", engine.HSUMMA, Config{N: 16, Grid: g, BlockSize: 2, Groups: h41, Bcast: sched.VanDeGeijn, Machine: machine}},
-		{"multilevel", engine.Multilevel, Config{N: 16, Grid: g, BlockSize: 2,
+		{"summa_chain_segments", engine.SUMMA, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2, Broadcast: sched.Chain, Segments: 3}, Machine: machine}},
+		{"hsumma_g4", engine.HSUMMA, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2, OuterBlockSize: 4}, Groups: h22, Machine: machine}},
+		{"hsumma_skewed_vdg", engine.HSUMMA, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2, Broadcast: sched.VanDeGeijn}, Groups: h41, Machine: machine}},
+		{"multilevel", engine.Multilevel, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2},
 			Levels: []core.Level{{I: 2, J: 2, BlockSize: 4}}, Machine: machine}},
 		{"cannon", engine.Cannon, Config{N: 16, Grid: g, Machine: machine}},
 		{"fox", engine.Fox, Config{N: 16, Grid: g, Machine: machine}},
-		{"fox_vandegeijn", engine.Fox, Config{N: 16, Grid: g, Bcast: sched.VanDeGeijn, Machine: machine}},
+		{"fox_vandegeijn", engine.Fox, Config{N: 16, Grid: g, Knobs: core.Knobs{Broadcast: sched.VanDeGeijn}, Machine: machine}},
 		// Strassen's quadrant staging + bottom SUMMA/HSUMMA: the p2p stage
 		// and combine traffic must match message for message, byte for byte.
-		{"strassen", engine.Strassen, Config{N: 32, Grid: g, BlockSize: 2, Machine: machine}},
-		{"strassen_l2", engine.Strassen, Config{N: 32, Grid: g, BlockSize: 4, StrassenLevels: 2, Machine: machine}},
-		{"strassen_hsumma_local", engine.Strassen, Config{N: 32, Grid: g, BlockSize: 2,
-			StrassenInnerGroups: 2, LocalStrassen: true, StrassenCutoff: 8, Machine: machine}},
+		{"strassen", engine.Strassen, Config{N: 32, Grid: g, Knobs: core.Knobs{BlockSize: 2}, Machine: machine}},
+		{"strassen_l2", engine.Strassen, Config{N: 32, Grid: g, Knobs: core.Knobs{BlockSize: 4, StrassenLevels: 2}, Machine: machine}},
+		{"strassen_hsumma_local", engine.Strassen, Config{N: 32, Grid: g, Knobs: core.Knobs{BlockSize: 2, StrassenInnerGroups: 2, LocalStrassen: true, StrassenCutoff: 8}, Machine: machine}},
 	}
 	for _, c := range cases {
 		c := c
@@ -146,7 +129,7 @@ func TestParityAcrossGroupCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{N: 16, Grid: g, BlockSize: 2, Groups: h, Machine: machine}
+			cfg := Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2}, Groups: h, Machine: machine}
 			live := liveStats(t, cfg, engine.HSUMMA)
 			_, sim, err := RunStats(cfg, engine.HSUMMA)
 			if err != nil {

@@ -41,7 +41,7 @@ func rectShapes() map[string]matrix.Shape {
 func rectSpec(t *testing.T, alg engine.Algorithm, sh matrix.Shape) engine.Spec {
 	t.Helper()
 	g := topo.Grid{S: 4, T: 4}
-	opts := core.Options{Shape: sh, Grid: g, BlockSize: 6, Broadcast: sched.Binomial}
+	opts := core.Options{Shape: sh, Grid: g, Knobs: core.Knobs{BlockSize: 6, Broadcast: sched.Binomial}}
 	spec := engine.Spec{Algorithm: alg, Opts: opts}
 	switch alg {
 	case engine.HSUMMA:
@@ -81,18 +81,18 @@ func TestEngineParityRectangular(t *testing.T) {
 					}
 					if alg == engine.Cannon || alg == engine.Fox || alg == engine.Strassen {
 						for _, ex := range []engine.Executor{engine.ExecutorGoroutine, engine.ExecutorEvent} {
-							_, _, err := RunSpecOn(spec, vcfg, ex)
+							_, _, err := Run(spec, vcfg, ex)
 							if !errors.Is(err, matrix.ErrSquareOnly) {
 								t.Fatalf("%s engine on %v: got %v, want ErrSquareOnly", ex, sh, err)
 							}
 						}
 						return
 					}
-					gRes, gStats, err := RunSpecOn(spec, vcfg, engine.ExecutorGoroutine)
+					gRes, gStats, err := Run(spec, vcfg, engine.ExecutorGoroutine)
 					if err != nil {
 						t.Fatal(err)
 					}
-					eRes, eStats, err := RunSpecOn(spec, vcfg, engine.ExecutorEvent)
+					eRes, eStats, err := Run(spec, vcfg, engine.ExecutorEvent)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -182,7 +182,7 @@ func TestLiveSimTrafficParityRectangular(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				spec := rectSpec(t, alg, sh)
 				live := liveStatsRect(t, spec)
-				_, sim, err := RunSpecOn(spec, simnet.VConfig{Model: machine}, engine.ExecutorAuto)
+				_, sim, err := Run(spec, simnet.VConfig{Model: machine}, engine.ExecutorAuto)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,63 +14,13 @@ import (
 	"sync"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/evsim"
 	"repro/internal/hockney"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/simnet"
-	"repro/internal/topo"
 )
-
-// Config describes one simulated run.
-type Config struct {
-	// Shape is the global GEMM shape C (M×N) += A (M×K)·B (K×N); the zero
-	// value defers to N, the square shorthand.
-	Shape          matrix.Shape
-	N              int
-	Grid           topo.Grid
-	BlockSize      int       // b
-	OuterBlockSize int       // B; 0 means B = b
-	Groups         topo.Hier // HSUMMA group arrangement
-	// Levels configures Multilevel (outermost first); BlockSize is the
-	// innermost panel width.
-	Levels   []core.Level
-	Bcast    sched.Algorithm
-	Segments int
-	// Threads is the per-rank thread budget for the local multiply.
-	Threads int
-	// LocalStrassen selects the sub-cubic rank-local kernel (with
-	// StrassenCutoff) for any algorithm; StrassenLevels and
-	// StrassenInnerGroups configure the distributed Strassen recursion
-	// (see core.Options).
-	LocalStrassen       bool
-	StrassenCutoff      int
-	StrassenLevels      int
-	StrassenInnerGroups int
-	Machine             hockney.Model
-	// Contention is the optional link-sharing model (nil = none, the
-	// paper's assumption). It is applied per collective round and per
-	// point-to-point transfer.
-	Contention simnet.ContentionFunc
-	// LinkCost optionally scales each transfer's bandwidth term by the
-	// physical route length (e.g. torus hop distance) — the mapping-
-	// sensitivity ablation behind the paper's Figure 8 "zigzags".
-	LinkCost simnet.LinkCostFunc
-	// Overlap enables communication/computation overlap (double
-	// buffering with a dedicated communication engine, as on the BG/P
-	// DMA): broadcasts of step k+1 proceed while step k's local update
-	// is still computing. The paper obtains its results *without*
-	// overlap and names it as a further opportunity (§VI); this flag is
-	// the corresponding ablation.
-	Overlap bool
-	// Executor selects the virtual execution engine (goroutine | event |
-	// auto); empty means auto. Engines are bit-identical — the choice
-	// only affects host wall time.
-	Executor engine.Executor
-}
 
 // Result reports simulated times the way the paper does.
 type Result struct {
@@ -87,80 +37,6 @@ type Result struct {
 	Shape matrix.Shape
 }
 
-// SUMMA simulates the flat algorithm.
-func SUMMA(cfg Config) (Result, error) {
-	res, _, err := RunStats(cfg, engine.SUMMA)
-	return res, err
-}
-
-// HSUMMA simulates the paper's hierarchical algorithm with cfg.Groups.
-func HSUMMA(cfg Config) (Result, error) {
-	res, _, err := RunStats(cfg, engine.HSUMMA)
-	return res, err
-}
-
-// Multilevel simulates the multilevel generalisation with cfg.Levels.
-func Multilevel(cfg Config) (Result, error) {
-	res, _, err := RunStats(cfg, engine.Multilevel)
-	return res, err
-}
-
-// Cannon simulates Cannon's algorithm on a square q×q grid.
-func Cannon(cfg Config) (Result, error) {
-	res, _, err := RunStats(cfg, engine.Cannon)
-	return res, err
-}
-
-// Fox simulates Fox's broadcast-multiply-roll algorithm.
-func Fox(cfg Config) (Result, error) {
-	res, _, err := RunStats(cfg, engine.Fox)
-	return res, err
-}
-
-// Strassen simulates the distributed Strassen quadrant recursion.
-func Strassen(cfg Config) (Result, error) {
-	res, _, err := RunStats(cfg, engine.Strassen)
-	return res, err
-}
-
-// RunStats executes the given algorithm on the virtual communicator and
-// returns the simulated times plus the per-rank traffic counters — the
-// quantities the live runtime reports through mpi.RunStats, enabling
-// live-vs-simulated parity checks.
-func RunStats(cfg Config, alg engine.Algorithm) (Result, []simnet.VRankStats, error) {
-	spec := engine.Spec{
-		Algorithm: alg,
-		Opts: core.Options{
-			Shape: cfg.Shape, N: cfg.N, Grid: cfg.Grid,
-			BlockSize:           cfg.BlockSize,
-			OuterBlockSize:      cfg.OuterBlockSize,
-			Groups:              cfg.Groups,
-			Broadcast:           cfg.Bcast,
-			Segments:            cfg.Segments,
-			Threads:             cfg.Threads,
-			LocalStrassen:       cfg.LocalStrassen,
-			StrassenCutoff:      cfg.StrassenCutoff,
-			StrassenLevels:      cfg.StrassenLevels,
-			StrassenInnerGroups: cfg.StrassenInnerGroups,
-		},
-		Levels: cfg.Levels,
-	}
-	return RunSpecOn(spec, simnet.VConfig{
-		Model:      cfg.Machine,
-		Contention: cfg.Contention,
-		LinkCost:   cfg.LinkCost,
-		Overlap:    cfg.Overlap,
-	}, cfg.Executor)
-}
-
-// RunSpec executes a fully resolved engine spec — the same value the live
-// path hands to engine.Run — on the virtual communicator under the given
-// virtual-world configuration, selecting the execution engine
-// automatically (event for collective-only specs, goroutines otherwise).
-func RunSpec(spec engine.Spec, vcfg simnet.VConfig) (Result, []simnet.VRankStats, error) {
-	return RunSpecOn(spec, vcfg, engine.ExecutorAuto)
-}
-
 // virtualWorld is what the two execution engines have in common: run the
 // rank programs, then report times and traffic.
 type virtualWorld interface {
@@ -169,12 +45,17 @@ type virtualWorld interface {
 	Stats() []simnet.VRankStats
 }
 
-// RunSpecOn is RunSpec with an explicit executor selection (goroutine |
-// event | auto). The engines are bit-identical in every output — virtual
-// times, per-rank communication-time breakdowns, traffic counters — which
-// the engine parity tests in this package assert; they differ only in
-// host wall time.
-func RunSpecOn(spec engine.Spec, vcfg simnet.VConfig, ex engine.Executor) (Result, []simnet.VRankStats, error) {
+// Run executes an engine spec — the same value the live path hands to
+// engine.Run — on the virtual communicator under the given virtual-world
+// configuration (machine model, contention, link cost, overlap, tracing)
+// and returns the simulated times plus the per-rank traffic counters, the
+// quantities the live runtime reports through mpi.RunStats. ex selects the
+// execution engine (goroutine | event | auto; empty means auto: event for
+// collective-only specs without overlap, goroutines otherwise). The engines
+// are bit-identical in every output — virtual times, per-rank
+// communication-time breakdowns, traffic counters — which the engine parity
+// tests in this package assert; they differ only in host wall time.
+func Run(spec engine.Spec, vcfg simnet.VConfig, ex engine.Executor) (Result, []simnet.VRankStats, error) {
 	resolved, err := engine.ResolveExecutor(ex, spec.Algorithm, vcfg.Overlap)
 	if err != nil {
 		return Result{}, nil, err

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hockney"
 	"repro/internal/model"
 	"repro/internal/platform"
@@ -27,7 +28,7 @@ func mustHier(t *testing.T, g topo.Grid, G int) topo.Hier {
 // must match the closed-form model exactly.
 func TestSUMMAMatchesClosedFormBinomial(t *testing.T) {
 	g := topo.Grid{S: 8, T: 8}
-	cfg := Config{N: 512, Grid: g, BlockSize: 64, Bcast: sched.Binomial, Machine: machine}
+	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial}, Machine: machine}
 	res, err := SUMMA(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +48,7 @@ func TestSUMMAMatchesClosedFormBinomial(t *testing.T) {
 func TestHSUMMAMatchesClosedFormBinomial(t *testing.T) {
 	g := topo.Grid{S: 8, T: 8}
 	for _, G := range []int{1, 4, 16, 64} {
-		cfg := Config{N: 512, Grid: g, BlockSize: 64, Groups: mustHier(t, g, G), Bcast: sched.Binomial, Machine: machine}
+		cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial}, Groups: mustHier(t, g, G), Machine: machine}
 		res, err := HSUMMA(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +66,7 @@ func TestHSUMMAMatchesClosedFormBinomial(t *testing.T) {
 func TestHSUMMADegeneratesToSUMMA(t *testing.T) {
 	g := topo.Grid{S: 4, T: 8}
 	for _, alg := range []sched.Algorithm{sched.Binomial, sched.VanDeGeijn} {
-		cfg := Config{N: 256, Grid: g, BlockSize: 32, Bcast: alg, Machine: machine}
+		cfg := Config{N: 256, Grid: g, Knobs: core.Knobs{BlockSize: 32, Broadcast: alg}, Machine: machine}
 		su, err := SUMMA(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +91,7 @@ func TestHSUMMADegeneratesToSUMMA(t *testing.T) {
 func TestInteriorGWins(t *testing.T) {
 	g := topo.Grid{S: 16, T: 16}
 	lat := hockney.Model{Alpha: 1e-3, Beta: 1e-10, Gamma: 0}
-	base := Config{N: 1024, Grid: g, BlockSize: 32, Bcast: sched.VanDeGeijn, Machine: lat}
+	base := Config{N: 1024, Grid: g, Knobs: core.Knobs{BlockSize: 32, Broadcast: sched.VanDeGeijn}, Machine: lat}
 	su, err := SUMMA(base)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestInteriorGWins(t *testing.T) {
 // Compute time must be identical across algorithms and G (same flops).
 func TestComputeInvariant(t *testing.T) {
 	g := topo.Grid{S: 4, T: 4}
-	base := Config{N: 256, Grid: g, BlockSize: 32, Machine: machine}
+	base := Config{N: 256, Grid: g, Knobs: core.Knobs{BlockSize: 32}, Machine: machine}
 	su, _ := SUMMA(base)
 	cfg := base
 	cfg.Groups = mustHier(t, g, 4)
@@ -127,7 +128,7 @@ func TestComputeInvariant(t *testing.T) {
 // simulated algorithm, as in the paper's non-overlapped implementation).
 func TestTotalDecomposition(t *testing.T) {
 	g := topo.Grid{S: 8, T: 8}
-	cfg := Config{N: 512, Grid: g, BlockSize: 64, Bcast: sched.Binomial, Machine: machine}
+	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial}, Machine: machine}
 	res, _ := SUMMA(cfg)
 	if math.Abs(res.Total-(res.Comm+res.Compute)) > 1e-9*res.Total {
 		t.Fatalf("total %g != comm %g + compute %g", res.Total, res.Comm, res.Compute)
@@ -136,17 +137,17 @@ func TestTotalDecomposition(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	g := topo.Grid{S: 4, T: 4}
-	if _, err := SUMMA(Config{N: 0, Grid: g, BlockSize: 8, Machine: machine}); err == nil {
+	if _, err := SUMMA(Config{N: 0, Grid: g, Knobs: core.Knobs{BlockSize: 8}, Machine: machine}); err == nil {
 		t.Fatal("accepted n=0")
 	}
-	hb := Config{N: 256, Grid: g, BlockSize: 8, OuterBlockSize: 12, Groups: mustHier(t, g, 4), Machine: machine}
+	hb := Config{N: 256, Grid: g, Knobs: core.Knobs{BlockSize: 8, OuterBlockSize: 12}, Groups: mustHier(t, g, 4), Machine: machine}
 	if _, err := HSUMMA(hb); err == nil {
 		t.Fatal("accepted B not multiple of b")
 	}
 	// Non-divisible problems are no longer rejected: the spec is padded to
 	// the execution shape (the result the padded live run computes, then
 	// crops). The padded shape is echoed on the result.
-	res, err := SUMMA(Config{N: 100, Grid: g, BlockSize: 8, Machine: machine})
+	res, err := SUMMA(Config{N: 100, Grid: g, Knobs: core.Knobs{BlockSize: 8}, Machine: machine})
 	if err != nil {
 		t.Fatalf("n=100 on 4x4 should pad, got %v", err)
 	}
@@ -156,7 +157,7 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestCannonSquareOnly(t *testing.T) {
-	if _, err := Cannon(Config{N: 64, Grid: topo.Grid{S: 2, T: 4}, BlockSize: 8, Machine: machine}); err == nil {
+	if _, err := Cannon(Config{N: 64, Grid: topo.Grid{S: 2, T: 4}, Knobs: core.Knobs{BlockSize: 8}, Machine: machine}); err == nil {
 		t.Fatal("Cannon accepted non-square grid")
 	}
 }
@@ -165,7 +166,7 @@ func TestCannonSquareOnly(t *testing.T) {
 // plus 2(q−1) single-hop shift phases of (n/q)² elements each.
 func TestCannonCommMagnitude(t *testing.T) {
 	q, n := 8, 512
-	cfg := Config{N: n, Grid: topo.Grid{S: q, T: q}, BlockSize: n / q, Machine: machine}
+	cfg := Config{N: n, Grid: topo.Grid{S: q, T: q}, Knobs: core.Knobs{BlockSize: n / q}, Machine: machine}
 	res, err := Cannon(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +182,7 @@ func TestCannonCommMagnitude(t *testing.T) {
 // Contention must slow things down, never speed them up.
 func TestContentionMonotone(t *testing.T) {
 	g := topo.Grid{S: 8, T: 8}
-	cfg := Config{N: 512, Grid: g, BlockSize: 64, Bcast: sched.VanDeGeijn, Machine: machine}
+	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.VanDeGeijn}, Machine: machine}
 	free, _ := SUMMA(cfg)
 	cfg.Contention = func(f int) float64 { return float64(f) }
 	congested, _ := SUMMA(cfg)
@@ -199,7 +200,7 @@ func TestContentionMonotone(t *testing.T) {
 func TestGSweepUShape(t *testing.T) {
 	g := topo.Grid{S: 16, T: 16}
 	m := hockney.Model{Alpha: 1e-4, Beta: 1e-10}
-	base := Config{N: 2048, Grid: g, BlockSize: 64, Bcast: sched.VanDeGeijn, Machine: m}
+	base := Config{N: 2048, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.VanDeGeijn}, Machine: m}
 	su, err := SUMMA(base)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +232,7 @@ func TestBGPPresetSmallScale(t *testing.T) {
 	g := topo.Grid{S: 32, T: 32} // 1024 "cores"
 	// b chosen so the paper's minimum condition α/β > 2nb/p holds at this
 	// reduced scale: 2·8192·64/1024 = 1024 < 3000.
-	base := Config{N: 8192, Grid: g, BlockSize: 64, Bcast: sched.VanDeGeijn, Machine: pf.Model}
+	base := Config{N: 8192, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.VanDeGeijn}, Machine: pf.Model}
 	su, err := SUMMA(base)
 	if err != nil {
 		t.Fatal(err)

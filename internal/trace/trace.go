@@ -1,4 +1,4 @@
-// Package trace is the span model behind -trace and /debug/trace: a
+// Package trace is the span model behind -trace and /debug/traces: a
 // low-overhead, off-by-default recorder of per-rank phase timelines.
 //
 // The live mpi transport and both virtual engines emit one Span per

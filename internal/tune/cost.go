@@ -79,10 +79,7 @@ func (s *scorer) bcastStep(bc model.Broadcast, p, elems float64) float64 {
 // different blocks pad by different amounts and an analytic-only plan
 // has no stage-2 run to correct it.
 func (s *scorer) execShape(c Candidate) matrix.Shape {
-	spec := engine.Spec{Algorithm: c.Algorithm, Opts: core.Options{
-		Shape: s.sh, Grid: c.Grid,
-		BlockSize: c.BlockSize, OuterBlockSize: c.OuterBlockSize,
-	}, Levels: c.Levels}
+	spec := engine.Spec{Algorithm: c.Algorithm, Opts: core.Options{Shape: s.sh, Grid: c.Grid, Knobs: c.Knobs}, Levels: c.Levels}
 	padded, err := spec.PaddedShape()
 	if err != nil {
 		return s.sh // square-only rejection is handled by the enumeration
@@ -175,12 +172,6 @@ func (s *scorer) score(c Candidate) (comm, total float64) {
 	return comm, total
 }
 
-// exec returns the execution descriptor the candidate's local multiplies
-// run under — the same value the transports charge flops through.
-func candExec(c Candidate) core.Options {
-	return core.Options{Threads: c.Threads, LocalStrassen: c.LocalStrassen, StrassenCutoff: c.StrassenCutoff}
-}
-
 // strassenLevelTraffic derives the per-level per-rank communication of the
 // quadrant recursion from the same product table the execution walks
 // (core.StrassenProducts): the critical-path rank's staged-term and
@@ -269,7 +260,7 @@ func (s *scorer) strassenCompute(c Candidate, sh matrix.Shape) float64 {
 	if c.Grid.S%div != 0 || sh.N%div != 0 || c.BlockSize <= 0 {
 		return 0
 	}
-	x := candExec(c).Exec()
+	x := c.Exec()
 	tile := sh.N / c.Grid.S // per-rank tile edge, invariant across levels
 	steps := float64(sh.N/div) / float64(c.BlockSize)
 	gemm := steps * x.Flops(tile, tile, c.BlockSize)
@@ -384,7 +375,7 @@ func (s *scorer) strassenCommSplit(c Candidate, sh matrix.Shape) (bcast, p2p flo
 // the virtual transports record, so the analytic ranking sees the local
 // kernel's win exactly where the simulation does.
 func (s *scorer) localKernelCompute(c Candidate, sh matrix.Shape) float64 {
-	x := candExec(c).Exec()
+	x := c.Exec()
 	var flops float64
 	switch c.Algorithm {
 	case engine.Cannon, engine.Fox:

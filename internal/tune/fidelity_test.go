@@ -44,7 +44,7 @@ func TestPredictPhasesFidelity(t *testing.T) {
 			}
 			for _, ex := range []engine.Executor{engine.ExecutorGoroutine, engine.ExecutorEvent} {
 				vcfg := simnet.VConfig{Model: pf.Model, Trace: trace.New(spec.Opts.Grid.Size())}
-				if _, _, err := simalg.RunSpecOn(spec, vcfg, ex); err != nil {
+				if _, _, err := simalg.Run(spec, vcfg, ex); err != nil {
 					t.Fatal(err)
 				}
 				// Measured side: the critical (max over ranks) per-phase

@@ -261,7 +261,7 @@ func (p *Planner) refine(req Request, top []Scored) {
 				vcfg.Contention = simnet.ContentionFor(req.Platform, s.Candidate.Grid.Size(), true)
 			}
 			p.simRuns.Add(1)
-			res, _, err := simalg.RunSpecOn(spec, vcfg, req.Executor)
+			res, _, err := simalg.Run(spec, vcfg, req.Executor)
 			if err != nil {
 				s.Err = err.Error()
 				return

@@ -69,6 +69,36 @@ type ResolveParams struct {
 	Platform *platform.Platform
 }
 
+// Knobs returns the pass-through execution knobs rp pins — the one place
+// the flat fields above become the shared core.Knobs.
+func (rp ResolveParams) Knobs() core.Knobs {
+	return core.Knobs{
+		BlockSize:           rp.BlockSize,
+		OuterBlockSize:      rp.OuterBlockSize,
+		Broadcast:           rp.Broadcast,
+		Segments:            rp.Segments,
+		Threads:             rp.Threads,
+		StrassenLevels:      rp.StrassenLevels,
+		StrassenInnerGroups: rp.StrassenInnerGroups,
+		LocalStrassen:       rp.LocalStrassen,
+		StrassenCutoff:      rp.StrassenCutoff,
+	}
+}
+
+// SetKnobs is the inverse of Knobs: it pins every execution knob of rp to
+// k (a planner candidate's, or a request's wire-form knobs).
+func (rp *ResolveParams) SetKnobs(k core.Knobs) {
+	rp.BlockSize = k.BlockSize
+	rp.OuterBlockSize = k.OuterBlockSize
+	rp.Broadcast = k.Broadcast
+	rp.Segments = k.Segments
+	rp.Threads = k.Threads
+	rp.StrassenLevels = k.StrassenLevels
+	rp.StrassenInnerGroups = k.StrassenInnerGroups
+	rp.LocalStrassen = k.LocalStrassen
+	rp.StrassenCutoff = k.StrassenCutoff
+}
+
 // ResolveSpec resolves the parameters into the padded execution spec both
 // live paths run. Errors are unprefixed (wrapped where sentinel identity
 // matters, e.g. matrix.ErrSquareOnly); each caller applies its own
@@ -89,7 +119,7 @@ func ResolveSpec(rp ResolveParams) (engine.Spec, error) {
 		return engine.Spec{}, fmt.Errorf("Threads must be non-negative, have %d", rp.Threads)
 	}
 	if rp.Algorithm == engine.Auto {
-		planned, err := resolveAutoParams(rp)
+		planned, err := ResolveAuto(rp, AutoRequest(rp))
 		if err != nil {
 			return engine.Spec{}, err
 		}
@@ -109,19 +139,8 @@ func ResolveSpec(rp ResolveParams) (engine.Spec, error) {
 	}
 	spec := engine.Spec{
 		Algorithm: rp.Algorithm,
-		Opts: core.Options{
-			Shape: rp.Shape, Grid: grid,
-			BlockSize:           rp.BlockSize,
-			OuterBlockSize:      rp.OuterBlockSize,
-			Broadcast:           rp.Broadcast,
-			Segments:            rp.Segments,
-			Threads:             rp.Threads,
-			StrassenLevels:      rp.StrassenLevels,
-			StrassenInnerGroups: rp.StrassenInnerGroups,
-			LocalStrassen:       rp.LocalStrassen,
-			StrassenCutoff:      rp.StrassenCutoff,
-		},
-		Levels: rp.Levels,
+		Opts:      core.Options{Shape: rp.Shape, Grid: grid, Knobs: rp.Knobs()},
+		Levels:    rp.Levels,
 	}
 	if rp.Algorithm == engine.HSUMMA {
 		h, err := resolveGroups(grid, rp.Groups)
@@ -147,33 +166,28 @@ func ResolveSpec(rp ResolveParams) (engine.Spec, error) {
 	return spec, nil
 }
 
-// resolveAutoParams replaces Algorithm: engine.Auto with the planner's
-// choice for rp.Platform (default: the Grid'5000 preset), honouring
-// explicit Grid and BlockSize settings as constraints. Plans are memoised,
-// so a serving workload pays the search once per distinct shape.
-func resolveAutoParams(rp ResolveParams) (ResolveParams, error) {
-	pl, err := PlanFor(AutoRequest(rp))
+// ResolveAuto replaces Algorithm: engine.Auto with the winner of the plan
+// for req, pinning every field the candidate decides — the one
+// candidate→params step both execution paths share. ResolveSpec plans
+// AutoRequest(rp); Simulate adds its contention and overlap flags to that
+// request first. Plans are memoised, so a serving workload pays the search
+// once per distinct shape.
+func ResolveAuto(rp ResolveParams, req Request) (ResolveParams, error) {
+	pl, err := PlanFor(req)
 	if err != nil {
 		return ResolveParams{}, err
 	}
 	c := pl.Best.Candidate
+	if c.Threads == 0 {
+		c.Threads = rp.Threads
+	}
 	rp.Algorithm = c.Algorithm
 	g := c.Grid
 	rp.Grid = &g
 	rp.Procs = c.Grid.Size()
 	rp.Groups = c.Groups
-	rp.BlockSize = c.BlockSize
-	rp.OuterBlockSize = c.OuterBlockSize
-	rp.Broadcast = c.Broadcast
-	rp.Segments = c.Segments
 	rp.Levels = c.Levels
-	if c.Threads > 0 {
-		rp.Threads = c.Threads
-	}
-	rp.StrassenLevels = c.StrassenLevels
-	rp.StrassenInnerGroups = c.StrassenInnerGroups
-	rp.LocalStrassen = c.LocalStrassen
-	rp.StrassenCutoff = c.StrassenCutoff
+	rp.SetKnobs(c.Knobs)
 	return rp, nil
 }
 

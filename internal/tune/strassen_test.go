@@ -118,7 +118,7 @@ func TestStrassenCandidatesAreRunnable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("candidate %s does not resolve: %v", c, err)
 		}
-		if _, _, err := simalg.RunSpec(spec, simnet.VConfig{Model: req.Platform.Model}); err != nil {
+		if _, _, err := simalg.Run(spec, simnet.VConfig{Model: req.Platform.Model}, engine.ExecutorAuto); err != nil {
 			t.Fatalf("candidate %s does not simulate: %v", c, err)
 		}
 	}

@@ -206,31 +206,17 @@ func rankThreadPairs(req Request) [][2]int {
 }
 
 // Candidate is one fully specified configuration the planner can score,
-// simulate and hand to the engine.
+// simulate and hand to the engine: the algorithm and its topology plus the
+// shared execution knobs (core.Knobs — Threads 0 and 1 both mean serial;
+// the candidate consumes Grid.Size() × max(1, Threads) cores).
 type Candidate struct {
 	Algorithm engine.Algorithm `json:"algorithm"`
 	Grid      topo.Grid        `json:"grid"`
 	// Groups and GroupShape describe the HSUMMA hierarchy (G = I×J).
 	Groups     int    `json:"groups,omitempty"`
 	GroupShape [2]int `json:"group_shape,omitempty"`
-	BlockSize  int    `json:"block_size,omitempty"`
-	// OuterBlockSize is HSUMMA's B (0 = b).
-	OuterBlockSize int             `json:"outer_block_size,omitempty"`
-	Broadcast      sched.Algorithm `json:"broadcast,omitempty"`
-	Segments       int             `json:"segments,omitempty"`
-	Levels         []core.Level    `json:"levels,omitempty"`
-	// Threads is the per-rank thread budget (0 and 1 both mean serial);
-	// the candidate consumes Grid.Size() × max(1, Threads) cores.
-	Threads int `json:"threads,omitempty"`
-	// StrassenLevels is the quadrant recursion depth for the strassen
-	// algorithm (0 = one level); StrassenInnerGroups > 0 selects an HSUMMA
-	// bottom with that group count.
-	StrassenLevels      int `json:"strassen_levels,omitempty"`
-	StrassenInnerGroups int `json:"strassen_inner_groups,omitempty"`
-	// LocalStrassen runs the sub-cubic rank-local kernel (any algorithm);
-	// StrassenCutoff is its recursion cutoff (0 = blas default).
-	LocalStrassen  bool `json:"local_strassen,omitempty"`
-	StrassenCutoff int  `json:"strassen_cutoff,omitempty"`
+	core.Knobs
+	Levels []core.Level `json:"levels,omitempty"`
 }
 
 // Cores returns the candidate's total core consumption — the quantity a
@@ -246,18 +232,7 @@ func (c Candidate) Cores() int {
 // Spec resolves the candidate into the engine's transport-independent run
 // description — the same value hsumma.Multiply and hsumma.Simulate execute.
 func (c Candidate) Spec(sh matrix.Shape) (engine.Spec, error) {
-	opts := core.Options{
-		Shape: sh, Grid: c.Grid,
-		BlockSize:           c.BlockSize,
-		OuterBlockSize:      c.OuterBlockSize,
-		Broadcast:           c.Broadcast,
-		Segments:            c.Segments,
-		Threads:             c.Threads,
-		StrassenLevels:      c.StrassenLevels,
-		StrassenInnerGroups: c.StrassenInnerGroups,
-		LocalStrassen:       c.LocalStrassen,
-		StrassenCutoff:      c.StrassenCutoff,
-	}
+	opts := core.Options{Shape: sh, Grid: c.Grid, Knobs: c.Knobs}
 	if c.Algorithm == engine.HSUMMA {
 		h, err := topo.NewHier(c.Grid, c.GroupShape[0], c.GroupShape[1])
 		if err != nil {
@@ -377,20 +352,7 @@ type Plan struct {
 // re-pads idempotently. Cost: a handful of closed-form evaluations,
 // microseconds.
 func PredictPhases(spec engine.Spec, pf platform.Platform) map[string]float64 {
-	c := Candidate{
-		Algorithm:           spec.Algorithm,
-		Grid:                spec.Opts.Grid,
-		BlockSize:           spec.Opts.BlockSize,
-		OuterBlockSize:      spec.Opts.OuterBlockSize,
-		Broadcast:           spec.Opts.Broadcast,
-		Segments:            spec.Opts.Segments,
-		Levels:              spec.Levels,
-		Threads:             spec.Opts.Threads,
-		StrassenLevels:      spec.Opts.StrassenLevels,
-		StrassenInnerGroups: spec.Opts.StrassenInnerGroups,
-		LocalStrassen:       spec.Opts.LocalStrassen,
-		StrassenCutoff:      spec.Opts.StrassenCutoff,
-	}
+	c := Candidate{Algorithm: spec.Algorithm, Grid: spec.Opts.Grid, Knobs: spec.Opts.Knobs, Levels: spec.Levels}
 	if spec.Algorithm == engine.HSUMMA {
 		c.GroupShape = [2]int{spec.Opts.Groups.I, spec.Opts.Groups.J}
 		c.Groups = spec.Opts.Groups.Groups()
@@ -439,27 +401,14 @@ func DefaultBlockSize(sh matrix.Shape, g topo.Grid) int {
 		}
 	} else {
 		// Padding territory: K will execute as ceil(K / b·lcm(S,T)) units.
-		// ceilMult is non-decreasing in b, so halve until the overhead a
+		// PaddedK is non-decreasing in b, so halve until the overhead a
 		// block of this size forces is bounded.
-		L := lcm(g.S, g.T)
-		for b > 1 && ceilMult(sh.K, b*L)-sh.K > sh.K/8 {
+		for b > 1 && engine.PaddedK(sh.K, b, g)-sh.K > sh.K/8 {
 			b /= 2
 		}
 	}
 	return b
 }
-
-// ceilMult rounds v up to the next multiple of m.
-func ceilMult(v, m int) int { return (v + m - 1) / m * m }
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b int) int { return a / gcd(a, b) * b }
 
 // Candidates enumerates the feasible configuration space for a request —
 // exactly the space Plan searches, exported so tests can sweep it
@@ -518,7 +467,7 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 			case engine.SUMMA:
 				for _, b := range bs {
 					for _, bc := range req.Broadcasts {
-						out = append(out, Candidate{Algorithm: alg, Grid: g, BlockSize: b, Broadcast: bc})
+						out = append(out, Candidate{Algorithm: alg, Grid: g, Knobs: core.Knobs{BlockSize: b, Broadcast: bc}})
 					}
 				}
 			case engine.HSUMMA:
@@ -533,7 +482,7 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 								out = append(out, Candidate{
 									Algorithm: alg, Grid: g,
 									Groups: G, GroupShape: [2]int{h.I, h.J},
-									BlockSize: b, OuterBlockSize: B, Broadcast: bc,
+									Knobs: core.Knobs{BlockSize: b, OuterBlockSize: B, Broadcast: bc},
 								})
 							}
 						}
@@ -559,7 +508,7 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 				}
 				if g.S == g.T {
 					for _, bc := range req.Broadcasts {
-						out = append(out, Candidate{Algorithm: alg, Grid: g, Broadcast: bc})
+						out = append(out, Candidate{Algorithm: alg, Grid: g, Knobs: core.Knobs{Broadcast: bc}})
 					}
 				}
 			case engine.Strassen:
@@ -619,8 +568,8 @@ func strassenCandidates(req Request, g topo.Grid) []Candidate {
 			for _, G := range groups {
 				for _, bc := range bcasts {
 					out = append(out, Candidate{
-						Algorithm: engine.Strassen, Grid: g, BlockSize: b,
-						Broadcast: bc, StrassenLevels: l, StrassenInnerGroups: G,
+						Algorithm: engine.Strassen, Grid: g,
+						Knobs: core.Knobs{BlockSize: b, Broadcast: bc, StrassenLevels: l, StrassenInnerGroups: G},
 					})
 				}
 			}
@@ -853,7 +802,7 @@ func multilevelCandidates(req Request, g topo.Grid, bs []int) []Candidate {
 			}
 			for _, bc := range req.Broadcasts {
 				out = append(out, Candidate{
-					Algorithm: engine.Multilevel, Grid: g, BlockSize: b, Broadcast: bc,
+					Algorithm: engine.Multilevel, Grid: g, Knobs: core.Knobs{BlockSize: b, Broadcast: bc},
 					Levels: []core.Level{
 						{I: i1, J: j1, BlockSize: top},
 						{I: i2, J: j2, BlockSize: 2 * b},

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/model"
@@ -29,7 +30,7 @@ func TestScorerMatchesClosedFormOnSquareGrid(t *testing.T) {
 		}
 		par := model.Params{N: n, P: p, B: b, Machine: m, Bcast: bcm}
 
-		comm, _ := sc.score(Candidate{Algorithm: engine.SUMMA, Grid: grid, BlockSize: b, Broadcast: bc})
+		comm, _ := sc.score(Candidate{Algorithm: engine.SUMMA, Grid: grid, Knobs: core.Knobs{BlockSize: b, Broadcast: bc}})
 		if want := model.SUMMA(par).Comm(); math.Abs(comm-want) > 1e-12*want {
 			t.Fatalf("%s SUMMA: scorer %g, closed form %g", bc, comm, want)
 		}
@@ -41,7 +42,7 @@ func TestScorerMatchesClosedFormOnSquareGrid(t *testing.T) {
 			comm, _ := sc.score(Candidate{
 				Algorithm: engine.HSUMMA, Grid: grid,
 				Groups: G, GroupShape: [2]int{h.I, h.J},
-				BlockSize: b, OuterBlockSize: b, Broadcast: bc,
+				Knobs: core.Knobs{BlockSize: b, OuterBlockSize: b, Broadcast: bc},
 			})
 			if want := model.HSUMMA(par, float64(G)).Comm(); math.Abs(comm-want) > 1e-12*want {
 				t.Fatalf("%s HSUMMA G=%d: scorer %g, closed form %g", bc, G, comm, want)
@@ -62,7 +63,7 @@ func simulateCandidate(t *testing.T, req Request, c Candidate) (comm, total floa
 	if req.Contention {
 		vcfg.Contention = simnet.ContentionFor(req.Platform, c.Grid.Size(), true)
 	}
-	res, _, err := simalg.RunSpec(spec, vcfg)
+	res, _, err := simalg.Run(spec, vcfg, engine.ExecutorAuto)
 	if err != nil {
 		t.Fatalf("%s: %v", c, err)
 	}
@@ -334,7 +335,7 @@ func TestPlanForCoreBudget(t *testing.T) {
 func TestScorerThreadsSpeedup(t *testing.T) {
 	s := newScorer(matrix.Square(2048), platform.Grid5000().Model, false)
 	g := topo.Grid{S: 4, T: 4}
-	serial := Candidate{Algorithm: engine.SUMMA, Grid: g, BlockSize: 128, Broadcast: sched.Binomial}
+	serial := Candidate{Algorithm: engine.SUMMA, Grid: g, Knobs: core.Knobs{BlockSize: 128, Broadcast: sched.Binomial}}
 	hybrid := serial
 	hybrid.Threads = 4
 	commS, totalS := s.score(serial)

@@ -136,58 +136,3 @@ func Plan(cfg PlanConfig) (*PlanResult, error) {
 // PlannerCounters reports the shared planner's observability counters:
 // cache hits and misses, and the number of stage-2 virtual runs executed.
 func PlannerCounters() PlanStats { return tune.Stats() }
-
-// autoProcs re-states the shared rank-count threshold beyond which
-// implicit auto resolution skips the stage-2 virtual refinement (see
-// tune.AutoProcs; the live path's resolution moved into tune.ResolveSpec,
-// which both hsumma.Multiply and the serving layer route through).
-const autoProcs = tune.AutoProcs
-
-// resolveSimAuto replaces Algorithm: AlgAuto in a SimConfig with the
-// planner's choice for the simulated machine, honouring the contention and
-// overlap flags of the simulation being requested.
-func resolveSimAuto(cfg SimConfig, shape Shape, procs int) (SimConfig, error) {
-	pf := Platform{Name: "custom", Model: cfg.Machine}
-	if cfg.Platform != nil {
-		pf = *cfg.Platform
-	}
-	var gp *topo.Grid
-	if cfg.Grid != nil {
-		g, err := topo.NewGrid(cfg.Grid[0], cfg.Grid[1])
-		if err != nil {
-			return SimConfig{}, err
-		}
-		gp = &g
-	}
-	pl, err := tune.PlanFor(tune.Request{
-		Platform: pf, Shape: shape, P: procs,
-		Grid: gp, BlockSize: cfg.BlockSize,
-		Threads:      cfg.Threads,
-		Quick:        true,
-		AnalyticOnly: procs > autoProcs,
-		Contention:   cfg.Contention,
-		Overlap:      cfg.Overlap,
-	})
-	if err != nil {
-		return SimConfig{}, err
-	}
-	c := pl.Best.Candidate
-	cfg.Algorithm = c.Algorithm
-	g := [2]int{c.Grid.S, c.Grid.T}
-	cfg.Grid = &g
-	cfg.Procs = c.Grid.Size()
-	cfg.Groups = c.Groups
-	cfg.BlockSize = c.BlockSize
-	cfg.OuterBlockSize = c.OuterBlockSize
-	cfg.Broadcast = c.Broadcast
-	cfg.Segments = c.Segments
-	cfg.Levels = c.Levels
-	if c.Threads > 0 {
-		cfg.Threads = c.Threads
-	}
-	cfg.StrassenLevels = c.StrassenLevels
-	cfg.StrassenInnerGroups = c.StrassenInnerGroups
-	cfg.LocalStrassen = c.LocalStrassen
-	cfg.StrassenCutoff = c.StrassenCutoff
-	return cfg, nil
-}

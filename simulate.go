@@ -11,6 +11,7 @@ import (
 	"repro/internal/simalg"
 	"repro/internal/simnet"
 	"repro/internal/trace"
+	"repro/internal/tune"
 )
 
 // Machine is the Hockney platform model (α latency, β reciprocal bandwidth
@@ -115,20 +116,40 @@ type SimResult struct {
 	Trace *Trace
 }
 
+// Config returns the live configuration of the same run — the algorithm,
+// grid and execution knobs as Multiply takes them — so one description can
+// drive both execution paths. It is also the one place SimConfig's run
+// fields are read out: Simulate resolves its spec through it. The virtual-
+// world fields (Shape/N, Machine, Contention, Overlap, Engine, Trace) have
+// no live counterpart.
+func (cfg SimConfig) Config() Config {
+	return Config{
+		Procs:               cfg.Procs,
+		Grid:                cfg.Grid,
+		Algorithm:           cfg.Algorithm,
+		Groups:              cfg.Groups,
+		BlockSize:           cfg.BlockSize,
+		OuterBlockSize:      cfg.OuterBlockSize,
+		Levels:              cfg.Levels,
+		Broadcast:           cfg.Broadcast,
+		Segments:            cfg.Segments,
+		Threads:             cfg.Threads,
+		StrassenLevels:      cfg.StrassenLevels,
+		StrassenInnerGroups: cfg.StrassenInnerGroups,
+		LocalStrassen:       cfg.LocalStrassen,
+		StrassenCutoff:      cfg.StrassenCutoff,
+		Platform:            cfg.Platform,
+	}
+}
+
 // Simulate executes the configured algorithm — the same implementation,
 // resolved through the same spec, that Multiply runs — on the simnet
-// virtual communicator and returns its Hockney-model times. All five
+// virtual communicator and returns its Hockney-model times. All six
 // algorithms are supported; a simulated run moves no matrix elements, so
 // it scales to the paper's 16384-rank BlueGene/P and beyond. Rectangular
 // problems set Shape (SimulateShape is the explicit-shape convenience);
 // N remains the square shorthand.
 func Simulate(cfg SimConfig) (SimResult, error) {
-	alg := cfg.Algorithm
-	if alg == "" {
-		// Simulate's default is SUMMA — the baseline every figure sweeps
-		// against — where Multiply defaults to the paper's HSUMMA.
-		alg = AlgSUMMA
-	}
 	// A Platform alone is a complete machine description: default the
 	// Hockney model from it rather than silently simulating on a
 	// zero-cost machine (all-zero timings).
@@ -139,30 +160,36 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 	if shape.IsZero() {
 		shape = SquareShape(cfg.N)
 	}
-	procs := cfg.Procs
-	if procs == 0 && cfg.Grid != nil {
-		procs = cfg.Grid[0] * cfg.Grid[1]
+	live := cfg.Config()
+	if live.Algorithm == "" {
+		// Simulate's default is SUMMA — the baseline every figure sweeps
+		// against — where Multiply defaults to the paper's HSUMMA.
+		live.Algorithm = AlgSUMMA
 	}
-	if alg == AlgAuto {
-		// The planner picks algorithm, grid, groups, blocks and broadcast
-		// for the simulated machine; explicit Grid/BlockSize are honoured.
-		planned, err := resolveSimAuto(cfg, shape, procs)
-		if err != nil {
+	if live.Procs == 0 && live.Grid != nil {
+		live.Procs = live.Grid[0] * live.Grid[1]
+	}
+	if live.Platform == nil {
+		// AlgAuto plans for the simulated machine, not the live default.
+		live.Platform = &Platform{Name: "custom", Model: cfg.Machine}
+	}
+	rp, err := live.resolveParams(shape)
+	if err != nil {
+		return SimResult{}, err
+	}
+	if rp.Algorithm == AlgAuto {
+		// The live path's plan request, under the contention and overlap
+		// flags of the simulation being requested; explicit Grid/BlockSize
+		// are honoured. Everything else (BlockSize 0 means auto, the √p
+		// group default, padding) is ResolveSpec's, shared with Multiply, so
+		// the two execution paths of one configuration stay comparable.
+		req := tune.AutoRequest(rp)
+		req.Contention, req.Overlap = cfg.Contention, cfg.Overlap
+		if rp, err = tune.ResolveAuto(rp, req); err != nil {
 			return SimResult{}, err
 		}
-		cfg, alg, procs = planned, planned.Algorithm, planned.Procs
 	}
-	// BlockSize: 0 means "auto" here exactly as in Multiply — resolveSpec
-	// applies the shared tune.DefaultBlockSize rule, so the two execution
-	// paths of one configuration stay directly comparable.
-	spec, grid, err := resolveSpec(shape, Config{
-		Procs: procs, Grid: cfg.Grid, Algorithm: alg,
-		Groups: cfg.Groups, BlockSize: cfg.BlockSize, OuterBlockSize: cfg.OuterBlockSize,
-		Levels: cfg.Levels, Broadcast: cfg.Broadcast, Segments: cfg.Segments,
-		Threads:        cfg.Threads,
-		StrassenLevels: cfg.StrassenLevels, StrassenInnerGroups: cfg.StrassenInnerGroups,
-		LocalStrassen: cfg.LocalStrassen, StrassenCutoff: cfg.StrassenCutoff,
-	})
+	spec, grid, err := specFor(rp)
 	if err != nil {
 		return SimResult{}, err
 	}
@@ -176,11 +203,11 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 	if cfg.Trace {
 		vcfg.Trace = trace.New(grid.Size())
 	}
-	res, stats, err := simalg.RunSpecOn(spec, vcfg, cfg.Engine)
+	res, stats, err := simalg.Run(spec, vcfg, cfg.Engine)
 	if err != nil {
 		return SimResult{}, err
 	}
-	usedG := cfg.Groups
+	usedG := rp.Groups
 	if spec.Algorithm == AlgHSUMMA {
 		usedG = spec.Opts.Groups.Groups()
 	}
@@ -236,12 +263,6 @@ func PredictOptimalG(par ModelParams) (int, ModelCost) { return model.OptimalG(p
 // MinimumAtSqrtP reports the paper's interior-minimum condition
 // α/β > 2nb/p (equation 10).
 func MinimumAtSqrtP(par ModelParams) bool { return model.MinimumAtSqrtP(par) }
-
-// simnetContention adapts a platform's contention description for direct
-// simalg use (benches).
-func simnetContention(pf Platform, p int) simnet.ContentionFunc {
-	return simnet.ContentionFor(pf, p, true)
-}
 
 // ExperimentOptions re-exports the experiment harness options.
 type ExperimentOptions = exp.Options
