@@ -1,9 +1,16 @@
 // Package core implements the paper's algorithms on the message-passing
-// runtime: SUMMA (van de Geijn & Watts 1997, Section II-A of the paper) and
-// the paper's contribution HSUMMA (Section III, Algorithm 1) — the two-level
-// hierarchical redesign that splits every pivot broadcast into an
-// inter-group phase and an intra-group phase — plus the multilevel
-// (>2-level) generalisation the paper lists as future work.
+// runtime as one family: SUMMA (van de Geijn & Watts 1997, Section II-A of
+// the paper), the paper's contribution HSUMMA (Section III, Algorithm 1) —
+// which splits every pivot broadcast into an inter-group phase and an
+// intra-group phase — and the multilevel generalisation the paper lists as
+// future work are the 0-, 1- and h-level cases of one pivot loop over a
+// list of levels (pivotLoop in summa.go), under one validation
+// (Options.Validate). "SUMMA is a special case of HSUMMA" is therefore not
+// a property the tests have to establish between two implementations: a
+// level of 1×1 groups, or one that spans the grid, is a stage whose
+// communicators have a single rank. CyclicSUMMA is the same loop under the
+// block-cyclic layout, and the distributed Strassen recursion (strassen.go)
+// bottoms out in it.
 //
 // All algorithms multiply block-checkerboard-distributed matrices in
 // place and are shape-general: the global problem is C (M×N) += A (M×K) ·
@@ -105,9 +112,6 @@ func (o *Options) withDefaults() Options {
 	if out.Segments <= 0 {
 		out.Segments = 1
 	}
-	if out.OuterBlockSize == 0 {
-		out.OuterBlockSize = out.BlockSize
-	}
 	if out.Threads < 1 {
 		out.Threads = 1
 	}
@@ -121,18 +125,38 @@ func (o Options) tiles() (aRows, aCols, bRows, bCols int) {
 	return sh.M / g.S, sh.K / g.T, sh.K / g.S, sh.N / g.T
 }
 
-// validateSUMMA checks the divisibility constraints the implementation
-// relies on: uniform tiles per rank for each operand (s | M, s | K,
-// t | K, t | N) and pivot panels that live in exactly one grid
-// row/column (b | K/t for A's panels, b | K/s for B's), the same
-// constraints the paper's experiments satisfy with M = N = K.
-func (o Options) validateSUMMA() error {
+// Level is one grouping level of the hierarchy: the process grid (or the
+// previous level's subgrid) is partitioned into I×J groups, and panels of
+// width BlockSize are exchanged across those groups.
+type Level struct {
+	I, J      int
+	BlockSize int
+}
+
+// GroupLevels returns HSUMMA's hierarchy as a level list: one level of
+// Groups.I×Groups.J groups exchanging OuterBlockSize-wide panels (zero
+// means B = b, the configuration of all the paper's experiments).
+func (o Options) GroupLevels() []Level {
+	B := o.OuterBlockSize
+	if B == 0 {
+		B = o.BlockSize
+	}
+	return []Level{{I: o.Groups.I, J: o.Groups.J, BlockSize: B}}
+}
+
+// Validate is the one statement of what the pivot loop relies on, for any
+// hierarchy: uniform tiles per rank for each operand (s | M, s | K, t | K,
+// t | N); positive panel widths that do not increase going down the
+// levels to b, each a multiple of the next; top-level panels that live in
+// exactly one grid row/column (the top width divides K/t for A's panels
+// and K/s for B's); positive group counts whose products divide the grid;
+// and, when Groups is set, that it describes this grid. The paper's
+// experiments satisfy all of it with M = N = K.
+func (opts *Options) Validate(levels []Level) error {
+	o := opts.withDefaults()
 	sh := o.Shape
 	if err := sh.Validate(); err != nil {
 		return err
-	}
-	if o.BlockSize <= 0 {
-		return fmt.Errorf("core: invalid block size b=%d for shape %v", o.BlockSize, sh)
 	}
 	s, t := o.Grid.S, o.Grid.T
 	if s <= 0 || t <= 0 {
@@ -141,35 +165,29 @@ func (o Options) validateSUMMA() error {
 	if sh.M%s != 0 || sh.K%s != 0 || sh.K%t != 0 || sh.N%t != 0 {
 		return fmt.Errorf("core: shape %v not divisible by grid %v (need s | M, s | K, t | K, t | N)", sh, o.Grid)
 	}
-	if (sh.K/t)%o.BlockSize != 0 || (sh.K/s)%o.BlockSize != 0 {
-		return fmt.Errorf("core: block size %d does not divide the per-rank K extents %d (A columns) and %d (B rows)",
-			o.BlockSize, sh.K/t, sh.K/s)
+	if o.Groups != (topo.Hier{}) && o.Groups.Grid != o.Grid {
+		return fmt.Errorf("core: group hierarchy %v does not match grid %v", o.Groups.Grid, o.Grid)
 	}
-	return nil
-}
-
-// validateHSUMMA adds the hierarchical constraints: the group arrangement
-// must match the grid, B must be a multiple of b, and outer panels must
-// live in one grid row/column (B | K/s, B | K/t).
-func (o Options) validateHSUMMA() error {
-	if err := o.validateSUMMA(); err != nil {
-		return err
+	if o.BlockSize <= 0 {
+		return fmt.Errorf("core: invalid block size b=%d for shape %v", o.BlockSize, sh)
 	}
-	h := o.Groups
-	if h.Grid != o.Grid {
-		return fmt.Errorf("core: group hierarchy %v does not match grid %v", h.Grid, o.Grid)
+	top, prodI, prodJ := o.BlockSize, 1, 1
+	for k := len(levels) - 1; k >= 0; k-- {
+		lv := levels[k]
+		if lv.I <= 0 || lv.J <= 0 || lv.BlockSize <= 0 {
+			return fmt.Errorf("core: invalid level %d: %dx%d groups, width %d", k, lv.I, lv.J, lv.BlockSize)
+		}
+		if lv.BlockSize%top != 0 {
+			return fmt.Errorf("core: level %d width %d not a multiple of the next width %d", k, lv.BlockSize, top)
+		}
+		top, prodI, prodJ = lv.BlockSize, prodI*lv.I, prodJ*lv.J
 	}
-	if h.I <= 0 || h.J <= 0 || o.Grid.S%h.I != 0 || o.Grid.T%h.J != 0 {
-		return fmt.Errorf("core: invalid group arrangement %dx%d for grid %v", h.I, h.J, o.Grid)
+	if (sh.K/t)%top != 0 || (sh.K/s)%top != 0 {
+		return fmt.Errorf("core: top width %d does not divide the per-rank K extents %d (A columns) and %d (B rows)",
+			top, sh.K/t, sh.K/s)
 	}
-	B := o.OuterBlockSize
-	if B%o.BlockSize != 0 {
-		return fmt.Errorf("core: outer block %d not a multiple of inner block %d", B, o.BlockSize)
-	}
-	sh := o.Shape
-	if (sh.K/o.Grid.S)%B != 0 || (sh.K/o.Grid.T)%B != 0 {
-		return fmt.Errorf("core: outer block %d does not divide the per-rank K extents %d (A columns) and %d (B rows)",
-			B, sh.K/o.Grid.T, sh.K/o.Grid.S)
+	if s%prodI != 0 || t%prodJ != 0 {
+		return fmt.Errorf("core: level products %dx%d do not divide grid %v", prodI, prodJ, o.Grid)
 	}
 	return nil
 }

@@ -197,17 +197,17 @@ func TestValidationErrors(t *testing.T) {
 		{"B not multiple of b", Options{N: 16, Grid: g, Knobs: Knobs{BlockSize: 3, OuterBlockSize: 4}, Groups: h}, true},
 		{"B too large for tile", Options{N: 8, Grid: g, Knobs: Knobs{BlockSize: 2, OuterBlockSize: 8}, Groups: h}, true},
 		{"mismatched hierarchy", Options{N: 8, Grid: g, Knobs: Knobs{BlockSize: 2}, Groups: topo.Hier{Grid: topo.Grid{S: 4, T: 4}, I: 2, J: 2}}, true},
+		{"groups exceed grid", Options{N: 8, Grid: g, Knobs: Knobs{BlockSize: 2}, Groups: topo.Hier{Grid: g, I: 4, J: 2}}, true},
+		{"negative B", Options{N: 8, Grid: g, Knobs: Knobs{BlockSize: 2, OuterBlockSize: -2}, Groups: h}, true},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			var err error
+			var levels []Level
 			if c.hier {
-				err = c.o.withDefaults().validateHSUMMA()
-			} else {
-				err = c.o.withDefaults().validateSUMMA()
+				levels = c.o.GroupLevels()
 			}
-			if err == nil {
+			if err := c.o.Validate(levels); err == nil {
 				t.Fatalf("%s: accepted", c.name)
 			}
 		})

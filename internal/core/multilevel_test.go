@@ -3,9 +3,11 @@ package core
 import (
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
+	"repro/internal/sched"
 	"repro/internal/topo"
 )
 
@@ -182,5 +184,66 @@ func TestMultilevelLatencyReduction(t *testing.T) {
 	}
 	if hier >= flat {
 		t.Fatalf("hierarchy did not reduce message count: flat=%d hier=%d", flat, hier)
+	}
+}
+
+// stubComm is one rank of a grid with nobody else in it: collectives and
+// the data plane do nothing but count, so a test can run a single rank's
+// pivot loop alone and observe what the loop itself does.
+type stubComm struct {
+	rank, size int
+	packs      *int
+}
+
+func (s stubComm) Rank() int                                             { return s.rank }
+func (s stubComm) Size() int                                             { return s.size }
+func (s stubComm) Split(color, key int) comm.Comm                        { return s }
+func (s stubComm) Send(int, int, *comm.Panel)                            {}
+func (s stubComm) Recv(int, int, *comm.Panel)                            {}
+func (s stubComm) SendRecv(int, int, *comm.Panel, int, int, *comm.Panel) {}
+func (s stubComm) Bcast(sched.Algorithm, int, *comm.Panel, int)          {}
+func (s stubComm) NewPanel(rows, cols int) *comm.Panel {
+	return &comm.Panel{Tile: matrix.Dense{Rows: rows, Cols: cols, Stride: cols}}
+}
+func (s stubComm) NewTile(rows, cols int) *matrix.Dense {
+	return &matrix.Dense{Rows: rows, Cols: cols, Stride: cols}
+}
+func (s stubComm) Pack(*comm.Panel, *matrix.Dense)            { *s.packs++ }
+func (s stubComm) Repack(*comm.Panel, *comm.Panel, int, int)  {}
+func (s stubComm) Gemm(_, _, _ *matrix.Dense, _ comm.Exec)    {}
+func (s stubComm) Axpy(float64, *matrix.Dense, *matrix.Dense) {}
+
+// The loop's bookkeeping is allocated once per run, never per step: beyond
+// the one view header per panel a rank packs from its tile (as in every
+// loop before the merge), one rank's run allocates the same whether it
+// walks K in 8 steps or in 64 — under no levels, HSUMMA's one, and two.
+func TestPivotLoopAllocatesPerRunNotPerStep(t *testing.T) {
+	g := topo.Grid{S: 4, T: 4}
+	const k = 1024 // per-rank K extent 256
+	for name, levels := range map[string]func(b int) []Level{
+		"summa":     func(int) []Level { return nil },
+		"hsumma":    func(b int) []Level { return []Level{{I: 2, J: 2, BlockSize: 2 * b}} },
+		"two-level": func(b int) []Level { return []Level{{I: 2, J: 1, BlockSize: 2 * b}, {I: 1, J: 2, BlockSize: b}} },
+	} {
+		own := func(steps int) float64 {
+			b := k / steps
+			packs := 0
+			c := stubComm{rank: 5, size: g.Size(), packs: &packs}
+			o := Options{Shape: matrix.Shape{M: 64, N: 64, K: k}, Grid: g}
+			aLoc, bLoc, cLoc := c.NewTile(16, k/4), c.NewTile(k/4, 16), c.NewTile(16, 16)
+			allocs := testing.AllocsPerRun(5, func() {
+				packs = 0
+				if err := MultilevelHSUMMA(c, o, levels(b), b, aLoc, bLoc, cLoc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if packs == 0 {
+				t.Fatalf("%s: the stub rank packed nothing", name)
+			}
+			return allocs - float64(packs)
+		}
+		if few, many := own(8), own(64); few != many {
+			t.Errorf("%s: %v allocations of the loop's own at K/b = 8, %v at K/b = 64", name, few, many)
+		}
 	}
 }

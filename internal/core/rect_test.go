@@ -184,7 +184,7 @@ func TestRectValidationErrors(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			if err := c.o.withDefaults().validateSUMMA(); err == nil {
+			if err := c.o.Validate(nil); err == nil {
 				t.Fatalf("%s accepted", c.name)
 			}
 		})

@@ -101,30 +101,28 @@ func (o Options) validateStrassen(levels int) error {
 	if sh.N%div != 0 {
 		return fmt.Errorf("core: strassen: n=%d not divisible by 2^levels = %d", sh.N, div)
 	}
-	bot, err := o.strassenBottom(sh.N/div, o.Grid.S/div)
+	bot, hier, err := o.strassenBottom(sh.N/div, o.Grid.S/div)
 	if err != nil {
 		return err
 	}
-	if o.StrassenInnerGroups > 0 {
-		return bot.validateHSUMMA()
-	}
-	return bot.validateSUMMA()
+	return bot.Validate(hier)
 }
 
-// strassenBottom builds the Options for the sub-problem the recursion
-// bottoms out in: size n on an s×s sub-grid under the same knobs (SUMMA and
-// HSUMMA ignore the Strassen ones, SUMMA the outer block), SUMMA by default
-// or HSUMMA with StrassenInnerGroups groups factored onto the sub-grid.
-func (o Options) strassenBottom(n, s int) (Options, error) {
+// strassenBottom builds the Options and hierarchy of the sub-problem the
+// recursion bottoms out in: size n on an s×s sub-grid under the same knobs
+// (the pivot loop ignores the Strassen ones), SUMMA by default or HSUMMA
+// with StrassenInnerGroups groups factored onto the sub-grid.
+func (o Options) strassenBottom(n, s int) (Options, []Level, error) {
 	bot := Options{Shape: matrix.Square(n), Grid: topo.Grid{S: s, T: s}, Knobs: o.Knobs}
-	if g := o.StrassenInnerGroups; g > 0 {
-		h, err := topo.FactorGroups(bot.Grid, g)
-		if err != nil {
-			return Options{}, fmt.Errorf("core: strassen: inner groups: %w", err)
-		}
-		bot.Groups = h
+	if o.StrassenInnerGroups <= 0 {
+		return bot, nil, nil
 	}
-	return bot, nil
+	h, err := topo.FactorGroups(bot.Grid, o.StrassenInnerGroups)
+	if err != nil {
+		return Options{}, nil, fmt.Errorf("core: strassen: inner groups: %w", err)
+	}
+	bot.Groups = h
+	return bot, bot.GroupLevels(), nil
 }
 
 // Strassen performs C += A·B with the two-level distributed Strassen
@@ -251,16 +249,11 @@ func strassenLevel(c comm.Comm, o Options, n, s, level int, aLoc, bLoc, cLoc *ma
 				return err
 			}
 		} else {
-			bot, err := o.strassenBottom(n/2, half)
+			bot, levels, err := o.strassenBottom(n/2, half)
 			if err != nil {
 				return err
 			}
-			if o.StrassenInnerGroups > 0 {
-				err = HSUMMA(sub, bot, &sumA.Tile, &sumB.Tile, prod)
-			} else {
-				err = SUMMA(sub, bot, &sumA.Tile, &sumB.Tile, prod)
-			}
-			if err != nil {
+			if err := pivotLoop(sub, &bot, levels, blockLayout, &sumA.Tile, &sumB.Tile, prod); err != nil {
 				return err
 			}
 		}

@@ -182,22 +182,15 @@ func (s Spec) Key() string {
 	fmt.Fprintf(&b, "%s|%dx%dx%d|g=%dx%d|b=%d",
 		s.Algorithm, sh.M, sh.N, sh.K, s.Opts.Grid.S, s.Opts.Grid.T, s.Opts.BlockSize)
 	if s.Algorithm == HSUMMA {
-		outer := s.Opts.OuterBlockSize
-		if outer == 0 {
-			outer = s.Opts.BlockSize
-		}
-		fmt.Fprintf(&b, "|B=%d|G=%dx%d", outer, s.Opts.Groups.I, s.Opts.Groups.J)
+		lv := s.Opts.GroupLevels()[0]
+		fmt.Fprintf(&b, "|B=%d|G=%dx%d", lv.BlockSize, lv.I, lv.J)
 	}
 	if s.Algorithm == Strassen {
 		// Levels are canonicalised (≤ 0 means one level); the inner-group
 		// count and HSUMMA outer block are keyed only when they bind.
 		fmt.Fprintf(&b, "|sl=%d", core.StrassenLevelsOf(s.Opts.StrassenLevels))
 		if s.Opts.StrassenInnerGroups > 0 {
-			outer := s.Opts.OuterBlockSize
-			if outer == 0 {
-				outer = s.Opts.BlockSize
-			}
-			fmt.Fprintf(&b, "|sg=%d|B=%d", s.Opts.StrassenInnerGroups, outer)
+			fmt.Fprintf(&b, "|sg=%d|B=%d", s.Opts.StrassenInnerGroups, s.Opts.GroupLevels()[0].BlockSize)
 		}
 	}
 	fmt.Fprintf(&b, "|bc=%s|seg=%d", bcast, seg)
@@ -219,6 +212,36 @@ func (s Spec) Key() string {
 	return b.String()
 }
 
+// Hierarchy returns the spec's hierarchy as the canonical level list the
+// SUMMA family is written over — SUMMA has no levels, HSUMMA one (its
+// groups exchanging B-wide panels), multilevel its Levels — and false for
+// the algorithms outside the family. Padding, validation, the pivot loop
+// and the closed-form cost all read this list and nothing else. (Pointer
+// receiver: Run calls it on every rank's stack, where a copy of the spec
+// is not free.)
+func (s *Spec) Hierarchy() ([]core.Level, bool) {
+	switch s.Algorithm {
+	case SUMMA:
+		return nil, true
+	case HSUMMA:
+		return s.Opts.GroupLevels(), true
+	case Multilevel:
+		return s.Levels, true
+	}
+	return nil, false
+}
+
+// Validate reports whether a SUMMA-family spec is executable as it stands
+// (core.Options.Validate over its hierarchy; call it on a padded spec).
+// The other algorithms validate inside their own run.
+func (s Spec) Validate() error {
+	levels, ok := s.Hierarchy()
+	if !ok {
+		return nil
+	}
+	return s.Opts.Validate(levels)
+}
+
 // PaddedShape returns the smallest execution shape ≥ the spec's shape that
 // satisfies the algorithm's divisibility constraints on its grid and block
 // sizes. Zero-padding preserves the product — the top-left M×N block of
@@ -234,6 +257,23 @@ func (s Spec) PaddedShape() (matrix.Shape, error) {
 	g := s.Opts.Grid
 	if g.S <= 0 || g.T <= 0 {
 		return sh, nil // grid validation happens in the algorithm
+	}
+	if levels, ok := s.Hierarchy(); ok {
+		// The K padding unit: panels of the widest level must live in one
+		// grid row and one grid column, so K must be a multiple of
+		// unit·lcm(S,T); M and N only need their own grid dimension.
+		unit := s.Opts.BlockSize
+		if len(levels) > 0 && levels[0].BlockSize > unit {
+			unit = levels[0].BlockSize
+		}
+		if unit <= 0 {
+			return sh, nil // block validation happens in the algorithm
+		}
+		return matrix.Shape{
+			M: ceilMult(sh.M, g.S),
+			N: ceilMult(sh.N, g.T),
+			K: PaddedK(sh.K, unit, g),
+		}, nil
 	}
 	switch s.Algorithm {
 	case Cannon, Fox:
@@ -266,25 +306,6 @@ func (s Spec) PaddedShape() (matrix.Shape, error) {
 			return sh, nil // block validation happens in the algorithm
 		}
 		return matrix.Square(ceilMult(sh.N, unit*g.S)), nil
-	case SUMMA, HSUMMA, Multilevel:
-		// The K padding unit: panels of the widest level must live in one
-		// grid row and one grid column, so K must be a multiple of
-		// unit·lcm(S,T); M and N only need their own grid dimension.
-		unit := s.Opts.BlockSize
-		if s.Algorithm == HSUMMA && s.Opts.OuterBlockSize > unit {
-			unit = s.Opts.OuterBlockSize
-		}
-		if s.Algorithm == Multilevel && len(s.Levels) > 0 && s.Levels[0].BlockSize > unit {
-			unit = s.Levels[0].BlockSize
-		}
-		if unit <= 0 {
-			return sh, nil // block validation happens in the algorithm
-		}
-		return matrix.Shape{
-			M: ceilMult(sh.M, g.S),
-			N: ceilMult(sh.N, g.T),
-			K: PaddedK(sh.K, unit, g),
-		}, nil
 	}
 	return sh, nil
 }
@@ -344,13 +365,10 @@ func Run(c comm.Comm, s Spec, aLoc, bLoc, cLoc *matrix.Dense) error {
 	if s.Opts.Shape.IsZero() {
 		s.Opts.Shape = s.Shape()
 	}
+	if levels, ok := s.Hierarchy(); ok {
+		return core.MultilevelHSUMMA(c, s.Opts, levels, s.Opts.BlockSize, aLoc, bLoc, cLoc)
+	}
 	switch s.Algorithm {
-	case SUMMA:
-		return core.SUMMA(c, s.Opts, aLoc, bLoc, cLoc)
-	case HSUMMA:
-		return core.HSUMMA(c, s.Opts, aLoc, bLoc, cLoc)
-	case Multilevel:
-		return core.MultilevelHSUMMA(c, s.Opts, s.Levels, s.Opts.BlockSize, aLoc, bLoc, cLoc)
 	case Cannon:
 		return baseline.Cannon(c, s.Opts.Grid, s.Shape(), s.Opts.Exec(), aLoc, bLoc, cLoc)
 	case Fox:

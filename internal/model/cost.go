@@ -33,13 +33,6 @@ func (p Params) elemBytes() float64 {
 	return p.ElemBytes
 }
 
-func (p Params) bcast() Broadcast {
-	if p.Bcast == nil {
-		return BinomialTree{}
-	}
-	return p.Bcast
-}
-
 // Validate rejects non-positive parameters.
 func (p Params) Validate() error {
 	if p.N <= 0 || p.P <= 0 || p.B <= 0 {
@@ -62,28 +55,62 @@ func (c Cost) Comm() float64 { return c.Latency + c.Bandwidth }
 // Total returns communication plus computation (Figure 8's overall time).
 func (c Cost) Total() float64 { return c.Comm() + c.Compute }
 
-// SUMMA evaluates the flat algorithm's cost: per Table I/II, with the
-// generic model of equation (2):
+// Level is one grouping level of the hierarchy as the cost formula sees
+// it: the group-grid dimensions I×J — the sizes of the level's vertical
+// (B panels) and horizontal (A panels) communicators — and the width of
+// the panels exchanged across them. The fields are real-valued so the
+// analysis can treat G as continuous (∂T/∂G, the √G×√G arrangement of a
+// non-square G).
+type Level struct{ I, J, Width float64 }
+
+// family is the one closed-form cost of the SUMMA family: C (M×N) += A
+// (M×K)·B (K×N) on an S×T grid under a hierarchy of grouping levels
+// (outermost first) over an innermost block b. Every level — and, last,
+// what the levels leave of the grid, b wide — is one broadcast stage that
+// moves the whole of A's and B's per-rank panels once, in K/width steps:
+//
+//	T = Σ_stages (K/w)·( L(J) + L(I) )·α + ( (M·K/S)·W(J) + (K·N/T)·W(I) )·β
+//
+// No levels is SUMMA's Table I/II row, 2·(n/b)·L(√p)·α + 2·(n²/√p)·W(√p)·β
+// at M = N = K = n on √p×√p; one level of √G×√G groups is HSUMMA's (eq.
+// 3–5); L(1) = W(1) = 0 makes G = 1 and G = p reproduce SUMMA exactly.
+func family(M, N, K, S, T, b float64, levels []Level, m hockney.Model, bc Broadcast, elemBytes float64) Cost {
+	if bc == nil {
+		bc = BinomialTree{}
+	}
+	if elemBytes <= 0 {
+		elemBytes = 1
+	}
+	c := Cost{Compute: m.Compute(2 * M * N * K / (S * T))}
+	stage := func(lv Level) {
+		c.Latency += (K / lv.Width) * (bc.Latency(lv.J) + bc.Latency(lv.I)) * m.Alpha
+		c.Bandwidth += (M*K/S*bc.Bandwidth(lv.J) + K*N/T*bc.Bandwidth(lv.I)) * elemBytes * m.Beta
+	}
+	rest := Level{I: S, J: T, Width: b}
+	for _, lv := range levels {
+		stage(lv)
+		rest.I /= lv.I
+		rest.J /= lv.J
+	}
+	stage(rest)
+	return c
+}
+
+// family evaluates the square analysis' instance: n×n on √p×√p.
+func (p Params) family(levels []Level) Cost {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
+	n, sq := float64(p.N), math.Sqrt(float64(p.P))
+	return family(n, n, n, sq, sq, float64(p.B), levels, p.Machine, p.Bcast, p.ElemBytes)
+}
+
+// SUMMA evaluates the flat algorithm's cost (Table I/II, equation 2):
 //
 //	T_S(n,p) = 2·( (n/b)·L(√p)·α + (n²/√p)·W(√p)·β )
 //
 // The factor 2 covers the A (horizontal) and B (vertical) broadcasts.
-func SUMMA(par Params) Cost {
-	if err := par.Validate(); err != nil {
-		panic(err)
-	}
-	n := float64(par.N)
-	p := float64(par.P)
-	b := float64(par.B)
-	bc := par.bcast()
-	sq := math.Sqrt(p)
-	m := par.Machine
-	return Cost{
-		Latency:   2 * (n / b) * bc.Latency(sq) * m.Alpha,
-		Bandwidth: 2 * (n * n / sq) * par.elemBytes() * bc.Bandwidth(sq) * m.Beta,
-		Compute:   m.Compute(2 * n * n * n / p),
-	}
-}
+func SUMMA(par Params) Cost { return par.family(nil) }
 
 // HSUMMA evaluates the hierarchical algorithm's cost for G groups
 // (equations 3–5 with b = B):
@@ -92,47 +119,20 @@ func SUMMA(par Params) Cost {
 //	            + 2·(n²/√p)·( W(√G) + W(√(p/G)) )·β
 //
 // G = 1 and G = p reproduce SUMMA exactly (L(1) = W(1) = 0).
-func HSUMMA(par Params, G float64) Cost {
-	if err := par.Validate(); err != nil {
-		panic(err)
-	}
+func HSUMMA(par Params, G float64) Cost { return HSUMMASplitBlocks(par, G, par.B) }
+
+// HSUMMASplitBlocks is HSUMMA with distinct inner block b and outer block
+// B (the paper's Table II general row): the inner latency factor uses n/b
+// steps, the outer one n/B.
+func HSUMMASplitBlocks(par Params, G float64, outerB int) Cost {
 	if G < 1 || G > float64(par.P) {
 		panic(fmt.Sprintf("model: G=%g outside [1,%d]", G, par.P))
 	}
-	n := float64(par.N)
-	p := float64(par.P)
-	b := float64(par.B)
-	bc := par.bcast()
-	m := par.Machine
-	sqG := math.Sqrt(G)
-	sqIn := math.Sqrt(p / G)
-	return Cost{
-		Latency:   2 * (n / b) * (bc.Latency(sqG) + bc.Latency(sqIn)) * m.Alpha,
-		Bandwidth: 2 * (n * n / math.Sqrt(p)) * par.elemBytes() * (bc.Bandwidth(sqG) + bc.Bandwidth(sqIn)) * m.Beta,
-		Compute:   m.Compute(2 * n * n * n / p),
-	}
-}
-
-// HSUMMASplitBlocks generalises HSUMMA to distinct inner block b and outer
-// block B (the paper's Table II general row): the inner latency factor uses
-// n/b steps, the outer one n/B.
-func HSUMMASplitBlocks(par Params, G float64, outerB int) Cost {
-	if outerB <= 0 || outerB%par.B != 0 {
+	if outerB <= 0 || par.B <= 0 || outerB%par.B != 0 {
 		panic(fmt.Sprintf("model: outer block %d must be a positive multiple of b=%d", outerB, par.B))
 	}
-	n := float64(par.N)
-	p := float64(par.P)
-	b := float64(par.B)
-	Bo := float64(outerB)
-	bc := par.bcast()
-	m := par.Machine
 	sqG := math.Sqrt(G)
-	sqIn := math.Sqrt(p / G)
-	return Cost{
-		Latency:   2 * ((n/b)*bc.Latency(sqIn) + (n/Bo)*bc.Latency(sqG)) * m.Alpha,
-		Bandwidth: 2 * (n * n / math.Sqrt(p)) * par.elemBytes() * (bc.Bandwidth(sqG) + bc.Bandwidth(sqIn)) * m.Beta,
-		Compute:   m.Compute(2 * n * n * n / p),
-	}
+	return par.family([]Level{{I: sqG, J: sqG, Width: float64(outerB)}})
 }
 
 // MinimumAtSqrtP reports the paper's condition (eq. 10): with the Van de

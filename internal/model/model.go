@@ -1,14 +1,18 @@
 // Package model implements the paper's closed-form performance analysis
 // (Section IV): the generic broadcast model T_bcast(m,p) = L(p)·α + m·W(p)·β
-// of equation (1), the SUMMA and HSUMMA communication cost functions of
-// Tables I and II, the extremum analysis of ∂T_HS/∂G (equations 6–11, with
-// the G = √p stationary point and the α/β ⋛ 2nb/p minimum/maximum
-// condition), and the exascale prediction of Figure 10.
+// of equation (1); one communication cost for the whole SUMMA family — a
+// sum over the broadcast stages of a hierarchy (family in cost.go), of
+// which Table I/II's SUMMA row is the no-level instance and the HSUMMA row
+// the one-level instance; the extremum analysis of ∂T_HS/∂G (equations
+// 6–11, with the G = √p stationary point and the α/β ⋛ 2nb/p
+// minimum/maximum condition); and the exascale prediction of Figure 10.
 //
-// Conventions: the paper's analysis assumes a square √p×√p grid and, for
-// HSUMMA, √G×√G groups with b = B unless stated. Message sizes on the wire
-// are counted in bytes (8 per float64 element), so β is in seconds/byte as
-// in the platform presets.
+// Conventions: the paper's analysis (SUMMA, HSUMMA, Params) assumes a
+// square √p×√p grid and √G×√G groups with b = B unless stated, and treats
+// G as a real number; the planner's instances (RectParams, Family) take an
+// explicit S×T grid, a rectangular problem and integer levels. Message
+// sizes on the wire are counted in bytes (8 per float64 element), so β is
+// in seconds/byte as in the platform presets.
 package model
 
 import (

@@ -8,15 +8,13 @@ import (
 	"repro/internal/topo"
 )
 
-// This file generalises the paper's closed-form costs from the square
-// (n, √p×√p) analysis of Tables I–II to rectangular problems on explicit
-// S×T grids: the per-rank panels are (M/S)×b for A and b×(N/T) for B, and
-// the pivot loop makes K/b steps over the contraction dimension. On a
-// square problem (M = N = K on a square grid with square groups) the
-// rectangular forms delegate to the square formulas, so they reduce to
-// them *bit-exactly* — the planner's stage-1 ranking of a square request
-// is unchanged by the generalisation (asserted in rect_test.go on all
-// five platform presets).
+// This file instantiates the closed-form cost on explicit S×T grids and
+// rectangular problems — what the planner scores — where the paper's
+// Tables I–II assume (n, √p×√p): the per-rank panels are (M/S)×b for A and
+// b×(N/T) for B, and the pivot loop makes K/b steps over the contraction
+// dimension. It is the same formula (family), so a square problem on a
+// square grid with square groups scores exactly as the square analysis
+// does (asserted in rect_test.go on all five platform presets).
 
 // RectParams fixes a rectangular GEMM instance on an explicit process
 // grid for the generalised closed-form analysis.
@@ -47,25 +45,14 @@ func (p RectParams) validate() error {
 	return nil
 }
 
-func (p RectParams) square() Params {
-	return Params{N: p.Shape.N, P: p.Grid.Size(), B: p.B,
-		Machine: p.Machine, Bcast: p.Bcast, ElemBytes: p.ElemBytes}
-}
-
-func (p RectParams) isSquare() bool { return p.Shape.IsSquare() && p.Grid.S == p.Grid.T }
-
-func (p RectParams) bcast() Broadcast {
-	if p.Bcast == nil {
-		return BinomialTree{}
-	}
-	return p.Bcast
-}
-
-func (p RectParams) elemBytes() float64 {
-	if p.ElemBytes <= 0 {
-		return 1
-	}
-	return p.ElemBytes
+// Family evaluates the SUMMA family's closed-form cost (see family) for
+// the hierarchy of grouping levels, outermost first: none is SUMMA, one is
+// HSUMMA, more is the multilevel algorithm. It is pure arithmetic — the
+// caller (the planner's scorer) has validated the configuration.
+func Family(par RectParams, levels []Level) Cost {
+	sh, g := par.Shape, par.Grid
+	return family(float64(sh.M), float64(sh.N), float64(sh.K), float64(g.S), float64(g.T), float64(par.B),
+		levels, par.Machine, par.Bcast, par.ElemBytes)
 }
 
 // SUMMARect evaluates the flat algorithm's cost on a rectangular problem:
@@ -74,50 +61,18 @@ func (p RectParams) elemBytes() float64 {
 // communicator:
 //
 //	T_S = (K/b)·( L(T) + L(S) )·α + (K/b)·( (M/S)·b·W(T) + b·(N/T)·W(S) )·β
-//
-// With M = N = K = n on a √p×√p grid this is Table I/II's
-// 2·(n/b)·L(√p)·α + 2·(n²/√p)·W(√p)·β, and the square case delegates to
-// SUMMA so the reduction is bit-exact.
 func SUMMARect(par RectParams) Cost {
 	if err := par.validate(); err != nil {
 		panic(err)
 	}
-	if par.isSquare() {
-		return SUMMA(par.square())
-	}
-	return summaRectGeneric(par)
-}
-
-// summaRectGeneric is the rectangular arithmetic itself, shared with the
-// package tests that assert it agrees with the square closed form when
-// evaluated at M = N = K (the delegation above then makes the public
-// reduction bit-exact).
-func summaRectGeneric(par RectParams) Cost {
-	M := float64(par.Shape.M)
-	N := float64(par.Shape.N)
-	K := float64(par.Shape.K)
-	S := float64(par.Grid.S)
-	T := float64(par.Grid.T)
-	b := float64(par.B)
-	bc := par.bcast()
-	eb := par.elemBytes()
-	m := par.Machine
-	steps := K / b
-	return Cost{
-		Latency:   steps*bc.Latency(T)*m.Alpha + steps*bc.Latency(S)*m.Alpha,
-		Bandwidth: steps*(M/S)*b*eb*bc.Bandwidth(T)*m.Beta + steps*b*(N/T)*eb*bc.Bandwidth(S)*m.Beta,
-		Compute:   m.Compute(2 * M * N * K / (S * T)),
-	}
+	return Family(par, nil)
 }
 
 // HSUMMARect evaluates the hierarchical algorithm's cost for an I×J group
 // arrangement on a rectangular problem, with inner block b and outer
 // block outerB (0 means b): K/outerB inter-group steps over the J-wide
 // group-row and I-tall group-column communicators, plus K/b intra-group
-// steps over the (T/J)-wide and (S/I)-tall inner communicators. With
-// M = N = K on a square grid with square groups it delegates to HSUMMA
-// (or HSUMMASplitBlocks when outerB ≠ b), reducing bit-exactly to the
-// paper's Table II forms.
+// steps over the (T/J)-wide and (S/I)-tall inner communicators.
 func HSUMMARect(par RectParams, I, J, outerB int) Cost {
 	if err := par.validate(); err != nil {
 		panic(err)
@@ -128,37 +83,5 @@ func HSUMMARect(par RectParams, I, J, outerB int) Cost {
 	if outerB == 0 {
 		outerB = par.B
 	}
-	if par.isSquare() && I == J {
-		if outerB == par.B {
-			return HSUMMA(par.square(), float64(I*J))
-		}
-		return HSUMMASplitBlocks(par.square(), float64(I*J), outerB)
-	}
-	return hsummaRectGeneric(par, I, J, outerB)
-}
-
-// hsummaRectGeneric is the rectangular two-phase arithmetic, shared with
-// the package tests (see summaRectGeneric).
-func hsummaRectGeneric(par RectParams, I, J, outerB int) Cost {
-	M := float64(par.Shape.M)
-	N := float64(par.Shape.N)
-	K := float64(par.Shape.K)
-	S := float64(par.Grid.S)
-	T := float64(par.Grid.T)
-	b := float64(par.B)
-	Bo := float64(outerB)
-	fI := float64(I)
-	fJ := float64(J)
-	bc := par.bcast()
-	eb := par.elemBytes()
-	m := par.Machine
-	outer := K / Bo
-	inner := K / b
-	return Cost{
-		Latency: outer*bc.Latency(fJ)*m.Alpha + outer*bc.Latency(fI)*m.Alpha +
-			inner*bc.Latency(T/fJ)*m.Alpha + inner*bc.Latency(S/fI)*m.Alpha,
-		Bandwidth: outer*(M/S)*Bo*eb*bc.Bandwidth(fJ)*m.Beta + outer*Bo*(N/T)*eb*bc.Bandwidth(fI)*m.Beta +
-			inner*(M/S)*b*eb*bc.Bandwidth(T/fJ)*m.Beta + inner*b*(N/T)*eb*bc.Bandwidth(S/fI)*m.Beta,
-		Compute: m.Compute(2 * M * N * K / (S * T)),
-	}
+	return Family(par, []Level{{I: float64(I), J: float64(J), Width: float64(outerB)}})
 }

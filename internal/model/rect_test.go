@@ -50,25 +50,51 @@ func TestRectReducesToSquareBitExact(t *testing.T) {
 	}
 }
 
-// The generic rectangular arithmetic (the non-delegated path) must agree
-// with the square closed form to floating-point reassociation tolerance —
-// the delegation above is a consistency shortcut, not a different model.
-func TestRectGenericAgreesWithSquare(t *testing.T) {
-	n, p, b := 4096, 256, 64
-	grid := topo.Grid{S: 16, T: 16}
+// The one formula against the paper: Table I (binomial broadcast) and
+// Table II (scatter-allgather), written out literally — SUMMA's row and
+// HSUMMA's "inside groups" plus "between groups" rows — on every platform
+// preset, with B = b and with the general row's B = 4b.
+func TestFamilyMatchesPaperTables(t *testing.T) {
+	const n, p, G, b = 65536.0, 16384.0, 256.0, 256.0
+	sqP, sqG, sqIn := math.Sqrt(p), math.Sqrt(G), math.Sqrt(p/G)
+	agree := func(what string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-12*want {
+			t.Fatalf("%s: formula %g, paper's table %g", what, got, want)
+		}
+	}
 	for _, pf := range presets() {
-		for _, bc := range []Broadcast{BinomialTree{}, VanDeGeijn{}} {
-			rp := RectParams{Shape: matrix.Square(n), Grid: grid, B: b, Machine: pf.Model, Bcast: bc}
-			sp := Params{N: n, P: p, B: b, Machine: pf.Model, Bcast: bc}
-			got := summaRectGeneric(rp).Comm()
-			want := SUMMA(sp).Comm()
-			if math.Abs(got-want) > 1e-12*want {
-				t.Fatalf("%s/%s: generic rect %g vs square %g", pf.Name, bc.Name(), got, want)
+		alpha, beta := pf.Model.Alpha, pf.Model.Beta
+		for _, B := range []float64{b, 4 * b} {
+			tables := []struct {
+				bc                  Broadcast
+				summaLat, summaBW   float64
+				hsummaLat, hsummaBW float64
+			}{
+				{ // Table I
+					bc:        BinomialTree{},
+					summaLat:  math.Log2(p) * n / b * alpha,
+					summaBW:   math.Log2(p) * n * n / sqP * beta,
+					hsummaLat: math.Log2(p/G)*n/b*alpha + math.Log2(G)*n/B*alpha,
+					hsummaBW:  math.Log2(p/G)*n*n/sqP*beta + math.Log2(G)*n*n/sqP*beta,
+				},
+				{ // Table II
+					bc:        VanDeGeijn{},
+					summaLat:  (math.Log2(p) + 2*(sqP-1)) * n / b * alpha,
+					summaBW:   4 * (1 - 1/sqP) * n * n / sqP * beta,
+					hsummaLat: (math.Log2(p/G)+2*(sqIn-1))*n/b*alpha + (math.Log2(G)+2*(sqG-1))*n/B*alpha,
+					hsummaBW:  4*(1-sqG/sqP)*n*n/sqP*beta + 4*(1-1/sqG)*n*n/sqP*beta,
+				},
 			}
-			gotH := hsummaRectGeneric(rp, 4, 4, b).Comm()
-			wantH := HSUMMA(sp, 16).Comm()
-			if math.Abs(gotH-wantH) > 1e-12*wantH {
-				t.Fatalf("%s/%s HSUMMA: generic rect %g vs square %g", pf.Name, bc.Name(), gotH, wantH)
+			for _, tb := range tables {
+				name := pf.Name + "/" + tb.bc.Name()
+				rp := RectParams{Shape: matrix.Square(int(n)), Grid: topo.Grid{S: int(sqP), T: int(sqP)}, B: int(b), Machine: pf.Model, Bcast: tb.bc}
+				s := SUMMARect(rp)
+				agree(name+" SUMMA latency", s.Latency, tb.summaLat)
+				agree(name+" SUMMA bandwidth", s.Bandwidth, tb.summaBW)
+				h := HSUMMARect(rp, int(sqG), int(sqG), int(B))
+				agree(name+" HSUMMA latency", h.Latency, tb.hsummaLat)
+				agree(name+" HSUMMA bandwidth", h.Bandwidth, tb.hsummaBW)
 			}
 		}
 	}

@@ -144,3 +144,46 @@ func TestParityAcrossGroupCounts(t *testing.T) {
 		})
 	}
 }
+
+// A three-stage hierarchy against its traffic in closed form, rank by rank.
+// At stage k a row's A panel crosses one communicator per combination of
+// the coarser column digits — every coarser group already holds its copy —
+// so S·ΠJ_{<k} communicators of J_k ranks broadcast per step, K/w_k steps;
+// B's likewise with I for J. A binomial broadcast over q ranks is q−1
+// sends of the whole panel, and because the pivot owner visits every grid
+// column and row equally often, every rank is every broadcast's root,
+// relay and leaf equally often: each rank sends exactly 1/p of the total.
+func TestThreeLevelTrafficClosedForm(t *testing.T) {
+	const n, s, b = 256, 8, 4
+	g := topo.Grid{S: s, T: s}
+	levels := []core.Level{{I: 2, J: 2, BlockSize: 16}, {I: 2, J: 2, BlockSize: 8}}
+	var messages, bytes int64
+	coarserI, coarserJ := 1, 1
+	for _, st := range append(levels[:2:2], core.Level{I: 2, J: 2, BlockSize: b}) { // 8 = 2·2·2
+		steps := int64(n / st.BlockSize)
+		sends := int64(s*coarserJ*(st.J-1) + s*coarserI*(st.I-1))
+		messages += steps * sends
+		bytes += steps * sends * int64(n/s*st.BlockSize) * 8
+		coarserI, coarserJ = coarserI*st.I, coarserJ*st.J
+	}
+	p := int64(g.Size())
+	cfg := Config{N: n, Grid: g, Knobs: core.Knobs{BlockSize: b}, Levels: levels,
+		Machine: hockney.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}}
+	for r, st := range liveStats(t, cfg, engine.Multilevel) {
+		if st.SentMessages != messages/p || st.SentBytes != bytes/p {
+			t.Fatalf("live rank %d sent %d messages / %d bytes, closed form %d / %d", r, st.SentMessages, st.SentBytes, messages/p, bytes/p)
+		}
+	}
+	for _, ex := range []engine.Executor{engine.ExecutorGoroutine, engine.ExecutorEvent} {
+		cfg.Executor = ex
+		_, stats, err := RunStats(cfg, engine.Multilevel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, st := range stats {
+			if st.SentMessages != messages/p || st.SentBytes != bytes/p {
+				t.Fatalf("%s rank %d sent %d messages / %d bytes, closed form %d / %d", ex, r, st.SentMessages, st.SentBytes, messages/p, bytes/p)
+			}
+		}
+	}
+}

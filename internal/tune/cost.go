@@ -1,6 +1,8 @@
 package tune
 
 import (
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hockney"
@@ -10,15 +12,15 @@ import (
 	"repro/internal/topo"
 )
 
-// scorer evaluates candidates with the closed-form broadcast models of
-// internal/model generalised to rectangular problems on rectangular S×T
-// grids (the paper's tables assume n×n on √p×√p): SUMMA and HSUMMA score
-// through model.SUMMARect/HSUMMARect, which reduce bit-exactly to
-// model.SUMMA and model.HSUMMA on square problems (asserted in the model
-// and tune package tests), so a square request ranks exactly as before
-// the generalisation. One scorer is built per plan so the
-// schedule-derived broadcast factors are cached across the thousands of
-// stage-1 evaluations.
+// scorer evaluates candidates in closed form. The SUMMA family — SUMMA,
+// HSUMMA, multilevel, and the bottom of the Strassen recursion — has one
+// cost: model.Family over the spec's hierarchy (engine.Spec.Hierarchy),
+// the paper's Tables I–II generalised to rectangular problems on S×T
+// grids and any number of levels, which on a square problem scores
+// exactly what model.SUMMA and model.HSUMMA do (asserted in the model and
+// tune package tests). The baselines carry their own short formulas
+// below. One scorer is built per plan so the schedule-derived broadcast
+// factors are cached across the thousands of stage-1 evaluations.
 type scorer struct {
 	sh matrix.Shape
 	m  hockney.Model
@@ -72,104 +74,88 @@ func (s *scorer) bcastStep(bc model.Broadcast, p, elems float64) float64 {
 	return bc.Latency(p)*s.m.Alpha + elems*bc.Bandwidth(p)*s.m.Beta
 }
 
-// execShape returns the shape the candidate would actually execute: the
-// requested shape rounded up to the candidate's divisibility constraints
-// (identity on dividing shapes). Scoring the padded shape keeps the
-// stage-1 ranking honest on non-dividing problems, where candidates with
-// different blocks pad by different amounts and an analytic-only plan
-// has no stage-2 run to correct it.
-func (s *scorer) execShape(c Candidate) matrix.Shape {
-	spec := engine.Spec{Algorithm: c.Algorithm, Opts: core.Options{Shape: s.sh, Grid: c.Grid, Knobs: c.Knobs}, Levels: c.Levels}
-	padded, err := spec.PaddedShape()
-	if err != nil {
-		return s.sh // square-only rejection is handled by the enumeration
+// familyComm is the SUMMA family's communication cost for a hierarchy on
+// the given problem and grid under the knobs' block and broadcast.
+func (s *scorer) familyComm(sh matrix.Shape, g topo.Grid, k core.Knobs, levels []core.Level) float64 {
+	ml := make([]model.Level, len(levels))
+	for i, lv := range levels {
+		ml[i] = model.Level{I: float64(lv.I), J: float64(lv.J), Width: float64(lv.BlockSize)}
 	}
-	return padded
+	return model.Family(model.RectParams{
+		Shape: sh, Grid: g, B: k.BlockSize,
+		Machine: s.m, Bcast: s.bcast(k.Broadcast, k.Segments),
+	}, ml).Comm()
 }
 
-// score returns the candidate's analytic (comm, total) in seconds.
+// score returns the candidate's analytic (comm, total) in seconds, at the
+// shape it would actually execute: the requested shape rounded up to the
+// candidate's divisibility constraints (identity on dividing shapes).
+// Scoring the padded shape keeps the stage-1 ranking honest on
+// non-dividing problems, where candidates with different blocks pad by
+// different amounts and an analytic-only plan has no stage-2 run to
+// correct it. A candidate that cannot execute the shape at all ranks last.
 func (s *scorer) score(c Candidate) (comm, total float64) {
-	sh := s.execShape(c)
-	M := float64(sh.M)
+	spec, err := c.Spec(s.sh)
+	if err != nil {
+		return math.Inf(1), math.Inf(1)
+	}
+	bcast, shift, p2p, gemm := s.phases(spec)
+	comm = bcast + shift + p2p
+	if s.overlap {
+		return comm, math.Max(comm, gemm)
+	}
+	return comm, comm + gemm
+}
+
+// phases evaluates the spec's closed-form cost on the trace phase
+// vocabulary: the comm term split across bcast / shift / p2p exactly as
+// the transports would record it (SUMMA-family traffic is all broadcast
+// rounds, Cannon all SendRecv shifts, Fox broadcasts plus a roll shift per
+// step, Strassen p2p quadrant staging around a broadcast bottom), and the
+// compute term as gemm. score ranks by their sum and predictPhases
+// publishes them, so a plan's prediction and its ranking cannot disagree
+// on what the model said.
+func (s *scorer) phases(spec engine.Spec) (bcast, shift, p2p, gemm float64) {
+	o, sh := spec.Opts, spec.Shape()
 	N := float64(sh.N)
-	K := float64(sh.K)
-	p := float64(c.Grid.Size())
-	S := float64(c.Grid.S)
-	T := float64(c.Grid.T)
-	tileA := M / S // rows of the per-rank A panel (and C tile)
-	tileB := N / T // cols of the per-rank B panel
+	p := float64(o.Grid.Size())
+	q := float64(o.Grid.S) // the square-only baselines' grid side
+	tile := N * N / p      // and their per-rank tile, in elements
 
-	switch c.Algorithm {
-	case engine.SUMMA:
-		comm = model.SUMMARect(model.RectParams{
-			Shape: sh, Grid: c.Grid, B: c.BlockSize,
-			Machine: s.m, Bcast: s.bcast(c.Broadcast, c.Segments),
-		}).Comm()
-
-	case engine.HSUMMA:
-		comm = model.HSUMMARect(model.RectParams{
-			Shape: sh, Grid: c.Grid, B: c.BlockSize,
-			Machine: s.m, Bcast: s.bcast(c.Broadcast, c.Segments),
-		}, c.GroupShape[0], c.GroupShape[1], c.OuterBlockSize).Comm()
-
-	case engine.Multilevel:
-		bc := s.bcast(c.Broadcast, c.Segments)
-		remS, remT := S, T
-		for _, lv := range c.Levels {
-			Bk := float64(lv.BlockSize)
-			comm += (K / Bk) * (s.bcastStep(bc, float64(lv.J), tileA*Bk) + s.bcastStep(bc, float64(lv.I), Bk*tileB))
-			remS /= float64(lv.I)
-			remT /= float64(lv.J)
-		}
-		b := float64(c.BlockSize)
-		comm += (K / b) * (s.bcastStep(bc, remT, tileA*b) + s.bcastStep(bc, remS, b*tileB))
-
-	case engine.Cannon:
+	levels, family := spec.Hierarchy()
+	switch {
+	case family:
+		bcast = s.familyComm(sh, o.Grid, o.Knobs, levels)
+	case spec.Algorithm == engine.Cannon:
 		// q−1 alignment shifts amortise into the q compute-step shifts on
 		// the virtual transport's full-duplex rendezvous; charge 2 transfers
 		// of the n²/p tile per step plus one alignment round each way.
 		// (Square-only: the enumeration never proposes Cannon otherwise.)
-		q := S
-		tile := N * N / p
-		shift := s.m.Alpha + tile*s.m.Beta
-		comm = 2 * (q + 1) * shift
-
-	case engine.Fox:
-		bc := s.bcast(c.Broadcast, c.Segments)
-		q := S
-		tile := N * N / p
-		comm = q * (s.bcastStep(bc, q, tile) + (s.m.Alpha + tile*s.m.Beta))
-
-	case engine.Strassen:
-		comm = s.strassenComm(c, sh)
+		shift = 2 * (q + 1) * (s.m.Alpha + tile*s.m.Beta)
+	case spec.Algorithm == engine.Fox:
+		bcast = q * s.bcastStep(s.bcast(o.Broadcast, o.Segments), q, tile)
+		shift = q * (s.m.Alpha + tile*s.m.Beta)
+	case spec.Algorithm == engine.Strassen:
+		bcast, p2p = s.strassenComm(o, sh)
 	}
 
 	// Intra-rank threads shorten the local multiplies by the shared
 	// parallel-efficiency curve — the same factor the virtual engines
 	// charge, so analytic and simulated rankings agree on the hybrid
 	// trade-off. Speedup(1) is exactly 1, leaving serial scores bitwise
-	// unchanged. Candidates running sub-cubic arithmetic (the strassen
+	// unchanged. Specs running sub-cubic arithmetic (the strassen
 	// algorithm and/or the local kernel) charge the flops the virtual
 	// transports would — the historical 2MNK/p expression is kept bitwise
 	// intact for everything else.
-	var compute float64
 	switch {
-	case c.Algorithm == engine.Strassen:
-		compute = s.strassenCompute(c, sh)
-	case c.LocalStrassen:
-		compute = s.localKernelCompute(c, sh)
+	case spec.Algorithm == engine.Strassen:
+		gemm = s.strassenCompute(o, sh)
+	case o.LocalStrassen:
+		gemm = s.localKernelCompute(spec)
 	default:
-		compute = s.m.Compute(2 * M * N * K / p / hockney.Speedup(c.Threads))
+		gemm = s.m.Compute(2 * float64(sh.M) * N * float64(sh.K) / p / hockney.Speedup(o.Threads))
 	}
-	if s.overlap {
-		total = comm
-		if compute > total {
-			total = compute
-		}
-	} else {
-		total = comm + compute
-	}
-	return comm, total
+	return bcast, shift, p2p, gemm
 }
 
 // strassenLevelTraffic derives the per-level per-rank communication of the
@@ -208,116 +194,37 @@ func strassenLevelTraffic() (maxMsgs, maxAxpys int) {
 	return maxMsgs, maxAxpys
 }
 
-// strassenComm models the quadrant recursion's communication: per level
-// the critical-path rank exchanges tile-sized staging and contribution
-// messages, each quadrant then computes its (up to two) hosted products
-// sequentially — cost(l) = level + 2·cost(l−1) — bottoming out in the
-// SUMMA (or HSUMMA) closed form on the sub-grid.
-func (s *scorer) strassenComm(c Candidate, sh matrix.Shape) float64 {
-	levels := core.StrassenLevelsOf(c.StrassenLevels)
-	div := 1 << levels
-	if c.Grid.S != c.Grid.T || c.Grid.S%div != 0 || sh.N%div != 0 {
-		return 0 // infeasible candidates never reach scoring via enumeration
-	}
-	tile := float64(sh.N) / float64(c.Grid.S)
-	elems := tile * tile
-	msgs, _ := strassenLevelTraffic()
-	level := float64(msgs) * (s.m.Alpha + elems*s.m.Beta)
-
-	sub := topo.Grid{S: c.Grid.S / div, T: c.Grid.S / div}
-	var bottom float64
-	if sub.Size() > 1 {
-		params := model.RectParams{
-			Shape: matrix.Square(sh.N / div), Grid: sub, B: c.BlockSize,
-			Machine: s.m, Bcast: s.bcast(c.Broadcast, c.Segments),
-		}
-		if G := c.StrassenInnerGroups; G > 0 {
-			if h, err := topo.FactorGroups(sub, G); err == nil {
-				bottom = model.HSUMMARect(params, h.I, h.J, c.OuterBlockSize).Comm()
-			} else {
-				bottom = model.SUMMARect(params).Comm()
-			}
-		} else {
-			bottom = model.SUMMARect(params).Comm()
-		}
-	}
-	comm := bottom
-	for l := 0; l < levels; l++ {
-		comm = level + 2*comm
-	}
-	return comm
-}
-
 // strassenCompute models the quadrant recursion's critical-path flops the
 // way the virtual transports charge them: 2^levels sequential bottom
 // problems of n/2^levels on the sub-grid — each K/b rank-b local updates
-// through the candidate's execution descriptor (sub-cubic when the local
+// through the spec's execution descriptor (sub-cubic when the local
 // kernel is on) — plus the per-level quadrant add/sub arithmetic, which is
 // never thread-accelerated (matching comm.Axpy on every transport).
-func (s *scorer) strassenCompute(c Candidate, sh matrix.Shape) float64 {
-	levels := core.StrassenLevelsOf(c.StrassenLevels)
+func (s *scorer) strassenCompute(o core.Options, sh matrix.Shape) float64 {
+	levels := core.StrassenLevelsOf(o.StrassenLevels)
 	div := 1 << levels
-	if c.Grid.S%div != 0 || sh.N%div != 0 || c.BlockSize <= 0 {
+	if o.Grid.S%div != 0 || sh.N%div != 0 || o.BlockSize <= 0 {
 		return 0
 	}
-	x := c.Exec()
-	tile := sh.N / c.Grid.S // per-rank tile edge, invariant across levels
-	steps := float64(sh.N/div) / float64(c.BlockSize)
-	gemm := steps * x.Flops(tile, tile, c.BlockSize)
+	x := o.Exec()
+	tile := sh.N / o.Grid.S // per-rank tile edge, invariant across levels
+	steps := float64(sh.N/div) / float64(o.BlockSize)
+	gemm := steps * x.Flops(tile, tile, o.BlockSize)
 	_, axpys := strassenLevelTraffic()
 	axpy := float64(axpys) * float64(tile) * float64(tile)
 	gf, af := gemm, 0.0
 	for l := 0; l < levels; l++ {
 		gf, af = 2*gf, axpy+2*af
 	}
-	return s.m.Compute(gf/hockney.Speedup(c.Threads) + af)
+	return s.m.Compute(gf/hockney.Speedup(o.Threads) + af)
 }
 
-// predictPhases decomposes the candidate's closed-form cost onto the
-// trace phase vocabulary: the comm term split across bcast / shift / p2p
-// exactly as the transports would record it (SUMMA-family traffic is all
-// broadcast rounds, Cannon all SendRecv shifts, Fox broadcasts plus a
-// roll shift per step, Strassen p2p quadrant staging around a broadcast
-// bottom), and the compute term under "gemm". Zero phases are omitted.
-// The per-phase sums reproduce score()'s comm and compute up to floating-
-// point association — the formulas are the same, only factored per phase
-// — so a plan's prediction and its ranking never disagree on what the
-// model said. This is the denominator of the serving layer's
-// measured/predicted drift tracking, so it must stay in lockstep with
-// score(): the fidelity tests compare it against traced virtual runs.
-func (s *scorer) predictPhases(c Candidate) map[string]float64 {
-	sh := s.execShape(c)
-	N := float64(sh.N)
-	p := float64(c.Grid.Size())
-	S := float64(c.Grid.S)
-
-	var bcast, shift, p2p float64
-	switch c.Algorithm {
-	case engine.SUMMA, engine.HSUMMA, engine.Multilevel:
-		bcast, _ = s.score(c) // single-phase: the whole comm term is broadcast
-	case engine.Cannon:
-		comm, _ := s.score(c)
-		shift = comm
-	case engine.Fox:
-		bc := s.bcast(c.Broadcast, c.Segments)
-		q := S
-		tile := N * N / p
-		bcast = q * s.bcastStep(bc, q, tile)
-		shift = q * (s.m.Alpha + tile*s.m.Beta)
-	case engine.Strassen:
-		bcast, p2p = s.strassenCommSplit(c, sh)
-	}
-
-	var gemm float64
-	switch {
-	case c.Algorithm == engine.Strassen:
-		gemm = s.strassenCompute(c, sh)
-	case c.LocalStrassen:
-		gemm = s.localKernelCompute(c, sh)
-	default:
-		gemm = s.m.Compute(2 * float64(sh.M) * N * float64(sh.K) / p / hockney.Speedup(c.Threads))
-	}
-
+// predictPhases returns the spec's phases as the map a plan and a
+// resolved spec carry (zero phases omitted) — the denominator of the
+// serving layer's measured/predicted drift tracking; the fidelity tests
+// compare it against traced virtual runs.
+func (s *scorer) predictPhases(spec engine.Spec) map[string]float64 {
+	bcast, shift, p2p, gemm := s.phases(spec)
 	out := make(map[string]float64, 3)
 	for _, ph := range []struct {
 		name string
@@ -330,39 +237,33 @@ func (s *scorer) predictPhases(c Candidate) map[string]float64 {
 	return out
 }
 
-// strassenCommSplit is strassenComm with the per-level quadrant staging
-// (point-to-point sends) separated from the bottom SUMMA/HSUMMA term
-// (broadcast rounds): the recursion comm(l) = level + 2·comm(l−1) folds
-// to p2p(l) = level + 2·p2p(l−1) over a bottom that doubles per level.
-func (s *scorer) strassenCommSplit(c Candidate, sh matrix.Shape) (bcast, p2p float64) {
-	levels := core.StrassenLevelsOf(c.StrassenLevels)
+// strassenComm models the quadrant recursion's communication: per level
+// the critical-path rank exchanges tile-sized staging and contribution
+// messages (point-to-point), each quadrant then computes its (up to two)
+// hosted products sequentially — p2p(l) = level + 2·p2p(l−1) — over a
+// bottom, the SUMMA family's broadcast rounds on the sub-grid, that
+// doubles per level.
+func (s *scorer) strassenComm(o core.Options, sh matrix.Shape) (bcast, p2p float64) {
+	levels := core.StrassenLevelsOf(o.StrassenLevels)
 	div := 1 << levels
-	if c.Grid.S != c.Grid.T || c.Grid.S%div != 0 || sh.N%div != 0 {
-		return 0, 0
+	if o.Grid.S != o.Grid.T || o.Grid.S%div != 0 || sh.N%div != 0 {
+		return 0, 0 // infeasible candidates never reach scoring via enumeration
 	}
-	tile := float64(sh.N) / float64(c.Grid.S)
+	tile := float64(sh.N) / float64(o.Grid.S)
 	elems := tile * tile
 	msgs, _ := strassenLevelTraffic()
 	level := float64(msgs) * (s.m.Alpha + elems*s.m.Beta)
 
-	sub := topo.Grid{S: c.Grid.S / div, T: c.Grid.S / div}
-	var bottom float64
+	sub := topo.Grid{S: o.Grid.S / div, T: o.Grid.S / div}
 	if sub.Size() > 1 {
-		params := model.RectParams{
-			Shape: matrix.Square(sh.N / div), Grid: sub, B: c.BlockSize,
-			Machine: s.m, Bcast: s.bcast(c.Broadcast, c.Segments),
+		// No inner groups, or none that factor the sub-grid (FactorGroups
+		// refuses both): the bottom is SUMMA, the empty hierarchy.
+		var bottom []core.Level
+		if h, err := topo.FactorGroups(sub, o.StrassenInnerGroups); err == nil {
+			bottom = core.Options{Groups: h, Knobs: o.Knobs}.GroupLevels()
 		}
-		if G := c.StrassenInnerGroups; G > 0 {
-			if h, err := topo.FactorGroups(sub, G); err == nil {
-				bottom = model.HSUMMARect(params, h.I, h.J, c.OuterBlockSize).Comm()
-			} else {
-				bottom = model.SUMMARect(params).Comm()
-			}
-		} else {
-			bottom = model.SUMMARect(params).Comm()
-		}
+		bcast = s.familyComm(matrix.Square(sh.N/div), sub, o.Knobs, bottom)
 	}
-	bcast = bottom
 	for l := 0; l < levels; l++ {
 		p2p = level + 2*p2p
 		bcast = 2 * bcast
@@ -374,20 +275,21 @@ func (s *scorer) strassenCommSplit(c Candidate, sh matrix.Shape) (bcast, p2p flo
 // through the sub-cubic kernel descriptor: the same per-step flop counts
 // the virtual transports record, so the analytic ranking sees the local
 // kernel's win exactly where the simulation does.
-func (s *scorer) localKernelCompute(c Candidate, sh matrix.Shape) float64 {
-	x := c.Exec()
+func (s *scorer) localKernelCompute(spec engine.Spec) float64 {
+	o, sh := spec.Opts, spec.Shape()
+	x := o.Exec()
 	var flops float64
-	switch c.Algorithm {
+	switch spec.Algorithm {
 	case engine.Cannon, engine.Fox:
-		q := c.Grid.S
+		q := o.Grid.S
 		t := sh.N / q
 		flops = float64(q) * x.Flops(t, t, t)
 	default: // SUMMA family: K/b rank-b updates of the (M/S)×(N/T) tile
-		b := c.BlockSize
+		b := o.BlockSize
 		if b <= 0 {
 			b = 1
 		}
-		flops = float64(sh.K/b) * x.Flops(sh.M/c.Grid.S, sh.N/c.Grid.T, b)
+		flops = float64(sh.K/b) * x.Flops(sh.M/o.Grid.S, sh.N/o.Grid.T, b)
 	}
-	return s.m.Compute(flops / hockney.Speedup(c.Threads))
+	return s.m.Compute(flops / hockney.Speedup(o.Threads))
 }

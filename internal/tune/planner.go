@@ -194,7 +194,9 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 	// plan surfaces, and the winner's map is what the execution spec — and
 	// the serving drift tracker — carries forward.
 	for i := range top {
-		top[i].PredictedSecondsByPhase = sc.predictPhases(top[i].Candidate)
+		if spec, err := top[i].Candidate.Spec(req.Shape); err == nil {
+			top[i].PredictedSecondsByPhase = sc.predictPhases(spec)
+		}
 	}
 
 	// Stage 2: parallel virtual runs over the stage-1 winners — the

@@ -155,6 +155,11 @@ func ResolveSpec(rp ResolveParams) (engine.Spec, error) {
 	if err != nil {
 		return engine.Spec{}, err
 	}
+	// The one validation of the hierarchy, before the model evaluates it
+	// and before any world is built for it.
+	if err := spec.Validate(); err != nil {
+		return engine.Spec{}, err
+	}
 	// Attach the model's per-phase prediction for the resolved execution —
 	// pinned requests included, so the serving layer's drift tracking
 	// always has a denominator. Advisory metadata: never part of Spec.Key.

@@ -230,17 +230,13 @@ func (c Candidate) Cores() int {
 }
 
 // Spec resolves the candidate into the engine's transport-independent run
-// description — the same value hsumma.Multiply and hsumma.Simulate execute.
+// description, padded to its execution shape — the same value
+// hsumma.Multiply and hsumma.Simulate execute. It fails only for a shape
+// the algorithm cannot run at all (square-only on a rectangle).
 func (c Candidate) Spec(sh matrix.Shape) (engine.Spec, error) {
 	opts := core.Options{Shape: sh, Grid: c.Grid, Knobs: c.Knobs}
-	if c.Algorithm == engine.HSUMMA {
-		h, err := topo.NewHier(c.Grid, c.GroupShape[0], c.GroupShape[1])
-		if err != nil {
-			return engine.Spec{}, err
-		}
-		opts.Groups = h
-	}
-	return engine.Spec{Algorithm: c.Algorithm, Opts: opts, Levels: c.Levels}, nil
+	opts.Groups = topo.Hier{Grid: c.Grid, I: c.GroupShape[0], J: c.GroupShape[1]}
+	return engine.Spec{Algorithm: c.Algorithm, Opts: opts, Levels: c.Levels}.Padded()
 }
 
 func (c Candidate) String() string {
@@ -348,17 +344,10 @@ type Plan struct {
 // resolved spec on a platform — the same decomposition the planner
 // attaches to its ranked candidates, reachable for pinned (non-Auto)
 // requests too so every resolved execution carries a model prediction
-// for the drift tracker to audit. Call it on a padded spec; the scorer
-// re-pads idempotently. Cost: a handful of closed-form evaluations,
-// microseconds.
+// for the drift tracker to audit. Call it on a padded spec. Cost: a
+// handful of closed-form evaluations, microseconds.
 func PredictPhases(spec engine.Spec, pf platform.Platform) map[string]float64 {
-	c := Candidate{Algorithm: spec.Algorithm, Grid: spec.Opts.Grid, Knobs: spec.Opts.Knobs, Levels: spec.Levels}
-	if spec.Algorithm == engine.HSUMMA {
-		c.GroupShape = [2]int{spec.Opts.Groups.I, spec.Opts.Groups.J}
-		c.Groups = spec.Opts.Groups.Groups()
-	}
-	sc := newScorer(spec.Shape(), pf.Model, false)
-	return sc.predictPhases(c)
+	return newScorer(spec.Shape(), pf.Model, false).predictPhases(spec)
 }
 
 // minTileExtent returns the smallest per-rank tile extent of the three
