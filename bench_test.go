@@ -352,8 +352,9 @@ func BenchmarkFullScaleBGPSim(b *testing.B) { fullScaleBGP(b, EngineGoroutine) }
 // BenchmarkFullScaleBGPSimEvent is the event-engine twin of
 // BenchmarkFullScaleBGPSim: the same run on internal/evsim (recorded
 // rank programs, single-threaded replay, rank-symmetry fast path),
-// bit-identical results at a fraction of the wall time (~5.5× on one
-// core at the time of writing; tracked in BENCH_sim.json by CI).
+// bit-identical results at a fraction of the wall time (the benchmark's
+// sim_bgp workload records both engines at p=2048 on every PR, as
+// evsim.sim_ms / simnet.sim_ms).
 func BenchmarkFullScaleBGPSimEvent(b *testing.B) { fullScaleBGP(b, EngineEvent) }
 
 // BenchmarkPlanColdRefine quantifies what the event engine buys the

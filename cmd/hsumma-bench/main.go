@@ -10,28 +10,9 @@
 //	hsumma-bench -exp fig5 -format csv
 //	hsumma-bench -exp fig8 -uncalibrated   # paper's published α/β only
 //
-// The -simbench mode benchmarks the two virtual execution engines on the
-// full paper-scale BG/P run, asserts bit-identical results, and writes
-// BENCH_sim.json (the CI perf gate):
-//
-//	hsumma-bench -simbench -out BENCH_sim.json -baseline ci/bench-sim-baseline.json
-//
-// The -kernelbench mode benchmarks the local GEMM microkernel — the
-// register-blocked packed kernel against the scalar kernel, plus the
-// intra-rank thread sweep — and writes BENCH_kernel.json (the CI
-// kernel gate):
-//
-//	hsumma-bench -kernelbench -out BENCH_kernel.json -baseline ci/bench-kernel-baseline.json
-//
-// The -loadgen mode drives a hsumma-serve daemon (or an in-process server
-// when -url is empty) with a matrix of named traffic scenarios — steady,
-// mix, burst, overload and drain — verifies every response against the
-// sequential reference, benchmarks warm-session vs one-shot and pipelined
-// vs serial throughput, and writes BENCH_serve.json (the serve-smoke CI
-// gate):
-//
-//	hsumma-bench -loadgen -url http://localhost:8080 -duration 5 -conc 4 \
-//	    -scenarios all -out BENCH_serve.json -baseline ci/bench-serve-baseline.json
+// It times nothing about this repository's own runtime: the kernel, the
+// virtual engines and the serving path are measured in one place, bench/
+// (bash bench/run.sh, declared in BENCHMARK.json).
 package main
 
 import (
@@ -49,30 +30,8 @@ func main() {
 		quick        = flag.Bool("quick", false, "scaled-down configuration (seconds instead of minutes)")
 		uncalibrated = flag.Bool("uncalibrated", false, "use the paper's published Hockney parameters instead of the SUMMA-fitted machines")
 		format       = flag.String("format", "table", "output format: table or csv")
-		simbench     = flag.Bool("simbench", false, "benchmark the virtual execution engines on the full-scale BG/P run and emit BENCH_sim.json")
-		kernelbench  = flag.Bool("kernelbench", false, "benchmark the packed GEMM microkernel against the scalar kernel and emit BENCH_kernel.json")
-		out          = flag.String("out", "-", "simbench/loadgen: output path for the JSON report (- = stdout)")
-		baseline     = flag.String("baseline", "", "simbench/loadgen: committed baseline JSON to gate against")
-		loadgen      = flag.Bool("loadgen", false, "drive a hsumma-serve daemon with concurrent mixed-shape traffic and emit BENCH_serve.json")
-		url          = flag.String("url", "", "loadgen: daemon base URL (empty = start an in-process server)")
-		duration     = flag.Float64("duration", 5, "loadgen: traffic duration in seconds")
-		conc         = flag.Int("conc", 4, "loadgen: concurrent client workers")
-		scenarios    = flag.String("scenarios", "all", "loadgen: comma-separated scenario list (steady,mix,burst,overload,drain) or all")
 	)
 	flag.Parse()
-
-	if *simbench {
-		runSimBench(*quick, *out, *baseline)
-		return
-	}
-	if *kernelbench {
-		runKernelBench(*quick, *out, *baseline)
-		return
-	}
-	if *loadgen {
-		runLoadgen(*url, *duration, *conc, *quick, *out, *baseline, *scenarios)
-		return
-	}
 
 	if *list || *id == "" {
 		fmt.Println("Available experiments (paper artefact -> id):")

@@ -44,19 +44,22 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/hockney"
+	"repro/internal/matrix"
 	"repro/internal/platform"
 	"repro/internal/serve"
 )
@@ -71,7 +74,7 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 0, "max same-A requests coalesced into one multi-RHS execution, 1 = no batching (default 8)")
 		batchWin   = flag.Duration("batch-window", 0, "extra wait for same-A arrivals before executing a non-full batch (0 = coalesce only what is already queued)")
 		procs      = flag.Int("default-procs", 16, "rank count for requests that do not pin one")
-		kernCalib  = flag.String("kernel-calib", "", "BENCH_kernel.json path: calibrate the planner's intra-rank speedup curve from the host's measured thread scaling (empty = the 3% default serial fraction)")
+		kernCalib  = flag.Bool("kernel-calib", false, "at startup, time the threaded kernel on this host and calibrate the planner's intra-rank speedup curve from the measured scaling (off = the 3% default serial fraction)")
 		withPprof  = flag.Bool("pprof", false, "expose the Go profiler under /debug/pprof/")
 		traceEvery = flag.Int("trace-sample", 0, "flight recorder: sample 1 in N multiplies into a bounded trace ring served at /debug/traces (0 = off)")
 		traceRing  = flag.Int("trace-ring", 0, "flight-recorder ring capacity (default 16 captures)")
@@ -88,17 +91,17 @@ func main() {
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	if *kernCalib != "" {
-		fit, err := calibrateThreads(*kernCalib)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hsumma-serve: -kernel-calib: %v\n", err)
-			os.Exit(2)
+	if *kernCalib {
+		if fit, ok := calibrateThreads(); ok {
+			logger.Info("thread scaling calibrated",
+				"cores", runtime.GOMAXPROCS(0),
+				"serial_fraction", fit,
+				"default", hockney.DefaultThreadOverhead,
+			)
+		} else {
+			logger.Warn("-kernel-calib: one core, nothing to fit; keeping the default serial fraction",
+				"default", hockney.DefaultThreadOverhead)
 		}
-		logger.Info("thread scaling calibrated",
-			"source", *kernCalib,
-			"serial_fraction", fit,
-			"default", hockney.DefaultThreadOverhead,
-		)
 	}
 
 	hcfg := serve.HandlerConfig{
@@ -174,41 +177,29 @@ func main() {
 	<-done
 }
 
-// calibrateThreads fits the planner's intra-rank speedup curve from a
-// BENCH_kernel.json produced on this host (cmd/hsumma-bench -kernelbench):
-// the measured scaling_vs_1t points replace the default 3% serial fraction,
-// so auto-planned thread budgets reflect what the host's cores actually
-// deliver. Serial configurations are unaffected (Speedup(1) stays exactly 1).
-func calibrateThreads(path string) (float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var rep struct {
-		Shapes []struct {
-			Threaded []struct {
-				Threads int     `json:"threads"`
-				Scaling float64 `json:"scaling_vs_1t"`
-			} `json:"threaded"`
-		} `json:"shapes"`
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return 0, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	scaling := map[int]float64{}
-	counts := map[int]int{}
-	for _, sh := range rep.Shapes {
-		for _, th := range sh.Threaded {
-			scaling[th.Threads] += th.Scaling
-			counts[th.Threads]++
+// calibrateThreads fits the planner's intra-rank speedup curve to this
+// host: one 512³ product through blas.ParallelGemm at 1, 2, 4 … GOMAXPROCS
+// threads (best of 3 each), the t → speedup-over-one-thread points handed
+// to hockney.CalibrateFromScaling. The fit replaces the default 3% serial
+// fraction, so auto-planned thread budgets reflect what the host's cores
+// actually deliver; ok is false on a one-core host, which has no point to
+// fit. Serial configurations are unaffected (Speedup(1) stays exactly 1).
+func calibrateThreads() (fit float64, ok bool) {
+	const n = 512
+	a, b, c := matrix.Random(n, n, 1), matrix.Random(n, n, 2), matrix.New(n, n)
+	best := func(threads int) float64 {
+		s := math.Inf(1)
+		for rep := 0; rep < 3; rep++ {
+			t0 := time.Now()
+			blas.ParallelGemm(c, a, b, threads)
+			s = math.Min(s, time.Since(t0).Seconds())
 		}
+		return s
 	}
-	for t := range scaling {
-		scaling[t] /= float64(counts[t])
+	one := best(1)
+	points := map[int]float64{}
+	for t := 2; t <= runtime.GOMAXPROCS(0); t *= 2 {
+		points[t] = one / best(t)
 	}
-	fit, ok := hockney.CalibrateFromScaling(scaling)
-	if !ok {
-		return 0, fmt.Errorf("%s carries no usable scaling_vs_1t points (threads > 1)", path)
-	}
-	return fit, nil
+	return hockney.CalibrateFromScaling(points)
 }

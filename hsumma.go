@@ -117,8 +117,8 @@ const (
 	// rank-symmetry fast path — roughly an order of magnitude faster on
 	// full-scale collective-only runs.
 	EngineEvent = engine.ExecutorEvent
-	// EngineAuto (the default) picks the event engine for SUMMA, HSUMMA
-	// and multilevel runs without overlap, goroutines otherwise.
+	// EngineAuto (the default) picks the event engine for SUMMA, HSUMMA,
+	// multilevel and Strassen runs without overlap, goroutines otherwise.
 	EngineAuto = engine.ExecutorAuto
 )
 

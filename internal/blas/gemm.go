@@ -5,8 +5,7 @@
 // blocking scheme, with optional goroutine parallelism over write-disjoint
 // C row bands (ParallelGemm — the intra-rank analog of the paper's OpenMP
 // threads inside each MPI process); Naive is the O(n³) reference all other
-// kernels are validated against, and ScalarGemm is the previous
-// cache-blocked scalar kernel, kept as the old-vs-new benchmark reference.
+// kernels are validated against.
 package blas
 
 import (
@@ -30,13 +29,6 @@ const (
 	mcBlock = 128  // A panel rows resident in L2 while B micropanels stream
 	kcBlock = 256  // contraction depth packed per panel pair
 	ncBlock = 2048 // B panel cols packed per outer iteration
-)
-
-// tile sizes for ScalarGemm, the previous blocked kernel.
-const (
-	tileM = 64
-	tileN = 64
-	tileK = 64
 )
 
 // checkGemmShapes panics unless C += A·B is well-formed.
@@ -283,40 +275,6 @@ func ParallelGemm(c, a, b *matrix.Dense, workers int) {
 		}(i0, i1)
 	}
 	wg.Wait()
-}
-
-// ScalarGemm is the previous cache-blocked scalar kernel — one accumulator,
-// unpacked operands — retained as the baseline the kernel bench measures
-// the packed kernel against. It accepts views for all operands.
-func ScalarGemm(c, a, b *matrix.Dense) {
-	checkGemmShapes(c, a, b)
-	n, k := b.Cols, a.Cols
-	for ii := 0; ii < a.Rows; ii += tileM {
-		iMax := min(ii+tileM, a.Rows)
-		for kk := 0; kk < k; kk += tileK {
-			kMax := min(kk+tileK, k)
-			for jj := 0; jj < n; jj += tileN {
-				jMax := min(jj+tileN, n)
-				scalarKernel(c, a, b, ii, iMax, kk, kMax, jj, jMax)
-			}
-		}
-	}
-}
-
-// scalarKernel updates the C tile [i0,i1)×[j0,j1) with the A panel
-// [i0,i1)×[k0,k1) and B panel [k0,k1)×[j0,j1). The inner loop runs along
-// contiguous rows of B and C so the loads stream.
-func scalarKernel(c, a, b *matrix.Dense, i0, i1, k0, k1, j0, j1 int) {
-	for i := i0; i < i1; i++ {
-		crow := c.Data[i*c.Stride+j0 : i*c.Stride+j1]
-		arow := a.Data[i*a.Stride+k0 : i*a.Stride+k1]
-		for ko, aik := range arow {
-			brow := b.Data[(k0+ko)*b.Stride+j0 : (k0+ko)*b.Stride+j1]
-			for j, bkj := range brow {
-				crow[j] += aik * bkj
-			}
-		}
-	}
 }
 
 // Axpy computes y += alpha*x element-wise over matrices of equal shape.

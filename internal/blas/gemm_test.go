@@ -343,21 +343,3 @@ func TestParallelGemmCutoffMatchesGemm(t *testing.T) {
 		t.Fatal("cutoff path differs bitwise from Gemm")
 	}
 }
-
-// ScalarGemm (the pre-packing reference kernel, kept for benchmarking the
-// speedup) still agrees with Naive bitwise — it preserves the per-element
-// k-ascending association.
-func TestScalarGemmMatchesNaiveBitwise(t *testing.T) {
-	for _, dims := range [][3]int{{17, 19, 23}, {64, 64, 64}, {65, 70, 33}} {
-		m, n, k := dims[0], dims[1], dims[2]
-		a := matrix.Random(m, k, uint64(m))
-		b := matrix.Random(k, n, uint64(n))
-		want := matrix.New(m, n)
-		Naive(want, a, b)
-		got := matrix.New(m, n)
-		ScalarGemm(got, a, b)
-		if !matrix.Equal(got, want) {
-			t.Fatalf("scalar gemm(%d,%d,%d) not bit-identical to naive", m, n, k)
-		}
-	}
-}

@@ -23,8 +23,8 @@ import (
 // bottoms out in the packed kernel. Strassen trades one multiply for ~18
 // quadrant-sized adds per level; below a few hundred the packed kernel's
 // O(n³) with high arithmetic intensity wins, above it the 7/8 multiply
-// saving compounds. Tuned on the kernelbench crossover sweep (n=2048
-// gives ~1.2x over packed with this cutoff).
+// saving compounds. Tuned on a crossover sweep against Gemm (n=2048 gives
+// ~1.2x over packed with this cutoff).
 const DefaultStrassenCutoff = 256
 
 // StrassenCutoff normalises a user-supplied cutoff: values ≤ 0 select

@@ -75,12 +75,13 @@ const (
 	// with a rank-symmetry fast path sharing clock-equal collective
 	// executions. Bit-identical to the goroutine engine.
 	ExecutorEvent Executor = "event"
-	// ExecutorAuto picks per spec: the event engine for the collective-only
-	// algorithms (SUMMA, HSUMMA, multilevel) without overlap — where the
-	// event loop and its symmetry fast path shine — and the goroutine
-	// engine for the point-to-point-heavy baselines (Cannon, Fox) and for
-	// overlap runs, whose irregular dependency structure gains nothing
-	// from replay. The empty string means auto.
+	// ExecutorAuto picks per spec: the event engine for the algorithms whose
+	// time is in the collective pivot loop (SUMMA, HSUMMA, multilevel, and
+	// Strassen, whose recursion bottoms out in that loop) without overlap —
+	// where the event loop and its symmetry fast path shine — and the
+	// goroutine engine for the point-to-point-heavy baselines (Cannon, Fox)
+	// and for overlap runs, whose irregular dependency structure gains
+	// nothing from replay. The empty string means auto.
 	ExecutorAuto Executor = "auto"
 )
 
@@ -110,7 +111,7 @@ func ResolveExecutor(e Executor, alg Algorithm, overlap bool) (Executor, error) 
 		return e, nil
 	case ExecutorAuto, "":
 		switch alg {
-		case SUMMA, HSUMMA, Multilevel:
+		case SUMMA, HSUMMA, Multilevel, Strassen:
 			if !overlap {
 				return ExecutorEvent, nil
 			}

@@ -57,9 +57,9 @@ func (m Model) Compute(flops float64) float64 {
 // the intra-rank parallel-efficiency curve: Speedup(t) = t / (1 + s·(t−1)),
 // an Amdahl-style model of the per-band packing redundancy and join cost
 // the threaded kernel pays. 0.03 gives Speedup(4) ≈ 3.67, the near-linear
-// scaling the packed kernel shows on write-disjoint row bands; hosts that
-// have run cmd/hsumma-bench -kernelbench can replace it with the measured
-// fit via CalibrateFromScaling.
+// scaling the packed kernel shows on write-disjoint row bands; a host
+// replaces it with its own measured fit via CalibrateFromScaling
+// (hsumma-serve -kernel-calib).
 const DefaultThreadOverhead = 0.03
 
 // threadOverhead holds the active serial fraction as float64 bits, so the
@@ -85,8 +85,8 @@ func SetThreadOverhead(s float64) {
 
 // CalibrateFromScaling fits the serial fraction from measured intra-rank
 // scaling points — thread count t mapped to the observed speedup S over
-// one thread, kernelbench's scaling_vs_1t. Inverting the Amdahl curve
-// gives one estimate s = (t/S − 1)/(t − 1) per point; the fit is the mean
+// one thread. Inverting the Amdahl curve gives one estimate
+// s = (t/S − 1)/(t − 1) per point; the fit is the mean
 // over the usable points (t > 1 with positive speedup), clamped to [0, 1]
 // and installed via SetThreadOverhead. With no usable point the overhead
 // is left untouched (the 3% default stays) and ok is false. Speedup(1)

@@ -168,119 +168,3 @@ func (c *Comm) Barrier() {
 	}
 	c.bcastWhole(s, c.nextOpTag(), token, 1).release()
 }
-
-// Gather collects equal-length contributions on root: the returned slice
-// holds, at index r, rank r's data. Non-roots return nil. Contributions
-// flow directly to the root (the gather happens outside the timed inner
-// loops of the algorithms, so a flat pattern keeps it simple and correct).
-func (c *Comm) Gather(root int, data []float64) [][]float64 {
-	start := time.Now()
-	defer c.trackComm(start)
-	tag := c.nextOpTag()
-	if c.rank != root {
-		c.send(root, tag, data)
-		return nil
-	}
-	out := make([][]float64, c.Size())
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			cp := make([]float64, len(data))
-			copy(cp, data)
-			out[r] = cp
-			continue
-		}
-		buf := make([]float64, len(data))
-		c.recv(r, tag, buf)
-		out[r] = buf
-	}
-	return out
-}
-
-// Scatter distributes root's per-rank slices: rank r receives parts[r].
-// Every slice must have length n. Non-roots pass parts=nil.
-func (c *Comm) Scatter(root int, parts [][]float64, n int) []float64 {
-	start := time.Now()
-	defer c.trackComm(start)
-	tag := c.nextOpTag()
-	buf := make([]float64, n)
-	if c.rank == root {
-		if len(parts) != c.Size() {
-			panic(fmt.Sprintf("mpi: scatter needs %d parts, got %d", c.Size(), len(parts)))
-		}
-		for r, part := range parts {
-			if len(part) != n {
-				panic(fmt.Sprintf("mpi: scatter part %d has %d elements, want %d", r, len(part), n))
-			}
-			if r == root {
-				copy(buf, part)
-				continue
-			}
-			c.send(r, tag, part)
-		}
-		return buf
-	}
-	c.recv(root, tag, buf)
-	return buf
-}
-
-// ReduceSum computes the element-wise sum of data across ranks on root via
-// a binomial reduction tree; the result is returned on root, nil elsewhere.
-func (c *Comm) ReduceSum(root int, data []float64) []float64 {
-	start := time.Now()
-	defer c.trackComm(start)
-	p := c.Size()
-	tag := c.nextOpTag()
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	if p == 1 {
-		return acc
-	}
-	vr := rel(c.rank, root, p)
-	buf := make([]float64, len(data))
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			dst := absRank(vr-mask, root, p)
-			c.send(dst, tag, acc)
-			return nil
-		}
-		if vr+mask < p {
-			src := absRank(vr+mask, root, p)
-			c.recv(src, tag, buf)
-			for i := range acc {
-				acc[i] += buf[i]
-			}
-		}
-		mask <<= 1
-	}
-	return acc
-}
-
-// AllreduceSum is ReduceSum to rank 0 followed by a binomial broadcast, so
-// every rank returns the sum.
-func (c *Comm) AllreduceSum(data []float64) []float64 {
-	res := c.ReduceSum(0, data)
-	if res == nil {
-		res = make([]float64, len(data))
-	}
-	c.Bcast(sched.Binomial, 0, res, 1)
-	return res
-}
-
-// Allgather concatenates equal-length contributions from all ranks in rank
-// order and returns the result on every rank.
-func (c *Comm) Allgather(data []float64) []float64 {
-	n := len(data)
-	parts := c.Gather(0, data)
-	flat := make([]float64, n*c.Size())
-	if c.rank == 0 {
-		for r, part := range parts {
-			copy(flat[r*n:(r+1)*n], part)
-		}
-	}
-	c.Bcast(sched.Binomial, 0, flat, 1)
-	return flat
-}
-
-func rel(rank, root, p int) int   { return ((rank-root)%p + p) % p }
-func absRank(vr, root, p int) int { return (vr + root) % p }

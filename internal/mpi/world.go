@@ -15,8 +15,8 @@
 // message is a reference-counted payload from a size-classed pool, and a
 // message moves by handing the receiver a reference, not by copying:
 //
-//   - The raw []float64 calls on *Comm (Send, Recv, SendRecv, Bcast and the
-//     collectives built on them) keep MPI's buffer semantics: a send copies
+//   - The raw []float64 calls on *Comm (Send, Recv, SendRecv, Bcast) keep
+//     MPI's buffer semantics: a send copies
 //     the caller's slice into a pooled payload once, so the slice may be
 //     reused the moment the call returns, and a receive copies the payload
 //     out into the caller's slice and returns it to the pool. A
@@ -58,7 +58,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/sched"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -365,10 +364,4 @@ func (pr *program) finish() ([]RankStats, error) {
 		}
 	}
 	return pr.w.stats, pr.firstErr
-}
-
-// RunGrid is Run over a topo.Grid's process count — a convenience for the
-// 2D algorithms, which derive coordinates from the rank themselves.
-func RunGrid(g topo.Grid, fn func(c *Comm)) error {
-	return Run(g.Size(), fn)
 }

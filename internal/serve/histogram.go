@@ -23,7 +23,7 @@ var batchBounds = []float64{1, 2, 4, 8, 16, 32}
 
 // histogram is one Prometheus-style cumulative histogram (counts per
 // upper-bound bucket, plus +Inf, sum and count). Hand-rolled: the repo is
-// stdlib-only. A nil bounds slice means the latency ladder (histBounds).
+// stdlib-only.
 type histogram struct {
 	bounds  []float64
 	buckets []uint64 // len(bounds)+1; last is +Inf
@@ -32,9 +32,6 @@ type histogram struct {
 }
 
 func (h *histogram) observe(v float64) {
-	if h.bounds == nil {
-		h.bounds = histBounds
-	}
 	if h.buckets == nil {
 		h.buckets = make([]uint64, len(h.bounds)+1)
 	}
@@ -44,16 +41,10 @@ func (h *histogram) observe(v float64) {
 	h.count++
 }
 
-// quantile estimates the q-quantile (0..1) with the standard Prometheus
-// linear interpolation inside the owning bucket.
-func (h *histogram) quantile(q float64) float64 {
-	return bucketQuantile(h.bounds, h.buckets, h.count, q)
-}
-
-// bucketQuantile is the shared quantile estimator over cumulative-histogram
-// buckets — the one implementation behind /metrics-derived quantiles, the
-// scheduler's per-key families and the loadgen's reported percentiles, so
-// they agree by construction.
+// bucketQuantile estimates the q-quantile (0..1) over cumulative-histogram
+// buckets with the standard Prometheus linear interpolation inside the
+// owning bucket — the one estimator behind every quantile the scheduler
+// reports (Metrics.LatencyP50Seconds / LatencyP99Seconds, ModelDriftP50).
 func bucketQuantile(bounds []float64, buckets []uint64, count uint64, q float64) float64 {
 	if count == 0 || len(buckets) == 0 {
 		return 0
@@ -78,47 +69,6 @@ func bucketQuantile(bounds []float64, buckets []uint64, count uint64, q float64)
 		}
 	}
 	return bounds[len(bounds)-1]
-}
-
-// Histogram is the exported, concurrency-safe face of the serve histogram:
-// the loadgen observes per-request latencies into one and reads back the
-// same bucket-interpolated quantiles /metrics computes, instead of keeping
-// a private sort-based copy that could drift.
-type Histogram struct {
-	mu sync.Mutex
-	h  histogram
-}
-
-// NewHistogram returns an empty histogram over the serve latency buckets
-// (1ms..30s).
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// Observe records one value (seconds).
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.h.observe(v)
-	h.mu.Unlock()
-}
-
-// Quantile estimates the q-quantile (0..1) of the observed values.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.quantile(q)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.count
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.sum
 }
 
 // histogramVec groups histograms of one metric family by spec key.

@@ -311,6 +311,19 @@ func TestSchedulerGracefulDrain(t *testing.T) {
 	if _, _, err := sc.Multiply(a, b, tune.ResolveParams{Procs: 4}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close request: want ErrClosed, got %v", err)
 	}
+	// No request lost or double-executed: the server's completed count is
+	// exactly the calls that returned a product (the primer and the
+	// in-flight one), and every call is accounted for as completed, closed
+	// out (two queued, one post-close) or refused.
+	const products, closed = 2, 3
+	m := sc.Metrics()
+	if m.Completed != products {
+		t.Fatalf("completed = %d, want %d (the calls that returned a product)", m.Completed, products)
+	}
+	if m.Errors != closed || m.Requests != m.Completed+m.Errors+m.Rejected {
+		t.Fatalf("requests %d != completed %d + closed %d (want %d) + refused %d",
+			m.Requests, m.Completed, m.Errors, closed, m.Rejected)
+	}
 }
 
 // TestSchedulerConcurrentMixedShapes hammers the scheduler with concurrent

@@ -187,7 +187,7 @@ func TestEngineParityOverlapAndLinkCost(t *testing.T) {
 	})
 }
 
-// TestEngineAutoSelection pins the auto rule: event for collective-only
+// TestEngineAutoSelection pins the auto rule: event for the pivot-loop
 // specs, goroutines for the point-to-point baselines and overlap runs —
 // and rejection of unknown executors.
 func TestEngineAutoSelection(t *testing.T) {
@@ -199,6 +199,7 @@ func TestEngineAutoSelection(t *testing.T) {
 		{engine.SUMMA, false, engine.ExecutorEvent},
 		{engine.HSUMMA, false, engine.ExecutorEvent},
 		{engine.Multilevel, false, engine.ExecutorEvent},
+		{engine.Strassen, false, engine.ExecutorEvent},
 		{engine.Cannon, false, engine.ExecutorGoroutine},
 		{engine.Fox, false, engine.ExecutorGoroutine},
 		{engine.HSUMMA, true, engine.ExecutorGoroutine},

@@ -76,8 +76,9 @@ type SimConfig struct {
 	// Engine selects the virtual execution engine: EngineGoroutine,
 	// EngineEvent, or EngineAuto (the default, also the zero value).
 	// The engines produce bit-identical results; auto picks the event
-	// engine for collective-only algorithms without overlap, where it is
-	// roughly an order of magnitude faster at full scale.
+	// engine for the pivot-loop algorithms (SUMMA, HSUMMA, multilevel,
+	// Strassen) without overlap, where it is several times faster at full
+	// scale.
 	Engine Engine
 	// Trace records per-rank phase spans on the virtual timeline; the
 	// recorder is returned in SimResult.Trace. Tracing only observes the
