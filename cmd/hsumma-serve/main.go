@@ -31,10 +31,11 @@
 // key, shape and queue wait. -log-level picks the floor (debug also logs
 // /metrics and /healthz scrapes).
 //
-// Each session runs a two-stage pipeline — operand staging overlapped with
-// distributed execution — and coalesces queued same-A requests into one
-// multi-right-hand-side execution; -pipeline-depth 1 -max-batch 1 restores
-// the serial pre-pipelining path bit-for-bit.
+// Each session's ranks read the request's operands in place (the decoded
+// body is the operand until the response is written; only a padded shape
+// or a coalesced batch is copied, once, into resident scratch), and one
+// runner loop per session coalesces queued same-A requests into one
+// multi-right-hand-side execution; -max-batch 1 turns the coalescing off.
 //
 // Sessions are accounted in cores — ranks × per-rank threads — against the
 // core budget. Backpressure (bounded session queues, core budget) surfaces
@@ -70,7 +71,6 @@ func main() {
 		pfName     = flag.String("platform", "", "platform preset the planner tunes auto requests for (grid5000, bgp, exascale; empty = grid5000)")
 		coreBudget = flag.Int("core-budget", 256, "max resident cores (ranks × threads) across all sessions")
 		queueDepth = flag.Int("queue-depth", 32, "per-session bounded queue depth")
-		pipeDepth  = flag.Int("pipeline-depth", 0, "staged buffer sets per session: 2+ overlaps staging with execution, 1 = serial pre-pipelining path (default 2)")
 		maxBatch   = flag.Int("max-batch", 0, "max same-A requests coalesced into one multi-RHS execution, 1 = no batching (default 8)")
 		batchWin   = flag.Duration("batch-window", 0, "extra wait for same-A arrivals before executing a non-full batch (0 = coalesce only what is already queued)")
 		procs      = flag.Int("default-procs", 16, "rank count for requests that do not pin one")
@@ -120,7 +120,6 @@ func main() {
 	sched := serve.NewScheduler(serve.SchedulerConfig{
 		CoreBudget:     *coreBudget,
 		QueueDepth:     *queueDepth,
-		PipelineDepth:  *pipeDepth,
 		MaxBatch:       *maxBatch,
 		BatchWindow:    *batchWin,
 		TraceSampleN:   *traceEvery,
@@ -161,7 +160,6 @@ func main() {
 		"addr", *addr,
 		"core_budget", *coreBudget,
 		"queue_depth", *queueDepth,
-		"pipeline_depth", *pipeDepth,
 		"max_batch", *maxBatch,
 		"batch_window", batchWin.String(),
 		"default_procs", *procs,

@@ -25,15 +25,14 @@ package hsumma
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -211,64 +210,10 @@ type Config struct {
 	Platform *Platform
 }
 
-// Stats reports aggregate traffic and timing of a run.
-type Stats struct {
-	// Messages and Bytes are totals across all ranks.
-	Messages int64
-	Bytes    int64
-	// MaxRankCommSeconds is the largest per-rank wall time spent in
-	// communication calls.
-	MaxRankCommSeconds float64
-	// MaxRankWaitSeconds is the largest per-rank time spent blocked on a
-	// message that had not arrived yet — the part of communication time
-	// that is waiting for a peer (or for a core, when ranks outnumber
-	// them) rather than moving data. Never more than MaxRankCommSeconds.
-	MaxRankWaitSeconds float64
-	// WallSeconds is the end-to-end elapsed time of the call: setup +
-	// distributed run + gather (for Session.Multiply it includes time
-	// queued behind earlier requests on the session).
-	WallSeconds float64
-	// SetupSeconds is the pre-run staging cost this call paid: for the
-	// one-shot Multiply that is spec resolution, block-map construction,
-	// tile allocation and the operand scatter; for Session.Multiply only
-	// the per-request share (scatter + output zeroing) remains — the rest
-	// was paid once at NewSession, which is the session-reuse win these two
-	// fields exist to measure.
-	SetupSeconds float64
-	// GemmSeconds is the largest per-rank wall time spent inside local
-	// multiplies — the compute half of the paper's comm/compute breakdown.
-	GemmSeconds float64
-	// CommSecondsByPhase breaks the critical rank's communication time
-	// (MaxRankCommSeconds) down by operation phase — "bcast" (broadcast
-	// rounds), "shift" (SendRecv exchanges), "p2p" (everything else).
-	// Zero-valued phases are omitted; the entries sum to
-	// MaxRankCommSeconds.
-	CommSecondsByPhase map[string]float64
-	// BusyImbalance is max/mean per-rank busy time (communication plus
-	// local multiplies): 1.0 is a perfectly even run, and the gap above 1
-	// is wall time lost to the slowest rank.
-	BusyImbalance float64
-	// PredictedSecondsByPhase is the tune model's closed-form per-phase
-	// prediction for the resolved execution (bcast/shift/p2p/gemm), the
-	// yardstick CommSecondsByPhase and GemmSeconds can be audited against:
-	// measured/predicted ratios near 1 mean the plan's cost model still
-	// describes this machine. Predictions are evaluated for the planner's
-	// target platform (Config.Platform, default Grid'5000) — on other
-	// hardware the *ratios between phases* remain meaningful even when the
-	// absolute seconds do not.
-	PredictedSecondsByPhase map[string]float64
-}
-
-// fromSummary fills the per-rank aggregate fields from an mpi.Summary.
-func (st *Stats) fromSummary(s mpi.Summary) {
-	st.Messages = s.Messages
-	st.Bytes = s.Bytes
-	st.MaxRankCommSeconds = s.MaxComm
-	st.MaxRankWaitSeconds = s.MaxWait
-	st.GemmSeconds = s.MaxGemm
-	st.CommSecondsByPhase = trace.CommPhaseMap(s.CommByPhase)
-	st.BusyImbalance = s.Imbalance
-}
+// Stats reports aggregate traffic and timing of a run — the one declaration
+// of the run statistics every live surface shares (Session.Multiply returns
+// the same struct, and the daemon's per-request stats embed it).
+type Stats = serve.RunStats
 
 // resolveSpec turns a user Config plus a problem shape into the engine's
 // transport-independent Spec (shared by Multiply, Simulate and the serving
@@ -335,8 +280,9 @@ func (cfg Config) resolveParams(shape Shape) (tune.ResolveParams, error) {
 // simply the M = N = K case). It block-distributes each operand over the
 // process grid by its own shape through the dist layer, runs one
 // goroutine per rank through the message-passing runtime (each rank
-// executing the shared algorithm code against the live transport), and
-// gathers the result. Shapes that do not divide the grid or block sizes
+// executing the shared algorithm code against the live transport, reading
+// views of a and b in place — neither is written — and accumulating into
+// views of the result). Shapes that do not divide the grid or block sizes
 // are zero-padded to the execution shape and the result is cropped —
 // any positive M, N, K runs.
 func Multiply(a, b *Matrix, cfg Config) (*Matrix, Stats, error) {
@@ -375,95 +321,32 @@ func CriticalPath(rec *Trace) *CriticalPathReport {
 
 func multiply(a, b *Matrix, cfg Config, traced bool) (*Matrix, Stats, *trace.Recorder, error) {
 	start := time.Now()
-	var st Stats
 	if a.Cols != b.Rows {
-		return nil, st, nil, fmt.Errorf("hsumma: inner dimensions differ: A is %dx%d, B is %dx%d (need A columns == B rows)",
+		return nil, Stats{}, nil, fmt.Errorf("hsumma: inner dimensions differ: A is %dx%d, B is %dx%d (need A columns == B rows)",
 			a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	shape := Shape{M: a.Rows, N: b.Cols, K: a.Cols}
-	spec, grid, err := resolveSpec(shape, cfg)
+	spec, grid, err := resolveSpec(Shape{M: a.Rows, N: b.Cols, K: a.Cols}, cfg)
 	if err != nil {
-		return nil, st, nil, err
+		return nil, Stats{}, nil, err
 	}
-	es := spec.Opts.Shape // execution shape (padded when needed)
-	st.PredictedSecondsByPhase = spec.Predicted
 	var rec *trace.Recorder
 	if traced {
 		rec = trace.New(grid.Size())
 	}
-
-	bmA, err := dist.NewBlockMap(es.M, es.K, grid)
+	// Resolution is what a resident session (NewSession) pays once instead
+	// of per call; the world spawn inside the run is part of it too, but is
+	// not separable from the run without skewing MaxRankCommSeconds.
+	resolveSec := time.Since(start).Seconds()
+	run := func(fn func(c *mpi.Comm), rec *trace.Recorder) ([]mpi.RankStats, error) {
+		return mpi.RunStatsTraced(grid.Size(), fn, rec)
+	}
+	outs, st, _, err := serve.Execute(run, spec, a, []*Matrix{b}, nil, rec, nil)
+	st.SetupSeconds += resolveSec
 	if err != nil {
 		return nil, st, nil, err
-	}
-	bmB, err := dist.NewBlockMap(es.K, es.N, grid)
-	if err != nil {
-		return nil, st, nil, err
-	}
-	bmC, err := dist.NewBlockMap(es.M, es.N, grid)
-	if err != nil {
-		return nil, st, nil, err
-	}
-	// Staging copies nothing: ranks read views of the (padded) operands
-	// and accumulate into views of the one output matrix, so there is no
-	// scatter and no gather to pay for. The host spans stay on the
-	// timeline (≈0 s) so every traced run has the same span structure.
-	scatterStart := time.Now()
-	aT, bT := bmA.Views(padTo(a, es.M, es.K)), bmB.Views(padTo(b, es.K, es.N))
-	out := matrix.New(es.M, es.N)
-	cT := bmC.Views(out)
-	if rec != nil {
-		rec.Host(trace.PhaseScatter, rec.Since(scatterStart), time.Since(scatterStart).Seconds(),
-			int64(8*(es.M*es.K+es.K*es.N)), 0)
-	}
-	// Everything up to here — resolution, maps, staging —
-	// is what a resident session (NewSession) pays once instead of per
-	// call; the world spawn below is part of it too, but is not separable
-	// from the run without skewing MaxRankCommSeconds.
-	st.SetupSeconds = time.Since(start).Seconds()
-
-	var mu sync.Mutex
-	var algErr error
-	ranks, err := mpi.RunStatsTraced(grid.Size(), func(c *mpi.Comm) {
-		r := c.Rank()
-		if e := engine.Run(mpi.AsComm(c), spec, aT[r], bT[r], cT[r]); e != nil {
-			mu.Lock()
-			if algErr == nil {
-				algErr = e
-			}
-			mu.Unlock()
-		}
-	}, rec)
-	if err != nil {
-		return nil, st, nil, err
-	}
-	if algErr != nil {
-		return nil, st, nil, algErr
-	}
-	st.fromSummary(mpi.Summarize(ranks))
-	gatherStart := time.Now()
-	if es.M != shape.M || es.N != shape.N {
-		out = out.View(0, 0, shape.M, shape.N).Clone()
-	}
-	if rec != nil {
-		rec.Host(trace.PhaseGather, rec.Since(gatherStart), time.Since(gatherStart).Seconds(),
-			int64(8*es.M*es.N), 0)
 	}
 	st.WallSeconds = time.Since(start).Seconds()
-	return out, st, rec, nil
-}
-
-// padTo embeds m in the top-left corner of a zeroed r×c matrix, or
-// returns m itself when it already has that shape. Zero rows/columns of A
-// and B contribute nothing to the product, so running the padded problem
-// and cropping C is exact.
-func padTo(m *Matrix, r, c int) *Matrix {
-	if m.Rows == r && m.Cols == c {
-		return m
-	}
-	out := matrix.New(r, c)
-	out.View(0, 0, m.Rows, m.Cols).CopyFrom(m)
-	return out
+	return outs[0], st, rec, nil
 }
 
 // Reference computes A·B sequentially — the oracle for verification.

@@ -8,9 +8,8 @@
 // (Options.Validate). "SUMMA is a special case of HSUMMA" is therefore not
 // a property the tests have to establish between two implementations: a
 // level of 1×1 groups, or one that spans the grid, is a stage whose
-// communicators have a single rank. CyclicSUMMA is the same loop under the
-// block-cyclic layout, and the distributed Strassen recursion (strassen.go)
-// bottoms out in it.
+// communicators have a single rank. The distributed Strassen recursion
+// (strassen.go) bottoms out in it.
 //
 // All algorithms multiply block-checkerboard-distributed matrices in
 // place and are shape-general: the global problem is C (M×N) += A (M×K) ·

@@ -190,44 +190,3 @@ func TestRectValidationErrors(t *testing.T) {
 		})
 	}
 }
-
-// CyclicSUMMA on rectangular operands: the ScaLAPACK layout with per-
-// operand cyclic maps.
-func TestCyclicSUMMARectangular(t *testing.T) {
-	sh := matrix.Shape{M: 16, N: 8, K: 24}
-	g := topo.Grid{S: 2, T: 2}
-	b := 2
-	o := Options{Shape: sh, Grid: g, Knobs: Knobs{BlockSize: b}}
-	cmA, err := dist.NewCyclicMap(sh.M, sh.K, b, b, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmB, err := dist.NewCyclicMap(sh.K, sh.N, b, b, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmC, err := dist.NewCyclicMap(sh.M, sh.N, b, b, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := matrix.Random(sh.M, sh.K, 61)
-	bb := matrix.Random(sh.K, sh.N, 62)
-	aT, bT := cmA.Scatter(a), cmB.Scatter(bb)
-	cT := make([]*matrix.Dense, g.Size())
-	for r := range cT {
-		cT[r] = matrix.New(cmC.LocalRows(), cmC.LocalCols())
-	}
-	if err := mpi.Run(g.Size(), func(c *mpi.Comm) {
-		if e := CyclicSUMMA(mpi.AsComm(c), o, aT[c.Rank()], bT[c.Rank()], cT[c.Rank()]); e != nil {
-			panic(e)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got := cmC.Gather(cT)
-	want := matrix.New(sh.M, sh.N)
-	Reference(want, a, bb)
-	if d := matrix.MaxAbsDiff(got, want); d > tol {
-		t.Fatalf("cyclic rect result differs by %g", d)
-	}
-}

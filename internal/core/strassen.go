@@ -253,7 +253,7 @@ func strassenLevel(c comm.Comm, o Options, n, s, level int, aLoc, bLoc, cLoc *ma
 			if err != nil {
 				return err
 			}
-			if err := pivotLoop(sub, &bot, levels, blockLayout, &sumA.Tile, &sumB.Tile, prod); err != nil {
+			if err := pivotLoop(sub, &bot, levels, &sumA.Tile, &sumB.Tile, prod); err != nil {
 				return err
 			}
 		}

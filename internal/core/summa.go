@@ -7,7 +7,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/matrix"
 	"repro/internal/sched"
-	"repro/internal/topo"
 )
 
 // SUMMA performs C += A·B with the scalable universal matrix
@@ -20,7 +19,7 @@ import (
 // (M/s)×(N/t) respectively (see dist.BlockMap). aLoc and bLoc are not
 // modified.
 func SUMMA(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
-	return pivotLoop(c, &opts, nil, blockLayout, aLoc, bLoc, cLoc)
+	return pivotLoop(c, &opts, nil, aLoc, bLoc, cLoc)
 }
 
 // HSUMMA performs C += A·B with the paper's hierarchical SUMMA (Section
@@ -31,7 +30,7 @@ func SUMMA(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 // phases has single-rank communicators and HSUMMA performs exactly SUMMA's
 // communication — the paper's "SUMMA is a special case of HSUMMA".
 func HSUMMA(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
-	return pivotLoop(c, &opts, opts.GroupLevels(), blockLayout, aLoc, bLoc, cLoc)
+	return pivotLoop(c, &opts, opts.GroupLevels(), aLoc, bLoc, cLoc)
 }
 
 // MultilevelHSUMMA performs C += A·B over an arbitrary hierarchy — the
@@ -42,47 +41,7 @@ func HSUMMA(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 // broadcasts. Zero levels is SUMMA and one level is HSUMMA, exactly.
 func MultilevelHSUMMA(c comm.Comm, opts Options, levels []Level, innerBlock int, aLoc, bLoc, cLoc *matrix.Dense) error {
 	opts.BlockSize = innerBlock
-	return pivotLoop(c, &opts, levels, blockLayout, aLoc, bLoc, cLoc)
-}
-
-// CyclicSUMMA performs C += A·B over matrices in the 2D block-cyclic
-// distribution — the ScaLAPACK layout and the paper's first future-work
-// item (§VI: "by using block-cyclic distribution the communication can be
-// better overlapped and parallelized"). It is SUMMA under cyclicLayout:
-// broadcast roots rotate round-robin instead of dwelling on one grid
-// column for K/(t·b) consecutive steps, the property that spreads root
-// load and enables the overlap the paper anticipates.
-//
-// Tiles must come from dist.CyclicMap with Br = Bc = opts.BlockSize.
-func CyclicSUMMA(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
-	o := opts.withDefaults()
-	if err := o.Validate(nil); err != nil {
-		return err
-	}
-	sh, b, g := o.Shape, o.BlockSize, o.Grid
-	if sh.M%b != 0 || sh.N%b != 0 || sh.K%b != 0 ||
-		(sh.M/b)%g.S != 0 || (sh.K/b)%g.S != 0 || (sh.K/b)%g.T != 0 || (sh.N/b)%g.T != 0 {
-		return fmt.Errorf("core: cyclic layout needs every operand's block rows/cols divisible by grid %v (shape %v, b=%d)", g, sh, b)
-	}
-	return pivotLoop(c, &o, nil, cyclicLayout, aLoc, bLoc, cLoc)
-}
-
-// layout maps the first global K index lo of a top-level pivot panel to
-// the grid column (for A; grid row for B) that owns it and the panel's
-// offset inside the owner's tile. extent is the per-rank K extent of the
-// operand, procs the grid dimension the K axis is spread over, b the
-// innermost block.
-type layout func(lo, extent, procs, b int) (owner, off int)
-
-// blockLayout is the block-checkerboard distribution: each rank holds one
-// contiguous K range.
-func blockLayout(lo, extent, _, _ int) (owner, off int) { return lo / extent, lo % extent }
-
-// cyclicLayout is the block-cyclic distribution with block b: block k
-// lives on rank k mod procs, as that rank's (k div procs)-th local block.
-func cyclicLayout(lo, _, procs, b int) (owner, off int) {
-	k := lo / b
-	return k % procs, k / procs * b
+	return pivotLoop(c, &opts, levels, aLoc, bLoc, cLoc)
 }
 
 // stage is one broadcast stage of the pivot loop as one rank sees it: the
@@ -94,7 +53,7 @@ func cyclicLayout(lo, _, procs, b int) (owner, off int) {
 // (bRoot) is the digit of the current owner of A's (B's) panels, the root
 // of the stage's broadcast, or −1 when this rank's finer digits do not
 // match the owner's and it sits the broadcast out. Owners dwell for
-// K/(t·w) steps in the block layout, so roots are worked out when the
+// K/(t·w) steps, so roots are worked out when the
 // owner changes (retarget), not once per step.
 //
 // What every step reads comes first and what only retarget reads last: a
@@ -178,7 +137,7 @@ func (p *pivot) stage(k int) *stage {
 // Only ranks on the owning digits ever hold a stage's panel; a panel that
 // is never packed or received into stays empty, so the memory is the
 // paper's footprint, B·M/s + B·N/t on the ranks that take part.
-func pivotLoop(c comm.Comm, opts *Options, levels []Level, own layout, aLoc, bLoc, cLoc *matrix.Dense) error {
+func pivotLoop(c comm.Comm, opts *Options, levels []Level, aLoc, bLoc, cLoc *matrix.Dense) error {
 	o := opts.withDefaults()
 	if err := o.Validate(levels); err != nil {
 		return err
@@ -223,7 +182,7 @@ func pivotLoop(c comm.Comm, opts *Options, levels []Level, own layout, aLoc, bLo
 		st.aPanel = c.NewPanel(aRows, st.width)
 		st.bPanel = c.NewPanel(st.width, bCols)
 	}
-	p.walk(own, o.Shape.K, aCols, bRows, g, o.BlockSize)
+	p.walk(o.Shape.K, aCols, bRows)
 	return nil
 }
 
@@ -236,13 +195,14 @@ func pivotLoop(c comm.Comm, opts *Options, levels []Level, own layout, aLoc, bLo
 // without a copy. It is a loop in a small frame of its own, not a
 // recursion over the stages inside pivotLoop's frame, for the reasons
 // noted there (stack depth) and at stage (cache lines).
-func (p *pivot) walk(own layout, K, aCols, bRows int, g topo.Grid, b int) {
+func (p *pivot) walk(K, aCols, bRows int) {
 	c := p.c
 	for lo, k := 0, 0; lo < K; {
 		if k == 0 {
-			var ownerCol, ownerRow int
-			ownerCol, p.aOff = own(lo, aCols, g.T, b)
-			ownerRow, p.bOff = own(lo, bRows, g.S, b)
+			// Block-checkerboard ownership: each rank holds one contiguous K
+			// range, aCols wide in A and bRows tall in B.
+			ownerCol, ownerRow := lo/aCols, lo/bRows
+			p.aOff, p.bOff = lo%aCols, lo%bRows
 			if ownerCol != p.ownerCol || ownerRow != p.ownerRow {
 				p.retarget(ownerCol, ownerRow)
 			}

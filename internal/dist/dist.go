@@ -1,29 +1,24 @@
 // Package dist is the data-distribution layer: it maps global matrices onto
 // the tiles each rank of a process grid owns, and moves data between the
-// two representations. Two layouts are provided, matching the paper and its
-// first future-work item:
+// two representations. BlockMap is the block-checkerboard distribution all
+// of the paper's experiments use — rank (i,j) of an s×t grid owns a
+// contiguous tile, rows and columns split as evenly as possible (equal tiles
+// when the shape divides the grid, the paper's configuration; otherwise the
+// first rows%s block rows are one row taller, ScaLAPACK's balanced
+// convention).
 //
-//   - BlockMap: the block-checkerboard distribution all of the paper's
-//     experiments use — rank (i,j) of an s×t grid owns a contiguous tile,
-//     rows and columns split as evenly as possible (equal tiles when the
-//     shape divides the grid, the paper's configuration; otherwise the
-//     first rows%s block rows are one row taller, ScaLAPACK's balanced
-//     convention);
-//
-//   - CyclicMap: the two-dimensional block-cyclic (ScaLAPACK) distribution
-//     (§VI: "by using block-cyclic distribution the communication can be
-//     better overlapped and parallelized") — global block (bi,bj) lives on
-//     rank (bi mod s, bj mod t) at local block (bi div s, bj div t), with a
-//     ragged trailing block when the block size does not divide the shape.
+// A contiguous tile is a view: every live path (the one-shot façade and the
+// resident sessions alike) hands ranks BlockMap.Views of the operands and of
+// the output, so distributing copies nothing — the paper's cost model has no
+// scatter term because the operands already sit in the ranks' tiles.
+// Scatter and Gather are the copying form of the same cut, kept as the
+// reference the bit-identity tests and the benchmark's decomposed replay
+// compare the views against.
 //
 // Non-divisible shapes round-trip Scatter→Locate→Gather exactly like
 // divisible ones; the *algorithms* that require uniform tiles (the SUMMA
 // family) validate their stricter divisibility constraints themselves in
 // internal/core.
-//
-// Scatter/Gather run on the host, outside the ranked execution, so the
-// distribution cost never pollutes the runtime's traffic statistics — the
-// same separation the paper makes by reporting multiplication time only.
 package dist
 
 import (
@@ -174,9 +169,7 @@ func (m *BlockMap) Scatter(a *matrix.Dense) []*matrix.Dense {
 // returned slice holds, at index r, a view of a covering rank r's tile —
 // what Scatter would have cloned. Views of an operand let ranks read it in
 // place (they must not write it); views of an output matrix let them write
-// their tiles where Gather would have put them. The one-shot façade stages
-// this way; resident sessions, which outlive the caller's matrices, keep
-// their own tiles and use ScatterInto.
+// their tiles where Gather would have put them.
 func (m *BlockMap) Views(a *matrix.Dense) []*matrix.Dense {
 	m.checkShape(a)
 	tiles := make([]*matrix.Dense, m.grid.Size())
@@ -186,132 +179,6 @@ func (m *BlockMap) Views(a *matrix.Dense) []*matrix.Dense {
 		tiles[r] = a.View(m.rowStart(i), m.colStart(j), tr, tc)
 	}
 	return tiles
-}
-
-// ScatterInto copies each rank's tile of a into the caller-provided tiles,
-// reusing their storage — the allocation-free Scatter the serving layer
-// uses to push a stream of operands through one resident session. Each
-// tiles[r] must already have rank r's exact tile shape (as allocated from
-// TileShape or a previous Scatter).
-func (m *BlockMap) ScatterInto(tiles []*matrix.Dense, a *matrix.Dense) {
-	m.checkShape(a)
-	m.checkTiles(tiles)
-	for r, t := range tiles {
-		if t.Rows == 0 || t.Cols == 0 {
-			continue
-		}
-		i, j := m.grid.Coords(r)
-		t.CopyFrom(a.View(m.rowStart(i), m.colStart(j), t.Rows, t.Cols))
-	}
-}
-
-// GatherInto reassembles the global matrix from per-rank tiles into the
-// caller-provided out matrix (the allocation-free Gather).
-func (m *BlockMap) GatherInto(out *matrix.Dense, tiles []*matrix.Dense) {
-	m.checkShape(out)
-	m.checkTiles(tiles)
-	for r, t := range tiles {
-		if t.Rows == 0 || t.Cols == 0 {
-			continue
-		}
-		i, j := m.grid.Coords(r)
-		out.View(m.rowStart(i), m.colStart(j), t.Rows, t.Cols).CopyFrom(t)
-	}
-}
-
-// checkTiles validates a tile slice against the map's grid and per-rank
-// tile shapes.
-func (m *BlockMap) checkTiles(tiles []*matrix.Dense) {
-	if len(tiles) != m.grid.Size() {
-		panic(fmt.Sprintf("dist: %d tiles for grid %v", len(tiles), m.grid))
-	}
-	for r, t := range tiles {
-		tr, tc := m.TileShape(r)
-		if t.Rows != tr || t.Cols != tc {
-			panic(fmt.Sprintf("dist: tile %d is %dx%d, want %dx%d", r, t.Rows, t.Cols, tr, tc))
-		}
-	}
-}
-
-// checkRegion validates that the region rooted at (r0,c0) with the given
-// extent lies inside the global matrix.
-func (m *BlockMap) checkRegion(r0, c0, rows, cols int) {
-	if r0 < 0 || c0 < 0 || rows < 0 || cols < 0 || r0+rows > m.rows || c0+cols > m.cols {
-		panic(fmt.Sprintf("dist: region (%d,%d)+%dx%d outside %dx%d matrix", r0, c0, rows, cols, m.rows, m.cols))
-	}
-}
-
-// ScatterPart copies src into the global region rooted at (r0,c0): each
-// rank's tile receives the part of src it owns, and every tile element
-// outside the region keeps its current value. Combined with zero-initialised
-// tiles this replaces the pad-copy-then-ScatterInto staging dance — the
-// request-shaped operand lands directly in the padded tiles and the fringe
-// stays zero — and placing parts at successive column offsets is how the
-// serving layer concatenates the B operands of a coalesced batch.
-func (m *BlockMap) ScatterPart(tiles []*matrix.Dense, src *matrix.Dense, r0, c0 int) {
-	m.checkTiles(tiles)
-	m.checkRegion(r0, c0, src.Rows, src.Cols)
-	for r, t := range tiles {
-		if t.Rows == 0 || t.Cols == 0 {
-			continue
-		}
-		i, j := m.grid.Coords(r)
-		rs, cs := m.rowStart(i), m.colStart(j)
-		ri0, ri1 := max(r0, rs), min(r0+src.Rows, rs+t.Rows)
-		ci0, ci1 := max(c0, cs), min(c0+src.Cols, cs+t.Cols)
-		if ri0 >= ri1 || ci0 >= ci1 {
-			continue
-		}
-		t.View(ri0-rs, ci0-cs, ri1-ri0, ci1-ci0).
-			CopyFrom(src.View(ri0-r0, ci0-c0, ri1-ri0, ci1-ci0))
-	}
-}
-
-// GatherPart fills dst from the global region rooted at (r0,c0) — the
-// inverse of ScatterPart, and the serving layer's crop-free gather: a
-// padded result's request-shaped corner (or one batched request's column
-// slice of C) is read straight out of the tiles without materialising the
-// full padded matrix.
-func (m *BlockMap) GatherPart(dst *matrix.Dense, tiles []*matrix.Dense, r0, c0 int) {
-	m.checkTiles(tiles)
-	m.checkRegion(r0, c0, dst.Rows, dst.Cols)
-	for r, t := range tiles {
-		if t.Rows == 0 || t.Cols == 0 {
-			continue
-		}
-		i, j := m.grid.Coords(r)
-		rs, cs := m.rowStart(i), m.colStart(j)
-		ri0, ri1 := max(r0, rs), min(r0+dst.Rows, rs+t.Rows)
-		ci0, ci1 := max(c0, cs), min(c0+dst.Cols, cs+t.Cols)
-		if ri0 >= ri1 || ci0 >= ci1 {
-			continue
-		}
-		dst.View(ri0-r0, ci0-c0, ri1-ri0, ci1-ci0).
-			CopyFrom(t.View(ri0-rs, ci0-cs, ri1-ri0, ci1-ci0))
-	}
-}
-
-// ScatterCols scatters the column concatenation [parts[0] parts[1] …],
-// rooted at the global origin, into the tiles: part p lands at column
-// offset Σ(cols of parts[0..p-1]). All parts must share a row count and
-// the concatenation must fit the map; trailing pad columns are untouched.
-func (m *BlockMap) ScatterCols(tiles []*matrix.Dense, parts []*matrix.Dense) {
-	c0 := 0
-	for _, p := range parts {
-		m.ScatterPart(tiles, p, 0, c0)
-		c0 += p.Cols
-	}
-}
-
-// GatherCols splits the leading global columns back into the caller's
-// parts — the inverse of ScatterCols, used to hand each request of a
-// coalesced batch its own slice of the batched C.
-func (m *BlockMap) GatherCols(parts []*matrix.Dense, tiles []*matrix.Dense) {
-	c0 := 0
-	for _, p := range parts {
-		m.GatherPart(p, tiles, 0, c0)
-		c0 += p.Cols
-	}
 }
 
 // Gather reassembles the global matrix from per-rank tiles (the inverse of

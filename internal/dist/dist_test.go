@@ -83,66 +83,6 @@ func TestBlockMapValidation(t *testing.T) {
 	}
 }
 
-func TestCyclicMapRoundTrip(t *testing.T) {
-	for _, c := range []struct{ rows, cols, br, bc, s, tt int }{
-		{8, 8, 2, 2, 2, 2}, {16, 16, 2, 2, 2, 4}, {16, 8, 2, 2, 4, 2}, {12, 12, 2, 3, 2, 2}, {8, 8, 2, 2, 1, 1},
-	} {
-		g := topo.Grid{S: c.s, T: c.tt}
-		m, err := NewCyclicMap(c.rows, c.cols, c.br, c.bc, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := matrix.Random(c.rows, c.cols, 7)
-		if !matrix.Equal(m.Gather(m.Scatter(a)), a) {
-			t.Fatalf("cyclic gather(scatter) != identity for %+v", c)
-		}
-	}
-}
-
-func TestCyclicMapLocate(t *testing.T) {
-	g := topo.Grid{S: 2, T: 2}
-	m, _ := NewCyclicMap(8, 8, 2, 2, g)
-	a := matrix.Indexed(8, 8, 0)
-	tiles := m.Scatter(a)
-	for gi := 0; gi < 8; gi++ {
-		for gj := 0; gj < 8; gj++ {
-			rank, li, lj := m.Locate(gi, gj)
-			if got, want := tiles[rank].At(li, lj), a.At(gi, gj); got != want {
-				t.Fatalf("cyclic Locate(%d,%d): %g, want %g", gi, gj, got, want)
-			}
-		}
-	}
-	// The defining property: consecutive block rows round-robin over grid
-	// rows, so rank (0,0) owns global rows {0,1,4,5}, not {0,1,2,3}.
-	rank, _, _ := m.Locate(4, 0)
-	if rank != 0 {
-		t.Fatalf("block-cyclic row 4 on rank %d, want 0", rank)
-	}
-	rank, _, _ = m.Locate(2, 0)
-	if rank != m.Grid().Rank(1, 0) {
-		t.Fatalf("block-cyclic row 2 on rank %d, want %d", rank, m.Grid().Rank(1, 0))
-	}
-}
-
-func TestCyclicMapValidation(t *testing.T) {
-	g := topo.Grid{S: 4, T: 4}
-	if _, err := NewCyclicMap(8, 8, 0, 2, g); err == nil {
-		t.Fatal("zero block accepted")
-	}
-	if _, err := NewCyclicMap(0, 8, 2, 2, g); err == nil {
-		t.Fatal("zero rows accepted")
-	}
-	// Uneven block counts and ragged trailing blocks are supported now;
-	// ragged_test.go round-trips them. core.CyclicSUMMA still validates
-	// the uniform layout it needs on its own.
-	if _, err := NewCyclicMap(12, 12, 4, 4, g); err != nil {
-		t.Fatalf("3 block rows over 4 grid rows rejected: %v", err)
-	}
-	if _, err := NewCyclicMap(10, 10, 3, 3, g); err != nil {
-		t.Fatalf("ragged trailing block rejected: %v", err)
-	}
-}
-
 // TestBlockMapViews: Views is Scatter without the copy — the same tiles,
 // aliasing the global matrix — for even and ragged splits, and writing
 // through the views of an output matrix is a Gather that never happens.

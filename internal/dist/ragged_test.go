@@ -9,8 +9,7 @@ import (
 
 // Non-divisible shapes: every element must land on exactly one rank, at
 // the position Locate reports, and Gather(Scatter(a)) must reproduce a —
-// for both layouts, including matrices smaller than the grid and ragged
-// trailing blocks.
+// including matrices smaller than the grid.
 
 func TestBlockMapRaggedRoundTrip(t *testing.T) {
 	cases := []struct{ rows, cols, s, tt int }{
@@ -58,51 +57,6 @@ func TestBlockMapRaggedRoundTrip(t *testing.T) {
 		}
 		if !matrix.Equal(m.Gather(tiles), a) {
 			t.Fatalf("%+v: gather(scatter) != identity", c)
-		}
-	}
-}
-
-func TestCyclicMapRaggedRoundTrip(t *testing.T) {
-	cases := []struct{ rows, cols, br, bc, s, tt int }{
-		{10, 10, 3, 3, 4, 4}, // ragged trailing block, uneven block counts
-		{12, 12, 4, 4, 4, 4}, // 3 block rows over 4 grid rows
-		{7, 11, 2, 3, 2, 2},  // both dimensions ragged
-		{5, 5, 8, 8, 2, 2},   // single block smaller than the block size
-		{9, 9, 2, 2, 3, 5},   // more grid cols than block cols
-	}
-	for _, c := range cases {
-		g := topo.Grid{S: c.s, T: c.tt}
-		m, err := NewCyclicMap(c.rows, c.cols, c.br, c.bc, g)
-		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
-		}
-		a := matrix.Indexed(c.rows, c.cols, 0)
-		tiles := m.Scatter(a)
-
-		// Tile shapes must account for every element exactly once.
-		total := 0
-		for r, tile := range tiles {
-			tr, tc := m.TileShape(r)
-			if tile.Rows != tr || tile.Cols != tc {
-				t.Fatalf("%+v: tile %d is %dx%d, TileShape says %dx%d", c, r, tile.Rows, tile.Cols, tr, tc)
-			}
-			total += tr * tc
-		}
-		if total != c.rows*c.cols {
-			t.Fatalf("%+v: tiles hold %d elements, want %d", c, total, c.rows*c.cols)
-		}
-
-		for gi := 0; gi < c.rows; gi++ {
-			for gj := 0; gj < c.cols; gj++ {
-				rank, li, lj := m.Locate(gi, gj)
-				if got, want := tiles[rank].At(li, lj), a.At(gi, gj); got != want {
-					t.Fatalf("%+v: Locate(%d,%d) -> rank %d (%d,%d): %g, want %g",
-						c, gi, gj, rank, li, lj, got, want)
-				}
-			}
-		}
-		if !matrix.Equal(m.Gather(tiles), a) {
-			t.Fatalf("%+v: cyclic gather(scatter) != identity", c)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // The payload codec of POST /multiply. The operand and result arrays are
 // most of every body, so encoding/json never sees them: requests are scanned
 // token by token out of a fixed read window as the body arrives, responses
-// are appended straight from the gathered C. encoding/json is left the
+// are appended straight from the product C. encoding/json is left the
 // handful of knob members (jsonMultiply) and the stats object.
 
 const (
@@ -29,12 +29,12 @@ const (
 // the decoded operands and the encoded response. Objects are pooled and grow
 // to the largest request seen.
 //
-// Ownership: the matrices handed to Scheduler.Multiply alias a and b. That
-// is sound because Multiply returns only after the session has copied them
-// into its own tiles and closed the job, and sameOperand only ever compares
-// jobs whose callers are still blocked inside Multiply — so a scratch goes
-// back to the pool once its response is written, and never before Multiply
-// returns.
+// Ownership: the matrices handed to Scheduler.Multiply alias a and b, and
+// the session's ranks read them in place for the whole run. That is sound
+// because Multiply returns only after the run has ended and the job is
+// closed, and sameOperand only ever compares jobs whose callers are still
+// blocked inside Multiply — so a scratch goes back to the pool once its
+// response is written, and never before Multiply returns.
 type scratch struct {
 	win  []byte
 	a, b []float64

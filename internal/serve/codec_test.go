@@ -283,8 +283,8 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 			vals = append(vals, v, rng.NormFloat64(), float64(rng.Intn(1000)))
 		}
 	}
-	stats := Stats{Messages: 16, WallSeconds: 1.5e-7, SpecKey: `hsumma<g=4>&"x"`, DecodeSeconds: 0.017,
-		CommSecondsByPhase: map[string]float64{"p2p": 1e-9, "bcast": 0.25}, BatchSize: 1}
+	stats := Stats{SpecKey: `hsumma<g=4>&"x"`, DecodeSeconds: 0.017, BatchSize: 1, RunStats: RunStats{
+		Messages: 16, WallSeconds: 1.5e-7, CommSecondsByPhase: map[string]float64{"p2p": 1e-9, "bcast": 0.25}}}
 	for _, rows := range []int{1, 3, len(vals) / 7} {
 		// A view into a wider matrix: the encoder must walk rows by stride.
 		wide := matrix.FromSlice(rows, len(vals)/rows, vals[:rows*(len(vals)/rows)])

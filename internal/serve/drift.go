@@ -110,6 +110,15 @@ func (d *driftTracker) observe(key string, predicted, measured map[string]float6
 	return ratio, false
 }
 
+// forget drops a retired key's state: a session that comes back for the
+// shape starts a fresh estimate. (An EWMA has no meaningful merge, and no
+// verdict is ever read off a catch-all key, so there is nothing to fold.)
+func (d *driftTracker) forget(key string) {
+	d.mu.Lock()
+	delete(d.byKey, key)
+	d.mu.Unlock()
+}
+
 // snapshot returns each key's phase EWMAs, for introspection/tests.
 func (d *driftTracker) snapshot() map[string]map[string]float64 {
 	d.mu.Lock()

@@ -104,9 +104,8 @@ func TestDriftTrackerNoPrediction(t *testing.T) {
 // scale down by the batch width before comparison.
 func TestMeasuredPhasesBatchScaling(t *testing.T) {
 	st := Stats{
-		BatchSize:          4,
-		GemmSeconds:        8,
-		CommSecondsByPhase: map[string]float64{"bcast": 4, "p2p": 2},
+		BatchSize: 4,
+		RunStats:  RunStats{GemmSeconds: 8, CommSecondsByPhase: map[string]float64{"bcast": 4, "p2p": 2}},
 	}
 	m := measuredPhases(st)
 	if m["bcast"] != 1 || m["p2p"] != 0.5 || m["gemm"] != 2 {

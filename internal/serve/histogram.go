@@ -101,6 +101,28 @@ func (hv *histogramVec) observe(key string, v float64) {
 	hv.mu.Unlock()
 }
 
+// fold merges key's histogram into into's and drops key: totals, sums and
+// every bucket count are preserved, the label is not.
+func (hv *histogramVec) fold(key, into string) {
+	hv.mu.Lock()
+	defer hv.mu.Unlock()
+	h := hv.byKey[key]
+	if h == nil {
+		return
+	}
+	delete(hv.byKey, key)
+	dst := hv.byKey[into]
+	if dst == nil {
+		hv.byKey[into] = h
+		return
+	}
+	for i, b := range h.buckets {
+		dst.buckets[i] += b
+	}
+	dst.sum += h.sum
+	dst.count += h.count
+}
+
 // write renders the family in Prometheus text exposition format, keys in
 // sorted order so scrapes are deterministic.
 func (hv *histogramVec) write(w io.Writer) {

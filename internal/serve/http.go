@@ -78,6 +78,9 @@ func NewHandler(sc *Scheduler, cfg HandlerConfig) http.Handler {
 		histDecode: newHistogramVec("hsumma_serve_decode_seconds", "Time reading and decoding the request body into operands."),
 		histEncode: newHistogramVec("hsumma_serve_encode_seconds", "Time encoding the product into the response body."),
 	}
+	sc.mu.Lock()
+	sc.specKeyed = append(sc.specKeyed, h.histDecode, h.histEncode)
+	sc.mu.Unlock()
 	h.mux.HandleFunc("POST /multiply", h.multiply)
 	h.mux.HandleFunc("GET /plan", h.plan)
 	h.mux.HandleFunc("GET /metrics", h.metrics)
@@ -328,8 +331,8 @@ func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	encodeSec := time.Since(encodeStart).Seconds()
-	h.histDecode.observe(stats.SpecKey, decodeSec)
-	h.histEncode.observe(stats.SpecKey, encodeSec)
+	h.sc.observeKeyed(h.histDecode, stats.SpecKey, decodeSec)
+	h.sc.observeKeyed(h.histEncode, stats.SpecKey, encodeSec)
 	logAttrs(r,
 		slog.String("outcome", "ok"),
 		slog.String("spec_key", stats.SpecKey),
@@ -581,7 +584,6 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	emit("hsumma_serve_plan_cache_misses_total", "Tune plan-cache misses.", "counter", float64(m.PlanCacheMisses))
 	emit("hsumma_serve_plan_sim_runs_total", "Stage-2 virtual runs the tune planner executed.", "counter", float64(m.PlanSimRuns))
 	emit("hsumma_serve_plan_refine_seconds_total", "Wall time spent inside the planner's stage-2 refinement.", "counter", m.PlanRefineSeconds)
-	emit("hsumma_serve_pipeline_overlap_seconds_total", "Staging time that overlapped an execution (double-buffering win).", "counter", m.PipelineOverlapSeconds)
 	emit("hsumma_serve_batch_size_mean", "Mean coalesced batch size across completed requests.", "gauge", m.BatchSizeMean)
 	emit("hsumma_serve_plan_stale_total", "Requests whose sustained measured/predicted drift marked their plan stale.", "counter", float64(m.PlanStale))
 	emit("hsumma_serve_trace_sampled_total", "Requests sampled into the flight recorder.", "counter", float64(m.TraceSampled))

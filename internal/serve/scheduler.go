@@ -24,14 +24,12 @@ type SchedulerConfig struct {
 	// QueueDepth bounds each session's admission window (default 32); a
 	// full window rejects with ErrOverloaded.
 	QueueDepth int
-	// PipelineDepth, MaxBatch and BatchWindow are handed to every session
-	// (see SessionConfig): staging buffer sets per session (0 → 2, double
-	// buffering; 1 → serial), maximum same-A requests coalesced into one
-	// execution (0 → 8; 1 → no batching), and how long a stager waits for
+	// MaxBatch and BatchWindow are handed to every session (see
+	// SessionConfig): maximum same-A requests coalesced into one execution
+	// (0 → 8; 1 → no batching), and how long a session's runner waits for
 	// further coalescible arrivals (0 → opportunistic only).
-	PipelineDepth int
-	MaxBatch      int
-	BatchWindow   time.Duration
+	MaxBatch    int
+	BatchWindow time.Duration
 	// TraceSampleN enables the flight recorder: 1 in every N completed
 	// requests runs traced and lands in the capture ring (GET
 	// /debug/traces). 0 disables sampling; unsampled requests follow the
@@ -88,11 +86,9 @@ type Metrics struct {
 	// histogram across all spec keys (0 until the first request completes).
 	LatencyP50Seconds float64 `json:"latency_p50_seconds"`
 	LatencyP99Seconds float64 `json:"latency_p99_seconds"`
-	// Pipeline/batching telemetry: mean coalesced batch size across
-	// completed requests (1.0 when batching never engages) and cumulative
-	// staging time that overlapped an execution (the double-buffering win).
-	BatchSizeMean          float64 `json:"batch_size_mean"`
-	PipelineOverlapSeconds float64 `json:"pipeline_overlap_seconds"`
+	// BatchSizeMean is the mean coalesced batch size across completed
+	// requests (1.0 when batching never engages).
+	BatchSizeMean float64 `json:"batch_size_mean"`
 	// LeasesActive counts requests currently holding a routing lease — a
 	// session reserved between routing and the end of its enqueue, the
 	// window retirement must not touch.
@@ -131,12 +127,14 @@ type Scheduler struct {
 
 	// Latency histograms per spec key: queue wait, staging, distributed
 	// execution, and end-to-end — the serve-layer time decomposition
-	// /metrics exports — plus the coalesced batch-size distribution and
-	// the cumulative stage/execute overlap counter.
+	// /metrics exports — plus the coalesced batch-size distribution.
+	// specKeyed lists every family keyed by spec key (these five and the
+	// handler's decode/encode pair, which NewHandler registers): when the
+	// last session carrying a key retires, each folds that key's series
+	// into otherKey, so label cardinality is bounded by the live sessions.
 	histQueue, histStage, histExec, histE2E *histogramVec
 	histBatch                               *histogramVec
-	overlapMu                               sync.Mutex
-	overlapSec                              float64
+	specKeyed                               []*histogramVec
 
 	// Plan-fidelity machinery: the per-spec-key drift EWMAs, the ratio
 	// histogram keyed by phase name, and the sampled-trace ring. sampleSeq
@@ -149,6 +147,9 @@ type Scheduler struct {
 	traceSampled atomic.Int64
 }
 
+// otherKey is the series retired spec keys are folded into.
+const otherKey = "other"
+
 // entry is one pooled session slot. The cores (ranks × threads) are
 // reserved against the budget from the moment the entry is inserted
 // (session construction happens outside the scheduler lock; waiters block
@@ -156,29 +157,32 @@ type Scheduler struct {
 // but not yet finished with it — retirement requires leases == 0, which
 // closes the race between routing and enqueueing.
 type entry struct {
-	ranks  int
-	cores  int
-	sess   *Session // nil until ready closes
-	err    error    // construction failure, set before ready closes
-	ready  chan struct{}
-	leases int
+	specKey string
+	ranks   int
+	cores   int
+	sess    *Session // nil until ready closes
+	err     error    // construction failure, set before ready closes
+	ready   chan struct{}
+	leases  int
 }
 
 // NewScheduler returns an empty scheduler; sessions spin up on demand.
 func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	cfg = cfg.withDefaults()
-	return &Scheduler{
+	sc := &Scheduler{
 		cfg:       cfg,
 		entries:   make(map[string]*entry),
 		histQueue: newHistogramVec("hsumma_serve_queue_wait_seconds", "Time requests waited on the session queue before staging."),
-		histStage: newHistogramVec("hsumma_serve_stage_seconds", "Operand padding, scatter and output-zeroing time per request."),
+		histStage: newHistogramVec("hsumma_serve_stage_seconds", "Staging time per request: cutting operand views, plus the one copy of a padded or batched operand."),
 		histExec:  newHistogramVec("hsumma_serve_execute_seconds", "Distributed execution time per request (resident world run)."),
-		histE2E:   newHistogramVec("hsumma_serve_request_seconds", "End-to-end request time: queue + stage + run + gather."),
+		histE2E:   newHistogramVec("hsumma_serve_request_seconds", "End-to-end request time: queue + stage + run + crop."),
 		histBatch: newHistogramVecBounds("hsumma_serve_batch_size", "Coalesced same-A requests per execution, observed once per request.", batchBounds),
 		histDrift: newHistogramVecBounds("hsumma_serve_model_drift_ratio", "Measured/predicted cost ratio per phase (key is the phase name; 1.0 = plan model exact).", driftBounds),
 		drift:     newDriftTracker(cfg.DriftThreshold, cfg.DriftMinSamples),
 		flight:    newFlightRecorder(cfg.TraceRingSize),
 	}
+	sc.specKeyed = []*histogramVec{sc.histQueue, sc.histStage, sc.histExec, sc.histE2E, sc.histBatch}
+	return sc
 }
 
 // Multiply serves one request: A (M×K) · B (K×N) under the given pinned
@@ -214,7 +218,9 @@ func (sc *Scheduler) Multiply(a, b *matrix.Dense, rp tune.ResolveParams) (*matri
 		stats.TraceID = sc.flight.add(stats.SpecKey, rp.Shape, stats.WallSeconds, rec)
 		sc.traceSampled.Add(1)
 	}
-	release()
+	// The lease is held across the observations: the session cannot retire
+	// (and fold its key's series away) between serving and being counted.
+	defer release()
 	if err != nil {
 		sc.countFailure(err)
 		return nil, stats, err
@@ -226,12 +232,30 @@ func (sc *Scheduler) Multiply(a, b *matrix.Dense, rp tune.ResolveParams) (*matri
 	sc.histExec.observe(stats.SpecKey, stats.RunSeconds)
 	sc.histE2E.observe(stats.SpecKey, stats.WallSeconds)
 	sc.histBatch.observe(stats.SpecKey, float64(stats.BatchSize))
-	if stats.OverlapSeconds > 0 {
-		sc.overlapMu.Lock()
-		sc.overlapSec += stats.OverlapSeconds
-		sc.overlapMu.Unlock()
-	}
 	return out, stats, nil
+}
+
+// observeKeyed records v in a spec-keyed family on behalf of a request
+// whose lease is already returned (the handler's decode and encode times):
+// under the request's spec key while a live session still carries it, under
+// otherKey once the key has been retired — checked under the scheduler lock
+// so a late observation cannot resurrect a folded series.
+func (sc *Scheduler) observeKeyed(hv *histogramVec, key string, v float64) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if !sc.keyLiveLocked(key) {
+		key = otherKey
+	}
+	hv.observe(key, v)
+}
+
+func (sc *Scheduler) keyLiveLocked(specKey string) bool {
+	for _, e := range sc.entries {
+		if e.specKey == specKey {
+			return true
+		}
+	}
+	return false
 }
 
 // observeDrift folds one completed request into the plan-fidelity
@@ -283,7 +307,7 @@ func routeKey(reqShape matrix.Shape, spec engine.Spec) string {
 // route finds or creates the session for a request, retiring idle
 // unleased sessions in least-recently-used order when the rank budget is
 // exceeded. The budget is reserved under the scheduler lock but session
-// construction (world spawn, tile allocation) runs outside it; concurrent
+// construction (world spawn) runs outside it; concurrent
 // requests for the same key wait on the entry instead of double-building.
 // The returned release func gives the routing lease back — retirement
 // never touches a session between its routing and its enqueue.
@@ -329,19 +353,25 @@ func (sc *Scheduler) route(reqShape matrix.Shape, spec engine.Spec) (*Session, f
 		delete(sc.entries, vKey)
 		victim.sess.Close()
 		sc.retired.Add(1)
+		// Two request shapes that pad to one execution share a spec key;
+		// the series outlive the victim while the other session lives.
+		if !sc.keyLiveLocked(victim.specKey) {
+			for _, hv := range sc.specKeyed {
+				hv.fold(victim.specKey, otherKey)
+			}
+			sc.drift.forget(victim.specKey)
+		}
 	}
-	e := &entry{ranks: ranks, cores: need, ready: make(chan struct{}), leases: 1}
+	e := &entry{specKey: spec.Key(), ranks: ranks, cores: need, ready: make(chan struct{}), leases: 1}
 	sc.entries[key] = e
 	sc.mu.Unlock()
 
-	// Build the session off the lock: spawning the world and zeroing the
-	// staging buffers can be arbitrarily large, and other shapes' requests
-	// must keep flowing meanwhile.
+	// Build the session off the lock: spawning the world takes a while, and
+	// other shapes' requests must keep flowing meanwhile.
 	sess, err := NewSession(reqShape, spec, SessionConfig{
-		QueueDepth:    sc.cfg.QueueDepth,
-		PipelineDepth: sc.cfg.PipelineDepth,
-		MaxBatch:      sc.cfg.MaxBatch,
-		BatchWindow:   sc.cfg.BatchWindow,
+		QueueDepth:  sc.cfg.QueueDepth,
+		MaxBatch:    sc.cfg.MaxBatch,
+		BatchWindow: sc.cfg.BatchWindow,
 	})
 	sc.mu.Lock()
 	if err == nil && sc.closed {
@@ -463,11 +493,6 @@ func (sc *Scheduler) Metrics() Metrics {
 		LatencyP50Seconds: sc.histE2E.quantile(0.50),
 		LatencyP99Seconds: sc.histE2E.quantile(0.99),
 		BatchSizeMean:     batchMean,
-		PipelineOverlapSeconds: func() float64 {
-			sc.overlapMu.Lock()
-			defer sc.overlapMu.Unlock()
-			return sc.overlapSec
-		}(),
 		LeasesActive:      leases,
 		PlanCacheHits:     ps.CacheHits,
 		PlanCacheMisses:   ps.CacheMisses,

@@ -246,3 +246,121 @@ func TestSessionBackpressure(t *testing.T) {
 	}
 	sess.Close()
 }
+
+// TestSessionStagesByViews pins the staging rule by aliasing, not timing.
+// Rank 0's tiles, seen through the staged hook just before the run: an
+// operand that has the execution shape is read at the caller's own first
+// element (and C accumulates at the returned product's) — no element was
+// copied and nothing is gathered; one that lacks it (padded, or the B and C
+// of a k = 3 batch) sits in the session scratch. The caller's operands are
+// bit-unchanged either way.
+func TestSessionStagesByViews(t *testing.T) {
+	first := func(m *matrix.Dense) *float64 { return &m.Data[0] }
+	for _, tc := range []struct {
+		name                      string
+		shape                     matrix.Shape
+		k                         int
+		copiesA, copiesB, copiesC bool
+	}{
+		{"unpadded", matrix.Square(32), 1, false, false, false},
+		{"K-only padded", matrix.Shape{M: 30, N: 26, K: 23}, 1, true, true, false},
+		{"padded", matrix.Shape{M: 29, N: 27, K: 23}, 1, true, true, true},
+		{"batch of 3", matrix.Square(32), 3, false, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := tune.ResolveSpec(tune.ResolveParams{Shape: tc.shape, Procs: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := NewSession(tc.shape, spec, SessionConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			var a0, b0, c0 *float64
+			sess.staged = func(aT, bT, cT []*matrix.Dense) { a0, b0, c0 = first(aT[0]), first(bT[0]), first(cT[0]) }
+
+			a := matrix.Random(tc.shape.M, tc.shape.K, 1)
+			bs := make([]*matrix.Dense, tc.k)
+			for i := range bs {
+				bs[i] = matrix.Random(tc.shape.K, tc.shape.N, uint64(2+i))
+			}
+			aBefore, bBefore := a.Clone(), bs[0].Clone()
+			var out *matrix.Dense
+			if tc.k == 1 {
+				if out, _, err = sess.Multiply(a, bs[0]); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				results := forceBatch(t, sess, a, bs)
+				for _, r := range results {
+					if r.err != nil || r.stats.BatchSize != tc.k {
+						t.Fatalf("forced batch: err %v, BatchSize %d", r.err, r.stats.BatchSize)
+					}
+				}
+				out = results[0].out
+			}
+			if !matrix.Equal(a, aBefore) || !matrix.Equal(bs[0], bBefore) {
+				t.Fatal("the session wrote to a caller's operand")
+			}
+			for _, op := range []struct {
+				name    string
+				got     *float64
+				caller  *matrix.Dense
+				copies  bool
+				scratch [2]int
+			}{
+				{"A", a0, a, tc.copiesA, [2]int{operandA, 0}},
+				{"B", b0, bs[0], tc.copiesB, [2]int{operandB, tc.k}},
+				{"C", c0, out, tc.copiesC, [2]int{operandC, tc.k}},
+			} {
+				sc := sess.scratch[op.scratch]
+				switch {
+				case op.copies && (sc == nil || op.got != first(sc)):
+					t.Errorf("%s lacks the execution shape, but rank 0's tile does not alias the session scratch", op.name)
+				case !op.copies && (sc != nil || op.got != first(op.caller)):
+					t.Errorf("%s has the execution shape, but rank 0's tile does not alias the caller's matrix", op.name)
+				}
+			}
+		})
+	}
+}
+
+// TestWarmSessionAllocation is the session-level twin of the handler's and
+// the façade's allocation budgets: a warm unpadded 256³ request allocates
+// its 512 KB product plus O(p) view headers — a second buffer set, a copied
+// operand or a gathered C each blow through it.
+func TestWarmSessionAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds load at random under the race detector")
+	}
+	const n = 256
+	spec, err := tune.ResolveSpec(tune.ResolveParams{Shape: matrix.Square(n), Procs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(matrix.Square(n), spec, SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	a, b := matrix.Random(n, n, 1), matrix.Random(n, n, 2)
+	run := func() {
+		if _, _, err := sess.Multiply(a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fill the payload pool and the kernel's packing buffers
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e3; kb > 8*n*n/1e3+150 {
+		t.Fatalf("a warm request allocates %.0f KB; the product is %d KB and the budget 150 KB more", kb, 8*n*n/1000)
+	} else {
+		t.Logf("%.0f KB per warm request (product %d KB)", kb, 8*n*n/1000)
+	}
+}

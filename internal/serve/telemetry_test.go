@@ -8,7 +8,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/matrix"
@@ -173,5 +176,103 @@ func TestHistogramQuantile(t *testing.T) {
 	empty := newHistogramVec("empty_seconds", "test")
 	if q := empty.quantile(0.5); q != 0 {
 		t.Fatalf("empty histogram quantile = %g, want 0", q)
+	}
+}
+
+// TestRetiredKeysFoldIntoOther is the cardinality bound on the per-spec-key
+// series: 40 distinct shapes through a scheduler whose budget holds two
+// sessions leave at most live + 1 key values in every spec-keyed family
+// (and in the drift tracker), the retired ones folded into "other" with
+// every observation kept — Σ _count is still the completed requests, the
+// latency quantiles still read — and the exposition stays well-formed:
+// HELP and TYPE once per family, no series twice.
+func TestRetiredKeysFoldIntoOther(t *testing.T) {
+	const shapes, callers = 40, 4
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 8})
+	defer sc.Close()
+	h := NewHandler(sc, HandlerConfig{DefaultProcs: 4})
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < shapes; i += callers {
+				n := 8 + i
+				wr := newWireRequest(t, matrix.Random(n, n, uint64(i)), matrix.Random(n, n, uint64(100+i)))
+				for {
+					got, _, err := wr.serve(h, i%2 == 1)
+					if err != nil && strings.Contains(err.Error(), "status 503") {
+						runtime.Gosched() // both sessions busy: backpressure, retry
+						continue
+					}
+					if err != nil {
+						t.Errorf("shape %d: %v", n, err)
+					} else if d := matrix.MaxAbsDiff(got, wr.want); d > oracleTol {
+						t.Errorf("shape %d: product off by %g", n, d)
+					}
+					break
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	m := sc.Metrics()
+	if m.Completed != shapes || m.SessionsLive > 2 || m.SessionsRetired < shapes-2 {
+		t.Fatalf("completed %d, live %d, retired %d; want %d, ≤ 2, ≥ %d", m.Completed, m.SessionsLive, m.SessionsRetired, shapes, shapes-2)
+	}
+	if m.LatencyP50Seconds <= 0 || m.LatencyP99Seconds < m.LatencyP50Seconds {
+		t.Fatalf("latency quantiles lost in the fold: p50 %g, p99 %g", m.LatencyP50Seconds, m.LatencyP99Seconds)
+	}
+	if got := len(sc.drift.snapshot()); got > m.SessionsLive {
+		t.Fatalf("drift tracker holds %d keys for %d live sessions", got, m.SessionsLive)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	keys := map[string]map[string]bool{} // family → key label values
+	counts := map[string]int{}           // family → Σ _count
+	seen, help, typ := map[string]bool{}, map[string]int{}, map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		if f := strings.Fields(line); f[0] == "#" {
+			if f[1] == "HELP" {
+				help[f[2]]++
+			} else {
+				typ[f[2]]++
+			}
+			continue
+		}
+		series, value, _ := strings.Cut(line, " ")
+		if seen[series] {
+			t.Fatalf("series %s appears twice", series)
+		}
+		seen[series] = true
+		name, labels, _ := strings.Cut(series, "{")
+		_, rest, ok := strings.Cut(labels, `key="`)
+		if !ok || !strings.HasSuffix(name, "_count") || name == "hsumma_serve_model_drift_ratio_count" {
+			continue // not a spec-keyed histogram (the drift family is keyed by phase)
+		}
+		key, _, _ := strings.Cut(rest, `"`)
+		if keys[name] == nil {
+			keys[name] = map[string]bool{}
+		}
+		keys[name][key] = true
+		v, _ := strconv.Atoi(value)
+		counts[name] += v
+	}
+	for name, n := range help {
+		if n != 1 || typ[name] != 1 {
+			t.Fatalf("family %s has %d HELP and %d TYPE lines", name, n, typ[name])
+		}
+	}
+	if len(keys) != 7 {
+		t.Fatalf("%d spec-keyed families scraped, want 7: %v", len(keys), keys)
+	}
+	for name, ks := range keys {
+		if len(ks) > m.SessionsLive+1 || !ks[otherKey] {
+			t.Errorf("%s carries %d key values for %d live sessions (other present: %v)", name, len(ks), m.SessionsLive, ks[otherKey])
+		}
+		if counts[name] != shapes {
+			t.Errorf("%s: Σ _count = %d, want the %d completed requests", name, counts[name], shapes)
+		}
 	}
 }

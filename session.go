@@ -8,9 +8,9 @@ import (
 
 // This file is the library face of the serving subsystem (internal/serve):
 // a Session keeps the distributed runtime resident between multiplications
-// — rank goroutines parked on a work queue, block maps, scatter tiles and
-// padded buffers built once — so a stream of products of one shape pays
-// spawn + plan + map setup a single time instead of per call. The same
+// — rank goroutines parked on a work queue, the resolved spec and the
+// scratch padded operands are staged through — so a stream of products of
+// one shape pays spawn + plan a single time instead of per call. The same
 // machinery, fronted by a shape-keyed scheduler and an HTTP daemon, is
 // cmd/hsumma-serve.
 
@@ -37,7 +37,7 @@ type Session struct {
 
 // NewSession resolves the configuration exactly as Multiply would —
 // including AlgAuto planner resolution and the shared block-size default —
-// then spawns the resident world and staging buffers for the given problem
+// then spawns the resident world for the given problem
 // shape: A (M×K) · B (K×N) = C (M×N). Every Session.Multiply must pass
 // operands of exactly this shape; start one session per distinct shape (or
 // use cmd/hsumma-serve, whose scheduler pools sessions by shape
@@ -68,26 +68,13 @@ func (s *Session) Calls() int64 { return s.inner.Calls() }
 // the session shape exactly; the result and the traffic statistics are
 // identical to what the one-shot Multiply reports for the same
 // configuration (bit-identical products — both run the same spec on the
-// same runtime), but Stats.SetupSeconds carries only the per-request
-// staging cost, the rest having been paid once at NewSession.
+// same runtime through the same staging rule), but Stats.SetupSeconds
+// carries only the per-request staging cost, the rest having been paid once
+// at NewSession. The ranks read a and b in place: leave both untouched until
+// Multiply returns.
 func (s *Session) Multiply(a, b *Matrix) (*Matrix, Stats, error) {
 	out, st, err := s.inner.Multiply(a, b)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return out, Stats{
-		Messages:           st.Messages,
-		Bytes:              st.Bytes,
-		MaxRankCommSeconds: st.MaxRankCommSeconds,
-		MaxRankWaitSeconds: st.MaxRankWaitSeconds,
-		WallSeconds:        st.WallSeconds,
-		SetupSeconds:       st.SetupSeconds,
-		GemmSeconds:        st.GemmSeconds,
-		CommSecondsByPhase: st.CommSecondsByPhase,
-		BusyImbalance:      st.BusyImbalance,
-
-		PredictedSecondsByPhase: st.PredictedSecondsByPhase,
-	}, nil
+	return out, st.RunStats, err
 }
 
 // Close releases the session: the in-flight request finishes, queued ones

@@ -2,14 +2,21 @@ package hsumma
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/matrix"
+	"repro/internal/serve"
 )
 
 // TestSessionBitIdenticalToMultiply locks in the serving acceptance
-// invariant: a warm session produces bit-identical results to the one-shot
-// Multiply for the same configuration (both execute the same spec on the
-// same runtime), across divisible, padded and rectangular shapes.
+// invariant: a warm session produces bit-identical results and identical
+// traffic to the one-shot Multiply for the same configuration — both stage
+// by the same rule and execute the same spec on the same runtime — and both
+// to the copying Scatter → engine.Run → Gather reference, across divisible,
+// padded and rectangular shapes and every algorithm family. Neither path
+// writes a caller's operand.
 func TestSessionBitIdenticalToMultiply(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -20,6 +27,11 @@ func TestSessionBitIdenticalToMultiply(t *testing.T) {
 		{"square padded", SquareShape(50), Config{Procs: 4}},
 		{"rect", Shape{M: 48, N: 16, K: 32}, Config{Procs: 8, Algorithm: AlgSUMMA}},
 		{"hsumma G", SquareShape(32), Config{Procs: 16, Algorithm: AlgHSUMMA, Groups: 4, BlockSize: 8}},
+		{"padded 30x26x22", Shape{M: 30, N: 26, K: 22}, Config{Procs: 16}},
+		{"K-only padded", Shape{M: 32, N: 32, K: 30}, Config{Procs: 16, BlockSize: 4}},
+		{"cannon", SquareShape(16), Config{Procs: 4, Algorithm: AlgCannon}},
+		{"cannon padded", SquareShape(31), Config{Procs: 9, Algorithm: AlgCannon}},
+		{"strassen hsumma bottom", SquareShape(64), Config{Procs: 16, Algorithm: AlgStrassen, BlockSize: 4, StrassenInnerGroups: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -31,6 +43,7 @@ func TestSessionBitIdenticalToMultiply(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				a := RandomMatrix(tc.shape.M, tc.shape.K, uint64(7*i+1))
 				b := RandomMatrix(tc.shape.K, tc.shape.N, uint64(7*i+2))
+				aBefore, bBefore := a.Clone(), b.Clone()
 				want, wantStats, err := Multiply(a, b, tc.cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -39,15 +52,52 @@ func TestSessionBitIdenticalToMultiply(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := MaxAbsDiff(got, want); d != 0 {
-					t.Fatalf("call %d: session result differs from Multiply by %g (want bit-identical)", i, d)
+				if !matrix.Equal(a, aBefore) || !matrix.Equal(b, bBefore) {
+					t.Fatalf("call %d: an operand was written", i)
 				}
-				if gotStats.Messages != wantStats.Messages || gotStats.Bytes != wantStats.Bytes {
-					t.Fatalf("call %d: traffic differs: session %d msg/%d B, one-shot %d msg/%d B",
-						i, gotStats.Messages, gotStats.Bytes, wantStats.Messages, wantStats.Bytes)
+				ref, refSum := explicitRun(t, a, b, tc.cfg)
+				if !matrix.Equal(got, want) || !matrix.Equal(got, ref) {
+					t.Fatalf("call %d: session result differs from Multiply by %g, from the copying reference by %g (want bit-identical)",
+						i, MaxAbsDiff(got, want), MaxAbsDiff(got, ref))
+				}
+				if gotStats.Messages != wantStats.Messages || gotStats.Bytes != wantStats.Bytes ||
+					gotStats.Messages != refSum.Messages || gotStats.Bytes != refSum.Bytes {
+					t.Fatalf("call %d: traffic differs: session %d msg/%d B, one-shot %d msg/%d B, copying reference %d msg/%d B",
+						i, gotStats.Messages, gotStats.Bytes, wantStats.Messages, wantStats.Bytes, refSum.Messages, refSum.Bytes)
 				}
 			}
 		})
+	}
+}
+
+// TestStatsSurfacesAgree pins the one-declaration contract of the run
+// statistics: every field of the shared struct is filled on both live
+// surfaces — the one-shot Multiply and Session.Multiply — so a field one
+// surface fills and the other forgets (or a new field neither fills) fails
+// by name.
+func TestStatsSurfacesAgree(t *testing.T) {
+	cfg := Config{Procs: 16, Algorithm: AlgHSUMMA, Groups: 4}
+	a, b := RandomMatrix(64, 64, 1), RandomMatrix(64, 64, 2)
+	_, oneShot, err := Multiply(a, b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(SquareShape(64), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	_, session, err := sess.Multiply(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := reflect.TypeOf(serve.RunStats{})
+	for i := 0; i < st.NumField(); i++ {
+		for name, v := range map[string]reflect.Value{"Multiply": reflect.ValueOf(oneShot), "Session.Multiply": reflect.ValueOf(session)} {
+			if v.Field(i).IsZero() {
+				t.Errorf("%s leaves Stats.%s unset", name, st.Field(i).Name)
+			}
+		}
 	}
 }
 

@@ -15,8 +15,10 @@ import (
 // Tests that pin the one-shot façade's view-based staging: Multiply hands
 // the ranks views of the caller's operands and of one output matrix, and
 // that must be indistinguishable — bit for bit — from the explicit
-// copying path (Scatter → engine.Run → Gather) the resident sessions and
-// the benchmark's decomposed replay use.
+// copying path (Scatter → engine.Run → Gather) the benchmark's decomposed
+// replay uses. Resident sessions stage through the same function
+// (serve.Execute); internal/serve's TestSessionBitIdenticalToMultiply pins
+// them to both.
 
 // stagingCase is one algorithm configuration with a problem size that
 // divides the grid and block sizes and one where every dimension pads
@@ -40,9 +42,24 @@ func stagingCases() []stagingCase {
 	}
 }
 
-// explicitMultiply is the copying path: pad, Scatter private tiles, run
-// the engine on the live transport, Gather, crop.
+// padTo embeds m in the top-left corner of a zeroed r×c matrix.
+func padTo(m *Matrix, r, c int) *Matrix {
+	out := matrix.New(r, c)
+	out.View(0, 0, m.Rows, m.Cols).CopyFrom(m)
+	return out
+}
+
+// explicitMultiply is the copying path's product.
 func explicitMultiply(t *testing.T, a, b *Matrix, cfg Config) *Matrix {
+	t.Helper()
+	out, _ := explicitRun(t, a, b, cfg)
+	return out
+}
+
+// explicitRun is the copying path: pad, Scatter private tiles, run the
+// engine on the live transport, Gather, crop. It returns the product and
+// the run's traffic summary.
+func explicitRun(t *testing.T, a, b *Matrix, cfg Config) (*Matrix, mpi.Summary) {
 	t.Helper()
 	shape := Shape{M: a.Rows, N: b.Cols, K: a.Cols}
 	spec, grid, err := resolveSpec(shape, cfg)
@@ -63,7 +80,7 @@ func explicitMultiply(t *testing.T, a, b *Matrix, cfg Config) *Matrix {
 	}
 	var mu sync.Mutex
 	var algErr error
-	err = mpi.Run(grid.Size(), func(c *mpi.Comm) {
+	ranks, err := mpi.RunStats(grid.Size(), func(c *mpi.Comm) {
 		r := c.Rank()
 		if e := engine.Run(mpi.AsComm(c), spec, aT[r], bT[r], cT[r]); e != nil {
 			mu.Lock()
@@ -74,7 +91,7 @@ func explicitMultiply(t *testing.T, a, b *Matrix, cfg Config) *Matrix {
 	if err != nil || algErr != nil {
 		t.Fatal(err, algErr)
 	}
-	return maps[2].Gather(cT).View(0, 0, shape.M, shape.N).Clone()
+	return maps[2].Gather(cT).View(0, 0, shape.M, shape.N).Clone(), mpi.Summarize(ranks)
 }
 
 func TestViewStagingBitIdenticalToCopyingPath(t *testing.T) {
