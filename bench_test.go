@@ -13,10 +13,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exp"
+	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/simalg"
 	"repro/internal/simnet"
 	"repro/internal/topo"
 )
@@ -127,9 +126,9 @@ func BenchmarkRuntimeFox(b *testing.B) {
 // simHSUMMA simulates HSUMMA on the square n problem over hierarchy h with
 // the given knobs — the spec every simulated ablation below varies one
 // field of.
-func simHSUMMA(n int, h topo.Hier, kn core.Knobs, vcfg simnet.VConfig, ex Engine) (simalg.Result, error) {
+func simHSUMMA(n int, h topo.Hier, kn core.Knobs, vcfg simnet.VConfig, ex Engine) (engine.SimResult, error) {
 	spec := engine.Spec{Algorithm: AlgHSUMMA, Opts: core.Options{N: n, Grid: h.Grid, Groups: h, Knobs: kn}}
-	res, _, err := simalg.Run(spec, vcfg, ex)
+	res, _, err := engine.Simulate(spec, vcfg, ex)
 	return res, err
 }
 
@@ -144,7 +143,7 @@ func BenchmarkAblationBroadcast(b *testing.B) {
 			var comm float64
 			for i := 0; i < b.N; i++ {
 				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: alg, Segments: 8},
-					simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}, EngineAuto)
+					simnet.VConfig{Model: machine.BlueGenePCalibrated().Model}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -165,7 +164,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 			var comm float64
 			for i := 0; i < b.N; i++ {
 				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: blk, Broadcast: sched.VanDeGeijn},
-					simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}, EngineAuto)
+					simnet.VConfig{Model: machine.BlueGenePCalibrated().Model}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -195,7 +194,7 @@ func BenchmarkAblationGroupShape(b *testing.B) {
 			var comm float64
 			for i := 0; i < b.N; i++ {
 				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn},
-					simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}, EngineAuto)
+					simnet.VConfig{Model: machine.BlueGenePCalibrated().Model}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -209,7 +208,7 @@ func BenchmarkAblationGroupShape(b *testing.B) {
 // BenchmarkAblationContention toggles the link-sharing model on the BG/P
 // torus (the paper assumes none).
 func BenchmarkAblationContention(b *testing.B) {
-	pf := platform.BlueGeneP()
+	pf := machine.BlueGeneP()
 	g := topo.Grid{S: 64, T: 64}
 	h, _ := topo.FactorGroups(g, 64)
 	for _, on := range []bool{false, true} {
@@ -251,7 +250,7 @@ func BenchmarkAblationInnerOuterBlock(b *testing.B) {
 			var comm float64
 			for i := 0; i < b.N; i++ {
 				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: c.b, OuterBlockSize: c.B, Broadcast: sched.VanDeGeijn},
-					simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}, EngineAuto)
+					simnet.VConfig{Model: machine.BlueGenePCalibrated().Model}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -311,7 +310,7 @@ func BenchmarkAblationOverlap(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
 				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn},
-					simnet.VConfig{Model: platform.BlueGenePCalibrated().Model, Overlap: overlap}, EngineAuto)
+					simnet.VConfig{Model: machine.BlueGenePCalibrated().Model, Overlap: overlap}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -334,7 +333,7 @@ func fullScaleBGP(b *testing.B, ex Engine) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn},
-			simnet.VConfig{Model: platform.BlueGenePCalibrated().Model}, ex); err != nil {
+			simnet.VConfig{Model: machine.BlueGenePCalibrated().Model}, ex); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -356,30 +355,6 @@ func BenchmarkFullScaleBGPSim(b *testing.B) { fullScaleBGP(b, EngineGoroutine) }
 // sim_bgp workload records both engines at p=2048 on every PR, as
 // evsim.sim_ms / simnet.sim_ms).
 func BenchmarkFullScaleBGPSimEvent(b *testing.B) { fullScaleBGP(b, EngineEvent) }
-
-// BenchmarkPlanColdRefine quantifies what the event engine buys the
-// autotuner: a cold plan's stage-2 refinement (TopK virtual runs) on
-// each engine, same picks by the parity invariant, different wall time.
-func BenchmarkPlanColdRefine(b *testing.B) {
-	for _, eng := range []Engine{EngineGoroutine, EngineEvent} {
-		eng := eng
-		b.Run(string(eng), func(b *testing.B) {
-			// 1024 ranks keeps the virtual runs heavy enough that the
-			// refinement stage dominates the cold plan (the quantity the
-			// engines differ on) while staying under the auto-resolution
-			// threshold that would skip refinement entirely.
-			cfg := PlanConfig{
-				Platform: PlatformBGPCalibrated(), N: 16384, Procs: 1024,
-				Quick: true, NoCache: true, Engine: eng,
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := Plan(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkPlanColdVsCached quantifies what the plan cache buys: a cold
 // plan pays the analytic scan plus TopK virtual runs, a cached one a map
@@ -415,7 +390,7 @@ func BenchmarkPlanColdVsCached(b *testing.B) {
 // BenchmarkModelEvaluation measures the closed-form evaluation itself.
 func BenchmarkModelEvaluation(b *testing.B) {
 	par := model.Params{N: 1 << 22, P: 1 << 20, B: 256,
-		Machine: platform.Exascale().Model, Bcast: model.VanDeGeijn{}}
+		Machine: machine.Exascale().Model, Bcast: model.VanDeGeijn{}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = model.HSUMMA(par, 1024).Comm()

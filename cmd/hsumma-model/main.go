@@ -16,13 +16,13 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/platform"
 )
 
 func main() {
 	var (
-		pfName = flag.String("platform", "", "preset: grid5000, bgp, exascale (empty = use -alpha/-beta/-gamma)")
+		pfName = flag.String("platform", "", "preset: grid5000[-cal], bgp[-cal], exascale (empty = use -alpha/-beta/-gamma)")
 		alpha  = flag.Float64("alpha", 1e-5, "latency (s), when no preset")
 		beta   = flag.Float64("beta", 1e-9, "reciprocal bandwidth (s/element), when no preset")
 		gamma  = flag.Float64("gamma", 1e-10, "flop time (s), when no preset")
@@ -35,7 +35,7 @@ func main() {
 
 	par := model.Params{N: *n, P: *p, B: *b}
 	if *pfName != "" {
-		pf, err := platform.ByName(*pfName)
+		pf, err := machine.ByName(*pfName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

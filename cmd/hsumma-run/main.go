@@ -42,6 +42,7 @@ import (
 	"time"
 
 	hsumma "repro"
+	"repro/internal/machine"
 )
 
 func main() {
@@ -58,7 +59,7 @@ func main() {
 		auto   = flag.Bool("auto", false, "let the planner pick the configuration (same as -alg auto)")
 		bcast  = flag.String("bcast", "binomial", "broadcast: binomial, vandegeijn, flat, binary, chain")
 		levels = flag.String("levels", "", "multilevel hierarchy, outermost first, e.g. 2x2:64,2x2:32 (IxJ:blocksize); empty degenerates to SUMMA")
-		pf     = flag.String("platform", "grid5000", "machine preset: grid5000, bgp, exascale (sim timing; auto-planning target in both modes)")
+		pf     = flag.String("platform", "grid5000", "machine preset: grid5000[-cal], bgp[-cal], exascale (sim timing; auto-planning target in both modes)")
 		seed   = flag.Uint64("seed", 42, "input matrix seed (live mode)")
 		eng    = flag.String("engine", "auto", "sim-mode virtual execution engine: goroutine, event, or auto (bit-identical results; event is ~10x faster on full-scale collective-only runs)")
 		trOut  = flag.String("trace", "", "write a per-rank phase span timeline (Chrome/Perfetto trace-event JSON) to this file")
@@ -99,13 +100,13 @@ func main() {
 	if run.Algorithm == hsumma.AlgMultilevel && len(run.Levels) == 0 {
 		fmt.Fprintln(os.Stderr, "note: -alg multilevel without -levels degenerates to flat SUMMA")
 	}
-	machine, err := platformByName(*pf)
+	platform, err := machine.ByName(*pf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	shape := shapeFromFlags(*m, *n, *k)
-	run.Shape, run.Machine, run.Platform = shape, machine.Model, &machine
+	run.Shape, run.Machine, run.Platform = shape, platform.Model, &platform
 	run.Trace = *trOut != "" || *crit
 
 	switch *mode {
@@ -170,7 +171,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "simulation failed:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("mode           : sim (virtual communicator, %s)\n", machine.Name)
+		fmt.Printf("mode           : sim (virtual communicator, %s)\n", platform.Name)
 		fmt.Printf("engine         : %s\n", res.Engine)
 		fmt.Printf("algorithm      : %s (p=%d, %s)\n", res.Algorithm, run.Procs, shape)
 		if res.Shape != shape {
@@ -253,38 +254,24 @@ func shapeFromFlags(m, n, k int) hsumma.Shape {
 	return shape
 }
 
-func platformByName(name string) (hsumma.Platform, error) {
-	switch name {
-	case "grid5000":
-		return hsumma.PlatformGrid5000(), nil
-	case "grid5000-cal", "grid5000cal":
-		return hsumma.PlatformGrid5000Calibrated(), nil
-	case "bgp", "bluegene":
-		return hsumma.PlatformBlueGeneP(), nil
-	case "bgp-cal", "bgpcal":
-		return hsumma.PlatformBGPCalibrated(), nil
-	case "exascale":
-		return hsumma.PlatformExascale(), nil
-	}
-	return hsumma.Platform{}, fmt.Errorf("unknown -platform %q (want grid5000[-cal], bgp[-cal], exascale)", name)
-}
-
-// planProblem is the per-platform default problem scale for the plan
+// planProblem is the per-machine default problem scale for the plan
 // subcommand: the paper's full configuration, or a scaled-down one with
-// -quick.
-func planProblem(platform string, quick bool) (n, p int) {
-	switch platform {
-	case "bgp", "bgp-cal", "bluegene", "bgpcal":
+// -quick. It is keyed off the resolved preset — each paper machine has its
+// own interconnect class — so every spelling machine.ByName accepts for a
+// machine, calibrated or not, plans the same problem.
+func planProblem(pf machine.Platform, quick bool) (n, p int) {
+	switch pf.Contention {
+	case machine.ContentionTorus: // BlueGene/P
 		if quick {
 			return 4096, 256
 		}
 		return 65536, 16384
-	case "exascale":
+	case machine.ContentionNone: // the projected exascale machine
 		if quick {
 			return 1 << 14, 1 << 12
 		}
 		return 1 << 22, 1 << 20
-	default: // grid5000 variants
+	default: // Grid'5000 (shared segment)
 		if quick {
 			return 1024, 32
 		}
@@ -312,15 +299,9 @@ func runPlanCmd(args []string) {
 		quick      = fs.Bool("quick", false, "trim the candidate space (and the default problem scale) for a sub-second sweep")
 		analytic   = fs.Bool("analytic", false, "closed-form ranking only, skip the stage-2 virtual runs")
 		contention = fs.Bool("contention", false, "enable the platform's link-sharing model in stage 2")
-		eng        = fs.String("engine", "auto", "stage-2 virtual execution engine: goroutine, event, or auto (recorded in the plan JSON)")
 		jsonOut    = fs.Bool("json", false, "emit the plans as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	planEngine, err := hsumma.EngineByName(*eng)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -341,14 +322,14 @@ func runPlanCmd(args []string) {
 
 	var plans []*hsumma.PlanResult
 	for _, name := range names {
-		machine, err := platformByName(name)
+		platform, err := machine.ByName(name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		pn, pp := *n, *p
 		if pn == 0 || pp == 0 {
-			dn, dp := planProblem(name, *quick)
+			dn, dp := planProblem(platform, *quick)
 			if pn == 0 {
 				pn = dn
 			}
@@ -373,7 +354,7 @@ func runPlanCmd(args []string) {
 		shape := shapeFromFlags(*m, pn, *k)
 		start := time.Now()
 		pl, err := hsumma.Plan(hsumma.PlanConfig{
-			Platform: machine, Shape: shape, Procs: pp,
+			Platform: platform, Shape: shape, Procs: pp,
 			BlockSize:    *b,
 			Threads:      *thr,
 			CoreBudget:   *cores,
@@ -382,7 +363,6 @@ func runPlanCmd(args []string) {
 			Quick:        *quick,
 			AnalyticOnly: analyticOnly,
 			Contention:   *contention,
-			Engine:       planEngine,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "plan failed:", err)

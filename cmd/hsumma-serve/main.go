@@ -59,16 +59,15 @@ import (
 	"time"
 
 	"repro/internal/blas"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/platform"
 	"repro/internal/serve"
 )
 
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		pfName     = flag.String("platform", "", "platform preset the planner tunes auto requests for (grid5000, bgp, exascale; empty = grid5000)")
+		pfName     = flag.String("platform", "", "platform preset the planner tunes auto requests for (grid5000[-cal], bgp[-cal], exascale; empty = grid5000)")
 		coreBudget = flag.Int("core-budget", 256, "max resident cores (ranks × threads) across all sessions")
 		queueDepth = flag.Int("queue-depth", 32, "per-session bounded queue depth")
 		maxBatch   = flag.Int("max-batch", 0, "max same-A requests coalesced into one multi-RHS execution, 1 = no batching (default 8)")
@@ -96,11 +95,11 @@ func main() {
 			logger.Info("thread scaling calibrated",
 				"cores", runtime.GOMAXPROCS(0),
 				"serial_fraction", fit,
-				"default", hockney.DefaultThreadOverhead,
+				"default", machine.DefaultThreadOverhead,
 			)
 		} else {
 			logger.Warn("-kernel-calib: one core, nothing to fit; keeping the default serial fraction",
-				"default", hockney.DefaultThreadOverhead)
+				"default", machine.DefaultThreadOverhead)
 		}
 	}
 
@@ -109,7 +108,7 @@ func main() {
 		Logger:       logger,
 	}
 	if *pfName != "" {
-		pf, err := platform.ByName(*pfName)
+		pf, err := machine.ByName(*pfName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -178,7 +177,7 @@ func main() {
 // calibrateThreads fits the planner's intra-rank speedup curve to this
 // host: one 512³ product through blas.ParallelGemm at 1, 2, 4 … GOMAXPROCS
 // threads (best of 3 each), the t → speedup-over-one-thread points handed
-// to hockney.CalibrateFromScaling. The fit replaces the default 3% serial
+// to machine.CalibrateFromScaling. The fit replaces the default 3% serial
 // fraction, so auto-planned thread budgets reflect what the host's cores
 // actually deliver; ok is false on a one-core host, which has no point to
 // fit. Serial configurations are unaffected (Speedup(1) stays exactly 1).
@@ -199,5 +198,5 @@ func calibrateThreads() (fit float64, ok bool) {
 	for t := 2; t <= runtime.GOMAXPROCS(0); t *= 2 {
 		points[t] = one / best(t)
 	}
-	return hockney.CalibrateFromScaling(points)
+	return machine.CalibrateFromScaling(points)
 }

@@ -1,6 +1,6 @@
 // Package comm defines the transport-agnostic communicator interface the
 // SUMMA-family algorithms are written against. Every algorithm in
-// internal/core and internal/baseline is implemented exactly once, in terms
+// internal/core is implemented exactly once, in terms
 // of this interface, and runs unchanged on every transport:
 //
 //   - the live transport (internal/mpi): ranks are goroutines, panels
@@ -17,7 +17,7 @@
 // Both transports execute the same broadcast schedules (internal/sched) and
 // count the same per-rank messages and bytes, so a simulated run is
 // traffic-identical to a live run of the same configuration — the invariant
-// the parity tests in internal/simalg assert.
+// the parity tests in internal/engine assert.
 //
 // The interface has two halves. The communication half (Rank/Size/Split/
 // Send/Recv/SendRecv/Bcast) mirrors the MPI subset the paper's Algorithm 1
@@ -166,7 +166,7 @@ type Comm interface {
 	// Gemm performs the local update C += A·B under the given execution
 	// descriptor: real arithmetic (packed, threaded or Strassen per x) on
 	// the live transport, a compute-clock advance of x.Flops(m,n,k) scaled
-	// by the shared parallel-efficiency curve (hockney.Speedup) on the
+	// by the shared parallel-efficiency curve (machine.Speedup) on the
 	// virtual ones.
 	Gemm(c, a, b *matrix.Dense, x Exec)
 	// Axpy performs the local element-wise update Y += alpha·X over tiles

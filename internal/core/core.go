@@ -9,12 +9,15 @@
 // a property the tests have to establish between two implementations: a
 // level of 1×1 groups, or one that spans the grid, is a stage whose
 // communicators have a single rank. The distributed Strassen recursion
-// (strassen.go) bottoms out in it.
+// (strassen.go) bottoms out in it. Beside the family sit the classical
+// square-grid baselines, Cannon and Fox (cannon.go); they and Strassen share
+// one square-only rule (Options.ValidateSquare), as the family shares
+// Options.Validate.
 //
 // All algorithms multiply block-checkerboard-distributed matrices in
-// place and are shape-general: the global problem is C (M×N) += A (M×K) ·
-// B (K×N), with the paper's square n×n benchmark as the M = N = K special
-// case. Each rank contributes its local tiles of A ((M/s)×(K/t)) and B
+// place; the family is also shape-general: the global problem is
+// C (M×N) += A (M×K) · B (K×N), with the paper's square n×n benchmark as
+// the M = N = K special case. Each rank contributes its local tiles of A ((M/s)×(K/t)) and B
 // ((K/s)×(N/t)) and accumulates into its local tile of C ((M/s)×(N/t));
 // the pivot loop walks the contraction dimension K. Correctness is
 // asserted against sequential GEMM in the package tests for every grid
@@ -189,4 +192,55 @@ func (opts *Options) Validate(levels []Level) error {
 		return fmt.Errorf("core: level products %dx%d do not divide grid %v", prodI, prodJ, o.Grid)
 	}
 	return nil
+}
+
+// SquareOnly is the restriction Cannon, Fox and Strassen share: a square
+// problem on a square q×q grid. Both halves report matrix.ErrSquareOnly, so
+// padding, the planner's enumeration and the serving layer's batchability
+// probe treat the three algorithms alike. The error is unprefixed; each
+// caller names itself and the algorithm.
+func SquareOnly(sh matrix.Shape, g topo.Grid) error {
+	if !sh.IsSquare() {
+		return fmt.Errorf("shape %v: %w", sh, matrix.ErrSquareOnly)
+	}
+	if g.S != g.T {
+		return fmt.Errorf("grid %v: %w", g, matrix.ErrSquareOnly)
+	}
+	return nil
+}
+
+// ValidateSquare is the one validation of the square-only algorithms, the
+// counterpart of Validate (call it on padded options): SquareOnly, q | n,
+// and — for levels > 0 rounds of Strassen quadrant recursion — a grid that
+// halves at every level onto a bottom problem the pivot loop accepts.
+// Cannon and Fox recurse zero levels.
+func (opts *Options) ValidateSquare(levels int) error {
+	o := opts.withDefaults()
+	sh := o.Shape
+	if err := sh.Validate(); err != nil {
+		return err
+	}
+	if err := SquareOnly(sh, o.Grid); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	q := o.Grid.S
+	if q <= 0 {
+		return fmt.Errorf("core: invalid grid %v", o.Grid)
+	}
+	if sh.N%q != 0 {
+		return fmt.Errorf("core: n=%d not divisible by q=%d", sh.N, q)
+	}
+	if levels == 0 {
+		return nil
+	}
+	// 2^levels | q, and with q | n also 2^levels | n.
+	div := 1 << levels
+	if q%div != 0 {
+		return fmt.Errorf("core: strassen: grid %v not divisible by 2^levels = %d", o.Grid, div)
+	}
+	bot, hier, err := o.strassenBottom(sh.N/div, q/div)
+	if err != nil {
+		return err
+	}
+	return bot.Validate(hier)
 }

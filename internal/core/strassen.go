@@ -78,36 +78,6 @@ func StrassenLevelsOf(levels int) int {
 	return levels
 }
 
-// validateStrassen checks the inter-rank constraints: a square problem on
-// a square grid (the same restriction as Cannon/Fox, reported through
-// matrix.ErrSquareOnly so pad-and-crop and the serving layer's
-// batchability probe treat it uniformly), a grid splittable in half at
-// every level, and a bottom problem the inner algorithm accepts.
-func (o Options) validateStrassen(levels int) error {
-	sh := o.Shape
-	if err := sh.Validate(); err != nil {
-		return err
-	}
-	if !sh.IsSquare() {
-		return fmt.Errorf("core: strassen: shape %v: %w", sh, matrix.ErrSquareOnly)
-	}
-	if o.Grid.S != o.Grid.T {
-		return fmt.Errorf("core: strassen: grid %v: %w", o.Grid, matrix.ErrSquareOnly)
-	}
-	div := 1 << levels
-	if o.Grid.S%div != 0 {
-		return fmt.Errorf("core: strassen: grid %v not divisible by 2^levels = %d", o.Grid, div)
-	}
-	if sh.N%div != 0 {
-		return fmt.Errorf("core: strassen: n=%d not divisible by 2^levels = %d", sh.N, div)
-	}
-	bot, hier, err := o.strassenBottom(sh.N/div, o.Grid.S/div)
-	if err != nil {
-		return err
-	}
-	return bot.Validate(hier)
-}
-
 // strassenBottom builds the Options and hierarchy of the sub-problem the
 // recursion bottoms out in: size n on an s×s sub-grid under the same knobs
 // (the pivot loop ignores the Strassen ones), SUMMA by default or HSUMMA
@@ -136,7 +106,7 @@ func (o Options) strassenBottom(n, s int) (Options, []Level, error) {
 func Strassen(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 	o := opts.withDefaults()
 	levels := StrassenLevelsOf(o.StrassenLevels)
-	if err := o.validateStrassen(levels); err != nil {
+	if err := o.ValidateSquare(levels); err != nil {
 		return err
 	}
 	if c.Size() != o.Grid.Size() {

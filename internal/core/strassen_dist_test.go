@@ -63,14 +63,14 @@ func TestStrassenGridsAndLevels(t *testing.T) {
 	cases := []struct {
 		s, n, b, levels, groups int
 	}{
-		{2, 16, 2, 1, 0},  // one level, 1×1 bottom (local SUMMA)
-		{2, 24, 3, 1, 0},  // non-power-of-two n
-		{4, 32, 2, 1, 0},  // one level, SUMMA on 2×2 sub-grids
-		{4, 32, 4, 2, 0},  // two levels, 1×1 bottom
-		{4, 32, 2, 1, 2},  // HSUMMA bottom with G=2 on the 2×2 sub-grids
-		{4, 32, 2, 1, 4},  // HSUMMA bottom, fully grouped
-		{8, 64, 2, 2, 2},  // two levels then HSUMMA on 2×2 sub-grids
-		{4, 64, 8, 0, 0},  // levels=0 canonicalises to one level
+		{2, 16, 2, 1, 0}, // one level, 1×1 bottom (local SUMMA)
+		{2, 24, 3, 1, 0}, // non-power-of-two n
+		{4, 32, 2, 1, 0}, // one level, SUMMA on 2×2 sub-grids
+		{4, 32, 4, 2, 0}, // two levels, 1×1 bottom
+		{4, 32, 2, 1, 2}, // HSUMMA bottom with G=2 on the 2×2 sub-grids
+		{4, 32, 2, 1, 4}, // HSUMMA bottom, fully grouped
+		{8, 64, 2, 2, 2}, // two levels then HSUMMA on 2×2 sub-grids
+		{4, 64, 8, 0, 0}, // levels=0 canonicalises to one level
 	}
 	for _, c := range cases {
 		c := c
@@ -116,8 +116,7 @@ func TestStrassenValidation(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			o := c.o.withDefaults()
-			err := o.validateStrassen(StrassenLevelsOf(o.StrassenLevels))
+			err := c.o.ValidateSquare(StrassenLevelsOf(c.o.StrassenLevels))
 			if err == nil {
 				t.Fatalf("%s: accepted", c.name)
 			}

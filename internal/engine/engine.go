@@ -1,17 +1,16 @@
 // Package engine is the unified algorithm dispatch shared by the two
-// execution paths: the live goroutine runtime (hsumma.Multiply) and the
-// simnet virtual communicator (hsumma.Simulate, internal/simalg). Both
-// paths build a Spec and call Run with their transport's comm.Comm, so
-// adding an algorithm here makes it available in every execution mode at
-// once — the "write once, run at every scale" property the repository is
-// organised around.
+// execution paths: the live goroutine runtime (hsumma.Multiply, through
+// serve.Execute) and the virtual communicators (hsumma.Simulate, through
+// Simulate in this package). Both paths build a Spec and call Run with
+// their transport's comm.Comm, so adding an algorithm here makes it
+// available in every execution mode at once — the "write once, run at
+// every scale" property the repository is organised around.
 package engine
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/baseline"
 	"repro/internal/blas"
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -85,26 +84,16 @@ const (
 	ExecutorAuto Executor = "auto"
 )
 
-// Executors lists the selectable executors, for flags and error messages.
-func Executors() []Executor {
-	return []Executor{ExecutorGoroutine, ExecutorEvent, ExecutorAuto}
-}
-
 // ExecutorNames renders the valid executor names for error messages, so
-// every surface (ResolveExecutor, hsumma.EngineByName, CLI help) reports
-// the same list and a future executor is added in one place.
+// every surface (ResolveExecutor, hsumma.EngineByName) reports the same
+// list and a future executor is added in one place.
 func ExecutorNames() string {
-	names := make([]string, 0, len(Executors()))
-	for _, e := range Executors() {
-		names = append(names, string(e))
-	}
-	return strings.Join(names, ", ")
+	return strings.Join([]string{string(ExecutorGoroutine), string(ExecutorEvent), string(ExecutorAuto)}, ", ")
 }
 
 // ResolveExecutor applies the auto rule for a spec and validates explicit
-// selections. Both virtual execution paths (simalg and the tune planner's
-// refinement) route through here so "auto" means the same thing
-// everywhere.
+// selections. Simulate, the one virtual execution path, routes through
+// here.
 func ResolveExecutor(e Executor, alg Algorithm, overlap bool) (Executor, error) {
 	switch e {
 	case ExecutorGoroutine, ExecutorEvent:
@@ -232,24 +221,32 @@ func (s *Spec) Hierarchy() ([]core.Level, bool) {
 	return nil, false
 }
 
-// Validate reports whether a SUMMA-family spec is executable as it stands
-// (core.Options.Validate over its hierarchy; call it on a padded spec).
-// The other algorithms validate inside their own run.
+// Validate reports whether a spec is executable as it stands (call it on a
+// padded spec): the SUMMA family through core.Options.Validate over its
+// hierarchy, Cannon, Fox and Strassen through the one square-only rule,
+// core.Options.ValidateSquare. It is what lets a caller reject a spec
+// before any world exists.
 func (s Spec) Validate() error {
-	levels, ok := s.Hierarchy()
-	if !ok {
-		return nil
+	if levels, ok := s.Hierarchy(); ok {
+		return s.Opts.Validate(levels)
 	}
-	return s.Opts.Validate(levels)
+	switch s.Algorithm {
+	case Cannon, Fox:
+		return s.Opts.ValidateSquare(0)
+	case Strassen:
+		return s.Opts.ValidateSquare(core.StrassenLevelsOf(s.Opts.StrassenLevels))
+	}
+	return fmt.Errorf("engine: unknown algorithm %q", s.Algorithm)
 }
 
 // PaddedShape returns the smallest execution shape ≥ the spec's shape that
 // satisfies the algorithm's divisibility constraints on its grid and block
 // sizes. Zero-padding preserves the product — the top-left M×N block of
 // the padded C equals A·B — so both execution paths run the padded shape
-// and the live path crops the gathered result. Square-only algorithms
-// (Cannon, Fox) reject rectangular shapes with matrix.ErrSquareOnly; a
-// square-but-non-divisible n is padded to the next multiple of q.
+// and the live path crops the gathered result. The square-only algorithms
+// (Cannon, Fox, Strassen) reject what core.SquareOnly rejects — which is
+// also the serving layer's cannot-batch signal via WithRHS — and pad a
+// square-but-non-divisible n to the next multiple of unit·q.
 func (s Spec) PaddedShape() (matrix.Shape, error) {
 	sh := s.Shape()
 	if err := sh.Validate(); err != nil {
@@ -277,34 +274,23 @@ func (s Spec) PaddedShape() (matrix.Shape, error) {
 		}, nil
 	}
 	switch s.Algorithm {
-	case Cannon, Fox:
-		if !sh.IsSquare() {
-			return matrix.Shape{}, fmt.Errorf("engine: %s: shape %v: %w", s.Algorithm, sh, matrix.ErrSquareOnly)
+	case Cannon, Fox, Strassen:
+		if err := core.SquareOnly(sh, g); err != nil {
+			return matrix.Shape{}, fmt.Errorf("engine: %s: %w", s.Algorithm, err)
 		}
-		if g.S != g.T {
-			return sh, nil // the baseline reports the grid restriction
-		}
-		return matrix.Square(ceilMult(sh.N, g.S)), nil
-	case Strassen:
-		// Square-only, like Cannon/Fox — pad-and-crop handles near-square,
-		// and a genuinely rectangular request is rejected here (which is
-		// also the serving layer's cannot-batch signal via WithRHS).
-		if !sh.IsSquare() {
-			return matrix.Shape{}, fmt.Errorf("engine: %s: shape %v: %w", s.Algorithm, sh, matrix.ErrSquareOnly)
-		}
-		if g.S != g.T {
-			return sh, nil // the algorithm reports the grid restriction
-		}
-		// The bottom SUMMA/HSUMMA needs its pivot panels inside one
-		// sub-grid row/column: with tile size n/S invariant across levels,
-		// unit·S | n suffices at every depth (2^levels | S implies
-		// 2^levels | n for free).
-		unit := s.Opts.BlockSize
-		if s.Opts.StrassenInnerGroups > 0 && s.Opts.OuterBlockSize > unit {
-			unit = s.Opts.OuterBlockSize
-		}
-		if unit <= 0 {
-			return sh, nil // block validation happens in the algorithm
+		// Cannon and Fox need q | n. Strassen's bottom SUMMA/HSUMMA needs
+		// its pivot panels inside one sub-grid row/column: with tile size
+		// n/q invariant across levels, unit·q | n suffices at every depth
+		// (2^levels | q implies 2^levels | n for free).
+		unit := 1
+		if s.Algorithm == Strassen {
+			unit = s.Opts.BlockSize
+			if s.Opts.StrassenInnerGroups > 0 && s.Opts.OuterBlockSize > unit {
+				unit = s.Opts.OuterBlockSize
+			}
+			if unit <= 0 {
+				return sh, nil // block validation happens in Validate
+			}
 		}
 		return matrix.Square(ceilMult(sh.N, unit*g.S)), nil
 	}
@@ -328,8 +314,9 @@ func (s Spec) Padded() (Spec, error) {
 // algorithm's divisibility constraints. The serving layer's multi-RHS
 // batching runs k coalesced same-A requests as one multiply of N' = k·N_req
 // through it — valid for the SUMMA family because no block constraint binds
-// N, only N ≡ 0 (mod T). Square-only algorithms (Cannon, Fox) reject the
-// now-rectangular shape, which is exactly the cannot-batch signal.
+// N, only N ≡ 0 (mod T). Square-only algorithms (Cannon, Fox, Strassen)
+// reject the now-rectangular shape, which is exactly the cannot-batch
+// signal.
 func (s Spec) WithRHS(n int) (Spec, error) {
 	if n <= 0 {
 		return Spec{}, fmt.Errorf("engine: WithRHS: invalid width %d", n)
@@ -371,9 +358,9 @@ func Run(c comm.Comm, s Spec, aLoc, bLoc, cLoc *matrix.Dense) error {
 	}
 	switch s.Algorithm {
 	case Cannon:
-		return baseline.Cannon(c, s.Opts.Grid, s.Shape(), s.Opts.Exec(), aLoc, bLoc, cLoc)
+		return core.Cannon(c, s.Opts, aLoc, bLoc, cLoc)
 	case Fox:
-		return baseline.Fox(c, s.Opts.Grid, s.Shape(), s.Opts.Broadcast, s.Opts.Exec(), aLoc, bLoc, cLoc)
+		return core.Fox(c, s.Opts, aLoc, bLoc, cLoc)
 	case Strassen:
 		return core.Strassen(c, s.Opts, aLoc, bLoc, cLoc)
 	case Auto:

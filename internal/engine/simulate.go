@@ -1,39 +1,36 @@
-// Package simalg runs the distributed algorithms on the discrete-event
-// simulator — the timing path that regenerates the paper's figures at
-// BlueGene/P scale. Since the Comm-interface refactor it contains no
-// algorithm logic of its own: it is a thin adapter that executes the
-// *same* implementations from internal/core and internal/baseline (via
-// internal/engine) on the simnet virtual communicator, where wire buffers
-// carry only element counts and local updates advance a Hockney compute
-// clock. A simulated run therefore performs — by construction, not by
-// mirroring — exactly the communication pattern of a live run, with
-// identical per-rank message and byte counts (asserted by parity_test.go).
-package simalg
+package engine
 
 import (
 	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
-	"repro/internal/engine"
 	"repro/internal/evsim"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/simnet"
 )
 
-// Result reports simulated times the way the paper does.
-type Result struct {
+// The timing path that regenerates the paper's figures at BlueGene/P
+// scale: Simulate executes a Spec through Run — the same implementations
+// the live path runs — on a virtual communicator, where wire buffers carry
+// only element counts and local updates advance a Hockney compute clock. A
+// simulated run therefore performs, by construction rather than by
+// mirroring, exactly the communication pattern of a live run, with
+// identical per-rank message and byte counts (internal/simalg/parity_test.go).
+
+// SimResult reports simulated times the way the paper does.
+type SimResult struct {
 	Total   float64 // execution time: communication + computation (s)
 	Comm    float64 // max per-rank time inside communication (s)
 	Compute float64 // per-rank computation time 2MNK/p·γ (s)
 	// Engine is the virtual execution engine that produced the result
 	// (what "auto" resolved to). Engines are bit-identical; this is
 	// recorded so plans and reports can say which one did the work.
-	Engine engine.Executor
+	Engine Executor
 	// Shape is the execution shape actually simulated — the requested
 	// shape rounded up to the algorithm's divisibility constraints (see
-	// engine.Spec.PaddedShape), identical to what a live run executes.
+	// PaddedShape), identical to what a live run executes.
 	Shape matrix.Shape
 }
 
@@ -45,40 +42,40 @@ type virtualWorld interface {
 	Stats() []simnet.VRankStats
 }
 
-// Run executes an engine spec — the same value the live path hands to
-// engine.Run — on the virtual communicator under the given virtual-world
-// configuration (machine model, contention, link cost, overlap, tracing)
-// and returns the simulated times plus the per-rank traffic counters, the
-// quantities the live runtime reports through mpi.RunStats. ex selects the
-// execution engine (goroutine | event | auto; empty means auto: event for
-// collective-only specs without overlap, goroutines otherwise). The engines
-// are bit-identical in every output — virtual times, per-rank
-// communication-time breakdowns, traffic counters — which the engine parity
-// tests in this package assert; they differ only in host wall time.
-func Run(spec engine.Spec, vcfg simnet.VConfig, ex engine.Executor) (Result, []simnet.VRankStats, error) {
-	resolved, err := engine.ResolveExecutor(ex, spec.Algorithm, vcfg.Overlap)
+// Simulate executes a spec — the same value the live path hands to Run —
+// on the virtual communicator under the given virtual-world configuration
+// (machine model, contention, link cost, overlap, tracing) and returns the
+// simulated times plus the per-rank traffic counters, the quantities the
+// live runtime reports through mpi.RunStats. ex selects the execution
+// engine (goroutine | event | auto; empty means auto, see
+// ResolveExecutor). The engines are bit-identical in every output —
+// virtual times, per-rank communication-time breakdowns, traffic counters
+// — which the engine parity tests in internal/simalg assert; they differ only
+// in host wall time.
+func Simulate(spec Spec, vcfg simnet.VConfig, ex Executor) (SimResult, []simnet.VRankStats, error) {
+	resolved, err := ResolveExecutor(ex, spec.Algorithm, vcfg.Overlap)
 	if err != nil {
-		return Result{}, nil, err
+		return SimResult{}, nil, err
 	}
 	// Pad to the algorithm's divisibility constraints (idempotent), the
 	// same execution shape the live path runs — the parity invariant.
 	spec, err = spec.Padded()
 	if err != nil {
-		return Result{}, nil, err
+		return SimResult{}, nil, err
 	}
 	sh := spec.Opts.Shape
 	g := spec.Opts.Grid
 	bmA, err := dist.NewBlockMap(sh.M, sh.K, g)
 	if err != nil {
-		return Result{}, nil, err
+		return SimResult{}, nil, err
 	}
 	bmB, err := dist.NewBlockMap(sh.K, sh.N, g)
 	if err != nil {
-		return Result{}, nil, err
+		return SimResult{}, nil, err
 	}
 	bmC, err := dist.NewBlockMap(sh.M, sh.N, g)
 	if err != nil {
-		return Result{}, nil, err
+		return SimResult{}, nil, err
 	}
 	var mu sync.Mutex
 	var algErr error
@@ -89,7 +86,7 @@ func Run(spec engine.Spec, vcfg simnet.VConfig, ex engine.Executor) (Result, []s
 		aLoc := c.NewTile(bmA.LocalRows(), bmA.LocalCols())
 		bLoc := c.NewTile(bmB.LocalRows(), bmB.LocalCols())
 		cLoc := c.NewTile(bmC.LocalRows(), bmC.LocalCols())
-		if e := engine.Run(c, spec, aLoc, bLoc, cLoc); e != nil {
+		if e := Run(c, spec, aLoc, bLoc, cLoc); e != nil {
 			mu.Lock()
 			if algErr == nil {
 				algErr = e
@@ -99,7 +96,7 @@ func Run(spec engine.Spec, vcfg simnet.VConfig, ex engine.Executor) (Result, []s
 	}
 	var w virtualWorld
 	switch resolved {
-	case engine.ExecutorEvent:
+	case ExecutorEvent:
 		ew := evsim.NewWorld(g.Size(), vcfg)
 		err = ew.Run(rank)
 		w = ew
@@ -109,19 +106,19 @@ func Run(spec engine.Spec, vcfg simnet.VConfig, ex engine.Executor) (Result, []s
 		w = gw
 	}
 	if err != nil {
-		return Result{}, nil, err
+		return SimResult{}, nil, err
 	}
 	if algErr != nil {
-		return Result{}, nil, algErr
+		return SimResult{}, nil, algErr
 	}
 	p := float64(g.Size())
-	res := Result{
+	res := SimResult{
 		Total: w.Total(),
 		Comm:  w.MaxCommTime(),
 		// Intra-rank threads shorten the local multiplies by the shared
 		// efficiency curve; Speedup(1) is exactly 1, preserving serial
 		// results bitwise.
-		Compute: vcfg.Model.Compute(sh.Flops() / p / hockney.Speedup(spec.Opts.Threads)),
+		Compute: vcfg.Model.Compute(sh.Flops() / p / machine.Speedup(spec.Opts.Threads)),
 		Engine:  resolved,
 		Shape:   sh,
 	}

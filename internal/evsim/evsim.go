@@ -1,6 +1,6 @@
 // Package evsim is the discrete-event virtual execution engine: it runs
-// the unchanged algorithm layer (internal/core, internal/baseline, through
-// internal/engine) at full scale without paying one goroutine park/wake
+// the unchanged algorithm layer (internal/core, through internal/engine)
+// at full scale without paying one goroutine park/wake
 // per communication call — the cost that dominates the goroutine engine
 // (internal/simnet.VWorld) on full-scale runs, where a 16384-rank
 // BlueGene/P simulation performs ~15M rendezvous.
@@ -28,7 +28,7 @@
 //     schedule through the same Sim Hockney cost code as the goroutine
 //     engine, so virtual times, per-rank communication-time breakdowns and
 //     traffic counters are bit-identical (asserted by the engine parity
-//     tests in internal/simalg).
+//     tests in internal/engine).
 //
 // Back-pressure: a producer that outruns the replay parks when its ring is
 // full, and the consumer parks when every runnable rank's ring is empty;

@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/simnet"
 )
 
 func testCfg() simnet.VConfig {
-	return simnet.VConfig{Model: hockney.Model{Alpha: 1e-5, Beta: 1e-8, Gamma: 1e-9}}
+	return simnet.VConfig{Model: machine.Model{Alpha: 1e-5, Beta: 1e-8, Gamma: 1e-9}}
 }
 
 // TestPointToPointTiming pins the replay's Send/Recv semantics: the
@@ -40,7 +40,7 @@ func TestPointToPointTiming(t *testing.T) {
 		t.Fatalf("receiver clock %v, want %v (message available at 0)", got, dt)
 	}
 	st := w.Stats()
-	if st[0].SentMessages != 1 || st[0].SentBytes != int64(hockney.BytesPerElement*1000) {
+	if st[0].SentMessages != 1 || st[0].SentBytes != int64(machine.BytesPerElement*1000) {
 		t.Fatalf("sender stats %+v", st[0])
 	}
 	if st[1].SentMessages != 0 {

@@ -267,7 +267,7 @@ func (c *rComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, s
 // thread count exactly as it always has, and historical recordings replay
 // bit-identically). The replay advances the rank's compute state exactly
 // as the goroutine engine's Gemm does, including the
-// hockney.Speedup(threads) division.
+// machine.Speedup(threads) division.
 func (c *rComm) Gemm(cm, a, b *matrix.Dense, x comm.Exec) {
 	if a.Cols != b.Rows || cm.Rows != a.Rows || cm.Cols != b.Cols {
 		panic(fmt.Sprintf("evsim: gemm shape mismatch C(%dx%d) += A(%dx%d)*B(%dx%d)",

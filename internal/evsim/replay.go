@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/blas"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -216,9 +216,9 @@ func (w *World) advance(r int) bool {
 				threads := int(ev.d & 0xffff)
 				var flops float64
 				if cut := int(ev.d >> 16); cut > 0 {
-					flops = blas.StrassenFlops(int(ev.a), int(ev.b), int(ev.c), cut) / hockney.Speedup(threads)
+					flops = blas.StrassenFlops(int(ev.a), int(ev.b), int(ev.c), cut) / machine.Speedup(threads)
 				} else {
-					flops = 2 * float64(ev.a) * float64(ev.b) * float64(ev.c) / hockney.Speedup(threads)
+					flops = 2 * float64(ev.a) * float64(ev.b) * float64(ev.c) / machine.Speedup(threads)
 				}
 				if !w.overlap {
 					pre := w.sim.Clocks()[r]
@@ -299,9 +299,9 @@ func (w *World) doSend(me int, ev event) {
 	clocks[me] = t0 + dt
 	w.sim.CommTimes()[me] += dt
 	w.stats[me].SentMessages++
-	w.stats[me].SentBytes += int64(hockney.BytesPerElement * int(ev.c))
+	w.stats[me].SentBytes += int64(machine.BytesPerElement * int(ev.c))
 	if w.rec != nil {
-		w.rec.Rank(me, trace.PhaseP2P, t0, dt, int64(hockney.BytesPerElement*int(ev.c)), 1)
+		w.rec.Rank(me, trace.PhaseP2P, t0, dt, int64(machine.BytesPerElement*int(ev.c)), 1)
 	}
 	w.deliver(msgKey{cs: cs, src: ev.d, tag: ev.b, dst: int32(dstW)}, vMsg{elems: ev.c, clock: t0})
 }
@@ -318,7 +318,7 @@ func (w *World) doSRSend(me int, ev event) {
 	st.srSendEnd = t0 + w.sim.TransferTime(me, dstW, int(ev.c), len(cs.ranks))
 	st.srSendElems = ev.c
 	w.stats[me].SentMessages++
-	w.stats[me].SentBytes += int64(hockney.BytesPerElement * int(ev.c))
+	w.stats[me].SentBytes += int64(machine.BytesPerElement * int(ev.c))
 	w.deliver(msgKey{cs: cs, src: ev.d, tag: ev.b, dst: int32(dstW)}, vMsg{elems: ev.c, clock: t0})
 }
 
@@ -373,7 +373,7 @@ func (w *World) tryRecv(me int, ev event) bool {
 	}
 	w.sim.AdvanceComm(me, end+dt)
 	if w.rec != nil {
-		w.rec.Rank(me, trace.PhaseP2P, pre, end+dt-pre, int64(hockney.BytesPerElement*int(m.elems)), 1)
+		w.rec.Rank(me, trace.PhaseP2P, pre, end+dt-pre, int64(machine.BytesPerElement*int(m.elems)), 1)
 	}
 	return true
 }
@@ -405,7 +405,7 @@ func (w *World) trySRRecv(me int, ev event) bool {
 	w.sim.AdvanceComm(me, end)
 	if w.rec != nil {
 		w.rec.Rank(me, trace.PhaseShift, st.srT0, end-st.srT0,
-			int64(hockney.BytesPerElement*int(st.srSendElems+m.elems)), 2)
+			int64(machine.BytesPerElement*int(st.srSendElems+m.elems)), 2)
 	}
 	return true
 }
@@ -585,6 +585,6 @@ func (w *World) emitCollSpans(s *sched.Schedule, elems int, members []int, pre [
 		if pre != nil {
 			p0 = pre[i]
 		}
-		w.rec.Rank(m, trace.PhaseBcast, p0, clocks[m]-p0, int64(hockney.BytesPerElement*elems), d.SentMessages)
+		w.rec.Rank(m, trace.PhaseBcast, p0, clocks[m]-p0, int64(machine.BytesPerElement*elems), d.SentMessages)
 	}
 }

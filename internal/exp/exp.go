@@ -7,9 +7,9 @@
 //
 // Experiments run in two fidelity modes: Full reproduces the paper's exact
 // configuration (p up to 16384), Quick scales the same experiment down for
-// use in the test suite. Machine parameters come from internal/platform;
+// use in the test suite. Machine parameters come from internal/machine;
 // by default the measurement-driven figures (5–9) use the calibrated
-// presets (see platform.BlueGenePCalibrated) and the prediction figure (10)
+// presets (see machine.BlueGenePCalibrated) and the prediction figure (10)
 // uses the published exascale parameters, with the pure published-parameter
 // variant available via Options.Uncalibrated.
 package exp

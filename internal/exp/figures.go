@@ -6,10 +6,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/simalg"
 	"repro/internal/simnet"
 	"repro/internal/topo"
 	"repro/internal/tune"
@@ -18,16 +17,16 @@ import (
 // figureConfig resolves the machine and geometry for the Grid'5000 and
 // BG/P figure experiments in either fidelity mode.
 type figureConfig struct {
-	pf    platform.Platform
+	pf    machine.Platform
 	grid  topo.Grid
 	n     int
 	block int
 }
 
 func grid5000Config(o Options, fullBlock int) figureConfig {
-	pf := platform.Grid5000Calibrated()
+	pf := machine.Grid5000Calibrated()
 	if o.Uncalibrated {
-		pf = platform.Grid5000()
+		pf = machine.Grid5000()
 	}
 	if o.Quick {
 		return figureConfig{pf: pf, grid: topo.Grid{S: 4, T: 8}, n: 1024, block: fullBlock / 8}
@@ -36,9 +35,9 @@ func grid5000Config(o Options, fullBlock int) figureConfig {
 }
 
 func bgpConfig(o Options) figureConfig {
-	pf := platform.BlueGenePCalibrated()
+	pf := machine.BlueGenePCalibrated()
 	if o.Uncalibrated {
-		pf = platform.BlueGeneP()
+		pf = machine.BlueGeneP()
 	}
 	if o.Quick {
 		return figureConfig{pf: pf, grid: topo.Grid{S: 16, T: 16}, n: 4096, block: 64}
@@ -54,7 +53,7 @@ func gSweep(fc figureConfig, bcast sched.Algorithm) (gs []float64, hComm, hTotal
 	spec := engine.Spec{Algorithm: engine.SUMMA, Opts: core.Options{
 		N: fc.n, Grid: fc.grid, Knobs: core.Knobs{BlockSize: fc.block, Broadcast: bcast},
 	}}
-	su, _, err := simalg.Run(spec, vcfg, engine.ExecutorAuto)
+	su, _, err := engine.Simulate(spec, vcfg, engine.ExecutorAuto)
 	if err != nil {
 		return nil, nil, nil, 0, 0, err
 	}
@@ -65,7 +64,7 @@ func gSweep(fc figureConfig, bcast sched.Algorithm) (gs []float64, hComm, hTotal
 			continue
 		}
 		spec.Opts.Groups = h
-		res, _, herr := simalg.Run(spec, vcfg, engine.ExecutorAuto)
+		res, _, herr := engine.Simulate(spec, vcfg, engine.ExecutorAuto)
 		if herr != nil {
 			return nil, nil, nil, 0, 0, herr
 		}
@@ -273,7 +272,7 @@ func init() {
 }
 
 func runFig10(o Options) (*Result, error) {
-	pf := platform.Exascale()
+	pf := machine.Exascale()
 	par := model.Params{
 		N: 1 << 22, P: 1 << 20, B: 256,
 		Machine: pf.Model, Bcast: model.VanDeGeijn{},

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/platform"
+	"repro/internal/machine"
 	"repro/internal/tune"
 )
 
@@ -16,7 +16,7 @@ import (
 
 // planSetting fixes the per-platform problem the planner is asked about.
 type planSetting struct {
-	pf   platform.Platform
+	pf   machine.Platform
 	n, p int
 	// analyticOnly skips stage-2 simulation (used where even one virtual
 	// run is too expensive: the 2^20-rank exascale model, and the full
@@ -27,15 +27,15 @@ type planSetting struct {
 func planSettings(o Options) []planSetting {
 	if o.Quick {
 		return []planSetting{
-			{pf: platform.Grid5000Calibrated(), n: 1024, p: 32},
-			{pf: platform.BlueGenePCalibrated(), n: 4096, p: 256},
-			{pf: platform.Exascale(), n: 1 << 14, p: 1 << 12, analyticOnly: true},
+			{pf: machine.Grid5000Calibrated(), n: 1024, p: 32},
+			{pf: machine.BlueGenePCalibrated(), n: 4096, p: 256},
+			{pf: machine.Exascale(), n: 1 << 14, p: 1 << 12, analyticOnly: true},
 		}
 	}
 	return []planSetting{
-		{pf: platform.Grid5000Calibrated(), n: 8192, p: 128},
-		{pf: platform.BlueGenePCalibrated(), n: 65536, p: 16384, analyticOnly: true},
-		{pf: platform.Exascale(), n: 1 << 22, p: 1 << 20, analyticOnly: true},
+		{pf: machine.Grid5000Calibrated(), n: 8192, p: 128},
+		{pf: machine.BlueGenePCalibrated(), n: 65536, p: 16384, analyticOnly: true},
+		{pf: machine.Exascale(), n: 1 << 22, p: 1 << 20, analyticOnly: true},
 	}
 }
 
@@ -49,10 +49,10 @@ func runPlan(o Options) (*Result, error) {
 		pf := s.pf
 		if o.Uncalibrated {
 			switch pf.Name {
-			case platform.Grid5000Calibrated().Name:
-				pf = platform.Grid5000()
-			case platform.BlueGenePCalibrated().Name:
-				pf = platform.BlueGeneP()
+			case machine.Grid5000Calibrated().Name:
+				pf = machine.Grid5000()
+			case machine.BlueGenePCalibrated().Name:
+				pf = machine.BlueGeneP()
 			}
 		}
 		pl, err := tune.PlanFor(tune.Request{

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/topo"
 )
@@ -14,9 +14,9 @@ import (
 // paper's tables are symbolic, so we print both the symbolic factors and
 // their value at the BG/P experiment point, where the comparison matters.
 func tableParams(o Options) model.Params {
-	par := model.Params{N: 65536, P: 16384, B: 256, Machine: platform.BlueGeneP().Model}
+	par := model.Params{N: 65536, P: 16384, B: 256, Machine: machine.BlueGeneP().Model}
 	if o.Quick {
-		par = model.Params{N: 4096, P: 256, B: 64, Machine: platform.BlueGeneP().Model}
+		par = model.Params{N: 4096, P: 256, B: 64, Machine: machine.BlueGeneP().Model}
 	}
 	return par
 }
@@ -58,7 +58,7 @@ func runTable(id, title string, bc model.Broadcast, o Options) (*Result, error) 
 	return r, nil
 }
 
-func runValidation(id string, pf platform.Platform, n, p, b int) (*Result, error) {
+func runValidation(id string, pf machine.Platform, n, p, b int) (*Result, error) {
 	par := model.Params{N: n, P: p, B: b, Machine: pf.Model, Bcast: model.VanDeGeijn{}}
 	ratio := pf.Model.Alpha / pf.Model.Beta
 	threshold := 2 * float64(n) * float64(b) / float64(p)
@@ -109,7 +109,7 @@ func init() {
 		Title: "Model validation on Grid'5000 (paper §V-A-1)",
 		Paper: "α/β = 1e5 > 2nb/p = 8192 ⇒ interior minimum exists",
 		Run: func(o Options) (*Result, error) {
-			return runValidation("valgrid", platform.Grid5000(), 8192, 128, 64)
+			return runValidation("valgrid", machine.Grid5000(), 8192, 128, 64)
 		},
 	})
 	register(Experiment{
@@ -117,7 +117,7 @@ func init() {
 		Title: "Model validation on BlueGene/P (paper §V-B-1)",
 		Paper: "α/β = 3000 > 2nb/p = 2048 ⇒ interior minimum exists",
 		Run: func(o Options) (*Result, error) {
-			return runValidation("valbgp", platform.BlueGeneP(), 65536, 16384, 256)
+			return runValidation("valbgp", machine.BlueGeneP(), 65536, 16384, 256)
 		},
 	})
 	register(Experiment{

@@ -6,11 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/sched"
-	"repro/internal/simalg"
 	"repro/internal/simnet"
 	"repro/internal/topo"
-	"repro/internal/torus"
 )
 
 // The zigzag experiment goes beyond the paper's homogeneous model: the
@@ -35,7 +34,7 @@ func init() {
 func runZigzag(o Options) (*Result, error) {
 	fc := bgpConfig(o)
 	// The torus needs the exact core count; quick mode shrinks the grid.
-	tor, err := torus.ForCores(fc.grid.Size())
+	tor, err := machine.ForCores(fc.grid.Size())
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +54,7 @@ func runZigzag(o Options) (*Result, error) {
 			return 0, err
 		}
 		spec.Opts.Groups = h
-		res, _, err := simalg.Run(spec, vcfg, engine.ExecutorAuto)
+		res, _, err := engine.Simulate(spec, vcfg, engine.ExecutorAuto)
 		if err != nil {
 			return 0, err
 		}

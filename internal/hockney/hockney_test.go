@@ -1,13 +1,18 @@
-package hockney
+// Package hockney_test holds the Hockney-model tests at their original
+// import path so their ids stay stable; the model itself lives in
+// internal/machine (machine.go).
+package hockney_test
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/machine"
 )
 
 func TestPointToPoint(t *testing.T) {
-	m := Model{Alpha: 1e-4, Beta: 1e-9}
+	m := machine.Model{Alpha: 1e-4, Beta: 1e-9}
 	got := m.PointToPoint(1e6)
 	want := 1e-4 + 1e6*1e-9
 	if math.Abs(got-want) > 1e-18 {
@@ -16,7 +21,7 @@ func TestPointToPoint(t *testing.T) {
 }
 
 func TestZeroMessagePaysLatencyOnly(t *testing.T) {
-	m := Model{Alpha: 5e-6, Beta: 1e-9}
+	m := machine.Model{Alpha: 5e-6, Beta: 1e-9}
 	if m.PointToPoint(0) != 5e-6 {
 		t.Fatal("zero-byte message should cost exactly α")
 	}
@@ -28,35 +33,25 @@ func TestNegativeSizePanics(t *testing.T) {
 			t.Fatal("negative size did not panic")
 		}
 	}()
-	Model{}.PointToPoint(-1)
+	machine.Model{}.PointToPoint(-1)
 }
 
 func TestCompute(t *testing.T) {
-	m := Model{Gamma: 1e-9}
+	m := machine.Model{Gamma: 1e-9}
 	if m.Compute(2e9) != 2.0 {
 		t.Fatalf("compute = %v", m.Compute(2e9))
 	}
 }
 
 func TestElemBytes(t *testing.T) {
-	if ElemBytes(100) != 800 {
-		t.Fatalf("ElemBytes(100) = %v", ElemBytes(100))
-	}
-}
-
-func TestLatencyBandwidthRatio(t *testing.T) {
-	m := Model{Alpha: 1e-4, Beta: 1e-9}
-	if r := m.LatencyBandwidthRatio(); math.Abs(r-1e5) > 1e-6 {
-		t.Fatalf("α/β = %v, want 1e5", r)
-	}
-	if (Model{Alpha: 1}).LatencyBandwidthRatio() != 0 {
-		t.Fatal("zero β should yield ratio 0, not a division by zero")
+	if machine.ElemBytes(100) != 800 {
+		t.Fatalf("machine.ElemBytes(100) = %v", machine.ElemBytes(100))
 	}
 }
 
 // Property: T is affine — T(a+b) = T(a)+T(b)-α.
 func TestQuickAffine(t *testing.T) {
-	m := Model{Alpha: 3e-6, Beta: 2e-9}
+	m := machine.Model{Alpha: 3e-6, Beta: 2e-9}
 	f := func(a, b uint32) bool {
 		x, y := float64(a), float64(b)
 		lhs := m.PointToPoint(x + y)
@@ -70,7 +65,7 @@ func TestQuickAffine(t *testing.T) {
 
 // Property: monotonic in message size.
 func TestQuickMonotone(t *testing.T) {
-	m := Model{Alpha: 1e-5, Beta: 1e-9}
+	m := machine.Model{Alpha: 1e-5, Beta: 1e-9}
 	f := func(a, b uint32) bool {
 		x, y := float64(a), float64(b)
 		if x > y {
@@ -84,7 +79,7 @@ func TestQuickMonotone(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	if s := (Model{Alpha: 1, Beta: 2, Gamma: 3}).String(); len(s) == 0 {
+	if s := (machine.Model{Alpha: 1, Beta: 2, Gamma: 3}).String(); len(s) == 0 {
 		t.Fatal("empty String")
 	}
 }
@@ -93,7 +88,7 @@ func TestString(t *testing.T) {
 // test, so the package-global state never leaks into other tests.
 func resetOverhead(t *testing.T) {
 	t.Helper()
-	t.Cleanup(func() { SetThreadOverhead(DefaultThreadOverhead) })
+	t.Cleanup(func() { machine.SetThreadOverhead(machine.DefaultThreadOverhead) })
 }
 
 func TestCalibrateFromScaling(t *testing.T) {
@@ -105,24 +100,24 @@ func TestCalibrateFromScaling(t *testing.T) {
 		tf := float64(th)
 		points[th] = tf / (1 + s*(tf-1))
 	}
-	fit, ok := CalibrateFromScaling(points)
+	fit, ok := machine.CalibrateFromScaling(points)
 	if !ok {
 		t.Fatal("calibration rejected usable points")
 	}
 	if math.Abs(fit-s) > 1e-12 {
 		t.Fatalf("fit %g, want %g", fit, s)
 	}
-	if ThreadOverhead() != fit {
-		t.Fatalf("ThreadOverhead() = %g after fit %g", ThreadOverhead(), fit)
+	if machine.ThreadOverhead() != fit {
+		t.Fatalf("machine.ThreadOverhead() = %g after fit %g", machine.ThreadOverhead(), fit)
 	}
-	// Speedup must now follow the calibrated curve...
+	// machine.Speedup must now follow the calibrated curve...
 	want := 4 / (1 + s*3)
-	if got := Speedup(4); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Speedup(4) = %g under s=%g, want %g", got, s, want)
+	if got := machine.Speedup(4); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("machine.Speedup(4) = %g under s=%g, want %g", got, s, want)
 	}
 	// ...while the serial identity stays exact, bit for bit.
-	if Speedup(1) != 1 || Speedup(0) != 1 {
-		t.Fatal("Speedup(t<=1) must stay exactly 1 under calibration")
+	if machine.Speedup(1) != 1 || machine.Speedup(0) != 1 {
+		t.Fatal("machine.Speedup(t<=1) must stay exactly 1 under calibration")
 	}
 }
 
@@ -134,29 +129,29 @@ func TestCalibrateFallsBackWithoutPoints(t *testing.T) {
 		{4: 0.0}, // non-positive speedup is unusable
 		{4: -2.5},
 	} {
-		fit, ok := CalibrateFromScaling(points)
+		fit, ok := machine.CalibrateFromScaling(points)
 		if ok {
 			t.Fatalf("calibration accepted unusable points %v", points)
 		}
-		if fit != DefaultThreadOverhead {
-			t.Fatalf("fallback fit %g, want the %g default", fit, DefaultThreadOverhead)
+		if fit != machine.DefaultThreadOverhead {
+			t.Fatalf("fallback fit %g, want the %g default", fit, machine.DefaultThreadOverhead)
 		}
 	}
 }
 
 func TestSetThreadOverheadClamps(t *testing.T) {
 	resetOverhead(t)
-	SetThreadOverhead(-0.5)
-	if ThreadOverhead() != 0 {
-		t.Fatalf("negative overhead not clamped to 0: %g", ThreadOverhead())
+	machine.SetThreadOverhead(-0.5)
+	if machine.ThreadOverhead() != 0 {
+		t.Fatalf("negative overhead not clamped to 0: %g", machine.ThreadOverhead())
 	}
-	SetThreadOverhead(3)
-	if ThreadOverhead() != 1 {
-		t.Fatalf("overhead above 1 not clamped: %g", ThreadOverhead())
+	machine.SetThreadOverhead(3)
+	if machine.ThreadOverhead() != 1 {
+		t.Fatalf("overhead above 1 not clamped: %g", machine.ThreadOverhead())
 	}
-	SetThreadOverhead(math.NaN())
-	if ThreadOverhead() != 1 {
-		t.Fatalf("NaN must be ignored, have %g", ThreadOverhead())
+	machine.SetThreadOverhead(math.NaN())
+	if machine.ThreadOverhead() != 1 {
+		t.Fatalf("NaN must be ignored, have %g", machine.ThreadOverhead())
 	}
 }
 
@@ -165,12 +160,12 @@ func TestSetThreadOverheadClamps(t *testing.T) {
 // measurements (speedup < 1) inside the model's valid range.
 func TestCalibrateOrdersBySaturation(t *testing.T) {
 	resetOverhead(t)
-	nearLinear, _ := CalibrateFromScaling(map[int]float64{2: 1.98, 4: 3.9})
-	saturated, _ := CalibrateFromScaling(map[int]float64{2: 1.3, 4: 1.6})
+	nearLinear, _ := machine.CalibrateFromScaling(map[int]float64{2: 1.98, 4: 3.9})
+	saturated, _ := machine.CalibrateFromScaling(map[int]float64{2: 1.3, 4: 1.6})
 	if nearLinear >= saturated {
 		t.Fatalf("near-linear fit %g not below saturated fit %g", nearLinear, saturated)
 	}
-	pathological, _ := CalibrateFromScaling(map[int]float64{2: 0.5, 4: 0.5})
+	pathological, _ := machine.CalibrateFromScaling(map[int]float64{2: 0.5, 4: 0.5})
 	if pathological > 1 {
 		t.Fatalf("pathological fit %g escaped the clamp", pathological)
 	}

@@ -1,11 +1,16 @@
-// Package hockney implements the Hockney point-to-point communication model
-// used throughout the paper (Section IV): the time to move a message of m
-// bytes between two processors is T(m) = α + m·β, where α is the latency and
-// β the reciprocal bandwidth. The same Model value parameterises the
-// closed-form analysis (internal/model) and the discrete-event simulator
-// (internal/simnet), so the two timing paths are always comparing like with
-// like.
-package hockney
+// Package machine is the platform model of the paper (§IV–V): a Hockney
+// machine (α latency, β reciprocal bandwidth, γ seconds per flop) with the
+// intra-rank thread-scaling curve, the presets the paper evaluates on
+// (calibrated ones included) with their contention descriptions, and the
+// BlueGene/P torus geometry behind the mapping ablation. The same Model
+// value parameterises the closed-form analysis (internal/model), the
+// planner's scorer (internal/tune) and both virtual engines
+// (internal/simnet, internal/evsim), so every timing path compares like
+// with like.
+//
+// The Hockney point-to-point model: the time to move a message of m units
+// between two processors is T(m) = α + m·β.
+package machine
 
 import (
 	"fmt"
@@ -24,8 +29,8 @@ type Model struct {
 	Alpha float64
 	// Beta is the reciprocal bandwidth in seconds per message unit.
 	// This repository follows the paper's arithmetic and counts matrix
-	// elements as the unit (see internal/platform); PointToPoint simply
-	// applies Beta to whatever unit the caller passes.
+	// elements as the unit (see presets.go); PointToPoint simply applies
+	// Beta to whatever unit the caller passes.
 	Beta float64
 	// Gamma is the time of one floating-point operation in seconds
 	// (the paper charges 2·n³/p flops of computation at this rate).
@@ -36,7 +41,7 @@ type Model struct {
 // Beta's units) between two processors.
 func (m Model) PointToPoint(size float64) float64 {
 	if size < 0 {
-		panic(fmt.Sprintf("hockney: negative message size %g", size))
+		panic(fmt.Sprintf("machine: negative message size %g", size))
 	}
 	return m.Alpha + size*m.Beta
 }
@@ -48,7 +53,7 @@ func ElemBytes(elems float64) float64 { return elems * BytesPerElement }
 // operations on one processor.
 func (m Model) Compute(flops float64) float64 {
 	if flops < 0 {
-		panic(fmt.Sprintf("hockney: negative flop count %g", flops))
+		panic(fmt.Sprintf("machine: negative flop count %g", flops))
 	}
 	return flops * m.Gamma
 }
@@ -121,16 +126,6 @@ func Speedup(t int) float64 {
 	}
 	tf := float64(t)
 	return tf / (1 + ThreadOverhead()*(tf-1))
-}
-
-// LatencyBandwidthRatio returns α/β in bytes: the message size at which the
-// latency and bandwidth terms are equal. The paper's minimum/maximum
-// condition (eq. 10–11) compares this ratio against 2nb/p.
-func (m Model) LatencyBandwidthRatio() float64 {
-	if m.Beta == 0 {
-		return 0
-	}
-	return m.Alpha / m.Beta
 }
 
 func (m Model) String() string {

@@ -1,9 +1,11 @@
-// Package platform defines the machine presets the paper evaluates on:
-// the Graphene cluster of Grid'5000 (Section V-A), the Shaheen BlueGene/P
-// (Section V-B) and the projected exascale platform (Section V-C). Each
-// preset carries the Hockney parameters published in the paper plus a
-// calibrated compute rate, and a contention description used by the
-// simulator's optional congested mode.
+package machine
+
+// The machine presets the paper evaluates on: the Graphene cluster of
+// Grid'5000 (Section V-A), the Shaheen BlueGene/P (Section V-B) and the
+// projected exascale platform (Section V-C). Each preset carries the
+// Hockney parameters published in the paper plus a calibrated compute rate,
+// and a contention description used by the simulator's optional congested
+// mode.
 //
 // The α and β values are the ones printed in the paper's validation
 // subsections. Following the paper's own arithmetic (its BG/P check
@@ -14,12 +16,11 @@
 // is derived from the hardware description (BG/P: 4-way 850 MHz PowerPC
 // 450, de-rated to measured ESSL DGEMM efficiency) and recorded here so
 // every experiment is reproducible from constants in one file.
-package platform
 
 import (
 	"fmt"
-
-	"repro/internal/hockney"
+	"sort"
+	"strings"
 )
 
 // Contention names the link-sharing behaviour the simulator should assume.
@@ -55,10 +56,7 @@ func (c Contention) String() string {
 // description.
 type Platform struct {
 	Name  string
-	Model hockney.Model
-	// MaxCores is the largest core count the paper exercised on this
-	// platform; experiment sweeps stop here.
-	MaxCores int
+	Model Model
 	// Contention selects the congested-mode link model for the
 	// simulator's ablation runs (figures default to ContentionNone, the
 	// paper's model assumption).
@@ -75,12 +73,11 @@ type Platform struct {
 func Grid5000() Platform {
 	return Platform{
 		Name: "Grid5000/Graphene",
-		Model: hockney.Model{
+		Model: Model{
 			Alpha: 1e-4,
 			Beta:  1e-9,
 			Gamma: 1.2e-10,
 		},
-		MaxCores:   128,
 		Contention: ContentionShared,
 	}
 }
@@ -93,12 +90,11 @@ func Grid5000() Platform {
 func BlueGeneP() Platform {
 	return Platform{
 		Name: "BlueGene/P (Shaheen)",
-		Model: hockney.Model{
+		Model: Model{
 			Alpha: 3e-6,
 			Beta:  1e-9,
 			Gamma: 4.0e-10,
 		},
-		MaxCores:    16384,
 		Contention:  ContentionTorus,
 		TorusDegree: 6,
 	}
@@ -113,31 +109,35 @@ func Exascale() Platform {
 	p := float64(1 << 20)
 	return Platform{
 		Name: "Exascale (projected)",
-		Model: hockney.Model{
+		Model: Model{
 			Alpha: 500e-9,
 			Beta:  8e-11,
 			Gamma: p / 1e18,
 		},
-		MaxCores:   1 << 20,
 		Contention: ContentionNone,
 	}
 }
 
-// All returns every preset, for table-driven tests and CLI listings.
-func All() []Platform {
-	return []Platform{Grid5000(), BlueGeneP(), Exascale()}
+// presets is the one table of preset names: every spelling any surface
+// (hsumma-run, hsumma-serve, hsumma-model, GET /plan) accepts.
+var presets = map[string]func() Platform{
+	"grid5000": Grid5000, "graphene": Grid5000,
+	"grid5000-cal": Grid5000Calibrated, "grid5000cal": Grid5000Calibrated,
+	"bgp": BlueGeneP, "bluegene": BlueGeneP, "bluegenep": BlueGeneP,
+	"bgp-cal": BlueGenePCalibrated, "bgpcal": BlueGenePCalibrated,
+	"exascale": Exascale,
 }
 
-// ByName returns the preset with the given short name: "grid5000", "bgp" or
-// "exascale".
+// ByName returns the preset with the given short name: grid5000[-cal],
+// bgp[-cal], exascale, or one of their aliases.
 func ByName(name string) (Platform, error) {
-	switch name {
-	case "grid5000", "graphene":
-		return Grid5000(), nil
-	case "bgp", "bluegene", "bluegenep":
-		return BlueGeneP(), nil
-	case "exascale":
-		return Exascale(), nil
+	if pf, ok := presets[name]; ok {
+		return pf(), nil
 	}
-	return Platform{}, fmt.Errorf("platform: unknown preset %q (want grid5000, bgp or exascale)", name)
+	names := make([]string, 0, len(presets))
+	for n := range presets {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return Platform{}, fmt.Errorf("machine: unknown preset %q (want one of %s)", name, strings.Join(names, ", "))
 }

@@ -1,12 +1,13 @@
-// Package torus models the BlueGene/P interconnect geometry: compute nodes
+package machine
+
+// The BlueGene/P interconnect geometry: compute nodes
 // arranged in a 3D torus (Shaheen: 16 racks of 1024 nodes), four cores per
 // node in VN mode, with messages wormhole-routed along shortest torus
 // paths. The paper observes that "mapping communication layouts to network
 // hardware on BlueGene/P impacts the communication performance" (the
-// Figure 8 "zigzags", citing Balaji et al.); this package provides the
+// Figure 8 "zigzags", citing Balaji et al.); Torus provides the
 // rank→coordinate mapping and hop-distance metric that lets the simulator
 // reproduce that mapping sensitivity as an ablation.
-package torus
 
 import "fmt"
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/hockney"
+	"repro/internal/machine"
 )
 
 // Params fixes a problem/platform instance for the closed-form analysis.
@@ -14,7 +14,7 @@ type Params struct {
 	B int // block size b (the paper sets B = b throughout the analysis)
 	// Machine is the Hockney model (α seconds, β seconds per message
 	// unit, γ seconds/flop).
-	Machine hockney.Model
+	Machine machine.Model
 	// Bcast is the broadcast model plugged into equation (1); defaults
 	// to BinomialTree.
 	Bcast Broadcast
@@ -74,7 +74,7 @@ type Level struct{ I, J, Width float64 }
 // No levels is SUMMA's Table I/II row, 2·(n/b)·L(√p)·α + 2·(n²/√p)·W(√p)·β
 // at M = N = K = n on √p×√p; one level of √G×√G groups is HSUMMA's (eq.
 // 3–5); L(1) = W(1) = 0 makes G = 1 and G = p reproduce SUMMA exactly.
-func family(M, N, K, S, T, b float64, levels []Level, m hockney.Model, bc Broadcast, elemBytes float64) Cost {
+func family(M, N, K, S, T, b float64, levels []Level, m machine.Model, bc Broadcast, elemBytes float64) Cost {
 	if bc == nil {
 		bc = BinomialTree{}
 	}

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/sched"
 )
 
@@ -64,7 +64,7 @@ func TestVanDeGeijnBoundaries(t *testing.T) {
 
 func TestDerivativeSignsAroundOptimum(t *testing.T) {
 	par := Params{N: 65536, P: 16384, B: 256,
-		Machine: hockney.Model{Alpha: 3e-6, Beta: 1e-9}, Bcast: VanDeGeijn{}}
+		Machine: machine.Model{Alpha: 3e-6, Beta: 1e-9}, Bcast: VanDeGeijn{}}
 	sq := math.Sqrt(float64(par.P))
 	if DerivativeG(par, sq/8) >= 0 {
 		t.Fatal("cost should decrease left of √p when the condition holds")
@@ -76,7 +76,7 @@ func TestDerivativeSignsAroundOptimum(t *testing.T) {
 
 func TestOptimalGRestrictedCandidates(t *testing.T) {
 	par := Params{N: 65536, P: 16384, B: 256,
-		Machine: hockney.Model{Alpha: 3e-6, Beta: 1e-9}, Bcast: VanDeGeijn{}}
+		Machine: machine.Model{Alpha: 3e-6, Beta: 1e-9}, Bcast: VanDeGeijn{}}
 	g, cost := OptimalG(par, []int{1, 16384})
 	if g != 1 && g != 16384 {
 		t.Fatalf("restricted search escaped candidates: %d", g)
@@ -111,7 +111,7 @@ func TestSafeLog2(t *testing.T) {
 // the condition by 8x.
 func TestMinimumConditionUnits(t *testing.T) {
 	par := Params{N: 65536, P: 16384, B: 256,
-		Machine: hockney.Model{Alpha: 3e-6, Beta: 1e-9}, Bcast: VanDeGeijn{}}
+		Machine: machine.Model{Alpha: 3e-6, Beta: 1e-9}, Bcast: VanDeGeijn{}}
 	if !MinimumAtSqrtP(par) {
 		t.Fatal("element units: paper's condition should hold")
 	}

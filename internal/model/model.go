@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/sched"
 )
 
@@ -115,8 +115,8 @@ func (f *FromSchedule) factors(p float64) [2]float64 {
 	}
 	// Cost with unit α, zero β isolates L; zero α, unit β (per byte,
 	// message of one byte) isolates W.
-	l := s.Cost(1, hockney.Model{Alpha: 1, Beta: 0})
-	w := s.Cost(1, hockney.Model{Alpha: 0, Beta: 1})
+	l := s.Cost(1, machine.Model{Alpha: 1, Beta: 0})
+	w := s.Cost(1, machine.Model{Alpha: 0, Beta: 1})
 	v := [2]float64{l, w}
 	f.cache[ip] = v
 	return v

@@ -5,27 +5,26 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/hockney"
-	"repro/internal/platform"
+	"repro/internal/machine"
 	"repro/internal/sched"
 )
 
 func grid5000Params() Params {
-	return Params{N: 8192, P: 128, B: 64, Machine: platform.Grid5000().Model, Bcast: VanDeGeijn{}}
+	return Params{N: 8192, P: 128, B: 64, Machine: machine.Grid5000().Model, Bcast: VanDeGeijn{}}
 }
 
 func bgpParams() Params {
-	return Params{N: 65536, P: 16384, B: 256, Machine: platform.BlueGeneP().Model, Bcast: VanDeGeijn{}}
+	return Params{N: 65536, P: 16384, B: 256, Machine: machine.BlueGeneP().Model, Bcast: VanDeGeijn{}}
 }
 
 func exascaleParams() Params {
-	return Params{N: 1 << 22, P: 1 << 20, B: 256, Machine: platform.Exascale().Model, Bcast: VanDeGeijn{}}
+	return Params{N: 1 << 22, P: 1 << 20, B: 256, Machine: machine.Exascale().Model, Bcast: VanDeGeijn{}}
 }
 
 // The degeneracy identity of Section IV: T_HS(G=1) = T_HS(G=p) = T_S.
 func TestHSUMMADegeneratesToSUMMA(t *testing.T) {
 	for _, bc := range []Broadcast{BinomialTree{}, VanDeGeijn{}, FlatTree{}} {
-		par := Params{N: 4096, P: 1024, B: 64, Machine: hockney.Model{Alpha: 1e-5, Beta: 1e-9}, Bcast: bc}
+		par := Params{N: 4096, P: 1024, B: 64, Machine: machine.Model{Alpha: 1e-5, Beta: 1e-9}, Bcast: bc}
 		s := SUMMA(par).Comm()
 		h1 := HSUMMA(par, 1).Comm()
 		hp := HSUMMA(par, float64(par.P)).Comm()
@@ -68,7 +67,7 @@ func TestMinimumConditionOnPaperPlatforms(t *testing.T) {
 // be a maximum: endpoints win.
 func TestMaximumWhenConditionFails(t *testing.T) {
 	par := Params{N: 65536, P: 256, B: 256,
-		Machine: hockney.Model{Alpha: 1e-9, Beta: 1e-6}, Bcast: VanDeGeijn{}}
+		Machine: machine.Model{Alpha: 1e-9, Beta: 1e-6}, Bcast: VanDeGeijn{}}
 	if MinimumAtSqrtP(par) {
 		t.Fatal("condition should fail for latency-free machine")
 	}
@@ -237,7 +236,7 @@ func TestQuickInteriorNeverWorseThanWorstEndpoint(t *testing.T) {
 	f := func(a, b uint16, gExp uint8) bool {
 		par := Params{
 			N: 1 << 14, P: 1 << 12, B: 64,
-			Machine: hockney.Model{Alpha: 1e-8 + float64(a)*1e-9, Beta: 1e-12 + float64(b)*1e-12},
+			Machine: machine.Model{Alpha: 1e-8 + float64(a)*1e-9, Beta: 1e-12 + float64(b)*1e-12},
 			Bcast:   VanDeGeijn{},
 		}
 		G := float64(int(1) << (gExp % 13))

@@ -3,7 +3,7 @@ package model
 import (
 	"fmt"
 
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/topo"
 )
@@ -26,7 +26,7 @@ type RectParams struct {
 	// B is the pivot panel width b.
 	B int
 	// Machine is the Hockney model.
-	Machine hockney.Model
+	Machine machine.Model
 	// Bcast is the broadcast model of equation (1); defaults to
 	// BinomialTree.
 	Bcast Broadcast

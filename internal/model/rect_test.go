@@ -4,16 +4,15 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/platform"
 	"repro/internal/topo"
 )
 
-func presets() []platform.Platform {
-	return []platform.Platform{
-		platform.Grid5000(), platform.BlueGeneP(), platform.Exascale(),
-		platform.Grid5000Calibrated(), platform.BlueGenePCalibrated(),
+func presets() []machine.Platform {
+	return []machine.Platform{
+		machine.Grid5000(), machine.BlueGeneP(), machine.Exascale(),
+		machine.Grid5000Calibrated(), machine.BlueGenePCalibrated(),
 	}
 }
 
@@ -104,7 +103,7 @@ func TestFamilyMatchesPaperTables(t *testing.T) {
 // than on the transposed (mismatched) grid — the effect that makes the
 // planner's orientation search worthwhile.
 func TestRectOrientationMatters(t *testing.T) {
-	m := hockney.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-11}
+	m := machine.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-11}
 	sh := matrix.Shape{M: 16384, N: 512, K: 16384}
 	tall := SUMMARect(RectParams{Shape: sh, Grid: topo.Grid{S: 32, T: 4}, B: 64, Machine: m})
 	wide := SUMMARect(RectParams{Shape: sh, Grid: topo.Grid{S: 4, T: 32}, B: 64, Machine: m})
@@ -118,7 +117,7 @@ func TestRectOrientationMatters(t *testing.T) {
 }
 
 func TestRectParamsValidate(t *testing.T) {
-	m := hockney.Model{Alpha: 1, Beta: 1}
+	m := machine.Model{Alpha: 1, Beta: 1}
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {

@@ -13,7 +13,7 @@ import (
 // Transport adapts a *Comm to the transport-agnostic comm.Comm interface:
 // the live execution path, where panels carry real matrix elements and
 // Gemm performs real floating-point work. The algorithm layer
-// (internal/core, internal/baseline) sees only comm.Comm, so the same code
+// (internal/core) sees only comm.Comm, so the same code
 // also runs on the virtual transport in internal/simnet.
 //
 // Panels move by reference (see the package comment): a panel's tile

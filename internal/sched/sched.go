@@ -21,7 +21,7 @@ package sched
 import (
 	"fmt"
 
-	"repro/internal/hockney"
+	"repro/internal/machine"
 )
 
 // Transfer is one point-to-point message: Src sends segments [SegLo,SegHi)
@@ -374,7 +374,7 @@ func SegmentRange(n, segments, segLo, segHi int) (lo, hi int) {
 // model and returns the time at which the last rank completes — the
 // congestion-free broadcast time. Both endpoints of a transfer are occupied
 // for its whole duration (rendezvous semantics).
-func (s *Schedule) Cost(payloadBytes float64, m hockney.Model) float64 {
+func (s *Schedule) Cost(payloadBytes float64, m machine.Model) float64 {
 	clocks := make([]float64, s.NumRanks)
 	s.CostOnClocks(clocks, payloadBytes, m)
 	max := 0.0
@@ -396,7 +396,7 @@ func (s *Schedule) Cost(payloadBytes float64, m hockney.Model) float64 {
 // chain pipeline rely on this, and it is the assumption behind their
 // (p−1)(α+(m/p)β)-style closed forms). Transfers in different rounds
 // serialise through the updated clocks.
-func (s *Schedule) CostOnClocks(clocks []float64, payloadBytes float64, m hockney.Model) {
+func (s *Schedule) CostOnClocks(clocks []float64, payloadBytes float64, m machine.Model) {
 	if len(clocks) != s.NumRanks {
 		panic(fmt.Sprintf("sched: %d clocks for %d ranks", len(clocks), s.NumRanks))
 	}

@@ -5,10 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/hockney"
+	"repro/internal/machine"
 )
 
-var testModel = hockney.Model{Alpha: 1e-5, Beta: 1e-9}
+var testModel = machine.Model{Alpha: 1e-5, Beta: 1e-9}
 
 func mustBcast(t *testing.T, alg Algorithm, p, root, segments int) *Schedule {
 	t.Helper()

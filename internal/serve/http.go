@@ -15,8 +15,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -30,7 +30,7 @@ type HandlerConfig struct {
 	DefaultProcs int
 	// Platform is the machine the planner tunes auto requests (and the
 	// /plan endpoint's default) for; nil means the Grid'5000 preset.
-	Platform *platform.Platform
+	Platform *machine.Platform
 	// MaxBodyBytes bounds request bodies (default 256 MiB — a 2048² pair
 	// of float64 operands is 64 MiB).
 	MaxBodyBytes int64
@@ -342,7 +342,6 @@ func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 		slog.Float64("execute_s", stats.RunSeconds),
 		slog.Float64("encode_s", encodeSec),
 		slog.Int("batch_size", stats.BatchSize),
-		slog.Int("pipeline_occupancy", stats.PipelineOccupancy),
 		slog.Float64("model_drift", stats.ModelDriftRatio),
 	)
 	if stats.TraceID != "" {
@@ -529,12 +528,12 @@ func (h *handler) plan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, fmt.Errorf("serve: /plan problem too large (dims <= %d, p <= %d)", maxDim, maxPlanProcs))
 		return
 	}
-	pf := platform.Grid5000()
+	pf := machine.Grid5000()
 	if h.cfg.Platform != nil {
 		pf = *h.cfg.Platform
 	}
 	if name := q.Get("platform"); name != "" {
-		pf, err = platform.ByName(name)
+		pf, err = machine.ByName(name)
 		if err != nil {
 			httpError(w, err)
 			return

@@ -207,6 +207,27 @@ func TestHTTPPlan(t *testing.T) {
 	}
 }
 
+// TestHTTPPlanEveryPreset checks /plan accepts every preset spelling
+// machine.ByName does — the names hsumma-run plan -platform takes included
+// (bgp-cal used to be a 400 here).
+func TestHTTPPlanEveryPreset(t *testing.T) {
+	srv, _ := newTestServer(t)
+	for _, name := range []string{
+		"grid5000", "graphene", "grid5000-cal", "grid5000cal",
+		"bgp", "bluegene", "bluegenep", "bgp-cal", "bgpcal", "exascale",
+	} {
+		resp, err := http.Get(srv.URL + "/plan?n=64&p=4&platform=" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("platform=%s: status %d: %s", name, resp.StatusCode, msg)
+		}
+	}
+}
+
 // TestHTTPMetrics drives a request through and scrapes /metrics.
 func TestHTTPMetrics(t *testing.T) {
 	srv, _ := newTestServer(t)

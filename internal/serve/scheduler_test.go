@@ -91,6 +91,29 @@ func TestSchedulerPaddedShapesDoNotCollide(t *testing.T) {
 	}
 }
 
+// TestSchedulerRejectsInvalidSpecBeforeSession is the regression test for
+// square-only specs that used to pass resolution: Cannon on 8 ranks (a
+// 2×4 grid) and two Strassen levels on a 2×2 grid each spawned a resident
+// session that held its cores until LRU retirement, then failed inside
+// every rank. Both must fail in resolution, with no session created.
+func TestSchedulerRejectsInvalidSpecBeforeSession(t *testing.T) {
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
+	defer sc.Close()
+	a := matrix.Random(16, 16, 1)
+	b := matrix.Random(16, 16, 2)
+	for _, rp := range []tune.ResolveParams{
+		{Procs: 8, Algorithm: "cannon"},
+		{Procs: 4, Algorithm: "strassen", StrassenLevels: 2},
+	} {
+		if _, _, err := sc.Multiply(a, b, rp); err == nil {
+			t.Fatalf("%s on %d procs accepted", rp.Algorithm, rp.Procs)
+		}
+	}
+	if m := sc.Metrics(); m.SessionsLive != 0 || m.SessionMisses != 0 {
+		t.Fatalf("SessionsLive = %d, SessionMisses = %d, want 0 and 0", m.SessionsLive, m.SessionMisses)
+	}
+}
+
 // TestSchedulerRankBudget checks sessions are retired LRU-idle-first when
 // the budget is exceeded, and that an unsatisfiable request is rejected
 // with ErrOverloaded.

@@ -84,9 +84,6 @@ type Stats struct {
 	// BatchSize is the number of same-A requests coalesced into the single
 	// execution that served this request (1 = unbatched).
 	BatchSize int
-	// PipelineOccupancy is the number of requests resident in the session
-	// (executing + taken + queued) when this request's execution began.
-	PipelineOccupancy int
 	// ModelDriftRatio is measured/predicted total seconds for the phases
 	// the model predicted (0 when no prediction was available). Maintained
 	// by the scheduler's drift tracker; 1.0 means the plan's cost model
@@ -467,7 +464,6 @@ func (s *Session) execute(batch []*job) {
 	s.mu.Lock()
 	s.taken -= k
 	s.inFlight = true
-	occupancy := k + s.taken + s.pending
 	s.mu.Unlock()
 	if s.beforeRun != nil {
 		s.beforeRun()
@@ -515,7 +511,6 @@ func (s *Session) execute(batch []*job) {
 		j.stats.SpecKey = s.key
 		j.stats.RunSeconds = runSec
 		j.stats.BatchSize = k
-		j.stats.PipelineOccupancy = occupancy
 		j.stats.WallSeconds = time.Since(j.start).Seconds()
 		j.finish(nil)
 	}

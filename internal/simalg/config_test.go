@@ -1,9 +1,9 @@
-package simalg
+package simalg_test
 
 import (
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/simnet"
 	"repro/internal/topo"
@@ -11,7 +11,7 @@ import (
 
 // Config is these tests' shorthand for one virtual run: a spec's options
 // beside the virtual-world settings, split into the (Spec, VConfig,
-// Executor) triple Run takes.
+// Executor) triple engine.Simulate takes.
 type Config struct {
 	Shape  matrix.Shape
 	N      int
@@ -19,7 +19,7 @@ type Config struct {
 	Groups topo.Hier
 	core.Knobs
 	Levels     []core.Level
-	Machine    hockney.Model
+	Machine    machine.Model
 	Contention simnet.ContentionFunc
 	LinkCost   simnet.LinkCostFunc
 	Overlap    bool
@@ -35,17 +35,17 @@ func (cfg Config) spec(alg engine.Algorithm) engine.Spec {
 }
 
 // RunStats simulates alg under cfg.
-func RunStats(cfg Config, alg engine.Algorithm) (Result, []simnet.VRankStats, error) {
-	return Run(cfg.spec(alg), simnet.VConfig{
+func RunStats(cfg Config, alg engine.Algorithm) (engine.SimResult, []simnet.VRankStats, error) {
+	return engine.Simulate(cfg.spec(alg), simnet.VConfig{
 		Model: cfg.Machine, Contention: cfg.Contention, LinkCost: cfg.LinkCost, Overlap: cfg.Overlap,
 	}, cfg.Executor)
 }
 
-func runAlg(cfg Config, alg engine.Algorithm) (Result, error) {
+func runAlg(cfg Config, alg engine.Algorithm) (engine.SimResult, error) {
 	res, _, err := RunStats(cfg, alg)
 	return res, err
 }
 
-func SUMMA(cfg Config) (Result, error)  { return runAlg(cfg, engine.SUMMA) }
-func HSUMMA(cfg Config) (Result, error) { return runAlg(cfg, engine.HSUMMA) }
-func Cannon(cfg Config) (Result, error) { return runAlg(cfg, engine.Cannon) }
+func SUMMA(cfg Config) (engine.SimResult, error)  { return runAlg(cfg, engine.SUMMA) }
+func HSUMMA(cfg Config) (engine.SimResult, error) { return runAlg(cfg, engine.HSUMMA) }
+func Cannon(cfg Config) (engine.SimResult, error) { return runAlg(cfg, engine.Cannon) }

@@ -1,4 +1,4 @@
-package simalg
+package simalg_test
 
 import (
 	"runtime"
@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/platform"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/simnet"
 	"repro/internal/topo"
@@ -33,7 +33,7 @@ func bgp4096Run(t *testing.T, ex engine.Executor) detRun {
 		t.Fatal(err)
 	}
 	res, stats, err := RunStats(Config{
-		N: 16384, Grid: g, Knobs: core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn}, Groups: h, Machine: platform.BlueGenePCalibrated().Model,
+		N: 16384, Grid: g, Knobs: core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn}, Groups: h, Machine: machine.BlueGenePCalibrated().Model,
 		Executor: ex,
 	}, engine.HSUMMA)
 	if err != nil {

@@ -1,4 +1,4 @@
-package simalg
+package simalg_test
 
 import (
 	"fmt"
@@ -10,7 +10,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/evsim"
-	"repro/internal/platform"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/simnet"
 	"repro/internal/topo"
@@ -99,13 +99,13 @@ func paritySpecs(t *testing.T) map[string]engine.Spec {
 	}
 }
 
-func parityPlatforms() map[string]platform.Platform {
-	return map[string]platform.Platform{
-		"grid5000":     platform.Grid5000(),
-		"bgp":          platform.BlueGeneP(),
-		"exascale":     platform.Exascale(),
-		"grid5000-cal": platform.Grid5000Calibrated(),
-		"bgp-cal":      platform.BlueGenePCalibrated(),
+func parityPlatforms() map[string]machine.Platform {
+	return map[string]machine.Platform{
+		"grid5000":     machine.Grid5000(),
+		"bgp":          machine.BlueGeneP(),
+		"exascale":     machine.Exascale(),
+		"grid5000-cal": machine.Grid5000Calibrated(),
+		"bgp-cal":      machine.BlueGenePCalibrated(),
 	}
 }
 
@@ -147,18 +147,18 @@ func TestEngineParity(t *testing.T) {
 // placement).
 func TestEngineParityOverlapAndLinkCost(t *testing.T) {
 	specs := paritySpecs(t)
-	pf := platform.BlueGenePCalibrated()
+	pf := machine.BlueGenePCalibrated()
 
 	t.Run("overlap", func(t *testing.T) {
 		spec := specs["hsumma"]
 		vcfg := simnet.VConfig{Model: pf.Model, Overlap: true}
 		// Overlap moves Gemm onto a separate timeline; Total differs from
 		// MaxClock, so compare through the world totals as well.
-		gRes, gStats, err := Run(spec, vcfg, engine.ExecutorGoroutine)
+		gRes, gStats, err := engine.Simulate(spec, vcfg, engine.ExecutorGoroutine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eRes, eStats, err := Run(spec, vcfg, engine.ExecutorEvent)
+		eRes, eStats, err := engine.Simulate(spec, vcfg, engine.ExecutorEvent)
 		if err != nil {
 			t.Fatal(err)
 		}

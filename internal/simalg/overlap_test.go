@@ -1,11 +1,11 @@
-package simalg
+package simalg_test
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/topo"
 )
@@ -15,7 +15,7 @@ import (
 func TestOverlapBounds(t *testing.T) {
 	g := topo.Grid{S: 8, T: 8}
 	base := Config{N: 1024, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.VanDeGeijn},
-		Machine: hockney.Model{Alpha: 1e-4, Beta: 1e-9, Gamma: 2e-10}}
+		Machine: machine.Model{Alpha: 1e-4, Beta: 1e-9, Gamma: 2e-10}}
 	plain, err := SUMMA(base)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestOverlapBounds(t *testing.T) {
 func TestOverlapComputeDominated(t *testing.T) {
 	g := topo.Grid{S: 4, T: 4}
 	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial},
-		Machine: hockney.Model{Alpha: 1e-7, Beta: 1e-12, Gamma: 1e-9},
+		Machine: machine.Model{Alpha: 1e-7, Beta: 1e-12, Gamma: 1e-9},
 		Overlap: true}
 	res, err := SUMMA(cfg)
 	if err != nil {
@@ -68,7 +68,7 @@ func TestOverlapHSUMMA(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{N: 1024, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.VanDeGeijn}, Groups: h,
-		Machine: hockney.Model{Alpha: 1e-4, Beta: 1e-9, Gamma: 2e-10}}
+		Machine: machine.Model{Alpha: 1e-4, Beta: 1e-9, Gamma: 2e-10}}
 	plain, err := HSUMMA(base)
 	if err != nil {
 		t.Fatal(err)

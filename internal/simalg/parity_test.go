@@ -1,4 +1,4 @@
-package simalg
+package simalg_test
 
 import (
 	"fmt"
@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
 	"repro/internal/sched"
@@ -58,7 +58,7 @@ func liveStats(t *testing.T, cfg Config, alg engine.Algorithm) []mpi.RankStats {
 
 func TestLiveSimTrafficParity(t *testing.T) {
 	g := topo.Grid{S: 4, T: 4}
-	machine := hockney.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
+	machine := machine.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
 	h22, err := topo.NewHier(g, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestLiveSimTrafficParity(t *testing.T) {
 // same as in SUMMA") must hold identically in both execution modes.
 func TestParityAcrossGroupCounts(t *testing.T) {
 	g := topo.Grid{S: 4, T: 4}
-	machine := hockney.Model{Alpha: 1e-5, Beta: 1e-9}
+	machine := machine.Model{Alpha: 1e-5, Beta: 1e-9}
 	for _, G := range topo.ValidGroupCounts(g) {
 		G := G
 		t.Run(fmt.Sprintf("G%d", G), func(t *testing.T) {
@@ -168,7 +168,7 @@ func TestThreeLevelTrafficClosedForm(t *testing.T) {
 	}
 	p := int64(g.Size())
 	cfg := Config{N: n, Grid: g, Knobs: core.Knobs{BlockSize: b}, Levels: levels,
-		Machine: hockney.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}}
+		Machine: machine.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}}
 	for r, st := range liveStats(t, cfg, engine.Multilevel) {
 		if st.SentMessages != messages/p || st.SentBytes != bytes/p {
 			t.Fatalf("live rank %d sent %d messages / %d bytes, closed form %d / %d", r, st.SentMessages, st.SentBytes, messages/p, bytes/p)

@@ -1,4 +1,4 @@
-package simalg
+package simalg_test
 
 import (
 	"errors"
@@ -8,10 +8,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
-	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/simnet"
 	"repro/internal/topo"
@@ -67,7 +66,7 @@ func rectSpec(t *testing.T, alg engine.Algorithm, sh matrix.Shape) engine.Spec {
 // rectangular shape matrix, with and without contention; square-only
 // baselines rejected with ErrSquareOnly by both engines.
 func TestEngineParityRectangular(t *testing.T) {
-	pf := platform.BlueGenePCalibrated()
+	pf := machine.BlueGenePCalibrated()
 	for shapeName, sh := range rectShapes() {
 		for _, alg := range engine.Algorithms() {
 			for _, contention := range []bool{false, true} {
@@ -81,18 +80,18 @@ func TestEngineParityRectangular(t *testing.T) {
 					}
 					if alg == engine.Cannon || alg == engine.Fox || alg == engine.Strassen {
 						for _, ex := range []engine.Executor{engine.ExecutorGoroutine, engine.ExecutorEvent} {
-							_, _, err := Run(spec, vcfg, ex)
+							_, _, err := engine.Simulate(spec, vcfg, ex)
 							if !errors.Is(err, matrix.ErrSquareOnly) {
 								t.Fatalf("%s engine on %v: got %v, want ErrSquareOnly", ex, sh, err)
 							}
 						}
 						return
 					}
-					gRes, gStats, err := Run(spec, vcfg, engine.ExecutorGoroutine)
+					gRes, gStats, err := engine.Simulate(spec, vcfg, engine.ExecutorGoroutine)
 					if err != nil {
 						t.Fatal(err)
 					}
-					eRes, eStats, err := Run(spec, vcfg, engine.ExecutorEvent)
+					eRes, eStats, err := engine.Simulate(spec, vcfg, engine.ExecutorEvent)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -174,7 +173,7 @@ func liveStatsRect(t *testing.T, spec engine.Spec) []mpi.RankStats {
 // of a live rectangular run must match the simulated run bit-for-bit,
 // across the shape matrix and the SUMMA-family algorithms.
 func TestLiveSimTrafficParityRectangular(t *testing.T) {
-	machine := hockney.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
+	machine := machine.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
 	for shapeName, sh := range rectShapes() {
 		for _, alg := range []engine.Algorithm{engine.SUMMA, engine.HSUMMA, engine.Multilevel} {
 			name := fmt.Sprintf("%s/%s", shapeName, alg)
@@ -182,7 +181,7 @@ func TestLiveSimTrafficParityRectangular(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				spec := rectSpec(t, alg, sh)
 				live := liveStatsRect(t, spec)
-				_, sim, err := Run(spec, simnet.VConfig{Model: machine}, engine.ExecutorAuto)
+				_, sim, err := engine.Simulate(spec, simnet.VConfig{Model: machine}, engine.ExecutorAuto)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,18 +1,21 @@
-package simalg
+// Package simalg_test holds the virtual-runner tests — the live/sim and
+// engine parity suites among them — at their original import path so their
+// ids stay stable; the runner itself is engine.Simulate
+// (internal/engine/simulate.go).
+package simalg_test
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/topo"
 )
 
-var machine = hockney.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
+var testMachine = machine.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
 
 func mustHier(t *testing.T, g topo.Grid, G int) topo.Hier {
 	t.Helper()
@@ -28,12 +31,12 @@ func mustHier(t *testing.T, g topo.Grid, G int) topo.Hier {
 // must match the closed-form model exactly.
 func TestSUMMAMatchesClosedFormBinomial(t *testing.T) {
 	g := topo.Grid{S: 8, T: 8}
-	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial}, Machine: machine}
+	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial}, Machine: testMachine}
 	res, err := SUMMA(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := model.Params{N: 512, P: 64, B: 64, Machine: machine, Bcast: model.BinomialTree{}}
+	par := model.Params{N: 512, P: 64, B: 64, Machine: testMachine, Bcast: model.BinomialTree{}}
 	want := model.SUMMA(par)
 	if rel := math.Abs(res.Comm-want.Comm()) / want.Comm(); rel > 1e-9 {
 		t.Fatalf("sim comm %g vs model %g (rel %g)", res.Comm, want.Comm(), rel)
@@ -48,12 +51,12 @@ func TestSUMMAMatchesClosedFormBinomial(t *testing.T) {
 func TestHSUMMAMatchesClosedFormBinomial(t *testing.T) {
 	g := topo.Grid{S: 8, T: 8}
 	for _, G := range []int{1, 4, 16, 64} {
-		cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial}, Groups: mustHier(t, g, G), Machine: machine}
+		cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial}, Groups: mustHier(t, g, G), Machine: testMachine}
 		res, err := HSUMMA(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := model.Params{N: 512, P: 64, B: 64, Machine: machine, Bcast: model.BinomialTree{}}
+		par := model.Params{N: 512, P: 64, B: 64, Machine: testMachine, Bcast: model.BinomialTree{}}
 		want := model.HSUMMA(par, float64(G))
 		if rel := math.Abs(res.Comm-want.Comm()) / want.Comm(); rel > 1e-9 {
 			t.Fatalf("G=%d: sim comm %g vs model %g (rel %g)", G, res.Comm, want.Comm(), rel)
@@ -66,7 +69,7 @@ func TestHSUMMAMatchesClosedFormBinomial(t *testing.T) {
 func TestHSUMMADegeneratesToSUMMA(t *testing.T) {
 	g := topo.Grid{S: 4, T: 8}
 	for _, alg := range []sched.Algorithm{sched.Binomial, sched.VanDeGeijn} {
-		cfg := Config{N: 256, Grid: g, Knobs: core.Knobs{BlockSize: 32, Broadcast: alg}, Machine: machine}
+		cfg := Config{N: 256, Grid: g, Knobs: core.Knobs{BlockSize: 32, Broadcast: alg}, Machine: testMachine}
 		su, err := SUMMA(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +93,7 @@ func TestHSUMMADegeneratesToSUMMA(t *testing.T) {
 // G beats both endpoints.
 func TestInteriorGWins(t *testing.T) {
 	g := topo.Grid{S: 16, T: 16}
-	lat := hockney.Model{Alpha: 1e-3, Beta: 1e-10, Gamma: 0}
+	lat := machine.Model{Alpha: 1e-3, Beta: 1e-10, Gamma: 0}
 	base := Config{N: 1024, Grid: g, Knobs: core.Knobs{BlockSize: 32, Broadcast: sched.VanDeGeijn}, Machine: lat}
 	su, err := SUMMA(base)
 	if err != nil {
@@ -110,7 +113,7 @@ func TestInteriorGWins(t *testing.T) {
 // Compute time must be identical across algorithms and G (same flops).
 func TestComputeInvariant(t *testing.T) {
 	g := topo.Grid{S: 4, T: 4}
-	base := Config{N: 256, Grid: g, Knobs: core.Knobs{BlockSize: 32}, Machine: machine}
+	base := Config{N: 256, Grid: g, Knobs: core.Knobs{BlockSize: 32}, Machine: testMachine}
 	su, _ := SUMMA(base)
 	cfg := base
 	cfg.Groups = mustHier(t, g, 4)
@@ -118,7 +121,7 @@ func TestComputeInvariant(t *testing.T) {
 	if su.Compute != hs.Compute {
 		t.Fatalf("compute differs: %g vs %g", su.Compute, hs.Compute)
 	}
-	want := machine.Compute(2 * 256 * 256 * 256 / 16)
+	want := testMachine.Compute(2 * 256 * 256 * 256 / 16)
 	if math.Abs(su.Compute-want) > 1e-15 {
 		t.Fatalf("compute %g, want %g", su.Compute, want)
 	}
@@ -128,7 +131,7 @@ func TestComputeInvariant(t *testing.T) {
 // simulated algorithm, as in the paper's non-overlapped implementation).
 func TestTotalDecomposition(t *testing.T) {
 	g := topo.Grid{S: 8, T: 8}
-	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial}, Machine: machine}
+	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.Binomial}, Machine: testMachine}
 	res, _ := SUMMA(cfg)
 	if math.Abs(res.Total-(res.Comm+res.Compute)) > 1e-9*res.Total {
 		t.Fatalf("total %g != comm %g + compute %g", res.Total, res.Comm, res.Compute)
@@ -137,17 +140,17 @@ func TestTotalDecomposition(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	g := topo.Grid{S: 4, T: 4}
-	if _, err := SUMMA(Config{N: 0, Grid: g, Knobs: core.Knobs{BlockSize: 8}, Machine: machine}); err == nil {
+	if _, err := SUMMA(Config{N: 0, Grid: g, Knobs: core.Knobs{BlockSize: 8}, Machine: testMachine}); err == nil {
 		t.Fatal("accepted n=0")
 	}
-	hb := Config{N: 256, Grid: g, Knobs: core.Knobs{BlockSize: 8, OuterBlockSize: 12}, Groups: mustHier(t, g, 4), Machine: machine}
+	hb := Config{N: 256, Grid: g, Knobs: core.Knobs{BlockSize: 8, OuterBlockSize: 12}, Groups: mustHier(t, g, 4), Machine: testMachine}
 	if _, err := HSUMMA(hb); err == nil {
 		t.Fatal("accepted B not multiple of b")
 	}
 	// Non-divisible problems are no longer rejected: the spec is padded to
 	// the execution shape (the result the padded live run computes, then
 	// crops). The padded shape is echoed on the result.
-	res, err := SUMMA(Config{N: 100, Grid: g, Knobs: core.Knobs{BlockSize: 8}, Machine: machine})
+	res, err := SUMMA(Config{N: 100, Grid: g, Knobs: core.Knobs{BlockSize: 8}, Machine: testMachine})
 	if err != nil {
 		t.Fatalf("n=100 on 4x4 should pad, got %v", err)
 	}
@@ -157,7 +160,7 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestCannonSquareOnly(t *testing.T) {
-	if _, err := Cannon(Config{N: 64, Grid: topo.Grid{S: 2, T: 4}, Knobs: core.Knobs{BlockSize: 8}, Machine: machine}); err == nil {
+	if _, err := Cannon(Config{N: 64, Grid: topo.Grid{S: 2, T: 4}, Knobs: core.Knobs{BlockSize: 8}, Machine: testMachine}); err == nil {
 		t.Fatal("Cannon accepted non-square grid")
 	}
 }
@@ -166,13 +169,13 @@ func TestCannonSquareOnly(t *testing.T) {
 // plus 2(q−1) single-hop shift phases of (n/q)² elements each.
 func TestCannonCommMagnitude(t *testing.T) {
 	q, n := 8, 512
-	cfg := Config{N: n, Grid: topo.Grid{S: q, T: q}, Knobs: core.Knobs{BlockSize: n / q}, Machine: machine}
+	cfg := Config{N: n, Grid: topo.Grid{S: q, T: q}, Knobs: core.Knobs{BlockSize: n / q}, Machine: testMachine}
 	res, err := Cannon(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tile := float64(n / q)
-	hop := machine.Alpha + tile*tile*machine.Beta
+	hop := testMachine.Alpha + tile*tile*testMachine.Beta
 	want := (2 + 2*float64(q-1)) * hop
 	if math.Abs(res.Comm-want) > 1e-9*want {
 		t.Fatalf("cannon comm %g, want %g", res.Comm, want)
@@ -182,7 +185,7 @@ func TestCannonCommMagnitude(t *testing.T) {
 // Contention must slow things down, never speed them up.
 func TestContentionMonotone(t *testing.T) {
 	g := topo.Grid{S: 8, T: 8}
-	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.VanDeGeijn}, Machine: machine}
+	cfg := Config{N: 512, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.VanDeGeijn}, Machine: testMachine}
 	free, _ := SUMMA(cfg)
 	cfg.Contention = func(f int) float64 { return float64(f) }
 	congested, _ := SUMMA(cfg)
@@ -199,7 +202,7 @@ func TestContentionMonotone(t *testing.T) {
 // and the endpoints equal SUMMA.
 func TestGSweepUShape(t *testing.T) {
 	g := topo.Grid{S: 16, T: 16}
-	m := hockney.Model{Alpha: 1e-4, Beta: 1e-10}
+	m := machine.Model{Alpha: 1e-4, Beta: 1e-10}
 	base := Config{N: 2048, Grid: g, Knobs: core.Knobs{BlockSize: 64, Broadcast: sched.VanDeGeijn}, Machine: m}
 	su, err := SUMMA(base)
 	if err != nil {
@@ -228,7 +231,7 @@ func TestGSweepUShape(t *testing.T) {
 // The real BG/P preset at a reduced scale still shows the win with the
 // paper's b=B blocks.
 func TestBGPPresetSmallScale(t *testing.T) {
-	pf := platform.BlueGeneP()
+	pf := machine.BlueGeneP()
 	g := topo.Grid{S: 32, T: 32} // 1024 "cores"
 	// b chosen so the paper's minimum condition α/β > 2nb/p holds at this
 	// reduced scale: 2·8192·64/1024 = 1024 < 3000.

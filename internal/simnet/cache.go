@@ -3,7 +3,7 @@ package simnet
 import (
 	"sync"
 
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/sched"
 )
 
@@ -58,7 +58,7 @@ func (c *SchedCache) Traffic(s *sched.Schedule, elems int) []VRankStats {
 		for _, t := range round.Transfers {
 			lo, hi := sched.SegmentRange(elems, s.Segments, t.SegLo, t.SegHi)
 			delta[t.Src].SentMessages++
-			delta[t.Src].SentBytes += int64(hockney.BytesPerElement * (hi - lo))
+			delta[t.Src].SentBytes += int64(machine.BytesPerElement * (hi - lo))
 		}
 	}
 	c.mu.Lock()

@@ -29,8 +29,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/hockney"
-	"repro/internal/platform"
+	"repro/internal/machine"
 	"repro/internal/sched"
 )
 
@@ -85,14 +84,14 @@ func pow23(x float64) float64 {
 // ContentionFor translates a platform preset's contention description into
 // a ContentionFunc over p ranks. enabled=false always yields NoContention —
 // the default for figure reproduction, matching the paper's model.
-func ContentionFor(pf platform.Platform, p int, enabled bool) ContentionFunc {
+func ContentionFor(pf machine.Platform, p int, enabled bool) ContentionFunc {
 	if !enabled {
 		return NoContention
 	}
 	switch pf.Contention {
-	case platform.ContentionShared:
+	case machine.ContentionShared:
 		return SharedSegment
-	case platform.ContentionTorus:
+	case machine.ContentionTorus:
 		return TorusContention(pf.TorusDegree, p)
 	default:
 		return NoContention
@@ -100,14 +99,14 @@ func ContentionFor(pf platform.Platform, p int, enabled bool) ContentionFunc {
 }
 
 // LinkCostFunc scales the bandwidth term of a specific src→dst transfer —
-// e.g. by torus hop distance (internal/torus), modelling wormhole routing
+// e.g. by torus hop distance (machine.Torus), modelling wormhole routing
 // where a d-hop message occupies d links. Nil means uniform links (the
 // paper's assumption).
 type LinkCostFunc func(src, dst int) float64
 
 // Sim is a virtual-time machine over p ranks.
 type Sim struct {
-	model      hockney.Model
+	model      machine.Model
 	contention ContentionFunc
 	linkCost   LinkCostFunc
 	clocks     []float64
@@ -119,7 +118,7 @@ type Sim struct {
 
 // New returns a simulator for p ranks under the given model, with no
 // contention.
-func New(p int, m hockney.Model) *Sim {
+func New(p int, m machine.Model) *Sim {
 	if p <= 0 {
 		panic(fmt.Sprintf("simnet: invalid rank count %d", p))
 	}

@@ -5,12 +5,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/hockney"
-	"repro/internal/platform"
+	"repro/internal/machine"
 	"repro/internal/sched"
 )
 
-var testModel = hockney.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
+var testModel = machine.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
 
 func TestSingleCollectiveMatchesSchedCost(t *testing.T) {
 	for _, alg := range []sched.Algorithm{sched.Flat, sched.Binomial, sched.Binary, sched.Chain} {
@@ -180,13 +179,13 @@ func TestPow23(t *testing.T) {
 }
 
 func TestContentionFor(t *testing.T) {
-	if f := ContentionFor(platform.Grid5000(), 128, false); f(100) != 1 {
+	if f := ContentionFor(machine.Grid5000(), 128, false); f(100) != 1 {
 		t.Fatal("disabled contention must be free")
 	}
-	if f := ContentionFor(platform.Grid5000(), 128, true); f(100) != 100 {
+	if f := ContentionFor(machine.Grid5000(), 128, true); f(100) != 100 {
 		t.Fatal("grid5000 should share the segment")
 	}
-	if f := ContentionFor(platform.BlueGeneP(), 16384, true); f(1) != 1 {
+	if f := ContentionFor(machine.BlueGeneP(), 16384, true); f(1) != 1 {
 		t.Fatal("torus single flow should be free")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/comm"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -16,7 +16,7 @@ import (
 // This file implements the virtual transport: a full SPMD runtime whose
 // ranks are goroutines — exactly like internal/mpi — but whose communicator
 // advances Hockney virtual time on a shared Sim instead of moving matrix
-// elements. The algorithm layer (internal/core, internal/baseline) runs
+// elements. The algorithm layer (internal/core) runs
 // unchanged on it through the comm.Comm interface; wire buffers carry only
 // element counts and Gemm advances a compute clock, so a 16384-rank
 // BlueGene/P simulation allocates shape headers, not gigabytes of tiles.
@@ -26,7 +26,7 @@ import (
 //   - Collectives execute their internal/sched schedule through Sim.ExecOne
 //     at the moment the last member arrives, with full-duplex rendezvous
 //     round semantics — bit-identical to the retired phase-replay engine
-//     (internal/simalg's old hand-written schedules) under uniform links
+//     (the simulator's old hand-written schedules) under uniform links
 //     and no contention, because disjoint collectives never couple there.
 //     With contention enabled, the flow count each round sees is the
 //     collective's own (concurrent collectives on disjoint ranks are not
@@ -60,12 +60,12 @@ import (
 // schedule transfer, bytes from the same integer sched.SegmentRange split —
 // so a virtual run reports per-rank message and byte counts identical to a
 // live run of the same configuration (asserted by the parity tests in
-// internal/simalg).
+// internal/engine).
 
 // VConfig configures a virtual world.
 type VConfig struct {
 	// Model is the Hockney machine (α, β per element, γ per flop).
-	Model hockney.Model
+	Model machine.Model
 	// Contention is the optional link-sharing model (nil = none, the
 	// paper's assumption).
 	Contention ContentionFunc
@@ -374,9 +374,9 @@ func (c *VComm) Send(dst, tag int, p *comm.Panel) {
 	w.sim.clocks[me] = t0 + dt
 	w.sim.comm[me] += dt
 	w.stats[me].SentMessages++
-	w.stats[me].SentBytes += int64(hockney.BytesPerElement * n)
+	w.stats[me].SentBytes += int64(machine.BytesPerElement * n)
 	if rec := w.cfg.Trace; rec != nil {
-		rec.Rank(me, trace.PhaseP2P, t0, dt, int64(hockney.BytesPerElement*n), 1)
+		rec.Rank(me, trace.PhaseP2P, t0, dt, int64(machine.BytesPerElement*n), 1)
 	}
 	w.mailboxes[dstW].put(vMessage{cid: c.cid, src: c.rank, tag: tag, elems: n, clock: t0})
 }
@@ -402,7 +402,7 @@ func (c *VComm) Recv(src, tag int, p *comm.Panel) {
 	end += dt
 	w.advanceComm(me, end)
 	if rec := w.cfg.Trace; rec != nil {
-		rec.Rank(me, trace.PhaseP2P, pre, end-pre, int64(hockney.BytesPerElement*m.elems), 1)
+		rec.Rank(me, trace.PhaseP2P, pre, end-pre, int64(machine.BytesPerElement*m.elems), 1)
 	}
 }
 
@@ -419,7 +419,7 @@ func (c *VComm) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, r
 	t0 := w.sim.clocks[me]
 	sendEnd := t0 + w.transferTime(me, dstW, sendN, len(c.ranks))
 	w.stats[me].SentMessages++
-	w.stats[me].SentBytes += int64(hockney.BytesPerElement * sendN)
+	w.stats[me].SentBytes += int64(machine.BytesPerElement * sendN)
 	w.mailboxes[dstW].put(vMessage{cid: c.cid, src: c.rank, tag: sendTag, elems: sendN, clock: t0})
 
 	m := w.mailboxes[me].take(w, c.cid, src, recvTag)
@@ -438,7 +438,7 @@ func (c *VComm) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, r
 	}
 	w.advanceComm(me, end)
 	if rec := w.cfg.Trace; rec != nil {
-		rec.Rank(me, trace.PhaseShift, t0, end-t0, int64(hockney.BytesPerElement*(sendN+recvN)), 2)
+		rec.Rank(me, trace.PhaseShift, t0, end-t0, int64(machine.BytesPerElement*(sendN+recvN)), 2)
 	}
 }
 
@@ -536,7 +536,7 @@ func (c *VComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel, segments
 			if rec := w.cfg.Trace; rec != nil {
 				m := c.ranks[i]
 				rec.Rank(m, trace.PhaseBcast, pre[i], w.sim.clocks[m]-pre[i],
-					int64(hockney.BytesPerElement*elems), d.SentMessages)
+					int64(machine.BytesPerElement*elems), d.SentMessages)
 			}
 		}
 		cg.done = true
@@ -687,7 +687,7 @@ func (c *VComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, s
 // Gemm advances the rank's compute state by the local update's flop count
 // — x.Flops(m,n,k): 2·m·k·n classically, blas.StrassenFlops under the
 // sub-cubic kernel — divided by the intra-rank parallel-efficiency curve
-// hockney.Speedup(x.Threads), the virtual model of the live transport's
+// machine.Speedup(x.Threads), the virtual model of the live transport's
 // row-band workers (Speedup(1) is exactly 1, so the division is bitwise
 // neutral for serial ranks and the engines' parity invariant holds
 // unchanged) — on the communication clock normally, or on the dedicated
@@ -699,7 +699,7 @@ func (c *VComm) Gemm(cm, a, b *matrix.Dense, x comm.Exec) {
 		panic(fmt.Sprintf("simnet: gemm shape mismatch C(%dx%d) += A(%dx%d)*B(%dx%d)",
 			cm.Rows, cm.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	flops := x.Flops(a.Rows, b.Cols, a.Cols) / hockney.Speedup(x.Threads)
+	flops := x.Flops(a.Rows, b.Cols, a.Cols) / machine.Speedup(x.Threads)
 	c.charge(flops, x.Threads, true)
 }
 

@@ -8,11 +8,11 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/sched"
 )
 
-var vModel = hockney.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
+var vModel = machine.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
 
 // A broadcast over the virtual world must advance the members' clocks to
 // exactly the schedule's Hockney cost, and count one message per schedule
@@ -152,7 +152,7 @@ func TestVCommGemmOverlap(t *testing.T) {
 	commOnly := w.Sim().MaxClock()
 	// The two intra-rank threads shorten the local multiply by the shared
 	// parallel-efficiency curve.
-	dt := vModel.Compute(2 * 10 * 10 * 10 / hockney.Speedup(2))
+	dt := vModel.Compute(2 * 10 * 10 * 10 / machine.Speedup(2))
 	if got := w.Total(); math.Abs(got-(commOnly+dt)) > 1e-18 {
 		t.Fatalf("overlap total %g, want comm %g + gemm %g", got, commOnly, dt)
 	}

@@ -1,8 +1,13 @@
-package torus
+// Package torus_test holds the torus-geometry tests at their original
+// import path so their ids stay stable; the geometry itself lives in
+// internal/machine (torus.go).
+package torus_test
 
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/machine"
 )
 
 func TestForCoresShapes(t *testing.T) {
@@ -17,27 +22,27 @@ func TestForCoresShapes(t *testing.T) {
 		{256, 4, 4, 4},
 	}
 	for _, c := range cases {
-		tor, err := ForCores(c.p)
+		tor, err := machine.ForCores(c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tor.X != c.x || tor.Y != c.y || tor.Z != c.z {
-			t.Fatalf("ForCores(%d) = %v, want %dx%dx%d", c.p, tor, c.x, c.y, c.z)
+			t.Fatalf("machine.ForCores(%d) = %v, want %dx%dx%d", c.p, tor, c.x, c.y, c.z)
 		}
 		if tor.Cores() != c.p {
-			t.Fatalf("ForCores(%d).Cores() = %d", c.p, tor.Cores())
+			t.Fatalf("machine.ForCores(%d).Cores() = %d", c.p, tor.Cores())
 		}
 	}
-	if _, err := ForCores(6); err == nil {
+	if _, err := machine.ForCores(6); err == nil {
 		t.Fatal("non-multiple of 4 accepted")
 	}
-	if _, err := ForCores(0); err == nil {
+	if _, err := machine.ForCores(0); err == nil {
 		t.Fatal("p=0 accepted")
 	}
 }
 
 func TestSameNodeDistanceZero(t *testing.T) {
-	tor, _ := ForCores(32)
+	tor, _ := machine.ForCores(32)
 	for r := 0; r < 4; r++ {
 		if d := tor.Distance(0, r); d != 0 {
 			t.Fatalf("ranks 0 and %d share node 0 but distance %d", r, d)
@@ -49,7 +54,7 @@ func TestSameNodeDistanceZero(t *testing.T) {
 }
 
 func TestNeighborDistance(t *testing.T) {
-	tor, _ := ForCores(2048) // 8x8x8
+	tor, _ := machine.ForCores(2048) // 8x8x8
 	// Ranks 0..3 on node (0,0,0); ranks 4..7 on node (1,0,0).
 	if d := tor.Distance(0, 4); d != 1 {
 		t.Fatalf("adjacent nodes distance %d", d)
@@ -57,7 +62,7 @@ func TestNeighborDistance(t *testing.T) {
 }
 
 func TestWraparound(t *testing.T) {
-	tor, _ := ForCores(2048) // 8x8x8
+	tor, _ := machine.ForCores(2048) // 8x8x8
 	// Node (7,0,0) = node index 7 -> rank 28. Torus wrap: distance 1.
 	if d := tor.Distance(0, 28); d != 1 {
 		t.Fatalf("wraparound distance %d, want 1", d)
@@ -69,7 +74,7 @@ func TestWraparound(t *testing.T) {
 }
 
 func TestDistanceMetricProperties(t *testing.T) {
-	tor, _ := ForCores(256)
+	tor, _ := machine.ForCores(256)
 	f := func(a, b uint16) bool {
 		ra, rb := int(a)%256, int(b)%256
 		d := tor.Distance(ra, rb)
@@ -88,7 +93,7 @@ func TestDistanceMetricProperties(t *testing.T) {
 }
 
 func TestTriangleInequality(t *testing.T) {
-	tor, _ := ForCores(256)
+	tor, _ := machine.ForCores(256)
 	f := func(a, b, c uint16) bool {
 		ra, rb, rc := int(a)%256, int(b)%256, int(c)%256
 		return tor.Distance(ra, rc) <= tor.Distance(ra, rb)+tor.Distance(rb, rc)
@@ -99,7 +104,7 @@ func TestTriangleInequality(t *testing.T) {
 }
 
 func TestNodeCoordRoundTrip(t *testing.T) {
-	tor, _ := ForCores(2048)
+	tor, _ := machine.ForCores(2048)
 	seen := map[[3]int]int{}
 	for rank := 0; rank < tor.Cores(); rank += tor.CoresPerNode {
 		x, y, z := tor.NodeCoord(rank)
@@ -115,7 +120,7 @@ func TestNodeCoordRoundTrip(t *testing.T) {
 }
 
 func TestNodeCoordPanicsOutOfRange(t *testing.T) {
-	tor, _ := ForCores(32)
+	tor, _ := machine.ForCores(32)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -23,7 +23,7 @@ import (
 // factors are cached across the thousands of stage-1 evaluations.
 type scorer struct {
 	sh matrix.Shape
-	m  hockney.Model
+	m  machine.Model
 	// overlap scores total as max(comm, compute) instead of their sum.
 	overlap bool
 	bcasts  map[bcKey]model.Broadcast
@@ -34,7 +34,7 @@ type bcKey struct {
 	segments int
 }
 
-func newScorer(sh matrix.Shape, m hockney.Model, overlap bool) *scorer {
+func newScorer(sh matrix.Shape, m machine.Model, overlap bool) *scorer {
 	return &scorer{sh: sh, m: m, overlap: overlap, bcasts: make(map[bcKey]model.Broadcast)}
 }
 
@@ -153,7 +153,7 @@ func (s *scorer) phases(spec engine.Spec) (bcast, shift, p2p, gemm float64) {
 	case o.LocalStrassen:
 		gemm = s.localKernelCompute(spec)
 	default:
-		gemm = s.m.Compute(2 * float64(sh.M) * N * float64(sh.K) / p / hockney.Speedup(o.Threads))
+		gemm = s.m.Compute(2 * float64(sh.M) * N * float64(sh.K) / p / machine.Speedup(o.Threads))
 	}
 	return bcast, shift, p2p, gemm
 }
@@ -216,7 +216,7 @@ func (s *scorer) strassenCompute(o core.Options, sh matrix.Shape) float64 {
 	for l := 0; l < levels; l++ {
 		gf, af = 2*gf, axpy+2*af
 	}
-	return s.m.Compute(gf/hockney.Speedup(o.Threads) + af)
+	return s.m.Compute(gf/machine.Speedup(o.Threads) + af)
 }
 
 // predictPhases returns the spec's phases as the map a plan and a
@@ -291,5 +291,5 @@ func (s *scorer) localKernelCompute(spec engine.Spec) float64 {
 		}
 		flops = float64(sh.K/b) * x.Flops(sh.M/o.Grid.S, sh.N/o.Grid.T, b)
 	}
-	return s.m.Compute(flops / hockney.Speedup(o.Threads))
+	return s.m.Compute(flops / machine.Speedup(o.Threads))
 }

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/platform"
 	"repro/internal/topo"
 )
 
@@ -17,7 +17,7 @@ func TestPlannerFeasibilityMatchesExecution(t *testing.T) {
 	// (K extents 1024 divisible), so the planner must too.
 	g := topo.Grid{S: 8, T: 8}
 	pl, err := NewPlanner().Plan(Request{
-		Platform: platform.Grid5000(),
+		Platform: machine.Grid5000(),
 		Shape:    matrix.Shape{M: 8192, N: 512, K: 8192},
 		P:        64, Grid: &g, BlockSize: 256, Quick: true, NoCache: true,
 	})
@@ -30,7 +30,7 @@ func TestPlannerFeasibilityMatchesExecution(t *testing.T) {
 	// Pinned OuterBlockSize beyond the skinny cap: execution pads, so the
 	// planner must keep HSUMMA in the space.
 	plB, err := NewPlanner().Plan(Request{
-		Platform: platform.Grid5000(),
+		Platform: machine.Grid5000(),
 		Shape:    matrix.Shape{M: 8192, N: 512, K: 8192},
 		P:        64, Grid: &g, BlockSize: 64, OuterBlockSize: 128,
 		Algorithms: []engine.Algorithm{engine.HSUMMA},
@@ -45,7 +45,7 @@ func TestPlannerFeasibilityMatchesExecution(t *testing.T) {
 
 	// Cannon on n=7, p=4: execution pads to 8; the planner must agree.
 	pl2, err := NewPlanner().Plan(Request{
-		Platform:   platform.Grid5000(),
+		Platform:   machine.Grid5000(),
 		Shape:      matrix.Square(7),
 		P:          4,
 		Algorithms: []engine.Algorithm{engine.Cannon},

@@ -5,9 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/platform"
-	"repro/internal/simalg"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 )
@@ -20,7 +19,7 @@ import (
 // the schedule has waits the model folds differently); gemm is charged from
 // the identical formula on both sides and must match tightly.
 func TestPredictPhasesFidelity(t *testing.T) {
-	pf := platform.Grid5000()
+	pf := machine.Grid5000()
 	shape := matrix.Shape{M: 256, N: 256, K: 256}
 	cases := []struct {
 		name string
@@ -44,7 +43,7 @@ func TestPredictPhasesFidelity(t *testing.T) {
 			}
 			for _, ex := range []engine.Executor{engine.ExecutorGoroutine, engine.ExecutorEvent} {
 				vcfg := simnet.VConfig{Model: pf.Model, Trace: trace.New(spec.Opts.Grid.Size())}
-				if _, _, err := simalg.Run(spec, vcfg, ex); err != nil {
+				if _, _, err := engine.Simulate(spec, vcfg, ex); err != nil {
 					t.Fatal(err)
 				}
 				// Measured side: the critical (max over ranks) per-phase

@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/simalg"
+	"repro/internal/engine"
 	"repro/internal/simnet"
 )
 
@@ -102,7 +102,7 @@ func fingerprint(req Request) string {
 	if req.CoreBudget > 0 {
 		fmt.Fprintf(&b, "|cores=%d", req.CoreBudget)
 	}
-	fmt.Fprintf(&b, "|algs=%v|bcasts=%v|exec=%s", req.Algorithms, req.Broadcasts, req.Executor)
+	fmt.Fprintf(&b, "|algs=%v|bcasts=%v", req.Algorithms, req.Broadcasts)
 	return b.String()
 }
 
@@ -229,14 +229,14 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 		Ranked:     top,
 		Scanned:    len(cands),
 		Simulated:  simulated,
-		Engine:     string(req.Executor), // normalised by withDefaults
 	}, nil
 }
 
 // refine runs the stage-2 virtual runs for the given candidates in
 // parallel, filling their Sim fields in place. Each run goes through the
-// requested executor policy (default auto, which picks the event engine
-// for collective-only candidates — the bulk of any top-K set); the
+// auto executor policy, which picks the event engine for collective-only
+// candidates — the bulk of any top-K set. Engines are bit-identical, so
+// the policy could only change planning wall time, never a pick; the
 // cumulative wall time is tracked in RefineNanos.
 func (p *Planner) refine(req Request, top []Scored) {
 	start := time.Now()
@@ -263,7 +263,7 @@ func (p *Planner) refine(req Request, top []Scored) {
 				vcfg.Contention = simnet.ContentionFor(req.Platform, s.Candidate.Grid.Size(), true)
 			}
 			p.simRuns.Add(1)
-			res, _, err := simalg.Run(spec, vcfg, req.Executor)
+			res, _, err := engine.Simulate(spec, vcfg, engine.ExecutorAuto)
 			if err != nil {
 				s.Err = err.Error()
 				return

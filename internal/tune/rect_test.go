@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/platform"
 	"repro/internal/topo"
 )
 
@@ -49,7 +49,7 @@ func TestDefaultBlockSizeSkinnyDimensions(t *testing.T) {
 // B may exceed the smallest per-rank tile extent.
 func TestBlockEnumerationRespectsSkinnyExtents(t *testing.T) {
 	req := Request{
-		Platform: platform.Grid5000(),
+		Platform: machine.Grid5000(),
 		Shape:    matrix.Shape{M: 2048, N: 64, K: 2048},
 		P:        16,
 	}
@@ -76,7 +76,7 @@ func TestBlockEnumerationRespectsSkinnyExtents(t *testing.T) {
 // orientation-matched grid.
 func TestPlannerPicksOrientationMatchedGrid(t *testing.T) {
 	tall := matrix.Shape{M: 8192, N: 512, K: 8192}
-	req := Request{Platform: platform.Grid5000(), Shape: tall, P: 32, Quick: true}
+	req := Request{Platform: machine.Grid5000(), Shape: tall, P: 32, Quick: true}
 	grids := candidateGrids(req.withDefaults())
 	if len(grids) != 1 {
 		t.Fatalf("quick mode returned %d grids", len(grids))
@@ -86,7 +86,7 @@ func TestPlannerPicksOrientationMatchedGrid(t *testing.T) {
 	}
 
 	// The full enumeration must contain both orientations.
-	full := candidateGrids(Request{Platform: platform.Grid5000(), Shape: tall, P: 32}.withDefaults())
+	full := candidateGrids(Request{Platform: machine.Grid5000(), Shape: tall, P: 32}.withDefaults())
 	sawTall, sawWide := false, false
 	for _, g := range full {
 		if g.S > g.T {
@@ -101,7 +101,7 @@ func TestPlannerPicksOrientationMatchedGrid(t *testing.T) {
 	}
 
 	// End to end: the planned best grid for a tall problem is tall.
-	pl, err := NewPlanner().Plan(Request{Platform: platform.Grid5000(), Shape: tall, P: 32, Quick: true, NoCache: true})
+	pl, err := NewPlanner().Plan(Request{Platform: machine.Grid5000(), Shape: tall, P: 32, Quick: true, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPlannerPicksOrientationMatchedGrid(t *testing.T) {
 	}
 
 	// Square requests keep the squarest-grid behaviour.
-	sq := candidateGrids(Request{Platform: platform.Grid5000(), Shape: matrix.Square(512), P: 32, Quick: true}.withDefaults())
+	sq := candidateGrids(Request{Platform: machine.Grid5000(), Shape: matrix.Square(512), P: 32, Quick: true}.withDefaults())
 	if len(sq) != 1 || sq[0] != (topo.Grid{S: 4, T: 8}) {
 		t.Fatalf("square quick grid = %v, want 4x8", sq)
 	}
@@ -124,7 +124,7 @@ func TestPlannerPicksOrientationMatchedGrid(t *testing.T) {
 // Simulate return.
 func TestCandidatesSquareOnlyError(t *testing.T) {
 	_, err := Candidates(Request{
-		Platform:   platform.Grid5000(),
+		Platform:   machine.Grid5000(),
 		Shape:      matrix.Shape{M: 512, N: 128, K: 512},
 		P:          16,
 		Algorithms: []engine.Algorithm{engine.Cannon, engine.Fox},
@@ -139,7 +139,7 @@ func TestCandidatesSquareOnlyError(t *testing.T) {
 // request must be executable and report a sensible simulated time.
 func TestPlanRectangularEndToEnd(t *testing.T) {
 	req := Request{
-		Platform: platform.Grid5000Calibrated(),
+		Platform: machine.Grid5000Calibrated(),
 		Shape:    matrix.Shape{M: 1024, N: 128, K: 1024},
 		P:        16, Quick: true, NoCache: true,
 	}

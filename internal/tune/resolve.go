@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/topo"
 )
@@ -66,7 +66,7 @@ type ResolveParams struct {
 	StrassenCutoff int
 	// Platform names the machine the planner tunes for under
 	// engine.Auto (nil = the Grid'5000 preset). Ignored otherwise.
-	Platform *platform.Platform
+	Platform *machine.Platform
 }
 
 // Knobs returns the pass-through execution knobs rp pins — the one place
@@ -106,8 +106,9 @@ func (rp *ResolveParams) SetKnobs(k core.Knobs) {
 // The resolution itself: planner resolution for engine.Auto (explicit Grid and
 // BlockSize are honoured as constraints), grid factorisation, the shared
 // BlockSize-0-means-auto rule, the √p group default, and the padding of
-// the shape up to the algorithm's divisibility constraints. Square-only
-// baselines reject rectangular shapes with matrix.ErrSquareOnly.
+// the shape up to the algorithm's divisibility constraints, then
+// engine.Spec.Validate — so every invalid spec fails here. Square-only
+// algorithms reject rectangular shapes and grids with matrix.ErrSquareOnly.
 func ResolveSpec(rp ResolveParams) (engine.Spec, error) {
 	if err := rp.Shape.Validate(); err != nil {
 		return engine.Spec{}, err
@@ -150,20 +151,21 @@ func ResolveSpec(rp ResolveParams) (engine.Spec, error) {
 		spec.Opts.Groups = h
 	}
 	// Round the shape up to the execution shape (identity on divisible
-	// problems); square-only algorithms reject rectangular shapes here.
+	// problems); square-only algorithms reject rectangular shapes and
+	// grids here.
 	spec, err = spec.Padded()
 	if err != nil {
 		return engine.Spec{}, err
 	}
-	// The one validation of the hierarchy, before the model evaluates it
-	// and before any world is built for it.
+	// The one validation of every algorithm, before the model evaluates
+	// the spec and before any world (or serving session) is built for it.
 	if err := spec.Validate(); err != nil {
 		return engine.Spec{}, err
 	}
 	// Attach the model's per-phase prediction for the resolved execution —
 	// pinned requests included, so the serving layer's drift tracking
 	// always has a denominator. Advisory metadata: never part of Spec.Key.
-	pf := platform.Grid5000()
+	pf := machine.Grid5000()
 	if rp.Platform != nil {
 		pf = *rp.Platform
 	}
@@ -202,7 +204,7 @@ func ResolveAuto(rp ResolveParams, req Request) (ResolveParams, error) {
 // plan via InvalidatePlan) address it by construction rather than by
 // duplicating the Request recipe.
 func AutoRequest(rp ResolveParams) Request {
-	pf := platform.Grid5000()
+	pf := machine.Grid5000()
 	if rp.Platform != nil {
 		pf = *rp.Platform
 	}

@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/platform"
-	"repro/internal/simalg"
 	"repro/internal/simnet"
 )
 
@@ -20,7 +19,7 @@ import (
 // planner must stay classic.
 func TestPlannerStaysClassicOnSmallProblems(t *testing.T) {
 	pl, err := NewPlanner().Plan(Request{
-		Platform: platform.Grid5000(), N: 256, P: 16,
+		Platform: machine.Grid5000(), N: 256, P: 16,
 		Quick: true, NoCache: true,
 	})
 	if err != nil {
@@ -36,7 +35,7 @@ func TestPlannerStaysClassicOnSmallProblems(t *testing.T) {
 // can — the planner must turn it on.
 func TestPlannerEnablesLocalKernelOnLargeProblems(t *testing.T) {
 	pl, err := NewPlanner().Plan(Request{
-		Platform: platform.Grid5000(), N: 8192, P: 4,
+		Platform: machine.Grid5000(), N: 8192, P: 4,
 		Quick: true, AnalyticOnly: true, NoCache: true,
 	})
 	if err != nil {
@@ -53,7 +52,7 @@ func TestPlannerEnablesLocalKernelOnLargeProblems(t *testing.T) {
 // timing path would reject.
 func TestStrassenModelAgreesWithSimulation(t *testing.T) {
 	req := Request{
-		Platform: platform.Grid5000(), N: 1024, P: 16,
+		Platform: machine.Grid5000(), N: 1024, P: 16,
 		Algorithms: []engine.Algorithm{engine.SUMMA, engine.Strassen},
 		Quick:      true, NoCache: true, TopK: 16,
 	}
@@ -95,7 +94,7 @@ func TestStrassenModelAgreesWithSimulation(t *testing.T) {
 // validation exactly.
 func TestStrassenCandidatesAreRunnable(t *testing.T) {
 	req := Request{
-		Platform: platform.Grid5000(), N: 512, P: 16,
+		Platform: machine.Grid5000(), N: 512, P: 16,
 		Algorithms: []engine.Algorithm{engine.Strassen},
 		NoCache:    true,
 	}
@@ -118,7 +117,7 @@ func TestStrassenCandidatesAreRunnable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("candidate %s does not resolve: %v", c, err)
 		}
-		if _, _, err := simalg.Run(spec, simnet.VConfig{Model: req.Platform.Model}, engine.ExecutorAuto); err != nil {
+		if _, _, err := engine.Simulate(spec, simnet.VConfig{Model: req.Platform.Model}, engine.ExecutorAuto); err != nil {
 			t.Fatalf("candidate %s does not simulate: %v", c, err)
 		}
 	}

@@ -30,8 +30,8 @@ import (
 	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/matrix"
-	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/topo"
 )
@@ -50,7 +50,7 @@ const (
 // Request describes one planning problem.
 type Request struct {
 	// Platform is the machine to tune for (preset or calibrated model).
-	Platform platform.Platform
+	Platform machine.Platform
 	// Shape is the GEMM problem C (M×N) += A (M×K)·B (K×N); the zero
 	// value defers to N, the square shorthand.
 	Shape matrix.Shape
@@ -103,12 +103,6 @@ type Request struct {
 	// Overlap enables communication/computation overlap in stage 2 (and
 	// scores stage 1 as max(comm, compute) instead of their sum).
 	Overlap bool
-	// Executor selects the virtual execution engine for the stage-2
-	// refinement runs (goroutine | event | auto); empty means auto, which
-	// picks the event engine for collective-only candidates. Engines are
-	// bit-identical, so the choice cannot change the plan — only its wall
-	// time; plans record what ran (see Scored.Engine).
-	Executor engine.Executor
 	// NoCache bypasses the plan cache for this request.
 	NoCache bool
 }
@@ -119,11 +113,6 @@ func (r Request) withDefaults() Request {
 	}
 	if r.Objective == "" {
 		r.Objective = MinTotal
-	}
-	if r.Executor == "" {
-		// Normalise before fingerprinting so "" and "auto" — the same
-		// policy — share a cache entry.
-		r.Executor = engine.ExecutorAuto
 	}
 	if r.TopK <= 0 {
 		r.TopK = 8
@@ -332,10 +321,6 @@ type Plan struct {
 	// Simulated counts the stage-2 virtual runs.
 	Scanned   int `json:"scanned"`
 	Simulated int `json:"simulated"`
-	// Engine is the executor policy the refinement ran under ("auto",
-	// "goroutine" or "event"); per-candidate resolution is in
-	// Ranked[i].Engine.
-	Engine string `json:"engine,omitempty"`
 	// FromCache reports that this plan was served from the plan cache.
 	FromCache bool `json:"from_cache,omitempty"`
 }
@@ -346,7 +331,7 @@ type Plan struct {
 // requests too so every resolved execution carries a model prediction
 // for the drift tracker to audit. Call it on a padded spec. Cost: a
 // handful of closed-form evaluations, microseconds.
-func PredictPhases(spec engine.Spec, pf platform.Platform) map[string]float64 {
+func PredictPhases(spec engine.Spec, pf machine.Platform) map[string]float64 {
 	return newScorer(spec.Shape(), pf.Model, false).predictPhases(spec)
 }
 
@@ -479,33 +464,23 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 				}
 			case engine.Multilevel:
 				out = append(out, multilevelCandidates(req, g, bs)...)
-			case engine.Cannon:
-				// Cannon is square-only: square problem on a square grid
-				// (a non-divisible n pads to the next multiple of q,
-				// exactly as the execution layer does).
-				if !sh.IsSquare() {
+			case engine.Cannon, engine.Fox, engine.Strassen:
+				// The square-only rule the execution layer applies (a
+				// non-divisible n pads to the next multiple of q).
+				if core.SquareOnly(sh, g) != nil {
 					*squareOnlySkipped = true
 					continue
 				}
-				if g.S == g.T {
+				switch alg {
+				case engine.Cannon:
 					out = append(out, Candidate{Algorithm: alg, Grid: g})
-				}
-			case engine.Fox:
-				if !sh.IsSquare() {
-					*squareOnlySkipped = true
-					continue
-				}
-				if g.S == g.T {
+				case engine.Fox:
 					for _, bc := range req.Broadcasts {
 						out = append(out, Candidate{Algorithm: alg, Grid: g, Knobs: core.Knobs{Broadcast: bc}})
 					}
+				default:
+					out = append(out, strassenCandidates(req, g)...)
 				}
-			case engine.Strassen:
-				if !sh.IsSquare() {
-					*squareOnlySkipped = true
-					continue
-				}
-				out = append(out, strassenCandidates(req, g)...)
 			}
 		}
 	}
@@ -513,14 +488,14 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 }
 
 // strassenCandidates proposes the distributed Strassen configurations for
-// one grid: square grids with an even side only, one recursion level (two
+// one square grid: an even side only, one recursion level (two
 // in full mode when the grid quarters), block sizes feasible for the
 // bottom sub-grid problem, and — in full mode — an HSUMMA bottom at G=4.
 // The binomial broadcast suffices for the bottom collectives in quick
 // mode; full mode sweeps the requested broadcasts like every other
 // candidate family.
 func strassenCandidates(req Request, g topo.Grid) []Candidate {
-	if g.S != g.T || g.S%2 != 0 {
+	if g.S%2 != 0 {
 		return nil
 	}
 	levels := []int{1}

@@ -6,11 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/model"
-	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/simalg"
 	"repro/internal/simnet"
 	"repro/internal/topo"
 )
@@ -18,7 +17,7 @@ import (
 // The scorer's rectangular-grid formulas must reduce to the paper's
 // closed forms (internal/model, Tables I–II) on a square grid.
 func TestScorerMatchesClosedFormOnSquareGrid(t *testing.T) {
-	m := platform.BlueGeneP().Model
+	m := machine.BlueGeneP().Model
 	n, p, b := 4096, 64, 64
 	sc := newScorer(matrix.Square(n), m, false)
 	grid := topo.Grid{S: 8, T: 8}
@@ -63,7 +62,7 @@ func simulateCandidate(t *testing.T, req Request, c Candidate) (comm, total floa
 	if req.Contention {
 		vcfg.Contention = simnet.ContentionFor(req.Platform, c.Grid.Size(), true)
 	}
-	res, _, err := simalg.Run(spec, vcfg, engine.ExecutorAuto)
+	res, _, err := engine.Simulate(spec, vcfg, engine.ExecutorAuto)
 	if err != nil {
 		t.Fatalf("%s: %v", c, err)
 	}
@@ -74,9 +73,9 @@ func simulateCandidate(t *testing.T, req Request, c Candidate) (comm, total floa
 // simulate within 5% of the best configuration an exhaustive simnet sweep
 // of the same candidate space finds.
 func TestPlannerWithinFivePercentOfExhaustive(t *testing.T) {
-	for _, pf := range []platform.Platform{
-		platform.Grid5000(), platform.BlueGeneP(), platform.Exascale(),
-		platform.Grid5000Calibrated(), platform.BlueGenePCalibrated(),
+	for _, pf := range []machine.Platform{
+		machine.Grid5000(), machine.BlueGeneP(), machine.Exascale(),
+		machine.Grid5000Calibrated(), machine.BlueGenePCalibrated(),
 	} {
 		pf := pf
 		t.Run(pf.Name, func(t *testing.T) {
@@ -118,7 +117,7 @@ func TestPlannerWithinFivePercentOfExhaustive(t *testing.T) {
 // the paper's full scale must reproduce the optimum trend — an interior
 // value near √p, not an endpoint.
 func TestPlannerBGPGroupTrend(t *testing.T) {
-	pf := platform.BlueGenePCalibrated()
+	pf := machine.BlueGenePCalibrated()
 	pl, err := NewPlanner().Plan(Request{
 		Platform: pf, N: 65536, P: 16384, BlockSize: 256, OuterBlockSize: 256,
 		Algorithms:   []engine.Algorithm{engine.HSUMMA},
@@ -146,7 +145,7 @@ func TestPlannerBGPGroupTrend(t *testing.T) {
 // side).
 func TestPlanCacheHit(t *testing.T) {
 	p := NewPlanner()
-	req := Request{Platform: platform.Grid5000(), N: 512, P: 16, Quick: true}
+	req := Request{Platform: machine.Grid5000(), N: 512, P: 16, Quick: true}
 	cold, err := p.Plan(req)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +175,7 @@ func TestPlanCacheHit(t *testing.T) {
 		t.Fatalf("cached plan differs: %s vs %s", warm.Best.Candidate, cold.Best.Candidate)
 	}
 	// A different problem must miss.
-	if pl, err := p.Plan(Request{Platform: platform.Grid5000(), N: 256, P: 16, Quick: true}); err != nil {
+	if pl, err := p.Plan(Request{Platform: machine.Grid5000(), N: 256, P: 16, Quick: true}); err != nil {
 		t.Fatal(err)
 	} else if pl.FromCache {
 		t.Fatal("different problem served from cache")
@@ -206,10 +205,10 @@ func TestDefaultBlockSize(t *testing.T) {
 // stage 2.
 func TestCandidatesAreFeasible(t *testing.T) {
 	reqs := []Request{
-		{Platform: platform.Grid5000(), N: 512, P: 16},
-		{Platform: platform.BlueGeneP(), N: 768, P: 12, Algorithms: []engine.Algorithm{
+		{Platform: machine.Grid5000(), N: 512, P: 16},
+		{Platform: machine.BlueGeneP(), N: 768, P: 12, Algorithms: []engine.Algorithm{
 			engine.SUMMA, engine.HSUMMA, engine.Multilevel, engine.Cannon, engine.Fox}},
-		{Platform: platform.Exascale(), N: 1024, P: 64, Quick: true},
+		{Platform: machine.Exascale(), N: 1024, P: 64, Quick: true},
 	}
 	for _, req := range reqs {
 		cands, err := Candidates(req)
@@ -231,7 +230,7 @@ func TestCandidatesAreFeasible(t *testing.T) {
 func TestCandidatePins(t *testing.T) {
 	g := topo.Grid{S: 2, T: 8}
 	cands, err := Candidates(Request{
-		Platform: platform.Grid5000(), N: 512, P: 16, Grid: &g, BlockSize: 32,
+		Platform: machine.Grid5000(), N: 512, P: 16, Grid: &g, BlockSize: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +255,7 @@ func TestCandidatePins(t *testing.T) {
 // every candidate fits the budget, more than one thread count appears, and
 // pinning Threads collapses the sweep to that value.
 func TestCoreBudgetEnumeratesRankThreadSplits(t *testing.T) {
-	req := Request{Platform: platform.Grid5000(), N: 1024, CoreBudget: 64, Quick: true}
+	req := Request{Platform: machine.Grid5000(), N: 1024, CoreBudget: 64, Quick: true}
 	cands, err := Candidates(req)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +278,7 @@ func TestCoreBudgetEnumeratesRankThreadSplits(t *testing.T) {
 		t.Fatalf("core-budget sweep produced only thread counts %v, want at least two splits", threadCounts)
 	}
 
-	pinned, err := Candidates(Request{Platform: platform.Grid5000(), N: 1024, CoreBudget: 64, Threads: 4, Quick: true})
+	pinned, err := Candidates(Request{Platform: machine.Grid5000(), N: 1024, CoreBudget: 64, Threads: 4, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +297,7 @@ func TestCoreBudgetEnumeratesRankThreadSplits(t *testing.T) {
 // the budget for display and JSON consumers.
 func TestPlanForCoreBudget(t *testing.T) {
 	pl, err := PlanFor(Request{
-		Platform: platform.Grid5000(), N: 1024, CoreBudget: 64,
+		Platform: machine.Grid5000(), N: 1024, CoreBudget: 64,
 		Quick: true, AnalyticOnly: true, NoCache: true,
 	})
 	if err != nil {
@@ -333,7 +332,7 @@ func TestPlanForCoreBudget(t *testing.T) {
 // problems: same grid, more threads, strictly lower total (and untouched
 // communication).
 func TestScorerThreadsSpeedup(t *testing.T) {
-	s := newScorer(matrix.Square(2048), platform.Grid5000().Model, false)
+	s := newScorer(matrix.Square(2048), machine.Grid5000().Model, false)
 	g := topo.Grid{S: 4, T: 4}
 	serial := Candidate{Algorithm: engine.SUMMA, Grid: g, Knobs: core.Knobs{BlockSize: 128, Broadcast: sched.Binomial}}
 	hybrid := serial
@@ -345,5 +344,78 @@ func TestScorerThreadsSpeedup(t *testing.T) {
 	}
 	if totalH >= totalS {
 		t.Fatalf("4 threads did not lower total: %g vs %g", totalH, totalS)
+	}
+}
+
+// The stage-2 refinement runs under the auto executor only. That cannot
+// change a pick: re-running every refined candidate of a plan under each
+// explicit engine must reproduce the scores the ranking was built from,
+// bit for bit — on all five platform presets.
+func TestRefinementEngineDoesNotChangePicks(t *testing.T) {
+	presets := map[string]machine.Platform{
+		"grid5000":     machine.Grid5000(),
+		"bgp":          machine.BlueGeneP(),
+		"exascale":     machine.Exascale(),
+		"grid5000-cal": machine.Grid5000Calibrated(),
+		"bgp-cal":      machine.BlueGenePCalibrated(),
+	}
+	for name, pf := range presets {
+		pf := pf
+		t.Run(name, func(t *testing.T) {
+			pl, err := NewPlanner().Plan(Request{Platform: pf, N: 512, P: 16, Quick: true, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pl.Ranked) == 0 {
+				t.Fatal("empty plan")
+			}
+			for i, s := range pl.Ranked {
+				if !s.Refined {
+					t.Fatalf("rank %d not refined: %+v", i, s)
+				}
+				spec, err := s.Candidate.Spec(pl.Shape)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ex := range []engine.Executor{engine.ExecutorGoroutine, engine.ExecutorEvent} {
+					res, _, err := engine.Simulate(spec, simnet.VConfig{Model: pf.Model}, ex)
+					if err != nil {
+						t.Fatalf("%s %s: %v", ex, s.Candidate, err)
+					}
+					if res.Comm != s.SimComm || res.Total != s.SimTotal {
+						t.Fatalf("rank %d (%s) under %s: comm %g total %g, plan scored %g / %g",
+							i, s.Candidate, ex, res.Comm, res.Total, s.SimComm, s.SimTotal)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRefineTimeCounter checks that cold plans accumulate refinement wall
+// time in the planner counters (the observability the event engine's
+// speedup is measured against).
+func TestRefineTimeCounter(t *testing.T) {
+	p := NewPlanner()
+	if _, err := p.Plan(Request{Platform: machine.Grid5000(), N: 512, P: 16, Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if st.SimRuns == 0 {
+		t.Fatal("expected stage-2 virtual runs")
+	}
+	if st.RefineNanos <= 0 {
+		t.Fatalf("RefineNanos = %d, want > 0", st.RefineNanos)
+	}
+	if st.RefineTime() <= 0 {
+		t.Fatalf("RefineTime() = %v, want > 0", st.RefineTime())
+	}
+	// A cache hit must not add refinement time.
+	before := p.Stats().RefineNanos
+	if _, err := p.Plan(Request{Platform: machine.Grid5000(), N: 512, P: 16, Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	if after := p.Stats().RefineNanos; after != before {
+		t.Fatalf("cache hit changed RefineNanos: %d -> %d", before, after)
 	}
 }

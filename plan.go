@@ -81,11 +81,6 @@ type PlanConfig struct {
 	Contention bool
 	// Overlap plans for communication/computation overlap.
 	Overlap bool
-	// Engine selects the virtual execution engine for the stage-2
-	// refinement runs (default EngineAuto). Engines are bit-identical, so
-	// this cannot change the picks — only the planning wall time; the
-	// plan records which engine scored each refined candidate.
-	Engine Engine
 	// NoCache bypasses the plan cache.
 	NoCache bool
 }
@@ -116,7 +111,6 @@ func (cfg PlanConfig) request() (tune.Request, error) {
 		AnalyticOnly: cfg.AnalyticOnly,
 		Contention:   cfg.Contention,
 		Overlap:      cfg.Overlap,
-		Executor:     cfg.Engine,
 		NoCache:      cfg.NoCache,
 	}, nil
 }

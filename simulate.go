@@ -3,12 +3,11 @@ package hsumma
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/exp"
-	"repro/internal/hockney"
+	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/simalg"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -16,18 +15,18 @@ import (
 
 // Machine is the Hockney platform model (α latency, β reciprocal bandwidth
 // per element — the paper's convention — and γ seconds per flop).
-type Machine = hockney.Model
+type Machine = machine.Model
 
 // Platform bundles a machine model with its contention description.
-type Platform = platform.Platform
+type Platform = machine.Platform
 
 // Platform presets from the paper's evaluation (Section V).
 var (
-	PlatformGrid5000           = platform.Grid5000
-	PlatformBlueGeneP          = platform.BlueGeneP
-	PlatformExascale           = platform.Exascale
-	PlatformGrid5000Calibrated = platform.Grid5000Calibrated
-	PlatformBGPCalibrated      = platform.BlueGenePCalibrated
+	PlatformGrid5000           = machine.Grid5000
+	PlatformBlueGeneP          = machine.BlueGeneP
+	PlatformExascale           = machine.Exascale
+	PlatformGrid5000Calibrated = machine.Grid5000Calibrated
+	PlatformBGPCalibrated      = machine.BlueGenePCalibrated
 )
 
 // SimConfig describes one simulated run at arbitrary scale.
@@ -204,7 +203,7 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 	if cfg.Trace {
 		vcfg.Trace = trace.New(grid.Size())
 	}
-	res, stats, err := simalg.Run(spec, vcfg, cfg.Engine)
+	res, stats, err := engine.Simulate(spec, vcfg, cfg.Engine)
 	if err != nil {
 		return SimResult{}, err
 	}
