@@ -6,6 +6,13 @@
 // C row bands (ParallelGemm — the intra-rank analog of the paper's OpenMP
 // threads inside each MPI process); Naive is the O(n³) reference all other
 // kernels are validated against.
+//
+// Every C element is computed the same way wherever it sits: one
+// accumulation chain over its kc block's k terms in ascending order,
+// started from zero and added into C once per block. Edge tiles run the
+// same micro-kernel into a zeroed stack tile and add its valid part into C,
+// so a product's bits depend only on (i, j, k) — never on the element's
+// position in a register tile, a row band or a batched multi-RHS operand.
 package blas
 
 import (
@@ -17,16 +24,16 @@ import (
 )
 
 // Register-tile and cache-block sizes for the packed kernel. The micro-tile
-// is mr×nr entries of C held in scalar accumulators for a full kc-long
+// is mr×nr entries of C held in register accumulators for a full kc-long
 // contraction; mc×kc panels of A and kc×nc panels of B are packed into
 // contiguous pooled buffers so the micro-kernel streams them with unit
-// stride regardless of the caller's layout. The exact values only affect
-// speed, never results.
+// stride regardless of the caller's layout. mr, nr, mc and nc only affect
+// speed, never results; kc sets where each element's chain restarts.
 const (
-	mr = 4 // micro-tile rows of C per kernel invocation
-	nr = 4 // micro-tile cols of C per kernel invocation
+	mr = 6 // micro-tile rows of C per kernel invocation
+	nr = 8 // micro-tile cols of C per kernel invocation (two ymm registers)
 
-	mcBlock = 128  // A panel rows resident in L2 while B micropanels stream
+	mcBlock = 144  // A panel rows resident in L2 while B micropanels stream; a multiple of mr
 	kcBlock = 256  // contraction depth packed per panel pair
 	ncBlock = 2048 // B panel cols packed per outer iteration
 )
@@ -77,9 +84,9 @@ func roundUp(v, q int) int { return (v + q - 1) / q * q }
 // packA copies the A block [i0,i0+mcb)×[k0,k0+kcb) into mr-row micropanels:
 // micropanel i/mr holds element (i,k) at offset k*mr + i%mr, so the kernel
 // reads one mr-wide column slice per k step with unit stride. Rows past mcb
-// in the last micropanel are zero-filled; their products land in
-// accumulators the masked writeback discards, so padding never changes
-// results.
+// in the last micropanel are zero-filled; their products land in rows of
+// the edge path's stack tile that are never added into C, so padding never
+// changes results.
 func packA(ap []float64, a *matrix.Dense, i0, mcb, k0, kcb int) {
 	for i := 0; i < mcb; i += mr {
 		dst := ap[(i/mr)*kcb*mr : (i/mr+1)*kcb*mr]
@@ -106,58 +113,50 @@ func packB(bp []float64, b *matrix.Dense, k0, kcb, j0, ncb int) {
 	for j := 0; j < ncb; j += nr {
 		dst := bp[(j/nr)*kcb*nr : (j/nr+1)*kcb*nr]
 		cols := min(nr, ncb-j)
-		if cols == nr {
-			for k := 0; k < kcb; k++ {
-				src := b.Data[(k0+k)*b.Stride+j0+j : (k0+k)*b.Stride+j0+j+nr]
-				d := dst[k*nr : k*nr+nr]
-				d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
-			}
-			continue
-		}
 		for k := 0; k < kcb; k++ {
-			src := b.Data[(k0+k)*b.Stride+j0+j : (k0+k)*b.Stride+j0+j+cols]
 			d := dst[k*nr : k*nr+nr]
-			for cc, v := range src {
-				d[cc] = v
-			}
-			for cc := cols; cc < nr; cc++ {
-				d[cc] = 0
-			}
+			copy(d, b.Data[(k0+k)*b.Stride+j0+j:(k0+k)*b.Stride+j0+j+cols])
+			clear(d[cols:])
 		}
 	}
 }
 
-// kernel4x4 contracts one packed A micropanel against one packed B
-// micropanel over depth kc, accumulating the mr×nr C micro-tile two rows
-// at a time in eight independent scalar accumulators — few enough that the
-// compiler keeps every chain in a register (sixteen at once spill), so C
-// is loaded and stored once per kc block instead of once per k step, and
-// the independent chains expose instruction-level parallelism the
-// single-accumulator scalar loop cannot. ct is positioned at the C
-// micro-tile's top-left corner; mrows/ncols mask the writeback on edge
-// tiles (the padded lanes' accumulators are simply dropped).
-func kernel4x4(kc int, ap, bp, ct []float64, ldc, mrows, ncols int) {
+// microKernel adds the product of one packed A micropanel and one packed B
+// micropanel over depth kc into the mr×nr tile whose top-left corner is
+// ct[0] (row stride ldc). On FMA hosts the assembly kernel runs, elsewhere
+// the portable one; both keep one chain per C element.
+func microKernel(kc int, ap, bp, ct []float64, ldc int) {
+	if useFMAKernel {
+		kernelFMA(kc, &ap[0], &bp[0], &ct[0], ldc)
+		return
+	}
+	kernelGo(kc, ap, bp, ct, ldc)
+}
+
+// kernelGo is the portable micro-kernel. It walks the mr×nr tile in 2×4
+// sub-blocks of eight scalar accumulators — few enough that the compiler
+// keeps every chain in a register — so C is loaded and stored once per kc
+// block instead of once per k step, and the independent chains expose
+// instruction-level parallelism the single-accumulator scalar loop cannot.
+func kernelGo(kc int, ap, bp, ct []float64, ldc int) {
 	ap = ap[: kc*mr : kc*mr]
-	bp = bp[:len(ap):len(ap)]
-	full := mrows == mr && ncols == nr
-	var acc [mr * nr]float64
+	bp = bp[: kc*nr : kc*nr]
 	for i := 0; i < mr; i += 2 {
-		var c00, c01, c02, c03, c10, c11, c12, c13 float64
-		for k := 0; k <= len(ap)-mr; k += mr {
-			b0, b1, b2, b3 := bp[k], bp[k+1], bp[k+2], bp[k+3]
-			a0, a1 := ap[k+i], ap[k+i+1]
-			c00 += a0 * b0
-			c01 += a0 * b1
-			c02 += a0 * b2
-			c03 += a0 * b3
-			c10 += a1 * b0
-			c11 += a1 * b1
-			c12 += a1 * b2
-			c13 += a1 * b3
-		}
-		if full {
-			r0 := ct[i*ldc : i*ldc+nr : i*ldc+nr]
-			r1 := ct[(i+1)*ldc : (i+1)*ldc+nr : (i+1)*ldc+nr]
+		for j := 0; j < nr; j += 4 {
+			var c00, c01, c02, c03, c10, c11, c12, c13 float64
+			for ka, kb := i, j; kb < len(bp); ka, kb = ka+mr, kb+nr {
+				b, a := bp[kb:kb+4:kb+4], ap[ka:ka+2:ka+2]
+				c00 += a[0] * b[0]
+				c01 += a[0] * b[1]
+				c02 += a[0] * b[2]
+				c03 += a[0] * b[3]
+				c10 += a[1] * b[0]
+				c11 += a[1] * b[1]
+				c12 += a[1] * b[2]
+				c13 += a[1] * b[3]
+			}
+			r0 := ct[i*ldc+j : i*ldc+j+4 : i*ldc+j+4]
+			r1 := ct[(i+1)*ldc+j : (i+1)*ldc+j+4 : (i+1)*ldc+j+4]
 			r0[0] += c00
 			r0[1] += c01
 			r0[2] += c02
@@ -166,17 +165,6 @@ func kernel4x4(kc int, ap, bp, ct []float64, ldc, mrows, ncols int) {
 			r1[1] += c11
 			r1[2] += c12
 			r1[3] += c13
-			continue
-		}
-		acc[i*nr+0], acc[i*nr+1], acc[i*nr+2], acc[i*nr+3] = c00, c01, c02, c03
-		acc[(i+1)*nr+0], acc[(i+1)*nr+1], acc[(i+1)*nr+2], acc[(i+1)*nr+3] = c10, c11, c12, c13
-	}
-	if !full {
-		for i := 0; i < mrows; i++ {
-			ci := ct[i*ldc:]
-			for j := 0; j < ncols; j++ {
-				ci[j] += acc[i*nr+j]
-			}
 		}
 	}
 }
@@ -185,8 +173,9 @@ func kernel4x4(kc int, ap, bp, ct []float64, ldc, mrows, ncols int) {
 // views (non-tight strides) for all operands. Results are deterministic:
 // every C entry accumulates its k-terms in ascending order (register
 // accumulation within each kc block, blocks applied in order), so repeated
-// runs are bit-identical — though the float association differs from
-// Naive's by the per-block partial sums.
+// runs are bit-identical and an element's bits do not depend on its
+// position (see the package comment) — though the float association
+// differs from Naive's by the per-block partial sums.
 func Gemm(c, a, b *matrix.Dense) {
 	checkGemmShapes(c, a, b)
 	gemmRows(c, a, b, 0, a.Rows)
@@ -220,10 +209,19 @@ func gemmRows(c, a, b *matrix.Dense, i0, i1 int) {
 						apo := ap[(ir/mr)*kcb*mr:]
 						mrows := min(mr, mcb-ir)
 						ct := c.Data[(ic+ir)*c.Stride+jc+jr:]
-						if useFMAKernel && mrows == mr && ncols == nr {
-							kernel4x4fma(kcb, &apo[0], &bpj[0], &ct[0], c.Stride)
-						} else {
-							kernel4x4(kcb, apo, bpj, ct, c.Stride, mrows, ncols)
+						if mrows == mr && ncols == nr {
+							microKernel(kcb, apo, bpj, ct, c.Stride)
+							continue
+						}
+						// Edge tile: the same kernel into a zeroed tile, whose
+						// valid part then goes into C — C + acc, as above.
+						var tile [mr * nr]float64
+						microKernel(kcb, apo, bpj, tile[:], nr)
+						for i := 0; i < mrows; i++ {
+							ci := ct[i*c.Stride : i*c.Stride+ncols]
+							for j := range ci {
+								ci[j] += tile[i*nr+j]
+							}
 						}
 					}
 				}
@@ -319,10 +317,3 @@ func FlopsGemm(m, n, k int) float64 {
 // the portable register-tiled Go kernel runs. Exposed for benchmarks and
 // diagnostics — both paths satisfy the same accuracy contract.
 func HasFMAKernel() bool { return useFMAKernel }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,9 +2,9 @@
 
 package blas
 
-// useFMAKernel gates the AVX2+FMA micro-kernel: the packed panel layout is
-// identical for both kernels, so the choice is made per micro-tile and
-// edge tiles always take the portable masked path.
+// useFMAKernel gates the AVX2+FMA micro-kernel. When it is set every tile,
+// full or edge, goes through the assembly kernel; the portable kernel runs
+// only where it is not. Tests flip it to cover both kernels on one host.
 var useFMAKernel = cpuHasAVXFMA()
 
 // cpuHasAVXFMA probes CPUID/XGETBV for AVX + FMA support with OS-enabled
@@ -12,4 +12,4 @@ var useFMAKernel = cpuHasAVXFMA()
 func cpuHasAVXFMA() bool
 
 //go:noescape
-func kernel4x4fma(kc int, ap, bp, ct *float64, ldc int)
+func kernelFMA(kc int, ap, bp, ct *float64, ldc int)

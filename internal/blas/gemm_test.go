@@ -210,6 +210,21 @@ func BenchmarkGemm256(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmPanel times live_compute's per-step local multiply — SUMMA
+// 1×2 at n=1024, b=256: each rank adds A 1024×256 · B 256×512 into a
+// 1024×512 view of its C — and reports the kernel's rate in GFLOP/s.
+func BenchmarkGemmPanel(b *testing.B) {
+	a := matrix.Random(1024, 256, 1)
+	bb := matrix.Random(256, 512, 2)
+	c := matrix.New(1024, 1024).View(0, 256, 1024, 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Gemm(c, a, bb)
+	}
+	b.ReportMetric(FlopsGemm(1024, 512, 256)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
 func BenchmarkParallelGemm256(b *testing.B) {
 	a := matrix.Random(256, 256, 1)
 	bb := matrix.Random(256, 256, 2)
@@ -247,6 +262,10 @@ func relDiff(got, want *matrix.Dense) float64 {
 // k%kcBlock remainders) across sizes that span one and many register
 // tiles, cache blocks and kc panels.
 func TestGemmPackedMatchesNaiveRagged(t *testing.T) {
+	forEachKernel(t, testGemmPackedMatchesNaiveRagged)
+}
+
+func testGemmPackedMatchesNaiveRagged(t *testing.T) {
 	f := func(ms, ns, ks uint8, seed uint16) bool {
 		m, n, k := int(ms)%97+1, int(ns)%89+1, int(ks)%101+1
 		a := matrix.Random(m, k, uint64(seed))
@@ -279,6 +298,10 @@ func TestGemmPackedMatchesNaiveRagged(t *testing.T) {
 // Property: the packed kernel handles non-tight strided views of all three
 // operands (stride > cols) identically to dense copies.
 func TestGemmPackedOnStridedViews(t *testing.T) {
+	forEachKernel(t, testGemmPackedOnStridedViews)
+}
+
+func testGemmPackedOnStridedViews(t *testing.T) {
 	f := func(ms, ns, ks uint8, seed uint16) bool {
 		m, n, k := int(ms)%50+1, int(ns)%50+1, int(ks)%50+1
 		bigA := matrix.Random(m+7, k+9, uint64(seed))
@@ -306,6 +329,10 @@ func TestGemmPackedOnStridedViews(t *testing.T) {
 // identical bits (the serving layer's session-vs-oneshot equality and the
 // engine parity tests rely on this).
 func TestGemmDeterministicPerThreadCount(t *testing.T) {
+	forEachKernel(t, testGemmDeterministicPerThreadCount)
+}
+
+func testGemmDeterministicPerThreadCount(t *testing.T) {
 	m, n, k := 137, 129, 257
 	a := matrix.Random(m, k, 91)
 	b := matrix.Random(k, n, 92)
@@ -341,5 +368,84 @@ func TestParallelGemmCutoffMatchesGemm(t *testing.T) {
 	ParallelGemm(got, a, b, 8)
 	if !matrix.Equal(got, want) {
 		t.Fatal("cutoff path differs bitwise from Gemm")
+	}
+}
+
+// forEachKernel runs f as a subtest once per micro-kernel this host can
+// execute — the portable one always, the assembly one where the CPU has
+// it — and restores the host's choice afterwards.
+func forEachKernel(t *testing.T, f func(*testing.T)) {
+	host := useFMAKernel
+	defer func() { useFMAKernel = host }()
+	for _, fma := range []bool{false, true} {
+		if fma && !host {
+			continue
+		}
+		useFMAKernel = fma
+		name := "portable"
+		if fma {
+			name = "fma"
+		}
+		t.Run(name, f)
+	}
+}
+
+// The packing blocks must hold whole register tiles: ParallelGemm splits
+// rows on mcBlock boundaries, so a band starting mid-tile would change
+// which tiles take the edge path.
+func TestBlocksAreWholeTiles(t *testing.T) {
+	if mcBlock%mr != 0 || ncBlock%nr != 0 {
+		t.Fatalf("mcBlock %d / ncBlock %d not multiples of the %dx%d tile", mcBlock, ncBlock, mr, nr)
+	}
+}
+
+// A product's bits depend only on (i, j, k), never on where the element
+// sits in a register tile: shifting A down by 1..mr-1 rows or B right by
+// 1..nr-1 columns moves every element to another tile position (and full
+// tiles to edge tiles and back) without changing a bit of the product
+// block, and ParallelGemm's row bands agree with Gemm bit for bit. The
+// serving layer's same-A batching relies on this — a request's columns
+// land at a different offset inside the widened operand.
+func TestGemmPositionIndependent(t *testing.T) {
+	forEachKernel(t, testGemmPositionIndependent)
+}
+
+func testGemmPositionIndependent(t *testing.T) {
+	for _, dims := range [][3]int{{29, 27, 23}, {7, 9, 5}, {50, 61, 257}, {13, 17, 300}} {
+		m, n, k := dims[0], dims[1], dims[2]
+		a := matrix.Random(m, k, uint64(m))
+		b := matrix.Random(k, n, uint64(n))
+		want := matrix.New(m, n)
+		Gemm(want, a, b)
+		for off := 1; off < mr; off++ {
+			bigA := matrix.Random(m+off, k, 99)
+			bigA.View(off, 0, m, k).CopyFrom(a)
+			got := matrix.New(m+off, n)
+			Gemm(got, bigA, b)
+			if !matrix.Equal(got.View(off, 0, m, n), want) {
+				t.Fatalf("gemm(%d,%d,%d): A shifted down %d rows changes the product's bits", m, n, k, off)
+			}
+		}
+		for off := 1; off < nr; off++ {
+			bigB := matrix.Random(k, n+off, 98)
+			bigB.View(0, off, k, n).CopyFrom(b)
+			got := matrix.New(m, n+off)
+			Gemm(got, a, bigB)
+			if !matrix.Equal(got.View(0, off, m, n), want) {
+				t.Fatalf("gemm(%d,%d,%d): B shifted right %d columns changes the product's bits", m, n, k, off)
+			}
+		}
+	}
+	m, n, k := 4*mcBlock+5, 37, 300
+	a := matrix.Random(m, k, 3)
+	b := matrix.Random(k, n, 4)
+	want := matrix.New(m, n)
+	Gemm(want, a, b)
+	for _, workers := range []int{2, 3, 4, 7} {
+		got := matrix.New(m, n)
+		ParallelGemm(got, a, b, workers)
+		if !matrix.Equal(got, want) {
+			t.Fatalf("ParallelGemm(workers=%d) differs bitwise from Gemm", workers)
+		}
 	}
 }
