@@ -349,8 +349,8 @@ func fullScaleBGP(b *testing.B, ex Engine) {
 func BenchmarkFullScaleBGPSim(b *testing.B) { fullScaleBGP(b, EngineGoroutine) }
 
 // BenchmarkFullScaleBGPSimEvent is the event-engine twin of
-// BenchmarkFullScaleBGPSim: the same run on internal/evsim (recorded
-// rank programs, single-threaded replay, rank-symmetry fast path),
+// BenchmarkFullScaleBGPSim: the same run on internal/evsim (one recorded
+// program per stream class, single-threaded replay by every member),
 // bit-identical results at a fraction of the wall time (the benchmark's
 // sim_bgp workload records both engines at p=2048 on every PR, as
 // evsim.sim_ms / simnet.sim_ms).

@@ -247,3 +247,50 @@ func TestPivotLoopAllocatesPerRunNotPerStep(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamClasses pins the class rule: SUMMA is one class, a level
+// splits the grid by the in-group position along each dimension it groups,
+// a level of one group along a dimension splits nothing there, and options
+// the pivot loop rejects get one class per rank (nil).
+func TestStreamClasses(t *testing.T) {
+	g := topo.Grid{S: 4, T: 4}
+	cases := []struct {
+		name   string
+		levels []Level
+		want   int
+	}{
+		{"summa", nil, 1},
+		{"hsumma 2x2", []Level{{I: 2, J: 2, BlockSize: 4}}, 4},
+		{"hsumma 1x1", []Level{{I: 1, J: 1, BlockSize: 4}}, 1},
+		{"hsumma 4x4", []Level{{I: 4, J: 4, BlockSize: 4}}, 1},
+		{"hsumma 1x2", []Level{{I: 1, J: 2, BlockSize: 4}}, 2},
+		{"outer level sets the stride", []Level{{I: 2, J: 2, BlockSize: 4}, {I: 2, J: 2, BlockSize: 2}}, 4},
+		{"first grouping per dimension", []Level{{I: 1, J: 2, BlockSize: 4}, {I: 2, J: 1, BlockSize: 2}}, 4},
+	}
+	for _, c := range cases {
+		o := Options{N: 16, Grid: g, Knobs: Knobs{BlockSize: 2}}
+		class := StreamClasses(&o, c.levels)
+		if len(class) != g.Size() {
+			t.Fatalf("%s: %d class entries for %d ranks", c.name, len(class), g.Size())
+		}
+		distinct := map[int]bool{}
+		for _, k := range class {
+			distinct[k] = true
+		}
+		if len(distinct) != c.want {
+			t.Errorf("%s: %d classes, want %d", c.name, len(distinct), c.want)
+		}
+	}
+	// The 2x2 case spelled out: the class is the position in the group.
+	o := Options{N: 16, Grid: g, Knobs: Knobs{BlockSize: 2}}
+	class := StreamClasses(&o, cases[1].levels)
+	for r, k := range class {
+		if i, j := g.Coords(r); k != i%2*2+j%2 {
+			t.Fatalf("rank (%d,%d) in class %d, want %d", i, j, k, i%2*2+j%2)
+		}
+	}
+	bad := Options{N: 15, Grid: g, Knobs: Knobs{BlockSize: 2}}
+	if class := StreamClasses(&bad, nil); class != nil {
+		t.Fatalf("rejected options got classes %v", class)
+	}
+}

@@ -186,6 +186,40 @@ func pivotLoop(c comm.Comm, opts *Options, levels []Level, aLoc, bLoc, cLoc *mat
 	return nil
 }
 
+// StreamClasses is the pivot loop's stream-class rule: rank r of the grid
+// records the same calls as every other rank of its class, with only the
+// communicators differing — Split order and count, broadcast roots, op
+// sequences and panel shapes all agree. A rank's class is its position
+// inside its outermost group, (i mod S/I₀, j mod T/J₀): the participation
+// test in retarget compares j mod strideT (and i mod strideS) with the
+// owner's, every stage's stride divides the outermost one, roots are the
+// owner's digits, and tiles are uniform. A level of one group along a
+// dimension broadcasts nothing along it, so the outermost level with more
+// than one group there sets that stride. SUMMA (no levels) is one class.
+// nil means one class per rank, for options the loop rejects.
+func StreamClasses(opts *Options, levels []Level) []int {
+	if opts.Validate(levels) != nil {
+		return nil
+	}
+	g := opts.Grid
+	strideS, strideT := 0, 0
+	for _, l := range levels {
+		if strideS == 0 && l.I > 1 {
+			strideS = g.S / l.I
+		}
+		if strideT == 0 && l.J > 1 {
+			strideT = g.T / l.J
+		}
+	}
+	strideS, strideT = max(strideS, 1), max(strideT, 1)
+	class := make([]int, g.Size())
+	for r := range class {
+		i, j := g.Coords(r)
+		class[r] = i%strideS*strideT + j%strideT
+	}
+	return class
+}
+
 // walk is the loop itself: an odometer over the stages. Digit 0 is lo, the
 // start of the current top-level panel in K; digit k > 0 is st.off, the
 // offset of stage k's current panel inside stage k-1's. A stage broadcasts

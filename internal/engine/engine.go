@@ -69,15 +69,15 @@ const (
 	// VWorld): one goroutine per rank, collectives rendezvous on sharded
 	// condition variables. Handles every algorithm and every model knob.
 	ExecutorGoroutine Executor = "goroutine"
-	// ExecutorEvent is the discrete-event engine (internal/evsim): rank
-	// programs stream recorded events into a single-threaded replay loop,
-	// with a rank-symmetry fast path sharing clock-equal collective
-	// executions. Bit-identical to the goroutine engine.
+	// ExecutorEvent is the discrete-event engine (internal/evsim): one
+	// recorded program per stream class (Spec.StreamClasses), replayed by
+	// every member in a single-threaded loop. Bit-identical to the
+	// goroutine engine.
 	ExecutorEvent Executor = "event"
 	// ExecutorAuto picks per spec: the event engine for the algorithms whose
 	// time is in the collective pivot loop (SUMMA, HSUMMA, multilevel, and
 	// Strassen, whose recursion bottoms out in that loop) without overlap —
-	// where the event loop and its symmetry fast path shine — and the
+	// where recording once per class and replaying pays — and the
 	// goroutine engine for the point-to-point-heavy baselines (Cannon, Fox)
 	// and for overlap runs, whose irregular dependency structure gains
 	// nothing from replay. The empty string means auto.
@@ -219,6 +219,16 @@ func (s *Spec) Hierarchy() ([]core.Level, bool) {
 		return s.Levels, true
 	}
 	return nil, false
+}
+
+// StreamClasses returns the spec's stream classes for the event engine
+// (see evsim.World.SetClasses): the pivot loop's rule for the SUMMA family,
+// and nil — one class per rank — for every other algorithm.
+func (s *Spec) StreamClasses() []int {
+	if levels, ok := s.Hierarchy(); ok {
+		return core.StreamClasses(&s.Opts, levels)
+	}
+	return nil
 }
 
 // Validate reports whether a spec is executable as it stands (call it on a

@@ -34,6 +34,16 @@ type SimResult struct {
 	Shape matrix.Shape
 }
 
+// EventWorld returns the event engine's world for a spec: one virtual rank
+// per grid position, grouped into the spec's stream classes so each class
+// records its program once. Simulate runs every event-engine simulation
+// through it.
+func EventWorld(spec Spec, vcfg simnet.VConfig) *evsim.World {
+	w := evsim.NewWorld(spec.Opts.Grid.Size(), vcfg)
+	w.SetClasses(spec.StreamClasses())
+	return w
+}
+
 // virtualWorld is what the two execution engines have in common: run the
 // rank programs, then report times and traffic.
 type virtualWorld interface {
@@ -97,7 +107,7 @@ func Simulate(spec Spec, vcfg simnet.VConfig, ex Executor) (SimResult, []simnet.
 	var w virtualWorld
 	switch resolved {
 	case ExecutorEvent:
-		ew := evsim.NewWorld(g.Size(), vcfg)
+		ew := EventWorld(spec, vcfg)
 		err = ew.Run(rank)
 		w = ew
 	default:

@@ -11,10 +11,10 @@
 //
 //   - Producers: one goroutine per rank runs the algorithm against a
 //     recording communicator (rComm) that never blocks on communication.
-//     Every Send/Recv/SendRecv/Bcast/Gemm appends one compact event to the
-//     rank's single-producer/single-consumer ring and returns immediately —
-//     legal because the virtual data plane is shape-only, so no received
-//     value can influence the program's control flow. The only inter-rank
+//     Every Send/Recv/SendRecv/Bcast/Gemm becomes one compact,
+//     pointer-free event and the call returns immediately — legal because
+//     the virtual data plane is shape-only, so no received value can
+//     influence the program's control flow. The only inter-rank
 //     rendezvous left on the producer side is Split, whose *result* (the
 //     child communicator's rank and size) does steer control flow; splits
 //     are a handful per run, so their parks are noise.
@@ -28,27 +28,41 @@
 //     schedule through the same Sim Hockney cost code as the goroutine
 //     engine, so virtual times, per-rank communication-time breakdowns and
 //     traffic counters are bit-identical (asserted by the engine parity
-//     tests in internal/engine).
+//     tests in internal/simalg).
 //
-// Back-pressure: a producer that outruns the replay parks when its ring is
-// full, and the consumer parks when every runnable rank's ring is empty;
-// both parks are amortised over the ring capacity, turning ~15M per-call
-// rendezvous into ~100k per-batch ones.
+// # Stream classes
 //
-// # Rank-symmetry fast path
+// Ranks whose programs agree up to communicator identity form a stream
+// class (SetClasses; in the SUMMA family, the ranks at one position inside
+// their group). Events name a communicator by slot — the order in which
+// the rank obtained it — so one recording serves every member: the class's
+// lowest rank writes the class ring, every member reads it through its own
+// cursor and resolves slots through its own table, waiting, as on an
+// empty ring, for a slot its own Split has not filled yet. The other
+// members still run their programs (they take part in Split) but only hash
+// the events they would have written; Run fails if a hash differs from the
+// representative's, so a wrong class rule is an error, never a wrong
+// result. Without SetClasses every rank is its own class.
 //
-// On top of the loop, clock-equal collectives share executions: under
-// uniform links (no LinkCost), symmetric ranks sit at *exactly* the same
-// virtual time — e.g. all of one HSUMMA step's per-group broadcasts start
-// from the same clock — so the engine memoises a collective's outcome by
-// (schedule, payload, start clock) and replays it for every sibling:
-// per-role final clocks are copied and the exact floating-point sequence
-// of communication-time increments is re-applied in order, which is
-// bit-identical to re-walking the schedule because ExecPhase is a
-// deterministic function of those inputs. A SUMMA/HSUMMA step then costs
-// O(S+T) schedule work instead of O(S·T). The memo stays valid with
-// contention enabled (flow counts are per-collective) and is disabled
-// under a LinkCost model (transfer times depend on world-rank placement).
+// Back-pressure: the representative parks when its ring is full — a chunk
+// is handed back only once the class's slowest member has passed it — and
+// the consumer parks when every runnable rank is at the end of its ring;
+// both parks are amortised over half a ring. Memory is bounded by ring
+// capacity × classes. When nothing is runnable and every running program
+// is parked, the replay cannot progress (a mismatched program, or class
+// members further apart than a ring holds) and Run returns an error.
+//
+// # Rank-symmetry memo
+//
+// Under uniform links (no LinkCost) a collective whose members all start
+// from the same clock is memoised by (schedule, payload, start clock); a
+// clock-equal sibling copies the per-role final clocks and re-applies the
+// exact floating-point sequence of communication-time increments in order,
+// which is bit-identical to re-walking the schedule because ExecPhase is a
+// deterministic function of those inputs. At the paper's p=2048 BG/P point
+// it hits about 15 % of collectives. The memo stays valid with contention
+// enabled (flow counts are per-collective) and is disabled under a
+// LinkCost model (transfer times depend on world-rank placement).
 //
 // Determinism: results are independent of goroutine interleaving and
 // GOMAXPROCS by construction — each rank's trace is its own program order,
@@ -67,7 +81,7 @@ import (
 	"repro/internal/trace"
 )
 
-// World owns the virtual clocks, the per-rank event rings and the replay
+// World owns the virtual clocks, the per-class event rings and the replay
 // state for one simulated execution. Create one per run with NewWorld.
 type World struct {
 	sim    *simnet.Sim
@@ -78,7 +92,9 @@ type World struct {
 	computeDone []float64       // overlap mode: per-rank compute timeline
 	rec         *trace.Recorder // cfg.Trace; nil = tracing disabled
 
-	prods []*producer
+	class []int       // SetClasses; nil = one class per rank
+	prods []*producer // per rank
+	rings []*ring     // per class
 	ranks []rankState
 
 	// Consumer-owned replay state (no locks: single-threaded).
@@ -94,23 +110,31 @@ type World struct {
 	commMu sync.Mutex
 	comms  []*commState
 
-	nextCID atomic.Int64
+	// alive counts rank programs still running, stalled those of them
+	// parked where only the consumer or another parked program could wake
+	// them (a full ring, a split rendezvous). Each is decremented by the
+	// party that resolves it, so the consumer, idle with stalled == alive,
+	// knows the replay cannot progress.
 	alive   atomic.Int64
+	stalled atomic.Int64
 	aborted atomic.Bool
 
 	errMu    sync.Mutex
 	firstErr error
 
-	// wakeMu/wakeCond is the producers→consumer doorbell: ranks whose
-	// rings transitioned empty→non-empty while the consumer marked them
-	// hungry, plus producer-exit notifications.
-	wakeMu   sync.Mutex
-	wakeCond *sync.Cond
-	wakeList []int32
+	// wakeMu/wakeCond is the producers→consumer doorbell: classes whose
+	// rings gained events while a member waited at the tail, ranks whose
+	// slot tables gained the communicator the consumer waited for, plus
+	// producer exits and stalls.
+	wakeMu      sync.Mutex
+	wakeCond    *sync.Cond
+	wakeClasses []int32
+	wakeRanks   []int32
 }
 
 // NewWorld returns an event-driven virtual world of p ranks under the
-// given configuration (the same VConfig the goroutine engine takes).
+// given configuration (the same VConfig the goroutine engine takes). Every
+// rank is its own stream class until SetClasses says otherwise.
 func NewWorld(p int, cfg simnet.VConfig) *World {
 	sim := simnet.New(p, cfg.Model)
 	sim.SetContention(cfg.Contention)
@@ -134,11 +158,58 @@ func NewWorld(p int, cfg simnet.VConfig) *World {
 	}
 	w.wakeCond = sync.NewCond(&w.wakeMu)
 	for r := 0; r < p; r++ {
-		pr := &producer{w: w, world: int32(r), ring: newRing()}
+		pr := &producer{w: w, world: int32(r)}
+		pr.comms = pr.inline[:0]
 		w.prods[r] = pr
-		w.ranks[r].ring = pr.ring
 	}
 	return w
+}
+
+// SetClasses groups the ranks into stream classes before Run: class[r] in
+// [0, p) names rank r's class. The members of a class must record the
+// same program up to communicator identity — the same calls with the same
+// arguments, communicators named by the order each rank obtained them.
+// The lowest rank of each class records the events once and every member
+// replays them through its own communicators; the other members run
+// their programs without recording, and Run fails if any of them
+// diverged from its representative. nil is one class per rank.
+func (w *World) SetClasses(class []int) {
+	if class != nil && len(class) != len(w.prods) {
+		panic(fmt.Sprintf("evsim: %d stream classes for %d ranks", len(class), len(w.prods)))
+	}
+	for r, c := range class {
+		if c < 0 || c >= len(class) {
+			panic(fmt.Sprintf("evsim: rank %d stream class %d outside [0, %d)", r, c, len(class)))
+		}
+	}
+	w.class = class
+}
+
+// buildClasses creates one ring per stream class, written by its
+// representative (the class's lowest rank), and points every member's
+// cursor at it.
+func (w *World) buildClasses() {
+	p := len(w.prods)
+	class := w.class
+	if class == nil {
+		class = make([]int, p)
+		for r := range class {
+			class[r] = r
+		}
+	}
+	ringOf := make([]*ring, p) // class id -> its ring
+	w.rings = make([]*ring, 0, p)
+	for r, c := range class {
+		rg := ringOf[c]
+		if rg == nil {
+			rg = newRing(w, int32(len(w.rings)), int32(r))
+			ringOf[c] = rg
+			w.rings = append(w.rings, rg)
+			w.prods[r].ring = rg
+		}
+		rg.members++
+		w.ranks[r].ring = rg
+	}
 }
 
 // evAborted is the sentinel panic unwinding producers blocked in a ring or
@@ -148,7 +219,9 @@ type evAborted struct{}
 // Run executes fn on every rank — each in its own recording goroutine,
 // passing each rank its world communicator — while the calling goroutine
 // runs the event loop. It returns after the replay is complete (or the
-// world aborted); the first error wins.
+// world aborted). A rank whose program diverged from its class
+// representative's is reported first, as the root cause of whatever else
+// went wrong; otherwise the first error wins.
 func (w *World) Run(fn func(c comm.Comm)) error {
 	p := w.sim.Size()
 	ranks := make([]int, p)
@@ -156,10 +229,12 @@ func (w *World) Run(fn func(c comm.Comm)) error {
 		ranks[i] = i
 	}
 	world := w.newCommState(ranks)
+	w.buildClasses()
 	w.alive.Store(int64(p))
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
-		rc := &rComm{p: w.prods[r], cs: world, rank: int32(r)}
+		pr := w.prods[r]
+		rc := &rComm{p: pr, cs: world, rank: int32(r), slot: pr.addComm(world)}
 		wg.Add(1)
 		go func(rc *rComm) {
 			defer wg.Done()
@@ -173,10 +248,18 @@ func (w *World) Run(fn func(c comm.Comm)) error {
 				}
 			}()
 			fn(rc)
+			rc.p.ok = true
 		}(rc)
 	}
 	w.consume()
 	wg.Wait()
+	for r, pr := range w.prods {
+		rp := w.prods[w.ranks[r].ring.rep]
+		if pr != rp && pr.ok && rp.ok && (pr.sum != rp.sum || pr.events != rp.events) {
+			return fmt.Errorf("evsim: rank %d's program diverged from its class representative, rank %d (%d events, hash %x vs %d events, hash %x): the stream class rule is wrong",
+				r, rp.world, pr.events, pr.sum, rp.events, rp.sum)
+		}
+	}
 	w.errMu.Lock()
 	err := w.firstErr
 	w.errMu.Unlock()
@@ -196,8 +279,7 @@ func (w *World) abort(err error) {
 	if !w.aborted.CompareAndSwap(false, true) {
 		return
 	}
-	for _, pr := range w.prods {
-		r := pr.ring
+	for _, r := range w.rings {
 		r.mu.Lock()
 		r.cond.Broadcast()
 		r.mu.Unlock()
@@ -213,6 +295,17 @@ func (w *World) abort(err error) {
 	w.wakeMu.Lock()
 	w.wakeCond.Broadcast()
 	w.wakeMu.Unlock()
+}
+
+// stall counts the calling producer as parked and, when that leaves no
+// program running, rings the consumer so it can tell a stuck replay from
+// a slow one.
+func (w *World) stall() {
+	if w.stalled.Add(1) >= w.alive.Load() {
+		w.wakeMu.Lock()
+		w.wakeCond.Broadcast()
+		w.wakeMu.Unlock()
+	}
 }
 
 // Sim exposes the underlying simulator (clocks, per-rank comm times).

@@ -3,6 +3,7 @@ package evsim
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/machine"
@@ -184,5 +185,109 @@ func TestSingleRankWorld(t *testing.T) {
 	want := testCfg().Model.Compute(2 * 4 * 4 * 4)
 	if got := w.Total(); got != want {
 		t.Fatalf("total %v, want %v", got, want)
+	}
+}
+
+// TestClassDivergenceIsAnError: ranks grouped into one class whose
+// programs differ — here by one extra Gemm — are reported as a wrong class
+// rule, not replayed from the representative's stream.
+func TestClassDivergenceIsAnError(t *testing.T) {
+	w := NewWorld(2, testCfg())
+	w.SetClasses([]int{0, 0})
+	err := w.Run(func(c comm.Comm) {
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10), 1)
+		c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), comm.Serial)
+		if c.Rank() == 1 {
+			c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), comm.Serial)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "diverged from its class representative") {
+		t.Fatalf("want a divergence error, got %v", err)
+	}
+}
+
+// runWithin runs w under a deadline so a replay that hangs fails the test
+// instead of the whole binary.
+func runWithin(t *testing.T, w *World, fn func(c comm.Comm)) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- w.Run(fn) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay hung")
+		return nil
+	}
+}
+
+// TestClassDriftBeyondRingIsAnError: ranks 0 and 1 share a class, but
+// rank 0 is stuck on rank 2, which first needs rank 1 to get more than a
+// ring's worth of events further. The class ring cannot hold that
+// distance: the replay must stop with an error, not hang. With one class
+// per rank the same program completes.
+func TestClassDriftBeyondRingIsAnError(t *testing.T) {
+	program := func(c comm.Comm) {
+		r := c.Rank()
+		// P = {0, 2}, Q = {1, 3}; R = {1, 2}, S = {0, 3}. Ranks 0 and 1
+		// are rank 0 of both their communicators.
+		s1 := c.Split(r%2, r)
+		s2 := c.Split(map[int]int{0: 1, 1: 0, 2: 0, 3: 1}[r], r)
+		panel := c.NewPanel(1, 8)
+		switch r {
+		case 0, 1:
+			s1.Bcast(sched.Binomial, 0, panel, 1)
+			for i := 0; i < 2*ringSize; i++ {
+				c.Gemm(c.NewTile(2, 2), c.NewTile(2, 2), c.NewTile(2, 2), comm.Serial)
+			}
+			s2.Bcast(sched.Binomial, 0, panel, 1)
+		case 2:
+			s2.Bcast(sched.Binomial, 0, panel, 1) // meets rank 1 after its Gemms
+			s1.Bcast(sched.Binomial, 0, panel, 1) // releases rank 0
+		case 3:
+			s1.Bcast(sched.Binomial, 0, panel, 1)
+			s2.Bcast(sched.Binomial, 0, panel, 1)
+		}
+	}
+	if err := runWithin(t, NewWorld(4, testCfg()), program); err != nil {
+		t.Fatalf("one class per rank: %v", err)
+	}
+	w := NewWorld(4, testCfg())
+	w.SetClasses([]int{0, 0, 2, 3})
+	if err := runWithin(t, w, program); err == nil || !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("want a stall error, got %v", err)
+	}
+}
+
+// TestFollowerLateSplitReplays: rank 1's inner Split completes only after
+// rank 3 arrives, long after its representative, rank 0, recorded a
+// broadcast on the communicator that Split yields. The replay waits for
+// rank 1's own communicator and ends bit-identical to one class per rank.
+func TestFollowerLateSplitReplays(t *testing.T) {
+	program := func(c comm.Comm) {
+		r := c.Rank()
+		s1 := c.Split(r%2, r) // {0, 2} and {1, 3}
+		if r == 3 {
+			time.Sleep(20 * time.Millisecond)
+		}
+		s2 := s1.Split(0, -r)
+		s2.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096), 2)
+		c.Gemm(c.NewTile(8, 8), c.NewTile(8, 8), c.NewTile(8, 8), comm.Serial)
+		s2.Bcast(sched.Binomial, 1, c.NewPanel(1, 512), 1)
+	}
+	ref := NewWorld(4, testCfg())
+	if err := runWithin(t, ref, program); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorld(4, testCfg())
+	w.SetClasses([]int{0, 0, 2, 2})
+	if err := runWithin(t, w, program); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4; r++ {
+		if w.Sim().Clock(r) != ref.Sim().Clock(r) || w.Sim().CommTime(r) != ref.Sim().CommTime(r) || w.Stats()[r] != ref.Stats()[r] {
+			t.Fatalf("rank %d: classed clock %v comm %v %+v, per-rank clock %v comm %v %+v", r,
+				w.Sim().Clock(r), w.Sim().CommTime(r), w.Stats()[r], ref.Sim().Clock(r), ref.Sim().CommTime(r), ref.Stats()[r])
+		}
 	}
 }

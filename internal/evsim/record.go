@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/simnet"
 )
 
 // This file is the producer half of the engine: rComm implements
@@ -18,25 +19,62 @@ import (
 // shapes, Gemm shapes), so programming errors fail identically on both
 // engines; timing-side checks that need replay state (receive sizes,
 // collective signature mismatches) move to the consumer.
+//
+// Every rank runs its program, but only a stream class's representative
+// writes events to the class ring; a follower folds the events it would
+// have written into a running hash, which Run compares with the
+// representative's. Communicators travel as slots, and each rank's table
+// maps its slots to its own communicators.
 
-// producer is the per-rank recording context. chead/ctail cache the ring
+// producer is the per-rank recording context. ring is the class ring for
+// the representative and nil for a follower; chead/ctail cache the ring
 // indices so the push fast path performs a single atomic publish.
 type producer struct {
 	w     *World
 	world int32
 	ring  *ring
-	chead uint64 // last observed consumer head
+	chead uint64 // last observed ring head
 	ctail uint64 // producer-owned tail (mirrored to ring.tail on publish)
+
+	sum    [3]uint64 // running hash of the recorded stream (see note)
+	events int64     // events recorded
+	ok     bool      // the program returned normally (read after Run's wait)
+
+	// The slot table: comms[s] is the communicator this rank obtained
+	// s-th. The producer appends (under mu); the consumer copies the slice
+	// header when it meets a slot beyond its copy. slotWait is the
+	// consumer's request for a doorbell on the next append.
+	mu       sync.Mutex
+	comms    []*commState
+	slotWait bool
+	inline   [8]*commState // backing for the first slots: no allocation
 }
 
-// finish publishes the remaining events, marks the rank's program
+// addComm appends a communicator to the rank's slot table and returns its
+// slot, ringing the doorbell if the consumer waits for it.
+func (p *producer) addComm(cs *commState) int32 {
+	p.mu.Lock()
+	p.comms = append(p.comms, cs)
+	slot := int32(len(p.comms) - 1)
+	wake := p.slotWait
+	p.slotWait = false
+	p.mu.Unlock()
+	if wake {
+		p.w.wakeRank(p.world)
+	}
+	return slot
+}
+
+// finish publishes the remaining events, marks the class's program
 // complete and rings the consumer so the replay can observe the exit
 // (and, when this was the last producer, run its termination scan).
 func (p *producer) finish() {
-	p.publish()
-	p.ring.done.Store(true)
-	if p.ring.hungry.CompareAndSwap(true, false) {
-		p.w.wakeRank(p.world)
+	if r := p.ring; r != nil {
+		p.publish()
+		r.done.Store(true)
+		if r.hungry.CompareAndSwap(true, false) {
+			p.w.wakeClass(r.class)
+		}
 	}
 	p.w.alive.Add(-1)
 	p.w.wakeMu.Lock()
@@ -56,10 +94,15 @@ func (p *producer) finish() {
 type commState struct {
 	ranks []int // comm rank -> world rank (immutable after creation)
 
-	// Consumer side: the in-flight collective, valid when gActive.
-	g       gather
-	gSeq    int32
-	gActive bool
+	// Consumer side: the in-flight collective, valid when gActive, and the
+	// last fired collective's signature with its schedule and traffic —
+	// a pivot loop's communicator repeats one broadcast for many steps.
+	g           gather
+	gSeq        int32
+	gActive     bool
+	last        collSig
+	lastSched   *sched.Schedule
+	lastTraffic []simnet.VRankStats
 
 	// Producer side: split rendezvous (the only blocking producer call).
 	splitMu   sync.Mutex
@@ -88,6 +131,7 @@ type rComm struct {
 	p    *producer
 	cs   *commState
 	rank int32
+	slot int32
 
 	opSeq    int32
 	splitSeq int32
@@ -126,14 +170,14 @@ func ck32(what string, v int) int32 {
 // clock by the transfer and queues the message for the receiver.
 func (c *rComm) Send(dst, tag int, p *comm.Panel) {
 	c.checkPeer("send to", dst)
-	c.p.push(event{comm: c.cs, kind: evSend, a: int32(dst), b: int32(tag), c: ck32("send size", p.Elems()), d: c.rank})
+	c.p.push(event{slot: c.slot, kind: evSend, a: int32(dst), b: int32(tag), c: ck32("send size", p.Elems()), d: c.rank})
 }
 
 // Recv records a blocking receive; the replay parks the rank until the
 // matching send has been replayed.
 func (c *rComm) Recv(src, tag int, p *comm.Panel) {
 	c.checkPeer("recv from", src)
-	c.p.push(event{comm: c.cs, kind: evRecv, a: int32(src), b: int32(tag), c: ck32("recv size", p.Elems())})
+	c.p.push(event{slot: c.slot, kind: evRecv, a: int32(src), b: int32(tag), c: ck32("recv size", p.Elems())})
 }
 
 // SendRecv records the full-duplex shift primitive as its two halves; the
@@ -142,8 +186,8 @@ func (c *rComm) Recv(src, tag int, p *comm.Panel) {
 func (c *rComm) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, recv *comm.Panel) {
 	c.checkPeer("send to", dst)
 	c.checkPeer("recv from", src)
-	c.p.push(event{comm: c.cs, kind: evSRSend, a: int32(dst), b: int32(sendTag), c: ck32("sendrecv send size", send.Elems()), d: c.rank})
-	c.p.push(event{comm: c.cs, kind: evSRRecv, a: int32(src), b: int32(recvTag), c: ck32("sendrecv recv size", recv.Elems())})
+	c.p.push(event{slot: c.slot, kind: evSRSend, a: int32(dst), b: int32(sendTag), c: ck32("sendrecv send size", send.Elems()), d: c.rank})
+	c.p.push(event{slot: c.slot, kind: evSRRecv, a: int32(src), b: int32(recvTag), c: ck32("sendrecv recv size", recv.Elems())})
 }
 
 // Bcast records one collective arrival. The replay gathers the members by
@@ -159,17 +203,25 @@ func (c *rComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel, segments
 	}
 	seq := c.opSeq
 	c.opSeq++
-	c.p.push(event{comm: c.cs, kind: evBcast, alg: algCode(alg),
+	c.p.push(event{slot: c.slot, kind: evBcast, alg: algCode(alg),
 		a: int32(root), b: int32(segments), c: ck32("bcast size", panel.Elems()), d: seq})
 }
 
 // splitGather coordinates one Split call, mirroring the goroutine engine.
 type splitGather struct {
 	arrived int
+	waiting int64 // arrivals parked on the cond, counted as stalled
 	colors  map[int]int
 	keys    map[int]int
 	done    bool
-	result  map[int]*rComm
+	result  map[int]splitMember
+}
+
+// splitMember is one rank's share of a split: the child communicator and
+// the rank's place in it (nil for a negative colour).
+type splitMember struct {
+	cs   *commState
+	rank int32
 }
 
 // Split partitions the communicator exactly like MPI_Comm_split: ranks
@@ -177,7 +229,8 @@ type splitGather struct {
 // rank); a negative colour returns nil. This is the one producer-side
 // rendezvous: the child communicator's rank and size feed the algorithm's
 // control flow, so recording cannot defer it — but splits are a handful
-// per run, so the parks are negligible.
+// per run, so the parks are negligible. The child takes the caller's next
+// slot.
 func (c *rComm) Split(color, key int) comm.Comm {
 	w := c.p.w
 	cs := c.cs
@@ -189,10 +242,9 @@ func (c *rComm) Split(color, key int) comm.Comm {
 	c.p.publish()
 
 	cs.splitMu.Lock()
-	defer cs.splitMu.Unlock()
 	sg := cs.splits[seq]
 	if sg == nil {
-		sg = &splitGather{colors: make(map[int]int), keys: make(map[int]int)}
+		sg = &splitGather{colors: make(map[int]int, len(cs.ranks)), keys: make(map[int]int, len(cs.ranks))}
 		cs.splits[seq] = sg
 	}
 	sg.colors[int(c.rank)] = color
@@ -201,20 +253,30 @@ func (c *rComm) Split(color, key int) comm.Comm {
 	if sg.arrived == len(cs.ranks) {
 		sg.result = c.computeSplit(sg)
 		sg.done = true
+		// The waker uncounts the waiters, so the consumer never sees a
+		// stale stall.
+		w.stalled.Add(-sg.waiting)
 		cs.splitCond.Broadcast()
 		delete(cs.splits, seq)
 	}
-	for !sg.done {
+	for counted := false; !sg.done; {
 		if w.aborted.Load() {
+			cs.splitMu.Unlock()
 			panic(evAborted{})
+		}
+		if !counted {
+			counted = true
+			sg.waiting++
+			w.stall()
 		}
 		cs.splitCond.Wait()
 	}
-	res := sg.result[int(c.rank)]
-	if res == nil {
+	m := sg.result[int(c.rank)]
+	cs.splitMu.Unlock()
+	if m.cs == nil {
 		return nil
 	}
-	return res
+	return &rComm{p: c.p, cs: m.cs, rank: m.rank, slot: c.p.addComm(m.cs)}
 }
 
 // computeSplit builds the new communicators once all members have
@@ -222,8 +284,8 @@ func (c *rComm) Split(color, key int) comm.Comm {
 // The grouping rule lives in comm.SplitGroups, shared with the goroutine
 // engine and the live transport, so every engine derives the same
 // communicator structure for the same program.
-func (c *rComm) computeSplit(sg *splitGather) map[int]*rComm {
-	result := make(map[int]*rComm, len(sg.colors))
+func (c *rComm) computeSplit(sg *splitGather) map[int]splitMember {
+	result := make(map[int]splitMember, len(sg.colors))
 	for _, members := range comm.SplitGroups(sg.colors, sg.keys) {
 		worldRanks := make([]int, len(members))
 		for i, m := range members {
@@ -231,12 +293,7 @@ func (c *rComm) computeSplit(sg *splitGather) map[int]*rComm {
 		}
 		child := c.p.w.newCommState(worldRanks)
 		for i, m := range members {
-			result[m] = &rComm{p: c.p.w.prods[worldRanks[i]], cs: child, rank: int32(i)}
-		}
-	}
-	for r, col := range sg.colors {
-		if col < 0 {
-			result[r] = nil
+			result[m] = splitMember{cs: child, rank: int32(i)}
 		}
 	}
 	return result
@@ -290,7 +347,7 @@ func (c *rComm) Gemm(cm, a, b *matrix.Dense, x comm.Exec) {
 		}
 		d |= int32(cut) << 16
 	}
-	c.p.push(event{comm: c.cs, kind: evGemm,
+	c.p.push(event{kind: evGemm,
 		a: ck32("gemm rows", a.Rows), b: ck32("gemm cols", b.Cols), c: ck32("gemm inner dim", a.Cols),
 		d: d})
 }
@@ -303,7 +360,7 @@ func (c *rComm) Axpy(alpha float64, x, y *matrix.Dense) {
 		panic(fmt.Sprintf("evsim: axpy shape mismatch Y(%dx%d) += %g*X(%dx%d)",
 			y.Rows, y.Cols, alpha, x.Rows, x.Cols))
 	}
-	c.p.push(event{comm: c.cs, kind: evAxpy,
+	c.p.push(event{kind: evAxpy,
 		a: ck32("axpy rows", x.Rows), b: ck32("axpy cols", x.Cols)})
 }
 

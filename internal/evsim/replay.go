@@ -19,16 +19,20 @@ import (
 // Rank replay statuses.
 const (
 	rsQueued    uint8 = iota // in the runnable stack (or being advanced)
-	rsWaitEvent              // ring empty: waiting for the producer
+	rsWaitEvent              // at the ring's tail: waiting for the producer
+	rsWaitSlot               // waiting for its own Split to name a communicator
 	rsWaitRecv               // blocked on a receive with no matching send yet
 	rsWaitColl               // parked in a collective
 	rsDone                   // program fully replayed
 )
 
-// rankState is the consumer's view of one rank: its ring cursor plus the
-// saved state of a blocking call in progress.
+// rankState is the consumer's view of one rank: its cursor in its class's
+// ring, its copy of its slot table, and the saved state of a blocking
+// call in progress.
 type rankState struct {
 	ring   *ring
+	pos    uint64 // next event of the class stream to replay
+	comms  []*commState
 	status uint8
 
 	// Blocked receive (Recv or the receive half of SendRecv).
@@ -59,12 +63,20 @@ type vMsg struct {
 	clock float64
 }
 
-// wakeRank is the producer-side doorbell: rank r's ring went
-// empty→non-empty (or its producer exited) while the consumer had marked
-// it hungry.
+// wakeClass is the producer-side doorbell for a ring: it gained events
+// (or its producer exited) while members waited at its tail.
+func (w *World) wakeClass(c int32) {
+	w.wakeMu.Lock()
+	w.wakeClasses = append(w.wakeClasses, c)
+	w.wakeMu.Unlock()
+	w.wakeCond.Signal()
+}
+
+// wakeRank is the doorbell for one rank: its slot table gained the
+// communicator the consumer waited for.
 func (w *World) wakeRank(r int32) {
 	w.wakeMu.Lock()
-	w.wakeList = append(w.wakeList, r)
+	w.wakeRanks = append(w.wakeRanks, r)
 	w.wakeMu.Unlock()
 	w.wakeCond.Signal()
 }
@@ -101,62 +113,107 @@ func (w *World) consume() {
 
 // awaitWork blocks until a producer rings the doorbell, then requeues the
 // woken ranks. Returns false when the world aborted or the replay cannot
-// progress (a genuine cross-rank deadlock in the recorded programs, which
-// only a mismatched SPMD program can produce).
+// progress: every rank is blocked and every running program is parked —
+// a cross-rank deadlock in the recorded programs, which only a mismatched
+// SPMD program can produce, or class members that drifted further apart
+// than a ring holds.
 func (w *World) awaitWork() bool {
 	w.wakeMu.Lock()
-	for len(w.wakeList) == 0 && !w.aborted.Load() && w.alive.Load() > 0 {
+	for len(w.wakeClasses) == 0 && len(w.wakeRanks) == 0 && !w.aborted.Load() &&
+		w.alive.Load() > 0 && w.stalled.Load() < w.alive.Load() {
 		w.wakeCond.Wait()
 	}
-	list := w.wakeList
-	w.wakeList = nil
+	classes, ranks := w.wakeClasses, w.wakeRanks
+	w.wakeClasses, w.wakeRanks = nil, nil
 	w.wakeMu.Unlock()
 	if w.aborted.Load() {
 		return false
 	}
-	for _, r := range list {
+	for _, c := range classes {
+		rg := w.rings[c]
+		w.requeueWaiters(rg)
+	}
+	for _, r := range ranks {
+		if w.ranks[r].status == rsWaitSlot {
+			w.ranks[r].status = rsQueued
+			w.runnable = append(w.runnable, r)
+		}
+	}
+	if len(w.runnable) > 0 || len(classes) > 0 || len(ranks) > 0 {
+		return true
+	}
+	alive := w.alive.Load()
+	if alive > 0 {
+		if w.stalled.Load() >= alive {
+			w.abort(fmt.Errorf("evsim: replay stalled: every rank is blocked and all %d running rank programs are parked (a mismatched SPMD program, or stream class members further apart than a ring of %d events)", alive, ringSize))
+			return false
+		}
+		return true
+	}
+	// All producers have exited and no doorbell is pending: requeue any
+	// rank still waiting for events (its ring has work or is drained and
+	// done); if none, the remaining ranks are blocked forever.
+	blocked := 0
+	for i := range w.ranks {
+		st := &w.ranks[i]
+		switch st.status {
+		case rsWaitEvent:
+			st.status = rsQueued
+			w.runnable = append(w.runnable, int32(i))
+		case rsWaitSlot, rsWaitRecv, rsWaitColl:
+			blocked++
+		}
+	}
+	if len(w.runnable) == 0 {
+		if blocked > 0 {
+			w.abort(fmt.Errorf("evsim: replay stalled with %d ranks blocked in communication after all programs finished recording (mismatched SPMD program)", blocked))
+		}
+		return false
+	}
+	return true
+}
+
+// requeueWaiters makes runnable every member parked at a ring's tail.
+func (w *World) requeueWaiters(rg *ring) {
+	for _, r := range rg.waiters {
 		if w.ranks[r].status == rsWaitEvent {
 			w.ranks[r].status = rsQueued
 			w.runnable = append(w.runnable, r)
 		}
 	}
-	if len(w.runnable) == 0 && w.alive.Load() == 0 {
-		// All producers have exited and no doorbell is pending: requeue
-		// any rank whose ring still has work (or is drained and done);
-		// if none, the remaining ranks are blocked forever.
-		blocked := 0
-		for i := range w.ranks {
-			st := &w.ranks[i]
-			switch st.status {
-			case rsWaitEvent:
-				st.status = rsQueued
-				w.runnable = append(w.runnable, int32(i))
-			case rsWaitRecv, rsWaitColl:
-				blocked++
-			}
-		}
-		if len(w.runnable) == 0 {
-			if blocked > 0 {
-				w.abort(fmt.Errorf("evsim: replay stalled with %d ranks blocked in communication after all programs finished recording (mismatched SPMD program)", blocked))
-			}
-			return false
-		}
-	}
-	return true
+	rg.waiters = rg.waiters[:0]
 }
 
-// advance resumes one rank's step function: it replays events until the
-// rank blocks, runs out of recorded events, or finishes. Returns true
-// when the rank's program is fully replayed.
+// comm resolves a slot beyond the consumer's copy of rank r's slot table
+// by refreshing the copy. nil means the rank has not obtained that
+// communicator yet: the producer will ring the doorbell when it does.
+func (w *World) comm(r int, slot int32) *commState {
+	st := &w.ranks[r]
+	pr := w.prods[r]
+	pr.mu.Lock()
+	st.comms = pr.comms
+	if int(slot) >= len(st.comms) {
+		pr.slotWait = true
+		pr.mu.Unlock()
+		return nil
+	}
+	pr.mu.Unlock()
+	return st.comms[slot]
+}
+
+// advance resumes one rank's step function: it replays events from the
+// rank's cursor until the rank blocks, reaches the ring's tail, or
+// finishes. Returns true when the rank's program is fully replayed.
 func (w *World) advance(r int) bool {
 	st := &w.ranks[r]
 	if st.hasPending {
 		// A blocked receive was resumed: its message is now queued.
+		cs := st.comms[st.pendingEv.slot]
 		ok := false
 		if st.pendingEv.kind == evRecv {
-			ok = w.tryRecv(r, st.pendingEv)
+			ok = w.tryRecv(r, cs, st.pendingEv)
 		} else {
-			ok = w.trySRRecv(r, st.pendingEv)
+			ok = w.trySRRecv(r, cs, st.pendingEv)
 		}
 		if !ok {
 			st.status = rsWaitRecv
@@ -169,7 +226,7 @@ func (w *World) advance(r int) bool {
 		if w.aborted.Load() {
 			return false
 		}
-		h := ring.head.Load()
+		h := st.pos
 		t := ring.tail.Load()
 		if h == t {
 			if ring.done.Load() {
@@ -180,30 +237,42 @@ func (w *World) advance(r int) bool {
 				return true
 			}
 			st.status = rsWaitEvent
+			ring.waiters = append(ring.waiters, int32(r))
 			ring.hungry.Store(true)
 			if ring.tail.Load() != h || ring.done.Load() {
 				// The producer published (or exited) between our check and
 				// the hungry store; reclaim the doorbell if it has not
 				// been taken, else its wake is already queued.
 				if ring.hungry.CompareAndSwap(true, false) {
-					st.status = rsQueued
-					continue
+					w.requeueWaiters(ring)
 				}
 			}
 			return false
 		}
-		// Batch: replay the whole visible run, publishing the consumed
-		// head (and possibly waking the producer) once at the end or at
-		// the first blocking event. Events are read in place — the
-		// producer cannot overwrite a slot before head is published.
+		// Batch: replay the whole visible run, moving the cursor (and
+		// possibly freeing chunks) once at the end or at the first
+		// blocking event. Events are read in place — the producer cannot
+		// overwrite a slot before every member has passed it.
 		buf := ring.buf
 		for ; h != t; h++ {
 			ev := &buf[h&ringMask]
+			var cs *commState
+			if ev.kind < evGemm {
+				// Communication: the slot names one of this rank's own
+				// communicators.
+				if int(ev.slot) < len(st.comms) {
+					cs = st.comms[ev.slot]
+				} else if cs = w.comm(r, ev.slot); cs == nil {
+					st.status = rsWaitSlot
+					st.moveTo(h)
+					return false
+				}
+			}
 			switch ev.kind {
 			case evBcast:
-				if w.arrive(r, *ev) {
+				if w.arrive(r, cs, ev) {
 					st.status = rsWaitColl
-					ring.release(h + 1)
+					st.moveTo(h + 1)
 					return false
 				}
 			case evGemm:
@@ -239,27 +308,35 @@ func (w *World) advance(r int) bool {
 					w.doAxpyOverlap(r, flops)
 				}
 			case evSend:
-				w.doSend(r, *ev)
+				w.doSend(r, cs, ev)
 			case evRecv:
-				if !w.tryRecv(r, *ev) {
+				if !w.tryRecv(r, cs, *ev) {
 					st.pendingEv, st.hasPending = *ev, true
 					st.status = rsWaitRecv
-					ring.release(h + 1)
+					st.moveTo(h + 1)
 					return false
 				}
 			case evSRSend:
-				w.doSRSend(r, *ev)
+				w.doSRSend(r, cs, ev)
 			case evSRRecv:
-				if !w.trySRRecv(r, *ev) {
+				if !w.trySRRecv(r, cs, *ev) {
 					st.pendingEv, st.hasPending = *ev, true
 					st.status = rsWaitRecv
-					ring.release(h + 1)
+					st.moveTo(h + 1)
 					return false
 				}
 			}
 		}
-		ring.release(t)
+		st.moveTo(t)
 	}
+}
+
+// moveTo advances the rank's cursor, handing back to the producer every
+// chunk the class's slowest member has now passed.
+func (st *rankState) moveTo(pos uint64) {
+	old := st.pos
+	st.pos = pos
+	st.ring.pass(old, pos)
 }
 
 // doGemmOverlap advances the rank's dedicated compute timeline (double
@@ -290,8 +367,7 @@ func (w *World) doAxpyOverlap(me int, flops float64) {
 
 // doSend replays an eager send: the sender is occupied for the transfer
 // and the message is queued carrying the sender's pre-send clock.
-func (w *World) doSend(me int, ev event) {
-	cs := ev.comm
+func (w *World) doSend(me int, cs *commState, ev *event) {
 	dstW := cs.ranks[ev.a]
 	clocks := w.sim.Clocks()
 	t0 := clocks[me]
@@ -309,8 +385,7 @@ func (w *World) doSend(me int, ev event) {
 // doSRSend replays the send half of a SendRecv: both directions share the
 // caller's clock snapshot, and the shift charges the communicator's full
 // flow count exactly like the goroutine engine.
-func (w *World) doSRSend(me int, ev event) {
-	cs := ev.comm
+func (w *World) doSRSend(me int, cs *commState, ev *event) {
 	st := &w.ranks[me]
 	dstW := cs.ranks[ev.a]
 	t0 := w.sim.Clocks()[me]
@@ -353,8 +428,7 @@ func (w *World) take(me int, k msgKey) (vMsg, bool) {
 // tryRecv replays a receive: the receiver advances to max(own clock,
 // sender's send-time) plus the transfer time. False means no matching
 // send has been replayed yet.
-func (w *World) tryRecv(me int, ev event) bool {
-	cs := ev.comm
+func (w *World) tryRecv(me int, cs *commState, ev event) bool {
 	m, ok := w.take(me, msgKey{cs: cs, src: ev.a, tag: ev.b, dst: int32(me)})
 	if !ok {
 		return false
@@ -381,8 +455,7 @@ func (w *World) tryRecv(me int, ev event) bool {
 // trySRRecv replays the receive half of a SendRecv: the call completes at
 // the slower of the two directions, both measured from the snapshot the
 // send half took.
-func (w *World) trySRRecv(me int, ev event) bool {
-	cs := ev.comm
+func (w *World) trySRRecv(me int, cs *commState, ev event) bool {
 	st := &w.ranks[me]
 	m, ok := w.take(me, msgKey{cs: cs, src: ev.a, tag: ev.b, dst: int32(me)})
 	if !ok {
@@ -413,34 +486,40 @@ func (w *World) trySRRecv(me int, ev event) bool {
 // gather coordinates one collective: arrivals are counted, members past
 // the first park, and the last arrival fires the schedule.
 type gather struct {
-	arrived  int32
+	arrived int32
+	sig     collSig
+	parked  []int32
+}
+
+// collSig is what the members of a broadcast must agree on, and all that
+// its schedule and traffic depend on besides the communicator.
+type collSig struct {
 	alg      uint8
 	root     int32
 	segments int32
 	elems    int32
-	parked   []int32
 }
 
 // arrive records one collective arrival; when the last member arrives the
 // collective executes and every parked member is requeued. Returns true
 // when the caller must park.
-func (w *World) arrive(me int, ev event) bool {
-	cs := ev.comm
+func (w *World) arrive(me int, cs *commState, ev *event) bool {
 	g := &cs.g
+	sig := collSig{alg: ev.alg, root: ev.a, segments: ev.b, elems: ev.c}
 	if !cs.gActive {
 		cs.gActive = true
 		cs.gSeq = ev.d
-		g.alg, g.root, g.segments, g.elems = ev.alg, ev.a, ev.b, ev.c
-	} else if cs.gSeq != ev.d || g.alg != ev.alg || g.root != ev.a || g.segments != ev.b || g.elems != ev.c {
+		g.sig = sig
+	} else if cs.gSeq != ev.d || g.sig != sig {
 		w.abort(fmt.Errorf("evsim: bcast mismatch on world rank %d: op %d (%s root=%d seg=%d n=%d) vs live op %d (%s root=%d seg=%d n=%d)",
-			me, ev.d, algName(ev.alg), ev.a, ev.b, ev.c, cs.gSeq, algName(g.alg), g.root, g.segments, g.elems))
+			me, ev.d, algName(ev.alg), ev.a, ev.b, ev.c, cs.gSeq, algName(g.sig.alg), g.sig.root, g.sig.segments, g.sig.elems))
 		return false
 	}
 	g.arrived++
 	if int(g.arrived) == len(cs.ranks) {
 		cs.gActive = false
 		g.arrived = 0
-		w.execColl(cs, g)
+		w.execColl(cs, g.sig)
 		for _, pr := range g.parked {
 			w.ranks[pr].status = rsQueued
 			w.runnable = append(w.runnable, pr)
@@ -452,7 +531,7 @@ func (w *World) arrive(me int, ev event) bool {
 	return true
 }
 
-// --- Collective execution and the rank-symmetry fast path. ---
+// --- Collective execution and the rank-symmetry memo. ---
 
 // memoKey identifies a collective execution up to everything its outcome
 // depends on under uniform links: the schedule (pointer identity from the
@@ -487,14 +566,18 @@ const memoCap = 4096
 
 // execColl fires a complete collective through the same Hockney cost code
 // as the goroutine engine, sharing executions between clock-equal sibling
-// collectives where the symmetry fast path applies.
-func (w *World) execColl(cs *commState, g *gather) {
-	s, err := w.caches.Broadcast(algName(g.alg), len(cs.ranks), int(g.root), int(g.segments))
-	if err != nil {
-		w.abort(fmt.Errorf("evsim: bcast: %v", err))
-		return
+// collectives where the symmetry memo applies.
+func (w *World) execColl(cs *commState, sig collSig) {
+	if cs.lastSched == nil || cs.last != sig {
+		s, err := w.caches.Broadcast(algName(sig.alg), len(cs.ranks), int(sig.root), int(sig.segments))
+		if err != nil {
+			w.abort(fmt.Errorf("evsim: bcast: %v", err))
+			return
+		}
+		cs.last, cs.lastSched, cs.lastTraffic = sig, s, w.caches.Traffic(s, int(sig.elems))
 	}
-	elems := int(g.elems)
+	s, traffic := cs.lastSched, cs.lastTraffic
+	elems := int(sig.elems)
 	if w.memoEnabled {
 		clocks := w.sim.Clocks()
 		t0 := clocks[cs.ranks[0]]
@@ -506,7 +589,7 @@ func (w *World) execColl(cs *commState, g *gather) {
 			}
 		}
 		if uniform {
-			k := memoKey{sched: s, elems: g.elems, t0: t0}
+			k := memoKey{sched: s, elems: sig.elems, t0: t0}
 			if e, ok := w.memo[k]; ok {
 				comm := w.sim.CommTimes()
 				for i, m := range cs.ranks {
@@ -515,11 +598,11 @@ func (w *World) execColl(cs *commState, g *gather) {
 				for _, a := range e.advs {
 					comm[cs.ranks[a.role]] += a.delta
 				}
-				w.applyTraffic(s, elems, cs.ranks)
+				w.applyTraffic(traffic, cs.ranks)
 				// Memoised executions still emit one span per member —
 				// from the shared start clock to the replayed final —
 				// so span counts match the goroutine engine exactly.
-				w.emitCollSpans(s, elems, cs.ranks, nil, t0)
+				w.emitCollSpans(traffic, elems, cs.ranks, nil, t0)
 				return
 			}
 			// Miss: execute once, capturing the outcome for the siblings.
@@ -541,8 +624,8 @@ func (w *World) execColl(cs *commState, g *gather) {
 				w.memo = make(map[memoKey]*memoEntry)
 			}
 			w.memo[k] = e
-			w.applyTraffic(s, elems, cs.ranks)
-			w.emitCollSpans(s, elems, cs.ranks, nil, t0)
+			w.applyTraffic(traffic, cs.ranks)
+			w.emitCollSpans(traffic, elems, cs.ranks, nil, t0)
 			return
 		}
 	}
@@ -555,15 +638,15 @@ func (w *World) execColl(cs *commState, g *gather) {
 		}
 	}
 	w.sim.ExecOne(simnet.Collective{Sched: s, Members: cs.ranks, PayloadBytes: float64(elems)})
-	w.applyTraffic(s, elems, cs.ranks)
-	w.emitCollSpans(s, elems, cs.ranks, pre, 0)
+	w.applyTraffic(traffic, cs.ranks)
+	w.emitCollSpans(traffic, elems, cs.ranks, pre, 0)
 }
 
 // applyTraffic adds the collective's cached per-role traffic deltas to
 // the members — the same cache, and the same integer byte split, as the
 // goroutine engine.
-func (w *World) applyTraffic(s *sched.Schedule, elems int, members []int) {
-	for i, d := range w.caches.Traffic(s, elems) {
+func (w *World) applyTraffic(traffic []simnet.VRankStats, members []int) {
+	for i, d := range traffic {
 		st := &w.stats[members[i]]
 		st.SentMessages += d.SentMessages
 		st.SentBytes += d.SentBytes
@@ -574,12 +657,12 @@ func (w *World) applyTraffic(s *sched.Schedule, elems int, members []int) {
 // has advanced the clocks: from pre[i] (or the uniform start t0 on the
 // memo paths, where pre is nil) to the member's final clock. No-op when
 // tracing is off.
-func (w *World) emitCollSpans(s *sched.Schedule, elems int, members []int, pre []float64, t0 float64) {
+func (w *World) emitCollSpans(traffic []simnet.VRankStats, elems int, members []int, pre []float64, t0 float64) {
 	if w.rec == nil {
 		return
 	}
 	clocks := w.sim.Clocks()
-	for i, d := range w.caches.Traffic(s, elems) {
+	for i, d := range traffic {
 		m := members[i]
 		p0 := t0
 		if pre != nil {

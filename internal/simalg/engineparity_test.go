@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
-	"repro/internal/evsim"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/simnet"
@@ -23,8 +22,13 @@ import (
 // preset, with and without contention. This is what lets "auto" switch
 // engines purely on host wall time.
 
-// engineRun executes a spec on one engine and returns per-rank clocks,
-// comm times and traffic.
+// eventPerRank is the event engine with stream classes off: every rank
+// records its own program, the reference the classed replay must match.
+const eventPerRank engine.Executor = "event-per-rank"
+
+// engineRun executes a spec on one engine — the event engine through
+// engine.EventWorld, the entry engine.Simulate uses — and returns per-rank
+// clocks, comm times and traffic.
 func engineRun(t *testing.T, spec engine.Spec, vcfg simnet.VConfig, ex engine.Executor) (clocks, commT []float64, stats []simnet.VRankStats) {
 	t.Helper()
 	g := spec.Opts.Grid
@@ -48,8 +52,11 @@ func engineRun(t *testing.T, spec engine.Spec, vcfg simnet.VConfig, ex engine.Ex
 	}
 	var sim *simnet.Sim
 	switch ex {
-	case engine.ExecutorEvent:
-		w := evsim.NewWorld(g.Size(), vcfg)
+	case engine.ExecutorEvent, eventPerRank:
+		w := engine.EventWorld(spec, vcfg)
+		if ex == eventPerRank {
+			w.SetClasses(nil)
+		}
 		err = w.Run(rank)
 		sim, stats = w.Sim(), w.Stats()
 	default:
@@ -110,7 +117,9 @@ func parityPlatforms() map[string]machine.Platform {
 }
 
 // TestEngineParity is the table-driven bit-identity check: five
-// algorithms × five platform presets × contention off/on.
+// algorithms × five platform presets × contention off/on, each run on the
+// goroutine engine, the event engine with the spec's stream classes, and
+// the event engine with one class per rank.
 func TestEngineParity(t *testing.T) {
 	for algName, spec := range paritySpecs(t) {
 		for pfName, pf := range parityPlatforms() {
@@ -123,16 +132,18 @@ func TestEngineParity(t *testing.T) {
 						vcfg.Contention = simnet.ContentionFor(pf, spec.Opts.Grid.Size(), true)
 					}
 					gc, gm, gs := engineRun(t, spec, vcfg, engine.ExecutorGoroutine)
-					ec, em, es := engineRun(t, spec, vcfg, engine.ExecutorEvent)
-					for r := range gc {
-						if gc[r] != ec[r] {
-							t.Fatalf("rank %d clock: goroutine %v vs event %v", r, gc[r], ec[r])
-						}
-						if gm[r] != em[r] {
-							t.Fatalf("rank %d comm time: goroutine %v vs event %v", r, gm[r], em[r])
-						}
-						if gs[r] != es[r] {
-							t.Fatalf("rank %d traffic: goroutine %+v vs event %+v", r, gs[r], es[r])
+					for _, ex := range []engine.Executor{engine.ExecutorEvent, eventPerRank} {
+						ec, em, es := engineRun(t, spec, vcfg, ex)
+						for r := range gc {
+							if gc[r] != ec[r] {
+								t.Fatalf("rank %d clock: goroutine %v vs %s %v", r, gc[r], ex, ec[r])
+							}
+							if gm[r] != em[r] {
+								t.Fatalf("rank %d comm time: goroutine %v vs %s %v", r, gm[r], ex, em[r])
+							}
+							if gs[r] != es[r] {
+								t.Fatalf("rank %d traffic: goroutine %+v vs %s %+v", r, gs[r], ex, es[r])
+							}
 						}
 					}
 				})
