@@ -2,6 +2,7 @@ package hsumma
 
 import (
 	"testing"
+	"time"
 )
 
 // AlgAuto on the live path: the planner picks the whole configuration and
@@ -118,5 +119,26 @@ func TestPlanAPI(t *testing.T) {
 	after := PlannerCounters()
 	if after.CacheHits <= before.CacheHits {
 		t.Fatalf("cache hits did not advance: %+v -> %+v", before, after)
+	}
+}
+
+// Full-mode planning at the exascale point (p = 2^20 on a 1024×1024 grid)
+// enumerates group counts by divisor pairs; trying every G in 1..p with
+// every divisor of G did not finish. Analytic-only, it must plan in well
+// under a second.
+func TestPlanExascaleAnalyticUnderASecond(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing bound does not hold under the race detector")
+	}
+	start := time.Now()
+	pl, err := Plan(PlanConfig{Platform: PlatformExascale(), N: 1 << 22, Procs: 1 << 20, AnalyticOnly: true, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("p=2^20 analytic plan took %v, want < 1s", el)
+	}
+	if len(pl.Ranked) == 0 || pl.Best.Candidate.Grid.Size() != 1<<20 {
+		t.Fatalf("degenerate plan: %+v", pl.Best)
 	}
 }

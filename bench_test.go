@@ -137,12 +137,12 @@ func simHSUMMA(n int, h topo.Hier, kn core.Knobs, vcfg simnet.VConfig, ex Engine
 func BenchmarkAblationBroadcast(b *testing.B) {
 	g := topo.Grid{S: 128, T: 128}
 	h, _ := topo.FactorGroups(g, 128)
-	for _, alg := range []sched.Algorithm{sched.Binomial, sched.VanDeGeijn, sched.Binary, sched.Chain} {
+	for _, alg := range sched.Algorithms() {
 		alg := alg
 		b.Run(string(alg), func(b *testing.B) {
 			var comm float64
 			for i := 0; i < b.N; i++ {
-				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: alg, Segments: 8},
+				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: alg},
 					simnet.VConfig{Model: machine.BlueGenePCalibrated().Model}, EngineAuto)
 				if err != nil {
 					b.Fatal(err)

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/model"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func main() {
 		n      = flag.Int("n", 65536, "matrix dimension")
 		p      = flag.Int("p", 16384, "processor count")
 		b      = flag.Int("b", 256, "block size (b = B)")
-		bcast  = flag.String("bcast", "vandegeijn", "broadcast model: binomial, vandegeijn, flat")
+		bcast  = flag.String("bcast", "vandegeijn", "broadcast model: binomial, vandegeijn")
 	)
 	flag.Parse()
 
@@ -46,17 +47,12 @@ func main() {
 		par.Machine.Alpha, par.Machine.Beta, par.Machine.Gamma = *alpha, *beta, *gamma
 		fmt.Printf("machine: %v\n", par.Machine)
 	}
-	switch *bcast {
-	case "binomial":
-		par.Bcast = model.BinomialTree{}
-	case "vandegeijn":
-		par.Bcast = model.VanDeGeijn{}
-	case "flat":
-		par.Bcast = model.FlatTree{}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown broadcast model %q\n", *bcast)
+	alg, err := sched.ByName(*bcast)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	par.Bcast = model.For(alg)
 
 	ratio := par.Machine.Alpha / par.Machine.Beta
 	threshold := 2 * float64(*n) * float64(*b) / float64(*p)

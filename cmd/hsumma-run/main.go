@@ -57,7 +57,7 @@ func main() {
 		k      = flag.Int("k", 0, "contraction dimension K; 0 = n")
 		alg    = flag.String("alg", "hsumma", "algorithm: summa, hsumma, multilevel, cannon, fox, strassen, auto")
 		auto   = flag.Bool("auto", false, "let the planner pick the configuration (same as -alg auto)")
-		bcast  = flag.String("bcast", "binomial", "broadcast: binomial, vandegeijn, flat, binary, chain")
+		bcast  = flag.String("bcast", "binomial", "broadcast: binomial, vandegeijn")
 		levels = flag.String("levels", "", "multilevel hierarchy, outermost first, e.g. 2x2:64,2x2:32 (IxJ:blocksize); empty degenerates to SUMMA")
 		pf     = flag.String("platform", "grid5000", "machine preset: grid5000[-cal], bgp[-cal], exascale (sim timing; auto-planning target in both modes)")
 		seed   = flag.Uint64("seed", 42, "input matrix seed (live mode)")

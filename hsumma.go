@@ -140,9 +140,6 @@ func EngineByName(name string) (Engine, error) {
 const (
 	BcastBinomial   = sched.Binomial
 	BcastVanDeGeijn = sched.VanDeGeijn
-	BcastFlat       = sched.Flat
-	BcastBinary     = sched.Binary
-	BcastChain      = sched.Chain
 )
 
 // BroadcastByName maps a CLI-friendly name to a broadcast algorithm. The
@@ -177,10 +174,9 @@ type Config struct {
 	OuterBlockSize int
 	// Levels configures AlgMultilevel (outermost first).
 	Levels []core.Level
-	// Broadcast selects the collective algorithm (default binomial).
+	// Broadcast selects the collective algorithm: BcastBinomial (the
+	// default) or BcastVanDeGeijn.
 	Broadcast sched.Algorithm
-	// Segments is the chain-broadcast pipeline depth.
-	Segments int
 	// Threads is the per-rank thread budget for local multiplies — the
 	// hybrid MPI+OpenMP analog: ranks with Threads > 1 run their panel
 	// multiplies goroutine-parallel over disjoint C row bands. 0 and 1
@@ -257,7 +253,6 @@ func (cfg Config) resolveParams(shape Shape) (tune.ResolveParams, error) {
 		OuterBlockSize:      cfg.OuterBlockSize,
 		Levels:              cfg.Levels,
 		Broadcast:           cfg.Broadcast,
-		Segments:            cfg.Segments,
 		Threads:             cfg.Threads,
 		StrassenLevels:      cfg.StrassenLevels,
 		StrassenInnerGroups: cfg.StrassenInnerGroups,

@@ -214,10 +214,6 @@ func TestBroadcastByName(t *testing.T) {
 		"vandegeijn":        BcastVanDeGeijn,
 		"vdg":               BcastVanDeGeijn,
 		"scatter-allgather": BcastVanDeGeijn,
-		"flat":              BcastFlat,
-		"binary":            BcastBinary,
-		"chain":             BcastChain,
-		"pipeline":          BcastChain,
 	}
 	for name, want := range cases {
 		got, err := BroadcastByName(name)
@@ -229,9 +225,12 @@ func TestBroadcastByName(t *testing.T) {
 		}
 	}
 	// Unknown names used to silently fall back to binomial; they must now
-	// be rejected.
-	if _, err := BroadcastByName("binomal"); err == nil {
-		t.Fatal("typo'd broadcast name accepted")
+	// be rejected, as must the retired schedules, naming the two the
+	// paper's cost tables cover.
+	for _, name := range []string{"binomal", "flat", "binary", "chain", "pipeline"} {
+		if _, err := BroadcastByName(name); err == nil || !strings.Contains(err.Error(), "binomial, vandegeijn") {
+			t.Fatalf("BroadcastByName(%q): err %v, want one naming binomial, vandegeijn", name, err)
+		}
 	}
 }
 

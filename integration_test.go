@@ -9,7 +9,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/topo"
 )
 
@@ -134,27 +133,6 @@ func TestAllAlgorithmsAgreeEndToEnd(t *testing.T) {
 		}
 		if d := MaxAbsDiff(got, want); d > 1e-10 {
 			t.Fatalf("%s differs from reference by %g", cfg.Algorithm, d)
-		}
-	}
-}
-
-// The chain broadcast's pipeline depth is a pure performance knob: any
-// segment count yields the same product.
-func TestChainSegmentsDontChangeResults(t *testing.T) {
-	n := 16
-	a := RandomMatrix(n, n, 21)
-	bb := RandomMatrix(n, n, 22)
-	want := Reference(a, bb)
-	for _, segs := range []int{1, 2, 5, 16, 100} {
-		got, _, err := Multiply(a, bb, Config{
-			Procs: 4, Algorithm: AlgSUMMA, BlockSize: 4,
-			Broadcast: sched.Chain, Segments: segs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := MaxAbsDiff(got, want); d > 1e-10 {
-			t.Fatalf("segments=%d off by %g", segs, d)
 		}
 	}
 }

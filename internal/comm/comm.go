@@ -147,9 +147,10 @@ type Comm interface {
 	// and recv may be the same panel (rotate in place).
 	SendRecv(dst, sendTag int, send *Panel, src, recvTag int, recv *Panel)
 	// Bcast broadcasts root's panel to every rank, executing the named
-	// algorithm's schedule from internal/sched transfer by transfer.
-	// segments is the chain pipeline depth (pass 1 otherwise).
-	Bcast(alg sched.Algorithm, root int, p *Panel, segments int)
+	// algorithm's schedule from internal/sched transfer by transfer:
+	// binomial forwards the whole panel, Van de Geijn reassembles it in
+	// place from p segments.
+	Bcast(alg sched.Algorithm, root int, p *Panel)
 
 	// NewPanel allocates an empty rows×cols panel.
 	NewPanel(rows, cols int) *Panel

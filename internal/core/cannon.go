@@ -103,7 +103,7 @@ func Fox(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 		if j == root {
 			c.Pack(aPanel, aLoc)
 		}
-		rowComm.Bcast(o.Broadcast, root, aPanel, 1)
+		rowComm.Bcast(o.Broadcast, root, aPanel)
 		c.Gemm(cLoc, &aPanel.Tile, &b.Tile, x)
 		if k == q-1 {
 			break

@@ -49,12 +49,9 @@ type Knobs struct {
 	// groups per HSUMMA outer step. Zero means B = b, the configuration
 	// used in all the paper's experiments. Must be a multiple of b.
 	OuterBlockSize int `json:"outer_block_size,omitempty"`
-	// Broadcast selects the broadcast schedule for every collective;
-	// defaults to binomial.
+	// Broadcast selects the broadcast schedule for every collective:
+	// binomial (the default) or Van de Geijn.
 	Broadcast sched.Algorithm `json:"broadcast,omitempty"`
-	// Segments is the pipeline depth for the chain broadcast (ignored
-	// otherwise).
-	Segments int `json:"segments,omitempty"`
 	// Threads is the per-rank thread budget for the local multiply — the
 	// Go analog of OpenMP threads inside each MPI process. Values ≤ 1
 	// mean serial (the default); the live transport splits each rank's
@@ -110,9 +107,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Broadcast == "" {
 		out.Broadcast = sched.Binomial
-	}
-	if out.Segments <= 0 {
-		out.Segments = 1
 	}
 	if out.Threads < 1 {
 		out.Threads = 1

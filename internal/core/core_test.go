@@ -84,7 +84,7 @@ func TestSUMMABroadcastAlgorithms(t *testing.T) {
 	for _, alg := range sched.Algorithms() {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
-			o := Options{N: 16, Grid: topo.Grid{S: 2, T: 4}, Knobs: Knobs{BlockSize: 4, Broadcast: alg, Segments: 2}}
+			o := Options{N: 16, Grid: topo.Grid{S: 2, T: 4}, Knobs: Knobs{BlockSize: 4, Broadcast: alg}}
 			runAlgorithm(t, o, SUMMA)
 		})
 	}

@@ -201,7 +201,7 @@ func (s stubComm) Split(color, key int) comm.Comm                        { retur
 func (s stubComm) Send(int, int, *comm.Panel)                            {}
 func (s stubComm) Recv(int, int, *comm.Panel)                            {}
 func (s stubComm) SendRecv(int, int, *comm.Panel, int, int, *comm.Panel) {}
-func (s stubComm) Bcast(sched.Algorithm, int, *comm.Panel, int)          {}
+func (s stubComm) Bcast(sched.Algorithm, int, *comm.Panel)               {}
 func (s stubComm) NewPanel(rows, cols int) *comm.Panel {
 	return &comm.Panel{Tile: matrix.Dense{Rows: rows, Cols: cols, Stride: cols}}
 }

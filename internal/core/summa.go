@@ -77,7 +77,6 @@ type stage struct {
 type pivot struct {
 	c              comm.Comm
 	bcast          sched.Algorithm
-	segments       int
 	exec           comm.Exec
 	cLoc           *matrix.Dense
 	last           int // index of the innermost stage
@@ -158,7 +157,7 @@ func pivotLoop(c comm.Comm, opts *Options, levels []Level, aLoc, bLoc, cLoc *mat
 	// each of them another stack doubling (measured: +15 % host time at
 	// p=2048).
 	var p pivot
-	p.c, p.bcast, p.segments, p.exec = c, o.Broadcast, o.Segments, o.Exec()
+	p.c, p.bcast, p.exec = c, o.Broadcast, o.Exec()
 	p.i, p.j, p.aLoc, p.bLoc, p.cLoc = i, j, aLoc, bLoc, cLoc
 	p.last, p.ownerCol, p.ownerRow = len(levels), -1, -1
 	if extra := p.last + 1 - len(p.few); extra > 0 {
@@ -250,7 +249,7 @@ func (p *pivot) walk(K, aCols, bRows int) {
 					c.Repack(st.aPanel, p.stage(k-1).aPanel, 0, st.off)
 				}
 			}
-			st.aComm.Bcast(p.bcast, st.aRoot, st.aPanel, p.segments)
+			st.aComm.Bcast(p.bcast, st.aRoot, st.aPanel)
 		}
 		if st.bRoot >= 0 {
 			if st.myI == st.bRoot {
@@ -260,7 +259,7 @@ func (p *pivot) walk(K, aCols, bRows int) {
 					c.Repack(st.bPanel, p.stage(k-1).bPanel, st.off, 0)
 				}
 			}
-			st.bComm.Bcast(p.bcast, st.bRoot, st.bPanel, p.segments)
+			st.bComm.Bcast(p.bcast, st.bRoot, st.bPanel)
 		}
 		if k < p.last {
 			k++

@@ -116,8 +116,7 @@ func ResolveExecutor(e Executor, alg Algorithm, overlap bool) (Executor, error) 
 type Spec struct {
 	Algorithm Algorithm
 	// Opts carries the Shape (with N as the square shorthand), Grid,
-	// BlockSize, OuterBlockSize, Groups, Broadcast and Segments (see
-	// core.Options).
+	// BlockSize, OuterBlockSize, Groups and Broadcast (see core.Options).
 	Opts core.Options
 	// Levels configures Multilevel (outermost first); the inner block is
 	// Opts.BlockSize.
@@ -144,8 +143,8 @@ func (s Spec) Shape() matrix.Shape {
 
 // Key returns the spec's canonical execution-shape key: a string under
 // which two specs are equal only when they describe the same execution —
-// algorithm, global shape, process grid, block sizes, group hierarchy,
-// broadcast and segmentation. Fields with a defaulted meaning are
+// algorithm, global shape, process grid, block sizes, group hierarchy and
+// broadcast. Fields with a defaulted meaning are
 // canonicalised (an empty Broadcast keys as binomial, OuterBlockSize 0 as
 // b), so a request that spells the default out loud shares a key with one
 // that leaves it blank. The serving layer (internal/serve) routes requests
@@ -160,14 +159,8 @@ func (s Spec) Key() string {
 	if bcast == "" {
 		bcast = sched.Binomial
 	}
-	// Segments are honoured only by the chain broadcast (sched.NewBroadcast
-	// defaults <= 0 to 1 and the other schedules ignore the knob), and
-	// HSUMMA's outer block B only by HSUMMA itself — key only what the
-	// execution reads.
-	seg := 1
-	if bcast == sched.Chain && s.Opts.Segments > 1 {
-		seg = s.Opts.Segments
-	}
+	// HSUMMA's outer block B is keyed only by HSUMMA itself — key only what
+	// the execution reads.
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%dx%dx%d|g=%dx%d|b=%d",
 		s.Algorithm, sh.M, sh.N, sh.K, s.Opts.Grid.S, s.Opts.Grid.T, s.Opts.BlockSize)
@@ -183,7 +176,10 @@ func (s Spec) Key() string {
 			fmt.Fprintf(&b, "|sg=%d|B=%d", s.Opts.StrassenInnerGroups, s.Opts.GroupLevels()[0].BlockSize)
 		}
 	}
-	fmt.Fprintf(&b, "|bc=%s|seg=%d", bcast, seg)
+	// seg=1 is constant: it is what is left of a retired pipelined
+	// broadcast's depth, kept so every key (session routing, plan-cache
+	// entries, /metrics labels) stays byte-identical.
+	fmt.Fprintf(&b, "|bc=%s|seg=1", bcast)
 	// The sub-cubic local kernel changes the arithmetic every rank runs
 	// (and its virtual flop accounting), so it is part of the identity for
 	// every algorithm; the cutoff is canonicalised through the blas rule.

@@ -22,7 +22,6 @@ func TestSpecKeyCanonicalisesDefaults(t *testing.T) {
 	explicit := base
 	explicit.Opts.Broadcast = sched.Binomial
 	explicit.Opts.OuterBlockSize = 16 // ignored by SUMMA — must not split the key
-	explicit.Opts.Segments = 1        // the non-chain default — ditto
 	if base.Key() != explicit.Key() {
 		t.Fatalf("defaulted and explicit specs key differently:\n  %s\n  %s", base.Key(), explicit.Key())
 	}
@@ -33,18 +32,10 @@ func TestSpecKeyCanonicalisesDefaults(t *testing.T) {
 		t.Fatal("distinct broadcasts must key differently")
 	}
 
-	// Segments matter exactly when the chain broadcast reads them.
-	chain := base
-	chain.Opts.Broadcast = sched.Chain
-	chain4 := chain
-	chain4.Opts.Segments = 4
-	if chain.Key() == chain4.Key() {
-		t.Fatal("chain pipeline depths must key differently")
-	}
-	segOnSumma := base
-	segOnSumma.Opts.Segments = 4
-	if base.Key() != segOnSumma.Key() {
-		t.Fatal("segments under a non-chain broadcast must not split the key")
+	// Keys are routing, plan-cache and /metrics identities: their bytes,
+	// including the constant seg=1 field, do not change.
+	if got, want := different.Key(), "summa|64x64x64|g=4x4|b=16|bc=vandegeijn|seg=1"; got != want {
+		t.Fatalf("key %q, want %q", got, want)
 	}
 
 	// HSUMMA's outer block B is execution-relevant there, and only there.

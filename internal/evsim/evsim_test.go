@@ -58,7 +58,7 @@ func TestAlgorithmPanicBecomesError(t *testing.T) {
 			panic("boom")
 		}
 		// The others park in a collective that can never complete.
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10))
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want the rank panic, got %v", err)
@@ -76,7 +76,7 @@ func TestBcastMismatchAborts(t *testing.T) {
 		if c.Rank() == 1 {
 			elems = 20
 		}
-		c.Bcast(sched.Binomial, root, c.NewPanel(1, elems), 1)
+		c.Bcast(sched.Binomial, root, c.NewPanel(1, elems))
 	})
 	if err == nil || !strings.Contains(err.Error(), "bcast mismatch") {
 		t.Fatalf("want bcast mismatch, got %v", err)
@@ -154,8 +154,8 @@ func TestSymmetryMemoShares(t *testing.T) {
 	err := w.Run(func(c comm.Comm) {
 		row := c.Rank() / cols
 		sub := c.Split(row, c.Rank()%cols)
-		sub.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096), 1)
-		sub.Bcast(sched.Binomial, 2, c.NewPanel(1, 128), 1)
+		sub.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096))
+		sub.Bcast(sched.Binomial, 2, c.NewPanel(1, 128))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestSymmetryMemoShares(t *testing.T) {
 func TestSingleRankWorld(t *testing.T) {
 	w := NewWorld(1, testCfg())
 	err := w.Run(func(c comm.Comm) {
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 5), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 5))
 		c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), comm.Serial)
 	})
 	if err != nil {
@@ -195,7 +195,7 @@ func TestClassDivergenceIsAnError(t *testing.T) {
 	w := NewWorld(2, testCfg())
 	w.SetClasses([]int{0, 0})
 	err := w.Run(func(c comm.Comm) {
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10))
 		c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), comm.Serial)
 		if c.Rank() == 1 {
 			c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), comm.Serial)
@@ -236,17 +236,17 @@ func TestClassDriftBeyondRingIsAnError(t *testing.T) {
 		panel := c.NewPanel(1, 8)
 		switch r {
 		case 0, 1:
-			s1.Bcast(sched.Binomial, 0, panel, 1)
+			s1.Bcast(sched.Binomial, 0, panel)
 			for i := 0; i < 2*ringSize; i++ {
 				c.Gemm(c.NewTile(2, 2), c.NewTile(2, 2), c.NewTile(2, 2), comm.Serial)
 			}
-			s2.Bcast(sched.Binomial, 0, panel, 1)
+			s2.Bcast(sched.Binomial, 0, panel)
 		case 2:
-			s2.Bcast(sched.Binomial, 0, panel, 1) // meets rank 1 after its Gemms
-			s1.Bcast(sched.Binomial, 0, panel, 1) // releases rank 0
+			s2.Bcast(sched.Binomial, 0, panel) // meets rank 1 after its Gemms
+			s1.Bcast(sched.Binomial, 0, panel) // releases rank 0
 		case 3:
-			s1.Bcast(sched.Binomial, 0, panel, 1)
-			s2.Bcast(sched.Binomial, 0, panel, 1)
+			s1.Bcast(sched.Binomial, 0, panel)
+			s2.Bcast(sched.Binomial, 0, panel)
 		}
 	}
 	if err := runWithin(t, NewWorld(4, testCfg()), program); err != nil {
@@ -271,9 +271,9 @@ func TestFollowerLateSplitReplays(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 		s2 := s1.Split(0, -r)
-		s2.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096), 2)
+		s2.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096))
 		c.Gemm(c.NewTile(8, 8), c.NewTile(8, 8), c.NewTile(8, 8), comm.Serial)
-		s2.Bcast(sched.Binomial, 1, c.NewPanel(1, 512), 1)
+		s2.Bcast(sched.Binomial, 1, c.NewPanel(1, 512))
 	}
 	ref := NewWorld(4, testCfg())
 	if err := runWithin(t, ref, program); err != nil {

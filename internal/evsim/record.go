@@ -193,7 +193,7 @@ func (c *rComm) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, r
 // Bcast records one collective arrival. The replay gathers the members by
 // the communicator's op sequence and fires the schedule when the last one
 // arrives.
-func (c *rComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel, segments int) {
+func (c *rComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel) {
 	p := len(c.cs.ranks)
 	if root < 0 || root >= p {
 		panic(fmt.Sprintf("evsim: bcast root %d outside communicator of %d", root, p))
@@ -204,7 +204,7 @@ func (c *rComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel, segments
 	seq := c.opSeq
 	c.opSeq++
 	c.p.push(event{slot: c.slot, kind: evBcast, alg: algCode(alg),
-		a: int32(root), b: int32(segments), c: ck32("bcast size", panel.Elems()), d: seq})
+		a: int32(root), c: ck32("bcast size", panel.Elems()), d: seq})
 }
 
 // splitGather coordinates one Split call, mirroring the goroutine engine.
@@ -366,23 +366,14 @@ func (c *rComm) Axpy(alpha float64, x, y *matrix.Dense) {
 
 // Broadcast algorithm codes: events carry a byte, not the schedule name.
 const (
-	algFlat = iota
-	algBinomial
-	algBinary
-	algChain
+	algBinomial = iota
 	algVanDeGeijn
 )
 
 func algCode(alg sched.Algorithm) uint8 {
 	switch alg {
-	case sched.Flat:
-		return algFlat
 	case sched.Binomial:
 		return algBinomial
-	case sched.Binary:
-		return algBinary
-	case sched.Chain:
-		return algChain
 	case sched.VanDeGeijn:
 		return algVanDeGeijn
 	default:
@@ -393,16 +384,8 @@ func algCode(alg sched.Algorithm) uint8 {
 }
 
 func algName(code uint8) sched.Algorithm {
-	switch code {
-	case algFlat:
-		return sched.Flat
-	case algBinomial:
+	if code == algBinomial {
 		return sched.Binomial
-	case algBinary:
-		return sched.Binary
-	case algChain:
-		return sched.Chain
-	default:
-		return sched.VanDeGeijn
 	}
+	return sched.VanDeGeijn
 }

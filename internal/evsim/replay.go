@@ -494,10 +494,9 @@ type gather struct {
 // collSig is what the members of a broadcast must agree on, and all that
 // its schedule and traffic depend on besides the communicator.
 type collSig struct {
-	alg      uint8
-	root     int32
-	segments int32
-	elems    int32
+	alg   uint8
+	root  int32
+	elems int32
 }
 
 // arrive records one collective arrival; when the last member arrives the
@@ -505,14 +504,14 @@ type collSig struct {
 // when the caller must park.
 func (w *World) arrive(me int, cs *commState, ev *event) bool {
 	g := &cs.g
-	sig := collSig{alg: ev.alg, root: ev.a, segments: ev.b, elems: ev.c}
+	sig := collSig{alg: ev.alg, root: ev.a, elems: ev.c}
 	if !cs.gActive {
 		cs.gActive = true
 		cs.gSeq = ev.d
 		g.sig = sig
 	} else if cs.gSeq != ev.d || g.sig != sig {
-		w.abort(fmt.Errorf("evsim: bcast mismatch on world rank %d: op %d (%s root=%d seg=%d n=%d) vs live op %d (%s root=%d seg=%d n=%d)",
-			me, ev.d, algName(ev.alg), ev.a, ev.b, ev.c, cs.gSeq, algName(g.sig.alg), g.sig.root, g.sig.segments, g.sig.elems))
+		w.abort(fmt.Errorf("evsim: bcast mismatch on world rank %d: op %d (%s root=%d n=%d) vs live op %d (%s root=%d n=%d)",
+			me, ev.d, algName(ev.alg), ev.a, ev.c, cs.gSeq, algName(g.sig.alg), g.sig.root, g.sig.elems))
 		return false
 	}
 	g.arrived++
@@ -569,7 +568,7 @@ const memoCap = 4096
 // collectives where the symmetry memo applies.
 func (w *World) execColl(cs *commState, sig collSig) {
 	if cs.lastSched == nil || cs.last != sig {
-		s, err := w.caches.Broadcast(algName(sig.alg), len(cs.ranks), int(sig.root), int(sig.segments))
+		s, err := w.caches.Broadcast(algName(sig.alg), len(cs.ranks), int(sig.root))
 		if err != nil {
 			w.abort(fmt.Errorf("evsim: bcast: %v", err))
 			return

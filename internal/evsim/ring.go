@@ -34,7 +34,7 @@ const (
 // class resolves it through its own table. The integer fields are
 // kind-specific:
 //
-//	evBcast:  a=root  b=segments c=elems  d=per-comm op sequence
+//	evBcast:  a=root             c=elems  d=per-comm op sequence
 //	evSend:   a=dst   b=tag      c=elems  d=caller's comm rank
 //	evRecv:   a=src   b=tag      c=elems
 //	evSRSend: a=dst   b=sendTag  c=elems  d=caller's comm rank

@@ -8,40 +8,24 @@ import (
 	"repro/internal/sched"
 )
 
-func TestFlatTreeModel(t *testing.T) {
-	f := FlatTree{}
-	if f.Latency(1) != 0 || f.Bandwidth(1) != 0 {
-		t.Fatal("flat L(1)/W(1) must be 0")
-	}
-	if f.Latency(9) != 8 || f.Bandwidth(9) != 8 {
-		t.Fatal("flat factors must be p-1")
-	}
-	if f.Name() != "flat" {
-		t.Fatal("name")
-	}
-	// Flat closed form matches the generated schedule exactly.
-	fs := NewFromSchedule(sched.Flat, 1)
-	for _, p := range []float64{2, 5, 9} {
-		if math.Abs(f.Latency(p)-fs.Latency(p)) > 1e-12 {
-			t.Fatalf("flat L(%g) mismatch", p)
-		}
-		if math.Abs(f.Bandwidth(p)-fs.Bandwidth(p)) > 1e-12 {
-			t.Fatalf("flat W(%g) mismatch", p)
-		}
-	}
-}
-
 func TestBroadcastModelNames(t *testing.T) {
 	if (BinomialTree{}).Name() != "binomial" || (VanDeGeijn{}).Name() != "vandegeijn" {
 		t.Fatal("model names wrong")
 	}
-	if NewFromSchedule(sched.Chain, 4).Name() != "sched:chain" {
+	if NewFromSchedule(sched.VanDeGeijn).Name() != "sched:vandegeijn" {
 		t.Fatal("schedule model name wrong")
+	}
+	// For maps each schedule to its own table's model, and the empty name
+	// to binomial.
+	for alg, want := range map[sched.Algorithm]string{"": "binomial", sched.Binomial: "binomial", sched.VanDeGeijn: "vandegeijn"} {
+		if got := For(alg).Name(); got != want {
+			t.Fatalf("For(%q) = %s, want %s", alg, got, want)
+		}
 	}
 }
 
 func TestFromScheduleCaches(t *testing.T) {
-	m := NewFromSchedule(sched.Binomial, 1)
+	m := NewFromSchedule(sched.Binomial)
 	a := m.Latency(64)
 	b := m.Latency(64) // second call hits the cache
 	if a != b {

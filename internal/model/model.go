@@ -71,34 +71,33 @@ func (VanDeGeijn) Bandwidth(p float64) float64 {
 // Name implements Broadcast.
 func (VanDeGeijn) Name() string { return "vandegeijn" }
 
-// FlatTree is the star broadcast: L(p) = W(p) = p − 1. Not used by the
-// paper's tables but useful in ablations.
-type FlatTree struct{}
-
-// Latency returns p − 1.
-func (FlatTree) Latency(p float64) float64 { return math.Max(0, p-1) }
-
-// Bandwidth returns p − 1.
-func (FlatTree) Bandwidth(p float64) float64 { return math.Max(0, p-1) }
-
-// Name implements Broadcast.
-func (FlatTree) Name() string { return "flat" }
+// For returns the closed-form model of a broadcast algorithm: Table I's
+// binomial tree or Table II's Van de Geijn (the empty name is binomial).
+// The planner's scorer and hsumma-model both map names through it.
+func For(alg sched.Algorithm) Broadcast {
+	switch alg {
+	case "", sched.Binomial:
+		return BinomialTree{}
+	case sched.VanDeGeijn:
+		return VanDeGeijn{}
+	}
+	panic(fmt.Sprintf("model: unknown broadcast algorithm %q", alg))
+}
 
 // FromSchedule derives L(p) and W(p) numerically from the actual schedules
 // in internal/sched: broadcast cost is affine in the message size for every
 // provided algorithm, so two evaluations per p recover the exact factors.
-// This ties the closed-form model to the executable schedules — the tests
-// assert the paper's closed forms agree with the generated schedules.
+// The tests use it as the schedules' reference: they assert the paper's
+// closed forms agree with the generated schedules.
 type FromSchedule struct {
-	Alg      sched.Algorithm
-	Segments int
+	Alg sched.Algorithm
 
 	cache map[int][2]float64
 }
 
 // NewFromSchedule returns a schedule-derived broadcast model.
-func NewFromSchedule(alg sched.Algorithm, segments int) *FromSchedule {
-	return &FromSchedule{Alg: alg, Segments: segments, cache: make(map[int][2]float64)}
+func NewFromSchedule(alg sched.Algorithm) *FromSchedule {
+	return &FromSchedule{Alg: alg, cache: make(map[int][2]float64)}
 }
 
 func (f *FromSchedule) factors(p float64) [2]float64 {
@@ -109,7 +108,7 @@ func (f *FromSchedule) factors(p float64) [2]float64 {
 	if v, ok := f.cache[ip]; ok {
 		return v
 	}
-	s, err := sched.NewBroadcast(f.Alg, ip, 0, f.Segments)
+	s, err := sched.NewBroadcast(f.Alg, ip, 0)
 	if err != nil {
 		panic(fmt.Sprintf("model: %v", err))
 	}

@@ -23,7 +23,7 @@ func exascaleParams() Params {
 
 // The degeneracy identity of Section IV: T_HS(G=1) = T_HS(G=p) = T_S.
 func TestHSUMMADegeneratesToSUMMA(t *testing.T) {
-	for _, bc := range []Broadcast{BinomialTree{}, VanDeGeijn{}, FlatTree{}} {
+	for _, bc := range []Broadcast{BinomialTree{}, VanDeGeijn{}} {
 		par := Params{N: 4096, P: 1024, B: 64, Machine: machine.Model{Alpha: 1e-5, Beta: 1e-9}, Bcast: bc}
 		s := SUMMA(par).Comm()
 		h1 := HSUMMA(par, 1).Comm()
@@ -83,8 +83,8 @@ func TestMaximumWhenConditionFails(t *testing.T) {
 // from the executable schedules (powers of two; vdg within the rounding of
 // its scatter phase).
 func TestClosedFormsMatchSchedules(t *testing.T) {
-	binSched := NewFromSchedule(sched.Binomial, 1)
-	vdgSched := NewFromSchedule(sched.VanDeGeijn, 1)
+	binSched := NewFromSchedule(sched.Binomial)
+	vdgSched := NewFromSchedule(sched.VanDeGeijn)
 	for _, p := range []float64{2, 4, 8, 16, 64, 128} {
 		if l, ls := (BinomialTree{}).Latency(p), binSched.Latency(p); math.Abs(l-ls) > 1e-9 {
 			t.Fatalf("binomial L(%g): closed %g sched %g", p, l, ls)
@@ -102,7 +102,7 @@ func TestClosedFormsMatchSchedules(t *testing.T) {
 }
 
 func TestFromScheduleP1IsZero(t *testing.T) {
-	m := NewFromSchedule(sched.Binomial, 1)
+	m := NewFromSchedule(sched.Binomial)
 	if m.Latency(1) != 0 || m.Bandwidth(1) != 0 {
 		t.Fatal("L(1) and W(1) must be 0 (paper's boundary condition)")
 	}

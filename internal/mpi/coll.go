@@ -15,17 +15,21 @@ import (
 // have identical length on all ranks; on non-roots its contents are
 // overwritten.
 //
-// segments is the pipeline depth for sched.Chain and is ignored by the
-// other algorithms (pass 1).
+// segments must be 1: it is what is left of the retired chain broadcast's
+// pipeline depth, kept only so the benchmark harness's call still compiles
+// until its next revision (ROADMAP item 1).
 func (c *Comm) Bcast(alg sched.Algorithm, root int, data []float64, segments int) {
-	c.bcast(alg, root, segments, data, nil)
+	if segments != 1 {
+		panic(fmt.Sprintf("mpi: bcast segments %d (only 1 is supported)", segments))
+	}
+	c.bcast(alg, root, data, nil)
 }
 
 // bcast is the one broadcast implementation behind both forms of the
 // call: the raw in-place form (data, with p nil) and the panel form (p,
 // with data nil). Whole-payload schedules forward one shared payload by
 // reference; segmented ones reassemble it in place on every member.
-func (c *Comm) bcast(alg sched.Algorithm, root, segments int, data []float64, p *comm.Panel) {
+func (c *Comm) bcast(alg sched.Algorithm, root int, data []float64, p *comm.Panel) {
 	size := c.Size()
 	if root < 0 || root >= size {
 		panic(fmt.Sprintf("mpi: bcast root %d outside communicator of %d", root, size))
@@ -42,7 +46,7 @@ func (c *Comm) bcast(alg sched.Algorithm, root, segments int, data []float64, p 
 	start := time.Now()
 	st := &c.world.stats[c.WorldRank()]
 	sentBefore := st.SentMessages
-	s, err := c.world.scheds.Broadcast(alg, size, root, segments)
+	s, err := c.world.scheds.Broadcast(alg, size, root)
 	if err != nil {
 		panic(fmt.Sprintf("mpi: bcast: %v", err))
 	}
@@ -158,7 +162,7 @@ func (c *Comm) Barrier() {
 		mask <<= 1
 	}
 	// Release phase: rank 0 broadcasts a token down the binomial tree.
-	s, err := c.world.scheds.Broadcast(sched.Binomial, p, 0, 1)
+	s, err := c.world.scheds.Broadcast(sched.Binomial, p, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -299,7 +299,7 @@ func TestBcastAllAlgorithms(t *testing.T) {
 								data[i] = float64(i * i)
 							}
 						}
-						c.Bcast(alg, root, data, 4)
+						c.Bcast(alg, root, data, 1)
 						for i := range data {
 							if data[i] != float64(i*i) {
 								t.Errorf("rank %d elem %d = %v", c.Rank(), i, data[i])
@@ -313,6 +313,11 @@ func TestBcastAllAlgorithms(t *testing.T) {
 				})
 			}
 		}
+	}
+	// The raw form's segment count is fixed at 1.
+	err := Run(2, func(c *Comm) { c.Bcast(sched.Binomial, 0, make([]float64, 4), 4) })
+	if err == nil || !strings.Contains(err.Error(), "segments 4") {
+		t.Fatalf("segments=4 not rejected: %v", err)
 	}
 }
 

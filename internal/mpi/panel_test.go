@@ -37,9 +37,9 @@ func TestPanelBcastStalledReceiver(t *testing.T) {
 		for _, root := range []int{0, 3} {
 			alg, root := alg, root
 			t.Run(fmt.Sprintf("%s/root%d", alg, root), func(t *testing.T) {
-				// The last rank in root-relative order is a leaf of every
-				// tree and the tail of the chain: nobody waits for it to
-				// forward, so everyone else can run on without it.
+				// The last rank in root-relative order is a leaf of the
+				// binomial tree: nobody waits for it to forward, so
+				// everyone else can run on without it.
 				staller := (root + p - 1) % p
 				// The ring allgather needs every member in every step, so
 				// there the root gets only as far as packing the next step.
@@ -58,7 +58,7 @@ func TestPanelBcastStalledReceiver(t *testing.T) {
 							tc.Pack(panel, src)
 							packed.Add(1)
 						}
-						tc.Bcast(alg, root, panel, 3)
+						tc.Bcast(alg, root, panel)
 						if c.Rank() == staller {
 							want := int64(min(s+1+ahead, steps))
 							for packed.Load() < want && !c.world.aborted.Load() {
@@ -101,7 +101,7 @@ func TestPanelOwnership(t *testing.T) {
 				panic("full-window Repack copied instead of sharing")
 			}
 		}
-		tc.Bcast(sched.VanDeGeijn, 0, inner, 1)
+		tc.Bcast(sched.VanDeGeijn, 0, inner)
 		filled("after segmented bcast", &inner.Tile, 1)
 		if r == 0 {
 			filled("outer after inner's segmented bcast", &outer.Tile, 1)
@@ -147,7 +147,7 @@ func TestPanelOwnership(t *testing.T) {
 func TestEmptyPanelSendAborts(t *testing.T) {
 	err := Run(2, func(c *Comm) {
 		tc := AsComm(c)
-		tc.Bcast(sched.Binomial, 0, tc.NewPanel(2, 2), 1)
+		tc.Bcast(sched.Binomial, 0, tc.NewPanel(2, 2))
 	})
 	if err == nil || !strings.Contains(err.Error(), "empty panel") {
 		t.Fatalf("expected an empty-panel abort, got %v", err)
@@ -178,7 +178,7 @@ func TestPersistentPanicThenReuse(t *testing.T) {
 					src.Fill(base + float64(s))
 					tc.Pack(panel, src)
 				}
-				tc.Bcast(sched.Binomial, root, panel, 1)
+				tc.Bcast(sched.Binomial, root, panel)
 				if s == failAt && c.Rank() == p-1 {
 					panic("injected failure")
 				}

@@ -32,7 +32,7 @@ func TestPersistentSuccessiveRuns(t *testing.T) {
 			}
 			sub := c.Split(r%2, r)
 			data := []float64{float64(run * 10)}
-			sub.Bcast(sched.Binomial, 0, data, 0)
+			sub.Bcast(sched.Binomial, 0, data, 1)
 			if data[0] != float64(run*10) {
 				panic("bcast corrupted payload")
 			}
@@ -115,7 +115,7 @@ func TestPersistentSurvivesPanic(t *testing.T) {
 
 	if _, err := pw.RunOn(func(c *Comm) {
 		data := []float64{42}
-		c.Bcast(sched.Binomial, 0, data, 0)
+		c.Bcast(sched.Binomial, 0, data, 1)
 	}); err != nil {
 		t.Fatalf("world unusable after aborted program: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestPersistentConcurrentRunOn(t *testing.T) {
 			defer wg.Done()
 			_, err := pw.RunOn(func(c *Comm) {
 				data := []float64{1, 2, 3}
-				c.Bcast(sched.Binomial, 0, data, 0)
+				c.Bcast(sched.Binomial, 0, data, 1)
 			})
 			if err != nil {
 				errs <- err

@@ -78,8 +78,8 @@ func (t Transport) receive(src, tag int, p *comm.Panel) {
 }
 
 // Bcast executes the named broadcast schedule over the panel.
-func (t Transport) Bcast(alg sched.Algorithm, root int, p *comm.Panel, segments int) {
-	t.c.bcast(alg, root, segments, nil, p)
+func (t Transport) Bcast(alg sched.Algorithm, root int, p *comm.Panel) {
+	t.c.bcast(alg, root, nil, p)
 }
 
 // NewPanel returns an empty panel; it gets storage when it is first packed

@@ -20,9 +20,8 @@
 //     the caller's slice into a pooled payload once, so the slice may be
 //     reused the moment the call returns, and a receive copies the payload
 //     out into the caller's slice and returns it to the pool. A
-//     whole-payload broadcast (flat, binomial, binary, unsegmented chain)
-//     is one copy in at the root and one copy out per receiver however
-//     deep the tree is — interior ranks forward the reference.
+//     whole-payload (binomial) broadcast is one copy in at the root and
+//     one copy out per receiver however deep the tree is — interior ranks forward the reference.
 //
 //   - The comm.Comm adapter (Transport) moves comm.Panels, and for them
 //     even those two copies go away: publishing a panel (Send, Bcast on
@@ -34,7 +33,7 @@
 //     whole safety argument: nobody ever writes storage another rank can
 //     see, so a slow receiver never observes the root's next step.
 //
-//   - Segmented schedules (pipelined chain, Van de Geijn) reassemble the
+//   - The segmented schedule (Van de Geijn) reassembles the
 //     payload in place, so every member brings exclusive storage and each
 //     transfer copies its segment through a pooled buffer.
 //

@@ -2,7 +2,7 @@ package sched
 
 import "sync"
 
-// Cache memoises broadcast schedules by (algorithm, p, root, segments).
+// Cache memoises broadcast schedules by (algorithm, p, root).
 // A schedule is pure data, so every executor — the live runtime and both
 // virtual engines — resolves a collective through one Cache per world and
 // gets the same *Schedule pointer back for the same call, instead of
@@ -16,9 +16,8 @@ type Cache struct {
 }
 
 type cacheKey struct {
-	alg      Algorithm
-	p, root  int
-	segments int
+	alg     Algorithm
+	p, root int
 }
 
 // NewCache returns an empty cache.
@@ -29,15 +28,15 @@ func NewCache() *Cache {
 // Broadcast returns the cached schedule for the given broadcast, building
 // it on first use. Concurrent first builds keep pointer identity: the
 // first writer wins and later builders adopt its pointer.
-func (c *Cache) Broadcast(alg Algorithm, p, root, segments int) (*Schedule, error) {
-	k := cacheKey{alg, p, root, segments}
+func (c *Cache) Broadcast(alg Algorithm, p, root int) (*Schedule, error) {
+	k := cacheKey{alg, p, root}
 	c.mu.RLock()
 	s, ok := c.scheds[k]
 	c.mu.RUnlock()
 	if ok {
 		return s, nil
 	}
-	s, err := NewBroadcast(alg, p, root, segments)
+	s, err := NewBroadcast(alg, p, root)
 	if err != nil {
 		return nil, err
 	}

@@ -12,10 +12,10 @@
 // EXPERIMENTS.md measure exactly the communication pattern the runnable code
 // performs — the property the paper's Section IV analysis relies on.
 //
-// The algorithms provided are the ones the paper names (Section II-B and IV):
-// binomial tree, Van de Geijn scatter-allgather, plus the flat tree, binary
-// tree and segmented chain (pipelined linear) variants found in MPICH/Open
-// MPI broadcast implementations.
+// The algorithms provided are the two the paper's cost analysis covers: the
+// binomial tree (Table I) and Van de Geijn scatter-allgather (Table II).
+// Binomial forwards the whole payload; Van de Geijn cuts it into p segments
+// that every member reassembles in place (SegmentRange).
 package sched
 
 import (
@@ -41,7 +41,7 @@ type Round struct {
 
 // Schedule is an ordered sequence of rounds realising one collective over
 // NumRanks ranks rooted at Root, with the payload cut into Segments equal
-// parts.
+// parts (1 for binomial, NumRanks for Van de Geijn).
 type Schedule struct {
 	Algorithm Algorithm
 	NumRanks  int
@@ -65,19 +65,10 @@ type Algorithm string
 
 // Broadcast algorithm identifiers.
 const (
-	// Flat is the star topology: the root sends the whole message to
-	// every other rank in sequence. Cost (p-1)(α+mβ).
-	Flat Algorithm = "flat"
 	// Binomial is the binomial tree: log₂(p) rounds, every informed rank
 	// forwards. Cost ⌈log₂ p⌉(α+mβ) — the first row of the paper's
 	// Table I.
 	Binomial Algorithm = "binomial"
-	// Binary is a (non-pipelined) complete binary tree; parents forward
-	// to their two children in consecutive rounds.
-	Binary Algorithm = "binary"
-	// Chain is the segmented linear pipeline: ranks form a line and S
-	// message segments stream down it. Cost (S+p-2)(α+(m/S)β).
-	Chain Algorithm = "chain"
 	// VanDeGeijn is the scatter-allgather broadcast (Barnett et al.,
 	// InterCom): binomial scatter of p segments followed by a ring
 	// allgather. Cost (log₂ p + p − 1)α + 2((p−1)/p)mβ — the second row
@@ -87,13 +78,13 @@ const (
 
 // Algorithms lists every broadcast generator, for sweeps and tests.
 func Algorithms() []Algorithm {
-	return []Algorithm{Flat, Binomial, Binary, Chain, VanDeGeijn}
+	return []Algorithm{Binomial, VanDeGeijn}
 }
 
 // ByName maps a user-facing name (plus the historical aliases) to a
 // broadcast algorithm; the empty string defaults to binomial. Every
 // surface that parses broadcast names — the façade's BroadcastByName, the
-// CLI, the serving daemon — routes here, so a new schedule or alias is
+// CLI, the serving daemon, hsumma-model — routes here, so an alias is
 // added in one place.
 func ByName(name string) (Algorithm, error) {
 	switch name {
@@ -101,111 +92,54 @@ func ByName(name string) (Algorithm, error) {
 		return Binomial, nil
 	case string(VanDeGeijn), "vdg", "scatter-allgather":
 		return VanDeGeijn, nil
-	case string(Flat):
-		return Flat, nil
-	case string(Binary):
-		return Binary, nil
-	case string(Chain), "pipeline":
-		return Chain, nil
 	}
-	return "", fmt.Errorf("sched: unknown broadcast algorithm %q (have binomial, vandegeijn, flat, binary, chain)", name)
+	return "", fmt.Errorf("sched: unknown broadcast algorithm %q (have binomial, vandegeijn)", name)
 }
 
 // NewBroadcast builds the schedule for the given algorithm over p ranks
-// rooted at root. segments is honoured only by Chain (pipeline depth);
-// VanDeGeijn always uses p segments, the others 1. segments <= 0 defaults
-// to 1.
-func NewBroadcast(alg Algorithm, p, root, segments int) (*Schedule, error) {
+// rooted at root.
+func NewBroadcast(alg Algorithm, p, root int) (*Schedule, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("sched: invalid rank count %d", p)
 	}
 	if root < 0 || root >= p {
 		return nil, fmt.Errorf("sched: root %d outside [0,%d)", root, p)
 	}
-	if segments <= 0 {
-		segments = 1
-	}
-	var s *Schedule
 	switch alg {
-	case Flat:
-		s = flatBroadcast(p, root)
 	case Binomial:
-		s = treeBroadcast(Binomial, p, root, binomialParents(p))
-	case Binary:
-		s = treeBroadcast(Binary, p, root, binaryParents(p))
-	case Chain:
-		s = chainBroadcast(p, root, segments)
+		return binomialBroadcast(p, root), nil
 	case VanDeGeijn:
-		s = vanDeGeijnBroadcast(p, root)
-	default:
-		return nil, fmt.Errorf("sched: unknown broadcast algorithm %q", alg)
+		return vanDeGeijnBroadcast(p, root), nil
 	}
-	return s, nil
+	return nil, fmt.Errorf("sched: unknown broadcast algorithm %q", alg)
 }
 
-// rel converts an absolute rank to a root-relative virtual rank and back.
-func rel(rank, root, p int) int  { return ((rank-root)%p + p) % p }
+// abs converts a root-relative virtual rank to an absolute rank.
 func abs(vrank, root, p int) int { return (vrank + root) % p }
 
-// flatBroadcast: the root sends the full payload to each rank in turn. The
-// one-port model forces one transfer per round.
-func flatBroadcast(p, root int) *Schedule {
-	s := &Schedule{Algorithm: Flat, NumRanks: p, Root: root, Segments: 1, RingStart: -1}
-	for vr := 1; vr < p; vr++ {
-		s.Rounds = append(s.Rounds, Round{Transfers: []Transfer{
-			{Src: root, Dst: abs(vr, root, p), SegLo: 0, SegHi: 1},
-		}})
+// binomialBroadcast builds the binomial tree — in root-relative virtual
+// ranks the parent of vr clears its highest set bit — and turns it into a
+// one-port round schedule with a greedy earliest-round assignment: an edge
+// parent→child is scheduled in the first round where the parent already
+// holds the data and neither endpoint is busy. This reproduces the classic
+// ⌈log₂ p⌉-round schedule exactly (asserted in tests).
+func binomialBroadcast(p, root int) *Schedule {
+	s := &Schedule{Algorithm: Binomial, NumRanks: p, Root: root, Segments: 1, RingStart: -1}
+	if p == 1 {
+		return s
 	}
-	return s
-}
-
-// binomialParents returns, in virtual-rank space, the parent of each rank in
-// the binomial broadcast tree rooted at 0: the parent of vr clears its
-// highest set bit.
-func binomialParents(p int) []int {
-	parent := make([]int, p)
-	parent[0] = -1
+	// children lists per virtual rank in increasing order. The child with
+	// the smallest virtual rank roots the largest subtree (clearing the
+	// highest bit of vr), so ascending order sends to the largest subtree
+	// first — the classic recursive-doubling order that completes in
+	// ⌈log₂ p⌉ rounds (asserted by TestBinomialRoundCount).
+	children := make([][]int, p)
 	for vr := 1; vr < p; vr++ {
 		hb := 1
 		for hb<<1 <= vr {
 			hb <<= 1
 		}
-		parent[vr] = vr - hb
-	}
-	return parent
-}
-
-// binaryParents returns the complete-binary-tree parents in virtual-rank
-// space: children of vr are 2vr+1 and 2vr+2.
-func binaryParents(p int) []int {
-	parent := make([]int, p)
-	parent[0] = -1
-	for vr := 1; vr < p; vr++ {
-		parent[vr] = (vr - 1) / 2
-	}
-	return parent
-}
-
-// treeBroadcast turns any broadcast tree (given as a parent array over
-// virtual ranks) into a one-port round schedule with a greedy earliest-
-// round assignment: an edge parent→child is scheduled in the first round
-// where the parent already holds the data and neither endpoint is busy.
-// For the binomial tree this reproduces the classic ⌈log₂ p⌉-round
-// schedule exactly (asserted in tests).
-func treeBroadcast(alg Algorithm, p, root int, parent []int) *Schedule {
-	s := &Schedule{Algorithm: alg, NumRanks: p, Root: root, Segments: 1, RingStart: -1}
-	if p == 1 {
-		return s
-	}
-	// children lists per virtual rank in increasing order. For the
-	// binomial parent array the child with the smallest virtual rank
-	// roots the largest subtree (clearing the highest bit of vr), so
-	// ascending order sends to the largest subtree first — the classic
-	// recursive-doubling order that completes in ⌈log₂ p⌉ rounds
-	// (asserted by TestBinomialRoundCount).
-	children := make([][]int, p)
-	for vr := 1; vr < p; vr++ {
-		children[parent[vr]] = append(children[parent[vr]], vr)
+		children[vr-hb] = append(children[vr-hb], vr)
 	}
 	avail := make([]int, p)     // first round in which the rank holds data
 	busyUntil := make([]int, p) // first round in which the rank is free
@@ -240,30 +174,6 @@ func treeBroadcast(alg Algorithm, p, root int, parent []int) *Schedule {
 		s.Rounds[e.round].Transfers = append(s.Rounds[e.round].Transfers, Transfer{
 			Src: abs(e.src, root, p), Dst: abs(e.dst, root, p), SegLo: 0, SegHi: 1,
 		})
-	}
-	return s
-}
-
-// chainBroadcast streams `segments` pieces down the line
-// root → root+1 → … : round t carries segment t−i over edge (i,i+1) in
-// virtual-rank space whenever 0 ≤ t−i < segments.
-func chainBroadcast(p, root, segments int) *Schedule {
-	s := &Schedule{Algorithm: Chain, NumRanks: p, Root: root, Segments: segments, RingStart: -1}
-	if p == 1 {
-		return s
-	}
-	totalRounds := segments + p - 2
-	s.Rounds = make([]Round, totalRounds)
-	for t := 0; t < totalRounds; t++ {
-		for vr := 0; vr < p-1; vr++ {
-			seg := t - vr
-			if seg < 0 || seg >= segments {
-				continue
-			}
-			s.Rounds[t].Transfers = append(s.Rounds[t].Transfers, Transfer{
-				Src: abs(vr, root, p), Dst: abs(vr+1, root, p), SegLo: seg, SegHi: seg + 1,
-			})
-		}
 	}
 	return s
 }
@@ -392,9 +302,8 @@ func (s *Schedule) Cost(payloadBytes float64, m machine.Model) float64 {
 //
 // Rounds use full-duplex one-port semantics: within a round every transfer
 // starts from the pre-round clocks of its endpoints, so a rank may send one
-// message and receive another simultaneously (the ring allgather and the
-// chain pipeline rely on this, and it is the assumption behind their
-// (p−1)(α+(m/p)β)-style closed forms). Transfers in different rounds
+// message and receive another simultaneously (the ring allgather relies on
+// this, and it is the assumption behind its (p−1)(α+(m/p)β) closed form). Transfers in different rounds
 // serialise through the updated clocks.
 func (s *Schedule) CostOnClocks(clocks []float64, payloadBytes float64, m machine.Model) {
 	if len(clocks) != s.NumRanks {

@@ -10,11 +10,11 @@ import (
 
 var testModel = machine.Model{Alpha: 1e-5, Beta: 1e-9}
 
-func mustBcast(t *testing.T, alg Algorithm, p, root, segments int) *Schedule {
+func mustBcast(t *testing.T, alg Algorithm, p, root int) *Schedule {
 	t.Helper()
-	s, err := NewBroadcast(alg, p, root, segments)
+	s, err := NewBroadcast(alg, p, root)
 	if err != nil {
-		t.Fatalf("NewBroadcast(%s,%d,%d,%d): %v", alg, p, root, segments, err)
+		t.Fatalf("NewBroadcast(%s,%d,%d): %v", alg, p, root, err)
 	}
 	return s
 }
@@ -23,7 +23,7 @@ func TestAllAlgorithmsValidate(t *testing.T) {
 	for _, alg := range Algorithms() {
 		for _, p := range []int{1, 2, 3, 4, 5, 7, 8, 13, 16, 32, 33, 64, 100, 128} {
 			for _, root := range []int{0, p / 2, p - 1} {
-				s := mustBcast(t, alg, p, root, 4)
+				s := mustBcast(t, alg, p, root)
 				if err := Validate(s); err != nil {
 					t.Fatalf("%s p=%d root=%d invalid: %v", alg, p, root, err)
 				}
@@ -33,11 +33,11 @@ func TestAllAlgorithmsValidate(t *testing.T) {
 }
 
 func TestTreeAlgorithmsNonRedundant(t *testing.T) {
-	for _, alg := range []Algorithm{Flat, Binomial, Binary, Chain} {
-		for _, p := range []int{1, 2, 5, 8, 16, 31} {
-			s := mustBcast(t, alg, p, 0, 3)
+	for _, p := range []int{1, 2, 5, 8, 16, 31} {
+		for _, root := range []int{0, p - 1} {
+			s := mustBcast(t, Binomial, p, root)
 			if err := ValidateNoRedundancy(s); err != nil {
-				t.Fatalf("%s p=%d redundant: %v", alg, p, err)
+				t.Fatalf("binomial p=%d root=%d redundant: %v", p, root, err)
 			}
 		}
 	}
@@ -45,7 +45,7 @@ func TestTreeAlgorithmsNonRedundant(t *testing.T) {
 
 func TestSingleRankEmptySchedule(t *testing.T) {
 	for _, alg := range Algorithms() {
-		s := mustBcast(t, alg, 1, 0, 4)
+		s := mustBcast(t, alg, 1, 0)
 		if s.NumTransfers() != 0 {
 			t.Fatalf("%s p=1 has %d transfers", alg, s.NumTransfers())
 		}
@@ -56,13 +56,13 @@ func TestSingleRankEmptySchedule(t *testing.T) {
 }
 
 func TestBadArguments(t *testing.T) {
-	if _, err := NewBroadcast(Binomial, 0, 0, 1); err == nil {
+	if _, err := NewBroadcast(Binomial, 0, 0); err == nil {
 		t.Fatal("p=0 accepted")
 	}
-	if _, err := NewBroadcast(Binomial, 4, 4, 1); err == nil {
+	if _, err := NewBroadcast(Binomial, 4, 4); err == nil {
 		t.Fatal("root=p accepted")
 	}
-	if _, err := NewBroadcast(Algorithm("nope"), 4, 0, 1); err == nil {
+	if _, err := NewBroadcast(Algorithm("nope"), 4, 0); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestBinomialRoundCount(t *testing.T) {
 	for _, c := range []struct{ p, rounds int }{
 		{2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {16, 4}, {128, 7}, {1024, 10},
 	} {
-		s := mustBcast(t, Binomial, c.p, 0, 1)
+		s := mustBcast(t, Binomial, c.p, 0)
 		if len(s.Rounds) != c.rounds {
 			t.Fatalf("binomial p=%d: %d rounds, want %d", c.p, len(s.Rounds), c.rounds)
 		}
@@ -84,24 +84,11 @@ func TestBinomialRoundCount(t *testing.T) {
 func TestBinomialCostMatchesFormula(t *testing.T) {
 	m := 1e6 // bytes
 	for _, p := range []int{2, 4, 8, 16, 64, 256} {
-		s := mustBcast(t, Binomial, p, 0, 1)
+		s := mustBcast(t, Binomial, p, 0)
 		got := s.Cost(m, testModel)
 		want := math.Log2(float64(p)) * (testModel.Alpha + m*testModel.Beta)
 		if math.Abs(got-want) > 1e-9*want {
 			t.Fatalf("binomial p=%d cost %g, want %g", p, got, want)
-		}
-	}
-}
-
-// Flat tree cost is (p−1)(α+mβ): the root serialises all sends.
-func TestFlatCostMatchesFormula(t *testing.T) {
-	m := 1e5
-	for _, p := range []int{2, 3, 9, 17} {
-		s := mustBcast(t, Flat, p, 0, 1)
-		got := s.Cost(m, testModel)
-		want := float64(p-1) * (testModel.Alpha + m*testModel.Beta)
-		if math.Abs(got-want) > 1e-9*want {
-			t.Fatalf("flat p=%d cost %g, want %g", p, got, want)
 		}
 	}
 }
@@ -113,7 +100,7 @@ func TestFlatCostMatchesFormula(t *testing.T) {
 func TestVanDeGeijnCostMatchesFormula(t *testing.T) {
 	m := 8e6
 	for _, p := range []int{2, 4, 8, 16, 64, 128} {
-		s := mustBcast(t, VanDeGeijn, p, 0, 1)
+		s := mustBcast(t, VanDeGeijn, p, 0)
 		got := s.Cost(m, testModel)
 		pf := float64(p)
 		want := (math.Log2(pf)+pf-1)*testModel.Alpha + 2*(pf-1)/pf*m*testModel.Beta
@@ -124,38 +111,18 @@ func TestVanDeGeijnCostMatchesFormula(t *testing.T) {
 	}
 }
 
-// Chain pipeline cost is (S+p−2)(α + (m/S)β).
-func TestChainCostMatchesFormula(t *testing.T) {
-	m := 1e6
-	for _, c := range []struct{ p, segs int }{{2, 1}, {4, 4}, {8, 16}, {16, 8}} {
-		s := mustBcast(t, Chain, c.p, 0, c.segs)
-		got := s.Cost(m, testModel)
-		want := float64(c.segs+c.p-2) * (testModel.Alpha + m/float64(c.segs)*testModel.Beta)
-		if math.Abs(got-want) > 1e-9*want {
-			t.Fatalf("chain p=%d S=%d cost %g, want %g", c.p, c.segs, got, want)
-		}
-	}
-}
-
-// Tree algorithms move exactly (p−1)·m bytes aggregate. Van de Geijn moves
-// more in aggregate — the binomial scatter ships m/2 per round over
+// The binomial tree moves exactly (p−1)·m bytes aggregate. Van de Geijn
+// moves more in aggregate — the binomial scatter ships m/2 per round over
 // log₂(p) rounds (segments traverse several hops) and the ring adds
 // (p−1)·p·(m/p) — even though its *per-rank* (critical-path) bytes are
 // lower, which is what the paper's bandwidth factor counts.
 func TestTotalBytes(t *testing.T) {
 	m := 1000.0
-	for _, alg := range []Algorithm{Flat, Binomial, Binary} {
-		s := mustBcast(t, alg, 16, 0, 1)
-		if got := s.TotalBytes(m); got != 15*m {
-			t.Fatalf("%s total bytes %g, want %g", alg, got, 15*m)
-		}
-	}
-	s := mustBcast(t, Chain, 16, 0, 4)
-	if got := s.TotalBytes(m); math.Abs(got-15*m) > 1e-9 {
-		t.Fatalf("chain total bytes %g, want %g", got, 15*m)
+	if got := mustBcast(t, Binomial, 16, 0).TotalBytes(m); got != 15*m {
+		t.Fatalf("binomial total bytes %g, want %g", got, 15*m)
 	}
 	// p=16: scatter log₂(16)·m/2 = 2m; ring 15 rounds × 16 ranks × m/16.
-	sv := mustBcast(t, VanDeGeijn, 16, 0, 1)
+	sv := mustBcast(t, VanDeGeijn, 16, 0)
 	want := 2*m + 15*m
 	if got := sv.TotalBytes(m); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("vandegeijn total bytes %g, want %g", got, want)
@@ -166,8 +133,8 @@ func TestTotalBytes(t *testing.T) {
 // log₂(p)·mβ); for tiny messages binomial must win on latency.
 func TestAlgorithmCrossover(t *testing.T) {
 	p := 64
-	bin := mustBcast(t, Binomial, p, 0, 1)
-	vdg := mustBcast(t, VanDeGeijn, p, 0, 1)
+	bin := mustBcast(t, Binomial, p, 0)
+	vdg := mustBcast(t, VanDeGeijn, p, 0)
 	big := 1e8
 	if bin.Cost(big, testModel) <= vdg.Cost(big, testModel) {
 		t.Fatal("binomial should lose to van de Geijn on large messages")
@@ -184,8 +151,8 @@ func TestRootRelativity(t *testing.T) {
 	// only rank never receiving.
 	for _, alg := range Algorithms() {
 		p := 16
-		s0 := mustBcast(t, alg, p, 0, 2)
-		s5 := mustBcast(t, alg, p, 5, 2)
+		s0 := mustBcast(t, alg, p, 0)
+		s5 := mustBcast(t, alg, p, 5)
 		if math.Abs(s0.Cost(1e6, testModel)-s5.Cost(1e6, testModel)) > 1e-12 {
 			t.Fatalf("%s: cost depends on root", alg)
 		}
@@ -203,7 +170,7 @@ func TestCostOnClocksComposition(t *testing.T) {
 	// Two broadcasts back to back cost the sum of their costs when the
 	// clocks are shared (no overlap possible on identical rank sets).
 	p := 8
-	s := mustBcast(t, Binomial, p, 0, 1)
+	s := mustBcast(t, Binomial, p, 0)
 	single := s.Cost(1e6, testModel)
 	clocks := make([]float64, p)
 	s.CostOnClocks(clocks, 1e6, testModel)
@@ -220,7 +187,7 @@ func TestCostOnClocksComposition(t *testing.T) {
 }
 
 func TestCostOnClocksWrongLengthPanics(t *testing.T) {
-	s := mustBcast(t, Binomial, 8, 0, 1)
+	s := mustBcast(t, Binomial, 8, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong clock slice length did not panic")
@@ -236,7 +203,7 @@ func TestQuickAllValid(t *testing.T) {
 		p := int(pp%200) + 1
 		root := int(rr) % p
 		alg := algs[int(aa)%len(algs)]
-		s, err := NewBroadcast(alg, p, root, int(aa%7)+1)
+		s, err := NewBroadcast(alg, p, root)
 		if err != nil {
 			return false
 		}
@@ -247,10 +214,9 @@ func TestQuickAllValid(t *testing.T) {
 	}
 }
 
-// Property: binomial latency (rounds) never exceeds flat and never exceeds
-// p−1; cost is monotone in message size.
+// Property: cost is monotone in message size.
 func TestQuickCostMonotoneInSize(t *testing.T) {
-	s := mustBcast(t, VanDeGeijn, 24, 0, 1)
+	s := mustBcast(t, VanDeGeijn, 24, 0)
 	f := func(a, b uint32) bool {
 		x, y := float64(a), float64(b)
 		if x > y {
@@ -264,21 +230,10 @@ func TestQuickCostMonotoneInSize(t *testing.T) {
 }
 
 func TestSegBytes(t *testing.T) {
-	s := mustBcast(t, VanDeGeijn, 4, 0, 1)
+	s := mustBcast(t, VanDeGeijn, 4, 0)
 	tr := Transfer{Src: 0, Dst: 2, SegLo: 2, SegHi: 4}
 	if got := s.SegBytes(tr, 1000); got != 500 {
 		t.Fatalf("SegBytes = %g, want 500", got)
-	}
-}
-
-func TestBinaryDeeperButParallel(t *testing.T) {
-	// Binary tree rounds grow like 2·log₂ p; must still validate and be
-	// cheaper than flat for large p.
-	p := 64
-	bin := mustBcast(t, Binary, p, 0, 1)
-	flat := mustBcast(t, Flat, p, 0, 1)
-	if bin.Cost(1e6, testModel) >= flat.Cost(1e6, testModel) {
-		t.Fatal("binary tree should beat flat tree at p=64")
 	}
 }
 
@@ -305,20 +260,20 @@ func TestSegmentRange(t *testing.T) {
 // distinct ones, and build errors are not cached as schedules.
 func TestCacheKeepsPointerIdentity(t *testing.T) {
 	c := NewCache()
-	a, err := c.Broadcast(Binomial, 8, 3, 1)
+	a, err := c.Broadcast(Binomial, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, _ := c.Broadcast(Binomial, 8, 3, 1); b != a {
+	if b, _ := c.Broadcast(Binomial, 8, 3); b != a {
 		t.Fatal("second lookup built a new schedule")
 	}
-	if b, _ := c.Broadcast(Binomial, 8, 4, 1); b == a {
+	if b, _ := c.Broadcast(Binomial, 8, 4); b == a {
 		t.Fatal("different roots share a schedule")
 	}
 	if err := Validate(a); err != nil || a.Root != 3 || a.NumRanks != 8 {
 		t.Fatalf("cached schedule is not the requested one: %+v (%v)", a, err)
 	}
-	if _, err := c.Broadcast(Algorithm("bogus"), 8, 0, 1); err == nil {
+	if _, err := c.Broadcast(Algorithm("bogus"), 8, 0); err == nil {
 		t.Fatal("unknown algorithm must fail through the cache too")
 	}
 }

@@ -81,9 +81,9 @@ func Validate(s *Schedule) error {
 }
 
 // ValidateNoRedundancy additionally checks that no rank ever receives a
-// segment it already holds — true of every tree-shaped broadcast (flat,
-// binomial, binary, chain) where traffic equals the information-theoretic
-// minimum, and deliberately false for scatter-allgather.
+// segment it already holds — true of the binomial tree, whose traffic
+// equals the information-theoretic minimum, and deliberately false for
+// scatter-allgather.
 func ValidateNoRedundancy(s *Schedule) error {
 	holds := make([][]bool, s.NumRanks)
 	for r := range holds {

@@ -179,6 +179,26 @@ func TestHTTPBadRequests(t *testing.T) {
 			t.Fatalf("raw %q: status %d, want 400", q, resp.StatusCode)
 		}
 	}
+
+	// Retired broadcast schedules are rejected on both wire forms, naming
+	// the two that remain.
+	for _, name := range []string{"flat", "binary", "chain", "pipeline"} {
+		body := `{"m":2,"n":2,"k":2,"procs":1,"broadcast":"` + name + `","a":[1,2,3,4],"b":[1,2,3,4]}`
+		for _, req := range []struct{ url, ct, body string }{
+			{srv.URL + "/multiply", "application/json", body},
+			{srv.URL + "/multiply?m=1&k=1&n=1&procs=1&broadcast=" + name, "application/octet-stream", "\x00\x00\x00\x00\x00\x00\xf0\x3f\x00\x00\x00\x00\x00\x00\xf0\x3f"},
+		} {
+			resp, err := http.Post(req.url, req.ct, strings.NewReader(req.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "binomial, vandegeijn") {
+				t.Fatalf("%s broadcast=%s: status %d %q, want a 400 naming binomial, vandegeijn", req.ct, name, resp.StatusCode, msg)
+			}
+		}
+	}
 }
 
 // TestHTTPPlan checks the planner endpoint returns a ranked plan.

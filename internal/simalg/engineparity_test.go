@@ -92,7 +92,7 @@ func paritySpecs(t *testing.T) map[string]engine.Spec {
 		"summa": {Algorithm: engine.SUMMA, Opts: core.Options{
 			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 8, Broadcast: sched.Binomial}}},
 		"hsumma": {Algorithm: engine.HSUMMA, Opts: core.Options{
-			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 8, OuterBlockSize: 24, Broadcast: sched.VanDeGeijn, Segments: 4}, Groups: h}},
+			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 8, OuterBlockSize: 24, Broadcast: sched.VanDeGeijn}, Groups: h}},
 		"multilevel": {Algorithm: engine.Multilevel, Opts: core.Options{
 			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 4, Broadcast: sched.Binomial}},
 			Levels: []core.Level{{I: 2, J: 2, BlockSize: 8}}},

@@ -74,9 +74,11 @@ func TestLiveSimTrafficParity(t *testing.T) {
 	}{
 		{"summa_binomial", engine.SUMMA, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2}, Machine: machine}},
 		{"summa_vandegeijn", engine.SUMMA, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 4, Broadcast: sched.VanDeGeijn}, Machine: machine}},
-		// Chain with a segment count that does not divide the payload
-		// exercises the shared integer segment split end to end.
-		{"summa_chain_segments", engine.SUMMA, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2, Broadcast: sched.Chain, Segments: 3}, Machine: machine}},
+		// Van de Geijn over 4 ranks on 9-element panels (3×3 tiles, b=3):
+		// the segment count does not divide the payload, which exercises
+		// the shared integer segment split end to end. (The row keeps the
+		// name it had when a pipelined chain broadcast covered this.)
+		{"summa_chain_segments", engine.SUMMA, Config{N: 12, Grid: g, Knobs: core.Knobs{BlockSize: 3, Broadcast: sched.VanDeGeijn}, Machine: machine}},
 		{"hsumma_g4", engine.HSUMMA, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2, OuterBlockSize: 4}, Groups: h22, Machine: machine}},
 		{"hsumma_skewed_vdg", engine.HSUMMA, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2, Broadcast: sched.VanDeGeijn}, Groups: h41, Machine: machine}},
 		{"multilevel", engine.Multilevel, Config{N: 16, Grid: g, Knobs: core.Knobs{BlockSize: 2},

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLinkCostScalesBandwidthOnly(t *testing.T) {
-	sc, _ := sched.NewBroadcast(sched.Binomial, 2, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.Binomial, 2, 0)
 	free := New(2, testModel)
 	free.ExecOne(Collective{Sched: sc, Members: []int{0, 1}, PayloadBytes: 1e6})
 	far := New(2, testModel)
@@ -25,7 +25,7 @@ func TestLinkCostDisablesRingFastPath(t *testing.T) {
 	// the result reacts to a link-cost function that only affects one
 	// edge (the fast path would apply a uniform value).
 	p := 8
-	sc, _ := sched.NewBroadcast(sched.VanDeGeijn, p, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.VanDeGeijn, p, 0)
 	uniform := New(p, testModel)
 	uniform.SetLinkCost(func(a, b int) float64 { return 1 })
 	uniform.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 8e5})
@@ -46,7 +46,7 @@ func TestSetLinkCostNilRestoresUniform(t *testing.T) {
 	sim := New(2, testModel)
 	sim.SetLinkCost(func(a, b int) float64 { return 100 })
 	sim.SetLinkCost(nil)
-	sc, _ := sched.NewBroadcast(sched.Binomial, 2, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.Binomial, 2, 0)
 	sim.ExecOne(Collective{Sched: sc, Members: []int{0, 1}, PayloadBytes: 1e6})
 	want := testModel.PointToPoint(1e6)
 	if math.Abs(sim.MaxClock()-want) > 1e-15 {

@@ -12,9 +12,9 @@ import (
 var testModel = machine.Model{Alpha: 1e-5, Beta: 1e-9, Gamma: 1e-10}
 
 func TestSingleCollectiveMatchesSchedCost(t *testing.T) {
-	for _, alg := range []sched.Algorithm{sched.Flat, sched.Binomial, sched.Binary, sched.Chain} {
+	for _, alg := range sched.Algorithms() {
 		for _, p := range []int{2, 3, 7, 16, 33} {
-			sc, err := sched.NewBroadcast(alg, p, 0, 4)
+			sc, err := sched.NewBroadcast(alg, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +34,7 @@ func TestSingleCollectiveMatchesSchedCost(t *testing.T) {
 func TestRingFastPathEquivalence(t *testing.T) {
 	f := func(pp uint8, seed uint16) bool {
 		p := int(pp%30) + 2
-		sc, err := sched.NewBroadcast(sched.VanDeGeijn, p, int(seed)%p, 1)
+		sc, err := sched.NewBroadcast(sched.VanDeGeijn, p, int(seed)%p)
 		if err != nil {
 			return false
 		}
@@ -71,7 +71,7 @@ func TestDisjointCollectivesRunConcurrently(t *testing.T) {
 	// Two disjoint binomial broadcasts in one phase must cost the same
 	// as one (they overlap perfectly), not twice as much.
 	p := 8
-	sc, _ := sched.NewBroadcast(sched.Binomial, 4, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.Binomial, 4, 0)
 	sim := New(p, testModel)
 	sim.ExecPhase([]Collective{
 		{Sched: sc, Members: []int{0, 1, 2, 3}, PayloadBytes: 1e6},
@@ -85,7 +85,7 @@ func TestDisjointCollectivesRunConcurrently(t *testing.T) {
 
 func TestSequentialPhasesAccumulate(t *testing.T) {
 	p := 4
-	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	sim := New(p, testModel)
 	one := sc.Cost(1e6, testModel)
 	sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 1e6})
@@ -97,7 +97,7 @@ func TestSequentialPhasesAccumulate(t *testing.T) {
 
 func TestComputeSeparatedFromComm(t *testing.T) {
 	p := 4
-	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	sim := New(p, testModel)
 	sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 8e5})
 	commOnly := sim.MaxCommTime()
@@ -115,7 +115,7 @@ func TestCommTimeIncludesWaiting(t *testing.T) {
 	// Rank 1 computes for long before a broadcast; rank 0 (root) then
 	// waits for it — waiting counts as communication for rank 0.
 	p := 2
-	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	sim := New(p, testModel)
 	sim.ComputeRanks([]int{1}, 1e9) // rank 1 busy until 0.1
 	sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 0})
@@ -130,7 +130,7 @@ func TestCommTimeIncludesWaiting(t *testing.T) {
 
 func TestContentionScalesBandwidthOnly(t *testing.T) {
 	p := 2
-	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	free := New(p, testModel)
 	free.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 1e6})
 	congested := New(p, testModel)
@@ -145,7 +145,7 @@ func TestContentionScalesBandwidthOnly(t *testing.T) {
 func TestSharedSegmentCountsFlows(t *testing.T) {
 	// Two disjoint 2-rank broadcasts in one phase under SharedSegment:
 	// each transfer sees 2 flows, so bandwidth halves.
-	sc, _ := sched.NewBroadcast(sched.Binomial, 2, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.Binomial, 2, 0)
 	sim := New(4, testModel)
 	sim.SetContention(SharedSegment)
 	sim.ExecPhase([]Collective{
@@ -194,7 +194,7 @@ func TestMemberMappingPermutes(t *testing.T) {
 	// Executing on permuted members must permute the clocks, not change
 	// the cost.
 	p := 5
-	sc, _ := sched.NewBroadcast(sched.Flat, p, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	simA := New(p, testModel)
 	simA.ExecOne(Collective{Sched: sc, Members: []int{0, 1, 2, 3, 4}, PayloadBytes: 1e5})
 	simB := New(p, testModel)
@@ -208,7 +208,7 @@ func TestMemberMappingPermutes(t *testing.T) {
 }
 
 func TestWrongMemberCountPanics(t *testing.T) {
-	sc, _ := sched.NewBroadcast(sched.Binomial, 4, 0, 1)
+	sc, _ := sched.NewBroadcast(sched.Binomial, 4, 0)
 	sim := New(4, testModel)
 	defer func() {
 		if recover() == nil {
@@ -240,7 +240,7 @@ func TestQuickMonotonicity(t *testing.T) {
 			ma, mb = mb, ma
 		}
 		cost := func(p int, m float64) float64 {
-			sc, err := sched.NewBroadcast(sched.Binomial, p, 0, 1)
+			sc, err := sched.NewBroadcast(sched.Binomial, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

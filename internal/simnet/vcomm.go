@@ -271,8 +271,8 @@ func (w *VWorld) Total() float64 {
 // the quantity the paper plots as "communication time".
 func (w *VWorld) MaxCommTime() float64 { return w.sim.MaxCommTime() }
 
-func (w *VWorld) schedule(alg sched.Algorithm, p, root, segments int) *sched.Schedule {
-	s, err := w.caches.Broadcast(alg, p, root, segments)
+func (w *VWorld) schedule(alg sched.Algorithm, p, root int) *sched.Schedule {
+	s, err := w.caches.Broadcast(alg, p, root)
 	if err != nil {
 		panic(fmt.Sprintf("simnet: bcast: %v", err))
 	}
@@ -470,10 +470,9 @@ type vCollGather struct {
 	released int // waiters that have observed done and left
 	done     bool
 
-	alg      sched.Algorithm
-	root     int
-	segments int
-	elems    int
+	alg   sched.Algorithm
+	root  int
+	elems int
 }
 
 // Bcast broadcasts root's virtual payload over the communicator: the
@@ -482,7 +481,7 @@ type vCollGather struct {
 // message per transfer with the same integer segment split the live runtime
 // puts on the wire. The rendezvous runs under the communicator's shard
 // lock, so disjoint collectives proceed in parallel.
-func (c *VComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel, segments int) {
+func (c *VComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel) {
 	elems := panel.Elems()
 	p := c.Size()
 	if root < 0 || root >= p {
@@ -506,18 +505,18 @@ func (c *VComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel, segments
 		if n := len(shard.free); n > 0 {
 			cg = shard.free[n-1]
 			shard.free = shard.free[:n-1]
-			*cg = vCollGather{alg: alg, root: root, segments: segments, elems: elems}
+			*cg = vCollGather{alg: alg, root: root, elems: elems}
 		} else {
-			cg = &vCollGather{alg: alg, root: root, segments: segments, elems: elems}
+			cg = &vCollGather{alg: alg, root: root, elems: elems}
 		}
 		shard.colls[seq] = cg
-	} else if cg.alg != alg || cg.root != root || cg.segments != segments || cg.elems != elems {
-		panic(fmt.Sprintf("simnet: bcast mismatch on rank %d: (%s root=%d seg=%d n=%d) vs first caller's (%s root=%d seg=%d n=%d)",
-			c.rank, alg, root, segments, elems, cg.alg, cg.root, cg.segments, cg.elems))
+	} else if cg.alg != alg || cg.root != root || cg.elems != elems {
+		panic(fmt.Sprintf("simnet: bcast mismatch on rank %d: (%s root=%d n=%d) vs first caller's (%s root=%d n=%d)",
+			c.rank, alg, root, elems, cg.alg, cg.root, cg.elems))
 	}
 	cg.arrived++
 	if cg.arrived == p {
-		s := w.schedule(alg, p, root, segments)
+		s := w.schedule(alg, p, root)
 		// The executing member owns every member's clock here (they are
 		// parked on this shard's condition variable), so it may snapshot
 		// pre-clocks and emit the members' broadcast spans.

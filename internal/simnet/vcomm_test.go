@@ -21,12 +21,12 @@ func TestVCommBcastMatchesScheduleCost(t *testing.T) {
 	const p, elems = 8, 1000
 	w := NewVWorld(p, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, elems), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, elems))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sched.NewBroadcast(sched.Binomial, p, 0, 1)
+	s, err := sched.NewBroadcast(sched.Binomial, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestVCommDeterministic(t *testing.T) {
 			// A mildly irregular program: split into two groups of 3,
 			// broadcast inside each, then a ring shift in the world.
 			sub := c.Split(c.Rank()%2, c.Rank()).(*VComm)
-			sub.Bcast(sched.VanDeGeijn, 0, sub.NewPanel(1, 301), 1)
+			sub.Bcast(sched.VanDeGeijn, 0, sub.NewPanel(1, 301))
 			next := (c.Rank() + 1) % c.Size()
 			prev := (c.Rank() + c.Size() - 1) % c.Size()
 			c.SendRecv(next, 9, c.NewPanel(1, 77), prev, 9, c.NewPanel(1, 77))
@@ -143,7 +143,7 @@ func TestVCommSplit(t *testing.T) {
 func TestVCommGemmOverlap(t *testing.T) {
 	w := NewVWorld(2, VConfig{Model: vModel, Overlap: true})
 	err := w.Run(func(c *VComm) {
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 100), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 100))
 		c.Gemm(c.NewTile(10, 10), c.NewTile(10, 10), c.NewTile(10, 10), comm.Threaded(2))
 	})
 	if err != nil {
@@ -167,7 +167,7 @@ func TestVCommPanicAborts(t *testing.T) {
 			panic("rank 3 exploded")
 		}
 		// Ranks 0-2 block in a collective that can never complete.
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10))
 	})
 	if err == nil || !strings.Contains(err.Error(), "rank 3 exploded") {
 		t.Fatalf("expected rank 3's panic, got %v", err)
@@ -229,7 +229,7 @@ func TestVCommBadBroadcastAborts(t *testing.T) {
 	go func() {
 		w := NewVWorld(4, VConfig{Model: vModel})
 		done <- w.Run(func(c *VComm) {
-			c.Bcast(sched.Algorithm("bogus"), 0, c.NewPanel(1, 8), 1)
+			c.Bcast(sched.Algorithm("bogus"), 0, c.NewPanel(1, 8))
 		})
 	}()
 	select {
@@ -278,7 +278,7 @@ func TestVCommBcastMismatchAborts(t *testing.T) {
 		if c.Rank() == 2 {
 			n = 99
 		}
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, n), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, n))
 	})
 	if err == nil || !strings.Contains(err.Error(), "bcast mismatch") {
 		t.Fatalf("expected bcast mismatch abort, got %v", err)

@@ -1,6 +1,9 @@
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Hier is the two-level hierarchical arrangement of HSUMMA: the S×T process
 // grid is partitioned into an I×J grid of groups, each group an internal
@@ -71,51 +74,71 @@ func (h Hier) InnerRowColor(rank int) int {
 // sweep over an S×T grid: among all factorisations with I | S and J | T it
 // picks the one whose per-group grid (S/I)×(T/J) is closest to square,
 // matching the paper's preference for square group arrangements (its
-// analysis assumes √G×√G). Returns an error when no factorisation exists.
+// analysis assumes √G×√G), and the smallest I among equally square ones.
+// Only the divisors of S are tried, so a call costs O(√S + d(S)). Returns
+// an error when no factorisation exists.
 func FactorGroups(g Grid, G int) (Hier, error) {
 	if G <= 0 {
 		return Hier{}, fmt.Errorf("topo: invalid group count %d", G)
 	}
-	bestSet := false
 	var best Hier
 	var bestScore float64
-	for i := 1; i <= G; i++ {
-		if G%i != 0 {
+	for _, i := range divisors(g.S) {
+		if G%i != 0 || g.T%(G/i) != 0 {
 			continue
 		}
-		j := G / i
-		h, err := NewHier(g, i, j)
-		if err != nil {
-			continue
-		}
-		// Aspect-ratio score of the inner grid: |log(innerS/innerT)|
-		// monotone proxy without math import — use ratio max/min.
+		h := Hier{Grid: g, I: i, J: G / i}
+		// Aspect ratio of the inner grid, max/min: 1 is square.
 		a, b := float64(h.InnerS()), float64(h.InnerT())
 		score := a / b
 		if b > a {
 			score = b / a
 		}
-		if !bestSet || score < bestScore {
-			best, bestScore, bestSet = h, score, true
+		if best.I == 0 || score < bestScore {
+			best, bestScore = h, score
 		}
 	}
-	if !bestSet {
+	if best.I == 0 {
 		return Hier{}, fmt.Errorf("topo: no I×J=%d factorisation divides grid %v", G, g)
 	}
 	return best, nil
 }
 
 // ValidGroupCounts lists every G in [1, p] that admits a factorisation on
-// grid g, in increasing order. These are the x-axis points of the paper's
-// G sweeps (Figures 5, 6, 8).
+// grid g, in increasing order: the products I·J of a divisor I of S and a
+// divisor J of T. These are the x-axis points of the paper's G sweeps
+// (Figures 5, 6, 8).
 func ValidGroupCounts(g Grid) []int {
+	seen := make(map[int]bool)
 	var out []int
-	for G := 1; G <= g.Size(); G++ {
-		if _, err := FactorGroups(g, G); err == nil {
-			out = append(out, G)
+	for _, i := range divisors(g.S) {
+		for _, j := range divisors(g.T) {
+			if !seen[i*j] {
+				seen[i*j] = true
+				out = append(out, i*j)
+			}
 		}
 	}
+	sort.Ints(out)
 	return out
+}
+
+// divisors returns the positive divisors of n in increasing order (none
+// for n ≤ 0).
+func divisors(n int) []int {
+	var lo, hi []int
+	for d := 1; d*d <= n; d++ {
+		if n%d == 0 {
+			lo = append(lo, d)
+			if d*d != n {
+				hi = append(hi, n/d)
+			}
+		}
+	}
+	for k := len(hi) - 1; k >= 0; k-- {
+		lo = append(lo, hi[k])
+	}
+	return lo
 }
 
 func (h Hier) String() string {

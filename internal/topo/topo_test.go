@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -180,6 +181,61 @@ func TestValidGroupCountsEndpoints(t *testing.T) {
 	for w := range want {
 		if !seen[w] {
 			t.Fatalf("power-of-two G=%d missing from valid counts %v", w, counts)
+		}
+	}
+}
+
+// bruteFactorGroups is the original enumeration, kept as the reference:
+// every i in 1..G, scored by the inner grid's aspect ratio, first (smallest
+// i) wins ties.
+func bruteFactorGroups(g Grid, G int) (Hier, bool) {
+	var best Hier
+	var bestScore float64
+	found := false
+	for i := 1; i <= G; i++ {
+		if G%i != 0 {
+			continue
+		}
+		h, err := NewHier(g, i, G/i)
+		if err != nil {
+			continue
+		}
+		a, b := float64(h.InnerS()), float64(h.InnerT())
+		score := a / b
+		if b > a {
+			score = b / a
+		}
+		if !found || score < bestScore {
+			best, bestScore, found = h, score, true
+		}
+	}
+	return best, found
+}
+
+// TestFactorGroupsMatchesBruteForce: the divisor-pair enumeration picks
+// exactly what trying every G in 1..p and every i ≤ G picked, on every
+// grid with p ≤ 256.
+func TestFactorGroupsMatchesBruteForce(t *testing.T) {
+	for p := 1; p <= 256; p++ {
+		for s := 1; s <= p; s++ {
+			if p%s != 0 {
+				continue
+			}
+			g := Grid{S: s, T: p / s}
+			var want []int
+			for G := 1; G <= p; G++ {
+				ref, ok := bruteFactorGroups(g, G)
+				h, err := FactorGroups(g, G)
+				if ok != (err == nil) || (ok && h != ref) {
+					t.Fatalf("grid %v G=%d: got %+v (%v), want %+v (found %v)", g, G, h, err, ref, ok)
+				}
+				if ok {
+					want = append(want, G)
+				}
+			}
+			if got := ValidGroupCounts(g); !reflect.DeepEqual(got, want) {
+				t.Fatalf("grid %v: ValidGroupCounts %v, want %v", g, got, want)
+			}
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/topo"
 )
 
@@ -19,50 +18,17 @@ import (
 // grids and any number of levels, which on a square problem scores
 // exactly what model.SUMMA and model.HSUMMA do (asserted in the model and
 // tune package tests). The baselines carry their own short formulas
-// below. One scorer is built per plan so the schedule-derived broadcast
-// factors are cached across the thousands of stage-1 evaluations.
+// below; every broadcast is priced by the paper's own equation-(1)
+// factors (model.For: Table I's binomial, Table II's Van de Geijn).
 type scorer struct {
 	sh matrix.Shape
 	m  machine.Model
 	// overlap scores total as max(comm, compute) instead of their sum.
 	overlap bool
-	bcasts  map[bcKey]model.Broadcast
-}
-
-type bcKey struct {
-	alg      sched.Algorithm
-	segments int
 }
 
 func newScorer(sh matrix.Shape, m machine.Model, overlap bool) *scorer {
-	return &scorer{sh: sh, m: m, overlap: overlap, bcasts: make(map[bcKey]model.Broadcast)}
-}
-
-// bcast returns the equation-(1) factors L(p), W(p) for a broadcast
-// algorithm: the paper's closed forms where it states them (Tables I–II),
-// schedule-derived factors (model.FromSchedule) for the rest — tying the
-// planner's stage 1 to the exact schedules stage 2 executes.
-func (s *scorer) bcast(alg sched.Algorithm, segments int) model.Broadcast {
-	if alg == "" {
-		alg = sched.Binomial
-	}
-	k := bcKey{alg, segments}
-	if bc, ok := s.bcasts[k]; ok {
-		return bc
-	}
-	var bc model.Broadcast
-	switch alg {
-	case sched.Binomial:
-		bc = model.BinomialTree{}
-	case sched.VanDeGeijn:
-		bc = model.VanDeGeijn{}
-	case sched.Flat:
-		bc = model.FlatTree{}
-	default:
-		bc = model.NewFromSchedule(alg, segments)
-	}
-	s.bcasts[k] = bc
-	return bc
+	return &scorer{sh: sh, m: m, overlap: overlap}
 }
 
 // bcastStep returns the cost of broadcasting elems matrix elements over a
@@ -83,7 +49,7 @@ func (s *scorer) familyComm(sh matrix.Shape, g topo.Grid, k core.Knobs, levels [
 	}
 	return model.Family(model.RectParams{
 		Shape: sh, Grid: g, B: k.BlockSize,
-		Machine: s.m, Bcast: s.bcast(k.Broadcast, k.Segments),
+		Machine: s.m, Bcast: model.For(k.Broadcast),
 	}, ml).Comm()
 }
 
@@ -133,7 +99,7 @@ func (s *scorer) phases(spec engine.Spec) (bcast, shift, p2p, gemm float64) {
 		// (Square-only: the enumeration never proposes Cannon otherwise.)
 		shift = 2 * (q + 1) * (s.m.Alpha + tile*s.m.Beta)
 	case spec.Algorithm == engine.Fox:
-		bcast = q * s.bcastStep(s.bcast(o.Broadcast, o.Segments), q, tile)
+		bcast = q * s.bcastStep(model.For(o.Broadcast), q, tile)
 		shift = q * (s.m.Alpha + tile*s.m.Beta)
 	case spec.Algorithm == engine.Strassen:
 		bcast, p2p = s.strassenComm(o, sh)

@@ -50,8 +50,6 @@ type ResolveParams struct {
 	Levels []core.Level
 	// Broadcast selects the collective schedule (empty = binomial).
 	Broadcast sched.Algorithm
-	// Segments is the chain-broadcast pipeline depth.
-	Segments int
 	// Threads is the per-rank thread budget for the local multiplies (the
 	// hybrid MPI+OpenMP knob). 0 or 1 keeps ranks serial; under
 	// engine.Auto, 0 lets the planner choose (currently 1 unless the
@@ -76,7 +74,6 @@ func (rp ResolveParams) Knobs() core.Knobs {
 		BlockSize:           rp.BlockSize,
 		OuterBlockSize:      rp.OuterBlockSize,
 		Broadcast:           rp.Broadcast,
-		Segments:            rp.Segments,
 		Threads:             rp.Threads,
 		StrassenLevels:      rp.StrassenLevels,
 		StrassenInnerGroups: rp.StrassenInnerGroups,
@@ -91,7 +88,6 @@ func (rp *ResolveParams) SetKnobs(k core.Knobs) {
 	rp.BlockSize = k.BlockSize
 	rp.OuterBlockSize = k.OuterBlockSize
 	rp.Broadcast = k.Broadcast
-	rp.Segments = k.Segments
 	rp.Threads = k.Threads
 	rp.StrassenLevels = k.StrassenLevels
 	rp.StrassenInnerGroups = k.StrassenInnerGroups

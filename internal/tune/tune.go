@@ -81,8 +81,8 @@ type Request struct {
 	// Algorithms restricts the candidate algorithms; nil means SUMMA,
 	// HSUMMA, Cannon and Fox (Multilevel joins when listed explicitly).
 	Algorithms []engine.Algorithm
-	// Broadcasts restricts the broadcast variants; nil means binomial,
-	// Van de Geijn and (in full mode) binary.
+	// Broadcasts restricts the broadcast variants; nil means both of the
+	// paper's, binomial and Van de Geijn.
 	Broadcasts []sched.Algorithm
 	// Objective defaults to MinTotal.
 	Objective Objective
@@ -121,10 +121,7 @@ func (r Request) withDefaults() Request {
 		r.Algorithms = []engine.Algorithm{engine.SUMMA, engine.HSUMMA, engine.Cannon, engine.Fox, engine.Strassen}
 	}
 	if len(r.Broadcasts) == 0 {
-		r.Broadcasts = []sched.Algorithm{sched.Binomial, sched.VanDeGeijn}
-		if !r.Quick {
-			r.Broadcasts = append(r.Broadcasts, sched.Binary)
-		}
+		r.Broadcasts = sched.Algorithms()
 	}
 	return r
 }

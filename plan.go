@@ -66,8 +66,8 @@ type PlanConfig struct {
 	// Algorithms restricts the searched algorithms (nil = SUMMA, HSUMMA,
 	// Cannon, Fox, Strassen).
 	Algorithms []Algorithm
-	// Broadcasts restricts the broadcast variants (nil = binomial,
-	// Van de Geijn, and in full mode binary).
+	// Broadcasts restricts the broadcast variants (nil = binomial and
+	// Van de Geijn).
 	Broadcasts []sched.Algorithm
 	// Objective defaults to PlanMinTotal.
 	Objective PlanObjective

@@ -48,7 +48,6 @@ type SimConfig struct {
 	// Levels configures AlgMultilevel (outermost first).
 	Levels    []Level
 	Broadcast sched.Algorithm
-	Segments  int
 	// Threads is the per-rank thread budget for the local multiplies (the
 	// hybrid MPI+OpenMP knob); the virtual engines charge compute at
 	// flops / Speedup(Threads). 0 and 1 both mean serial ranks and leave
@@ -132,7 +131,6 @@ func (cfg SimConfig) Config() Config {
 		OuterBlockSize:      cfg.OuterBlockSize,
 		Levels:              cfg.Levels,
 		Broadcast:           cfg.Broadcast,
-		Segments:            cfg.Segments,
 		Threads:             cfg.Threads,
 		StrassenLevels:      cfg.StrassenLevels,
 		StrassenInnerGroups: cfg.StrassenInnerGroups,

@@ -37,7 +37,9 @@ func stagingCases() []stagingCase {
 		{"hsumma-outer", Config{Procs: 16, Algorithm: AlgHSUMMA, Groups: 4, BlockSize: 2, OuterBlockSize: 8, Broadcast: BcastVanDeGeijn}, [2]int{64, 53}},
 		{"multilevel", Config{Procs: 16, Algorithm: AlgMultilevel, Levels: []Level{{I: 2, J: 2, BlockSize: 4}}, BlockSize: 2}, [2]int{32, 27}},
 		{"cannon", Config{Procs: 9, Algorithm: AlgCannon}, [2]int{36, 31}},
-		{"fox", Config{Procs: 9, Algorithm: AlgFox, Broadcast: BcastChain, Segments: 3}, [2]int{36, 31}},
+		// Padded to 33, Fox broadcasts 11×11 tiles over rows of 3: Van de
+		// Geijn then splits 121 elements into uneven segments.
+		{"fox", Config{Procs: 9, Algorithm: AlgFox, Broadcast: BcastVanDeGeijn}, [2]int{36, 31}},
 		{"strassen", Config{Procs: 16, Algorithm: AlgStrassen, BlockSize: 4}, [2]int{64, 45}},
 	}
 }
