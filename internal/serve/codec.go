@@ -17,8 +17,12 @@ import (
 // The payload codec of POST /multiply. The operand and result arrays are
 // most of every body, so encoding/json never sees them: requests are scanned
 // token by token out of a fixed read window as the body arrives, responses
-// are appended straight from the product C. encoding/json is left the
-// handful of knob members (jsonMultiply) and the stats object.
+// are appended straight from the product C. Each array number is lexed and
+// converted in one pass (parseNumber: the digits gathered into a uint64
+// eight at a time, then Clinger's exact fast path or Eisel-Lemire), bit for
+// bit what strconv.ParseFloat returns; strconv itself sees only the rare
+// token neither can decide. encoding/json is left the handful of knob
+// members (jsonMultiply) and the stats object.
 
 const (
 	windowBytes  = 64 << 10 // read window: the most body held at once, so also the longest number
@@ -133,12 +137,13 @@ func (s *scanner) expect(want byte) {
 	}
 }
 
-// number consumes the JSON number token that comes next; the slice points
-// into the window and is valid until the next scanner call.
-func (s *scanner) number() []byte {
+// float consumes the JSON number that comes next and returns its value,
+// parsed in one pass by parseNumber; a number that runs into the end of the
+// window is parsed again once more of the body has arrived.
+func (s *scanner) float() float64 {
 	s.peek()
 	for s.err == nil {
-		n, cut := lexNumber(s.buf[s.pos:s.end])
+		f, n, cut, ok := parseNumber(s.buf[s.pos:s.end])
 		if cut && s.fill() {
 			continue // it ran into the end of the window: look again with more
 		}
@@ -146,50 +151,129 @@ func (s *scanner) number() []byte {
 			s.fail("%w", errLongToken)
 		} else if n == 0 {
 			s.fail("invalid number at %q", s.buf[s.pos:min(s.pos+16, s.end)])
+		} else if !ok { // the grammar held, so this is a range error
+			s.fail("number %s overflows float64", s.buf[s.pos:s.pos+min(n, 32)])
 		}
 		s.pos += n
-		return s.buf[s.pos-n : s.pos]
+		return f
 	}
-	return nil
+	return 0
 }
 
-// lexNumber returns the length of the longest JSON number at the front of b
-// (0 if there is none) and whether the end of b cut the scan short, so that
-// more bytes could make it longer. The grammar is stricter than
+// parseNumber parses the longest JSON number at the front of b and returns
+// its value, its length n (0 if there is none), whether the end of b cut the
+// scan short so that more bytes could make it longer, and false when there
+// is no number or it overflows float64. The grammar is stricter than
 // strconv.ParseFloat's, which also takes "+1", ".5", "1." and "01": here
-// "01" lexes as "0" and leaves a '1' the caller has no use for.
-func lexNumber(b []byte) (n int, cut bool) {
+// "01" parses as "0" and leaves a '1' the caller has no use for, and "1.e5"
+// as "1". The value is strconv.ParseFloat's, bit for bit: the digits are
+// gathered into a uint64 as they are lexed, eight at a time where eight are
+// present, and converted by Clinger's exact fast path or by Eisel-Lemire.
+// strconv sees the token only when neither decides: more than 19
+// significant digits, an exponent beyond the power table, a subnormal or
+// overflowing result, or a product too close to halfway between two
+// float64s.
+func parseNumber(b []byte) (f float64, n int, cut, ok bool) {
 	i := 0
-	has := func(x, y byte) bool {
-		if i == len(b) {
-			cut = true
-		} else if b[i] == x || b[i] == y {
-			i++
-			return true
-		}
-		return false
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		i++
 	}
-	digits := func() bool {
+	first := i // the first mantissa digit
+	var man uint64
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if man, i = digits(b, i, 0); i == first {
+		return 0, 0, i == len(b), false
+	}
+	n = i
+	nd, exp10 := n-first, 0 // mantissa digits; the value is ±man·10^exp10
+	if i < len(b) && b[i] == '.' {
+		i++
 		from := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		if man, i = digits(b, i, man); i > from {
+			n, nd, exp10 = i, nd+i-from, from-i
+		}
+	}
+	if i == n && i < len(b) && (b[i] == 'e' || b[i] == 'E') { // not after a bare '.'
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		cut = cut || i == len(b)
-		return i > from
-	}
-	has('-', '-')
-	if !has('0', '0') && !digits() {
-		return 0, cut
-	}
-	if n = i; has('.', '.') && digits() {
-		n = i
-	}
-	if has('e', 'E') {
-		if has('+', '-'); digits() {
-			n = i
+		e, from := 0, i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 10000 { // saturate where strconv does, so both see one exponent
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i > from {
+			if eneg {
+				e = -e
+			}
+			n, exp10 = i, exp10+e
 		}
 	}
-	return n, cut
+	if nd > 19 { // man wrapped unless leading zeros leave at most 19 digits
+		for _, c := range b[first:n] {
+			if c == '0' {
+				nd--
+			} else if c != '.' {
+				break
+			}
+		}
+	}
+	if nd <= 19 {
+		if f, ok := clinger(man, exp10, neg); ok {
+			return f, n, i == len(b), true
+		}
+		if f, ok := eiselLemire64(man, exp10, neg); ok {
+			return f, n, i == len(b), true
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[:n]), 64)
+	return f, n, i == len(b), err == nil
+}
+
+// digits appends the decimal digits at b[i:] to man (modulo 2^64) and
+// returns it with the index past them. Runs of eight digits are tested and
+// converted as one little-endian word, the SWAR trick of Lemire's fast_float.
+func digits(b []byte, i int, man uint64) (uint64, int) {
+	for ; i+8 <= len(b); i += 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		if ((w+0x4646464646464646)|(w-0x3030303030303030))&0x8080808080808080 != 0 {
+			break // some byte is not '0'..'9'
+		}
+		w -= 0x3030303030303030
+		w = w*10 + w>>8 // adjacent digit pairs, in every other byte
+		w = ((w&0x000000FF000000FF)*(100+1000000<<32) + (w>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		man = man*100000000 + w&0xFFFFFFFF
+	}
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return man, i
+}
+
+// float64pow10 holds the powers of ten that float64 represents exactly.
+var float64pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// clinger converts ±man·10^exp10 with one IEEE multiply or divide when both
+// operands are exact (man below 2^53, |exp10| ≤ 22), so that the one
+// rounding is the correct one.
+func clinger(man uint64, exp10 int, neg bool) (float64, bool) {
+	if man>>53 != 0 || exp10 < -22 || exp10 > 22 {
+		return 0, false
+	}
+	f := float64(man)
+	if neg {
+		f = -f
+	}
+	if exp10 < 0 {
+		return f / float64pow10[-exp10], true
+	}
+	return f * float64pow10[exp10], true
 }
 
 // floats parses the JSON number array that comes next into dst[:0], failing
@@ -206,10 +290,8 @@ func (s *scanner) floats(dst []float64, limit int) []float64 {
 			s.fail("array has more than %d elements", limit)
 			break
 		}
-		tok := s.number()
-		v, err := strconv.ParseFloat(string(tok), 64)
-		if err != nil { // the grammar held, so this is a range error
-			s.fail("number %s overflows float64", tok[:min(len(tok), 32)])
+		v := s.float()
+		if s.err != nil {
 			break
 		}
 		if len(dst) == cap(dst) {

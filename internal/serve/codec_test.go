@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -229,6 +230,192 @@ func TestParseJSONSeedVerdicts(t *testing.T) {
 	}
 	if want := 120 + 6; accepted != want {
 		t.Fatalf("%d seed bodies accepted, want %d (120 member orders + the 6 well-formed extras)", accepted, want)
+	}
+}
+
+// lexNumber is the grammar oracle of parseNumber: the lexer the scanner ran
+// before parsing and converting became one pass, with "1.e5" lexing as "1"
+// (it once ran on into the exponent). It returns the length of the longest
+// JSON number at the front of b (0 if there is none) and whether the end of
+// b cut the scan short, so that more bytes could make it longer.
+func lexNumber(b []byte) (n int, cut bool) {
+	i := 0
+	has := func(x, y byte) bool {
+		if i == len(b) {
+			cut = true
+		} else if b[i] == x || b[i] == y {
+			i++
+			return true
+		}
+		return false
+	}
+	digits := func() bool {
+		from := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		cut = cut || i == len(b)
+		return i > from
+	}
+	has('-', '-')
+	if !has('0', '0') && !digits() {
+		return 0, cut
+	}
+	if n = i; has('.', '.') {
+		if !digits() {
+			return n, cut
+		}
+		n = i
+	}
+	if has('e', 'E') {
+		if has('+', '-'); digits() {
+			n = i
+		}
+	}
+	return n, cut
+}
+
+// checkParseNumber holds parseNumber to its two oracles: lexNumber on the
+// token's extent and cut, strconv.ParseFloat on the token's value, bits and
+// range verdict.
+func checkParseNumber(t *testing.T, b []byte) {
+	t.Helper()
+	f, n, cut, ok := parseNumber(b)
+	if wn, wcut := lexNumber(b); n != wn || cut != wcut {
+		t.Fatalf("%q: n=%d cut=%v, lexNumber says n=%d cut=%v", b, n, cut, wn, wcut)
+	}
+	if n == 0 {
+		if ok {
+			t.Fatalf("%q: ok without a number", b)
+		}
+		return
+	}
+	want, err := strconv.ParseFloat(string(b[:n]), 64)
+	if ok != (err == nil) || math.Float64bits(f) != math.Float64bits(want) {
+		t.Fatalf("%q: %v (%#x) ok=%v, strconv says %v (%#x) err=%v", b[:n], f, math.Float64bits(f), ok, want, math.Float64bits(want), err)
+	}
+}
+
+// numberCorners are the tokens where a number parser goes wrong: signed
+// zeros, the ends of the exponent range, subnormals, halfway cases, the
+// 19-digit edge of the uint64 mantissa, over-long exponents, and grammar
+// that must stop short.
+var numberCorners = []struct {
+	in string
+	n  int  // the token's length
+	ok bool // a float64 came out
+}{
+	{"-0", 2, true},
+	{"0", 1, true},
+	{"-0.0e-0", 7, true},
+	{"0e999", 5, true},
+	{"-0e-999999", 10, true},
+	{"1e-400", 6, true},
+	{"4.9e-324", 8, true},
+	{"2.4703282292062327e-324", 23, true}, // halfway to the smallest subnormal: rounds to 0
+	{"2.4703282292062328e-324", 23, true},
+	{"2.2250738585072011e-308", 23, true},
+	{"2.2250738585072014e-308", 23, true},
+	{"1.7976931348623157e308", 22, true},
+	{"1.7976931348623159e308", 22, false}, // rounds up to +Inf
+	{"1e999", 5, false},
+	{"-1e309", 6, false},
+	{"9007199254740992", 16, true},
+	{"9007199254740993", 16, true}, // halfway between two float64s: strconv decides
+	{"9007199254740995", 16, true},
+	{"0.30000000000000004", 19, true},
+	{"1234567890123456789", 19, true},
+	{"9999999999999999999", 19, true},
+	{"12345678901234567890", 20, true},
+	{"0.00000000000000000001234567890123456789", 40, true}, // 19 digits after 21 zeros
+	{"1234567890123456789012345678901234567890", 40, true},
+	{"1234567890123456789.012345678901234567890e-20", 45, true},
+	{"1e123456", 8, false},
+	{"1e-123456", 9, true},
+	{"1E+000000000000000000022", 24, true},
+	{"1e-0000000000000000000000000000000001", 37, true},
+	{"123e", 3, true},
+	{"123e+", 3, true},
+	{"1.e5", 1, true},
+	{"1.", 1, true},
+	{"01", 1, true},
+	{"-01.5", 2, true},
+	{"-", 0, false},
+	{"+1", 0, false},
+	{".5", 0, false},
+	{"", 0, false},
+}
+
+// TestParseNumberCorners pins each corner token's extent and verdict, holds
+// it to both oracles, and then sends it through the scanner placed so that
+// the 70-byte test window ends at every byte of it: the refill and reparse
+// must give what a window holding the whole body gives: the same value bits,
+// or the same error at the same byte offset.
+func TestParseNumberCorners(t *testing.T) {
+	for _, tc := range numberCorners {
+		_, n, _, ok := parseNumber([]byte(tc.in))
+		if n != tc.n || ok != tc.ok {
+			t.Errorf("%q: n=%d ok=%v, want n=%d ok=%v", tc.in, n, ok, tc.n, tc.ok)
+		}
+		checkParseNumber(t, []byte(tc.in))
+		checkParseNumber(t, []byte(tc.in+"]"))
+
+		const head = `{"a":[`
+		for pad := testWindow - len(tc.in); pad < testWindow; pad++ {
+			body := []byte(head + strings.Repeat(" ", pad-len(head)) + tc.in + `],"b":[1],"m":1,"n":1,"k":1}`)
+			decode := func(window int) (float64, string) {
+				sc := &scratch{win: make([]byte, window)}
+				_, err := sc.decodeJSON(bytes.NewReader(body), fuzzMaxBytes)
+				if err != nil {
+					// The excerpt after "invalid number at" is what the
+					// window held, so only the offset before it must agree.
+					msg, _, _ := strings.Cut(err.Error(), "invalid number at")
+					return 0, msg
+				}
+				return sc.a[0], ""
+			}
+			got, gotErr := decode(testWindow)
+			want, wantErr := decode(windowBytes)
+			if math.Float64bits(got) != math.Float64bits(want) || gotErr != wantErr {
+				t.Errorf("%q cut %d bytes in: %v %q, whole body in the window gives %v %q", tc.in, testWindow-pad, got, gotErr, want, wantErr)
+			}
+			if (wantErr == "") != (tc.ok && tc.n == len(tc.in)) {
+				t.Errorf("%q in an array: error %q", tc.in, wantErr)
+			}
+		}
+	}
+}
+
+// FuzzParseNumber: parseNumber agrees with the lexer it replaced on every
+// token's extent and cut, and with strconv.ParseFloat bit for bit.
+func FuzzParseNumber(f *testing.F) {
+	for _, tc := range numberCorners {
+		f.Add([]byte(tc.in))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 32 {
+		v := math.Float64frombits(rng.Uint64())
+		f.Add(strconv.AppendFloat(nil, v, 'e', -1, 64))
+		f.Add(strconv.AppendFloat(nil, 2*rng.Float64()-1, 'f', -1, 64))
+	}
+	f.Fuzz(checkParseNumber)
+}
+
+// TestPowersOfTenRows pins rows of the computed Eisel-Lemire table to the
+// literals of Go's strconv table: both ends, 10^0 and the worked example.
+func TestPowersOfTenRows(t *testing.T) {
+	for _, tc := range []struct {
+		exp10  int
+		lo, hi uint64
+	}{
+		{-348, 0x1732C869CD60E453, 0xFA8FD5A0081C0288},
+		{0, 0x0000000000000000, 0x8000000000000000},
+		{43, 0x6D9CCD05D0000000, 0xE596B7B0C643C719},
+		{347, 0x4B7195F2D2D1A9FB, 0xD13EB46469447567},
+	} {
+		if got := detailedPowersOfTen()[tc.exp10-detailedPowersOfTenMinExp10]; got != [2]uint64{tc.lo, tc.hi} {
+			t.Errorf("1e%d: {%#x, %#x}, want {%#x, %#x}", tc.exp10, got[0], got[1], tc.lo, tc.hi)
+		}
 	}
 }
 
@@ -456,7 +643,7 @@ func TestHTTPStrictBodies(t *testing.T) {
 }
 
 // BenchmarkCodec times the two halves of the JSON codec on the serve_json
-// benchmark's 256³ request; profile it to see what the floor is made of.
+// benchmark's 256³ request.
 func BenchmarkCodec(b *testing.B) {
 	const n = 256
 	body, err := json.Marshal(struct {
@@ -470,6 +657,12 @@ func BenchmarkCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	sc := &scratch{win: make([]byte, windowBytes)}
+	// Decode once up front: encode multiplies these operands, and either
+	// sub-benchmark may run alone (-bench Codec/encode).
+	if _, err := sc.decodeJSON(bytes.NewReader(body), 256<<20); err != nil {
+		b.Fatal(err)
+	}
+	c := reference(matrix.FromSlice(n, n, sc.a), matrix.FromSlice(n, n, sc.b))
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
@@ -479,7 +672,6 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		}
 	})
-	c := reference(matrix.FromSlice(n, n, sc.a), matrix.FromSlice(n, n, sc.b))
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {

@@ -33,7 +33,15 @@ func knobValue(t *testing.T, f reflect.StructField, i int) reflect.Value {
 // reaches the resolver — and the resolved spec — as the same Knobs. Dropping
 // one copy line from SimConfig.Config, Config.resolveParams,
 // ResolveParams.Knobs or ResolveParams.SetKnobs fails the knob it served.
+// No surface may grow a Segments field back.
 func TestKnobSurfacesAgree(t *testing.T) {
+	// Segments left with the chain broadcast; it must not come back as a
+	// knob (sched.Schedule.Segments, one schedule's segment count, stays).
+	for _, surface := range []any{core.Knobs{}, Config{}, SimConfig{}} {
+		if _, ok := reflect.TypeOf(surface).FieldByName("Segments"); ok {
+			t.Errorf("%T has a Segments field: the paper's two broadcasts take no segment knob", surface)
+		}
+	}
 	shape := SquareShape(64)
 	kt := reflect.TypeOf(core.Knobs{})
 	for i := 0; i < kt.NumField(); i++ {
