@@ -1,11 +1,13 @@
 package hsumma
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (run `go test -bench=. -benchmem`), plus the ablation benches
-// listed in DESIGN.md §4. Figure benches execute the full paper-scale
+// evaluation (run `go test -bench=. -benchmem`), plus ablation benches for
+// the knobs the paper only names (broadcast, block sizes, group shape,
+// contention, multilevel). Figure benches execute the full paper-scale
 // simulation once per iteration and report the regenerated headline
 // quantities as custom metrics (seconds of simulated time), so the bench
-// output doubles as the reproduction record; EXPERIMENTS.md snapshots it.
+// output doubles as the reproduction record; `hsumma-bench -exp <id>`
+// prints the same experiments with the paper's values beside ours.
 
 import (
 	"testing"
@@ -121,7 +123,7 @@ func BenchmarkRuntimeFox(b *testing.B) {
 	benchRuntime(b, Config{Procs: 16, Algorithm: AlgFox})
 }
 
-// --- Ablations (DESIGN.md §4) ---
+// --- Ablations ---
 
 // simHSUMMA simulates HSUMMA on the square n problem over hierarchy h with
 // the given knobs — the spec every simulated ablation below varies one
@@ -290,33 +292,6 @@ func BenchmarkAblationMultilevel(b *testing.B) {
 				msgs = st.Messages
 			}
 			b.ReportMetric(float64(msgs), "messages")
-		})
-	}
-}
-
-// BenchmarkAblationOverlap quantifies the paper's §VI overlap opportunity
-// on the simulated BG/P: non-overlapped (the paper's implementation) vs
-// double-buffered communication/computation overlap.
-func BenchmarkAblationOverlap(b *testing.B) {
-	g := topo.Grid{S: 128, T: 128}
-	h, _ := topo.FactorGroups(g, 128)
-	for _, overlap := range []bool{false, true} {
-		overlap := overlap
-		name := "off"
-		if overlap {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				res, err := simHSUMMA(65536, h, core.Knobs{BlockSize: 256, Broadcast: sched.VanDeGeijn},
-					simnet.VConfig{Model: machine.BlueGenePCalibrated().Model, Overlap: overlap}, EngineAuto)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = res.Total
-			}
-			b.ReportMetric(total, "sim_total_s")
 		})
 	}
 }

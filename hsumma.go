@@ -9,9 +9,10 @@
 //     and Fox baselines) executed on an in-process MPI-like runtime whose
 //     ranks are goroutines;
 //   - Simulate: the *same* algorithm implementations executed on a
-//     simnet-backed virtual communicator that advances Hockney virtual
-//     time instead of wall-clock, reproducing the paper's large-scale
-//     timing figures at rank counts no single machine could host;
+//     virtual communicator (the event engine, or one goroutine per rank)
+//     that advances Hockney virtual time instead of wall-clock,
+//     reproducing the paper's large-scale timing figures at rank counts no
+//     single machine could host;
 //   - Predict: the paper's closed-form cost model (Tables I–II), optimal
 //     group count analysis and the exascale projection;
 //   - RunExperiment: the registry of reproduction experiments, one per
@@ -20,7 +21,7 @@
 // Every algorithm is written once against the transport-agnostic
 // comm.Comm interface; Multiply and Simulate differ only in the transport
 // they hand the algorithm. See README.md for a walkthrough and
-// EXPERIMENTS.md for paper-vs-measured results.
+// paper-vs-measured results.
 package hsumma
 
 import (
@@ -117,7 +118,7 @@ const (
 	// full-scale p=16384 BG/P run.
 	EngineEvent = engine.ExecutorEvent
 	// EngineAuto (the default) picks the event engine for SUMMA, HSUMMA,
-	// multilevel and Strassen runs without overlap, goroutines otherwise.
+	// multilevel and Strassen runs, goroutines for Cannon and Fox.
 	EngineAuto = engine.ExecutorAuto
 )
 

@@ -136,27 +136,3 @@ func TestAllAlgorithmsAgreeEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-// Overlap in the simulator is a pure scheduling change: comm time and
-// compute time are individually preserved; only the total shrinks.
-func TestOverlapPreservesComponents(t *testing.T) {
-	m := Machine{Alpha: 1e-4, Beta: 1e-9, Gamma: 3e-10}
-	mk := func(overlap bool) SimResult {
-		res, err := Simulate(SimConfig{
-			N: 1024, Procs: 64, BlockSize: 64, Algorithm: AlgHSUMMA, Groups: 8,
-			Broadcast: BcastVanDeGeijn, Machine: m, Overlap: overlap,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain, lapped := mk(false), mk(true)
-	if math.Abs(plain.Comm-lapped.Comm) > 1e-12*plain.Comm ||
-		math.Abs(plain.Compute-lapped.Compute) > 1e-12*plain.Compute {
-		t.Fatal("overlap altered component accounting")
-	}
-	if lapped.Total > plain.Total*(1+1e-12) {
-		t.Fatal("overlap increased total time")
-	}
-}

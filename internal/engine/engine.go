@@ -76,11 +76,10 @@ const (
 	ExecutorEvent Executor = "event"
 	// ExecutorAuto picks per spec: the event engine for the algorithms whose
 	// time is in the collective pivot loop (SUMMA, HSUMMA, multilevel, and
-	// Strassen, whose recursion bottoms out in that loop) without overlap —
-	// where recording once per class and replaying pays — and the
-	// goroutine engine for the point-to-point-heavy baselines (Cannon, Fox)
-	// and for overlap runs, whose irregular dependency structure gains
-	// nothing from replay. The empty string means auto.
+	// Strassen, whose recursion bottoms out in that loop) — where recording
+	// once per class and replaying pays — and the goroutine engine for the
+	// point-to-point-heavy baselines (Cannon, Fox). The empty string means
+	// auto.
 	ExecutorAuto Executor = "auto"
 )
 
@@ -94,16 +93,14 @@ func ExecutorNames() string {
 // ResolveExecutor applies the auto rule for a spec and validates explicit
 // selections. Simulate, the one virtual execution path, routes through
 // here.
-func ResolveExecutor(e Executor, alg Algorithm, overlap bool) (Executor, error) {
+func ResolveExecutor(e Executor, alg Algorithm) (Executor, error) {
 	switch e {
 	case ExecutorGoroutine, ExecutorEvent:
 		return e, nil
 	case ExecutorAuto, "":
 		switch alg {
 		case SUMMA, HSUMMA, Multilevel, Strassen:
-			if !overlap {
-				return ExecutorEvent, nil
-			}
+			return ExecutorEvent, nil
 		}
 		return ExecutorGoroutine, nil
 	default:

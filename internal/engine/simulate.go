@@ -54,7 +54,7 @@ type virtualWorld interface {
 
 // Simulate executes a spec — the same value the live path hands to Run —
 // on the virtual communicator under the given virtual-world configuration
-// (machine model, contention, link cost, overlap, tracing) and returns the
+// (machine model, contention, link cost, tracing) and returns the
 // simulated times plus the per-rank traffic counters, the quantities the
 // live runtime reports through mpi.RunStats. ex selects the execution
 // engine (goroutine | event | auto; empty means auto, see
@@ -63,7 +63,7 @@ type virtualWorld interface {
 // — which the engine parity tests in internal/simalg assert; they differ only
 // in host wall time.
 func Simulate(spec Spec, vcfg simnet.VConfig, ex Executor) (SimResult, []simnet.VRankStats, error) {
-	resolved, err := ResolveExecutor(ex, spec.Algorithm, vcfg.Overlap)
+	resolved, err := ResolveExecutor(ex, spec.Algorithm)
 	if err != nil {
 		return SimResult{}, nil, err
 	}

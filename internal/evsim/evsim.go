@@ -25,10 +25,12 @@
 //     dependency: a receive whose matching send has not been replayed yet,
 //     or a collective some member has not reached. Collectives fire when
 //     their last member's event arrives and execute the same internal/sched
-//     schedule through the same Sim Hockney cost code as the goroutine
-//     engine, so virtual times, per-rank communication-time breakdowns and
-//     traffic counters are bit-identical (asserted by the engine parity
-//     tests in internal/simalg).
+//     schedule through Sim.ExecOne, the call the goroutine engine's Bcast
+//     makes; Gemm and Axpy advance the same per-rank clock (the paper's
+//     non-overlapped execution). Virtual times, per-rank communication-time
+//     breakdowns, traffic counters and trace spans are therefore
+//     bit-identical (asserted by the engine parity tests in internal/simalg
+//     and the span test in the root package).
 //
 // # Stream classes
 //
@@ -52,18 +54,6 @@
 // is parked, the replay cannot progress (a mismatched program, or class
 // members further apart than a ring holds) and Run returns an error.
 //
-// # Rank-symmetry memo
-//
-// Under uniform links (no LinkCost) a collective whose members all start
-// from the same clock is memoised by (schedule, payload, start clock); a
-// clock-equal sibling copies the per-role final clocks and re-applies the
-// exact floating-point sequence of communication-time increments in order,
-// which is bit-identical to re-walking the schedule because ExecPhase is a
-// deterministic function of those inputs. At the paper's p=2048 BG/P point
-// it hits about 15 % of collectives. The memo stays valid with contention
-// enabled (flow counts are per-collective) and is disabled under a
-// LinkCost model (transfer times depend on world-rank placement).
-//
 // Determinism: results are independent of goroutine interleaving and
 // GOMAXPROCS by construction — each rank's trace is its own program order,
 // disjoint collectives commute exactly (they touch disjoint clocks), and
@@ -85,12 +75,10 @@ import (
 // state for one simulated execution. Create one per run with NewWorld.
 type World struct {
 	sim    *simnet.Sim
-	cfg    simnet.VConfig
 	caches *simnet.SchedCache
 
-	stats       []simnet.VRankStats
-	computeDone []float64       // overlap mode: per-rank compute timeline
-	rec         *trace.Recorder // cfg.Trace; nil = tracing disabled
+	stats []simnet.VRankStats
+	rec   *trace.Recorder // cfg.Trace; nil = tracing disabled
 
 	class []int       // SetClasses; nil = one class per rank
 	prods []*producer // per rank
@@ -101,10 +89,6 @@ type World struct {
 	runnable []int32
 	pending  map[msgKey][]vMsg
 	waiting  map[msgKey]int32
-
-	memoEnabled bool
-	overlap     bool
-	memo        map[memoKey]*memoEntry
 
 	// commMu guards the communicator registry (abort wakes split waiters).
 	commMu sync.Mutex
@@ -140,21 +124,14 @@ func NewWorld(p int, cfg simnet.VConfig) *World {
 	sim.SetContention(cfg.Contention)
 	sim.SetLinkCost(cfg.LinkCost)
 	w := &World{
-		sim:         sim,
-		cfg:         cfg,
-		caches:      simnet.NewSchedCache(),
-		stats:       make([]simnet.VRankStats, p),
-		prods:       make([]*producer, p),
-		ranks:       make([]rankState, p),
-		pending:     make(map[msgKey][]vMsg),
-		waiting:     make(map[msgKey]int32),
-		memoEnabled: cfg.LinkCost == nil,
-		overlap:     cfg.Overlap,
-		rec:         cfg.Trace,
-		memo:        make(map[memoKey]*memoEntry),
-	}
-	if cfg.Overlap {
-		w.computeDone = make([]float64, p)
+		sim:     sim,
+		caches:  simnet.NewSchedCache(),
+		stats:   make([]simnet.VRankStats, p),
+		prods:   make([]*producer, p),
+		ranks:   make([]rankState, p),
+		pending: make(map[msgKey][]vMsg),
+		waiting: make(map[msgKey]int32),
+		rec:     cfg.Trace,
 	}
 	w.wakeCond = sync.NewCond(&w.wakeMu)
 	for r := 0; r < p; r++ {
@@ -319,18 +296,9 @@ func (w *World) Stats() []simnet.VRankStats {
 	return out
 }
 
-// Total returns the simulated execution time: the last communication
-// clock, or in overlap mode the later of the communication and compute
-// timelines — the same definition as the goroutine engine's VWorld.Total.
-func (w *World) Total() float64 {
-	total := w.sim.MaxClock()
-	for _, cd := range w.computeDone {
-		if cd > total {
-			total = cd
-		}
-	}
-	return total
-}
+// Total returns the simulated execution time: the last rank clock — the
+// same definition as the goroutine engine's VWorld.Total.
+func (w *World) Total() float64 { return w.sim.MaxClock() }
 
 // MaxCommTime returns the largest per-rank time spent inside
 // communication, the quantity the paper plots as "communication time".

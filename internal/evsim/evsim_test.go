@@ -145,9 +145,10 @@ func TestSplitStructure(t *testing.T) {
 	}
 }
 
-// TestSymmetryMemoShares: clock-equal sibling collectives execute once
-// and replay bit-identically — disjoint row broadcasts from a uniform
-// start must leave every row with identical per-role clocks.
+// TestSymmetryMemoShares: role-equivalent ranks end with equal clocks —
+// disjoint row broadcasts from a uniform start, each fired through the
+// same schedule, must leave every row with identical per-role clocks and
+// communication times.
 func TestSymmetryMemoShares(t *testing.T) {
 	const rows, cols = 8, 8
 	w := NewWorld(rows*cols, testCfg())

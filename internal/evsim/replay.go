@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/machine"
-	"repro/internal/sched"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 )
@@ -289,24 +288,15 @@ func (w *World) advance(r int) bool {
 				} else {
 					flops = 2 * float64(ev.a) * float64(ev.b) * float64(ev.c) / machine.Speedup(threads)
 				}
-				if !w.overlap {
-					pre := w.sim.Clocks()[r]
-					w.sim.ComputeRank(r, flops)
-					if w.rec != nil {
-						w.rec.RankThreads(r, trace.PhaseGemm, pre, w.sim.Clocks()[r]-pre, threads)
-					}
-				} else {
-					w.doGemmOverlap(r, flops, threads)
+				pre := w.sim.Clocks()[r]
+				w.sim.ComputeRank(r, flops)
+				if w.rec != nil {
+					w.rec.RankThreads(r, trace.PhaseGemm, pre, w.sim.Clocks()[r]-pre, threads)
 				}
 			case evAxpy:
 				// One add per element, no Speedup, no trace span — the
 				// goroutine engine's Axpy bit for bit.
-				flops := float64(ev.a) * float64(ev.b)
-				if !w.overlap {
-					w.sim.ComputeRank(r, flops)
-				} else {
-					w.doAxpyOverlap(r, flops)
-				}
+				w.sim.ComputeRank(r, float64(ev.a)*float64(ev.b))
 			case evSend:
 				w.doSend(r, cs, ev)
 			case evRecv:
@@ -337,32 +327,6 @@ func (st *rankState) moveTo(pos uint64) {
 	old := st.pos
 	st.pos = pos
 	st.ring.pass(old, pos)
-}
-
-// doGemmOverlap advances the rank's dedicated compute timeline (double
-// buffering) — the same arithmetic, in the same order, as the goroutine
-// engine's Gemm in overlap mode.
-func (w *World) doGemmOverlap(me int, flops float64, threads int) {
-	dt := w.cfg.Model.Compute(flops)
-	start := w.computeDone[me]
-	if clk := w.sim.Clocks()[me]; clk > start {
-		start = clk
-	}
-	w.computeDone[me] = start + dt
-	if w.rec != nil {
-		w.rec.RankThreads(me, trace.PhaseGemm, start, dt, threads)
-	}
-}
-
-// doAxpyOverlap advances the rank's dedicated compute timeline by an
-// axpy's flops — doGemmOverlap without the trace span.
-func (w *World) doAxpyOverlap(me int, flops float64) {
-	dt := w.cfg.Model.Compute(flops)
-	start := w.computeDone[me]
-	if clk := w.sim.Clocks()[me]; clk > start {
-		start = clk
-	}
-	w.computeDone[me] = start + dt
 }
 
 // doSend replays an eager send: the sender is occupied for the transfer
@@ -530,42 +494,10 @@ func (w *World) arrive(me int, cs *commState, ev *event) bool {
 	return true
 }
 
-// --- Collective execution and the rank-symmetry memo. ---
-
-// memoKey identifies a collective execution up to everything its outcome
-// depends on under uniform links: the schedule (pointer identity from the
-// shared cache), the payload, and the members' common start clock.
-// Contention is per-collective flow counts, so it is part of the schedule;
-// a LinkCost model would add world-rank placement, which is why the memo
-// is disabled there.
-type memoKey struct {
-	sched *sched.Schedule
-	elems int32
-	t0    float64
-}
-
-// memoEntry is a captured execution: per-role absolute final clocks (valid
-// for the key's t0) and the exact ordered sequence of communication-time
-// increments ExecPhase applied — replaying those increments add by add is
-// bit-identical to re-walking the schedule, because floating-point
-// addition is replayed in the original association order.
-type memoEntry struct {
-	finals []float64
-	advs   []roleAdv
-}
-
-type roleAdv struct {
-	role  int32
-	delta float64
-}
-
-// memoCap bounds the memo; start clocks advance monotonically through a
-// run, so old entries never hit again and a periodic reset loses nothing.
-const memoCap = 4096
+// --- Collective execution. ---
 
 // execColl fires a complete collective through the same Hockney cost code
-// as the goroutine engine, sharing executions between clock-equal sibling
-// collectives where the symmetry memo applies.
+// as the goroutine engine: Sim.ExecOne over the communicator's members.
 func (w *World) execColl(cs *commState, sig collSig) {
 	if cs.lastSched == nil || cs.last != sig {
 		s, err := w.caches.Broadcast(algName(sig.alg), len(cs.ranks), int(sig.root))
@@ -577,57 +509,6 @@ func (w *World) execColl(cs *commState, sig collSig) {
 	}
 	s, traffic := cs.lastSched, cs.lastTraffic
 	elems := int(sig.elems)
-	if w.memoEnabled {
-		clocks := w.sim.Clocks()
-		t0 := clocks[cs.ranks[0]]
-		uniform := true
-		for _, m := range cs.ranks[1:] {
-			if clocks[m] != t0 {
-				uniform = false
-				break
-			}
-		}
-		if uniform {
-			k := memoKey{sched: s, elems: sig.elems, t0: t0}
-			if e, ok := w.memo[k]; ok {
-				comm := w.sim.CommTimes()
-				for i, m := range cs.ranks {
-					clocks[m] = e.finals[i]
-				}
-				for _, a := range e.advs {
-					comm[cs.ranks[a.role]] += a.delta
-				}
-				w.applyTraffic(traffic, cs.ranks)
-				// Memoised executions still emit one span per member —
-				// from the shared start clock to the replayed final —
-				// so span counts match the goroutine engine exactly.
-				w.emitCollSpans(traffic, elems, cs.ranks, nil, t0)
-				return
-			}
-			// Miss: execute once, capturing the outcome for the siblings.
-			role := make(map[int]int32, len(cs.ranks))
-			for i, m := range cs.ranks {
-				role[m] = int32(i)
-			}
-			e := &memoEntry{}
-			w.sim.SetCommHook(func(rank int, delta float64) {
-				e.advs = append(e.advs, roleAdv{role: role[rank], delta: delta})
-			})
-			w.sim.ExecOne(simnet.Collective{Sched: s, Members: cs.ranks, PayloadBytes: float64(elems)})
-			w.sim.SetCommHook(nil)
-			e.finals = make([]float64, len(cs.ranks))
-			for i, m := range cs.ranks {
-				e.finals[i] = clocks[m]
-			}
-			if len(w.memo) >= memoCap {
-				w.memo = make(map[memoKey]*memoEntry)
-			}
-			w.memo[k] = e
-			w.applyTraffic(traffic, cs.ranks)
-			w.emitCollSpans(traffic, elems, cs.ranks, nil, t0)
-			return
-		}
-	}
 	var pre []float64
 	if w.rec != nil {
 		clocks := w.sim.Clocks()
@@ -638,7 +519,7 @@ func (w *World) execColl(cs *commState, sig collSig) {
 	}
 	w.sim.ExecOne(simnet.Collective{Sched: s, Members: cs.ranks, PayloadBytes: float64(elems)})
 	w.applyTraffic(traffic, cs.ranks)
-	w.emitCollSpans(traffic, elems, cs.ranks, pre, 0)
+	w.emitCollSpans(traffic, elems, cs.ranks, pre)
 }
 
 // applyTraffic adds the collective's cached per-role traffic deltas to
@@ -653,20 +534,15 @@ func (w *World) applyTraffic(traffic []simnet.VRankStats, members []int) {
 }
 
 // emitCollSpans records one broadcast span per member after a collective
-// has advanced the clocks: from pre[i] (or the uniform start t0 on the
-// memo paths, where pre is nil) to the member's final clock. No-op when
-// tracing is off.
-func (w *World) emitCollSpans(traffic []simnet.VRankStats, elems int, members []int, pre []float64, t0 float64) {
+// has advanced the clocks: from pre[i] to the member's final clock. No-op
+// when tracing is off.
+func (w *World) emitCollSpans(traffic []simnet.VRankStats, elems int, members []int, pre []float64) {
 	if w.rec == nil {
 		return
 	}
 	clocks := w.sim.Clocks()
 	for i, d := range traffic {
 		m := members[i]
-		p0 := t0
-		if pre != nil {
-			p0 = pre[i]
-		}
-		w.rec.Rank(m, trace.PhaseBcast, p0, clocks[m]-p0, int64(machine.BytesPerElement*elems), d.SentMessages)
+		w.rec.Rank(m, trace.PhaseBcast, pre[i], clocks[m]-pre[i], int64(machine.BytesPerElement*elems), d.SentMessages)
 	}
 }

@@ -29,7 +29,8 @@ package machine
 // (the p=2048 anchor, ≈10 s from Figure 9, then predicts 13.5 s — the
 // two-point fit makes β's contribution negative, so β keeps its published
 // value and the latency term absorbs the per-message cost; see
-// EXPERIMENTS.md). γ is unchanged: computation was measured directly.
+// `hsumma-bench -exp valbgp`). γ is unchanged: computation was measured
+// directly.
 func BlueGenePCalibrated() Platform {
 	pf := BlueGeneP()
 	pf.Name = "BlueGene/P (Shaheen, calibrated)"

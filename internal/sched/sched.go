@@ -8,9 +8,10 @@
 //   - internal/simnet replays it on per-rank virtual clocks under the
 //     Hockney model (the timing path for the paper's large-scale figures).
 //
-// Because both engines execute the *same* transfers, the simulated times in
-// EXPERIMENTS.md measure exactly the communication pattern the runnable code
-// performs — the property the paper's Section IV analysis relies on.
+// Because both engines execute the *same* transfers, the simulated times the
+// experiments report (`hsumma-bench -exp <id>`) measure exactly the
+// communication pattern the runnable code performs — the property the
+// paper's Section IV analysis relies on.
 //
 // The algorithms provided are the two the paper's cost analysis covers: the
 // binomial tree (Table I) and Van de Geijn scatter-allgather (Table II).

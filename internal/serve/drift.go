@@ -47,12 +47,16 @@ type driftTracker struct {
 	byKey map[string]*driftState
 }
 
+// driftMinSamples is the settling count the scheduler's tracker uses, and
+// newDriftTracker's default.
+const driftMinSamples = 8
+
 func newDriftTracker(threshold float64, minSamples int) *driftTracker {
 	if threshold <= 1 {
 		threshold = 2.0
 	}
 	if minSamples <= 0 {
-		minSamples = 8
+		minSamples = driftMinSamples
 	}
 	return &driftTracker{threshold: threshold, minSamples: minSamples, alpha: 0.3,
 		byKey: make(map[string]*driftState)}

@@ -45,11 +45,10 @@ type SchedulerConfig struct {
 	// cached pick.
 	DriftReplan bool
 	// DriftThreshold is the sustained measured/predicted ratio (or its
-	// inverse) that marks a plan stale (default 2.0; must exceed 1).
+	// inverse) that marks a plan stale (default 2.0; must exceed 1). A
+	// spec key needs 8 completed requests (driftMinSamples) before its
+	// drift EWMA can mark the plan stale.
 	DriftThreshold float64
-	// DriftMinSamples is how many completed requests a spec key needs
-	// before its drift EWMA can mark the plan stale (default 8).
-	DriftMinSamples int
 }
 
 func (c SchedulerConfig) withDefaults() SchedulerConfig {
@@ -178,7 +177,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		histE2E:   newHistogramVec("hsumma_serve_request_seconds", "End-to-end request time: queue + stage + run + crop."),
 		histBatch: newHistogramVecBounds("hsumma_serve_batch_size", "Coalesced same-A requests per execution, observed once per request.", batchBounds),
 		histDrift: newHistogramVecBounds("hsumma_serve_model_drift_ratio", "Measured/predicted cost ratio per phase (key is the phase name; 1.0 = plan model exact).", driftBounds),
-		drift:     newDriftTracker(cfg.DriftThreshold, cfg.DriftMinSamples),
+		drift:     newDriftTracker(cfg.DriftThreshold, driftMinSamples),
 		flight:    newFlightRecorder(cfg.TraceRingSize),
 	}
 	sc.specKeyed = []*histogramVec{sc.histQueue, sc.histStage, sc.histExec, sc.histE2E, sc.histBatch}

@@ -22,7 +22,6 @@ type Config struct {
 	Machine    machine.Model
 	Contention simnet.ContentionFunc
 	LinkCost   simnet.LinkCostFunc
-	Overlap    bool
 	Executor   engine.Executor
 }
 
@@ -37,7 +36,7 @@ func (cfg Config) spec(alg engine.Algorithm) engine.Spec {
 // RunStats simulates alg under cfg.
 func RunStats(cfg Config, alg engine.Algorithm) (engine.SimResult, []simnet.VRankStats, error) {
 	return engine.Simulate(cfg.spec(alg), simnet.VConfig{
-		Model: cfg.Machine, Contention: cfg.Contention, LinkCost: cfg.LinkCost, Overlap: cfg.Overlap,
+		Model: cfg.Machine, Contention: cfg.Contention, LinkCost: cfg.LinkCost,
 	}, cfg.Executor)
 }
 

@@ -152,36 +152,12 @@ func TestEngineParity(t *testing.T) {
 	}
 }
 
-// TestEngineParityOverlapAndLinkCost covers the model knobs outside the
-// main table: the overlap compute timeline, and a non-uniform link model
-// (which disables the symmetry memo — transfer times depend on rank
-// placement).
+// TestEngineParityOverlapAndLinkCost covers the model knob outside the
+// main table: a non-uniform link model, under which transfer times depend
+// on rank placement.
 func TestEngineParityOverlapAndLinkCost(t *testing.T) {
 	specs := paritySpecs(t)
 	pf := machine.BlueGenePCalibrated()
-
-	t.Run("overlap", func(t *testing.T) {
-		spec := specs["hsumma"]
-		vcfg := simnet.VConfig{Model: pf.Model, Overlap: true}
-		// Overlap moves Gemm onto a separate timeline; Total differs from
-		// MaxClock, so compare through the world totals as well.
-		gRes, gStats, err := engine.Simulate(spec, vcfg, engine.ExecutorGoroutine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eRes, eStats, err := engine.Simulate(spec, vcfg, engine.ExecutorEvent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gRes.Total != eRes.Total || gRes.Comm != eRes.Comm {
-			t.Fatalf("overlap totals differ: goroutine %+v vs event %+v", gRes, eRes)
-		}
-		for r := range gStats {
-			if gStats[r] != eStats[r] {
-				t.Fatalf("rank %d traffic: %+v vs %+v", r, gStats[r], eStats[r])
-			}
-		}
-	})
 
 	t.Run("linkcost", func(t *testing.T) {
 		spec := specs["hsumma"]
@@ -199,37 +175,35 @@ func TestEngineParityOverlapAndLinkCost(t *testing.T) {
 }
 
 // TestEngineAutoSelection pins the auto rule: event for the pivot-loop
-// specs, goroutines for the point-to-point baselines and overlap runs —
-// and rejection of unknown executors.
+// specs, goroutines for the point-to-point baselines — and rejection of
+// unknown executors.
 func TestEngineAutoSelection(t *testing.T) {
 	cases := []struct {
-		alg     engine.Algorithm
-		overlap bool
-		want    engine.Executor
+		alg  engine.Algorithm
+		want engine.Executor
 	}{
-		{engine.SUMMA, false, engine.ExecutorEvent},
-		{engine.HSUMMA, false, engine.ExecutorEvent},
-		{engine.Multilevel, false, engine.ExecutorEvent},
-		{engine.Strassen, false, engine.ExecutorEvent},
-		{engine.Cannon, false, engine.ExecutorGoroutine},
-		{engine.Fox, false, engine.ExecutorGoroutine},
-		{engine.HSUMMA, true, engine.ExecutorGoroutine},
+		{engine.SUMMA, engine.ExecutorEvent},
+		{engine.HSUMMA, engine.ExecutorEvent},
+		{engine.Multilevel, engine.ExecutorEvent},
+		{engine.Strassen, engine.ExecutorEvent},
+		{engine.Cannon, engine.ExecutorGoroutine},
+		{engine.Fox, engine.ExecutorGoroutine},
 	}
 	for _, c := range cases {
-		got, err := engine.ResolveExecutor(engine.ExecutorAuto, c.alg, c.overlap)
+		got, err := engine.ResolveExecutor(engine.ExecutorAuto, c.alg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != c.want {
-			t.Errorf("auto(%s, overlap=%t) = %s, want %s", c.alg, c.overlap, got, c.want)
+			t.Errorf("auto(%s) = %s, want %s", c.alg, got, c.want)
 		}
 		// The empty string behaves as auto.
-		got, err = engine.ResolveExecutor("", c.alg, c.overlap)
+		got, err = engine.ResolveExecutor("", c.alg)
 		if err != nil || got != c.want {
-			t.Errorf("empty executor (%s, overlap=%t) = %s (%v), want %s", c.alg, c.overlap, got, err, c.want)
+			t.Errorf("empty executor (%s) = %s (%v), want %s", c.alg, got, err, c.want)
 		}
 	}
-	if _, err := engine.ResolveExecutor("warp", engine.SUMMA, false); err == nil {
+	if _, err := engine.ResolveExecutor("warp", engine.SUMMA); err == nil {
 		t.Fatal("unknown executor accepted")
 	}
 }

@@ -64,7 +64,8 @@ func TestEmptyPhaseNoOp(t *testing.T) {
 
 func TestComputeRanksSelective(t *testing.T) {
 	sim := New(4, testModel)
-	sim.ComputeRanks([]int{1, 3}, 1e9)
+	sim.ComputeRank(1, 1e9)
+	sim.ComputeRank(3, 1e9)
 	if sim.Clock(0) != 0 || sim.Clock(2) != 0 {
 		t.Fatal("compute leaked to unselected ranks")
 	}

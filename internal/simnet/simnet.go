@@ -111,9 +111,6 @@ type Sim struct {
 	linkCost   LinkCostFunc
 	clocks     []float64
 	comm       []float64
-	// commHook, when set, observes every per-rank communication-time
-	// advance the executors apply (see SetCommHook).
-	commHook func(rank int, delta float64)
 }
 
 // New returns a simulator for p ranks under the given model, with no
@@ -141,14 +138,6 @@ func (s *Sim) SetContention(f ContentionFunc) {
 // SetLinkCost installs a per-transfer bandwidth multiplier (nil = uniform
 // links).
 func (s *Sim) SetLinkCost(f LinkCostFunc) { s.linkCost = f }
-
-// SetCommHook installs f to observe every per-rank communication-time
-// increment the collective executors apply, in application order; nil
-// removes it. internal/evsim's rank-symmetry fast path uses the hook to
-// capture a collective's exact floating-point increment sequence, so a
-// clock-equal sibling collective can replay it bit-identically without
-// re-walking the schedule.
-func (s *Sim) SetCommHook(f func(rank int, delta float64)) { s.commHook = f }
 
 // linkFactor returns the bandwidth multiplier for one transfer.
 func (s *Sim) linkFactor(src, dst int) float64 {
@@ -192,19 +181,8 @@ func (s *Sim) MaxCommTime() float64 {
 	return max
 }
 
-// ComputeRanks advances the given ranks by the time of `flops` floating-
-// point operations — the virtual communicator's Gemm uses it for the local
-// DGEMM updates between communication phases.
-func (s *Sim) ComputeRanks(ranks []int, flops float64) {
-	dt := s.model.Compute(flops)
-	for _, r := range ranks {
-		s.clocks[r] += dt
-	}
-}
-
 // ComputeRank advances one rank by the time of `flops` floating-point
-// operations — identical arithmetic to ComputeRanks for a single rank,
-// without the slice.
+// operations.
 func (s *Sim) ComputeRank(rank int, flops float64) {
 	s.clocks[rank] += s.model.Compute(flops)
 }
@@ -232,9 +210,9 @@ func (s *Sim) AdvanceComm(rank int, end float64) {
 }
 
 // Clocks exposes the per-rank clock array itself, for the execution
-// engines (internal/evsim's event loop writes member clocks when replaying
-// a memoised collective). The caller owns synchronisation; everyone else
-// should use Clock.
+// engines (internal/evsim's event loop reads and advances rank clocks on
+// its point-to-point and compute paths). The caller owns synchronisation;
+// everyone else should use Clock.
 func (s *Sim) Clocks() []float64 { return s.clocks }
 
 // CommTimes exposes the per-rank communication-time array itself, under
@@ -312,12 +290,8 @@ func (s *Sim) ExecPhase(cols []Collective) {
 		}
 		for _, u := range *updates {
 			if u.end > s.clocks[u.rank] {
-				adv := u.end - s.clocks[u.rank]
-				s.comm[u.rank] += adv
+				s.comm[u.rank] += u.end - s.clocks[u.rank]
 				s.clocks[u.rank] = u.end
-				if s.commHook != nil {
-					s.commHook(u.rank, adv)
-				}
 			}
 		}
 	}
@@ -385,12 +359,8 @@ func (s *Sim) execRingTails(cols []Collective) {
 		}
 		final := maxClock + float64(c.Sched.RingRounds)*perHop
 		for _, m := range c.Members {
-			adv := final - s.clocks[m]
-			s.comm[m] += adv
+			s.comm[m] += final - s.clocks[m]
 			s.clocks[m] = final
-			if s.commHook != nil {
-				s.commHook(m, adv)
-			}
 		}
 	}
 }

@@ -101,7 +101,9 @@ func TestComputeSeparatedFromComm(t *testing.T) {
 	sim := New(p, testModel)
 	sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 8e5})
 	commOnly := sim.MaxCommTime()
-	sim.ComputeRanks(identity(p), 1e9) // 0.1s at γ=1e-10
+	for r := 0; r < p; r++ {
+		sim.ComputeRank(r, 1e9) // 0.1s at γ=1e-10
+	}
 	if math.Abs(sim.MaxCommTime()-commOnly) > 1e-15 {
 		t.Fatal("compute leaked into comm time")
 	}
@@ -117,7 +119,7 @@ func TestCommTimeIncludesWaiting(t *testing.T) {
 	p := 2
 	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	sim := New(p, testModel)
-	sim.ComputeRanks([]int{1}, 1e9) // rank 1 busy until 0.1
+	sim.ComputeRank(1, 1e9) // rank 1 busy until 0.1
 	sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 0})
 	hop := testModel.Alpha
 	if got := sim.CommTime(0); math.Abs(got-(0.1+hop)) > 1e-9 {

@@ -72,11 +72,6 @@ type VConfig struct {
 	// LinkCost optionally scales each transfer's bandwidth term by the
 	// physical route (e.g. torus hop distance).
 	LinkCost LinkCostFunc
-	// Overlap enables communication/computation overlap (double
-	// buffering): Gemm advances a dedicated per-rank compute timeline
-	// instead of the communication clock, and Total reports the later of
-	// the two. The paper's implementation is non-overlapped (§VI).
-	Overlap bool
 	// Trace, when non-nil, records one span per operation per rank on the
 	// virtual timeline — the same span stream the live transport emits, at
 	// virtual timestamps. It observes clocks only and never alters them,
@@ -109,11 +104,10 @@ type VWorld struct {
 	panelsMu sync.Mutex
 	panels   []*comm.Panel
 
-	nextCID     atomic.Int64
-	stats       []VRankStats // per world rank, goroutine-owned (see file comment)
-	computeDone []float64    // overlap mode: per-rank compute timeline
-	mailboxes   []*vMailbox
-	aborted     atomic.Bool
+	nextCID   atomic.Int64
+	stats     []VRankStats // per world rank, goroutine-owned (see file comment)
+	mailboxes []*vMailbox
+	aborted   atomic.Bool
 }
 
 // vShard is the coordination domain of one communicator: every VComm
@@ -161,9 +155,6 @@ func NewVWorld(p int, cfg VConfig) *VWorld {
 		caches:    NewSchedCache(),
 		stats:     make([]VRankStats, p),
 		mailboxes: make([]*vMailbox, p),
-	}
-	if cfg.Overlap {
-		w.computeDone = make([]float64, p)
 	}
 	for i := range w.mailboxes {
 		w.mailboxes[i] = newVMailbox()
@@ -255,17 +246,8 @@ func (w *VWorld) Stats() []VRankStats {
 	return out
 }
 
-// Total returns the simulated execution time: the last communication clock,
-// or in overlap mode the later of the communication and compute timelines.
-func (w *VWorld) Total() float64 {
-	total := w.sim.MaxClock()
-	for _, cd := range w.computeDone {
-		if cd > total {
-			total = cd
-		}
-	}
-	return total
-}
+// Total returns the simulated execution time: the last rank clock.
+func (w *VWorld) Total() float64 { return w.sim.MaxClock() }
 
 // MaxCommTime returns the largest per-rank time spent inside communication,
 // the quantity the paper plots as "communication time".
@@ -689,10 +671,9 @@ func (c *VComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, s
 // machine.Speedup(x.Threads), the virtual model of the live transport's
 // row-band workers (Speedup(1) is exactly 1, so the division is bitwise
 // neutral for serial ranks and the engines' parity invariant holds
-// unchanged) — on the communication clock normally, or on the dedicated
-// compute timeline in overlap mode (double buffering with a communication
-// engine, the paper's §VI opportunity). Like the point-to-point calls it
-// touches only caller-owned state and takes no lock.
+// unchanged) — on the rank's one clock, as the paper's non-overlapped
+// implementation spends it. Like the point-to-point calls it touches only
+// caller-owned state and takes no lock.
 func (c *VComm) Gemm(cm, a, b *matrix.Dense, x comm.Exec) {
 	if a.Cols != b.Rows || cm.Rows != a.Rows || cm.Cols != b.Cols {
 		panic(fmt.Sprintf("simnet: gemm shape mismatch C(%dx%d) += A(%dx%d)*B(%dx%d)",
@@ -713,27 +694,14 @@ func (c *VComm) Axpy(alpha float64, x, y *matrix.Dense) {
 	c.charge(float64(x.Rows)*float64(x.Cols), 0, false)
 }
 
-// charge advances the caller's compute state by flops: the communication
-// clock normally, the dedicated compute timeline in overlap mode. span
-// selects whether a Gemm trace span is emitted.
+// charge advances the caller's clock by flops. span selects whether a
+// Gemm trace span is emitted.
 func (c *VComm) charge(flops float64, threads int, span bool) {
 	w := c.w
 	me := c.WorldRank()
-	if w.cfg.Overlap {
-		dt := w.cfg.Model.Compute(flops)
-		start := w.computeDone[me]
-		if clk := w.sim.clocks[me]; clk > start {
-			start = clk
-		}
-		w.computeDone[me] = start + dt
-		if rec := w.cfg.Trace; rec != nil && span {
-			rec.RankThreads(me, trace.PhaseGemm, start, dt, threads)
-		}
-	} else {
-		pre := w.sim.clocks[me]
-		w.sim.ComputeRanks([]int{me}, flops)
-		if rec := w.cfg.Trace; rec != nil && span {
-			rec.RankThreads(me, trace.PhaseGemm, pre, w.sim.clocks[me]-pre, threads)
-		}
+	pre := w.sim.clocks[me]
+	w.sim.ComputeRank(me, flops)
+	if rec := w.cfg.Trace; rec != nil && span {
+		rec.RankThreads(me, trace.PhaseGemm, pre, w.sim.clocks[me]-pre, threads)
 	}
 }

@@ -138,26 +138,6 @@ func TestVCommSplit(t *testing.T) {
 	}
 }
 
-// Gemm advances only the compute state; in overlap mode it must leave the
-// communication clocks untouched and surface through Total.
-func TestVCommGemmOverlap(t *testing.T) {
-	w := NewVWorld(2, VConfig{Model: vModel, Overlap: true})
-	err := w.Run(func(c *VComm) {
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 100))
-		c.Gemm(c.NewTile(10, 10), c.NewTile(10, 10), c.NewTile(10, 10), comm.Threaded(2))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	commOnly := w.Sim().MaxClock()
-	// The two intra-rank threads shorten the local multiply by the shared
-	// parallel-efficiency curve.
-	dt := vModel.Compute(2 * 10 * 10 * 10 / machine.Speedup(2))
-	if got := w.Total(); math.Abs(got-(commOnly+dt)) > 1e-18 {
-		t.Fatalf("overlap total %g, want comm %g + gemm %g", got, commOnly, dt)
-	}
-}
-
 // A panicking rank must abort the world and surface as an error, without
 // deadlocking peers blocked in receives or collectives.
 func TestVCommPanicAborts(t *testing.T) {

@@ -23,12 +23,6 @@ import (
 type scorer struct {
 	sh matrix.Shape
 	m  machine.Model
-	// overlap scores total as max(comm, compute) instead of their sum.
-	overlap bool
-}
-
-func newScorer(sh matrix.Shape, m machine.Model, overlap bool) *scorer {
-	return &scorer{sh: sh, m: m, overlap: overlap}
 }
 
 // bcastStep returns the cost of broadcasting elems matrix elements over a
@@ -67,9 +61,6 @@ func (s *scorer) score(c Candidate) (comm, total float64) {
 	}
 	bcast, shift, p2p, gemm := s.phases(spec)
 	comm = bcast + shift + p2p
-	if s.overlap {
-		return comm, math.Max(comm, gemm)
-	}
 	return comm, comm + gemm
 }
 

@@ -83,8 +83,8 @@ func fingerprint(req Request) string {
 	pf := req.Platform
 	fmt.Fprintf(&b, "pf=%s|a=%g|b=%g|g=%g|cont=%d|deg=%d",
 		pf.Name, pf.Model.Alpha, pf.Model.Beta, pf.Model.Gamma, pf.Contention, pf.TorusDegree)
-	fmt.Fprintf(&b, "|M=%d|N=%d|K=%d|p=%d|obj=%s|k=%d|quick=%t|analytic=%t|contention=%t|overlap=%t",
-		req.Shape.M, req.Shape.N, req.Shape.K, req.P, req.Objective, req.TopK, req.Quick, req.AnalyticOnly, req.Contention, req.Overlap)
+	fmt.Fprintf(&b, "|M=%d|N=%d|K=%d|p=%d|obj=%s|k=%d|quick=%t|analytic=%t|contention=%t",
+		req.Shape.M, req.Shape.N, req.Shape.K, req.P, req.Objective, req.TopK, req.Quick, req.AnalyticOnly, req.Contention)
 	if req.Grid != nil {
 		fmt.Fprintf(&b, "|grid=%dx%d", req.Grid.S, req.Grid.T)
 	}
@@ -174,7 +174,7 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 	}
 
 	// Stage 1: closed-form scoring of the whole space.
-	sc := newScorer(req.Shape, req.Platform.Model, req.Overlap)
+	sc := &scorer{sh: req.Shape, m: req.Platform.Model}
 	scored := make([]Scored, len(cands))
 	for i, c := range cands {
 		comm, total := sc.score(c)
@@ -200,7 +200,7 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 	}
 
 	// Stage 2: parallel virtual runs over the stage-1 winners — the
-	// authoritative ranking, including contention and overlap if asked.
+	// authoritative ranking, including contention if asked.
 	simulated := 0
 	if !req.AnalyticOnly {
 		p.refine(req, top)
@@ -258,7 +258,7 @@ func (p *Planner) refine(req Request, top []Scored) {
 				s.Err = err.Error()
 				return
 			}
-			vcfg := simnet.VConfig{Model: req.Platform.Model, Overlap: req.Overlap}
+			vcfg := simnet.VConfig{Model: req.Platform.Model}
 			if req.Contention {
 				vcfg.Contention = simnet.ContentionFor(req.Platform, s.Candidate.Grid.Size(), true)
 			}

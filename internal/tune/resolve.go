@@ -172,8 +172,8 @@ func ResolveSpec(rp ResolveParams) (engine.Spec, error) {
 // ResolveAuto replaces Algorithm: engine.Auto with the winner of the plan
 // for req, pinning every field the candidate decides — the one
 // candidate→params step both execution paths share. ResolveSpec plans
-// AutoRequest(rp); Simulate adds its contention and overlap flags to that
-// request first. Plans are memoised, so a serving workload pays the search
+// AutoRequest(rp); Simulate adds its contention flag to that request
+// first. Plans are memoised, so a serving workload pays the search
 // once per distinct shape.
 func ResolveAuto(rp ResolveParams, req Request) (ResolveParams, error) {
 	pl, err := PlanFor(req)

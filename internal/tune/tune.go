@@ -14,8 +14,8 @@
 //
 //  2. the top-K candidates by analytic score are re-ranked by parallel
 //     virtual runs on the simnet communicator — the authoritative timing
-//     path, which executes the real schedules and honours contention and
-//     overlap when requested.
+//     path, which executes the real schedules and honours contention when
+//     requested.
 //
 // Plans are memoised in a cache keyed by (platform fingerprint, n, p,
 // search flags), so serving-style workloads that repeatedly ask "how should
@@ -100,9 +100,6 @@ type Request struct {
 	// Contention enables the platform's link-sharing model during the
 	// stage-2 virtual runs.
 	Contention bool
-	// Overlap enables communication/computation overlap in stage 2 (and
-	// scores stage 1 as max(comm, compute) instead of their sum).
-	Overlap bool
 	// NoCache bypasses the plan cache for this request.
 	NoCache bool
 }
@@ -329,7 +326,7 @@ type Plan struct {
 // for the drift tracker to audit. Call it on a padded spec. Cost: a
 // handful of closed-form evaluations, microseconds.
 func PredictPhases(spec engine.Spec, pf machine.Platform) map[string]float64 {
-	return newScorer(spec.Shape(), pf.Model, false).predictPhases(spec)
+	return (&scorer{sh: spec.Shape(), m: pf.Model}).predictPhases(spec)
 }
 
 // minTileExtent returns the smallest per-rank tile extent of the three

@@ -19,7 +19,7 @@ import (
 func TestScorerMatchesClosedFormOnSquareGrid(t *testing.T) {
 	m := machine.BlueGeneP().Model
 	n, p, b := 4096, 64, 64
-	sc := newScorer(matrix.Square(n), m, false)
+	sc := &scorer{sh: matrix.Square(n), m: m}
 	grid := topo.Grid{S: 8, T: 8}
 
 	for _, bc := range []sched.Algorithm{sched.Binomial, sched.VanDeGeijn} {
@@ -58,7 +58,7 @@ func simulateCandidate(t *testing.T, req Request, c Candidate) (comm, total floa
 	if err != nil {
 		t.Fatalf("%s: %v", c, err)
 	}
-	vcfg := simnet.VConfig{Model: req.Platform.Model, Overlap: req.Overlap}
+	vcfg := simnet.VConfig{Model: req.Platform.Model}
 	if req.Contention {
 		vcfg.Contention = simnet.ContentionFor(req.Platform, c.Grid.Size(), true)
 	}
@@ -332,7 +332,7 @@ func TestPlanForCoreBudget(t *testing.T) {
 // problems: same grid, more threads, strictly lower total (and untouched
 // communication).
 func TestScorerThreadsSpeedup(t *testing.T) {
-	s := newScorer(matrix.Square(2048), machine.Grid5000().Model, false)
+	s := &scorer{sh: matrix.Square(2048), m: machine.Grid5000().Model}
 	g := topo.Grid{S: 4, T: 4}
 	serial := Candidate{Algorithm: engine.SUMMA, Grid: g, Knobs: core.Knobs{BlockSize: 128, Broadcast: sched.Binomial}}
 	hybrid := serial

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/simnet"
 	"repro/internal/tune"
 )
 
@@ -33,13 +34,20 @@ func knobValue(t *testing.T, f reflect.StructField, i int) reflect.Value {
 // reaches the resolver — and the resolved spec — as the same Knobs. Dropping
 // one copy line from SimConfig.Config, Config.resolveParams,
 // ResolveParams.Knobs or ResolveParams.SetKnobs fails the knob it served.
-// No surface may grow a Segments field back.
+// No surface may grow a Segments field back, and no virtual-world or
+// planning surface an Overlap field: the paper's SUMMA and HSUMMA, and the
+// live runtime, do not overlap communication with computation.
 func TestKnobSurfacesAgree(t *testing.T) {
 	// Segments left with the chain broadcast; it must not come back as a
 	// knob (sched.Schedule.Segments, one schedule's segment count, stays).
 	for _, surface := range []any{core.Knobs{}, Config{}, SimConfig{}} {
 		if _, ok := reflect.TypeOf(surface).FieldByName("Segments"); ok {
 			t.Errorf("%T has a Segments field: the paper's two broadcasts take no segment knob", surface)
+		}
+	}
+	for _, surface := range []any{Config{}, SimConfig{}, PlanConfig{}, tune.Request{}, simnet.VConfig{}} {
+		if _, ok := reflect.TypeOf(surface).FieldByName("Overlap"); ok {
+			t.Errorf("%T has an Overlap field: neither the live runtime nor the paper's algorithms overlap communication with computation", surface)
 		}
 	}
 	shape := SquareShape(64)

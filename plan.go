@@ -79,8 +79,6 @@ type PlanConfig struct {
 	AnalyticOnly bool
 	// Contention enables the platform's link-sharing model in stage 2.
 	Contention bool
-	// Overlap plans for communication/computation overlap.
-	Overlap bool
 	// NoCache bypasses the plan cache.
 	NoCache bool
 }
@@ -110,7 +108,6 @@ func (cfg PlanConfig) request() (tune.Request, error) {
 		Quick:        cfg.Quick,
 		AnalyticOnly: cfg.AnalyticOnly,
 		Contention:   cfg.Contention,
-		Overlap:      cfg.Overlap,
 		NoCache:      cfg.NoCache,
 	}, nil
 }

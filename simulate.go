@@ -67,16 +67,12 @@ type SimConfig struct {
 	// assumption.
 	Contention bool
 	Platform   *Platform
-	// Overlap enables communication/computation overlap (double
-	// buffering), the paper's §VI opportunity; off reproduces the
-	// paper's non-overlapped implementation.
-	Overlap bool
 	// Engine selects the virtual execution engine: EngineGoroutine,
 	// EngineEvent, or EngineAuto (the default, also the zero value).
 	// The engines produce bit-identical results; auto picks the event
 	// engine for the pivot-loop algorithms (SUMMA, HSUMMA, multilevel,
-	// Strassen) without overlap, where it is several times faster at full
-	// scale.
+	// Strassen), where it is several times faster at full scale, and
+	// goroutines for Cannon and Fox.
 	Engine Engine
 	// Trace records per-rank phase spans on the virtual timeline; the
 	// recorder is returned in SimResult.Trace. Tracing only observes the
@@ -119,7 +115,7 @@ type SimResult struct {
 // grid and execution knobs as Multiply takes them — so one description can
 // drive both execution paths. It is also the one place SimConfig's run
 // fields are read out: Simulate resolves its spec through it. The virtual-
-// world fields (Shape/N, Machine, Contention, Overlap, Engine, Trace) have
+// world fields (Shape/N, Machine, Contention, Engine, Trace) have
 // no live counterpart.
 func (cfg SimConfig) Config() Config {
 	return Config{
@@ -176,13 +172,13 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 		return SimResult{}, err
 	}
 	if rp.Algorithm == AlgAuto {
-		// The live path's plan request, under the contention and overlap
-		// flags of the simulation being requested; explicit Grid/BlockSize
+		// The live path's plan request, under the contention flag of the
+		// simulation being requested; explicit Grid/BlockSize
 		// are honoured. Everything else (BlockSize 0 means auto, the √p
 		// group default, padding) is ResolveSpec's, shared with Multiply, so
 		// the two execution paths of one configuration stay comparable.
 		req := tune.AutoRequest(rp)
-		req.Contention, req.Overlap = cfg.Contention, cfg.Overlap
+		req.Contention = cfg.Contention
 		if rp, err = tune.ResolveAuto(rp, req); err != nil {
 			return SimResult{}, err
 		}
@@ -191,7 +187,7 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 	if err != nil {
 		return SimResult{}, err
 	}
-	vcfg := simnet.VConfig{Model: cfg.Machine, Overlap: cfg.Overlap}
+	vcfg := simnet.VConfig{Model: cfg.Machine}
 	if cfg.Contention {
 		if cfg.Platform == nil {
 			return SimResult{}, fmt.Errorf("hsumma: Contention requires Platform")

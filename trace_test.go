@@ -2,6 +2,7 @@ package hsumma
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -168,6 +169,71 @@ func TestSpanCountParityLiveVsVirtual(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVirtualEnginesRecordIdenticalSpans holds the two virtual engines to
+// the same trace span for span: every rank's timeline — phase, start,
+// duration, bytes, messages, threads — is bit-identical between the
+// goroutine and the event engine, on two platforms, with and without link
+// contention, for every algorithm family.
+func TestVirtualEnginesRecordIdenticalSpans(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  SimConfig
+	}{
+		{"summa", SimConfig{Algorithm: AlgSUMMA}},
+		{"hsumma", SimConfig{Algorithm: AlgHSUMMA, Groups: 4, Broadcast: BcastVanDeGeijn}},
+		{"multilevel", SimConfig{Algorithm: AlgMultilevel, Levels: []Level{{I: 2, J: 2, BlockSize: 32}}}},
+		{"strassen", SimConfig{Algorithm: AlgStrassen}},
+		{"cannon", SimConfig{Algorithm: AlgCannon}},
+		{"fox", SimConfig{Algorithm: AlgFox}},
+	}
+	platforms := []struct {
+		name string
+		pf   Platform
+	}{
+		{"grid5000", PlatformGrid5000()},
+		{"bgp-cal", PlatformBGPCalibrated()},
+	}
+	for _, tc := range cases {
+		for _, pl := range platforms {
+			for _, contention := range []bool{false, true} {
+				name := tc.name + "/" + pl.name
+				if contention {
+					name += "/contention"
+				}
+				t.Run(name, func(t *testing.T) {
+					pf := pl.pf
+					cfg := tc.cfg
+					cfg.N, cfg.Procs, cfg.BlockSize = 256, 16, 16
+					cfg.Machine, cfg.Platform, cfg.Contention = pf.Model, &pf, contention
+					cfg.Trace = true
+					var spans [2][]trace.Span
+					for i, eng := range []Engine{EngineGoroutine, EngineEvent} {
+						cfg.Engine = eng
+						res, err := Simulate(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						spans[i] = res.Trace.Spans()
+					}
+					if len(spans[0]) == 0 {
+						t.Fatal("no spans recorded")
+					}
+					if !reflect.DeepEqual(spans[0], spans[1]) {
+						if len(spans[0]) != len(spans[1]) {
+							t.Fatalf("goroutine recorded %d spans, event %d", len(spans[0]), len(spans[1]))
+						}
+						for i := range spans[0] {
+							if spans[0][i] != spans[1][i] {
+								t.Fatalf("span %d: goroutine %+v, event %+v", i, spans[0][i], spans[1][i])
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
