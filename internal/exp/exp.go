@@ -29,11 +29,6 @@ type Options struct {
 	// Uncalibrated uses the paper's published Hockney parameters instead
 	// of the SUMMA-fitted effective machines for Figures 5–9.
 	Uncalibrated bool
-	// Annotate asks the figure experiments to run the autotuning planner
-	// (internal/tune) alongside each sweep and record, as findings, the
-	// configuration the planner would have picked — so a regenerated
-	// figure carries the planner's choice next to the sweep's optimum.
-	Annotate bool
 }
 
 // Series is one plotted line: Y[i] is the value at X[i].

@@ -11,7 +11,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/simnet"
 	"repro/internal/topo"
-	"repro/internal/tune"
 )
 
 // figureConfig resolves the machine and geometry for the Grid'5000 and
@@ -95,7 +94,7 @@ func constSeries(name string, xs []float64, v float64) Series {
 
 // figGSweep implements Figures 5, 6 and 8: communication (and for Figure 8
 // also total) time against the number of groups.
-func figGSweep(id, title string, fc figureConfig, withTotal bool, paperRatioComm float64, o Options) (*Result, error) {
+func figGSweep(id, title string, fc figureConfig, withTotal bool, paperRatioComm float64) (*Result, error) {
 	gs, hComm, hTotal, sComm, sTotal, err := gSweep(fc, sched.VanDeGeijn)
 	if err != nil {
 		return nil, err
@@ -135,31 +134,7 @@ func figGSweep(id, title string, fc figureConfig, withTotal bool, paperRatioComm
 			r.Findings = append(r.Findings, "WARNING: G=1 does not match SUMMA")
 		}
 	}
-	if o.Annotate {
-		r.Findings = append(r.Findings, planAnnotation(fc, int(gs[bi])))
-	}
 	return r, nil
-}
-
-// planAnnotation runs the autotuning planner on the figure's exact setting
-// (platform, grid and block pinned, HSUMMA with the sweep's broadcast) and
-// reports its pick next to the sweep's measured optimum — the hook that
-// lets a regenerated figure show what the planner would have chosen.
-func planAnnotation(fc figureConfig, sweepBestG int) string {
-	pl, err := tune.PlanFor(tune.Request{
-		Platform: fc.pf, N: fc.n, P: fc.grid.Size(),
-		Grid: &fc.grid, BlockSize: fc.block, OuterBlockSize: fc.block,
-		Algorithms:   []engine.Algorithm{engine.HSUMMA},
-		Broadcasts:   []sched.Algorithm{sched.VanDeGeijn},
-		Objective:    tune.MinComm,
-		AnalyticOnly: true,
-	})
-	if err != nil {
-		return fmt.Sprintf("planner: failed (%v)", err)
-	}
-	b := pl.Best
-	return fmt.Sprintf("planner picks G=%d (B=%d, model comm %.3gs, analytic) vs sweep best G=%d",
-		b.Groups, b.OuterBlockSize, b.ModelComm, sweepBestG)
 }
 
 // scalability implements Figures 7 and 9: communication time against the
@@ -200,7 +175,7 @@ func init() {
 		Title: "Grid'5000: comm time vs groups, b=B=64, n=8192, p=128",
 		Paper: "Figure 5 — HSUMMA U-curve far below SUMMA at small block size",
 		Run: func(o Options) (*Result, error) {
-			return figGSweep("fig5", "Grid'5000 G sweep (b=64)", grid5000Config(o, 64), false, 0, o)
+			return figGSweep("fig5", "Grid'5000 G sweep (b=64)", grid5000Config(o, 64), false, 0)
 		},
 	})
 	register(Experiment{
@@ -208,7 +183,7 @@ func init() {
 		Title: "Grid'5000: comm time vs groups, b=B=512, n=8192, p=128",
 		Paper: "Figure 6 — same sweep at the largest block size; paper's best ratio 1.6x (4.53s -> 2.81s)",
 		Run: func(o Options) (*Result, error) {
-			return figGSweep("fig6", "Grid'5000 G sweep (b=512)", grid5000Config(o, 512), false, 1.6, o)
+			return figGSweep("fig6", "Grid'5000 G sweep (b=512)", grid5000Config(o, 512), false, 1.6)
 		},
 	})
 	register(Experiment{
@@ -240,7 +215,7 @@ func init() {
 		Title: "BG/P 16384 cores: execution and comm time vs groups, b=B=256, n=65536",
 		Paper: "Figure 8 — SUMMA 50.2s/36.46s; HSUMMA best 21.26s/6.19s at G=512 (2.36x / 5.89x)",
 		Run: func(o Options) (*Result, error) {
-			return figGSweep("fig8", "BG/P G sweep", bgpConfig(o), true, 5.89, o)
+			return figGSweep("fig8", "BG/P G sweep", bgpConfig(o), true, 5.89)
 		},
 	})
 	register(Experiment{

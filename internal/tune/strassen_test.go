@@ -91,34 +91,38 @@ func TestStrassenModelAgreesWithSimulation(t *testing.T) {
 
 // Every enumerated strassen candidate must resolve and simulate: the
 // feasibility filters in the enumeration must match the execution layer's
-// validation exactly.
+// validation exactly. The 4x4 grid recurses twice; an HSUMMA bottom needs
+// a sub-grid that four groups split properly (4x4, on the 8x8 grid — on
+// 4x4's 2x2 bottom, four groups hold one rank each, which is SUMMA).
 func TestStrassenCandidatesAreRunnable(t *testing.T) {
-	req := Request{
-		Platform: machine.Grid5000(), N: 512, P: 16,
-		Algorithms: []engine.Algorithm{engine.Strassen},
-		NoCache:    true,
-	}
-	cands, err := Candidates(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) == 0 {
-		t.Fatal("no strassen candidates on a 4x4 grid")
-	}
 	sawLevels2, sawGroups := false, false
-	for _, c := range cands {
-		if c.StrassenLevels == 2 {
-			sawLevels2 = true
+	for _, p := range []int{16, 64} {
+		req := Request{
+			Platform: machine.Grid5000(), N: 512, P: p,
+			Algorithms: []engine.Algorithm{engine.Strassen},
+			NoCache:    true,
 		}
-		if c.StrassenInnerGroups > 0 {
-			sawGroups = true
-		}
-		spec, err := c.Spec(matrix.Square(req.N))
+		cands, err := Candidates(req)
 		if err != nil {
-			t.Fatalf("candidate %s does not resolve: %v", c, err)
+			t.Fatal(err)
 		}
-		if _, _, err := engine.Simulate(spec, simnet.VConfig{Model: req.Platform.Model}, engine.ExecutorAuto); err != nil {
-			t.Fatalf("candidate %s does not simulate: %v", c, err)
+		if len(cands) == 0 {
+			t.Fatalf("no strassen candidates at p=%d", p)
+		}
+		for _, c := range cands {
+			if c.StrassenLevels == 2 {
+				sawLevels2 = true
+			}
+			if c.StrassenInnerGroups > 0 {
+				sawGroups = true
+			}
+			spec, err := c.Spec(matrix.Square(req.N))
+			if err != nil {
+				t.Fatalf("candidate %s does not resolve: %v", c, err)
+			}
+			if _, _, err := engine.Simulate(spec, simnet.VConfig{Model: req.Platform.Model}, engine.ExecutorAuto); err != nil {
+				t.Fatalf("candidate %s does not simulate: %v", c, err)
+			}
 		}
 	}
 	if !sawLevels2 {

@@ -25,6 +25,7 @@ package tune
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/blas"
@@ -79,7 +80,8 @@ type Request struct {
 	// feasible multiples are searched; the paper sets B = b throughout).
 	OuterBlockSize int
 	// Algorithms restricts the candidate algorithms; nil means SUMMA,
-	// HSUMMA, Cannon and Fox (Multilevel joins when listed explicitly).
+	// HSUMMA, Cannon, Fox and Strassen (Multilevel joins when listed
+	// explicitly).
 	Algorithms []engine.Algorithm
 	// Broadcasts restricts the broadcast variants; nil means both of the
 	// paper's, binomial and Van de Geijn.
@@ -415,9 +417,11 @@ func Candidates(req Request) ([]Candidate, error) {
 // pairCandidates enumerates the configuration space for one (ranks,
 // threads) split — the per-grid algorithm/block/broadcast sweep.
 func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Candidate {
-	grids := candidateGrids(req)
+	// With SUMMA itself a candidate, the hierarchies leave out the levels
+	// that only repeat it (see hierarchies).
+	proper := slices.Contains(req.Algorithms, engine.SUMMA)
 	var out []Candidate
-	for _, g := range grids {
+	for _, g := range candidateGrids(req) {
 		bs := blockCandidates(sh, g, req.Quick)
 		if req.BlockSize > 0 {
 			// A pinned b is a user constraint: feasibility follows the
@@ -432,32 +436,8 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 		}
 		for _, alg := range req.Algorithms {
 			switch alg {
-			case engine.SUMMA:
-				for _, b := range bs {
-					for _, bc := range req.Broadcasts {
-						out = append(out, Candidate{Algorithm: alg, Grid: g, Knobs: core.Knobs{BlockSize: b, Broadcast: bc}})
-					}
-				}
-			case engine.HSUMMA:
-				for _, G := range groupCandidates(g, req.Quick) {
-					h, err := topo.FactorGroups(g, G)
-					if err != nil {
-						continue
-					}
-					for _, b := range bs {
-						for _, B := range outerBlockCandidates(req, g, b) {
-							for _, bc := range req.Broadcasts {
-								out = append(out, Candidate{
-									Algorithm: alg, Grid: g,
-									Groups: G, GroupShape: [2]int{h.I, h.J},
-									Knobs: core.Knobs{BlockSize: b, OuterBlockSize: B, Broadcast: bc},
-								})
-							}
-						}
-					}
-				}
-			case engine.Multilevel:
-				out = append(out, multilevelCandidates(req, g, bs)...)
+			case engine.SUMMA, engine.HSUMMA, engine.Multilevel:
+				out = append(out, hierarchies(req, g, bs, alg, proper)...)
 			case engine.Cannon, engine.Fox, engine.Strassen:
 				// The square-only rule the execution layer applies (a
 				// non-divisible n pads to the next multiple of q).
@@ -481,11 +461,111 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 	return append(out, localKernelVariants(sh, out)...)
 }
 
+// hierarchies is the planner's one generator of SUMMA-family candidates:
+// SUMMA, HSUMMA and multilevel are the 0-, 1- and 2-level cases of one
+// level list, so one loop proposes every group arrangement under every
+// width chain the execution layer accepts (fits), once per broadcast.
+// Each list lands on the Candidate fields its algorithm has always
+// carried (Groups/GroupShape/OuterBlockSize for one level, Levels for
+// two), so spec keys and plan JSON keep their shape. With proper set
+// (SUMMA is requested too), no level has one group, which broadcasts
+// nothing, and a list whose last level leaves one rank per group is
+// dropped when that level's width is one of the grid's b: it runs the
+// broadcasts of the list without that level, at that width as b (HSUMMA
+// at G = p is SUMMA at b = B).
+func hierarchies(req Request, g topo.Grid, bs []int, alg engine.Algorithm, proper bool) []Candidate {
+	depth := map[engine.Algorithm]int{engine.HSUMMA: 1, engine.Multilevel: 2}[alg]
+	var out []Candidate
+	for _, groups := range arrangements(g, depth, req.Quick, proper) {
+		for _, b := range bs {
+			for _, widths := range widthChains(req, g, depth, b) {
+				if last := depth - 1; proper && depth > 0 && slices.Contains(bs, widths[last]) &&
+					groups[last].InnerS()*groups[last].InnerT() == 1 {
+					continue
+				}
+				c := Candidate{Algorithm: alg, Grid: g, Knobs: core.Knobs{BlockSize: b}}
+				if depth == 1 {
+					h := groups[0]
+					c.Groups, c.GroupShape, c.OuterBlockSize = h.I*h.J, [2]int{h.I, h.J}, widths[0]
+				} else {
+					for k, h := range groups {
+						c.Levels = append(c.Levels, core.Level{I: h.I, J: h.J, BlockSize: widths[k]})
+					}
+				}
+				if !fits(c, req.Shape) {
+					continue
+				}
+				for _, bc := range req.Broadcasts {
+					c.Broadcast = bc
+					out = append(out, c)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// arrangements lists the group arrangements of a depth-level hierarchy
+// over grid g, outermost level first. Each level splits what the level
+// above leaves of the grid, once per group count topo.ValidGroupCounts
+// admits — in Quick mode only the powers of two and the sub-grid's size,
+// the points the paper's figures sweep — as topo.FactorGroups arranges
+// it. proper leaves out a level of one group.
+func arrangements(g topo.Grid, depth int, quick, proper bool) [][]topo.Hier {
+	if depth == 0 {
+		return [][]topo.Hier{nil}
+	}
+	var out [][]topo.Hier
+	for _, G := range topo.ValidGroupCounts(g) {
+		if quick && G&(G-1) != 0 && G != g.Size() || proper && G == 1 {
+			continue
+		}
+		h, _ := topo.FactorGroups(g, G) // every valid count factors
+		for _, inner := range arrangements(topo.Grid{S: h.InnerS(), T: h.InnerT()}, depth-1, quick, proper) {
+			out = append(out, append([]topo.Hier{h}, inner...))
+		}
+	}
+	return out
+}
+
+// widthChains lists a depth-level hierarchy's panel widths over inner
+// width b, outermost first: for one level B = b, the paper's setting, and
+// in full mode 2b and 4b (§III), unless OuterBlockSize pins B; for two, 4b
+// over 2b. A searched width stays within the smallest tile extent.
+func widthChains(req Request, g topo.Grid, depth, b int) [][]int {
+	if depth == 1 && req.OuterBlockSize > 0 {
+		return [][]int{{req.OuterBlockSize}}
+	}
+	chains := [][][]int{{nil}, {{b}, {2 * b}, {4 * b}}, {{4 * b, 2 * b}}}[depth]
+	if depth == 1 && req.Quick {
+		chains = chains[:1]
+	}
+	limit := max(b, minTileExtent(req.Shape, g))
+	return slices.DeleteFunc(chains, func(w []int) bool { return len(w) > 0 && w[0] > limit })
+}
+
+// fits is the generator's one feasibility check: engine.Spec.Validate —
+// core.Options.Validate over the candidate's level list — on the shape it
+// executes at, except that a K the grid divides is never padded, so there
+// every width must divide the per-rank K extents.
+func fits(c Candidate, sh matrix.Shape) bool {
+	spec, err := c.Spec(sh)
+	if err != nil {
+		return false
+	}
+	if sh.K%c.Grid.S == 0 && sh.K%c.Grid.T == 0 {
+		spec.Opts.Shape.K = sh.K
+	}
+	return spec.Validate() == nil
+}
+
 // strassenCandidates proposes the distributed Strassen configurations for
 // one square grid: an even side only, one recursion level (two
 // in full mode when the grid quarters), block sizes feasible for the
-// bottom sub-grid problem, and — in full mode — an HSUMMA bottom at G=4.
-// The binomial broadcast suffices for the bottom collectives in quick
+// bottom sub-grid problem, and — in full mode — an HSUMMA bottom at G=4
+// where four groups factor the sub-grid with more than one rank each
+// (on a 2×2 bottom, G=4 at B = b is SUMMA's execution). The
+// binomial broadcast suffices for the bottom collectives in quick
 // mode; full mode sweeps the requested broadcasts like every other
 // candidate family.
 func strassenCandidates(req Request, g topo.Grid) []Candidate {
@@ -495,10 +575,6 @@ func strassenCandidates(req Request, g topo.Grid) []Candidate {
 	levels := []int{1}
 	if !req.Quick && g.S%4 == 0 {
 		levels = append(levels, 2)
-	}
-	bcasts := req.Broadcasts
-	if req.Quick {
-		bcasts = bcasts[:1]
 	}
 	var out []Candidate
 	for _, l := range levels {
@@ -518,8 +594,17 @@ func strassenCandidates(req Request, g topo.Grid) []Candidate {
 			}
 			bs = []int{req.BlockSize}
 		}
+		bcasts := req.Broadcasts
+		if req.Quick {
+			bcasts = bcasts[:1]
+		}
+		if sub.Size() == 1 {
+			// A one-rank bottom broadcasts nothing, and b reaches only the
+			// local kernel: one candidate, at the widest b.
+			bs, bcasts = bs[len(bs)-1:], bcasts[:1]
+		}
 		groups := []int{0}
-		if !req.Quick && sub.Size() >= 4 {
+		if _, err := topo.FactorGroups(sub, 4); !req.Quick && err == nil && 4 < sub.Size() {
 			groups = append(groups, 4)
 		}
 		for _, b := range bs {
@@ -680,96 +765,6 @@ func blockCandidates(sh matrix.Shape, g topo.Grid, quick bool) []int {
 		bs = []int{bs[0], bs[len(bs)/2], bs[len(bs)-1]}
 	}
 	return bs
-}
-
-// groupCandidates lists the HSUMMA group counts to try on a grid: every
-// feasible G in full mode, the power-of-two subset (plus endpoints) in
-// quick mode — the same subset the paper's figures sweep.
-func groupCandidates(g topo.Grid, quick bool) []int {
-	counts := topo.ValidGroupCounts(g)
-	if !quick {
-		return counts
-	}
-	var out []int
-	for _, G := range counts {
-		if G&(G-1) == 0 || G == g.Size() {
-			out = append(out, G)
-		}
-	}
-	return out
-}
-
-// outerBlockCandidates lists HSUMMA's B values for a given b: B = b (the
-// paper's configuration) plus, in full mode, the feasible multiples 2b and
-// 4b (§III: the inter-group block should be at least the intra-group one).
-// Feasibility is keyed off the per-rank K extents (B-wide outer panels
-// must live in one grid row/column) and the smallest tile extent. A
-// pinned Request.OuterBlockSize replaces the search.
-func outerBlockCandidates(req Request, g topo.Grid, b int) []int {
-	sh := req.Shape
-	exact := sh.K%g.S == 0 && sh.K%g.T == 0
-	divides := func(B int) bool {
-		return !exact || ((sh.K/g.S)%B == 0 && (sh.K/g.T)%B == 0)
-	}
-	if B := req.OuterBlockSize; B > 0 {
-		// A pinned B, like a pinned b, follows the execution layer's
-		// feasibility (padding covers non-dividing shapes), not the
-		// auto-search skinny cap.
-		if B%b != 0 || !divides(B) {
-			return nil
-		}
-		return []int{B}
-	}
-	out := []int{b}
-	if req.Quick {
-		return out
-	}
-	for _, mult := range []int{2, 4} {
-		if B := b * mult; B <= minTileExtent(sh, g) && divides(B) {
-			out = append(out, B)
-		}
-	}
-	return out
-}
-
-// multilevelCandidates proposes three-level hierarchies (two grouping
-// levels over the flat grid): 2×2 and 4×4 outer groupings with halving
-// panel widths, filtered by the multilevel divisibility rules. The
-// two-level case is already covered by the HSUMMA candidates.
-func multilevelCandidates(req Request, g topo.Grid, bs []int) []Candidate {
-	var out []Candidate
-	shapes := [][2][2]int{
-		{{2, 2}, {2, 2}},
-		{{4, 4}, {2, 2}},
-	}
-	sh := req.Shape
-	exact := sh.K%g.S == 0 && sh.K%g.T == 0
-	for _, shape := range shapes {
-		i1, j1 := shape[0][0], shape[0][1]
-		i2, j2 := shape[1][0], shape[1][1]
-		if g.S%(i1*i2) != 0 || g.T%(j1*j2) != 0 {
-			continue
-		}
-		for _, b := range bs {
-			top := 4 * b
-			if top > minTileExtent(sh, g) {
-				continue
-			}
-			if exact && ((sh.K/g.S)%top != 0 || (sh.K/g.T)%top != 0) {
-				continue
-			}
-			for _, bc := range req.Broadcasts {
-				out = append(out, Candidate{
-					Algorithm: engine.Multilevel, Grid: g, Knobs: core.Knobs{BlockSize: b, Broadcast: bc},
-					Levels: []core.Level{
-						{I: i1, J: j1, BlockSize: top},
-						{I: i2, J: j2, BlockSize: 2 * b},
-					},
-				})
-			}
-		}
-	}
-	return out
 }
 
 // rank sorts scored candidates by the request's objective, errors last.
