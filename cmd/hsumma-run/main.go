@@ -55,7 +55,7 @@ func main() {
 		n      = flag.Int("n", 512, "result columns (N); with -m and -k unset, the square n×n problem")
 		m      = flag.Int("m", 0, "result rows M for rectangular GEMM C(M×N) += A(M×K)·B(K×N); 0 = n")
 		k      = flag.Int("k", 0, "contraction dimension K; 0 = n")
-		alg    = flag.String("alg", "hsumma", "algorithm: summa, hsumma, multilevel, cannon, fox, strassen, auto")
+		alg    = flag.String("alg", "hsumma", "algorithm: summa, hsumma, multilevel, cannon, fox, auto")
 		auto   = flag.Bool("auto", false, "let the planner pick the configuration (same as -alg auto)")
 		bcast  = flag.String("bcast", "binomial", "broadcast: binomial, vandegeijn")
 		levels = flag.String("levels", "", "multilevel hierarchy, outermost first, e.g. 2x2:64,2x2:32 (IxJ:blocksize); empty degenerates to SUMMA")
@@ -74,8 +74,6 @@ func main() {
 	flag.IntVar(&run.BlockSize, "b", 0, "block size b (0 = auto via the shared default rule)")
 	flag.IntVar(&run.OuterBlockSize, "B", 0, "outer block size B (0 = b)")
 	flag.IntVar(&run.Threads, "threads", 1, "per-rank thread budget for local multiplies (hybrid intra-rank parallelism)")
-	flag.IntVar(&run.StrassenLevels, "strassen-levels", 0, "strassen quadrant recursion depth (0 = one level)")
-	flag.IntVar(&run.StrassenInnerGroups, "strassen-groups", 0, "strassen HSUMMA-bottom group count (0 = SUMMA bottom)")
 	flag.BoolVar(&run.LocalStrassen, "local-strassen", false, "run the rank-local sub-cubic Strassen kernel under any algorithm")
 	flag.IntVar(&run.StrassenCutoff, "strassen-cutoff", 0, "local Strassen kernel recursion cutoff (0 = blas default)")
 	flag.Parse()

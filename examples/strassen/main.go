@@ -1,20 +1,18 @@
-// Strassen crossover: where does the sub-cubic algorithm actually win?
+// Strassen crossover: where does the sub-cubic kernel actually win?
 //
 // Strassen's recursion trades one of the eight quadrant multiplies for
 // ~18 extra quadrant additions, so each level costs 7/8 of the classic
 // flops plus O(n²) overhead — a win only once n is large enough that the
-// saved multiply outweighs the added passes. This example locates that
-// crossover at both levels of the implementation:
+// saved multiply outweighs the added passes. Strassen here is a rank-local
+// kernel (Config.LocalStrassen) under an ordinary decomposition, not a
+// distribution of its own. This example
 //
-//  1. intra-rank: wall-clock of blas.StrassenGemm (default cutoff 256)
-//     against the packed classic kernel it bottoms out in, sweeping n
-//     across the crossover;
-//  2. inter-rank: simulated AlgStrassen against plain SUMMA at the
-//     paper's BG/P scale, where the modelled win is the 7/8-per-level
-//     flop saving minus the quadrant redistribution traffic;
+//  1. times blas.StrassenGemm (default cutoff 256) against the packed
+//     classic kernel it bottoms out in, sweeping n across the crossover;
+//  2. shows where the planner turns the kernel on by itself;
 //
-// and finishes with a small live distributed Strassen run verified
-// against the sequential reference.
+// and finishes with a small live SUMMA run on the sub-cubic kernel,
+// verified against the sequential reference.
 //
 //	go run ./examples/strassen
 package main
@@ -48,43 +46,7 @@ func main() {
 			fmtSec(packed), fmtSec(strassen), packed.Seconds()/strassen.Seconds())
 	}
 
-	// 2. The distributed level on the BG/P machine model: one and two
-	// quadrant levels against plain SUMMA at the paper's scale. The
-	// simulator executes the real communication schedule, so the totals
-	// include the quadrant scatter/gather traffic Strassen pays for its
-	// flop saving. Note what moves and what doesn't: total messages drop
-	// with each level (7 products instead of 8, on quarter-sized
-	// sub-grids), but critical-path compute is flat — round-robin hosting
-	// puts 2 of the 7 products on the busiest quadrant, exactly classic's
-	// per-rank flops. The distributed recursion is a *communication*
-	// reshaping; the flop saving lands in the local kernel (sections 1
-	// and 3).
-	fmt.Println("\ninter-rank: simulated on BlueGene/P, n=8192, p=64")
-	bgp := hsumma.PlatformBlueGeneP()
-	base := hsumma.SimConfig{
-		N: 8192, Procs: 64, Platform: &bgp, BlockSize: 64,
-	}
-	summa := base
-	summa.Algorithm = hsumma.AlgSUMMA
-	for _, run := range []struct {
-		name string
-		mut  func(*hsumma.SimConfig)
-	}{
-		{"summa", func(c *hsumma.SimConfig) {}},
-		{"strassen L=1", func(c *hsumma.SimConfig) { c.Algorithm = hsumma.AlgStrassen; c.StrassenLevels = 1 }},
-		{"strassen L=2", func(c *hsumma.SimConfig) { c.Algorithm = hsumma.AlgStrassen; c.StrassenLevels = 2 }},
-	} {
-		cfg := summa
-		run.mut(&cfg)
-		res, err := hsumma.Simulate(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-14s total %.4gs  compute %.4gs  comm %.4gs  (%d messages)\n",
-			run.name, res.Total, res.Compute, res.Comm, res.Messages)
-	}
-
-	// 3. Where the planner turns it on by itself: few ranks × a big
+	// 2. Where the planner turns it on by itself: few ranks × a big
 	// problem leave per-rank tiles far above the kernel cutoff, and the
 	// tune scorer's sub-cubic flop term makes the local kernel win the
 	// ranking — Auto resolves to a plan with the sub-cubic kernel enabled,
@@ -97,22 +59,24 @@ func main() {
 	fmt.Printf("\nplanner, n=8192 p=4 on %s:\n  best: %s (sub-cubic local kernel: %v)\n",
 		g5k.Name, pl.Best.Candidate, pl.Best.Candidate.LocalStrassen)
 
-	// 4. A live distributed Strassen multiply, sub-cubic at both levels,
-	// checked against the sequential reference like every other algorithm.
-	n, procs := 256, 16
+	// 3. A live SUMMA multiply whose rank-local panel updates (128×64 by
+	// 64×128, above the cutoff of 32) run the sub-cubic kernel, checked
+	// against the sequential reference like every other run. Strassen
+	// reassociates the arithmetic, so the difference is rounding, not 0.
+	n, procs := 256, 4
 	a := hsumma.RandomMatrix(n, n, 7)
 	b := hsumma.RandomMatrix(n, n, 8)
 	c, stats, err := hsumma.Multiply(a, b, hsumma.Config{
 		Procs:          procs,
-		Algorithm:      hsumma.AlgStrassen,
-		BlockSize:      16,
+		Algorithm:      hsumma.AlgSUMMA,
+		BlockSize:      64,
 		LocalStrassen:  true,
 		StrassenCutoff: 32,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nlive strassen n=%d p=%d: max |Δ| = %.3g vs reference, %d messages\n",
+	fmt.Printf("\nlive summa + local strassen n=%d p=%d: max |Δ| = %.3g vs reference, %d messages\n",
 		n, procs, hsumma.MaxAbsDiff(c, hsumma.Reference(a, b)), stats.Messages)
 }
 

@@ -59,6 +59,40 @@ func TestFamilyPinsParentSimulation(t *testing.T) {
 	}
 }
 
+// TestHSUMMABinomialIdentity states the paper's binomial-broadcast result
+// as an identity of the simulator: with B = b, a binomial tree over the
+// groups followed by one inside each group costs what SUMMA's one tree over
+// the whole row or column does, so HSUMMA at every G | p simulates bit for
+// bit to SUMMA — time, traffic and compute — on power-of-two grids. (It
+// does not hold on a 6×6 grid: there some G are cheaper than SUMMA.)
+func TestHSUMMABinomialIdentity(t *testing.T) {
+	for _, pf := range []Platform{PlatformGrid5000(), PlatformGrid5000Calibrated(), PlatformBlueGeneP(), PlatformBGPCalibrated()} {
+		for _, pt := range []struct{ n, p, b int }{{4096, 64, 64}, {2048, 16, 32}, {4096, 256, 16}} {
+			base := SimConfig{N: pt.n, Procs: pt.p, BlockSize: pt.b, Broadcast: BcastBinomial, Platform: &pf}
+			cfg := base
+			cfg.Algorithm = AlgSUMMA
+			summa, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for G := 1; G <= pt.p; G *= 2 {
+				cfg := base
+				cfg.Algorithm, cfg.Groups = AlgHSUMMA, G
+				h, err := Simulate(cfg)
+				if err != nil {
+					t.Fatalf("%s n=%d p=%d G=%d: %v", pf.Name, pt.n, pt.p, G, err)
+				}
+				got := [5]float64{h.Total, h.Comm, h.Compute, float64(h.Messages), float64(h.Bytes)}
+				want := [5]float64{summa.Total, summa.Comm, summa.Compute, float64(summa.Messages), float64(summa.Bytes)}
+				if h.Groups != G || got != want {
+					t.Errorf("%s n=%d p=%d b=%d: HSUMMA G=%d (ran G=%d) gives total, comm, compute, messages, bytes %v; SUMMA %v",
+						pf.Name, pt.n, pt.p, pt.b, G, h.Groups, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestFamilyRejectsInvalidWidths sends level lists no hierarchy can have
 // through every surface that takes one from outside: the façade, Simulate
 // and the daemon's POST /multiply. Each must answer with a plain error (400
@@ -78,9 +112,6 @@ func TestFamilyRejectsInvalidWidths(t *testing.T) {
 			map[string]any{"algorithm": "hsumma", "groups": 4, "block_size": 4, "outer_block_size": 2}},
 		{"outer block not a multiple", Config{Algorithm: AlgHSUMMA, Groups: 4, BlockSize: 2, OuterBlockSize: 3},
 			map[string]any{"algorithm": "hsumma", "groups": 4, "block_size": 2, "outer_block_size": 3}},
-		{"strassen bottom outer block below inner",
-			Config{Algorithm: AlgStrassen, StrassenInnerGroups: 4, BlockSize: 4, OuterBlockSize: 2},
-			map[string]any{"algorithm": "strassen", "strassen_inner_groups": 4, "block_size": 4, "outer_block_size": 2}},
 		{"negative level width", Config{Algorithm: AlgMultilevel, BlockSize: 2, Levels: []Level{{I: 2, J: 2, BlockSize: -4}}}, nil},
 		{"zero level width", Config{Algorithm: AlgMultilevel, BlockSize: 2, Levels: []Level{{I: 2, J: 2, BlockSize: 0}}}, nil},
 		{"widths increase downwards", Config{Algorithm: AlgMultilevel, BlockSize: 2,
@@ -111,8 +142,7 @@ func TestFamilyRejectsInvalidWidths(t *testing.T) {
 				t.Errorf("Multiply accepted it (max |C| = %g)", MaxAbsDiff(out, NewMatrix(n, n)))
 			}
 			sim := SimConfig{N: n, Procs: procs, Algorithm: cfg.Algorithm, Groups: cfg.Groups, BlockSize: cfg.BlockSize,
-				OuterBlockSize: cfg.OuterBlockSize, Levels: cfg.Levels, StrassenInnerGroups: cfg.StrassenInnerGroups,
-				Machine: PlatformGrid5000().Model}
+				OuterBlockSize: cfg.OuterBlockSize, Levels: cfg.Levels, Machine: PlatformGrid5000().Model}
 			if _, err := Simulate(sim); err == nil {
 				t.Error("Simulate accepted it")
 			}

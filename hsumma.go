@@ -83,14 +83,6 @@ const (
 	AlgMultilevel = engine.Multilevel
 	AlgCannon     = engine.Cannon
 	AlgFox        = engine.Fox
-	// AlgStrassen is the two-level distributed Strassen algorithm: a 2×2
-	// quadrant recursion over the process grid (7 products per level
-	// instead of 8) bottoming out in SUMMA — or HSUMMA when
-	// StrassenInnerGroups is set — on the quadrant sub-grids. Square
-	// problems and even square grids only (rectangular shapes report
-	// ErrSquareOnly). See also Config.LocalStrassen for the rank-local
-	// sub-cubic kernel, which composes with every algorithm.
-	AlgStrassen = engine.Strassen
 	// AlgAuto delegates the choice — algorithm, grid shape, group count,
 	// block sizes and broadcast — to the autotuning planner (see Plan).
 	// Any knob explicitly set in the config (Grid, BlockSize) is honoured
@@ -118,7 +110,7 @@ const (
 	// full-scale p=16384 BG/P run.
 	EngineEvent = engine.ExecutorEvent
 	// EngineAuto (the default) picks the event engine for SUMMA, HSUMMA,
-	// multilevel and Strassen runs, goroutines for Cannon and Fox.
+	// and multilevel runs, goroutines for Cannon and Fox.
 	EngineAuto = engine.ExecutorAuto
 )
 
@@ -184,15 +176,6 @@ type Config struct {
 	// both mean serial ranks (the historical behaviour); results are
 	// bit-deterministic for any fixed value.
 	Threads int
-	// StrassenLevels is AlgStrassen's quadrant recursion depth (0 means
-	// one level); each level needs the grid divisible by another factor
-	// of 2. Ignored by other algorithms.
-	StrassenLevels int
-	// StrassenInnerGroups, when positive, runs HSUMMA with that many
-	// groups on the quadrant sub-grids instead of SUMMA (AlgStrassen
-	// only) — the paper's hierarchical grouping composed under the
-	// sub-cubic recursion.
-	StrassenInnerGroups int
 	// LocalStrassen switches the rank-local panel multiplies to the
 	// sub-cubic Strassen kernel (internal/blas) under any algorithm.
 	// Worth it once per-rank tiles clear the kernel's crossover (~256 on
@@ -246,20 +229,18 @@ func specFor(rp tune.ResolveParams) (engine.Spec, topo.Grid, error) {
 // the one place Config's fields are read out.
 func (cfg Config) resolveParams(shape Shape) (tune.ResolveParams, error) {
 	rp := tune.ResolveParams{
-		Shape:               shape,
-		Procs:               cfg.Procs,
-		Algorithm:           cfg.Algorithm,
-		Groups:              cfg.Groups,
-		BlockSize:           cfg.BlockSize,
-		OuterBlockSize:      cfg.OuterBlockSize,
-		Levels:              cfg.Levels,
-		Broadcast:           cfg.Broadcast,
-		Threads:             cfg.Threads,
-		StrassenLevels:      cfg.StrassenLevels,
-		StrassenInnerGroups: cfg.StrassenInnerGroups,
-		LocalStrassen:       cfg.LocalStrassen,
-		StrassenCutoff:      cfg.StrassenCutoff,
-		Platform:            cfg.Platform,
+		Shape:          shape,
+		Procs:          cfg.Procs,
+		Algorithm:      cfg.Algorithm,
+		Groups:         cfg.Groups,
+		BlockSize:      cfg.BlockSize,
+		OuterBlockSize: cfg.OuterBlockSize,
+		Levels:         cfg.Levels,
+		Broadcast:      cfg.Broadcast,
+		Threads:        cfg.Threads,
+		LocalStrassen:  cfg.LocalStrassen,
+		StrassenCutoff: cfg.StrassenCutoff,
+		Platform:       cfg.Platform,
 	}
 	if cfg.Grid != nil {
 		g, err := topo.NewGrid(cfg.Grid[0], cfg.Grid[1])

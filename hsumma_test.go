@@ -81,8 +81,17 @@ func TestMultiplyInputValidation(t *testing.T) {
 	if _, _, err := Multiply(NewMatrix(4, 4), NewMatrix(4, 4), Config{Procs: 0}); err == nil {
 		t.Fatal("zero procs accepted")
 	}
-	if _, _, err := Multiply(NewMatrix(4, 4), NewMatrix(4, 4), Config{Procs: 4, Algorithm: "magic"}); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	// Unknown names — "strassen" included: Strassen is the LocalStrassen
+	// kernel, not an algorithm — fail on the paths hsumma-run's live and
+	// sim modes take, listing the algorithms there are.
+	for _, name := range []Algorithm{"magic", "strassen"} {
+		const have = "summa, hsumma, multilevel, cannon, fox, auto"
+		if _, _, err := Multiply(NewMatrix(4, 4), NewMatrix(4, 4), Config{Procs: 4, Algorithm: name}); err == nil || !strings.Contains(err.Error(), have) {
+			t.Fatalf("Multiply with algorithm %q: err %v, want one listing %s", name, err, have)
+		}
+		if _, err := Simulate(SimConfig{N: 4, Procs: 4, Algorithm: name, Machine: PlatformGrid5000().Model}); err == nil || !strings.Contains(err.Error(), have) {
+			t.Fatalf("Simulate with algorithm %q: err %v, want one listing %s", name, err, have)
+		}
 	}
 	// The square-only baselines reject rectangular problems via the shared
 	// ErrSquareOnly.

@@ -1,6 +1,6 @@
 // Package baseline_test holds the Cannon and Fox tests at their original
 // import path so their ids stay stable; the algorithms themselves live in
-// internal/core (cannon.go), beside the SUMMA family and Strassen.
+// internal/core (cannon.go), beside the SUMMA family.
 package baseline_test
 
 import (

@@ -21,7 +21,7 @@
 //
 // The interface has two halves. The communication half (Rank/Size/Split/
 // Send/Recv/SendRecv/Bcast) mirrors the MPI subset the paper's Algorithm 1
-// uses. The data half (NewPanel/NewTile/Pack/Repack/Gemm/Axpy) routes every
+// uses. The data half (NewPanel/NewTile/Pack/Repack/Gemm) routes every
 // touch of matrix element storage through the transport, which is what
 // lets the virtual transports elide storage entirely: a simulated
 // 16384-rank run allocates shape headers, not gigabytes of tiles.
@@ -32,10 +32,9 @@
 // wire buffer. The rules, identical on every transport:
 //
 //   - Pack gives the caller exclusive storage and fills it. Until the
-//     panel is next sent the caller may also write it (Axpy into
-//     Panel.Tile) — nobody else can see it. Repack fills a panel from a
-//     window of another one; the result may share the source's storage,
-//     so it is read-only.
+//     panel is next sent the caller may also write it — nobody else can
+//     see it. Repack fills a panel from a window of another one; the
+//     result may share the source's storage, so it is read-only.
 //
 //   - Send, SendRecv's send half and Bcast on the root *publish* the
 //     panel: the transport may hand the very same storage to the
@@ -100,8 +99,8 @@ func (x Exec) Flops(m, n, k int) float64 {
 }
 
 // Panel is a tile that is its own wire buffer: the pivot panels of the
-// SUMMA family, the rotating tiles of Cannon and Fox, the staged operands
-// of Strassen. See the package comment for who may read and write it when.
+// SUMMA family, the rotating tiles of Cannon and Fox. See the package
+// comment for who may read and write it when.
 type Panel struct {
 	// Tile is the panel as a matrix. Under the live transport Tile.Data
 	// holds the elements once the panel has been packed or received into
@@ -170,11 +169,6 @@ type Comm interface {
 	// by the shared parallel-efficiency curve (machine.Speedup) on the
 	// virtual ones.
 	Gemm(c, a, b *matrix.Dense, x Exec)
-	// Axpy performs the local element-wise update Y += alpha·X over tiles
-	// of equal shape — the quadrant add/sub primitive of the distributed
-	// Strassen algorithm. Live transports do real arithmetic; virtual ones
-	// charge rows·cols flops (one add per element) on the compute clock.
-	Axpy(alpha float64, x, y *matrix.Dense)
 }
 
 // CheckPack panics unless src's shape is dst's — shared by the transports

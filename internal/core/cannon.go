@@ -12,12 +12,12 @@ import (
 // broadcast-multiply-roll algorithm (1987). Both require a square q×q
 // process grid — exactly the restriction the paper cites as the reason
 // SUMMA-style algorithms won in practice — and share that rule
-// (Options.ValidateSquare) with the distributed Strassen recursion.
+// (Options.ValidateSquare).
 
 // squareTile validates a Cannon or Fox run on c and returns the grid side
 // q and the (n/q)×(n/q) tile extent, after checking this rank's tiles.
 func (o *Options) squareTile(c comm.Comm, aLoc, bLoc, cLoc *matrix.Dense) (q, tile int, err error) {
-	if err := o.ValidateSquare(0); err != nil {
+	if err := o.ValidateSquare(); err != nil {
 		return 0, 0, err
 	}
 	if c.Size() != o.Grid.Size() {

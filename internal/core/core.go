@@ -8,10 +8,9 @@
 // (Options.Validate). "SUMMA is a special case of HSUMMA" is therefore not
 // a property the tests have to establish between two implementations: a
 // level of 1×1 groups, or one that spans the grid, is a stage whose
-// communicators have a single rank. The distributed Strassen recursion
-// (strassen.go) bottoms out in it. Beside the family sit the classical
-// square-grid baselines, Cannon and Fox (cannon.go); they and Strassen share
-// one square-only rule (Options.ValidateSquare), as the family shares
+// communicators have a single rank. Beside the family sit the classical
+// square-grid baselines, Cannon and Fox (cannon.go); they share one
+// square-only rule (Options.ValidateSquare), as the family shares
 // Options.Validate.
 //
 // All algorithms multiply block-checkerboard-distributed matrices in
@@ -58,14 +57,6 @@ type Knobs struct {
 	// Gemm over write-disjoint C row bands, the virtual ones scale the
 	// compute clock by the shared parallel-efficiency curve.
 	Threads int `json:"threads,omitempty"`
-	// StrassenLevels is the inter-rank quadrant recursion depth of the
-	// Strassen algorithm (0 means one level); ignored by the other
-	// algorithms.
-	StrassenLevels int `json:"strassen_levels,omitempty"`
-	// StrassenInnerGroups selects the bottom algorithm the Strassen
-	// recursion hands each sub-grid problem to: 0 runs SUMMA, > 0 runs
-	// HSUMMA with that group count factored onto the bottom sub-grid.
-	StrassenInnerGroups int `json:"strassen_inner_groups,omitempty"`
 	// LocalStrassen selects the sub-cubic Strassen kernel for every
 	// rank-local multiply (blas.StrassenGemm on the live transport; the
 	// virtual ones charge blas.StrassenFlops). Orthogonal to the
@@ -188,10 +179,10 @@ func (opts *Options) Validate(levels []Level) error {
 	return nil
 }
 
-// SquareOnly is the restriction Cannon, Fox and Strassen share: a square
-// problem on a square q×q grid. Both halves report matrix.ErrSquareOnly, so
-// padding, the planner's enumeration and the serving layer's batchability
-// probe treat the three algorithms alike. The error is unprefixed; each
+// SquareOnly is the restriction Cannon and Fox share: a square problem on
+// a square q×q grid. Both halves report matrix.ErrSquareOnly, so padding,
+// the planner's enumeration and the serving layer's batchability probe
+// treat the two algorithms alike. The error is unprefixed; each
 // caller names itself and the algorithm.
 func SquareOnly(sh matrix.Shape, g topo.Grid) error {
 	if !sh.IsSquare() {
@@ -203,12 +194,10 @@ func SquareOnly(sh matrix.Shape, g topo.Grid) error {
 	return nil
 }
 
-// ValidateSquare is the one validation of the square-only algorithms, the
-// counterpart of Validate (call it on padded options): SquareOnly, q | n,
-// and — for levels > 0 rounds of Strassen quadrant recursion — a grid that
-// halves at every level onto a bottom problem the pivot loop accepts.
-// Cannon and Fox recurse zero levels.
-func (opts *Options) ValidateSquare(levels int) error {
+// ValidateSquare is the one validation of the square-only algorithms,
+// Cannon and Fox, the counterpart of Validate (call it on padded options):
+// SquareOnly and q | n.
+func (opts *Options) ValidateSquare() error {
 	o := opts.withDefaults()
 	sh := o.Shape
 	if err := sh.Validate(); err != nil {
@@ -224,17 +213,5 @@ func (opts *Options) ValidateSquare(levels int) error {
 	if sh.N%q != 0 {
 		return fmt.Errorf("core: n=%d not divisible by q=%d", sh.N, q)
 	}
-	if levels == 0 {
-		return nil
-	}
-	// 2^levels | q, and with q | n also 2^levels | n.
-	div := 1 << levels
-	if q%div != 0 {
-		return fmt.Errorf("core: strassen: grid %v not divisible by 2^levels = %d", o.Grid, div)
-	}
-	bot, hier, err := o.strassenBottom(sh.N/div, q/div)
-	if err != nil {
-		return err
-	}
-	return bot.Validate(hier)
+	return nil
 }

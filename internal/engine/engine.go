@@ -22,18 +22,13 @@ import (
 // Algorithm names a distributed multiplication algorithm.
 type Algorithm string
 
-// The six distributed algorithms.
+// The five distributed algorithms.
 const (
 	SUMMA      Algorithm = "summa"
 	HSUMMA     Algorithm = "hsumma"
 	Multilevel Algorithm = "multilevel"
 	Cannon     Algorithm = "cannon"
 	Fox        Algorithm = "fox"
-	// Strassen is the sub-cubic quadrant recursion over the grid
-	// (core.Strassen): StrassenLevels rounds of 2×2 grid splitting,
-	// bottoming out in SUMMA (or HSUMMA with StrassenInnerGroups) on the
-	// sub-grids. Square-only at the inter-rank level, like Cannon and Fox.
-	Strassen Algorithm = "strassen"
 )
 
 // Auto is the planner-resolved pseudo-algorithm: a Spec never reaches Run
@@ -45,7 +40,7 @@ const Auto Algorithm = "auto"
 
 // Algorithms lists every dispatchable algorithm, for sweeps and tests.
 func Algorithms() []Algorithm {
-	return []Algorithm{SUMMA, HSUMMA, Multilevel, Cannon, Fox, Strassen}
+	return []Algorithm{SUMMA, HSUMMA, Multilevel, Cannon, Fox}
 }
 
 // AlgorithmByName maps a user-facing name (case-insensitive) to an
@@ -53,10 +48,16 @@ func Algorithms() []Algorithm {
 // that parses algorithm names shares this table.
 func AlgorithmByName(name string) (Algorithm, error) {
 	switch a := Algorithm(strings.ToLower(name)); a {
-	case SUMMA, HSUMMA, Multilevel, Cannon, Fox, Strassen, Auto:
+	case SUMMA, HSUMMA, Multilevel, Cannon, Fox, Auto:
 		return a, nil
 	}
-	return "", fmt.Errorf("engine: unknown algorithm %q (have summa, hsumma, multilevel, cannon, fox, strassen, auto)", name)
+	return "", unknownAlgorithm(name)
+}
+
+// unknownAlgorithm is the one error every surface reports for a name
+// outside the table, listing what it has.
+func unknownAlgorithm(name string) error {
+	return fmt.Errorf("engine: unknown algorithm %q (have summa, hsumma, multilevel, cannon, fox, auto)", name)
 }
 
 // Executor names a virtual execution engine for simulated runs. The live
@@ -75,11 +76,10 @@ const (
 	// goroutine engine.
 	ExecutorEvent Executor = "event"
 	// ExecutorAuto picks per spec: the event engine for the algorithms whose
-	// time is in the collective pivot loop (SUMMA, HSUMMA, multilevel, and
-	// Strassen, whose recursion bottoms out in that loop) — where recording
-	// once per class and replaying pays — and the goroutine engine for the
-	// point-to-point-heavy baselines (Cannon, Fox). The empty string means
-	// auto.
+	// time is in the collective pivot loop (SUMMA, HSUMMA, multilevel) —
+	// where recording once per class and replaying pays — and the
+	// goroutine engine for the point-to-point-heavy baselines (Cannon,
+	// Fox). The empty string means auto.
 	ExecutorAuto Executor = "auto"
 )
 
@@ -99,7 +99,7 @@ func ResolveExecutor(e Executor, alg Algorithm) (Executor, error) {
 		return e, nil
 	case ExecutorAuto, "":
 		switch alg {
-		case SUMMA, HSUMMA, Multilevel, Strassen:
+		case SUMMA, HSUMMA, Multilevel:
 			return ExecutorEvent, nil
 		}
 		return ExecutorGoroutine, nil
@@ -165,14 +165,6 @@ func (s Spec) Key() string {
 		lv := s.Opts.GroupLevels()[0]
 		fmt.Fprintf(&b, "|B=%d|G=%dx%d", lv.BlockSize, lv.I, lv.J)
 	}
-	if s.Algorithm == Strassen {
-		// Levels are canonicalised (≤ 0 means one level); the inner-group
-		// count and HSUMMA outer block are keyed only when they bind.
-		fmt.Fprintf(&b, "|sl=%d", core.StrassenLevelsOf(s.Opts.StrassenLevels))
-		if s.Opts.StrassenInnerGroups > 0 {
-			fmt.Fprintf(&b, "|sg=%d|B=%d", s.Opts.StrassenInnerGroups, s.Opts.GroupLevels()[0].BlockSize)
-		}
-	}
 	// seg=1 is constant: it is what is left of a retired pipelined
 	// broadcast's depth, kept so every key (session routing, plan-cache
 	// entries, /metrics labels) stays byte-identical.
@@ -226,7 +218,7 @@ func (s *Spec) StreamClasses() []int {
 
 // Validate reports whether a spec is executable as it stands (call it on a
 // padded spec): the SUMMA family through core.Options.Validate over its
-// hierarchy, Cannon, Fox and Strassen through the one square-only rule,
+// hierarchy, Cannon and Fox through the one square-only rule,
 // core.Options.ValidateSquare. It is what lets a caller reject a spec
 // before any world exists.
 func (s Spec) Validate() error {
@@ -235,11 +227,9 @@ func (s Spec) Validate() error {
 	}
 	switch s.Algorithm {
 	case Cannon, Fox:
-		return s.Opts.ValidateSquare(0)
-	case Strassen:
-		return s.Opts.ValidateSquare(core.StrassenLevelsOf(s.Opts.StrassenLevels))
+		return s.Opts.ValidateSquare()
 	}
-	return fmt.Errorf("engine: unknown algorithm %q", s.Algorithm)
+	return unknownAlgorithm(string(s.Algorithm))
 }
 
 // PaddedShape returns the smallest execution shape ≥ the spec's shape that
@@ -247,9 +237,9 @@ func (s Spec) Validate() error {
 // sizes. Zero-padding preserves the product — the top-left M×N block of
 // the padded C equals A·B — so both execution paths run the padded shape
 // and the live path crops the gathered result. The square-only algorithms
-// (Cannon, Fox, Strassen) reject what core.SquareOnly rejects — which is
-// also the serving layer's cannot-batch signal via WithRHS — and pad a
-// square-but-non-divisible n to the next multiple of unit·q.
+// (Cannon, Fox) reject what core.SquareOnly rejects — which is also the
+// serving layer's cannot-batch signal via WithRHS — and pad a
+// square-but-non-divisible n to the next multiple of q.
 func (s Spec) PaddedShape() (matrix.Shape, error) {
 	sh := s.Shape()
 	if err := sh.Validate(); err != nil {
@@ -277,25 +267,11 @@ func (s Spec) PaddedShape() (matrix.Shape, error) {
 		}, nil
 	}
 	switch s.Algorithm {
-	case Cannon, Fox, Strassen:
+	case Cannon, Fox:
 		if err := core.SquareOnly(sh, g); err != nil {
 			return matrix.Shape{}, fmt.Errorf("engine: %s: %w", s.Algorithm, err)
 		}
-		// Cannon and Fox need q | n. Strassen's bottom SUMMA/HSUMMA needs
-		// its pivot panels inside one sub-grid row/column: with tile size
-		// n/q invariant across levels, unit·q | n suffices at every depth
-		// (2^levels | q implies 2^levels | n for free).
-		unit := 1
-		if s.Algorithm == Strassen {
-			unit = s.Opts.BlockSize
-			if s.Opts.StrassenInnerGroups > 0 && s.Opts.OuterBlockSize > unit {
-				unit = s.Opts.OuterBlockSize
-			}
-			if unit <= 0 {
-				return sh, nil // block validation happens in Validate
-			}
-		}
-		return matrix.Square(ceilMult(sh.N, unit*g.S)), nil
+		return matrix.Square(ceilMult(sh.N, g.S)), nil
 	}
 	return sh, nil
 }
@@ -317,9 +293,8 @@ func (s Spec) Padded() (Spec, error) {
 // algorithm's divisibility constraints. The serving layer's multi-RHS
 // batching runs k coalesced same-A requests as one multiply of N' = k·N_req
 // through it — valid for the SUMMA family because no block constraint binds
-// N, only N ≡ 0 (mod T). Square-only algorithms (Cannon, Fox, Strassen)
-// reject the now-rectangular shape, which is exactly the cannot-batch
-// signal.
+// N, only N ≡ 0 (mod T). Square-only algorithms (Cannon, Fox) reject the
+// now-rectangular shape, which is exactly the cannot-batch signal.
 func (s Spec) WithRHS(n int) (Spec, error) {
 	if n <= 0 {
 		return Spec{}, fmt.Errorf("engine: WithRHS: invalid width %d", n)
@@ -364,11 +339,9 @@ func Run(c comm.Comm, s Spec, aLoc, bLoc, cLoc *matrix.Dense) error {
 		return core.Cannon(c, s.Opts, aLoc, bLoc, cLoc)
 	case Fox:
 		return core.Fox(c, s.Opts, aLoc, bLoc, cLoc)
-	case Strassen:
-		return core.Strassen(c, s.Opts, aLoc, bLoc, cLoc)
 	case Auto:
 		return fmt.Errorf("engine: algorithm %q must be resolved by the tune planner before Run", s.Algorithm)
 	default:
-		return fmt.Errorf("engine: unknown algorithm %q", s.Algorithm)
+		return unknownAlgorithm(string(s.Algorithm))
 	}
 }

@@ -26,7 +26,7 @@
 //     or a collective some member has not reached. Collectives fire when
 //     their last member's event arrives and execute the same internal/sched
 //     schedule through Sim.ExecOne, the call the goroutine engine's Bcast
-//     makes; Gemm and Axpy advance the same per-rank clock (the paper's
+//     makes; Gemm advances the same per-rank clock (the paper's
 //     non-overlapped execution). Virtual times, per-rank communication-time
 //     breakdowns, traffic counters and trace spans are therefore
 //     bit-identical (asserted by the engine parity tests in internal/simalg

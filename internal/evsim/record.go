@@ -352,18 +352,6 @@ func (c *rComm) Gemm(cm, a, b *matrix.Dense, x comm.Exec) {
 		d: d})
 }
 
-// Axpy validates shapes and records the element-wise update Y += alpha·X;
-// the replay charges rows·cols flops, mirroring the goroutine engine. The
-// scalar itself is timing-irrelevant and is not recorded.
-func (c *rComm) Axpy(alpha float64, x, y *matrix.Dense) {
-	if x.Rows != y.Rows || x.Cols != y.Cols {
-		panic(fmt.Sprintf("evsim: axpy shape mismatch Y(%dx%d) += %g*X(%dx%d)",
-			y.Rows, y.Cols, alpha, x.Rows, x.Cols))
-	}
-	c.p.push(event{kind: evAxpy,
-		a: ck32("axpy rows", x.Rows), b: ck32("axpy cols", x.Cols)})
-}
-
 // Broadcast algorithm codes: events carry a byte, not the schedule name.
 const (
 	algBinomial = iota

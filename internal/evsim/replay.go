@@ -293,10 +293,6 @@ func (w *World) advance(r int) bool {
 				if w.rec != nil {
 					w.rec.RankThreads(r, trace.PhaseGemm, pre, w.sim.Clocks()[r]-pre, threads)
 				}
-			case evAxpy:
-				// One add per element, no Speedup, no trace span — the
-				// goroutine engine's Axpy bit for bit.
-				w.sim.ComputeRank(r, float64(ev.a)*float64(ev.b))
 			case evSend:
 				w.doSend(r, cs, ev)
 			case evRecv:

@@ -41,7 +41,6 @@ const (
 //	evSRRecv: a=src   b=recvTag  c=elems
 //	evGemm:   a=C rows (A rows)  b=C cols (B cols)  c=inner dim (A cols)
 //	          d=threads | strassenCutoff<<16 (cutoff 0 = classic kernel)
-//	evAxpy:   a=rows  b=cols
 type event struct {
 	a, b, c, d int32
 	slot       int32
@@ -56,7 +55,6 @@ const (
 	evSRSend
 	evSRRecv
 	evGemm
-	evAxpy
 )
 
 // ring is the event queue of one stream class: a single producer — the

@@ -139,14 +139,3 @@ func (t Transport) Gemm(c, a, b *matrix.Dense, x comm.Exec) {
 		w.rec.RankThreads(wr, trace.PhaseGemm, start.Sub(w.epoch).Seconds(), dt, x.Threads)
 	}
 }
-
-// Axpy performs the real element-wise update Y += alpha·X; the time counts
-// toward GemmSeconds (it is local compute). No trace span is emitted — the
-// virtual transports emit none either, keeping span-count parity.
-func (t Transport) Axpy(alpha float64, x, y *matrix.Dense) {
-	start := time.Now()
-	blas.Axpy(alpha, x, y)
-	w := t.c.world
-	wr := t.c.WorldRank()
-	w.stats[wr].GemmSeconds += time.Since(start).Seconds()
-}

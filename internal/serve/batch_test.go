@@ -401,52 +401,3 @@ func TestSquareOnlySpecsNeverBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestStrassenNeverBatches pins the same fallback for the strassen
-// algorithm: widening the RHS makes the problem rectangular, which the
-// quadrant recursion rejects (ErrSquareOnly), so the session must refuse
-// same-A coalescing and serve each request with BatchSize 1.
-func TestStrassenNeverBatches(t *testing.T) {
-	shape := matrix.Square(16)
-	spec, err := tune.ResolveSpec(tune.ResolveParams{
-		Shape: shape, Procs: 4, Algorithm: engine.Strassen, BlockSize: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(shape, spec, SessionConfig{MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if sess.batchable {
-		t.Fatal("strassen spec marked batchable")
-	}
-	a := matrix.Random(16, 16, 1)
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b := matrix.Random(16, 16, uint64(10+i))
-			out, st, err := sess.Multiply(a, b)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if st.BatchSize != 1 {
-				errs <- &mismatchError{float64(st.BatchSize)}
-				return
-			}
-			if d := matrix.MaxAbsDiff(out, reference(a, b)); d > oracleTol {
-				errs <- &mismatchError{d}
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}

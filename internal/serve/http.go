@@ -264,10 +264,10 @@ type jsonMultiply struct {
 	// Groups is HSUMMA's G.
 	Groups int `json:"groups,omitempty"`
 	// The shared execution knobs under their wire names (block_size,
-	// outer_block_size, broadcast, threads, strassen_levels,
-	// strassen_inner_groups, local_strassen, strassen_cutoff). Broadcast
-	// holds the name as sent until resolveParams canonicalises it. The
-	// scheduler accounts a session as ranks × threads cores.
+	// outer_block_size, broadcast, threads, local_strassen,
+	// strassen_cutoff). Broadcast holds the name as sent until
+	// resolveParams canonicalises it. The scheduler accounts a session as
+	// ranks × threads cores.
 	core.Knobs
 }
 
@@ -377,8 +377,7 @@ func (h *handler) parseJSON(r *http.Request, sc *scratch) (_, _ *matrix.Dense, r
 // parseRaw decodes the raw body: m*k float64s of A immediately followed by
 // k*n float64s of B, little-endian; the shape and config arrive as query
 // parameters (m, k, n, procs, algorithm, grid=SxT, groups, block_size,
-// outer_block_size, broadcast, threads, strassen_levels,
-// strassen_inner_groups, local_strassen, strassen_cutoff).
+// outer_block_size, broadcast, threads, local_strassen, strassen_cutoff).
 func (h *handler) parseRaw(r *http.Request, sc *scratch) (_, _ *matrix.Dense, rp tune.ResolveParams, err error) {
 	q := r.URL.Query()
 	req := jsonMultiply{Alg: q.Get("algorithm")}
@@ -389,8 +388,7 @@ func (h *handler) parseRaw(r *http.Request, sc *scratch) (_, _ *matrix.Dense, rp
 	}{
 		{"m", &req.M}, {"n", &req.N}, {"k", &req.K}, {"procs", &req.Procs}, {"groups", &req.Groups},
 		{"block_size", &req.BlockSize}, {"outer_block_size", &req.OuterBlockSize},
-		{"threads", &req.Threads}, {"strassen_levels", &req.StrassenLevels},
-		{"strassen_inner_groups", &req.StrassenInnerGroups}, {"strassen_cutoff", &req.StrassenCutoff},
+		{"threads", &req.Threads}, {"strassen_cutoff", &req.StrassenCutoff},
 	} {
 		if v := q.Get(p.name); v == "" {
 			continue

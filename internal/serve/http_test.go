@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -61,23 +62,53 @@ func TestHTTPMultiplyJSON(t *testing.T) {
 	}
 }
 
-// TestHTTPMultiplyStrassen drives a JSON strassen request — with the
-// sub-cubic local kernel on — end to end through the request parser, the
-// scheduler and the quadrant recursion.
+// TestHTTPMultiplyStrassen pins Strassen on the wire: it is a rank-local
+// kernel, not an algorithm, so a JSON or raw request for algorithm
+// "strassen" is a 4xx naming the algorithms there are, while the sub-cubic
+// kernel runs under SUMMA (its 16×16 tiles and 16-wide panels clear the
+// cutoff, 4 raised to the kernel's floor of 8) and returns the oracle's
+// product. strassen_levels is ignored like any unknown member.
 func TestHTTPMultiplyStrassen(t *testing.T) {
 	srv, _ := newTestServer(t)
-	n := 16
+	n := 32
 	a := matrix.Random(n, n, 5)
 	b := matrix.Random(n, n, 6)
-	body, _ := json.Marshal(map[string]any{
-		"m": n, "n": n, "k": n, "procs": 4, "algorithm": "strassen",
-		"block_size": 4, "local_strassen": true, "strassen_cutoff": 4,
-		"a": a.Pack(nil), "b": b.Pack(nil),
-	})
-	resp, err := http.Post(srv.URL+"/multiply", "application/json", bytes.NewReader(body))
+	post := func(algorithm string) *http.Response {
+		t.Helper()
+		body, _ := json.Marshal(map[string]any{
+			"m": n, "n": n, "k": n, "procs": 4, "algorithm": algorithm,
+			"block_size": 16, "local_strassen": true, "strassen_cutoff": 4, "strassen_levels": 2,
+			"a": a.Pack(nil), "b": b.Pack(nil),
+		})
+		resp, err := http.Post(srv.URL+"/multiply", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	var raw bytes.Buffer
+	for _, v := range append(a.Pack(nil), b.Pack(nil)...) {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		raw.Write(buf[:])
+	}
+	rawURL := fmt.Sprintf("%s/multiply?m=%d&k=%d&n=%d&procs=4&algorithm=strassen", srv.URL, n, n, n)
+	rawResp, err := http.Post(rawURL, "application/octet-stream", &raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for name, resp := range map[string]*http.Response{"json": post("strassen"), "raw": rawResp} {
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Fatalf("%s strassen request: status %d, want 4xx: %s", name, resp.StatusCode, msg)
+		}
+		if !strings.Contains(string(msg), "summa, hsumma, multilevel, cannon, fox, auto") {
+			t.Fatalf("%s strassen request: error %q does not list the remaining algorithms", name, msg)
+		}
+	}
+
+	resp := post("summa")
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(resp.Body)
@@ -89,12 +120,10 @@ func TestHTTPMultiplyStrassen(t *testing.T) {
 	}
 	got := matrix.FromSlice(n, n, res.C)
 	if d := matrix.MaxAbsDiff(got, reference(a, b)); d > oracleTol {
-		t.Fatalf("strassen HTTP product differs from oracle by %g", d)
+		t.Fatalf("summa + local strassen HTTP product differs from oracle by %g", d)
 	}
-	// A batched run would be wrong here (the recursion is square-only) —
-	// the session must have served it unbatched.
-	if res.Stats.BatchSize != 1 {
-		t.Fatalf("strassen request batched: BatchSize = %d", res.Stats.BatchSize)
+	if res.Stats.SpecKey == "" || !strings.Contains(res.Stats.SpecKey, "|ls=8") {
+		t.Fatalf("spec key %q does not carry the local kernel", res.Stats.SpecKey)
 	}
 }
 

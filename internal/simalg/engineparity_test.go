@@ -99,10 +99,14 @@ func paritySpecs(t *testing.T) map[string]engine.Spec {
 		"cannon": {Algorithm: engine.Cannon, Opts: core.Options{N: n, Grid: g}},
 		"fox": {Algorithm: engine.Fox, Opts: core.Options{
 			N: n, Grid: g, Knobs: core.Knobs{Broadcast: sched.VanDeGeijn}}},
-		"strassen": {Algorithm: engine.Strassen, Opts: core.Options{
-			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 8, LocalStrassen: true, StrassenCutoff: 8}}},
-		"strassen_hsumma": {Algorithm: engine.Strassen, Opts: core.Options{
-			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 8, StrassenLevels: 1, StrassenInnerGroups: 2, Threads: 2}}},
+		// The sub-cubic local kernel (its flops charged from the cutoff the
+		// event engine packs into each Gemm event), recursing on every
+		// rank-local update — 24×24×24 under SUMMA, 24×12×24 under
+		// threaded HSUMMA — above the cutoff of 8.
+		"strassen": {Algorithm: engine.SUMMA, Opts: core.Options{
+			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 24, LocalStrassen: true, StrassenCutoff: 8}}},
+		"strassen_hsumma": {Algorithm: engine.HSUMMA, Opts: core.Options{
+			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 12, OuterBlockSize: 24, Threads: 2, LocalStrassen: true, StrassenCutoff: 8}, Groups: h}},
 	}
 }
 
@@ -185,7 +189,6 @@ func TestEngineAutoSelection(t *testing.T) {
 		{engine.SUMMA, engine.ExecutorEvent},
 		{engine.HSUMMA, engine.ExecutorEvent},
 		{engine.Multilevel, engine.ExecutorEvent},
-		{engine.Strassen, engine.ExecutorEvent},
 		{engine.Cannon, engine.ExecutorGoroutine},
 		{engine.Fox, engine.ExecutorGoroutine},
 	}

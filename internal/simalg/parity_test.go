@@ -86,11 +86,6 @@ func TestLiveSimTrafficParity(t *testing.T) {
 		{"cannon", engine.Cannon, Config{N: 16, Grid: g, Machine: machine}},
 		{"fox", engine.Fox, Config{N: 16, Grid: g, Machine: machine}},
 		{"fox_vandegeijn", engine.Fox, Config{N: 16, Grid: g, Knobs: core.Knobs{Broadcast: sched.VanDeGeijn}, Machine: machine}},
-		// Strassen's quadrant staging + bottom SUMMA/HSUMMA: the p2p stage
-		// and combine traffic must match message for message, byte for byte.
-		{"strassen", engine.Strassen, Config{N: 32, Grid: g, Knobs: core.Knobs{BlockSize: 2}, Machine: machine}},
-		{"strassen_l2", engine.Strassen, Config{N: 32, Grid: g, Knobs: core.Knobs{BlockSize: 4, StrassenLevels: 2}, Machine: machine}},
-		{"strassen_hsumma_local", engine.Strassen, Config{N: 32, Grid: g, Knobs: core.Knobs{BlockSize: 2, StrassenInnerGroups: 2, LocalStrassen: true, StrassenCutoff: 8}, Machine: machine}},
 	}
 	for _, c := range cases {
 		c := c

@@ -56,8 +56,6 @@ func rectSpec(t *testing.T, alg engine.Algorithm, sh matrix.Shape) engine.Spec {
 		spec.Levels = []core.Level{{I: 2, J: 2, BlockSize: 6}}
 	case engine.Cannon, engine.Fox:
 		spec.Opts.BlockSize = 0
-	case engine.Strassen:
-		spec.Opts.BlockSize = 6 // rejected before block validation anyway
 	}
 	return spec
 }
@@ -78,7 +76,7 @@ func TestEngineParityRectangular(t *testing.T) {
 					if contention {
 						vcfg.Contention = simnet.ContentionFor(pf, spec.Opts.Grid.Size(), true)
 					}
-					if alg == engine.Cannon || alg == engine.Fox || alg == engine.Strassen {
+					if alg == engine.Cannon || alg == engine.Fox {
 						for _, ex := range []engine.Executor{engine.ExecutorGoroutine, engine.ExecutorEvent} {
 							_, _, err := engine.Simulate(spec, vcfg, ex)
 							if !errors.Is(err, matrix.ErrSquareOnly) {

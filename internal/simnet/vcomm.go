@@ -680,28 +680,11 @@ func (c *VComm) Gemm(cm, a, b *matrix.Dense, x comm.Exec) {
 			cm.Rows, cm.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	flops := x.Flops(a.Rows, b.Cols, a.Cols) / machine.Speedup(x.Threads)
-	c.charge(flops, x.Threads, true)
-}
-
-// Axpy advances the rank's compute state by rows·cols flops (one add per
-// element) — the virtual cost of the element-wise update Y += alpha·X. No
-// trace span: the live transport emits none for Axpy either.
-func (c *VComm) Axpy(alpha float64, x, y *matrix.Dense) {
-	if x.Rows != y.Rows || x.Cols != y.Cols {
-		panic(fmt.Sprintf("simnet: axpy shape mismatch Y(%dx%d) += %g*X(%dx%d)",
-			y.Rows, y.Cols, alpha, x.Rows, x.Cols))
-	}
-	c.charge(float64(x.Rows)*float64(x.Cols), 0, false)
-}
-
-// charge advances the caller's clock by flops. span selects whether a
-// Gemm trace span is emitted.
-func (c *VComm) charge(flops float64, threads int, span bool) {
 	w := c.w
 	me := c.WorldRank()
 	pre := w.sim.clocks[me]
 	w.sim.ComputeRank(me, flops)
-	if rec := w.cfg.Trace; rec != nil && span {
-		rec.RankThreads(me, trace.PhaseGemm, pre, w.sim.clocks[me]-pre, threads)
+	if rec := w.cfg.Trace; rec != nil {
+		rec.RankThreads(me, trace.PhaseGemm, pre, w.sim.clocks[me]-pre, x.Threads)
 	}
 }

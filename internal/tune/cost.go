@@ -12,14 +12,14 @@ import (
 )
 
 // scorer evaluates candidates in closed form. The SUMMA family — SUMMA,
-// HSUMMA, multilevel, and the bottom of the Strassen recursion — has one
-// cost: model.Family over the spec's hierarchy (engine.Spec.Hierarchy),
-// the paper's Tables I–II generalised to rectangular problems on S×T
-// grids and any number of levels, which on a square problem scores
-// exactly what model.SUMMA and model.HSUMMA do (asserted in the model and
-// tune package tests). The baselines carry their own short formulas
-// below; every broadcast is priced by the paper's own equation-(1)
-// factors (model.For: Table I's binomial, Table II's Van de Geijn).
+// HSUMMA and multilevel — has one cost: model.Family over the spec's
+// hierarchy (engine.Spec.Hierarchy), the paper's Tables I–II generalised
+// to rectangular problems on S×T grids and any number of levels, which on
+// a square problem scores exactly what model.SUMMA and model.HSUMMA do
+// (asserted in the model and tune package tests). The baselines carry
+// their own short formulas below; every broadcast is priced by the
+// paper's own equation-(1) factors (model.For: Table I's binomial,
+// Table II's Van de Geijn).
 type scorer struct {
 	sh matrix.Shape
 	m  machine.Model
@@ -59,20 +59,19 @@ func (s *scorer) score(c Candidate) (comm, total float64) {
 	if err != nil {
 		return math.Inf(1), math.Inf(1)
 	}
-	bcast, shift, p2p, gemm := s.phases(spec)
-	comm = bcast + shift + p2p
+	bcast, shift, gemm := s.phases(spec)
+	comm = bcast + shift
 	return comm, comm + gemm
 }
 
 // phases evaluates the spec's closed-form cost on the trace phase
-// vocabulary: the comm term split across bcast / shift / p2p exactly as
-// the transports would record it (SUMMA-family traffic is all broadcast
+// vocabulary: the comm term split across bcast / shift exactly as the
+// transports would record it (SUMMA-family traffic is all broadcast
 // rounds, Cannon all SendRecv shifts, Fox broadcasts plus a roll shift per
-// step, Strassen p2p quadrant staging around a broadcast bottom), and the
-// compute term as gemm. score ranks by their sum and predictPhases
-// publishes them, so a plan's prediction and its ranking cannot disagree
-// on what the model said.
-func (s *scorer) phases(spec engine.Spec) (bcast, shift, p2p, gemm float64) {
+// step), and the compute term as gemm. score ranks by their sum and
+// predictPhases publishes them, so a plan's prediction and its ranking
+// cannot disagree on what the model said.
+func (s *scorer) phases(spec engine.Spec) (bcast, shift, gemm float64) {
 	o, sh := spec.Opts, spec.Shape()
 	N := float64(sh.N)
 	p := float64(o.Grid.Size())
@@ -92,88 +91,21 @@ func (s *scorer) phases(spec engine.Spec) (bcast, shift, p2p, gemm float64) {
 	case spec.Algorithm == engine.Fox:
 		bcast = q * s.bcastStep(model.For(o.Broadcast), q, tile)
 		shift = q * (s.m.Alpha + tile*s.m.Beta)
-	case spec.Algorithm == engine.Strassen:
-		bcast, p2p = s.strassenComm(o, sh)
 	}
 
 	// Intra-rank threads shorten the local multiplies by the shared
 	// parallel-efficiency curve — the same factor the virtual engines
 	// charge, so analytic and simulated rankings agree on the hybrid
 	// trade-off. Speedup(1) is exactly 1, leaving serial scores bitwise
-	// unchanged. Specs running sub-cubic arithmetic (the strassen
-	// algorithm and/or the local kernel) charge the flops the virtual
-	// transports would — the historical 2MNK/p expression is kept bitwise
-	// intact for everything else.
-	switch {
-	case spec.Algorithm == engine.Strassen:
-		gemm = s.strassenCompute(o, sh)
-	case o.LocalStrassen:
+	// unchanged. Specs running the sub-cubic local kernel charge the flops
+	// the virtual transports would — the historical 2MNK/p expression is
+	// kept bitwise intact for everything else.
+	if o.LocalStrassen {
 		gemm = s.localKernelCompute(spec)
-	default:
+	} else {
 		gemm = s.m.Compute(2 * float64(sh.M) * N * float64(sh.K) / p / machine.Speedup(o.Threads))
 	}
-	return bcast, shift, p2p, gemm
-}
-
-// strassenLevelTraffic derives the per-level per-rank communication of the
-// quadrant recursion from the same product table the execution walks
-// (core.StrassenProducts): the critical-path rank's staged-term and
-// contribution messages, and its axpy element count (operand assembly plus
-// C combination). Every message carries one tile (n/s)² at every level.
-func strassenLevelTraffic() (maxMsgs, maxAxpys int) {
-	var msgs, axpys [4]int
-	for _, p := range core.StrassenProducts() {
-		for _, operand := range [][]core.StrassenTerm{p.A, p.B} {
-			for _, t := range operand {
-				if t.Q != p.Host {
-					msgs[t.Q]++    // staged send
-					msgs[p.Host]++ // staged receive
-				}
-			}
-			axpys[p.Host] += len(operand) - 1 // first term is a copy
-		}
-		for _, t := range p.C {
-			if t.Q != p.Host {
-				msgs[p.Host]++ // contribution send
-				msgs[t.Q]++    // contribution receive
-			}
-			axpys[t.Q]++ // every contribution lands as one axpy
-		}
-	}
-	for q := 0; q < 4; q++ {
-		if msgs[q] > maxMsgs {
-			maxMsgs = msgs[q]
-		}
-		if axpys[q] > maxAxpys {
-			maxAxpys = axpys[q]
-		}
-	}
-	return maxMsgs, maxAxpys
-}
-
-// strassenCompute models the quadrant recursion's critical-path flops the
-// way the virtual transports charge them: 2^levels sequential bottom
-// problems of n/2^levels on the sub-grid — each K/b rank-b local updates
-// through the spec's execution descriptor (sub-cubic when the local
-// kernel is on) — plus the per-level quadrant add/sub arithmetic, which is
-// never thread-accelerated (matching comm.Axpy on every transport).
-func (s *scorer) strassenCompute(o core.Options, sh matrix.Shape) float64 {
-	levels := core.StrassenLevelsOf(o.StrassenLevels)
-	div := 1 << levels
-	if o.Grid.S%div != 0 || sh.N%div != 0 || o.BlockSize <= 0 {
-		return 0
-	}
-	x := o.Exec()
-	tile := sh.N / o.Grid.S // per-rank tile edge, invariant across levels
-	steps := float64(sh.N/div) / float64(o.BlockSize)
-	gemm := steps * x.Flops(tile, tile, o.BlockSize)
-	_, axpys := strassenLevelTraffic()
-	axpy := float64(axpys) * float64(tile) * float64(tile)
-	gf, af := gemm, 0.0
-	for l := 0; l < levels; l++ {
-		gf, af = 2*gf, axpy+2*af
-	}
-	return s.m.Compute(gf/machine.Speedup(o.Threads) + af)
+	return bcast, shift, gemm
 }
 
 // predictPhases returns the spec's phases as the map a plan and a
@@ -181,51 +113,17 @@ func (s *scorer) strassenCompute(o core.Options, sh matrix.Shape) float64 {
 // serving layer's measured/predicted drift tracking; the fidelity tests
 // compare it against traced virtual runs.
 func (s *scorer) predictPhases(spec engine.Spec) map[string]float64 {
-	bcast, shift, p2p, gemm := s.phases(spec)
+	bcast, shift, gemm := s.phases(spec)
 	out := make(map[string]float64, 3)
 	for _, ph := range []struct {
 		name string
 		sec  float64
-	}{{"bcast", bcast}, {"shift", shift}, {"p2p", p2p}, {"gemm", gemm}} {
+	}{{"bcast", bcast}, {"shift", shift}, {"gemm", gemm}} {
 		if ph.sec > 0 {
 			out[ph.name] = ph.sec
 		}
 	}
 	return out
-}
-
-// strassenComm models the quadrant recursion's communication: per level
-// the critical-path rank exchanges tile-sized staging and contribution
-// messages (point-to-point), each quadrant then computes its (up to two)
-// hosted products sequentially — p2p(l) = level + 2·p2p(l−1) — over a
-// bottom, the SUMMA family's broadcast rounds on the sub-grid, that
-// doubles per level.
-func (s *scorer) strassenComm(o core.Options, sh matrix.Shape) (bcast, p2p float64) {
-	levels := core.StrassenLevelsOf(o.StrassenLevels)
-	div := 1 << levels
-	if o.Grid.S != o.Grid.T || o.Grid.S%div != 0 || sh.N%div != 0 {
-		return 0, 0 // infeasible candidates never reach scoring via enumeration
-	}
-	tile := float64(sh.N) / float64(o.Grid.S)
-	elems := tile * tile
-	msgs, _ := strassenLevelTraffic()
-	level := float64(msgs) * (s.m.Alpha + elems*s.m.Beta)
-
-	sub := topo.Grid{S: o.Grid.S / div, T: o.Grid.S / div}
-	if sub.Size() > 1 {
-		// No inner groups, or none that factor the sub-grid (FactorGroups
-		// refuses both): the bottom is SUMMA, the empty hierarchy.
-		var bottom []core.Level
-		if h, err := topo.FactorGroups(sub, o.StrassenInnerGroups); err == nil {
-			bottom = core.Options{Groups: h, Knobs: o.Knobs}.GroupLevels()
-		}
-		bcast = s.familyComm(matrix.Square(sh.N/div), sub, o.Knobs, bottom)
-	}
-	for l := 0; l < levels; l++ {
-		p2p = level + 2*p2p
-		bcast = 2 * bcast
-	}
-	return bcast, p2p
 }
 
 // localKernelCompute charges a classic algorithm's local multiplies

@@ -14,11 +14,10 @@ import (
 // The SUMMA family's candidates come from one level-list generator
 // (hierarchies). Over the five presets, Quick and full, at p = 4…256:
 //
-//	(a) with SUMMA requested, no level — HSUMMA's, a multilevel one, or a
-//	    Strassen bottom's — has one group, a last level of one rank per
-//	    group is wider than every SUMMA b on its grid (HSUMMA at G = p and
-//	    B = b is SUMMA), a Strassen bottom's groups hold more than one
-//	    rank, and a one-rank Strassen bottom is proposed once;
+//	(a) with SUMMA requested, no level — HSUMMA's or a multilevel one —
+//	    has one group, and a last level of one rank per group is wider
+//	    than every SUMMA b on its grid (HSUMMA at G = p and B = b is
+//	    SUMMA);
 //	(b) the analytic best equals the best of the enumerator the generator
 //	    replaced (frozen below as parentCandidates), under one scorer;
 //	(c) an HSUMMA-only request still sweeps G = 1 and G = p, the endpoints
@@ -28,7 +27,7 @@ import (
 //	    topo.FactorGroups arranges their group counts that way (every
 //	    square grid; on 4×16 it arranges four groups as 1×4).
 func TestOneHierarchyGenerator(t *testing.T) {
-	family := []engine.Algorithm{engine.SUMMA, engine.HSUMMA, engine.Multilevel, engine.Cannon, engine.Fox, engine.Strassen}
+	family := []engine.Algorithm{engine.SUMMA, engine.HSUMMA, engine.Multilevel, engine.Cannon, engine.Fox}
 	ns := map[int]int{4: 256, 16: 512, 64: 4096, 256: 8192}
 	checkedD := 0
 	for _, name := range []string{"grid5000", "grid5000-cal", "bgp", "bgp-cal", "exascale"} {
@@ -56,16 +55,9 @@ func TestOneHierarchyGenerator(t *testing.T) {
 						summaB[c.Grid][c.BlockSize] = true
 					}
 				}
-				oneRankBottoms := map[string]int{}
 				for _, c := range all {
 					if err := properLevels(c, summaB[c.Grid]); err != nil {
 						t.Fatalf("%s p=%d quick=%t: %s: %v", name, p, quick, c, err)
-					}
-					if c.Algorithm == engine.Strassen && c.Grid.S>>core.StrassenLevelsOf(c.StrassenLevels) == 1 {
-						key := fmt.Sprint(c.Grid, c.LocalStrassen)
-						if oneRankBottoms[key]++; oneRankBottoms[key] > 1 {
-							t.Fatalf("%s p=%d quick=%t: one-rank Strassen bottom proposed twice (%s)", name, p, quick, c)
-						}
 					}
 				}
 
@@ -143,9 +135,8 @@ func bestOf(sc *scorer, cands []Candidate, o Objective) Scored {
 	return best
 }
 
-// properLevels reports a level of the candidate's hierarchy, or of its
-// Strassen bottom's, that has one group, or that has one rank per group
-// and either is a Strassen bottom's or has a width among summaB.
+// properLevels reports a level of the candidate's hierarchy that has one
+// group, or that has one rank per group and a width among summaB.
 func properLevels(c Candidate, summaB map[int]bool) error {
 	var levels []core.Level
 	g := c.Grid
@@ -154,21 +145,9 @@ func properLevels(c Candidate, summaB map[int]bool) error {
 		levels = []core.Level{{I: c.GroupShape[0], J: c.GroupShape[1], BlockSize: c.OuterBlockSize}}
 	case engine.Multilevel:
 		levels = c.Levels
-	case engine.Strassen:
-		if c.StrassenInnerGroups == 0 {
-			return nil
-		}
-		side := g.S >> core.StrassenLevelsOf(c.StrassenLevels)
-		g = topo.Grid{S: side, T: side}
-		h, err := topo.FactorGroups(g, c.StrassenInnerGroups)
-		if err != nil {
-			return err
-		}
-		levels = []core.Level{{I: h.I, J: h.J}}
-		summaB = nil
 	}
 	for k, lv := range levels {
-		if G := lv.I * lv.J; G <= 1 || G >= g.Size() && (summaB == nil || summaB[lv.BlockSize]) {
+		if G := lv.I * lv.J; G <= 1 || G >= g.Size() && summaB[lv.BlockSize] {
 			return fmt.Errorf("level %d splits %v into %dx%d groups, %d wide", k, g, lv.I, lv.J, lv.BlockSize)
 		}
 		g = topo.Grid{S: g.S / lv.I, T: g.T / lv.J}
@@ -194,7 +173,7 @@ func factorGroupsArranges(c Candidate) bool {
 // parentCandidates is the enumerator hierarchies replaced, frozen as the
 // reference for (b) and (d): a SUMMA sweep, an HSUMMA sweep over every
 // group count (endpoints included) and B ∈ {b, 2b, 4b}, two hard-coded
-// multilevel shapes, and Strassen bottoms swept whatever their sub-grid.
+// multilevel shapes.
 // Requests without a core budget only.
 func parentCandidates(req Request) []Candidate {
 	req = req.withDefaults()
@@ -237,68 +216,21 @@ func parentCandidates(req Request) []Candidate {
 				}
 			case engine.Multilevel:
 				out = append(out, parentMultilevelCandidates(req, g, bs)...)
-			case engine.Cannon, engine.Fox, engine.Strassen:
+			case engine.Cannon, engine.Fox:
 				if core.SquareOnly(sh, g) != nil {
 					continue
 				}
-				switch alg {
-				case engine.Cannon:
+				if alg == engine.Cannon {
 					out = append(out, Candidate{Algorithm: alg, Grid: g})
-				case engine.Fox:
-					for _, bc := range req.Broadcasts {
-						out = append(out, Candidate{Algorithm: alg, Grid: g, Knobs: core.Knobs{Broadcast: bc}})
-					}
-				default:
-					out = append(out, parentStrassenCandidates(req, g)...)
+					continue
+				}
+				for _, bc := range req.Broadcasts {
+					out = append(out, Candidate{Algorithm: alg, Grid: g, Knobs: core.Knobs{Broadcast: bc}})
 				}
 			}
 		}
 	}
 	return append(out, localKernelVariants(sh, out)...)
-}
-
-func parentStrassenCandidates(req Request, g topo.Grid) []Candidate {
-	if g.S%2 != 0 {
-		return nil
-	}
-	levels := []int{1}
-	if !req.Quick && g.S%4 == 0 {
-		levels = append(levels, 2)
-	}
-	bcasts := req.Broadcasts
-	if req.Quick {
-		bcasts = bcasts[:1]
-	}
-	var out []Candidate
-	for _, l := range levels {
-		div := 1 << l
-		if req.Shape.N%div != 0 {
-			continue
-		}
-		sub := topo.Grid{S: g.S / div, T: g.S / div}
-		bs := blockCandidates(matrix.Square(req.Shape.N/div), sub, req.Quick)
-		if req.BlockSize > 0 {
-			if (req.Shape.N/div/sub.S)%req.BlockSize != 0 {
-				continue
-			}
-			bs = []int{req.BlockSize}
-		}
-		groups := []int{0}
-		if !req.Quick && sub.Size() >= 4 {
-			groups = append(groups, 4)
-		}
-		for _, b := range bs {
-			for _, G := range groups {
-				for _, bc := range bcasts {
-					out = append(out, Candidate{
-						Algorithm: engine.Strassen, Grid: g,
-						Knobs: core.Knobs{BlockSize: b, Broadcast: bc, StrassenLevels: l, StrassenInnerGroups: G},
-					})
-				}
-			}
-		}
-	}
-	return out
 }
 
 func parentGroupCandidates(g topo.Grid, quick bool) []int {

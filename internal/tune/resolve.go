@@ -55,9 +55,6 @@ type ResolveParams struct {
 	// engine.Auto, 0 lets the planner choose (currently 1 unless the
 	// request carries a core budget).
 	Threads int
-	// StrassenLevels is the strassen algorithm's quadrant recursion depth
-	// (0 = one level); StrassenInnerGroups > 0 selects an HSUMMA bottom.
-	StrassenLevels, StrassenInnerGroups int
 	// LocalStrassen runs the sub-cubic rank-local kernel under any
 	// algorithm; StrassenCutoff is its recursion cutoff (0 = blas default).
 	LocalStrassen  bool
@@ -71,14 +68,12 @@ type ResolveParams struct {
 // the flat fields above become the shared core.Knobs.
 func (rp ResolveParams) Knobs() core.Knobs {
 	return core.Knobs{
-		BlockSize:           rp.BlockSize,
-		OuterBlockSize:      rp.OuterBlockSize,
-		Broadcast:           rp.Broadcast,
-		Threads:             rp.Threads,
-		StrassenLevels:      rp.StrassenLevels,
-		StrassenInnerGroups: rp.StrassenInnerGroups,
-		LocalStrassen:       rp.LocalStrassen,
-		StrassenCutoff:      rp.StrassenCutoff,
+		BlockSize:      rp.BlockSize,
+		OuterBlockSize: rp.OuterBlockSize,
+		Broadcast:      rp.Broadcast,
+		Threads:        rp.Threads,
+		LocalStrassen:  rp.LocalStrassen,
+		StrassenCutoff: rp.StrassenCutoff,
 	}
 }
 
@@ -89,8 +84,6 @@ func (rp *ResolveParams) SetKnobs(k core.Knobs) {
 	rp.OuterBlockSize = k.OuterBlockSize
 	rp.Broadcast = k.Broadcast
 	rp.Threads = k.Threads
-	rp.StrassenLevels = k.StrassenLevels
-	rp.StrassenInnerGroups = k.StrassenInnerGroups
 	rp.LocalStrassen = k.LocalStrassen
 	rp.StrassenCutoff = k.StrassenCutoff
 }

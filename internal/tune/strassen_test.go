@@ -3,20 +3,18 @@ package tune
 import (
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/simnet"
 )
 
-// The planner must select sub-cubic arithmetic only where the cost model
-// says it wins, and the model must agree with the virtual runs about
-// where that is.
+// The planner must select the sub-cubic local kernel only where the cost
+// model says it wins.
 
-// Small problems: the distributed Strassen recursion buys no per-rank
-// flops (2 sequential sub-problems ≈ classic's critical path) and the
-// local kernel falls through to the classic one below the crossover — the
-// planner must stay classic.
+// Small problems: the local kernel falls through to the classic one below
+// the crossover — the planner must stay classic.
 func TestPlannerStaysClassicOnSmallProblems(t *testing.T) {
 	pl, err := NewPlanner().Plan(Request{
 		Platform: machine.Grid5000(), N: 256, P: 16,
@@ -25,7 +23,7 @@ func TestPlannerStaysClassicOnSmallProblems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Best.Algorithm == engine.Strassen || pl.Best.LocalStrassen {
+	if pl.Best.LocalStrassen {
 		t.Fatalf("planner picked sub-cubic config %s at n=256, where it cannot win", pl.Best.Candidate)
 	}
 }
@@ -46,77 +44,57 @@ func TestPlannerEnablesLocalKernelOnLargeProblems(t *testing.T) {
 	}
 }
 
-// Wherever the planner ranks a strassen-algorithm candidate above a
-// classic one analytically, the virtual run must agree to 5% — otherwise
-// the model is steering Auto towards configurations the authoritative
-// timing path would reject.
-func TestStrassenModelAgreesWithSimulation(t *testing.T) {
-	req := Request{
-		Platform: machine.Grid5000(), N: 1024, P: 16,
-		Algorithms: []engine.Algorithm{engine.SUMMA, engine.Strassen},
-		Quick:      true, NoCache: true, TopK: 16,
-	}
-	pl, err := NewPlanner().Plan(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rank by model, rank by simulation: the orderings of the refined set
-	// must agree on which family wins, within tolerance.
-	var bestModel, bestSim *Scored
-	for i := range pl.Ranked {
-		s := &pl.Ranked[i]
-		if !s.Refined {
-			continue
-		}
-		if bestModel == nil || s.ModelTotal < bestModel.ModelTotal {
-			bestModel = s
-		}
-		if bestSim == nil || s.SimTotal < bestSim.SimTotal {
-			bestSim = s
-		}
-	}
-	if bestModel == nil || bestSim == nil {
-		t.Fatal("no refined candidates")
-	}
-	if bestModel.Algorithm != bestSim.Algorithm {
-		// Different family picks are tolerable only when the simulated
-		// costs are within 5% of each other — i.e. the model's pick is
-		// not materially wrong.
-		if bestModel.SimTotal > bestSim.SimTotal*1.05 {
-			t.Fatalf("model prefers %s (sim %.3g s) but simulation prefers %s (%.3g s)",
-				bestModel.Candidate, bestModel.SimTotal, bestSim.Candidate, bestSim.SimTotal)
-		}
-	}
-}
-
-// Every enumerated strassen candidate must resolve and simulate: the
-// feasibility filters in the enumeration must match the execution layer's
-// validation exactly. The 4x4 grid recurses twice; an HSUMMA bottom needs
-// a sub-grid that four groups split properly (4x4, on the 8x8 grid — on
-// 4x4's 2x2 bottom, four groups hold one rank each, which is SUMMA).
+// Every local-kernel variant the enumeration proposes must resolve and
+// simulate, and must be one where the kernel can win: no dimension of its
+// rank-local multiplies (tile extents, and the panel width where there is
+// one) at or below blas.DefaultStrassenCutoff, where StrassenGemm is the
+// classic kernel. Each variant doubles a classic candidate that is also
+// proposed, and every classic candidate clear of the cutoff is doubled.
 func TestStrassenCandidatesAreRunnable(t *testing.T) {
-	sawLevels2, sawGroups := false, false
-	for _, p := range []int{16, 64} {
-		req := Request{
-			Platform: machine.Grid5000(), N: 512, P: p,
-			Algorithms: []engine.Algorithm{engine.Strassen},
-			NoCache:    true,
-		}
+	variants, classicOnly := 0, 0
+	for _, p := range []int{4, 16} {
+		req := Request{Platform: machine.Grid5000(), N: 2048, P: p, NoCache: true}
 		cands, err := Candidates(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cands) == 0 {
-			t.Fatalf("no strassen candidates at p=%d", p)
+		classic := map[string]bool{}
+		doubled := map[string]bool{}
+		for _, c := range cands {
+			if !c.LocalStrassen {
+				classic[c.String()] = true
+				continue
+			}
+			twin := c
+			twin.LocalStrassen = false
+			doubled[twin.String()] = true
 		}
 		for _, c := range cands {
-			if c.StrassenLevels == 2 {
-				sawLevels2 = true
+			sh := matrix.Square(req.N)
+			minDim := min(sh.M/c.Grid.S, sh.N/c.Grid.T, sh.K/c.Grid.S, sh.K/c.Grid.T)
+			if c.BlockSize > 0 {
+				minDim = min(minDim, c.BlockSize)
 			}
-			if c.StrassenInnerGroups > 0 {
-				sawGroups = true
+			clear := minDim > blas.DefaultStrassenCutoff
+			if !c.LocalStrassen {
+				if clear != doubled[c.String()] {
+					t.Fatalf("p=%d: classic %s (smallest local dimension %d) doubled=%t", p, c, minDim, doubled[c.String()])
+				}
+				if !clear {
+					classicOnly++
+				}
+				continue
 			}
-			spec, err := c.Spec(matrix.Square(req.N))
+			variants++
+			if !clear {
+				t.Fatalf("p=%d: variant %s proposed at local dimension %d ≤ cutoff %d", p, c, minDim, blas.DefaultStrassenCutoff)
+			}
+			twin := c
+			twin.LocalStrassen = false
+			if !classic[twin.String()] {
+				t.Fatalf("p=%d: variant %s has no classic twin", p, c)
+			}
+			spec, err := c.Spec(sh)
 			if err != nil {
 				t.Fatalf("candidate %s does not resolve: %v", c, err)
 			}
@@ -125,10 +103,7 @@ func TestStrassenCandidatesAreRunnable(t *testing.T) {
 			}
 		}
 	}
-	if !sawLevels2 {
-		t.Fatal("full-mode enumeration proposed no two-level recursion on a 4x4 grid")
-	}
-	if !sawGroups {
-		t.Fatal("full-mode enumeration proposed no HSUMMA bottom")
+	if variants == 0 || classicOnly == 0 {
+		t.Fatalf("sweep exercised %d variants and %d classic-only candidates; want both", variants, classicOnly)
 	}
 }

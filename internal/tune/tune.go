@@ -80,8 +80,7 @@ type Request struct {
 	// feasible multiples are searched; the paper sets B = b throughout).
 	OuterBlockSize int
 	// Algorithms restricts the candidate algorithms; nil means SUMMA,
-	// HSUMMA, Cannon, Fox and Strassen (Multilevel joins when listed
-	// explicitly).
+	// HSUMMA, Cannon and Fox (Multilevel joins when listed explicitly).
 	Algorithms []engine.Algorithm
 	// Broadcasts restricts the broadcast variants; nil means both of the
 	// paper's, binomial and Van de Geijn.
@@ -117,7 +116,7 @@ func (r Request) withDefaults() Request {
 		r.TopK = 8
 	}
 	if len(r.Algorithms) == 0 {
-		r.Algorithms = []engine.Algorithm{engine.SUMMA, engine.HSUMMA, engine.Cannon, engine.Fox, engine.Strassen}
+		r.Algorithms = []engine.Algorithm{engine.SUMMA, engine.HSUMMA, engine.Cannon, engine.Fox}
 	}
 	if len(r.Broadcasts) == 0 {
 		r.Broadcasts = sched.Algorithms()
@@ -243,12 +242,6 @@ func (c Candidate) String() string {
 	}
 	if c.Threads > 1 {
 		s += fmt.Sprintf(" t=%d", c.Threads)
-	}
-	if c.Algorithm == engine.Strassen {
-		s += fmt.Sprintf(" sl=%d", core.StrassenLevelsOf(c.StrassenLevels))
-		if c.StrassenInnerGroups > 0 {
-			s += fmt.Sprintf(" sg=%d", c.StrassenInnerGroups)
-		}
 	}
 	if c.LocalStrassen {
 		s += " local-strassen"
@@ -438,22 +431,19 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 			switch alg {
 			case engine.SUMMA, engine.HSUMMA, engine.Multilevel:
 				out = append(out, hierarchies(req, g, bs, alg, proper)...)
-			case engine.Cannon, engine.Fox, engine.Strassen:
+			case engine.Cannon, engine.Fox:
 				// The square-only rule the execution layer applies (a
 				// non-divisible n pads to the next multiple of q).
 				if core.SquareOnly(sh, g) != nil {
 					*squareOnlySkipped = true
 					continue
 				}
-				switch alg {
-				case engine.Cannon:
+				if alg == engine.Cannon {
 					out = append(out, Candidate{Algorithm: alg, Grid: g})
-				case engine.Fox:
-					for _, bc := range req.Broadcasts {
-						out = append(out, Candidate{Algorithm: alg, Grid: g, Knobs: core.Knobs{Broadcast: bc}})
-					}
-				default:
-					out = append(out, strassenCandidates(req, g)...)
+					continue
+				}
+				for _, bc := range req.Broadcasts {
+					out = append(out, Candidate{Algorithm: alg, Grid: g, Knobs: core.Knobs{Broadcast: bc}})
 				}
 			}
 		}
@@ -559,68 +549,6 @@ func fits(c Candidate, sh matrix.Shape) bool {
 	return spec.Validate() == nil
 }
 
-// strassenCandidates proposes the distributed Strassen configurations for
-// one square grid: an even side only, one recursion level (two
-// in full mode when the grid quarters), block sizes feasible for the
-// bottom sub-grid problem, and — in full mode — an HSUMMA bottom at G=4
-// where four groups factor the sub-grid with more than one rank each
-// (on a 2×2 bottom, G=4 at B = b is SUMMA's execution). The
-// binomial broadcast suffices for the bottom collectives in quick
-// mode; full mode sweeps the requested broadcasts like every other
-// candidate family.
-func strassenCandidates(req Request, g topo.Grid) []Candidate {
-	if g.S%2 != 0 {
-		return nil
-	}
-	levels := []int{1}
-	if !req.Quick && g.S%4 == 0 {
-		levels = append(levels, 2)
-	}
-	var out []Candidate
-	for _, l := range levels {
-		div := 1 << l
-		if req.Shape.N%div != 0 {
-			continue
-		}
-		// Blocks are constrained by the bottom problem: size n/2^l on an
-		// (s/2^l)² sub-grid — the per-rank extents equal the full problem's
-		// n/s, so the same feasibility rule applies at every depth.
-		sub := topo.Grid{S: g.S / div, T: g.S / div}
-		subShape := matrix.Square(req.Shape.N / div)
-		bs := blockCandidates(subShape, sub, req.Quick)
-		if req.BlockSize > 0 {
-			if (req.Shape.N/div/sub.S)%req.BlockSize != 0 {
-				continue
-			}
-			bs = []int{req.BlockSize}
-		}
-		bcasts := req.Broadcasts
-		if req.Quick {
-			bcasts = bcasts[:1]
-		}
-		if sub.Size() == 1 {
-			// A one-rank bottom broadcasts nothing, and b reaches only the
-			// local kernel: one candidate, at the widest b.
-			bs, bcasts = bs[len(bs)-1:], bcasts[:1]
-		}
-		groups := []int{0}
-		if _, err := topo.FactorGroups(sub, 4); !req.Quick && err == nil && 4 < sub.Size() {
-			groups = append(groups, 4)
-		}
-		for _, b := range bs {
-			for _, G := range groups {
-				for _, bc := range bcasts {
-					out = append(out, Candidate{
-						Algorithm: engine.Strassen, Grid: g,
-						Knobs: core.Knobs{BlockSize: b, Broadcast: bc, StrassenLevels: l, StrassenInnerGroups: G},
-					})
-				}
-			}
-		}
-	}
-	return out
-}
-
 // localKernelVariants duplicates candidates with the sub-cubic rank-local
 // kernel enabled — but only where the kernel can actually win: every
 // dimension of the rank-local multiplies (tile extents and the panel
@@ -631,13 +559,6 @@ func localKernelVariants(sh matrix.Shape, cands []Candidate) []Candidate {
 	var out []Candidate
 	for _, c := range cands {
 		minDim := minTileExtent(sh, c.Grid)
-		if c.Algorithm == engine.Strassen {
-			div := 1 << core.StrassenLevelsOf(c.StrassenLevels)
-			minDim = sh.N / c.Grid.S // tile extent, invariant across levels
-			if sh.N%div != 0 {
-				continue
-			}
-		}
 		if c.BlockSize > 0 && c.BlockSize < minDim {
 			minDim = c.BlockSize
 		}

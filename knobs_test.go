@@ -36,7 +36,10 @@ func knobValue(t *testing.T, f reflect.StructField, i int) reflect.Value {
 // ResolveParams.Knobs or ResolveParams.SetKnobs fails the knob it served.
 // No surface may grow a Segments field back, and no virtual-world or
 // planning surface an Overlap field: the paper's SUMMA and HSUMMA, and the
-// live runtime, do not overlap communication with computation.
+// live runtime, do not overlap communication with computation. Nor may any
+// grow the distributed Strassen recursion's StrassenLevels or
+// StrassenInnerGroups back: Strassen is a rank-local kernel
+// (LocalStrassen), not a distribution.
 func TestKnobSurfacesAgree(t *testing.T) {
 	// Segments left with the chain broadcast; it must not come back as a
 	// knob (sched.Schedule.Segments, one schedule's segment count, stays).
@@ -48,6 +51,13 @@ func TestKnobSurfacesAgree(t *testing.T) {
 	for _, surface := range []any{Config{}, SimConfig{}, PlanConfig{}, tune.Request{}, simnet.VConfig{}} {
 		if _, ok := reflect.TypeOf(surface).FieldByName("Overlap"); ok {
 			t.Errorf("%T has an Overlap field: neither the live runtime nor the paper's algorithms overlap communication with computation", surface)
+		}
+	}
+	for _, surface := range []any{core.Knobs{}, Config{}, SimConfig{}, tune.ResolveParams{}} {
+		for _, name := range []string{"StrassenLevels", "StrassenInnerGroups"} {
+			if _, ok := reflect.TypeOf(surface).FieldByName(name); ok {
+				t.Errorf("%T has a %s field: Strassen is a rank-local kernel, not a distribution", surface, name)
+			}
 		}
 	}
 	shape := SquareShape(64)

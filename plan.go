@@ -64,7 +64,7 @@ type PlanConfig struct {
 	// for power-of-two t instead of planning for exactly Procs ranks.
 	CoreBudget int
 	// Algorithms restricts the searched algorithms (nil = SUMMA, HSUMMA,
-	// Cannon, Fox, Strassen).
+	// Cannon, Fox).
 	Algorithms []Algorithm
 	// Broadcasts restricts the broadcast variants (nil = binomial and
 	// Van de Geijn).

@@ -31,7 +31,6 @@ func TestSessionBitIdenticalToMultiply(t *testing.T) {
 		{"K-only padded", Shape{M: 32, N: 32, K: 30}, Config{Procs: 16, BlockSize: 4}},
 		{"cannon", SquareShape(16), Config{Procs: 4, Algorithm: AlgCannon}},
 		{"cannon padded", SquareShape(31), Config{Procs: 9, Algorithm: AlgCannon}},
-		{"strassen hsumma bottom", SquareShape(64), Config{Procs: 16, Algorithm: AlgStrassen, BlockSize: 4, StrassenInnerGroups: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -53,9 +53,6 @@ type SimConfig struct {
 	// flops / Speedup(Threads). 0 and 1 both mean serial ranks and leave
 	// virtual times bitwise unchanged.
 	Threads int
-	// StrassenLevels and StrassenInnerGroups configure AlgStrassen's
-	// quadrant recursion depth and HSUMMA bottom, exactly as in Config.
-	StrassenLevels, StrassenInnerGroups int
 	// LocalStrassen runs the rank-local sub-cubic kernel under any
 	// algorithm; the virtual engines charge its reduced flop count.
 	// StrassenCutoff is the kernel's recursion cutoff (0 = blas default).
@@ -70,9 +67,9 @@ type SimConfig struct {
 	// Engine selects the virtual execution engine: EngineGoroutine,
 	// EngineEvent, or EngineAuto (the default, also the zero value).
 	// The engines produce bit-identical results; auto picks the event
-	// engine for the pivot-loop algorithms (SUMMA, HSUMMA, multilevel,
-	// Strassen), where it is several times faster at full scale, and
-	// goroutines for Cannon and Fox.
+	// engine for the pivot-loop algorithms (SUMMA, HSUMMA, multilevel),
+	// where it is several times faster at full scale, and goroutines for
+	// Cannon and Fox.
 	Engine Engine
 	// Trace records per-rank phase spans on the virtual timeline; the
 	// recorder is returned in SimResult.Trace. Tracing only observes the
@@ -119,20 +116,18 @@ type SimResult struct {
 // no live counterpart.
 func (cfg SimConfig) Config() Config {
 	return Config{
-		Procs:               cfg.Procs,
-		Grid:                cfg.Grid,
-		Algorithm:           cfg.Algorithm,
-		Groups:              cfg.Groups,
-		BlockSize:           cfg.BlockSize,
-		OuterBlockSize:      cfg.OuterBlockSize,
-		Levels:              cfg.Levels,
-		Broadcast:           cfg.Broadcast,
-		Threads:             cfg.Threads,
-		StrassenLevels:      cfg.StrassenLevels,
-		StrassenInnerGroups: cfg.StrassenInnerGroups,
-		LocalStrassen:       cfg.LocalStrassen,
-		StrassenCutoff:      cfg.StrassenCutoff,
-		Platform:            cfg.Platform,
+		Procs:          cfg.Procs,
+		Grid:           cfg.Grid,
+		Algorithm:      cfg.Algorithm,
+		Groups:         cfg.Groups,
+		BlockSize:      cfg.BlockSize,
+		OuterBlockSize: cfg.OuterBlockSize,
+		Levels:         cfg.Levels,
+		Broadcast:      cfg.Broadcast,
+		Threads:        cfg.Threads,
+		LocalStrassen:  cfg.LocalStrassen,
+		StrassenCutoff: cfg.StrassenCutoff,
+		Platform:       cfg.Platform,
 	}
 }
 

@@ -22,14 +22,14 @@ import (
 
 // stagingCase is one algorithm configuration with a problem size that
 // divides the grid and block sizes and one where every dimension pads
-// (square: Cannon, Fox and Strassen need it).
+// (square: Cannon and Fox need it).
 type stagingCase struct {
 	name string
 	cfg  Config
 	n    [2]int // divisible, padded
 }
 
-// stagingCases covers all six algorithms.
+// stagingCases covers all five algorithms.
 func stagingCases() []stagingCase {
 	return []stagingCase{
 		{"summa", Config{Procs: 4, Algorithm: AlgSUMMA, BlockSize: 4}, [2]int{32, 29}},
@@ -40,7 +40,6 @@ func stagingCases() []stagingCase {
 		// Padded to 33, Fox broadcasts 11×11 tiles over rows of 3: Van de
 		// Geijn then splits 121 elements into uneven segments.
 		{"fox", Config{Procs: 9, Algorithm: AlgFox, Broadcast: BcastVanDeGeijn}, [2]int{36, 31}},
-		{"strassen", Config{Procs: 16, Algorithm: AlgStrassen, BlockSize: 4}, [2]int{64, 45}},
 	}
 }
 

@@ -185,7 +185,6 @@ func TestVirtualEnginesRecordIdenticalSpans(t *testing.T) {
 		{"summa", SimConfig{Algorithm: AlgSUMMA}},
 		{"hsumma", SimConfig{Algorithm: AlgHSUMMA, Groups: 4, Broadcast: BcastVanDeGeijn}},
 		{"multilevel", SimConfig{Algorithm: AlgMultilevel, Levels: []Level{{I: 2, J: 2, BlockSize: 32}}}},
-		{"strassen", SimConfig{Algorithm: AlgStrassen}},
 		{"cannon", SimConfig{Algorithm: AlgCannon}},
 		{"fox", SimConfig{Algorithm: AlgFox}},
 	}
