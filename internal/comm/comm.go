@@ -20,11 +20,13 @@
 // the parity tests in internal/engine assert.
 //
 // The interface has two halves. The communication half (Rank/Size/Split/
-// Send/Recv/SendRecv/Bcast) mirrors the MPI subset the paper's Algorithm 1
-// uses. The data half (NewPanel/NewTile/Pack/Repack/Gemm) routes every
-// touch of matrix element storage through the transport, which is what
-// lets the virtual transports elide storage entirely: a simulated
-// 16384-rank run allocates shape headers, not gigabytes of tiles.
+// SendRecv/Bcast) is the MPI subset the algorithms call: the row and
+// column broadcasts of the paper's Algorithm 1 and the full-duplex shift
+// of Cannon's and Fox's algorithms. The data half (NewPanel/NewTile/Pack/
+// Repack/Gemm) routes every touch of matrix element storage through the
+// transport, which is what lets the virtual transports elide storage
+// entirely: a simulated 16384-rank run allocates shape headers, not
+// gigabytes of tiles.
 //
 // # Data-plane contract
 //
@@ -36,14 +38,14 @@
 //     see it. Repack fills a panel from a window of another one; the
 //     result may share the source's storage, so it is read-only.
 //
-//   - Send, SendRecv's send half and Bcast on the root *publish* the
-//     panel: the transport may hand the very same storage to the
-//     receivers, so from then on the sender holds it read-only, exactly
-//     like the receivers. The sender may keep reading it; its next Pack
+//   - SendRecv's send half and Bcast on the root *publish* the panel:
+//     the transport may hand the very same storage to the receivers, so
+//     from then on the sender holds it read-only, exactly like the
+//     receivers. The sender may keep reading it; its next Pack
 //     or Repack into the panel detaches it from the readers first (they
 //     keep what they were given). Sends are eager: they never block.
 //
-//   - Recv, SendRecv's receive half and Bcast on a non-root *replace* the
+//   - SendRecv's receive half and Bcast on a non-root *replace* the
 //     panel's contents: Panel.Tile is valid — and read-only — until the
 //     caller's next operation on that panel. What the panel held before
 //     is gone, so never keep a view of Panel.Tile across such a call.
@@ -83,9 +85,6 @@ type Exec struct {
 
 // Serial is the default execution: one thread, classic kernel.
 var Serial = Exec{Threads: 1}
-
-// Threaded returns a classic-kernel Exec with the given thread budget.
-func Threaded(t int) Exec { return Exec{Threads: t} }
 
 // Flops returns the flop count this execution charges for an m×k by k×n
 // local multiply: blas.StrassenFlops under the sub-cubic kernel, the
@@ -134,16 +133,12 @@ type Comm interface {
 	// (key, old rank). A negative colour returns nil (MPI_UNDEFINED).
 	Split(color, key int) Comm
 
-	// Send publishes the panel to dst (comm rank) under tag. Sends are
-	// eager: they never block.
-	Send(dst, tag int, p *Panel)
-	// Recv blocks until a message from src with the given tag arrives and
-	// replaces the panel's contents with it. The panel's element count
-	// must equal the message's exactly.
-	Recv(src, tag int, p *Panel)
-	// SendRecv performs the send and the receive concurrently — the
-	// full-duplex shift primitive of Cannon's and Fox's algorithms. send
-	// and recv may be the same panel (rotate in place).
+	// SendRecv publishes send to dst (comm rank) under sendTag and
+	// replaces recv's contents with the message from src under recvTag,
+	// concurrently — the full-duplex shift primitive of Cannon's and Fox's
+	// algorithms. The send half is eager; recv's element count must equal
+	// the message's exactly. send and recv may be the same panel (rotate
+	// in place).
 	SendRecv(dst, sendTag int, send *Panel, src, recvTag int, recv *Panel)
 	// Bcast broadcasts root's panel to every rank, executing the named
 	// algorithm's schedule from internal/sched transfer by transfer:

@@ -198,8 +198,6 @@ type stubComm struct {
 func (s stubComm) Rank() int                                             { return s.rank }
 func (s stubComm) Size() int                                             { return s.size }
 func (s stubComm) Split(color, key int) comm.Comm                        { return s }
-func (s stubComm) Send(int, int, *comm.Panel)                            {}
-func (s stubComm) Recv(int, int, *comm.Panel)                            {}
 func (s stubComm) SendRecv(int, int, *comm.Panel, int, int, *comm.Panel) {}
 func (s stubComm) Bcast(sched.Algorithm, int, *comm.Panel)               {}
 func (s stubComm) NewPanel(rows, cols int) *comm.Panel {

@@ -11,10 +11,10 @@
 //
 //   - Producers: one goroutine per rank runs the algorithm against a
 //     recording communicator (rComm) that never blocks on communication.
-//     Every Send/Recv/SendRecv/Bcast/Gemm becomes one compact,
-//     pointer-free event and the call returns immediately — legal because
-//     the virtual data plane is shape-only, so no received value can
-//     influence the program's control flow. The only inter-rank
+//     Every Bcast and Gemm becomes one compact, pointer-free event, a
+//     SendRecv two (its send and receive halves), and the call returns
+//     immediately — legal because the virtual data plane is shape-only,
+//     so no received value can influence the program's control flow. The only inter-rank
 //     rendezvous left on the producer side is Split, whose *result* (the
 //     child communicator's rank and size) does steer control flow; splits
 //     are a handful per run, so their parks are noise.
@@ -22,12 +22,12 @@
 //   - Consumer: a single-threaded event loop owns every virtual clock.
 //     Each rank's program has become a resumable step function — its ring
 //     cursor — which the loop advances until the rank blocks on a
-//     dependency: a receive whose matching send has not been replayed yet,
-//     or a collective some member has not reached. Collectives fire when
-//     their last member's event arrives and execute the same internal/sched
-//     schedule through Sim.ExecOne, the call the goroutine engine's Bcast
-//     makes; Gemm advances the same per-rank clock (the paper's
-//     non-overlapped execution). Virtual times, per-rank communication-time
+//     dependency: a SendRecv whose partner's send has not been replayed
+//     yet, or a collective some member has not reached. Collectives fire
+//     when their last member's event arrives and execute the same
+//     internal/sched schedule through Sim.ExecOne, the call the goroutine
+//     engine's Bcast makes; Gemm advances the same per-rank clock (the
+//     paper's non-overlapped execution). Virtual times, per-rank communication-time
 //     breakdowns, traffic counters and trace spans are therefore
 //     bit-identical (asserted by the engine parity tests in internal/simalg
 //     and the span test in the root package).

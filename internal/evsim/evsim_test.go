@@ -15,37 +15,54 @@ func testCfg() simnet.VConfig {
 	return simnet.VConfig{Model: machine.Model{Alpha: 1e-5, Beta: 1e-8, Gamma: 1e-9}}
 }
 
-// TestPointToPointTiming pins the replay's Send/Recv semantics: the
-// receiver completes at max(own clock, sender's send-time) plus the
-// transfer time — the same arithmetic as the goroutine engine.
+// TestPointToPointTiming pins SendRecv's timing when the partner is late:
+// rank 1 computes until t₁ before the two ranks shift with each other, so
+// rank 0's receive half waits for it. Both directions start from the
+// caller's clock and the call completes at the slower one: both clocks end
+// at t₁+T, all of rank 0's time is communication, and the goroutine
+// engine agrees bit for bit.
 func TestPointToPointTiming(t *testing.T) {
-	w := NewWorld(2, testCfg())
-	err := w.Run(func(c comm.Comm) {
-		buf := c.NewPanel(1, 1000)
-		switch c.Rank() {
-		case 0:
-			c.Send(1, 7, buf)
-		case 1:
-			c.Recv(0, 7, buf)
+	const n = 100
+	prog := func(c comm.Comm) {
+		if c.Rank() == 1 {
+			c.Gemm(c.NewTile(n, n), c.NewTile(n, n), c.NewTile(n, n), comm.Serial)
 		}
-	})
-	if err != nil {
+		c.SendRecv(1-c.Rank(), 7, c.NewPanel(1, 1000), 1-c.Rank(), 7, c.NewPanel(1, 1000))
+	}
+	w := NewWorld(2, testCfg())
+	if err := w.Run(prog); err != nil {
 		t.Fatal(err)
 	}
 	m := testCfg().Model
-	dt := m.PointToPoint(1000)
-	if got := w.Sim().Clock(0); got != dt {
-		t.Fatalf("sender clock %v, want %v", got, dt)
+	t1 := m.Compute(comm.Serial.Flops(n, n, n))
+	want := t1 + m.PointToPoint(1000)
+	if m.PointToPoint(1000) >= t1 {
+		t.Fatalf("rank 1 is not late: T=%v t1=%v", m.PointToPoint(1000), t1)
 	}
-	if got := w.Sim().Clock(1); got != dt {
-		t.Fatalf("receiver clock %v, want %v (message available at 0)", got, dt)
+	for r := 0; r < 2; r++ {
+		if got := w.Sim().Clock(r); got != want {
+			t.Fatalf("rank %d clock %v, want t1+T = %v", r, got, want)
+		}
 	}
-	st := w.Stats()
-	if st[0].SentMessages != 1 || st[0].SentBytes != int64(machine.BytesPerElement*1000) {
-		t.Fatalf("sender stats %+v", st[0])
+	if got := w.Sim().CommTime(0); got != want {
+		t.Fatalf("rank 0 comm time %v, want t1+T = %v", got, want)
 	}
-	if st[1].SentMessages != 0 {
-		t.Fatalf("receiver stats %+v", st[1])
+	for r, st := range w.Stats() {
+		if st.SentMessages != 1 || st.SentBytes != int64(machine.BytesPerElement*1000) {
+			t.Fatalf("rank %d stats %+v, want 1 message of 8000 bytes", r, st)
+		}
+	}
+	vw := simnet.NewVWorld(2, testCfg())
+	if err := vw.Run(func(c *simnet.VComm) { prog(c) }); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if ev, gr := w.Sim().Clock(r), vw.Sim().Clock(r); ev != gr {
+			t.Fatalf("rank %d: event clock %v, goroutine clock %v", r, ev, gr)
+		}
+		if ev, gr := w.Sim().CommTime(r), vw.Sim().CommTime(r); ev != gr {
+			t.Fatalf("rank %d: event comm time %v, goroutine comm time %v", r, ev, gr)
+		}
 	}
 }
 
@@ -88,24 +105,24 @@ func TestBcastMismatchAborts(t *testing.T) {
 func TestRecvSizeMismatchAborts(t *testing.T) {
 	w := NewWorld(2, testCfg())
 	err := w.Run(func(c comm.Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 0, c.NewPanel(1, 10))
-		} else {
-			c.Recv(0, 0, c.NewPanel(1, 11))
+		recv := c.NewPanel(1, 10)
+		if c.Rank() == 1 {
+			recv = c.NewPanel(1, 11)
 		}
+		c.SendRecv(1-c.Rank(), 0, c.NewPanel(1, 10), 1-c.Rank(), 0, recv)
 	})
 	if err == nil || !strings.Contains(err.Error(), "recv buffer") {
 		t.Fatalf("want recv size mismatch, got %v", err)
 	}
 }
 
-// TestStalledReplayDetected: a receive that never gets a matching send is
+// TestStalledReplayDetected: a shift whose partner never sends is
 // reported as a stall instead of hanging forever.
 func TestStalledReplayDetected(t *testing.T) {
 	w := NewWorld(2, testCfg())
 	err := w.Run(func(c comm.Comm) {
 		if c.Rank() == 1 {
-			c.Recv(0, 9, c.NewPanel(1, 4)) // rank 0 never sends
+			c.SendRecv(0, 9, c.NewPanel(1, 4), 0, 9, c.NewPanel(1, 4)) // rank 0 never sends
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "stalled") {

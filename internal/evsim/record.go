@@ -166,20 +166,6 @@ func ck32(what string, v int) int32 {
 	return int32(v)
 }
 
-// Send records an eager virtual send; the replay advances the sender's
-// clock by the transfer and queues the message for the receiver.
-func (c *rComm) Send(dst, tag int, p *comm.Panel) {
-	c.checkPeer("send to", dst)
-	c.p.push(event{slot: c.slot, kind: evSend, a: int32(dst), b: int32(tag), c: ck32("send size", p.Elems()), d: c.rank})
-}
-
-// Recv records a blocking receive; the replay parks the rank until the
-// matching send has been replayed.
-func (c *rComm) Recv(src, tag int, p *comm.Panel) {
-	c.checkPeer("recv from", src)
-	c.p.push(event{slot: c.slot, kind: evRecv, a: int32(src), b: int32(tag), c: ck32("recv size", p.Elems())})
-}
-
 // SendRecv records the full-duplex shift primitive as its two halves; the
 // replay processes them back to back, completing at the slower of the two
 // directions exactly like the goroutine engine.

@@ -20,7 +20,7 @@ const (
 	rsQueued    uint8 = iota // in the runnable stack (or being advanced)
 	rsWaitEvent              // at the ring's tail: waiting for the producer
 	rsWaitSlot               // waiting for its own Split to name a communicator
-	rsWaitRecv               // blocked on a receive with no matching send yet
+	rsWaitRecv               // blocked in SendRecv's receive half with no matching send yet
 	rsWaitColl               // parked in a collective
 	rsDone                   // program fully replayed
 )
@@ -34,7 +34,7 @@ type rankState struct {
 	comms  []*commState
 	status uint8
 
-	// Blocked receive (Recv or the receive half of SendRecv).
+	// Blocked receive half of a SendRecv.
 	hasPending bool
 	pendingEv  event
 
@@ -207,14 +207,7 @@ func (w *World) advance(r int) bool {
 	st := &w.ranks[r]
 	if st.hasPending {
 		// A blocked receive was resumed: its message is now queued.
-		cs := st.comms[st.pendingEv.slot]
-		ok := false
-		if st.pendingEv.kind == evRecv {
-			ok = w.tryRecv(r, cs, st.pendingEv)
-		} else {
-			ok = w.trySRRecv(r, cs, st.pendingEv)
-		}
-		if !ok {
+		if !w.trySRRecv(r, st.comms[st.pendingEv.slot], st.pendingEv) {
 			st.status = rsWaitRecv
 			return false
 		}
@@ -293,15 +286,6 @@ func (w *World) advance(r int) bool {
 				if w.rec != nil {
 					w.rec.RankThreads(r, trace.PhaseGemm, pre, w.sim.Clocks()[r]-pre, threads)
 				}
-			case evSend:
-				w.doSend(r, cs, ev)
-			case evRecv:
-				if !w.tryRecv(r, cs, *ev) {
-					st.pendingEv, st.hasPending = *ev, true
-					st.status = rsWaitRecv
-					st.moveTo(h + 1)
-					return false
-				}
 			case evSRSend:
 				w.doSRSend(r, cs, ev)
 			case evSRRecv:
@@ -323,23 +307,6 @@ func (st *rankState) moveTo(pos uint64) {
 	old := st.pos
 	st.pos = pos
 	st.ring.pass(old, pos)
-}
-
-// doSend replays an eager send: the sender is occupied for the transfer
-// and the message is queued carrying the sender's pre-send clock.
-func (w *World) doSend(me int, cs *commState, ev *event) {
-	dstW := cs.ranks[ev.a]
-	clocks := w.sim.Clocks()
-	t0 := clocks[me]
-	dt := w.sim.TransferTime(me, dstW, int(ev.c), 1)
-	clocks[me] = t0 + dt
-	w.sim.CommTimes()[me] += dt
-	w.stats[me].SentMessages++
-	w.stats[me].SentBytes += int64(machine.BytesPerElement * int(ev.c))
-	if w.rec != nil {
-		w.rec.Rank(me, trace.PhaseP2P, t0, dt, int64(machine.BytesPerElement*int(ev.c)), 1)
-	}
-	w.deliver(msgKey{cs: cs, src: ev.d, tag: ev.b, dst: int32(dstW)}, vMsg{elems: ev.c, clock: t0})
 }
 
 // doSRSend replays the send half of a SendRecv: both directions share the
@@ -383,33 +350,6 @@ func (w *World) take(me int, k msgKey) (vMsg, bool) {
 		w.pending[k] = q[1:]
 	}
 	return m, true
-}
-
-// tryRecv replays a receive: the receiver advances to max(own clock,
-// sender's send-time) plus the transfer time. False means no matching
-// send has been replayed yet.
-func (w *World) tryRecv(me int, cs *commState, ev event) bool {
-	m, ok := w.take(me, msgKey{cs: cs, src: ev.a, tag: ev.b, dst: int32(me)})
-	if !ok {
-		return false
-	}
-	if m.elems != ev.c {
-		w.abort(fmt.Errorf("evsim: recv buffer %d elements but message has %d (src=%d tag=%d)",
-			ev.c, m.elems, ev.a, ev.b))
-		return true
-	}
-	srcW := cs.ranks[ev.a]
-	dt := w.sim.TransferTime(srcW, me, int(m.elems), 1)
-	pre := w.sim.Clocks()[me]
-	end := pre
-	if m.clock > end {
-		end = m.clock
-	}
-	w.sim.AdvanceComm(me, end+dt)
-	if w.rec != nil {
-		w.rec.Rank(me, trace.PhaseP2P, pre, end+dt-pre, int64(machine.BytesPerElement*int(m.elems)), 1)
-	}
-	return true
 }
 
 // trySRRecv replays the receive half of a SendRecv: the call completes at

@@ -35,8 +35,6 @@ const (
 // kind-specific:
 //
 //	evBcast:  a=root             c=elems  d=per-comm op sequence
-//	evSend:   a=dst   b=tag      c=elems  d=caller's comm rank
-//	evRecv:   a=src   b=tag      c=elems
 //	evSRSend: a=dst   b=sendTag  c=elems  d=caller's comm rank
 //	evSRRecv: a=src   b=recvTag  c=elems
 //	evGemm:   a=C rows (A rows)  b=C cols (B cols)  c=inner dim (A cols)
@@ -50,8 +48,6 @@ type event struct {
 
 const (
 	evBcast = iota
-	evSend
-	evRecv
 	evSRSend
 	evSRRecv
 	evGemm

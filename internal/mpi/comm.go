@@ -33,9 +33,9 @@ func (c *Comm) WorldRank() int { return c.ranks[c.rank] }
 
 // trackComm accumulates wall-clock time spent inside communication calls
 // into the caller's stats slot — the runtime analogue of the paper's
-// separately reported "communication time". Calls without a more specific
-// phase (Split, the misc collectives) count as p2p and emit no span, so
-// span streams stay comparable across transports that lack those calls.
+// separately reported "communication time". Split and Barrier have no
+// more specific phase: they count as p2p and emit no span, so span streams
+// stay comparable across transports that lack those calls.
 func (c *Comm) trackComm(start time.Time) {
 	dt := time.Since(start).Seconds()
 	st := &c.world.stats[c.WorldRank()]
@@ -56,16 +56,8 @@ func (c *Comm) finishComm(start time.Time, ph trace.Phase, bytes, msgs int64) {
 	}
 }
 
-// Send delivers a copy of data to dst (comm rank) under tag. It is eager:
-// it never blocks, and data may be reused immediately after it returns.
-func (c *Comm) Send(dst, tag int, data []float64) {
-	start := time.Now()
-	defer c.finishComm(start, trace.PhaseP2P, int64(8*len(data)), 1)
-	c.send(dst, tag, data)
-}
-
-// send posts a copy of data: the untimed core of Send, shared by the
-// collectives.
+// send posts a copy of data: the untimed raw-slice send the collectives
+// (Barrier, the segmented broadcast) are built from.
 func (c *Comm) send(dst, tag int, data []float64) { c.post(dst, tag, copyPayload(data)) }
 
 // post delivers pl to dst's mailbox. The message takes over one of the
@@ -83,16 +75,10 @@ func (c *Comm) post(dst, tag int, pl *payload) {
 	c.world.mailboxes[c.ranks[dst]].put(message{cid: c.cid, src: c.rank, tag: tag, pl: pl})
 }
 
-// Recv blocks until a message from src (comm rank) with the given tag
+// recv blocks until a message from src (comm rank) with the given tag
 // arrives and copies it into buf, whose length must equal the message
 // length exactly — SUMMA-family code always knows its block sizes, so a
 // size mismatch is a bug, not a runtime condition.
-func (c *Comm) Recv(src, tag int, buf []float64) {
-	start := time.Now()
-	defer c.finishComm(start, trace.PhaseP2P, int64(8*len(buf)), 1)
-	c.recv(src, tag, buf)
-}
-
 func (c *Comm) recv(src, tag int, buf []float64) {
 	pl := c.fetch(src, tag, len(buf))
 	copy(buf, pl.data)
@@ -112,17 +98,6 @@ func (c *Comm) fetch(src, tag, elems int) *payload {
 			elems, len(m.pl.data), src, tag))
 	}
 	return m.pl
-}
-
-// SendRecv performs a send and a receive concurrently — the classic shift
-// primitive Cannon's algorithm needs. With this runtime's eager sends it is
-// equivalent to Send followed by Recv, but it documents intent and stays
-// correct even if sends ever become synchronous.
-func (c *Comm) SendRecv(dst, sendTag int, sendData []float64, src, recvTag int, recvBuf []float64) {
-	start := time.Now()
-	defer c.finishComm(start, trace.PhaseShift, int64(8*(len(sendData)+len(recvBuf))), 2)
-	c.send(dst, sendTag, sendData)
-	c.recv(src, recvTag, recvBuf)
 }
 
 // splitGather coordinates one Split call across the members of a

@@ -49,10 +49,10 @@ func TestRanksDistinct(t *testing.T) {
 func TestSendRecvBasic(t *testing.T) {
 	err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 7, []float64{1, 2, 3})
+			c.send(1, 7, []float64{1, 2, 3})
 		} else {
 			buf := make([]float64, 3)
-			c.Recv(0, 7, buf)
+			c.recv(0, 7, buf)
 			if buf[0] != 1 || buf[2] != 3 {
 				t.Errorf("received %v", buf)
 			}
@@ -67,13 +67,13 @@ func TestSendCopiesPayload(t *testing.T) {
 	err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			data := []float64{42}
-			c.Send(1, 0, data)
+			c.send(1, 0, data)
 			data[0] = -1 // mutate after send; receiver must still see 42
 			c.Barrier()
 		} else {
 			buf := make([]float64, 1)
 			c.Barrier()
-			c.Recv(0, 0, buf)
+			c.recv(0, 0, buf)
 			if buf[0] != 42 {
 				t.Errorf("send did not copy: got %v", buf[0])
 			}
@@ -88,13 +88,13 @@ func TestTagMatching(t *testing.T) {
 	// Two messages with different tags must match by tag, not order.
 	err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 1, []float64{1})
-			c.Send(1, 2, []float64{2})
+			c.send(1, 1, []float64{1})
+			c.send(1, 2, []float64{2})
 		} else {
 			b2 := make([]float64, 1)
-			c.Recv(0, 2, b2) // request the later message first
+			c.recv(0, 2, b2) // request the later message first
 			b1 := make([]float64, 1)
-			c.Recv(0, 1, b1)
+			c.recv(0, 1, b1)
 			if b1[0] != 1 || b2[0] != 2 {
 				t.Errorf("tag matching broken: %v %v", b1, b2)
 			}
@@ -110,12 +110,12 @@ func TestFIFOPerSenderSameTag(t *testing.T) {
 		const n = 50
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				c.Send(1, 0, []float64{float64(i)})
+				c.send(1, 0, []float64{float64(i)})
 			}
 		} else {
 			buf := make([]float64, 1)
 			for i := 0; i < n; i++ {
-				c.Recv(0, 0, buf)
+				c.recv(0, 0, buf)
 				if buf[0] != float64(i) {
 					t.Errorf("message %d arrived as %v", i, buf[0])
 					return
@@ -134,14 +134,14 @@ func TestSourceMatching(t *testing.T) {
 	err := Run(3, func(c *Comm) {
 		switch c.Rank() {
 		case 0, 1:
-			c.Send(2, 0, []float64{float64(c.Rank() + 10)})
+			c.send(2, 0, []float64{float64(c.Rank() + 10)})
 		case 2:
 			b := make([]float64, 1)
-			c.Recv(1, 0, b)
+			c.recv(1, 0, b)
 			if b[0] != 11 {
 				t.Errorf("from rank 1: %v", b[0])
 			}
-			c.Recv(0, 0, b)
+			c.recv(0, 0, b)
 			if b[0] != 10 {
 				t.Errorf("from rank 0: %v", b[0])
 			}
@@ -155,9 +155,9 @@ func TestSourceMatching(t *testing.T) {
 func TestRecvSizeMismatchAborts(t *testing.T) {
 	err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 0, []float64{1, 2})
+			c.send(1, 0, []float64{1, 2})
 		} else {
-			c.Recv(0, 0, make([]float64, 3))
+			c.recv(0, 0, make([]float64, 3))
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "recv buffer") {
@@ -171,7 +171,7 @@ func TestPanicPropagatesAndUnblocksWorld(t *testing.T) {
 			panic("rank 3 exploded")
 		}
 		// Other ranks block forever; the abort must free them.
-		c.Recv((c.Rank()+1)%3, 9, make([]float64, 1))
+		c.recv((c.Rank()+1)%3, 9, make([]float64, 1))
 	})
 	if err == nil || !strings.Contains(err.Error(), "rank 3 exploded") {
 		t.Fatalf("want rank-3 panic, got %v", err)
@@ -181,7 +181,7 @@ func TestPanicPropagatesAndUnblocksWorld(t *testing.T) {
 func TestSelfSendPanics(t *testing.T) {
 	err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(0, 0, []float64{1})
+			c.send(0, 0, []float64{1})
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "self-send") {
@@ -197,7 +197,8 @@ func TestSendRecvShiftRing(t *testing.T) {
 		right := (c.Rank() + 1) % p
 		left := (c.Rank() - 1 + p) % p
 		buf := make([]float64, 1)
-		c.SendRecv(right, 0, []float64{float64(c.Rank())}, left, 0, buf)
+		c.send(right, 0, []float64{float64(c.Rank())})
+		c.recv(left, 0, buf)
 		if buf[0] != float64(left) {
 			t.Errorf("rank %d got %v, want %d", c.Rank(), buf[0], left)
 		}
@@ -275,7 +276,8 @@ func TestNestedSplit(t *testing.T) {
 		// Exchange within the pair.
 		other := 1 - pair.Rank()
 		buf := make([]float64, 1)
-		pair.SendRecv(other, 5, []float64{float64(c.Rank())}, other, 5, buf)
+		pair.send(other, 5, []float64{float64(c.Rank())})
+		pair.recv(other, 5, buf)
 		want := c.Rank() ^ 1
 		if buf[0] != float64(want) {
 			t.Errorf("rank %d paired with %v, want %d", c.Rank(), buf[0], want)
@@ -363,9 +365,9 @@ func TestBarrierOrdering(t *testing.T) {
 func TestStatsCountTraffic(t *testing.T) {
 	stats, err := RunStats(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 0, make([]float64, 100))
+			c.send(1, 0, make([]float64, 100))
 		} else {
-			c.Recv(0, 0, make([]float64, 100))
+			c.recv(0, 0, make([]float64, 100))
 		}
 	})
 	if err != nil {

@@ -131,10 +131,9 @@ func TestPanelOwnership(t *testing.T) {
 			tc.SendRecv((r+1)%p, 5, ring, (r+p-1)%p, 5, ring)
 			filled("rotation", &ring.Tile, float64(10+(r+p-step)%p))
 		}
-		tc.Send((r+1)%p, 6, ring)
 		got := tc.NewPanel(rows, cols)
-		tc.Pack(ring, tile(-1)) // sender moves on before the receiver looks
-		tc.Recv((r+p-1)%p, 6, got)
+		tc.SendRecv((r+1)%p, 6, ring, (r+p-1)%p, 6, got)
+		tc.Pack(ring, tile(-1)) // sender moves on, perhaps before its receiver looks
 		filled("send then repack", &got.Tile, float64(10+(r+p-1+p-2)%p))
 	})
 	if err != nil {

@@ -26,7 +26,8 @@ func TestPersistentSuccessiveRuns(t *testing.T) {
 			r := c.Rank()
 			buf := make([]float64, 4)
 			send := []float64{float64(run), float64(r), 2, 3}
-			c.SendRecv((r+1)%p, 7, send, (r+p-1)%p, 7, buf)
+			c.send((r+1)%p, 7, send)
+			c.recv((r+p-1)%p, 7, buf)
 			if int(buf[1]) != (r+p-1)%p {
 				panic("wrong neighbour payload")
 			}
@@ -58,15 +59,15 @@ func TestPersistentMatchesRunStats(t *testing.T) {
 		buf := make([]float64, 8)
 		if c.Rank() == 0 {
 			for dst := 1; dst < p; dst++ {
-				c.Send(dst, 1, buf)
+				c.send(dst, 1, buf)
 			}
 		} else {
-			c.Recv(0, 1, buf)
-			c.Send(0, 2, buf[:2])
+			c.recv(0, 1, buf)
+			c.send(0, 2, buf[:2])
 		}
 		if c.Rank() == 0 {
 			for src := 1; src < p; src++ {
-				c.Recv(src, 2, buf[:2])
+				c.recv(src, 2, buf[:2])
 			}
 		}
 	}
@@ -107,7 +108,7 @@ func TestPersistentSurvivesPanic(t *testing.T) {
 		}
 		// Other ranks block so the abort must unwind them.
 		buf := make([]float64, 1)
-		c.Recv((c.Rank()+1)%p, 99, buf)
+		c.recv((c.Rank()+1)%p, 99, buf)
 	})
 	if err == nil || !strings.Contains(err.Error(), "deliberate failure") {
 		t.Fatalf("want the rank-2 panic reported, got %v", err)

@@ -17,9 +17,10 @@ import (
 // also runs on the virtual transport in internal/simnet.
 //
 // Panels move by reference (see the package comment): a panel's tile
-// aliases a pooled payload that Send and Bcast share with the receivers
-// and Recv adopts from the sender, so a pivot panel is written once — by
-// the Pack on its owner — however many ranks end up multiplying with it.
+// aliases a pooled payload that SendRecv and Bcast share with the
+// receivers, which adopt it as their tile, so a pivot panel is written
+// once — by the Pack on its owner — however many ranks end up multiplying
+// with it.
 type Transport struct {
 	c *Comm
 }
@@ -42,39 +43,16 @@ func (t Transport) Split(color, key int) comm.Comm {
 	return Transport{nc}
 }
 
-// Send shares the panel's storage with dst.
-func (t Transport) Send(dst, tag int, p *comm.Panel) {
-	start := time.Now()
-	defer t.c.finishComm(start, trace.PhaseP2P, int64(8*p.Elems()), 1)
-	t.share(dst, tag, p)
-}
-
-// Recv blocks for a matching message and adopts its storage as the
-// panel's tile.
-func (t Transport) Recv(src, tag int, p *comm.Panel) {
-	start := time.Now()
-	defer t.c.finishComm(start, trace.PhaseP2P, int64(8*p.Elems()), 1)
-	t.receive(src, tag, p)
-}
-
 // SendRecv performs the full-duplex shift primitive; with send == recv the
 // panel's old storage goes to dst and the tile becomes src's.
 func (t Transport) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, recv *comm.Panel) {
 	start := time.Now()
 	defer t.c.finishComm(start, trace.PhaseShift, int64(8*(send.Elems()+recv.Elems())), 2)
-	t.share(dst, sendTag, send)
-	t.receive(src, recvTag, recv)
-}
-
-func (t Transport) share(dst, tag int, p *comm.Panel) {
-	pl := published(p)
+	pl := published(send)
 	pl.retain()
-	t.c.post(dst, tag, pl)
-}
-
-func (t Transport) receive(src, tag int, p *comm.Panel) {
-	drop(p)
-	adopt(p, t.c.fetch(src, tag, p.Elems()))
+	t.c.post(dst, sendTag, pl)
+	drop(recv)
+	adopt(recv, t.c.fetch(src, recvTag, recv.Elems()))
 }
 
 // Bcast executes the named broadcast schedule over the panel.

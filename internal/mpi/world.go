@@ -15,17 +15,18 @@
 // message is a reference-counted payload from a size-classed pool, and a
 // message moves by handing the receiver a reference, not by copying:
 //
-//   - The raw []float64 calls on *Comm (Send, Recv, SendRecv, Bcast) keep
-//     MPI's buffer semantics: a send copies
-//     the caller's slice into a pooled payload once, so the slice may be
-//     reused the moment the call returns, and a receive copies the payload
-//     out into the caller's slice and returns it to the pool. A
-//     whole-payload (binomial) broadcast is one copy in at the root and
-//     one copy out per receiver however deep the tree is — interior ranks forward the reference.
+//   - The raw []float64 Bcast on *Comm, and the unexported send and recv
+//     that Barrier and the segmented broadcast are built from, keep MPI's
+//     buffer semantics: a send copies the caller's slice into a pooled
+//     payload once, so the slice may be reused the moment the call
+//     returns, and a receive copies the payload out into the caller's
+//     slice and returns it to the pool. A whole-payload (binomial)
+//     broadcast is one copy in at the root and one copy out per receiver
+//     however deep the tree is — interior ranks forward the reference.
 //
 //   - The comm.Comm adapter (Transport) moves comm.Panels, and for them
-//     even those two copies go away: publishing a panel (Send, Bcast on
-//     the root) shares its storage with the receivers, receiving adopts
+//     even those two copies go away: publishing a panel (SendRecv, Bcast
+//     on the root) shares its storage with the receivers, receiving adopts
 //     the sender's storage as the panel's tile. Shared storage is
 //     read-only for everyone holding it, the sender included; a holder
 //     that wants to write (the next Pack into that panel) takes fresh
@@ -217,7 +218,7 @@ func (mb *mailbox) take(w *World, st *RankStats, cid int64, src, tag int) messag
 	}
 }
 
-// worldAborted is the sentinel panic used to unwind ranks blocked in Recv
+// worldAborted is the sentinel panic used to unwind ranks blocked in recv
 // when another rank has already failed.
 type worldAborted struct{}
 

@@ -43,7 +43,7 @@ type RunStats struct {
 	GemmSeconds float64
 	// CommSecondsByPhase breaks the critical rank's communication time
 	// (MaxRankCommSeconds) down by operation phase — "bcast" (broadcast
-	// rounds), "shift" (SendRecv exchanges), "p2p" (everything else).
+	// rounds), "shift" (SendRecv exchanges), "p2p" (Split and Barrier).
 	// Zero-valued phases are omitted; the entries sum to
 	// MaxRankCommSeconds.
 	CommSecondsByPhase map[string]float64

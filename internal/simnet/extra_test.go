@@ -55,10 +55,13 @@ func TestSetLinkCostNilRestoresUniform(t *testing.T) {
 }
 
 func TestEmptyPhaseNoOp(t *testing.T) {
+	// A one-member collective moves nothing, so no clock may move.
 	sim := New(4, testModel)
-	sim.ExecPhase(nil)
-	if sim.MaxClock() != 0 {
-		t.Fatal("empty phase advanced clocks")
+	sim.ComputeRank(2, 1e9)
+	sc, _ := sched.NewBroadcast(sched.VanDeGeijn, 1, 0)
+	sim.ExecOne(Collective{Sched: sc, Members: []int{2}, PayloadBytes: 1e6})
+	if sim.Clock(2) != testModel.Compute(1e9) || sim.CommTime(2) != 0 || sim.MaxClock() != sim.Clock(2) {
+		t.Fatal("one-member collective advanced clocks")
 	}
 }
 

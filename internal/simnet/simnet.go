@@ -11,10 +11,10 @@
 // both endpoints are occupied until it completes. Two extensions beyond
 // CostOnClocks:
 //
-//   - phases: disjoint collectives that proceed concurrently (e.g. the √p
-//     simultaneous row broadcasts of one SUMMA step) execute round-aligned,
-//     with an optional contention model scaling β by the number of
-//     concurrent flows;
+//   - an optional contention model scaling β by the number of transfers
+//     a round of the collective moves at once (collectives on disjoint
+//     ranks, e.g. the √p row broadcasts of one SUMMA step, each fire when
+//     their own last member arrives and are not round-aligned);
 //
 //   - per-rank communication-time accounting, mirroring how the paper
 //     reports "communication time" separately from execution time.
@@ -189,9 +189,8 @@ func (s *Sim) ComputeRank(rank int, flops float64) {
 
 // TransferTime returns the virtual duration of one point-to-point transfer
 // of elems elements among `flows` concurrent ones, applying the contention
-// and link models. Both virtual execution engines route their Send/Recv/
-// SendRecv timing through this one function, so the engines agree bit for
-// bit.
+// and link models. Both virtual execution engines route their SendRecv
+// timing through this one function, so the engines agree bit for bit.
 func (s *Sim) TransferTime(src, dst, elems, flows int) float64 {
 	eff := s.model
 	eff.Beta *= s.contention(flows) * s.linkFactor(src, dst)
@@ -210,14 +209,10 @@ func (s *Sim) AdvanceComm(rank int, end float64) {
 }
 
 // Clocks exposes the per-rank clock array itself, for the execution
-// engines (internal/evsim's event loop reads and advances rank clocks on
-// its point-to-point and compute paths). The caller owns synchronisation;
-// everyone else should use Clock.
+// engines (internal/evsim's event loop reads rank clocks on its shift and
+// compute paths). The caller owns synchronisation; everyone else should
+// use Clock.
 func (s *Sim) Clocks() []float64 { return s.clocks }
-
-// CommTimes exposes the per-rank communication-time array itself, under
-// the same single-owner contract as Clocks.
-func (s *Sim) CommTimes() []float64 { return s.comm }
 
 // Collective is one schedule instance bound to a member list: Members[i] is
 // the simulator rank acting as schedule rank i. PayloadBytes is the full
@@ -228,65 +223,40 @@ type Collective struct {
 	PayloadBytes float64
 }
 
-// ExecPhase advances the clocks through a set of *disjoint* concurrent
-// collectives (e.g. all row broadcasts of one SUMMA step), round-aligned:
-// round k of every collective shares the network, and the contention model
-// sees their combined flow count. Collectives in one phase must not share
-// ranks; Validate enforces this in tests, here it is assumed.
-func (s *Sim) ExecPhase(cols []Collective) {
-	if len(cols) == 0 {
-		return
-	}
-	maxRounds := 0
-	for _, c := range cols {
-		if len(c.Members) != c.Sched.NumRanks {
-			panic(fmt.Sprintf("simnet: %d members for %d-rank schedule", len(c.Members), c.Sched.NumRanks))
-		}
-		if n := len(c.Sched.Rounds); n > maxRounds {
-			maxRounds = n
-		}
-	}
-	// Ring fast path: if every collective is in its ring suffix from the
-	// same round index with the same length, the O(p) recurrence applies.
-	// The recurrence assumes uniform per-hop times, so a non-uniform link
-	// model falls back to exact transfer-by-transfer execution.
-	ringFrom := -1
-	if rs, ok := commonRingStart(cols); ok && s.linkCost == nil {
-		ringFrom = rs
+// ExecOne advances the members' clocks through one collective's schedule,
+// round by round; the contention model sees the round's own transfer
+// count. Under uniform links the Van de Geijn ring suffix is advanced by
+// the O(p) recurrence of execRingTail instead of transfer by transfer.
+// This is the one entry point both virtual engines fire a broadcast
+// through.
+func (s *Sim) ExecOne(c Collective) {
+	if len(c.Members) != c.Sched.NumRanks {
+		panic(fmt.Sprintf("simnet: %d members for %d-rank schedule", len(c.Members), c.Sched.NumRanks))
 	}
 	updates := updatePool.Get().(*[]update)
 	defer func() {
 		*updates = (*updates)[:0]
 		updatePool.Put(updates)
 	}()
-	for round := 0; round < maxRounds; round++ {
-		if ringFrom >= 0 && round == ringFrom {
-			s.execRingTails(cols)
+	for round, r := range c.Sched.Rounds {
+		// The recurrence assumes uniform per-hop times, so a non-uniform
+		// link model stays on exact transfer-by-transfer execution.
+		if round == c.Sched.RingStart && s.linkCost == nil {
+			s.execRingTail(c)
 			return
 		}
-		flows := 0
-		for _, c := range cols {
-			if round < len(c.Sched.Rounds) {
-				flows += len(c.Sched.Rounds[round].Transfers)
-			}
-		}
-		factor := s.contention(flows)
+		factor := s.contention(len(r.Transfers))
 		*updates = (*updates)[:0]
-		for _, c := range cols {
-			if round >= len(c.Sched.Rounds) {
-				continue
+		for _, t := range r.Transfers {
+			src, dst := c.Members[t.Src], c.Members[t.Dst]
+			eff := s.model
+			eff.Beta *= factor * s.linkFactor(src, dst)
+			start := s.clocks[src]
+			if s.clocks[dst] > start {
+				start = s.clocks[dst]
 			}
-			for _, t := range c.Sched.Rounds[round].Transfers {
-				src, dst := c.Members[t.Src], c.Members[t.Dst]
-				eff := s.model
-				eff.Beta *= factor * s.linkFactor(src, dst)
-				start := s.clocks[src]
-				if s.clocks[dst] > start {
-					start = s.clocks[dst]
-				}
-				end := start + eff.PointToPoint(c.Sched.SegBytes(t, c.PayloadBytes))
-				*updates = append(*updates, update{src, end}, update{dst, end})
-			}
+			end := start + eff.PointToPoint(c.Sched.SegBytes(t, c.PayloadBytes))
+			*updates = append(*updates, update{src, end}, update{dst, end})
 		}
 		for _, u := range *updates {
 			if u.end > s.clocks[u.rank] {
@@ -298,7 +268,7 @@ func (s *Sim) ExecPhase(cols []Collective) {
 }
 
 // update is one endpoint clock advance of a simulation round; the scratch
-// slices holding them are pooled because ExecPhase runs once per
+// slices holding them are pooled because ExecOne runs once per
 // collective — millions of times in a full-scale simulation — and the
 // per-call allocation is measurable GC pressure (tracked by
 // BenchmarkFullScaleBGPSim's allocs/op).
@@ -309,64 +279,31 @@ type update struct {
 
 var updatePool = sync.Pool{New: func() any { s := make([]update, 0, 64); return &s }}
 
-// commonRingStart reports the shared ring-suffix start round if every
-// collective has one at the same index with the same round count and
-// uniform segment width — the precondition for the O(p) ring recurrence.
-func commonRingStart(cols []Collective) (int, bool) {
-	rs, rr := -1, -1
-	for i, c := range cols {
-		if c.Sched.RingStart < 0 {
-			return -1, false
-		}
-		if i == 0 {
-			rs, rr = c.Sched.RingStart, c.Sched.RingRounds
-			continue
-		}
-		if c.Sched.RingStart != rs || c.Sched.RingRounds != rr {
-			return -1, false
-		}
-	}
-	return rs, true
-}
-
-// execRingTails advances every collective through its ring-allgather suffix
-// in closed form. Derivation: with full-duplex rounds of uniform per-hop
-// time T, a rank's clock obeys c_i(r) = max(c_{i−1}, c_i, c_{i+1})(r−1) + T
-// (it finishes its receive from i−1 and its send to i+1), which unrolls to
+// execRingTail advances a collective through its ring-allgather suffix in
+// closed form. Derivation: with full-duplex rounds of uniform per-hop time
+// T, a rank's clock obeys c_i(r) = max(c_{i−1}, c_i, c_{i+1})(r−1) + T (it
+// finishes its receive from i−1 and its send to i+1), which unrolls to
 // c_i(r) = max_{|k|≤r} c_{i+k}(0) + r·T. After RingRounds = p−1 rounds the
 // window covers the whole ring, so every member ends at
-// max(initial clocks) + (p−1)·T exactly.
-func (s *Sim) execRingTails(cols []Collective) {
-	flows := 0
-	for _, c := range cols {
-		flows += len(c.Members)
+// max(initial clocks) + (p−1)·T exactly. Every member moves at once, so
+// the contention model sees p flows.
+func (s *Sim) execRingTail(c Collective) {
+	p := len(c.Members)
+	if p == 1 {
+		return
 	}
-	factor := s.contention(flows)
 	eff := s.model
-	eff.Beta *= factor
-	for _, c := range cols {
-		p := len(c.Members)
-		if p == 1 {
-			continue
+	eff.Beta *= s.contention(p)
+	perHop := eff.PointToPoint(c.PayloadBytes / float64(c.Sched.Segments))
+	maxClock := 0.0
+	for _, m := range c.Members {
+		if s.clocks[m] > maxClock {
+			maxClock = s.clocks[m]
 		}
-		segBytes := c.PayloadBytes / float64(c.Sched.Segments)
-		perHop := eff.PointToPoint(segBytes)
-		maxClock := 0.0
-		for _, m := range c.Members {
-			if s.clocks[m] > maxClock {
-				maxClock = s.clocks[m]
-			}
-		}
-		final := maxClock + float64(c.Sched.RingRounds)*perHop
-		for _, m := range c.Members {
-			s.comm[m] += final - s.clocks[m]
-			s.clocks[m] = final
-		}
+	}
+	final := maxClock + float64(c.Sched.RingRounds)*perHop
+	for _, m := range c.Members {
+		s.comm[m] += final - s.clocks[m]
+		s.clocks[m] = final
 	}
 }
-
-// ExecOne is ExecPhase for a single collective — the entry point the
-// virtual communicator's Bcast uses. (The retired phase-replay engine's
-// ExecTransfers/ComputeAll executors are gone; point-to-point shifts now
-// live in VComm.SendRecv, the single canonical semantics.)
-func (s *Sim) ExecOne(c Collective) { s.ExecPhase([]Collective{c}) }

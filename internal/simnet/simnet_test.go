@@ -68,15 +68,13 @@ func TestRingFastPathEquivalence(t *testing.T) {
 }
 
 func TestDisjointCollectivesRunConcurrently(t *testing.T) {
-	// Two disjoint binomial broadcasts in one phase must cost the same
-	// as one (they overlap perfectly), not twice as much.
+	// Two binomial broadcasts on disjoint members must cost the same as
+	// one (they overlap perfectly), not twice as much.
 	p := 8
 	sc, _ := sched.NewBroadcast(sched.Binomial, 4, 0)
 	sim := New(p, testModel)
-	sim.ExecPhase([]Collective{
-		{Sched: sc, Members: []int{0, 1, 2, 3}, PayloadBytes: 1e6},
-		{Sched: sc, Members: []int{4, 5, 6, 7}, PayloadBytes: 1e6},
-	})
+	sim.ExecOne(Collective{Sched: sc, Members: []int{0, 1, 2, 3}, PayloadBytes: 1e6})
+	sim.ExecOne(Collective{Sched: sc, Members: []int{4, 5, 6, 7}, PayloadBytes: 1e6})
 	want := sc.Cost(1e6, testModel)
 	if got := sim.MaxClock(); math.Abs(got-want) > 1e-12*want {
 		t.Fatalf("concurrent phases: %g, want %g", got, want)
@@ -145,16 +143,13 @@ func TestContentionScalesBandwidthOnly(t *testing.T) {
 }
 
 func TestSharedSegmentCountsFlows(t *testing.T) {
-	// Two disjoint 2-rank broadcasts in one phase under SharedSegment:
-	// each transfer sees 2 flows, so bandwidth halves.
-	sc, _ := sched.NewBroadcast(sched.Binomial, 2, 0)
+	// A 4-rank binomial broadcast under SharedSegment: round 0 moves one
+	// transfer at full bandwidth, round 1 two, so each sees half of it.
+	sc, _ := sched.NewBroadcast(sched.Binomial, 4, 0)
 	sim := New(4, testModel)
 	sim.SetContention(SharedSegment)
-	sim.ExecPhase([]Collective{
-		{Sched: sc, Members: []int{0, 1}, PayloadBytes: 1e6},
-		{Sched: sc, Members: []int{2, 3}, PayloadBytes: 1e6},
-	})
-	want := testModel.Alpha + 1e6*testModel.Beta*2
+	sim.ExecOne(Collective{Sched: sc, Members: identity(4), PayloadBytes: 1e6})
+	want := testModel.Alpha + 1e6*testModel.Beta + testModel.Alpha + 1e6*testModel.Beta*2
 	if got := sim.MaxClock(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("shared segment: %g, want %g", got, want)
 	}

@@ -34,10 +34,9 @@ import (
 //
 //   - SendRecv is full-duplex from the caller's clock snapshot: the call
 //     completes at max(t₀+T_send, max(t₀, t_src)+T_recv), which reproduces
-//     the shift-phase rendezvous of Cannon and Fox exactly.
-//
-//   - A bare Send occupies the sender for the transfer (t₀ → t₀+T) and the
-//     matching Recv completes at max(t_recv, t₀)+T.
+//     the shift-phase rendezvous of Cannon and Fox exactly. Both
+//     directions charge the communicator's full flow count (every rank of
+//     a shift moves at once), through Sim.TransferTime.
 //
 // Virtual times are deterministic regardless of goroutine interleaving:
 // each rank's clock is advanced only by its own program order, messages
@@ -46,8 +45,8 @@ import (
 //
 // Synchronisation is sharded per communicator, not per world. A rank's
 // clock, communication-time and traffic entries are owned by its goroutine
-// (point-to-point calls and Gemm touch them with no lock at all); the one
-// place another goroutine writes them — the last arriver of a collective
+// (SendRecv and Gemm touch them with no lock at all); the one place
+// another goroutine writes them — the last arriver of a collective
 // executing the schedule for every member — holds that communicator's
 // shard lock while the members are parked on the same lock's condition
 // variable, which both guarantees exclusive access and publishes the
@@ -330,64 +329,6 @@ func (c *VComm) Size() int { return len(c.ranks) }
 // WorldRank returns the caller's rank in the original world communicator.
 func (c *VComm) WorldRank() int { return c.ranks[c.rank] }
 
-// transferTime returns the virtual duration of one point-to-point transfer
-// among `flows` concurrent ones, applying the contention and link models.
-// A bare Send/Recv is a single flow; SendRecv — used only for the global
-// shift phases of Cannon and Fox, where every rank of the communicator
-// shifts simultaneously — charges the communicator's full flow count, as
-// the retired phase executor did for a shift round. The arithmetic lives
-// in Sim.TransferTime, shared with the event engine.
-func (w *VWorld) transferTime(srcW, dstW, elems, flows int) float64 {
-	return w.sim.TransferTime(srcW, dstW, elems, flows)
-}
-
-// Send delivers a virtual message of the panel's size to dst under tag. The
-// sender is occupied for the transfer (its clock advances by α+Nβ). Only
-// the caller's own clock/stats entries are touched — no lock needed (see
-// the ownership argument in the file comment).
-func (c *VComm) Send(dst, tag int, p *comm.Panel) {
-	n := p.Elems()
-	c.checkPeer("send to", dst)
-	w := c.w
-	me := c.WorldRank()
-	dstW := c.ranks[dst]
-	t0 := w.sim.clocks[me]
-	dt := w.transferTime(me, dstW, n, 1)
-	w.sim.clocks[me] = t0 + dt
-	w.sim.comm[me] += dt
-	w.stats[me].SentMessages++
-	w.stats[me].SentBytes += int64(machine.BytesPerElement * n)
-	if rec := w.cfg.Trace; rec != nil {
-		rec.Rank(me, trace.PhaseP2P, t0, dt, int64(machine.BytesPerElement*n), 1)
-	}
-	w.mailboxes[dstW].put(vMessage{cid: c.cid, src: c.rank, tag: tag, elems: n, clock: t0})
-}
-
-// Recv blocks until a matching message arrives and advances the receiver to
-// max(own clock, sender's send-time) plus the transfer time.
-func (c *VComm) Recv(src, tag int, p *comm.Panel) {
-	n := p.Elems()
-	c.checkPeer("recv from", src)
-	w := c.w
-	me := c.WorldRank()
-	m := w.mailboxes[me].take(w, c.cid, src, tag)
-	if m.elems != n {
-		panic(fmt.Sprintf("simnet: recv buffer %d elements but message has %d (src=%d tag=%d)",
-			n, m.elems, src, tag))
-	}
-	dt := w.transferTime(c.ranks[src], me, m.elems, 1)
-	pre := w.sim.clocks[me]
-	end := pre
-	if m.clock > end {
-		end = m.clock
-	}
-	end += dt
-	w.advanceComm(me, end)
-	if rec := w.cfg.Trace; rec != nil {
-		rec.Rank(me, trace.PhaseP2P, pre, end-pre, int64(machine.BytesPerElement*m.elems), 1)
-	}
-}
-
 // SendRecv performs the full-duplex shift primitive: both directions
 // proceed concurrently from the caller's clock snapshot, and the call
 // completes when the slower of the two finishes.
@@ -399,7 +340,7 @@ func (c *VComm) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, r
 	me := c.WorldRank()
 	dstW := c.ranks[dst]
 	t0 := w.sim.clocks[me]
-	sendEnd := t0 + w.transferTime(me, dstW, sendN, len(c.ranks))
+	sendEnd := t0 + w.sim.TransferTime(me, dstW, sendN, len(c.ranks))
 	w.stats[me].SentMessages++
 	w.stats[me].SentBytes += int64(machine.BytesPerElement * sendN)
 	w.mailboxes[dstW].put(vMessage{cid: c.cid, src: c.rank, tag: sendTag, elems: sendN, clock: t0})
@@ -413,23 +354,15 @@ func (c *VComm) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, r
 	if m.clock > recvEnd {
 		recvEnd = m.clock
 	}
-	recvEnd += w.transferTime(c.ranks[src], me, m.elems, len(c.ranks))
+	recvEnd += w.sim.TransferTime(c.ranks[src], me, m.elems, len(c.ranks))
 	end := sendEnd
 	if recvEnd > end {
 		end = recvEnd
 	}
-	w.advanceComm(me, end)
+	w.sim.AdvanceComm(me, end)
 	if rec := w.cfg.Trace; rec != nil {
 		rec.Rank(me, trace.PhaseShift, t0, end-t0, int64(machine.BytesPerElement*(sendN+recvN)), 2)
 	}
-}
-
-// advanceComm moves a world rank's clock forward to end, accounting the
-// advance (transfer plus waiting) as communication time. The caller must
-// own the rank's clock: be its goroutine, or hold the shard lock its
-// goroutine is parked on.
-func (w *VWorld) advanceComm(worldRank int, end float64) {
-	w.sim.AdvanceComm(worldRank, end)
 }
 
 func (c *VComm) checkPeer(verb string, peer int) {
@@ -672,8 +605,8 @@ func (c *VComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, s
 // row-band workers (Speedup(1) is exactly 1, so the division is bitwise
 // neutral for serial ranks and the engines' parity invariant holds
 // unchanged) — on the rank's one clock, as the paper's non-overlapped
-// implementation spends it. Like the point-to-point calls it touches only
-// caller-owned state and takes no lock.
+// implementation spends it. Like SendRecv it touches only caller-owned
+// state and takes no lock.
 func (c *VComm) Gemm(cm, a, b *matrix.Dense, x comm.Exec) {
 	if a.Cols != b.Rows || cm.Rows != a.Rows || cm.Cols != b.Cols {
 		panic(fmt.Sprintf("simnet: gemm shape mismatch C(%dx%d) += A(%dx%d)*B(%dx%d)",

@@ -178,11 +178,11 @@ func TestVCommElidesStorage(t *testing.T) {
 func TestVCommRecvSizeMismatchAborts(t *testing.T) {
 	w := NewVWorld(2, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
-		if c.Rank() == 0 {
-			c.Send(1, 5, c.NewPanel(1, 10))
-		} else {
-			c.Recv(0, 5, c.NewPanel(1, 11))
+		recv := c.NewPanel(1, 10)
+		if c.Rank() == 1 {
+			recv = c.NewPanel(1, 11)
 		}
+		c.SendRecv(1-c.Rank(), 5, c.NewPanel(1, 10), 1-c.Rank(), 5, recv)
 	})
 	if err == nil || !strings.Contains(err.Error(), "11 elements but message has 10") {
 		t.Fatalf("expected size mismatch abort, got %v", err)

@@ -2,13 +2,13 @@
 // low-overhead, off-by-default recorder of per-rank phase timelines.
 //
 // The live mpi transport and both virtual engines emit one Span per
-// communication or compute operation (broadcast, SendRecv shift,
-// point-to-point, Gemm), and the host side adds scatter/gather spans
-// around data distribution. A Recorder holds one span buffer per rank;
-// each buffer is only ever appended to by the goroutine that owns that
-// rank's clock (the rank goroutine on the live path and the goroutine
-// engine, the single replay loop on the event engine, the last arriver
-// of a collective for its members), so recording takes no locks.
+// communication or compute operation (broadcast, SendRecv shift, Gemm),
+// and the host side adds scatter/gather spans around data distribution.
+// A Recorder holds one span buffer per rank; each buffer is only ever
+// appended to by the goroutine that owns that rank's clock (the rank
+// goroutine on the live path and the goroutine engine, the single replay
+// loop on the event engine, the last arriver of a collective for its
+// members), so recording takes no locks.
 //
 // When tracing is disabled every instrumented site sees a nil *Recorder
 // and skips span construction entirely; the only always-on cost is the
@@ -39,7 +39,7 @@ const (
 	PhaseScatter Phase = iota // host-side operand distribution
 	PhaseBcast                // one broadcast call (row/col/group round)
 	PhaseShift                // a SendRecv exchange (Cannon/Fox shifts)
-	PhaseP2P                  // bare Send/Recv and misc collectives
+	PhaseP2P                  // live Split/Barrier time; never a span
 	PhaseGemm                 // local multiply
 	PhaseGather               // host-side result collection
 	NumPhases
