@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -19,10 +20,12 @@ import (
 // token by token out of a fixed read window as the body arrives, responses
 // are appended straight from the product C. Each array number is lexed and
 // converted in one pass (parseNumber: the digits gathered into a uint64
-// eight at a time, then Clinger's exact fast path or Eisel-Lemire), bit for
-// bit what strconv.ParseFloat returns; strconv itself sees only the rare
-// token neither can decide. encoding/json is left the handful of knob
-// members (jsonMultiply) and the stats object.
+// eight at a time, then Eisel-Lemire), bit for bit what strconv.ParseFloat
+// returns; strconv itself sees only the rare token Eisel-Lemire cannot
+// decide. Each product number is written with the
+// shortest digits Schubfach finds (schubfach.go), byte for byte what
+// encoding/json writes. encoding/json is left the handful of knob members
+// (jsonMultiply) and the stats object.
 
 const (
 	windowBytes  = 64 << 10 // read window: the most body held at once, so also the longest number
@@ -168,11 +171,10 @@ func (s *scanner) float() float64 {
 // "01" parses as "0" and leaves a '1' the caller has no use for, and "1.e5"
 // as "1". The value is strconv.ParseFloat's, bit for bit: the digits are
 // gathered into a uint64 as they are lexed, eight at a time where eight are
-// present, and converted by Clinger's exact fast path or by Eisel-Lemire.
-// strconv sees the token only when neither decides: more than 19
-// significant digits, an exponent beyond the power table, a subnormal or
-// overflowing result, or a product too close to halfway between two
-// float64s.
+// present, and converted by Eisel-Lemire. strconv sees the token only when
+// Eisel-Lemire cannot decide: more than 19 significant digits, an exponent
+// beyond the power table, a subnormal or overflowing result, or a product
+// too close to halfway between two float64s.
 func parseNumber(b []byte) (f float64, n int, cut, ok bool) {
 	i := 0
 	neg := len(b) > 0 && b[0] == '-'
@@ -224,9 +226,6 @@ func parseNumber(b []byte) (f float64, n int, cut, ok bool) {
 		}
 	}
 	if nd <= 19 {
-		if f, ok := clinger(man, exp10, neg); ok {
-			return f, n, i == len(b), true
-		}
 		if f, ok := eiselLemire64(man, exp10, neg); ok {
 			return f, n, i == len(b), true
 		}
@@ -236,18 +235,23 @@ func parseNumber(b []byte) (f float64, n int, cut, ok bool) {
 }
 
 // digits appends the decimal digits at b[i:] to man (modulo 2^64) and
-// returns it with the index past them. Runs of eight digits are tested and
-// converted as one little-endian word, the SWAR trick of Lemire's fast_float.
+// returns it with the index past them. Wherever eight bytes remain, they are
+// tested and converted as one little-endian word, the SWAR trick of Lemire's
+// fast_float; a word that holds k < 8 digits before another byte ends the
+// run with man·10^k plus those k digits, converted in the same way.
 func digits(b []byte, i int, man uint64) (uint64, int) {
 	for ; i+8 <= len(b); i += 8 {
 		w := binary.LittleEndian.Uint64(b[i:])
-		if ((w+0x4646464646464646)|(w-0x3030303030303030))&0x8080808080808080 != 0 {
-			break // some byte is not '0'..'9'
-		}
+		other := ((w + 0x4646464646464646) | (w - 0x3030303030303030)) & 0x8080808080808080
 		w -= 0x3030303030303030
-		w = w*10 + w>>8 // adjacent digit pairs, in every other byte
-		w = ((w&0x000000FF000000FF)*(100+1000000<<32) + (w>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
-		man = man*100000000 + w&0xFFFFFFFF
+		if other != 0 {
+			// Shift the k digits into the top bytes, behind 8−k zeros. The
+			// bytes from the first non-digit up, and any borrow out of it,
+			// which only moves upward, are shifted out.
+			k := bits.TrailingZeros64(other) >> 3
+			return man*uint64pow10[k] + eightDigits(w<<(64-8*k)), i + k
+		}
+		man = man*100000000 + eightDigits(w)
 	}
 	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
 		man = man*10 + uint64(b[i]-'0')
@@ -255,26 +259,17 @@ func digits(b []byte, i int, man uint64) (uint64, int) {
 	return man, i
 }
 
-// float64pow10 holds the powers of ten that float64 represents exactly.
-var float64pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// clinger converts ±man·10^exp10 with one IEEE multiply or divide when both
-// operands are exact (man below 2^53, |exp10| ≤ 22), so that the one
-// rounding is the correct one.
-func clinger(man uint64, exp10 int, neg bool) (float64, bool) {
-	if man>>53 != 0 || exp10 < -22 || exp10 > 22 {
-		return 0, false
-	}
-	f := float64(man)
-	if neg {
-		f = -f
-	}
-	if exp10 < 0 {
-		return f / float64pow10[-exp10], true
-	}
-	return f * float64pow10[exp10], true
+// eightDigits returns the number whose decimal digits are the bytes of w,
+// each 0..9, the lowest byte most significant.
+func eightDigits(w uint64) uint64 {
+	w = w*10 + w>>8 // adjacent digit pairs, in every other byte
+	w = ((w&0x000000FF000000FF)*(100+1000000<<32) + (w>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+	return w & 0xFFFFFFFF
 }
+
+// uint64pow10 holds the powers of ten below 2^64.
+var uint64pow10 = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
 // floats parses the JSON number array that comes next into dst[:0], failing
 // at element limit+1 and never growing dst past limit. dst is returned even
@@ -290,14 +285,22 @@ func (s *scanner) floats(dst []float64, limit int) []float64 {
 			s.fail("array has more than %d elements", limit)
 			break
 		}
-		v := s.float()
-		if s.err != nil {
+		// Most elements are a whole number in the window, followed by a
+		// comma: parse it where it starts and take the comma directly.
+		v, n, cut, ok := parseNumber(s.buf[s.pos:s.end])
+		if n > 0 && ok && !cut {
+			s.pos += n
+		} else if v = s.float(); s.err != nil {
 			break
 		}
 		if len(dst) == cap(dst) {
 			dst = append(make([]float64, 0, min(limit, max(1024, 2*cap(dst)))), dst...)
 		}
 		dst = append(dst, v)
+		if s.pos < s.end && s.buf[s.pos] == ',' {
+			s.pos++
+			continue
+		}
 		switch c := s.peek(); c {
 		case ',':
 			s.pos++
@@ -442,21 +445,6 @@ func (sc *scratch) readFloats(r io.Reader, dst []float64) error {
 		dst = dst[n:]
 	}
 	return nil
-}
-
-// appendJSONFloat appends f as encoding/json does: %f, except %e with the
-// exponent's leading zero dropped for exponents below -6 or from 21 up.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-09 → e-9
-		b = b[:n-1]
-	}
-	return b
 }
 
 // appendResult appends the JSON response for the product c: byte for byte

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -398,7 +399,59 @@ func FuzzParseNumber(f *testing.F) {
 		f.Add(strconv.AppendFloat(nil, v, 'e', -1, 64))
 		f.Add(strconv.AppendFloat(nil, 2*rng.Float64()-1, 'f', -1, 64))
 	}
+	// Digit runs that end just before, on and just after a word boundary,
+	// in the integer part and in the fraction, with a terminator and more
+	// body behind them.
+	for _, run := range []int{1, 7, 8, 9, 15, 16, 17, 23, 24} {
+		ds := strings.Repeat("9876543210", 3)[:run]
+		for _, tail := range []string{",12345678", "]", "e-5,1", " ,1"} {
+			f.Add([]byte(ds + tail))
+			f.Add([]byte("-0." + ds + tail))
+			f.Add([]byte("1" + ds + "." + ds + tail))
+		}
+	}
+	// Exact products halfway between two float64s, a mantissa below 2^53
+	// times a small power of ten: Eisel-Lemire leaves them to strconv.
+	for _, in := range []string{"1801439850948201e1", "900719925474099e2", "-1801439850948201e1"} {
+		f.Add([]byte(in))
+	}
 	f.Fuzz(checkParseNumber)
+}
+
+// TestDigitsPartialWord holds digits to a digit-at-a-time reference on every
+// run length from 0 to 24, starting at every offset mod 8, ended by each
+// byte that can follow a run in a number or by the end of the slice, with
+// and without more digits behind that byte.
+func TestDigitsPartialWord(t *testing.T) {
+	ref := func(b []byte, i int, man uint64) (uint64, int) {
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			man = man*10 + uint64(b[i]-'0')
+		}
+		return man, i
+	}
+	rng := rand.New(rand.NewSource(3))
+	for run := 0; run <= 24; run++ {
+		for off := range 8 {
+			for _, end := range []string{",", "]", ".", "e", "E", " ", "-", ""} {
+				for _, more := range []string{"", "98765432109876543210"} {
+					if end == "" && more != "" {
+						continue
+					}
+					b := []byte(strings.Repeat("x", off))
+					for range run {
+						b = append(b, byte('0'+rng.Intn(10)))
+					}
+					b = append(b, end+more...)
+					man := rng.Uint64() >> rng.Intn(64)
+					got, gotI := digits(b, off, man)
+					want, wantI := ref(b, off, man)
+					if got != want || gotI != wantI {
+						t.Fatalf("digits(%q, %d, %d) = %d, %d; want %d, %d", b, off, man, got, gotI, want, wantI)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestPowersOfTenRows pins rows of the computed Eisel-Lemire table to the
@@ -413,7 +466,7 @@ func TestPowersOfTenRows(t *testing.T) {
 		{43, 0x6D9CCD05D0000000, 0xE596B7B0C643C719},
 		{347, 0x4B7195F2D2D1A9FB, 0xD13EB46469447567},
 	} {
-		if got := detailedPowersOfTen()[tc.exp10-detailedPowersOfTenMinExp10]; got != [2]uint64{tc.lo, tc.hi} {
+		if got := detailedPowersOfTen[tc.exp10-detailedPowersOfTenMinExp10]; got != [2]uint64{tc.lo, tc.hi} {
 			t.Errorf("1e%d: {%#x, %#x}, want {%#x, %#x}", tc.exp10, got[0], got[1], tc.lo, tc.hi)
 		}
 	}
@@ -497,6 +550,174 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 		c := matrix.FromSlice(2, 2, []float64{1, 2, 3, bad})
 		if _, err := appendResult(nil, c, []byte("{}")); !errors.Is(err, errNonFinite) || !strings.Contains(err.Error(), "c[1,1]") {
 			t.Fatalf("encoding %v: err = %v, want errNonFinite naming c[1,1]", bad, err)
+		}
+	}
+}
+
+// refJSONFloat is the encoder's oracle, the formatter the codec used before
+// Schubfach: encoding/json's float64 rule on strconv. %f, except %e with the
+// exponent's leading zero dropped for exponents below -6 or from 21 up.
+func refJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 → e-9
+		b = b[:n-1]
+	}
+	return b
+}
+
+// floatChecker compares appendJSONFloat with refJSONFloat, reusing its
+// buffers. The encoder appends behind a prefix, as it does in a response.
+type floatChecker struct {
+	got, want []byte
+}
+
+func (c *floatChecker) check(t *testing.T, f float64) {
+	t.Helper()
+	c.got = appendJSONFloat(append(c.got[:0], ','), f)
+	c.want = refJSONFloat(append(c.want[:0], ','), f)
+	if !bytes.Equal(c.got, c.want) {
+		t.Fatalf("%v (%#x): %s, strconv says %s", f, math.Float64bits(f), c.got[1:], c.want[1:])
+	}
+}
+
+// TestAppendJSONFloatMatchesStrconv holds the encoder to the strconv oracle
+// byte for byte over every class of finite float64, in both signs.
+func TestAppendJSONFloatMatchesStrconv(t *testing.T) {
+	c := &floatChecker{}
+	both := func(f float64) {
+		t.Helper()
+		c.check(t, f)
+		c.check(t, -f)
+	}
+	// around checks f and its two neighbours.
+	around := func(f float64) {
+		t.Helper()
+		u := math.Float64bits(f)
+		both(math.Float64frombits(u - 1))
+		both(f)
+		if f != math.MaxFloat64 {
+			both(math.Float64frombits(u + 1))
+		}
+	}
+	random := 1 << 18
+	if raceEnabled {
+		random = 1 << 12
+	}
+	rng := rand.New(rand.NewSource(11))
+	for range random {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			c.check(t, f)
+		}
+		// A random bit pattern in the %f range, 2^-20 to 2^70.
+		c.check(t, math.Float64frombits(rng.Uint64()&^(0xFFF<<52)|uint64(1023-20+rng.Intn(90))<<52))
+		both(math.Float64frombits(rng.Uint64() & (1<<52 - 1))) // subnormal
+	}
+	for u := uint64(1); u < 1e5; u++ {
+		both(math.Float64frombits(u))
+	}
+	both(0)
+	for e := -1074; e <= 1023; e++ {
+		around(math.Ldexp(1, e))
+	}
+	for e := -323; e <= 308; e++ {
+		p, err := strconv.ParseFloat("1e"+strconv.Itoa(e), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		around(p)
+	}
+	for i := -1000; i <= 1000; i++ {
+		around(float64(int64(1)<<53 + int64(i)))
+	}
+	// Integers below 2^53: every small one, then random ones of any length.
+	for i := 1; i <= 1<<16; i++ {
+		both(float64(i))
+	}
+	for range random {
+		both(float64(rng.Int63n(1 << 53)))
+	}
+	for _, f := range []float64{1e-6, 1e21, math.MaxFloat64} {
+		around(f)
+	}
+}
+
+// FuzzAppendJSONFloat: the encoder writes what the strconv oracle writes
+// for every finite bit pattern.
+func FuzzAppendJSONFloat(f *testing.F) {
+	for _, v := range []float64{0, 1, 0.1, 1e-6, 1e-7, 1e21, 5e-324, math.MaxFloat64, 1 << 53, 123456.789} {
+		f.Add(math.Float64bits(v))
+	}
+	c := &floatChecker{}
+	f.Fuzz(func(t *testing.T, u uint64) {
+		if v := math.Float64frombits(u); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			c.check(t, v)
+		}
+	})
+}
+
+// floorLog10 returns ⌊log10(num/den)⌋ for positive num and den.
+func floorLog10(num, den *big.Int) int {
+	k := len(num.String()) - len(den.String()) // exact or one too high
+	if p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(absInt(k))), nil); k >= 0 && p.Mul(p, den).Cmp(num) > 0 ||
+		k < 0 && p.Mul(p, num).Cmp(den) < 0 {
+		k--
+	}
+	return k
+}
+
+func absInt(x int) int { return max(x, -x) }
+
+// TestSchubfachMultipliersFromPowerTable checks the encoder's exponent
+// arithmetic against math/big for every float64 exponent, and the
+// multiplier derived from each power-table row the encoder can request
+// against ⌊10^e·2^(125−⌊e·log2(10)⌋)⌋ + 1.
+func TestSchubfachMultipliersFromPowerTable(t *testing.T) {
+	one, ten := big.NewInt(1), big.NewInt(10)
+	pow2 := func(e int) (num, den *big.Int) { // 2^e as a fraction
+		if e >= 0 {
+			return new(big.Int).Lsh(one, uint(e)), one
+		}
+		return one, new(big.Int).Lsh(one, uint(-e))
+	}
+	requested := map[int]bool{}
+	for q := -1074; q <= 971; q++ { // the exponents of c·2^q, c < 2^53
+		num, den := pow2(q)
+		if k := floorLog10(num, den); flog10pow2(q) != k {
+			t.Fatalf("flog10pow2(%d) = %d, want %d", q, flog10pow2(q), k)
+		}
+		num, den = pow2(q - 2)
+		if k := floorLog10(new(big.Int).Mul(num, big.NewInt(3)), den); flog10threeQuartersPow2(q) != k {
+			t.Fatalf("flog10threeQuartersPow2(%d) = %d, want %d", q, flog10threeQuartersPow2(q), k)
+		}
+		requested[-flog10pow2(q)] = true
+		requested[-flog10threeQuartersPow2(q)] = true
+	}
+	for e := range requested {
+		p := new(big.Int).Exp(ten, big.NewInt(int64(absInt(e))), nil)
+		lg := p.BitLen() - 1 // ⌊e·log2(10)⌋, 10^|e| being no power of two for e ≠ 0
+		if e < 0 {
+			lg = -p.BitLen()
+		}
+		if flog2pow10(e) != lg {
+			t.Fatalf("flog2pow10(%d) = %d, want %d", e, flog2pow10(e), lg)
+		}
+		// g = ⌊num/den⌋ + 1 with num/den = 10^e·2^(125−lg)
+		num, den := pow2(125 - lg)
+		if e >= 0 {
+			num = new(big.Int).Mul(num, p)
+		} else {
+			den = new(big.Int).Mul(den, p)
+		}
+		g := new(big.Int).Add(new(big.Int).Quo(num, den), one)
+		g1, g0 := schubfachMultiplier(e)
+		want := [2]uint64{new(big.Int).Rsh(g, 63).Uint64(), g.Uint64() &^ (1 << 63)}
+		if g.BitLen() != 126 || [2]uint64{g1, g0} != want {
+			t.Fatalf("10^%d: g = %#x·2^63 + %#x from the table row, math/big says %#x·2^63 + %#x (%d bits)", e, g1, g0, want[0], want[1], g.BitLen())
 		}
 	}
 }
@@ -643,9 +864,12 @@ func TestHTTPStrictBodies(t *testing.T) {
 }
 
 // BenchmarkCodec times the two halves of the JSON codec on the serve_json
-// benchmark's 256³ request.
+// benchmark's 256³ request, also per number: 2·256² decoded, 256² encoded.
 func BenchmarkCodec(b *testing.B) {
 	const n = 256
+	perValue := func(b *testing.B, values int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*values), "ns/value")
+	}
 	body, err := json.Marshal(struct {
 		M int       `json:"m"`
 		N int       `json:"n"`
@@ -671,6 +895,7 @@ func BenchmarkCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		perValue(b, 2*n*n)
 	})
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
@@ -680,5 +905,6 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		}
 		b.SetBytes(int64(len(sc.out)))
+		perValue(b, n*n)
 	})
 }

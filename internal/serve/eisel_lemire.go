@@ -10,13 +10,13 @@ package serve
 // 2020 and is discussed at https://nigeltao.github.io/blog/2020/eisel-lemire.html;
 // strconv keeps it unexported, so parseNumber carries its own copy. Only
 // the float64 flavour is kept, and the table of 128-bit powers of ten is
-// computed with math/big on first use instead of listed.
+// computed with math/big at package initialisation instead of listed. The
+// same table gives the response encoder its multipliers (schubfach.go).
 
 import (
 	"math"
 	"math/big"
 	"math/bits"
-	"sync"
 )
 
 // eiselLemire64 returns the float64 nearest to ±man·10^exp10 and true, or
@@ -36,7 +36,7 @@ func eiselLemire64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 	if exp10 < detailedPowersOfTenMinExp10 || detailedPowersOfTenMaxExp10 < exp10 {
 		return 0, false
 	}
-	pow := &detailedPowersOfTen()[exp10-detailedPowersOfTenMinExp10]
+	pow := &detailedPowersOfTen[exp10-detailedPowersOfTenMinExp10]
 
 	// Normalization.
 	clz := bits.LeadingZeros64(man)
@@ -99,7 +99,7 @@ const (
 	detailedPowersOfTenMaxExp10 = +347
 )
 
-// detailedPowersOfTen returns the 128-bit mantissa approximations (rounded
+// detailedPowersOfTen holds the 128-bit mantissa approximations (rounded
 // down) to the powers of 10, row i holding 10^(i+MinExp10) as {low, high}
 // 64-bit halves with the top bit of high set. For example:
 //
@@ -107,10 +107,10 @@ const (
 //   - 1e43 = (0xE596B7B0_C643C719_6D9CCD05_D0000000 * (2 ** 15))
 //
 // The exponents are implied by a linear expression with slope
-// 217706.0/65536.0 ≈ log(10)/log(2). The table is computed once per process
-// (well under a millisecond) and equals strconv's listed one row for row.
-var detailedPowersOfTen = sync.OnceValue(func() *[detailedPowersOfTenMaxExp10 - detailedPowersOfTenMinExp10 + 1][2]uint64 {
-	t := new([detailedPowersOfTenMaxExp10 - detailedPowersOfTenMinExp10 + 1][2]uint64)
+// 217706.0/65536.0 ≈ log(10)/log(2). The table is computed when the package
+// is initialised (well under a millisecond) and equals strconv's listed one
+// row for row.
+var detailedPowersOfTen = func() (t [detailedPowersOfTenMaxExp10 - detailedPowersOfTenMinExp10 + 1][2]uint64) {
 	// row truncates x to its top 128 bits.
 	row := func(x *big.Int) [2]uint64 {
 		x.Rsh(x, uint(x.BitLen()-128))
@@ -129,4 +129,4 @@ var detailedPowersOfTen = sync.OnceValue(func() *[detailedPowersOfTenMaxExp10 - 
 		p.Mul(p, ten)
 	}
 	return t
-})
+}()
