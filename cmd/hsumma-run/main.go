@@ -74,8 +74,6 @@ func main() {
 	flag.IntVar(&run.BlockSize, "b", 0, "block size b (0 = auto via the shared default rule)")
 	flag.IntVar(&run.OuterBlockSize, "B", 0, "outer block size B (0 = b)")
 	flag.IntVar(&run.Threads, "threads", 1, "per-rank thread budget for local multiplies (hybrid intra-rank parallelism)")
-	flag.BoolVar(&run.LocalStrassen, "local-strassen", false, "run the rank-local sub-cubic Strassen kernel under any algorithm")
-	flag.IntVar(&run.StrassenCutoff, "strassen-cutoff", 0, "local Strassen kernel recursion cutoff (0 = blas default)")
 	flag.Parse()
 
 	var err error

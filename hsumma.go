@@ -176,14 +176,6 @@ type Config struct {
 	// both mean serial ranks (the historical behaviour); results are
 	// bit-deterministic for any fixed value.
 	Threads int
-	// LocalStrassen switches the rank-local panel multiplies to the
-	// sub-cubic Strassen kernel (internal/blas) under any algorithm.
-	// Worth it once per-rank tiles clear the kernel's crossover (~256 on
-	// commodity hosts); AlgAuto turns it on exactly there.
-	LocalStrassen bool
-	// StrassenCutoff is the local kernel's recursion cutoff — leaves of
-	// size ≤ cutoff run the classic packed kernel (0 = the blas default).
-	StrassenCutoff int
 	// Platform optionally names the machine the planner tunes for when
 	// Algorithm is AlgAuto (default: the Grid'5000 preset, the closest
 	// analogue of a commodity host). Ignored otherwise.
@@ -238,8 +230,6 @@ func (cfg Config) resolveParams(shape Shape) (tune.ResolveParams, error) {
 		Levels:         cfg.Levels,
 		Broadcast:      cfg.Broadcast,
 		Threads:        cfg.Threads,
-		LocalStrassen:  cfg.LocalStrassen,
-		StrassenCutoff: cfg.StrassenCutoff,
 		Platform:       cfg.Platform,
 	}
 	if cfg.Grid != nil {

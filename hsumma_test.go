@@ -81,9 +81,9 @@ func TestMultiplyInputValidation(t *testing.T) {
 	if _, _, err := Multiply(NewMatrix(4, 4), NewMatrix(4, 4), Config{Procs: 0}); err == nil {
 		t.Fatal("zero procs accepted")
 	}
-	// Unknown names — "strassen" included: Strassen is the LocalStrassen
-	// kernel, not an algorithm — fail on the paths hsumma-run's live and
-	// sim modes take, listing the algorithms there are.
+	// Unknown names — "strassen" included: there is no Strassen in the
+	// runtime — fail on the paths hsumma-run's live and sim modes take,
+	// listing the algorithms there are.
 	for _, name := range []Algorithm{"magic", "strassen"} {
 		const have = "summa, hsumma, multilevel, cannon, fox, auto"
 		if _, _, err := Multiply(NewMatrix(4, 4), NewMatrix(4, 4), Config{Procs: 4, Algorithm: name}); err == nil || !strings.Contains(err.Error(), have) {

@@ -275,36 +275,6 @@ func ParallelGemm(c, a, b *matrix.Dense, workers int) {
 	wg.Wait()
 }
 
-// Axpy computes y += alpha*x element-wise over matrices of equal shape.
-func Axpy(alpha float64, x, y *matrix.Dense) {
-	if x.Rows != y.Rows || x.Cols != y.Cols {
-		panic(matrix.ErrShape)
-	}
-	for i := 0; i < x.Rows; i++ {
-		xr := x.Data[i*x.Stride : i*x.Stride+x.Cols]
-		yr := y.Data[i*y.Stride : i*y.Stride+y.Cols]
-		for j := range xr {
-			yr[j] += alpha * xr[j]
-		}
-	}
-}
-
-// Dot returns the Frobenius inner product <a,b> = sum a_ij*b_ij.
-func Dot(a, b *matrix.Dense) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(matrix.ErrShape)
-	}
-	sum := 0.0
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Data[i*a.Stride : i*a.Stride+a.Cols]
-		br := b.Data[i*b.Stride : i*b.Stride+b.Cols]
-		for j := range ar {
-			sum += ar[j] * br[j]
-		}
-	}
-	return sum
-}
-
 // FlopsGemm returns the floating-point operation count of an m×k by k×n
 // multiply-accumulate, using the conventional 2mnk (one multiply + one add
 // per term), the same accounting the paper's 2n³/p computation cost uses.

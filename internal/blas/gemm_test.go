@@ -111,7 +111,7 @@ func TestGemmShapePanics(t *testing.T) {
 	Gemm(matrix.New(2, 2), matrix.New(2, 3), matrix.New(2, 2))
 }
 
-// Property: (A(B+B2)) == AB + AB2 — distributivity links Gemm and Axpy.
+// Property: (A(B+B2)) == AB + AB2 — Gemm distributes over matrix addition.
 func TestQuickDistributive(t *testing.T) {
 	f := func(seed uint64) bool {
 		m := int(seed%6) + 1
@@ -172,23 +172,6 @@ func TestQuickAssociative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAxpy(t *testing.T) {
-	x := matrix.Constant(2, 2, 2)
-	y := matrix.Constant(2, 2, 1)
-	Axpy(3, x, y)
-	if y.At(0, 0) != 7 {
-		t.Fatalf("axpy got %v want 7", y.At(0, 0))
-	}
-}
-
-func TestDot(t *testing.T) {
-	a := matrix.Constant(2, 3, 2)
-	b := matrix.Constant(2, 3, 3)
-	if got := Dot(a, b); math.Abs(got-36) > tol {
-		t.Fatalf("dot = %v, want 36", got)
 	}
 }
 
@@ -446,6 +429,25 @@ func testGemmPositionIndependent(t *testing.T) {
 		ParallelGemm(got, a, b, workers)
 		if !matrix.Equal(got, want) {
 			t.Fatalf("ParallelGemm(workers=%d) differs bitwise from Gemm", workers)
+		}
+	}
+}
+
+// TestParallelGemmBandAlignment: band boundaries must be multiples of the
+// mc packing block (so straddled panels are never packed twice) and the
+// threaded result must stay bit-identical to the serial kernel.
+func TestParallelGemmBandAlignment(t *testing.T) {
+	for _, rows := range []int{128, 200, 257, 1000} {
+		a := matrix.Random(rows, 90, 5)
+		b := matrix.Random(90, 70, 6)
+		want := matrix.New(rows, 70)
+		Gemm(want, a, b)
+		for _, w := range []int{2, 3, 4, 9} {
+			got := matrix.New(rows, 70)
+			ParallelGemm(got, a, b, w)
+			if !matrix.Equal(got, want) {
+				t.Fatalf("rows=%d workers=%d differs from serial", rows, w)
+			}
 		}
 	}
 }

@@ -61,41 +61,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 )
-
-// Exec describes how a rank executes its local multiplies: the intra-rank
-// thread budget (the Go analog of OpenMP threads inside an MPI process;
-// values ≤ 1 mean serial) and the optional sub-cubic local kernel. It
-// travels with every Gemm call so all three transports — live, goroutine
-// virtual and event virtual — agree on both the arithmetic performed and
-// the flop count charged.
-type Exec struct {
-	// Threads is the rank's goroutine budget for the local multiply.
-	Threads int
-	// Strassen selects blas.StrassenGemm as the local kernel; the virtual
-	// transports then charge blas.StrassenFlops instead of 2·m·n·k.
-	Strassen bool
-	// Cutoff is the Strassen recursion cutoff (≤ 0 selects the blas
-	// default); ignored unless Strassen is set.
-	Cutoff int
-}
-
-// Serial is the default execution: one thread, classic kernel.
-var Serial = Exec{Threads: 1}
-
-// Flops returns the flop count this execution charges for an m×k by k×n
-// local multiply: blas.StrassenFlops under the sub-cubic kernel, the
-// conventional 2·m·n·k otherwise — evaluated in exactly the historical
-// association order, so non-Strassen virtual times stay bit-identical.
-func (x Exec) Flops(m, n, k int) float64 {
-	if x.Strassen {
-		return blas.StrassenFlops(m, n, k, x.Cutoff)
-	}
-	return blas.FlopsGemm(m, n, k)
-}
 
 // Panel is a tile that is its own wire buffer: the pivot panels of the
 // SUMMA family, the rotating tiles of Cannon and Fox. See the package
@@ -158,12 +126,13 @@ type Comm interface {
 	// *is* the outer panel) dst takes over src's contents by reference
 	// instead of copying them.
 	Repack(dst, src *Panel, i, j int)
-	// Gemm performs the local update C += A·B under the given execution
-	// descriptor: real arithmetic (packed, threaded or Strassen per x) on
-	// the live transport, a compute-clock advance of x.Flops(m,n,k) scaled
+	// Gemm performs the local update C += A·B on a budget of threads
+	// goroutines (the Go analog of OpenMP threads inside an MPI process;
+	// values ≤ 1 mean serial): real packed arithmetic on the live
+	// transport, a compute-clock advance of blas.FlopsGemm(m,n,k) scaled
 	// by the shared parallel-efficiency curve (machine.Speedup) on the
 	// virtual ones.
-	Gemm(c, a, b *matrix.Dense, x Exec)
+	Gemm(c, a, b *matrix.Dense, threads int)
 }
 
 // CheckPack panics unless src's shape is dst's — shared by the transports

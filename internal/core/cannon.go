@@ -36,17 +36,16 @@ func (o *Options) squareTile(c comm.Comm, aLoc, bLoc, cLoc *matrix.Dense) (q, ti
 // by j), q iterations of local multiply followed by a single-step rotation
 // of A leftwards and B upwards. Local tiles are (n/q)×(n/q); aLoc and bLoc
 // are not modified (the rotations work on panels). The local multiplies
-// run under opts.Exec().
+// run on opts.Threads goroutines.
 func Cannon(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 	o := opts.withDefaults()
 	q, tile, err := o.squareTile(c, aLoc, bLoc, cLoc)
 	if err != nil {
 		return err
 	}
-	x := o.Exec()
 	i, j := o.Grid.Coords(c.Rank())
 	if q == 1 {
-		c.Gemm(cLoc, aLoc, bLoc, x)
+		c.Gemm(cLoc, aLoc, bLoc, o.Threads)
 		return nil
 	}
 	g := o.Grid
@@ -64,7 +63,7 @@ func Cannon(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 		c.SendRecv(g.Rank(mod(i-j, q), j), 1, b, g.Rank(mod(i+j, q), j), 1, b)
 	}
 	for step := 0; step < q; step++ {
-		c.Gemm(cLoc, &a.Tile, &b.Tile, x)
+		c.Gemm(cLoc, &a.Tile, &b.Tile, o.Threads)
 		if step == q-1 {
 			break
 		}
@@ -80,19 +79,18 @@ func Cannon(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 // multiplied with the local B, and B rolls upwards one step. opts.Broadcast
 // selects the broadcast schedule (the original paper assumed a hypercube
 // broadcast; any algorithm from internal/sched works) and the local
-// multiplies run under opts.Exec().
+// multiplies run on opts.Threads goroutines.
 func Fox(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 	o := opts.withDefaults()
 	q, tile, err := o.squareTile(c, aLoc, bLoc, cLoc)
 	if err != nil {
 		return err
 	}
-	x := o.Exec()
 	g := o.Grid
 	i, j := g.Coords(c.Rank())
 	rowComm := c.Split(i, j)
 	if q == 1 {
-		c.Gemm(cLoc, aLoc, bLoc, x)
+		c.Gemm(cLoc, aLoc, bLoc, o.Threads)
 		return nil
 	}
 	aPanel := c.NewPanel(tile, tile)
@@ -104,7 +102,7 @@ func Fox(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 			c.Pack(aPanel, aLoc)
 		}
 		rowComm.Bcast(o.Broadcast, root, aPanel)
-		c.Gemm(cLoc, &aPanel.Tile, &b.Tile, x)
+		c.Gemm(cLoc, &aPanel.Tile, &b.Tile, o.Threads)
 		if k == q-1 {
 			break
 		}

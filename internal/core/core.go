@@ -27,7 +27,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/topo"
@@ -57,21 +56,6 @@ type Knobs struct {
 	// Gemm over write-disjoint C row bands, the virtual ones scale the
 	// compute clock by the shared parallel-efficiency curve.
 	Threads int `json:"threads,omitempty"`
-	// LocalStrassen selects the sub-cubic Strassen kernel for every
-	// rank-local multiply (blas.StrassenGemm on the live transport; the
-	// virtual ones charge blas.StrassenFlops). Orthogonal to the
-	// algorithm: any distributed schedule can run a sub-cubic local
-	// kernel. Note Strassen reassociates the arithmetic — results match
-	// the classic kernel to relative tolerance, not bit for bit.
-	LocalStrassen bool `json:"local_strassen,omitempty"`
-	// StrassenCutoff is the local Strassen recursion cutoff (≤ 0 selects
-	// the blas default); ignored unless LocalStrassen is set.
-	StrassenCutoff int `json:"strassen_cutoff,omitempty"`
-}
-
-// Exec returns the execution descriptor every local multiply runs under.
-func (k Knobs) Exec() comm.Exec {
-	return comm.Exec{Threads: k.Threads, Strassen: k.LocalStrassen, Cutoff: k.StrassenCutoff}
 }
 
 // Options configures a distributed multiplication. The zero value is not

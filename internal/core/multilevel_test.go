@@ -208,7 +208,7 @@ func (s stubComm) NewTile(rows, cols int) *matrix.Dense {
 }
 func (s stubComm) Pack(*comm.Panel, *matrix.Dense)           { *s.packs++ }
 func (s stubComm) Repack(*comm.Panel, *comm.Panel, int, int) {}
-func (s stubComm) Gemm(_, _, _ *matrix.Dense, _ comm.Exec)   {}
+func (s stubComm) Gemm(_, _, _ *matrix.Dense, _ int)         {}
 
 // The loop's bookkeeping is allocated once per run, never per step: beyond
 // the one view header per panel a rank packs from its tile (as in every

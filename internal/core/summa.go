@@ -77,7 +77,7 @@ type stage struct {
 type pivot struct {
 	c              comm.Comm
 	bcast          sched.Algorithm
-	exec           comm.Exec
+	threads        int
 	cLoc           *matrix.Dense
 	last           int // index of the innermost stage
 	ownerCol, aOff int
@@ -157,7 +157,7 @@ func pivotLoop(c comm.Comm, opts *Options, levels []Level, aLoc, bLoc, cLoc *mat
 	// each of them another stack doubling (measured: +15 % host time at
 	// p=2048).
 	var p pivot
-	p.c, p.bcast, p.exec = c, o.Broadcast, o.Exec()
+	p.c, p.bcast, p.threads = c, o.Broadcast, o.Threads
 	p.i, p.j, p.aLoc, p.bLoc, p.cLoc = i, j, aLoc, bLoc, cLoc
 	p.last, p.ownerCol, p.ownerRow = len(levels), -1, -1
 	if extra := p.last + 1 - len(p.few); extra > 0 {
@@ -266,7 +266,7 @@ func (p *pivot) walk(K, aCols, bRows int) {
 			p.stage(k).off = 0
 			continue
 		}
-		c.Gemm(p.cLoc, &st.aPanel.Tile, &st.bPanel.Tile, p.exec)
+		c.Gemm(p.cLoc, &st.aPanel.Tile, &st.bPanel.Tile, p.threads)
 		// The deepest stage with a sub-panel left moves on to it; when
 		// none has, the next top-level panel is due.
 		for ; k > 0; k-- {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/blas"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/matrix"
@@ -169,12 +168,6 @@ func (s Spec) Key() string {
 	// broadcast's depth, kept so every key (session routing, plan-cache
 	// entries, /metrics labels) stays byte-identical.
 	fmt.Fprintf(&b, "|bc=%s|seg=1", bcast)
-	// The sub-cubic local kernel changes the arithmetic every rank runs
-	// (and its virtual flop accounting), so it is part of the identity for
-	// every algorithm; the cutoff is canonicalised through the blas rule.
-	if s.Opts.LocalStrassen {
-		fmt.Fprintf(&b, "|ls=%d", blas.StrassenCutoff(s.Opts.StrassenCutoff))
-	}
 	// The per-rank thread budget changes what the execution runs (and the
 	// serving layer's core accounting), so it is part of the identity —
 	// but only when hybrid; serial specs keep their historical keys.

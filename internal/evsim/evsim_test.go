@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/comm"
 	"repro/internal/machine"
 	"repro/internal/sched"
@@ -25,7 +26,7 @@ func TestPointToPointTiming(t *testing.T) {
 	const n = 100
 	prog := func(c comm.Comm) {
 		if c.Rank() == 1 {
-			c.Gemm(c.NewTile(n, n), c.NewTile(n, n), c.NewTile(n, n), comm.Serial)
+			c.Gemm(c.NewTile(n, n), c.NewTile(n, n), c.NewTile(n, n), 1)
 		}
 		c.SendRecv(1-c.Rank(), 7, c.NewPanel(1, 1000), 1-c.Rank(), 7, c.NewPanel(1, 1000))
 	}
@@ -34,7 +35,7 @@ func TestPointToPointTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := testCfg().Model
-	t1 := m.Compute(comm.Serial.Flops(n, n, n))
+	t1 := m.Compute(blas.FlopsGemm(n, n, n))
 	want := t1 + m.PointToPoint(1000)
 	if m.PointToPoint(1000) >= t1 {
 		t.Fatalf("rank 1 is not late: T=%v t1=%v", m.PointToPoint(1000), t1)
@@ -195,7 +196,7 @@ func TestSingleRankWorld(t *testing.T) {
 	w := NewWorld(1, testCfg())
 	err := w.Run(func(c comm.Comm) {
 		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 5))
-		c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), comm.Serial)
+		c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,9 +215,9 @@ func TestClassDivergenceIsAnError(t *testing.T) {
 	w.SetClasses([]int{0, 0})
 	err := w.Run(func(c comm.Comm) {
 		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10))
-		c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), comm.Serial)
+		c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), 1)
 		if c.Rank() == 1 {
-			c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), comm.Serial)
+			c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), 1)
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "diverged from its class representative") {
@@ -256,7 +257,7 @@ func TestClassDriftBeyondRingIsAnError(t *testing.T) {
 		case 0, 1:
 			s1.Bcast(sched.Binomial, 0, panel)
 			for i := 0; i < 2*ringSize; i++ {
-				c.Gemm(c.NewTile(2, 2), c.NewTile(2, 2), c.NewTile(2, 2), comm.Serial)
+				c.Gemm(c.NewTile(2, 2), c.NewTile(2, 2), c.NewTile(2, 2), 1)
 			}
 			s2.Bcast(sched.Binomial, 0, panel)
 		case 2:
@@ -290,7 +291,7 @@ func TestFollowerLateSplitReplays(t *testing.T) {
 		}
 		s2 := s1.Split(0, -r)
 		s2.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096))
-		c.Gemm(c.NewTile(8, 8), c.NewTile(8, 8), c.NewTile(8, 8), comm.Serial)
+		c.Gemm(c.NewTile(8, 8), c.NewTile(8, 8), c.NewTile(8, 8), 1)
 		s2.Bcast(sched.Binomial, 1, c.NewPanel(1, 512))
 	}
 	ref := NewWorld(4, testCfg())

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/blas"
 	"repro/internal/comm"
 	"repro/internal/matrix"
 	"repro/internal/sched"
@@ -303,39 +302,18 @@ func (c *rComm) Pack(dst *comm.Panel, src *matrix.Dense) { comm.CheckPack(dst, s
 // Repack checks the window; no elements move.
 func (c *rComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, src, i, j) }
 
-// Gemm validates shapes and records the local update's dimensions plus the
-// execution descriptor packed into the event's spare d field: the low 16
-// bits carry the thread budget, the high bits the Strassen cutoff (zero
-// for the classic kernel — so for every non-Strassen program d equals the
-// thread count exactly as it always has, and historical recordings replay
-// bit-identically). The replay advances the rank's compute state exactly
-// as the goroutine engine's Gemm does, including the
-// machine.Speedup(threads) division.
-func (c *rComm) Gemm(cm, a, b *matrix.Dense, x comm.Exec) {
+// Gemm validates shapes and records the local update's dimensions and
+// thread budget. The replay advances the rank's compute state exactly as
+// the goroutine engine's Gemm does, including the machine.Speedup(threads)
+// division.
+func (c *rComm) Gemm(cm, a, b *matrix.Dense, threads int) {
 	if a.Cols != b.Rows || cm.Rows != a.Rows || cm.Cols != b.Cols {
 		panic(fmt.Sprintf("evsim: gemm shape mismatch C(%dx%d) += A(%dx%d)*B(%dx%d)",
 			cm.Rows, cm.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	threads := x.Threads
-	if threads < 0 {
-		threads = 0
-	}
-	if threads >= 1<<16 {
-		panic(fmt.Sprintf("evsim: gemm threads %d does not fit the packed event field", threads))
-	}
-	d := int32(threads)
-	if x.Strassen {
-		// Resolve the cutoff before recording: the replay must charge the
-		// exact recursion the live kernel runs.
-		cut := blas.StrassenCutoff(x.Cutoff)
-		if cut >= 1<<15 {
-			panic(fmt.Sprintf("evsim: strassen cutoff %d does not fit the packed event field", cut))
-		}
-		d |= int32(cut) << 16
-	}
 	c.p.push(event{kind: evGemm,
 		a: ck32("gemm rows", a.Rows), b: ck32("gemm cols", b.Cols), c: ck32("gemm inner dim", a.Cols),
-		d: d})
+		d: ck32("gemm threads", max(threads, 0))})
 }
 
 // Broadcast algorithm codes: events carry a byte, not the schedule name.

@@ -3,7 +3,6 @@ package evsim
 import (
 	"fmt"
 
-	"repro/internal/blas"
 	"repro/internal/machine"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -270,17 +269,10 @@ func (w *World) advance(r int) bool {
 			case evGemm:
 				// Inlined doGemm fast path: the local update is the
 				// second most frequent event after collective arrivals.
-				// The d field packs threads | strassenCutoff<<16; a zero
-				// cutoff is the classic kernel, where the expression below
-				// mirrors VComm.Gemm (and the historical replay) bit for
-				// bit — Speedup(1) = 1 exactly — keeping engine parity.
-				threads := int(ev.d & 0xffff)
-				var flops float64
-				if cut := int(ev.d >> 16); cut > 0 {
-					flops = blas.StrassenFlops(int(ev.a), int(ev.b), int(ev.c), cut) / machine.Speedup(threads)
-				} else {
-					flops = 2 * float64(ev.a) * float64(ev.b) * float64(ev.c) / machine.Speedup(threads)
-				}
+				// The expression mirrors VComm.Gemm's blas.FlopsGemm bit
+				// for bit — Speedup(1) = 1 exactly — keeping engine parity.
+				threads := int(ev.d)
+				flops := 2 * float64(ev.a) * float64(ev.b) * float64(ev.c) / machine.Speedup(threads)
 				pre := w.sim.Clocks()[r]
 				w.sim.ComputeRank(r, flops)
 				if w.rec != nil {

@@ -38,7 +38,7 @@ const (
 //	evSRSend: a=dst   b=sendTag  c=elems  d=caller's comm rank
 //	evSRRecv: a=src   b=recvTag  c=elems
 //	evGemm:   a=C rows (A rows)  b=C cols (B cols)  c=inner dim (A cols)
-//	          d=threads | strassenCutoff<<16 (cutoff 0 = classic kernel)
+//	          d=threads
 type event struct {
 	a, b, c, d int32
 	slot       int32

@@ -92,28 +92,24 @@ func (t Transport) Repack(dst, src *comm.Panel, i, j int) {
 	adopt(dst, pl)
 }
 
-// Gemm performs the real local update C += A·B per the execution
-// descriptor: the packed kernel serially for x.Threads ≤ 1,
-// goroutine-parallel over write-disjoint C row bands otherwise, or the
-// sub-cubic Strassen kernel when x.Strassen — each rank's local multiply
-// is the hybrid layer's OpenMP region. The time spent here feeds the
-// rank's GemmSeconds and, when tracing, a compute span — the other half
-// of the paper's comm/compute breakdown.
-func (t Transport) Gemm(c, a, b *matrix.Dense, x comm.Exec) {
+// Gemm performs the real local update C += A·B: the packed kernel
+// serially for threads ≤ 1, goroutine-parallel over write-disjoint C row
+// bands otherwise — each rank's local multiply is the hybrid layer's
+// OpenMP region. The time spent here feeds the rank's GemmSeconds and,
+// when tracing, a compute span — the other half of the paper's
+// comm/compute breakdown.
+func (t Transport) Gemm(c, a, b *matrix.Dense, threads int) {
 	start := time.Now()
-	switch {
-	case x.Strassen:
-		blas.StrassenGemm(c, a, b, x.Cutoff, x.Threads)
-	case x.Threads <= 1:
+	if threads <= 1 {
 		blas.Gemm(c, a, b)
-	default:
-		blas.ParallelGemm(c, a, b, x.Threads)
+	} else {
+		blas.ParallelGemm(c, a, b, threads)
 	}
 	w := t.c.world
 	wr := t.c.WorldRank()
 	dt := time.Since(start).Seconds()
 	w.stats[wr].GemmSeconds += dt
 	if w.rec != nil {
-		w.rec.RankThreads(wr, trace.PhaseGemm, start.Sub(w.epoch).Seconds(), dt, x.Threads)
+		w.rec.RankThreads(wr, trace.PhaseGemm, start.Sub(w.epoch).Seconds(), dt, threads)
 	}
 }

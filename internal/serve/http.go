@@ -264,10 +264,9 @@ type jsonMultiply struct {
 	// Groups is HSUMMA's G.
 	Groups int `json:"groups,omitempty"`
 	// The shared execution knobs under their wire names (block_size,
-	// outer_block_size, broadcast, threads, local_strassen,
-	// strassen_cutoff). Broadcast holds the name as sent until
-	// resolveParams canonicalises it. The scheduler accounts a session as
-	// ranks × threads cores.
+	// outer_block_size, broadcast, threads). Broadcast holds the name as
+	// sent until resolveParams canonicalises it. The scheduler accounts a
+	// session as ranks × threads cores.
 	core.Knobs
 }
 
@@ -377,7 +376,7 @@ func (h *handler) parseJSON(r *http.Request, sc *scratch) (_, _ *matrix.Dense, r
 // parseRaw decodes the raw body: m*k float64s of A immediately followed by
 // k*n float64s of B, little-endian; the shape and config arrive as query
 // parameters (m, k, n, procs, algorithm, grid=SxT, groups, block_size,
-// outer_block_size, broadcast, threads, local_strassen, strassen_cutoff).
+// outer_block_size, broadcast, threads).
 func (h *handler) parseRaw(r *http.Request, sc *scratch) (_, _ *matrix.Dense, rp tune.ResolveParams, err error) {
 	q := r.URL.Query()
 	req := jsonMultiply{Alg: q.Get("algorithm")}
@@ -388,7 +387,7 @@ func (h *handler) parseRaw(r *http.Request, sc *scratch) (_, _ *matrix.Dense, rp
 	}{
 		{"m", &req.M}, {"n", &req.N}, {"k", &req.K}, {"procs", &req.Procs}, {"groups", &req.Groups},
 		{"block_size", &req.BlockSize}, {"outer_block_size", &req.OuterBlockSize},
-		{"threads", &req.Threads}, {"strassen_cutoff", &req.StrassenCutoff},
+		{"threads", &req.Threads},
 	} {
 		if v := q.Get(p.name); v == "" {
 			continue
@@ -402,11 +401,6 @@ func (h *handler) parseRaw(r *http.Request, sc *scratch) (_, _ *matrix.Dense, rp
 	}
 	if err := validateDims(m, n, k, h.cfg.MaxBodyBytes); err != nil {
 		return nil, nil, rp, err
-	}
-	if v := q.Get("local_strassen"); v != "" {
-		if req.LocalStrassen, err = strconv.ParseBool(v); err != nil {
-			return nil, nil, rp, fmt.Errorf("serve: bad local_strassen: %w", err)
-		}
 	}
 	if g := q.Get("grid"); g != "" {
 		s, t, ok := strings.Cut(g, "x")

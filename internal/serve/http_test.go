@@ -62,24 +62,29 @@ func TestHTTPMultiplyJSON(t *testing.T) {
 	}
 }
 
-// TestHTTPMultiplyStrassen pins Strassen on the wire: it is a rank-local
-// kernel, not an algorithm, so a JSON or raw request for algorithm
-// "strassen" is a 4xx naming the algorithms there are, while the sub-cubic
-// kernel runs under SUMMA (its 16×16 tiles and 16-wide panels clear the
-// cutoff, 4 raised to the kernel's floor of 8) and returns the oracle's
-// product. strassen_levels is ignored like any unknown member.
+// TestHTTPMultiplyStrassen pins Strassen on the wire: there is none in
+// the runtime, so a JSON or raw request for algorithm "strassen" is a 4xx
+// naming the algorithms there are, and the members of the deleted local
+// kernel (local_strassen, strassen_cutoff) are ignored like any unknown
+// member, strassen_levels included: a request carrying them — as JSON
+// members or as raw query parameters — returns a product bit-identical to
+// the same request without them.
 func TestHTTPMultiplyStrassen(t *testing.T) {
 	srv, _ := newTestServer(t)
 	n := 32
 	a := matrix.Random(n, n, 5)
 	b := matrix.Random(n, n, 6)
-	post := func(algorithm string) *http.Response {
+	retired := map[string]any{"local_strassen": true, "strassen_cutoff": 4, "strassen_levels": 2}
+	post := func(algorithm string, extra map[string]any) *http.Response {
 		t.Helper()
-		body, _ := json.Marshal(map[string]any{
-			"m": n, "n": n, "k": n, "procs": 4, "algorithm": algorithm,
-			"block_size": 16, "local_strassen": true, "strassen_cutoff": 4, "strassen_levels": 2,
+		fields := map[string]any{
+			"m": n, "n": n, "k": n, "procs": 4, "algorithm": algorithm, "block_size": 16,
 			"a": a.Pack(nil), "b": b.Pack(nil),
-		})
+		}
+		for k, v := range extra {
+			fields[k] = v
+		}
+		body, _ := json.Marshal(fields)
 		resp, err := http.Post(srv.URL+"/multiply", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -92,12 +97,16 @@ func TestHTTPMultiplyStrassen(t *testing.T) {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		raw.Write(buf[:])
 	}
-	rawURL := fmt.Sprintf("%s/multiply?m=%d&k=%d&n=%d&procs=4&algorithm=strassen", srv.URL, n, n, n)
-	rawResp, err := http.Post(rawURL, "application/octet-stream", &raw)
-	if err != nil {
-		t.Fatal(err)
+	postRaw := func(query string) *http.Response {
+		t.Helper()
+		url := fmt.Sprintf("%s/multiply?m=%d&k=%d&n=%d&procs=4&%s", srv.URL, n, n, n, query)
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(raw.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	for name, resp := range map[string]*http.Response{"json": post("strassen"), "raw": rawResp} {
+	for name, resp := range map[string]*http.Response{"json": post("strassen", retired), "raw": postRaw("algorithm=strassen")} {
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
@@ -108,22 +117,39 @@ func TestHTTPMultiplyStrassen(t *testing.T) {
 		}
 	}
 
-	resp := post("summa")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d: %s", resp.StatusCode, msg)
+	read := func(resp *http.Response) []byte {
+		t.Helper()
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		return body
 	}
-	var res jsonResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
+	decode := func(body []byte) jsonResult {
+		t.Helper()
+		var res jsonResult
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	got := matrix.FromSlice(n, n, res.C)
-	if d := matrix.MaxAbsDiff(got, reference(a, b)); d > oracleTol {
-		t.Fatalf("summa + local strassen HTTP product differs from oracle by %g", d)
+	plain, old := decode(read(post("summa", nil))), decode(read(post("summa", retired)))
+	if d := matrix.MaxAbsDiff(matrix.FromSlice(n, n, plain.C), reference(a, b)); d > oracleTol {
+		t.Fatalf("summa HTTP product differs from oracle by %g", d)
 	}
-	if res.Stats.SpecKey == "" || !strings.Contains(res.Stats.SpecKey, "|ls=8") {
-		t.Fatalf("spec key %q does not carry the local kernel", res.Stats.SpecKey)
+	for i := range plain.C {
+		if math.Float64bits(old.C[i]) != math.Float64bits(plain.C[i]) {
+			t.Fatalf("json: retired members changed c[%d]: %v vs %v", i, old.C[i], plain.C[i])
+		}
+	}
+	if old.Stats.SpecKey != plain.Stats.SpecKey || strings.Contains(old.Stats.SpecKey, "|ls=") {
+		t.Fatalf("json: retired members changed the spec key: %q vs %q", old.Stats.SpecKey, plain.Stats.SpecKey)
+	}
+	plainRaw := read(postRaw("algorithm=summa&block_size=16"))
+	oldRaw := read(postRaw("algorithm=summa&block_size=16&local_strassen=true&strassen_cutoff=4"))
+	if !bytes.Equal(oldRaw, plainRaw) {
+		t.Fatal("raw: retired query parameters changed the product")
 	}
 }
 

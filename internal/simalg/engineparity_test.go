@@ -99,14 +99,10 @@ func paritySpecs(t *testing.T) map[string]engine.Spec {
 		"cannon": {Algorithm: engine.Cannon, Opts: core.Options{N: n, Grid: g}},
 		"fox": {Algorithm: engine.Fox, Opts: core.Options{
 			N: n, Grid: g, Knobs: core.Knobs{Broadcast: sched.VanDeGeijn}}},
-		// The sub-cubic local kernel (its flops charged from the cutoff the
-		// event engine packs into each Gemm event), recursing on every
-		// rank-local update — 24×24×24 under SUMMA, 24×12×24 under
-		// threaded HSUMMA — above the cutoff of 8.
-		"strassen": {Algorithm: engine.SUMMA, Opts: core.Options{
-			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 24, LocalStrassen: true, StrassenCutoff: 8}}},
-		"strassen_hsumma": {Algorithm: engine.HSUMMA, Opts: core.Options{
-			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 12, OuterBlockSize: 24, Threads: 2, LocalStrassen: true, StrassenCutoff: 8}, Groups: h}},
+		// Threaded ranks: the event engine carries the thread budget in
+		// each Gemm event and must divide by the same Speedup(2).
+		"hsumma_threads": {Algorithm: engine.HSUMMA, Opts: core.Options{
+			N: n, Grid: g, Knobs: core.Knobs{BlockSize: 12, OuterBlockSize: 24, Threads: 2}, Groups: h}},
 	}
 }
 

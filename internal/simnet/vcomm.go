@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/blas"
 	"repro/internal/comm"
 	"repro/internal/machine"
 	"repro/internal/matrix"
@@ -599,25 +600,24 @@ func (c *VComm) Pack(dst *comm.Panel, src *matrix.Dense) { comm.CheckPack(dst, s
 func (c *VComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, src, i, j) }
 
 // Gemm advances the rank's compute state by the local update's flop count
-// — x.Flops(m,n,k): 2·m·k·n classically, blas.StrassenFlops under the
-// sub-cubic kernel — divided by the intra-rank parallel-efficiency curve
-// machine.Speedup(x.Threads), the virtual model of the live transport's
-// row-band workers (Speedup(1) is exactly 1, so the division is bitwise
-// neutral for serial ranks and the engines' parity invariant holds
-// unchanged) — on the rank's one clock, as the paper's non-overlapped
-// implementation spends it. Like SendRecv it touches only caller-owned
-// state and takes no lock.
-func (c *VComm) Gemm(cm, a, b *matrix.Dense, x comm.Exec) {
+// — blas.FlopsGemm(m,n,k) = 2·m·n·k — divided by the intra-rank
+// parallel-efficiency curve machine.Speedup(threads), the virtual model of
+// the live transport's row-band workers (Speedup(1) is exactly 1, so the
+// division is bitwise neutral for serial ranks and the engines' parity
+// invariant holds unchanged) — on the rank's one clock, as the paper's
+// non-overlapped implementation spends it. Like SendRecv it touches only
+// caller-owned state and takes no lock.
+func (c *VComm) Gemm(cm, a, b *matrix.Dense, threads int) {
 	if a.Cols != b.Rows || cm.Rows != a.Rows || cm.Cols != b.Cols {
 		panic(fmt.Sprintf("simnet: gemm shape mismatch C(%dx%d) += A(%dx%d)*B(%dx%d)",
 			cm.Rows, cm.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	flops := x.Flops(a.Rows, b.Cols, a.Cols) / machine.Speedup(x.Threads)
+	flops := blas.FlopsGemm(a.Rows, b.Cols, a.Cols) / machine.Speedup(threads)
 	w := c.w
 	me := c.WorldRank()
 	pre := w.sim.clocks[me]
 	w.sim.ComputeRank(me, flops)
 	if rec := w.cfg.Trace; rec != nil {
-		rec.RankThreads(me, trace.PhaseGemm, pre, w.sim.clocks[me]-pre, x.Threads)
+		rec.RankThreads(me, trace.PhaseGemm, pre, w.sim.clocks[me]-pre, threads)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/machine"
 	"repro/internal/sched"
 )
@@ -66,7 +65,7 @@ func TestVCommDeterministic(t *testing.T) {
 			prev := (c.Rank() + c.Size() - 1) % c.Size()
 			c.SendRecv(next, 9, c.NewPanel(1, 77), prev, 9, c.NewPanel(1, 77))
 			if c.Rank()%2 == 0 {
-				c.Gemm(c.NewTile(4, 4), c.NewTile(4, 8), c.NewTile(8, 4), comm.Serial)
+				c.Gemm(c.NewTile(4, 4), c.NewTile(4, 8), c.NewTile(8, 4), 1)
 			}
 		})
 		if err != nil {

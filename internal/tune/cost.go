@@ -97,14 +97,8 @@ func (s *scorer) phases(spec engine.Spec) (bcast, shift, gemm float64) {
 	// parallel-efficiency curve — the same factor the virtual engines
 	// charge, so analytic and simulated rankings agree on the hybrid
 	// trade-off. Speedup(1) is exactly 1, leaving serial scores bitwise
-	// unchanged. Specs running the sub-cubic local kernel charge the flops
-	// the virtual transports would — the historical 2MNK/p expression is
-	// kept bitwise intact for everything else.
-	if o.LocalStrassen {
-		gemm = s.localKernelCompute(spec)
-	} else {
-		gemm = s.m.Compute(2 * float64(sh.M) * N * float64(sh.K) / p / machine.Speedup(o.Threads))
-	}
+	// unchanged.
+	gemm = s.m.Compute(2 * float64(sh.M) * N * float64(sh.K) / p / machine.Speedup(o.Threads))
 	return bcast, shift, gemm
 }
 
@@ -124,27 +118,4 @@ func (s *scorer) predictPhases(spec engine.Spec) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// localKernelCompute charges a classic algorithm's local multiplies
-// through the sub-cubic kernel descriptor: the same per-step flop counts
-// the virtual transports record, so the analytic ranking sees the local
-// kernel's win exactly where the simulation does.
-func (s *scorer) localKernelCompute(spec engine.Spec) float64 {
-	o, sh := spec.Opts, spec.Shape()
-	x := o.Exec()
-	var flops float64
-	switch spec.Algorithm {
-	case engine.Cannon, engine.Fox:
-		q := o.Grid.S
-		t := sh.N / q
-		flops = float64(q) * x.Flops(t, t, t)
-	default: // SUMMA family: K/b rank-b updates of the (M/S)×(N/T) tile
-		b := o.BlockSize
-		if b <= 0 {
-			b = 1
-		}
-		flops = float64(sh.K/b) * x.Flops(sh.M/o.Grid.S, sh.N/o.Grid.T, b)
-	}
-	return s.m.Compute(flops / machine.Speedup(o.Threads))
 }

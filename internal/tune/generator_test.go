@@ -230,7 +230,7 @@ func parentCandidates(req Request) []Candidate {
 			}
 		}
 	}
-	return append(out, localKernelVariants(sh, out)...)
+	return out
 }
 
 func parentGroupCandidates(g topo.Grid, quick bool) []int {

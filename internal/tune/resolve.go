@@ -55,10 +55,6 @@ type ResolveParams struct {
 	// engine.Auto, 0 lets the planner choose (currently 1 unless the
 	// request carries a core budget).
 	Threads int
-	// LocalStrassen runs the sub-cubic rank-local kernel under any
-	// algorithm; StrassenCutoff is its recursion cutoff (0 = blas default).
-	LocalStrassen  bool
-	StrassenCutoff int
 	// Platform names the machine the planner tunes for under
 	// engine.Auto (nil = the Grid'5000 preset). Ignored otherwise.
 	Platform *machine.Platform
@@ -72,8 +68,6 @@ func (rp ResolveParams) Knobs() core.Knobs {
 		OuterBlockSize: rp.OuterBlockSize,
 		Broadcast:      rp.Broadcast,
 		Threads:        rp.Threads,
-		LocalStrassen:  rp.LocalStrassen,
-		StrassenCutoff: rp.StrassenCutoff,
 	}
 }
 
@@ -84,8 +78,6 @@ func (rp *ResolveParams) SetKnobs(k core.Knobs) {
 	rp.OuterBlockSize = k.OuterBlockSize
 	rp.Broadcast = k.Broadcast
 	rp.Threads = k.Threads
-	rp.LocalStrassen = k.LocalStrassen
-	rp.StrassenCutoff = k.StrassenCutoff
 }
 
 // ResolveSpec resolves the parameters into the padded execution spec both

@@ -28,7 +28,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/machine"
@@ -243,9 +242,6 @@ func (c Candidate) String() string {
 	if c.Threads > 1 {
 		s += fmt.Sprintf(" t=%d", c.Threads)
 	}
-	if c.LocalStrassen {
-		s += " local-strassen"
-	}
 	return s
 }
 
@@ -448,7 +444,7 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 			}
 		}
 	}
-	return append(out, localKernelVariants(sh, out)...)
+	return out
 }
 
 // hierarchies is the planner's one generator of SUMMA-family candidates:
@@ -547,29 +543,6 @@ func fits(c Candidate, sh matrix.Shape) bool {
 		spec.Opts.Shape.K = sh.K
 	}
 	return spec.Validate() == nil
-}
-
-// localKernelVariants duplicates candidates with the sub-cubic rank-local
-// kernel enabled — but only where the kernel can actually win: every
-// dimension of the rank-local multiplies (tile extents and the panel
-// width) must exceed the Strassen crossover, otherwise StrassenGemm falls
-// straight through to the classic kernel and the variant would only
-// double the search space.
-func localKernelVariants(sh matrix.Shape, cands []Candidate) []Candidate {
-	var out []Candidate
-	for _, c := range cands {
-		minDim := minTileExtent(sh, c.Grid)
-		if c.BlockSize > 0 && c.BlockSize < minDim {
-			minDim = c.BlockSize
-		}
-		if minDim <= blas.DefaultStrassenCutoff {
-			continue
-		}
-		v := c
-		v.LocalStrassen = true
-		out = append(out, v)
-	}
-	return out
 }
 
 // gridDivides reports the SUMMA-family layout constraint: every operand's

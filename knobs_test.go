@@ -18,8 +18,6 @@ func knobValue(t *testing.T, f reflect.StructField, i int) reflect.Value {
 	switch f.Type.Kind() {
 	case reflect.Int:
 		v.SetInt(int64(2 + i)) // distinct per knob: a copy line wired to the wrong field shows
-	case reflect.Bool:
-		v.SetBool(true)
 	case reflect.String:
 		v.SetString(string(BcastVanDeGeijn))
 	default:
@@ -38,8 +36,9 @@ func knobValue(t *testing.T, f reflect.StructField, i int) reflect.Value {
 // planning surface an Overlap field: the paper's SUMMA and HSUMMA, and the
 // live runtime, do not overlap communication with computation. Nor may any
 // grow the distributed Strassen recursion's StrassenLevels or
-// StrassenInnerGroups back: Strassen is a rank-local kernel
-// (LocalStrassen), not a distribution.
+// StrassenInnerGroups back, or the rank-local Strassen kernel's
+// LocalStrassen or StrassenCutoff: every local update is the packed GEMM
+// the paper's algorithms run.
 func TestKnobSurfacesAgree(t *testing.T) {
 	// Segments left with the chain broadcast; it must not come back as a
 	// knob (sched.Schedule.Segments, one schedule's segment count, stays).
@@ -56,7 +55,12 @@ func TestKnobSurfacesAgree(t *testing.T) {
 	for _, surface := range []any{core.Knobs{}, Config{}, SimConfig{}, tune.ResolveParams{}} {
 		for _, name := range []string{"StrassenLevels", "StrassenInnerGroups"} {
 			if _, ok := reflect.TypeOf(surface).FieldByName(name); ok {
-				t.Errorf("%T has a %s field: Strassen is a rank-local kernel, not a distribution", surface, name)
+				t.Errorf("%T has a %s field: Strassen is not a distribution", surface, name)
+			}
+		}
+		for _, name := range []string{"LocalStrassen", "StrassenCutoff"} {
+			if _, ok := reflect.TypeOf(surface).FieldByName(name); ok {
+				t.Errorf("%T has a %s field: the local Strassen kernel lost to the packed kernel and was deleted", surface, name)
 			}
 		}
 	}

@@ -53,12 +53,7 @@ type SimConfig struct {
 	// flops / Speedup(Threads). 0 and 1 both mean serial ranks and leave
 	// virtual times bitwise unchanged.
 	Threads int
-	// LocalStrassen runs the rank-local sub-cubic kernel under any
-	// algorithm; the virtual engines charge its reduced flop count.
-	// StrassenCutoff is the kernel's recursion cutoff (0 = blas default).
-	LocalStrassen  bool
-	StrassenCutoff int
-	Machine        Machine
+	Machine Machine
 	// Contention enables the platform's link-sharing model (needs
 	// Platform set) — an ablation beyond the paper's congestion-free
 	// assumption.
@@ -125,8 +120,6 @@ func (cfg SimConfig) Config() Config {
 		Levels:         cfg.Levels,
 		Broadcast:      cfg.Broadcast,
 		Threads:        cfg.Threads,
-		LocalStrassen:  cfg.LocalStrassen,
-		StrassenCutoff: cfg.StrassenCutoff,
 		Platform:       cfg.Platform,
 	}
 }
