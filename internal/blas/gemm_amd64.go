@@ -12,4 +12,4 @@ var useFMAKernel = cpuHasAVXFMA()
 func cpuHasAVXFMA() bool
 
 //go:noescape
-func kernelFMA(kc int, ap, bp, ct *float64, ldc int)
+func kernelFMA(kc int, ap, bp, ct *float64, ldc, tiles, apStride int)

@@ -1,13 +1,17 @@
 // AVX2+FMA micro-kernel for the packed GEMM path, plus the CPUID probe
-// that gates it. The kernel contracts one packed mr×kc A micropanel (6 rows)
-// against one packed kc×nr B micropanel (8 columns) and adds the 6×8
-// product into the C micro-tile. The twelve accumulators Y0..Y11 hold the
-// tile, two ymm registers per C row; each k step loads the B row once (two
-// loads) and broadcasts the six A values, 8 loads for 12 FMAs. Each C
-// element keeps one accumulation chain over k — no split into partial
-// sums — so its rounding depends only on (i, j, k). Edge tiles come here
-// too: the caller points ct at a zeroed 6×8 stack tile (ldc = 8) and adds
-// the valid part into C itself.
+// that gates it. The kernel runs down a column of C tiles: for each of
+// `tiles` tiles it contracts one packed mr×kc A micro-panel (6 rows; the
+// next tile's is apStride elements on) against the same packed kc×nr B
+// strip (8 columns) and adds the 6×8 product into the C tile, the next
+// tile being 6 rows further down C. The twelve accumulators Y0..Y11 hold
+// the tile, two ymm registers per C row; each k step loads the B row once
+// (two loads) and broadcasts the six A values, 8 loads for 12 FMAs. Each
+// C element keeps one accumulation chain over k — no split into partial
+// sums — so its rounding depends only on (i, j, k). At each tile's entry
+// the kernel prefetches the tile's six C rows, which it reads only after
+// the kc steps. Edge tiles come here too, one at a time: the caller points
+// ct at a zeroed 6×8 stack tile (ldc = 8) and adds the valid part into C
+// itself.
 
 #include "textflag.h"
 
@@ -65,14 +69,37 @@ no:
 	VMOVUPD hi, 32(DX); \
 	ADDQ    R8, DX
 
-// func kernelFMA(kc int, ap, bp, ct *float64, ldc int)
-TEXT ·kernelFMA(SB), NOSPLIT, $0-40
-	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ ct+24(FP), DX
+// PFROW prefetches both cache lines the 8-element C row at DX can span and
+// steps DX to the next row.
+#define PFROW \
+	PREFETCHT0 (DX); \
+	PREFETCHT0 56(DX); \
+	ADDQ       R8, DX
+
+// func kernelFMA(kc int, ap, bp, ct *float64, ldc, tiles, apStride int)
+TEXT ·kernelFMA(SB), NOSPLIT, $0-56
+	MOVQ kc+0(FP), BX
+	MOVQ ap+8(FP), R11   // A micro-panel of the current tile
+	MOVQ bp+16(FP), R12
+	MOVQ ct+24(FP), R13  // top-left corner of the current C tile
 	MOVQ ldc+32(FP), R8
 	SHLQ $3, R8          // C row stride in bytes
+	MOVQ tiles+40(FP), R9
+	MOVQ apStride+48(FP), R10
+	SHLQ $3, R10         // A micro-panel stride in bytes
+
+tile:
+	MOVQ R13, DX
+	PFROW
+	PFROW
+	PFROW
+	PFROW
+	PFROW
+	PFROW
+	MOVQ R13, DX
+	MOVQ R11, SI
+	MOVQ R12, DI
+	MOVQ BX, CX
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -117,5 +144,9 @@ store:
 	ADDROW(Y6, Y7)
 	ADDROW(Y8, Y9)
 	ADDROW(Y10, Y11)
+	MOVQ DX, R13         // the next tile starts on the row below
+	ADDQ R10, R11
+	DECQ R9
+	JNZ  tile
 	VZEROUPPER
 	RET

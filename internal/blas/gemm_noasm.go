@@ -7,6 +7,6 @@ package blas
 // build everywhere.
 var useFMAKernel = false
 
-func kernelFMA(kc int, ap, bp, ct *float64, ldc int) {
+func kernelFMA(kc int, ap, bp, ct *float64, ldc, tiles, apStride int) {
 	panic("blas: fma kernel unavailable")
 }

@@ -193,19 +193,56 @@ func BenchmarkGemm256(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmPanel times live_compute's per-step local multiply — SUMMA
-// 1×2 at n=1024, b=256: each rank adds A 1024×256 · B 256×512 into a
-// 1024×512 view of its C — and reports the kernel's rate in GFLOP/s.
+// BenchmarkGemmPanel times a rank's per-step local multiply as the live
+// transport runs it — GemmPanels on panels packed once, outside the loop —
+// at the two live workloads' shapes, and reports the kernel's rate in
+// GFLOP/s (BenchmarkKernelPeak is the denominator):
+//
+//   - live_compute, SUMMA 1×2 at n=1024, b=256: C 1024×512 view += A
+//     1024×256 · B 256×512;
+//   - live_comm, HSUMMA 4×4 at n=512, b=32: C 128×128 view of the
+//     512-wide product += A 128×32 · B 32×128.
 func BenchmarkGemmPanel(b *testing.B) {
-	a := matrix.Random(1024, 256, 1)
-	bb := matrix.Random(256, 512, 2)
-	c := matrix.New(1024, 1024).View(0, 256, 1024, 512)
-	b.ReportAllocs()
+	for _, sh := range []struct {
+		name         string
+		m, n, k, ldc int
+	}{
+		{"live_compute", 1024, 512, 256, 1024},
+		{"live_comm", 128, 128, 32, 512},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			ap := make([]float64, sh.m*sh.k)
+			bp := make([]float64, sh.k*sh.n)
+			PackLHS(ap, matrix.Random(sh.m, sh.k, 1))
+			PackRHS(bp, matrix.Random(sh.k, sh.n, 2))
+			c := matrix.New(sh.m, sh.ldc).View(0, sh.ldc-sh.n, sh.m, sh.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				GemmPanels(c, ap, bp, sh.k, 1)
+			}
+			b.ReportMetric(FlopsGemm(sh.m, sh.n, sh.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
+// BenchmarkKernelPeak is the roofline probe: the micro-kernel's 6×8 chain
+// with its operands resident in L1 (a kc=256 micro-panel and strip, 28 KB)
+// and its accumulators in registers, run down a column of tiles that all
+// reuse them. It reports GFLOP/s, the rate no packed GEMM on this host can
+// beat.
+func BenchmarkKernelPeak(b *testing.B) {
+	const kc, tiles = 256, 16
+	ap := make([]float64, kc*mr)
+	bp := make([]float64, kc*nr)
+	copy(ap, matrix.Random(1, kc*mr, 1).Data)
+	copy(bp, matrix.Random(1, kc*nr, 2).Data)
+	c := make([]float64, tiles*mr*nr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(c, a, bb)
+		microKernel(kc, ap, bp, c, nr, tiles, 0)
 	}
-	b.ReportMetric(FlopsGemm(1024, 512, 256)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	b.ReportMetric(FlopsGemm(tiles*mr, nr, kc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 func BenchmarkParallelGemm256(b *testing.B) {
@@ -351,6 +388,37 @@ func TestParallelGemmCutoffMatchesGemm(t *testing.T) {
 	ParallelGemm(got, a, b, 8)
 	if !matrix.Equal(got, want) {
 		t.Fatal("cutoff path differs bitwise from Gemm")
+	}
+}
+
+// The panel path and the row-major path are one macro loop over the same
+// packed layout: under each kernel, GemmPanels on panels packed by
+// PackLHS/PackRHS (compact tails) equals Gemm on the row-major operands
+// (zero-padded blocks) bit for bit, serial and banded, on ragged shapes
+// that cross the mc, kc and nc blocks.
+func TestGemmPanelsMatchGemm(t *testing.T) {
+	forEachKernel(t, testGemmPanelsMatchGemm)
+}
+
+func testGemmPanelsMatchGemm(t *testing.T) {
+	shapes := [][3]int{{1, 1, 1}, {5, 7, 3}, {13, 11, 20}, {6, 8, 256}, {29, 27, 257},
+		{2*mcBlock + 7, 61, 300}, {150, 43, 513}, {7, ncBlock + 11, 9}}
+	for _, d := range shapes {
+		m, n, k := d[0], d[1], d[2]
+		a := matrix.Random(m, k, uint64(m+k))
+		b := matrix.Random(k, n, uint64(n+k))
+		want := matrix.New(m, n)
+		Gemm(want, a, b)
+		ap, bp := make([]float64, m*k), make([]float64, k*n)
+		PackLHS(ap, a)
+		PackRHS(bp, b)
+		for _, threads := range []int{1, 3} {
+			got := matrix.New(m, n)
+			GemmPanels(got, ap, bp, k, threads)
+			if !matrix.Equal(got, want) {
+				t.Fatalf("GemmPanels(%d,%d,%d) threads=%d differs bitwise from Gemm", m, n, k, threads)
+			}
+		}
 	}
 }
 

@@ -28,6 +28,16 @@
 // entirely: a simulated 16384-rank run allocates shape headers, not
 // gigabytes of tiles.
 //
+// A panel feeds one side of the local update, its Role: an LHS panel is
+// rows×width, a column panel of A, and an RHS panel is width×cols, a row
+// panel of B; the width is the contraction depth k. On the live transport
+// Panel.Tile.Data does not hold the panel row-major: it holds the
+// micro-kernel's packed micro-panels (blas.PackLHS, blas.PackRHS). The
+// rank that owns a panel packs it once, in Pack, the broadcast ships those
+// bytes, and every receiver's Gemm multiplies them where they are. That is
+// also why Repack windows run along k only: such a window is one
+// contiguous run per micro-panel.
+//
 // # Data-plane contract
 //
 // Everything that travels is a Panel: a rows×cols tile that is its own
@@ -65,16 +75,31 @@ import (
 	"repro/internal/sched"
 )
 
+// Role is the side of the local update C += A·B a panel feeds.
+type Role uint8
+
+const (
+	// LHS is a rows×k panel of A.
+	LHS Role = iota
+	// RHS is a k×cols panel of B.
+	RHS
+)
+
 // Panel is a tile that is its own wire buffer: the pivot panels of the
 // SUMMA family, the rotating tiles of Cannon and Fox. See the package
 // comment for who may read and write it when.
 type Panel struct {
-	// Tile is the panel as a matrix. Under the live transport Tile.Data
-	// holds the elements once the panel has been packed or received into
-	// (nil before); under a virtual transport it is always nil and only
-	// the shape travels — the Hockney cost and the traffic accounting
-	// depend on Rows·Cols alone.
+	// Tile is the panel's shape and storage. Under the live transport
+	// Tile.Data holds the Rows·Cols elements in the kernel's packed layout
+	// for Role once the panel has been packed or received into (nil
+	// before) — not row-major, so Tile.At is only meaningful where every
+	// element is equal; under a virtual transport it is always nil and
+	// only the shape travels — the Hockney cost and the traffic
+	// accounting depend on Rows·Cols alone.
 	Tile matrix.Dense
+	// Role is the side of the product the panel feeds; it fixes the
+	// packed layout and which dimension is the depth.
+	Role Role
 	// Ref belongs to the transport that allocated the panel: the live
 	// transport keeps its handle on the (possibly shared) storage behind
 	// Tile.Data here. Algorithms never touch it.
@@ -83,6 +108,21 @@ type Panel struct {
 
 // Elems returns the panel's element count, its size on the wire.
 func (p *Panel) Elems() int { return p.Tile.Rows * p.Tile.Cols }
+
+// Depth returns the panel's extent along the contraction: its columns as
+// an LHS panel, its rows as an RHS one.
+func (p *Panel) Depth() int {
+	if p.Role == LHS {
+		return p.Tile.Cols
+	}
+	return p.Tile.Rows
+}
+
+// Header returns an empty rows×cols panel for role: what every
+// transport's NewPanel starts from.
+func Header(rows, cols int, role Role) Panel {
+	return Panel{Tile: matrix.Dense{Rows: rows, Cols: cols, Stride: cols}, Role: role}
+}
 
 // Comm is a communicator: an ordered group of ranks with an isolated
 // message namespace, plus the data-plane hooks that let a transport decide
@@ -114,25 +154,28 @@ type Comm interface {
 	// place from p segments.
 	Bcast(alg sched.Algorithm, root int, p *Panel)
 
-	// NewPanel allocates an empty rows×cols panel.
-	NewPanel(rows, cols int) *Panel
+	// NewPanel allocates an empty rows×cols panel feeding role's side of
+	// Gemm.
+	NewPanel(rows, cols int, role Role) *Panel
 	// NewTile allocates a zeroed rows×cols local matrix that never
 	// travels (accumulators, scratch).
 	NewTile(rows, cols int) *matrix.Dense
-	// Pack fills the panel from a tile (or view) of the same shape.
+	// Pack fills the panel from a tile (or view) of the same shape, in
+	// the layout of the panel's role.
 	Pack(dst *Panel, src *matrix.Dense)
-	// Repack fills dst from the dst-shaped window of src rooted at (i,j).
+	// Repack fills dst from the window of src that starts off along k and
+	// is dst's depth deep; the two share a role and the other dimension.
 	// When the window is all of src (HSUMMA with B = b: the inner panel
 	// *is* the outer panel) dst takes over src's contents by reference
 	// instead of copying them.
-	Repack(dst, src *Panel, i, j int)
-	// Gemm performs the local update C += A·B on a budget of threads
-	// goroutines (the Go analog of OpenMP threads inside an MPI process;
-	// values ≤ 1 mean serial): real packed arithmetic on the live
-	// transport, a compute-clock advance of blas.FlopsGemm(m,n,k) scaled
-	// by the shared parallel-efficiency curve (machine.Speedup) on the
-	// virtual ones.
-	Gemm(c, a, b *matrix.Dense, threads int)
+	Repack(dst, src *Panel, off int)
+	// Gemm performs the local update C += A·B, a an LHS panel and b an
+	// RHS one, on a budget of threads goroutines (the Go analog of OpenMP
+	// threads inside an MPI process; values ≤ 1 mean serial): real packed
+	// arithmetic on the live transport, a compute-clock advance of
+	// blas.FlopsGemm(m,n,k) scaled by the shared parallel-efficiency curve
+	// (machine.Speedup) on the virtual ones.
+	Gemm(c *matrix.Dense, a, b *Panel, threads int)
 }
 
 // CheckPack panics unless src's shape is dst's — shared by the transports
@@ -143,12 +186,27 @@ func CheckPack(dst *Panel, src *matrix.Dense) {
 	}
 }
 
-// CheckRepack panics unless the dst-shaped window rooted at (i,j) lies
-// inside src.
-func CheckRepack(dst, src *Panel, i, j int) {
+// CheckRepack panics unless dst is a window of src along k: the same role
+// and other dimension, and depth [off, off+dst.Depth()) inside src's.
+func CheckRepack(dst, src *Panel, off int) {
 	d, s := &dst.Tile, &src.Tile
-	if i < 0 || j < 0 || i+d.Rows > s.Rows || j+d.Cols > s.Cols {
-		panic(fmt.Sprintf("comm: repack %dx%d window at (%d,%d) outside %dx%d panel", d.Rows, d.Cols, i, j, s.Rows, s.Cols))
+	same := d.Rows == s.Rows
+	if dst.Role == RHS {
+		same = d.Cols == s.Cols
+	}
+	if dst.Role != src.Role || !same || off < 0 || off+dst.Depth() > src.Depth() {
+		panic(fmt.Sprintf("comm: repack %dx%d panel (role %d) at depth %d from %dx%d panel (role %d)",
+			d.Rows, d.Cols, dst.Role, off, s.Rows, s.Cols, src.Role))
+	}
+}
+
+// CheckGemm panics unless C += A·B is well-formed: a an LHS panel, b an
+// RHS one, of matching shapes.
+func CheckGemm(c *matrix.Dense, a, b *Panel) {
+	at, bt := &a.Tile, &b.Tile
+	if a.Role != LHS || b.Role != RHS || at.Cols != bt.Rows || c.Rows != at.Rows || c.Cols != bt.Cols {
+		panic(fmt.Sprintf("comm: gemm shape mismatch C(%dx%d) += A(%dx%d, role %d)*B(%dx%d, role %d)",
+			c.Rows, c.Cols, at.Rows, at.Cols, a.Role, bt.Rows, bt.Cols, b.Role))
 	}
 }
 

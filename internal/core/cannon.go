@@ -43,16 +43,13 @@ func Cannon(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 	if err != nil {
 		return err
 	}
-	i, j := o.Grid.Coords(c.Rank())
-	if q == 1 {
-		c.Gemm(cLoc, aLoc, bLoc, o.Threads)
-		return nil
-	}
 	g := o.Grid
-	// The rotations work on panels holding copies of the tiles; a rotation
-	// hands the panel's storage on and takes the neighbour's.
-	a := c.NewPanel(tile, tile)
-	b := c.NewPanel(tile, tile)
+	i, j := g.Coords(c.Rank())
+	// The local update multiplies panels, so the tiles are packed into
+	// panels even when q = 1 leaves nothing to rotate; a rotation hands
+	// the panel's storage on and takes the neighbour's.
+	a := c.NewPanel(tile, tile, comm.LHS)
+	b := c.NewPanel(tile, tile, comm.RHS)
 	c.Pack(a, aLoc)
 	c.Pack(b, bLoc)
 	// Initial alignment: A_{i,j} moves to (i, j-i); B_{i,j} to (i-j, j).
@@ -63,7 +60,7 @@ func Cannon(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 		c.SendRecv(g.Rank(mod(i-j, q), j), 1, b, g.Rank(mod(i+j, q), j), 1, b)
 	}
 	for step := 0; step < q; step++ {
-		c.Gemm(cLoc, &a.Tile, &b.Tile, o.Threads)
+		c.Gemm(cLoc, a, b, o.Threads)
 		if step == q-1 {
 			break
 		}
@@ -89,12 +86,9 @@ func Fox(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 	g := o.Grid
 	i, j := g.Coords(c.Rank())
 	rowComm := c.Split(i, j)
-	if q == 1 {
-		c.Gemm(cLoc, aLoc, bLoc, o.Threads)
-		return nil
-	}
-	aPanel := c.NewPanel(tile, tile)
-	b := c.NewPanel(tile, tile)
+	// With q = 1 the row broadcast has one member and moves nothing.
+	aPanel := c.NewPanel(tile, tile, comm.LHS)
+	b := c.NewPanel(tile, tile, comm.RHS)
 	c.Pack(b, bLoc)
 	for k := 0; k < q; k++ {
 		root := (i + k) % q
@@ -102,7 +96,7 @@ func Fox(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 			c.Pack(aPanel, aLoc)
 		}
 		rowComm.Bcast(o.Broadcast, root, aPanel)
-		c.Gemm(cLoc, &aPanel.Tile, &b.Tile, o.Threads)
+		c.Gemm(cLoc, aPanel, b, o.Threads)
 		if k == q-1 {
 			break
 		}

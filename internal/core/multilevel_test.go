@@ -200,15 +200,16 @@ func (s stubComm) Size() int                                             { retur
 func (s stubComm) Split(color, key int) comm.Comm                        { return s }
 func (s stubComm) SendRecv(int, int, *comm.Panel, int, int, *comm.Panel) {}
 func (s stubComm) Bcast(sched.Algorithm, int, *comm.Panel)               {}
-func (s stubComm) NewPanel(rows, cols int) *comm.Panel {
-	return &comm.Panel{Tile: matrix.Dense{Rows: rows, Cols: cols, Stride: cols}}
+func (s stubComm) NewPanel(rows, cols int, role comm.Role) *comm.Panel {
+	p := comm.Header(rows, cols, role)
+	return &p
 }
 func (s stubComm) NewTile(rows, cols int) *matrix.Dense {
 	return &matrix.Dense{Rows: rows, Cols: cols, Stride: cols}
 }
-func (s stubComm) Pack(*comm.Panel, *matrix.Dense)           { *s.packs++ }
-func (s stubComm) Repack(*comm.Panel, *comm.Panel, int, int) {}
-func (s stubComm) Gemm(_, _, _ *matrix.Dense, _ int)         {}
+func (s stubComm) Pack(*comm.Panel, *matrix.Dense)                   { *s.packs++ }
+func (s stubComm) Repack(*comm.Panel, *comm.Panel, int)              {}
+func (s stubComm) Gemm(*matrix.Dense, *comm.Panel, *comm.Panel, int) {}
 
 // The loop's bookkeeping is allocated once per run, never per step: beyond
 // the one view header per panel a rank packs from its tile (as in every

@@ -178,8 +178,8 @@ func pivotLoop(c comm.Comm, opts *Options, levels []Level, aLoc, bLoc, cLoc *mat
 		// share a colour; the rank inside the communicator is the digit.
 		st.aComm = c.Split(i*g.T+j/(strideT*st.J)*strideT+j%strideT, st.myJ)
 		st.bComm = c.Split(j*g.S+i/(strideS*st.I)*strideS+i%strideS, st.myI)
-		st.aPanel = c.NewPanel(aRows, st.width)
-		st.bPanel = c.NewPanel(st.width, bCols)
+		st.aPanel = c.NewPanel(aRows, st.width, comm.LHS)
+		st.bPanel = c.NewPanel(st.width, bCols, comm.RHS)
 	}
 	p.walk(o.Shape.K, aCols, bRows)
 	return nil
@@ -246,7 +246,7 @@ func (p *pivot) walk(K, aCols, bRows int) {
 				if k == 0 {
 					c.Pack(st.aPanel, p.aLoc.View(0, p.aOff, p.aLoc.Rows, st.width))
 				} else {
-					c.Repack(st.aPanel, p.stage(k-1).aPanel, 0, st.off)
+					c.Repack(st.aPanel, p.stage(k-1).aPanel, st.off)
 				}
 			}
 			st.aComm.Bcast(p.bcast, st.aRoot, st.aPanel)
@@ -256,7 +256,7 @@ func (p *pivot) walk(K, aCols, bRows int) {
 				if k == 0 {
 					c.Pack(st.bPanel, p.bLoc.View(p.bOff, 0, st.width, p.bLoc.Cols))
 				} else {
-					c.Repack(st.bPanel, p.stage(k-1).bPanel, st.off, 0)
+					c.Repack(st.bPanel, p.stage(k-1).bPanel, st.off)
 				}
 			}
 			st.bComm.Bcast(p.bcast, st.bRoot, st.bPanel)
@@ -266,7 +266,7 @@ func (p *pivot) walk(K, aCols, bRows int) {
 			p.stage(k).off = 0
 			continue
 		}
-		c.Gemm(p.cLoc, &st.aPanel.Tile, &st.bPanel.Tile, p.threads)
+		c.Gemm(p.cLoc, st.aPanel, st.bPanel, p.threads)
 		// The deepest stage with a sub-panel left moves on to it; when
 		// none has, the next top-level panel is due.
 		for ; k > 0; k-- {

@@ -26,9 +26,9 @@ func TestPointToPointTiming(t *testing.T) {
 	const n = 100
 	prog := func(c comm.Comm) {
 		if c.Rank() == 1 {
-			c.Gemm(c.NewTile(n, n), c.NewTile(n, n), c.NewTile(n, n), 1)
+			c.Gemm(c.NewTile(n, n), c.NewPanel(n, n, comm.LHS), c.NewPanel(n, n, comm.RHS), 1)
 		}
-		c.SendRecv(1-c.Rank(), 7, c.NewPanel(1, 1000), 1-c.Rank(), 7, c.NewPanel(1, 1000))
+		c.SendRecv(1-c.Rank(), 7, c.NewPanel(1, 1000, comm.LHS), 1-c.Rank(), 7, c.NewPanel(1, 1000, comm.LHS))
 	}
 	w := NewWorld(2, testCfg())
 	if err := w.Run(prog); err != nil {
@@ -76,7 +76,7 @@ func TestAlgorithmPanicBecomesError(t *testing.T) {
 			panic("boom")
 		}
 		// The others park in a collective that can never complete.
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10))
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10, comm.LHS))
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want the rank panic, got %v", err)
@@ -94,7 +94,7 @@ func TestBcastMismatchAborts(t *testing.T) {
 		if c.Rank() == 1 {
 			elems = 20
 		}
-		c.Bcast(sched.Binomial, root, c.NewPanel(1, elems))
+		c.Bcast(sched.Binomial, root, c.NewPanel(1, elems, comm.LHS))
 	})
 	if err == nil || !strings.Contains(err.Error(), "bcast mismatch") {
 		t.Fatalf("want bcast mismatch, got %v", err)
@@ -106,11 +106,11 @@ func TestBcastMismatchAborts(t *testing.T) {
 func TestRecvSizeMismatchAborts(t *testing.T) {
 	w := NewWorld(2, testCfg())
 	err := w.Run(func(c comm.Comm) {
-		recv := c.NewPanel(1, 10)
+		recv := c.NewPanel(1, 10, comm.LHS)
 		if c.Rank() == 1 {
-			recv = c.NewPanel(1, 11)
+			recv = c.NewPanel(1, 11, comm.LHS)
 		}
-		c.SendRecv(1-c.Rank(), 0, c.NewPanel(1, 10), 1-c.Rank(), 0, recv)
+		c.SendRecv(1-c.Rank(), 0, c.NewPanel(1, 10, comm.LHS), 1-c.Rank(), 0, recv)
 	})
 	if err == nil || !strings.Contains(err.Error(), "recv buffer") {
 		t.Fatalf("want recv size mismatch, got %v", err)
@@ -123,7 +123,7 @@ func TestStalledReplayDetected(t *testing.T) {
 	w := NewWorld(2, testCfg())
 	err := w.Run(func(c comm.Comm) {
 		if c.Rank() == 1 {
-			c.SendRecv(0, 9, c.NewPanel(1, 4), 0, 9, c.NewPanel(1, 4)) // rank 0 never sends
+			c.SendRecv(0, 9, c.NewPanel(1, 4, comm.LHS), 0, 9, c.NewPanel(1, 4, comm.LHS)) // rank 0 never sends
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
@@ -173,8 +173,8 @@ func TestSymmetryMemoShares(t *testing.T) {
 	err := w.Run(func(c comm.Comm) {
 		row := c.Rank() / cols
 		sub := c.Split(row, c.Rank()%cols)
-		sub.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096))
-		sub.Bcast(sched.Binomial, 2, c.NewPanel(1, 128))
+		sub.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096, comm.LHS))
+		sub.Bcast(sched.Binomial, 2, c.NewPanel(1, 128, comm.LHS))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +195,8 @@ func TestSymmetryMemoShares(t *testing.T) {
 func TestSingleRankWorld(t *testing.T) {
 	w := NewWorld(1, testCfg())
 	err := w.Run(func(c comm.Comm) {
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 5))
-		c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 5, comm.LHS))
+		c.Gemm(c.NewTile(4, 4), c.NewPanel(4, 4, comm.LHS), c.NewPanel(4, 4, comm.RHS), 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,10 +214,10 @@ func TestClassDivergenceIsAnError(t *testing.T) {
 	w := NewWorld(2, testCfg())
 	w.SetClasses([]int{0, 0})
 	err := w.Run(func(c comm.Comm) {
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10))
-		c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), 1)
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10, comm.LHS))
+		c.Gemm(c.NewTile(4, 4), c.NewPanel(4, 4, comm.LHS), c.NewPanel(4, 4, comm.RHS), 1)
 		if c.Rank() == 1 {
-			c.Gemm(c.NewTile(4, 4), c.NewTile(4, 4), c.NewTile(4, 4), 1)
+			c.Gemm(c.NewTile(4, 4), c.NewPanel(4, 4, comm.LHS), c.NewPanel(4, 4, comm.RHS), 1)
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "diverged from its class representative") {
@@ -252,12 +252,12 @@ func TestClassDriftBeyondRingIsAnError(t *testing.T) {
 		// are rank 0 of both their communicators.
 		s1 := c.Split(r%2, r)
 		s2 := c.Split(map[int]int{0: 1, 1: 0, 2: 0, 3: 1}[r], r)
-		panel := c.NewPanel(1, 8)
+		panel := c.NewPanel(1, 8, comm.LHS)
 		switch r {
 		case 0, 1:
 			s1.Bcast(sched.Binomial, 0, panel)
 			for i := 0; i < 2*ringSize; i++ {
-				c.Gemm(c.NewTile(2, 2), c.NewTile(2, 2), c.NewTile(2, 2), 1)
+				c.Gemm(c.NewTile(2, 2), c.NewPanel(2, 2, comm.LHS), c.NewPanel(2, 2, comm.RHS), 1)
 			}
 			s2.Bcast(sched.Binomial, 0, panel)
 		case 2:
@@ -290,9 +290,9 @@ func TestFollowerLateSplitReplays(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 		s2 := s1.Split(0, -r)
-		s2.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096))
-		c.Gemm(c.NewTile(8, 8), c.NewTile(8, 8), c.NewTile(8, 8), 1)
-		s2.Bcast(sched.Binomial, 1, c.NewPanel(1, 512))
+		s2.Bcast(sched.VanDeGeijn, 0, c.NewPanel(1, 4096, comm.LHS))
+		c.Gemm(c.NewTile(8, 8), c.NewPanel(8, 8, comm.LHS), c.NewPanel(8, 8, comm.RHS), 1)
+		s2.Bcast(sched.Binomial, 1, c.NewPanel(1, 512, comm.LHS))
 	}
 	ref := NewWorld(4, testCfg())
 	if err := runWithin(t, ref, program); err != nil {

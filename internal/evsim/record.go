@@ -287,8 +287,10 @@ func (c *rComm) computeSplit(sg *splitGather) map[int]splitMember {
 // --- Data plane: storage is elided, only shapes are recorded. ---
 
 // NewPanel returns a shape-only panel (nil Data).
-func (c *rComm) NewPanel(rows, cols int) *comm.Panel {
-	return &comm.Panel{Tile: matrix.Dense{Rows: rows, Cols: cols, Stride: cols}}
+func (c *rComm) NewPanel(rows, cols int, role comm.Role) *comm.Panel {
+	p := new(comm.Panel)
+	*p = comm.Header(rows, cols, role)
+	return p
 }
 
 // NewTile returns a shape-only matrix header (nil Data).
@@ -300,19 +302,16 @@ func (c *rComm) NewTile(rows, cols int) *matrix.Dense {
 func (c *rComm) Pack(dst *comm.Panel, src *matrix.Dense) { comm.CheckPack(dst, src) }
 
 // Repack checks the window; no elements move.
-func (c *rComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, src, i, j) }
+func (c *rComm) Repack(dst, src *comm.Panel, off int) { comm.CheckRepack(dst, src, off) }
 
 // Gemm validates shapes and records the local update's dimensions and
 // thread budget. The replay advances the rank's compute state exactly as
 // the goroutine engine's Gemm does, including the machine.Speedup(threads)
 // division.
-func (c *rComm) Gemm(cm, a, b *matrix.Dense, threads int) {
-	if a.Cols != b.Rows || cm.Rows != a.Rows || cm.Cols != b.Cols {
-		panic(fmt.Sprintf("evsim: gemm shape mismatch C(%dx%d) += A(%dx%d)*B(%dx%d)",
-			cm.Rows, cm.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
+func (c *rComm) Gemm(cm *matrix.Dense, a, b *comm.Panel, threads int) {
+	comm.CheckGemm(cm, a, b)
 	c.p.push(event{kind: evGemm,
-		a: ck32("gemm rows", a.Rows), b: ck32("gemm cols", b.Cols), c: ck32("gemm inner dim", a.Cols),
+		a: ck32("gemm rows", a.Tile.Rows), b: ck32("gemm cols", b.Tile.Cols), c: ck32("gemm inner dim", a.Tile.Cols),
 		d: ck32("gemm threads", max(threads, 0))})
 }
 

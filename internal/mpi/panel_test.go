@@ -3,11 +3,13 @@ package mpi
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/comm"
 	"repro/internal/matrix"
 	"repro/internal/sched"
@@ -50,7 +52,7 @@ func TestPanelBcastStalledReceiver(t *testing.T) {
 				var packed atomic.Int64 // steps the root has packed so far
 				err := Run(p, func(c *Comm) {
 					tc := AsComm(c)
-					panel := tc.NewPanel(rows, cols)
+					panel := tc.NewPanel(rows, cols, comm.LHS)
 					src := matrix.New(rows, cols)
 					for s := 0; s < steps; s++ {
 						if c.Rank() == root {
@@ -91,12 +93,12 @@ func TestPanelOwnership(t *testing.T) {
 	err := Run(p, func(c *Comm) {
 		tc := AsComm(c)
 		r := c.Rank()
-		outer, inner := tc.NewPanel(rows, cols), tc.NewPanel(rows, cols)
+		outer, inner := tc.NewPanel(rows, cols, comm.LHS), tc.NewPanel(rows, cols, comm.LHS)
 
 		// Outer → inner by reference, then a segmented broadcast of inner.
 		if r == 0 {
 			tc.Pack(outer, tile(1))
-			tc.Repack(inner, outer, 0, 0)
+			tc.Repack(inner, outer, 0)
 			if held(inner) != held(outer) {
 				panic("full-window Repack copied instead of sharing")
 			}
@@ -113,9 +115,9 @@ func TestPanelOwnership(t *testing.T) {
 		}
 
 		// A partial window copies.
-		half := tc.NewPanel(rows, 2)
+		half := tc.NewPanel(rows, 2, comm.LHS)
 		if r == 0 {
-			tc.Repack(half, outer, 0, 3)
+			tc.Repack(half, outer, 3)
 			filled("window", &half.Tile, 2)
 			if held(half) == held(outer) {
 				panic("partial-window Repack shared storage")
@@ -125,16 +127,102 @@ func TestPanelOwnership(t *testing.T) {
 		// Rotate a panel round the ring twice, repacking after each send:
 		// what a rank receives is what its neighbour held, not what the
 		// neighbour wrote next.
-		ring := tc.NewPanel(rows, cols)
+		ring := tc.NewPanel(rows, cols, comm.LHS)
 		tc.Pack(ring, tile(float64(10+r)))
 		for step := 1; step <= 2; step++ {
 			tc.SendRecv((r+1)%p, 5, ring, (r+p-1)%p, 5, ring)
 			filled("rotation", &ring.Tile, float64(10+(r+p-step)%p))
 		}
-		got := tc.NewPanel(rows, cols)
+		got := tc.NewPanel(rows, cols, comm.LHS)
 		tc.SendRecv((r+1)%p, 6, ring, (r+p-1)%p, 6, got)
 		tc.Pack(ring, tile(-1)) // sender moves on, perhaps before its receiver looks
 		filled("send then repack", &got.Tile, float64(10+(r+p-1+p-2)%p))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// packedCopy returns m in role's packed layout: what a panel packed from
+// m holds on the live transport.
+func packedCopy(role comm.Role, m *matrix.Dense) []float64 {
+	dst := make([]float64, m.Rows*m.Cols)
+	if role == comm.LHS {
+		blas.PackLHS(dst, m)
+	} else {
+		blas.PackRHS(dst, m)
+	}
+	return dst
+}
+
+// TestPanelRepackCompactTails: a k-window Repack of a panel whose last
+// micro-panel or strip is compact — an LHS panel of 13 rows (6+6+1), an
+// RHS panel of 11 columns (8+3) — holds exactly what packing that window
+// of the source tile would, and so does every receiver of its broadcast.
+func TestPanelRepackCompactTails(t *testing.T) {
+	const p, k = 3, 20
+	for _, role := range []comm.Role{comm.LHS, comm.RHS} {
+		src := matrix.Random(13, k, 1)
+		if role == comm.RHS {
+			src = matrix.Random(k, 11, 2)
+		}
+		for _, win := range [][2]int{{0, 7}, {5, 7}, {13, 7}, {19, 1}, {0, k}} {
+			off, w := win[0], win[1]
+			var view *matrix.Dense
+			if role == comm.LHS {
+				view = src.View(0, off, src.Rows, w)
+			} else {
+				view = src.View(off, 0, w, src.Cols)
+			}
+			want := packedCopy(role, view)
+			err := Run(p, func(c *Comm) {
+				tc := AsComm(c)
+				outer := tc.NewPanel(src.Rows, src.Cols, role)
+				inner := tc.NewPanel(view.Rows, view.Cols, role)
+				if c.Rank() == 0 {
+					tc.Pack(outer, src)
+					tc.Repack(inner, outer, off)
+				}
+				tc.Bcast(sched.Binomial, 0, inner)
+				if !slices.Equal(inner.Tile.Data, want) {
+					panic(fmt.Sprintf("rank %d: role %d window (%d,%d) is not the packed window", c.Rank(), role, off, w))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestPanelSegmentedBcastPacked: a Van de Geijn broadcast cuts a packed
+// panel into p segments that straddle micro-panels and strips; every
+// receiver reassembles the root's packed bytes exactly, and multiplying
+// the received panels gives blas.Gemm's product on the row-major tiles,
+// bit for bit.
+func TestPanelSegmentedBcastPacked(t *testing.T) {
+	const p, rows, k, cols = 5, 13, 9, 11
+	a, b := matrix.Random(rows, k, 3), matrix.Random(k, cols, 4)
+	want := matrix.New(rows, cols)
+	blas.Gemm(want, a, b)
+	wantA, wantB := packedCopy(comm.LHS, a), packedCopy(comm.RHS, b)
+	err := Run(p, func(c *Comm) {
+		tc := AsComm(c)
+		ap, bp := tc.NewPanel(rows, k, comm.LHS), tc.NewPanel(k, cols, comm.RHS)
+		if c.Rank() == 1 {
+			tc.Pack(ap, a)
+			tc.Pack(bp, b)
+		}
+		tc.Bcast(sched.VanDeGeijn, 1, ap)
+		tc.Bcast(sched.VanDeGeijn, 1, bp)
+		if !slices.Equal(ap.Tile.Data, wantA) || !slices.Equal(bp.Tile.Data, wantB) {
+			panic(fmt.Sprintf("rank %d: segmented broadcast changed the packed bytes", c.Rank()))
+		}
+		got := tc.NewTile(rows, cols)
+		tc.Gemm(got, ap, bp, 1)
+		if !matrix.Equal(got, want) {
+			panic(fmt.Sprintf("rank %d: product of received panels differs from blas.Gemm", c.Rank()))
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +234,7 @@ func TestPanelOwnership(t *testing.T) {
 func TestEmptyPanelSendAborts(t *testing.T) {
 	err := Run(2, func(c *Comm) {
 		tc := AsComm(c)
-		tc.Bcast(sched.Binomial, 0, tc.NewPanel(2, 2))
+		tc.Bcast(sched.Binomial, 0, tc.NewPanel(2, 2, comm.LHS))
 	})
 	if err == nil || !strings.Contains(err.Error(), "empty panel") {
 		t.Fatalf("expected an empty-panel abort, got %v", err)
@@ -169,7 +257,7 @@ func TestPersistentPanicThenReuse(t *testing.T) {
 	program := func(base float64, failAt int) func(c *Comm) {
 		return func(c *Comm) {
 			tc := AsComm(c)
-			panel := tc.NewPanel(rows, cols)
+			panel := tc.NewPanel(rows, cols, comm.LHS)
 			src := matrix.New(rows, cols)
 			for s := 0; s < 6; s++ {
 				root := s % p

@@ -19,8 +19,9 @@ import (
 // Panels move by reference (see the package comment): a panel's tile
 // aliases a pooled payload that SendRecv and Bcast share with the
 // receivers, which adopt it as their tile, so a pivot panel is written
-// once — by the Pack on its owner — however many ranks end up multiplying
-// with it.
+// once — by the Pack on its owner, straight into the micro-kernel's packed
+// layout — however many ranks end up multiplying with it, and Gemm reads
+// it where it is.
 type Transport struct {
 	c *Comm
 }
@@ -62,8 +63,9 @@ func (t Transport) Bcast(alg sched.Algorithm, root int, p *comm.Panel) {
 
 // NewPanel returns an empty panel; it gets storage when it is first packed
 // or received into, and gives it back when the program ends.
-func (t Transport) NewPanel(rows, cols int) *comm.Panel {
-	p := &comm.Panel{Tile: matrix.Dense{Rows: rows, Cols: cols, Stride: cols}}
+func (t Transport) NewPanel(rows, cols int, role comm.Role) *comm.Panel {
+	p := new(comm.Panel)
+	*p = comm.Header(rows, cols, role)
 	w, wr := t.c.world, t.c.WorldRank()
 	w.panels[wr] = append(w.panels[wr], p)
 	return p
@@ -72,18 +74,28 @@ func (t Transport) NewPanel(rows, cols int) *comm.Panel {
 // NewTile allocates a zeroed local matrix with real storage.
 func (t Transport) NewTile(rows, cols int) *matrix.Dense { return matrix.New(rows, cols) }
 
-// Pack copies the tile's elements into storage only this rank holds.
+// Pack packs the tile into the layout of the panel's role, in storage
+// only this rank holds.
 func (t Transport) Pack(dst *comm.Panel, src *matrix.Dense) {
 	comm.CheckPack(dst, src)
-	src.Pack(writable(dst, false)[:0])
+	if dst.Role == comm.LHS {
+		blas.PackLHS(writable(dst, false), src)
+	} else {
+		blas.PackRHS(writable(dst, false), src)
+	}
 }
 
-// Repack copies the window out of src, or — when the window is all of
-// src — shares src's storage.
-func (t Transport) Repack(dst, src *comm.Panel, i, j int) {
-	comm.CheckRepack(dst, src, i, j)
-	if dst.Tile.Rows != src.Tile.Rows || dst.Tile.Cols != src.Tile.Cols {
-		t.Pack(dst, src.Tile.View(i, j, dst.Tile.Rows, dst.Tile.Cols))
+// Repack copies the window out of src, one run per micro-panel, or — when
+// the window is all of src — shares src's storage.
+func (t Transport) Repack(dst, src *comm.Panel, off int) {
+	comm.CheckRepack(dst, src, off)
+	if dst.Depth() != src.Depth() {
+		from := published(src).data
+		if dst.Role == comm.LHS {
+			blas.WindowLHS(writable(dst, false), from, src.Tile.Rows, src.Depth(), off)
+		} else {
+			blas.WindowRHS(writable(dst, false), from, src.Tile.Cols, src.Depth(), off)
+		}
 		return
 	}
 	pl := published(src)
@@ -92,19 +104,16 @@ func (t Transport) Repack(dst, src *comm.Panel, i, j int) {
 	adopt(dst, pl)
 }
 
-// Gemm performs the real local update C += A·B: the packed kernel
-// serially for threads ≤ 1, goroutine-parallel over write-disjoint C row
-// bands otherwise — each rank's local multiply is the hybrid layer's
-// OpenMP region. The time spent here feeds the rank's GemmSeconds and,
-// when tracing, a compute span — the other half of the paper's
-// comm/compute breakdown.
-func (t Transport) Gemm(c, a, b *matrix.Dense, threads int) {
+// Gemm performs the real local update C += A·B on the packed panels in
+// place: the macro loop serially for threads ≤ 1, goroutine-parallel over
+// write-disjoint C row bands otherwise — each rank's local multiply is the
+// hybrid layer's OpenMP region. The time spent here feeds the rank's
+// GemmSeconds and, when tracing, a compute span — the other half of the
+// paper's comm/compute breakdown.
+func (t Transport) Gemm(c *matrix.Dense, a, b *comm.Panel, threads int) {
+	comm.CheckGemm(c, a, b)
 	start := time.Now()
-	if threads <= 1 {
-		blas.Gemm(c, a, b)
-	} else {
-		blas.ParallelGemm(c, a, b, threads)
-	}
+	blas.GemmPanels(c, a.Tile.Data, b.Tile.Data, a.Tile.Cols, threads)
 	w := t.c.world
 	wr := t.c.WorldRank()
 	dt := time.Since(start).Seconds()

@@ -566,10 +566,10 @@ var panelPool = sync.Pool{New: func() any { return new(comm.Panel) }}
 // they are scratch by construction. panelsMu is setup-phase only: the
 // algorithms allocate their panels before the step loop, so the registry
 // never contends with the communication hot path.
-func (c *VComm) NewPanel(rows, cols int) *comm.Panel {
+func (c *VComm) NewPanel(rows, cols int, role comm.Role) *comm.Panel {
 	w := c.w
 	p := panelPool.Get().(*comm.Panel)
-	*p = comm.Panel{Tile: matrix.Dense{Rows: rows, Cols: cols, Stride: cols}}
+	*p = comm.Header(rows, cols, role)
 	w.panelsMu.Lock()
 	w.panels = append(w.panels, p)
 	w.panelsMu.Unlock()
@@ -597,7 +597,7 @@ func (c *VComm) NewTile(rows, cols int) *matrix.Dense {
 func (c *VComm) Pack(dst *comm.Panel, src *matrix.Dense) { comm.CheckPack(dst, src) }
 
 // Repack checks the window; no elements move.
-func (c *VComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, src, i, j) }
+func (c *VComm) Repack(dst, src *comm.Panel, off int) { comm.CheckRepack(dst, src, off) }
 
 // Gemm advances the rank's compute state by the local update's flop count
 // — blas.FlopsGemm(m,n,k) = 2·m·n·k — divided by the intra-rank
@@ -607,12 +607,9 @@ func (c *VComm) Repack(dst, src *comm.Panel, i, j int) { comm.CheckRepack(dst, s
 // invariant holds unchanged) — on the rank's one clock, as the paper's
 // non-overlapped implementation spends it. Like SendRecv it touches only
 // caller-owned state and takes no lock.
-func (c *VComm) Gemm(cm, a, b *matrix.Dense, threads int) {
-	if a.Cols != b.Rows || cm.Rows != a.Rows || cm.Cols != b.Cols {
-		panic(fmt.Sprintf("simnet: gemm shape mismatch C(%dx%d) += A(%dx%d)*B(%dx%d)",
-			cm.Rows, cm.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	flops := blas.FlopsGemm(a.Rows, b.Cols, a.Cols) / machine.Speedup(threads)
+func (c *VComm) Gemm(cm *matrix.Dense, a, b *comm.Panel, threads int) {
+	comm.CheckGemm(cm, a, b)
+	flops := blas.FlopsGemm(a.Tile.Rows, b.Tile.Cols, a.Tile.Cols) / machine.Speedup(threads)
 	w := c.w
 	me := c.WorldRank()
 	pre := w.sim.clocks[me]

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/machine"
 	"repro/internal/sched"
 )
@@ -20,7 +21,7 @@ func TestVCommBcastMatchesScheduleCost(t *testing.T) {
 	const p, elems = 8, 1000
 	w := NewVWorld(p, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, elems))
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, elems, comm.LHS))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,12 +61,12 @@ func TestVCommDeterministic(t *testing.T) {
 			// A mildly irregular program: split into two groups of 3,
 			// broadcast inside each, then a ring shift in the world.
 			sub := c.Split(c.Rank()%2, c.Rank()).(*VComm)
-			sub.Bcast(sched.VanDeGeijn, 0, sub.NewPanel(1, 301))
+			sub.Bcast(sched.VanDeGeijn, 0, sub.NewPanel(1, 301, comm.LHS))
 			next := (c.Rank() + 1) % c.Size()
 			prev := (c.Rank() + c.Size() - 1) % c.Size()
-			c.SendRecv(next, 9, c.NewPanel(1, 77), prev, 9, c.NewPanel(1, 77))
+			c.SendRecv(next, 9, c.NewPanel(1, 77, comm.LHS), prev, 9, c.NewPanel(1, 77, comm.LHS))
 			if c.Rank()%2 == 0 {
-				c.Gemm(c.NewTile(4, 4), c.NewTile(4, 8), c.NewTile(8, 4), 1)
+				c.Gemm(c.NewTile(4, 4), c.NewPanel(4, 8, comm.LHS), c.NewPanel(8, 4, comm.RHS), 1)
 			}
 		})
 		if err != nil {
@@ -95,7 +96,7 @@ func TestVCommSendRecvRing(t *testing.T) {
 	err := w.Run(func(c *VComm) {
 		next := (c.Rank() + 1) % p
 		prev := (c.Rank() + p - 1) % p
-		c.SendRecv(next, 1, c.NewPanel(1, elems), prev, 1, c.NewPanel(1, elems))
+		c.SendRecv(next, 1, c.NewPanel(1, elems, comm.LHS), prev, 1, c.NewPanel(1, elems, comm.LHS))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +147,7 @@ func TestVCommPanicAborts(t *testing.T) {
 			panic("rank 3 exploded")
 		}
 		// Ranks 0-2 block in a collective that can never complete.
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10))
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, 10, comm.LHS))
 	})
 	if err == nil || !strings.Contains(err.Error(), "rank 3 exploded") {
 		t.Fatalf("expected rank 3's panic, got %v", err)
@@ -157,7 +158,7 @@ func TestVCommPanicAborts(t *testing.T) {
 func TestVCommElidesStorage(t *testing.T) {
 	w := NewVWorld(1, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
-		if p := c.NewPanel(1<<10, 1<<10); p.Tile.Data != nil || p.Elems() != 1<<20 {
+		if p := c.NewPanel(1<<10, 1<<10, comm.LHS); p.Tile.Data != nil || p.Elems() != 1<<20 {
 			t.Errorf("virtual panel allocated storage")
 		}
 		tile := c.NewTile(1<<15, 1<<15)
@@ -177,11 +178,11 @@ func TestVCommElidesStorage(t *testing.T) {
 func TestVCommRecvSizeMismatchAborts(t *testing.T) {
 	w := NewVWorld(2, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
-		recv := c.NewPanel(1, 10)
+		recv := c.NewPanel(1, 10, comm.LHS)
 		if c.Rank() == 1 {
-			recv = c.NewPanel(1, 11)
+			recv = c.NewPanel(1, 11, comm.LHS)
 		}
-		c.SendRecv(1-c.Rank(), 5, c.NewPanel(1, 10), 1-c.Rank(), 5, recv)
+		c.SendRecv(1-c.Rank(), 5, c.NewPanel(1, 10, comm.LHS), 1-c.Rank(), 5, recv)
 	})
 	if err == nil || !strings.Contains(err.Error(), "11 elements but message has 10") {
 		t.Fatalf("expected size mismatch abort, got %v", err)
@@ -193,7 +194,7 @@ func TestVCommRecvSizeMismatchAborts(t *testing.T) {
 func TestVCommPackShapeChecked(t *testing.T) {
 	w := NewVWorld(1, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
-		c.Pack(c.NewPanel(2, 5), c.NewTile(3, 4))
+		c.Pack(c.NewPanel(2, 5, comm.LHS), c.NewTile(3, 4))
 	})
 	if err == nil || !strings.Contains(err.Error(), "pack 3x4 tile into 2x5 panel") {
 		t.Fatalf("expected pack shape panic, got %v", err)
@@ -208,7 +209,7 @@ func TestVCommBadBroadcastAborts(t *testing.T) {
 	go func() {
 		w := NewVWorld(4, VConfig{Model: vModel})
 		done <- w.Run(func(c *VComm) {
-			c.Bcast(sched.Algorithm("bogus"), 0, c.NewPanel(1, 8))
+			c.Bcast(sched.Algorithm("bogus"), 0, c.NewPanel(1, 8, comm.LHS))
 		})
 	}()
 	select {
@@ -229,7 +230,7 @@ func TestVCommSendRecvContention(t *testing.T) {
 		w := NewVWorld(4, VConfig{Model: vModel, Contention: contention})
 		if err := w.Run(func(c *VComm) {
 			next, prev := (c.Rank()+1)%4, (c.Rank()+3)%4
-			c.SendRecv(next, 1, c.NewPanel(1, 1000), prev, 1, c.NewPanel(1, 1000))
+			c.SendRecv(next, 1, c.NewPanel(1, 1000, comm.LHS), prev, 1, c.NewPanel(1, 1000, comm.LHS))
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestVCommBcastMismatchAborts(t *testing.T) {
 		if c.Rank() == 2 {
 			n = 99
 		}
-		c.Bcast(sched.Binomial, 0, c.NewPanel(1, n))
+		c.Bcast(sched.Binomial, 0, c.NewPanel(1, n, comm.LHS))
 	})
 	if err == nil || !strings.Contains(err.Error(), "bcast mismatch") {
 		t.Fatalf("expected bcast mismatch abort, got %v", err)
