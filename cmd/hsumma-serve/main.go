@@ -1,7 +1,7 @@
 // Command hsumma-serve is the GEMM-as-a-service daemon: an HTTP front end
-// over the serving subsystem (internal/serve), keeping distributed
-// sessions resident and routing concurrent multiply requests onto them by
-// execution shape.
+// over the serving subsystem (internal/serve), keeping one session — a
+// resolved plan, a queue and operand scratch — per execution shape and
+// routing concurrent multiply requests onto them.
 //
 //	hsumma-serve -addr :8080 -platform grid5000 -core-budget 256
 //
@@ -31,11 +31,12 @@
 // key, shape and queue wait. -log-level picks the floor (debug also logs
 // /metrics and /healthz scrapes).
 //
-// Each session's ranks read the request's operands in place (the decoded
-// body is the operand until the response is written; only a padded shape
-// or a coalesced batch is copied, once, into resident scratch), and one
-// runner loop per session coalesces queued same-A requests into one
-// multi-right-hand-side execution; -max-batch 1 turns the coalescing off.
+// Each run's ranks — goroutines spawned for that run — read the request's
+// operands in place (the decoded body is the operand until the response is
+// written; only a padded shape or a coalesced batch is copied, once, into
+// the session's scratch), and one runner loop per session coalesces queued
+// same-A requests into one multi-right-hand-side execution; -max-batch 1
+// turns the coalescing off.
 //
 // Sessions are accounted in cores — ranks × per-rank threads — against the
 // core budget. Backpressure (bounded session queues, core budget) surfaces
@@ -68,7 +69,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		pfName     = flag.String("platform", "", "platform preset the planner tunes auto requests for (grid5000[-cal], bgp[-cal], exascale; empty = grid5000)")
-		coreBudget = flag.Int("core-budget", 256, "max resident cores (ranks × threads) across all sessions")
+		coreBudget = flag.Int("core-budget", 256, "max cores (ranks × threads) reserved across live sessions; idle sessions retire LRU-first to admit a new shape")
 		queueDepth = flag.Int("queue-depth", 32, "per-session bounded queue depth")
 		maxBatch   = flag.Int("max-batch", 0, "max same-A requests coalesced into one multi-RHS execution, 1 = no batching (default 8)")
 		batchWin   = flag.Duration("batch-window", 0, "extra wait for same-A arrivals before executing a non-full batch (0 = coalesce only what is already queued)")

@@ -1,8 +1,9 @@
 // Example serve demonstrates GEMM-as-a-service end to end, twice over:
 //
-//  1. the library face — hsumma.NewSession keeps a distributed world
-//     resident so a stream of products of one shape skips spawn + plan +
-//     map setup (Stats.SetupSeconds shows the amortisation);
+//  1. the library face — hsumma.NewSession resolves the plan once and
+//     keeps a queue and operand scratch, so a stream of products of one
+//     shape skips planning (Stats.SetupSeconds shows it: the one-shot
+//     Multiply's includes spec resolution, a session's only staging);
 //
 //  2. the daemon face — the same machinery behind HTTP: an in-process
 //     server (identical to cmd/hsumma-serve) receives concurrent
@@ -48,7 +49,7 @@ func main() {
 		fmt.Printf("  multiply %d: wall %.2fms, per-request setup %.3fms, %d messages\n",
 			i+1, 1000*st.WallSeconds, 1000*st.SetupSeconds, st.Messages)
 	}
-	// One-shot comparison: the same product paying full setup every call.
+	// One-shot comparison: the same product resolving its plan every call.
 	a := hsumma.RandomMatrix(n, n, 1)
 	b := hsumma.RandomMatrix(n, n, 2)
 	_, oneShot, err := hsumma.Multiply(a, b, cfg)

@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matrix"
-	"repro/internal/mpi"
 	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/topo"
@@ -300,14 +299,10 @@ func multiply(a, b *Matrix, cfg Config, traced bool) (*Matrix, Stats, *trace.Rec
 	if traced {
 		rec = trace.New(grid.Size())
 	}
-	// Resolution is what a resident session (NewSession) pays once instead
-	// of per call; the world spawn inside the run is part of it too, but is
-	// not separable from the run without skewing MaxRankCommSeconds.
+	// Resolution is what a session (NewSession) pays once instead of per
+	// call.
 	resolveSec := time.Since(start).Seconds()
-	run := func(fn func(c *mpi.Comm), rec *trace.Recorder) ([]mpi.RankStats, error) {
-		return mpi.RunStatsTraced(grid.Size(), fn, rec)
-	}
-	outs, st, _, err := serve.Execute(run, spec, a, []*Matrix{b}, nil, rec, nil)
+	outs, st, _, err := serve.Execute(spec, a, []*Matrix{b}, nil, rec, nil)
 	st.SetupSeconds += resolveSec
 	if err != nil {
 		return nil, st, nil, err

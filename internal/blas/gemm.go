@@ -68,7 +68,7 @@ func Naive(c, a, b *matrix.Dense) {
 	}
 }
 
-// packPool recycles packing buffers across calls: a resident serving rank
+// packPool recycles packing buffers across calls: a serving process
 // multiplies the same panel shapes millions of times, and the pool makes
 // the steady state allocation-free.
 var packPool = sync.Pool{New: func() any { return new([]float64) }}

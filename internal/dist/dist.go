@@ -8,7 +8,7 @@
 // convention).
 //
 // A contiguous tile is a view: every live path (the one-shot façade and the
-// resident sessions alike) hands ranks BlockMap.Views of the operands and of
+// serving sessions alike) hands ranks BlockMap.Views of the operands and of
 // the output, so distributing copies nothing — the paper's cost model has no
 // scatter term because the operands already sit in the ranks' tiles.
 // Scatter and Gather are the copying form of the same cut, kept as the

@@ -144,8 +144,8 @@ func (s Spec) Shape() matrix.Shape {
 // canonicalised (an empty Broadcast keys as binomial, OuterBlockSize 0 as
 // b), so a request that spells the default out loud shares a key with one
 // that leaves it blank. The serving layer (internal/serve) routes requests
-// by it: two multiplications with the same key can share one resident
-// session (its world, block maps and buffers), and the tune planner's
+// by it: two multiplications with the same key can share one session (its
+// resolved plan, queue and scratch), and the tune planner's
 // memoised plan for the shape is reused through the same identity. Call it
 // on a resolved spec (after Padded) so the shape the key carries is the
 // execution shape.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -243,44 +244,67 @@ func TestEmptyPanelSendAborts(t *testing.T) {
 
 // TestPersistentPanicThenReuse aborts a program mid-broadcast — ranks die
 // holding shared payloads, with more in flight — and then runs clean
-// programs on the same resident world: nothing the dead program touched
-// may come back from the pool while it could still be referenced, so the
-// next programs' panels must carry exactly what their roots packed.
+// programs in the same process. The payload pool is process-wide, so
+// nothing the dead program touched may come back from it while it could
+// still be referenced: the next programs' panels must carry exactly what
+// their roots packed.
 func TestPersistentPanicThenReuse(t *testing.T) {
-	const p, rows, cols = 6, 8, 8
-	pw, err := Persistent(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pw.Close()
-
-	program := func(base float64, failAt int) func(c *Comm) {
-		return func(c *Comm) {
-			tc := AsComm(c)
-			panel := tc.NewPanel(rows, cols, comm.LHS)
-			src := matrix.New(rows, cols)
-			for s := 0; s < 6; s++ {
-				root := s % p
-				if c.Rank() == root {
-					src.Fill(base + float64(s))
-					tc.Pack(panel, src)
-				}
-				tc.Bcast(sched.Binomial, root, panel)
-				if s == failAt && c.Rank() == p-1 {
-					panic("injected failure")
-				}
-				filled(fmt.Sprintf("rank %d step %d", c.Rank(), s), &panel.Tile, base+float64(s))
-			}
-		}
-	}
 	for round := 0; round < 3; round++ {
-		if _, err := pw.RunOn(program(100, 2)); err == nil || !strings.Contains(err.Error(), "injected failure") {
+		if _, err := RunStats(broadcastProgram(100, 2)); err == nil || !strings.Contains(err.Error(), "injected failure") {
 			t.Fatalf("round %d: expected the injected failure, got %v", round, err)
 		}
 		for i := 0; i < 2; i++ {
-			if _, err := pw.RunOn(program(float64(1000*(round+1)+10*i), -1)); err != nil {
+			if _, err := RunStats(broadcastProgram(float64(1000*(round+1)+10*i), -1)); err != nil {
 				t.Fatalf("round %d: clean program %d after the abort: %v", round, i, err)
 			}
+		}
+	}
+}
+
+// TestPersistentConcurrentRunOn runs programs from many goroutines at
+// once. Each call has a world of its own but draws on the one payload
+// pool, so under -race this is where two programs sharing storage would
+// show: every panel must carry exactly what its own root packed.
+func TestPersistentConcurrentRunOn(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := RunStats(broadcastProgram(float64(100*i), -1)); err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// broadcastProgram returns a 6-rank program that broadcasts a packed 8×8
+// panel from every rank in turn, step s carrying base+s, and checks each
+// receiver's copy. With failAt ≥ 0 the last rank panics right after that
+// step's broadcast, while payloads are still shared.
+func broadcastProgram(base float64, failAt int) (int, func(c *Comm)) {
+	const p, rows, cols = 6, 8, 8
+	return p, func(c *Comm) {
+		tc := AsComm(c)
+		panel := tc.NewPanel(rows, cols, comm.LHS)
+		src := matrix.New(rows, cols)
+		for s := 0; s < 6; s++ {
+			root := s % p
+			if c.Rank() == root {
+				src.Fill(base + float64(s))
+				tc.Pack(panel, src)
+			}
+			tc.Bcast(sched.Binomial, root, panel)
+			if s == failAt && c.Rank() == p-1 {
+				panic("injected failure")
+			}
+			filled(fmt.Sprintf("rank %d step %d", c.Rank(), s), &panel.Tile, base+float64(s))
 		}
 	}
 }

@@ -41,8 +41,8 @@
 // A payload returns to the pool when its last holder lets go, and a
 // program's panels let go when the program ends cleanly. After a panic
 // nothing is returned: storage a dead rank may still reference is left to
-// the garbage collector, so an aborted program cannot poison the next one
-// on a PersistentWorld.
+// the garbage collector. The pool is process-wide, so this is what keeps an
+// aborted program from poisoning the next one, whoever runs it.
 //
 // Sends are eager (buffered, never block); receives block until a matching
 // message arrives. A panic on any rank aborts the whole world and is
@@ -67,12 +67,11 @@ type World struct {
 	mailboxes []*mailbox
 	nextCID   atomic.Int64
 	stats     []RankStats // indexed by world rank; each rank writes only its own entry
-	// scheds memoises broadcast schedules for this world's collectives
-	// (shared across the programs of a PersistentWorld).
+	// scheds memoises broadcast schedules for this world's collectives.
 	scheds *sched.Cache
 	// panels lists, per world rank, the panels that rank allocated; each
 	// rank appends only to its own entry. A clean program end releases
-	// their storage to the pool (see program.finish).
+	// their storage to the pool (see RunStatsTraced).
 	panels [][]*comm.Panel
 
 	// rec, when non-nil, collects per-rank phase spans; epoch is the
@@ -262,31 +261,72 @@ func RunStats(p int, fn func(c *Comm)) ([]RankStats, error) {
 // the world. rec may be nil (tracing disabled, zero extra cost); when
 // non-nil, every rank's communication and Gemm calls append spans on the
 // recorder's timeline, whose epoch becomes the world's time zero.
+//
+// Every call runs over a fresh world — mailboxes, split records,
+// schedules, statistics — on p fresh goroutines, so programs are isolated
+// from each other and concurrent calls are independent.
 func RunStatsTraced(p int, fn func(c *Comm), rec *trace.Recorder) ([]RankStats, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("mpi: invalid world size %d", p)
 	}
-	prog := newProgram(p, fn, sched.NewCache())
-	prog.attachTrace(rec)
-	var wg sync.WaitGroup
+	w := newWorld(p)
+	if rec != nil {
+		w.rec = rec
+		w.epoch = rec.Epoch()
+	}
+	ranks := make([]int, p)
+	for i := range ranks {
+		ranks[i] = i
+	}
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
 	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			prog.execRank(r)
+			// A panic becomes the world-wide abort that unwinds every
+			// other rank; their worldAborted unwinds are collateral, not
+			// the root cause.
+			defer func() {
+				if v := recover(); v != nil {
+					if _, ok := v.(worldAborted); ok {
+						return
+					}
+					errOnce.Do(func() {
+						firstErr = fmt.Errorf("mpi: rank %d panicked: %v\n%s", r, v, debug.Stack())
+					})
+					w.abort(fmt.Sprint(v))
+				}
+			}()
+			fn(&Comm{world: w, cid: 0, rank: r, ranks: ranks})
 		}(r)
 	}
 	wg.Wait()
-	return prog.finish()
+	// A clean program hands its panels' storage back to the pool: every
+	// rank has returned, so nothing reads them any more. After a failure
+	// nothing is handed back — a rank that unwound mid-broadcast may have
+	// left references anywhere — and the storage is left to the garbage
+	// collector.
+	if firstErr == nil {
+		for _, owned := range w.panels {
+			for _, p := range owned {
+				drop(p)
+			}
+		}
+	}
+	return w.stats, firstErr
 }
 
 // newWorld builds the shared coordination state for one p-rank program.
-func newWorld(p int, scheds *sched.Cache) *World {
+func newWorld(p int) *World {
 	w := &World{
 		size:      p,
 		mailboxes: make([]*mailbox, p),
 		stats:     make([]RankStats, p),
-		scheds:    scheds,
+		scheds:    sched.NewCache(),
 		panels:    make([][]*comm.Panel, p),
 		splits:    make(map[splitKey]*splitGather),
 	}
@@ -295,73 +335,4 @@ func newWorld(p int, scheds *sched.Cache) *World {
 	}
 	w.nextCID.Store(1) // cid 0 is the world communicator
 	return w
-}
-
-// program is one SPMD execution of fn over a fresh world: the unit both
-// Run (spawned goroutines) and PersistentWorld.RunOn (resident goroutines)
-// execute, sharing the abort-on-panic protocol.
-type program struct {
-	w     *World
-	fn    func(c *Comm)
-	ranks []int
-	// done is counted down once per rank by drivers that dispatch ranks to
-	// pre-existing goroutines (PersistentWorld).
-	done sync.WaitGroup
-
-	errOnce  sync.Once
-	firstErr error
-}
-
-func newProgram(p int, fn func(c *Comm), scheds *sched.Cache) *program {
-	ranks := make([]int, p)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return &program{w: newWorld(p, scheds), fn: fn, ranks: ranks}
-}
-
-// attachTrace installs rec on the program's world before any rank runs.
-// A nil rec leaves tracing disabled.
-func (pr *program) attachTrace(rec *trace.Recorder) {
-	if rec == nil {
-		return
-	}
-	pr.w.rec = rec
-	pr.w.epoch = rec.Epoch()
-}
-
-// execRank runs the program on one rank, converting a panic into the
-// world-wide abort that unwinds every other rank. Safe to call from any
-// goroutine; exactly one call per rank.
-func (pr *program) execRank(r int) {
-	c := &Comm{world: pr.w, cid: 0, rank: r, ranks: pr.ranks}
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := rec.(worldAborted); ok {
-				return // collateral unwind, not the root cause
-			}
-			pr.errOnce.Do(func() {
-				pr.firstErr = fmt.Errorf("mpi: rank %d panicked: %v\n%s", c.rank, rec, debug.Stack())
-			})
-			c.world.abort(fmt.Sprint(rec))
-		}
-	}()
-	pr.fn(c)
-}
-
-// finish returns the program's per-rank statistics and first rank
-// failure, once every rank has finished. A clean program hands its panels'
-// storage back to the pool: every rank has returned, so nothing reads them
-// any more. After a failure nothing is handed back — a rank that unwound
-// mid-broadcast may have left references anywhere — and the storage is
-// left to the garbage collector.
-func (pr *program) finish() ([]RankStats, error) {
-	if pr.firstErr == nil {
-		for _, owned := range pr.w.panels {
-			for _, p := range owned {
-				drop(p)
-			}
-		}
-	}
-	return pr.w.stats, pr.firstErr
 }

@@ -10,20 +10,12 @@ import (
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
-	"repro/internal/trace"
 	"repro/internal/tune"
 )
 
 // unbatched is the session configuration that serves every request on its
 // own — the oracle the coalescing tests compare against.
 var unbatched = SessionConfig{MaxBatch: 1}
-
-// oneShot is the runner hsumma.Multiply hands Execute: a world per call.
-func oneShot(p int) Runner {
-	return func(fn func(c *mpi.Comm), rec *trace.Recorder) ([]mpi.RankStats, error) {
-		return mpi.RunStatsTraced(p, fn, rec)
-	}
-}
 
 // copyingReference is the staging rule's reference: pad A, lay the B's side
 // by side in an execution-shaped matrix, Scatter private tiles, run the
@@ -148,7 +140,7 @@ func TestBatchCoalescingBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				shot, shotStats, _, err := Execute(oneShot(4), wide, a, bs, nil, nil, nil)
+				shot, shotStats, _, err := Execute(wide, a, bs, nil, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

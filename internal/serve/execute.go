@@ -35,7 +35,7 @@ type RunStats struct {
 	// SetupSeconds is the pre-run staging time this call paid: cutting the
 	// operands into per-rank views, plus the one copy of each operand that
 	// does not have the execution shape (see Execute). The one-shot Multiply
-	// adds spec resolution, which a resident session paid once at
+	// adds spec resolution, which a session paid once at
 	// NewSession — the session-reuse win these two fields exist to measure.
 	SetupSeconds float64
 	// GemmSeconds is the largest per-rank wall time spent inside local
@@ -73,11 +73,6 @@ func (st *RunStats) fromSummary(s mpi.Summary) {
 	st.BusyImbalance = s.Imbalance
 }
 
-// Runner runs one SPMD program on a live world and returns the per-rank
-// statistics: mpi.RunStatsTraced bound to a rank count (the one-shot path,
-// a world per call) or a resident world's RunOnTraced (a session).
-type Runner func(fn func(c *mpi.Comm), rec *trace.Recorder) ([]mpi.RankStats, error)
-
 // Scratch keeps a session's execution-shaped operand copies resident, one
 // matrix per operand and batch width. Each is zeroed when allocated and a
 // session only ever rewrites the same request-shaped region of it, so the
@@ -107,7 +102,9 @@ func (s Scratch) get(operand, width, rows, cols int) *matrix.Dense {
 // the one-shot hsumma.Multiply and every Session batch go through. It
 // computes A·B_i for each right-hand side in bs (one for a plain multiply,
 // k for a coalesced same-A batch) under spec, which must be resolved and
-// padded for the widened problem A · [B_0 … B_k-1].
+// padded for the widened problem A · [B_0 … B_k-1]. The run is
+// mpi.RunStatsTraced: one rank goroutine per grid position, spawned for
+// this call and gone when it returns.
 //
 // The staging rule is per operand and read off the input. An operand that
 // already has the execution shape is handed to the ranks as BlockMap.Views
@@ -122,7 +119,7 @@ func (s Scratch) get(operand, width, rows, cols int) *matrix.Dense {
 // staged, when non-nil, is called with the per-rank tiles after staging and
 // before the run (a test hook). The returned RunStats has every field but
 // WallSeconds filled; runSeconds is the distributed run alone.
-func Execute(run Runner, spec engine.Spec, a *matrix.Dense, bs []*matrix.Dense, scratch Scratch,
+func Execute(spec engine.Spec, a *matrix.Dense, bs []*matrix.Dense, scratch Scratch,
 	rec *trace.Recorder, staged func(aT, bT, cT []*matrix.Dense)) (outs []*matrix.Dense, st RunStats, runSeconds float64, err error) {
 	stageStart := time.Now()
 	es, grid, k := spec.Shape(), spec.Opts.Grid, len(bs)
@@ -166,7 +163,7 @@ func Execute(run Runner, spec engine.Spec, a *matrix.Dense, bs []*matrix.Dense, 
 	var mu sync.Mutex
 	var algErr error
 	runStart := time.Now()
-	ranks, err := run(func(c *mpi.Comm) {
+	ranks, err := mpi.RunStatsTraced(grid.Size(), func(c *mpi.Comm) {
 		r := c.Rank()
 		if e := engine.Run(mpi.AsComm(c), spec, aT[r], bT[r], cT[r]); e != nil {
 			mu.Lock()

@@ -562,12 +562,12 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	emit("hsumma_serve_completed_total", "Multiply requests completed successfully.", "counter", float64(m.Completed))
 	emit("hsumma_serve_errors_total", "Multiply requests failed (excluding backpressure).", "counter", float64(m.Errors))
 	emit("hsumma_serve_rejected_total", "Multiply requests rejected by backpressure (503).", "counter", float64(m.Rejected))
-	emit("hsumma_serve_session_hits_total", "Requests routed to a resident session.", "counter", float64(m.SessionHits))
+	emit("hsumma_serve_session_hits_total", "Requests routed to a live session.", "counter", float64(m.SessionHits))
 	emit("hsumma_serve_session_misses_total", "Requests that had to spin up a session.", "counter", float64(m.SessionMisses))
 	emit("hsumma_serve_sessions_retired_total", "Sessions retired under the core budget.", "counter", float64(m.SessionsRetired))
-	emit("hsumma_serve_sessions_live", "Resident sessions.", "gauge", float64(m.SessionsLive))
-	emit("hsumma_serve_ranks_live", "Resident ranks across all sessions.", "gauge", float64(m.RanksLive))
-	emit("hsumma_serve_cores_live", "Resident cores (ranks × threads) across all sessions — the budget unit.", "gauge", float64(m.CoresLive))
+	emit("hsumma_serve_sessions_live", "Live sessions.", "gauge", float64(m.SessionsLive))
+	emit("hsumma_serve_ranks_live", "Ranks reserved across live sessions (spawned per run, not held between requests).", "gauge", float64(m.RanksLive))
+	emit("hsumma_serve_cores_live", "Cores (ranks × threads) reserved across live sessions — the budget unit.", "gauge", float64(m.CoresLive))
 	emit("hsumma_serve_queued", "Requests waiting in session queues.", "gauge", float64(m.Queued))
 	emit("hsumma_serve_in_flight", "Requests executing right now.", "gauge", float64(m.InFlight))
 	emit("hsumma_serve_leases_active", "Requests holding a routing lease right now.", "gauge", float64(m.LeasesActive))

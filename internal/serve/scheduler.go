@@ -14,7 +14,7 @@ import (
 
 // SchedulerConfig tunes the front door.
 type SchedulerConfig struct {
-	// CoreBudget caps the total resident cores across live sessions
+	// CoreBudget caps the total cores reserved across live sessions
 	// (default 256). Each session reserves ranks × threads cores — a
 	// hybrid session with 16 ranks × 4 threads costs 64 cores, the same as
 	// a flat 64-rank one — so the budget is the machine-capacity unit the
@@ -75,7 +75,7 @@ type Metrics struct {
 	SessionsRetired int64 `json:"sessions_retired"`
 	SessionsLive    int   `json:"sessions_live"`
 	RanksLive       int   `json:"ranks_live"`
-	// CoresLive is the budget unit: resident ranks × their thread counts.
+	// CoresLive is the budget unit: reserved ranks × their thread counts.
 	// It equals RanksLive when every session is single-threaded.
 	CoresLive int `json:"cores_live"`
 	// Instantaneous load.
@@ -112,8 +112,8 @@ type Metrics struct {
 }
 
 // Scheduler is the admission-controlled front door: it keys requests by
-// execution shape, routes them to a pool of resident sessions under a rank
-// budget, applies backpressure via bounded queues, and exports counters.
+// execution shape, routes them to a pool of sessions under a core budget,
+// applies backpressure via bounded queues, and exports counters.
 type Scheduler struct {
 	cfg SchedulerConfig
 
@@ -149,19 +149,15 @@ type Scheduler struct {
 // otherKey is the series retired spec keys are folded into.
 const otherKey = "other"
 
-// entry is one pooled session slot. The cores (ranks × threads) are
-// reserved against the budget from the moment the entry is inserted
-// (session construction happens outside the scheduler lock; waiters block
-// on ready). leases counts requests that have been routed to the session
-// but not yet finished with it — retirement requires leases == 0, which
-// closes the race between routing and enqueueing.
+// entry is one pooled session and the cores (ranks × threads) it reserves
+// against the budget while it lives. leases counts requests that have been
+// routed to the session but not yet finished with it — retirement requires
+// leases == 0, which closes the race between routing and enqueueing.
 type entry struct {
 	specKey string
 	ranks   int
 	cores   int
-	sess    *Session // nil until ready closes
-	err     error    // construction failure, set before ready closes
-	ready   chan struct{}
+	sess    *Session
 	leases  int
 }
 
@@ -173,7 +169,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		entries:   make(map[string]*entry),
 		histQueue: newHistogramVec("hsumma_serve_queue_wait_seconds", "Time requests waited on the session queue before staging."),
 		histStage: newHistogramVec("hsumma_serve_stage_seconds", "Staging time per request: cutting operand views, plus the one copy of a padded or batched operand."),
-		histExec:  newHistogramVec("hsumma_serve_execute_seconds", "Distributed execution time per request (resident world run)."),
+		histExec:  newHistogramVec("hsumma_serve_execute_seconds", "Distributed execution time per request (the run on its spawned rank goroutines)."),
 		histE2E:   newHistogramVec("hsumma_serve_request_seconds", "End-to-end request time: queue + stage + run + crop."),
 		histBatch: newHistogramVecBounds("hsumma_serve_batch_size", "Coalesced same-A requests per execution, observed once per request.", batchBounds),
 		histDrift: newHistogramVecBounds("hsumma_serve_model_drift_ratio", "Measured/predicted cost ratio per phase (key is the phase name; 1.0 = plan model exact).", driftBounds),
@@ -187,7 +183,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 // Multiply serves one request: A (M×K) · B (K×N) under the given pinned
 // knobs (zero values resolve to defaults; engine.Auto engages the
 // planner). The request is routed to the session owning its execution
-// shape, creating or retiring sessions under the rank budget. A full
+// shape, creating or retiring sessions under the core budget. A full
 // session queue or an unadmittable session rejects with ErrOverloaded.
 func (sc *Scheduler) Multiply(a, b *matrix.Dense, rp tune.ResolveParams) (*matrix.Dense, Stats, error) {
 	sc.requests.Add(1)
@@ -304,12 +300,11 @@ func routeKey(reqShape matrix.Shape, spec engine.Spec) string {
 }
 
 // route finds or creates the session for a request, retiring idle
-// unleased sessions in least-recently-used order when the rank budget is
-// exceeded. The budget is reserved under the scheduler lock but session
-// construction (world spawn) runs outside it; concurrent
-// requests for the same key wait on the entry instead of double-building.
-// The returned release func gives the routing lease back — retirement
-// never touches a session between its routing and its enqueue.
+// unleased sessions in least-recently-used order when the core budget is
+// exceeded. A session spawns no ranks, so it is built under the scheduler
+// lock and concurrent requests for a new key find it there. The returned
+// release func gives the routing lease back — retirement never touches a
+// session between its routing and its enqueue.
 func (sc *Scheduler) route(reqShape matrix.Shape, spec engine.Spec) (*Session, func(), error) {
 	key := routeKey(reqShape, spec)
 	sc.mu.Lock()
@@ -320,14 +315,9 @@ func (sc *Scheduler) route(reqShape matrix.Shape, spec engine.Spec) (*Session, f
 	if e := sc.entries[key]; e != nil {
 		e.leases++
 		sc.mu.Unlock()
-		<-e.ready // no-op on the common resident-session path
-		if e.err != nil {
-			sc.release(key, e)
-			return nil, nil, e.err
-		}
 		sc.hits.Add(1)
 		e.sess.touch()
-		return e.sess, func() { sc.release(key, e) }, nil
+		return e.sess, func() { sc.release(e) }, nil
 	}
 	ranks := spec.Opts.Grid.Size()
 	threads := spec.Opts.Threads
@@ -361,48 +351,31 @@ func (sc *Scheduler) route(reqShape matrix.Shape, spec engine.Spec) (*Session, f
 			sc.drift.forget(victim.specKey)
 		}
 	}
-	e := &entry{specKey: spec.Key(), ranks: ranks, cores: need, ready: make(chan struct{}), leases: 1}
-	sc.entries[key] = e
-	sc.mu.Unlock()
-
-	// Build the session off the lock: spawning the world takes a while, and
-	// other shapes' requests must keep flowing meanwhile.
 	sess, err := NewSession(reqShape, spec, SessionConfig{
 		QueueDepth:  sc.cfg.QueueDepth,
 		MaxBatch:    sc.cfg.MaxBatch,
 		BatchWindow: sc.cfg.BatchWindow,
 	})
-	sc.mu.Lock()
-	if err == nil && sc.closed {
-		// The scheduler drained while this session was being built (Close
-		// removed the entry already); don't leak a resident world.
-		err = ErrClosed
-		sess.Close()
-	}
 	if err != nil {
-		e.err = err
-		delete(sc.entries, key)
-		e.leases--
 		sc.mu.Unlock()
-		close(e.ready)
 		return nil, nil, err
 	}
-	e.sess = sess
+	e := &entry{specKey: spec.Key(), ranks: ranks, cores: need, sess: sess, leases: 1}
+	sc.entries[key] = e
 	sc.mu.Unlock()
-	close(e.ready)
 	sc.misses.Add(1)
-	return sess, func() { sc.release(key, e) }, nil
+	return sess, func() { sc.release(e) }, nil
 }
 
 // release returns a routing lease.
-func (sc *Scheduler) release(key string, e *entry) {
+func (sc *Scheduler) release(e *entry) {
 	sc.mu.Lock()
 	e.leases--
 	sc.mu.Unlock()
 }
 
-// ranksLiveLocked counts ranks reserved by live and in-construction
-// sessions; coresLiveLocked counts the budget unit (ranks × threads).
+// ranksLiveLocked counts ranks reserved by live sessions; coresLiveLocked
+// counts the budget unit (ranks × threads).
 func (sc *Scheduler) ranksLiveLocked() int {
 	total := 0
 	for _, e := range sc.entries {
@@ -420,14 +393,14 @@ func (sc *Scheduler) coresLiveLocked() int {
 }
 
 // oldestIdleLocked picks the retirement victim: the least-recently-used
-// entry that is fully built, unleased and idle.
+// entry that is unleased and idle.
 func (sc *Scheduler) oldestIdleLocked() (string, *entry) {
 	var (
 		vKey   string
 		victim *entry
 	)
 	for key, e := range sc.entries {
-		if e.sess == nil || e.leases > 0 || !e.sess.Idle() {
+		if e.leases > 0 || !e.sess.Idle() {
 			continue
 		}
 		if victim == nil || e.sess.LastUsed().Before(victim.sess.LastUsed()) {
@@ -443,9 +416,7 @@ func (sc *Scheduler) Sessions() []*Session {
 	defer sc.mu.Unlock()
 	out := make([]*Session, 0, len(sc.entries))
 	for _, e := range sc.entries {
-		if e.sess != nil {
-			out = append(out, e.sess)
-		}
+		out = append(out, e.sess)
 	}
 	return out
 }
@@ -457,14 +428,10 @@ func (sc *Scheduler) Metrics() Metrics {
 	sc.mu.Lock()
 	ranks := sc.ranksLiveLocked()
 	cores := sc.coresLiveLocked()
-	var live int
+	live := len(sc.entries)
 	var queued, inFlight, leases int64
 	for _, e := range sc.entries {
 		leases += int64(e.leases)
-		if e.sess == nil {
-			continue
-		}
-		live++
 		queued += int64(e.sess.QueueLen())
 		if e.sess.Executing() {
 			inFlight++
@@ -531,7 +498,7 @@ func (sc *Scheduler) TraceSampling() bool { return sc.cfg.TraceSampleN > 0 }
 
 // Close drains the scheduler: new requests fail with ErrClosed, each
 // session's in-flight request finishes, queued requests receive ErrClosed,
-// and every resident world is released.
+// and every session's runner exits.
 func (sc *Scheduler) Close() error {
 	sc.mu.Lock()
 	if sc.closed {
@@ -541,9 +508,7 @@ func (sc *Scheduler) Close() error {
 	sc.closed = true
 	sessions := make([]*Session, 0, len(sc.entries))
 	for _, e := range sc.entries {
-		if e.sess != nil {
-			sessions = append(sessions, e.sess)
-		}
+		sessions = append(sessions, e.sess)
 	}
 	sc.entries = make(map[string]*entry)
 	sc.mu.Unlock()

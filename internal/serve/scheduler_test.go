@@ -12,7 +12,7 @@ import (
 
 // TestSchedulerShapeRouting checks the shape-keyed routing contract: two
 // distinct shapes spin up two sessions, and repeats of each land on the
-// resident session as hits.
+// live session as hits.
 func TestSchedulerShapeRouting(t *testing.T) {
 	sc := NewScheduler(SchedulerConfig{CoreBudget: 64})
 	defer sc.Close()
@@ -172,7 +172,7 @@ func TestSchedulerCoreBudgetHybrid(t *testing.T) {
 		return nil
 	}
 
-	// 4 ranks × 2 threads = 8 cores resident.
+	// 4 ranks × 2 threads = 8 cores reserved.
 	if err := mul(32, 4, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSchedulerCoreBudgetHybrid(t *testing.T) {
 		t.Fatalf("RanksLive/CoresLive = %d/%d, want 4/8", m.RanksLive, m.CoresLive)
 	}
 
-	// 4 ranks × 4 threads = 16 cores: does not fit next to the resident
+	// 4 ranks × 4 threads = 16 cores: does not fit next to the reserved
 	// 8, so the idle hybrid session must retire to admit it.
 	if err := mul(48, 4, 4); err != nil {
 		t.Fatal(err)

@@ -1,27 +1,27 @@
-// Package serve is the GEMM-as-a-service layer: it keeps the distributed
-// runtime resident between multiplications so the paper's carefully tuned
-// HSUMMA schedules are amortised over a *stream* of products instead of
-// exactly one — the master-worker serving design of Dongarra et al.
-// (Revisiting Matrix Product on Master-Worker Platforms) layered over this
-// repository's transport-agnostic engine.
+// Package serve is the GEMM-as-a-service layer: the master-worker serving
+// design of Dongarra et al. (Revisiting Matrix Product on Master-Worker
+// Platforms) layered over this repository's transport-agnostic engine, so
+// the paper's tuned HSUMMA schedules serve a *stream* of products. Between
+// requests it keeps what a stream of same-shape products shares — the
+// resolved plan, a queue and the operand scratch — and not the ranks,
+// which every run spawns afresh.
 //
 // Three pieces compose the subsystem:
 //
-//   - Session: a persistent mpi world whose rank goroutines stay resident
-//     and loop on a per-session work queue, pinned to one resolved
-//     execution spec, so a repeat multiply of the same shape pays compute
-//     and communication only — no spawn, no plan. Staging is the one rule
-//     the one-shot façade follows too (Execute): ranks read views of the
-//     caller's operands and accumulate into the result, and only an operand
-//     that lacks the execution shape is copied, once, into session-resident
-//     scratch. With no copy to hide there is no pipeline: one runner loop
-//     takes a request, coalesces queued requests that share its A operand
-//     into one batched multi-RHS execution, and runs it.
+//   - Session: a per-spec work queue pinned to one resolved execution spec,
+//     so a repeat multiply of the same shape pays no planning. Each batch
+//     runs through Execute, the path the one-shot façade takes too: the
+//     ranks are goroutines spawned for that run, they read views of the
+//     caller's operands and accumulate into the result, and only an
+//     operand that lacks the execution shape is copied, once, into
+//     session-resident scratch. One runner loop takes a request, coalesces
+//     queued requests that share its A operand into one batched multi-RHS
+//     execution, and runs it.
 //
 //   - Scheduler: the admission-controlled front door. Requests are keyed by
 //     their execution-shape key (engine.Spec.Key) and routed to a pool of
 //     sessions, spinning sessions up on miss and retiring idle ones under a
-//     configurable rank budget; bounded queues apply backpressure
+//     configurable core budget; bounded queues apply backpressure
 //     (ErrOverloaded) and counters expose hits/misses, queue depths and
 //     latency quantiles.
 //
@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/matrix"
-	"repro/internal/mpi"
 	"repro/internal/trace"
 )
 
@@ -74,9 +73,9 @@ type Stats struct {
 	// QueueSeconds is the time the request waited behind earlier work on
 	// the session queue before staging began.
 	QueueSeconds float64
-	// RunSeconds is the distributed execution itself — the resident world
-	// run (of the whole batch, when coalesced), excluding queueing, staging
-	// and the crop.
+	// RunSeconds is the distributed execution itself — the rank goroutines'
+	// run (of the whole batch, when coalesced), spawn included, excluding
+	// queueing, staging and the crop.
 	RunSeconds float64
 	// SpecKey is the execution-shape key of the session that served the
 	// request — the label the serve histograms and pprof samples carry.
@@ -115,9 +114,10 @@ type SessionConfig struct {
 	BatchWindow time.Duration
 }
 
-// Session is a persistent execution context for one resolved spec: a
-// resident mpi world plus the scratch that operands lacking the execution
-// shape are staged through (see Execute). Concurrent Multiply calls are
+// Session is a persistent execution context for one resolved spec: a work
+// queue plus the scratch that operands lacking the execution shape are
+// staged through (see Execute). It holds no ranks: every batch runs on rank
+// goroutines spawned for that run. Concurrent Multiply calls are
 // admitted through the session queue and served in arrival order by one
 // runner loop, which may coalesce same-A requests into one batched run.
 // Close drains gracefully (the in-flight batch finishes; queued requests and
@@ -126,8 +126,6 @@ type Session struct {
 	spec engine.Spec
 	req  matrix.Shape // requested (pre-padding) problem shape
 	key  string
-
-	world *mpi.PersistentWorld
 
 	// scratch holds the execution-shaped operand copies. Only the runner
 	// goroutine touches it, so no lock is needed.
@@ -183,8 +181,8 @@ func (j *job) finish(err error) {
 
 // NewSession builds a session pinned to a resolved, padded execution spec
 // (as produced by tune.ResolveSpec) serving requests of the given
-// pre-padding problem shape. The spec's world is spawned immediately and
-// stays resident until Close.
+// pre-padding problem shape. It starts the session's runner goroutine,
+// which lives until Close.
 func NewSession(reqShape matrix.Shape, spec engine.Spec, cfg SessionConfig) (*Session, error) {
 	if err := reqShape.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -205,17 +203,8 @@ func NewSession(reqShape matrix.Shape, spec engine.Spec, cfg SessionConfig) (*Se
 	if mb <= 0 {
 		mb = 8
 	}
-	// Label the resident rank goroutines (and the runner goroutine below)
-	// with the spec key so pprof profiles attribute samples per served
-	// shape.
-	labels := []string{"hsumma_spec", spec.Key()}
-	world, err := mpi.PersistentLabeled(grid.Size(), labels)
-	if err != nil {
-		return nil, err
-	}
 	s := &Session{
-		spec: spec, req: reqShape, key: spec.Key(),
-		world: world, scratch: make(Scratch),
+		spec: spec, req: reqShape, key: spec.Key(), scratch: make(Scratch),
 		depth: depth, maxBatch: mb, window: cfg.BatchWindow,
 		jobs: make(chan *job, depth),
 		quit: make(chan struct{}),
@@ -228,7 +217,10 @@ func NewSession(reqShape matrix.Shape, spec engine.Spec, cfg SessionConfig) (*Se
 		}
 	}
 	s.touch()
-	go pprof.Do(context.Background(), pprof.Labels(labels...), func(context.Context) { s.run() })
+	// Label the runner with the spec key so pprof profiles attribute
+	// samples per served shape. Goroutines inherit their creator's labels,
+	// so every run's rank goroutines carry the label too.
+	go pprof.Do(context.Background(), pprof.Labels("hsumma_spec", s.key), func(context.Context) { s.run() })
 	return s, nil
 }
 
@@ -241,10 +233,6 @@ func (s *Session) Shape() matrix.Shape { return s.req }
 
 // Spec returns the resolved execution spec the session is pinned to.
 func (s *Session) Spec() engine.Spec { return s.spec }
-
-// Ranks returns the number of resident ranks (the session's cost against a
-// scheduler rank budget).
-func (s *Session) Ranks() int { return s.world.Size() }
 
 // Calls returns the number of completed multiplications.
 func (s *Session) Calls() int64 { return s.calls.Load() }
@@ -280,7 +268,7 @@ func (s *Session) Executing() bool {
 	return s.inFlight
 }
 
-// Multiply computes A·B on the resident session, blocking while earlier
+// Multiply computes A·B on the session, blocking while earlier
 // requests drain (the runner serves concurrent callers in arrival order).
 // The operands must match the session's problem shape exactly. The session
 // does not copy them at submission: the ranks read a and b in place (or copy
@@ -456,7 +444,7 @@ func sameOperand(x, y *matrix.Dense) bool {
 	return true
 }
 
-// execute runs one batch on the resident world through Execute — A staged
+// execute runs one batch through Execute — A staged
 // once (shared), each request's B side by side — and hands every request
 // its own product.
 func (s *Session) execute(batch []*job) {
@@ -478,7 +466,7 @@ func (s *Session) execute(batch []*job) {
 		j.stats.QueueSeconds = start.Sub(j.start).Seconds()
 		if j.traced {
 			if rec == nil {
-				rec = trace.New(s.world.Size())
+				rec = trace.New(s.spec.Opts.Grid.Size())
 			}
 			j.rec = rec
 		}
@@ -493,7 +481,7 @@ func (s *Session) execute(batch []*job) {
 	var rs RunStats
 	var runSec float64
 	if err == nil {
-		outs, rs, runSec, err = Execute(s.world.RunOnTraced, spec, batch[0].a, bs, s.scratch, rec, s.staged)
+		outs, rs, runSec, err = Execute(spec, batch[0].a, bs, s.scratch, rec, s.staged)
 	}
 	// Close the books before completing: a caller released by finish may
 	// read Calls, or submit its next request and need this session Idle.
@@ -545,8 +533,8 @@ func (s *Session) drain() {
 
 // Close stops the session: the in-flight batch (if any) finishes, queued
 // requests and those the runner had taken but not started fail with
-// ErrClosed, and the resident world is released. It is idempotent and safe
-// to call concurrently with Multiply.
+// ErrClosed, and the runner goroutine exits. It is idempotent and safe to
+// call concurrently with Multiply.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -558,6 +546,5 @@ func (s *Session) Close() error {
 	s.mu.Unlock()
 	close(s.quit)
 	<-s.done
-	s.world.Close()
 	return nil
 }

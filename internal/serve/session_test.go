@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blas"
 	"repro/internal/matrix"
@@ -362,5 +363,47 @@ func TestWarmSessionAllocation(t *testing.T) {
 		t.Fatalf("a warm request allocates %.0f KB; the product is %d KB and the budget 150 KB more", kb, 8*n*n/1000)
 	} else {
 		t.Logf("%.0f KB per warm request (product %d KB)", kb, 8*n*n/1000)
+	}
+}
+
+// TestSessionHoldsNoRanks checks that a session keeps no rank goroutines
+// between requests: once a 16-rank session has served a multiply it adds
+// only its runner goroutine to the process, and Close takes that away too.
+// Each run's rank goroutines exit as the run returns, so the counts are
+// polled briefly rather than read once.
+func TestSessionHoldsNoRanks(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settlesTo := func(limit int) int {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			n := runtime.NumGoroutine()
+			if n <= limit || time.Now().After(deadline) {
+				return n
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	shape := matrix.Square(64)
+	spec, err := tune.ResolveSpec(tune.ResolveParams{Shape: shape, Procs: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := spec.Opts.Grid.Size(); p != 16 {
+		t.Fatalf("resolved a %d-rank grid, want 16", p)
+	}
+	sess, err := NewSession(shape, spec, SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, _, err := sess.Multiply(matrix.Random(64, 64, 1), matrix.Random(64, 64, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if n := settlesTo(base + 1); n > base+1 {
+		t.Fatalf("%d goroutines after a multiply on an open session, want at most %d (baseline %d + the runner)", n, base+1, base)
+	}
+	sess.Close()
+	if n := settlesTo(base); n > base {
+		t.Fatalf("%d goroutines after Close, want at most the baseline %d", n, base)
 	}
 }

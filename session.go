@@ -7,11 +7,12 @@ import (
 )
 
 // This file is the library face of the serving subsystem (internal/serve):
-// a Session keeps the distributed runtime resident between multiplications
-// — rank goroutines parked on a work queue, the resolved spec and the
-// scratch padded operands are staged through — so a stream of products of
-// one shape pays spawn + plan a single time instead of per call. The same
-// machinery, fronted by a shape-keyed scheduler and an HTTP daemon, is
+// a Session keeps what a stream of products of one shape shares — the
+// resolved spec, a work queue that coalesces same-A requests, and the
+// scratch padded operands are staged through — so the plan is resolved a
+// single time instead of per call. The ranks are not kept: every product
+// runs on rank goroutines spawned for it, as the one-shot Multiply's do. The
+// same machinery, fronted by a shape-keyed scheduler and an HTTP daemon, is
 // cmd/hsumma-serve.
 
 // Serving errors, reported via errors.Is.
@@ -21,7 +22,7 @@ var (
 	// finishes normally).
 	ErrSessionClosed = serve.ErrClosed
 	// ErrOverloaded reports serving-layer backpressure (bounded queues /
-	// rank budget); the library Session blocks instead of rejecting, so it
+	// core budget); the library Session blocks instead of rejecting, so it
 	// surfaces only through the daemon.
 	ErrOverloaded = serve.ErrOverloaded
 )
@@ -37,9 +38,9 @@ type Session struct {
 
 // NewSession resolves the configuration exactly as Multiply would —
 // including AlgAuto planner resolution and the shared block-size default —
-// then spawns the resident world for the given problem
-// shape: A (M×K) · B (K×N) = C (M×N). Every Session.Multiply must pass
-// operands of exactly this shape; start one session per distinct shape (or
+// then starts the session's queue for the given problem shape:
+// A (M×K) · B (K×N) = C (M×N). Every Session.Multiply must pass operands of
+// exactly this shape; start one session per distinct shape (or
 // use cmd/hsumma-serve, whose scheduler pools sessions by shape
 // automatically).
 func NewSession(shape Shape, cfg Config) (*Session, error) {
@@ -64,7 +65,7 @@ func (s *Session) Key() string { return s.inner.Key() }
 // Calls returns the number of multiplications completed on the session.
 func (s *Session) Calls() int64 { return s.inner.Calls() }
 
-// Multiply computes A·B on the resident session. The operands must match
+// Multiply computes A·B on the session. The operands must match
 // the session shape exactly; the result and the traffic statistics are
 // identical to what the one-shot Multiply reports for the same
 // configuration (bit-identical products — both run the same spec on the
@@ -78,8 +79,8 @@ func (s *Session) Multiply(a, b *Matrix) (*Matrix, Stats, error) {
 }
 
 // Close releases the session: the in-flight request finishes, queued ones
-// fail with ErrSessionClosed, and the resident rank goroutines exit. It is
-// idempotent.
+// fail with ErrSessionClosed, and the session's runner goroutine exits. It
+// is idempotent.
 func (s *Session) Close() error { return s.inner.Close() }
 
 // String identifies the session for logs.

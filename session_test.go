@@ -235,15 +235,16 @@ func TestSessionClosedError(t *testing.T) {
 }
 
 // BenchmarkSessionThroughput compares requests/sec of a warm session
-// against repeated one-shot Multiply at the serving benchmark point
-// (n=512, p=16). The session amortises spawn + plan + map + allocation
-// setup; the distributed run itself (dominated by the shared gemm kernel)
-// is identical by construction, so the end-to-end ratio measures exactly
-// the setup amortisation. Run with:
+// against repeated one-shot Multiply at the shape the serve workloads run
+// (HSUMMA, 4 ranks, 256³). Both spawn their rank goroutines per product and
+// run it through the same Execute, so what the session saves is plan
+// resolution, the operand scratch (allocated once; this unpadded shape
+// needs none) and a queue that coalesces same-A requests (none arrive
+// here: one caller). Run with:
 //
-//	go test -bench BenchmarkSessionThroughput -benchtime 10x
+//	go test -run '^$' -bench BenchmarkSessionThroughput -benchtime 2000x
 func BenchmarkSessionThroughput(b *testing.B) {
-	const n, p = 512, 16
+	const n, p = 256, 4
 	cfg := Config{Procs: p, Algorithm: AlgHSUMMA}
 	am := RandomMatrix(n, n, 1)
 	bm := RandomMatrix(n, n, 2)

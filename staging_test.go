@@ -16,7 +16,7 @@ import (
 // the ranks views of the caller's operands and of one output matrix, and
 // that must be indistinguishable — bit for bit — from the explicit
 // copying path (Scatter → engine.Run → Gather) the benchmark's decomposed
-// replay uses. Resident sessions stage through the same function
+// replay uses. Serving sessions stage through the same function
 // (serve.Execute); internal/serve's TestSessionBitIdenticalToMultiply pins
 // them to both.
 
