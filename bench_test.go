@@ -331,6 +331,23 @@ func BenchmarkFullScaleBGPSim(b *testing.B) { fullScaleBGP(b, EngineGoroutine) }
 // evsim.sim_ms / simnet.sim_ms).
 func BenchmarkFullScaleBGPSimEvent(b *testing.B) { fullScaleBGP(b, EngineEvent) }
 
+// BenchmarkSimBGP2048Event is the benchmark's sim_bgp operation in
+// process: the paper's BG/P point n=65536 p=2048 (HSUMMA G=32, b=256,
+// Van de Geijn broadcast, calibrated BG/P) on the event engine, the one
+// auto picks there. Run it with -benchmem and -cpuprofile to look inside
+// the engine at the size the suite times.
+func BenchmarkSimBGP2048Event(b *testing.B) {
+	bgp := PlatformBGPCalibrated()
+	cfg := SimConfig{N: 65536, Procs: 2048, Algorithm: AlgHSUMMA, Groups: 32, BlockSize: 256,
+		Broadcast: BcastVanDeGeijn, Platform: &bgp, Engine: EngineEvent}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPlanColdVsCached quantifies what the plan cache buys: a cold
 // plan pays the analytic scan plus TopK virtual runs, a cached one a map
 // lookup — the serving-workload property the planner is memoised for.

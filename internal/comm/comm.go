@@ -68,8 +68,9 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/matrix"
 	"repro/internal/sched"
@@ -211,35 +212,35 @@ func CheckGemm(c *matrix.Dense, a, b *Panel) {
 }
 
 // SplitGroups computes MPI_Comm_split's grouping from every member's
-// (colour, key): the member lists (old ranks) of each new communicator,
-// colours ascending, each list ordered by (key, old rank); negative
-// colours are excluded. Every transport builds its Split result from
-// this one function, so the engines cannot drift on communicator
-// structure — the invariant the bit-parity tests rely on.
-func SplitGroups(colors, keys map[int]int) [][]int {
-	byColor := map[int][]int{}
+// (colour, key), indexed by old rank: the member lists (old ranks) of each
+// new communicator, colours ascending, each list ordered by (key, old
+// rank); negative colours are excluded. Every transport builds its Split
+// result from this one function, so the engines cannot drift on
+// communicator structure — the invariant the bit-parity tests rely on.
+func SplitGroups(colors, keys []int) [][]int {
+	order := make([]int, 0, len(colors))
 	for r, col := range colors {
-		if col < 0 {
-			continue
+		if col >= 0 {
+			order = append(order, r)
 		}
-		byColor[col] = append(byColor[col], r)
 	}
-	cols := make([]int, 0, len(byColor))
-	for col := range byColor {
-		cols = append(cols, col)
-	}
-	sort.Ints(cols)
-	groups := make([][]int, 0, len(cols))
-	for _, col := range cols {
-		members := byColor[col]
-		sort.Slice(members, func(i, j int) bool {
-			ki, kj := keys[members[i]], keys[members[j]]
-			if ki != kj {
-				return ki < kj
-			}
-			return members[i] < members[j]
-		})
-		groups = append(groups, members)
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(colors[a], colors[b]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	var groups [][]int
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && colors[order[hi]] == colors[order[lo]] {
+			hi++
+		}
+		groups = append(groups, order[lo:hi:hi])
+		lo = hi
 	}
 	return groups
 }

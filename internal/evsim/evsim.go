@@ -14,10 +14,12 @@
 //     Every Bcast and Gemm becomes one compact, pointer-free event, a
 //     SendRecv two (its send and receive halves), and the call returns
 //     immediately — legal because the virtual data plane is shape-only,
-//     so no received value can influence the program's control flow. The only inter-rank
-//     rendezvous left on the producer side is Split, whose *result* (the
-//     child communicator's rank and size) does steer control flow; splits
-//     are a handful per run, so their parks are noise.
+//     so no received value can influence the program's control flow. The
+//     only inter-rank rendezvous left on the producer side is Split, whose
+//     *result* (the child communicator's rank and size) does steer control
+//     flow. Splits are few, but a world-wide one parks every rank except
+//     the last to arrive, so its waiters leave on a per-split channel, not
+//     through a shared lock (see rComm.Split).
 //
 //   - Consumer: a single-threaded event loop owns every virtual clock.
 //     Each rank's program has become a resumable step function — its ring
@@ -46,6 +48,14 @@
 // representative's, so a wrong class rule is an error, never a wrong
 // result. Without SetClasses every rank is its own class.
 //
+// Admission: followers never block on communication, so nothing but the
+// Go scheduler keeps them from filling the run queue while the
+// representatives — the only producers the consumer reads — wait behind
+// them. A follower therefore records only while it holds one of the
+// world's max(1, GOMAXPROCS−2) tokens, leaving one P to the consumer and
+// one to the representatives. It takes a token before its first event
+// and hands it back before each Split and when its program ends.
+//
 // Back-pressure: the representative parks when its ring is full — a chunk
 // is handed back only once the class's slowest member has passed it — and
 // the consumer parks when every runnable rank is at the end of its ring;
@@ -62,6 +72,7 @@ package evsim
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -90,15 +101,21 @@ type World struct {
 	pending  map[msgKey][]vMsg
 	waiting  map[msgKey]int32
 
-	// commMu guards the communicator registry (abort wakes split waiters).
+	// commMu guards the communicator registry (abort releases split
+	// waiters).
 	commMu sync.Mutex
 	comms  []*commState
+
+	// tokens admits followers (see Admission in the package doc).
+	tokens chan struct{}
 
 	// alive counts rank programs still running, stalled those of them
 	// parked where only the consumer or another parked program could wake
 	// them (a full ring, a split rendezvous). Each is decremented by the
 	// party that resolves it, so the consumer, idle with stalled == alive,
-	// knows the replay cannot progress.
+	// knows the replay cannot progress. A follower waiting for a token is
+	// not stalled: every holder is running, since it yields before the
+	// only call that parks it.
 	alive   atomic.Int64
 	stalled atomic.Int64
 	aborted atomic.Bool
@@ -132,6 +149,7 @@ func NewWorld(p int, cfg simnet.VConfig) *World {
 		pending: make(map[msgKey][]vMsg),
 		waiting: make(map[msgKey]int32),
 		rec:     cfg.Trace,
+		tokens:  make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-2)),
 	}
 	w.wakeCond = sync.NewCond(&w.wakeMu)
 	for r := 0; r < p; r++ {
@@ -189,8 +207,8 @@ func (w *World) buildClasses() {
 	}
 }
 
-// evAborted is the sentinel panic unwinding producers blocked in a ring or
-// split rendezvous when the world has already failed.
+// evAborted is the sentinel panic unwinding producers blocked in a ring, a
+// split rendezvous or a token wait when the world has already failed.
 type evAborted struct{}
 
 // Run executes fn on every rank — each in its own recording goroutine,
@@ -245,8 +263,12 @@ func (w *World) Run(fn func(c comm.Comm)) error {
 
 // abort records the first error, marks the world failed and wakes every
 // parked party: producers blocked on full rings or split rendezvous, and
-// the consumer's doorbell. Never holds the registry mutex across a
-// communicator's split lock (mirrors the goroutine engine's discipline).
+// the consumer's doorbell. A split's waiters are released by closing its
+// done channel with no result; those arriving later see aborted under the
+// split lock. Followers waiting for a token need no wake: the holders
+// hand their tokens on (see admit). Never holds the registry mutex across
+// a communicator's split lock (mirrors the goroutine engine's
+// discipline).
 func (w *World) abort(err error) {
 	w.errMu.Lock()
 	if w.firstErr == nil && err != nil {
@@ -266,7 +288,10 @@ func (w *World) abort(err error) {
 	w.commMu.Unlock()
 	for _, cs := range comms {
 		cs.splitMu.Lock()
-		cs.splitCond.Broadcast()
+		if sg := cs.split; sg != nil {
+			cs.split = nil
+			close(sg.done)
+		}
 		cs.splitMu.Unlock()
 	}
 	w.wakeMu.Lock()

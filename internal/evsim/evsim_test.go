@@ -1,6 +1,7 @@
 package evsim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -308,5 +309,98 @@ func TestFollowerLateSplitReplays(t *testing.T) {
 			t.Fatalf("rank %d: classed clock %v comm %v %+v, per-rank clock %v comm %v %+v", r,
 				w.Sim().Clock(r), w.Sim().CommTime(r), w.Stats()[r], ref.Sim().Clock(r), ref.Sim().CommTime(r), ref.Stats()[r])
 		}
+	}
+}
+
+// TestSplitAbortUnwinds: rank 63 panics while every other rank waits — the
+// representatives in a world Split, the followers for the token the
+// panicking rank holds (capacity is pinned to one, its floor, so they
+// queue whatever the host). Run must return the panic and every producer
+// goroutine must exit, classed or not.
+func TestSplitAbortUnwinds(t *testing.T) {
+	const p, victim = 64, 63
+	for _, classed := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		w := NewWorld(p, testCfg())
+		w.tokens = make(chan struct{}, 1)
+		splitters := int64(p - 1)
+		if classed {
+			class := make([]int, p)
+			for r := range class {
+				class[r] = r % 8
+			}
+			w.SetClasses(class)
+			splitters = 8 // the representatives; rank 63 follows rank 7
+		}
+		err := runWithin(t, w, func(c comm.Comm) {
+			r := c.Rank()
+			row := c.Split(r/8, r)
+			row.Bcast(sched.Binomial, 0, c.NewPanel(1, 16, comm.LHS))
+			if r == victim {
+				for w.stalled.Load() < splitters {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(10 * time.Millisecond) // let the followers queue for the token
+				panic("boom")
+			}
+			c.Split(0, r)
+		})
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("classed=%v: want the rank panic, got %v", classed, err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("classed=%v: %d goroutines after Run, %d before", classed, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestFollowerSplitsMidStream: followers record more than two rings' worth
+// of events, split the world, record as much again, split the
+// sub-communicator they got, and record more — so each hands its token on
+// and takes one again mid-program, while its representative's ring wraps
+// several times. The classed replay must equal one class per rank bit for
+// bit: clocks, communication times and traffic counters.
+func TestFollowerSplitsMidStream(t *testing.T) {
+	const p = 16 // a 4x4 grid; class = position in the row
+	program := func(c comm.Comm) {
+		r := c.Rank()
+		steps := func(on comm.Comm, n, size int) {
+			for i := 0; i < n; i++ {
+				on.Bcast(sched.VanDeGeijn, i%on.Size(), c.NewPanel(1, size+i, comm.LHS))
+				c.Gemm(c.NewTile(4, 4+i%3), c.NewPanel(4, 8, comm.LHS), c.NewPanel(8, 4+i%3, comm.RHS), 1)
+			}
+		}
+		row := c.Split(r/4, r%4)
+		steps(row, ringSize+1, 64)
+		col := c.Split(r%4, r/4)
+		steps(col, ringSize+1, 96)
+		half := row.Split(row.Rank()/2, -row.Rank())
+		steps(half, ringSize/2, 32)
+	}
+	ref := NewWorld(p, testCfg())
+	if err := runWithin(t, ref, program); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorld(p, testCfg())
+	class := make([]int, p)
+	for r := range class {
+		class[r] = r % 4
+	}
+	w.SetClasses(class)
+	if err := runWithin(t, w, program); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < p; r++ {
+		if w.Sim().Clock(r) != ref.Sim().Clock(r) || w.Sim().CommTime(r) != ref.Sim().CommTime(r) || w.Stats()[r] != ref.Stats()[r] {
+			t.Fatalf("rank %d: classed clock %v comm %v %+v, per-rank clock %v comm %v %+v", r,
+				w.Sim().Clock(r), w.Sim().CommTime(r), w.Stats()[r], ref.Sim().Clock(r), ref.Sim().CommTime(r), ref.Stats()[r])
+		}
+	}
+	if w.Total() == 0 || w.Stats()[0].SentMessages == 0 {
+		t.Fatal("the program recorded nothing")
 	}
 }

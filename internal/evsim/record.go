@@ -27,13 +27,15 @@ import (
 
 // producer is the per-rank recording context. ring is the class ring for
 // the representative and nil for a follower; chead/ctail cache the ring
-// indices so the push fast path performs a single atomic publish.
+// indices so the push fast path performs a single atomic publish. admitted
+// says a follower holds one of the world's tokens.
 type producer struct {
-	w     *World
-	world int32
-	ring  *ring
-	chead uint64 // last observed ring head
-	ctail uint64 // producer-owned tail (mirrored to ring.tail on publish)
+	w        *World
+	world    int32
+	ring     *ring
+	chead    uint64 // last observed ring head
+	ctail    uint64 // producer-owned tail (mirrored to ring.tail on publish)
+	admitted bool
 
 	sum    [3]uint64 // running hash of the recorded stream (see note)
 	events int64     // events recorded
@@ -64,10 +66,12 @@ func (p *producer) addComm(cs *commState) int32 {
 	return slot
 }
 
-// finish publishes the remaining events, marks the class's program
-// complete and rings the consumer so the replay can observe the exit
-// (and, when this was the last producer, run its termination scan).
+// finish publishes the remaining events (a follower hands back its
+// token), marks the class's program complete and rings the consumer so
+// the replay can observe the exit (and, when this was the last producer,
+// run its termination scan).
 func (p *producer) finish() {
+	p.yield()
 	if r := p.ring; r != nil {
 		p.publish()
 		r.done.Store(true)
@@ -103,21 +107,19 @@ type commState struct {
 	lastSched   *sched.Schedule
 	lastTraffic []simnet.VRankStats
 
-	// Producer side: split rendezvous (the only blocking producer call).
-	splitMu   sync.Mutex
-	splitCond *sync.Cond
-	splits    map[int32]*splitGather
+	// Producer side: the pending split rendezvous (the only blocking
+	// producer call). A member reaches its next Split on a communicator
+	// only after every member has arrived at the previous one, so at most
+	// one is pending.
+	splitMu sync.Mutex
+	split   *splitGather
 }
 
-// newCommState registers a communicator so abort can wake its split
+// newCommState registers a communicator so abort can release its split
 // waiters.
 func (w *World) newCommState(ranks []int) *commState {
-	cs := &commState{
-		ranks:  ranks,
-		splits: make(map[int32]*splitGather),
-	}
+	cs := &commState{ranks: ranks}
 	cs.g.parked = make([]int32, 0, len(ranks)-1)
-	cs.splitCond = sync.NewCond(&cs.splitMu)
 	w.commMu.Lock()
 	w.comms = append(w.comms, cs)
 	w.commMu.Unlock()
@@ -132,8 +134,7 @@ type rComm struct {
 	rank int32
 	slot int32
 
-	opSeq    int32
-	splitSeq int32
+	opSeq int32
 }
 
 var _ comm.Comm = (*rComm)(nil)
@@ -192,14 +193,14 @@ func (c *rComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel) {
 		a: int32(root), c: ck32("bcast size", panel.Elems()), d: seq})
 }
 
-// splitGather coordinates one Split call, mirroring the goroutine engine.
+// splitGather coordinates one Split call (see rComm.Split); abort closes
+// done with result still nil.
 type splitGather struct {
-	arrived int
-	waiting int64 // arrivals parked on the cond, counted as stalled
-	colors  map[int]int
-	keys    map[int]int
-	done    bool
-	result  map[int]splitMember
+	colors, keys []int // comm rank -> colour, key
+	arrived      int
+	waiting      int64         // arrivals blocked on done, counted as stalled
+	result       []splitMember // comm rank -> its share; nil if the world aborted
+	done         chan struct{}
 }
 
 // splitMember is one rank's share of a split: the child communicator and
@@ -213,51 +214,51 @@ type splitMember struct {
 // passing the same colour form a new communicator ordered by (key, old
 // rank); a negative colour returns nil. This is the one producer-side
 // rendezvous: the child communicator's rank and size feed the algorithm's
-// control flow, so recording cannot defer it — but splits are a handful
-// per run, so the parks are negligible. The child takes the caller's next
+// control flow, so recording cannot defer it. A world-wide split parks
+// every rank but the last to arrive, so the waiters take no lock on the
+// way out: arrivals fill rank-indexed colours and keys under the parent's
+// splitMu, and the last one builds the groups and closes the split's done
+// channel, which the others block on. The child takes the caller's next
 // slot.
 func (c *rComm) Split(color, key int) comm.Comm {
 	w := c.p.w
 	cs := c.cs
-	seq := c.splitSeq
-	c.splitSeq++
 
 	// The rendezvous may park this producer indefinitely: make every
-	// already-recorded event visible to the replay first.
+	// already-recorded event visible to the replay, and let another
+	// follower record in this one's place, first.
 	c.p.publish()
+	c.p.yield()
 
 	cs.splitMu.Lock()
-	sg := cs.splits[seq]
-	if sg == nil {
-		sg = &splitGather{colors: make(map[int]int, len(cs.ranks)), keys: make(map[int]int, len(cs.ranks))}
-		cs.splits[seq] = sg
+	if w.aborted.Load() {
+		cs.splitMu.Unlock()
+		panic(evAborted{})
 	}
-	sg.colors[int(c.rank)] = color
-	sg.keys[int(c.rank)] = key
-	sg.arrived++
-	if sg.arrived == len(cs.ranks) {
+	sg := cs.split
+	if sg == nil {
+		n := len(cs.ranks)
+		sg = &splitGather{colors: make([]int, n), keys: make([]int, n), done: make(chan struct{})}
+		cs.split = sg
+	}
+	sg.colors[c.rank], sg.keys[c.rank] = color, key
+	if sg.arrived++; sg.arrived == len(cs.ranks) {
+		cs.split = nil
 		sg.result = c.computeSplit(sg)
-		sg.done = true
 		// The waker uncounts the waiters, so the consumer never sees a
 		// stale stall.
 		w.stalled.Add(-sg.waiting)
-		cs.splitCond.Broadcast()
-		delete(cs.splits, seq)
-	}
-	for counted := false; !sg.done; {
-		if w.aborted.Load() {
-			cs.splitMu.Unlock()
+		cs.splitMu.Unlock()
+		close(sg.done)
+	} else {
+		sg.waiting++
+		w.stall()
+		cs.splitMu.Unlock()
+		if <-sg.done; sg.result == nil {
 			panic(evAborted{})
 		}
-		if !counted {
-			counted = true
-			sg.waiting++
-			w.stall()
-		}
-		cs.splitCond.Wait()
 	}
-	m := sg.result[int(c.rank)]
-	cs.splitMu.Unlock()
+	m := sg.result[c.rank]
 	if m.cs == nil {
 		return nil
 	}
@@ -269,8 +270,8 @@ func (c *rComm) Split(color, key int) comm.Comm {
 // The grouping rule lives in comm.SplitGroups, shared with the goroutine
 // engine and the live transport, so every engine derives the same
 // communicator structure for the same program.
-func (c *rComm) computeSplit(sg *splitGather) map[int]splitMember {
-	result := make(map[int]splitMember, len(sg.colors))
+func (c *rComm) computeSplit(sg *splitGather) []splitMember {
+	result := make([]splitMember, len(sg.colors))
 	for _, members := range comm.SplitGroups(sg.colors, sg.keys) {
 		worldRanks := make([]int, len(members))
 		for i, m := range members {

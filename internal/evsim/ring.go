@@ -111,17 +111,22 @@ func (p *producer) note(ev *event) {
 	p.events++
 }
 
-// push records one event. A follower only folds it into its stream hash;
-// the representative also appends it to the class ring, parking when the
-// ring is full until the class's slowest member frees half the ring or
-// the world aborts. The producer caches the ring's head (chead) and owns
-// its tail (ctail), so the fast path is one plain store plus a flag probe.
+// push records one event. A follower takes a token before it records and
+// then only folds the event into its stream hash; the representative also
+// appends it to the class ring, parking when the ring is full until the
+// class's slowest member frees half the ring or the world aborts. The
+// producer caches the ring's head (chead) and owns its tail (ctail), so
+// the fast path is one plain store plus a flag probe.
 func (p *producer) push(ev event) {
-	p.note(&ev)
 	r := p.ring
 	if r == nil {
+		if !p.admitted {
+			p.admit()
+		}
+		p.note(&ev)
 		return
 	}
+	p.note(&ev)
 	for {
 		if p.ctail-p.chead < ringSize {
 			r.buf[p.ctail&ringMask] = ev
@@ -205,5 +210,26 @@ func (r *ring) release(head uint64) {
 			r.cond.Signal()
 			r.mu.Unlock()
 		}
+	}
+}
+
+// admit blocks a follower until it holds one of the world's tokens (see
+// Admission in the package doc). Every holder is running and hands its
+// token on at its next Split or exit, so the wait ends even when the world
+// has aborted; the follower then unwinds instead of recording.
+func (p *producer) admit() {
+	p.w.tokens <- struct{}{}
+	p.admitted = true
+	if p.w.aborted.Load() {
+		panic(evAborted{})
+	}
+}
+
+// yield hands a follower's token back: before a Split, where it may park,
+// and when its program ends. A no-op for a representative.
+func (p *producer) yield() {
+	if p.admitted {
+		p.admitted = false
+		<-p.w.tokens
 	}
 }

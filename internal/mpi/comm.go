@@ -105,10 +105,10 @@ func (c *Comm) fetch(src, tag, elems int) *payload {
 type splitGather struct {
 	cond    *sync.Cond
 	arrived int
-	colors  map[int]int // comm rank -> color
-	keys    map[int]int // comm rank -> key
+	colors  []int // comm rank -> color
+	keys    []int // comm rank -> key
 	done    bool
-	result  map[int]*Comm // comm rank -> new communicator (nil for undefined color)
+	result  []*Comm // comm rank -> new communicator (nil for undefined color)
 }
 
 // Split partitions the communicator: ranks passing the same colour form a
@@ -127,8 +127,8 @@ func (c *Comm) Split(color, key int) *Comm {
 	sg := w.splits[k]
 	if sg == nil {
 		sg = &splitGather{
-			colors: make(map[int]int),
-			keys:   make(map[int]int),
+			colors: make([]int, len(c.ranks)),
+			keys:   make([]int, len(c.ranks)),
 		}
 		sg.cond = sync.NewCond(&w.mu)
 		w.splits[k] = sg
@@ -157,8 +157,8 @@ func (c *Comm) Split(color, key int) *Comm {
 // computeSplit builds the new communicators once all members have arrived.
 // Called with the world mutex held by the last arriver. The grouping rule
 // lives in comm.SplitGroups, shared by every transport.
-func (c *Comm) computeSplit(sg *splitGather) map[int]*Comm {
-	result := make(map[int]*Comm, len(sg.colors))
+func (c *Comm) computeSplit(sg *splitGather) []*Comm {
+	result := make([]*Comm, len(sg.colors)) // undefined-colour ranks stay nil
 	// Deterministic colour order keeps cid assignment reproducible.
 	for _, members := range comm.SplitGroups(sg.colors, sg.keys) {
 		cid := c.world.nextCID.Add(1)
@@ -168,12 +168,6 @@ func (c *Comm) computeSplit(sg *splitGather) map[int]*Comm {
 		}
 		for i, m := range members {
 			result[m] = &Comm{world: c.world, cid: cid, rank: i, ranks: worldRanks}
-		}
-	}
-	// Undefined-colour ranks get nil.
-	for r, col := range sg.colors {
-		if col < 0 {
-			result[r] = nil
 		}
 	}
 	return result

@@ -478,10 +478,10 @@ func (c *VComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel) {
 // vSplitGather coordinates one Split call, mirroring the live runtime.
 type vSplitGather struct {
 	arrived int
-	colors  map[int]int
-	keys    map[int]int
+	colors  []int // comm rank -> color
+	keys    []int // comm rank -> key
 	done    bool
-	result  map[int]*VComm
+	result  []*VComm // comm rank -> new communicator (nil for undefined color)
 }
 
 // Split partitions the communicator exactly like MPI_Comm_split (and like
@@ -499,8 +499,8 @@ func (c *VComm) Split(color, key int) comm.Comm {
 	sg := shard.splits[seq]
 	if sg == nil {
 		sg = &vSplitGather{
-			colors: make(map[int]int),
-			keys:   make(map[int]int),
+			colors: make([]int, len(c.ranks)),
+			keys:   make([]int, len(c.ranks)),
 		}
 		shard.splits[seq] = sg
 	}
@@ -530,8 +530,8 @@ func (c *VComm) Split(color, key int) comm.Comm {
 // Called with the parent communicator's shard mutex held by the last
 // arriver; each colour's communicator gets a fresh cid and shard. The
 // grouping rule lives in comm.SplitGroups, shared by every transport.
-func (c *VComm) computeSplit(sg *vSplitGather) map[int]*VComm {
-	result := make(map[int]*VComm, len(sg.colors))
+func (c *VComm) computeSplit(sg *vSplitGather) []*VComm {
+	result := make([]*VComm, len(sg.colors)) // undefined-colour ranks stay nil
 	for _, members := range comm.SplitGroups(sg.colors, sg.keys) {
 		cid := c.w.nextCID.Add(1)
 		shard := c.w.newShard()
@@ -541,11 +541,6 @@ func (c *VComm) computeSplit(sg *vSplitGather) map[int]*VComm {
 		}
 		for i, m := range members {
 			result[m] = &VComm{w: c.w, shard: shard, cid: cid, rank: i, ranks: worldRanks}
-		}
-	}
-	for r, col := range sg.colors {
-		if col < 0 {
-			result[r] = nil
 		}
 	}
 	return result
