@@ -6,7 +6,7 @@ package hsumma
 // contention, multilevel). Figure benches execute the full paper-scale
 // simulation once per iteration and report the regenerated headline
 // quantities as custom metrics (seconds of simulated time), so the bench
-// output doubles as the reproduction record; `hsumma-bench -exp <id>`
+// output doubles as the reproduction record; `hsumma-run exp <id>`
 // prints the same experiments with the paper's values beside ours.
 
 import (

@@ -1,5 +1,6 @@
-// Command hsumma-run executes a distributed multiplication through the
-// unified engine, in either execution mode:
+// Command hsumma-run is the repository's one command-line entry point for
+// the paper. Without a subcommand it executes a distributed multiplication
+// through the unified engine, in either execution mode:
 //
 //   - -mode=live (default): the in-process message-passing runtime — one
 //     goroutine per rank, real matrix blocks on the wire — verified against
@@ -14,11 +15,28 @@
 // algorithm, grid shape, group count, block sizes and broadcast for the
 // target platform; explicit -b pins the block size as a constraint.
 //
-// The plan subcommand runs the planner standalone and prints the ranked
-// candidate table (or JSON with -json):
+// Three subcommands reach the rest of the reproduction:
+//
+//   - plan runs the planner standalone and prints the ranked candidate
+//     table (or JSON with -json);
+//
+//   - exp regenerates the paper's evaluation artefacts, one experiment per
+//     table/figure (-list names them; -quick scales them down; -uncalibrated
+//     uses the paper's published α/β only; -format csv prints the series);
+//
+//   - model evaluates the closed-form cost model (Section IV) at one point:
+//     the eq. 10 condition α/β ⋛ 2nb/p with its verdict, then SUMMA against
+//     HSUMMA and the predicted optimal G — no simulation.
+//
+// For example:
 //
 //	hsumma-run plan -platform bgp
 //	hsumma-run plan -platform all -quick -json > BENCH_plan.json
+//	hsumma-run exp -list
+//	hsumma-run exp fig8 -quick
+//	hsumma-run exp all -quick
+//	hsumma-run model -platform bgp -n 65536 -p 16384 -b 256
+//	hsumma-run model -alpha 1e-4 -beta 1e-9 -n 8192 -p 128 -b 64
 //
 // Rectangular problems C(M×N) += A(M×K)·B(K×N) pass -m and -k beside -n
 // (either may be omitted to default to n — the square shorthand).
@@ -42,13 +60,26 @@ import (
 	"time"
 
 	hsumma "repro"
+	"repro/internal/exp"
 	"repro/internal/machine"
+	"repro/internal/model"
+	"repro/internal/sched"
+	"repro/internal/tune"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "plan" {
-		runPlanCmd(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "plan":
+			runPlanCmd(os.Args[2:])
+			return
+		case "exp":
+			runExpCmd(os.Args[2:])
+			return
+		case "model":
+			runModelCmd(os.Args[2:])
+			return
+		}
 	}
 	var (
 		mode   = flag.String("mode", "live", "execution mode: live (goroutine runtime, real data) or sim (virtual time, no data)")
@@ -334,8 +365,9 @@ func runPlanCmd(args []string) {
 			}
 		}
 		// A stage-2 virtual run at the paper's 16384 ranks costs ~10 s of
-		// host time each; beyond 2048 ranks default to the analytic
-		// ranking unless the caller passed -analytic explicitly (so
+		// host time each; beyond tune.AutoProcs ranks (the threshold
+		// implicit auto and GET /plan use) default to the analytic ranking
+		// unless the caller passed -analytic explicitly (so
 		// -analytic=false forces full-scale simulated refinement).
 		analyticSet := false
 		fs.Visit(func(f *flag.Flag) {
@@ -344,7 +376,7 @@ func runPlanCmd(args []string) {
 			}
 		})
 		analyticOnly := *analytic
-		if !analyticSet && pp > 2048 {
+		if !analyticSet && pp > tune.AutoProcs {
 			analyticOnly = true
 		}
 		shape := shapeFromFlags(*m, pn, *k)
@@ -376,6 +408,119 @@ func runPlanCmd(args []string) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+	}
+}
+
+// runExpCmd implements the exp subcommand: list the registered paper
+// experiments, or run one (or all) and print its table/series or CSV.
+func runExpCmd(args []string) {
+	fs := flag.NewFlagSet("exp", flag.ExitOnError)
+	var (
+		list         = fs.Bool("list", false, "list experiments")
+		quick        = fs.Bool("quick", false, "scaled-down configuration (seconds instead of minutes)")
+		uncalibrated = fs.Bool("uncalibrated", false, "use the paper's published Hockney parameters instead of the SUMMA-fitted machines")
+		format       = fs.String("format", "table", "output format: table or csv")
+	)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: hsumma-run exp [-list] [-quick] [-uncalibrated] [-format csv] <id|all>")
+		fs.PrintDefaults()
+	}
+	ids := parseInterleaved(fs, args)
+	if len(ids) > 1 {
+		fs.Usage()
+		os.Exit(2)
+	}
+	if *list || len(ids) == 0 {
+		fmt.Println("Available experiments (paper artefact -> id):")
+		for _, e := range exp.All() {
+			fmt.Printf("  %-9s %s\n            %s\n", e.ID, e.Title, e.Paper)
+		}
+		if len(ids) == 0 && !*list {
+			fmt.Println("\nrun with hsumma-run exp <id> or hsumma-run exp all")
+		}
+		return
+	}
+	if ids[0] == "all" {
+		ids = exp.IDs()
+	}
+	opts := exp.Options{Quick: *quick, Uncalibrated: *uncalibrated}
+	for _, id := range ids {
+		e, err := exp.ByID(id)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		res, err := e.Run(opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+			os.Exit(1)
+		}
+		if *format == "csv" {
+			fmt.Print(exp.CSV(res))
+		} else {
+			fmt.Println(exp.Format(res))
+		}
+	}
+}
+
+// runModelCmd implements the model subcommand: the closed-form cost model
+// at one point, for a machine preset or explicit Hockney parameters,
+// rendered as the valgrid/valbgp and table1/table2 experiments render it.
+func runModelCmd(args []string) {
+	fs := flag.NewFlagSet("model", flag.ExitOnError)
+	var (
+		pfName = fs.String("platform", "", "preset: grid5000[-cal], bgp[-cal], exascale (empty = use -alpha/-beta/-gamma)")
+		alpha  = fs.Float64("alpha", 1e-5, "latency (s), when no preset")
+		beta   = fs.Float64("beta", 1e-9, "reciprocal bandwidth (s/element), when no preset")
+		gamma  = fs.Float64("gamma", 1e-10, "flop time (s), when no preset")
+		n      = fs.Int("n", 65536, "matrix dimension")
+		p      = fs.Int("p", 16384, "processor count")
+		b      = fs.Int("b", 256, "block size (b = B)")
+		bcast  = fs.String("bcast", "vandegeijn", "broadcast model: binomial, vandegeijn")
+	)
+	if err := fs.Parse(args); err != nil {
+		os.Exit(2)
+	}
+	par := model.Params{N: *n, P: *p, B: *b}
+	var name string
+	if *pfName != "" {
+		pf, err := machine.ByName(*pfName)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		par.Machine, name = pf.Model, pf.Name
+	} else {
+		par.Machine = machine.Model{Alpha: *alpha, Beta: *beta, Gamma: *gamma}
+		name = par.Machine.String()
+	}
+	alg, err := sched.ByName(*bcast)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	par.Bcast = model.For(alg)
+	if err := par.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	for _, res := range exp.Model(name, par) {
+		fmt.Println(exp.Format(res))
+	}
+}
+
+// parseInterleaved parses fs over args, letting flags follow positional
+// arguments (`exp table2 -quick` as well as `exp -quick table2`), and
+// returns the positionals in order.
+func parseInterleaved(fs *flag.FlagSet, args []string) []string {
+	var pos []string
+	for {
+		fs.Parse(args) // ExitOnError: a bad flag exits here
+		args = fs.Args()
+		if len(args) == 0 {
+			return pos
+		}
+		pos, args = append(pos, args[0]), args[1:]
 	}
 }
 

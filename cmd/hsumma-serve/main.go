@@ -72,14 +72,10 @@ func main() {
 		coreBudget = flag.Int("core-budget", 256, "max cores (ranks × threads) reserved across live sessions; idle sessions retire LRU-first to admit a new shape")
 		queueDepth = flag.Int("queue-depth", 32, "per-session bounded queue depth")
 		maxBatch   = flag.Int("max-batch", 0, "max same-A requests coalesced into one multi-RHS execution, 1 = no batching (default 8)")
-		batchWin   = flag.Duration("batch-window", 0, "extra wait for same-A arrivals before executing a non-full batch (0 = coalesce only what is already queued)")
 		procs      = flag.Int("default-procs", 16, "rank count for requests that do not pin one")
 		kernCalib  = flag.Bool("kernel-calib", false, "at startup, time the threaded kernel on this host and calibrate the planner's intra-rank speedup curve from the measured scaling (off = the 3% default serial fraction)")
 		withPprof  = flag.Bool("pprof", false, "expose the Go profiler under /debug/pprof/")
-		traceEvery = flag.Int("trace-sample", 0, "flight recorder: sample 1 in N multiplies into a bounded trace ring served at /debug/traces (0 = off)")
-		traceRing  = flag.Int("trace-ring", 0, "flight-recorder ring capacity (default 16 captures)")
-		driftRepl  = flag.Bool("drift-replan", false, "invalidate a shape's memoised plan when its measured/predicted cost drifts persistently past -drift-threshold")
-		driftThr   = flag.Float64("drift-threshold", 0, "sustained measured/predicted ratio (or inverse) that marks a plan stale (default 2.0)")
+		traceEvery = flag.Int("trace-sample", 0, "flight recorder: sample 1 in N multiplies into a ring of the 16 newest traces served at /debug/traces (0 = off)")
 		logLevel   = flag.String("log-level", "info", "log floor: debug, info, warn or error")
 	)
 	flag.Parse()
@@ -118,14 +114,10 @@ func main() {
 	}
 
 	sched := serve.NewScheduler(serve.SchedulerConfig{
-		CoreBudget:     *coreBudget,
-		QueueDepth:     *queueDepth,
-		MaxBatch:       *maxBatch,
-		BatchWindow:    *batchWin,
-		TraceSampleN:   *traceEvery,
-		TraceRingSize:  *traceRing,
-		DriftReplan:    *driftRepl,
-		DriftThreshold: *driftThr,
+		CoreBudget:   *coreBudget,
+		QueueDepth:   *queueDepth,
+		MaxBatch:     *maxBatch,
+		TraceSampleN: *traceEvery,
 	})
 	handler := serve.NewHandler(sched, hcfg)
 	if *withPprof {
@@ -161,11 +153,9 @@ func main() {
 		"core_budget", *coreBudget,
 		"queue_depth", *queueDepth,
 		"max_batch", *maxBatch,
-		"batch_window", batchWin.String(),
 		"default_procs", *procs,
 		"pprof", *withPprof,
 		"trace_sample", *traceEvery,
-		"drift_replan", *driftRepl,
 		"log_level", level.String(),
 	)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

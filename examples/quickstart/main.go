@@ -42,7 +42,7 @@ func main() {
 	// Plan fidelity: every resolved run carries the cost model's per-phase
 	// prediction next to what the critical rank actually measured. A ratio
 	// near 1 means the planner's model describes this machine; sustained
-	// drift is what hsumma-serve's -drift-replan acts on. (Predictions are
+	// drift is what hsumma-serve counts as a stale plan. (Predictions are
 	// evaluated for the configured platform model — Grid'5000 here — so on
 	// a laptop the *ratios between phases* carry the signal.)
 	fmt.Println("predicted vs measured (critical rank), per phase:")

@@ -13,17 +13,32 @@ import (
 // tableParams is the configuration the cost tables are evaluated at: the
 // paper's tables are symbolic, so we print both the symbolic factors and
 // their value at the BG/P experiment point, where the comparison matters.
-func tableParams(o Options) model.Params {
-	par := model.Params{N: 65536, P: 16384, B: 256, Machine: machine.BlueGeneP().Model}
+func tableParams(o Options, bc model.Broadcast) model.Params {
+	par := model.Params{N: 65536, P: 16384, B: 256, Machine: machine.BlueGeneP().Model, Bcast: bc}
 	if o.Quick {
-		par = model.Params{N: 4096, P: 256, B: 64, Machine: machine.BlueGeneP().Model}
+		par.N, par.P, par.B = 4096, 256, 64
 	}
 	return par
 }
 
-func runTable(id, title string, bc model.Broadcast, o Options) (*Result, error) {
-	par := tableParams(o)
-	par.Bcast = bc
+// validationParams is one of the paper's model-validation points: the
+// platform's Hockney parameters under the Van de Geijn broadcast.
+func validationParams(pf machine.Platform, n, p, b int) model.Params {
+	return model.Params{N: n, P: p, B: b, Machine: pf.Model, Bcast: model.VanDeGeijn{}}
+}
+
+// Model evaluates the closed-form cost model at one point and reports it
+// the way the validation and table experiments do: the eq. 10 condition
+// with its verdict, then SUMMA against HSUMMA at the tabulated G with the
+// predicted optimum. machineName labels the validation report.
+func Model(machineName string, par model.Params) []*Result {
+	return []*Result{
+		runValidation("model", machineName, par),
+		runTable("model", fmt.Sprintf("cost model (%s broadcast)", par.Bcast.Name()), par),
+	}
+}
+
+func runTable(id, title string, par model.Params) *Result {
 	sq := math.Sqrt(float64(par.P))
 	r := &Result{
 		ID: id, Title: title,
@@ -55,22 +70,21 @@ func runTable(id, title string, bc model.Broadcast, o Options) (*Result, error) 
 		fmt.Sprintf("model optimum: G=%d with comm %.4gs (SUMMA %.4gs)", best, bc2.Comm(), model.SUMMA(par).Comm()),
 		"symbolic factors: see Tables I/II of the paper; these rows are their numeric evaluation",
 	}
-	return r, nil
+	return r
 }
 
-func runValidation(id string, pf machine.Platform, n, p, b int) (*Result, error) {
-	par := model.Params{N: n, P: p, B: b, Machine: pf.Model, Bcast: model.VanDeGeijn{}}
-	ratio := pf.Model.Alpha / pf.Model.Beta
-	threshold := 2 * float64(n) * float64(b) / float64(p)
+func runValidation(id, machineName string, par model.Params) *Result {
+	ratio := par.Machine.Alpha / par.Machine.Beta
+	threshold := 2 * float64(par.N) * float64(par.B) / float64(par.P)
 	minAt := model.MinimumAtSqrtP(par)
-	sq := math.Sqrt(float64(p))
+	sq := math.Sqrt(float64(par.P))
 	r := &Result{
 		ID:     id,
-		Title:  fmt.Sprintf("model validation on %s", pf.Name),
+		Title:  fmt.Sprintf("model validation on %s", machineName),
 		Header: []string{"quantity", "value"},
 		Rows: [][]string{
-			{"alpha (s)", fmt.Sprintf("%.3g", pf.Model.Alpha)},
-			{"beta (s/elem)", fmt.Sprintf("%.3g", pf.Model.Beta)},
+			{"alpha (s)", fmt.Sprintf("%.3g", par.Machine.Alpha)},
+			{"beta (s/elem)", fmt.Sprintf("%.3g", par.Machine.Beta)},
 			{"alpha/beta", fmt.Sprintf("%.4g", ratio)},
 			{"2nb/p", fmt.Sprintf("%.4g", threshold)},
 			{"interior minimum predicted", fmt.Sprintf("%v", minAt)},
@@ -84,7 +98,7 @@ func runValidation(id string, pf machine.Platform, n, p, b int) (*Result, error)
 		verdict = "G=√p is a maximum; HSUMMA falls back to G∈{1,p} (same cost as SUMMA)"
 	}
 	r.Findings = []string{verdict}
-	return r, nil
+	return r
 }
 
 func init() {
@@ -93,7 +107,7 @@ func init() {
 		Title: "Table I: SUMMA vs HSUMMA cost, binomial-tree broadcast",
 		Paper: "Table I — latency/bandwidth factor comparison under the binomial model",
 		Run: func(o Options) (*Result, error) {
-			return runTable("table1", "Table I (binomial broadcast)", model.BinomialTree{}, o)
+			return runTable("table1", "Table I (binomial broadcast)", tableParams(o, model.BinomialTree{})), nil
 		},
 	})
 	register(Experiment{
@@ -101,23 +115,25 @@ func init() {
 		Title: "Table II: SUMMA vs HSUMMA cost, Van de Geijn broadcast",
 		Paper: "Table II — including the HSUMMA(G=√p) optimal row",
 		Run: func(o Options) (*Result, error) {
-			return runTable("table2", "Table II (Van de Geijn broadcast)", model.VanDeGeijn{}, o)
+			return runTable("table2", "Table II (Van de Geijn broadcast)", tableParams(o, model.VanDeGeijn{})), nil
 		},
 	})
 	register(Experiment{
 		ID:    "valgrid",
 		Title: "Model validation on Grid'5000 (paper §V-A-1)",
 		Paper: "α/β = 1e5 > 2nb/p = 8192 ⇒ interior minimum exists",
-		Run: func(o Options) (*Result, error) {
-			return runValidation("valgrid", machine.Grid5000(), 8192, 128, 64)
+		Run: func(Options) (*Result, error) {
+			pf := machine.Grid5000()
+			return runValidation("valgrid", pf.Name, validationParams(pf, 8192, 128, 64)), nil
 		},
 	})
 	register(Experiment{
 		ID:    "valbgp",
 		Title: "Model validation on BlueGene/P (paper §V-B-1)",
 		Paper: "α/β = 3000 > 2nb/p = 2048 ⇒ interior minimum exists",
-		Run: func(o Options) (*Result, error) {
-			return runValidation("valbgp", machine.BlueGeneP(), 65536, 16384, 256)
+		Run: func(Options) (*Result, error) {
+			pf := machine.BlueGeneP()
+			return runValidation("valbgp", pf.Name, validationParams(pf, 65536, 16384, 256)), nil
 		},
 	})
 	register(Experiment{

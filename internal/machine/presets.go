@@ -119,7 +119,7 @@ func Exascale() Platform {
 }
 
 // presets is the one table of preset names: every spelling any surface
-// (hsumma-run, hsumma-serve, hsumma-model, GET /plan) accepts.
+// (hsumma-run and its model subcommand, hsumma-serve, GET /plan) accepts.
 var presets = map[string]func() Platform{
 	"grid5000": Grid5000, "graphene": Grid5000,
 	"grid5000-cal": Grid5000Calibrated, "grid5000cal": Grid5000Calibrated,

@@ -73,7 +73,7 @@ func (VanDeGeijn) Name() string { return "vandegeijn" }
 
 // For returns the closed-form model of a broadcast algorithm: Table I's
 // binomial tree or Table II's Van de Geijn (the empty name is binomial).
-// The planner's scorer and hsumma-model both map names through it.
+// The planner's scorer and `hsumma-run model` both map names through it.
 func For(alg sched.Algorithm) Broadcast {
 	switch alg {
 	case "", sched.Binomial:

@@ -9,7 +9,7 @@
 //     Hockney model (the timing path for the paper's large-scale figures).
 //
 // Because both engines execute the *same* transfers, the simulated times the
-// experiments report (`hsumma-bench -exp <id>`) measure exactly the
+// experiments report (`hsumma-run exp <id>`) measure exactly the
 // communication pattern the runnable code performs — the property the
 // paper's Section IV analysis relies on.
 //
@@ -84,9 +84,9 @@ func Algorithms() []Algorithm {
 
 // ByName maps a user-facing name (plus the historical aliases) to a
 // broadcast algorithm; the empty string defaults to binomial. Every
-// surface that parses broadcast names — the façade's BroadcastByName, the
-// CLI, the serving daemon, hsumma-model — routes here, so an alias is
-// added in one place.
+// surface that parses broadcast names — the façade's BroadcastByName,
+// hsumma-run (runs and its model subcommand), the serving daemon — routes
+// here, so an alias is added in one place.
 func ByName(name string) (Algorithm, error) {
 	switch name {
 	case "", string(Binomial):

@@ -14,8 +14,8 @@ import (
 // EWMA of the measured/predicted per-phase cost ratio (the drift tracker),
 // and a bounded ring of sampled span timelines (the flight recorder). Both
 // are observability aids — nothing on the execution path depends on them,
-// and with sampling off and drift untriggered a request's execution is
-// bit-identical to the untracked layer.
+// and with sampling off a request's execution is bit-identical to the
+// untracked layer.
 
 // driftBounds are the ratio-bucket upper bounds of the
 // hsumma_serve_model_drift_ratio histogram: measured/predicted, centred on
@@ -36,10 +36,9 @@ type driftState struct {
 
 // driftTracker keeps per-spec-key drift state and decides when a plan has
 // gone stale: the total-ratio EWMA has settled (≥ minSamples) outside
-// [1/threshold, threshold]. On a stale verdict the key's state resets, so
-// one bad plan fires one invalidation, not one per subsequent request.
+// [1/driftThreshold, driftThreshold]. On a stale verdict the key's state
+// resets, so one bad plan counts once, not once per subsequent request.
 type driftTracker struct {
-	threshold  float64
 	minSamples int
 	alpha      float64
 
@@ -47,19 +46,16 @@ type driftTracker struct {
 	byKey map[string]*driftState
 }
 
-// driftMinSamples is the settling count the scheduler's tracker uses, and
-// newDriftTracker's default.
-const driftMinSamples = 8
+// driftThreshold is the sustained measured/predicted ratio (or its
+// inverse) that marks a plan stale; driftMinSamples is the settling count
+// the scheduler's tracker uses before a key can be marked.
+const (
+	driftThreshold  = 2.0
+	driftMinSamples = 8
+)
 
-func newDriftTracker(threshold float64, minSamples int) *driftTracker {
-	if threshold <= 1 {
-		threshold = 2.0
-	}
-	if minSamples <= 0 {
-		minSamples = driftMinSamples
-	}
-	return &driftTracker{threshold: threshold, minSamples: minSamples, alpha: 0.3,
-		byKey: make(map[string]*driftState)}
+func newDriftTracker(minSamples int) *driftTracker {
+	return &driftTracker{minSamples: minSamples, alpha: 0.3, byKey: make(map[string]*driftState)}
 }
 
 // observe folds one request's measured phase seconds against its plan's
@@ -106,8 +102,8 @@ func (d *driftTracker) observe(key string, predicted, measured map[string]float6
 		st.total += d.alpha * (ratio - st.total)
 	}
 	st.n++
-	if st.n >= d.minSamples && (st.total > d.threshold || st.total < 1/d.threshold) {
-		// Reset so the replanned spec starts a fresh estimate.
+	if st.n >= d.minSamples && (st.total > driftThreshold || st.total < 1/driftThreshold) {
+		// Reset so the key starts a fresh estimate.
 		delete(d.byKey, key)
 		return ratio, true
 	}
@@ -179,6 +175,9 @@ type FlightSummary struct {
 	Spans       int       `json:"spans"`
 }
 
+// flightRingSize bounds the scheduler's flight-recorder ring.
+const flightRingSize = 16
+
 // flightRecorder is the bounded ring of sampled traces. Adds evict the
 // oldest entry once the ring is full; ids are monotonic, so a fetch of an
 // evicted id is a clean 404 rather than aliased data.
@@ -189,12 +188,7 @@ type flightRecorder struct {
 	ring []*flightEntry
 }
 
-func newFlightRecorder(max int) *flightRecorder {
-	if max <= 0 {
-		max = 16
-	}
-	return &flightRecorder{max: max}
-}
+func newFlightRecorder(max int) *flightRecorder { return &flightRecorder{max: max} }
 
 func (f *flightRecorder) add(specKey string, shape matrix.Shape, wall float64, rec *trace.Recorder) string {
 	f.mu.Lock()

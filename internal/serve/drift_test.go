@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -26,7 +27,7 @@ func newTestRecorder() *trace.Recorder {
 // TestDriftTrackerStale drives the EWMA to a sustained 3x overrun and
 // checks the stale verdict fires exactly once, resetting the key's state.
 func TestDriftTrackerStale(t *testing.T) {
-	d := newDriftTracker(2.0, 3)
+	d := newDriftTracker(3)
 	pred := map[string]float64{"bcast": 1.0, "gemm": 2.0}
 	meas := map[string]float64{"bcast": 3.0, "gemm": 6.0}
 	var staleAt int
@@ -53,9 +54,9 @@ func TestDriftTrackerStale(t *testing.T) {
 }
 
 // TestDriftTrackerUnderrun checks the inverse side of the band: a model
-// that overpredicts by 4x (ratio 0.25 < 1/threshold) is just as stale.
+// that overpredicts by 4x (ratio 0.25 < 1/driftThreshold) is just as stale.
 func TestDriftTrackerUnderrun(t *testing.T) {
-	d := newDriftTracker(2.0, 2)
+	d := newDriftTracker(2)
 	pred := map[string]float64{"shift": 4.0}
 	meas := map[string]float64{"shift": 1.0}
 	if _, stale := d.observe("k", pred, meas); stale {
@@ -70,7 +71,7 @@ func TestDriftTrackerUnderrun(t *testing.T) {
 // followed by on-model requests decays back inside the band, never
 // tripping staleness.
 func TestDriftTrackerConvergence(t *testing.T) {
-	d := newDriftTracker(2.0, 8)
+	d := newDriftTracker(8)
 	pred := map[string]float64{"bcast": 1.0}
 	if _, stale := d.observe("k", pred, map[string]float64{"bcast": 5.0}); stale {
 		t.Fatal("single spike marked stale")
@@ -88,7 +89,7 @@ func TestDriftTrackerConvergence(t *testing.T) {
 // TestDriftTrackerNoPrediction: requests without a prediction (or with
 // nothing comparable) contribute nothing and report ratio 0.
 func TestDriftTrackerNoPrediction(t *testing.T) {
-	d := newDriftTracker(0, 0) // defaults: threshold 2.0, minSamples 8
+	d := newDriftTracker(driftMinSamples)
 	if ratio, stale := d.observe("k", nil, map[string]float64{"gemm": 1}); ratio != 0 || stale {
 		t.Fatalf("nil prediction: ratio %v stale %v, want 0/false", ratio, stale)
 	}
@@ -97,6 +98,43 @@ func TestDriftTrackerNoPrediction(t *testing.T) {
 	}
 	if len(d.snapshot()) != 0 {
 		t.Fatalf("incomparable observations left state behind: %v", d.snapshot())
+	}
+}
+
+// TestSchedulerStaleKeepsPlan drives the scheduler's stale path with
+// synthetic stats: a sustained 3x overrun on an auto-planned shape counts
+// once in PlanStale, and the planner's memoised plan survives it — the next
+// resolve of the shape is a cache hit, not a replan.
+func TestSchedulerStaleKeepsPlan(t *testing.T) {
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
+	defer sc.Close()
+	const n = 32
+	rp := tune.ResolveParams{Procs: 4, Algorithm: engine.Auto}
+	_, st, err := sc.Multiply(matrix.Random(n, n, 1), matrix.Random(n, n, 2), rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tune.Stats()
+	for i := 0; i < driftMinSamples; i++ {
+		overrun := Stats{SpecKey: st.SpecKey, BatchSize: 1}
+		overrun.PredictedSecondsByPhase = map[string]float64{"bcast": 1, "gemm": 2}
+		overrun.CommSecondsByPhase = map[string]float64{"bcast": 3}
+		overrun.GemmSeconds = 6
+		sc.observeDrift(&overrun)
+		if overrun.ModelDriftRatio != 3 {
+			t.Fatalf("observation %d: ModelDriftRatio = %v, want 3", i, overrun.ModelDriftRatio)
+		}
+	}
+	if got := sc.Metrics().PlanStale; got != 1 {
+		t.Fatalf("PlanStale = %d after %d observations at 3x, want 1", got, driftMinSamples)
+	}
+	rp.Shape = matrix.Shape{M: n, N: n, K: n}
+	if _, err := tune.ResolveSpec(rp); err != nil {
+		t.Fatal(err)
+	}
+	after := tune.Stats()
+	if after.CacheMisses != before.CacheMisses || after.CacheHits != before.CacheHits+1 {
+		t.Fatalf("planner stats went %+v -> %+v across a stale verdict, want one cache hit and no miss", before, after)
 	}
 }
 

@@ -24,31 +24,15 @@ type SchedulerConfig struct {
 	// QueueDepth bounds each session's admission window (default 32); a
 	// full window rejects with ErrOverloaded.
 	QueueDepth int
-	// MaxBatch and BatchWindow are handed to every session (see
-	// SessionConfig): maximum same-A requests coalesced into one execution
-	// (0 → 8; 1 → no batching), and how long a session's runner waits for
-	// further coalescible arrivals (0 → opportunistic only).
-	MaxBatch    int
-	BatchWindow time.Duration
+	// MaxBatch is handed to every session (see SessionConfig): the maximum
+	// same-A requests coalesced into one execution (0 → 8; 1 → no
+	// batching).
+	MaxBatch int
 	// TraceSampleN enables the flight recorder: 1 in every N completed
 	// requests runs traced and lands in the capture ring (GET
 	// /debug/traces). 0 disables sampling; unsampled requests follow the
 	// exact untraced execution path.
 	TraceSampleN int
-	// TraceRingSize bounds the flight-recorder ring (default 16 captures;
-	// the oldest is evicted).
-	TraceRingSize int
-	// DriftReplan, when set, invalidates the memoised plan of an
-	// engine.Auto request's shape once its measured/predicted cost ratio
-	// drifts persistently past DriftThreshold — the next request for the
-	// shape replans from current calibration instead of reusing the stale
-	// cached pick.
-	DriftReplan bool
-	// DriftThreshold is the sustained measured/predicted ratio (or its
-	// inverse) that marks a plan stale (default 2.0; must exceed 1). A
-	// spec key needs 8 completed requests (driftMinSamples) before its
-	// drift EWMA can mark the plan stale.
-	DriftThreshold float64
 }
 
 func (c SchedulerConfig) withDefaults() SchedulerConfig {
@@ -173,8 +157,8 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		histE2E:   newHistogramVec("hsumma_serve_request_seconds", "End-to-end request time: queue + stage + run + crop."),
 		histBatch: newHistogramVecBounds("hsumma_serve_batch_size", "Coalesced same-A requests per execution, observed once per request.", batchBounds),
 		histDrift: newHistogramVecBounds("hsumma_serve_model_drift_ratio", "Measured/predicted cost ratio per phase (key is the phase name; 1.0 = plan model exact).", driftBounds),
-		drift:     newDriftTracker(cfg.DriftThreshold, driftMinSamples),
-		flight:    newFlightRecorder(cfg.TraceRingSize),
+		drift:     newDriftTracker(driftMinSamples),
+		flight:    newFlightRecorder(flightRingSize),
 	}
 	sc.specKeyed = []*histogramVec{sc.histQueue, sc.histStage, sc.histExec, sc.histE2E, sc.histBatch}
 	return sc
@@ -221,7 +205,7 @@ func (sc *Scheduler) Multiply(a, b *matrix.Dense, rp tune.ResolveParams) (*matri
 		return nil, stats, err
 	}
 	sc.completed.Add(1)
-	sc.observeDrift(&stats, rp)
+	sc.observeDrift(&stats)
 	sc.histQueue.observe(stats.SpecKey, stats.QueueSeconds)
 	sc.histStage.observe(stats.SpecKey, stats.SetupSeconds)
 	sc.histExec.observe(stats.SpecKey, stats.RunSeconds)
@@ -256,11 +240,11 @@ func (sc *Scheduler) keyLiveLocked(specKey string) bool {
 // observeDrift folds one completed request into the plan-fidelity
 // tracker: per-phase measured/predicted ratios into the drift histogram
 // and the spec key's EWMA, the all-phase ratio onto the request's stats,
-// and — when sustained drift marks the plan stale and replanning is
-// enabled — the invalidation of the shape's memoised plan. Only implicit
-// engine.Auto requests replan: pinned specs have no planner choice to
-// revisit, and only Auto resolutions populate the plan cache.
-func (sc *Scheduler) observeDrift(stats *Stats, rp tune.ResolveParams) {
+// and a plan_stale count when sustained drift marks the plan stale. A
+// stale plan is reported, not replanned: the planner is a deterministic
+// function of inputs fixed at process start, so replanning would return
+// the same pick at the cost of its stage-2 virtual runs.
+func (sc *Scheduler) observeDrift(stats *Stats) {
 	if len(stats.PredictedSecondsByPhase) == 0 {
 		return
 	}
@@ -272,12 +256,8 @@ func (sc *Scheduler) observeDrift(stats *Stats, rp tune.ResolveParams) {
 	}
 	ratio, stale := sc.drift.observe(stats.SpecKey, stats.PredictedSecondsByPhase, measured)
 	stats.ModelDriftRatio = ratio
-	if !stale {
-		return
-	}
-	sc.planStale.Add(1)
-	if sc.cfg.DriftReplan && rp.Algorithm == engine.Auto {
-		tune.InvalidatePlan(tune.AutoRequest(rp))
+	if stale {
+		sc.planStale.Add(1)
 	}
 }
 
@@ -352,9 +332,8 @@ func (sc *Scheduler) route(reqShape matrix.Shape, spec engine.Spec) (*Session, f
 		}
 	}
 	sess, err := NewSession(reqShape, spec, SessionConfig{
-		QueueDepth:  sc.cfg.QueueDepth,
-		MaxBatch:    sc.cfg.MaxBatch,
-		BatchWindow: sc.cfg.BatchWindow,
+		QueueDepth: sc.cfg.QueueDepth,
+		MaxBatch:   sc.cfg.MaxBatch,
 	})
 	if err != nil {
 		sc.mu.Unlock()

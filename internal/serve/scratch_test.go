@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blas"
@@ -76,19 +77,34 @@ func (wr wireRequest) serve(h http.Handler, raw bool) (*matrix.Dense, Stats, err
 // written on scratch — releasing before Multiply returns makes it fail.
 func TestScratchOwnershipUnderLoad(t *testing.T) {
 	const n, perCaller = 24, 100
-	// MaxBatch 2 with a window: the stager waits for the second caller and
-	// either coalesces it (same A) or compares and holds it (different A).
-	sc := NewScheduler(SchedulerConfig{CoreBudget: 16, MaxBatch: 2, BatchWindow: 50e6})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16, MaxBatch: 2})
 	defer sc.Close()
 	h := NewHandler(sc, HandlerConfig{DefaultProcs: 4})
+	warm := newWireRequest(t, matrix.Random(n, n, 1), matrix.Random(n, n, 2))
+	if _, _, err := warm.serve(h, false); err != nil {
+		t.Fatal(err)
+	}
+	// With MaxBatch 2 the runner holds each lead until the other caller's
+	// request is queued behind it (or that caller is done), so every
+	// staging either coalesces the second request (same A) or compares and
+	// holds it (different A) — deterministically, not by timing.
+	var active atomic.Int32
+	sess := sc.Sessions()[0]
+	sess.beforeStage = func() {
+		for len(sess.jobs) == 0 && active.Load() > 1 {
+			runtime.Gosched()
+		}
+	}
 
 	run := func(aSeeds [2]uint64) (coalesced int) {
 		var wg sync.WaitGroup
 		var mu sync.Mutex
+		active.Store(int32(len(aSeeds)))
 		for caller, aSeed := range aSeeds {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer active.Add(-1)
 				a := matrix.Random(n, n, aSeed)
 				for i := 0; i < perCaller; i++ {
 					wr := newWireRequest(t, a, matrix.Random(n, n, uint64(1000*caller+i)))
@@ -115,8 +131,8 @@ func TestScratchOwnershipUnderLoad(t *testing.T) {
 	if c := run([2]uint64{11, 12}); c != 0 {
 		t.Fatalf("%d requests with different A were coalesced", c)
 	}
-	if c := run([2]uint64{13, 13}); c == 0 {
-		t.Fatal("no same-A pair was coalesced: the batched path never ran on pooled operands")
+	if c := run([2]uint64{13, 13}); c != 2*perCaller {
+		t.Fatalf("%d of %d same-A requests were coalesced, want all: the batched path must run on pooled operands", c, 2*perCaller)
 	}
 	if got := len(sc.Sessions()); got != 1 {
 		t.Fatalf("%d sessions served one shape, want 1", got)

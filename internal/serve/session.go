@@ -107,11 +107,6 @@ type SessionConfig struct {
 	// Batching needs the algorithm to accept a widened RHS, so square-only
 	// specs (Cannon, Fox) never batch regardless of this knob.
 	MaxBatch int
-	// BatchWindow is how long the runner, holding a batch smaller than
-	// MaxBatch with an empty queue, waits for further coalescible arrivals
-	// before executing what it has. 0 (the default) coalesces only requests
-	// already queued — no added latency.
-	BatchWindow time.Duration
 }
 
 // Session is a persistent execution context for one resolved spec: a work
@@ -134,7 +129,6 @@ type Session struct {
 
 	depth    int // admission window (QueueDepth)
 	maxBatch int
-	window   time.Duration
 
 	jobs chan *job
 	quit chan struct{}
@@ -205,7 +199,7 @@ func NewSession(reqShape matrix.Shape, spec engine.Spec, cfg SessionConfig) (*Se
 	}
 	s := &Session{
 		spec: spec, req: reqShape, key: spec.Key(), scratch: make(Scratch),
-		depth: depth, maxBatch: mb, window: cfg.BatchWindow,
+		depth: depth, maxBatch: mb,
 		jobs: make(chan *job, depth),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
@@ -372,38 +366,21 @@ func (s *Session) take() {
 	s.mu.Unlock()
 }
 
-// collect coalesces queued requests behind lead that share its A operand
-// into one batch (FIFO order preserved). A request with a different A ends
-// the batch and is returned as the next batch's lead. With BatchWindow set
-// the runner waits up to the window for further arrivals while below
-// MaxBatch and the queue is empty.
+// collect coalesces the requests already queued behind lead that share its
+// A operand into one batch (FIFO order preserved), adding no latency: it
+// never waits for arrivals. A request with a different A ends the batch and
+// is returned as the next batch's lead.
 func (s *Session) collect(lead *job) (batch []*job, held *job) {
 	batch = []*job{lead}
 	if !s.batchable || s.maxBatch <= 1 {
 		return batch, nil
 	}
-	var deadline <-chan time.Time // armed when the queue first runs dry
 	for len(batch) < s.maxBatch {
 		var j *job
 		select {
 		case j = <-s.jobs:
 		default:
-			if s.window <= 0 {
-				return batch, nil
-			}
-			if deadline == nil {
-				t := time.NewTimer(s.window)
-				defer t.Stop()
-				deadline = t.C
-			}
-			select {
-			case j = <-s.jobs:
-			case <-deadline:
-				return batch, nil
-			case <-s.quit:
-				// Let run's quit handling fail the batch.
-				return batch, nil
-			}
+			return batch, nil
 		}
 		s.take()
 		if !sameOperand(j.a, lead.a) {

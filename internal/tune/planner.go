@@ -17,11 +17,6 @@ import (
 // value is not usable; use NewPlanner (or the package-level Plan, which
 // shares one default planner and hence one cache).
 type Planner struct {
-	// MaxParallel caps the concurrent stage-2 virtual runs (default:
-	// GOMAXPROCS). Each virtual run is itself parallel across its ranks,
-	// so a small cap keeps the host responsive.
-	MaxParallel int
-
 	mu    sync.Mutex
 	cache map[string]*Plan
 
@@ -141,24 +136,6 @@ func (p *Planner) Plan(req Request) (*Plan, error) {
 	return copyPlan(plan), nil
 }
 
-// Invalidate drops the memoised plan for req, returning whether one was
-// cached. The serving layer's drift tracker calls it (through the
-// package-level wrapper) when a spec's measured/predicted ratio drifts
-// persistently: the next request for the shape replans from current
-// calibration instead of serving the stale cached pick.
-func (p *Planner) Invalidate(req Request) bool {
-	req = req.withDefaults()
-	key := fingerprint(req)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.cache[key]
-	delete(p.cache, key)
-	return ok
-}
-
-// InvalidatePlan drops the shared default planner's memoised plan for req.
-func InvalidatePlan(req Request) bool { return defaultPlanner.Invalidate(req) }
-
 // copyPlan returns a caller-owned copy: the Ranked slice is duplicated so
 // a caller re-sorting or editing its plan cannot corrupt the cached one.
 func copyPlan(pl *Plan) *Plan {
@@ -233,7 +210,8 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 }
 
 // refine runs the stage-2 virtual runs for the given candidates in
-// parallel, filling their Sim fields in place. Each run goes through the
+// parallel, at most GOMAXPROCS at a time (each virtual run is itself
+// parallel across its ranks), filling their Sim fields in place. Each run goes through the
 // auto executor policy, which picks the event engine for collective-only
 // candidates — the bulk of any top-K set. Engines are bit-identical, so
 // the policy could only change planning wall time, never a pick; the
@@ -241,11 +219,7 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 func (p *Planner) refine(req Request, top []Scored) {
 	start := time.Now()
 	defer func() { p.refineNanos.Add(int64(time.Since(start))) }()
-	maxPar := p.MaxParallel
-	if maxPar <= 0 {
-		maxPar = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, maxPar)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i := range top {
 		wg.Add(1)

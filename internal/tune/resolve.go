@@ -180,10 +180,8 @@ func ResolveAuto(rp ResolveParams, req Request) (ResolveParams, error) {
 }
 
 // AutoRequest is the exact planner Request the implicit-Auto resolution
-// path builds for rp — exported so callers that need to act on the same
-// cache entry (the serving drift tracker invalidating a stale memoised
-// plan via InvalidatePlan) address it by construction rather than by
-// duplicating the Request recipe.
+// path builds for rp — exported so a caller that extends it (Simulate adds
+// its contention flag) starts from the same recipe rather than a copy.
 func AutoRequest(rp ResolveParams) Request {
 	pf := machine.Grid5000()
 	if rp.Platform != nil {
