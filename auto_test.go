@@ -90,8 +90,9 @@ func TestPlanCacheIsolation(t *testing.T) {
 	}
 }
 
-// The public Plan API must rank refined candidates and report cache hits
-// through the shared counters.
+// The public Plan API must rank candidates and report cache hits through
+// the shared counters. The 4×4 grid has power-of-two sides, so the plan is
+// ranked by its closed-form totals and replays nothing.
 func TestPlanAPI(t *testing.T) {
 	pf := PlatformGrid5000()
 	cfg := PlanConfig{Platform: pf, N: 512, Procs: 16, Quick: true}
@@ -100,13 +101,16 @@ func TestPlanAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.Ranked) == 0 || !pl.Best.Refined {
-		t.Fatalf("degenerate plan: %+v", pl)
+	if len(pl.Ranked) == 0 || pl.Simulated != 0 || pl.Best.Refined {
+		t.Fatalf("degenerate plan (or a replay on a 4x4 grid): %+v", pl)
+	}
+	if runs := PlannerCounters().SimRuns; runs != before.SimRuns {
+		t.Fatalf("4x4 plan ran %d replays", runs-before.SimRuns)
 	}
 	for i := 1; i < len(pl.Ranked); i++ {
-		if pl.Ranked[i].Err == "" && pl.Ranked[i-1].SimTotal > pl.Ranked[i].SimTotal+1e-12 {
+		if pl.Ranked[i-1].ModelTotal > pl.Ranked[i].ModelTotal {
 			t.Fatalf("plan not ranked: #%d (%.6g) above #%d (%.6g)",
-				i-1, pl.Ranked[i-1].SimTotal, i, pl.Ranked[i].SimTotal)
+				i-1, pl.Ranked[i-1].ModelTotal, i, pl.Ranked[i].ModelTotal)
 		}
 	}
 	again, err := Plan(cfg)
@@ -124,14 +128,14 @@ func TestPlanAPI(t *testing.T) {
 
 // Full-mode planning at the exascale point (p = 2^20 on a 1024×1024 grid)
 // enumerates group counts by divisor pairs; trying every G in 1..p with
-// every divisor of G did not finish. Analytic-only, it must plan in well
-// under a second.
+// every divisor of G did not finish. Above tune.AutoProcs ranks nothing is
+// replayed, so it must plan in well under a second.
 func TestPlanExascaleAnalyticUnderASecond(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing bound does not hold under the race detector")
 	}
 	start := time.Now()
-	pl, err := Plan(PlanConfig{Platform: PlatformExascale(), N: 1 << 22, Procs: 1 << 20, AnalyticOnly: true, NoCache: true})
+	pl, err := Plan(PlanConfig{Platform: PlatformExascale(), N: 1 << 22, Procs: 1 << 20, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

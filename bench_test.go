@@ -349,8 +349,9 @@ func BenchmarkSimBGP2048Event(b *testing.B) {
 }
 
 // BenchmarkPlanColdVsCached quantifies what the plan cache buys: a cold
-// plan pays the analytic scan plus TopK virtual runs, a cached one a map
-// lookup — the serving-workload property the planner is memoised for.
+// plan pays the closed-form scan (and, off power-of-two grids, a few
+// event-engine replays), a cached one a map lookup — the serving-workload
+// property the planner is memoised for.
 func BenchmarkPlanColdVsCached(b *testing.B) {
 	cfg := PlanConfig{Platform: PlatformGrid5000(), N: 512, Procs: 16, Quick: true}
 	b.Run("cold", func(b *testing.B) {

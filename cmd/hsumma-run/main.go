@@ -64,7 +64,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/sched"
-	"repro/internal/tune"
 )
 
 func main() {
@@ -321,11 +320,9 @@ func runPlanCmd(args []string) {
 		b          = fs.Int("b", 0, "pin the block size b (0 = search)")
 		thr        = fs.Int("threads", 0, "pin the per-rank thread budget (0 = searched under -cores, 1 otherwise)")
 		cores      = fs.Int("cores", 0, "core budget: search (ranks × threads) splits of this many cores instead of planning for exactly -p ranks")
-		topk       = fs.Int("topk", 8, "stage-2 refinement width")
 		objective  = fs.String("objective", "total", "ranking objective: total or comm")
 		quick      = fs.Bool("quick", false, "trim the candidate space (and the default problem scale) for a sub-second sweep")
-		analytic   = fs.Bool("analytic", false, "closed-form ranking only, skip the stage-2 virtual runs")
-		contention = fs.Bool("contention", false, "enable the platform's link-sharing model in stage 2")
+		contention = fs.Bool("contention", false, "price the platform's link sharing by replaying the ranked candidates on the event engine")
 		jsonOut    = fs.Bool("json", false, "emit the plans as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -364,33 +361,16 @@ func runPlanCmd(args []string) {
 				pp = dp
 			}
 		}
-		// A stage-2 virtual run at the paper's 16384 ranks costs ~10 s of
-		// host time each; beyond tune.AutoProcs ranks (the threshold
-		// implicit auto and GET /plan use) default to the analytic ranking
-		// unless the caller passed -analytic explicitly (so
-		// -analytic=false forces full-scale simulated refinement).
-		analyticSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "analytic" {
-				analyticSet = true
-			}
-		})
-		analyticOnly := *analytic
-		if !analyticSet && pp > tune.AutoProcs {
-			analyticOnly = true
-		}
 		shape := shapeFromFlags(*m, pn, *k)
 		start := time.Now()
 		pl, err := hsumma.Plan(hsumma.PlanConfig{
 			Platform: platform, Shape: shape, Procs: pp,
-			BlockSize:    *b,
-			Threads:      *thr,
-			CoreBudget:   *cores,
-			TopK:         *topk,
-			Objective:    obj,
-			Quick:        *quick,
-			AnalyticOnly: analyticOnly,
-			Contention:   *contention,
+			BlockSize:  *b,
+			Threads:    *thr,
+			CoreBudget: *cores,
+			Objective:  obj,
+			Quick:      *quick,
+			Contention: *contention,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "plan failed:", err)
@@ -398,7 +378,7 @@ func runPlanCmd(args []string) {
 		}
 		plans = append(plans, pl)
 		if !*jsonOut {
-			printPlan(pl, time.Since(start), analyticOnly)
+			printPlan(pl, time.Since(start))
 		}
 	}
 	if *jsonOut {
@@ -524,7 +504,7 @@ func parseInterleaved(fs *flag.FlagSet, args []string) []string {
 	}
 }
 
-func printPlan(pl *hsumma.PlanResult, elapsed time.Duration, analyticOnly bool) {
+func printPlan(pl *hsumma.PlanResult, elapsed time.Duration) {
 	budget := fmt.Sprintf("p=%d", pl.P)
 	if pl.CoreBudget > 0 {
 		budget = fmt.Sprintf("cores=%d", pl.CoreBudget)
@@ -532,16 +512,12 @@ func printPlan(pl *hsumma.PlanResult, elapsed time.Duration, analyticOnly bool) 
 	fmt.Printf("== plan: %s — %s, %s (objective: min %s) ==\n", pl.Platform, pl.Shape, budget, pl.Objective)
 	fmt.Printf("   scanned %d candidates, simulated %d, cached=%t, %v\n",
 		pl.Scanned, pl.Simulated, pl.FromCache, elapsed.Round(time.Millisecond))
-	if analyticOnly {
-		fmt.Println("   (analytic ranking only; pass -analytic=false to force simulated refinement)")
-	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "   rank\talgorithm\tgrid\tt\tG\tb\tB\tbcast\tmodel comm (s)\tsim comm (s)\tsim total (s)\tengine")
+	fmt.Fprintln(w, "   rank\talgorithm\tgrid\tt\tG\tb\tB\tbcast\tmodel comm (s)\tmodel total (s)\tsim comm (s)\tsim total (s)")
 	for i, s := range pl.Ranked {
-		simComm, simTotal, eng := "-", "-", "-"
+		simComm, simTotal := "-", "-"
 		if s.Refined {
 			simComm, simTotal = fmt.Sprintf("%.4g", s.SimComm), fmt.Sprintf("%.4g", s.SimTotal)
-			eng = s.Engine
 		}
 		marker := ""
 		if i == 0 {
@@ -551,9 +527,9 @@ func printPlan(pl *hsumma.PlanResult, elapsed time.Duration, analyticOnly bool) 
 		if threads < 1 {
 			threads = 1
 		}
-		fmt.Fprintf(w, "   #%d\t%s\t%s\t%d\t%d\t%d\t%d\t%s\t%.4g\t%s\t%s\t%s%s\n",
+		fmt.Fprintf(w, "   #%d\t%s\t%s\t%d\t%d\t%d\t%d\t%s\t%.4g\t%.4g\t%s\t%s%s\n",
 			i+1, s.Algorithm, s.Grid, threads, s.Groups, s.BlockSize, s.OuterBlockSize,
-			s.Broadcast, s.ModelComm, simComm, simTotal, eng, marker)
+			s.Broadcast, s.ModelComm, s.ModelTotal, simComm, simTotal, marker)
 	}
 	w.Flush()
 	fmt.Println()

@@ -2,8 +2,9 @@
 // can be easily automated and incorporated into the implementation by
 // using few iterations of HSUMMA". The internal/tune planner is that
 // automation, generalised to every knob: it ranks algorithm × grid ×
-// groups × block sizes × broadcast analytically, refines the top
-// candidates on the discrete-event simulator, and caches the plan. This
+// groups × block sizes × broadcast in closed form — exact against the
+// discrete-event simulator on this power-of-two grid, so nothing is
+// replayed — and caches the plan. This
 // example prints the ranked plan for a latency-bound cluster, then runs
 // the real multiplication two ways: with the plan's best candidate applied
 // explicitly, and with Algorithm: AlgAuto letting the library resolve the
@@ -42,7 +43,7 @@ func main() {
 		if i == 0 {
 			marker = "  <- best"
 		}
-		fmt.Printf("  #%d %-40s sim total %.4gs%s\n", i+1, s.Candidate, s.SimTotal, marker)
+		fmt.Printf("  #%d %-40s model total %.4gs%s\n", i+1, s.Candidate, s.ModelTotal, marker)
 	}
 
 	a := hsumma.RandomMatrix(n, n, 7)

@@ -25,9 +25,10 @@ func main() {
 	shape := hsumma.Shape{M: 8192, N: 512, K: 8192}
 	const procs = 64
 
-	// Plan: the full two-stage search (analytic scan over algorithm ×
-	// grid orientation × groups × blocks × broadcast, then simulated
-	// refinement of the top candidates) for the rectangular problem.
+	// Plan: the full closed-form search over algorithm × grid orientation
+	// × groups × blocks × broadcast for the rectangular problem. Every
+	// grid of 64 ranks has power-of-two sides, so the model total is
+	// what the event engine would simulate.
 	pl, err := hsumma.Plan(hsumma.PlanConfig{
 		Platform: pf, Shape: shape, Procs: procs,
 	})
@@ -36,7 +37,7 @@ func main() {
 	}
 	best := pl.Best
 	fmt.Printf("planned %s on %s over %d ranks:\n", shape, pf.Name, procs)
-	fmt.Printf("  best: %s (simulated total %.4gs)\n", best.Candidate, best.SimTotal)
+	fmt.Printf("  best: %s (model total %.4gs)\n", best.Candidate, best.ModelTotal)
 	if g := best.Grid; g.S > g.T {
 		fmt.Printf("  the planner chose a TALL %v grid — orientation matched to M/N = %d\n",
 			g, shape.M/shape.N)

@@ -3,6 +3,9 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/model"
 )
 
 func quick() Options { return Options{Quick: true} }
@@ -202,4 +205,28 @@ func rel(a, b float64) float64 {
 		return d
 	}
 	return d / b
+}
+
+// The eq. 10 verdict follows the broadcast: on every preset, under both of
+// the paper's broadcasts, at the CLI's default point, the validation's
+// "interior minimum predicted" holds iff the cost table's optimum G lies
+// strictly between 1 and p.
+func TestMinimumVerdictMatchesTableOptimum(t *testing.T) {
+	for _, name := range []string{"grid5000", "grid5000-cal", "bgp", "bgp-cal", "exascale"} {
+		pf, err := machine.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range [][3]int{{65536, 16384, 256}, {8192, 128, 64}, {4096, 256, 64}} {
+			for _, bc := range []model.Broadcast{model.BinomialTree{}, model.VanDeGeijn{}} {
+				par := model.Params{N: pt[0], P: pt[1], B: pt[2], Machine: pf.Model, Bcast: bc}
+				g, _ := model.OptimalG(par, nil)
+				interior := g > 1 && g < par.P
+				if model.MinimumAtSqrtP(par) != interior {
+					t.Errorf("%s n=%d p=%d b=%d %s: interior minimum predicted %v, table optimum G=%d",
+						name, par.N, par.P, par.B, bc.Name(), model.MinimumAtSqrtP(par), g)
+				}
+			}
+		}
+	}
 }

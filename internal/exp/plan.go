@@ -18,10 +18,6 @@ import (
 type planSetting struct {
 	pf   machine.Platform
 	n, p int
-	// analyticOnly skips stage-2 simulation (used where even one virtual
-	// run is too expensive: the 2^20-rank exascale model, and the full
-	// 16384-rank BG/P in Quick mode).
-	analyticOnly bool
 }
 
 func planSettings(o Options) []planSetting {
@@ -29,13 +25,13 @@ func planSettings(o Options) []planSetting {
 		return []planSetting{
 			{pf: machine.Grid5000Calibrated(), n: 1024, p: 32},
 			{pf: machine.BlueGenePCalibrated(), n: 4096, p: 256},
-			{pf: machine.Exascale(), n: 1 << 14, p: 1 << 12, analyticOnly: true},
+			{pf: machine.Exascale(), n: 1 << 14, p: 1 << 12},
 		}
 	}
 	return []planSetting{
 		{pf: machine.Grid5000Calibrated(), n: 8192, p: 128},
-		{pf: machine.BlueGenePCalibrated(), n: 65536, p: 16384, analyticOnly: true},
-		{pf: machine.Exascale(), n: 1 << 22, p: 1 << 20, analyticOnly: true},
+		{pf: machine.BlueGenePCalibrated(), n: 65536, p: 16384},
+		{pf: machine.Exascale(), n: 1 << 22, p: 1 << 20},
 	}
 }
 
@@ -43,7 +39,7 @@ func runPlan(o Options) (*Result, error) {
 	res := &Result{
 		ID:     "plan",
 		Title:  "Autotuning planner choices on the paper's platforms",
-		Header: []string{"platform", "n", "p", "algorithm", "grid", "G", "b", "B", "bcast", "model comm (s)", "sim total (s)"},
+		Header: []string{"platform", "n", "p", "algorithm", "grid", "G", "b", "B", "bcast", "model comm (s)", "model total (s)"},
 	}
 	for _, s := range planSettings(o) {
 		pf := s.pf
@@ -57,24 +53,19 @@ func runPlan(o Options) (*Result, error) {
 		}
 		pl, err := tune.PlanFor(tune.Request{
 			Platform: pf, N: s.n, P: s.p,
-			Quick:        o.Quick,
-			AnalyticOnly: s.analyticOnly,
+			Quick: o.Quick,
 		})
 		if err != nil {
 			return nil, err
 		}
 		b := pl.Best
-		simTotal := "-"
-		if b.Refined {
-			simTotal = fmt.Sprintf("%.4g", b.SimTotal)
-		}
 		res.Rows = append(res.Rows, []string{
 			pf.Name,
 			fmt.Sprintf("%d", s.n), fmt.Sprintf("%d", s.p),
 			string(b.Algorithm), b.Grid.String(),
 			fmt.Sprintf("%d", b.Groups), fmt.Sprintf("%d", b.BlockSize), fmt.Sprintf("%d", b.OuterBlockSize),
 			string(b.Broadcast),
-			fmt.Sprintf("%.4g", b.ModelComm), simTotal,
+			fmt.Sprintf("%.4g", b.ModelComm), fmt.Sprintf("%.4g", b.ModelTotal),
 		})
 		res.Findings = append(res.Findings,
 			fmt.Sprintf("%s: scanned %d candidates, simulated %d; best %s",
@@ -82,7 +73,7 @@ func runPlan(o Options) (*Result, error) {
 	}
 	st := tune.Stats()
 	res.Findings = append(res.Findings,
-		fmt.Sprintf("plan cache: %d hits, %d misses, %d virtual runs this process", st.CacheHits, st.CacheMisses, st.SimRuns))
+		fmt.Sprintf("plan cache: %d hits, %d misses, %d replays this process", st.CacheHits, st.CacheMisses, st.SimRuns))
 	return res, nil
 }
 

@@ -54,10 +54,13 @@ func runTable(id, title string, par model.Params) *Result {
 		})
 	}
 	row("SUMMA", model.SUMMA(par))
+	// One row per G: a listed G equal to √p prints once, under the √p label.
+	seen := map[float64]bool{}
 	for _, g := range []float64{4, 16, sq, float64(par.P) / 4} {
-		if g < 1 || g > float64(par.P) {
+		if g < 1 || g > float64(par.P) || seen[g] {
 			continue
 		}
+		seen[g] = true
 		label := fmt.Sprintf("HSUMMA G=%d", int(g))
 		if g == sq {
 			label = fmt.Sprintf("HSUMMA G=√p=%d", int(g))
@@ -94,7 +97,10 @@ func runValidation(id, machineName string, par model.Params) *Result {
 		},
 	}
 	verdict := "HSUMMA predicted to outperform SUMMA (paper's conclusion)"
-	if !minAt {
+	switch _, vdg := par.Bcast.(model.VanDeGeijn); {
+	case !vdg:
+		verdict = fmt.Sprintf("%s broadcast at B=b: T_HS is flat in G (eq. 10 is Van de Geijn's condition); every G costs what SUMMA does", par.Bcast.Name())
+	case !minAt:
 		verdict = "G=√p is a maximum; HSUMMA falls back to G∈{1,p} (same cost as SUMMA)"
 	}
 	r.Findings = []string{verdict}

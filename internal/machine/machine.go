@@ -68,7 +68,7 @@ func (m Model) Compute(flops float64) float64 {
 const DefaultThreadOverhead = 0.03
 
 // threadOverhead holds the active serial fraction as float64 bits, so the
-// planner (which calls Speedup from concurrent stage-2 refinements) never
+// planner (which calls Speedup from concurrent replays) never
 // races a calibration performed at daemon startup.
 var threadOverhead atomic.Uint64
 

@@ -135,11 +135,20 @@ func HSUMMASplitBlocks(par Params, G float64, outerB int) Cost {
 	return par.family([]Level{{I: sqG, J: sqG, Width: float64(outerB)}})
 }
 
-// MinimumAtSqrtP reports the paper's condition (eq. 10): with the Van de
-// Geijn broadcast, T_HS(G) has its interior minimum at G = √p iff
-// α/β > 2nb/p; otherwise G = √p is a maximum and the optimum sits at the
-// endpoints G ∈ {1, p}. β is taken per message unit (see Params.ElemBytes).
+// MinimumAtSqrtP reports whether T_HS(G) has an interior minimum at its
+// stationary point G = √p (eq. 9) under the broadcast model par.Bcast.
+// With u = ln √G, T_HS is h(u) + h(ln √p − u) for the one-sided cost
+// h(u) = 2·( (n/b)·L(eᵘ)·α + (n²/√p)·W(eᵘ)·β ), so G = √p is a minimum iff
+// h has positive second derivative in u there. Under Van de Geijn (Table
+// II) that is the paper's condition (eq. 10), α/β > 2nb/p. Under the
+// binomial tree (Table I) L and W are linear in u, so T_HS is flat in G:
+// every G costs what SUMMA does, and none is a minimum. Other broadcast
+// models are not analysed and report false. β is taken per message unit
+// (see Params.ElemBytes).
 func MinimumAtSqrtP(par Params) bool {
+	if _, vdg := par.Bcast.(VanDeGeijn); !vdg {
+		return false
+	}
 	n := float64(par.N)
 	p := float64(par.P)
 	b := float64(par.B)
@@ -172,8 +181,11 @@ func OptimalG(par Params, candidates []int) (bestG int, best Cost) {
 		if g < 1 || g > par.P {
 			continue
 		}
+		// Only a real saving moves the optimum: under the binomial tree
+		// every G ties SUMMA in exact arithmetic, and rounding in the
+		// log₂ factors must not pick one.
 		c := HSUMMA(par, float64(g))
-		if c.Comm() < best.Comm() {
+		if c.Comm() < best.Comm()*(1-1e-12) {
 			bestG, best = g, c
 		}
 	}

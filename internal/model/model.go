@@ -11,8 +11,9 @@
 // square √p×√p grid and √G×√G groups with b = B unless stated, and treats
 // G as a real number; the planner's instances (RectParams, Family) take an
 // explicit S×T grid, a rectangular problem and integer levels. Message
-// sizes on the wire are counted in bytes (8 per float64 element), so β is
-// in seconds/byte as in the platform presets.
+// sizes are counted in matrix elements, the unit the platform presets
+// quote β in and the virtual engines charge (ElemBytes rescales for a β
+// quoted per byte).
 package model
 
 import (

@@ -85,3 +85,39 @@ func HSUMMARect(par RectParams, I, J, outerB int) Cost {
 	}
 	return Family(par, []Level{{I: float64(I), J: float64(J), Width: float64(outerB)}})
 }
+
+// Cannon and Fox, the square-only baselines, priced from the messages
+// core.Cannon and core.Fox send on a q×q grid: each is one n²/p tile.
+// Both return communication only; the caller charges the local
+// multiplies, the family's 2·M·N·K/p flops.
+
+// Cannon evaluates Cannon's algorithm: one skew of A and one of B, then a
+// shift of each after every local multiply but the last — 2q transfers on
+// the critical path, none at q = 1: T = 2q·( α + (n²/p)·β ).
+func Cannon(par RectParams) Cost {
+	q, tile := par.baseline()
+	if q <= 1 {
+		return Cost{}
+	}
+	return Cost{Latency: 2 * q * par.Machine.Alpha, Bandwidth: 2 * q * tile * par.Machine.Beta}
+}
+
+// Fox evaluates Fox's broadcast-multiply-roll algorithm as its q row
+// broadcasts of an A tile over q members (equation 1) and the q − 1 rolls
+// of B between them: q·( L(q)·α + (n²/p)·W(q)·β ) and (q−1)·( α + (n²/p)·β ).
+func Fox(par RectParams) (bcast, roll Cost) {
+	q, tile := par.baseline()
+	bc := par.Bcast
+	if bc == nil {
+		bc = BinomialTree{}
+	}
+	bcast = Cost{Latency: q * bc.Latency(q) * par.Machine.Alpha, Bandwidth: q * tile * bc.Bandwidth(q) * par.Machine.Beta}
+	return bcast, Cost{Latency: (q - 1) * par.Machine.Alpha, Bandwidth: (q - 1) * tile * par.Machine.Beta}
+}
+
+// baseline returns the baselines' grid side q and their tile in message
+// units.
+func (p RectParams) baseline() (q, tile float64) {
+	q, n := float64(p.Grid.S), float64(p.Shape.N)
+	return q, n * n / (q * q) * Params{ElemBytes: p.ElemBytes}.elemBytes()
+}

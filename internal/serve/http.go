@@ -532,15 +532,13 @@ func (h *handler) plan(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	quick := q.Get("quick") != "0" // quick by default: this is a serving hot path
+	// No rank guard is needed: the planner replays nothing above
+	// tune.AutoProcs ranks, where one virtual run costs seconds of host CPU.
 	pl, err := tune.PlanFor(tune.Request{
 		Platform: pf,
 		Shape:    matrix.Shape{M: m, N: n, K: k},
 		P:        p,
 		Quick:    quick,
-		// The same full-scale guard both implicit-auto paths apply: above
-		// AutoProcs ranks a single stage-2 virtual run costs seconds of
-		// host CPU, far too much for an unauthenticated endpoint.
-		AnalyticOnly: p > tune.AutoProcs,
 	})
 	if err != nil {
 		httpError(w, err)
@@ -573,8 +571,8 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	emit("hsumma_serve_leases_active", "Requests holding a routing lease right now.", "gauge", float64(m.LeasesActive))
 	emit("hsumma_serve_plan_cache_hits_total", "Tune plan-cache hits.", "counter", float64(m.PlanCacheHits))
 	emit("hsumma_serve_plan_cache_misses_total", "Tune plan-cache misses.", "counter", float64(m.PlanCacheMisses))
-	emit("hsumma_serve_plan_sim_runs_total", "Stage-2 virtual runs the tune planner executed.", "counter", float64(m.PlanSimRuns))
-	emit("hsumma_serve_plan_refine_seconds_total", "Wall time spent inside the planner's stage-2 refinement.", "counter", m.PlanRefineSeconds)
+	emit("hsumma_serve_plan_sim_runs_total", "Candidates the tune planner replayed on the event engine.", "counter", float64(m.PlanSimRuns))
+	emit("hsumma_serve_plan_refine_seconds_total", "Wall time the tune planner spent replaying candidates on the event engine.", "counter", m.PlanRefineSeconds)
 	emit("hsumma_serve_batch_size_mean", "Mean coalesced batch size across completed requests.", "gauge", m.BatchSizeMean)
 	emit("hsumma_serve_plan_stale_total", "Requests whose sustained measured/predicted drift marked their plan stale.", "counter", float64(m.PlanStale))
 	emit("hsumma_serve_trace_sampled_total", "Requests sampled into the flight recorder.", "counter", float64(m.TraceSampled))

@@ -80,8 +80,8 @@ type Metrics struct {
 	// resolved through it, so serving workloads surface its reuse here.
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
-	// PlanSimRuns and PlanRefineSeconds expose the planner's stage-2
-	// refinement cost: virtual runs executed and cumulative wall time
+	// PlanSimRuns and PlanRefineSeconds expose what the planner's
+	// event-engine replays cost: runs executed and cumulative wall time
 	// spent inside them.
 	PlanSimRuns       int64   `json:"plan_sim_runs"`
 	PlanRefineSeconds float64 `json:"plan_refine_seconds"`
@@ -243,7 +243,7 @@ func (sc *Scheduler) keyLiveLocked(specKey string) bool {
 // and a plan_stale count when sustained drift marks the plan stale. A
 // stale plan is reported, not replanned: the planner is a deterministic
 // function of inputs fixed at process start, so replanning would return
-// the same pick at the cost of its stage-2 virtual runs.
+// the same pick at the cost of another scan.
 func (sc *Scheduler) observeDrift(stats *Stats) {
 	if len(stats.PredictedSecondsByPhase) == 0 {
 		return

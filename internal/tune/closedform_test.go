@@ -1,0 +1,84 @@
+package tune
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/machine"
+	"repro/internal/matrix"
+	"repro/internal/simnet"
+)
+
+// TestClosedFormMatchesEventEngine is the invariant that lets the planner
+// skip virtual runs: on a grid whose sides are powers of two, every
+// candidate's closed-form total equals the contention-free event engine's
+// simulated total within 1e-12 relative (and its comm within 1e-12 of the
+// total), for every algorithm — the SUMMA family by model.Family, Cannon
+// and Fox by model.Cannon and model.Fox — and Cannon's does on any grid.
+// The points are the four measured presets × seven (n, p) points, plus a
+// padded shape, a rectangular one, a core-budget plan (whose p = 1 split
+// puts Cannon on a 1×1 grid, where it sends nothing) and a 6×6 grid.
+// Under -short and the race detector only the points with p ≤ 16 and the
+// four extras run.
+func TestClosedFormMatchesEventEngine(t *testing.T) {
+	short := testing.Short() || raceEnabled
+	var reqs []Request
+	for _, pf := range []machine.Platform{
+		machine.Grid5000(), machine.Grid5000Calibrated(), machine.BlueGeneP(), machine.BlueGenePCalibrated(),
+	} {
+		for _, np := range [][2]int{{256, 4}, {512, 16}, {1024, 16}, {2048, 64}, {4096, 64}, {4096, 256}, {8192, 256}} {
+			if short && np[1] > 16 {
+				continue
+			}
+			reqs = append(reqs, Request{Platform: pf, N: np[0], P: np[1]})
+		}
+	}
+	pf := machine.Grid5000()
+	reqs = append(reqs,
+		Request{Platform: pf, N: 1000, P: 16},
+		Request{Platform: pf, Shape: matrix.Shape{M: 2048, N: 512, K: 1024}, P: 16},
+		Request{Platform: pf, N: 1024, CoreBudget: 8},
+		Request{Platform: pf, N: 1536, P: 36})
+
+	checked, cannonQ1, cannonOdd := 0, 0, 0
+	for _, req := range reqs {
+		req = req.withDefaults()
+		cands, err := Candidates(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := &scorer{sh: req.Shape, m: req.Platform.Model}
+		for _, c := range cands {
+			if !powerOfTwo(c.Grid.S) || !powerOfTwo(c.Grid.T) {
+				if c.Algorithm != engine.Cannon {
+					continue
+				}
+				cannonOdd++
+			}
+			spec, err := c.Spec(req.Shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comm, total := sc.score(c)
+			res, _, err := engine.Simulate(spec, simnet.VConfig{Model: req.Platform.Model}, engine.ExecutorEvent)
+			if err != nil {
+				t.Fatalf("%s: %v", c, err)
+			}
+			checked++
+			if math.Abs(res.Total-total) > 1e-12*res.Total || math.Abs(res.Comm-comm) > 1e-12*res.Total {
+				t.Errorf("%s %v %s: closed form comm %.15g total %.15g, event engine comm %.15g total %.15g",
+					req.Platform.Name, req.Shape, c, comm, total, res.Comm, res.Total)
+			}
+			if c.Algorithm == engine.Cannon && c.Grid.Size() == 1 {
+				cannonQ1++
+				if comm != 0 || res.Comm != 0 {
+					t.Errorf("%s on one rank: closed-form comm %g, simulated %g, want 0", c, comm, res.Comm)
+				}
+			}
+		}
+	}
+	if checked == 0 || cannonQ1 == 0 || cannonOdd == 0 {
+		t.Fatalf("checked %d candidates, %d Cannon on one rank, %d on a 6x6 grid; want all > 0", checked, cannonQ1, cannonOdd)
+	}
+}

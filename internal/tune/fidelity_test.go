@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -13,11 +14,10 @@ import (
 
 // TestPredictPhasesFidelity is the plan-fidelity invariant: the closed-form
 // per-phase prediction ResolveSpec attaches to every spec must agree with
-// what a traced virtual run of the same spec on the same machine actually
-// measures — per phase, on the critical rank — for all five algorithms.
-// Comm phases get a 2x band (the model is a critical-path decomposition,
-// the schedule has waits the model folds differently); gemm is charged from
-// the identical formula on both sides and must match tightly.
+// what a traced event-engine run of the same spec on the same machine
+// actually measures — per phase, on the critical rank — for all five
+// algorithms. On this power-of-two grid every phase, comm included, is
+// exact up to floating-point association (1e-12 relative).
 func TestPredictPhasesFidelity(t *testing.T) {
 	pf := machine.Grid5000()
 	shape := matrix.Shape{M: 256, N: 256, K: 256}
@@ -41,39 +41,29 @@ func TestPredictPhasesFidelity(t *testing.T) {
 			if len(spec.Predicted) == 0 {
 				t.Fatal("ResolveSpec attached no prediction")
 			}
-			for _, ex := range []engine.Executor{engine.ExecutorGoroutine, engine.ExecutorEvent} {
-				vcfg := simnet.VConfig{Model: pf.Model, Trace: trace.New(spec.Opts.Grid.Size())}
-				if _, _, err := engine.Simulate(spec, vcfg, ex); err != nil {
-					t.Fatal(err)
-				}
-				// Measured side: the critical (max over ranks) per-phase
-				// seconds of the virtual timeline — the same quantity the
-				// prediction decomposes.
-				measured := map[string]float64{}
-				for _, phases := range trace.RankPhaseSeconds(vcfg.Trace.Spans()) {
-					for ph, sec := range phases {
-						if sec > measured[ph] {
-							measured[ph] = sec
-						}
+			vcfg := simnet.VConfig{Model: pf.Model, Trace: trace.New(spec.Opts.Grid.Size())}
+			if _, _, err := engine.Simulate(spec, vcfg, engine.ExecutorEvent); err != nil {
+				t.Fatal(err)
+			}
+			// Measured side: the critical (max over ranks) per-phase
+			// seconds of the virtual timeline — the same quantity the
+			// prediction decomposes.
+			measured := map[string]float64{}
+			for _, phases := range trace.RankPhaseSeconds(vcfg.Trace.Spans()) {
+				for ph, sec := range phases {
+					if sec > measured[ph] {
+						measured[ph] = sec
 					}
 				}
-				for ph, pred := range spec.Predicted {
-					got, ok := measured[ph]
-					if !ok || got <= 0 {
-						t.Fatalf("%s: predicted phase %q (%.3gs) has no measured spans (measured %v)",
-							ex, ph, pred, measured)
-					}
-					ratio := got / pred
-					lo, hi := 0.5, 2.0
-					if ph == "gemm" {
-						// Both sides charge m.Compute(2MNK/p) — only padding
-						// and FP association separate them.
-						lo, hi = 0.99, 1.01
-					}
-					if ratio < lo || ratio > hi {
-						t.Errorf("%s: phase %q measured/predicted = %.3f (measured %.3gs, predicted %.3gs), want within [%g, %g]",
-							ex, ph, ratio, got, pred, lo, hi)
-					}
+			}
+			for ph, pred := range spec.Predicted {
+				got, ok := measured[ph]
+				if !ok || got <= 0 {
+					t.Fatalf("predicted phase %q (%.3gs) has no measured spans (measured %v)", ph, pred, measured)
+				}
+				if ratio := got / pred; math.Abs(ratio-1) > 1e-12 {
+					t.Errorf("phase %q measured/predicted = %.15f (measured %.15gs, predicted %.15gs), want 1 within 1e-12",
+						ph, ratio, got, pred)
 				}
 			}
 		})

@@ -122,7 +122,7 @@ func mustCandidates(t *testing.T, req Request) []Candidate {
 	return cands
 }
 
-// bestOf is stage 1's pick: the first candidate of least objective.
+// bestOf is the closed form's pick: the first candidate of least objective.
 func bestOf(sc *scorer, cands []Candidate, o Objective) Scored {
 	var best Scored
 	for i, c := range cands {

@@ -13,7 +13,7 @@ import (
 	"repro/internal/simnet"
 )
 
-// Planner runs the two-stage search and memoises its results. The zero
+// Planner runs the search and memoises its results. The zero
 // value is not usable; use NewPlanner (or the package-level Plan, which
 // shares one default planner and hence one cache).
 type Planner struct {
@@ -46,13 +46,12 @@ func Stats() PlannerStats { return defaultPlanner.Stats() }
 type PlannerStats struct {
 	CacheHits   int64
 	CacheMisses int64
-	// SimRuns counts stage-2 virtual runs executed (not served from the
-	// plan cache) — the expensive quantity the cache exists to avoid.
+	// SimRuns counts the event-engine replays executed (not served from
+	// the plan cache); it stays 0 on plans whose candidates the closed
+	// form prices exactly (see replayed).
 	SimRuns int64
-	// RefineNanos is the cumulative wall time spent inside the stage-2
-	// refinement (the virtual runs), across all cold plans. Together with
-	// SimRuns it shows what the event engine buys: the same picks at a
-	// fraction of the refinement wall time.
+	// RefineNanos is the cumulative wall time spent replaying candidates,
+	// across all cold plans.
 	RefineNanos int64
 }
 
@@ -78,8 +77,8 @@ func fingerprint(req Request) string {
 	pf := req.Platform
 	fmt.Fprintf(&b, "pf=%s|a=%g|b=%g|g=%g|cont=%d|deg=%d",
 		pf.Name, pf.Model.Alpha, pf.Model.Beta, pf.Model.Gamma, pf.Contention, pf.TorusDegree)
-	fmt.Fprintf(&b, "|M=%d|N=%d|K=%d|p=%d|obj=%s|k=%d|quick=%t|analytic=%t|contention=%t",
-		req.Shape.M, req.Shape.N, req.Shape.K, req.P, req.Objective, req.TopK, req.Quick, req.AnalyticOnly, req.Contention)
+	fmt.Fprintf(&b, "|M=%d|N=%d|K=%d|p=%d|obj=%s|quick=%t|contention=%t",
+		req.Shape.M, req.Shape.N, req.Shape.K, req.P, req.Objective, req.Quick, req.Contention)
 	if req.Grid != nil {
 		fmt.Fprintf(&b, "|grid=%dx%d", req.Grid.S, req.Grid.T)
 	}
@@ -104,7 +103,7 @@ func fingerprint(req Request) string {
 // Plan searches the configuration space for req and returns the ranked
 // plan. Results are memoised: a repeated request (same platform
 // fingerprint, problem and flags) returns the cached plan with FromCache
-// set, paying no analytic scan and no virtual runs.
+// set, paying no scan and no replays.
 func (p *Planner) Plan(req Request) (*Plan, error) {
 	req = req.withDefaults()
 	if err := req.validate(); err != nil {
@@ -150,7 +149,7 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 		return nil, err
 	}
 
-	// Stage 1: closed-form scoring of the whole space.
+	// Closed-form scoring of the whole space.
 	sc := &scorer{sh: req.Shape, m: req.Platform.Model}
 	scored := make([]Scored, len(cands))
 	for i, c := range cands {
@@ -161,35 +160,26 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 		return scored[i].objective(req.Objective) < scored[j].objective(req.Objective)
 	})
 
-	top := scored
-	if len(top) > req.TopK {
-		top = top[:req.TopK]
-	}
-	top = append([]Scored(nil), top...)
-	// Attach the per-phase model decomposition to the refinement set only
+	top := append([]Scored(nil), scored[:min(len(scored), rankedLen)]...)
+	// Attach the per-phase model decomposition to the ranked entries only
 	// (not all thousands of scanned candidates): these are the entries a
 	// plan surfaces, and the winner's map is what the execution spec — and
 	// the serving drift tracker — carries forward.
+	var replay []*Scored
 	for i := range top {
 		if spec, err := top[i].Candidate.Spec(req.Shape); err == nil {
 			top[i].PredictedSecondsByPhase = sc.predictPhases(spec)
 		}
-	}
-
-	// Stage 2: parallel virtual runs over the stage-1 winners — the
-	// authoritative ranking, including contention if asked.
-	simulated := 0
-	if !req.AnalyticOnly {
-		p.refine(req, top)
-		for i := range top {
-			if top[i].Refined {
-				simulated++
-			}
+		if replayed(req, top[i].Candidate) {
+			replay = append(replay, &top[i])
 		}
+	}
+	if len(replay) > 0 {
+		p.replay(req, replay)
 		rank(top, req.Objective)
 	}
 	if top[0].Err != "" {
-		return nil, fmt.Errorf("tune: every refined candidate failed; best: %s: %s", top[0].Candidate, top[0].Err)
+		return nil, fmt.Errorf("tune: every replayed candidate failed; best: %s: %s", top[0].Candidate, top[0].Err)
 	}
 	n := 0
 	if req.Shape.IsSquare() {
@@ -205,23 +195,45 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 		Best:       top[0],
 		Ranked:     top,
 		Scanned:    len(cands),
-		Simulated:  simulated,
+		Simulated:  len(replay),
 	}, nil
 }
 
-// refine runs the stage-2 virtual runs for the given candidates in
-// parallel, at most GOMAXPROCS at a time (each virtual run is itself
-// parallel across its ranks), filling their Sim fields in place. Each run goes through the
-// auto executor policy, which picks the event engine for collective-only
-// candidates — the bulk of any top-K set. Engines are bit-identical, so
-// the policy could only change planning wall time, never a pick; the
+// rankedLen is the number of closed-form leaders a plan ranks and
+// returns; replays re-order only these.
+const rankedLen = 8
+
+// replayed is the one rule for where the closed form is not final. On a
+// grid whose sides are powers of two it equals the contention-free event
+// engine for every candidate, and Cannon's shifts equal it on any grid
+// (TestClosedFormMatchesEventEngine). So a candidate is replayed only when
+// it broadcasts over a grid with a side that is not a power of two —
+// binomial and Van de Geijn schedules there are not equation (1)'s
+// factors (sim/model spans 0.85–1.27 for the SUMMA family, Fox's comm
+// reads up to 1.22) — or when the request asks for contention, which
+// only the engine prices; and never above AutoProcs ranks, where one
+// virtual run costs seconds.
+func replayed(req Request, c Candidate) bool {
+	if c.Grid.Size() > AutoProcs {
+		return false
+	}
+	if req.Contention {
+		return true
+	}
+	return c.Algorithm != engine.Cannon && (!powerOfTwo(c.Grid.S) || !powerOfTwo(c.Grid.T))
+}
+
+func powerOfTwo(v int) bool { return v > 0 && v&(v-1) == 0 }
+
+// replay runs the given candidates on the event engine in parallel, at
+// most GOMAXPROCS at a time, filling their Sim fields in place. The
 // cumulative wall time is tracked in RefineNanos.
-func (p *Planner) refine(req Request, top []Scored) {
+func (p *Planner) replay(req Request, todo []*Scored) {
 	start := time.Now()
 	defer func() { p.refineNanos.Add(int64(time.Since(start))) }()
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for i := range top {
+	for _, s := range todo {
 		wg.Add(1)
 		go func(s *Scored) {
 			defer wg.Done()
@@ -237,14 +249,13 @@ func (p *Planner) refine(req Request, top []Scored) {
 				vcfg.Contention = simnet.ContentionFor(req.Platform, s.Candidate.Grid.Size(), true)
 			}
 			p.simRuns.Add(1)
-			res, _, err := engine.Simulate(spec, vcfg, engine.ExecutorAuto)
+			res, _, err := engine.Simulate(spec, vcfg, engine.ExecutorEvent)
 			if err != nil {
 				s.Err = err.Error()
 				return
 			}
 			s.SimComm, s.SimTotal, s.Refined = res.Comm, res.Total, true
-			s.Engine = string(res.Engine)
-		}(&top[i])
+		}(s)
 	}
 	wg.Wait()
 }

@@ -134,9 +134,9 @@ func TestCandidatesSquareOnlyError(t *testing.T) {
 	}
 }
 
-// The rectangular scorer agrees with the planner's stage-2 simulation
-// ranking closely enough to plan rectangles: the refined best of a rect
-// request must be executable and report a sensible simulated time.
+// The rectangular scorer plans rectangles end to end: on a power-of-two
+// grid the best of a rect request is scored in closed form (no replay)
+// and reports a sensible total.
 func TestPlanRectangularEndToEnd(t *testing.T) {
 	req := Request{
 		Platform: machine.Grid5000Calibrated(),
@@ -147,11 +147,11 @@ func TestPlanRectangularEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pl.Best.Refined {
-		t.Fatalf("rect best not refined: %+v", pl.Best)
+	if pl.Simulated != 0 || pl.Best.Refined {
+		t.Fatalf("rect plan on grid %v replayed %d candidates: %+v", pl.Best.Grid, pl.Simulated, pl.Best)
 	}
-	if pl.Best.SimTotal <= 0 {
-		t.Fatalf("non-positive simulated total: %+v", pl.Best)
+	if pl.Best.ModelTotal <= 0 {
+		t.Fatalf("non-positive closed-form total: %+v", pl.Best)
 	}
 	if pl.N != 0 {
 		t.Fatalf("rect plan echoed square shorthand n=%d", pl.N)

@@ -21,11 +21,10 @@ import (
 // the identity the serving layer's session routing and the plan cache are
 // keyed by.
 
-// AutoProcs is the rank-count threshold beyond which implicit Auto
-// resolution skips the stage-2 virtual refinement: a single full-scale
-// virtual run at the paper's 16384 ranks costs seconds, and the analytic
-// ranking is already faithful there (asserted against exhaustive sweeps in
-// this package's tests at tractable scale).
+// AutoProcs is the rank count beyond which the planner replays no
+// candidate (see replayed): a single full-scale virtual run at the
+// paper's 16384 ranks costs seconds, and every grid the paper uses has
+// power-of-two sides, where the closed form is exact.
 const AutoProcs = 2048
 
 // ResolveParams describes one live multiplication the way a caller pins it:
@@ -190,9 +189,8 @@ func AutoRequest(rp ResolveParams) Request {
 	return Request{
 		Platform: pf, Shape: rp.Shape, P: rp.Procs,
 		Grid: rp.Grid, BlockSize: rp.BlockSize,
-		Threads:      rp.Threads,
-		Quick:        true,
-		AnalyticOnly: rp.Procs > AutoProcs,
+		Threads: rp.Threads,
+		Quick:   true,
 	}
 }
 

@@ -5,17 +5,15 @@
 // algorithm × group hierarchy × grid shape and orientation × block sizes
 // × broadcast variant — and returns a ranked Plan.
 //
-// The search runs in two stages, mirroring how the paper itself proceeds
-// from Tables I–II to measurements:
-//
-//  1. every feasible candidate is scored analytically with the closed-form
-//     broadcast models of internal/model under the platform's Hockney
-//     parameters (microseconds per candidate, so thousands are scanned);
-//
-//  2. the top-K candidates by analytic score are re-ranked by parallel
-//     virtual runs on the simnet communicator — the authoritative timing
-//     path, which executes the real schedules and honours contention when
-//     requested.
+// The search is one closed-form stage, as the paper's §VI suggests:
+// every feasible candidate is scored with the cost models of
+// internal/model under the platform's Hockney parameters (microseconds
+// per candidate, so thousands are scanned), and the best rankedLen are
+// returned. Those models equal the contention-free event engine on grids
+// whose sides are powers of two, so there the score is final; the few
+// candidates the models price only approximately — those that broadcast
+// on other grids, and everything under contention — are replayed on the
+// event engine and re-ranked (see replayed).
 //
 // Plans are memoised in a cache keyed by (platform fingerprint, n, p,
 // search flags), so serving-style workloads that repeatedly ask "how should
@@ -86,19 +84,13 @@ type Request struct {
 	Broadcasts []sched.Algorithm
 	// Objective defaults to MinTotal.
 	Objective Objective
-	// TopK is the number of stage-1 winners refined by simulation
-	// (default 8).
-	TopK int
 	// Quick trims the candidate space (fewer block sizes, power-of-two
 	// group counts, squarest grid only) so a plan completes in well under
 	// a second — the mode tests and CI smoke runs use.
 	Quick bool
-	// AnalyticOnly skips the stage-2 simulation refinement entirely; the
-	// ranking is by closed-form cost. Used for very large p, where even a
-	// virtual run is expensive.
-	AnalyticOnly bool
-	// Contention enables the platform's link-sharing model during the
-	// stage-2 virtual runs.
+	// Contention prices the platform's link sharing, which only the event
+	// engine models: every ranked candidate at most AutoProcs ranks wide
+	// is replayed.
 	Contention bool
 	// NoCache bypasses the plan cache for this request.
 	NoCache bool
@@ -110,9 +102,6 @@ func (r Request) withDefaults() Request {
 	}
 	if r.Objective == "" {
 		r.Objective = MinTotal
-	}
-	if r.TopK <= 0 {
-		r.TopK = 8
 	}
 	if len(r.Algorithms) == 0 {
 		r.Algorithms = []engine.Algorithm{engine.SUMMA, engine.HSUMMA, engine.Cannon, engine.Fox}
@@ -245,8 +234,8 @@ func (c Candidate) String() string {
 	return s
 }
 
-// Scored is a candidate with its stage-1 (closed-form) and, when refined,
-// stage-2 (simulated) costs in seconds.
+// Scored is a candidate with its closed-form and, when replayed, its
+// simulated costs in seconds.
 type Scored struct {
 	Candidate
 	ModelComm  float64 `json:"model_comm_s"`
@@ -259,17 +248,15 @@ type Scored struct {
 	// It is the measured-vs-predicted denominator the serving layer's
 	// drift tracking audits.
 	PredictedSecondsByPhase map[string]float64 `json:"predicted_seconds_by_phase,omitempty"`
-	// Refined reports whether the stage-2 virtual run was performed.
+	// Refined reports whether the candidate was replayed on the event
+	// engine (see replayed); its Sim fields then rank it.
 	Refined bool `json:"refined"`
-	// Engine records which virtual execution engine scored the candidate
-	// in stage 2 ("goroutine" or "event"), empty when not refined.
-	Engine string `json:"engine,omitempty"`
-	// Err records a stage-2 failure (the candidate is ranked last).
+	// Err records a failed replay (the candidate is ranked last).
 	Err string `json:"err,omitempty"`
 }
 
 // objective returns the value the plan ranks by: the simulated cost when
-// available, the analytic one otherwise.
+// replayed, the closed-form one otherwise.
 func (s Scored) objective(o Objective) float64 {
 	if s.Refined {
 		if o == MinComm {
@@ -284,7 +271,7 @@ func (s Scored) objective(o Objective) float64 {
 }
 
 // Plan is the planner's answer: the best configuration plus the ranked
-// refinement set and search statistics.
+// leaders and search statistics.
 type Plan struct {
 	Platform string `json:"platform"`
 	// Shape is the *requested* GEMM problem; candidates that need padding
@@ -299,11 +286,11 @@ type Plan struct {
 	Objective  Objective `json:"objective"`
 	// Best is Ranked[0], repeated for convenience.
 	Best Scored `json:"best"`
-	// Ranked holds the stage-2 refinement set, best first; entries beyond
-	// it were rejected analytically.
+	// Ranked holds the closed-form leaders, best first; the other scanned
+	// candidates scored worse.
 	Ranked []Scored `json:"ranked"`
-	// Scanned counts the candidates scored analytically in stage 1;
-	// Simulated counts the stage-2 virtual runs.
+	// Scanned counts the candidates scored in closed form; Simulated
+	// counts the event-engine replays among Ranked.
 	Scanned   int `json:"scanned"`
 	Simulated int `json:"simulated"`
 	// FromCache reports that this plan was served from the plan cache.

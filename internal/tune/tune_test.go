@@ -50,8 +50,8 @@ func TestScorerMatchesClosedFormOnSquareGrid(t *testing.T) {
 	}
 }
 
-// simulateCandidate runs the authoritative stage-2 measurement for one
-// candidate — the exhaustive-sweep oracle the planner is held against.
+// simulateCandidate runs one candidate on the event engine — the
+// exhaustive-sweep oracle the planner is held against.
 func simulateCandidate(t *testing.T, req Request, c Candidate) (comm, total float64) {
 	t.Helper()
 	spec, err := c.Spec(matrix.Square(req.N))
@@ -62,7 +62,7 @@ func simulateCandidate(t *testing.T, req Request, c Candidate) (comm, total floa
 	if req.Contention {
 		vcfg.Contention = simnet.ContentionFor(req.Platform, c.Grid.Size(), true)
 	}
-	res, _, err := engine.Simulate(spec, vcfg, engine.ExecutorAuto)
+	res, _, err := engine.Simulate(spec, vcfg, engine.ExecutorEvent)
 	if err != nil {
 		t.Fatalf("%s: %v", c, err)
 	}
@@ -70,8 +70,10 @@ func simulateCandidate(t *testing.T, req Request, c Candidate) (comm, total floa
 }
 
 // Acceptance: on each paper platform preset the planner's choice must
-// simulate within 5% of the best configuration an exhaustive simnet sweep
-// of the same candidate space finds.
+// score within 5% of the best configuration an exhaustive event-engine
+// sweep of the same candidate space finds. The point's 4×4 grid has
+// power-of-two sides, so the plan replays nothing and its closed-form
+// total is what is compared.
 func TestPlannerWithinFivePercentOfExhaustive(t *testing.T) {
 	for _, pf := range []machine.Platform{
 		machine.Grid5000(), machine.BlueGeneP(), machine.Exascale(),
@@ -84,8 +86,8 @@ func TestPlannerWithinFivePercentOfExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pl.Best.Refined {
-				t.Fatalf("best candidate not simulation-refined: %+v", pl.Best)
+			if pl.Simulated != 0 || pl.Best.Refined {
+				t.Fatalf("power-of-two grid replayed %d candidates (best %+v)", pl.Simulated, pl.Best)
 			}
 
 			cands, err := Candidates(req)
@@ -103,10 +105,10 @@ func TestPlannerWithinFivePercentOfExhaustive(t *testing.T) {
 					bestExhaustive, bestCand = total, c
 				}
 			}
-			if pl.Best.SimTotal > bestExhaustive*1.05 {
+			if pl.Best.ModelTotal > bestExhaustive*1.05 {
 				t.Fatalf("planner chose %s (%.6g s); exhaustive best is %s (%.6g s) — %.1f%% worse",
-					pl.Best.Candidate, pl.Best.SimTotal, bestCand, bestExhaustive,
-					100*(pl.Best.SimTotal/bestExhaustive-1))
+					pl.Best.Candidate, pl.Best.ModelTotal, bestCand, bestExhaustive,
+					100*(pl.Best.ModelTotal/bestExhaustive-1))
 			}
 		})
 	}
@@ -120,11 +122,10 @@ func TestPlannerBGPGroupTrend(t *testing.T) {
 	pf := machine.BlueGenePCalibrated()
 	pl, err := NewPlanner().Plan(Request{
 		Platform: pf, N: 65536, P: 16384, BlockSize: 256, OuterBlockSize: 256,
-		Algorithms:   []engine.Algorithm{engine.HSUMMA},
-		Broadcasts:   []sched.Algorithm{sched.VanDeGeijn},
-		Objective:    MinComm,
-		AnalyticOnly: true, // one virtual run at p=16384 costs ~14 s; the analytic ranking is exact here
-		NoCache:      true,
+		Algorithms: []engine.Algorithm{engine.HSUMMA},
+		Broadcasts: []sched.Algorithm{sched.VanDeGeijn},
+		Objective:  MinComm,
+		NoCache:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,10 +140,11 @@ func TestPlannerBGPGroupTrend(t *testing.T) {
 	}
 }
 
-// A served-from-cache plan must cost no further virtual runs — the
-// observable quantity that makes a cache hit cheaper than a cold plan
+// A served-from-cache plan must cost no further replays — the observable
+// quantity that makes a cache hit cheaper than a cold plan
 // (BenchmarkPlanColdVsCached in the root package measures the wall-time
-// side).
+// side). On a power-of-two grid even the cold plan replays nothing; on a
+// 4×6 grid it replays its leaders, and the hit repeats none.
 func TestPlanCacheHit(t *testing.T) {
 	p := NewPlanner()
 	req := Request{Platform: machine.Grid5000(), N: 512, P: 16, Quick: true}
@@ -154,8 +156,8 @@ func TestPlanCacheHit(t *testing.T) {
 		t.Fatal("first plan reported FromCache")
 	}
 	st := p.Stats()
-	if st.CacheMisses != 1 || st.SimRuns == 0 {
-		t.Fatalf("unexpected cold-plan counters: %+v", st)
+	if st.CacheMisses != 1 || st.SimRuns != 0 || cold.Simulated != 0 {
+		t.Fatalf("unexpected cold-plan counters on a 4x4 grid: %+v, simulated %d", st, cold.Simulated)
 	}
 	warm, err := p.Plan(req)
 	if err != nil {
@@ -165,9 +167,6 @@ func TestPlanCacheHit(t *testing.T) {
 		t.Fatal("second identical plan not served from cache")
 	}
 	after := p.Stats()
-	if after.SimRuns != st.SimRuns {
-		t.Fatalf("cache hit ran %d further virtual runs", after.SimRuns-st.SimRuns)
-	}
 	if after.CacheHits != 1 {
 		t.Fatalf("cache hits %d, want 1", after.CacheHits)
 	}
@@ -179,6 +178,24 @@ func TestPlanCacheHit(t *testing.T) {
 		t.Fatal(err)
 	} else if pl.FromCache {
 		t.Fatal("different problem served from cache")
+	}
+
+	// A non-power-of-two grid replays cold and not on the hit.
+	odd := Request{Platform: machine.Grid5000(), N: 768, P: 24, Quick: true}
+	if _, err := p.Plan(odd); err != nil {
+		t.Fatal(err)
+	}
+	st = p.Stats()
+	if st.SimRuns == 0 {
+		t.Fatalf("cold plan on a 4x6 grid replayed nothing: %+v", st)
+	}
+	if pl, err := p.Plan(odd); err != nil {
+		t.Fatal(err)
+	} else if !pl.FromCache {
+		t.Fatal("repeated 4x6 plan not served from cache")
+	}
+	if after := p.Stats(); after.SimRuns != st.SimRuns {
+		t.Fatalf("cache hit ran %d further replays", after.SimRuns-st.SimRuns)
 	}
 }
 
@@ -201,8 +218,8 @@ func TestDefaultBlockSize(t *testing.T) {
 }
 
 // Every candidate the enumerator emits must satisfy the engine's layout
-// constraints — a candidate that fails only at execution time would poison
-// stage 2.
+// constraints — a candidate that fails only at execution time would be
+// scored for a run that cannot happen.
 func TestCandidatesAreFeasible(t *testing.T) {
 	reqs := []Request{
 		{Platform: machine.Grid5000(), N: 512, P: 16},
@@ -298,7 +315,7 @@ func TestCoreBudgetEnumeratesRankThreadSplits(t *testing.T) {
 func TestPlanForCoreBudget(t *testing.T) {
 	pl, err := PlanFor(Request{
 		Platform: machine.Grid5000(), N: 1024, CoreBudget: 64,
-		Quick: true, AnalyticOnly: true, NoCache: true,
+		Quick: true, NoCache: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,10 +364,12 @@ func TestScorerThreadsSpeedup(t *testing.T) {
 	}
 }
 
-// The stage-2 refinement runs under the auto executor only. That cannot
-// change a pick: re-running every refined candidate of a plan under each
-// explicit engine must reproduce the scores the ranking was built from,
-// bit for bit — on all five platform presets.
+// The planner replays on the event engine only, and only where the closed
+// form is inexact. On a 4×4 grid no ranked candidate is replayed, on all
+// five platform presets; on a 4×6 grid (n=768, p=24) the ranked
+// candidates are replayed, and re-running each on the event engine
+// reproduces the scores the ranking was built from, bit for bit; on a 6×6
+// grid Cannon, exact there too, is not replayed.
 func TestRefinementEngineDoesNotChangePicks(t *testing.T) {
 	presets := map[string]machine.Platform{
 		"grid5000":     machine.Grid5000(),
@@ -366,43 +385,73 @@ func TestRefinementEngineDoesNotChangePicks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(pl.Ranked) == 0 {
-				t.Fatal("empty plan")
+			if len(pl.Ranked) == 0 || pl.Simulated != 0 {
+				t.Fatalf("4x4 plan: %d ranked, %d replayed; want some ranked, none replayed", len(pl.Ranked), pl.Simulated)
 			}
 			for i, s := range pl.Ranked {
-				if !s.Refined {
-					t.Fatalf("rank %d not refined: %+v", i, s)
+				if s.Refined {
+					t.Fatalf("rank %d replayed on a 4x4 grid: %+v", i, s)
 				}
-				spec, err := s.Candidate.Spec(pl.Shape)
+			}
+
+			odd, err := NewPlanner().Plan(Request{Platform: pf, N: 768, P: 24, Quick: true, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed := 0
+			for i, s := range odd.Ranked {
+				if !s.Refined {
+					continue
+				}
+				replayed++
+				spec, err := s.Candidate.Spec(odd.Shape)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, ex := range []engine.Executor{engine.ExecutorGoroutine, engine.ExecutorEvent} {
-					res, _, err := engine.Simulate(spec, simnet.VConfig{Model: pf.Model}, ex)
-					if err != nil {
-						t.Fatalf("%s %s: %v", ex, s.Candidate, err)
-					}
-					if res.Comm != s.SimComm || res.Total != s.SimTotal {
-						t.Fatalf("rank %d (%s) under %s: comm %g total %g, plan scored %g / %g",
-							i, s.Candidate, ex, res.Comm, res.Total, s.SimComm, s.SimTotal)
-					}
+				res, _, err := engine.Simulate(spec, simnet.VConfig{Model: pf.Model}, engine.ExecutorEvent)
+				if err != nil {
+					t.Fatalf("%s: %v", s.Candidate, err)
+				}
+				if res.Comm != s.SimComm || res.Total != s.SimTotal {
+					t.Fatalf("rank %d (%s): comm %g total %g, plan scored %g / %g",
+						i, s.Candidate, res.Comm, res.Total, s.SimComm, s.SimTotal)
+				}
+			}
+			if replayed == 0 || replayed != odd.Simulated {
+				t.Fatalf("4x6 plan: %d ranked entries replayed, Simulated = %d; want equal and > 0", replayed, odd.Simulated)
+			}
+
+			square, err := NewPlanner().Plan(Request{Platform: pf, N: 1536, P: 36, Quick: true, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range square.Ranked {
+				if s.Refined == (s.Algorithm == engine.Cannon) {
+					t.Fatalf("6x6 rank %d (%s): replayed %t; want every candidate but Cannon replayed", i, s.Candidate, s.Refined)
 				}
 			}
 		})
 	}
 }
 
-// TestRefineTimeCounter checks that cold plans accumulate refinement wall
-// time in the planner counters (the observability the event engine's
-// speedup is measured against).
+// TestRefineTimeCounter checks that cold plans accumulate replay wall time
+// in the planner counters: none on a power-of-two grid, some on a 4×6 one,
+// and a cache hit adds none.
 func TestRefineTimeCounter(t *testing.T) {
 	p := NewPlanner()
 	if _, err := p.Plan(Request{Platform: machine.Grid5000(), N: 512, P: 16, Quick: true}); err != nil {
 		t.Fatal(err)
 	}
+	if st := p.Stats(); st.SimRuns != 0 || st.RefineNanos != 0 {
+		t.Fatalf("4x4 plan replayed: %+v", st)
+	}
+	odd := Request{Platform: machine.Grid5000(), N: 768, P: 24, Quick: true}
+	if _, err := p.Plan(odd); err != nil {
+		t.Fatal(err)
+	}
 	st := p.Stats()
 	if st.SimRuns == 0 {
-		t.Fatal("expected stage-2 virtual runs")
+		t.Fatal("expected replays on a 4x6 grid")
 	}
 	if st.RefineNanos <= 0 {
 		t.Fatalf("RefineNanos = %d, want > 0", st.RefineNanos)
@@ -410,9 +459,9 @@ func TestRefineTimeCounter(t *testing.T) {
 	if st.RefineTime() <= 0 {
 		t.Fatalf("RefineTime() = %v, want > 0", st.RefineTime())
 	}
-	// A cache hit must not add refinement time.
+	// A cache hit must not add replay time.
 	before := p.Stats().RefineNanos
-	if _, err := p.Plan(Request{Platform: machine.Grid5000(), N: 512, P: 16, Quick: true}); err != nil {
+	if _, err := p.Plan(odd); err != nil {
 		t.Fatal(err)
 	}
 	if after := p.Stats().RefineNanos; after != before {

@@ -11,12 +11,14 @@ import (
 // with a ranked set of configurations, and both execution paths resolve
 // Config{Algorithm: AlgAuto} / SimConfig{Algorithm: AlgAuto} through it.
 //
-// The search is two-stage: every feasible candidate (algorithm × grid
-// shape × group count × block sizes × broadcast) is scored with the
-// paper's closed-form cost models, then the top K are re-ranked by
-// parallel virtual runs on the simnet communicator. Plans are memoised per
-// (platform, problem, flags), so serving-style workloads pay the search
-// once per distinct shape.
+// The search is one closed-form stage: every feasible candidate (algorithm
+// × grid shape × group count × block sizes × broadcast) is scored with the
+// paper's cost models, which equal the event engine on grids whose sides
+// are powers of two; only the leaders the models price approximately (a
+// broadcasting algorithm on other grids, and everything under Contention)
+// are replayed on the event engine. Plans are memoised per (platform, problem,
+// flags), so serving-style workloads pay the search once per distinct
+// shape.
 
 // PlanObjective selects the quantity the planner minimises.
 type PlanObjective = tune.Objective
@@ -33,7 +35,8 @@ const (
 // planner).
 type PlanCandidate = tune.Candidate
 
-// PlanChoice is a candidate with its analytic and simulated costs.
+// PlanChoice is a candidate with its closed-form and, when replayed,
+// simulated costs.
 type PlanChoice = tune.Scored
 
 // PlanResult is a ranked plan (Best, Ranked, search statistics).
@@ -71,13 +74,10 @@ type PlanConfig struct {
 	Broadcasts []sched.Algorithm
 	// Objective defaults to PlanMinTotal.
 	Objective PlanObjective
-	// TopK is the stage-2 refinement width (default 8).
-	TopK int
 	// Quick trims the candidate space for sub-second planning.
 	Quick bool
-	// AnalyticOnly skips the stage-2 virtual runs.
-	AnalyticOnly bool
-	// Contention enables the platform's link-sharing model in stage 2.
+	// Contention prices link sharing by replaying the ranked candidates
+	// on the event engine (at most tune.AutoProcs ranks).
 	Contention bool
 	// NoCache bypasses the plan cache.
 	NoCache bool
@@ -93,22 +93,20 @@ func (cfg PlanConfig) request() (tune.Request, error) {
 		gp = &g
 	}
 	return tune.Request{
-		Platform:     cfg.Platform,
-		Shape:        cfg.Shape,
-		N:            cfg.N,
-		P:            cfg.Procs,
-		Grid:         gp,
-		BlockSize:    cfg.BlockSize,
-		Threads:      cfg.Threads,
-		CoreBudget:   cfg.CoreBudget,
-		Algorithms:   cfg.Algorithms,
-		Broadcasts:   cfg.Broadcasts,
-		Objective:    cfg.Objective,
-		TopK:         cfg.TopK,
-		Quick:        cfg.Quick,
-		AnalyticOnly: cfg.AnalyticOnly,
-		Contention:   cfg.Contention,
-		NoCache:      cfg.NoCache,
+		Platform:   cfg.Platform,
+		Shape:      cfg.Shape,
+		N:          cfg.N,
+		P:          cfg.Procs,
+		Grid:       gp,
+		BlockSize:  cfg.BlockSize,
+		Threads:    cfg.Threads,
+		CoreBudget: cfg.CoreBudget,
+		Algorithms: cfg.Algorithms,
+		Broadcasts: cfg.Broadcasts,
+		Objective:  cfg.Objective,
+		Quick:      cfg.Quick,
+		Contention: cfg.Contention,
+		NoCache:    cfg.NoCache,
 	}, nil
 }
 
@@ -125,5 +123,5 @@ func Plan(cfg PlanConfig) (*PlanResult, error) {
 }
 
 // PlannerCounters reports the shared planner's observability counters:
-// cache hits and misses, and the number of stage-2 virtual runs executed.
+// cache hits and misses, and the number of event-engine replays executed.
 func PlannerCounters() PlanStats { return tune.Stats() }
