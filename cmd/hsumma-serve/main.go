@@ -34,14 +34,15 @@
 // Each run's ranks — goroutines spawned for that run — read the request's
 // operands in place (the decoded body is the operand until the response is
 // written; only a padded shape or a coalesced batch is copied, once, into
-// the session's scratch), and one runner loop per session coalesces queued
-// same-A requests into one multi-right-hand-side execution; -max-batch 1
-// turns the coalescing off.
+// the session's scratch), and a session's runner, which lives while its
+// queue holds work, coalesces queued same-A requests into one
+// multi-right-hand-side execution; -max-batch 1 turns the coalescing off.
 //
-// Sessions are accounted in cores — ranks × per-rank threads — against the
-// core budget. Backpressure (bounded session queues, core budget) surfaces
-// as 503 with Retry-After; a SIGINT/SIGTERM drains gracefully — in-flight
-// requests finish, queued ones get a clean error.
+// The core budget caps one request's cores — ranks × per-rank threads; a
+// request over it is a 400. Idle sessions hold no cores. Backpressure
+// (bounded session queues, a pool of 16 sessions none of which is idle)
+// surfaces as 503 with Retry-After; a SIGINT/SIGTERM drains gracefully —
+// in-flight requests finish, queued ones get a clean error.
 package main
 
 import (
@@ -69,7 +70,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		pfName     = flag.String("platform", "", "platform preset the planner tunes auto requests for (grid5000[-cal], bgp[-cal], exascale; empty = grid5000)")
-		coreBudget = flag.Int("core-budget", 256, "max cores (ranks × threads) reserved across live sessions; idle sessions retire LRU-first to admit a new shape")
+		coreBudget = flag.Int("core-budget", 256, "max cores (ranks × threads) one request may use")
 		queueDepth = flag.Int("queue-depth", 32, "per-session bounded queue depth")
 		maxBatch   = flag.Int("max-batch", 0, "max same-A requests coalesced into one multi-RHS execution, 1 = no batching (default 8)")
 		procs      = flag.Int("default-procs", 16, "rank count for requests that do not pin one")

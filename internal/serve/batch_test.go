@@ -79,10 +79,9 @@ func forceBatch(t *testing.T, sess *Session, a *matrix.Dense, bs []*matrix.Dense
 			out, st, err := sess.Multiply(a, b)
 			results[i] = batchResult{out, st, err}
 		}(i, b)
-		// The runner holds request 0 as its parked lead; request i > 0 must
-		// actually sit in the jobs channel (QueueLen alone would count a
-		// sender that reserved a slot but has not finished its send).
-		for len(sess.jobs) < i || sess.QueueLen() < i+1 {
+		// Request 0 heads the queue while the runner is parked on it;
+		// request i sits behind it before the next one is submitted.
+		for sess.QueueLen() < i+1 {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -304,22 +303,21 @@ func TestIdleAccountsTakenWork(t *testing.T) {
 		go func() { _, _, err := sess.Multiply(a, b); res <- err }()
 	}
 	submit(a1) // the lead
-	<-parked   // in the runner's hand, parked before collect
-	if sess.Idle() || sess.QueueLen() != 1 || len(sess.jobs) != 0 {
-		t.Fatalf("lead taken: Idle() = %v, QueueLen() = %d, %d in the channel; want false, 1, 0",
-			sess.Idle(), sess.QueueLen(), len(sess.jobs))
+	<-parked   // heading the queue, the runner parked before collect
+	if sess.Idle() || sess.QueueLen() != 1 {
+		t.Fatalf("lead parked: Idle() = %v, QueueLen() = %d; want false, 1", sess.Idle(), sess.QueueLen())
 	}
 	submit(a1) // a follower
-	for len(sess.jobs) < 1 {
+	for sess.QueueLen() < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	submit(a2) // a different A: collect holds it for the next batch
-	for len(sess.jobs) < 2 {
+	submit(a2) // a different A: collect would leave it to lead the next batch
+	for sess.QueueLen() < 3 {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Close while all three are admitted and none has started: the runner
-	// collects the follower and the held job, sees quit, and fails the lot.
+	// Close while all three are admitted and none has started: Close fails
+	// the queue, and the runner, released, finds nothing to collect.
 	closed := make(chan struct{})
 	go func() { sess.Close(); close(closed) }()
 	for {

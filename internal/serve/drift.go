@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the serving layer's plan-fidelity machinery: a per-spec-key
-// EWMA of the measured/predicted per-phase cost ratio (the drift tracker),
+// EWMA of the measured/predicted all-phase cost ratio (the drift tracker),
 // and a bounded ring of sampled span timelines (the flight recorder). Both
 // are observability aids — nothing on the execution path depends on them,
 // and with sampling off a request's execution is bit-identical to the
@@ -23,13 +23,10 @@ import (
 // symmetric buckets.
 var driftBounds = []float64{0.25, 0.5, 0.71, 0.9, 1.0, 1.1, 1.4, 2, 4, 8}
 
-// driftState is one spec key's running fidelity estimate.
+// driftState is one spec key's running fidelity estimate: the EWMA of the
+// all-phase ratio (Σ measured / Σ predicted over the predicted phases), a
+// less noisy staleness signal than any single phase, and its sample count.
 type driftState struct {
-	// ewma maps phase name → EWMA of measured/predicted for that phase.
-	ewma map[string]float64
-	// total is the EWMA of the all-phase ratio (Σ measured / Σ predicted
-	// over the predicted phases) — the staleness signal, less noisy than
-	// any single phase.
 	total float64
 	n     int
 }
@@ -58,43 +55,37 @@ func newDriftTracker(minSamples int) *driftTracker {
 	return &driftTracker{minSamples: minSamples, alpha: 0.3, byKey: make(map[string]*driftState)}
 }
 
+// driftRatio is one request's all-phase measured/predicted ratio over the
+// phases both sides carry (0 when nothing is comparable).
+func driftRatio(predicted, measured map[string]float64) float64 {
+	var predSum, measSum float64
+	for ph, p := range predicted {
+		if m, ok := measured[ph]; ok && p > 0 && m > 0 {
+			predSum += p
+			measSum += m
+		}
+	}
+	if predSum <= 0 {
+		return 0
+	}
+	return measSum / predSum
+}
+
 // observe folds one request's measured phase seconds against its plan's
 // prediction. It returns the request's instantaneous all-phase ratio (0
 // when nothing was comparable) and whether this observation tipped the key
 // into the stale regime.
 func (d *driftTracker) observe(key string, predicted, measured map[string]float64) (ratio float64, stale bool) {
-	if len(predicted) == 0 {
+	ratio = driftRatio(predicted, measured)
+	if ratio == 0 {
 		return 0, false
 	}
-	var predSum, measSum float64
-	perPhase := make(map[string]float64, len(predicted))
-	for ph, p := range predicted {
-		m, ok := measured[ph]
-		if !ok || p <= 0 || m <= 0 {
-			continue
-		}
-		perPhase[ph] = m / p
-		predSum += p
-		measSum += m
-	}
-	if predSum <= 0 {
-		return 0, false
-	}
-	ratio = measSum / predSum
-
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.byKey[key]
 	if st == nil {
-		st = &driftState{ewma: make(map[string]float64)}
+		st = &driftState{}
 		d.byKey[key] = st
-	}
-	for ph, r := range perPhase {
-		if prev, ok := st.ewma[ph]; ok {
-			st.ewma[ph] = prev + d.alpha*(r-prev)
-		} else {
-			st.ewma[ph] = r
-		}
 	}
 	if st.n == 0 {
 		st.total = ratio
@@ -117,21 +108,6 @@ func (d *driftTracker) forget(key string) {
 	d.mu.Lock()
 	delete(d.byKey, key)
 	d.mu.Unlock()
-}
-
-// snapshot returns each key's phase EWMAs, for introspection/tests.
-func (d *driftTracker) snapshot() map[string]map[string]float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]map[string]float64, len(d.byKey))
-	for k, st := range d.byKey {
-		m := make(map[string]float64, len(st.ewma))
-		for ph, r := range st.ewma {
-			m[ph] = r
-		}
-		out[k] = m
-	}
-	return out
 }
 
 // measuredPhases builds the drift comparison's measured side from one

@@ -24,6 +24,13 @@ func newTestRecorder() *trace.Recorder {
 	return r
 }
 
+// trackedKeys counts the spec keys the tracker holds an estimate for.
+func trackedKeys(d *driftTracker) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.byKey)
+}
+
 // TestDriftTrackerStale drives the EWMA to a sustained 3x overrun and
 // checks the stale verdict fires exactly once, resetting the key's state.
 func TestDriftTrackerStale(t *testing.T) {
@@ -48,8 +55,8 @@ func TestDriftTrackerStale(t *testing.T) {
 	if _, stale := d.observe("k", pred, meas); stale {
 		t.Fatal("stale re-fired immediately after reset")
 	}
-	if snap := d.snapshot(); snap["k"]["bcast"] != 3.0 {
-		t.Fatalf("post-reset snapshot = %v, want fresh bcast EWMA 3.0", snap)
+	if st := d.byKey["k"]; st == nil || st.n != 1 || st.total != 3.0 {
+		t.Fatalf("post-reset state = %+v, want a fresh estimate: 1 sample, total 3.0", st)
 	}
 }
 
@@ -81,8 +88,8 @@ func TestDriftTrackerConvergence(t *testing.T) {
 			t.Fatalf("EWMA tripped stale while decaying toward 1.0 (iteration %d)", i)
 		}
 	}
-	if ewma := d.snapshot()["k"]["bcast"]; math.Abs(ewma-1.0) > 0.05 {
-		t.Fatalf("bcast EWMA = %v after 20 on-model requests, want ~1.0", ewma)
+	if ewma := d.byKey["k"].total; math.Abs(ewma-1.0) > 0.05 {
+		t.Fatalf("total EWMA = %v after 20 on-model requests, want ~1.0", ewma)
 	}
 }
 
@@ -96,8 +103,8 @@ func TestDriftTrackerNoPrediction(t *testing.T) {
 	if ratio, _ := d.observe("k", map[string]float64{"bcast": 1}, map[string]float64{"gemm": 1}); ratio != 0 {
 		t.Fatalf("disjoint phases: ratio %v, want 0", ratio)
 	}
-	if len(d.snapshot()) != 0 {
-		t.Fatalf("incomparable observations left state behind: %v", d.snapshot())
+	if n := trackedKeys(d); n != 0 {
+		t.Fatalf("incomparable observations left state behind for %d keys", n)
 	}
 }
 

@@ -562,13 +562,12 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	emit("hsumma_serve_rejected_total", "Multiply requests rejected by backpressure (503).", "counter", float64(m.Rejected))
 	emit("hsumma_serve_session_hits_total", "Requests routed to a live session.", "counter", float64(m.SessionHits))
 	emit("hsumma_serve_session_misses_total", "Requests that had to spin up a session.", "counter", float64(m.SessionMisses))
-	emit("hsumma_serve_sessions_retired_total", "Sessions retired under the core budget.", "counter", float64(m.SessionsRetired))
+	emit("hsumma_serve_sessions_retired_total", "Idle sessions retired to admit a new shape into the full session pool.", "counter", float64(m.SessionsRetired))
 	emit("hsumma_serve_sessions_live", "Live sessions.", "gauge", float64(m.SessionsLive))
-	emit("hsumma_serve_ranks_live", "Ranks reserved across live sessions (spawned per run, not held between requests).", "gauge", float64(m.RanksLive))
-	emit("hsumma_serve_cores_live", "Cores (ranks × threads) reserved across live sessions — the budget unit.", "gauge", float64(m.CoresLive))
+	emit("hsumma_serve_ranks_live", "Ranks of the batches executing right now.", "gauge", float64(m.RanksLive))
+	emit("hsumma_serve_cores_live", "Cores (ranks × threads) of the batches executing right now.", "gauge", float64(m.CoresLive))
 	emit("hsumma_serve_queued", "Requests waiting in session queues.", "gauge", float64(m.Queued))
 	emit("hsumma_serve_in_flight", "Requests executing right now.", "gauge", float64(m.InFlight))
-	emit("hsumma_serve_leases_active", "Requests holding a routing lease right now.", "gauge", float64(m.LeasesActive))
 	emit("hsumma_serve_plan_cache_hits_total", "Tune plan-cache hits.", "counter", float64(m.PlanCacheHits))
 	emit("hsumma_serve_plan_cache_misses_total", "Tune plan-cache misses.", "counter", float64(m.PlanCacheMisses))
 	emit("hsumma_serve_plan_sim_runs_total", "Candidates the tune planner replayed on the event engine.", "counter", float64(m.PlanSimRuns))
@@ -576,7 +575,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	emit("hsumma_serve_batch_size_mean", "Mean coalesced batch size across completed requests.", "gauge", m.BatchSizeMean)
 	emit("hsumma_serve_plan_stale_total", "Requests whose sustained measured/predicted drift marked their plan stale.", "counter", float64(m.PlanStale))
 	emit("hsumma_serve_trace_sampled_total", "Requests sampled into the flight recorder.", "counter", float64(m.TraceSampled))
-	emit("hsumma_serve_model_drift_p50", "Median measured/predicted cost ratio across completed requests (1.0 = plan model exact).", "gauge", m.ModelDriftP50)
+	emit("hsumma_serve_model_drift_p50", "Median per-phase measured/predicted cost ratio, pooled over the phases of every completed request that carried a prediction (1.0 = plan model exact).", "gauge", m.ModelDriftP50)
 	emit("hsumma_serve_uptime_seconds", "Process uptime.", "gauge", time.Since(startTime).Seconds())
 	fmt.Fprintf(w, "# HELP hsumma_serve_latency_seconds Completed-request latency quantiles, read off hsumma_serve_request_seconds across all spec keys.\n")
 	fmt.Fprintf(w, "# TYPE hsumma_serve_latency_seconds summary\n")

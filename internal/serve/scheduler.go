@@ -14,12 +14,10 @@ import (
 
 // SchedulerConfig tunes the front door.
 type SchedulerConfig struct {
-	// CoreBudget caps the total cores reserved across live sessions
-	// (default 256). Each session reserves ranks × threads cores — a
-	// hybrid session with 16 ranks × 4 threads costs 64 cores, the same as
-	// a flat 64-rank one — so the budget is the machine-capacity unit the
-	// operator actually provisions. A request needing more cores than the
-	// whole budget is rejected with ErrTooLarge.
+	// CoreBudget caps the cores one request may use, ranks × threads
+	// (default 256): a hybrid request with 16 ranks × 4 threads uses 64
+	// cores, the same as a flat 64-rank one. A request needing more is
+	// rejected with ErrTooLarge before it is resolved.
 	CoreBudget int
 	// QueueDepth bounds each session's admission window (default 32); a
 	// full window rejects with ErrOverloaded.
@@ -58,9 +56,10 @@ type Metrics struct {
 	SessionMisses   int64 `json:"session_misses"`
 	SessionsRetired int64 `json:"sessions_retired"`
 	SessionsLive    int   `json:"sessions_live"`
-	RanksLive       int   `json:"ranks_live"`
-	// CoresLive is the budget unit: reserved ranks × their thread counts.
-	// It equals RanksLive when every session is single-threaded.
+	// RanksLive and CoresLive are the ranks, and ranks × threads, of the
+	// batches executing right now — the load the host carries. CoresLive
+	// equals RanksLive when every executing spec is single-threaded.
+	RanksLive int `json:"ranks_live"`
 	CoresLive int `json:"cores_live"`
 	// Instantaneous load.
 	Queued   int64 `json:"queued"`
@@ -72,10 +71,6 @@ type Metrics struct {
 	// BatchSizeMean is the mean coalesced batch size across completed
 	// requests (1.0 when batching never engages).
 	BatchSizeMean float64 `json:"batch_size_mean"`
-	// LeasesActive counts requests currently holding a routing lease — a
-	// session reserved between routing and the end of its enqueue, the
-	// window retirement must not touch.
-	LeasesActive int64 `json:"leases_active"`
 	// Plan-cache counters from the shared tune planner: session keys are
 	// resolved through it, so serving workloads surface its reuse here.
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
@@ -90,20 +85,25 @@ type Metrics struct {
 	// recorder.
 	PlanStale    int64 `json:"plan_stale"`
 	TraceSampled int64 `json:"trace_sampled"`
-	// ModelDriftP50 is the median measured/predicted cost ratio across all
-	// completed requests that carried a prediction (1.0 = model exact).
+	// ModelDriftP50 is the median per-phase measured/predicted cost ratio,
+	// pooled over every phase of every completed request that carried a
+	// prediction (1.0 = model exact).
 	ModelDriftP50 float64 `json:"model_drift_p50"`
 }
 
 // Scheduler is the admission-controlled front door: it keys requests by
-// execution shape, routes them to a pool of sessions under a core budget,
-// applies backpressure via bounded queues, and exports counters.
+// execution shape, routes them to a bounded pool of sessions, applies
+// backpressure via bounded queues, and exports counters.
 type Scheduler struct {
 	cfg SchedulerConfig
 
-	mu      sync.Mutex
-	entries map[string]*entry
-	closed  bool
+	mu       sync.Mutex
+	sessions map[string]*Session // by routeKey
+	// live counts the pooled sessions per spec key: a key's series are
+	// observed under it while the count is positive and under otherKey
+	// once the last session carrying it has retired.
+	live   map[string]int
+	closed bool
 
 	requests, completed, errors, rejected atomic.Int64
 	hits, misses, retired                 atomic.Int64
@@ -133,24 +133,19 @@ type Scheduler struct {
 // otherKey is the series retired spec keys are folded into.
 const otherKey = "other"
 
-// entry is one pooled session and the cores (ranks × threads) it reserves
-// against the budget while it lives. leases counts requests that have been
-// routed to the session but not yet finished with it — retirement requires
-// leases == 0, which closes the race between routing and enqueueing.
-type entry struct {
-	specKey string
-	ranks   int
-	cores   int
-	sess    *Session
-	leases  int
-}
+// maxSessions bounds the session pool: the default daemon's capacity when
+// every session reserved its ranks (a 256-core budget over 16 default
+// ranks). A full pool retires its least-recently-used idle session to admit
+// a new shape.
+const maxSessions = 16
 
 // NewScheduler returns an empty scheduler; sessions spin up on demand.
 func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	cfg = cfg.withDefaults()
 	sc := &Scheduler{
 		cfg:       cfg,
-		entries:   make(map[string]*entry),
+		sessions:  make(map[string]*Session),
+		live:      make(map[string]int),
 		histQueue: newHistogramVec("hsumma_serve_queue_wait_seconds", "Time requests waited on the session queue before staging."),
 		histStage: newHistogramVec("hsumma_serve_stage_seconds", "Staging time per request: cutting operand views, plus the one copy of a padded or batched operand."),
 		histExec:  newHistogramVec("hsumma_serve_execute_seconds", "Distributed execution time per request (the run on its spawned rank goroutines)."),
@@ -167,8 +162,9 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 // Multiply serves one request: A (M×K) · B (K×N) under the given pinned
 // knobs (zero values resolve to defaults; engine.Auto engages the
 // planner). The request is routed to the session owning its execution
-// shape, creating or retiring sessions under the core budget. A full
-// session queue or an unadmittable session rejects with ErrOverloaded.
+// shape, creating one (and retiring an idle one from a full pool) on a
+// miss. A request over the core budget fails with ErrTooLarge; a full
+// session queue, or a full pool with no idle session, with ErrOverloaded.
 func (sc *Scheduler) Multiply(a, b *matrix.Dense, rp tune.ResolveParams) (*matrix.Dense, Stats, error) {
 	sc.requests.Add(1)
 	if a.Cols != b.Rows {
@@ -176,74 +172,102 @@ func (sc *Scheduler) Multiply(a, b *matrix.Dense, rp tune.ResolveParams) (*matri
 		return nil, Stats{}, fmt.Errorf("serve: inner dimensions differ: A is %dx%d, B is %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols)
 	}
+	// Checked before resolution: resolving factorises the rank count, which
+	// for an absurd pinned one costs seconds before any budget is seen.
+	if err := sc.checkBudget(rp); err != nil {
+		sc.errors.Add(1)
+		return nil, Stats{}, err
+	}
 	rp.Shape = matrix.Shape{M: a.Rows, N: b.Cols, K: a.Cols}
 	spec, err := tune.ResolveSpec(rp)
 	if err != nil {
 		sc.errors.Add(1)
 		return nil, Stats{}, err
 	}
-
-	sess, release, err := sc.route(rp.Shape, spec)
-	if err != nil {
-		sc.countFailure(err)
-		return nil, Stats{}, err
-	}
 	// The flight recorder samples 1 in every TraceSampleN requests; a
 	// sampled request runs traced, every other one takes the exact untraced
 	// execution path — sampling off costs nothing.
 	sampled := sc.cfg.TraceSampleN > 0 && sc.sampleSeq.Add(1)%int64(sc.cfg.TraceSampleN) == 0
-	out, stats, rec, err := sess.submit(a, b, false, sampled)
+	j, err := sc.admit(rp.Shape, spec, a, b, sampled)
+	if err != nil {
+		sc.countFailure(err)
+		return nil, Stats{}, err
+	}
+	out, stats, err := j.wait()
 	if sampled && err == nil {
-		stats.TraceID = sc.flight.add(stats.SpecKey, rp.Shape, stats.WallSeconds, rec)
+		stats.TraceID = sc.flight.add(stats.SpecKey, rp.Shape, stats.WallSeconds, j.rec)
 		sc.traceSampled.Add(1)
 	}
-	// The lease is held across the observations: the session cannot retire
-	// (and fold its key's series away) between serving and being counted.
-	defer release()
 	if err != nil {
 		sc.countFailure(err)
 		return nil, stats, err
 	}
 	sc.completed.Add(1)
 	sc.observeDrift(&stats)
-	sc.histQueue.observe(stats.SpecKey, stats.QueueSeconds)
-	sc.histStage.observe(stats.SpecKey, stats.SetupSeconds)
-	sc.histExec.observe(stats.SpecKey, stats.RunSeconds)
-	sc.histE2E.observe(stats.SpecKey, stats.WallSeconds)
-	sc.histBatch.observe(stats.SpecKey, float64(stats.BatchSize))
+	// The session may have retired since it served the request: observe
+	// under the scheduler lock so a retired key's series stay folded.
+	sc.mu.Lock()
+	key := sc.liveKeyLocked(stats.SpecKey)
+	sc.histQueue.observe(key, stats.QueueSeconds)
+	sc.histStage.observe(key, stats.SetupSeconds)
+	sc.histExec.observe(key, stats.RunSeconds)
+	sc.histE2E.observe(key, stats.WallSeconds)
+	sc.histBatch.observe(key, float64(stats.BatchSize))
+	sc.mu.Unlock()
 	return out, stats, nil
 }
 
+// checkBudget refuses a request whose pinned ranks (the grid's, or Procs)
+// times threads exceed the core budget. It divides rather than multiplies,
+// so no pinned value, however large, can overflow into admission.
+func (sc *Scheduler) checkBudget(rp tune.ResolveParams) error {
+	factors := [3]int{rp.Procs, rp.Threads, 1}
+	if rp.Grid != nil {
+		factors = [3]int{rp.Grid.S, rp.Grid.T, rp.Threads}
+	}
+	left := sc.cfg.CoreBudget
+	for _, f := range factors {
+		if f > left {
+			ranks := fmt.Sprint(rp.Procs)
+			if rp.Grid != nil {
+				ranks = rp.Grid.String()
+			}
+			return fmt.Errorf("%w: %s ranks × %d threads exceed the budget of %d cores",
+				ErrTooLarge, ranks, max(rp.Threads, 1), sc.cfg.CoreBudget)
+		}
+		left /= max(f, 1)
+	}
+	return nil
+}
+
 // observeKeyed records v in a spec-keyed family on behalf of a request
-// whose lease is already returned (the handler's decode and encode times):
-// under the request's spec key while a live session still carries it, under
-// otherKey once the key has been retired — checked under the scheduler lock
-// so a late observation cannot resurrect a folded series.
+// already served (the handler's decode and encode times): under the
+// request's spec key while a live session still carries it, under otherKey
+// once the key has been retired — checked under the scheduler lock so a
+// late observation cannot resurrect a folded series.
 func (sc *Scheduler) observeKeyed(hv *histogramVec, key string, v float64) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if !sc.keyLiveLocked(key) {
-		key = otherKey
-	}
-	hv.observe(key, v)
+	hv.observe(sc.liveKeyLocked(key), v)
 }
 
-func (sc *Scheduler) keyLiveLocked(specKey string) bool {
-	for _, e := range sc.entries {
-		if e.specKey == specKey {
-			return true
-		}
+// liveKeyLocked returns specKey while a pooled session carries it and
+// otherKey once it has retired.
+func (sc *Scheduler) liveKeyLocked(specKey string) string {
+	if sc.live[specKey] > 0 {
+		return specKey
 	}
-	return false
+	return otherKey
 }
 
 // observeDrift folds one completed request into the plan-fidelity
-// tracker: per-phase measured/predicted ratios into the drift histogram
-// and the spec key's EWMA, the all-phase ratio onto the request's stats,
-// and a plan_stale count when sustained drift marks the plan stale. A
-// stale plan is reported, not replanned: the planner is a deterministic
-// function of inputs fixed at process start, so replanning would return
-// the same pick at the cost of another scan.
+// machinery: per-phase measured/predicted ratios into the drift histogram,
+// the all-phase ratio onto the request's stats and into the spec key's
+// EWMA, and a plan_stale count when sustained drift marks the plan stale.
+// A retired key stays out of the tracker, whose state for it retirement
+// dropped. A stale plan is reported, not replanned: the planner is a
+// deterministic function of inputs fixed at process start, so replanning
+// would return the same pick at the cost of another scan.
 func (sc *Scheduler) observeDrift(stats *Stats) {
 	if len(stats.PredictedSecondsByPhase) == 0 {
 		return
@@ -253,6 +277,12 @@ func (sc *Scheduler) observeDrift(stats *Stats) {
 		if m, ok := measured[ph]; ok && p > 0 && m > 0 {
 			sc.histDrift.observe(ph, m/p)
 		}
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.liveKeyLocked(stats.SpecKey) == otherKey {
+		stats.ModelDriftRatio = driftRatio(stats.PredictedSecondsByPhase, measured)
+		return
 	}
 	ratio, stale := sc.drift.observe(stats.SpecKey, stats.PredictedSecondsByPhase, measured)
 	stats.ModelDriftRatio = ratio
@@ -279,141 +309,98 @@ func routeKey(reqShape matrix.Shape, spec engine.Spec) string {
 	return fmt.Sprintf("%s|req=%dx%dx%d", spec.Key(), reqShape.M, reqShape.N, reqShape.K)
 }
 
-// route finds or creates the session for a request, retiring idle
-// unleased sessions in least-recently-used order when the core budget is
-// exceeded. A session spawns no ranks, so it is built under the scheduler
-// lock and concurrent requests for a new key find it there. The returned
-// release func gives the routing lease back — retirement never touches a
-// session between its routing and its enqueue.
-func (sc *Scheduler) route(reqShape matrix.Shape, spec engine.Spec) (*Session, func(), error) {
+// admit routes a request to the session for its shape and queues it there,
+// both in one hold of the scheduler lock: the queued job keeps the session
+// from looking idle, so retirement never closes a session between routing
+// and enqueueing. A session spawns nothing when built, so a miss builds it
+// under the lock and concurrent requests for the new key find it there.
+func (sc *Scheduler) admit(reqShape matrix.Shape, spec engine.Spec, a, b *matrix.Dense, traced bool) (*job, error) {
 	key := routeKey(reqShape, spec)
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	if sc.closed {
-		sc.mu.Unlock()
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
-	if e := sc.entries[key]; e != nil {
-		e.leases++
-		sc.mu.Unlock()
+	sess := sc.sessions[key]
+	if sess != nil {
 		sc.hits.Add(1)
-		e.sess.touch()
-		return e.sess, func() { sc.release(e) }, nil
-	}
-	ranks := spec.Opts.Grid.Size()
-	threads := spec.Opts.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	need := ranks * threads
-	if need > sc.cfg.CoreBudget {
-		sc.mu.Unlock()
-		return nil, nil, fmt.Errorf("%w: request needs %d cores (%d ranks × %d threads), budget is %d", ErrTooLarge, need, ranks, threads, sc.cfg.CoreBudget)
-	}
-	// Retire idle, unleased sessions, oldest first, until the new one
-	// fits. leases == 0 guarantees no request sits between routing and
-	// enqueue, and Idle() that nothing is queued or running — so Close
-	// returns promptly.
-	for sc.coresLiveLocked()+need > sc.cfg.CoreBudget {
-		vKey, victim := sc.oldestIdleLocked()
-		if victim == nil {
-			sc.mu.Unlock()
-			return nil, nil, ErrOverloaded
+		sess.touch()
+	} else {
+		if len(sc.sessions) >= maxSessions && !sc.retireIdleLocked() {
+			return nil, ErrOverloaded
 		}
-		delete(sc.entries, vKey)
-		victim.sess.Close()
-		sc.retired.Add(1)
-		// Two request shapes that pad to one execution share a spec key;
-		// the series outlive the victim while the other session lives.
-		if !sc.keyLiveLocked(victim.specKey) {
-			for _, hv := range sc.specKeyed {
-				hv.fold(victim.specKey, otherKey)
-			}
-			sc.drift.forget(victim.specKey)
+		var err error
+		sess, err = NewSession(reqShape, spec, SessionConfig{
+			QueueDepth: sc.cfg.QueueDepth,
+			MaxBatch:   sc.cfg.MaxBatch,
+		})
+		if err != nil {
+			return nil, err
 		}
+		sc.sessions[key] = sess
+		sc.live[sess.key]++
+		sc.misses.Add(1)
 	}
-	sess, err := NewSession(reqShape, spec, SessionConfig{
-		QueueDepth: sc.cfg.QueueDepth,
-		MaxBatch:   sc.cfg.MaxBatch,
-	})
-	if err != nil {
-		sc.mu.Unlock()
-		return nil, nil, err
-	}
-	e := &entry{specKey: spec.Key(), ranks: ranks, cores: need, sess: sess, leases: 1}
-	sc.entries[key] = e
-	sc.mu.Unlock()
-	sc.misses.Add(1)
-	return sess, func() { sc.release(e) }, nil
+	return sess.submit(a, b, false, traced)
 }
 
-// release returns a routing lease.
-func (sc *Scheduler) release(e *entry) {
-	sc.mu.Lock()
-	e.leases--
-	sc.mu.Unlock()
-}
-
-// ranksLiveLocked counts ranks reserved by live sessions; coresLiveLocked
-// counts the budget unit (ranks × threads).
-func (sc *Scheduler) ranksLiveLocked() int {
-	total := 0
-	for _, e := range sc.entries {
-		total += e.ranks
-	}
-	return total
-}
-
-func (sc *Scheduler) coresLiveLocked() int {
-	total := 0
-	for _, e := range sc.entries {
-		total += e.cores
-	}
-	return total
-}
-
-// oldestIdleLocked picks the retirement victim: the least-recently-used
-// entry that is unleased and idle.
-func (sc *Scheduler) oldestIdleLocked() (string, *entry) {
+// retireIdleLocked closes the least-recently-used idle session and, when it
+// was the last one carrying its spec key, folds that key's series into
+// otherKey. It reports false when no session is idle.
+func (sc *Scheduler) retireIdleLocked() bool {
 	var (
 		vKey   string
-		victim *entry
+		victim *Session
 	)
-	for key, e := range sc.entries {
-		if e.leases > 0 || !e.sess.Idle() {
-			continue
-		}
-		if victim == nil || e.sess.LastUsed().Before(victim.sess.LastUsed()) {
-			vKey, victim = key, e
+	for key, s := range sc.sessions {
+		if s.Idle() && (victim == nil || s.LastUsed().Before(victim.LastUsed())) {
+			vKey, victim = key, s
 		}
 	}
-	return vKey, victim
+	if victim == nil {
+		return false
+	}
+	delete(sc.sessions, vKey)
+	victim.Close()
+	sc.retired.Add(1)
+	// Two request shapes that pad to one execution share a spec key; the
+	// series outlive the victim while the other session lives.
+	if sc.live[victim.key]--; sc.live[victim.key] == 0 {
+		delete(sc.live, victim.key)
+		for _, hv := range sc.specKeyed {
+			hv.fold(victim.key, otherKey)
+		}
+		sc.drift.forget(victim.key)
+	}
+	return true
 }
 
 // Sessions returns a snapshot of the live sessions, for introspection.
 func (sc *Scheduler) Sessions() []*Session {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	out := make([]*Session, 0, len(sc.entries))
-	for _, e := range sc.entries {
-		out = append(out, e.sess)
+	out := make([]*Session, 0, len(sc.sessions))
+	for _, s := range sc.sessions {
+		out = append(out, s)
 	}
 	return out
 }
 
-// Metrics returns a snapshot of the scheduler's counters. The queued and
-// in-flight gauges are derived from the live sessions' queues at snapshot
-// time.
+// Metrics returns a snapshot of the scheduler's counters. The queued,
+// in-flight, ranks and cores gauges are read off the live sessions at
+// snapshot time.
 func (sc *Scheduler) Metrics() Metrics {
 	sc.mu.Lock()
-	ranks := sc.ranksLiveLocked()
-	cores := sc.coresLiveLocked()
-	live := len(sc.entries)
-	var queued, inFlight, leases int64
-	for _, e := range sc.entries {
-		leases += int64(e.leases)
-		queued += int64(e.sess.QueueLen())
-		if e.sess.Executing() {
+	live := len(sc.sessions)
+	var queued, inFlight int64
+	var ranks, cores int
+	for _, s := range sc.sessions {
+		queued += int64(s.QueueLen())
+		if s.Executing() {
 			inFlight++
+			r := s.spec.Opts.Grid.Size()
+			ranks += r
+			cores += r * max(s.spec.Opts.Threads, 1)
 		}
 	}
 	sc.mu.Unlock()
@@ -438,7 +425,6 @@ func (sc *Scheduler) Metrics() Metrics {
 		LatencyP50Seconds: sc.histE2E.quantile(0.50),
 		LatencyP99Seconds: sc.histE2E.quantile(0.99),
 		BatchSizeMean:     batchMean,
-		LeasesActive:      leases,
 		PlanCacheHits:     ps.CacheHits,
 		PlanCacheMisses:   ps.CacheMisses,
 		PlanSimRuns:       ps.SimRuns,
@@ -485,11 +471,11 @@ func (sc *Scheduler) Close() error {
 		return nil
 	}
 	sc.closed = true
-	sessions := make([]*Session, 0, len(sc.entries))
-	for _, e := range sc.entries {
-		sessions = append(sessions, e.sess)
+	sessions := make([]*Session, 0, len(sc.sessions))
+	for _, s := range sc.sessions {
+		sessions = append(sessions, s)
 	}
-	sc.entries = make(map[string]*entry)
+	sc.sessions = make(map[string]*Session)
 	sc.mu.Unlock()
 
 	var wg sync.WaitGroup

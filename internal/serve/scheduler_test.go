@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/matrix"
+	"repro/internal/topo"
 	"repro/internal/tune"
 )
 
@@ -51,8 +53,8 @@ func TestSchedulerShapeRouting(t *testing.T) {
 	if m.LatencyP50Seconds <= 0 || m.LatencyP99Seconds < m.LatencyP50Seconds {
 		t.Fatalf("implausible latency quantiles p50=%g p99=%g", m.LatencyP50Seconds, m.LatencyP99Seconds)
 	}
-	if m.RanksLive != 8 {
-		t.Fatalf("RanksLive = %d, want 8", m.RanksLive)
+	if m.RanksLive != 0 {
+		t.Fatalf("RanksLive = %d with nothing executing, want 0", m.RanksLive)
 	}
 }
 
@@ -109,9 +111,11 @@ func TestSchedulerRejectsInvalidSpecBeforeSession(t *testing.T) {
 	}
 }
 
-// TestSchedulerRankBudget checks sessions are retired LRU-idle-first when
-// the budget is exceeded, and that an unsatisfiable request is rejected
-// with ErrOverloaded.
+// TestSchedulerRankBudget checks the session pool: once it holds
+// maxSessions sessions a new shape retires the least-recently-used idle
+// one, a new shape finding every session busy is rejected with
+// ErrOverloaded, RanksLive counts the ranks of the batches executing, and
+// a request larger than the whole budget is ErrTooLarge.
 func TestSchedulerRankBudget(t *testing.T) {
 	sc := NewScheduler(SchedulerConfig{CoreBudget: 8})
 	defer sc.Close()
@@ -122,24 +126,55 @@ func TestSchedulerRankBudget(t *testing.T) {
 		_, _, err := sc.Multiply(a, b, tune.ResolveParams{Procs: procs})
 		return err
 	}
-	if err := mul(16, 4); err != nil {
-		t.Fatal(err)
+	for i := 0; i < maxSessions; i++ {
+		if err := mul(8+i, 4); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := mul(32, 4); err != nil {
-		t.Fatal(err)
+	if m := sc.Metrics(); m.SessionsLive != maxSessions || m.SessionsRetired != 0 || m.RanksLive != 0 {
+		t.Fatalf("full pool: live=%d retired=%d ranks=%d, want %d/0/0", m.SessionsLive, m.SessionsRetired, m.RanksLive, maxSessions)
 	}
-	if got := sc.Metrics().RanksLive; got != 8 {
-		t.Fatalf("RanksLive = %d, want 8", got)
-	}
-	// A third shape exceeds the budget: the oldest idle session retires.
-	if err := mul(24, 4); err != nil {
+	// One more shape: the oldest idle session (n = 8) retires.
+	if err := mul(8+maxSessions, 4); err != nil {
 		t.Fatal(err)
 	}
 	m := sc.Metrics()
-	if m.SessionsRetired != 1 || m.SessionsLive != 2 || m.RanksLive != 8 {
-		t.Fatalf("after retirement: retired=%d live=%d ranks=%d, want 1/2/8",
-			m.SessionsRetired, m.SessionsLive, m.RanksLive)
+	if m.SessionsRetired != 1 || m.SessionsLive != maxSessions {
+		t.Fatalf("after retirement: retired=%d live=%d, want 1/%d", m.SessionsRetired, m.SessionsLive, maxSessions)
 	}
+	for _, s := range sc.Sessions() {
+		if s.Shape() == matrix.Square(8) {
+			t.Fatal("the least-recently-used session survived retirement")
+		}
+	}
+
+	// Park one request in every session: none is idle, so a new shape is
+	// backpressure, and every parked batch counts in RanksLive.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the parked runners
+	started := make(chan struct{}, maxSessions)
+	res := make(chan error, maxSessions)
+	for _, s := range sc.Sessions() {
+		s.beforeRun = func() { started <- struct{}{}; <-gate }
+		go func(n int) { res <- mul(n, 4) }(s.Shape().M)
+	}
+	for i := 0; i < maxSessions; i++ {
+		<-started
+	}
+	if got := sc.Metrics().RanksLive; got != 4*maxSessions {
+		t.Fatalf("RanksLive = %d with %d four-rank batches executing, want %d", got, maxSessions, 4*maxSessions)
+	}
+	if err := mul(64, 4); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("new shape with every session busy: want ErrOverloaded, got %v", err)
+	}
+	release()
+	for i := 0; i < maxSessions; i++ {
+		if err := <-res; err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	// A request larger than the whole budget can never be admitted —
 	// that is ErrTooLarge (non-retryable), not transient backpressure.
 	if err := mul(64, 16); !errors.Is(err, ErrTooLarge) {
@@ -151,10 +186,10 @@ func TestSchedulerRankBudget(t *testing.T) {
 }
 
 // TestSchedulerCoreBudgetHybrid checks the budget unit is cores, not
-// ranks: a hybrid session holds ranks × threads cores, CoresLive and
-// RanksLive diverge accordingly, and a request whose core need exceeds
-// the whole budget is rejected with ErrTooLarge even when its rank
-// count alone would fit.
+// ranks: a request's ranks × threads must fit it (ErrTooLarge otherwise,
+// even when its rank count alone would fit), sessions are not retired to
+// make room for cores, and CoresLive counts a hybrid batch's ranks ×
+// threads while it executes.
 func TestSchedulerCoreBudgetHybrid(t *testing.T) {
 	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
 	defer sc.Close()
@@ -167,46 +202,84 @@ func TestSchedulerCoreBudgetHybrid(t *testing.T) {
 			return err
 		}
 		if d := matrix.MaxAbsDiff(got, reference(a, b)); d > oracleTol {
-			t.Fatalf("n=%d procs=%d threads=%d: wrong product (%g)", n, procs, threads, d)
+			t.Errorf("n=%d procs=%d threads=%d: wrong product (%g)", n, procs, threads, d)
 		}
 		return nil
 	}
 
-	// 4 ranks × 2 threads = 8 cores reserved.
+	// 4 ranks × 2 threads = 8 cores, then 4 × 4 = 16: the whole budget,
+	// beside the idle 8-core session.
 	if err := mul(32, 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	m := sc.Metrics()
-	if m.RanksLive != 4 || m.CoresLive != 8 {
-		t.Fatalf("RanksLive/CoresLive = %d/%d, want 4/8", m.RanksLive, m.CoresLive)
-	}
-
-	// 4 ranks × 4 threads = 16 cores: does not fit next to the reserved
-	// 8, so the idle hybrid session must retire to admit it.
 	if err := mul(48, 4, 4); err != nil {
 		t.Fatal(err)
 	}
-	m = sc.Metrics()
-	if m.SessionsRetired != 1 || m.CoresLive != 16 || m.RanksLive != 4 {
-		t.Fatalf("after retirement: retired=%d cores=%d ranks=%d, want 1/16/4",
-			m.SessionsRetired, m.CoresLive, m.RanksLive)
-	}
-
 	// 4 ranks fit the budget, but 4 ranks × 8 threads = 32 cores never
 	// will: non-retryable ErrTooLarge, not backpressure.
 	if err := mul(64, 4, 8); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("over-budget hybrid request: want ErrTooLarge, got %v", err)
 	}
-
-	// A serial request forces the full-budget hybrid session out, and for
-	// threads≤1 the historical accounting holds: cores == ranks.
 	if err := mul(32, 4, 0); err != nil {
 		t.Fatal(err)
 	}
-	m = sc.Metrics()
-	if m.SessionsRetired != 2 || m.CoresLive != 4 || m.RanksLive != 4 {
-		t.Fatalf("after serial request: retired=%d cores=%d ranks=%d, want 2/4/4",
-			m.SessionsRetired, m.CoresLive, m.RanksLive)
+	m := sc.Metrics()
+	if m.SessionsRetired != 0 || m.SessionsLive != 3 || m.CoresLive != 0 || m.RanksLive != 0 {
+		t.Fatalf("idle: retired=%d live=%d cores=%d ranks=%d, want 0/3/0/0",
+			m.SessionsRetired, m.SessionsLive, m.CoresLive, m.RanksLive)
+	}
+
+	// While the 4 × 4 session executes, it is the host's load: 4 ranks,
+	// 16 cores.
+	var hybrid *Session
+	for _, s := range sc.Sessions() {
+		if s.Spec().Opts.Threads == 4 {
+			hybrid = s
+		}
+	}
+	gate, started := make(chan struct{}), make(chan struct{}, 1)
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the parked runner
+	hybrid.beforeRun = func() { started <- struct{}{}; <-gate }
+	res := make(chan error, 1)
+	go func() { res <- mul(48, 4, 4) }()
+	<-started
+	if m := sc.Metrics(); m.RanksLive != 4 || m.CoresLive != 16 {
+		t.Fatalf("executing: RanksLive/CoresLive = %d/%d, want 4/16", m.RanksLive, m.CoresLive)
+	}
+	release()
+	if err := <-res; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSchedulerBudgetBeforeResolution pins the per-request ceiling on
+// values that overflow ranks × threads or would make resolution factorise
+// an absurd rank count: each is ErrTooLarge at once, opens no session and
+// leaves the gauges sane.
+func TestSchedulerBudgetBeforeResolution(t *testing.T) {
+	sc := NewScheduler(SchedulerConfig{})
+	defer sc.Close()
+	a, b := matrix.Random(16, 16, 1), matrix.Random(16, 16, 2)
+	for _, rp := range []tune.ResolveParams{
+		{Procs: 4, Threads: 1 << 62},                         // 4 × 2^62 wraps to 0
+		{Procs: 1<<62 + 3},                                   // factorising it takes seconds
+		{Procs: 4, Grid: &topo.Grid{S: 1 << 32, T: 1 << 32}}, // S·T wraps to 0
+	} {
+		start := time.Now()
+		_, _, err := sc.Multiply(a, b, rp)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%+v: want ErrTooLarge, got %v", rp, err)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("%+v: rejected after %v, want under 100 ms", rp, d)
+		}
+	}
+	if m := sc.Metrics(); m.SessionMisses != 0 || m.SessionsLive != 0 || m.CoresLive != 0 || m.Errors != 3 {
+		t.Fatalf("misses=%d live=%d cores=%d errors=%d, want 0/0/0/3", m.SessionMisses, m.SessionsLive, m.CoresLive, m.Errors)
+	}
+	if _, _, err := sc.Multiply(a, b, tune.ResolveParams{Procs: 4}); err != nil {
+		t.Fatalf("an ordinary request after the rejections: %v", err)
 	}
 }
 

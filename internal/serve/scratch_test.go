@@ -91,7 +91,7 @@ func TestScratchOwnershipUnderLoad(t *testing.T) {
 	var active atomic.Int32
 	sess := sc.Sessions()[0]
 	sess.beforeStage = func() {
-		for len(sess.jobs) == 0 && active.Load() > 1 {
+		for sess.QueueLen() < 2 && active.Load() > 1 {
 			runtime.Gosched()
 		}
 	}

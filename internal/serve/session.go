@@ -3,8 +3,9 @@
 // Platforms) layered over this repository's transport-agnostic engine, so
 // the paper's tuned HSUMMA schedules serve a *stream* of products. Between
 // requests it keeps what a stream of same-shape products shares — the
-// resolved plan, a queue and the operand scratch — and not the ranks,
-// which every run spawns afresh.
+// resolved plan, a queue and the operand scratch — and neither the ranks,
+// which every run spawns afresh, nor a runner, which lives only while the
+// queue holds work.
 //
 // Three pieces compose the subsystem:
 //
@@ -14,16 +15,18 @@
 //     ranks are goroutines spawned for that run, they read views of the
 //     caller's operands and accumulate into the result, and only an
 //     operand that lacks the execution shape is copied, once, into
-//     session-resident scratch. One runner loop takes a request, coalesces
-//     queued requests that share its A operand into one batched multi-RHS
-//     execution, and runs it.
+//     session-resident scratch. Work arriving at an idle session starts a
+//     runner goroutine; it takes the head of the queue, coalesces the queued
+//     requests behind it that share its A operand into one batched multi-RHS
+//     execution, runs it, and exits when the queue is empty.
 //
 //   - Scheduler: the admission-controlled front door. Requests are keyed by
-//     their execution-shape key (engine.Spec.Key) and routed to a pool of
-//     sessions, spinning sessions up on miss and retiring idle ones under a
-//     configurable core budget; bounded queues apply backpressure
-//     (ErrOverloaded) and counters expose hits/misses, queue depths and
-//     latency quantiles.
+//     their execution-shape key (engine.Spec.Key) and routed to a bounded
+//     pool of sessions, spinning sessions up on miss and retiring the
+//     least-recently-used idle one when the pool is full. A request whose
+//     ranks × threads exceed the core budget is refused before it is
+//     resolved; bounded queues apply backpressure (ErrOverloaded) and
+//     counters expose hits/misses, queue depths and latency quantiles.
 //
 //   - HTTP handler (http.go): POST /multiply (JSON or raw little-endian
 //     float64 bodies), GET /plan and GET /metrics over a Scheduler — the
@@ -35,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,12 +55,12 @@ var (
 	// scheduler that has been closed; queued requests receive it during a
 	// graceful drain while in-flight ones finish normally.
 	ErrClosed = errors.New("serve: closed")
-	// ErrOverloaded reports backpressure: a bounded queue was full or the
-	// core budget could not admit a new session right now. Clients should
+	// ErrOverloaded reports backpressure: a bounded queue was full, or the
+	// session pool was full and no session in it was idle. Clients should
 	// retry with backoff (the HTTP layer maps it to 503 + Retry-After).
 	ErrOverloaded = errors.New("serve: overloaded")
 	// ErrTooLarge reports a request that can never be admitted — it needs
-	// more cores (ranks × threads) than the scheduler's whole budget — so
+	// more cores (ranks × threads) than the scheduler's core budget — so
 	// retrying is pointless (the HTTP layer maps it to 400, not 503).
 	ErrTooLarge = errors.New("serve: request exceeds the core budget")
 )
@@ -98,9 +102,9 @@ type Stats struct {
 // value means "serving defaults": QueueDepth 32 and opportunistic batching
 // up to 8 requests.
 type SessionConfig struct {
-	// QueueDepth bounds the session's admission window — requests queued or
-	// taken by the runner but not yet executing (default 32). Submit blocks
-	// when it is full; TrySubmit returns ErrOverloaded.
+	// QueueDepth bounds the session's admission window — requests queued
+	// but not yet executing (default 32). Multiply blocks when it is full;
+	// TryMultiply returns ErrOverloaded.
 	QueueDepth int
 	// MaxBatch caps how many queued same-A requests the runner coalesces
 	// into one multi-RHS execution. 0 defaults to 8; 1 disables batching.
@@ -111,42 +115,41 @@ type SessionConfig struct {
 
 // Session is a persistent execution context for one resolved spec: a work
 // queue plus the scratch that operands lacking the execution shape are
-// staged through (see Execute). It holds no ranks: every batch runs on rank
-// goroutines spawned for that run. Concurrent Multiply calls are
-// admitted through the session queue and served in arrival order by one
-// runner loop, which may coalesce same-A requests into one batched run.
-// Close drains gracefully (the in-flight batch finishes; queued requests and
-// those the runner had taken but not started fail with ErrClosed).
+// staged through (see Execute). It holds no ranks and, while its queue is
+// empty, no goroutine: work arriving at an idle session starts a runner,
+// which serves the queue in arrival order — coalescing same-A requests into
+// one batched run — and exits when the queue is empty. Close drains
+// gracefully (the executing batch finishes; queued requests fail with
+// ErrClosed).
 type Session struct {
-	spec engine.Spec
-	req  matrix.Shape // requested (pre-padding) problem shape
-	key  string
+	spec   engine.Spec
+	req    matrix.Shape // requested (pre-padding) problem shape
+	key    string
+	labels pprof.LabelSet // carried by the runner and every rank it spawns
 
 	// scratch holds the execution-shaped operand copies. Only the runner
-	// goroutine touches it, so no lock is needed.
+	// touches it, and one runner exits before the next starts, so no lock
+	// is needed.
 	scratch   Scratch
 	batchable bool
 
 	depth    int // admission window (QueueDepth)
 	maxBatch int
 
-	jobs chan *job
-	quit chan struct{}
-	done chan struct{} // closed when the runner exits
-
-	mu       sync.Mutex
-	closed   bool
-	pending  int  // jobs reserved for the queue but not yet taken by the runner
-	taken    int  // jobs the runner holds (lead, followers, held) but is not executing
-	inFlight bool // a batch is currently executing
+	mu        sync.Mutex
+	changed   sync.Cond // on mu: the queue shrank, or the runner exited
+	queue     []*job    // admitted and not yet executing, in arrival order
+	running   bool      // a runner goroutine is live
+	executing bool      // a batch is executing
+	closed    bool
 
 	calls    atomic.Int64
 	lastUsed atomic.Int64 // unix nanos; scheduler retirement order
 
 	// Test hooks for making queue states deterministic: beforeStage runs
-	// with a lead in hand, before followers are collected; beforeRun before
-	// each batch executes; staged is handed the tiles the ranks are about to
-	// read and accumulate into.
+	// with the head of the queue about to lead a batch, before followers
+	// are collected; beforeRun before each batch executes; staged is handed
+	// the tiles the ranks are about to read and accumulate into.
 	beforeRun   func()
 	beforeStage func()
 	staged      func(aT, bT, cT []*matrix.Dense)
@@ -173,10 +176,15 @@ func (j *job) finish(err error) {
 	close(j.done)
 }
 
+// wait blocks until the job is served or failed.
+func (j *job) wait() (*matrix.Dense, Stats, error) {
+	<-j.done
+	return j.out, j.stats, j.err
+}
+
 // NewSession builds a session pinned to a resolved, padded execution spec
 // (as produced by tune.ResolveSpec) serving requests of the given
-// pre-padding problem shape. It starts the session's runner goroutine,
-// which lives until Close.
+// pre-padding problem shape. It starts no goroutine.
 func NewSession(reqShape matrix.Shape, spec engine.Spec, cfg SessionConfig) (*Session, error) {
 	if err := reqShape.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -197,13 +205,14 @@ func NewSession(reqShape matrix.Shape, spec engine.Spec, cfg SessionConfig) (*Se
 	if mb <= 0 {
 		mb = 8
 	}
+	key := spec.Key()
 	s := &Session{
-		spec: spec, req: reqShape, key: spec.Key(), scratch: make(Scratch),
-		depth: depth, maxBatch: mb,
-		jobs: make(chan *job, depth),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
+		spec: spec, req: reqShape, key: key, scratch: make(Scratch),
+		// The spec key labels pprof samples per served shape.
+		labels: pprof.Labels("hsumma_spec", key),
+		depth:  depth, maxBatch: mb,
 	}
+	s.changed.L = &s.mu
 	// Batching needs the algorithm to accept a widened RHS; probe once.
 	if mb > 1 {
 		if _, err := spec.WithRHS(2 * reqShape.N); err == nil {
@@ -211,10 +220,6 @@ func NewSession(reqShape matrix.Shape, spec engine.Spec, cfg SessionConfig) (*Se
 		}
 	}
 	s.touch()
-	// Label the runner with the spec key so pprof profiles attribute
-	// samples per served shape. Goroutines inherit their creator's labels,
-	// so every run's rank goroutines carry the label too.
-	go pprof.Do(context.Background(), pprof.Labels("hsumma_spec", s.key), func(context.Context) { s.run() })
 	return s, nil
 }
 
@@ -231,15 +236,14 @@ func (s *Session) Spec() engine.Spec { return s.spec }
 // Calls returns the number of completed multiplications.
 func (s *Session) Calls() int64 { return s.calls.Load() }
 
-// Idle reports whether the session has no queued, no taken and no in-flight
-// work — the precondition for the scheduler to retire it. A request the
-// runner has dequeued but not started (the lead, a coalesced follower, or a
-// different-A job held for the next batch) counts as work: retiring the
-// session then would drop it.
+// Idle reports whether the session has no queued work and no runner — the
+// precondition for the scheduler to retire it. A request stays queued until
+// its batch starts executing, so one the runner is about to serve counts as
+// work.
 func (s *Session) Idle() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pending == 0 && s.taken == 0 && !s.inFlight
+	return len(s.queue) == 0 && !s.running
 }
 
 // LastUsed returns the time of the session's most recent activity.
@@ -248,18 +252,18 @@ func (s *Session) LastUsed() time.Time { return time.Unix(0, s.lastUsed.Load()) 
 func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 
 // QueueLen returns the number of admitted requests that have not started
-// executing — queued plus taken by the runner.
+// executing.
 func (s *Session) QueueLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pending + s.taken
+	return len(s.queue)
 }
 
-// Executing reports whether a request is running right now.
+// Executing reports whether a batch is running right now.
 func (s *Session) Executing() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inFlight
+	return s.executing
 }
 
 // Multiply computes A·B on the session, blocking while earlier
@@ -269,126 +273,99 @@ func (s *Session) Executing() bool {
 // them into scratch only when the batch is staged), so the caller must leave
 // both untouched until Multiply returns — they are never written.
 func (s *Session) Multiply(a, b *matrix.Dense) (*matrix.Dense, Stats, error) {
-	out, st, _, err := s.submit(a, b, true, false)
-	return out, st, err
+	j, err := s.submit(a, b, true, false)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return j.wait()
 }
 
 // TryMultiply is Multiply with backpressure instead of blocking: a full
 // admission window returns ErrOverloaded immediately.
 func (s *Session) TryMultiply(a, b *matrix.Dense) (*matrix.Dense, Stats, error) {
-	out, st, _, err := s.submit(a, b, false, false)
-	return out, st, err
+	j, err := s.submit(a, b, false, false)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return j.wait()
 }
 
-// submit queues one request. block selects Multiply's wait-for-a-slot over
-// TryMultiply's ErrOverloaded; traced additionally records a per-rank span
-// timeline for this one request and returns it (the scheduler's
-// flight-recorder sampling) — tracing is per-job, so concurrent untraced
-// requests on the same session pay nothing.
-func (s *Session) submit(a, b *matrix.Dense, block, traced bool) (*matrix.Dense, Stats, *trace.Recorder, error) {
+// submit admits one request to the queue and returns it for the caller to
+// wait on, starting a runner if the session has none. block selects
+// Multiply's wait-for-a-slot over TryMultiply's ErrOverloaded; a
+// non-blocking submit never waits, so the scheduler calls it under its own
+// lock. traced additionally records a per-rank span timeline for this one
+// request (the scheduler's flight-recorder sampling) — tracing is per-job,
+// so concurrent untraced requests on the same session pay nothing.
+func (s *Session) submit(a, b *matrix.Dense, block, traced bool) (*job, error) {
 	if a.Rows != s.req.M || a.Cols != s.req.K || b.Rows != s.req.K || b.Cols != s.req.N {
-		return nil, Stats{}, nil, fmt.Errorf("serve: operands %dx%d · %dx%d do not match session shape %v",
+		return nil, fmt.Errorf("serve: operands %dx%d · %dx%d do not match session shape %v",
 			a.Rows, a.Cols, b.Rows, b.Cols, s.req)
 	}
 	j := &job{a: a, b: b, start: time.Now(), traced: traced, done: make(chan struct{})}
-
-	// Reserve a queue slot under the lock so a concurrent Close knows
-	// exactly how many jobs its drain must fail. The admission window spans
-	// queued and taken work: the runner empties the channel while it
-	// collects a batch, so channel occupancy alone is not the backlog.
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	for block && !s.closed && len(s.queue) >= s.depth {
+		s.changed.Wait()
+	}
 	if s.closed {
-		s.mu.Unlock()
-		return nil, Stats{}, nil, ErrClosed
+		return nil, ErrClosed
 	}
-	if !block && s.pending+s.taken >= s.depth {
-		s.mu.Unlock()
-		return nil, Stats{}, nil, ErrOverloaded
+	if len(s.queue) >= s.depth {
+		return nil, ErrOverloaded
 	}
-	s.pending++
-	s.mu.Unlock()
-	// A blocking submit may wait here on a full queue; the runner (or the
-	// drain loop after a concurrent Close) is guaranteed to take it. A
-	// non-blocking one was admitted above and cannot block past depth.
-	s.jobs <- j
-	<-j.done
-	return j.out, j.stats, j.rec, j.err
+	s.queue = append(s.queue, j)
+	if !s.running {
+		s.running = true
+		go pprof.Do(context.Background(), s.labels, func(context.Context) { s.run() })
+	}
+	return j, nil
 }
 
-// run is the session's one runner: take a lead, collect the queued requests
-// that share its A operand, execute the batch, repeat. Quit is checked with
-// the batch in hand, so a Close issued while the previous batch was
-// executing deterministically fails everything the runner had taken
-// instead of racing it.
+// run is the session's runner: collect a batch from the queue, execute it,
+// repeat, and exit when there is nothing left to collect.
 func (s *Session) run() {
-	defer close(s.done)
-	var held *job
 	for {
-		lead := held
-		if lead == nil {
-			select {
-			case <-s.quit:
-				s.drain()
-				return
-			case lead = <-s.jobs:
-				s.take()
-			}
-		}
-		// The hook runs with the lead in hand (never before the first job
-		// arrives) so tests can gate batch formation deterministically.
-		if s.beforeStage != nil {
+		// The hook runs only with work queued, so tests can gate batch
+		// formation deterministically.
+		if s.QueueLen() > 0 && s.beforeStage != nil {
 			s.beforeStage()
 		}
-		var batch []*job
-		batch, held = s.collect(lead)
-		select {
-		case <-s.quit:
-			if held != nil {
-				batch = append(batch, held)
-			}
-			s.mu.Lock()
-			s.taken -= len(batch)
+		s.mu.Lock()
+		batch := s.collectLocked()
+		if len(batch) == 0 {
+			s.running = false
+			s.changed.Broadcast()
 			s.mu.Unlock()
-			s.fail(batch, ErrClosed)
-			s.drain()
 			return
-		default:
 		}
+		s.executing = true
+		s.changed.Broadcast() // the batch's admission slots are free
+		s.mu.Unlock()
 		s.execute(batch)
 	}
 }
 
-// take moves one job from the queue into the runner's accounting.
-func (s *Session) take() {
-	s.mu.Lock()
-	s.pending--
-	s.taken++
-	s.mu.Unlock()
-}
-
-// collect coalesces the requests already queued behind lead that share its
-// A operand into one batch (FIFO order preserved), adding no latency: it
-// never waits for arrivals. A request with a different A ends the batch and
-// is returned as the next batch's lead.
-func (s *Session) collect(lead *job) (batch []*job, held *job) {
-	batch = []*job{lead}
-	if !s.batchable || s.maxBatch <= 1 {
-		return batch, nil
+// collectLocked takes the next batch off the queue: the head, and behind it
+// the requests that share the head's A operand, up to MaxBatch, in arrival
+// order. The first request with a different A ends the batch and stays
+// queued to lead the next one. It never waits for arrivals, so coalescing
+// adds no latency.
+func (s *Session) collectLocked() []*job {
+	if len(s.queue) == 0 {
+		return nil
 	}
-	for len(batch) < s.maxBatch {
-		var j *job
-		select {
-		case j = <-s.jobs:
-		default:
-			return batch, nil
-		}
-		s.take()
-		if !sameOperand(j.a, lead.a) {
-			return batch, j
-		}
-		batch = append(batch, j)
+	k := 1
+	for s.batchable && k < s.maxBatch && k < len(s.queue) && sameOperand(s.queue[k].a, s.queue[0].a) {
+		k++
 	}
-	return batch, nil
+	batch := slices.Clone(s.queue[:k])
+	// Shift the rest down so the taken jobs are not kept reachable by the
+	// queue's backing array.
+	n := copy(s.queue, s.queue[k:])
+	clear(s.queue[n:])
+	s.queue = s.queue[:n]
+	return batch
 }
 
 // sameOperand reports whether two operands are the same matrix: the same
@@ -425,16 +402,12 @@ func sameOperand(x, y *matrix.Dense) bool {
 // once (shared), each request's B side by side — and hands every request
 // its own product.
 func (s *Session) execute(batch []*job) {
-	k := len(batch)
-	s.mu.Lock()
-	s.taken -= k
-	s.inFlight = true
-	s.mu.Unlock()
 	if s.beforeRun != nil {
 		s.beforeRun()
 	}
 	s.touch()
 
+	k := len(batch)
 	start := time.Now()
 	var rec *trace.Recorder
 	bs := make([]*matrix.Dense, k)
@@ -461,12 +434,14 @@ func (s *Session) execute(batch []*job) {
 		outs, rs, runSec, err = Execute(spec, batch[0].a, bs, s.scratch, rec, s.staged)
 	}
 	// Close the books before completing: a caller released by finish may
-	// read Calls, or submit its next request and need this session Idle.
+	// read Calls or the executing gauge.
 	s.mu.Lock()
-	s.inFlight = false
+	s.executing = false
 	s.mu.Unlock()
 	if err != nil {
-		s.fail(batch, err)
+		for _, j := range batch {
+			j.finish(err)
+		}
 		return
 	}
 	s.calls.Add(int64(k))
@@ -482,46 +457,21 @@ func (s *Session) execute(batch []*job) {
 	s.touch()
 }
 
-// fail completes jobs the runner took but will not execute (or whose
-// execution failed) with err.
-func (s *Session) fail(batch []*job, err error) {
-	for _, j := range batch {
-		j.finish(err)
-	}
-}
-
-// drain fails every job that was enqueued (or reserved by a blocked
-// sender) before Close marked the session closed.
-func (s *Session) drain() {
-	for {
-		s.mu.Lock()
-		p := s.pending
-		s.mu.Unlock()
-		if p == 0 {
-			return
-		}
-		j := <-s.jobs
-		s.mu.Lock()
-		s.pending--
-		s.mu.Unlock()
-		j.finish(ErrClosed)
-	}
-}
-
-// Close stops the session: the in-flight batch (if any) finishes, queued
-// requests and those the runner had taken but not started fail with
-// ErrClosed, and the runner goroutine exits. It is idempotent and safe to
-// call concurrently with Multiply.
+// Close stops the session: a batch already executing finishes, queued
+// requests fail with ErrClosed, later submissions are refused with
+// ErrClosed, and Close returns once the runner, if any, has exited. It is
+// idempotent and safe to call concurrently with Multiply.
 func (s *Session) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.done
-		return nil
-	}
+	defer s.mu.Unlock()
 	s.closed = true
-	s.mu.Unlock()
-	close(s.quit)
-	<-s.done
+	for _, j := range s.queue {
+		j.finish(ErrClosed)
+	}
+	s.queue = nil
+	s.changed.Broadcast() // wake blocked submitters: they see closed
+	for s.running {
+		s.changed.Wait()
+	}
 	return nil
 }

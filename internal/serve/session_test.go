@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -366,11 +370,11 @@ func TestWarmSessionAllocation(t *testing.T) {
 	}
 }
 
-// TestSessionHoldsNoRanks checks that a session keeps no rank goroutines
-// between requests: once a 16-rank session has served a multiply it adds
-// only its runner goroutine to the process, and Close takes that away too.
-// Each run's rank goroutines exit as the run returns, so the counts are
-// polled briefly rather than read once.
+// TestSessionHoldsNoRanks checks that an idle session holds no goroutine:
+// neither ranks nor a runner. Once a 16-rank session has served a multiply,
+// the process is back to its baseline while the session is still open. The
+// run's rank goroutines and the runner exit as the queue empties, so the
+// count is polled briefly rather than read once.
 func TestSessionHoldsNoRanks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	settlesTo := func(limit int) int {
@@ -399,11 +403,81 @@ func TestSessionHoldsNoRanks(t *testing.T) {
 	if _, _, err := sess.Multiply(matrix.Random(64, 64, 1), matrix.Random(64, 64, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if n := settlesTo(base + 1); n > base+1 {
-		t.Fatalf("%d goroutines after a multiply on an open session, want at most %d (baseline %d + the runner)", n, base+1, base)
-	}
-	sess.Close()
 	if n := settlesTo(base); n > base {
-		t.Fatalf("%d goroutines after Close, want at most the baseline %d", n, base)
+		t.Fatalf("%d goroutines after a multiply on an open session, want at most the baseline %d", n, base)
+	}
+}
+
+// TestSessionSpecPprofLabel pins the profiler label README §Observability
+// promises: the session's runner carries hsumma_spec = its spec key, and so
+// does every rank goroutine a run spawns. The runner is read while parked
+// in beforeRun; the ranks live only during a run, so the goroutine profile
+// is read until a run is caught in progress.
+func TestSessionSpecPprofLabel(t *testing.T) {
+	const n = 384
+	shape := matrix.Square(n)
+	spec, err := tune.ResolveSpec(tune.ResolveParams{Shape: shape, Procs: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(shape, spec, SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	label := fmt.Sprintf(`# labels: {"hsumma_spec":%q}`, sess.Key())
+	// goroutines returns the goroutine profile's records (debug=1: one per
+	// distinct stack and label set) whose stack names fn.
+	goroutines := func(fn string) []string {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, rec := range strings.Split(buf.String(), "\n\n") {
+			if strings.Contains(rec, fn) {
+				out = append(out, rec)
+			}
+		}
+		return out
+	}
+
+	started, gate := make(chan struct{}, 1), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the parked runner
+	sess.beforeRun = func() { started <- struct{}{}; <-gate }
+	a, b := matrix.Random(n, n, 1), matrix.Random(n, n, 2)
+	done := make(chan error, 1)
+	go func() { _, _, err := sess.Multiply(a, b); done <- err }()
+	<-started
+	runners := goroutines("serve.(*Session).run")
+	if len(runners) != 1 || !strings.Contains(runners[0], label) {
+		t.Fatalf("want one runner labeled %s, have:\n%s", label, strings.Join(runners, "\n\n"))
+	}
+	sess.beforeRun = func() { started <- struct{}{} }
+	release()
+
+	for caught, deadline := false, time.Now().Add(10*time.Second); !caught; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("no run caught in progress before the deadline")
+			}
+			go func() { _, _, err := sess.Multiply(a, b); done <- err }()
+			<-started
+		default:
+			for _, rec := range goroutines("mpi.RunStatsTraced") {
+				if !strings.Contains(rec, label) {
+					t.Fatalf("a rank goroutine lacks %s:\n%s", label, rec)
+				}
+				caught = true
+			}
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

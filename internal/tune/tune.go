@@ -192,7 +192,7 @@ type Candidate struct {
 }
 
 // Cores returns the candidate's total core consumption — the quantity a
-// CoreBudget bounds and the serving scheduler leases.
+// CoreBudget bounds, per request in the serving scheduler.
 func (c Candidate) Cores() int {
 	t := c.Threads
 	if t < 1 {

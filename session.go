@@ -79,8 +79,8 @@ func (s *Session) Multiply(a, b *Matrix) (*Matrix, Stats, error) {
 }
 
 // Close releases the session: the in-flight request finishes, queued ones
-// fail with ErrSessionClosed, and the session's runner goroutine exits. It
-// is idempotent.
+// fail with ErrSessionClosed, and Close returns once the session's runner
+// goroutine, if one is running, has exited. It is idempotent.
 func (s *Session) Close() error { return s.inner.Close() }
 
 // String identifies the session for logs.
