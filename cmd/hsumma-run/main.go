@@ -11,9 +11,9 @@
 //     wall-clock, so grids far beyond one machine (BlueGene/P's 16384
 //     cores, and larger) run in seconds with no matrix memory at all.
 //
-// Pass -auto (or -alg auto) to let the autotuning planner pick the
-// algorithm, grid shape, group count, block sizes and broadcast for the
-// target platform; explicit -b pins the block size as a constraint.
+// Pass -alg auto to let the autotuning planner pick the algorithm, grid
+// shape, group count, block sizes and broadcast for the target platform;
+// explicit -b, -B, -bcast and -threads pin those as constraints.
 //
 // Three subcommands reach the rest of the reproduction:
 //
@@ -44,9 +44,9 @@
 // Usage:
 //
 //	hsumma-run -n 512 -p 16 -alg hsumma -G 4 -b 32
-//	hsumma-run -n 512 -p 16 -auto
+//	hsumma-run -n 512 -p 16 -alg auto
 //	hsumma-run -mode=sim -platform bgp -n 65536 -p 16384 -alg hsumma -G 512 -b 256 -bcast vandegeijn
-//	hsumma-run -mode=sim -platform bgp -n 4096 -p 256 -auto
+//	hsumma-run -mode=sim -platform bgp -n 4096 -p 256 -alg auto
 //	hsumma-run -mode=sim -platform grid5000 -m 8192 -n 512 -k 8192 -p 64 -alg summa
 package main
 
@@ -86,8 +86,7 @@ func main() {
 		m      = flag.Int("m", 0, "result rows M for rectangular GEMM C(M×N) += A(M×K)·B(K×N); 0 = n")
 		k      = flag.Int("k", 0, "contraction dimension K; 0 = n")
 		alg    = flag.String("alg", "hsumma", "algorithm: summa, hsumma, multilevel, cannon, fox, auto")
-		auto   = flag.Bool("auto", false, "let the planner pick the configuration (same as -alg auto)")
-		bcast  = flag.String("bcast", "binomial", "broadcast: binomial, vandegeijn")
+		bcast  = flag.String("bcast", "", "broadcast: binomial, vandegeijn (empty = binomial, or the planner's choice under -alg auto)")
 		levels = flag.String("levels", "", "multilevel hierarchy, outermost first, e.g. 2x2:64,2x2:32 (IxJ:blocksize); empty degenerates to SUMMA")
 		pf     = flag.String("platform", "grid5000", "machine preset: grid5000[-cal], bgp[-cal], exascale (sim timing; auto-planning target in both modes)")
 		seed   = flag.Uint64("seed", 42, "input matrix seed (live mode)")
@@ -107,9 +106,11 @@ func main() {
 	flag.Parse()
 
 	var err error
-	if run.Broadcast, err = hsumma.BroadcastByName(*bcast); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	if *bcast != "" {
+		if run.Broadcast, err = hsumma.BroadcastByName(*bcast); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	if run.Engine, err = hsumma.EngineByName(*eng); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -118,9 +119,6 @@ func main() {
 	if run.Levels, err = parseLevels(*levels); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *auto {
-		*alg = string(hsumma.AlgAuto)
 	}
 	run.Algorithm = hsumma.Algorithm(*alg)
 	if run.Algorithm == hsumma.AlgMultilevel && len(run.Levels) == 0 {
@@ -280,31 +278,6 @@ func shapeFromFlags(m, n, k int) hsumma.Shape {
 	return shape
 }
 
-// planProblem is the per-machine default problem scale for the plan
-// subcommand: the paper's full configuration, or a scaled-down one with
-// -quick. It is keyed off the resolved preset — each paper machine has its
-// own interconnect class — so every spelling machine.ByName accepts for a
-// machine, calibrated or not, plans the same problem.
-func planProblem(pf machine.Platform, quick bool) (n, p int) {
-	switch pf.Contention {
-	case machine.ContentionTorus: // BlueGene/P
-		if quick {
-			return 4096, 256
-		}
-		return 65536, 16384
-	case machine.ContentionNone: // the projected exascale machine
-		if quick {
-			return 1 << 14, 1 << 12
-		}
-		return 1 << 22, 1 << 20
-	default: // Grid'5000 (shared segment)
-		if quick {
-			return 1024, 32
-		}
-		return 8192, 128
-	}
-}
-
 // runPlanCmd implements the plan subcommand: run the autotuning planner
 // for one platform (or all three paper platforms) and print the ranked
 // candidate table, or JSON for machine consumption (the CI bench-smoke
@@ -353,7 +326,7 @@ func runPlanCmd(args []string) {
 		}
 		pn, pp := *n, *p
 		if pn == 0 || pp == 0 {
-			dn, dp := planProblem(platform, *quick)
+			dn, dp := exp.PlanProblem(platform, *quick)
 			if pn == 0 {
 				pn = dn
 			}

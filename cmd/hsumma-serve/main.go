@@ -36,11 +36,13 @@
 // written; only a padded shape or a coalesced batch is copied, once, into
 // the session's scratch), and a session's runner, which lives while its
 // queue holds work, coalesces queued same-A requests into one
-// multi-right-hand-side execution; -max-batch 1 turns the coalescing off.
+// multi-right-hand-side execution. The queue depth (32), the batch cap (8),
+// the pool size (16) and the planner's thread-scaling curve
+// (machine.ThreadOverhead) are constants, not flags.
 //
 // The core budget caps one request's cores — ranks × per-rank threads; a
 // request over it is a 400. Idle sessions hold no cores. Backpressure
-// (bounded session queues, a pool of 16 sessions none of which is idle)
+// (a full session queue, a pool of 16 sessions none of which is idle)
 // surfaces as 503 with Retry-After; a SIGINT/SIGTERM drains gracefully —
 // in-flight requests finish, queued ones get a clean error.
 package main
@@ -51,18 +53,14 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
-	"repro/internal/blas"
 	"repro/internal/machine"
-	"repro/internal/matrix"
 	"repro/internal/serve"
 )
 
@@ -71,10 +69,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		pfName     = flag.String("platform", "", "platform preset the planner tunes auto requests for (grid5000[-cal], bgp[-cal], exascale; empty = grid5000)")
 		coreBudget = flag.Int("core-budget", 256, "max cores (ranks × threads) one request may use")
-		queueDepth = flag.Int("queue-depth", 32, "per-session bounded queue depth")
-		maxBatch   = flag.Int("max-batch", 0, "max same-A requests coalesced into one multi-RHS execution, 1 = no batching (default 8)")
 		procs      = flag.Int("default-procs", 16, "rank count for requests that do not pin one")
-		kernCalib  = flag.Bool("kernel-calib", false, "at startup, time the threaded kernel on this host and calibrate the planner's intra-rank speedup curve from the measured scaling (off = the 3% default serial fraction)")
 		withPprof  = flag.Bool("pprof", false, "expose the Go profiler under /debug/pprof/")
 		traceEvery = flag.Int("trace-sample", 0, "flight recorder: sample 1 in N multiplies into a ring of the 16 newest traces served at /debug/traces (0 = off)")
 		logLevel   = flag.String("log-level", "info", "log floor: debug, info, warn or error")
@@ -87,19 +82,6 @@ func main() {
 		os.Exit(2)
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-
-	if *kernCalib {
-		if fit, ok := calibrateThreads(); ok {
-			logger.Info("thread scaling calibrated",
-				"cores", runtime.GOMAXPROCS(0),
-				"serial_fraction", fit,
-				"default", machine.DefaultThreadOverhead,
-			)
-		} else {
-			logger.Warn("-kernel-calib: one core, nothing to fit; keeping the default serial fraction",
-				"default", machine.DefaultThreadOverhead)
-		}
-	}
 
 	hcfg := serve.HandlerConfig{
 		DefaultProcs: *procs,
@@ -116,8 +98,6 @@ func main() {
 
 	sched := serve.NewScheduler(serve.SchedulerConfig{
 		CoreBudget:   *coreBudget,
-		QueueDepth:   *queueDepth,
-		MaxBatch:     *maxBatch,
 		TraceSampleN: *traceEvery,
 	})
 	handler := serve.NewHandler(sched, hcfg)
@@ -152,8 +132,6 @@ func main() {
 	logger.Info("listening",
 		"addr", *addr,
 		"core_budget", *coreBudget,
-		"queue_depth", *queueDepth,
-		"max_batch", *maxBatch,
 		"default_procs", *procs,
 		"pprof", *withPprof,
 		"trace_sample", *traceEvery,
@@ -164,31 +142,4 @@ func main() {
 		os.Exit(1)
 	}
 	<-done
-}
-
-// calibrateThreads fits the planner's intra-rank speedup curve to this
-// host: one 512³ product through blas.ParallelGemm at 1, 2, 4 … GOMAXPROCS
-// threads (best of 3 each), the t → speedup-over-one-thread points handed
-// to machine.CalibrateFromScaling. The fit replaces the default 3% serial
-// fraction, so auto-planned thread budgets reflect what the host's cores
-// actually deliver; ok is false on a one-core host, which has no point to
-// fit. Serial configurations are unaffected (Speedup(1) stays exactly 1).
-func calibrateThreads() (fit float64, ok bool) {
-	const n = 512
-	a, b, c := matrix.Random(n, n, 1), matrix.Random(n, n, 2), matrix.New(n, n)
-	best := func(threads int) float64 {
-		s := math.Inf(1)
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			blas.ParallelGemm(c, a, b, threads)
-			s = math.Min(s, time.Since(t0).Seconds())
-		}
-		return s
-	}
-	one := best(1)
-	points := map[int]float64{}
-	for t := 2; t <= runtime.GOMAXPROCS(0); t *= 2 {
-		points[t] = one / best(t)
-	}
-	return machine.CalibrateFromScaling(points)
 }

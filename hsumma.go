@@ -84,8 +84,9 @@ const (
 	AlgFox        = engine.Fox
 	// AlgAuto delegates the choice — algorithm, grid shape, group count,
 	// block sizes and broadcast — to the autotuning planner (see Plan).
-	// Any knob explicitly set in the config (Grid, BlockSize) is honoured
-	// as a constraint; the rest are searched. Implicit resolution uses
+	// The pins Grid, BlockSize, OuterBlockSize, Broadcast and Threads are
+	// honoured as constraints when set; Groups and Levels are always the
+	// planner's, and everything unset is searched. Implicit resolution uses
 	// the planner's Quick search space (and, above 2048 ranks, analytic
 	// ranking only); for a full search call Plan yourself and apply its
 	// Best candidate explicitly.
@@ -155,7 +156,9 @@ type Config struct {
 	Procs int
 	// Grid optionally pins the process grid (S×T with S·T = Procs).
 	Grid *[2]int
-	// Algorithm defaults to AlgHSUMMA.
+	// Algorithm defaults to AlgHSUMMA. Under AlgAuto the planner honours
+	// Grid, BlockSize, OuterBlockSize, Broadcast and Threads when set and
+	// chooses Groups and Levels itself.
 	Algorithm Algorithm
 	// Groups is HSUMMA's G (number of processor groups); 0 lets the
 	// library pick the feasible count closest to √p.

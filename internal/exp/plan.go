@@ -14,24 +14,29 @@ import (
 // paper's problem scale, so the experiment registry covers not just the
 // paper's figures but the subsystem that picks their configurations.
 
-// planSetting fixes the per-platform problem the planner is asked about.
-type planSetting struct {
-	pf   machine.Platform
-	n, p int
-}
-
-func planSettings(o Options) []planSetting {
-	if o.Quick {
-		return []planSetting{
-			{pf: machine.Grid5000Calibrated(), n: 1024, p: 32},
-			{pf: machine.BlueGenePCalibrated(), n: 4096, p: 256},
-			{pf: machine.Exascale(), n: 1 << 14, p: 1 << 12},
+// PlanProblem is the one table of the paper's planning points: the problem
+// the planner is asked about on a platform, the paper's full configuration
+// or, with quick, a scaled-down one. It is keyed by the platform's
+// interconnect class, so every spelling machine.ByName accepts for a
+// machine, calibrated or not, plans the same problem. hsumma-run's plan
+// subcommand reads its defaults here.
+func PlanProblem(pf machine.Platform, quick bool) (n, p int) {
+	switch pf.Contention {
+	case machine.ContentionTorus: // BlueGene/P
+		if quick {
+			return 4096, 256
 		}
-	}
-	return []planSetting{
-		{pf: machine.Grid5000Calibrated(), n: 8192, p: 128},
-		{pf: machine.BlueGenePCalibrated(), n: 65536, p: 16384},
-		{pf: machine.Exascale(), n: 1 << 22, p: 1 << 20},
+		return 65536, 16384
+	case machine.ContentionNone: // the projected exascale machine
+		if quick {
+			return 1 << 14, 1 << 12
+		}
+		return 1 << 22, 1 << 20
+	default: // Grid'5000 (shared segment)
+		if quick {
+			return 1024, 32
+		}
+		return 8192, 128
 	}
 }
 
@@ -41,8 +46,8 @@ func runPlan(o Options) (*Result, error) {
 		Title:  "Autotuning planner choices on the paper's platforms",
 		Header: []string{"platform", "n", "p", "algorithm", "grid", "G", "b", "B", "bcast", "model comm (s)", "model total (s)"},
 	}
-	for _, s := range planSettings(o) {
-		pf := s.pf
+	for _, pf := range []machine.Platform{machine.Grid5000Calibrated(), machine.BlueGenePCalibrated(), machine.Exascale()} {
+		n, p := PlanProblem(pf, o.Quick)
 		if o.Uncalibrated {
 			switch pf.Name {
 			case machine.Grid5000Calibrated().Name:
@@ -52,7 +57,7 @@ func runPlan(o Options) (*Result, error) {
 			}
 		}
 		pl, err := tune.PlanFor(tune.Request{
-			Platform: pf, N: s.n, P: s.p,
+			Platform: pf, N: n, P: p,
 			Quick: o.Quick,
 		})
 		if err != nil {
@@ -61,7 +66,7 @@ func runPlan(o Options) (*Result, error) {
 		b := pl.Best
 		res.Rows = append(res.Rows, []string{
 			pf.Name,
-			fmt.Sprintf("%d", s.n), fmt.Sprintf("%d", s.p),
+			fmt.Sprintf("%d", n), fmt.Sprintf("%d", p),
 			string(b.Algorithm), b.Grid.String(),
 			fmt.Sprintf("%d", b.Groups), fmt.Sprintf("%d", b.BlockSize), fmt.Sprintf("%d", b.OuterBlockSize),
 			string(b.Broadcast),

@@ -12,11 +12,7 @@
 // between two processors is T(m) = α + m·β.
 package machine
 
-import (
-	"fmt"
-	"math"
-	"sync/atomic"
-)
+import "fmt"
 
 // BytesPerElement is the wire size of one matrix element (float64).
 const BytesPerElement = 8
@@ -58,61 +54,14 @@ func (m Model) Compute(flops float64) float64 {
 	return flops * m.Gamma
 }
 
-// DefaultThreadOverhead is the uncalibrated serial-fraction coefficient of
-// the intra-rank parallel-efficiency curve: Speedup(t) = t / (1 + s·(t−1)),
-// an Amdahl-style model of the per-band packing redundancy and join cost
-// the threaded kernel pays. 0.03 gives Speedup(4) ≈ 3.67, the near-linear
-// scaling the packed kernel shows on write-disjoint row bands; a host
-// replaces it with its own measured fit via CalibrateFromScaling
-// (hsumma-serve -kernel-calib).
-const DefaultThreadOverhead = 0.03
-
-// threadOverhead holds the active serial fraction as float64 bits, so the
-// planner (which calls Speedup from concurrent replays) never
-// races a calibration performed at daemon startup.
-var threadOverhead atomic.Uint64
-
-func init() { threadOverhead.Store(math.Float64bits(DefaultThreadOverhead)) }
-
-// ThreadOverhead returns the serial fraction Speedup currently models —
-// DefaultThreadOverhead unless SetThreadOverhead/CalibrateFromScaling
-// replaced it.
-func ThreadOverhead() float64 { return math.Float64frombits(threadOverhead.Load()) }
-
-// SetThreadOverhead replaces the modelled serial fraction, clamped to
-// [0, 1] (0 = perfect scaling, 1 = no scaling at all). NaN is ignored.
-func SetThreadOverhead(s float64) {
-	if math.IsNaN(s) {
-		return
-	}
-	threadOverhead.Store(math.Float64bits(math.Min(1, math.Max(0, s))))
-}
-
-// CalibrateFromScaling fits the serial fraction from measured intra-rank
-// scaling points — thread count t mapped to the observed speedup S over
-// one thread. Inverting the Amdahl curve gives one estimate
-// s = (t/S − 1)/(t − 1) per point; the fit is the mean
-// over the usable points (t > 1 with positive speedup), clamped to [0, 1]
-// and installed via SetThreadOverhead. With no usable point the overhead
-// is left untouched (the 3% default stays) and ok is false. Speedup(1)
-// remains exactly 1 under any calibration — serial paths stay
-// bit-identical.
-func CalibrateFromScaling(points map[int]float64) (fit float64, ok bool) {
-	var sum float64
-	var n int
-	for t, s := range points {
-		if t <= 1 || s <= 0 {
-			continue
-		}
-		sum += (float64(t)/s - 1) / float64(t-1)
-		n++
-	}
-	if n == 0 {
-		return ThreadOverhead(), false
-	}
-	SetThreadOverhead(sum / float64(n))
-	return ThreadOverhead(), true
-}
+// ThreadOverhead is the serial-fraction coefficient of the intra-rank
+// parallel-efficiency curve: Speedup(t) = t / (1 + s·(t−1)), an
+// Amdahl-style model of the per-band packing redundancy and join cost the
+// threaded kernel pays. 0.03 gives Speedup(4) ≈ 3.67, the near-linear
+// scaling the packed kernel shows on write-disjoint row bands. It is a
+// constant, so every plan score and simulated compute time is a function of
+// its inputs alone.
+const ThreadOverhead = 0.03
 
 // Speedup returns the modelled intra-rank speedup of the local GEMM when a
 // rank multiplies with t goroutine workers (the paper's OpenMP threads
@@ -125,7 +74,7 @@ func Speedup(t int) float64 {
 		return 1
 	}
 	tf := float64(t)
-	return tf / (1 + ThreadOverhead()*(tf-1))
+	return tf / (1 + ThreadOverhead*(tf-1))
 }
 
 func (m Model) String() string {

@@ -13,10 +13,6 @@ import (
 	"repro/internal/tune"
 )
 
-// unbatched is the session configuration that serves every request on its
-// own — the oracle the coalescing tests compare against.
-var unbatched = SessionConfig{MaxBatch: 1}
-
 // copyingReference is the staging rule's reference: pad A, lay the B's side
 // by side in an execution-shaped matrix, Scatter private tiles, run the
 // engine, Gather, crop — every step a copy. It returns each product and
@@ -95,8 +91,9 @@ func forceBatch(t *testing.T, sess *Session, a *matrix.Dense, bs []*matrix.Dense
 // TestBatchCoalescingBitIdentical forces a deterministic k = 3 coalesced
 // batch and checks the batched run (each product, Messages, Bytes) is
 // bit-identical to the one-shot path and to the copying reference on the
-// same widened problem A · [B0 B1 B2] — and each request's slice to the
-// unbatched session's result, bit for bit on every shape. Multi-RHS
+// same widened problem A · [B0 B1 B2] — and each request's slice to an
+// unbatched product, bit for bit on every shape (one caller's sequential
+// calls never share the queue, so they never coalesce). Multi-RHS
 // batching preserves bitwise results because C[i,j] is a K-ordered dot
 // product independent of neighbouring columns, and the kernel rounds it the
 // same wherever its column lands in the rank's tile (blas
@@ -116,12 +113,12 @@ func TestBatchCoalescingBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := NewSession(shape, spec, SessionConfig{MaxBatch: 4})
+			batched, err := NewSession(shape, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer batched.Close()
-			single, err := NewSession(shape, spec, unbatched)
+			single, err := NewSession(shape, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +156,7 @@ func TestBatchCoalescingBitIdentical(t *testing.T) {
 						t.Fatalf("request %d: batched result differs from the one-shot path or the copying reference (want bit-identical)", i)
 					}
 					if d := matrix.MaxAbsDiff(r.out, want); d != 0 {
-						t.Fatalf("request %d: batched result differs from the unbatched session's by %g", i, d)
+						t.Fatalf("request %d: batched result differs from the unbatched product by %g", i, d)
 					}
 					if r.stats.Messages != shotStats.Messages || r.stats.Bytes != shotStats.Bytes ||
 						r.stats.Messages != refMsgs || r.stats.Bytes != refBytes {
@@ -178,7 +175,7 @@ func TestBatchCoalescingBitIdentical(t *testing.T) {
 // TestSchedulerMixedShapesRace pushes concurrent mixed-shape traffic —
 // including a padded and an exact shape that share one spec key but must
 // not share a session — through a batching scheduler and checks every
-// result bit-identical to an unbatched session oracle. Run under -race this
+// result bit-identical to an unbatched oracle. Run under -race this
 // doubles as the runner's data-race test: ranks read callers' operands in
 // place while other callers submit.
 func TestSchedulerMixedShapesRace(t *testing.T) {
@@ -193,8 +190,8 @@ func TestSchedulerMixedShapesRace(t *testing.T) {
 		{matrix.Shape{M: 24, N: 24, K: 24}, tune.ResolveParams{Procs: 4}},
 	}
 
-	// Oracle: unbatched sessions, one per shape, exercised before the
-	// concurrent phase.
+	// Oracle: one session per shape, called sequentially (so nothing
+	// coalesces) before the concurrent phase.
 	type workload struct {
 		shape matrix.Shape
 		rp    tune.ResolveParams
@@ -209,7 +206,7 @@ func TestSchedulerMixedShapesRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := NewSession(sh.shape, spec, unbatched)
+		oracle, err := NewSession(sh.shape, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +225,7 @@ func TestSchedulerMixedShapesRace(t *testing.T) {
 		oracle.Close()
 	}
 
-	sc := NewScheduler(SchedulerConfig{CoreBudget: 64, QueueDepth: 64})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 64})
 	defer sc.Close()
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
@@ -282,7 +279,7 @@ func TestIdleAccountsTakenWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(shape, spec, SessionConfig{})
+	sess, err := NewSession(shape, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +352,7 @@ func TestSquareOnlySpecsNeverBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(shape, spec, SessionConfig{MaxBatch: 8})
+	sess, err := NewSession(shape, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

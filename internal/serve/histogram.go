@@ -17,7 +17,7 @@ var histBounds = []float64{
 }
 
 // batchBounds are the upper bounds of the batch-size histogram: batch sizes
-// are small integers, so each power of two up to the default MaxBatch and a
+// are small integers, so each power of two up to maxBatch and a
 // little headroom gets its own bucket.
 var batchBounds = []float64{1, 2, 4, 8, 16, 32}
 

@@ -194,6 +194,47 @@ func TestHTTPMultiplyRaw(t *testing.T) {
 	}
 }
 
+// TestHTTPAutoKeepsBroadcast checks algorithm=auto honours a pinned
+// broadcast: the planner picks the rest, and the session that serves the
+// request runs the pinned Van de Geijn broadcast (its spec key says so),
+// where the unpinned plan for this shape would broadcast binomially.
+func TestHTTPAutoKeepsBroadcast(t *testing.T) {
+	srv, _ := newTestServer(t)
+	const n = 32
+	a, b := matrix.Random(n, n, 5), matrix.Random(n, n, 6)
+	var body bytes.Buffer
+	for _, v := range append(a.Pack(nil), b.Pack(nil)...) {
+		body.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	url := fmt.Sprintf("%s/multiply?m=%d&k=%d&n=%d&procs=8&algorithm=auto&broadcast=vandegeijn", srv.URL, n, n, n)
+	resp, err := http.Post(url, "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	var st Stats
+	if err := json.Unmarshal([]byte(resp.Header.Get("X-Hsumma-Stats")), &st); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(st.SpecKey, "bc=vandegeijn") {
+		t.Fatalf("auto request pinned to vandegeijn ran spec %q", st.SpecKey)
+	}
+	got := matrix.New(n, n)
+	for i := range got.Data {
+		got.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	if d := matrix.MaxAbsDiff(got, reference(a, b)); d > oracleTol {
+		t.Fatalf("product differs from oracle by %g", d)
+	}
+}
+
 // TestHTTPBadRequests checks validation surfaces as 400s.
 func TestHTTPBadRequests(t *testing.T) {
 	srv, _ := newTestServer(t)

@@ -19,13 +19,6 @@ type SchedulerConfig struct {
 	// cores, the same as a flat 64-rank one. A request needing more is
 	// rejected with ErrTooLarge before it is resolved.
 	CoreBudget int
-	// QueueDepth bounds each session's admission window (default 32); a
-	// full window rejects with ErrOverloaded.
-	QueueDepth int
-	// MaxBatch is handed to every session (see SessionConfig): the maximum
-	// same-A requests coalesced into one execution (0 → 8; 1 → no
-	// batching).
-	MaxBatch int
 	// TraceSampleN enables the flight recorder: 1 in every N completed
 	// requests runs traced and lands in the capture ring (GET
 	// /debug/traces). 0 disables sampling; unsampled requests follow the
@@ -36,9 +29,6 @@ type SchedulerConfig struct {
 func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.CoreBudget <= 0 {
 		c.CoreBudget = 256
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 32
 	}
 	return c
 }
@@ -133,11 +123,18 @@ type Scheduler struct {
 // otherKey is the series retired spec keys are folded into.
 const otherKey = "other"
 
-// maxSessions bounds the session pool: the default daemon's capacity when
-// every session reserved its ranks (a 256-core budget over 16 default
-// ranks). A full pool retires its least-recently-used idle session to admit
-// a new shape.
-const maxSessions = 16
+// The serving constants. maxSessions bounds the session pool: the default
+// daemon's capacity when every session reserved its ranks (a 256-core
+// budget over 16 default ranks); a full pool retires its least-recently-used
+// idle session to admit a new shape. queueDepth bounds each session's
+// admission window, requests queued but not yet executing; a full window
+// rejects with ErrOverloaded. maxBatch caps how many queued same-A requests
+// a runner coalesces into one multi-RHS execution.
+const (
+	maxSessions = 16
+	queueDepth  = 32
+	maxBatch    = 8
+)
 
 // NewScheduler returns an empty scheduler; sessions spin up on demand.
 func NewScheduler(cfg SchedulerConfig) *Scheduler {
@@ -330,10 +327,7 @@ func (sc *Scheduler) admit(reqShape matrix.Shape, spec engine.Spec, a, b *matrix
 			return nil, ErrOverloaded
 		}
 		var err error
-		sess, err = NewSession(reqShape, spec, SessionConfig{
-			QueueDepth: sc.cfg.QueueDepth,
-			MaxBatch:   sc.cfg.MaxBatch,
-		})
+		sess, err = NewSession(reqShape, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -286,7 +286,7 @@ func TestSchedulerBudgetBeforeResolution(t *testing.T) {
 // TestSchedulerBackpressure checks a full session queue surfaces
 // ErrOverloaded through Scheduler.Multiply.
 func TestSchedulerBackpressure(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{CoreBudget: 8, QueueDepth: 1})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 8})
 	defer sc.Close()
 
 	shape := matrix.Square(16)
@@ -303,17 +303,25 @@ func TestSchedulerBackpressure(t *testing.T) {
 	}
 	sess := sessions[0]
 	gate := make(chan struct{})
-	started := make(chan struct{}, 8)
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the parked runner
+	started := make(chan struct{}, 1)
+	var once sync.Once
 	sess.beforeRun = func() {
-		started <- struct{}{}
-		<-gate
+		once.Do(func() {
+			started <- struct{}{}
+			<-gate
+		})
 	}
 
-	res := make(chan error, 2)
-	go func() { _, _, err := sc.Multiply(a, b, tune.ResolveParams{Procs: 4}); res <- err }()
+	res := make(chan error, queueDepth+1)
+	mul := func() { _, _, err := sc.Multiply(a, b, tune.ResolveParams{Procs: 4}); res <- err }
+	go mul()
 	<-started // executing, parked on the gate
-	go func() { _, _, err := sc.Multiply(a, b, tune.ResolveParams{Procs: 4}); res <- err }()
-	for sess.QueueLen() < 1 {
+	for i := 0; i < queueDepth; i++ {
+		go mul()
+	}
+	for sess.QueueLen() < queueDepth {
 		runtime.Gosched()
 	}
 
@@ -331,12 +339,11 @@ func TestSchedulerBackpressure(t *testing.T) {
 		t.Fatal("in-flight gauge should be non-zero while the runner is gated")
 	}
 
-	close(gate)
-	if err := <-res; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-res; err != nil {
-		t.Fatal(err)
+	release()
+	for i := 0; i <= queueDepth; i++ {
+		if err := <-res; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -344,7 +351,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 // door: in-flight requests finish with correct results, queued ones fail
 // with ErrClosed, and new requests are refused.
 func TestSchedulerGracefulDrain(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{CoreBudget: 8, QueueDepth: 4})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 8})
 
 	shape := matrix.Square(16)
 	a := matrix.Random(shape.M, shape.K, 1)
@@ -421,7 +428,7 @@ func TestSchedulerGracefulDrain(t *testing.T) {
 // requests of two shapes and checks every admitted result is exact — the
 // mixed-traffic regime the daemon serves.
 func TestSchedulerConcurrentMixedShapes(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{CoreBudget: 16, QueueDepth: 64})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
 	defer sc.Close()
 
 	shapes := []matrix.Shape{matrix.Square(24), {M: 16, N: 8, K: 32}}

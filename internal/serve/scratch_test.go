@@ -77,15 +77,16 @@ func (wr wireRequest) serve(h http.Handler, raw bool) (*matrix.Dense, Stats, err
 // written on scratch — releasing before Multiply returns makes it fail.
 func TestScratchOwnershipUnderLoad(t *testing.T) {
 	const n, perCaller = 24, 100
-	sc := NewScheduler(SchedulerConfig{CoreBudget: 16, MaxBatch: 2})
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
 	defer sc.Close()
 	h := NewHandler(sc, HandlerConfig{DefaultProcs: 4})
 	warm := newWireRequest(t, matrix.Random(n, n, 1), matrix.Random(n, n, 2))
 	if _, _, err := warm.serve(h, false); err != nil {
 		t.Fatal(err)
 	}
-	// With MaxBatch 2 the runner holds each lead until the other caller's
-	// request is queued behind it (or that caller is done), so every
+	// Two callers with one request each in flight make batches of at most
+	// two. The runner holds each lead until the other caller's request is
+	// queued behind it (or that caller is done), so every
 	// staging either coalesces the second request (same A) or compares and
 	// holds it (different A) — deterministically, not by timing.
 	var active atomic.Int32

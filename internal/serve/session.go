@@ -98,29 +98,15 @@ type Stats struct {
 	TraceID string
 }
 
-// SessionConfig tunes a session's queueing and batching behaviour. The zero
-// value means "serving defaults": QueueDepth 32 and opportunistic batching
-// up to 8 requests.
-type SessionConfig struct {
-	// QueueDepth bounds the session's admission window — requests queued
-	// but not yet executing (default 32). Multiply blocks when it is full;
-	// TryMultiply returns ErrOverloaded.
-	QueueDepth int
-	// MaxBatch caps how many queued same-A requests the runner coalesces
-	// into one multi-RHS execution. 0 defaults to 8; 1 disables batching.
-	// Batching needs the algorithm to accept a widened RHS, so square-only
-	// specs (Cannon, Fox) never batch regardless of this knob.
-	MaxBatch int
-}
-
 // Session is a persistent execution context for one resolved spec: a work
 // queue plus the scratch that operands lacking the execution shape are
 // staged through (see Execute). It holds no ranks and, while its queue is
 // empty, no goroutine: work arriving at an idle session starts a runner,
 // which serves the queue in arrival order — coalescing same-A requests into
-// one batched run — and exits when the queue is empty. Close drains
-// gracefully (the executing batch finishes; queued requests fail with
-// ErrClosed).
+// one batched run of at most maxBatch — and exits when the queue is empty.
+// At most queueDepth requests wait: Multiply blocks for a slot, while the
+// scheduler's admission fails with ErrOverloaded. Close drains gracefully
+// (the executing batch finishes; queued requests fail with ErrClosed).
 type Session struct {
 	spec   engine.Spec
 	req    matrix.Shape // requested (pre-padding) problem shape
@@ -130,11 +116,10 @@ type Session struct {
 	// scratch holds the execution-shaped operand copies. Only the runner
 	// touches it, and one runner exits before the next starts, so no lock
 	// is needed.
-	scratch   Scratch
+	scratch Scratch
+	// batchable: the algorithm accepts a widened RHS, so same-A requests
+	// coalesce. Square-only specs (Cannon, Fox) never batch.
 	batchable bool
-
-	depth    int // admission window (QueueDepth)
-	maxBatch int
 
 	mu        sync.Mutex
 	changed   sync.Cond // on mu: the queue shrank, or the runner exited
@@ -185,7 +170,7 @@ func (j *job) wait() (*matrix.Dense, Stats, error) {
 // NewSession builds a session pinned to a resolved, padded execution spec
 // (as produced by tune.ResolveSpec) serving requests of the given
 // pre-padding problem shape. It starts no goroutine.
-func NewSession(reqShape matrix.Shape, spec engine.Spec, cfg SessionConfig) (*Session, error) {
+func NewSession(reqShape matrix.Shape, spec engine.Spec) (*Session, error) {
 	if err := reqShape.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -197,28 +182,16 @@ func NewSession(reqShape matrix.Shape, spec engine.Spec, cfg SessionConfig) (*Se
 	if grid.S <= 0 || grid.T <= 0 {
 		return nil, fmt.Errorf("serve: spec has no process grid (resolve it first)")
 	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 32
-	}
-	mb := cfg.MaxBatch
-	if mb <= 0 {
-		mb = 8
-	}
 	key := spec.Key()
 	s := &Session{
 		spec: spec, req: reqShape, key: key, scratch: make(Scratch),
 		// The spec key labels pprof samples per served shape.
 		labels: pprof.Labels("hsumma_spec", key),
-		depth:  depth, maxBatch: mb,
 	}
 	s.changed.L = &s.mu
 	// Batching needs the algorithm to accept a widened RHS; probe once.
-	if mb > 1 {
-		if _, err := spec.WithRHS(2 * reqShape.N); err == nil {
-			s.batchable = true
-		}
-	}
+	_, err := spec.WithRHS(2 * reqShape.N)
+	s.batchable = err == nil
 	s.touch()
 	return s, nil
 }
@@ -280,21 +253,11 @@ func (s *Session) Multiply(a, b *matrix.Dense) (*matrix.Dense, Stats, error) {
 	return j.wait()
 }
 
-// TryMultiply is Multiply with backpressure instead of blocking: a full
-// admission window returns ErrOverloaded immediately.
-func (s *Session) TryMultiply(a, b *matrix.Dense) (*matrix.Dense, Stats, error) {
-	j, err := s.submit(a, b, false, false)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return j.wait()
-}
-
 // submit admits one request to the queue and returns it for the caller to
 // wait on, starting a runner if the session has none. block selects
-// Multiply's wait-for-a-slot over TryMultiply's ErrOverloaded; a
-// non-blocking submit never waits, so the scheduler calls it under its own
-// lock. traced additionally records a per-rank span timeline for this one
+// Multiply's wait-for-a-slot over an immediate ErrOverloaded when the
+// queue is full; a non-blocking submit never waits, so the scheduler calls
+// it under its own lock. traced additionally records a per-rank span timeline for this one
 // request (the scheduler's flight-recorder sampling) — tracing is per-job,
 // so concurrent untraced requests on the same session pay nothing.
 func (s *Session) submit(a, b *matrix.Dense, block, traced bool) (*job, error) {
@@ -305,13 +268,13 @@ func (s *Session) submit(a, b *matrix.Dense, block, traced bool) (*job, error) {
 	j := &job{a: a, b: b, start: time.Now(), traced: traced, done: make(chan struct{})}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for block && !s.closed && len(s.queue) >= s.depth {
+	for block && !s.closed && len(s.queue) >= queueDepth {
 		s.changed.Wait()
 	}
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if len(s.queue) >= s.depth {
+	if len(s.queue) >= queueDepth {
 		return nil, ErrOverloaded
 	}
 	s.queue = append(s.queue, j)
@@ -347,7 +310,7 @@ func (s *Session) run() {
 }
 
 // collectLocked takes the next batch off the queue: the head, and behind it
-// the requests that share the head's A operand, up to MaxBatch, in arrival
+// the requests that share the head's A operand, up to maxBatch, in arrival
 // order. The first request with a different A ends the batch and stays
 // queued to lead the next one. It never waits for arrivals, so coalescing
 // adds no latency.
@@ -356,7 +319,7 @@ func (s *Session) collectLocked() []*job {
 		return nil
 	}
 	k := 1
-	for s.batchable && k < s.maxBatch && k < len(s.queue) && sameOperand(s.queue[k].a, s.queue[0].a) {
+	for s.batchable && k < maxBatch && k < len(s.queue) && sameOperand(s.queue[k].a, s.queue[0].a) {
 		k++
 	}
 	batch := slices.Clone(s.queue[:k])

@@ -50,7 +50,7 @@ func TestSessionCorrectness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := NewSession(tc.shape, spec, SessionConfig{})
+			sess, err := NewSession(tc.shape, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestSessionShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(shape, spec, SessionConfig{})
+	sess, err := NewSession(shape, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,21 +94,30 @@ func TestSessionShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestSessionConcurrentCallers drives one session from many goroutines:
-// the queue must serialise them and every result must be exact.
+// TestSessionConcurrentCallers drives one session from more goroutines than
+// its queue holds: with the runner parked until the queue is full, the
+// callers past queueDepth wait for a slot, and every result must be exact.
 func TestSessionConcurrentCallers(t *testing.T) {
 	shape := matrix.Square(24)
 	spec, err := tune.ResolveSpec(tune.ResolveParams{Shape: shape, Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(shape, spec, SessionConfig{QueueDepth: 2})
+	sess, err := NewSession(shape, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	var once sync.Once
+	sess.beforeRun = func() {
+		once.Do(func() {
+			for sess.QueueLen() < queueDepth {
+				runtime.Gosched()
+			}
+		})
+	}
 
-	const callers = 12
+	const callers = queueDepth + 8
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
@@ -146,7 +155,7 @@ func TestSessionDrainOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(shape, spec, SessionConfig{QueueDepth: 4})
+	sess, err := NewSession(shape, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,47 +218,68 @@ func TestSessionDrainOnClose(t *testing.T) {
 	}
 }
 
-// TestSessionBackpressure checks TryMultiply's bounded-queue rejection.
+// TestSessionBackpressure checks the non-blocking admission path the
+// scheduler takes: with the runner parked on one request and queueDepth
+// more queued behind it, the next submission is refused with
+// ErrOverloaded, and every admitted request still completes.
 func TestSessionBackpressure(t *testing.T) {
 	shape := matrix.Square(16)
 	spec, err := tune.ResolveSpec(tune.ResolveParams{Shape: shape, Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(shape, spec, SessionConfig{QueueDepth: 1})
+	sess, err := NewSession(shape, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sess.Close()
 
 	gate := make(chan struct{})
-	started := make(chan struct{}, 8)
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the parked runner
+	started := make(chan struct{}, 1)
+	var once sync.Once
 	sess.beforeRun = func() {
-		started <- struct{}{}
-		<-gate
+		once.Do(func() {
+			started <- struct{}{}
+			<-gate
+		})
 	}
 	a := matrix.Random(shape.M, shape.K, 1)
 	b := matrix.Random(shape.K, shape.N, 2)
 
-	res := make(chan error, 2)
-	go func() { _, _, err := sess.Multiply(a, b); res <- err }()
+	jobs := make([]*job, 0, queueDepth+1)
+	submit := func() error {
+		j, err := sess.submit(a, b, false, false)
+		if err == nil {
+			jobs = append(jobs, j)
+		}
+		return err
+	}
+	if err := submit(); err != nil {
+		t.Fatal(err)
+	}
 	<-started // executing, parked
-	go func() { _, _, err := sess.Multiply(a, b); res <- err }()
-	for sess.QueueLen() < 1 {
-		runtime.Gosched()
-	} // the queue (depth 1) is now full
-
-	if _, _, err := sess.TryMultiply(a, b); !errors.Is(err, ErrOverloaded) {
+	for i := 0; i < queueDepth; i++ {
+		if err := submit(); err != nil {
+			t.Fatalf("slot %d of %d: %v", i+1, queueDepth, err)
+		}
+	}
+	if err := submit(); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("full queue: want ErrOverloaded, got %v", err)
 	}
 
-	close(gate)
-	if err := <-res; err != nil {
-		t.Fatal(err)
+	release()
+	want := reference(a, b)
+	for i, j := range jobs {
+		out, _, err := j.wait()
+		if err != nil {
+			t.Fatalf("admitted request %d: %v", i, err)
+		}
+		if d := matrix.MaxAbsDiff(out, want); d > oracleTol {
+			t.Fatalf("admitted request %d off by %g", i, d)
+		}
 	}
-	if err := <-res; err != nil {
-		t.Fatal(err)
-	}
-	sess.Close()
 }
 
 // TestSessionStagesByViews pins the staging rule by aliasing, not timing.
@@ -277,7 +307,7 @@ func TestSessionStagesByViews(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := NewSession(tc.shape, spec, SessionConfig{})
+			sess, err := NewSession(tc.shape, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,7 +374,7 @@ func TestWarmSessionAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(matrix.Square(n), spec, SessionConfig{})
+	sess, err := NewSession(matrix.Square(n), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +425,7 @@ func TestSessionHoldsNoRanks(t *testing.T) {
 	if p := spec.Opts.Grid.Size(); p != 16 {
 		t.Fatalf("resolved a %d-rank grid, want 16", p)
 	}
-	sess, err := NewSession(shape, spec, SessionConfig{})
+	sess, err := NewSession(shape, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +450,7 @@ func TestSessionSpecPprofLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(shape, spec, SessionConfig{})
+	sess, err := NewSession(shape, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

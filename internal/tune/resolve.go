@@ -36,7 +36,9 @@ type ResolveParams struct {
 	// Procs is the rank count (required; must match Grid when both set).
 	Procs int
 	// Algorithm defaults to HSUMMA; engine.Auto delegates everything not
-	// explicitly pinned to the planner.
+	// explicitly pinned to the planner. Auto honours the pins Grid,
+	// BlockSize, OuterBlockSize, Broadcast and Threads as constraints;
+	// Groups and Levels stay the planner's choice.
 	Algorithm engine.Algorithm
 	// Grid optionally pins the process grid.
 	Grid *topo.Grid
@@ -83,10 +85,10 @@ func (rp *ResolveParams) SetKnobs(k core.Knobs) {
 // live paths run. Errors are unprefixed (wrapped where sentinel identity
 // matters, e.g. matrix.ErrSquareOnly); each caller applies its own
 // namespace — the façade adds "hsumma:", the HTTP layer serves them bare.
-// The resolution itself: planner resolution for engine.Auto (explicit Grid and
-// BlockSize are honoured as constraints), grid factorisation, the shared
-// BlockSize-0-means-auto rule, the √p group default, and the padding of
-// the shape up to the algorithm's divisibility constraints, then
+// The resolution itself: planner resolution for engine.Auto (the pins
+// AutoRequest forwards are honoured as constraints), grid factorisation,
+// the shared BlockSize-0-means-auto rule, the √p group default, and the
+// padding of the shape up to the algorithm's divisibility constraints, then
 // engine.Spec.Validate — so every invalid spec fails here. Square-only
 // algorithms reject rectangular shapes and grids with matrix.ErrSquareOnly.
 func ResolveSpec(rp ResolveParams) (engine.Spec, error) {
@@ -186,12 +188,17 @@ func AutoRequest(rp ResolveParams) Request {
 	if rp.Platform != nil {
 		pf = *rp.Platform
 	}
-	return Request{
+	req := Request{
 		Platform: pf, Shape: rp.Shape, P: rp.Procs,
 		Grid: rp.Grid, BlockSize: rp.BlockSize,
-		Threads: rp.Threads,
-		Quick:   true,
+		OuterBlockSize: rp.OuterBlockSize,
+		Threads:        rp.Threads,
+		Quick:          true,
 	}
+	if rp.Broadcast != "" {
+		req.Broadcasts = []sched.Algorithm{rp.Broadcast}
+	}
+	return req
 }
 
 func resolveGrid(rp ResolveParams) (topo.Grid, error) {

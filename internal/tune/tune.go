@@ -118,6 +118,12 @@ func (r Request) validate() error {
 	if err := r.Shape.Validate(); err != nil {
 		return fmt.Errorf("tune: %w", err)
 	}
+	known := sched.Algorithms()
+	for _, bc := range r.Broadcasts {
+		if !slices.Contains(known, bc) {
+			return fmt.Errorf("tune: unknown broadcast algorithm %q (have %v)", bc, known)
+		}
+	}
 	if r.CoreBudget > 0 {
 		// Under a core budget the rank count is searched, not pinned; a
 		// pinned grid (and/or thread count) must still fit the budget.

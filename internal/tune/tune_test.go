@@ -268,6 +268,41 @@ func TestCandidatePins(t *testing.T) {
 	}
 }
 
+// ResolveSpec under engine.Auto keeps every pin auto honours — grid, b, B,
+// broadcast, threads — and plans only the rest. A broadcast or B the planner
+// would otherwise pick differently must survive into the resolved spec, and
+// an unknown broadcast name is an error, not a panic in the scorer.
+func TestAutoKeepsPins(t *testing.T) {
+	g := topo.Grid{S: 2, T: 4}
+	for _, rp := range []ResolveParams{
+		{Shape: matrix.Square(1024), Procs: 8, BlockSize: 32, OuterBlockSize: 128, Broadcast: sched.VanDeGeijn},
+		{Shape: matrix.Square(128), Procs: 8, Grid: &g, BlockSize: 8, OuterBlockSize: 16, Broadcast: sched.VanDeGeijn, Threads: 2},
+	} {
+		rp.Algorithm = engine.Auto
+		spec, err := ResolveSpec(rp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := spec.Opts.Knobs
+		if spec.Algorithm != engine.HSUMMA {
+			t.Fatalf("%s: want HSUMMA, the algorithm that uses every pin", spec.Key())
+		}
+		if k.Broadcast != rp.Broadcast || k.BlockSize != rp.BlockSize || k.OuterBlockSize != rp.OuterBlockSize {
+			t.Fatalf("%s: pins bc=%s b=%d B=%d not kept", spec.Key(), rp.Broadcast, rp.BlockSize, rp.OuterBlockSize)
+		}
+		if rp.Grid != nil && spec.Opts.Grid != *rp.Grid {
+			t.Fatalf("%s: pinned grid %v not kept", spec.Key(), *rp.Grid)
+		}
+		if max(k.Threads, 1) != max(rp.Threads, 1) {
+			t.Fatalf("%s: pinned threads %d not kept (have %d)", spec.Key(), rp.Threads, k.Threads)
+		}
+	}
+	bad := ResolveParams{Shape: matrix.Square(64), Procs: 8, Algorithm: engine.Auto, Broadcast: "bogus"}
+	if _, err := ResolveSpec(bad); err == nil {
+		t.Fatal("an unknown broadcast under auto resolved")
+	}
+}
+
 // Under a core budget the enumeration must sweep (ranks × threads) splits:
 // every candidate fits the budget, more than one thread count appears, and
 // pinning Threads collapses the sweep to that value.

@@ -48,7 +48,7 @@ func NewSession(shape Shape, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := serve.NewSession(shape, spec, serve.SessionConfig{})
+	inner, err := serve.NewSession(shape, spec)
 	if err != nil {
 		return nil, err
 	}
