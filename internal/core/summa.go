@@ -93,6 +93,19 @@ type pivot struct {
 	aLoc, bLoc *matrix.Dense
 }
 
+// locate finds the owners of the top-level panel starting at lo and its
+// offsets in their tiles. Ownership is block-checkerboard: each rank holds
+// one contiguous K range, aCols wide in A and bRows tall in B. The owners
+// change only when lo leaves their tiles, so only then does it divide and
+// retarget the broadcasts.
+func (p *pivot) locate(lo, aCols, bRows int) {
+	p.aOff, p.bOff = lo-p.ownerCol*aCols, lo-p.ownerRow*bRows
+	if p.aOff < 0 || p.aOff >= aCols || p.bOff < 0 || p.bOff >= bRows {
+		p.retarget(lo/aCols, lo/bRows)
+		p.aOff, p.bOff = lo%aCols, lo%bRows
+	}
+}
+
 // retarget points every stage's broadcasts at the owners of the next
 // top-level panels.
 func (p *pivot) retarget(ownerCol, ownerRow int) {
@@ -232,13 +245,7 @@ func (p *pivot) walk(K, aCols, bRows int) {
 	c := p.c
 	for lo, k := 0, 0; lo < K; {
 		if k == 0 {
-			// Block-checkerboard ownership: each rank holds one contiguous K
-			// range, aCols wide in A and bRows tall in B.
-			ownerCol, ownerRow := lo/aCols, lo/bRows
-			p.aOff, p.bOff = lo%aCols, lo%bRows
-			if ownerCol != p.ownerCol || ownerRow != p.ownerRow {
-				p.retarget(ownerCol, ownerRow)
-			}
+			p.locate(lo, aCols, bRows)
 		}
 		st := p.stage(k)
 		if st.aRoot >= 0 {

@@ -17,9 +17,12 @@
 //     so no received value can influence the program's control flow. The
 //     only inter-rank rendezvous left on the producer side is Split, whose
 //     *result* (the child communicator's rank and size) does steer control
-//     flow. Splits are few, but a world-wide one parks every rank except
-//     the last to arrive, so its waiters leave on a per-split channel, not
-//     through a shared lock (see rComm.Split).
+//     flow. A rank joins a Split without waiting and gets a child that
+//     resolves when first used; the last member to join builds the groups
+//     and names every member's child in its slot table. A world-wide Split
+//     thus parks each rank at most once, however many follow in a row, and
+//     a rank that finds its Split complete takes its child without a lock
+//     (see rComm.Split).
 //
 //   - Consumer: a single-threaded event loop owns every virtual clock.
 //     Each rank's program has become a resumable step function — its ring
@@ -28,11 +31,17 @@
 //     yet, or a collective some member has not reached. Collectives fire
 //     when their last member's event arrives and execute the same
 //     internal/sched schedule through Sim.ExecOne, the call the goroutine
-//     engine's Bcast makes; Gemm advances the same per-rank clock (the
-//     paper's non-overlapped execution). Virtual times, per-rank communication-time
-//     breakdowns, traffic counters and trace spans are therefore
-//     bit-identical (asserted by the engine parity tests in internal/simalg
-//     and the span test in the root package).
+//     engine's Bcast makes, compiled once per (size, root, payload) by
+//     Sim.Compile; Gemm advances the same per-rank clock (the paper's
+//     non-overlapped execution). Virtual times, per-rank
+//     communication-time breakdowns, traffic counters and trace spans are
+//     therefore bit-identical (asserted by the engine parity tests in
+//     internal/simalg and the span test in the root package).
+//
+// The loop's state is laid out for the per-event path: each rank's cursor,
+// status and class in parallel arrays, each class's slot table flat (one
+// row per slot, one column per member), and each communicator's in-flight
+// gather in an array indexed by communicator id, beside its members.
 //
 // # Stream classes
 //
@@ -41,20 +50,26 @@
 // their group). Events name a communicator by slot — the order in which
 // the rank obtained it — so one recording serves every member: the class's
 // lowest rank writes the class ring, every member reads it through its own
-// cursor and resolves slots through its own table, waiting, as on an
-// empty ring, for a slot its own Split has not filled yet. The other
-// members still run their programs (they take part in Split) but only hash
-// the events they would have written; Run fails if a hash differs from the
-// representative's, so a wrong class rule is an error, never a wrong
-// result. Without SetClasses every rank is its own class.
+// cursor and resolves slots through its own column of the class table,
+// waiting, as on an empty ring, for a slot its own Split has not filled
+// yet. The other members still run their programs (they take part in
+// Split) but only hash the events they would have written, a batch at a
+// time; Run fails if a hash differs from the representative's, so a wrong
+// class rule is an error, never a wrong result. Without SetClasses every
+// rank is its own class.
 //
 // Admission: followers never block on communication, so nothing but the
 // Go scheduler keeps them from filling the run queue while the
 // representatives — the only producers the consumer reads — wait behind
 // them. A follower therefore records only while it holds one of the
 // world's max(1, GOMAXPROCS−2) tokens, leaving one P to the consumer and
-// one to the representatives. It takes a token before its first event
-// and hands it back before each Split and when its program ends.
+// one to the representatives. It takes a token before its first event and
+// hands it back before it parks for a Split and when its program ends.
+// Tokens go to waiting followers in arrival order, and a follower that
+// waits for a Split joins that queue when the Split completes, so it wakes
+// once, holding a token: completing a world-wide Split readies the
+// representatives and one follower, not two thousand goroutines that the
+// representatives and the consumer would queue behind.
 //
 // Back-pressure: the representative parks when its ring is full — a chunk
 // is handed back only once the class's slowest member has passed it — and
@@ -85,8 +100,7 @@ import (
 // World owns the virtual clocks, the per-class event rings and the replay
 // state for one simulated execution. Create one per run with NewWorld.
 type World struct {
-	sim    *simnet.Sim
-	caches *simnet.SchedCache
+	sim *simnet.Sim
 
 	stats []simnet.VRankStats
 	rec   *trace.Recorder // cfg.Trace; nil = tracing disabled
@@ -94,20 +108,29 @@ type World struct {
 	class []int       // SetClasses; nil = one class per rank
 	prods []*producer // per rank
 	rings []*ring     // per class
-	ranks []rankState
 
-	// Consumer-owned replay state (no locks: single-threaded).
+	// Consumer-owned replay state (no locks: single-threaded). What the
+	// loop touches per event is dense: each rank's hot fields in parallel
+	// arrays, each communicator's gather in an array indexed by its id.
+	pos      []uint64  // rank -> next event of its class stream
+	status   []uint8   // rank -> replay status (rs*)
+	ringOf   []int32   // rank -> its class ring
+	col      []int32   // rank -> its column in the class's slot table
+	sr       []srState // rank -> SendRecv state between the halves
+	gath     []gather  // communicator id -> in-flight collective
+	members  [][]int   // communicator id -> comm rank -> world rank
+	pre      []float64 // trace scratch: the members' clocks before a collective
 	runnable []int32
 	pending  map[msgKey][]vMsg
 	waiting  map[msgKey]int32
 
-	// commMu guards the communicator registry (abort releases split
-	// waiters).
+	// commMu guards the communicator registry, indexed by id (abort
+	// releases split waiters).
 	commMu sync.Mutex
 	comms  []*commState
 
 	// tokens admits followers (see Admission in the package doc).
-	tokens chan struct{}
+	tokens admission
 
 	// alive counts rank programs still running, stalled those of them
 	// parked where only the consumer or another parked program could wake
@@ -115,7 +138,7 @@ type World struct {
 	// party that resolves it, so the consumer, idle with stalled == alive,
 	// knows the replay cannot progress. A follower waiting for a token is
 	// not stalled: every holder is running, since it yields before the
-	// only call that parks it.
+	// only calls that park it.
 	alive   atomic.Int64
 	stalled atomic.Int64
 	aborted atomic.Bool
@@ -142,19 +165,23 @@ func NewWorld(p int, cfg simnet.VConfig) *World {
 	sim.SetLinkCost(cfg.LinkCost)
 	w := &World{
 		sim:     sim,
-		caches:  simnet.NewSchedCache(),
 		stats:   make([]simnet.VRankStats, p),
 		prods:   make([]*producer, p),
-		ranks:   make([]rankState, p),
+		pos:     make([]uint64, p),
+		status:  make([]uint8, p),
+		ringOf:  make([]int32, p),
+		col:     make([]int32, p),
+		sr:      make([]srState, p),
 		pending: make(map[msgKey][]vMsg),
 		waiting: make(map[msgKey]int32),
 		rec:     cfg.Trace,
-		tokens:  make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-2)),
+		tokens:  admission{free: max(1, runtime.GOMAXPROCS(0)-2)},
 	}
 	w.wakeCond = sync.NewCond(&w.wakeMu)
 	for r := 0; r < p; r++ {
 		pr := &producer{w: w, world: int32(r)}
-		pr.comms = pr.inline[:0]
+		pr.comms, pr.splits = pr.inline[:0], pr.joined[:0]
+		pr.wakeup.L = &pr.mu
 		w.prods[r] = pr
 	}
 	return w
@@ -181,8 +208,8 @@ func (w *World) SetClasses(class []int) {
 }
 
 // buildClasses creates one ring per stream class, written by its
-// representative (the class's lowest rank), and points every member's
-// cursor at it.
+// representative (the class's lowest rank), and gives every member its
+// ring and its column in the class's slot table.
 func (w *World) buildClasses() {
 	p := len(w.prods)
 	class := w.class
@@ -202,8 +229,8 @@ func (w *World) buildClasses() {
 			w.rings = append(w.rings, rg)
 			w.prods[r].ring = rg
 		}
+		w.ringOf[r], w.col[r] = rg.class, rg.members
 		rg.members++
-		w.ranks[r].ring = rg
 	}
 }
 
@@ -243,13 +270,14 @@ func (w *World) Run(fn func(c comm.Comm)) error {
 				}
 			}()
 			fn(rc)
+			rc.p.settle()
 			rc.p.ok = true
 		}(rc)
 	}
 	w.consume()
 	wg.Wait()
 	for r, pr := range w.prods {
-		rp := w.prods[w.ranks[r].ring.rep]
+		rp := w.prods[w.rings[w.ringOf[r]].rep]
 		if pr != rp && pr.ok && rp.ok && (pr.sum != rp.sum || pr.events != rp.events) {
 			return fmt.Errorf("evsim: rank %d's program diverged from its class representative, rank %d (%d events, hash %x vs %d events, hash %x): the stream class rule is wrong",
 				r, rp.world, pr.events, pr.sum, rp.events, rp.sum)
@@ -263,11 +291,12 @@ func (w *World) Run(fn func(c comm.Comm)) error {
 
 // abort records the first error, marks the world failed and wakes every
 // parked party: producers blocked on full rings or split rendezvous, and
-// the consumer's doorbell. A split's waiters are released by closing its
-// done channel with no result; those arriving later see aborted under the
-// split lock. Followers waiting for a token need no wake: the holders
-// hand their tokens on (see admit). Never holds the registry mutex across
-// a communicator's split lock (mirrors the goroutine engine's
+// the consumer's doorbell. A pending split's waiters are released with no
+// result — the representatives by closing its done channel, the followers
+// by queueing them for a token — and those arriving later see aborted
+// under the split lock. Followers waiting for a token need no wake: the
+// holders hand their tokens on (see admit). Never holds the registry mutex
+// across a communicator's split lock (mirrors the goroutine engine's
 // discipline).
 func (w *World) abort(err error) {
 	w.errMu.Lock()
@@ -288,11 +317,13 @@ func (w *World) abort(err error) {
 	w.commMu.Unlock()
 	for _, cs := range comms {
 		cs.splitMu.Lock()
-		if sg := cs.split; sg != nil {
-			cs.split = nil
-			close(sg.done)
-		}
+		splits := cs.splits
+		cs.splits = nil
 		cs.splitMu.Unlock()
+		for _, sg := range splits {
+			close(sg.done)
+			w.tokens.enqueue(sg.followers) // each wakes with a token and unwinds
+		}
 	}
 	w.wakeMu.Lock()
 	w.wakeCond.Broadcast()

@@ -322,7 +322,7 @@ func TestSplitAbortUnwinds(t *testing.T) {
 	for _, classed := range []bool{false, true} {
 		base := runtime.NumGoroutine()
 		w := NewWorld(p, testCfg())
-		w.tokens = make(chan struct{}, 1)
+		w.tokens.free = 1
 		splitters := int64(p - 1)
 		if classed {
 			class := make([]int, p)

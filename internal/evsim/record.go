@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/comm"
 	"repro/internal/matrix"
 	"repro/internal/sched"
-	"repro/internal/simnet"
 )
 
 // This file is the producer half of the engine: rComm implements
@@ -27,49 +27,77 @@ import (
 
 // producer is the per-rank recording context. ring is the class ring for
 // the representative and nil for a follower; chead/ctail cache the ring
-// indices so the push fast path performs a single atomic publish. admitted
-// says a follower holds one of the world's tokens.
+// indices so the push fast path performs a single atomic publish. A
+// follower holds fold — a batch of events waiting for the stream hash —
+// exactly while it holds one of the world's tokens.
 type producer struct {
-	w        *World
-	world    int32
-	ring     *ring
-	chead    uint64 // last observed ring head
-	ctail    uint64 // producer-owned tail (mirrored to ring.tail on publish)
-	admitted bool
+	w     *World
+	world int32
+	ring  *ring
+	chead uint64 // last observed ring head
+	ctail uint64 // producer-owned tail (mirrored to ring.tail on publish)
+	fold  *foldBuf
+	next  *producer // link in a split's waiting followers or the token queue
 
-	sum    [3]uint64 // running hash of the recorded stream (see note)
-	events int64     // events recorded
-	ok     bool      // the program returned normally (read after Run's wait)
+	sum    [3]uint64       // running hash of the recorded stream (see hash)
+	events int64           // events recorded
+	ok     bool            // the program returned normally (read after Run's wait)
+	splits []*splitGather  // the splits this rank joined; settle waits for them
+	joined [4]*splitGather // backing for the first splits: no allocation
 
 	// The slot table: comms[s] is the communicator this rank obtained
-	// s-th. The producer appends (under mu); the consumer copies the slice
-	// header when it meets a slot beyond its copy. slotWait is the
-	// consumer's request for a doorbell on the next append.
+	// s-th, nil while the Split that yields it is incomplete. The producer
+	// reserves a slot when it joins a Split and the Split's last arriver
+	// fills it, both under mu; the consumer reads it under mu when it
+	// meets a slot its class table lacks. slotWait is the consumer's
+	// request for a doorbell on the next fill. mu also guards a waiting
+	// follower's wake-up (see sleep).
 	mu       sync.Mutex
 	comms    []*commState
 	slotWait bool
 	inline   [8]*commState // backing for the first slots: no allocation
+	wakeup   sync.Cond     // on mu
+	woken    bool
 }
 
 // addComm appends a communicator to the rank's slot table and returns its
-// slot, ringing the doorbell if the consumer waits for it.
+// slot.
 func (p *producer) addComm(cs *commState) int32 {
 	p.mu.Lock()
 	p.comms = append(p.comms, cs)
 	slot := int32(len(p.comms) - 1)
+	p.mu.Unlock()
+	return slot
+}
+
+// fill names the communicator in a reserved slot, ringing the doorbell if
+// the consumer waits for it.
+func (p *producer) fill(slot int32, cs *commState) {
+	p.mu.Lock()
+	p.comms[slot] = cs
 	wake := p.slotWait
 	p.slotWait = false
 	p.mu.Unlock()
 	if wake {
 		p.w.wakeRank(p.world)
 	}
-	return slot
 }
 
-// finish publishes the remaining events (a follower hands back its
-// token), marks the class's program complete and rings the consumer so
-// the replay can observe the exit (and, when this was the last producer,
-// run its termination scan).
+// settle waits, at the normal end of the rank's program, for every Split
+// it joined, used or not: a program that returns before the others reach
+// a Split it took part in stalls there, as on an MPI runtime, instead of
+// leaving the replay to find the mismatch later or never.
+func (p *producer) settle() {
+	for _, sg := range p.splits {
+		p.awaitSplit(sg)
+	}
+	p.splits = nil
+}
+
+// finish publishes the remaining events (a follower folds its last batch
+// and hands back its token), marks the class's program complete and rings
+// the consumer so the replay can observe the exit (and, when this was the
+// last producer, run its termination scan).
 func (p *producer) finish() {
 	p.yield()
 	if r := p.ring; r != nil {
@@ -85,69 +113,80 @@ func (p *producer) finish() {
 	p.w.wakeMu.Unlock()
 }
 
-// commState is one communicator: the immutable member list shared by the
-// producer and consumer sides, the producer-side split rendezvous, and the
-// consumer-owned collective gather.
-//
-// The replay holds at most ONE live gather per communicator at any time:
-// a member reaches collective k+1 only after k has fired (its replay was
-// parked on k), and the gather is retired at fire time before any member
-// resumes. So the gather lives inline — no map, no allocation on the
-// collective hot path.
+// commState is one communicator: its id (the index of its gather state on
+// the consumer side), the immutable member list shared by the producer
+// and consumer sides, and the producer-side split rendezvous.
 type commState struct {
+	id    int32
 	ranks []int // comm rank -> world rank (immutable after creation)
 
-	// Consumer side: the in-flight collective, valid when gActive, and the
-	// last fired collective's signature with its schedule and traffic —
-	// a pivot loop's communicator repeats one broadcast for many steps.
-	g           gather
-	gSeq        int32
-	gActive     bool
-	last        collSig
-	lastSched   *sched.Schedule
-	lastTraffic []simnet.VRankStats
-
-	// Producer side: the pending split rendezvous (the only blocking
-	// producer call). A member reaches its next Split on a communicator
-	// only after every member has arrived at the previous one, so at most
-	// one is pending.
+	// Producer side: the pending split rendezvous (the only producer call
+	// that waits on other ranks), by the members' split sequence on this
+	// communicator. A member joins a Split without waiting for it, so
+	// several may be pending at once.
 	splitMu sync.Mutex
-	split   *splitGather
+	splits  map[int32]*splitGather
 }
 
-// newCommState registers a communicator so abort can release its split
-// waiters.
+// newCommState registers a communicator under the next id, so abort can
+// release its split waiters.
 func (w *World) newCommState(ranks []int) *commState {
 	cs := &commState{ranks: ranks}
-	cs.g.parked = make([]int32, 0, len(ranks)-1)
 	w.commMu.Lock()
+	cs.id = int32(len(w.comms))
 	w.comms = append(w.comms, cs)
 	w.commMu.Unlock()
 	return cs
 }
 
 // rComm is a recording communicator bound to one rank, implementing
-// comm.Comm for the event engine.
+// comm.Comm for the event engine. One returned by Split stays unresolved
+// — cs nil, from set — until the rank first needs its rank, size or
+// members (see resolve).
 type rComm struct {
-	p    *producer
-	cs   *commState
-	rank int32
-	slot int32
+	p        *producer
+	cs       *commState
+	rank     int32
+	slot     int32
+	opSeq    int32
+	splitSeq int32
 
-	opSeq int32
+	from *splitGather // the Split this communicator comes from, until resolved
+	at   int32        // the caller's rank in that Split's parent
 }
 
 var _ comm.Comm = (*rComm)(nil)
 
+// comm returns the communicator's state, waiting for the Split that
+// created it to complete first if it has not been resolved yet.
+func (c *rComm) comm() *commState {
+	if c.cs == nil {
+		c.resolve()
+	}
+	return c.cs
+}
+
+// resolve takes the caller's share of the Split this communicator comes
+// from, waiting for the Split to complete.
+func (c *rComm) resolve() {
+	c.p.awaitSplit(c.from)
+	m := c.from.result[c.at]
+	c.cs, c.rank, c.from = m.cs, m.rank, nil
+}
+
 // Rank returns the caller's rank within the communicator.
-func (c *rComm) Rank() int { return int(c.rank) }
+func (c *rComm) Rank() int {
+	c.comm()
+	return int(c.rank)
+}
 
 // Size returns the number of ranks in the communicator.
-func (c *rComm) Size() int { return len(c.cs.ranks) }
+func (c *rComm) Size() int { return len(c.comm().ranks) }
 
 func (c *rComm) checkPeer(verb string, peer int) {
-	if peer < 0 || peer >= len(c.cs.ranks) {
-		panic(fmt.Sprintf("evsim: %s rank %d outside communicator of %d", verb, peer, len(c.cs.ranks)))
+	n := len(c.comm().ranks)
+	if peer < 0 || peer >= n {
+		panic(fmt.Sprintf("evsim: %s rank %d outside communicator of %d", verb, peer, n))
 	}
 	if peer == int(c.rank) {
 		panic("evsim: self-send is not supported (use local copies)")
@@ -172,34 +211,41 @@ func ck32(what string, v int) int32 {
 func (c *rComm) SendRecv(dst, sendTag int, send *comm.Panel, src, recvTag int, recv *comm.Panel) {
 	c.checkPeer("send to", dst)
 	c.checkPeer("recv from", src)
-	c.p.push(event{slot: c.slot, kind: evSRSend, a: int32(dst), b: int32(sendTag), c: ck32("sendrecv send size", send.Elems()), d: c.rank})
-	c.p.push(event{slot: c.slot, kind: evSRRecv, a: int32(src), b: int32(recvTag), c: ck32("sendrecv recv size", recv.Elems())})
+	c.p.push(mkEvent(evSRSend, 0, c.slot, int32(dst), int32(sendTag), ck32("sendrecv send size", send.Elems()), c.rank))
+	c.p.push(mkEvent(evSRRecv, 0, c.slot, int32(src), int32(recvTag), ck32("sendrecv recv size", recv.Elems()), 0))
 }
 
 // Bcast records one collective arrival. The replay gathers the members by
 // the communicator's op sequence and fires the schedule when the last one
 // arrives.
 func (c *rComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel) {
-	p := len(c.cs.ranks)
+	p := len(c.comm().ranks)
 	if root < 0 || root >= p {
 		panic(fmt.Sprintf("evsim: bcast root %d outside communicator of %d", root, p))
 	}
 	if p == 1 {
 		return
 	}
+	n := panel.Elems()
+	if uint(n) > math.MaxInt32 { // ck32's test, inlined: this is the hottest record
+		ck32("bcast size", n)
+	}
 	seq := c.opSeq
 	c.opSeq++
-	c.p.push(event{slot: c.slot, kind: evBcast, alg: algCode(alg),
-		a: int32(root), c: ck32("bcast size", panel.Elems()), d: seq})
+	c.p.push(mkEvent(evBcast, algCode(alg), c.slot, int32(root), 0, int32(n), seq))
 }
 
 // splitGather coordinates one Split call (see rComm.Split); abort closes
-// done with result still nil.
+// done with ready still false.
 type splitGather struct {
-	colors, keys []int // comm rank -> colour, key
-	arrived      int
-	waiting      int64         // arrivals blocked on done, counted as stalled
-	result       []splitMember // comm rank -> its share; nil if the world aborted
+	parent       *commState
+	colors, keys []int     // comm rank -> colour, key
+	slots        []int32   // comm rank -> the slot it reserved for the child
+	arrived      int       // under parent.splitMu
+	waiting      int64     // members waiting for the split, counted as stalled (under parent.splitMu)
+	followers    *producer // the waiting followers, linked through next (under parent.splitMu)
+	ready        atomic.Bool
+	result       []splitMember // comm rank -> its share; set before ready
 	done         chan struct{}
 }
 
@@ -212,74 +258,144 @@ type splitMember struct {
 
 // Split partitions the communicator exactly like MPI_Comm_split: ranks
 // passing the same colour form a new communicator ordered by (key, old
-// rank); a negative colour returns nil. This is the one producer-side
-// rendezvous: the child communicator's rank and size feed the algorithm's
-// control flow, so recording cannot defer it. A world-wide split parks
-// every rank but the last to arrive, so the waiters take no lock on the
-// way out: arrivals fill rank-indexed colours and keys under the parent's
-// splitMu, and the last one builds the groups and closes the split's done
-// channel, which the others block on. The child takes the caller's next
-// slot.
+// rank); a negative colour returns nil. It is the one producer-side
+// rendezvous — the child's rank and size feed the algorithm's control
+// flow — but joining it does not wait: the caller files its colour and
+// key under the parent's splitMu, reserves the child's slot and goes on
+// with a child that resolves when first used. The last member to join
+// builds the groups outside the lock, names each member's child in its
+// reserved slot and closes the split's done channel. A program that
+// splits the world several times in a row (the pivot loop splits it four
+// times) so parks at most once, on the first child it uses, and not once
+// per Split; and a member that finds the split complete takes its child
+// without a lock.
 func (c *rComm) Split(color, key int) comm.Comm {
-	w := c.p.w
-	cs := c.cs
-
-	// The rendezvous may park this producer indefinitely: make every
-	// already-recorded event visible to the replay, and let another
-	// follower record in this one's place, first.
-	c.p.publish()
-	c.p.yield()
-
+	p := c.p
+	w := p.w
+	cs := c.comm()
+	seq := c.splitSeq
+	c.splitSeq++
+	slot := int32(-1)
+	if color >= 0 {
+		slot = p.addComm(nil)
+	}
 	cs.splitMu.Lock()
+	sg := cs.splits[seq]
+	if sg == nil && !w.aborted.Load() {
+		// Allocate outside the lock: a world-wide gather is tens of KB.
+		cs.splitMu.Unlock()
+		n := len(cs.ranks)
+		fresh := &splitGather{parent: cs, colors: make([]int, n), keys: make([]int, n), slots: make([]int32, n), done: make(chan struct{})}
+		cs.splitMu.Lock()
+		if sg = cs.splits[seq]; sg == nil && !w.aborted.Load() {
+			if cs.splits == nil {
+				cs.splits = make(map[int32]*splitGather)
+			}
+			sg = fresh
+			cs.splits[seq] = sg
+		}
+	}
 	if w.aborted.Load() {
 		cs.splitMu.Unlock()
 		panic(evAborted{})
 	}
-	sg := cs.split
-	if sg == nil {
-		n := len(cs.ranks)
-		sg = &splitGather{colors: make([]int, n), keys: make([]int, n), done: make(chan struct{})}
-		cs.split = sg
+	sg.colors[c.rank], sg.keys[c.rank], sg.slots[c.rank] = color, key, slot
+	sg.arrived++
+	last := sg.arrived == len(cs.ranks)
+	if last {
+		delete(cs.splits, seq)
 	}
-	sg.colors[c.rank], sg.keys[c.rank] = color, key
-	if sg.arrived++; sg.arrived == len(cs.ranks) {
-		cs.split = nil
-		sg.result = c.computeSplit(sg)
-		// The waker uncounts the waiters, so the consumer never sees a
-		// stale stall.
-		w.stalled.Add(-sg.waiting)
-		cs.splitMu.Unlock()
-		close(sg.done)
-	} else {
-		sg.waiting++
-		w.stall()
-		cs.splitMu.Unlock()
-		if <-sg.done; sg.result == nil {
-			panic(evAborted{})
-		}
+	cs.splitMu.Unlock()
+	if last {
+		w.completeSplit(sg)
 	}
-	m := sg.result[c.rank]
-	if m.cs == nil {
+	p.splits = append(p.splits, sg)
+	if color < 0 {
 		return nil
 	}
-	return &rComm{p: c.p, cs: m.cs, rank: m.rank, slot: c.p.addComm(m.cs)}
+	return &rComm{p: p, slot: slot, from: sg, at: c.rank}
 }
 
-// computeSplit builds the new communicators once all members have
-// arrived; called with the parent's split mutex held by the last arriver.
-// The grouping rule lives in comm.SplitGroups, shared with the goroutine
-// engine and the live transport, so every engine derives the same
-// communicator structure for the same program.
-func (c *rComm) computeSplit(sg *splitGather) []splitMember {
+// completeSplit builds a split's groups once every member has joined,
+// publishes the result and releases the members waiting for it: the
+// representatives through done, the followers into the token queue, so
+// that they wake one at a time, each able to record, and the
+// representatives and the replay are not queued behind two thousand of
+// them. The waker uncounts the waiters, so the consumer never sees a
+// stale stall. It runs without the parent's lock, so the members joining
+// the parent's next Split meanwhile do not queue behind it; abort no
+// longer sees the split, and a split completed after an abort is
+// harmless.
+func (w *World) completeSplit(sg *splitGather) {
+	result := w.computeSplit(sg)
+	cs := sg.parent
+	cs.splitMu.Lock()
+	sg.result = result
+	sg.ready.Store(true)
+	waiting, followers := sg.waiting, sg.followers
+	cs.splitMu.Unlock()
+	w.stalled.Add(-waiting)
+	close(sg.done)
+	w.tokens.enqueue(followers)
+}
+
+// awaitSplit returns once sg is complete. When it must wait, it first
+// makes every recorded event visible to the replay and lets another
+// follower record in this one's place, then parks, counted as stalled: a
+// representative on done, a follower until the split is complete and a
+// token is its own. It unwinds if the world aborted.
+func (p *producer) awaitSplit(sg *splitGather) {
+	if sg.ready.Load() {
+		return
+	}
+	p.publish()
+	p.yield()
+	w := p.w
+	cs := sg.parent
+	cs.splitMu.Lock()
+	if sg.ready.Load() {
+		cs.splitMu.Unlock()
+		return
+	}
+	if w.aborted.Load() {
+		cs.splitMu.Unlock()
+		panic(evAborted{})
+	}
+	sg.waiting++
+	w.stall()
+	if p.ring == nil {
+		p.next, sg.followers = sg.followers, p
+		cs.splitMu.Unlock()
+		p.sleep()
+		p.admitted()
+		if !sg.ready.Load() {
+			panic(evAborted{})
+		}
+		return
+	}
+	cs.splitMu.Unlock()
+	if <-sg.done; !sg.ready.Load() {
+		panic(evAborted{})
+	}
+}
+
+// computeSplit builds the new communicators once all members have joined
+// and names each member's child in the slot it reserved. The grouping
+// rule lives in comm.SplitGroups, shared with the goroutine engine and the
+// live transport, so every engine derives the same communicator structure
+// for the same program.
+func (w *World) computeSplit(sg *splitGather) []splitMember {
+	parent := sg.parent.ranks
 	result := make([]splitMember, len(sg.colors))
 	for _, members := range comm.SplitGroups(sg.colors, sg.keys) {
 		worldRanks := make([]int, len(members))
 		for i, m := range members {
-			worldRanks[i] = c.cs.ranks[m]
+			worldRanks[i] = parent[m]
 		}
-		child := c.p.w.newCommState(worldRanks)
+		child := w.newCommState(worldRanks)
 		for i, m := range members {
 			result[m] = splitMember{cs: child, rank: int32(i)}
+			w.prods[parent[m]].fill(sg.slots[m], child)
 		}
 	}
 	return result
@@ -311,9 +427,14 @@ func (c *rComm) Repack(dst, src *comm.Panel, off int) { comm.CheckRepack(dst, sr
 // division.
 func (c *rComm) Gemm(cm *matrix.Dense, a, b *comm.Panel, threads int) {
 	comm.CheckGemm(cm, a, b)
-	c.p.push(event{kind: evGemm,
-		a: ck32("gemm rows", a.Tile.Rows), b: ck32("gemm cols", b.Tile.Cols), c: ck32("gemm inner dim", a.Tile.Cols),
-		d: ck32("gemm threads", max(threads, 0))})
+	m, n, k, t := a.Tile.Rows, b.Tile.Cols, a.Tile.Cols, max(threads, 0)
+	if uint(m|n|k|t) > math.MaxInt32 { // one test for the four ck32s
+		ck32("gemm rows", m)
+		ck32("gemm cols", n)
+		ck32("gemm inner dim", k)
+		ck32("gemm threads", t)
+	}
+	c.p.push(mkEvent(evGemm, 0, 0, int32(m), int32(n), int32(k), int32(t)))
 }
 
 // Broadcast algorithm codes: events carry a byte, not the schedule name.

@@ -2,6 +2,7 @@ package evsim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/simnet"
@@ -17,6 +18,7 @@ import (
 // Rank replay statuses.
 const (
 	rsQueued    uint8 = iota // in the runnable stack (or being advanced)
+	rsRecvReady              // queued, and its blocked receive's message has arrived
 	rsWaitEvent              // at the ring's tail: waiting for the producer
 	rsWaitSlot               // waiting for its own Split to name a communicator
 	rsWaitRecv               // blocked in SendRecv's receive half with no matching send yet
@@ -24,31 +26,21 @@ const (
 	rsDone                   // program fully replayed
 )
 
-// rankState is the consumer's view of one rank: its cursor in its class's
-// ring, its copy of its slot table, and the saved state of a blocking
-// call in progress.
-type rankState struct {
-	ring   *ring
-	pos    uint64 // next event of the class stream to replay
-	comms  []*commState
-	status uint8
-
-	// Blocked receive half of a SendRecv.
-	hasPending bool
-	pendingEv  event
-
-	// SendRecv state between its two halves: the caller's clock snapshot,
-	// the send direction's completion time, and (for the shift span) the
-	// send payload size.
-	srT0        float64
-	srSendEnd   float64
-	srSendElems int32
+// srState is a rank's SendRecv between its two halves: the caller's clock
+// snapshot, the send direction's completion time, (for the shift span)
+// the send payload size, and a blocked receive half.
+type srState struct {
+	t0        float64
+	sendEnd   float64
+	sendElems int32
+	id        int32 // the blocked receive's communicator
+	ev        event // the blocked receive
 }
 
-// msgKey identifies a point-to-point match: communicator identity, the
-// sender's comm rank, the tag, and the receiver's world rank.
+// msgKey identifies a point-to-point match: communicator id, the sender's
+// comm rank, the tag, and the receiver's world rank.
 type msgKey struct {
-	cs  *commState
+	id  int32
 	src int32
 	tag int32
 	dst int32
@@ -83,7 +75,7 @@ func (w *World) wakeRank(r int32) {
 // doorbell when every rank is blocked, until all programs are replayed or
 // the world aborts.
 func (w *World) consume() {
-	remaining := len(w.ranks)
+	remaining := len(w.status)
 	// Every rank starts queued; the first advance either consumes early
 	// events or files the rank as hungry.
 	w.runnable = make([]int32, remaining)
@@ -103,7 +95,7 @@ func (w *World) consume() {
 		}
 		r := w.runnable[n-1]
 		w.runnable = w.runnable[:n-1]
-		if w.advance(int(r)) {
+		if w.advance(r) {
 			remaining--
 		}
 	}
@@ -132,8 +124,8 @@ func (w *World) awaitWork() bool {
 		w.requeueWaiters(rg)
 	}
 	for _, r := range ranks {
-		if w.ranks[r].status == rsWaitSlot {
-			w.ranks[r].status = rsQueued
+		if w.status[r] == rsWaitSlot {
+			w.status[r] = rsQueued
 			w.runnable = append(w.runnable, r)
 		}
 	}
@@ -152,11 +144,10 @@ func (w *World) awaitWork() bool {
 	// rank still waiting for events (its ring has work or is drained and
 	// done); if none, the remaining ranks are blocked forever.
 	blocked := 0
-	for i := range w.ranks {
-		st := &w.ranks[i]
-		switch st.status {
+	for i, st := range w.status {
+		switch st {
 		case rsWaitEvent:
-			st.status = rsQueued
+			w.status[i] = rsQueued
 			w.runnable = append(w.runnable, int32(i))
 		case rsWaitSlot, rsWaitRecv, rsWaitColl:
 			blocked++
@@ -174,61 +165,94 @@ func (w *World) awaitWork() bool {
 // requeueWaiters makes runnable every member parked at a ring's tail.
 func (w *World) requeueWaiters(rg *ring) {
 	for _, r := range rg.waiters {
-		if w.ranks[r].status == rsWaitEvent {
-			w.ranks[r].status = rsQueued
+		if w.status[r] == rsWaitEvent {
+			w.status[r] = rsQueued
 			w.runnable = append(w.runnable, r)
 		}
 	}
 	rg.waiters = rg.waiters[:0]
 }
 
-// comm resolves a slot beyond the consumer's copy of rank r's slot table
-// by refreshing the copy. nil means the rank has not obtained that
-// communicator yet: the producer will ring the doorbell when it does.
-func (w *World) comm(r int, slot int32) *commState {
-	st := &w.ranks[r]
+// resolve refreshes rank r's column of its class's slot table from the
+// producer's table and returns the id of the communicator in slot, or -1
+// when the rank has not obtained it yet: the producer rings the doorbell
+// when it does.
+func (w *World) resolve(r, slot int32) int32 {
+	rg := w.rings[w.ringOf[r]]
+	stride, col := int(rg.members), int(w.col[r])
 	pr := w.prods[r]
+	id := int32(-1)
 	pr.mu.Lock()
-	st.comms = pr.comms
-	if int(slot) >= len(st.comms) {
+	if rows := len(rg.slots) / stride; rows < len(pr.comms) {
+		rg.slots = slices.Grow(rg.slots, (len(pr.comms)-rows)*stride)
+		for len(rg.slots) < len(pr.comms)*stride {
+			rg.slots = append(rg.slots, -1)
+		}
+	}
+	for s, cs := range pr.comms {
+		if cs == nil {
+			continue
+		}
+		rg.slots[s*stride+col] = cs.id
+		w.track(cs)
+		if s == int(slot) {
+			id = cs.id
+		}
+	}
+	if id < 0 {
 		pr.slotWait = true
-		pr.mu.Unlock()
-		return nil
 	}
 	pr.mu.Unlock()
-	return st.comms[slot]
+	return id
+}
+
+// track sizes the consumer's per-communicator arrays for cs and sets its
+// entries up on first sight.
+func (w *World) track(cs *commState) {
+	if n := int(cs.id) + 1; n > len(w.gath) {
+		w.commMu.Lock()
+		all := len(w.comms) // every communicator so far: grow once for all
+		w.commMu.Unlock()
+		w.gath = append(w.gath, make([]gather, all-len(w.gath))...)
+		w.members = append(w.members, make([][]int, all-len(w.members))...)
+	}
+	if g := &w.gath[cs.id]; g.size == 0 {
+		g.size = int32(len(cs.ranks))
+		w.members[cs.id] = cs.ranks
+	}
 }
 
 // advance resumes one rank's step function: it replays events from the
 // rank's cursor until the rank blocks, reaches the ring's tail, or
 // finishes. Returns true when the rank's program is fully replayed.
-func (w *World) advance(r int) bool {
-	st := &w.ranks[r]
-	if st.hasPending {
+func (w *World) advance(r int32) bool {
+	if w.status[r] == rsRecvReady {
 		// A blocked receive was resumed: its message is now queued.
-		if !w.trySRRecv(r, st.comms[st.pendingEv.slot], st.pendingEv) {
-			st.status = rsWaitRecv
+		sr := &w.sr[r]
+		if !w.trySRRecv(r, sr.id, &sr.ev) {
+			w.status[r] = rsWaitRecv
 			return false
 		}
-		st.hasPending = false
+		w.status[r] = rsQueued
 	}
-	ring := st.ring
+	ring := w.rings[w.ringOf[r]]
+	stride, col := int(ring.members), int(w.col[r])
 	for {
 		if w.aborted.Load() {
 			return false
 		}
-		h := st.pos
+		h := w.pos[r]
 		t := ring.tail.Load()
 		if h == t {
 			if ring.done.Load() {
 				if ring.tail.Load() != h {
 					continue // publish landed before the done flag
 				}
-				st.status = rsDone
+				w.status[r] = rsDone
 				return true
 			}
-			st.status = rsWaitEvent
-			ring.waiters = append(ring.waiters, int32(r))
+			w.status[r] = rsWaitEvent
+			ring.waiters = append(ring.waiters, r)
 			ring.hungry.Store(true)
 			if ring.tail.Load() != h || ring.done.Load() {
 				// The producer published (or exited) between our check and
@@ -247,73 +271,81 @@ func (w *World) advance(r int) bool {
 		buf := ring.buf
 		for ; h != t; h++ {
 			ev := &buf[h&ringMask]
-			var cs *commState
-			if ev.kind < evGemm {
-				// Communication: the slot names one of this rank's own
-				// communicators.
-				if int(ev.slot) < len(st.comms) {
-					cs = st.comms[ev.slot]
-				} else if cs = w.comm(r, ev.slot); cs == nil {
-					st.status = rsWaitSlot
-					st.moveTo(h)
+			if ev.kind() == evGemm {
+				// The local update, the most frequent event after
+				// collective arrivals. The expression mirrors VComm.Gemm's
+				// blas.FlopsGemm / machine.Speedup bit for bit, keeping
+				// engine parity.
+				threads := int(ev.d())
+				flops := 2 * float64(ev.a()) * float64(ev.b()) * float64(ev.c())
+				if threads > 1 { // Speedup is exactly 1 below: x/1 == x
+					flops /= machine.Speedup(threads)
+				}
+				pre := w.sim.Clocks()[r]
+				w.sim.ComputeRank(int(r), flops)
+				if w.rec != nil {
+					w.rec.RankThreads(int(r), trace.PhaseGemm, pre, w.sim.Clocks()[r]-pre, threads)
+				}
+				continue
+			}
+			// Communication: the slot names one of this rank's own
+			// communicators, looked up in its column of the class table.
+			id := int32(-1)
+			if i := int(ev.slot())*stride + col; i < len(ring.slots) {
+				id = ring.slots[i]
+			}
+			if id < 0 {
+				if id = w.resolve(r, ev.slot()); id < 0 {
+					w.status[r] = rsWaitSlot
+					w.moveTo(r, ring, h)
 					return false
 				}
 			}
-			switch ev.kind {
+			switch ev.kind() {
 			case evBcast:
-				if w.arrive(r, cs, ev) {
-					st.status = rsWaitColl
-					st.moveTo(h + 1)
+				if w.arrive(r, id, ev) {
+					w.status[r] = rsWaitColl
+					w.moveTo(r, ring, h+1)
 					return false
 				}
-			case evGemm:
-				// Inlined doGemm fast path: the local update is the
-				// second most frequent event after collective arrivals.
-				// The expression mirrors VComm.Gemm's blas.FlopsGemm bit
-				// for bit — Speedup(1) = 1 exactly — keeping engine parity.
-				threads := int(ev.d)
-				flops := 2 * float64(ev.a) * float64(ev.b) * float64(ev.c) / machine.Speedup(threads)
-				pre := w.sim.Clocks()[r]
-				w.sim.ComputeRank(r, flops)
-				if w.rec != nil {
-					w.rec.RankThreads(r, trace.PhaseGemm, pre, w.sim.Clocks()[r]-pre, threads)
-				}
 			case evSRSend:
-				w.doSRSend(r, cs, ev)
+				w.doSRSend(r, id, ev)
 			case evSRRecv:
-				if !w.trySRRecv(r, cs, *ev) {
-					st.pendingEv, st.hasPending = *ev, true
-					st.status = rsWaitRecv
-					st.moveTo(h + 1)
+				if !w.trySRRecv(r, id, ev) {
+					sr := &w.sr[r]
+					sr.id, sr.ev = id, *ev
+					w.status[r] = rsWaitRecv
+					w.moveTo(r, ring, h+1)
 					return false
 				}
 			}
 		}
-		st.moveTo(t)
+		w.moveTo(r, ring, t)
 	}
 }
 
-// moveTo advances the rank's cursor, handing back to the producer every
+// moveTo advances rank r's cursor, handing back to the producer every
 // chunk the class's slowest member has now passed.
-func (st *rankState) moveTo(pos uint64) {
-	old := st.pos
-	st.pos = pos
-	st.ring.pass(old, pos)
+func (w *World) moveTo(r int32, ring *ring, pos uint64) {
+	old := w.pos[r]
+	w.pos[r] = pos
+	ring.pass(old, pos)
 }
 
 // doSRSend replays the send half of a SendRecv: both directions share the
 // caller's clock snapshot, and the shift charges the communicator's full
 // flow count exactly like the goroutine engine.
-func (w *World) doSRSend(me int, cs *commState, ev *event) {
-	st := &w.ranks[me]
-	dstW := cs.ranks[ev.a]
+func (w *World) doSRSend(me, id int32, ev *event) {
+	sr := &w.sr[me]
+	ranks := w.members[id]
+	dstW := ranks[ev.a()]
 	t0 := w.sim.Clocks()[me]
-	st.srT0 = t0
-	st.srSendEnd = t0 + w.sim.TransferTime(me, dstW, int(ev.c), len(cs.ranks))
-	st.srSendElems = ev.c
+	sr.t0 = t0
+	sr.sendEnd = t0 + w.sim.TransferTime(int(me), dstW, int(ev.c()), len(ranks))
+	sr.sendElems = ev.c()
 	w.stats[me].SentMessages++
-	w.stats[me].SentBytes += int64(machine.BytesPerElement * int(ev.c))
-	w.deliver(msgKey{cs: cs, src: ev.d, tag: ev.b, dst: int32(dstW)}, vMsg{elems: ev.c, clock: t0})
+	w.stats[me].SentBytes += int64(machine.BytesPerElement * int(ev.c()))
+	w.deliver(msgKey{id: id, src: ev.d(), tag: ev.b(), dst: int32(dstW)}, vMsg{elems: ev.c(), clock: t0})
 }
 
 // deliver queues a message and resumes a receiver already blocked on its
@@ -322,17 +354,17 @@ func (w *World) deliver(k msgKey, m vMsg) {
 	w.pending[k] = append(w.pending[k], m)
 	if r, ok := w.waiting[k]; ok {
 		delete(w.waiting, k)
-		w.ranks[r].status = rsQueued
+		w.status[r] = rsRecvReady
 		w.runnable = append(w.runnable, r)
 	}
 }
 
 // take pops the FIFO-next matching message, or registers the receiver as
 // waiting.
-func (w *World) take(me int, k msgKey) (vMsg, bool) {
+func (w *World) take(me int32, k msgKey) (vMsg, bool) {
 	q := w.pending[k]
 	if len(q) == 0 {
-		w.waiting[k] = int32(me)
+		w.waiting[k] = me
 		return vMsg{}, false
 	}
 	m := q[0]
@@ -347,127 +379,115 @@ func (w *World) take(me int, k msgKey) (vMsg, bool) {
 // trySRRecv replays the receive half of a SendRecv: the call completes at
 // the slower of the two directions, both measured from the snapshot the
 // send half took.
-func (w *World) trySRRecv(me int, cs *commState, ev event) bool {
-	st := &w.ranks[me]
-	m, ok := w.take(me, msgKey{cs: cs, src: ev.a, tag: ev.b, dst: int32(me)})
+func (w *World) trySRRecv(me, id int32, ev *event) bool {
+	sr := &w.sr[me]
+	m, ok := w.take(me, msgKey{id: id, src: ev.a(), tag: ev.b(), dst: me})
 	if !ok {
 		return false
 	}
-	if m.elems != ev.c {
+	if m.elems != ev.c() {
 		w.abort(fmt.Errorf("evsim: sendrecv buffer %d elements but message has %d (src=%d tag=%d)",
-			ev.c, m.elems, ev.a, ev.b))
+			ev.c(), m.elems, ev.a(), ev.b()))
 		return true
 	}
-	recvEnd := st.srT0
+	ranks := w.members[id]
+	recvEnd := sr.t0
 	if m.clock > recvEnd {
 		recvEnd = m.clock
 	}
-	recvEnd += w.sim.TransferTime(cs.ranks[ev.a], me, int(m.elems), len(cs.ranks))
-	end := st.srSendEnd
+	recvEnd += w.sim.TransferTime(ranks[ev.a()], int(me), int(m.elems), len(ranks))
+	end := sr.sendEnd
 	if recvEnd > end {
 		end = recvEnd
 	}
-	w.sim.AdvanceComm(me, end)
+	w.sim.AdvanceComm(int(me), end)
 	if w.rec != nil {
-		w.rec.Rank(me, trace.PhaseShift, st.srT0, end-st.srT0,
-			int64(machine.BytesPerElement*int(st.srSendElems+m.elems)), 2)
+		w.rec.Rank(int(me), trace.PhaseShift, sr.t0, end-sr.t0,
+			int64(machine.BytesPerElement*int(sr.sendElems+m.elems)), 2)
 	}
 	return true
 }
 
-// gather coordinates one collective: arrivals are counted, members past
-// the first park, and the last arrival fires the schedule.
+// gather is one communicator's in-flight collective, the consumer state
+// every arrival touches: arrivals are counted, members before the last
+// park, and the last one fires the schedule and requeues the others. The
+// replay holds at most one per communicator — a member reaches collective
+// k+1 only after k has fired (its replay was parked on k), and the gather
+// is retired at fire time before any member resumes — so it lives in an
+// array indexed by communicator id: no map, no pointer, no allocation on
+// the hot path.
 type gather struct {
-	arrived int32
-	sig     collSig
-	parked  []int32
-}
-
-// collSig is what the members of a broadcast must agree on, and all that
-// its schedule and traffic depend on besides the communicator.
-type collSig struct {
-	alg   uint8
-	root  int32
-	elems int32
+	arrived int32 // members arrived; 0: none in flight
+	size    int32 // members; 0 until the consumer tracks the communicator
+	alg     uint8
+	// The first arrival's event words holding root, payload and op
+	// sequence: what every member must agree on besides the algorithm.
+	ab, cd uint64
 }
 
 // arrive records one collective arrival; when the last member arrives the
 // collective executes and every parked member is requeued. Returns true
 // when the caller must park.
-func (w *World) arrive(me int, cs *commState, ev *event) bool {
-	g := &cs.g
-	sig := collSig{alg: ev.alg, root: ev.a, elems: ev.c}
-	if !cs.gActive {
-		cs.gActive = true
-		cs.gSeq = ev.d
-		g.sig = sig
-	} else if cs.gSeq != ev.d || g.sig != sig {
+func (w *World) arrive(me, id int32, ev *event) bool {
+	g := &w.gath[id]
+	if g.arrived == 0 {
+		g.ab, g.cd, g.alg = ev.ab, ev.cd, ev.alg()
+	} else if g.ab != ev.ab || g.cd != ev.cd || g.alg != ev.alg() {
 		w.abort(fmt.Errorf("evsim: bcast mismatch on world rank %d: op %d (%s root=%d n=%d) vs live op %d (%s root=%d n=%d)",
-			me, ev.d, algName(ev.alg), ev.a, ev.c, cs.gSeq, algName(g.sig.alg), g.sig.root, g.sig.elems))
+			me, ev.d(), algName(ev.alg()), ev.a(), ev.c(), int32(g.cd>>32), algName(g.alg), int32(g.ab), int32(g.cd)))
 		return false
 	}
-	g.arrived++
-	if int(g.arrived) == len(cs.ranks) {
-		cs.gActive = false
-		g.arrived = 0
-		w.execColl(cs, g.sig)
-		for _, pr := range g.parked {
-			w.ranks[pr].status = rsQueued
-			w.runnable = append(w.runnable, pr)
+	if g.arrived++; g.arrived < g.size {
+		return true
+	}
+	g.arrived = 0
+	members := w.members[id]
+	w.execColl(id, ev.alg(), ev.a(), ev.c())
+	// Every member but the caller is parked here: requeue them.
+	for _, m := range members {
+		if q := int32(m); q != me {
+			w.status[q] = rsQueued
+			w.runnable = append(w.runnable, q)
 		}
-		g.parked = g.parked[:0]
-		return false
 	}
-	g.parked = append(g.parked, int32(me))
-	return true
+	return false
 }
 
 // --- Collective execution. ---
 
 // execColl fires a complete collective through the same Hockney cost code
-// as the goroutine engine: Sim.ExecOne over the communicator's members.
-func (w *World) execColl(cs *commState, sig collSig) {
-	if cs.lastSched == nil || cs.last != sig {
-		s, err := w.caches.Broadcast(algName(sig.alg), len(cs.ranks), int(sig.root))
-		if err != nil {
-			w.abort(fmt.Errorf("evsim: bcast: %v", err))
-			return
-		}
-		cs.last, cs.lastSched, cs.lastTraffic = sig, s, w.caches.Traffic(s, int(sig.elems))
+// as the goroutine engine: Sim.ExecOne over the communicator's members,
+// with the broadcast Sim.Compile keeps per (size, root, payload), and the
+// program's traffic added to the members' counters.
+func (w *World) execColl(id int32, alg uint8, root, elems int32) {
+	members := w.members[id]
+	pr, err := w.sim.Compile(algName(alg), len(members), int(root), int(elems))
+	if err != nil {
+		w.abort(fmt.Errorf("evsim: bcast: %v", err))
+		return
 	}
-	s, traffic := cs.lastSched, cs.lastTraffic
-	elems := int(sig.elems)
-	var pre []float64
-	if w.rec != nil {
-		clocks := w.sim.Clocks()
-		pre = make([]float64, len(cs.ranks))
-		for i, m := range cs.ranks {
-			pre[i] = clocks[m]
-		}
-	}
-	w.sim.ExecOne(simnet.Collective{Sched: s, Members: cs.ranks, PayloadBytes: float64(elems)})
-	w.applyTraffic(traffic, cs.ranks)
-	w.emitCollSpans(traffic, elems, cs.ranks, pre)
-}
-
-// applyTraffic adds the collective's cached per-role traffic deltas to
-// the members — the same cache, and the same integer byte split, as the
-// goroutine engine.
-func (w *World) applyTraffic(traffic []simnet.VRankStats, members []int) {
-	for i, d := range traffic {
+	for i, d := range pr.Traffic {
 		st := &w.stats[members[i]]
 		st.SentMessages += d.SentMessages
 		st.SentBytes += d.SentBytes
 	}
+	if w.rec == nil {
+		w.sim.ExecOne(pr, members)
+		return
+	}
+	clocks := w.sim.Clocks()
+	pre := w.pre[:0]
+	for _, m := range members {
+		pre = append(pre, clocks[m])
+	}
+	w.pre = pre
+	w.sim.ExecOne(pr, members)
+	w.emitCollSpans(pr.Traffic, int(elems), members, pre)
 }
 
 // emitCollSpans records one broadcast span per member after a collective
-// has advanced the clocks: from pre[i] to the member's final clock. No-op
-// when tracing is off.
+// has advanced the clocks: from pre[i] to the member's final clock.
 func (w *World) emitCollSpans(traffic []simnet.VRankStats, elems int, members []int, pre []float64) {
-	if w.rec == nil {
-		return
-	}
 	clocks := w.sim.Clocks()
 	for i, d := range traffic {
 		m := members[i]

@@ -17,9 +17,16 @@ var histBounds = []float64{
 }
 
 // batchBounds are the upper bounds of the batch-size histogram: batch sizes
-// are small integers, so each power of two up to maxBatch and a
-// little headroom gets its own bucket.
-var batchBounds = []float64{1, 2, 4, 8, 16, 32}
+// are small integers no larger than maxBatch, so each power of two up to
+// it gets its own bucket and none lies above it — such a bucket could
+// never count anything the one at maxBatch does not.
+var batchBounds = func() []float64 {
+	var b []float64
+	for n := 1; n <= maxBatch; n *= 2 {
+		b = append(b, float64(n))
+	}
+	return b
+}()
 
 // histogram is one Prometheus-style cumulative histogram (counts per
 // upper-bound bucket, plus +Inf, sum and count). Hand-rolled: the repo is

@@ -178,6 +178,22 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestBatchBoundsEndAtMaxBatch: the batch-size buckets are the powers of
+// two up to the batch cap, so no series sits above the largest batch a
+// session can run (it would always read the same as the cap's bucket).
+func TestBatchBoundsEndAtMaxBatch(t *testing.T) {
+	want := 1.0
+	for _, b := range batchBounds {
+		if b != want {
+			t.Fatalf("batch bounds %v: want the powers of two up to %d", batchBounds, maxBatch)
+		}
+		want *= 2
+	}
+	if last := batchBounds[len(batchBounds)-1]; last != maxBatch {
+		t.Fatalf("batch bounds %v end at %g, want the batch cap %d", batchBounds, last, maxBatch)
+	}
+}
+
 // TestRetiredKeysFoldIntoOther is the cardinality bound on the per-spec-key
 // series: 40 distinct shapes through a scheduler whose pool holds
 // maxSessions sessions leave at most live + 1 key values in every

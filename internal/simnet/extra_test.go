@@ -10,10 +10,10 @@ import (
 func TestLinkCostScalesBandwidthOnly(t *testing.T) {
 	sc, _ := sched.NewBroadcast(sched.Binomial, 2, 0)
 	free := New(2, testModel)
-	free.ExecOne(Collective{Sched: sc, Members: []int{0, 1}, PayloadBytes: 1e6})
+	free.ExecOne(free.compile(sc, 1e6), []int{0, 1})
 	far := New(2, testModel)
 	far.SetLinkCost(func(a, b int) float64 { return 5 })
-	far.ExecOne(Collective{Sched: sc, Members: []int{0, 1}, PayloadBytes: 1e6})
+	far.ExecOne(far.compile(sc, 1e6), []int{0, 1})
 	wantDelta := 4 * 1e6 * testModel.Beta
 	if got := far.MaxClock() - free.MaxClock(); math.Abs(got-wantDelta) > 1e-12 {
 		t.Fatalf("link-cost delta %g, want %g", got, wantDelta)
@@ -28,7 +28,7 @@ func TestLinkCostDisablesRingFastPath(t *testing.T) {
 	sc, _ := sched.NewBroadcast(sched.VanDeGeijn, p, 0)
 	uniform := New(p, testModel)
 	uniform.SetLinkCost(func(a, b int) float64 { return 1 })
-	uniform.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 8e5})
+	uniform.ExecOne(uniform.compile(sc, 8e5), identity(p))
 	skewed := New(p, testModel)
 	skewed.SetLinkCost(func(a, b int) float64 {
 		if a == 3 || b == 3 {
@@ -36,7 +36,7 @@ func TestLinkCostDisablesRingFastPath(t *testing.T) {
 		}
 		return 1
 	})
-	skewed.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 8e5})
+	skewed.ExecOne(skewed.compile(sc, 8e5), identity(p))
 	if skewed.MaxClock() <= uniform.MaxClock() {
 		t.Fatal("slow edge did not slow the broadcast")
 	}
@@ -47,7 +47,7 @@ func TestSetLinkCostNilRestoresUniform(t *testing.T) {
 	sim.SetLinkCost(func(a, b int) float64 { return 100 })
 	sim.SetLinkCost(nil)
 	sc, _ := sched.NewBroadcast(sched.Binomial, 2, 0)
-	sim.ExecOne(Collective{Sched: sc, Members: []int{0, 1}, PayloadBytes: 1e6})
+	sim.ExecOne(sim.compile(sc, 1e6), []int{0, 1})
 	want := testModel.PointToPoint(1e6)
 	if math.Abs(sim.MaxClock()-want) > 1e-15 {
 		t.Fatal("nil link cost should restore uniform links")
@@ -59,7 +59,7 @@ func TestEmptyPhaseNoOp(t *testing.T) {
 	sim := New(4, testModel)
 	sim.ComputeRank(2, 1e9)
 	sc, _ := sched.NewBroadcast(sched.VanDeGeijn, 1, 0)
-	sim.ExecOne(Collective{Sched: sc, Members: []int{2}, PayloadBytes: 1e6})
+	sim.ExecOne(sim.compile(sc, 1e6), []int{2})
 	if sim.Clock(2) != testModel.Compute(1e9) || sim.CommTime(2) != 0 || sim.MaxClock() != sim.Clock(2) {
 		t.Fatal("one-member collective advanced clocks")
 	}

@@ -19,15 +19,20 @@
 //   - per-rank communication-time accounting, mirroring how the paper
 //     reports "communication time" separately from execution time.
 //
-// The O(p²)-transfer ring suffix of the Van de Geijn broadcast is advanced
-// with an exact O(p) recurrence (see execRingTail) instead of transfer by
-// transfer; TestRingFastPathEquivalence proves the equivalence against the
-// event-level executor.
+// A collective fires as a Program (Sim.Compile): its schedule compiled for
+// one payload on this simulator — each transfer's ranks and duration, each
+// round's extent — kept in a table indexed by algorithm, size and root.
+// Rounds that touch each rank at most once (the binomial tree, the Van de
+// Geijn scatter) advance clocks in place. The O(p²)-transfer ring suffix
+// of the Van de Geijn broadcast is advanced with an exact O(p) recurrence
+// (see execRingTail) instead of transfer by transfer;
+// TestRingFastPathEquivalence proves the equivalence against the
+// event-level executor, and TestCompiledExecOneBitIdentical holds the
+// compiled path to the transfer-by-transfer one bit for bit.
 package simnet
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/sched"
@@ -111,6 +116,7 @@ type Sim struct {
 	linkCost   LinkCostFunc
 	clocks     []float64
 	comm       []float64
+	progs      programs
 }
 
 // New returns a simulator for p ranks under the given model, with no
@@ -119,12 +125,15 @@ func New(p int, m machine.Model) *Sim {
 	if p <= 0 {
 		panic(fmt.Sprintf("simnet: invalid rank count %d", p))
 	}
-	return &Sim{
+	s := &Sim{
 		model:      m,
 		contention: NoContention,
 		clocks:     make([]float64, p),
 		comm:       make([]float64, p),
 	}
+	s.progs.algs = sched.Algorithms()
+	s.progs.reset()
+	return s
 }
 
 // SetContention installs a link-sharing model; nil restores NoContention.
@@ -133,6 +142,7 @@ func (s *Sim) SetContention(f ContentionFunc) {
 		f = NoContention
 	}
 	s.contention = f
+	s.progs.reset()
 }
 
 // SetLinkCost installs a per-transfer bandwidth multiplier (nil = uniform
@@ -213,97 +223,3 @@ func (s *Sim) AdvanceComm(rank int, end float64) {
 // compute paths). The caller owns synchronisation; everyone else should
 // use Clock.
 func (s *Sim) Clocks() []float64 { return s.clocks }
-
-// Collective is one schedule instance bound to a member list: Members[i] is
-// the simulator rank acting as schedule rank i. PayloadBytes is the full
-// broadcast payload.
-type Collective struct {
-	Sched        *sched.Schedule
-	Members      []int
-	PayloadBytes float64
-}
-
-// ExecOne advances the members' clocks through one collective's schedule,
-// round by round; the contention model sees the round's own transfer
-// count. Under uniform links the Van de Geijn ring suffix is advanced by
-// the O(p) recurrence of execRingTail instead of transfer by transfer.
-// This is the one entry point both virtual engines fire a broadcast
-// through.
-func (s *Sim) ExecOne(c Collective) {
-	if len(c.Members) != c.Sched.NumRanks {
-		panic(fmt.Sprintf("simnet: %d members for %d-rank schedule", len(c.Members), c.Sched.NumRanks))
-	}
-	updates := updatePool.Get().(*[]update)
-	defer func() {
-		*updates = (*updates)[:0]
-		updatePool.Put(updates)
-	}()
-	for round, r := range c.Sched.Rounds {
-		// The recurrence assumes uniform per-hop times, so a non-uniform
-		// link model stays on exact transfer-by-transfer execution.
-		if round == c.Sched.RingStart && s.linkCost == nil {
-			s.execRingTail(c)
-			return
-		}
-		factor := s.contention(len(r.Transfers))
-		*updates = (*updates)[:0]
-		for _, t := range r.Transfers {
-			src, dst := c.Members[t.Src], c.Members[t.Dst]
-			eff := s.model
-			eff.Beta *= factor * s.linkFactor(src, dst)
-			start := s.clocks[src]
-			if s.clocks[dst] > start {
-				start = s.clocks[dst]
-			}
-			end := start + eff.PointToPoint(c.Sched.SegBytes(t, c.PayloadBytes))
-			*updates = append(*updates, update{src, end}, update{dst, end})
-		}
-		for _, u := range *updates {
-			if u.end > s.clocks[u.rank] {
-				s.comm[u.rank] += u.end - s.clocks[u.rank]
-				s.clocks[u.rank] = u.end
-			}
-		}
-	}
-}
-
-// update is one endpoint clock advance of a simulation round; the scratch
-// slices holding them are pooled because ExecOne runs once per
-// collective — millions of times in a full-scale simulation — and the
-// per-call allocation is measurable GC pressure (tracked by
-// BenchmarkFullScaleBGPSim's allocs/op).
-type update struct {
-	rank int
-	end  float64
-}
-
-var updatePool = sync.Pool{New: func() any { s := make([]update, 0, 64); return &s }}
-
-// execRingTail advances a collective through its ring-allgather suffix in
-// closed form. Derivation: with full-duplex rounds of uniform per-hop time
-// T, a rank's clock obeys c_i(r) = max(c_{i−1}, c_i, c_{i+1})(r−1) + T (it
-// finishes its receive from i−1 and its send to i+1), which unrolls to
-// c_i(r) = max_{|k|≤r} c_{i+k}(0) + r·T. After RingRounds = p−1 rounds the
-// window covers the whole ring, so every member ends at
-// max(initial clocks) + (p−1)·T exactly. Every member moves at once, so
-// the contention model sees p flows.
-func (s *Sim) execRingTail(c Collective) {
-	p := len(c.Members)
-	if p == 1 {
-		return
-	}
-	eff := s.model
-	eff.Beta *= s.contention(p)
-	perHop := eff.PointToPoint(c.PayloadBytes / float64(c.Sched.Segments))
-	maxClock := 0.0
-	for _, m := range c.Members {
-		if s.clocks[m] > maxClock {
-			maxClock = s.clocks[m]
-		}
-	}
-	final := maxClock + float64(c.Sched.RingRounds)*perHop
-	for _, m := range c.Members {
-		s.comm[m] += final - s.clocks[m]
-		s.clocks[m] = final
-	}
-}

@@ -20,7 +20,7 @@ func TestSingleCollectiveMatchesSchedCost(t *testing.T) {
 			}
 			sim := New(p, testModel)
 			members := identity(p)
-			sim.ExecOne(Collective{Sched: sc, Members: members, PayloadBytes: 1e6})
+			sim.ExecOne(sim.compile(sc, 1e6), members)
 			want := sc.Cost(1e6, testModel)
 			if got := sim.MaxClock(); math.Abs(got-want) > 1e-15+1e-12*want {
 				t.Fatalf("%s p=%d: sim %g, sched.Cost %g", alg, p, got, want)
@@ -53,7 +53,7 @@ func TestRingFastPathEquivalence(t *testing.T) {
 		// Fast path via the simulator.
 		sim := New(p, testModel)
 		copy(sim.clocks, init)
-		sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: payload})
+		sim.ExecOne(sim.compile(sc, payload), identity(p))
 		for i := range ref {
 			if math.Abs(ref[i]-sim.clocks[i]) > 1e-12*(1+ref[i]) {
 				t.Logf("p=%d rank %d: ref %.15g fast %.15g", p, i, ref[i], sim.clocks[i])
@@ -73,8 +73,8 @@ func TestDisjointCollectivesRunConcurrently(t *testing.T) {
 	p := 8
 	sc, _ := sched.NewBroadcast(sched.Binomial, 4, 0)
 	sim := New(p, testModel)
-	sim.ExecOne(Collective{Sched: sc, Members: []int{0, 1, 2, 3}, PayloadBytes: 1e6})
-	sim.ExecOne(Collective{Sched: sc, Members: []int{4, 5, 6, 7}, PayloadBytes: 1e6})
+	sim.ExecOne(sim.compile(sc, 1e6), []int{0, 1, 2, 3})
+	sim.ExecOne(sim.compile(sc, 1e6), []int{4, 5, 6, 7})
 	want := sc.Cost(1e6, testModel)
 	if got := sim.MaxClock(); math.Abs(got-want) > 1e-12*want {
 		t.Fatalf("concurrent phases: %g, want %g", got, want)
@@ -86,8 +86,8 @@ func TestSequentialPhasesAccumulate(t *testing.T) {
 	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	sim := New(p, testModel)
 	one := sc.Cost(1e6, testModel)
-	sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 1e6})
-	sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 1e6})
+	sim.ExecOne(sim.compile(sc, 1e6), identity(p))
+	sim.ExecOne(sim.compile(sc, 1e6), identity(p))
 	if got := sim.MaxClock(); math.Abs(got-2*one) > 1e-12 {
 		t.Fatalf("two phases: %g, want %g", got, 2*one)
 	}
@@ -97,7 +97,7 @@ func TestComputeSeparatedFromComm(t *testing.T) {
 	p := 4
 	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	sim := New(p, testModel)
-	sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 8e5})
+	sim.ExecOne(sim.compile(sc, 8e5), identity(p))
 	commOnly := sim.MaxCommTime()
 	for r := 0; r < p; r++ {
 		sim.ComputeRank(r, 1e9) // 0.1s at γ=1e-10
@@ -118,7 +118,7 @@ func TestCommTimeIncludesWaiting(t *testing.T) {
 	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	sim := New(p, testModel)
 	sim.ComputeRank(1, 1e9) // rank 1 busy until 0.1
-	sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 0})
+	sim.ExecOne(sim.compile(sc, 0), identity(p))
 	hop := testModel.Alpha
 	if got := sim.CommTime(0); math.Abs(got-(0.1+hop)) > 1e-9 {
 		t.Fatalf("root comm time %g, want %g (wait + hop)", got, 0.1+hop)
@@ -132,10 +132,10 @@ func TestContentionScalesBandwidthOnly(t *testing.T) {
 	p := 2
 	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	free := New(p, testModel)
-	free.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 1e6})
+	free.ExecOne(free.compile(sc, 1e6), identity(p))
 	congested := New(p, testModel)
 	congested.SetContention(func(int) float64 { return 10 })
-	congested.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: 1e6})
+	congested.ExecOne(congested.compile(sc, 1e6), identity(p))
 	wantDelta := 9 * 1e6 * testModel.Beta // only the mβ term scales
 	if got := congested.MaxClock() - free.MaxClock(); math.Abs(got-wantDelta) > 1e-12 {
 		t.Fatalf("contention delta %g, want %g", got, wantDelta)
@@ -148,7 +148,7 @@ func TestSharedSegmentCountsFlows(t *testing.T) {
 	sc, _ := sched.NewBroadcast(sched.Binomial, 4, 0)
 	sim := New(4, testModel)
 	sim.SetContention(SharedSegment)
-	sim.ExecOne(Collective{Sched: sc, Members: identity(4), PayloadBytes: 1e6})
+	sim.ExecOne(sim.compile(sc, 1e6), identity(4))
 	want := testModel.Alpha + 1e6*testModel.Beta + testModel.Alpha + 1e6*testModel.Beta*2
 	if got := sim.MaxClock(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("shared segment: %g, want %g", got, want)
@@ -193,9 +193,9 @@ func TestMemberMappingPermutes(t *testing.T) {
 	p := 5
 	sc, _ := sched.NewBroadcast(sched.Binomial, p, 0)
 	simA := New(p, testModel)
-	simA.ExecOne(Collective{Sched: sc, Members: []int{0, 1, 2, 3, 4}, PayloadBytes: 1e5})
+	simA.ExecOne(simA.compile(sc, 1e5), []int{0, 1, 2, 3, 4})
 	simB := New(p, testModel)
-	simB.ExecOne(Collective{Sched: sc, Members: []int{4, 3, 2, 1, 0}, PayloadBytes: 1e5})
+	simB.ExecOne(simB.compile(sc, 1e5), []int{4, 3, 2, 1, 0})
 	if math.Abs(simA.MaxClock()-simB.MaxClock()) > 1e-15 {
 		t.Fatal("member permutation changed the cost")
 	}
@@ -212,7 +212,7 @@ func TestWrongMemberCountPanics(t *testing.T) {
 			t.Fatal("no panic on member/schedule mismatch")
 		}
 	}()
-	sim.ExecOne(Collective{Sched: sc, Members: []int{0, 1}, PayloadBytes: 1})
+	sim.ExecOne(sim.compile(sc, 1), []int{0, 1})
 }
 
 func TestNewPanicsOnBadSize(t *testing.T) {
@@ -242,7 +242,7 @@ func TestQuickMonotonicity(t *testing.T) {
 				t.Fatal(err)
 			}
 			sim := New(p, testModel)
-			sim.ExecOne(Collective{Sched: sc, Members: identity(p), PayloadBytes: m})
+			sim.ExecOne(sim.compile(sc, m), identity(p))
 			return sim.MaxClock()
 		}
 		return cost(pa, ma) <= cost(pb, mb)+1e-15

@@ -91,10 +91,6 @@ type VWorld struct {
 	sim *Sim
 	cfg VConfig
 
-	// caches memoise schedules and traffic deltas — the only state shared
-	// across communicator shards on the hot path (internally read-locked).
-	caches *SchedCache
-
 	// shardsMu guards the shard registry (needed only by abort).
 	shardsMu sync.Mutex
 	shards   []*vShard
@@ -152,7 +148,6 @@ func NewVWorld(p int, cfg VConfig) *VWorld {
 	w := &VWorld{
 		sim:       sim,
 		cfg:       cfg,
-		caches:    NewSchedCache(),
 		stats:     make([]VRankStats, p),
 		mailboxes: make([]*vMailbox, p),
 	}
@@ -253,12 +248,14 @@ func (w *VWorld) Total() float64 { return w.sim.MaxClock() }
 // the quantity the paper plots as "communication time".
 func (w *VWorld) MaxCommTime() float64 { return w.sim.MaxCommTime() }
 
-func (w *VWorld) schedule(alg sched.Algorithm, p, root int) *sched.Schedule {
-	s, err := w.caches.Broadcast(alg, p, root)
+// program returns the compiled broadcast — the only state shared across
+// communicator shards on the hot path (Sim.Compile read-locks it).
+func (w *VWorld) program(alg sched.Algorithm, p, root, elems int) *Program {
+	pr, err := w.sim.Compile(alg, p, root, elems)
 	if err != nil {
 		panic(fmt.Sprintf("simnet: bcast: %v", err))
 	}
-	return s
+	return pr
 }
 
 // vMessage is one in-flight virtual payload: no data, only its size and the
@@ -432,7 +429,7 @@ func (c *VComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel) {
 	}
 	cg.arrived++
 	if cg.arrived == p {
-		s := w.schedule(alg, p, root)
+		pr := w.program(alg, p, root, elems)
 		// The executing member owns every member's clock here (they are
 		// parked on this shard's condition variable), so it may snapshot
 		// pre-clocks and emit the members' broadcast spans.
@@ -443,8 +440,8 @@ func (c *VComm) Bcast(alg sched.Algorithm, root int, panel *comm.Panel) {
 				pre[i] = w.sim.clocks[m]
 			}
 		}
-		w.sim.ExecOne(Collective{Sched: s, Members: c.ranks, PayloadBytes: float64(elems)})
-		for i, d := range w.caches.Traffic(s, elems) {
+		w.sim.ExecOne(pr, c.ranks)
+		for i, d := range pr.Traffic {
 			st := &w.stats[c.ranks[i]]
 			st.SentMessages += d.SentMessages
 			st.SentBytes += d.SentBytes
