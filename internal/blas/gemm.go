@@ -15,6 +15,13 @@
 // same micro-kernel into a zeroed stack tile and add its valid part into C,
 // so a product's bits depend only on (i, j, k) — never on the element's
 // position in a register tile, a row band or a batched multi-RHS operand.
+//
+// CPUID picks the kernel once per process: a portable Go 6×8 kernel, the
+// AVX2+FMA 6×8 assembly kernel, and on AVX-512 hosts a 6×16 zmm kernel
+// that takes the full tiles over each pair of adjacent B strips while the
+// AVX2 kernel keeps the rest. The two assembly kernels run the same FMA
+// chain per element, so their products are bit-identical; the packed
+// layout and block sizes are the same under all three.
 package blas
 
 import (
@@ -34,7 +41,7 @@ import (
 // speed, never results; kc sets where each element's chain restarts.
 const (
 	mr = 6 // micro-tile rows of C per kernel invocation
-	nr = 8 // micro-tile cols of C per kernel invocation (two ymm registers)
+	nr = 8 // micro-tile cols of C per B strip (two ymm registers; the AVX-512 tile spans two strips)
 
 	mcBlock = 144  // A panel rows resident in L2 while B micropanels stream; a multiple of mr
 	kcBlock = 256  // contraction depth packed per panel pair
@@ -272,17 +279,26 @@ func gemmLoop(c *matrix.Dense, i0, i1, kdim int, a, b operand) {
 
 // macro adds the product of a packed rows×kc A block and a packed kc×cols
 // B block into the rows×cols corner of C at ct (row stride ldc). For each
-// B strip the column kernel runs down every full tile; a tile in the
+// B strip the column kernel runs down every full tile — on AVX-512 hosts
+// the wide kernel takes the full strips two at a time — and a tile in the
 // ragged last rows or columns takes the edge path.
 func macro(ct []float64, ldc, rows, cols, kc int, a, b block) {
 	full := rows / mr
+	paired := 0 // columns the wide kernel covers, strip pairs from the left
+	if useAVX512Kernel && full > 0 {
+		paired = cols / (2 * nr) * (2 * nr)
+	}
 	for jr := 0; jr < cols; jr += nr {
 		bs, ncols := b.tail, cols-jr
 		if ncols >= nr {
 			bs, ncols = b.data[jr/nr*b.stride:], nr
 		}
 		cj := ct[jr:]
-		if ncols == nr && full > 0 {
+		if jr < paired {
+			if jr%(2*nr) == 0 {
+				wideKernel(kc, a.data, bs, cj, ldc, full, a.stride, b.stride)
+			}
+		} else if ncols == nr && full > 0 {
 			microKernel(kc, a.data, bs, cj, ldc, full, a.stride)
 		} else {
 			for q := 0; q < full; q++ {
@@ -323,6 +339,17 @@ func microKernel(kc int, ap, bp, ct []float64, ldc, tiles, apStride int) {
 		return
 	}
 	kernelGo(kc, ap, bp, ct, ldc, tiles, apStride)
+}
+
+// wideKernel adds tiles stacked 6×16 products into C, as microKernel does
+// 6×8 ones: the B strip bp and the one bStride elements after it are the
+// tile's two halves. Each C element keeps the chain it has under
+// kernelFMA, so the two kernels' products are bit-identical.
+func wideKernel(kc int, ap, bp, ct []float64, ldc, tiles, apStride, bStride int) {
+	_ = ap[(tiles-1)*apStride+kc*mr-1]
+	_ = bp[bStride+kc*nr-1]
+	_ = ct[(tiles*mr-1)*ldc+2*nr-1]
+	kernelFMA512(kc, &ap[0], &bp[0], &ct[0], ldc, tiles, apStride, bStride)
 }
 
 // kernelGo is the portable micro-kernel. It walks each mr×nr tile in 2×4
@@ -440,8 +467,11 @@ func FlopsGemm(m, n, k int) float64 {
 	return 2 * float64(m) * float64(n) * float64(k)
 }
 
-// HasFMAKernel reports whether the AVX2+FMA assembly microkernel is active
-// on this host (amd64 with AVX2, FMA and OS-enabled YMM state); otherwise
-// the portable register-tiled Go kernel runs. Exposed for benchmarks and
-// diagnostics — both paths satisfy the same accuracy contract.
+// HasFMAKernel reports whether the assembly microkernels are active on
+// this host (amd64 with AVX2, FMA and OS-enabled YMM state): the AVX2+FMA
+// 6×8 kernel, plus — where CPUID also reports AVX512F and the OS saves zmm
+// state — the 6×16 zmm kernel on full tiles over strip pairs, whose bits
+// are the AVX2 kernel's. Otherwise the portable register-tiled Go kernel
+// runs. Exposed for benchmarks and diagnostics — every path satisfies the
+// same accuracy contract.
 func HasFMAKernel() bool { return useFMAKernel }

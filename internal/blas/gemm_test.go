@@ -196,7 +196,10 @@ func BenchmarkGemm256(b *testing.B) {
 // BenchmarkGemmPanel times a rank's per-step local multiply as the live
 // transport runs it — GemmPanels on panels packed once, outside the loop —
 // at the two live workloads' shapes, and reports the kernel's rate in
-// GFLOP/s (BenchmarkKernelPeak is the denominator):
+// GFLOP/s. Both shapes have an even number of 8-wide strips, so on an
+// AVX-512 host every full 6-row tile runs the 6×16 kernel (the last 4 and
+// 2 rows take the AVX2 edge path) and BenchmarkKernelPeak/avx512 is the
+// denominator; elsewhere it is BenchmarkKernelPeak/fma:
 //
 //   - live_compute, SUMMA 1×2 at n=1024, b=256: C 1024×512 view += A
 //     1024×256 · B 256×512;
@@ -226,23 +229,42 @@ func BenchmarkGemmPanel(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelPeak is the roofline probe: the micro-kernel's 6×8 chain
-// with its operands resident in L1 (a kc=256 micro-panel and strip, 28 KB)
-// and its accumulators in registers, run down a column of tiles that all
-// reuse them. It reports GFLOP/s, the rate no packed GEMM on this host can
-// beat.
+// BenchmarkKernelPeak is the roofline probe, one sub-benchmark per
+// assembly kernel the host runs: fma, the 6×8 AVX2 chain, and avx512, the
+// 6×16 zmm one. Each runs its kernel down a column of tiles that all reuse
+// one micro-panel and its B strips — L1-resident operands and
+// accumulators in registers — and reports GFLOP/s, the rate no packed
+// GEMM on that kernel can beat. The depth is kc/2 so that the operands
+// (14 KB for fma, 22 KB for avx512) sit well inside L1d: at kc=256 the
+// avx512 probe's 44 KB nearly fill a 48 KB L1d and read about 15 % lower
+// than at 128 or 64. A host without a kernel skips its sub-benchmark.
 func BenchmarkKernelPeak(b *testing.B) {
-	const kc, tiles = 256, 16
+	const kc, tiles = kcBlock / 2, 16
 	ap := make([]float64, kc*mr)
-	bp := make([]float64, kc*nr)
+	bp := make([]float64, 2*kc*nr)
 	copy(ap, matrix.Random(1, kc*mr, 1).Data)
-	copy(bp, matrix.Random(1, kc*nr, 2).Data)
-	c := make([]float64, tiles*mr*nr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		microKernel(kc, ap, bp, c, nr, tiles, 0)
+	copy(bp, matrix.Random(1, 2*kc*nr, 2).Data)
+	for _, k := range []struct {
+		name string
+		on   bool
+		cols int
+		run  func(c []float64)
+	}{
+		{"fma", useFMAKernel, nr, func(c []float64) { microKernel(kc, ap, bp, c, nr, tiles, 0) }},
+		{"avx512", useAVX512Kernel, 2 * nr, func(c []float64) { wideKernel(kc, ap, bp, c, 2*nr, tiles, 0, kc*nr) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			if !k.on {
+				b.Skip("host has no " + k.name + " kernel")
+			}
+			c := make([]float64, tiles*mr*k.cols)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.run(c)
+			}
+			b.ReportMetric(FlopsGemm(tiles*mr, k.cols, kc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
-	b.ReportMetric(FlopsGemm(tiles*mr, nr, kc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 func BenchmarkParallelGemm256(b *testing.B) {
@@ -423,21 +445,63 @@ func testGemmPanelsMatchGemm(t *testing.T) {
 }
 
 // forEachKernel runs f as a subtest once per micro-kernel this host can
-// execute — the portable one always, the assembly one where the CPU has
-// it — and restores the host's choice afterwards.
+// execute — the portable one always, the AVX2 one and the AVX-512 one
+// where the CPU has them — and restores the host's choice afterwards.
 func forEachKernel(t *testing.T, f func(*testing.T)) {
-	host := useFMAKernel
-	defer func() { useFMAKernel = host }()
-	for _, fma := range []bool{false, true} {
-		if fma && !host {
+	fma, avx512 := useFMAKernel, useAVX512Kernel
+	defer func() { useFMAKernel, useAVX512Kernel = fma, avx512 }()
+	for _, k := range []struct {
+		name        string
+		fma, avx512 bool
+	}{{"portable", false, false}, {"fma", true, false}, {"avx512", true, true}} {
+		if k.fma && !fma || k.avx512 && !avx512 {
 			continue
 		}
-		useFMAKernel = fma
-		name := "portable"
-		if fma {
-			name = "fma"
+		useFMAKernel, useAVX512Kernel = k.fma, k.avx512
+		t.Run(k.name, f)
+	}
+}
+
+// The AVX-512 kernel's product equals the AVX2 kernel's bit for bit: each
+// C element runs the same FMA chain in a zmm lane as in a ymm lane. The
+// shapes cover strip pairs, an odd last full strip, ragged rows and
+// columns, a C view with ldc > cols (the matrix around it is compared too)
+// and depths around the unroll and kc boundaries, through Gemm and through
+// GemmPanels serial and banded.
+func TestAVX512KernelMatchesAVX2(t *testing.T) {
+	if !useAVX512Kernel {
+		t.Skip("host has no AVX-512 kernel")
+	}
+	defer func() { useAVX512Kernel = true }()
+	// m: one tile, full tiles plus ragged rows, two mc blocks plus ragged
+	// rows (three bands at threads=3). n: one strip pair, pairs plus an odd
+	// strip, pairs plus a ragged strip, an odd strip plus a ragged one.
+	for _, m := range []int{6, 13, 2*mcBlock + 7} {
+		for _, n := range []int{16, 40, 37, 13} {
+			for _, k := range []int{1, 3, 4, 5, 255, 256, 257} {
+				a := matrix.Random(m, k, uint64(m*k))
+				b := matrix.Random(k, n, uint64(n*k))
+				ap, bp := make([]float64, m*k), make([]float64, k*n)
+				PackLHS(ap, a)
+				PackRHS(bp, b)
+				run := func(avx512 bool, threads int) *matrix.Dense {
+					useAVX512Kernel = avx512
+					whole := matrix.Random(m, n+5, 7)
+					if c := whole.View(0, 3, m, n); threads == 0 {
+						Gemm(c, a, b)
+					} else {
+						GemmPanels(c, ap, bp, k, threads)
+					}
+					return whole
+				}
+				for _, threads := range []int{0, 1, 3} {
+					if got, want := run(true, threads), run(false, threads); !matrix.Equal(got, want) {
+						t.Fatalf("m=%d n=%d k=%d threads=%d: AVX-512 product differs from AVX2 in %g",
+							m, n, k, threads, matrix.MaxAbsDiff(got, want))
+					}
+				}
+			}
 		}
-		t.Run(name, f)
 	}
 }
 

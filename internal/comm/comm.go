@@ -161,9 +161,12 @@ type Comm interface {
 	// NewTile allocates a zeroed rows×cols local matrix that never
 	// travels (accumulators, scratch).
 	NewTile(rows, cols int) *matrix.Dense
-	// Pack fills the panel from a tile (or view) of the same shape, in
-	// the layout of the panel's role.
-	Pack(dst *Panel, src *matrix.Dense)
+	// Pack fills the panel, in the layout of its role, from the window of
+	// src that has the panel's shape and its top-left element at (i, j) —
+	// a whole tile of the panel's shape at (0, 0). Naming the window
+	// instead of passing a view of it keeps the pivot loop from
+	// allocating a view header per pack.
+	Pack(dst *Panel, src *matrix.Dense, i, j int)
 	// Repack fills dst from the window of src that starts off along k and
 	// is dst's depth deep; the two share a role and the other dimension.
 	// When the window is all of src (HSUMMA with B = b: the inner panel
@@ -179,11 +182,11 @@ type Comm interface {
 	Gemm(c *matrix.Dense, a, b *Panel, threads int)
 }
 
-// CheckPack panics unless src's shape is dst's — shared by the transports
-// so all enforce the same contract.
-func CheckPack(dst *Panel, src *matrix.Dense) {
-	if src.Rows != dst.Tile.Rows || src.Cols != dst.Tile.Cols {
-		panic(fmt.Sprintf("comm: pack %dx%d tile into %dx%d panel", src.Rows, src.Cols, dst.Tile.Rows, dst.Tile.Cols))
+// CheckPack panics unless src holds a window of dst's shape at (i, j) —
+// shared by the transports so all enforce the same contract.
+func CheckPack(dst *Panel, src *matrix.Dense, i, j int) {
+	if r, c := dst.Tile.Rows, dst.Tile.Cols; i < 0 || j < 0 || i+r > src.Rows || j+c > src.Cols {
+		panic(fmt.Sprintf("comm: pack %dx%d tile into %dx%d panel at (%d,%d)", src.Rows, src.Cols, r, c, i, j))
 	}
 }
 

@@ -50,8 +50,8 @@ func Cannon(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 	// the panel's storage on and takes the neighbour's.
 	a := c.NewPanel(tile, tile, comm.LHS)
 	b := c.NewPanel(tile, tile, comm.RHS)
-	c.Pack(a, aLoc)
-	c.Pack(b, bLoc)
+	c.Pack(a, aLoc, 0, 0)
+	c.Pack(b, bLoc, 0, 0)
 	// Initial alignment: A_{i,j} moves to (i, j-i); B_{i,j} to (i-j, j).
 	if i > 0 {
 		c.SendRecv(g.Rank(i, mod(j-i, q)), 0, a, g.Rank(i, mod(j+i, q)), 0, a)
@@ -89,11 +89,11 @@ func Fox(c comm.Comm, opts Options, aLoc, bLoc, cLoc *matrix.Dense) error {
 	// With q = 1 the row broadcast has one member and moves nothing.
 	aPanel := c.NewPanel(tile, tile, comm.LHS)
 	b := c.NewPanel(tile, tile, comm.RHS)
-	c.Pack(b, bLoc)
+	c.Pack(b, bLoc, 0, 0)
 	for k := 0; k < q; k++ {
 		root := (i + k) % q
 		if j == root {
-			c.Pack(aPanel, aLoc)
+			c.Pack(aPanel, aLoc, 0, 0)
 		}
 		rowComm.Bcast(o.Broadcast, root, aPanel)
 		c.Gemm(cLoc, aPanel, b, o.Threads)

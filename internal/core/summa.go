@@ -251,7 +251,7 @@ func (p *pivot) walk(K, aCols, bRows int) {
 		if st.aRoot >= 0 {
 			if st.myJ == st.aRoot {
 				if k == 0 {
-					c.Pack(st.aPanel, p.aLoc.View(0, p.aOff, p.aLoc.Rows, st.width))
+					c.Pack(st.aPanel, p.aLoc, 0, p.aOff)
 				} else {
 					c.Repack(st.aPanel, p.stage(k-1).aPanel, st.off)
 				}
@@ -261,7 +261,7 @@ func (p *pivot) walk(K, aCols, bRows int) {
 		if st.bRoot >= 0 {
 			if st.myI == st.bRoot {
 				if k == 0 {
-					c.Pack(st.bPanel, p.bLoc.View(p.bOff, 0, st.width, p.bLoc.Cols))
+					c.Pack(st.bPanel, p.bLoc, p.bOff, 0)
 				} else {
 					c.Repack(st.bPanel, p.stage(k-1).bPanel, st.off)
 				}

@@ -416,7 +416,7 @@ func (c *rComm) NewTile(rows, cols int) *matrix.Dense {
 }
 
 // Pack checks shapes; no elements move.
-func (c *rComm) Pack(dst *comm.Panel, src *matrix.Dense) { comm.CheckPack(dst, src) }
+func (c *rComm) Pack(dst *comm.Panel, src *matrix.Dense, i, j int) { comm.CheckPack(dst, src, i, j) }
 
 // Repack checks the window; no elements move.
 func (c *rComm) Repack(dst, src *comm.Panel, off int) { comm.CheckRepack(dst, src, off) }

@@ -72,14 +72,21 @@ func (m *Dense) IsView() bool { return m.Stride != m.Cols }
 // shape-only matrix (nil Data, as produced by virtual transports that elide
 // element storage) is itself shape-only.
 func (m *Dense) View(i, j, r, c int) *Dense {
+	v := m.Window(i, j, r, c)
+	return &v
+}
+
+// Window is View by value: a caller that keeps the header in its own frame
+// takes a view without allocating one.
+func (m *Dense) Window(i, j, r, c int) Dense {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("matrix: view (%d,%d,%d,%d) out of range %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
 	if r == 0 || c == 0 || m.Data == nil {
-		return &Dense{Rows: r, Cols: c, Stride: m.Stride, Data: nil}
+		return Dense{Rows: r, Cols: c, Stride: m.Stride, Data: nil}
 	}
 	off := i*m.Stride + j
-	return &Dense{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off : off+(r-1)*m.Stride+c]}
+	return Dense{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off : off+(r-1)*m.Stride+c]}
 }
 
 // Clone returns a tightly packed deep copy of m.

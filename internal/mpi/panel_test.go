@@ -58,7 +58,7 @@ func TestPanelBcastStalledReceiver(t *testing.T) {
 					for s := 0; s < steps; s++ {
 						if c.Rank() == root {
 							src.Fill(float64(s + 1))
-							tc.Pack(panel, src)
+							tc.Pack(panel, src, 0, 0)
 							packed.Add(1)
 						}
 						tc.Bcast(alg, root, panel)
@@ -98,7 +98,7 @@ func TestPanelOwnership(t *testing.T) {
 
 		// Outer → inner by reference, then a segmented broadcast of inner.
 		if r == 0 {
-			tc.Pack(outer, tile(1))
+			tc.Pack(outer, tile(1), 0, 0)
 			tc.Repack(inner, outer, 0)
 			if held(inner) != held(outer) {
 				panic("full-window Repack copied instead of sharing")
@@ -110,7 +110,7 @@ func TestPanelOwnership(t *testing.T) {
 			filled("outer after inner's segmented bcast", &outer.Tile, 1)
 			// Packing the source again must not reach the panel that
 			// shared it.
-			tc.Pack(outer, tile(2))
+			tc.Pack(outer, tile(2), 0, 0)
 			filled("inner after outer repacked", &inner.Tile, 1)
 			filled("outer after repack", &outer.Tile, 2)
 		}
@@ -129,14 +129,14 @@ func TestPanelOwnership(t *testing.T) {
 		// what a rank receives is what its neighbour held, not what the
 		// neighbour wrote next.
 		ring := tc.NewPanel(rows, cols, comm.LHS)
-		tc.Pack(ring, tile(float64(10+r)))
+		tc.Pack(ring, tile(float64(10+r)), 0, 0)
 		for step := 1; step <= 2; step++ {
 			tc.SendRecv((r+1)%p, 5, ring, (r+p-1)%p, 5, ring)
 			filled("rotation", &ring.Tile, float64(10+(r+p-step)%p))
 		}
 		got := tc.NewPanel(rows, cols, comm.LHS)
 		tc.SendRecv((r+1)%p, 6, ring, (r+p-1)%p, 6, got)
-		tc.Pack(ring, tile(-1)) // sender moves on, perhaps before its receiver looks
+		tc.Pack(ring, tile(-1), 0, 0) // sender moves on, perhaps before its receiver looks
 		filled("send then repack", &got.Tile, float64(10+(r+p-1+p-2)%p))
 	})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestPanelRepackCompactTails(t *testing.T) {
 				outer := tc.NewPanel(src.Rows, src.Cols, role)
 				inner := tc.NewPanel(view.Rows, view.Cols, role)
 				if c.Rank() == 0 {
-					tc.Pack(outer, src)
+					tc.Pack(outer, src, 0, 0)
 					tc.Repack(inner, outer, off)
 				}
 				tc.Bcast(sched.Binomial, 0, inner)
@@ -211,8 +211,8 @@ func TestPanelSegmentedBcastPacked(t *testing.T) {
 		tc := AsComm(c)
 		ap, bp := tc.NewPanel(rows, k, comm.LHS), tc.NewPanel(k, cols, comm.RHS)
 		if c.Rank() == 1 {
-			tc.Pack(ap, a)
-			tc.Pack(bp, b)
+			tc.Pack(ap, a, 0, 0)
+			tc.Pack(bp, b, 0, 0)
 		}
 		tc.Bcast(sched.VanDeGeijn, 1, ap)
 		tc.Bcast(sched.VanDeGeijn, 1, bp)
@@ -298,7 +298,7 @@ func broadcastProgram(base float64, failAt int) (int, func(c *Comm)) {
 			root := s % p
 			if c.Rank() == root {
 				src.Fill(base + float64(s))
-				tc.Pack(panel, src)
+				tc.Pack(panel, src, 0, 0)
 			}
 			tc.Bcast(sched.Binomial, root, panel)
 			if s == failAt && c.Rank() == p-1 {

@@ -74,14 +74,15 @@ func (t Transport) NewPanel(rows, cols int, role comm.Role) *comm.Panel {
 // NewTile allocates a zeroed local matrix with real storage.
 func (t Transport) NewTile(rows, cols int) *matrix.Dense { return matrix.New(rows, cols) }
 
-// Pack packs the tile into the layout of the panel's role, in storage
+// Pack packs the window into the layout of the panel's role, in storage
 // only this rank holds.
-func (t Transport) Pack(dst *comm.Panel, src *matrix.Dense) {
-	comm.CheckPack(dst, src)
+func (t Transport) Pack(dst *comm.Panel, src *matrix.Dense, i, j int) {
+	comm.CheckPack(dst, src, i, j)
+	win := src.Window(i, j, dst.Tile.Rows, dst.Tile.Cols)
 	if dst.Role == comm.LHS {
-		blas.PackLHS(writable(dst, false), src)
+		blas.PackLHS(writable(dst, false), &win)
 	} else {
-		blas.PackRHS(writable(dst, false), src)
+		blas.PackRHS(writable(dst, false), &win)
 	}
 }
 

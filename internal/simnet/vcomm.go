@@ -586,7 +586,7 @@ func (c *VComm) NewTile(rows, cols int) *matrix.Dense {
 }
 
 // Pack checks shapes; no elements move.
-func (c *VComm) Pack(dst *comm.Panel, src *matrix.Dense) { comm.CheckPack(dst, src) }
+func (c *VComm) Pack(dst *comm.Panel, src *matrix.Dense, i, j int) { comm.CheckPack(dst, src, i, j) }
 
 // Repack checks the window; no elements move.
 func (c *VComm) Repack(dst, src *comm.Panel, off int) { comm.CheckRepack(dst, src, off) }

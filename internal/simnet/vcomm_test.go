@@ -194,7 +194,7 @@ func TestVCommRecvSizeMismatchAborts(t *testing.T) {
 func TestVCommPackShapeChecked(t *testing.T) {
 	w := NewVWorld(1, VConfig{Model: vModel})
 	err := w.Run(func(c *VComm) {
-		c.Pack(c.NewPanel(2, 5, comm.LHS), c.NewTile(3, 4))
+		c.Pack(c.NewPanel(2, 5, comm.LHS), c.NewTile(3, 4), 0, 0)
 	})
 	if err == nil || !strings.Contains(err.Error(), "pack 3x4 tile into 2x5 panel") {
 		t.Fatalf("expected pack shape panic, got %v", err)
