@@ -26,16 +26,13 @@ import (
 // reports its first series' minimum as a metric.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	e, err := exp.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var res *exp.Result
 	for i := 0; i < b.N; i++ {
-		res, err = e.Run(exp.Options{})
+		rs, err := exp.Run([]string{id}, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		res = rs[0]
 	}
 	if res != nil && len(res.Series) > 0 {
 		min := res.Series[0].Y[0]

@@ -396,18 +396,12 @@ func runExpCmd(args []string) {
 	if ids[0] == "all" {
 		ids = exp.IDs()
 	}
-	opts := exp.Options{Quick: *quick, Uncalibrated: *uncalibrated}
-	for _, id := range ids {
-		e, err := exp.ByID(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		res, err := e.Run(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			os.Exit(1)
-		}
+	rs, err := exp.Run(ids, exp.Options{Quick: *quick, Uncalibrated: *uncalibrated})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for _, res := range rs {
 		if *format == "csv" {
 			fmt.Print(exp.CSV(res))
 		} else {

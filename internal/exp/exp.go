@@ -53,13 +53,15 @@ type Result struct {
 	Findings []string
 }
 
-// Experiment is a registered, runnable reproduction artefact.
+// Experiment is a registered reproduction artefact: it declares the points
+// it simulates (none if closed-form) and renders from their results.
 type Experiment struct {
 	ID    string
 	Title string
 	// Paper describes what the paper's artefact shows, for the CLI list.
-	Paper string
-	Run   func(Options) (*Result, error)
+	Paper  string
+	points func(Options) []point
+	render func(Options, sims) (*Result, error)
 }
 
 var registry = map[string]Experiment{}
@@ -71,15 +73,6 @@ func register(e Experiment) {
 	}
 	registry[e.ID] = e
 	order = append(order, e.ID)
-}
-
-// ByID returns a registered experiment.
-func ByID(id string) (Experiment, error) {
-	e, ok := registry[id]
-	if !ok {
-		return Experiment{}, fmt.Errorf("exp: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
-	}
-	return e, nil
 }
 
 // IDs lists registered experiment identifiers in registration order.
@@ -96,6 +89,46 @@ func All() []Experiment {
 		out = append(out, registry[id])
 	}
 	return out
+}
+
+// Run runs the experiments named by ids and returns their results in order.
+// It simulates each distinct point they declare once, in first-use order,
+// then renders every result; nothing outlives the call.
+func Run(ids []string, o Options) ([]*Result, error) {
+	rs, _, err := run(ids, o)
+	return rs, err
+}
+
+// run is Run that also counts its simulations.
+func run(ids []string, o Options) ([]*Result, int, error) {
+	s, n := sims{}, 0
+	for _, id := range ids {
+		e, ok := registry[id]
+		if !ok {
+			return nil, 0, fmt.Errorf("exp: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
+		}
+		if e.points == nil {
+			continue
+		}
+		for _, pt := range e.points(o) {
+			if _, done := s[pt]; done {
+				continue
+			}
+			n++
+			var err error
+			if s[pt], err = pt.simulate(); err != nil {
+				return nil, 0, fmt.Errorf("%s: %w", id, err)
+			}
+		}
+	}
+	rs := make([]*Result, len(ids))
+	for i, id := range ids {
+		var err error
+		if rs[i], err = registry[id].render(o, s); err != nil {
+			return nil, 0, fmt.Errorf("%s: %w", id, err)
+		}
+	}
+	return rs, n, nil
 }
 
 // Format renders a result as aligned ASCII: findings, table, then series

@@ -1,6 +1,10 @@
 package exp
 
 import (
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,6 +13,15 @@ import (
 )
 
 func quick() Options { return Options{Quick: true} }
+
+func runID(t *testing.T, id string, o Options) *Result {
+	t.Helper()
+	rs, err := Run([]string{id}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0]
+}
 
 func TestRegistryComplete(t *testing.T) {
 	// Every evaluation artefact of the paper must be registered.
@@ -28,19 +41,19 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestByIDUnknown(t *testing.T) {
-	if _, err := ByID("fig99"); err == nil {
+	if _, err := Run([]string{"fig5", "fig99"}, quick()); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }
 
 func TestAllExperimentsRunQuick(t *testing.T) {
-	for _, e := range All() {
-		e := e
+	rs, err := Run(IDs(), quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range All() {
+		res := rs[i]
 		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.Run(quick())
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
 			if res.ID != e.ID {
 				t.Fatalf("result id %q for experiment %q", res.ID, e.ID)
 			}
@@ -55,11 +68,127 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 }
 
-func TestFig5UShapeAndDegeneracy(t *testing.T) {
-	res, err := registry["fig5"].Run(quick())
+// TestGoldenOutput holds every registered experiment, run through Run in
+// quick mode, to the committed output of `hsumma-run exp all -quick` (text,
+// -format csv, and -uncalibrated) byte for byte. A change that moves a
+// printed number regenerates the file on purpose, e.g.
+// `go run ./cmd/hsumma-run exp all -quick > internal/exp/testdata/all_quick.txt`.
+// The plan experiment prints this process's planner cache counters, so each
+// file is compared in a fresh process, as the command runs.
+func TestGoldenOutput(t *testing.T) {
+	cases := map[string]struct {
+		o   Options
+		csv bool
+	}{
+		"all_quick.txt":              {quick(), false},
+		"all_quick.csv":              {quick(), true},
+		"all_quick_uncalibrated.txt": {Options{Quick: true, Uncalibrated: true}, false},
+	}
+	if file := os.Getenv("EXP_GOLDEN_FILE"); file != "" {
+		c := cases[file]
+		rs, err := Run(IDs(), c.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for _, r := range rs {
+			if c.csv {
+				got.WriteString(CSV(r))
+			} else {
+				got.WriteString(Format(r) + "\n")
+			}
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := firstDiff(got.String(), string(want)); diff != "" {
+			t.Fatalf("%s: %s", file, diff)
+		}
+		return
+	}
+	for file := range cases {
+		t.Run(file, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestGoldenOutput$")
+			cmd.Env = append(os.Environ(), "EXP_GOLDEN_FILE="+file)
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+		})
+	}
+}
+
+// firstDiff describes the first line where got and want differ, or returns
+// "" when they are equal.
+func firstDiff(got, want string) string {
+	if got == want {
+		return ""
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; ; i++ {
+		if i >= len(g) || i >= len(w) || g[i] != w[i] {
+			line := func(ls []string) string {
+				if i < len(ls) {
+					return ls[i]
+				}
+				return "<end>"
+			}
+			return fmt.Sprintf("line %d:\n got  %q\n want %q", i+1, line(g), line(w))
+		}
+	}
+}
+
+// Run simulates each distinct point once, however many experiments declare
+// it: fig8, fig9's p=256 row and headline share their quick points, and in
+// full mode fig7's p=128 row is fig6 and fig9's p=16384 row and headline
+// are fig8 and fig9 again.
+func TestEachPointSimulatedOnce(t *testing.T) {
+	// all counts the simulations the per-figure sweeps made before points
+	// were shared, distinct the points Run simulates.
+	for _, c := range []struct {
+		o             Options
+		all, distinct int
+	}{{Options{}, 181, 127}, {quick(), 83, 56}} {
+		all, seen := 0, map[point]bool{}
+		for _, e := range All() {
+			if e.points == nil {
+				continue
+			}
+			for _, pt := range e.points(c.o) {
+				all++
+				seen[pt] = true
+			}
+		}
+		if all != c.all || len(seen) != c.distinct {
+			t.Errorf("%+v: %d points, %d distinct; want %d, %d", c.o, all, len(seen), c.all, c.distinct)
+		}
+	}
+
+	fig9 := map[point]bool{}
+	for _, pt := range registry["fig9"].points(quick()) {
+		fig9[pt] = true
+	}
+	fig8, headline := registry["fig8"].points(quick()), registry["headline"].points(quick())
+	if len(fig8) != len(headline) {
+		t.Fatalf("quick fig8 has %d points, headline %d", len(fig8), len(headline))
+	}
+	for i, pt := range fig8 {
+		if pt != headline[i] || !fig9[pt] {
+			t.Fatalf("quick fig8 point %+v is not headline's %+v, or not in fig9", pt, headline[i])
+		}
+	}
+
+	_, n, err := run(IDs(), quick())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n != 56 {
+		t.Fatalf("quick exp all made %d simulations, want one per distinct point (56)", n)
+	}
+}
+
+func TestFig5UShapeAndDegeneracy(t *testing.T) {
+	res := runID(t, "fig5", quick())
 	var hs, su Series
 	for _, s := range res.Series {
 		switch s.Name {
@@ -92,10 +221,7 @@ func TestFig5UShapeAndDegeneracy(t *testing.T) {
 }
 
 func TestFig8ReportsTotals(t *testing.T) {
-	res, err := registry["fig8"].Run(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "fig8", quick())
 	names := map[string]bool{}
 	for _, s := range res.Series {
 		names[s.Name] = true
@@ -108,10 +234,7 @@ func TestFig8ReportsTotals(t *testing.T) {
 }
 
 func TestFig10MinimumAtSqrtP(t *testing.T) {
-	res, err := registry["fig10"].Run(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "fig10", quick())
 	var hs Series
 	for _, s := range res.Series {
 		if s.Name == "HSUMMA comm" {
@@ -131,10 +254,7 @@ func TestFig10MinimumAtSqrtP(t *testing.T) {
 
 func TestValidationVerdicts(t *testing.T) {
 	for _, id := range []string{"valgrid", "valbgp"} {
-		res, err := registry[id].Run(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runID(t, id, Options{})
 		if len(res.Findings) == 0 || !strings.Contains(res.Findings[0], "outperform") {
 			t.Fatalf("%s verdict missing: %v", id, res.Findings)
 		}
@@ -142,10 +262,7 @@ func TestValidationVerdicts(t *testing.T) {
 }
 
 func TestTablesIncludeOptimalRow(t *testing.T) {
-	res, err := registry["table2"].Run(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "table2", quick())
 	found := false
 	for _, row := range res.Rows {
 		if strings.Contains(row[0], "√p") {
@@ -158,10 +275,7 @@ func TestTablesIncludeOptimalRow(t *testing.T) {
 }
 
 func TestCSVOutput(t *testing.T) {
-	res, err := registry["fig10"].Run(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "fig10", quick())
 	csv := CSV(res)
 	if !strings.HasPrefix(csv, "experiment,series,x,y\n") {
 		t.Fatal("csv header missing")
@@ -174,10 +288,7 @@ func TestCSVOutput(t *testing.T) {
 func TestUncalibratedMode(t *testing.T) {
 	// The published-parameter mode must also run and still show the
 	// U-shape endpoints property.
-	res, err := registry["fig8"].Run(Options{Quick: true, Uncalibrated: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "fig8", Options{Quick: true, Uncalibrated: true})
 	if len(res.Series) == 0 {
 		t.Fatal("no data in uncalibrated mode")
 	}

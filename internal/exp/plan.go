@@ -40,22 +40,15 @@ func PlanProblem(pf machine.Platform, quick bool) (n, p int) {
 	}
 }
 
-func runPlan(o Options) (*Result, error) {
+func runPlan(o Options, _ sims) (*Result, error) {
 	res := &Result{
 		ID:     "plan",
 		Title:  "Autotuning planner choices on the paper's platforms",
 		Header: []string{"platform", "n", "p", "algorithm", "grid", "G", "b", "B", "bcast", "model comm (s)", "model total (s)"},
 	}
-	for _, pf := range []machine.Platform{machine.Grid5000Calibrated(), machine.BlueGenePCalibrated(), machine.Exascale()} {
+	grid5000, bgp := platforms(o)
+	for _, pf := range []machine.Platform{grid5000, bgp, machine.Exascale()} {
 		n, p := PlanProblem(pf, o.Quick)
-		if o.Uncalibrated {
-			switch pf.Name {
-			case machine.Grid5000Calibrated().Name:
-				pf = machine.Grid5000()
-			case machine.BlueGenePCalibrated().Name:
-				pf = machine.BlueGeneP()
-			}
-		}
 		pl, err := tune.PlanFor(tune.Request{
 			Platform: pf, N: n, P: p,
 			Quick: o.Quick,
@@ -84,9 +77,9 @@ func runPlan(o Options) (*Result, error) {
 
 func init() {
 	register(Experiment{
-		ID:    "plan",
-		Title: "Autotuner: planner-selected configurations per platform",
-		Paper: "§VI — \"the optimal number of groups ... can be easily automated\"; the planner closes that loop",
-		Run:   runPlan,
+		ID:     "plan",
+		Title:  "Autotuner: planner-selected configurations per platform",
+		Paper:  "§VI — \"the optimal number of groups ... can be easily automated\"; the planner closes that loop",
+		render: runPlan,
 	})
 }

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/sched"
-	"repro/internal/topo"
 )
 
 // tableParams is the configuration the cost tables are evaluated at: the
@@ -112,7 +110,7 @@ func init() {
 		ID:    "table1",
 		Title: "Table I: SUMMA vs HSUMMA cost, binomial-tree broadcast",
 		Paper: "Table I — latency/bandwidth factor comparison under the binomial model",
-		Run: func(o Options) (*Result, error) {
+		render: func(o Options, _ sims) (*Result, error) {
 			return runTable("table1", "Table I (binomial broadcast)", tableParams(o, model.BinomialTree{})), nil
 		},
 	})
@@ -120,7 +118,7 @@ func init() {
 		ID:    "table2",
 		Title: "Table II: SUMMA vs HSUMMA cost, Van de Geijn broadcast",
 		Paper: "Table II — including the HSUMMA(G=√p) optimal row",
-		Run: func(o Options) (*Result, error) {
+		render: func(o Options, _ sims) (*Result, error) {
 			return runTable("table2", "Table II (Van de Geijn broadcast)", tableParams(o, model.VanDeGeijn{})), nil
 		},
 	})
@@ -128,7 +126,7 @@ func init() {
 		ID:    "valgrid",
 		Title: "Model validation on Grid'5000 (paper §V-A-1)",
 		Paper: "α/β = 1e5 > 2nb/p = 8192 ⇒ interior minimum exists",
-		Run: func(Options) (*Result, error) {
+		render: func(Options, sims) (*Result, error) {
 			pf := machine.Grid5000()
 			return runValidation("valgrid", pf.Name, validationParams(pf, 8192, 128, 64)), nil
 		},
@@ -137,50 +135,43 @@ func init() {
 		ID:    "valbgp",
 		Title: "Model validation on BlueGene/P (paper §V-B-1)",
 		Paper: "α/β = 3000 > 2nb/p = 2048 ⇒ interior minimum exists",
-		Run: func(Options) (*Result, error) {
+		render: func(Options, sims) (*Result, error) {
 			pf := machine.BlueGeneP()
 			return runValidation("valbgp", pf.Name, validationParams(pf, 65536, 16384, 256)), nil
 		},
 	})
 	register(Experiment{
-		ID:    "headline",
-		Title: "Headline ratios (paper §V-B/§VI): comm and total improvements at 2048 and 16384 cores",
-		Paper: "2.08x comm / 1.2x total at 2048; 5.89x comm / 2.36x total at 16384",
-		Run:   runHeadline,
+		ID:     "headline",
+		Title:  "Headline ratios (paper §V-B/§VI): comm and total improvements at 2048 and 16384 cores",
+		Paper:  "2.08x comm / 1.2x total at 2048; 5.89x comm / 2.36x total at 16384",
+		points: func(o Options) []point { return sweeps(headlineRows(o)...) },
+		render: runHeadline,
 	})
 }
 
-func runHeadline(o Options) (*Result, error) {
-	cores := []int{2048, 16384}
-	paperComm := map[int]float64{2048: 2.08, 16384: 5.89}
-	paperTotal := map[int]float64{2048: 1.2, 16384: 2.36}
-	if o.Quick {
-		cores = []int{256}
-	}
+// headlineRows are fig9's first and last rows (quick: its p=256 row, which
+// is quick fig8), so headline shares every point with them.
+func headlineRows(o Options) []figureConfig {
+	return atCores(o, bgpConfig(o), []int{2048, 16384}, []int{256})
+}
+
+func runHeadline(o Options, s sims) (*Result, error) {
+	paper := map[int][2]float64{2048: {2.08, 1.2}, 16384: {5.89, 2.36}} // comm, total
 	r := &Result{
 		ID:     "headline",
 		Title:  "Headline improvement ratios",
 		Header: []string{"cores", "SUMMA comm", "HSUMMA comm", "comm ratio", "paper comm", "SUMMA total", "HSUMMA total", "total ratio", "paper total"},
 	}
-	for _, p := range cores {
-		fc := bgpConfig(o)
-		g, err := topo.SquarestGrid(p)
-		if err != nil {
-			return nil, err
-		}
-		fc.grid = g
-		gs, hComm, hTotal, sComm, sTotal, err := gSweep(fc, sched.VanDeGeijn)
-		if err != nil {
-			return nil, err
-		}
+	for _, fc := range headlineRows(o) {
+		p := fc.grid.Size()
+		pts := sweeps(fc)
+		gs, hComm, hTotal := s.curve(pts[1:])
+		sComm, sTotal := s[pts[0]].Comm, s[pts[0]].Total
 		bi, bv := minOf(hComm)
 		_, bt := minOf(hTotal)
 		pc, pt := "-", "-"
-		if v, ok := paperComm[p]; ok {
-			pc = fmt.Sprintf("%.2fx", v)
-		}
-		if v, ok := paperTotal[p]; ok {
-			pt = fmt.Sprintf("%.2fx", v)
+		if v, ok := paper[p]; ok {
+			pc, pt = fmt.Sprintf("%.2fx", v[0]), fmt.Sprintf("%.2fx", v[1])
 		}
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprintf("%d", p),

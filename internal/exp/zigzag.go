@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/sched"
-	"repro/internal/simnet"
-	"repro/internal/topo"
 )
 
 // The zigzag experiment goes beyond the paper's homogeneous model: the
@@ -24,59 +20,35 @@ import (
 // paper measured emerges from geometry alone.
 func init() {
 	register(Experiment{
-		ID:    "zigzag",
-		Title: "BG/P mapping sensitivity: G sweep under torus hop-distance link costs",
-		Paper: "Figure 8's 'zigzags' — irregularities the paper attributes to rank→torus mapping",
-		Run:   runZigzag,
+		ID:     "zigzag",
+		Title:  "BG/P mapping sensitivity: G sweep under torus hop-distance link costs",
+		Paper:  "Figure 8's 'zigzags' — irregularities the paper attributes to rank→torus mapping",
+		points: zigzagPoints,
+		render: runZigzag,
 	})
 }
 
-func runZigzag(o Options) (*Result, error) {
-	fc := bgpConfig(o)
-	// The torus needs the exact core count; quick mode shrinks the grid.
-	tor, err := machine.ForCores(fc.grid.Size())
+// zigzagPoints is the BG/P HSUMMA sweep under uniform links, then the same
+// sweep under torus hop costs.
+func zigzagPoints(o Options) []point {
+	pts := append(sweeps(bgpConfig(o))[1:], sweeps(bgpConfig(o))[1:]...)
+	for i := range pts {
+		// Binomial keeps the event-level execution cheap at 16384 ranks
+		// (the ring fast path is disabled under non-uniform links).
+		pts[i].bcast = sched.Binomial
+		pts[i].torus = i >= len(pts)/2
+	}
+	return pts
+}
+
+func runZigzag(o Options, s sims) (*Result, error) {
+	tor, err := machine.ForCores(bgpConfig(o).grid.Size())
 	if err != nil {
 		return nil, err
 	}
-	spec := engine.Spec{Algorithm: engine.HSUMMA, Opts: core.Options{
-		N: fc.n, Grid: fc.grid,
-		// Binomial keeps the event-level execution cheap at 16384 ranks
-		// (the ring fast path is disabled under non-uniform links).
-		Knobs: core.Knobs{BlockSize: fc.block, Broadcast: sched.Binomial},
-	}}
-	run := func(linked bool, G int) (float64, error) {
-		vcfg := simnet.VConfig{Model: fc.pf.Model}
-		if linked {
-			vcfg.LinkCost = simnet.LinkCostFunc(tor.LinkCost)
-		}
-		h, err := topo.FactorGroups(fc.grid, G)
-		if err != nil {
-			return 0, err
-		}
-		spec.Opts.Groups = h
-		res, _, err := engine.Simulate(spec, vcfg, engine.ExecutorAuto)
-		if err != nil {
-			return 0, err
-		}
-		return res.Comm, nil
-	}
-	var gs, flat, mapped []float64
-	for G := 1; G <= fc.grid.Size(); G *= 2 {
-		if _, err := topo.FactorGroups(fc.grid, G); err != nil {
-			continue
-		}
-		f, err := run(false, G)
-		if err != nil {
-			return nil, err
-		}
-		m, err := run(true, G)
-		if err != nil {
-			return nil, err
-		}
-		gs = append(gs, float64(G))
-		flat = append(flat, f)
-		mapped = append(mapped, m)
-	}
+	pts := zigzagPoints(o)
+	gs, flat, _ := s.curve(pts[:len(pts)/2])
+	_, mapped, _ := s.curve(pts[len(pts)/2:])
 	res := &Result{
 		ID: "zigzag", Title: "Torus-mapping sensitivity of the G sweep",
 		XLabel: "groups", YLabel: "seconds",

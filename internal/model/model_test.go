@@ -80,22 +80,21 @@ func TestMaximumWhenConditionFails(t *testing.T) {
 }
 
 // The closed forms of Tables I and II must agree with the factors derived
-// from the executable schedules (powers of two; vdg within the rounding of
-// its scatter phase).
+// from the executable schedules at powers of two, both broadcasts exactly.
 func TestClosedFormsMatchSchedules(t *testing.T) {
 	binSched := NewFromSchedule(sched.Binomial)
 	vdgSched := NewFromSchedule(sched.VanDeGeijn)
-	for _, p := range []float64{2, 4, 8, 16, 64, 128} {
+	for _, p := range []float64{2, 4, 8, 16, 64, 128, 1024} {
 		if l, ls := (BinomialTree{}).Latency(p), binSched.Latency(p); math.Abs(l-ls) > 1e-9 {
 			t.Fatalf("binomial L(%g): closed %g sched %g", p, l, ls)
 		}
 		if w, ws := (BinomialTree{}).Bandwidth(p), binSched.Bandwidth(p); math.Abs(w-ws) > 1e-9 {
 			t.Fatalf("binomial W(%g): closed %g sched %g", p, w, ws)
 		}
-		if l, ls := (VanDeGeijn{}).Latency(p), vdgSched.Latency(p); math.Abs(l-ls) > 0.02*l {
+		if l, ls := (VanDeGeijn{}).Latency(p), vdgSched.Latency(p); math.Abs(l-ls) > 1e-9 {
 			t.Fatalf("vdg L(%g): closed %g sched %g", p, l, ls)
 		}
-		if w, ws := (VanDeGeijn{}).Bandwidth(p), vdgSched.Bandwidth(p); math.Abs(w-ws) > 0.05*w {
+		if w, ws := (VanDeGeijn{}).Bandwidth(p), vdgSched.Bandwidth(p); math.Abs(w-ws) > 1e-9 {
 			t.Fatalf("vdg W(%g): closed %g sched %g", p, w, ws)
 		}
 	}

@@ -252,15 +252,11 @@ type ExperimentOptions = exp.Options
 // RunExperiment runs a registered reproduction experiment (table1, table2,
 // fig5…fig10, valgrid, valbgp, headline) and returns its formatted report.
 func RunExperiment(id string, opts ExperimentOptions) (string, error) {
-	e, err := exp.ByID(id)
+	rs, err := exp.Run([]string{id}, opts)
 	if err != nil {
 		return "", err
 	}
-	res, err := e.Run(opts)
-	if err != nil {
-		return "", err
-	}
-	return exp.Format(res), nil
+	return exp.Format(rs[0]), nil
 }
 
 // ExperimentIDs lists the registered experiments in order.
