@@ -184,6 +184,25 @@ func TestRunExperimentAPI(t *testing.T) {
 	}
 }
 
+// The plan experiment's report is a function of its options alone: it plans
+// on a planner of its own, so a second call in the same process — which the
+// shared planner would serve from its cache — prints the same cache line.
+func TestPlanExperimentRepeatable(t *testing.T) {
+	var outs [2]string
+	for i := range outs {
+		var err error
+		if outs[i], err = RunExperiment("plan", ExperimentOptions{Quick: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("two runs in one process differ:\n%s\n---\n%s", outs[0], outs[1])
+	}
+	if !strings.Contains(outs[0], "0 hits, 3 misses, 0 replays this run") {
+		t.Fatalf("unexpected cache line:\n%s", outs[0])
+	}
+}
+
 // End-to-end consistency: the runtime's measured comm traffic for HSUMMA
 // at G=1 equals plain SUMMA's (the degeneracy claim at the traffic level).
 func TestTrafficDegeneracy(t *testing.T) {

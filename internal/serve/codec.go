@@ -11,6 +11,7 @@ import (
 	"math/bits"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/matrix"
 )
@@ -33,15 +34,17 @@ const (
 )
 
 // scratch is the working memory of one /multiply request: the read window,
-// the decoded operands and the encoded response. Objects are pooled and grow
-// to the largest request seen.
+// the decoded operands (a raw body is read straight into them) and the
+// encoded JSON response. Objects are pooled and grow to the largest request
+// seen.
 //
 // Ownership: the matrices handed to Scheduler.Multiply alias a and b, and
 // the session's ranks read them in place for the whole run. That is sound
 // because Multiply returns only after the run has ended and the job is
 // closed, and sameOperand only ever compares jobs whose callers are still
 // blocked inside Multiply — so a scratch goes back to the pool once its
-// response is written, and never before Multiply returns.
+// response is written, and never before Multiply returns. The product is
+// not in the scratch: it is pooled apart (see Execute).
 type scratch struct {
 	win  []byte
 	a, b []float64
@@ -432,19 +435,23 @@ func (sc *scratch) decodeJSON(r io.Reader, maxBytes int64) (req jsonMultiply, er
 	return req, nil
 }
 
-// readFloats fills dst with little-endian float64s read through the window.
-func (sc *scratch) readFloats(r io.Reader, dst []float64) error {
-	for len(dst) > 0 {
-		n := min(len(dst), len(sc.win)/8)
-		if _, err := io.ReadFull(r, sc.win[:8*n]); err != nil {
-			return err
+// wireBytes views f's storage as its 8·len(f) bytes, so a raw body is read
+// into and a raw product written from it without a copy. The wire is
+// little-endian: swapWire fixes the words up on a big-endian host.
+func wireBytes(f []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 8*len(f))
+}
+
+// swapWire converts f between the host's byte order and the wire's, as
+// integers so that every bit pattern (a NaN's payload included) survives; it
+// is a no-op on a little-endian host.
+func swapWire(f []float64) {
+	if binary.NativeEndian.Uint16([]byte{0, 1}) == 1 {
+		b := wireBytes(f)
+		for i := 0; i < len(b); i += 8 {
+			binary.LittleEndian.PutUint64(b[i:], binary.BigEndian.Uint64(b[i:]))
 		}
-		for i := range dst[:n] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(sc.win[8*i:]))
-		}
-		dst = dst[n:]
 	}
-	return nil
 }
 
 // appendResult appends the JSON response for the product c: byte for byte
@@ -466,14 +473,4 @@ func appendResult(dst []byte, c *matrix.Dense, statsJSON []byte) ([]byte, error)
 	dst = append(dst, `],"stats":`...)
 	dst = append(dst, statsJSON...)
 	return append(dst, '}', '\n'), nil
-}
-
-// appendRawMatrix appends m as little-endian float64s, row-major.
-func appendRawMatrix(dst []byte, m *matrix.Dense) []byte {
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Data[i*m.Stride : i*m.Stride+m.Cols] {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-	}
-	return dst
 }

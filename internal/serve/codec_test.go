@@ -506,10 +506,44 @@ func FuzzParseRaw(f *testing.F) {
 		if got, want := (a.Rows*a.Cols+b.Rows*b.Cols)*8, len(body); got != want || a.Cols != b.Rows {
 			t.Fatalf("accepted %dx%d · %dx%d from a %d-byte body (query %q)", a.Rows, a.Cols, b.Rows, b.Cols, want, query)
 		}
-		if !bytes.Equal(appendRawMatrix(appendRawMatrix(nil, a), b), body) {
+		if !bytes.Equal(rawBody(append(a.Pack(nil), b.Pack(nil)...)...), body) {
 			t.Fatalf("operand bits changed in transit (query %q)", query)
 		}
 	})
+}
+
+// TestRawOperandsBitExact feeds parseRaw the bit patterns a conversion
+// through float arithmetic could lose — ±0, subnormals, ±Inf, quiet and
+// signalling NaNs with payloads, and random words — and requires the
+// operands to hold exactly the body's words.
+func TestRawOperandsBitExact(t *testing.T) {
+	const m, k, n = 3, 4, 5
+	words := []uint64{
+		0, 1 << 63, // ±0
+		1, 0x000fffffffffffff, 0x8000000000000001, // subnormals
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		0x7ff8000000000000, 0x7ff8deadbeef0001, 0xfff80000cafe0000, // quiet NaNs
+		0x7ff0000000000001, 0x7ff4000000000abc, 0xfff7ffffffffffff, // signalling NaNs
+	}
+	rng := rand.New(rand.NewSource(53))
+	for len(words) < m*k+k*n {
+		words = append(words, rng.Uint64())
+	}
+	var body []byte
+	for _, w := range words {
+		body = binary.LittleEndian.AppendUint64(body, w)
+	}
+	r := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/multiply?m=%d&k=%d&n=%d", m, k, n), bytes.NewReader(body))
+	h := &handler{cfg: HandlerConfig{}.withDefaults()}
+	a, b, _, err := h.parseRaw(r, &scratch{win: make([]byte, testWindow)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range append(a.Pack(nil), b.Pack(nil)...) {
+		if got := math.Float64bits(v); got != words[i] {
+			t.Fatalf("word %d: operand holds %#016x, body has %#016x", i, got, words[i])
+		}
+	}
 }
 
 // TestEncodeMatchesEncodingJSON holds appendResult to the bytes

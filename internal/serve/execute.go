@@ -77,7 +77,7 @@ func (st *RunStats) fromSummary(s mpi.Summary) {
 // matrix per operand and batch width. Each is zeroed when allocated and a
 // session only ever rewrites the same request-shaped region of it, so the
 // zero pad fringe survives reuse. The nil Scratch allocates a fresh matrix
-// per call — what the one-shot path wants.
+// per call, products included — what the one-shot path wants.
 type Scratch map[[2]int]*matrix.Dense
 
 const (
@@ -85,6 +85,25 @@ const (
 	operandB
 	operandC
 )
+
+// products is the one product pool (see Execute).
+var products sync.Pool
+
+// product returns a contiguous rows×cols product: a fresh one for the nil
+// Scratch, else one from the pool, zeroed when zero is set (the ranks
+// accumulate into it) and left dirty when the caller overwrites it whole.
+func (s Scratch) product(rows, cols int, zero bool) *matrix.Dense {
+	if s != nil {
+		if m, _ := products.Get().(*matrix.Dense); m != nil && cap(m.Data) >= rows*cols {
+			*m = matrix.Dense{Rows: rows, Cols: cols, Stride: cols, Data: m.Data[:rows*cols]}
+			if zero {
+				clear(m.Data)
+			}
+			return m
+		}
+	}
+	return matrix.New(rows, cols)
+}
 
 func (s Scratch) get(operand, width, rows, cols int) *matrix.Dense {
 	if s == nil {
@@ -116,6 +135,11 @@ func (s Scratch) get(operand, width, rows, cols int) *matrix.Dense {
 // execution-shaped C. Either way the ranks read the caller's operands or
 // the scratch until the run ends, and never write A or B.
 //
+// Every product is contiguous. Handed a session Scratch, Execute takes them
+// from the products pool; only the HTTP handler puts one back, after its
+// response is written. The nil Scratch allocates: hsumma.Multiply's product
+// stays the caller's.
+//
 // staged, when non-nil, is called with the per-rank tiles after staging and
 // before the run (a test hook). The returned RunStats has every field but
 // WallSeconds filled; runSeconds is the distributed run alone.
@@ -144,7 +168,7 @@ func Execute(spec engine.Spec, a *matrix.Dense, bs []*matrix.Dense, scratch Scra
 	inPlace := k == 1 && m == es.M && n == es.N
 	var cX *matrix.Dense
 	if inPlace || scratch == nil {
-		cX = matrix.New(es.M, es.N)
+		cX = scratch.product(es.M, es.N, true)
 	} else {
 		cX = scratch.get(operandC, k, es.M, es.N)
 		cX.Zero()
@@ -189,7 +213,8 @@ func Execute(spec engine.Spec, a *matrix.Dense, bs []*matrix.Dense, scratch Scra
 		outs[0] = cX
 	} else {
 		for i := range outs {
-			outs[i] = cX.View(0, i*n, m, n).Clone()
+			outs[i] = scratch.product(m, n, false)
+			outs[i].CopyFrom(cX.View(0, i*n, m, n))
 		}
 	}
 	if rec != nil {

@@ -289,7 +289,7 @@ func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := scratchPool.Get().(*scratch)
 	// Released only here, after Multiply has returned and the response is
-	// written: the operands and the response alias the scratch.
+	// written: the operands and a JSON response alias the scratch.
 	defer scratchPool.Put(sc)
 	parse := h.parseJSON
 	if raw {
@@ -308,6 +308,9 @@ func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
+	// Released only after the write below has returned: a raw response is
+	// written from the product's own storage.
+	defer products.Put(out)
 	stats.DecodeSeconds = decodeSec
 	statsJSON, err := json.Marshal(stats)
 	if err != nil {
@@ -316,8 +319,10 @@ func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 	}
 	encodeStart := time.Now()
 	w.Header().Set("Content-Type", "application/json")
+	var body []byte
 	if raw {
-		sc.out = appendRawMatrix(sc.out[:0], out)
+		swapWire(out.Data)
+		body = wireBytes(out.Data)
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("X-Hsumma-Stats", string(statsJSON))
 		w.Header().Set("X-Hsumma-Shape", fmt.Sprintf("%dx%d", out.Rows, out.Cols))
@@ -328,6 +333,8 @@ func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 		logAttrs(r, slog.String("outcome", "error"), slog.String("error", err.Error()))
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
+	} else {
+		body = sc.out
 	}
 	encodeSec := time.Since(encodeStart).Seconds()
 	h.sc.observeKeyed(h.histDecode, stats.SpecKey, decodeSec)
@@ -348,8 +355,8 @@ func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 		// recorder: the id joins this log record to GET /debug/traces/{id}.
 		logAttrs(r, slog.String("trace_id", stats.TraceID))
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(sc.out)))
-	w.Write(sc.out)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // parseJSON decodes the JSON multiply body into the scratch's operands.
@@ -423,12 +430,13 @@ func (h *handler) parseRaw(r *http.Request, sc *scratch) (_, _ *matrix.Dense, rp
 	}
 	sc.a, sc.b = sized(sc.a, m*k), sized(sc.b, k*n)
 	for _, dst := range [][]float64{sc.a, sc.b} {
-		if err := sc.readFloats(r.Body, dst); err != nil {
+		if _, err := io.ReadFull(r.Body, wireBytes(dst)); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				err = fmt.Errorf("shorter than (m*k + k*n)*8 = %d bytes", need)
 			}
 			return nil, nil, rp, fmt.Errorf("serve: reading raw body: %w", err)
 		}
+		swapWire(dst)
 	}
 	if n, _ := r.Body.Read(sc.win[:1]); n > 0 {
 		return nil, nil, rp, fmt.Errorf("serve: raw body is longer than (m*k + k*n)*8 = %d bytes", need)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,12 +70,17 @@ func (wr wireRequest) serve(h http.Handler, raw bool) (*matrix.Dense, Stats, err
 }
 
 // TestScratchOwnershipUnderLoad drives one handler and one session from
-// concurrent callers whose operands live in pooled scratches: two callers
-// with different A (the stager compares them element-wise while both are
-// live, then serves them apart), then two with the same A, so a coalesced
-// batch executes straight out of two scratches. Every product is checked
-// against blas.Gemm; run under -race it is the pin on the ownership rule
-// written on scratch — releasing before Multiply returns makes it fail.
+// concurrent callers whose operands live in pooled scratches and whose
+// products come from the product pool: two callers with different A (the
+// stager compares them element-wise while both are live, then serves them
+// apart, each into a pooled C), then two with the same A, so a coalesced
+// batch executes straight out of two scratches and crops into pooled
+// products. The callers alternate wire formats out of step, so a raw
+// response written from a product's storage runs beside a JSON one. Every
+// product is checked against blas.Gemm; run under -race it is the pin on
+// the ownership rules written on scratch — releasing a scratch before
+// Multiply returns, or a product before its response is written, makes it
+// fail.
 func TestScratchOwnershipUnderLoad(t *testing.T) {
 	const n, perCaller = 24, 100
 	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
@@ -96,6 +102,18 @@ func TestScratchOwnershipUnderLoad(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
+	// The in-place runs accumulate into a pooled product: count the ones
+	// whose storage an earlier request's response was written from.
+	var inPlace atomic.Bool
+	seen, reused := map[*float64]bool{}, 0
+	sess.staged = func(_, _, cT []*matrix.Dense) {
+		if c := &cT[0].Data[0]; inPlace.Load() {
+			if seen[c] {
+				reused++
+			}
+			seen[c] = true
+		}
+	}
 
 	run := func(aSeeds [2]uint64) (coalesced int) {
 		var wg sync.WaitGroup
@@ -109,7 +127,7 @@ func TestScratchOwnershipUnderLoad(t *testing.T) {
 				a := matrix.Random(n, n, aSeed)
 				for i := 0; i < perCaller; i++ {
 					wr := newWireRequest(t, a, matrix.Random(n, n, uint64(1000*caller+i)))
-					got, st, err := wr.serve(h, i%2 == 1)
+					got, st, err := wr.serve(h, (i+caller)%2 == 1)
 					if err != nil {
 						t.Errorf("caller %d request %d: %v", caller, i, err)
 						return
@@ -129,8 +147,13 @@ func TestScratchOwnershipUnderLoad(t *testing.T) {
 		wg.Wait()
 		return coalesced
 	}
+	inPlace.Store(true)
 	if c := run([2]uint64{11, 12}); c != 0 {
 		t.Fatalf("%d requests with different A were coalesced", c)
+	}
+	inPlace.Store(false)
+	if reused == 0 {
+		t.Fatalf("none of %d in-place runs reused a released product: the product pool is not in play", 2*perCaller)
 	}
 	if c := run([2]uint64{13, 13}); c != 2*perCaller {
 		t.Fatalf("%d of %d same-A requests were coalesced, want all: the batched path must run on pooled operands", c, 2*perCaller)
@@ -192,6 +215,44 @@ func TestEarlyScratchReleaseCorrupts(t *testing.T) {
 	}
 }
 
+// TestEarlyProductReleaseCorrupts is the mutation check on the product
+// rule, made deterministic: a product put back before its raw response is
+// written is the next request's C, whose run overwrites the bytes the first
+// client reads. A raw response is written from the product's own storage,
+// so nothing short of the write returning makes the product free. One P and
+// no GC pin sync.Pool down: with the pool emptied, a Put is the next Get.
+func TestEarlyProductReleaseCorrupts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 16
+	first := newWireRequest(t, matrix.Random(n, n, 1), matrix.Random(n, n, 2))
+	second := newWireRequest(t, matrix.Random(n, n, 3), matrix.Random(n, n, 4))
+	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
+	defer sc.Close()
+	rp := tune.ResolveParams{Procs: 4}
+	for products.Get() != nil {
+	}
+	out, _, err := sc.Multiply(first.a, first.b, rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	products.Put(out) // put back before the response is written…
+	if _, _, err := sc.Multiply(second.a, second.b, rp); err != nil {
+		t.Fatal(err) // …and taken by the next request
+	}
+	swapWire(out.Data)
+	got := matrix.FromSlice(n, n, rawFloats(wireBytes(out.Data))) // the write
+	if matrix.MaxAbsDiff(got, first.want) <= oracleTol {
+		t.Fatal("the response survived its product being released before the write: the product is no longer pooled or no longer written in place, and the product contract on Execute is out of date")
+	}
+	if d := matrix.MaxAbsDiff(got, second.want); d > oracleTol {
+		t.Fatalf("expected the second request's product after the reuse, off by %g", d)
+	}
+}
+
 // discardWriter is a ResponseWriter that keeps nothing, so the budget
 // below measures the handler and not a recorder's body buffer.
 type discardWriter struct {
@@ -204,9 +265,10 @@ func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestHandlerAllocationBudget keeps the codec honest on the benchmark's
-// serve request (256³, 4 ranks, HSUMMA): a warm handler may allocate the
-// 512 KB product the session gathers into and little else — a body buffer,
-// a decoded []float64 or an encoder copy of C each blow through it.
+// serve request (256³, 4 ranks, HSUMMA): a warm handler allocates next to
+// nothing — the product comes from the pool and goes back after the write,
+// so a fresh 512 KB product, a body buffer, a decoded []float64 or an
+// encoder copy of C each blow through the 0.1 MB budget.
 func TestHandlerAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds load at random under the race detector")
@@ -220,7 +282,7 @@ func TestHandlerAllocationBudget(t *testing.T) {
 		name     string
 		raw      bool
 		budgetMB float64
-	}{{"json", false, 1.5}, {"raw", true, 1.0}} {
+	}{{"json", false, 0.1}, {"raw", true, 0.1}} {
 		run := func() {
 			r := httptest.NewRequest(http.MethodPost, "/multiply", bytes.NewReader(wr.json))
 			if tc.raw {
@@ -234,9 +296,9 @@ func TestHandlerAllocationBudget(t *testing.T) {
 			}
 		}
 		run() // session spin-up, scratch growth
-		// The median run: sync.Pool keeps one scratch per P and drops idle
-		// ones at GC, so now and then a request finds none and grows a new
-		// one — that is the pool's price, not the codec's.
+		// The median run: sync.Pool keeps one scratch and one product per P
+		// and drops idle ones at GC, so now and then a request finds none
+		// and makes a new one — that is the pool's price, not the codec's.
 		var perRun []float64
 		for i := 0; i < 9; i++ {
 			var before, after runtime.MemStats
