@@ -74,7 +74,8 @@ type Level struct{ I, J, Width float64 }
 // No levels is SUMMA's Table I/II row, 2·(n/b)·L(√p)·α + 2·(n²/√p)·W(√p)·β
 // at M = N = K = n on √p×√p; one level of √G×√G groups is HSUMMA's (eq.
 // 3–5); L(1) = W(1) = 0 makes G = 1 and G = p reproduce SUMMA exactly.
-func family(M, N, K, S, T, b float64, levels []Level, m machine.Model, bc Broadcast, elemBytes float64) Cost {
+// whole selects the planner's price of each broadcast (see factors).
+func family(M, N, K, S, T, b float64, levels []Level, m machine.Model, bc Broadcast, whole bool, elemBytes float64) Cost {
 	if bc == nil {
 		bc = BinomialTree{}
 	}
@@ -83,8 +84,10 @@ func family(M, N, K, S, T, b float64, levels []Level, m machine.Model, bc Broadc
 	}
 	c := Cost{Compute: m.Compute(2 * M * N * K / (S * T))}
 	stage := func(lv Level) {
-		c.Latency += (K / lv.Width) * (bc.Latency(lv.J) + bc.Latency(lv.I)) * m.Alpha
-		c.Bandwidth += (M*K/S*bc.Bandwidth(lv.J) + K*N/T*bc.Bandwidth(lv.I)) * elemBytes * m.Beta
+		lj, wj := factors(bc, lv.J, whole)
+		li, wi := factors(bc, lv.I, whole)
+		c.Latency += (K / lv.Width) * (lj + li) * m.Alpha
+		c.Bandwidth += (M*K/S*wj + K*N/T*wi) * elemBytes * m.Beta
 	}
 	rest := Level{I: S, J: T, Width: b}
 	for _, lv := range levels {
@@ -102,7 +105,7 @@ func (p Params) family(levels []Level) Cost {
 		panic(err)
 	}
 	n, sq := float64(p.N), math.Sqrt(float64(p.P))
-	return family(n, n, n, sq, sq, float64(p.B), levels, p.Machine, p.Bcast, p.ElemBytes)
+	return family(n, n, n, sq, sq, float64(p.B), levels, p.Machine, p.Bcast, false, p.ElemBytes)
 }
 
 // SUMMA evaluates the flat algorithm's cost (Table I/II, equation 2):

@@ -12,27 +12,12 @@ func TestBroadcastModelNames(t *testing.T) {
 	if (BinomialTree{}).Name() != "binomial" || (VanDeGeijn{}).Name() != "vandegeijn" {
 		t.Fatal("model names wrong")
 	}
-	if NewFromSchedule(sched.VanDeGeijn).Name() != "sched:vandegeijn" {
-		t.Fatal("schedule model name wrong")
-	}
 	// For maps each schedule to its own table's model, and the empty name
 	// to binomial.
 	for alg, want := range map[sched.Algorithm]string{"": "binomial", sched.Binomial: "binomial", sched.VanDeGeijn: "vandegeijn"} {
 		if got := For(alg).Name(); got != want {
 			t.Fatalf("For(%q) = %s, want %s", alg, got, want)
 		}
-	}
-}
-
-func TestFromScheduleCaches(t *testing.T) {
-	m := NewFromSchedule(sched.Binomial)
-	a := m.Latency(64)
-	b := m.Latency(64) // second call hits the cache
-	if a != b {
-		t.Fatal("cache returned a different value")
-	}
-	if len(m.cache) != 1 {
-		t.Fatalf("cache has %d entries, want 1", len(m.cache))
 	}
 }
 

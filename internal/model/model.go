@@ -10,7 +10,8 @@
 // Conventions: the paper's analysis (SUMMA, HSUMMA, Params) assumes a
 // square √p×√p grid and √G×√G groups with b = B unless stated, and treats
 // G as a real number; the planner's instances (RectParams, Family) take an
-// explicit S×T grid, a rectangular problem and integer levels. Message
+// explicit S×T grid, a rectangular problem and integer levels, and price
+// each broadcast at its communicator's whole size (factors). Message
 // sizes are counted in matrix elements, the unit the platform presets
 // quote β in and the virtual engines charge (ElemBytes rescales for a β
 // quoted per byte).
@@ -19,8 +20,8 @@ package model
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
-	"repro/internal/machine"
 	"repro/internal/sched"
 )
 
@@ -85,51 +86,22 @@ func For(alg sched.Algorithm) Broadcast {
 	panic(fmt.Sprintf("model: unknown broadcast algorithm %q", alg))
 }
 
-// FromSchedule derives L(p) and W(p) numerically from the actual schedules
-// in internal/sched: broadcast cost is affine in the message size for every
-// provided algorithm, so two evaluations per p recover the exact factors.
-// The tests use it as the schedules' reference: they assert the paper's
-// closed forms agree with the generated schedules.
-type FromSchedule struct {
-	Alg sched.Algorithm
-
-	cache map[int][2]float64
-}
-
-// NewFromSchedule returns a schedule-derived broadcast model.
-func NewFromSchedule(alg sched.Algorithm) *FromSchedule {
-	return &FromSchedule{Alg: alg, cache: make(map[int][2]float64)}
-}
-
-func (f *FromSchedule) factors(p float64) [2]float64 {
-	ip := int(p + 0.5)
-	if ip <= 1 {
-		return [2]float64{0, 0}
+// factors returns bc's L(q) and W(q) as a cost charges them. The paper's
+// analysis (Params) takes equation (1) as written, real-valued in q, since
+// it differentiates in G. The planner's instances (RectParams, whole set)
+// broadcast over q whole members and price Van de Geijn as the schedule
+// internal/sched generates runs it: its scatter takes ⌈log₂q⌉ rounds, so
+// L(q) = ⌈log₂q⌉ + q − 1, the schedule's latency on every q and Table II's
+// at powers of two; W(q) = 2(q−1)/q is the schedule's to rounding. The
+// binomial tree keeps log₂q on both paths: off powers of two no
+// per-broadcast price is exact for it, and the planner replays it (see
+// tune's replayed).
+func factors(bc Broadcast, q float64, whole bool) (l, w float64) {
+	if _, vdg := bc.(VanDeGeijn); vdg && whole && q > 1 {
+		return float64(bits.Len(uint(q)-1)) + q - 1, bc.Bandwidth(q)
 	}
-	if v, ok := f.cache[ip]; ok {
-		return v
-	}
-	s, err := sched.NewBroadcast(f.Alg, ip, 0)
-	if err != nil {
-		panic(fmt.Sprintf("model: %v", err))
-	}
-	// Cost with unit α, zero β isolates L; zero α, unit β (per byte,
-	// message of one byte) isolates W.
-	l := s.Cost(1, machine.Model{Alpha: 1, Beta: 0})
-	w := s.Cost(1, machine.Model{Alpha: 0, Beta: 1})
-	v := [2]float64{l, w}
-	f.cache[ip] = v
-	return v
+	return bc.Latency(q), bc.Bandwidth(q)
 }
-
-// Latency implements Broadcast using the generated schedule.
-func (f *FromSchedule) Latency(p float64) float64 { return f.factors(p)[0] }
-
-// Bandwidth implements Broadcast using the generated schedule.
-func (f *FromSchedule) Bandwidth(p float64) float64 { return f.factors(p)[1] }
-
-// Name implements Broadcast.
-func (f *FromSchedule) Name() string { return "sched:" + string(f.Alg) }
 
 func safeLog2(p float64) float64 {
 	if p <= 1 {

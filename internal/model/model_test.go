@@ -79,31 +79,37 @@ func TestMaximumWhenConditionFails(t *testing.T) {
 	}
 }
 
-// The closed forms of Tables I and II must agree with the factors derived
-// from the executable schedules at powers of two, both broadcasts exactly.
+// The planner's price of each broadcast (factors at whole q) against the
+// schedule internal/sched generates, q = 1 included: Van de Geijn's latency
+// exactly and its bandwidth to rounding on every q, the binomial tree's
+// exactly at powers of two — where both equal Tables I and II as written.
 func TestClosedFormsMatchSchedules(t *testing.T) {
-	binSched := NewFromSchedule(sched.Binomial)
-	vdgSched := NewFromSchedule(sched.VanDeGeijn)
-	for _, p := range []float64{2, 4, 8, 16, 64, 128, 1024} {
-		if l, ls := (BinomialTree{}).Latency(p), binSched.Latency(p); math.Abs(l-ls) > 1e-9 {
-			t.Fatalf("binomial L(%g): closed %g sched %g", p, l, ls)
+	for _, q := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 64, 100, 128, 1000, 1024} {
+		for _, alg := range sched.Algorithms() {
+			s, err := sched.NewBroadcast(alg, q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Unit α and zero β isolates L; zero α and unit β on a
+			// one-unit message isolates W.
+			ls := s.Cost(1, machine.Model{Alpha: 1})
+			ws := s.Cost(1, machine.Model{Beta: 1})
+			bc := For(alg)
+			l, w := factors(bc, float64(q), true)
+			pow2 := q&(q-1) == 0
+			switch {
+			case alg == sched.VanDeGeijn:
+				if l != ls || math.Abs(w-ws) > 1e-12*ws {
+					t.Errorf("vandegeijn q=%d: priced L=%g W=%.17g, schedule L=%g W=%.17g", q, l, w, ls, ws)
+				}
+			case pow2 && (l != ls || w != ws):
+				t.Errorf("binomial q=%d: priced L=%g W=%g, schedule L=%g W=%g", q, l, w, ls, ws)
+			}
+			if pow2 && (bc.Latency(float64(q)) != l || bc.Bandwidth(float64(q)) != w) {
+				t.Errorf("%s q=%d: the analysis' factors %g, %g differ from the planner's %g, %g",
+					alg, q, bc.Latency(float64(q)), bc.Bandwidth(float64(q)), l, w)
+			}
 		}
-		if w, ws := (BinomialTree{}).Bandwidth(p), binSched.Bandwidth(p); math.Abs(w-ws) > 1e-9 {
-			t.Fatalf("binomial W(%g): closed %g sched %g", p, w, ws)
-		}
-		if l, ls := (VanDeGeijn{}).Latency(p), vdgSched.Latency(p); math.Abs(l-ls) > 1e-9 {
-			t.Fatalf("vdg L(%g): closed %g sched %g", p, l, ls)
-		}
-		if w, ws := (VanDeGeijn{}).Bandwidth(p), vdgSched.Bandwidth(p); math.Abs(w-ws) > 1e-9 {
-			t.Fatalf("vdg W(%g): closed %g sched %g", p, w, ws)
-		}
-	}
-}
-
-func TestFromScheduleP1IsZero(t *testing.T) {
-	m := NewFromSchedule(sched.Binomial)
-	if m.Latency(1) != 0 || m.Bandwidth(1) != 0 {
-		t.Fatal("L(1) and W(1) must be 0 (paper's boundary condition)")
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 // rectangular problems — what the planner scores — where the paper's
 // Tables I–II assume (n, √p×√p): the per-rank panels are (M/S)×b for A and
 // b×(N/T) for B, and the pivot loop makes K/b steps over the contraction
-// dimension. It is the same formula (family), so a square problem on a
-// square grid with square groups scores exactly as the square analysis
-// does (asserted in rect_test.go on all five platform presets).
+// dimension. It is the same formula (family), at whole communicator sizes
+// (see factors), so a square problem on a square grid with power-of-two
+// sides and square groups scores exactly as the square analysis does
+// (asserted in rect_test.go on all five platform presets).
 
 // RectParams fixes a rectangular GEMM instance on an explicit process
 // grid for the generalised closed-form analysis.
@@ -47,12 +48,13 @@ func (p RectParams) validate() error {
 
 // Family evaluates the SUMMA family's closed-form cost (see family) for
 // the hierarchy of grouping levels, outermost first: none is SUMMA, one is
-// HSUMMA, more is the multilevel algorithm. It is pure arithmetic — the
-// caller (the planner's scorer) has validated the configuration.
+// HSUMMA, more is the multilevel algorithm. Each broadcast is priced at
+// its communicator's whole size (see factors). It is pure arithmetic —
+// the caller (the planner's scorer) has validated the configuration.
 func Family(par RectParams, levels []Level) Cost {
 	sh, g := par.Shape, par.Grid
 	return family(float64(sh.M), float64(sh.N), float64(sh.K), float64(g.S), float64(g.T), float64(par.B),
-		levels, par.Machine, par.Bcast, par.ElemBytes)
+		levels, par.Machine, par.Bcast, true, par.ElemBytes)
 }
 
 // SUMMARect evaluates the flat algorithm's cost on a rectangular problem:
@@ -105,13 +107,17 @@ func Cannon(par RectParams) Cost {
 // Fox evaluates Fox's broadcast-multiply-roll algorithm as its q row
 // broadcasts of an A tile over q members (equation 1) and the q − 1 rolls
 // of B between them: q·( L(q)·α + (n²/p)·W(q)·β ) and (q−1)·( α + (n²/p)·β ).
+// Van de Geijn's L(q) is its schedule's, ⌈log₂q⌉ + q − 1, so the price is
+// exact on every q; the binomial tree's is log₂q, exact at powers of two
+// (see factors).
 func Fox(par RectParams) (bcast, roll Cost) {
 	q, tile := par.baseline()
 	bc := par.Bcast
 	if bc == nil {
 		bc = BinomialTree{}
 	}
-	bcast = Cost{Latency: q * bc.Latency(q) * par.Machine.Alpha, Bandwidth: q * tile * bc.Bandwidth(q) * par.Machine.Beta}
+	l, w := factors(bc, q, true)
+	bcast = Cost{Latency: q * l * par.Machine.Alpha, Bandwidth: q * tile * w * par.Machine.Beta}
 	return bcast, Cost{Latency: (q - 1) * par.Machine.Alpha, Bandwidth: (q - 1) * tile * par.Machine.Beta}
 }
 

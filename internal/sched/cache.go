@@ -3,10 +3,12 @@ package sched
 import "sync"
 
 // Cache memoises broadcast schedules by (algorithm, p, root).
-// A schedule is pure data, so every executor — the live runtime and both
-// virtual engines — resolves a collective through one Cache per world and
-// gets the same *Schedule pointer back for the same call, instead of
-// rebuilding the transfer list on every broadcast.
+// A schedule is pure data, so the live runtime (internal/mpi) resolves a
+// collective through one Cache per world and gets the same *Schedule
+// pointer back for the same call, instead of rebuilding the transfer list
+// on every broadcast. The virtual engines do not use it: they fire
+// collectives from the programs simnet.Sim.Compile builds and keeps per
+// (algorithm, size, root, payload).
 //
 // All methods are safe for concurrent use; the hot path takes a read lock
 // only.

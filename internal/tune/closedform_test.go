@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 	"repro/internal/simnet"
 )
 
@@ -15,12 +16,14 @@ import (
 // candidate's closed-form total equals the contention-free event engine's
 // simulated total within 1e-12 relative (and its comm within 1e-12 of the
 // total), for every algorithm — the SUMMA family by model.Family, Cannon
-// and Fox by model.Cannon and model.Fox — and Cannon's does on any grid.
-// The points are the four measured presets × seven (n, p) points, plus a
-// padded shape, a rectangular one, a core-budget plan (whose p = 1 split
-// puts Cannon on a 1×1 grid, where it sends nothing) and a 6×6 grid.
-// Under -short and the race detector only the points with p ≤ 16 and the
-// four extras run.
+// and Fox by model.Cannon and model.Fox — and on any grid so does every
+// candidate that runs no binomial tree: Cannon, and SUMMA, HSUMMA and Fox
+// under Van de Geijn. The points are the four measured presets × seven
+// (n, p) points, plus a padded shape, a rectangular one, a core-budget
+// plan (whose p = 1 split puts Cannon on a 1×1 grid, where it sends
+// nothing), and 36 and 24 ranks, whose grids (6×6, 4×6 and the other
+// factorisations) have a side that is not a power of two. Under -short
+// and the race detector only the points with p ≤ 16 and the extras run.
 func TestClosedFormMatchesEventEngine(t *testing.T) {
 	short := testing.Short() || raceEnabled
 	var reqs []Request
@@ -39,9 +42,11 @@ func TestClosedFormMatchesEventEngine(t *testing.T) {
 		Request{Platform: pf, N: 1000, P: 16},
 		Request{Platform: pf, Shape: matrix.Shape{M: 2048, N: 512, K: 1024}, P: 16},
 		Request{Platform: pf, N: 1024, CoreBudget: 8},
-		Request{Platform: pf, N: 1536, P: 36})
+		Request{Platform: pf, N: 1536, P: 36},
+		Request{Platform: machine.BlueGenePCalibrated(), N: 768, P: 24})
 
-	checked, cannonQ1, cannonOdd := 0, 0, 0
+	checked, cannonQ1 := 0, 0
+	odd := map[engine.Algorithm]int{} // checked on a grid with a side that is not a power of two
 	for _, req := range reqs {
 		req = req.withDefaults()
 		cands, err := Candidates(req)
@@ -51,10 +56,10 @@ func TestClosedFormMatchesEventEngine(t *testing.T) {
 		sc := &scorer{sh: req.Shape, m: req.Platform.Model}
 		for _, c := range cands {
 			if !powerOfTwo(c.Grid.S) || !powerOfTwo(c.Grid.T) {
-				if c.Algorithm != engine.Cannon {
+				if c.Broadcast == sched.Binomial {
 					continue
 				}
-				cannonOdd++
+				odd[c.Algorithm]++
 			}
 			spec, err := c.Spec(req.Shape)
 			if err != nil {
@@ -78,7 +83,12 @@ func TestClosedFormMatchesEventEngine(t *testing.T) {
 			}
 		}
 	}
-	if checked == 0 || cannonQ1 == 0 || cannonOdd == 0 {
-		t.Fatalf("checked %d candidates, %d Cannon on one rank, %d on a 6x6 grid; want all > 0", checked, cannonQ1, cannonOdd)
+	if checked == 0 || cannonQ1 == 0 {
+		t.Fatalf("checked %d candidates, %d Cannon on one rank; want both > 0", checked, cannonQ1)
+	}
+	for _, alg := range []engine.Algorithm{engine.SUMMA, engine.HSUMMA, engine.Cannon, engine.Fox} {
+		if odd[alg] == 0 {
+			t.Errorf("no %s candidate checked on a grid with a side that is not a power of two", alg)
+		}
 	}
 }

@@ -16,9 +16,11 @@ import (
 // any number of levels, which on a square problem scores exactly what
 // model.SUMMA and model.HSUMMA do (asserted in the model and tune package
 // tests); Cannon and Fox by model.Cannon and model.Fox, priced from the
-// messages their schedules send. Every broadcast is priced by the paper's
-// own equation-(1) factors (model.For: Table I's binomial, Table II's Van
-// de Geijn).
+// messages their schedules send. Every broadcast is priced by equation (1)
+// (model.For: Table I's binomial, Table II's Van de Geijn) at whole
+// communicator sizes: Van de Geijn's scatter at the ⌈log₂q⌉ rounds its
+// schedule takes, which makes its price exact on every grid, the binomial
+// tree at log₂q, exact on power-of-two sides (see replayed).
 type scorer struct {
 	sh matrix.Shape
 	m  machine.Model

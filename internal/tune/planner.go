@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/sched"
 	"repro/internal/simnet"
 )
 
@@ -203,24 +204,25 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 // returns; replays re-order only these.
 const rankedLen = 8
 
-// replayed is the one rule for where the closed form is not final. On a
-// grid whose sides are powers of two it equals the contention-free event
-// engine for every candidate, and Cannon's shifts equal it on any grid
-// (TestClosedFormMatchesEventEngine). So a candidate is replayed only when
-// it broadcasts over a grid with a side that is not a power of two —
-// binomial and Van de Geijn schedules there are not equation (1)'s
-// factors (sim/model spans 0.85–1.27 for the SUMMA family, Fox's comm
-// reads up to 1.22) — or when the request asks for contention, which
-// only the engine prices; and never above AutoProcs ranks, where one
-// virtual run costs seconds.
+// replayed is the one rule for where the closed form is not final: a
+// candidate that runs a binomial broadcast on a grid with a side that is
+// not a power of two, or any candidate of a request that asks for
+// contention, which only the engine prices; and never above AutoProcs
+// ranks, where one virtual run costs seconds. Everything else the closed
+// form prices as the event engine does (TestClosedFormMatchesEventEngine):
+// Van de Geijn on every grid, its scatter at the ⌈log₂q⌉ rounds its
+// schedule takes, and Cannon, which only shifts. The binomial tree over q
+// members costs log₂q rounds only at a power of two. Elsewhere a step's
+// tree may start before the previous step's deepest leaf is done, so the
+// engine lands on both sides of log₂q and at or below ⌈log₂q⌉, short of
+// it by a fixed number of rounds per run (at α only, SUMMA on 1×5 is 4
+// rounds short, HSUMMA G=2 on 1×6 5 and G=4 on 6×6 10, whatever the step
+// count), and no per-broadcast price is exact there.
 func replayed(req Request, c Candidate) bool {
 	if c.Grid.Size() > AutoProcs {
 		return false
 	}
-	if req.Contention {
-		return true
-	}
-	return c.Algorithm != engine.Cannon && (!powerOfTwo(c.Grid.S) || !powerOfTwo(c.Grid.T))
+	return req.Contention || c.Broadcast == sched.Binomial && (!powerOfTwo(c.Grid.S) || !powerOfTwo(c.Grid.T))
 }
 
 func powerOfTwo(v int) bool { return v > 0 && v&(v-1) == 0 }

@@ -23,8 +23,10 @@ import (
 
 // AutoProcs is the rank count beyond which the planner replays no
 // candidate (see replayed): a single full-scale virtual run at the
-// paper's 16384 ranks costs seconds, and every grid the paper uses has
-// power-of-two sides, where the closed form is exact.
+// paper's 16384 ranks costs seconds. Above it the closed form is final:
+// exact for every candidate on power-of-two sides, as every grid the
+// paper uses has, and for Van de Geijn and Cannon on any grid; a binomial
+// tree on another grid keeps its log₂q price, and contention is unpriced.
 const AutoProcs = 2048
 
 // ResolveParams describes one live multiplication the way a caller pins it:

@@ -10,10 +10,11 @@
 // internal/model under the platform's Hockney parameters (microseconds
 // per candidate, so thousands are scanned), and the best rankedLen are
 // returned. Those models equal the contention-free event engine on grids
-// whose sides are powers of two, so there the score is final; the few
-// candidates the models price only approximately — those that broadcast
-// on other grids, and everything under contention — are replayed on the
-// event engine and re-ranked (see replayed).
+// whose sides are powers of two, and for Van de Geijn and Cannon on every
+// grid, so there the score is final; the few candidates the models price
+// only approximately — binomial trees on other grids, and everything
+// under contention — are replayed on the event engine and re-ranked (see
+// replayed).
 //
 // Plans are memoised in a cache keyed by (platform fingerprint, n, p,
 // search flags), so serving-style workloads that repeatedly ask "how should

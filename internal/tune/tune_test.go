@@ -401,10 +401,11 @@ func TestScorerThreadsSpeedup(t *testing.T) {
 
 // The planner replays on the event engine only, and only where the closed
 // form is inexact. On a 4×4 grid no ranked candidate is replayed, on all
-// five platform presets; on a 4×6 grid (n=768, p=24) the ranked
-// candidates are replayed, and re-running each on the event engine
-// reproduces the scores the ranking was built from, bit for bit; on a 6×6
-// grid Cannon, exact there too, is not replayed.
+// five platform presets; on a 4×6 grid (n=768, p=24) ranked candidates
+// are replayed, and re-running each on the event engine reproduces the
+// scores the ranking was built from, bit for bit; on a 6×6 grid exactly
+// the binomial broadcasting candidates are replayed, and Cannon and Van de
+// Geijn candidates, exact there too, are not.
 func TestRefinementEngineDoesNotChangePicks(t *testing.T) {
 	presets := map[string]machine.Platform{
 		"grid5000":     machine.Grid5000(),
@@ -461,8 +462,8 @@ func TestRefinementEngineDoesNotChangePicks(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, s := range square.Ranked {
-				if s.Refined == (s.Algorithm == engine.Cannon) {
-					t.Fatalf("6x6 rank %d (%s): replayed %t; want every candidate but Cannon replayed", i, s.Candidate, s.Refined)
+				if s.Refined != (s.Broadcast == sched.Binomial) {
+					t.Fatalf("6x6 rank %d (%s): replayed %t; want every binomial candidate replayed, no other", i, s.Candidate, s.Refined)
 				}
 			}
 		})
