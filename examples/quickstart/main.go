@@ -40,11 +40,10 @@ func main() {
 		stats.Messages, stats.Bytes, stats.MaxRankCommSeconds)
 
 	// Plan fidelity: every resolved run carries the cost model's per-phase
-	// prediction next to what the critical rank actually measured. A ratio
-	// near 1 means the planner's model describes this machine; sustained
-	// drift is what hsumma-serve counts as a stale plan. (Predictions are
-	// evaluated for the configured platform model — Grid'5000 here — so on
-	// a laptop the *ratios between phases* carry the signal.)
+	// prediction next to what the critical rank actually measured. The
+	// prediction is priced on the configured platform model — Grid'5000
+	// here, not this host — so on a laptop the absolute seconds differ and
+	// only the *ratios between phases* carry the signal.
 	fmt.Println("predicted vs measured (critical rank), per phase:")
 	measured := map[string]float64{}
 	for phase, sec := range stats.CommSecondsByPhase {

@@ -89,8 +89,6 @@ func packBuf(n int) *[]float64 {
 	return p
 }
 
-func roundUp(v, q int) int { return (v + q - 1) / q * q }
-
 // # Packed layout
 //
 // The kernel reads both operands packed. An LHS panel — the rows×k left

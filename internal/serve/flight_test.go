@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -22,145 +20,6 @@ func newTestRecorder() *trace.Recorder {
 	r := trace.New(1)
 	r.Rank(0, trace.PhaseGemm, 0, 0.001, 0, 0)
 	return r
-}
-
-// trackedKeys counts the spec keys the tracker holds an estimate for.
-func trackedKeys(d *driftTracker) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.byKey)
-}
-
-// TestDriftTrackerStale drives the EWMA to a sustained 3x overrun and
-// checks the stale verdict fires exactly once, resetting the key's state.
-func TestDriftTrackerStale(t *testing.T) {
-	d := newDriftTracker(3)
-	pred := map[string]float64{"bcast": 1.0, "gemm": 2.0}
-	meas := map[string]float64{"bcast": 3.0, "gemm": 6.0}
-	var staleAt int
-	for i := 1; i <= 3; i++ {
-		ratio, stale := d.observe("k", pred, meas)
-		if math.Abs(ratio-3.0) > 1e-12 {
-			t.Fatalf("observation %d: ratio = %v, want 3.0", i, ratio)
-		}
-		if stale {
-			staleAt = i
-		}
-	}
-	if staleAt != 3 {
-		t.Fatalf("stale fired at observation %d, want 3 (minSamples)", staleAt)
-	}
-	// The key's state must have reset: the next observation starts fresh
-	// and cannot be stale again before minSamples accumulate.
-	if _, stale := d.observe("k", pred, meas); stale {
-		t.Fatal("stale re-fired immediately after reset")
-	}
-	if st := d.byKey["k"]; st == nil || st.n != 1 || st.total != 3.0 {
-		t.Fatalf("post-reset state = %+v, want a fresh estimate: 1 sample, total 3.0", st)
-	}
-}
-
-// TestDriftTrackerUnderrun checks the inverse side of the band: a model
-// that overpredicts by 4x (ratio 0.25 < 1/driftThreshold) is just as stale.
-func TestDriftTrackerUnderrun(t *testing.T) {
-	d := newDriftTracker(2)
-	pred := map[string]float64{"shift": 4.0}
-	meas := map[string]float64{"shift": 1.0}
-	if _, stale := d.observe("k", pred, meas); stale {
-		t.Fatal("stale before minSamples")
-	}
-	if _, stale := d.observe("k", pred, meas); !stale {
-		t.Fatal("sustained 0.25 ratio did not mark the plan stale")
-	}
-}
-
-// TestDriftTrackerConvergence checks the EWMA settles: a transient spike
-// followed by on-model requests decays back inside the band, never
-// tripping staleness.
-func TestDriftTrackerConvergence(t *testing.T) {
-	d := newDriftTracker(8)
-	pred := map[string]float64{"bcast": 1.0}
-	if _, stale := d.observe("k", pred, map[string]float64{"bcast": 5.0}); stale {
-		t.Fatal("single spike marked stale")
-	}
-	for i := 0; i < 20; i++ {
-		if _, stale := d.observe("k", pred, map[string]float64{"bcast": 1.0}); stale {
-			t.Fatalf("EWMA tripped stale while decaying toward 1.0 (iteration %d)", i)
-		}
-	}
-	if ewma := d.byKey["k"].total; math.Abs(ewma-1.0) > 0.05 {
-		t.Fatalf("total EWMA = %v after 20 on-model requests, want ~1.0", ewma)
-	}
-}
-
-// TestDriftTrackerNoPrediction: requests without a prediction (or with
-// nothing comparable) contribute nothing and report ratio 0.
-func TestDriftTrackerNoPrediction(t *testing.T) {
-	d := newDriftTracker(driftMinSamples)
-	if ratio, stale := d.observe("k", nil, map[string]float64{"gemm": 1}); ratio != 0 || stale {
-		t.Fatalf("nil prediction: ratio %v stale %v, want 0/false", ratio, stale)
-	}
-	if ratio, _ := d.observe("k", map[string]float64{"bcast": 1}, map[string]float64{"gemm": 1}); ratio != 0 {
-		t.Fatalf("disjoint phases: ratio %v, want 0", ratio)
-	}
-	if n := trackedKeys(d); n != 0 {
-		t.Fatalf("incomparable observations left state behind for %d keys", n)
-	}
-}
-
-// TestSchedulerStaleKeepsPlan drives the scheduler's stale path with
-// synthetic stats: a sustained 3x overrun on an auto-planned shape counts
-// once in PlanStale, and the planner's memoised plan survives it — the next
-// resolve of the shape is a cache hit, not a replan.
-func TestSchedulerStaleKeepsPlan(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
-	defer sc.Close()
-	const n = 32
-	rp := tune.ResolveParams{Procs: 4, Algorithm: engine.Auto}
-	_, st, err := sc.Multiply(matrix.Random(n, n, 1), matrix.Random(n, n, 2), rp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := tune.Stats()
-	for i := 0; i < driftMinSamples; i++ {
-		overrun := Stats{SpecKey: st.SpecKey, BatchSize: 1}
-		overrun.PredictedSecondsByPhase = map[string]float64{"bcast": 1, "gemm": 2}
-		overrun.CommSecondsByPhase = map[string]float64{"bcast": 3}
-		overrun.GemmSeconds = 6
-		sc.observeDrift(&overrun)
-		if overrun.ModelDriftRatio != 3 {
-			t.Fatalf("observation %d: ModelDriftRatio = %v, want 3", i, overrun.ModelDriftRatio)
-		}
-	}
-	if got := sc.Metrics().PlanStale; got != 1 {
-		t.Fatalf("PlanStale = %d after %d observations at 3x, want 1", got, driftMinSamples)
-	}
-	rp.Shape = matrix.Shape{M: n, N: n, K: n}
-	if _, err := tune.ResolveSpec(rp); err != nil {
-		t.Fatal(err)
-	}
-	after := tune.Stats()
-	if after.CacheMisses != before.CacheMisses || after.CacheHits != before.CacheHits+1 {
-		t.Fatalf("planner stats went %+v -> %+v across a stale verdict, want one cache hit and no miss", before, after)
-	}
-}
-
-// TestMeasuredPhasesBatchScaling: a coalesced batch's whole-batch stats
-// scale down by the batch width before comparison.
-func TestMeasuredPhasesBatchScaling(t *testing.T) {
-	st := Stats{
-		BatchSize: 4,
-		RunStats:  RunStats{GemmSeconds: 8, CommSecondsByPhase: map[string]float64{"bcast": 4, "p2p": 2}},
-	}
-	m := measuredPhases(st)
-	if m["bcast"] != 1 || m["p2p"] != 0.5 || m["gemm"] != 2 {
-		t.Fatalf("measuredPhases = %v, want bcast:1 p2p:0.5 gemm:2", m)
-	}
-	// BatchSize 0 (untracked) must behave as width 1, not divide by zero.
-	st.BatchSize = 0
-	if m := measuredPhases(st); m["bcast"] != 4 {
-		t.Fatalf("BatchSize 0: measuredPhases = %v, want unscaled", m)
-	}
 }
 
 // TestFlightRecorderRing checks the bounded ring: monotonic ids, oldest
@@ -189,29 +48,6 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 	if e := f.get("t999999"); e != nil {
 		t.Fatalf("unknown id fetched %+v", e)
-	}
-}
-
-// TestSchedulerDriftStats: a completed request through the real scheduler
-// carries both a prediction and a positive drift ratio in its stats.
-func TestSchedulerDriftStats(t *testing.T) {
-	sc := NewScheduler(SchedulerConfig{CoreBudget: 16})
-	defer sc.Close()
-	n := 32
-	a := matrix.Random(n, n, 11)
-	b := matrix.Random(n, n, 12)
-	_, st, err := sc.Multiply(a, b, tune.ResolveParams{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.PredictedSecondsByPhase) == 0 {
-		t.Fatal("Stats.PredictedSecondsByPhase is empty — resolution did not attach the plan prediction")
-	}
-	if st.ModelDriftRatio <= 0 {
-		t.Fatalf("ModelDriftRatio = %v, want > 0", st.ModelDriftRatio)
-	}
-	if m := sc.Metrics(); m.ModelDriftP50 <= 0 {
-		t.Fatalf("Metrics.ModelDriftP50 = %v, want > 0 after a completed request", m.ModelDriftP50)
 	}
 }
 
@@ -309,9 +145,6 @@ func TestHTTPFlightRecorderJoin(t *testing.T) {
 	if record["trace_id"] != id {
 		t.Fatalf("logged trace_id %v, stats say %q", record["trace_id"], id)
 	}
-	if _, ok := record["model_drift"]; !ok {
-		t.Fatalf("request log missing model_drift: %v", record)
-	}
 
 	// Join 2: the listing includes the id and the capture fetches as a
 	// valid Chrome trace document.
@@ -394,15 +227,8 @@ func TestHTTPFlightRecorderJoin(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	raw, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{
-		"hsumma_serve_trace_sampled_total 1",
-		"hsumma_serve_plan_stale_total 0",
-		"hsumma_serve_model_drift_p50",
-		"hsumma_serve_model_drift_ratio_bucket",
-	} {
-		if !strings.Contains(string(raw), want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, raw)
-		}
+	if !strings.Contains(string(raw), "hsumma_serve_trace_sampled_total 1") {
+		t.Fatalf("/metrics missing hsumma_serve_trace_sampled_total 1:\n%s", raw)
 	}
 
 	// An evicted/unknown id is a clean 404.

@@ -51,7 +51,7 @@ func (h *histogram) observe(v float64) {
 // bucketQuantile estimates the q-quantile (0..1) over cumulative-histogram
 // buckets with the standard Prometheus linear interpolation inside the
 // owning bucket — the one estimator behind every quantile the scheduler
-// reports (Metrics.LatencyP50Seconds / LatencyP99Seconds, ModelDriftP50).
+// reports (Metrics.LatencyP50Seconds / LatencyP99Seconds).
 func bucketQuantile(bounds []float64, buckets []uint64, count uint64, q float64) float64 {
 	if count == 0 || len(buckets) == 0 {
 		return 0

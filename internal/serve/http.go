@@ -348,7 +348,6 @@ func (h *handler) multiply(w http.ResponseWriter, r *http.Request) {
 		slog.Float64("execute_s", stats.RunSeconds),
 		slog.Float64("encode_s", encodeSec),
 		slog.Int("batch_size", stats.BatchSize),
-		slog.Float64("model_drift", stats.ModelDriftRatio),
 	)
 	if stats.TraceID != "" {
 		// Present exactly when the request was sampled into the flight
@@ -581,9 +580,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	emit("hsumma_serve_plan_sim_runs_total", "Candidates the tune planner replayed on the event engine.", "counter", float64(m.PlanSimRuns))
 	emit("hsumma_serve_plan_refine_seconds_total", "Wall time the tune planner spent replaying candidates on the event engine.", "counter", m.PlanRefineSeconds)
 	emit("hsumma_serve_batch_size_mean", "Mean coalesced batch size across completed requests.", "gauge", m.BatchSizeMean)
-	emit("hsumma_serve_plan_stale_total", "Requests whose sustained measured/predicted drift marked their plan stale.", "counter", float64(m.PlanStale))
 	emit("hsumma_serve_trace_sampled_total", "Requests sampled into the flight recorder.", "counter", float64(m.TraceSampled))
-	emit("hsumma_serve_model_drift_p50", "Median per-phase measured/predicted cost ratio, pooled over the phases of every completed request that carried a prediction (1.0 = plan model exact).", "gauge", m.ModelDriftP50)
 	emit("hsumma_serve_uptime_seconds", "Process uptime.", "gauge", time.Since(startTime).Seconds())
 	fmt.Fprintf(w, "# HELP hsumma_serve_latency_seconds Completed-request latency quantiles, read off hsumma_serve_request_seconds across all spec keys.\n")
 	fmt.Fprintf(w, "# TYPE hsumma_serve_latency_seconds summary\n")
@@ -596,5 +593,4 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	h.histEncode.write(w)
 	h.sc.histE2E.write(w)
 	h.sc.histBatch.write(w)
-	h.sc.histDrift.write(w)
 }

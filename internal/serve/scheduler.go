@@ -70,15 +70,8 @@ type Metrics struct {
 	// spent inside them.
 	PlanSimRuns       int64   `json:"plan_sim_runs"`
 	PlanRefineSeconds float64 `json:"plan_refine_seconds"`
-	// Plan-fidelity telemetry: requests whose sustained measured/predicted
-	// drift marked their plan stale, and requests sampled into the flight
-	// recorder.
-	PlanStale    int64 `json:"plan_stale"`
+	// TraceSampled counts the requests sampled into the flight recorder.
 	TraceSampled int64 `json:"trace_sampled"`
-	// ModelDriftP50 is the median per-phase measured/predicted cost ratio,
-	// pooled over every phase of every completed request that carried a
-	// prediction (1.0 = model exact).
-	ModelDriftP50 float64 `json:"model_drift_p50"`
 }
 
 // Scheduler is the admission-controlled front door: it keys requests by
@@ -109,14 +102,9 @@ type Scheduler struct {
 	histBatch                               *histogramVec
 	specKeyed                               []*histogramVec
 
-	// Plan-fidelity machinery: the per-spec-key drift EWMAs, the ratio
-	// histogram keyed by phase name, and the sampled-trace ring. sampleSeq
-	// drives the 1-in-N flight-recorder sampling.
-	drift        *driftTracker
-	histDrift    *histogramVec
+	// The sampled-trace ring; sampleSeq drives its 1-in-N sampling.
 	flight       *flightRecorder
 	sampleSeq    atomic.Int64
-	planStale    atomic.Int64
 	traceSampled atomic.Int64
 }
 
@@ -148,8 +136,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		histExec:  newHistogramVec("hsumma_serve_execute_seconds", "Distributed execution time per request (the run on its spawned rank goroutines)."),
 		histE2E:   newHistogramVec("hsumma_serve_request_seconds", "End-to-end request time: queue + stage + run + crop."),
 		histBatch: newHistogramVecBounds("hsumma_serve_batch_size", "Coalesced same-A requests per execution, observed once per request.", batchBounds),
-		histDrift: newHistogramVecBounds("hsumma_serve_model_drift_ratio", "Measured/predicted cost ratio per phase (key is the phase name; 1.0 = plan model exact).", driftBounds),
-		drift:     newDriftTracker(driftMinSamples),
 		flight:    newFlightRecorder(flightRingSize),
 	}
 	sc.specKeyed = []*histogramVec{sc.histQueue, sc.histStage, sc.histExec, sc.histE2E, sc.histBatch}
@@ -200,7 +186,6 @@ func (sc *Scheduler) Multiply(a, b *matrix.Dense, rp tune.ResolveParams) (*matri
 		return nil, stats, err
 	}
 	sc.completed.Add(1)
-	sc.observeDrift(&stats)
 	// The session may have retired since it served the request: observe
 	// under the scheduler lock so a retired key's series stay folded.
 	sc.mu.Lock()
@@ -255,37 +240,6 @@ func (sc *Scheduler) liveKeyLocked(specKey string) string {
 		return specKey
 	}
 	return otherKey
-}
-
-// observeDrift folds one completed request into the plan-fidelity
-// machinery: per-phase measured/predicted ratios into the drift histogram,
-// the all-phase ratio onto the request's stats and into the spec key's
-// EWMA, and a plan_stale count when sustained drift marks the plan stale.
-// A retired key stays out of the tracker, whose state for it retirement
-// dropped. A stale plan is reported, not replanned: the planner is a
-// deterministic function of inputs fixed at process start, so replanning
-// would return the same pick at the cost of another scan.
-func (sc *Scheduler) observeDrift(stats *Stats) {
-	if len(stats.PredictedSecondsByPhase) == 0 {
-		return
-	}
-	measured := measuredPhases(*stats)
-	for ph, p := range stats.PredictedSecondsByPhase {
-		if m, ok := measured[ph]; ok && p > 0 && m > 0 {
-			sc.histDrift.observe(ph, m/p)
-		}
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.liveKeyLocked(stats.SpecKey) == otherKey {
-		stats.ModelDriftRatio = driftRatio(stats.PredictedSecondsByPhase, measured)
-		return
-	}
-	ratio, stale := sc.drift.observe(stats.SpecKey, stats.PredictedSecondsByPhase, measured)
-	stats.ModelDriftRatio = ratio
-	if stale {
-		sc.planStale.Add(1)
-	}
 }
 
 // countFailure splits backpressure rejections (a healthy, retryable
@@ -364,7 +318,6 @@ func (sc *Scheduler) retireIdleLocked() bool {
 		for _, hv := range sc.specKeyed {
 			hv.fold(victim.key, otherKey)
 		}
-		sc.drift.forget(victim.key)
 	}
 	return true
 }
@@ -423,9 +376,7 @@ func (sc *Scheduler) Metrics() Metrics {
 		PlanCacheMisses:   ps.CacheMisses,
 		PlanSimRuns:       ps.SimRuns,
 		PlanRefineSeconds: ps.RefineTime().Seconds(),
-		PlanStale:         sc.planStale.Load(),
 		TraceSampled:      sc.traceSampled.Load(),
-		ModelDriftP50:     sc.histDrift.quantile(0.5),
 	}
 }
 

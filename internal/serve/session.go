@@ -67,7 +67,7 @@ var (
 
 // Stats reports one multiplication's execution statistics: the run
 // statistics every live surface shares (RunStats, embedded so the JSON stays
-// flat) plus the serving layer's queueing, batching and fidelity fields.
+// flat) plus the serving layer's queueing, batching and tracing fields.
 type Stats struct {
 	RunStats
 	// DecodeSeconds is the time the daemon spent reading and decoding the
@@ -87,11 +87,6 @@ type Stats struct {
 	// BatchSize is the number of same-A requests coalesced into the single
 	// execution that served this request (1 = unbatched).
 	BatchSize int
-	// ModelDriftRatio is measured/predicted total seconds for the phases
-	// the model predicted (0 when no prediction was available). Maintained
-	// by the scheduler's drift tracker; 1.0 means the plan's cost model
-	// matched reality exactly.
-	ModelDriftRatio float64
 	// TraceID names the flight-recorder capture this request was sampled
 	// into (empty when the request was not sampled). The same id appears in
 	// the request log record and at GET /debug/traces/{id}.

@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -197,11 +199,10 @@ func TestBatchBoundsEndAtMaxBatch(t *testing.T) {
 // TestRetiredKeysFoldIntoOther is the cardinality bound on the per-spec-key
 // series: 40 distinct shapes through a scheduler whose pool holds
 // maxSessions sessions leave at most live + 1 key values in every
-// spec-keyed family (and in the drift tracker's keys), the retired ones
-// folded into "other" with every observation kept — Σ _count is still the
-// completed requests, the latency quantiles still read — and the
-// exposition stays well-formed: HELP and TYPE once per family, no series
-// twice.
+// spec-keyed family, the retired ones folded into "other" with every
+// observation kept — Σ _count is still the completed requests, the latency
+// quantiles still read — and the exposition stays well-formed: HELP and
+// TYPE once per family, no series twice.
 func TestRetiredKeysFoldIntoOther(t *testing.T) {
 	const shapes, callers = 40, 4
 	sc := NewScheduler(SchedulerConfig{CoreBudget: 8})
@@ -240,9 +241,6 @@ func TestRetiredKeysFoldIntoOther(t *testing.T) {
 	if m.LatencyP50Seconds <= 0 || m.LatencyP99Seconds < m.LatencyP50Seconds {
 		t.Fatalf("latency quantiles lost in the fold: p50 %g, p99 %g", m.LatencyP50Seconds, m.LatencyP99Seconds)
 	}
-	if got := trackedKeys(sc.drift); got > m.SessionsLive {
-		t.Fatalf("drift tracker holds %d keys for %d live sessions", got, m.SessionsLive)
-	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	keys := map[string]map[string]bool{} // family → key label values
@@ -264,8 +262,8 @@ func TestRetiredKeysFoldIntoOther(t *testing.T) {
 		seen[series] = true
 		name, labels, _ := strings.Cut(series, "{")
 		_, rest, ok := strings.Cut(labels, `key="`)
-		if !ok || !strings.HasSuffix(name, "_count") || name == "hsumma_serve_model_drift_ratio_count" {
-			continue // not a spec-keyed histogram (the drift family is keyed by phase)
+		if !ok || !strings.HasSuffix(name, "_count") {
+			continue // not a spec-keyed histogram
 		}
 		key, _, _ := strings.Cut(rest, `"`)
 		if keys[name] == nil {
@@ -289,6 +287,69 @@ func TestRetiredKeysFoldIntoOther(t *testing.T) {
 		}
 		if counts[name] != shapes {
 			t.Errorf("%s: Σ _count = %d, want the %d completed requests", name, counts[name], shapes)
+		}
+	}
+}
+
+// TestREADMEMetricsTables holds the README's GET /metrics tables to the
+// exposition: after a warm multiply, the families the tables name are
+// exactly the families the scrape emits, each with the type its row gives.
+func TestREADMEMetricsTables(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]string{} // family → type
+	family := regexp.MustCompile("`(hsumma_serve_[a-z0-9_]+)`")
+	for _, line := range strings.Split(string(readme), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`hsumma_serve_") {
+			continue
+		}
+		typ, _, _ := strings.Cut(strings.TrimSpace(cells[2]), ",")
+		for _, m := range family.FindAllStringSubmatch(cells[1], -1) {
+			if _, dup := documented[m[1]]; dup {
+				t.Errorf("README names %s in two rows", m[1])
+			}
+			documented[m[1]] = typ
+		}
+	}
+
+	srv, _ := newTestServer(t)
+	for i := 0; i < 2; i++ { // the second request is warm: its session is live
+		resp, err := http.Post(srv.URL+"/multiply", "application/json", bytes.NewReader(multiplyBody(t, 16, 4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("multiply status %d", resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	emitted := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			emitted[f[2]] = f[3]
+		}
+	}
+
+	for name, typ := range emitted {
+		if got, ok := documented[name]; !ok {
+			t.Errorf("/metrics emits %s (%s), which no README table names", name, typ)
+		} else if got != typ {
+			t.Errorf("README gives %s the type %q, /metrics %q", name, got, typ)
+		}
+	}
+	for name := range documented {
+		if _, ok := emitted[name]; !ok {
+			t.Errorf("README names %s, which /metrics does not emit", name)
 		}
 	}
 }

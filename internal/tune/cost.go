@@ -79,9 +79,8 @@ func (s *scorer) phases(spec engine.Spec) (bcast, shift, gemm float64) {
 }
 
 // predictPhases returns the spec's phases as the map a plan and a
-// resolved spec carry (zero phases omitted) — the denominator of the
-// serving layer's measured/predicted drift tracking; the fidelity tests
-// compare it against traced virtual runs.
+// resolved spec carry (zero phases omitted); the fidelity tests compare
+// it against traced virtual runs.
 func (s *scorer) predictPhases(spec engine.Spec) map[string]float64 {
 	bcast, shift, gemm := s.phases(spec)
 	out := make(map[string]float64, 3)

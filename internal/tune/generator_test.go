@@ -12,12 +12,15 @@ import (
 )
 
 // The SUMMA family's candidates come from one level-list generator
-// (hierarchies). Over the five presets, Quick and full, at p = 4…256:
+// (hierarchies). Over the five presets, Quick and full, at p = 4, 6, 16,
+// 64 and 256:
 //
 //	(a) with SUMMA requested, no level — HSUMMA's or a multilevel one —
-//	    has one group, and a last level of one rank per group is wider
-//	    than every SUMMA b on its grid (HSUMMA at G = p and B = b is
-//	    SUMMA);
+//	    has one group, and a level that leaves each side of its sub-grid
+//	    unsplit or at one rank per group is wider than the level below it
+//	    (HSUMMA at G = 2 on 2×3 as 2×1 groups and B = b is SUMMA), and,
+//	    at one rank per group, wider than every SUMMA b on its grid
+//	    (HSUMMA at G = p and B = b is SUMMA);
 //	(b) the analytic best equals the best of the enumerator the generator
 //	    replaced (frozen below as parentCandidates), under one scorer;
 //	(c) an HSUMMA-only request still sweeps G = 1 and G = p, the endpoints
@@ -28,14 +31,14 @@ import (
 //	    square grid; on 4×16 it arranges four groups as 1×4).
 func TestOneHierarchyGenerator(t *testing.T) {
 	family := []engine.Algorithm{engine.SUMMA, engine.HSUMMA, engine.Multilevel, engine.Cannon, engine.Fox}
-	ns := map[int]int{4: 256, 16: 512, 64: 4096, 256: 8192}
+	ns := map[int]int{4: 256, 6: 384, 16: 512, 64: 4096, 256: 8192}
 	checkedD := 0
 	for _, name := range []string{"grid5000", "grid5000-cal", "bgp", "bgp-cal", "exascale"} {
 		pf, err := machine.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []int{4, 16, 64, 256} {
+		for _, p := range []int{4, 6, 16, 64, 256} {
 			for _, quick := range []bool{true, false} {
 				req := Request{Platform: pf, N: ns[p], P: p, Quick: quick}
 				with := func(algs ...engine.Algorithm) Request {
@@ -136,7 +139,9 @@ func bestOf(sc *scorer, cands []Candidate, o Objective) Scored {
 }
 
 // properLevels reports a level of the candidate's hierarchy that has one
-// group, or that has one rank per group and a width among summaB.
+// group, or that leaves each side of its sub-grid unsplit or at one rank
+// per group and is as narrow as the level below it or, at one rank per
+// group, has a width among summaB.
 func properLevels(c Candidate, summaB map[int]bool) error {
 	var levels []core.Level
 	g := c.Grid
@@ -147,10 +152,16 @@ func properLevels(c Candidate, summaB map[int]bool) error {
 		levels = c.Levels
 	}
 	for k, lv := range levels {
-		if G := lv.I * lv.J; G <= 1 || G >= g.Size() && summaB[lv.BlockSize] {
+		below := c.BlockSize
+		if k+1 < len(levels) {
+			below = levels[k+1].BlockSize
+		}
+		inner := topo.Grid{S: g.S / lv.I, T: g.T / lv.J}
+		trivial := (lv.I == 1 || inner.S == 1) && (lv.J == 1 || inner.T == 1)
+		if lv.I*lv.J <= 1 || trivial && (lv.BlockSize == below || inner.Size() == 1 && summaB[lv.BlockSize]) {
 			return fmt.Errorf("level %d splits %v into %dx%d groups, %d wide", k, g, lv.I, lv.J, lv.BlockSize)
 		}
-		g = topo.Grid{S: g.S / lv.I, T: g.T / lv.J}
+		g = inner
 	}
 	return nil
 }

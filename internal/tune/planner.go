@@ -164,8 +164,8 @@ func (p *Planner) plan(req Request) (*Plan, error) {
 	top := append([]Scored(nil), scored[:min(len(scored), rankedLen)]...)
 	// Attach the per-phase model decomposition to the ranked entries only
 	// (not all thousands of scanned candidates): these are the entries a
-	// plan surfaces, and the winner's map is what the execution spec — and
-	// the serving drift tracker — carries forward.
+	// plan surfaces, and the winner's map is what the execution spec
+	// carries forward.
 	var replay []*Scored
 	for i := range top {
 		if spec, err := top[i].Candidate.Spec(req.Shape); err == nil {

@@ -147,8 +147,9 @@ func ResolveSpec(rp ResolveParams) (engine.Spec, error) {
 		return engine.Spec{}, err
 	}
 	// Attach the model's per-phase prediction for the resolved execution —
-	// pinned requests included, so the serving layer's drift tracking
-	// always has a denominator. Advisory metadata: never part of Spec.Key.
+	// pinned requests included, so a run's stats carry what the model
+	// prices beside what was measured. Advisory metadata, priced on the
+	// planner's platform rather than the host: never part of Spec.Key.
 	pf := machine.Grid5000()
 	if rp.Platform != nil {
 		pf = *rp.Platform

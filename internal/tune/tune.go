@@ -252,8 +252,6 @@ type Scored struct {
 	// PredictedSecondsByPhase is the closed-form cost decomposed onto the
 	// trace phase vocabulary (bcast/shift/p2p for comm, gemm for compute);
 	// the comm phases sum to ModelComm up to floating-point association.
-	// It is the measured-vs-predicted denominator the serving layer's
-	// drift tracking audits.
 	PredictedSecondsByPhase map[string]float64 `json:"predicted_seconds_by_phase,omitempty"`
 	// Refined reports whether the candidate was replayed on the event
 	// engine (see replayed); its Sim fields then rank it.
@@ -307,9 +305,9 @@ type Plan struct {
 // PredictPhases evaluates the closed-form per-phase prediction for a
 // resolved spec on a platform — the same decomposition the planner
 // attaches to its ranked candidates, reachable for pinned (non-Auto)
-// requests too so every resolved execution carries a model prediction
-// for the drift tracker to audit. Call it on a padded spec. Cost: a
-// handful of closed-form evaluations, microseconds.
+// requests too so every resolved execution carries a model prediction.
+// Call it on a padded spec. Cost: a handful of closed-form evaluations,
+// microseconds.
 func PredictPhases(spec engine.Spec, pf machine.Platform) map[string]float64 {
 	return (&scorer{sh: spec.Shape(), m: pf.Model}).predictPhases(spec)
 }
@@ -449,18 +447,19 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 // carried (Groups/GroupShape/OuterBlockSize for one level, Levels for
 // two), so spec keys and plan JSON keep their shape. With proper set
 // (SUMMA is requested too), no level has one group, which broadcasts
-// nothing, and a list whose last level leaves one rank per group is
-// dropped when that level's width is one of the grid's b: it runs the
-// broadcasts of the list without that level, at that width as b (HSUMMA
-// at G = p is SUMMA at b = B).
+// nothing, and a list whose last level only repeats the list without it is
+// dropped: a last level that leaves each grid side unsplit or at one rank
+// per group broadcasts every pivot over the same ranks as the level below,
+// so at width b it runs that level's broadcasts (HSUMMA at G = 2 on 2×3 as
+// 2×1 groups and B = b is SUMMA), and with one rank per group it runs
+// them at its own width as b (HSUMMA at G = p is SUMMA at b = B).
 func hierarchies(req Request, g topo.Grid, bs []int, alg engine.Algorithm, proper bool) []Candidate {
 	depth := map[engine.Algorithm]int{engine.HSUMMA: 1, engine.Multilevel: 2}[alg]
 	var out []Candidate
 	for _, groups := range arrangements(g, depth, req.Quick, proper) {
 		for _, b := range bs {
 			for _, widths := range widthChains(req, g, depth, b) {
-				if last := depth - 1; proper && depth > 0 && slices.Contains(bs, widths[last]) &&
-					groups[last].InnerS()*groups[last].InnerT() == 1 {
+				if proper && depth > 0 && repeatsBelow(groups[depth-1], widths[depth-1], b, bs) {
 					continue
 				}
 				c := Candidate{Algorithm: alg, Grid: g, Knobs: core.Knobs{BlockSize: b}}
@@ -483,6 +482,16 @@ func hierarchies(req Request, g topo.Grid, bs []int, alg engine.Algorithm, prope
 		}
 	}
 	return out
+}
+
+// repeatsBelow reports whether a last level of arrangement h and width w
+// over inner width b runs the broadcasts of the list without it (see
+// hierarchies); bs are the grid's b.
+func repeatsBelow(h topo.Hier, w, b int, bs []int) bool {
+	if (h.I > 1 && h.InnerS() > 1) || (h.J > 1 && h.InnerT() > 1) {
+		return false
+	}
+	return w == b || h.InnerS()*h.InnerT() == 1 && slices.Contains(bs, w)
 }
 
 // arrangements lists the group arrangements of a depth-level hierarchy
