@@ -68,7 +68,7 @@ func TestSimulateDefaultsMachineFromPlatform(t *testing.T) {
 // A cached plan must be caller-owned: re-sorting it cannot corrupt the
 // cache for later hits.
 func TestPlanCacheIsolation(t *testing.T) {
-	cfg := PlanConfig{Platform: PlatformExascale(), N: 256, Procs: 16, Quick: true}
+	cfg := PlanConfig{Platform: PlatformExascale(), N: 256, Procs: 16}
 	first, err := Plan(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestPlanCacheIsolation(t *testing.T) {
 // ranked by its closed-form totals and replays nothing.
 func TestPlanAPI(t *testing.T) {
 	pf := PlatformGrid5000()
-	cfg := PlanConfig{Platform: pf, N: 512, Procs: 16, Quick: true}
+	cfg := PlanConfig{Platform: pf, N: 512, Procs: 16}
 	before := PlannerCounters()
 	pl, err := Plan(cfg)
 	if err != nil {

@@ -350,7 +350,7 @@ func BenchmarkSimBGP2048Event(b *testing.B) {
 // event-engine replays), a cached one a map lookup — the serving-workload
 // property the planner is memoised for.
 func BenchmarkPlanColdVsCached(b *testing.B) {
-	cfg := PlanConfig{Platform: PlatformGrid5000(), N: 512, Procs: 16, Quick: true}
+	cfg := PlanConfig{Platform: PlatformGrid5000(), N: 512, Procs: 16}
 	b.Run("cold", func(b *testing.B) {
 		cfg := cfg
 		cfg.NoCache = true

@@ -294,7 +294,7 @@ func runPlanCmd(args []string) {
 		thr        = fs.Int("threads", 0, "pin the per-rank thread budget (0 = searched under -cores, 1 otherwise)")
 		cores      = fs.Int("cores", 0, "core budget: search (ranks × threads) splits of this many cores instead of planning for exactly -p ranks")
 		objective  = fs.String("objective", "total", "ranking objective: total or comm")
-		quick      = fs.Bool("quick", false, "trim the candidate space (and the default problem scale) for a sub-second sweep")
+		quick      = fs.Bool("quick", false, "plan each platform's scaled-down default problem (as exp -quick)")
 		contention = fs.Bool("contention", false, "price the platform's link sharing by replaying the ranked candidates on the event engine")
 		jsonOut    = fs.Bool("json", false, "emit the plans as JSON")
 	)
@@ -342,7 +342,6 @@ func runPlanCmd(args []string) {
 			Threads:    *thr,
 			CoreBudget: *cores,
 			Objective:  obj,
-			Quick:      *quick,
 			Contention: *contention,
 		})
 		if err != nil {

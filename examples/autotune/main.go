@@ -30,9 +30,9 @@ func main() {
 		Model: hsumma.Machine{Alpha: 1e-4, Beta: 1e-9, Gamma: 1e-10},
 	}
 
-	// Quick mode matches the search AlgAuto performs below, so the second
-	// multiplication's implicit plan is served from the cache.
-	pl, err := hsumma.Plan(hsumma.PlanConfig{Platform: pf, N: n, Procs: procs, Quick: true})
+	// AlgAuto below searches the same space, so the second multiplication's
+	// implicit plan is served from the cache.
+	pl, err := hsumma.Plan(hsumma.PlanConfig{Platform: pf, N: n, Procs: procs})
 	if err != nil {
 		log.Fatal(err)
 	}

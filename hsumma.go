@@ -86,10 +86,9 @@ const (
 	// block sizes and broadcast — to the autotuning planner (see Plan).
 	// The pins Grid, BlockSize, OuterBlockSize, Broadcast and Threads are
 	// honoured as constraints when set; Groups and Levels are always the
-	// planner's, and everything unset is searched. Implicit resolution uses
-	// the planner's Quick search space (and, above 2048 ranks, analytic
-	// ranking only); for a full search call Plan yourself and apply its
-	// Best candidate explicitly.
+	// planner's, and everything unset is searched. Implicit resolution
+	// searches the same space as Plan (above 2048 ranks it ranks in closed
+	// form only).
 	AlgAuto = engine.Auto
 )
 

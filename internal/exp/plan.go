@@ -52,10 +52,7 @@ func runPlan(o Options, _ sims) (*Result, error) {
 	grid5000, bgp := platforms(o)
 	for _, pf := range []machine.Platform{grid5000, bgp, machine.Exascale()} {
 		n, p := PlanProblem(pf, o.Quick)
-		pl, err := planner.Plan(tune.Request{
-			Platform: pf, N: n, P: p,
-			Quick: o.Quick,
-		})
+		pl, err := planner.Plan(tune.Request{Platform: pf, N: n, P: p})
 		if err != nil {
 			return nil, err
 		}

@@ -480,7 +480,7 @@ func (h *handler) resolveParams(kn jsonMultiply) (tune.ResolveParams, error) {
 	return rp, nil
 }
 
-// plan serves the autotuning planner: GET /plan?m=&n=&k=&p=&platform=&quick=.
+// plan serves the autotuning planner: GET /plan?m=&n=&k=&p=&platform=.
 func (h *handler) plan(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	geti := func(name string) (int, error) {
@@ -538,14 +538,15 @@ func (h *handler) plan(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	quick := q.Get("quick") != "0" // quick by default: this is a serving hot path
-	// No rank guard is needed: the planner replays nothing above
-	// tune.AutoProcs ranks, where one virtual run costs seconds of host CPU.
+	// The planner replays nothing above tune.AutoProcs ranks, but below it
+	// a cold plan may replay up to eight binomial candidates on the event
+	// engine, and a large n at a small block size makes each replay long
+	// (on a 2-core host n=55440 p=1680 spends 11–13 s in eight replays at
+	// b=4). Only the plan cache bounds that cost, once per distinct problem.
 	pl, err := tune.PlanFor(tune.Request{
 		Platform: pf,
 		Shape:    matrix.Shape{M: m, N: n, K: k},
 		P:        p,
-		Quick:    quick,
 	})
 	if err != nil {
 		httpError(w, err)

@@ -19,7 +19,7 @@ func TestPlannerFeasibilityMatchesExecution(t *testing.T) {
 	pl, err := NewPlanner().Plan(Request{
 		Platform: machine.Grid5000(),
 		Shape:    matrix.Shape{M: 8192, N: 512, K: 8192},
-		P:        64, Grid: &g, BlockSize: 256, Quick: true, NoCache: true,
+		P:        64, Grid: &g, BlockSize: 256, NoCache: true,
 	})
 	if err != nil {
 		t.Fatalf("pinned b=256: %v", err)
@@ -34,7 +34,7 @@ func TestPlannerFeasibilityMatchesExecution(t *testing.T) {
 		Shape:    matrix.Shape{M: 8192, N: 512, K: 8192},
 		P:        64, Grid: &g, BlockSize: 64, OuterBlockSize: 128,
 		Algorithms: []engine.Algorithm{engine.HSUMMA},
-		Quick:      true, NoCache: true,
+		NoCache:    true,
 	})
 	if err != nil {
 		t.Fatalf("pinned B=128: %v", err)
@@ -49,7 +49,7 @@ func TestPlannerFeasibilityMatchesExecution(t *testing.T) {
 		Shape:      matrix.Square(7),
 		P:          4,
 		Algorithms: []engine.Algorithm{engine.Cannon},
-		Quick:      true, NoCache: true,
+		NoCache:    true,
 	})
 	if err != nil {
 		t.Fatalf("cannon n=7: %v", err)

@@ -12,8 +12,7 @@ import (
 )
 
 // The SUMMA family's candidates come from one level-list generator
-// (hierarchies). Over the five presets, Quick and full, at p = 4, 6, 16,
-// 64 and 256:
+// (hierarchies). Over the five presets at p = 4, 6, 16, 64 and 256:
 //
 //	(a) with SUMMA requested, no level — HSUMMA's or a multilevel one —
 //	    has one group, and a level that leaves each side of its sub-grid
@@ -39,74 +38,72 @@ func TestOneHierarchyGenerator(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range []int{4, 6, 16, 64, 256} {
-			for _, quick := range []bool{true, false} {
-				req := Request{Platform: pf, N: ns[p], P: p, Quick: quick}
-				with := func(algs ...engine.Algorithm) Request {
-					r := req
-					r.Algorithms = algs
-					return r
-				}
+			req := Request{Platform: pf, N: ns[p], P: p}
+			with := func(algs ...engine.Algorithm) Request {
+				r := req
+				r.Algorithms = algs
+				return r
+			}
 
-				// (a)
-				all := mustCandidates(t, with(family...))
-				summaB := map[topo.Grid]map[int]bool{}
-				for _, c := range all {
-					if c.Algorithm == engine.SUMMA {
-						if summaB[c.Grid] == nil {
-							summaB[c.Grid] = map[int]bool{}
-						}
-						summaB[c.Grid][c.BlockSize] = true
+			// (a)
+			all := mustCandidates(t, with(family...))
+			summaB := map[topo.Grid]map[int]bool{}
+			for _, c := range all {
+				if c.Algorithm == engine.SUMMA {
+					if summaB[c.Grid] == nil {
+						summaB[c.Grid] = map[int]bool{}
 					}
+					summaB[c.Grid][c.BlockSize] = true
 				}
-				for _, c := range all {
-					if err := properLevels(c, summaB[c.Grid]); err != nil {
-						t.Fatalf("%s p=%d quick=%t: %s: %v", name, p, quick, c, err)
-					}
+			}
+			for _, c := range all {
+				if err := properLevels(c, summaB[c.Grid]); err != nil {
+					t.Fatalf("%s p=%d: %s: %v", name, p, c, err)
 				}
+			}
 
-				// (b)
-				sc := &scorer{sh: matrix.Square(req.N), m: pf.Model}
-				cands, parent := mustCandidates(t, req), parentCandidates(req)
-				for _, o := range []Objective{MinTotal, MinComm} {
-					got, want := bestOf(sc, cands, o), bestOf(sc, parent, o)
-					if got.objective(o) != want.objective(o) {
-						t.Fatalf("%s p=%d quick=%t %s: best %s scores %g, replaced enumerator's best %s scores %g",
-							name, p, quick, o, got.Candidate, got.objective(o), want.Candidate, want.objective(o))
-					}
+			// (b)
+			sc := &scorer{sh: matrix.Square(req.N), m: pf.Model}
+			cands, parent := mustCandidates(t, req), parentCandidates(req)
+			for _, o := range []Objective{MinTotal, MinComm} {
+				got, want := bestOf(sc, cands, o), bestOf(sc, parent, o)
+				if got.objective(o) != want.objective(o) {
+					t.Fatalf("%s p=%d %s: best %s scores %g, replaced enumerator's best %s scores %g",
+						name, p, o, got.Candidate, got.objective(o), want.Candidate, want.objective(o))
 				}
-				if len(cands) >= len(parent) {
-					t.Fatalf("%s p=%d quick=%t: %d candidates, replaced enumerator had %d", name, p, quick, len(cands), len(parent))
-				}
+			}
+			if len(cands) >= len(parent) {
+				t.Fatalf("%s p=%d: %d candidates, replaced enumerator had %d", name, p, len(cands), len(parent))
+			}
 
-				// (c)
-				endpoints := map[topo.Grid]map[int]bool{}
-				for _, c := range mustCandidates(t, with(engine.HSUMMA)) {
-					if endpoints[c.Grid] == nil {
-						endpoints[c.Grid] = map[int]bool{}
-					}
-					endpoints[c.Grid][c.Groups] = true
+			// (c)
+			endpoints := map[topo.Grid]map[int]bool{}
+			for _, c := range mustCandidates(t, with(engine.HSUMMA)) {
+				if endpoints[c.Grid] == nil {
+					endpoints[c.Grid] = map[int]bool{}
 				}
-				for g, seen := range endpoints {
-					if !seen[1] || !seen[g.Size()] {
-						t.Fatalf("%s p=%d quick=%t: HSUMMA-only request on %v lacks an endpoint (G=1: %t, G=%d: %t)",
-							name, p, quick, g, seen[1], g.Size(), seen[g.Size()])
-					}
+				endpoints[c.Grid][c.Groups] = true
+			}
+			for g, seen := range endpoints {
+				if !seen[1] || !seen[g.Size()] {
+					t.Fatalf("%s p=%d: HSUMMA-only request on %v lacks an endpoint (G=1: %t, G=%d: %t)",
+						name, p, g, seen[1], g.Size(), seen[g.Size()])
 				}
+			}
 
-				// (d)
-				ml := with(engine.Multilevel)
-				proposed := map[string]bool{}
-				for _, c := range mustCandidates(t, ml) {
-					proposed[c.String()] = true
+			// (d)
+			ml := with(engine.Multilevel)
+			proposed := map[string]bool{}
+			for _, c := range mustCandidates(t, ml) {
+				proposed[c.String()] = true
+			}
+			for _, c := range parentCandidates(ml) {
+				if !factorGroupsArranges(c) {
+					continue
 				}
-				for _, c := range parentCandidates(ml) {
-					if !factorGroupsArranges(c) {
-						continue
-					}
-					checkedD++
-					if !proposed[c.String()] {
-						t.Fatalf("%s p=%d quick=%t: multilevel shape %s no longer proposed", name, p, quick, c)
-					}
+				checkedD++
+				if !proposed[c.String()] {
+					t.Fatalf("%s p=%d: multilevel shape %s no longer proposed", name, p, c)
 				}
 			}
 		}
@@ -183,15 +180,15 @@ func factorGroupsArranges(c Candidate) bool {
 
 // parentCandidates is the enumerator hierarchies replaced, frozen as the
 // reference for (b) and (d): a SUMMA sweep, an HSUMMA sweep over every
-// group count (endpoints included) and B ∈ {b, 2b, 4b}, two hard-coded
-// multilevel shapes.
+// power-of-two group count and the grid's size (endpoints included) and
+// B ∈ {b, 2b, 4b}, two hard-coded multilevel shapes.
 // Requests without a core budget only.
 func parentCandidates(req Request) []Candidate {
 	req = req.withDefaults()
 	sh := req.Shape
 	var out []Candidate
 	for _, g := range candidateGrids(req) {
-		bs := blockCandidates(sh, g, req.Quick)
+		bs := blockCandidates(sh, g)
 		if req.BlockSize > 0 {
 			if sh.K%g.S == 0 && sh.K%g.T == 0 &&
 				((sh.K/g.S)%req.BlockSize != 0 || (sh.K/g.T)%req.BlockSize != 0) {
@@ -208,7 +205,7 @@ func parentCandidates(req Request) []Candidate {
 					}
 				}
 			case engine.HSUMMA:
-				for _, G := range parentGroupCandidates(g, req.Quick) {
+				for _, G := range parentGroupCandidates(g) {
 					h, err := topo.FactorGroups(g, G)
 					if err != nil {
 						continue
@@ -244,13 +241,9 @@ func parentCandidates(req Request) []Candidate {
 	return out
 }
 
-func parentGroupCandidates(g topo.Grid, quick bool) []int {
-	counts := topo.ValidGroupCounts(g)
-	if !quick {
-		return counts
-	}
+func parentGroupCandidates(g topo.Grid) []int {
 	var out []int
-	for _, G := range counts {
+	for _, G := range topo.ValidGroupCounts(g) {
 		if G&(G-1) == 0 || G == g.Size() {
 			out = append(out, G)
 		}
@@ -271,9 +264,6 @@ func parentOuterBlockCandidates(req Request, g topo.Grid, b int) []int {
 		return []int{B}
 	}
 	out := []int{b}
-	if req.Quick {
-		return out
-	}
 	for _, mult := range []int{2, 4} {
 		if B := b * mult; B <= minTileExtent(sh, g) && divides(B) {
 			out = append(out, B)

@@ -78,8 +78,8 @@ func fingerprint(req Request) string {
 	pf := req.Platform
 	fmt.Fprintf(&b, "pf=%s|a=%g|b=%g|g=%g|cont=%d|deg=%d",
 		pf.Name, pf.Model.Alpha, pf.Model.Beta, pf.Model.Gamma, pf.Contention, pf.TorusDegree)
-	fmt.Fprintf(&b, "|M=%d|N=%d|K=%d|p=%d|obj=%s|quick=%t|contention=%t",
-		req.Shape.M, req.Shape.N, req.Shape.K, req.P, req.Objective, req.Quick, req.Contention)
+	fmt.Fprintf(&b, "|M=%d|N=%d|K=%d|p=%d|obj=%s|contention=%t",
+		req.Shape.M, req.Shape.N, req.Shape.K, req.P, req.Objective, req.Contention)
 	if req.Grid != nil {
 		fmt.Fprintf(&b, "|grid=%dx%d", req.Grid.S, req.Grid.T)
 	}

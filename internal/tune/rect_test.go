@@ -72,23 +72,16 @@ func TestBlockEnumerationRespectsSkinnyExtents(t *testing.T) {
 }
 
 // Tall problems must get tall grids: the planner enumerates grid
-// orientation against the aspect ratio, and quick mode picks the
-// orientation-matched grid.
+// orientation against the aspect ratio and picks the orientation-matched
+// grid.
 func TestPlannerPicksOrientationMatchedGrid(t *testing.T) {
 	tall := matrix.Shape{M: 8192, N: 512, K: 8192}
-	req := Request{Platform: machine.Grid5000(), Shape: tall, P: 32, Quick: true}
-	grids := candidateGrids(req.withDefaults())
-	if len(grids) != 1 {
-		t.Fatalf("quick mode returned %d grids", len(grids))
-	}
-	if g := grids[0]; g.S <= g.T {
-		t.Fatalf("tall shape got non-tall quick grid %v", g)
-	}
+	req := Request{Platform: machine.Grid5000(), Shape: tall, P: 32, NoCache: true}
 
-	// The full enumeration must contain both orientations.
-	full := candidateGrids(Request{Platform: machine.Grid5000(), Shape: tall, P: 32}.withDefaults())
+	// The enumeration must contain both orientations.
+	grids := candidateGrids(req.withDefaults())
 	sawTall, sawWide := false, false
-	for _, g := range full {
+	for _, g := range grids {
 		if g.S > g.T {
 			sawTall = true
 		}
@@ -97,11 +90,11 @@ func TestPlannerPicksOrientationMatchedGrid(t *testing.T) {
 		}
 	}
 	if !sawTall || !sawWide {
-		t.Fatalf("full enumeration missing an orientation: %v", full)
+		t.Fatalf("enumeration missing an orientation: %v", grids)
 	}
 
 	// End to end: the planned best grid for a tall problem is tall.
-	pl, err := NewPlanner().Plan(Request{Platform: machine.Grid5000(), Shape: tall, P: 32, Quick: true, NoCache: true})
+	pl, err := NewPlanner().Plan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +103,6 @@ func TestPlannerPicksOrientationMatchedGrid(t *testing.T) {
 	}
 	if pl.Shape != tall {
 		t.Fatalf("plan shape %v, want %v", pl.Shape, tall)
-	}
-
-	// Square requests keep the squarest-grid behaviour.
-	sq := candidateGrids(Request{Platform: machine.Grid5000(), Shape: matrix.Square(512), P: 32, Quick: true}.withDefaults())
-	if len(sq) != 1 || sq[0] != (topo.Grid{S: 4, T: 8}) {
-		t.Fatalf("square quick grid = %v, want 4x8", sq)
 	}
 }
 
@@ -141,7 +128,7 @@ func TestPlanRectangularEndToEnd(t *testing.T) {
 	req := Request{
 		Platform: machine.Grid5000Calibrated(),
 		Shape:    matrix.Shape{M: 1024, N: 128, K: 1024},
-		P:        16, Quick: true, NoCache: true,
+		P:        16, NoCache: true,
 	}
 	pl, err := NewPlanner().Plan(req)
 	if err != nil {
@@ -160,7 +147,7 @@ func TestPlanRectangularEndToEnd(t *testing.T) {
 	pl2, err := NewPlanner().Plan(Request{
 		Platform: req.Platform,
 		Shape:    matrix.Shape{M: 128, N: 1024, K: 1024},
-		P:        16, Quick: true, NoCache: true,
+		P:        16, NoCache: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +155,7 @@ func TestPlanRectangularEndToEnd(t *testing.T) {
 	if fingerprint(req.withDefaults()) == fingerprint(Request{
 		Platform: req.Platform,
 		Shape:    matrix.Shape{M: 128, N: 1024, K: 1024},
-		P:        16, Quick: true, NoCache: true,
+		P:        16, NoCache: true,
 	}.withDefaults()) {
 		t.Fatal("transposed shapes share a cache fingerprint")
 	}

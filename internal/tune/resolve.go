@@ -196,7 +196,6 @@ func AutoRequest(rp ResolveParams) Request {
 		Grid: rp.Grid, BlockSize: rp.BlockSize,
 		OuterBlockSize: rp.OuterBlockSize,
 		Threads:        rp.Threads,
-		Quick:          true,
 	}
 	if rp.Broadcast != "" {
 		req.Broadcasts = []sched.Algorithm{rp.Broadcast}

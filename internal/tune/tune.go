@@ -85,10 +85,6 @@ type Request struct {
 	Broadcasts []sched.Algorithm
 	// Objective defaults to MinTotal.
 	Objective Objective
-	// Quick trims the candidate space (fewer block sizes, power-of-two
-	// group counts, squarest grid only) so a plan completes in well under
-	// a second — the mode tests and CI smoke runs use.
-	Quick bool
 	// Contention prices the platform's link sharing, which only the event
 	// engine models: every ranked candidate at most AutoProcs ranks wide
 	// is replayed.
@@ -403,7 +399,7 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 	proper := slices.Contains(req.Algorithms, engine.SUMMA)
 	var out []Candidate
 	for _, g := range candidateGrids(req) {
-		bs := blockCandidates(sh, g, req.Quick)
+		bs := blockCandidates(sh, g)
 		if req.BlockSize > 0 {
 			// A pinned b is a user constraint: feasibility follows the
 			// execution layer, not the auto-search skinny cap — when the
@@ -456,7 +452,7 @@ func pairCandidates(req Request, sh matrix.Shape, squareOnlySkipped *bool) []Can
 func hierarchies(req Request, g topo.Grid, bs []int, alg engine.Algorithm, proper bool) []Candidate {
 	depth := map[engine.Algorithm]int{engine.HSUMMA: 1, engine.Multilevel: 2}[alg]
 	var out []Candidate
-	for _, groups := range arrangements(g, depth, req.Quick, proper) {
+	for _, groups := range arrangements(g, depth, proper) {
 		for _, b := range bs {
 			for _, widths := range widthChains(req, g, depth, b) {
 				if proper && depth > 0 && repeatsBelow(groups[depth-1], widths[depth-1], b, bs) {
@@ -497,20 +493,21 @@ func repeatsBelow(h topo.Hier, w, b int, bs []int) bool {
 // arrangements lists the group arrangements of a depth-level hierarchy
 // over grid g, outermost level first. Each level splits what the level
 // above leaves of the grid, once per group count topo.ValidGroupCounts
-// admits — in Quick mode only the powers of two and the sub-grid's size,
-// the points the paper's figures sweep — as topo.FactorGroups arranges
-// it. proper leaves out a level of one group.
-func arrangements(g topo.Grid, depth int, quick, proper bool) [][]topo.Hier {
+// admits that is a power of two or the sub-grid's size — the points the
+// paper's G sweeps take, and on a power-of-two grid every valid count —
+// as topo.FactorGroups arranges it. proper leaves out a level of one
+// group.
+func arrangements(g topo.Grid, depth int, proper bool) [][]topo.Hier {
 	if depth == 0 {
 		return [][]topo.Hier{nil}
 	}
 	var out [][]topo.Hier
 	for _, G := range topo.ValidGroupCounts(g) {
-		if quick && G&(G-1) != 0 && G != g.Size() || proper && G == 1 {
+		if !powerOfTwo(G) && G != g.Size() || proper && G == 1 {
 			continue
 		}
 		h, _ := topo.FactorGroups(g, G) // every valid count factors
-		for _, inner := range arrangements(topo.Grid{S: h.InnerS(), T: h.InnerT()}, depth-1, quick, proper) {
+		for _, inner := range arrangements(topo.Grid{S: h.InnerS(), T: h.InnerT()}, depth-1, proper) {
 			out = append(out, append([]topo.Hier{h}, inner...))
 		}
 	}
@@ -518,17 +515,14 @@ func arrangements(g topo.Grid, depth int, quick, proper bool) [][]topo.Hier {
 }
 
 // widthChains lists a depth-level hierarchy's panel widths over inner
-// width b, outermost first: for one level B = b, the paper's setting, and
-// in full mode 2b and 4b (§III), unless OuterBlockSize pins B; for two, 4b
-// over 2b. A searched width stays within the smallest tile extent.
+// width b, outermost first: for one level B = b, the paper's setting, 2b
+// and 4b (§III), unless OuterBlockSize pins B; for two, 4b over 2b. A
+// searched width stays within the smallest tile extent.
 func widthChains(req Request, g topo.Grid, depth, b int) [][]int {
 	if depth == 1 && req.OuterBlockSize > 0 {
 		return [][]int{{req.OuterBlockSize}}
 	}
 	chains := [][][]int{{nil}, {{b}, {2 * b}, {4 * b}}, {{4 * b, 2 * b}}}[depth]
-	if depth == 1 && req.Quick {
-		chains = chains[:1]
-	}
 	limit := max(b, minTileExtent(req.Shape, g))
 	return slices.DeleteFunc(chains, func(w []int) bool { return len(w) > 0 && w[0] > limit })
 }
@@ -568,9 +562,7 @@ func aspectDistance(sh matrix.Shape, g topo.Grid) float64 {
 // (M ≠ N) both orientations of each factorisation are enumerated, so a
 // tall problem can land on a tall grid. Grids are skew-filtered to 8:1
 // around the output aspect ratio, keeping the squarest and the
-// aspect-closest unconditionally. Quick mode keeps only the feasible grid
-// whose orientation best matches the aspect ratio — the squarest one on
-// square problems, matching the paper's fixed grids.
+// aspect-closest unconditionally.
 func candidateGrids(req Request) []topo.Grid {
 	sh := req.Shape
 	if req.Grid != nil {
@@ -618,9 +610,6 @@ func candidateGrids(req Request) []topo.Grid {
 			closest = g
 		}
 	}
-	if req.Quick {
-		return []topo.Grid{closest}
-	}
 	kept := all[:0]
 	for _, g := range all {
 		if g == squarest || g == closest || aspectDistance(sh, g) <= math.Log(8) {
@@ -635,9 +624,8 @@ func candidateGrids(req Request) []topo.Grid {
 // operand (so auto blocks never exceed a skinny dimension) and — when the
 // shape divides the grid — dividing the per-rank K extents exactly.
 // Within that, the paper's experimental range [16, 512] is preferred
-// (smaller ones admitted only when nothing in range fits). Quick mode
-// keeps at most three, spread across the range.
-func blockCandidates(sh matrix.Shape, g topo.Grid, quick bool) []int {
+// (smaller ones admitted only when nothing in range fits).
+func blockCandidates(sh matrix.Shape, g topo.Grid) []int {
 	cap := minTileExtent(sh, g)
 	exact := sh.K%g.S == 0 && sh.K%g.T == 0
 	var bs []int
@@ -657,9 +645,6 @@ func blockCandidates(sh matrix.Shape, g topo.Grid, quick bool) []int {
 	}
 	if len(inRange) > 0 {
 		bs = inRange
-	}
-	if quick && len(bs) > 3 {
-		bs = []int{bs[0], bs[len(bs)/2], bs[len(bs)-1]}
 	}
 	return bs
 }

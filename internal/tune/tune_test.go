@@ -81,7 +81,7 @@ func TestPlannerWithinFivePercentOfExhaustive(t *testing.T) {
 	} {
 		pf := pf
 		t.Run(pf.Name, func(t *testing.T) {
-			req := Request{Platform: pf, N: 512, P: 16, Quick: true, NoCache: true}
+			req := Request{Platform: pf, N: 512, P: 16, NoCache: true}
 			pl, err := NewPlanner().Plan(req)
 			if err != nil {
 				t.Fatal(err)
@@ -147,7 +147,7 @@ func TestPlannerBGPGroupTrend(t *testing.T) {
 // 4×6 grid it replays its leaders, and the hit repeats none.
 func TestPlanCacheHit(t *testing.T) {
 	p := NewPlanner()
-	req := Request{Platform: machine.Grid5000(), N: 512, P: 16, Quick: true}
+	req := Request{Platform: machine.Grid5000(), N: 512, P: 16}
 	cold, err := p.Plan(req)
 	if err != nil {
 		t.Fatal(err)
@@ -174,14 +174,14 @@ func TestPlanCacheHit(t *testing.T) {
 		t.Fatalf("cached plan differs: %s vs %s", warm.Best.Candidate, cold.Best.Candidate)
 	}
 	// A different problem must miss.
-	if pl, err := p.Plan(Request{Platform: machine.Grid5000(), N: 256, P: 16, Quick: true}); err != nil {
+	if pl, err := p.Plan(Request{Platform: machine.Grid5000(), N: 256, P: 16}); err != nil {
 		t.Fatal(err)
 	} else if pl.FromCache {
 		t.Fatal("different problem served from cache")
 	}
 
 	// A non-power-of-two grid replays cold and not on the hit.
-	odd := Request{Platform: machine.Grid5000(), N: 768, P: 24, Quick: true}
+	odd := Request{Platform: machine.Grid5000(), N: 768, P: 24}
 	if _, err := p.Plan(odd); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCandidatesAreFeasible(t *testing.T) {
 		{Platform: machine.Grid5000(), N: 512, P: 16},
 		{Platform: machine.BlueGeneP(), N: 768, P: 12, Algorithms: []engine.Algorithm{
 			engine.SUMMA, engine.HSUMMA, engine.Multilevel, engine.Cannon, engine.Fox}},
-		{Platform: machine.Exascale(), N: 1024, P: 64, Quick: true},
+		{Platform: machine.Exascale(), N: 1024, P: 64},
 	}
 	for _, req := range reqs {
 		cands, err := Candidates(req)
@@ -307,7 +307,7 @@ func TestAutoKeepsPins(t *testing.T) {
 // every candidate fits the budget, more than one thread count appears, and
 // pinning Threads collapses the sweep to that value.
 func TestCoreBudgetEnumeratesRankThreadSplits(t *testing.T) {
-	req := Request{Platform: machine.Grid5000(), N: 1024, CoreBudget: 64, Quick: true}
+	req := Request{Platform: machine.Grid5000(), N: 1024, CoreBudget: 64}
 	cands, err := Candidates(req)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestCoreBudgetEnumeratesRankThreadSplits(t *testing.T) {
 		t.Fatalf("core-budget sweep produced only thread counts %v, want at least two splits", threadCounts)
 	}
 
-	pinned, err := Candidates(Request{Platform: machine.Grid5000(), N: 1024, CoreBudget: 64, Threads: 4, Quick: true})
+	pinned, err := Candidates(Request{Platform: machine.Grid5000(), N: 1024, CoreBudget: 64, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestCoreBudgetEnumeratesRankThreadSplits(t *testing.T) {
 func TestPlanForCoreBudget(t *testing.T) {
 	pl, err := PlanFor(Request{
 		Platform: machine.Grid5000(), N: 1024, CoreBudget: 64,
-		Quick: true, NoCache: true,
+		NoCache: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +417,7 @@ func TestRefinementEngineDoesNotChangePicks(t *testing.T) {
 	for name, pf := range presets {
 		pf := pf
 		t.Run(name, func(t *testing.T) {
-			pl, err := NewPlanner().Plan(Request{Platform: pf, N: 512, P: 16, Quick: true, NoCache: true})
+			pl, err := NewPlanner().Plan(Request{Platform: pf, N: 512, P: 16, NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,7 +430,7 @@ func TestRefinementEngineDoesNotChangePicks(t *testing.T) {
 				}
 			}
 
-			odd, err := NewPlanner().Plan(Request{Platform: pf, N: 768, P: 24, Quick: true, NoCache: true})
+			odd, err := NewPlanner().Plan(Request{Platform: pf, N: 768, P: 24, NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -457,7 +457,7 @@ func TestRefinementEngineDoesNotChangePicks(t *testing.T) {
 				t.Fatalf("4x6 plan: %d ranked entries replayed, Simulated = %d; want equal and > 0", replayed, odd.Simulated)
 			}
 
-			square, err := NewPlanner().Plan(Request{Platform: pf, N: 1536, P: 36, Quick: true, NoCache: true})
+			square, err := NewPlanner().Plan(Request{Platform: pf, N: 1536, P: 36, NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -475,13 +475,13 @@ func TestRefinementEngineDoesNotChangePicks(t *testing.T) {
 // and a cache hit adds none.
 func TestRefineTimeCounter(t *testing.T) {
 	p := NewPlanner()
-	if _, err := p.Plan(Request{Platform: machine.Grid5000(), N: 512, P: 16, Quick: true}); err != nil {
+	if _, err := p.Plan(Request{Platform: machine.Grid5000(), N: 512, P: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if st := p.Stats(); st.SimRuns != 0 || st.RefineNanos != 0 {
 		t.Fatalf("4x4 plan replayed: %+v", st)
 	}
-	odd := Request{Platform: machine.Grid5000(), N: 768, P: 24, Quick: true}
+	odd := Request{Platform: machine.Grid5000(), N: 768, P: 24}
 	if _, err := p.Plan(odd); err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,8 @@ type PlanConfig struct {
 	Broadcasts []sched.Algorithm
 	// Objective defaults to PlanMinTotal.
 	Objective PlanObjective
-	// Quick trims the candidate space for sub-second planning.
+	// Deprecated: ignored. The planner has one search space; Plan
+	// searches it whatever Quick says.
 	Quick bool
 	// Contention prices link sharing by replaying the ranked candidates
 	// on the event engine (at most tune.AutoProcs ranks).
@@ -104,7 +105,6 @@ func (cfg PlanConfig) request() (tune.Request, error) {
 		Algorithms: cfg.Algorithms,
 		Broadcasts: cfg.Broadcasts,
 		Objective:  cfg.Objective,
-		Quick:      cfg.Quick,
 		Contention: cfg.Contention,
 		NoCache:    cfg.NoCache,
 	}, nil

@@ -182,7 +182,7 @@ func TestShapeErrorsIdenticalAcrossSurfaces(t *testing.T) {
 	// Invalid shape (K=0 after inference: A is 4x0).
 	_, _, mErr := Multiply(NewMatrix(4, 0), NewMatrix(0, 4), Config{Procs: 4})
 	_, sErr := Simulate(SimConfig{Shape: Shape{M: 4, N: 4, K: 0}, Procs: 4, Machine: Machine{Alpha: 1, Beta: 1}})
-	_, pErr := Plan(PlanConfig{Platform: PlatformGrid5000(), Shape: Shape{M: 4, N: 4, K: 0}, Procs: 4, Quick: true})
+	_, pErr := Plan(PlanConfig{Platform: PlatformGrid5000(), Shape: Shape{M: 4, N: 4, K: 0}, Procs: 4})
 	for name, err := range map[string]error{"multiply": mErr, "simulate": sErr, "plan": pErr} {
 		if err == nil {
 			t.Fatalf("%s accepted K=0", name)
@@ -195,7 +195,7 @@ func TestShapeErrorsIdenticalAcrossSurfaces(t *testing.T) {
 	_, _, mErr = Multiply(NewMatrix(8, 8), NewMatrix(8, 4), Config{Procs: 4, Algorithm: AlgCannon})
 	_, sErr = Simulate(SimConfig{Shape: rect, Procs: 4, Algorithm: AlgFox, Machine: Machine{Alpha: 1, Beta: 1}})
 	_, pErr = Plan(PlanConfig{Platform: PlatformGrid5000(), Shape: rect, Procs: 4,
-		Algorithms: []Algorithm{AlgCannon}, Quick: true})
+		Algorithms: []Algorithm{AlgCannon}})
 	for name, err := range map[string]error{"multiply": mErr, "simulate": sErr, "plan": pErr} {
 		if !errors.Is(err, ErrSquareOnly) {
 			t.Fatalf("%s: got %v, want ErrSquareOnly", name, err)
